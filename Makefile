@@ -2,16 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-energy race-faults race-recovery bench bench-telemetry bench-json bench-sph bench-sph-smoke bench-gomaxprocs perfgate perfgate-smoke perfgate-ckpt chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-energy race-faults race-recovery bench bench-telemetry bench-json bench-sph bench-sph-smoke bench-gomaxprocs perfgate perfgate-smoke perfgate-ckpt chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
 # check is the CI gate: static vetting plus the full suite under the race
-# detector (includes the telemetry concurrency tests), with a focused
-# re-run of the energy attribution/validation path so a regression there
-# is named in the failure output rather than buried in ./..., a short
-# SPH perf-harness smoke + pipeline-equivalence gate so the neighbor-list
-# fast path can't silently drift from the closure-walk reference, a
+# detector (includes the telemetry concurrency tests), the SPH engine's
+# race suite again at GOMAXPROCS 4 (race-sph: the default width of a small
+# box never splits its loops), a focused re-run of the energy
+# attribution/validation path so a regression there is named in the
+# failure output rather than buried in ./..., a short
+# SPH perf-harness smoke + pipeline-equivalence gate so the production
+# path can't silently drift from the closure-walk reference, a
 # seeded chaos smoke proving the fault/degradation layer keeps the
 # measurement contract and stays bit-identical per seed, the perf
 # regression sentinel (perfgate-smoke) diffing a short bench run against
@@ -19,7 +21,7 @@ all: build lint test
 # (events-smoke) proving a tuned run exports an auditable ledger, and the
 # recovery soak smoke (soak-smoke) proving seeded kill-and-recover runs
 # converge bit-identically plus the checkpoint-overhead self-gate.
-check: lint race race-energy race-faults bench-sph-smoke chaos-smoke perfgate-smoke events-smoke soak-smoke
+check: lint race race-sph race-energy race-faults bench-sph-smoke chaos-smoke perfgate-smoke events-smoke soak-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -89,6 +91,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The SPH engine's parallel loops, chunk pools and scatter accumulators
+# under the race detector at a width that splits them.
+race-sph:
+	GOMAXPROCS=4 $(GO) test -race ./internal/sph/ ./internal/neighbors/ ./internal/par/
+
 bench:
 	$(GO) test -bench . -benchmem ./...
 
@@ -105,17 +112,16 @@ bench-telemetry:
 bench-json:
 	$(GO) run ./cmd/energybench -out BENCH_energy.json
 
-# Per-pass SPH pipeline timing (closure walk vs neighbor list vs Verlet
-# skin vs symmetric folded pairs) at the tracked problem sizes, as
-# machine-readable JSON. This IS the
-# perfgate baseline refresh: after an intentional perf change, run
-# `make bench-sph` (with the 1,2,4,8 sweep so the parallel-efficiency
+# Per-pass SPH pipeline timing (closure-walk reference vs the production
+# neighbor list) at the tracked problem sizes, as machine-readable JSON.
+# This IS the perfgate baseline refresh: after an intentional perf change,
+# run `make bench-sph` (with the 1,2,4,8 sweep so the parallel-efficiency
 # fields stay populated) and commit the regenerated BENCH_sph.json
 # alongside the change that caused it.
 bench-sph:
 	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -gomaxprocs 1,2,4,8 -out BENCH_sph.json
 
-# GOMAXPROCS scaling sweep on the Verlet-skin pipeline: per-pass
+# GOMAXPROCS scaling sweep on the production pipeline: per-pass
 # parallel-efficiency fields (t1/(P·tP)) land in gomaxprocs_sweep of the
 # output. Writes to a scratch file so it never clobbers the baseline.
 bench-gomaxprocs:
@@ -129,29 +135,25 @@ perfgate:
 
 # Fast sentinel for `check`: relaxed -smoke tolerances — only gross
 # regressions (a pass's share of step time jumping, allocs blowing up,
-# skin reuse breaking, the cell-slab rebuild win collapsing) fail the
-# gate. 4 measured steps so the ~4-step rebuild cadence lands one rebuild
-# inside the measured window — fewer steps leave the rebuild-split floors
-# unmeasured and silently skipped.
+# skin reuse breaking) fail the gate. 4 measured steps so the ~4-step
+# rebuild cadence lands one rebuild inside the measured window.
 perfgate-smoke:
 	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -out /tmp/BENCH_sph_smoke.json
 	$(GO) run ./cmd/perfgate -smoke -baseline BENCH_sph.json /tmp/BENCH_sph_smoke.json
 
 # Fast correctness/liveness gate for `check`: a tiny sphbench run (exercises
-# all five pipelines end to end — closure walk, rebuilt list, Verlet skin,
-# the symmetric folded pair path and the cell-slab sweep; the multi-step
-# run gives the skin real refresh steps), the walk-vs-list,
-# skin-vs-rebuild, symmetric-vs-asymmetric and cell-slab bit-identity
-# equivalence tests plus the skin and fold edge cases (drift threshold,
-# overflow/ngmax fallback, mid-interval restart, bit-identical opt-out,
-# float32-kernel verdict), the zero-allocation regressions on the reusable
-# grid build, the folded passes and the slab gather, and a one-shot pass
-# over the SPH micro-benchmarks.
+# both pipelines end to end — the closure-walk reference and the production
+# neighbor list; the multi-step run gives the skin real refresh steps), the
+# production-vs-walk and skin-vs-rebuild equivalence tests plus the skin
+# and fold edge cases (drift threshold, overflow/ngmax fallback,
+# mid-interval restart, bit-identical opt-out) and the sequence fuzz seeds,
+# the zero-allocation regressions on the reusable grid build and the folded
+# passes, and a one-shot pass over the SPH micro-benchmarks.
 bench-sph-smoke:
 	$(GO) run ./cmd/sphbench -sizes 8 -steps 1 -warmup 1 -out /dev/null
 	$(GO) run ./cmd/sphbench -sizes 10 -steps 4 -warmup 1 -out /dev/null
-	$(GO) test -run 'NeighborListMatchesWalk|NgmaxOverflow|TabulatedKernelPipeline|Skin|Symmetric|Float32|CellSlab' -count=1 ./internal/sph/
-	$(GO) test -run 'ZeroSteadyStateAllocs|QueryZeroAllocs|IntoMatchesBuildGrid|SlabGather' -count=1 ./internal/neighbors/
+	$(GO) test -run 'NeighborListMatchesWalk|NgmaxOverflow|TabulatedKernelPipeline|Skin|Symmetric|PairPass|FuzzPipelineSequence' -count=1 ./internal/sph/
+	$(GO) test -run 'ZeroSteadyStateAllocs|QueryZeroAllocs|IntoMatchesBuildGrid|FuzzBuildGridIntoReuse' -count=1 ./internal/neighbors/
 	$(GO) test -run xxx -bench 'SPHStep$$' -benchtime 1x ./...
 
 # Decision-observability gate for `check`: a tiny tuned run with the event

@@ -38,7 +38,7 @@ func benchmarkSPHStepMode(b *testing.B, nSide int, closureWalk bool) {
 	b.ReportMetric(float64(p.N), "particles")
 }
 
-// BenchmarkSPHStepWalk measures the legacy closure-walk pipeline at
+// BenchmarkSPHStepWalk measures the closure-walk reference pipeline at
 // BenchmarkSPHStep's size; the ratio of the two is the tracked
 // neighbor-list speedup (BENCH_sph.json records the same comparison with
 // per-pass resolution).

@@ -11,18 +11,16 @@
 //     pass whose share jumps is exactly what a perf regression looks like.
 //   - Total ns/particle and per-pass ns/particle carry generous relative
 //     tolerances plus absolute floors (cheap passes are timer noise).
-//   - The rebuild/refresh split of the Verlet-skin mode is deterministic
+//   - The rebuild/refresh split of the neighbor list is deterministic
 //     for identical trajectories, so counts must match within ±slack; when
 //     step counts differ (smoke runs are shorter) the rebuild interval is
 //     compared instead.
 //   - Allocation counts per step get a relative tolerance plus an absolute
 //     slack so GC-timing jitter does not flake the gate.
-//   - The symmetric folded pair path carries an absolute speedup floor
-//     (speedup_symmetric_folded), and the GOMAXPROCS sweep an absolute
-//     parallel-efficiency floor on the folded passes — both skipped
-//     gracefully when the fresh run did not measure them, and the
-//     efficiency floor also when the machine has too few CPUs (the fresh
-//     run records num_cpu for exactly this reason).
+//   - The GOMAXPROCS sweep carries an absolute parallel-efficiency floor
+//     on the folded pair passes — skipped gracefully when the fresh run did
+//     not measure it, and when the machine has too few CPUs (the fresh run
+//     records num_cpu for exactly this reason).
 //
 // Examples:
 //
@@ -69,20 +67,6 @@ type Tolerances struct {
 	// they do not.
 	CountSlack   int
 	IntervalFrac float64
-	// SymFoldedMin is the absolute floor on the fresh run's
-	// speedup_symmetric_folded — the tracked win of the folded pair path
-	// over the asymmetric skin list on the pair-interaction passes.
-	// Checked only when the fresh run measured it; <= 0 disables.
-	SymFoldedMin float64
-	// CellSlabMin is the absolute floor on the fresh run's
-	// speedup_cellslab_rebuild — the tracked win of the cell-slab folded
-	// gather over the walk-gathered symmetric rebuild. The contract is
-	// defined in the dense regime, so it is asserted at the largest
-	// measured size only; smaller sizes (fixed per-rebuild overheads on a
-	// cheaper gather) are still guarded by the baseline-relative
-	// SpeedupFrac check. Checked only when the fresh run measured it;
-	// <= 0 disables.
-	CellSlabMin float64
 	// EffProcs/EffFloor assert the folded passes' parallel efficiency
 	// t1/(P·tP) at P = EffProcs from the fresh run's GOMAXPROCS sweep.
 	// Skipped when the sweep is absent, lacks the needed points, or the
@@ -102,9 +86,7 @@ func Default() Tolerances {
 		SpeedupFrac: 0.60,
 		AllocFrac:   0.25, AllocAbs: 64,
 		CountSlack: 1, IntervalFrac: 0.5,
-		SymFoldedMin: 1.4,
-		CellSlabMin:  1.4,
-		EffProcs:     4, EffFloor: 0.65,
+		EffProcs: 4, EffFloor: 0.65,
 	}
 }
 
@@ -118,9 +100,7 @@ func Smoke() Tolerances {
 		SpeedupFrac: 0.35,
 		AllocFrac:   1.0, AllocAbs: 256,
 		CountSlack: 2, IntervalFrac: 1.0,
-		SymFoldedMin: 1.15,
-		CellSlabMin:  1.15,
-		EffProcs:     4, EffFloor: 0.5,
+		EffProcs: 4, EffFloor: 0.5,
 	}
 }
 
@@ -132,12 +112,6 @@ func Gate(base, fresh *benchfmt.Output, tol Tolerances) []string {
 		fails = append(fails, fmt.Sprintf(format, args...))
 	}
 
-	maxSide := 0
-	for i := range base.Sizes {
-		if s := base.Sizes[i].NSide; s > maxSide {
-			maxSide = s
-		}
-	}
 	for i := range base.Sizes {
 		bs := &base.Sizes[i]
 		fs := fresh.Size(bs.NSide)
@@ -160,37 +134,12 @@ func Gate(base, fresh *benchfmt.Output, tol Tolerances) []string {
 			}
 			gateMode(bs, fs, mode, bm, fm, tol, failf)
 		}
-		// Speedups are the tracked wins of the neighbor-list PRs; losing
-		// them is a regression even if absolute times moved together.
-		checkSpeedup := func(what string, b, f float64) {
-			if b > 0 && f < b*tol.SpeedupFrac {
-				failf("size %d³: %s %.2fx fell below %.2fx (baseline %.2fx × %.2f floor)",
-					bs.NSide, what, f, b*tol.SpeedupFrac, b, tol.SpeedupFrac)
-			}
-		}
-		checkSpeedup("speedup_total", bs.SpeedupTotal, fs.SpeedupTotal)
-		checkSpeedup("speedup_skin", bs.SpeedupSkin, fs.SpeedupSkin)
-		checkSpeedup("speedup_find_neighbors_skin", bs.SpeedupFindNeighborsSkin, fs.SpeedupFindNeighborsSkin)
-		checkSpeedup("speedup_symmetric_folded", bs.SpeedupSymFolded, fs.SpeedupSymFolded)
-		checkSpeedup("speedup_symmetric_total", bs.SpeedupSymTotal, fs.SpeedupSymTotal)
-		// The rebuild-split speedup is only defined when the fresh run's
-		// measured window contained a rebuild step (a short run whose
-		// rebuilds all fell in warm-up reports 0 = unmeasured); the
-		// missing-mode check still catches the mode disappearing entirely.
-		if fs.SpeedupCellSlabRebuild > 0 {
-			checkSpeedup("speedup_cellslab_rebuild", bs.SpeedupCellSlabRebuild, fs.SpeedupCellSlabRebuild)
-		}
-		// The folded pair path and the cell-slab gather carry absolute
-		// performance contracts on top of the baseline-relative drift
-		// checks.
-		if tol.SymFoldedMin > 0 && fs.SpeedupSymFolded > 0 && fs.SpeedupSymFolded < tol.SymFoldedMin {
-			failf("size %d³: speedup_symmetric_folded %.2fx below the %.2fx floor",
-				bs.NSide, fs.SpeedupSymFolded, tol.SymFoldedMin)
-		}
-		if tol.CellSlabMin > 0 && bs.NSide == maxSide &&
-			fs.SpeedupCellSlabRebuild > 0 && fs.SpeedupCellSlabRebuild < tol.CellSlabMin {
-			failf("size %d³: speedup_cellslab_rebuild %.2fx below the %.2fx floor",
-				bs.NSide, fs.SpeedupCellSlabRebuild, tol.CellSlabMin)
+		// The production path's margin over the reference is the tracked
+		// win; losing it is a regression even if absolute times moved
+		// together.
+		if b, f := bs.SpeedupTotal, fs.SpeedupTotal; b > 0 && f < b*tol.SpeedupFrac {
+			failf("size %d³: speedup_total %.2fx fell below %.2fx (baseline %.2fx × %.2f floor)",
+				bs.NSide, f, b*tol.SpeedupFrac, b, tol.SpeedupFrac)
 		}
 		checkEfficiency(fresh, fs, tol, failf)
 	}

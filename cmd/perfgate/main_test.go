@@ -38,23 +38,17 @@ func sampleBench() *benchfmt.Output {
 		}
 	}
 	walk := mode(13000, map[string]float64{"find_neighbors": 4400, "momentum_energy": 7200})
-	list := mode(600, map[string]float64{"find_neighbors": 7500, "momentum_energy": 2250})
-	skin := mode(80, nil)
-	skin.Skin = 0.3
-	skin.Rebuilds = 1
-	skin.Refreshes = 3
-	skin.RebuildIntervalSteps = 4
-	skin.RebuildNsPerParticle = 9000
-	skin.RefreshNsPerParticle = 4000
-	sym := mode(90, map[string]float64{
+	list := mode(90, map[string]float64{
 		"find_neighbors": 6100, "xmass": 950, "gradh": 25,
 		"iad": 1300, "momentum_energy": 1150,
 	})
-	sym.Skin = 0.3
-	sym.Rebuilds = 1
-	sym.Refreshes = 3
-	sym.RebuildIntervalSteps = 4
-	symAt4 := mode(140, map[string]float64{
+	list.Skin = 0.3
+	list.Rebuilds = 1
+	list.Refreshes = 3
+	list.RebuildIntervalSteps = 4
+	list.RebuildNsPerParticle = 9000
+	list.RefreshNsPerParticle = 4000
+	listAt4 := mode(140, map[string]float64{
 		"find_neighbors": 1900, "xmass": 300, "gradh": 9,
 		"iad": 420, "momentum_energy": 370,
 	})
@@ -65,21 +59,14 @@ func sampleBench() *benchfmt.Output {
 		Sizes: []benchfmt.SizeResult{{
 			NSide: 20, N: 8000, NgTarget: 64, Warmup: 1, Steps: 4,
 			Modes: map[string]benchfmt.ModeResult{
-				"closure_walk":            walk,
-				"neighbor_list":           list,
-				"neighbor_list_skin":      skin,
-				"neighbor_list_symmetric": sym,
+				"closure_walk":  walk,
+				"neighbor_list": list,
 			},
-			SpeedupTotal:             walk.StepMs / list.StepMs,
-			SpeedupSkin:              list.StepMs / skin.StepMs,
-			SpeedupFindNeighborsSkin: list.NsPerParticleStep["find_neighbors"] / skin.NsPerParticleStep["find_neighbors"],
-			SpeedupSymFolded:         benchfmt.FoldedNs(skin.NsPerParticleStep) / benchfmt.FoldedNs(sym.NsPerParticleStep),
-			SpeedupSymTotal:          skin.StepMs / sym.StepMs,
-			SweepMode:                "neighbor_list_symmetric",
+			SpeedupTotal: walk.StepMs / list.StepMs,
 			Sweep: []benchfmt.SweepPoint{
-				{Procs: 1, NsPerParticleStep: sym.NsPerParticleStep, StepMs: sym.StepMs, SpeedupVs1: 1},
-				{Procs: 4, NsPerParticleStep: symAt4.NsPerParticleStep, StepMs: symAt4.StepMs,
-					SpeedupVs1: sym.StepMs / symAt4.StepMs},
+				{Procs: 1, NsPerParticleStep: list.NsPerParticleStep, StepMs: list.StepMs, SpeedupVs1: 1},
+				{Procs: 4, NsPerParticleStep: listAt4.NsPerParticleStep, StepMs: listAt4.StepMs,
+					SpeedupVs1: list.StepMs / listAt4.StepMs},
 			},
 		}},
 	}
@@ -153,9 +140,9 @@ func TestGateNoiseWithinTolerancePasses(t *testing.T) {
 func TestGateAllocRegressionFails(t *testing.T) {
 	base := sampleBench()
 	c := clone(t, base)
-	m := c.Sizes[0].Modes["neighbor_list_skin"]
-	m.AllocsPerStep = base.Sizes[0].Modes["neighbor_list_skin"].AllocsPerStep*2 + 1000
-	c.Sizes[0].Modes["neighbor_list_skin"] = m
+	m := c.Sizes[0].Modes["neighbor_list"]
+	m.AllocsPerStep = base.Sizes[0].Modes["neighbor_list"].AllocsPerStep*2 + 1000
+	c.Sizes[0].Modes["neighbor_list"] = m
 	fails := Gate(base, c, Default())
 	if len(fails) == 0 {
 		t.Fatal("doubled allocs/step passed the gate")
@@ -168,9 +155,9 @@ func TestGateAllocRegressionFails(t *testing.T) {
 func TestGateRebuildSplitDrift(t *testing.T) {
 	base := sampleBench()
 	c := clone(t, base)
-	m := c.Sizes[0].Modes["neighbor_list_skin"]
+	m := c.Sizes[0].Modes["neighbor_list"]
 	m.Rebuilds, m.Refreshes = 4, 0 // skin reuse broke: rebuilding every step
-	c.Sizes[0].Modes["neighbor_list_skin"] = m
+	c.Sizes[0].Modes["neighbor_list"] = m
 	if fails := Gate(base, c, Default()); len(fails) == 0 {
 		t.Fatal("rebuild-every-step drift passed the gate")
 	}
@@ -178,9 +165,9 @@ func TestGateRebuildSplitDrift(t *testing.T) {
 	// the interval check takes over.
 	c2 := clone(t, base)
 	c2.Sizes[0].Steps = 8
-	m2 := c2.Sizes[0].Modes["neighbor_list_skin"]
+	m2 := c2.Sizes[0].Modes["neighbor_list"]
 	m2.Rebuilds, m2.Refreshes, m2.RebuildIntervalSteps = 2, 6, 4
-	c2.Sizes[0].Modes["neighbor_list_skin"] = m2
+	c2.Sizes[0].Modes["neighbor_list"] = m2
 	if fails := Gate(base, c2, Default()); len(fails) != 0 {
 		t.Errorf("same interval at different step count failed: %v", fails)
 	}
@@ -194,7 +181,7 @@ func TestGateMissingSizeAndMode(t *testing.T) {
 		t.Error("missing size passed the gate")
 	}
 	c2 := clone(t, base)
-	delete(c2.Sizes[0].Modes, "neighbor_list_skin")
+	delete(c2.Sizes[0].Modes, "neighbor_list")
 	if fails := Gate(base, c2, Default()); len(fails) == 0 {
 		t.Error("missing mode passed the gate")
 	}
@@ -210,57 +197,6 @@ func TestGateSpeedupFloor(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(fails, "\n"), "speedup_total") {
 		t.Errorf("failures do not mention speedup_total: %v", fails)
-	}
-}
-
-func TestGateSymmetricFoldedFloor(t *testing.T) {
-	base := sampleBench()
-	c := clone(t, base)
-	c.Sizes[0].SpeedupSymFolded = 1.2 // above the 0.6 relative floor, below the 1.4 absolute one
-	fails := Gate(base, c, Default())
-	if len(fails) == 0 {
-		t.Fatal("1.2x folded speedup passed the 1.4x absolute floor")
-	}
-	if !strings.Contains(strings.Join(fails, "\n"), "speedup_symmetric_folded") {
-		t.Errorf("failures do not mention the folded floor: %v", fails)
-	}
-	// A fresh run that never measured the symmetric mode (e.g. a historical
-	// file) must not trip the absolute floor — only the missing-mode check.
-	c2 := clone(t, base)
-	c2.Sizes[0].SpeedupSymFolded = 0
-	for _, f := range Gate(base, c2, Default()) {
-		if strings.Contains(f, "below the") {
-			t.Errorf("unmeasured folded speedup tripped the absolute floor: %s", f)
-		}
-	}
-}
-
-func TestGateCellSlabFloor(t *testing.T) {
-	base := sampleBench()
-	s30 := base.Sizes[0]
-	s30.NSide = 30
-	s30.N = 27000
-	base.Sizes = append(base.Sizes, s30)
-	base.Sizes[0].SpeedupCellSlabRebuild = 1.25
-	base.Sizes[1].SpeedupCellSlabRebuild = 1.55
-
-	// The absolute floor is a dense-regime contract, asserted at the
-	// largest measured size only: a smaller size under 1.4x passes as long
-	// as the largest size holds.
-	c := clone(t, base)
-	c.Sizes[0].SpeedupCellSlabRebuild = 1.2
-	if fails := Gate(base, c, Default()); len(fails) != 0 {
-		t.Fatalf("small-size 1.2x tripped the largest-size floor: %v", fails)
-	}
-
-	c2 := clone(t, base)
-	c2.Sizes[1].SpeedupCellSlabRebuild = 1.2
-	fails := Gate(base, c2, Default())
-	if len(fails) == 0 {
-		t.Fatal("1.2x cell-slab speedup at the largest size passed the 1.4x floor")
-	}
-	if !strings.Contains(strings.Join(fails, "\n"), "speedup_cellslab_rebuild") {
-		t.Errorf("failures do not mention the cell-slab floor: %v", fails)
 	}
 }
 

@@ -1,13 +1,9 @@
 // Command sphbench measures the real SPH compute layer pass by pass — the
 // per-function decomposition the paper attributes energy to — and writes
 // the results as machine-readable JSON for regression tracking. Each
-// problem size is run five times: with the legacy closure-walk pipeline,
-// with the persistent neighbor list rebuilt every step, with the
-// Verlet-skin list that amortizes rebuilds across steps, with the
-// symmetric folded pair list that visits each interaction once, and with
-// the cell-slab gather sweeping candidates cell by cell on top of the
-// symmetric skin mode — so the
-// file records its own before/after comparisons and future PRs diff
+// problem size is run twice: with the closure-walk reference pipeline and
+// with the production pipeline (Verlet-skin candidates, folded pair list)
+// — so the file records its own reference comparison and future PRs diff
 // against a stable schema (internal/benchfmt; cmd/perfgate is the
 // consumer).
 //
@@ -46,21 +42,12 @@ var passMetrics *telemetry.Registry
 
 // runMode times every pipeline pass over the given number of steps on a
 // fresh Turbulence state, through the pipeline's own PassHook so the timed
-// code path is RunStep itself. SFC reordering is disabled so all modes
+// code path is RunStep itself. SFC reordering is disabled so both modes
 // advance identical trajectories and the comparison is pure pipeline cost.
-// skin < 0 keeps the default Verlet skin; skin == 0 pins the
-// rebuild-every-step list. symmetric enables the folded pair-interaction
-// path on top of the list; cellSlab the cell-slab candidate gather on top
-// of that.
-func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, skin float64) (benchfmt.ModeResult, int) {
+func runMode(nSide, warmup, steps int, closureWalk bool) (benchfmt.ModeResult, int) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(nSide))
 	opt.ClosureWalk = closureWalk
-	opt.SymmetricPairs = symmetric
-	opt.CellSlab = cellSlab
 	opt.ReorderEvery = 0
-	if skin >= 0 {
-		opt.Skin = skin
-	}
 
 	acc := make(map[string]float64, len(benchfmt.PassNames))
 	var rebuildS, refreshS float64
@@ -88,7 +75,6 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 		}
 	}
 	st = sph.NewState(p, opt)
-	lastRebuilds = st.NbrStats.Rebuilds // NewState builds the initial list
 
 	var ms runtime.MemStats
 	var mallocsBase uint64
@@ -121,7 +107,7 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 	res.NsPerParticleStep[benchfmt.TotalKey] = totalS * 1e9 / denom
 	res.StepMs = totalS * 1e3 / float64(steps)
 
-	if opt.Skin > 0 && !closureWalk {
+	if !closureWalk {
 		rebuilds := st.NbrStats.Rebuilds - statsBase.Rebuilds
 		refreshes := st.NbrStats.Refreshes - statsBase.Refreshes
 		res.Skin = opt.Skin
@@ -134,17 +120,11 @@ func runMode(nSide, warmup, steps int, closureWalk, symmetric, cellSlab bool, sk
 		if refreshes > 0 {
 			res.RefreshNsPerParticle = refreshS * 1e9 / (float64(p.N) * float64(refreshes))
 		}
-		if cellSlab && rebuilds > 0 {
-			gatherS := st.NbrStats.GatherSeconds - statsBase.GatherSeconds
-			filterS := st.NbrStats.FilterSeconds - statsBase.FilterSeconds
-			res.GatherNsPerParticle = gatherS * 1e9 / (float64(p.N) * float64(rebuilds))
-			res.FilterNsPerParticle = filterS * 1e9 / (float64(p.N) * float64(rebuilds))
-		}
 	}
 	return res, opt.NgTarget
 }
 
-// runSweep measures the symmetric skin-mode pipeline at each GOMAXPROCS
+// runSweep measures the production pipeline at each GOMAXPROCS
 // setting and derives per-pass parallel efficiency t1/(P·tP) against the
 // sweep's lowest-proc measured point (exact t1 when the list includes 1).
 // Points whose worker count exceeds the machine's logical CPUs are
@@ -163,7 +143,7 @@ func runSweep(nSide, warmup, steps int, procs []int) []benchfmt.SweepPoint {
 			continue
 		}
 		runtime.GOMAXPROCS(p)
-		mode, _ := runMode(nSide, warmup, steps, false, true, false, -1)
+		mode, _ := runMode(nSide, warmup, steps, false)
 		points = append(points, benchfmt.SweepPoint{
 			Procs:             p,
 			NsPerParticleStep: mode.NsPerParticleStep,
@@ -257,15 +237,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("size %d³ (%d particles): closure walk...", nSide, nSide*nSide*nSide)
-		walk, ngTarget := runMode(nSide, *warmup, *steps, true, false, false, 0)
+		walk, ngTarget := runMode(nSide, *warmup, *steps, true)
 		fmt.Printf(" %.1f ms/step; neighbor list...", walk.StepMs)
-		list, _ := runMode(nSide, *warmup, *steps, false, false, false, 0)
-		fmt.Printf(" %.1f ms/step; verlet skin...", list.StepMs)
-		skin, _ := runMode(nSide, *warmup, *steps, false, false, false, -1)
-		fmt.Printf(" %.1f ms/step; symmetric pairs...", skin.StepMs)
-		symm, _ := runMode(nSide, *warmup, *steps, false, true, false, -1)
-		fmt.Printf(" %.1f ms/step; cell slab...", symm.StepMs)
-		slab, _ := runMode(nSide, *warmup, *steps, false, true, true, -1)
+		list, _ := runMode(nSide, *warmup, *steps, false)
 		sr := benchfmt.SizeResult{
 			NSide:    nSide,
 			N:        nSide * nSide * nSide,
@@ -273,28 +247,16 @@ func main() {
 			Warmup:   *warmup,
 			Steps:    *steps,
 			Modes: map[string]benchfmt.ModeResult{
-				"closure_walk":            walk,
-				"neighbor_list":           list,
-				"neighbor_list_skin":      skin,
-				"neighbor_list_symmetric": symm,
-				"neighbor_list_cellslab":  slab,
+				"closure_walk":  walk,
+				"neighbor_list": list,
 			},
-			SpeedupTotal:             walk.StepMs / list.StepMs,
-			SpeedupSkin:              list.StepMs / skin.StepMs,
-			SpeedupFindNeighborsSkin: list.NsPerParticleStep[sph.PassFindNeighbors] / skin.NsPerParticleStep[sph.PassFindNeighbors],
-			SpeedupSymFolded:         benchfmt.FoldedNs(skin.NsPerParticleStep) / benchfmt.FoldedNs(symm.NsPerParticleStep),
-			SpeedupSymTotal:          skin.StepMs / symm.StepMs,
+			SpeedupTotal: walk.StepMs / list.StepMs,
 		}
-		if slab.RebuildNsPerParticle > 0 {
-			sr.SpeedupCellSlabRebuild = symm.RebuildNsPerParticle / slab.RebuildNsPerParticle
-		}
-		fmt.Printf(" %.1f ms/step (list %.2fx walk, skin %.2fx list, find_neighbors %.2fx, sym folded %.2fx, sym total %.2fx, slab rebuild %.2fx)\n",
-			slab.StepMs, sr.SpeedupTotal, sr.SpeedupSkin, sr.SpeedupFindNeighborsSkin,
-			sr.SpeedupSymFolded, sr.SpeedupSymTotal, sr.SpeedupCellSlabRebuild)
+		fmt.Printf(" %.1f ms/step (%.2fx walk; rebuild %.0f, refresh %.0f ns/particle)\n",
+			list.StepMs, sr.SpeedupTotal, list.RebuildNsPerParticle, list.RefreshNsPerParticle)
 		if len(sweepProcs) > 0 {
-			fmt.Printf("  gomaxprocs sweep %v on symmetric skin mode:\n", sweepProcs)
+			fmt.Printf("  gomaxprocs sweep %v on the neighbor list:\n", sweepProcs)
 			sr.Sweep = runSweep(nSide, *warmup, *steps, sweepProcs)
-			sr.SweepMode = "neighbor_list_symmetric"
 		}
 		o.Sizes = append(o.Sizes, sr)
 	}

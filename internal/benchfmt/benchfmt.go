@@ -31,9 +31,9 @@ var PassNames = []string{
 // TotalKey is the synthetic "pass" holding the whole-step cost.
 const TotalKey = "total"
 
-// FoldedPasses are the pair-interaction passes that the symmetric
-// neighbor-list mode folds to visit each pair once; the symmetric speedup
-// targets are expressed over their summed cost.
+// FoldedPasses are the pair-interaction passes that stream the folded pair
+// list and visit each pair once; the parallel-efficiency floor is
+// expressed over their summed cost.
 var FoldedPasses = []string{"xmass", "gradh", "iad", "momentum_energy"}
 
 // FoldedNs sums the folded pair-interaction passes of a per-pass timing
@@ -49,17 +49,17 @@ func FoldedNs(ns map[string]float64) float64 {
 // ModeResult is one pipeline variant's timing at one problem size.
 type ModeResult struct {
 	// NsPerParticleStep maps each pass (plus "total") to nanoseconds per
-	// particle per step, averaged over the measured steps. For the skin
-	// mode find_neighbors is the amortized cost across rebuild and refresh
-	// steps.
+	// particle per step, averaged over the measured steps. On the
+	// neighbor_list mode find_neighbors is the amortized cost across
+	// rebuild and refresh steps.
 	NsPerParticleStep map[string]float64 `json:"ns_per_particle_step"`
 	StepMs            float64            `json:"step_ms"`
 	// AllocsPerStep is the mean heap allocation count per measured step
 	// (runtime.MemStats.Mallocs delta), the 0-alloc hot-loop regression
 	// tripwire.
 	AllocsPerStep float64 `json:"allocs_per_step,omitempty"`
-	// Skin-mode extras: how often the candidate list was rebuilt over the
-	// measured steps, the mean steps between rebuilds, and the
+	// neighbor_list extras: how often the candidate list was rebuilt over
+	// the measured steps, the mean steps between rebuilds, and the
 	// find_neighbors cost split by step kind.
 	Skin                 float64 `json:"skin,omitempty"`
 	Rebuilds             int     `json:"rebuilds,omitempty"`
@@ -67,15 +67,10 @@ type ModeResult struct {
 	RebuildIntervalSteps float64 `json:"rebuild_interval_steps,omitempty"`
 	RebuildNsPerParticle float64 `json:"find_neighbors_rebuild_ns_per_particle,omitempty"`
 	RefreshNsPerParticle float64 `json:"find_neighbors_refresh_ns_per_particle,omitempty"`
-	// Cell-slab extras (neighbor_list_cellslab mode only): the rebuild cost
-	// split into the slab candidate gather and the blocked re-filter, per
-	// particle per rebuild.
-	GatherNsPerParticle float64 `json:"find_neighbors_gather_ns_per_particle,omitempty"`
-	FilterNsPerParticle float64 `json:"find_neighbors_filter_ns_per_particle,omitempty"`
 }
 
 // SweepPoint is one GOMAXPROCS setting of the multicore sweep, run on the
-// skin-mode pipeline.
+// neighbor_list mode.
 type SweepPoint struct {
 	Procs             int                `json:"procs"`
 	NsPerParticleStep map[string]float64 `json:"ns_per_particle_step"`
@@ -91,7 +86,8 @@ type SweepPoint struct {
 	Skipped bool `json:"skipped,omitempty"`
 }
 
-// SizeResult is one problem size's before/after measurement.
+// SizeResult is one problem size's measurement of the reference and the
+// production pipeline.
 type SizeResult struct {
 	NSide    int                   `json:"n_side"`
 	N        int                   `json:"n"`
@@ -101,27 +97,9 @@ type SizeResult struct {
 	Modes    map[string]ModeResult `json:"modes"`
 	// SpeedupTotal is closure_walk step time over neighbor_list step time.
 	SpeedupTotal float64 `json:"speedup_total"`
-	// SpeedupSkin is neighbor_list step time over neighbor_list_skin step
-	// time, and SpeedupFindNeighborsSkin the same ratio for the
-	// find_neighbors pass alone (the amortization the skin buys).
-	SpeedupSkin              float64 `json:"speedup_skin"`
-	SpeedupFindNeighborsSkin float64 `json:"speedup_find_neighbors_skin"`
-	// SpeedupSymFolded is the summed folded-pass cost (see FoldedPasses) of
-	// neighbor_list_skin over neighbor_list_symmetric — the win from
-	// visiting each pair once. SpeedupSymTotal is the same ratio on whole
-	// steps.
-	SpeedupSymFolded float64 `json:"speedup_symmetric_folded,omitempty"`
-	SpeedupSymTotal  float64 `json:"speedup_symmetric_total,omitempty"`
-	// SpeedupCellSlabRebuild is the find_neighbors rebuild-step cost of
-	// neighbor_list_symmetric over neighbor_list_cellslab — the win of the
-	// cell-slab folded gather on the candidate rebuild itself.
-	SpeedupCellSlabRebuild float64 `json:"speedup_cellslab_rebuild,omitempty"`
 	// Sweep holds the optional GOMAXPROCS sweep (-gomaxprocs), ascending
-	// by Procs. SweepMode names the pipeline mode the sweep ran on
-	// (neighbor_list_symmetric once the symmetric path became the default
-	// sweep subject; empty means the historical neighbor_list_skin).
-	Sweep     []SweepPoint `json:"gomaxprocs_sweep,omitempty"`
-	SweepMode string       `json:"sweep_mode,omitempty"`
+	// by Procs.
+	Sweep []SweepPoint `json:"gomaxprocs_sweep,omitempty"`
 }
 
 // Output is the whole benchmark file.

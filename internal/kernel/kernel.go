@@ -368,95 +368,6 @@ func (t *Table) MaxRelError() (wErr, dwErr float64) {
 	return wErr, dwErr
 }
 
-// Table32 is the float32-evaluation variant of Table: float32 table
-// entries, float32 q and interpolation arithmetic, float64 only at the
-// call boundary. It exists to answer the mixed-precision question of the
-// frequency-scaling study — whether float32 kernel evaluation with float64
-// accumulation holds the pipeline's 1e-9 equivalence gate (it does not;
-// the quantization alone contributes ~1e-7 relative error, see
-// sph.Options.Float32Eval).
-type Table32 struct {
-	base   *Table
-	w, dw  []float32
-	invDq  float32
-	points int
-}
-
-// Quantize32 converts a float64 kernel table to its float32 twin.
-func Quantize32(t *Table) *Table32 {
-	q := &Table32{base: t, points: t.points, invDq: float32(t.invDq)}
-	q.w = make([]float32, len(t.w))
-	q.dw = make([]float32, len(t.dw))
-	for i := range t.w {
-		q.w[i] = float32(t.w[i])
-		q.dw[i] = float32(t.dw[i])
-	}
-	return q
-}
-
-// Name implements Kernel.
-func (t *Table32) Name() string { return t.base.Name() + "-f32" }
-
-// SupportRadius implements Kernel.
-func (t *Table32) SupportRadius() float64 { return 2 }
-
-func (t *Table32) lookup(tab []float32, q float32) float32 {
-	if q >= 2 || q < 0 {
-		return 0
-	}
-	f := q * t.invDq
-	i := int(f)
-	if i >= t.points {
-		return 0
-	}
-	frac := f - float32(i)
-	return tab[i]*(1-frac) + tab[i+1]*frac
-}
-
-// W implements Kernel.
-func (t *Table32) W(r, h float64) float64 {
-	if h <= 0 {
-		return 0
-	}
-	h32 := float32(h)
-	return float64(t.lookup(t.w, float32(r)/h32) / (h32 * h32 * h32))
-}
-
-// DW implements Kernel.
-func (t *Table32) DW(r, h float64) float64 {
-	if h <= 0 {
-		return 0
-	}
-	h32 := float32(h)
-	return float64(t.lookup(t.dw, float32(r)/h32) / (h32 * h32 * h32 * h32))
-}
-
-// WDW implements PairEvaluator with float32 interpolation, bit-identical
-// to separate Table32.W and Table32.DW calls.
-func (t *Table32) WDW(r, h float64) (w, dw float64) {
-	if h <= 0 {
-		return 0, 0
-	}
-	h32 := float32(h)
-	q := float32(r) / h32
-	if q >= 2 || q < 0 {
-		return 0, 0
-	}
-	f := q * t.invDq
-	i := int(f)
-	if i >= t.points {
-		return 0, 0
-	}
-	frac := f - float32(i)
-	h3 := h32 * h32 * h32
-	w = float64((t.w[i]*(1-frac) + t.w[i+1]*frac) / h3)
-	dw = float64((t.dw[i]*(1-frac) + t.dw[i+1]*frac) / (h3 * h32))
-	return w, dw
-}
-
-// Base returns the float64 table this was quantized from.
-func (t *Table32) Base() *Table { return t.base }
-
 // TableRelTol is the documented accuracy contract of checked tables: at
 // DefaultTablePoints resolution, linear interpolation stays within this
 // relative error of the analytic kernel for every kernel family in this

@@ -1,6 +1,8 @@
 package neighbors
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"sphenergy/internal/sfc"
@@ -50,36 +52,6 @@ func TestGridQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// The slab sweep's scratch (SoA slabs, bucket counters, spill buffers)
-// must likewise reach a zero-allocation steady state: cell-slab mode runs
-// it on every candidate rebuild. n stays below slabSerialMinN so the sweep
-// runs serially (goroutine spawns allocate by design).
-func TestSlabGatherZeroSteadyStateAllocs(t *testing.T) {
-	box := sfc.NewPeriodicCube(0, 1)
-	const n = 8000
-	x, y, z := randomPoints(box, n, 19)
-	cut := mixedCuts(n, 0.08, 41)
-	g := BuildGrid(box, x, y, z, 0.08)
-
-	var ss SlabSweep
-	// Warm-up: the first sweeps size the slabs and grow the spill buffers.
-	off, idx, r2, ok := ss.Gather(g, cut, nil, nil, nil)
-	if !ok {
-		t.Fatal("sweep rejected the grid")
-	}
-	off, idx, r2, _ = ss.Gather(g, cut, off, idx, r2)
-
-	allocs := testing.AllocsPerRun(20, func() {
-		off, idx, r2, _ = ss.Gather(g, cut, off, idx, r2)
-	})
-	if allocs != 0 {
-		t.Errorf("warm slab Gather allocates %.1f objects/run, want 0", allocs)
-	}
-	if off[n] == 0 || len(idx) == 0 {
-		t.Error("sweep found no candidates; test inputs are degenerate")
-	}
-}
-
 // BuildGridInto must produce exactly the layout BuildGrid does — same cells,
 // same particle order — whether building fresh or overwriting a grid that
 // previously held a different point set.
@@ -116,4 +88,40 @@ func TestBuildGridIntoMatchesBuildGrid(t *testing.T) {
 			t.Fatalf("CountNeighbors(%d) = %d, want %d", i, got, want)
 		}
 	}
+}
+
+// FuzzBuildGridIntoReuse rebuilds one grid over a sequence of point sets
+// whose size, box, periodicity, search radius and GOMAXPROCS (serial and
+// parallel binning) all change, and holds every rebuild to a fresh
+// BuildGrid of the same input: same resolution, same cell layout, same
+// neighbor sets in the same order.
+func FuzzBuildGridIntoReuse(f *testing.F) {
+	f.Add([]byte{200, 1, 3, 9, 255, 5, 0, 20, 40, 2, 80, 5, 255, 7, 255, 3, 3, 0, 9, 1})
+	f.Add([]byte{255, 6, 1, 60, 2, 3, 7, 1, 255, 4, 201, 2, 9, 0, 255, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		var g *Grid
+		for ; len(data) >= 4; data = data[4:] {
+			runtime.GOMAXPROCS([]int{1, 2, 4, 32}[data[1]%4])
+			n := 1 + int(data[0])*int(1+data[1]/4%2*79) // up to 20 401: past parallelBuildMinN
+			box := sfc.NewCube(-float64(data[2]%3), 1+float64(data[2]/3%4))
+			box.PBCx, box.PBCy, box.PBCz = data[2]&64 != 0, data[2]&128 != 0, data[1]&128 != 0
+			radius := box.Lx() / float64(2+int(data[3])%40)
+			x, y, z := randomPoints(box, n, uint64(data[3])+1)
+
+			g = BuildGridInto(g, box, x, y, z, radius)
+			fresh := BuildGrid(box, x, y, z, radius)
+			if g.nx != fresh.nx || g.ny != fresh.ny || g.nz != fresh.nz {
+				t.Fatalf("n=%d: reused grid is %dx%dx%d, fresh %dx%dx%d", n, g.nx, g.ny, g.nz, fresh.nx, fresh.ny, fresh.nz)
+			}
+			if !slices.Equal(g.cellOff, fresh.cellOff) || !slices.Equal(g.order, fresh.order) {
+				t.Fatalf("n=%d procs=%d: reused grid's cell layout differs from a fresh build", n, runtime.GOMAXPROCS(0))
+			}
+			for i := 0; i < n; i += 1 + n/50 {
+				if got, want := g.Neighbors(i, radius), fresh.Neighbors(i, radius); !slices.Equal(got, want) {
+					t.Fatalf("n=%d: Neighbors(%d) = %v on the reused grid, %v fresh", n, i, got, want)
+				}
+			}
+		}
+	})
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // Searcher is the neighbor-search contract shared by the cell grid and the
-// octree backend; the SPH pipeline works against this interface.
+// octree; the SPH pipeline's closure-walk passes work against this
+// interface.
 type Searcher interface {
 	// ForEachNeighbor invokes fn for every particle j != i within radius of
 	// particle i, passing the displacement (xi - xj) and distance.

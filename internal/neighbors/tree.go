@@ -8,13 +8,12 @@ import (
 	"sphenergy/internal/sfc"
 )
 
-// TreeSearch is the octree-based neighbor search backend: particles are
-// sorted along the SFC, a cornerstone octree is built over their keys, and
-// queries walk the linked octree pruning nodes geometrically. This is the
-// search structure SPH-EXA itself uses; the cell grid (Grid) is the
-// simpler alternative. Both return identical neighbor sets — the tests
-// cross-check them — and the benchmark in bench_test.go compares their
-// costs.
+// TreeSearch is the octree-based neighbor search: particles are sorted
+// along the SFC, a cornerstone octree is built over their keys, and queries
+// walk the linked octree pruning nodes geometrically. This is the search
+// structure SPH-EXA itself uses. The SPH pipeline runs on the cell grid
+// (Grid); the tree is the independent Searcher the tests cross-check the
+// grid's neighbor sets against, and bench_test.go compares their costs.
 type TreeSearch struct {
 	box    sfc.Box
 	tree   cornerstone.Tree

@@ -79,7 +79,7 @@ func TestTreeCountsAndProperty(t *testing.T) {
 	}
 }
 
-func TestTreeBucketSizeIndependence(t *testing.T) {
+func TestTreeLeafSizeIndependence(t *testing.T) {
 	box := sfc.NewCube(0, 1)
 	x, y, z := randomPoints(box, 400, 24)
 	const radius = 0.1

@@ -54,7 +54,7 @@ func chunkSize(n, workers int) int {
 // padded64 is a per-worker reduction slot padded out to a full cache line:
 // workers publish partials concurrently, and unpadded adjacent float64s
 // would ping-pong the shared line between cores on every store (false
-// sharing — measurable on the scatter-heavy symmetric SPH passes).
+// sharing — measurable on the scatter-heavy SPH pair passes).
 type padded64 struct {
 	v    float64
 	used bool
@@ -101,44 +101,6 @@ func ForChunked(n int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(lo, hi)
 		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForWorkers splits [0, n) into at most workers contiguous aligned chunks
-// and executes fn(w, lo, hi) for each concurrently, passing the chunk
-// ordinal w. Unlike ForChunked the caller chooses the worker count, and the
-// ordinal lets it keep per-worker scratch (e.g. the cell-slab sweep's spill
-// buffers) without any pooling or locking. workers <= 1 runs fn(0, 0, n)
-// inline on the calling goroutine, so serial callers pay no spawn cost.
-// The partition is a pure function of (n, workers).
-func ForWorkers(n, workers int, fn func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
 	}
 	wg.Wait()
 }

@@ -31,6 +31,11 @@ func (sc *Scatter) Run(n, targets, stride int, body func(lo, hi int, acc []float
 	}
 	workers := workersFor(n)
 	chunk := chunkSize(n, workers)
+	// Buffers are sized, cleared and returned by the chunks actually
+	// launched, not by workers: chunkSize rounds up to a cache line, so the
+	// last workers can be left without a range (1 050 000 items at
+	// GOMAXPROCS 512 make 511 chunks), and a buffer that no chunk cleared
+	// would replay an earlier call's sums into the caller's merge.
 	live := (n + chunk - 1) / chunk
 	if len(sc.bufs) < live {
 		grown := make([][]float64, live)

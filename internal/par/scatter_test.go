@@ -133,3 +133,70 @@ func TestScatterUnderContention(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterFewerChunksThanWorkers pins Run where cache-line rounding of
+// the chunk size launches fewer chunks than workersFor sizes the pool for:
+// the buffer of the worker left without a range, dirty from a wider earlier
+// call, must not come back.
+func TestScatterFewerChunksThanWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(512)
+	defer runtime.GOMAXPROCS(prev)
+	var sc Scatter
+	count := func(n int) (chunks int, total float64) {
+		bufs := sc.Run(n, 1, 1, func(lo, hi int, acc []float64) { acc[0] += float64(hi - lo) })
+		for _, b := range bufs {
+			total += b[0]
+		}
+		return len(bufs), total
+	}
+	if chunks, total := count(2_000_000); chunks != 512 || total != 2_000_000 {
+		t.Fatalf("wide call: %d chunks summing to %v, want 512 and 2e6", chunks, total)
+	}
+	const n = 1_050_000
+	chunks, total := count(n)
+	if w := workersFor(n); chunks >= w {
+		t.Fatalf("%d chunks for %d workers; the case no longer leaves a worker idle", chunks, w)
+	}
+	if total != n {
+		t.Errorf("merged %v over %d chunks, want %d — a stale buffer was replayed", total, chunks, n)
+	}
+}
+
+// FuzzScatterRun drives one Scatter through a sequence of calls whose item
+// count, target count, stride and GOMAXPROCS all change, and holds every
+// merge to a serial sum. Contributions are small integers, so the sums are
+// exact in any order.
+func FuzzScatterRun(f *testing.F) {
+	f.Add([]byte{3, 200, 5, 2, 0, 1, 1, 1, 2, 90, 40, 6, 1, 255, 7, 3})
+	f.Add([]byte{2, 255, 255, 6, 3, 8, 1, 1, 0, 0, 9, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		var sc Scatter
+		for ; len(data) >= 4; data = data[4:] {
+			runtime.GOMAXPROCS([]int{1, 2, 4, 32}[data[0]%4])
+			n := int(data[1]) * 257 // up to 65 535: past SerialGrain × 31
+			targets := 1 + int(data[2])
+			stride := 1 + int(data[3])%6
+			slot := func(i int) int { return (i%targets)*stride + i%stride }
+			bufs := sc.Run(n, targets, stride, func(lo, hi int, acc []float64) {
+				for i := lo; i < hi; i++ {
+					acc[slot(i)] += float64(i%7 + 1)
+				}
+			})
+			want := make([]float64, targets*stride)
+			for i := 0; i < n; i++ {
+				want[slot(i)] += float64(i%7 + 1)
+			}
+			for k, w := range want {
+				got := 0.0
+				for _, b := range bufs {
+					got += b[k]
+				}
+				if got != w {
+					t.Fatalf("n=%d targets=%d stride=%d procs=%d: slot %d merged %v, want %v",
+						n, targets, stride, runtime.GOMAXPROCS(0), k, got, w)
+				}
+			}
+		}
+	})
+}

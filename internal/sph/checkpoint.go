@@ -78,7 +78,7 @@ func (s *State) WriteCheckpoint(w io.Writer) error {
 		return fmt.Errorf("sph: checkpoint: %w", err)
 	}
 	hasSkin := uint8(0)
-	if s.List != nil && s.List.refsOK {
+	if s.List != nil {
 		hasSkin = 1
 	}
 	if err := binary.Write(bw, binary.LittleEndian, hasSkin); err != nil {
@@ -193,7 +193,6 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 			}
 			// The candidate CSR is regenerated from the snapshot on the
 			// next FindNeighbors; until then only the references are valid.
-			nl.refsOK = true
 			st.List = nl
 		}
 	} else if k := opt.ReorderEvery; k > 0 && st.Step > 0 {

@@ -1,9 +1,9 @@
 package sph_test
 
-// Equivalence tests between the neighbor-list pipeline (the default) and
-// the closure-walk pipeline (the pre-list reference implementation): both
-// must produce the same physics over multi-step runs, and the tabulated
-// kernel must track its analytic base within the documented error bound.
+// Equivalence tests between the production pipeline (the default: folded
+// pair list) and the closure-walk reference: both must produce the same
+// physics over multi-step runs, and the tabulated kernel must track its
+// analytic base within the documented error bound.
 
 import (
 	"math"
@@ -115,8 +115,8 @@ func comparePipelines(t *testing.T, mkState func() *sph.State, steps int, withGr
 
 // TestNeighborListMatchesWalkTurbulence checks the equivalence on the
 // periodic subsonic-turbulence setup over several steps. The two pipelines
-// integrate the same pair sets in near-identical floating-point order, so
-// the tolerance is far below any physical scale.
+// integrate the same pair sets and differ only in floating-point summation
+// order, so the tolerance is far below any physical scale.
 func TestNeighborListMatchesWalkTurbulence(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(10))
@@ -128,8 +128,8 @@ func TestNeighborListMatchesWalkTurbulence(t *testing.T) {
 
 // TestNeighborListMatchesWalkEvrard checks the equivalence on the
 // non-periodic, gravity-coupled Evrard collapse, which has strong
-// smoothing-length contrasts and therefore exercises the asymmetric-pair
-// (Ext) segments of the list.
+// smoothing-length contrasts and therefore exercises the one-way pairs of
+// the list (inside one endpoint's support only).
 func TestNeighborListMatchesWalkEvrard(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Evrard(initcond.DefaultEvrard(10))

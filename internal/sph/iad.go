@@ -1,10 +1,6 @@
 package sph
 
-import (
-	"math"
-
-	"sphenergy/internal/par"
-)
+import "math"
 
 // IADVelocityDivCurl computes the Integral Approach to Derivatives tensor
 // (García-Senz et al. 2012) and, from it, the velocity divergence and curl
@@ -17,10 +13,8 @@ import (
 // improves accuracy on disordered particle distributions. This function is
 // one of the two most compute-intensive kernels in the paper's measurements.
 func (s *State) IADVelocityDivCurl() {
-	if s.useSym() {
-		s.iadSym()
-	} else if s.useList() {
-		s.iadList()
+	if s.useCached() {
+		s.iadPairs()
 	} else {
 		s.iadWalk()
 	}
@@ -39,65 +33,6 @@ func (s *State) storeIADTensor(i int, txx, txy, txz, tyy, tyz, tzz float64) {
 	}
 	p.C11[i], p.C12[i], p.C13[i] = c11, c12, c13
 	p.C22[i], p.C23[i], p.C33[i] = c22, c23, c33
-}
-
-// iadList is the neighbor-list version of the IAD pass: both the tensor
-// accumulation and the gradient loop stream over the precomputed flat
-// displacement slices instead of re-traversing the search grid.
-func (s *State) iadList() {
-	p := s.P
-	k := s.Opt.Kernel
-	nl := s.List
-	par.For(p.N, func(i int) {
-		hi := p.H[i]
-		var txx, txy, txz, tyy, tyz, tzz float64
-		for t := nl.Offsets[i]; t < nl.Offsets[i+1]; t++ {
-			j := int(nl.Idx[t])
-			dx, dy, dz, dist := nl.Dx[t], nl.Dy[t], nl.Dz[t], nl.Dist[t]
-			vj := p.M[j] / p.Rho[j]
-			w := k.W(dist, hi) * vj
-			txx += dx * dx * w
-			txy += dx * dy * w
-			txz += dx * dz * w
-			tyy += dy * dy * w
-			tyz += dy * dz * w
-			tzz += dz * dz * w
-		}
-		s.storeIADTensor(i, txx, txy, txz, tyy, tyz, tzz)
-	})
-
-	par.For(p.N, func(i int) {
-		hi := p.H[i]
-		var gxx, gxy, gxz, gyx, gyy, gyz, gzx, gzy, gzz float64
-		for t := nl.Offsets[i]; t < nl.Offsets[i+1]; t++ {
-			j := int(nl.Idx[t])
-			dist := nl.Dist[t]
-			// r_j - r_i = -(dx, dy, dz).
-			rx, ry, rz := -nl.Dx[t], -nl.Dy[t], -nl.Dz[t]
-			vj := p.M[j] / p.Rho[j]
-			w := k.W(dist, hi) * vj
-			ax := p.C11[i]*rx + p.C12[i]*ry + p.C13[i]*rz
-			ay := p.C12[i]*rx + p.C22[i]*ry + p.C23[i]*rz
-			az := p.C13[i]*rx + p.C23[i]*ry + p.C33[i]*rz
-			dvx := p.VX[j] - p.VX[i]
-			dvy := p.VY[j] - p.VY[i]
-			dvz := p.VZ[j] - p.VZ[i]
-			gxx += dvx * ax * w
-			gxy += dvx * ay * w
-			gxz += dvx * az * w
-			gyx += dvy * ax * w
-			gyy += dvy * ay * w
-			gyz += dvy * az * w
-			gzx += dvz * ax * w
-			gzy += dvz * ay * w
-			gzz += dvz * az * w
-		}
-		p.DivV[i] = gxx + gyy + gzz
-		cx := gzy - gyz
-		cy := gxz - gzx
-		cz := gyx - gxy
-		p.CurlV[i] = math.Sqrt(cx*cx + cy*cy + cz*cz)
-	})
 }
 
 // invertSym3 inverts the symmetric matrix [[xx,xy,xz],[xy,yy,yz],[xz,yz,zz]].

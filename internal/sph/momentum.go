@@ -36,10 +36,8 @@ func (s *State) AVSwitches(dt float64) {
 // Monaghan artificial viscosity with Balsara limiter. This is the most
 // compute-intensive kernel of the pipeline — the paper's MomentumEnergy.
 func (s *State) MomentumEnergy() {
-	if s.useSym() {
-		s.momentumSym()
-	} else if s.useList() {
-		s.momentumList()
+	if s.useCached() {
+		s.momentumPairs()
 	} else {
 		s.momentumWalk()
 	}
@@ -49,8 +47,7 @@ func (s *State) MomentumEnergy() {
 // energy equations, returning i's acceleration and du/dt contributions.
 // (dx, dy, dz) is x_i - x_j and dist its norm; hi, prhoi and fi are i's
 // smoothing length, P/(Omega rho^2) and Balsara factor, hoisted by the
-// caller. Shared by the walk and list paths so both produce identical
-// floating-point results pair for pair.
+// caller.
 func (s *State) momentumPair(k kernel.Kernel, i, j int, hi, prhoi, fi, dx, dy, dz, dist float64) (ax, ay, az, du float64) {
 	p := s.P
 	hj := p.H[j]
@@ -94,44 +91,6 @@ func (s *State) momentumPair(k kernel.Kernel, i, j int, hi, prhoi, fi, dx, dy, d
 	vdotgrad := (dvx*ex + dvy*ey + dvz*ez)
 	du = mj * (gradTermI + 0.5*piij*0.5*(dwi+dwj)) * vdotgrad
 	return ax, ay, az, du
-}
-
-// momentumList streams the momentum/energy pass over the per-step neighbor
-// list: the main segment covers every pair within i's own support, and the
-// Ext segment supplies the asymmetric pairs (inside j's support only), so
-// no distance filtering is needed here — the pair set is exact by
-// construction.
-func (s *State) momentumList() {
-	p := s.P
-	k := s.Opt.Kernel
-	nl := s.List
-	par.For(p.N, func(i int) {
-		hi := p.H[i]
-		rhoi := p.Rho[i]
-		prhoi := p.P[i] / (p.Gradh[i] * rhoi * rhoi)
-		var ax, ay, az, du float64
-		fi := balsara(p.DivV[i], p.CurlV[i], p.C[i], hi)
-		for t := nl.Offsets[i]; t < nl.Offsets[i+1]; t++ {
-			dax, day, daz, ddu := s.momentumPair(k, i, int(nl.Idx[t]), hi, prhoi, fi,
-				nl.Dx[t], nl.Dy[t], nl.Dz[t], nl.Dist[t])
-			ax += dax
-			ay += day
-			az += daz
-			du += ddu
-		}
-		for t := nl.ExtOffsets[i]; t < nl.ExtOffsets[i+1]; t++ {
-			dax, day, daz, ddu := s.momentumPair(k, i, int(nl.ExtIdx[t]), hi, prhoi, fi,
-				nl.ExtDx[t], nl.ExtDy[t], nl.ExtDz[t], nl.ExtDist[t])
-			ax += dax
-			ay += day
-			az += daz
-			du += ddu
-		}
-		p.AX[i] = ax
-		p.AY[i] = ay
-		p.AZ[i] = az
-		p.DU[i] = du
-	})
 }
 
 // balsara computes the Balsara (1995) shear limiter f = |divv| / (|divv| +

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sphenergy/internal/par"
 )
@@ -15,75 +14,24 @@ import (
 // post-update support.
 const hGrowthCap = 1.3
 
-// NeighborList is the persistent per-step neighbor structure of the SPH
-// pipeline, SPH-EXA style: FindNeighbors builds it in a single traversal of
-// the search grid, and XMass, NormalizationGradh, IADVelocityDivCurl and
-// MomentumEnergy stream over the flat slices instead of re-traversing the
-// grid with a per-neighbor callback.
+// NeighborList is the neighbor structure of the production pipeline,
+// SPH-EXA style: FindNeighbors builds it in one traversal, and XMass,
+// NormalizationGradh, IADVelocityDivCurl and MomentumEnergy stream over
+// its flat slices instead of re-traversing the grid with a per-neighbor
+// callback. This file is the only one that knows how the list is built;
+// the passes in pairpass.go only read the Pair* arrays.
 type NeighborList struct {
-	// Offsets has length N+1; the neighbors of particle i — every j != i
-	// with |x_i - x_j| < 2*h_i after the step's smoothing-length update —
-	// occupy entries [Offsets[i], Offsets[i+1]) of Idx, Dx, Dy, Dz and
-	// Dist. Dx/Dy/Dz hold the minimum-image displacement x_i - x_j, Dist
-	// its norm. Entries appear in grid traversal order, which the CSR cell
-	// grid makes deterministic.
-	Offsets []int32
-	Idx     []int32
-	Dx      []float64
-	Dy      []float64
-	Dz      []float64
-	Dist    []float64
-
-	// Ext* is the asymmetric-support complement consumed by
-	// MomentumEnergy: pairs with 2*h_i <= dist < 2*h_j, where j's kernel
-	// support covers i but not vice versa. Layout mirrors the main list;
-	// displacements are already expressed from i's side (x_i - x_j), and
-	// each per-particle segment is sorted by neighbor index so the
-	// momentum sum order is deterministic. Built by transposing the main
-	// list, so arbitrary smoothing-length contrasts are covered without
-	// widening any gather radius.
-	ExtOffsets []int32
-	ExtIdx     []int32
-	ExtDx      []float64
-	ExtDy      []float64
-	ExtDz      []float64
-	ExtDist    []float64
-
-	// Ngmax is the per-particle capacity cap (SPH-EXA's ngmax); Overflow
-	// counts how many particles had their neighbor set truncated at the
-	// cap during the last build.
-	Ngmax    int
-	Overflow int
-
-	// Verlet-skin candidate cache: CandOffsets/CandIdx hold, in the same
-	// CSR layout as the main list, every particle within the inflated
-	// radius (1+Skin)·2·1.3·refH_i of particle i at the positions the list
-	// was last built from. Refresh steps recompute displacements for these
-	// pairs only. RefX/RefY/RefZ/RefH snapshot the build-time positions and
-	// (pre-update) smoothing lengths that drift is measured against, and
-	// BuildStep the step the build ran on. The candidate arrays are a pure
-	// function of the references, so checkpoints persist only the
-	// references and restarts regenerate CandIdx bit-identically.
-	CandOffsets []int32
-	CandIdx     []int32
-	RefX        []float64
-	RefY        []float64
-	RefZ        []float64
-	RefH        []float64
-	BuildStep   int
-
-	// Pair* is the folded symmetric pair list (Options.SymmetricPairs):
-	// every unordered interacting pair {a, b} appears exactly once, in the
-	// segment [PairOffsets[a], PairOffsets[a+1]) of the endpoint a that
-	// owns it — the smaller index when both directed edges exist, the only
-	// endpoint whose support covers the pair otherwise. PairIdx holds the
-	// other endpoint, PairDx/Dy/Dz the owner-side displacement
-	// x_owner - x_other (copied from the owner's main segment, so the
-	// arithmetic matches the asymmetric passes bit for bit), and PairBoth
-	// is 1 when the reverse directed edge also exists in the main list.
-	// Records inherit the owner's CSR order, so the scatter targets of
-	// consecutive pairs stay cache-adjacent under SFC ordering. Built by
-	// buildPairs; replaces the Ext transpose in symmetric mode.
+	// Pair* is the folded pair list. A particle's directed row holds every
+	// j != i with |x_i - x_j| < 2*h_i after the step's smoothing-length
+	// update, in grid traversal order, capped at Ngmax. Every unordered
+	// pair that some row holds appears here exactly once, in the segment
+	// [PairOffsets[a], PairOffsets[a+1]) of the endpoint a that owns it —
+	// the smaller index when both rows hold the pair, the only endpoint
+	// whose row does otherwise. PairIdx is the other endpoint, PairDx/Dy/Dz
+	// the minimum-image displacement x_owner - x_other, PairDist its norm,
+	// and PairBoth is 1 when the other endpoint's row holds the pair too.
+	// Records keep the owner's row order, so the scatter targets of
+	// consecutive pairs stay cache-adjacent under SFC ordering.
 	PairOffsets []int32
 	PairIdx     []int32
 	PairBoth    []uint8
@@ -92,77 +40,74 @@ type NeighborList struct {
 	PairDz      []float64
 	PairDist    []float64
 
-	refsOK  bool // reference snapshot is valid
-	candsOK bool // candidate CSR matches the reference snapshot
-	pairsOK bool // folded pair list matches the current main list
+	// Ngmax is the per-particle row cap (SPH-EXA's ngmax); Overflow counts
+	// how many rows the last build truncated at it.
+	Ngmax    int
+	Overflow int
 
-	extCnt   []int32 // scratch: per-particle extras count, then fill cursor
-	pairCnt  []int32 // scratch: per-owner folded pair count
-	pairDisp []uint8 // scratch: per-edge pair disposition
+	// Verlet-skin candidate cache: CandOffsets/CandIdx hold, CSR style,
+	// every particle within the inflated radius (1+Skin)·2·1.3·refH_i of
+	// particle i at the positions the candidates were last gathered from.
+	// Refresh steps recompute displacements for these pairs only.
+	// RefX/RefY/RefZ/RefH snapshot the build-time positions and
+	// (pre-update) smoothing lengths that drift is measured against, and
+	// BuildStep the step the build ran on. The candidate arrays are a pure
+	// function of the references, so checkpoints persist only the
+	// references and restarts regenerate CandIdx bit-identically (a list
+	// read from a checkpoint has nil candidate and pair arrays until then).
+	CandOffsets []int32
+	CandIdx     []int32
+	RefX        []float64
+	RefY        []float64
+	RefZ        []float64
+	RefH        []float64
+	BuildStep   int
+
+	kernOK bool // XMass has filled wa/wb/dwa/dwb and dsum for this pair list
+
+	rowLen []int32 // directed row length per particle, after the cap
+
+	// What the passes cache between each other, indexed like the pair list
+	// (kernel values W and dW/dr at the owner's and the other endpoint's
+	// smoothing length) or per particle (the gradh sums, volume elements
+	// m/ρ, P/(Ω ρ²) and Balsara factors the pair loops hoist). They live
+	// here so that whatever drops the list drops them with it.
+	wa, wb, dwa, dwb     []float64
+	dsum, vol, prho, bal []float64
 }
 
-// Count returns the stored neighbor count of particle i.
-func (nl *NeighborList) Count(i int) int {
-	return int(nl.Offsets[i+1] - nl.Offsets[i])
-}
+// Count returns the length of particle i's directed row.
+func (nl *NeighborList) Count(i int) int { return int(nl.rowLen[i]) }
 
-// listChunk is the worker-local gather buffer of one contiguous particle
-// range; after the parallel gather the chunks are concatenated in range
-// order, so the merged list is identical to a serial build.
+// listChunk is the worker-local buffer of one contiguous particle range:
+// the directed rows a FindNeighbors traversal gathers, which foldRows reads
+// in place. Chunks are pooled, so what they hold is scratch, not state.
 type listChunk struct {
-	lo       int
-	counts   []int32
+	lo       int     // first particle of the range
+	rowEnd   []int32 // rowEnd[t] closes the row of particle lo+t in idx…dist
 	idx      []int32
 	dx       []float64
 	dy       []float64
 	dz       []float64
 	dist     []float64
+	own      []uint8 // fold disposition of every row entry
 	overflow int
 
-	// Skin builds additionally capture the inflated-radius candidate set.
-	cand       []int32
-	candCounts []int32
+	// Rebuilds also capture the inflated-radius candidate set, laid out
+	// like the rows.
+	cand    []int32
+	candEnd []int32
+
+	// Refreshes stream one candidate row at a time through these dense
+	// buffers (see computeRow).
+	cdx, cdy, cdz, cr2 []float64
 }
 
 var listChunkPool = sync.Pool{New: func() interface{} { return new(listChunk) }}
 
-// extend grows the chunk's list arrays to capacity n (contents preserved),
-// letting a caller that knows a row's admission bound write through cursors
-// instead of per-element appends.
-func (cb *listChunk) extend(n int) {
-	// The arrays grow through different paths (appends round capacity to
-	// byte size classes, so int32 and float64 slices of equal length can
-	// diverge in capacity); every one is checked, not just idx.
-	if cap(cb.idx) >= n && cap(cb.dx) >= n && cap(cb.dy) >= n &&
-		cap(cb.dz) >= n && cap(cb.dist) >= n {
-		return
-	}
-	// Amortized geometric growth: extend is called once per row with a
-	// monotonically growing bound, so exact-fit allocation would recopy the
-	// accumulated prefix once per row — quadratic on a cold chunk.
-	if c := 2*cap(cb.idx) + 64; n < c {
-		n = c
-	}
-	idx := make([]int32, len(cb.idx), n)
-	copy(idx, cb.idx)
-	cb.idx = idx
-	dx := make([]float64, len(cb.dx), n)
-	copy(dx, cb.dx)
-	cb.dx = dx
-	dy := make([]float64, len(cb.dy), n)
-	copy(dy, cb.dy)
-	cb.dy = dy
-	dz := make([]float64, len(cb.dz), n)
-	copy(dz, cb.dz)
-	cb.dz = dz
-	dist := make([]float64, len(cb.dist), n)
-	copy(dist, cb.dist)
-	cb.dist = dist
-}
-
 func (cb *listChunk) reset(lo int) {
 	cb.lo = lo
-	cb.counts = cb.counts[:0]
+	cb.rowEnd = cb.rowEnd[:0]
 	cb.idx = cb.idx[:0]
 	cb.dx = cb.dx[:0]
 	cb.dy = cb.dy[:0]
@@ -170,7 +115,88 @@ func (cb *listChunk) reset(lo int) {
 	cb.dist = cb.dist[:0]
 	cb.overflow = 0
 	cb.cand = cb.cand[:0]
-	cb.candCounts = cb.candCounts[:0]
+	cb.candEnd = cb.candEnd[:0]
+}
+
+func (cb *listChunk) admit(j int32, dx, dy, dz, dist float64) {
+	cb.idx = append(cb.idx, j)
+	cb.dx = append(cb.dx, dx)
+	cb.dy = append(cb.dy, dy)
+	cb.dz = append(cb.dz, dz)
+	cb.dist = append(cb.dist, dist)
+}
+
+// row returns the entry range of the chunk's t-th row.
+func (cb *listChunk) row(t int) (lo, hi int32) {
+	if t > 0 {
+		lo = cb.rowEnd[t-1]
+	}
+	return lo, cb.rowEnd[t]
+}
+
+// rowHas reports whether particle j's row holds i. chunks is sorted by
+// range. Rows are in grid traversal order (unsorted), so this is a linear
+// scan; the fold only asks for rows truncated at ngmax, which are rare by
+// construction.
+func rowHas(chunks []*listChunk, j, i int32) bool {
+	cb := chunks[sort.Search(len(chunks), func(c int) bool { return chunks[c].lo > int(j) })-1]
+	lo, hi := cb.row(int(j) - cb.lo)
+	for _, v := range cb.idx[lo:hi] {
+		if v == i {
+			return true
+		}
+	}
+	return false
+}
+
+// eachChunk runs fn on every chunk, one goroutine per chunk: the chunks
+// are the partition par.Reduce chose for the gather, so the fold keeps its
+// width.
+func eachChunk(chunks []*listChunk, fn func(cb *listChunk)) {
+	if len(chunks) == 1 {
+		fn(chunks[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, cb := range chunks {
+		wg.Add(1)
+		go func(cb *listChunk) {
+			defer wg.Done()
+			fn(cb)
+		}(cb)
+	}
+	wg.Wait()
+}
+
+// gatherRows calls row for every particle of [0, n), handing each of
+// par.Reduce's contiguous ranges its own pooled chunk, and returns the
+// chunks in range order — read that way they are one serial build — with
+// the maximum of row's results. The caller releases the chunks.
+func gatherRows(n int, row func(cb *listChunk, i int) float64) ([]*listChunk, float64) {
+	var mu sync.Mutex
+	chunks := make([]*listChunk, 0, par.MaxWorkers())
+	top := par.Reduce(n, func(lo, hi int) float64 {
+		cb := listChunkPool.Get().(*listChunk)
+		cb.reset(lo)
+		localMax := 0.0
+		for i := lo; i < hi; i++ {
+			if v := row(cb, i); v > localMax {
+				localMax = v
+			}
+		}
+		mu.Lock()
+		chunks = append(chunks, cb)
+		mu.Unlock()
+		return localMax
+	}, math.Max)
+	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
+	return chunks, top
+}
+
+func releaseChunks(chunks []*listChunk) {
+	for _, cb := range chunks {
+		listChunkPool.Put(cb)
+	}
 }
 
 func ensureInt32(s []int32, n int) []int32 {
@@ -212,15 +238,21 @@ func updateH(h float64, n int, ng, maxH float64) float64 {
 	return nh
 }
 
-// buildNeighborList performs the per-step neighbor search in one traversal
-// of the search structure: each particle's candidates are gathered out to
-// the maximum post-update support 2*hGrowthCap*h_old, the old-h count
-// drives the smoothing-length update (recorded in NC, matching the
-// closure-walk pipeline), and the survivors within the new 2*h — capped at
-// Ngmax — are compacted in place and merged into the CSR list. Returns the
-// post-update maximum smoothing length, folded as a reduction so no extra
-// O(n) scan is needed.
-func (s *State) buildNeighborList(maxH float64) float64 {
+// buildList is the one FindNeighbors traversal of the production path.
+// Every particle's entries within the step's admission bound
+// 2·hGrowthCap·h_old — the maximum post-update support — are gathered into
+// the worker's chunk and finished into its directed row (finishRow), and
+// the finished rows are folded into the pair list. A rebuild gathers from
+// a fresh search grid out to the skin-inflated radius and keeps everything
+// it saw as the new candidate cache; a refresh re-derives the same rows
+// from the cached candidates, with the grid's own minimum-image arithmetic
+// and r² admission test, so both produce bit-identical lists from the same
+// pair set. Returns the post-update maximum smoothing length.
+//
+// A refresh that overflows ngmax restores H and NC and returns false, and
+// the caller rebuilds: the skin gather sees pairs the capped candidate
+// segment may not hold, so truncation is only honest on a rebuild.
+func (s *State) buildList(maxH float64, rebuild bool) (float64, bool) {
 	p := s.P
 	n := p.N
 	if s.List == nil {
@@ -228,56 +260,83 @@ func (s *State) buildNeighborList(maxH float64) float64 {
 	}
 	nl := s.List
 	nl.Ngmax = s.Opt.ngmax()
+	nl.rowLen = ensureInt32(nl.rowLen, n)
 	ng := float64(s.Opt.NgTarget)
-
-	if s.Opt.CellSlab {
-		if newMax, ok := s.buildListSlab(maxH); ok {
-			nl.refsOK, nl.candsOK = false, false
-			s.buildDerived()
-			return newMax
+	sk := 1 + s.Opt.skin()
+	if rebuild {
+		// Snapshot the reference state before the smoothing-length update;
+		// the candidate list is a pure function of this snapshot (and the
+		// box), so checkpoints persist only the snapshot.
+		nl.RefX = append(nl.RefX[:0], p.X...)
+		nl.RefY = append(nl.RefY[:0], p.Y...)
+		nl.RefZ = append(nl.RefZ[:0], p.Z...)
+		nl.RefH = append(nl.RefH[:0], p.H...)
+		s.Grid = s.buildSearcher(p.X, p.Y, p.Z, sk*(2*maxH*hGrowthCap))
+	} else {
+		if nl.CandOffsets == nil {
+			// Read from a checkpoint, which carries the references only.
+			s.regenCandidates()
 		}
+		// The finishing pass mutates H and NC; keep them so an overflow
+		// can abort into a rebuild without double-applying the h update.
+		s.hBackup = append(s.hBackup[:0], p.H...)
+		s.ncBackup = append(s.ncBackup[:0], p.NC...)
+		// The grid still bins the last rebuild's positions; nothing may
+		// walk it as if it were this step's.
+		s.Grid = nil
 	}
+	grid, geo := s.gridBuf, s.geom()
 
-	var mu sync.Mutex
-	chunks := make([]*listChunk, 0, par.MaxWorkers())
-	newMax := par.Reduce(n, func(lo, hi int) float64 {
-		cb := listChunkPool.Get().(*listChunk)
-		cb.reset(lo)
-		localMax := 0.0
-		for i := lo; i < hi; i++ {
-			hOld := p.H[i]
-			start := len(cb.idx)
-			s.Grid.ForEachNeighbor(i, 2*hGrowthCap*hOld, func(j int, dx, dy, dz, dist float64) {
-				cb.idx = append(cb.idx, int32(j))
-				cb.dx = append(cb.dx, dx)
-				cb.dy = append(cb.dy, dy)
-				cb.dz = append(cb.dz, dz)
-				cb.dist = append(cb.dist, dist)
+	chunks, newMax := gatherRows(n, func(cb *listChunk, i int) float64 {
+		hOld := p.H[i]
+		start := len(cb.idx)
+		bound := 2 * hGrowthCap * hOld
+		if rebuild {
+			grid.ForEachNeighbor(i, sk*bound, func(j int, dx, dy, dz, dist float64) {
+				cb.cand = append(cb.cand, int32(j))
+				if dist < bound {
+					cb.admit(int32(j), dx, dy, dz, dist)
+				}
 			})
-			if h := finishParticle(p, cb, i, start, nl.Ngmax, hOld, ng, maxH); h > localMax {
-				localMax = h
+			cb.candEnd = append(cb.candEnd, int32(len(cb.cand)))
+		} else {
+			// The candidate row streams through the dense distance
+			// kernel, then compare-and-compact admits the survivors.
+			cand := nl.CandIdx[nl.CandOffsets[i]:nl.CandOffsets[i+1]]
+			cb.computeRow(p.X, p.Y, p.Z, i, cand, geo)
+			b2 := bound * bound
+			for k, j := range cand {
+				if r2 := cb.cr2[k]; r2 < b2 {
+					cb.admit(j, cb.cdx[k], cb.cdy[k], cb.cdz[k], math.Sqrt(r2))
+				}
 			}
 		}
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
-		return localMax
-	}, math.Max)
+		return nl.finishRow(p, cb, i, start, hOld, ng, maxH)
+	})
+	defer releaseChunks(chunks)
 
-	nl.mergeChunks(chunks, n, false)
-	nl.refsOK, nl.candsOK = false, false
-	s.buildDerived()
-	return newMax
+	nl.Overflow = 0
+	for _, cb := range chunks {
+		nl.Overflow += cb.overflow
+	}
+	if rebuild {
+		nl.mergeCands(chunks, n)
+		nl.BuildStep = s.Step
+	} else if nl.Overflow > 0 {
+		copy(p.H, s.hBackup)
+		copy(p.NC, s.ncBackup)
+		return 0, false
+	}
+	nl.foldRows(p.H, chunks)
+	return newMax, true
 }
 
-// finishParticle turns particle i's gathered entries — chunk positions
-// [start, len) — into its final neighbor segment: the old-h count drives the
+// finishRow turns particle i's gathered entries — chunk positions
+// [start, len) — into its directed row: the old-h count drives the
 // smoothing-length update (recorded in NC, matching the closure-walk
-// pipeline), and the survivors within the new 2*h — capped at ngmax — are
-// compacted in place. Returns the updated smoothing length. Shared verbatim
-// by the every-step build, the skin rebuild and the skin refresh so all
-// three produce bit-identical lists from the same gathered pairs.
-func finishParticle(p *Particles, cb *listChunk, i, start, ngmax int, hOld, ng, maxH float64) float64 {
+// pipeline), and the survivors within the new 2*h — capped at Ngmax — are
+// compacted in place. Returns the updated smoothing length.
+func (nl *NeighborList) finishRow(p *Particles, cb *listChunk, i, start int, hOld, ng, maxH float64) float64 {
 	cnt := 0
 	for k := start; k < len(cb.dist); k++ {
 		if cb.dist[k] < 2*hOld {
@@ -293,7 +352,7 @@ func finishParticle(p *Particles, cb *listChunk, i, start, ngmax int, hOld, ng, 
 		if cb.dist[k] >= r {
 			continue
 		}
-		if w-start >= ngmax {
+		if w-start >= nl.Ngmax {
 			cb.overflow++
 			break
 		}
@@ -309,158 +368,105 @@ func finishParticle(p *Particles, cb *listChunk, i, start, ngmax int, hOld, ng, 
 	cb.dy = cb.dy[:w]
 	cb.dz = cb.dz[:w]
 	cb.dist = cb.dist[:w]
-	cb.counts = append(cb.counts, int32(w-start))
+	cb.rowEnd = append(cb.rowEnd, int32(w))
+	nl.rowLen[i] = int32(w - start)
 	return h
 }
 
-// mergeChunks concatenates the worker chunk buffers in range order into the
-// CSR arrays. Each worker owned a contiguous particle range, so its buffer
-// is a contiguous segment of the final arrays and the merged list is
-// identical to a serial build. withCands additionally merges the captured
-// candidate segments of a skin build.
-func (nl *NeighborList) mergeChunks(chunks []*listChunk, n int, withCands bool) {
-	nl.pairsOK = false // main list changes; buildDerived re-folds it
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
-	nl.Offsets = ensureInt32(nl.Offsets, n+1)
-	if withCands {
-		nl.CandOffsets = ensureInt32(nl.CandOffsets, n+1)
-	}
-	off, candOff := int32(0), int32(0)
-	nl.Overflow = 0
+// mergeCands concatenates the chunks' captured candidate rows, in range
+// order, into the candidate CSR.
+func (nl *NeighborList) mergeCands(chunks []*listChunk, n int) {
+	nl.CandOffsets = ensureInt32(nl.CandOffsets, n+1)
+	base := int32(0)
 	for _, cb := range chunks {
-		for t, c := range cb.counts {
-			nl.Offsets[cb.lo+t] = off
-			off += c
+		nl.CandOffsets[cb.lo] = base
+		for t, end := range cb.candEnd {
+			nl.CandOffsets[cb.lo+t+1] = base + end
 		}
-		if withCands {
-			for t, c := range cb.candCounts {
-				nl.CandOffsets[cb.lo+t] = candOff
-				candOff += c
-			}
-		}
-		nl.Overflow += cb.overflow
+		base += int32(len(cb.cand))
 	}
-	nl.Offsets[n] = off
-	if withCands {
-		nl.CandOffsets[n] = candOff
-	}
-	// Single-chunk fast path: one worker owned the whole particle range, so
-	// its buffer already IS the finished list — swap the backing arrays
-	// instead of copying them. The chunk inherits the list's previous
-	// arrays, so the pool's steady-state capacity is preserved.
-	if len(chunks) == 1 && chunks[0].lo == 0 {
-		cb := chunks[0]
-		nl.Overflow = cb.overflow
-		nl.Idx, cb.idx = cb.idx, nl.Idx[:0]
-		nl.Dx, cb.dx = cb.dx, nl.Dx[:0]
-		nl.Dy, cb.dy = cb.dy, nl.Dy[:0]
-		nl.Dz, cb.dz = cb.dz, nl.Dz[:0]
-		nl.Dist, cb.dist = cb.dist, nl.Dist[:0]
-		if withCands {
-			nl.CandIdx, cb.cand = cb.cand, nl.CandIdx[:0]
-		}
-		listChunkPool.Put(cb)
-		return
-	}
-	total := int(off)
-	nl.Idx = ensureInt32(nl.Idx, total)
-	nl.Dx = ensureF64(nl.Dx, total)
-	nl.Dy = ensureF64(nl.Dy, total)
-	nl.Dz = ensureF64(nl.Dz, total)
-	nl.Dist = ensureF64(nl.Dist, total)
-	if withCands {
-		nl.CandIdx = ensureInt32(nl.CandIdx, int(candOff))
-	}
+	nl.CandIdx = ensureInt32(nl.CandIdx, int(base))
 	for _, cb := range chunks {
-		at := nl.Offsets[cb.lo]
-		copy(nl.Idx[at:], cb.idx)
-		copy(nl.Dx[at:], cb.dx)
-		copy(nl.Dy[at:], cb.dy)
-		copy(nl.Dz[at:], cb.dz)
-		copy(nl.Dist[at:], cb.dist)
-		if withCands {
-			copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand)
-		}
-		listChunkPool.Put(cb)
+		copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand)
 	}
 }
 
-// buildDerived derives the per-step secondary pair structure from the
-// freshly merged main list: the folded symmetric pair list when
-// Options.SymmetricPairs is set, the Ext transpose otherwise. Exactly one
-// of the two is live at a time; the passes dispatch on the same option.
-func (s *State) buildDerived() {
-	if s.Opt.SymmetricPairs {
-		s.buildPairs()
-		return
-	}
-	s.buildExtras()
-}
+// Dispositions of a directed row entry a→b in the fold.
+const (
+	pairSkip = 0 // b's row holds the pair and b < a: b owns the record
+	pairOne  = 1 // record owned here; b's row does not hold the pair
+	pairTwo  = 2 // record owned here; b's row holds it too (PairBoth = 1)
+)
 
-// buildExtras derives the asymmetric-support segments by transposing the
-// main list: an entry (j -> i) with dist >= 2*h_i marks a pair that i's own
-// support misses but j's covers, which MomentumEnergy must still integrate
-// from i's side. All smoothing lengths are final before this runs.
-func (s *State) buildExtras() {
-	p := s.P
-	n := p.N
-	nl := s.List
-	nl.extCnt = ensureInt32(nl.extCnt, n)
-	for i := range nl.extCnt {
-		nl.extCnt[i] = 0
-	}
-	par.ForChunked(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for k := nl.Offsets[j]; k < nl.Offsets[j+1]; k++ {
-				i := nl.Idx[k]
-				if nl.Dist[k] >= 2*p.H[i] {
-					atomic.AddInt32(&nl.extCnt[i], 1)
+// foldRows folds the finished directed rows, read in place from the chunks
+// that gathered them, into the pair list. For an entry a→b the reverse
+// entry b→a exists iff dist < 2·h_b and b's row was not truncated: the
+// h-growth clamp guarantees b's admission bound 2·hGrowthCap·h_old_b
+// covers 2·h_new_b (and a refresh admits from a candidate set skinValid
+// proved complete), so the only way a sub-support pair can be missing from
+// b's row is the ngmax cap — checked by scanning that row. All smoothing
+// lengths are final before this runs. Two sweeps over the chunks —
+// disposition + count, then fill — with a serial prefix sum in between; no
+// atomics, output independent of the worker count.
+func (nl *NeighborList) foldRows(h []float64, chunks []*listChunk) {
+	n := len(h)
+	nl.PairOffsets = ensureInt32(nl.PairOffsets, n+1)
+	ngmax := int32(nl.Ngmax)
+	eachChunk(chunks, func(cb *listChunk) {
+		cb.own = ensureU8(cb.own, len(cb.idx))
+		k := int32(0)
+		for t, end := range cb.rowEnd {
+			a := int32(cb.lo + t)
+			cnt := int32(0)
+			for ; k < end; k++ {
+				b := cb.idx[k]
+				rev := cb.dist[k] < 2*h[b]
+				if rev && nl.rowLen[b] == ngmax {
+					rev = rowHas(chunks, b, a)
+				}
+				switch {
+				case !rev:
+					cb.own[k] = pairOne
+					cnt++
+				case b > a:
+					cb.own[k] = pairTwo
+					cnt++
+				default:
+					cb.own[k] = pairSkip
 				}
 			}
+			nl.PairOffsets[a+1] = cnt
 		}
 	})
-	nl.ExtOffsets = ensureInt32(nl.ExtOffsets, n+1)
-	off := int32(0)
-	for i := 0; i < n; i++ {
-		nl.ExtOffsets[i] = off
-		off += nl.extCnt[i]
-		nl.extCnt[i] = nl.ExtOffsets[i] // becomes the fill cursor
+	nl.PairOffsets[0] = 0
+	for a := 0; a < n; a++ {
+		nl.PairOffsets[a+1] += nl.PairOffsets[a]
 	}
-	nl.ExtOffsets[n] = off
-	total := int(off)
-	nl.ExtIdx = ensureInt32(nl.ExtIdx, total)
-	nl.ExtDx = ensureF64(nl.ExtDx, total)
-	nl.ExtDy = ensureF64(nl.ExtDy, total)
-	nl.ExtDz = ensureF64(nl.ExtDz, total)
-	nl.ExtDist = ensureF64(nl.ExtDist, total)
-	par.ForChunked(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for k := nl.Offsets[j]; k < nl.Offsets[j+1]; k++ {
-				i := nl.Idx[k]
-				if nl.Dist[k] >= 2*p.H[i] {
-					pos := atomic.AddInt32(&nl.extCnt[i], 1) - 1
-					nl.ExtIdx[pos] = int32(j)
-					// The stored displacement is x_j - x_i; flip to i's view.
-					nl.ExtDx[pos] = -nl.Dx[k]
-					nl.ExtDy[pos] = -nl.Dy[k]
-					nl.ExtDz[pos] = -nl.Dz[k]
-					nl.ExtDist[pos] = nl.Dist[k]
-				}
+	np := int(nl.PairOffsets[n])
+	nl.PairIdx = ensureInt32(nl.PairIdx, np)
+	nl.PairBoth = ensureU8(nl.PairBoth, np)
+	nl.PairDx = ensureF64(nl.PairDx, np)
+	nl.PairDy = ensureF64(nl.PairDy, np)
+	nl.PairDz = ensureF64(nl.PairDz, np)
+	nl.PairDist = ensureF64(nl.PairDist, np)
+	eachChunk(chunks, func(cb *listChunk) {
+		// A chunk's rows are consecutive particles, so its records are one
+		// contiguous run of the pair arrays.
+		w := nl.PairOffsets[cb.lo]
+		for k, d := range cb.own {
+			if d == pairSkip {
+				continue
 			}
+			nl.PairIdx[w] = cb.idx[k]
+			nl.PairBoth[w] = d - pairOne
+			nl.PairDx[w] = cb.dx[k]
+			nl.PairDy[w] = cb.dy[k]
+			nl.PairDz[w] = cb.dz[k]
+			nl.PairDist[w] = cb.dist[k]
+			w++
 		}
 	})
-	// Concurrent fill order is scheduling-dependent; sort each (tiny)
-	// segment by neighbor index so the momentum sum order is deterministic.
-	par.For(n, func(i int) {
-		lo, hi := int(nl.ExtOffsets[i]), int(nl.ExtOffsets[i+1])
-		for a := lo + 1; a < hi; a++ {
-			for b := a; b > lo && nl.ExtIdx[b] < nl.ExtIdx[b-1]; b-- {
-				nl.ExtIdx[b], nl.ExtIdx[b-1] = nl.ExtIdx[b-1], nl.ExtIdx[b]
-				nl.ExtDx[b], nl.ExtDx[b-1] = nl.ExtDx[b-1], nl.ExtDx[b]
-				nl.ExtDy[b], nl.ExtDy[b-1] = nl.ExtDy[b-1], nl.ExtDy[b]
-				nl.ExtDz[b], nl.ExtDz[b-1] = nl.ExtDz[b-1], nl.ExtDz[b]
-				nl.ExtDist[b], nl.ExtDist[b-1] = nl.ExtDist[b-1], nl.ExtDist[b]
-			}
-		}
-	})
+	// The per-pair kernel cache indexes the old fold; the next XMass
+	// refills it.
+	nl.kernOK = false
 }

@@ -169,104 +169,47 @@ type Options struct {
 	AVBeta             float64 // beta = 2*alpha convention when fixed
 	AVDecayTime        float64 // tau multiplier for the alpha decay
 
-	// TreeSearch selects the octree-based neighbor search backend instead
-	// of the cell grid (both return identical neighbor sets).
-	TreeSearch bool
-	// TreeBucketSize is the octree leaf size when TreeSearch is on
-	// (default 64).
-	TreeBucketSize int
-
 	// NgMax caps the per-particle neighbor-list length (SPH-EXA's ngmax);
 	// particles whose support holds more neighbors are truncated and
 	// counted in State.List.Overflow. Zero selects 4×NgTarget (at least
 	// 192).
 	NgMax int
 
-	// ClosureWalk selects the legacy pipeline that re-traverses the
-	// neighbor search structure with a per-neighbor callback in every
-	// pass, instead of streaming over the per-step neighbor list. Kept as
-	// the reference baseline for equivalence tests and benchmarks.
-	//
-	// The pipeline modes, from reference to fastest, and what each
-	// guarantees relative to the previous one:
-	//
-	//   - ClosureWalk: the reference. Every pass walks the grid.
-	//   - default (neighbor list): streams over the flat CSR list;
-	//     physics equal to the walk within 1e-9 relative (identical pair
-	//     sets, kernel arithmetic reordered).
-	//   - + Skin > 0 (Verlet-skin reuse): refresh steps re-derive the list
-	//     from cached candidates, bit-identical to rebuilding every step;
-	//     Skin=0 or RebuildEvery=1 reproduce the plain list byte for byte.
-	//   - + SymmetricPairs: pair passes visit each pair once and scatter
-	//     to both endpoints; equal within 1e-9 (summation order differs),
-	//     deterministic for a fixed GOMAXPROCS.
-	//   - + CellSlab: the neighbor search itself switches to the cell-slab
-	//     half-stencil sweep, which produces bit-identical lists (same
-	//     pairs, same order) — the whole-pipeline output is unchanged down
-	//     to the last bit, it is only found faster.
-	//   - Float32Eval: quantizes kernel evaluation; documented as failing
-	//     the 1e-9 gate (~1e-7), kept as a recorded verdict.
+	// ClosureWalk selects the reference pipeline: every pass re-traverses
+	// the search grid with a per-neighbor callback and each particle sums
+	// over its own neighbors. It is the oracle the tests and the benchmark's
+	// verification compare against. Unset, the production pipeline runs:
+	// FindNeighbors keeps a folded pair list up to date (Verlet-skin
+	// candidates, see Skin) and the pair passes visit each pair once,
+	// scattering to both endpoints. While no row overflows NgMax (a cap the
+	// walk does not have) the two integrate identical pair sets and agree
+	// within 1e-9 relative (summation order differs); the production path
+	// is deterministic for a fixed GOMAXPROCS.
 	ClosureWalk bool
-
-	// CellSlab switches the neighbor-list construction (plain builds and
-	// Verlet-skin candidate rebuilds) from per-particle grid walks to the
-	// cell-slab sweep with a folded half-sphere gather: the grid is
-	// traversed cell by cell, candidate cells stream through contiguous
-	// SoA slabs, and each unordered pair is evaluated once, emitting both
-	// CSR directions. The resulting lists are bit-identical to the walk's
-	// (same pair sets, same order), so every equivalence and checkpoint
-	// guarantee is unchanged; rebuild cost drops roughly 2x. Grids the
-	// sweep cannot handle (octree backend, fewer than 4 cells per axis,
-	// support radii wider than a cell) fall back to the walk per rebuild.
-	// NbrStats.GatherSeconds/FilterSeconds split the rebuild cost while
-	// the slab path is active.
-	CellSlab bool
 
 	// ReorderEvery makes RunStep reorder particles along the Morton SFC
 	// every K steps (0 disables), so neighbor-list indices keep pointing
-	// at cache-adjacent memory as particles mix. With Verlet-skin reuse
-	// active the cadence is keyed to the rebuild trigger: once K steps have
-	// passed, the reorder rides along with the next candidate rebuild
-	// (reordering invalidates the candidate cache anyway) and is forced at
-	// 2K so the memory layout cannot go permanently stale.
+	// at cache-adjacent memory as particles mix. The cadence is keyed to
+	// the rebuild trigger: once K steps have passed, the reorder rides
+	// along with the next candidate rebuild (reordering invalidates the
+	// candidate cache anyway) and is forced at 2K so the memory layout
+	// cannot go permanently stale.
 	ReorderEvery int
 
 	// Skin is the Verlet-skin fraction of the neighbor search: FindNeighbors
 	// gathers candidates out to (1+Skin)·2·1.3·h and reuses that candidate
 	// list across steps, refreshing only the cached pair displacements,
 	// until accumulated particle drift (or smoothing-length growth) could
-	// let an unseen pair enter some support sphere. 0 disables reuse and is
-	// bit-identical to rebuilding every step; larger skins refresh cheaper
-	// lists less often but make every pass scan more candidates.
+	// let an unseen pair enter some support sphere. A refresh admits
+	// exactly the pairs a rebuild would, so the value changes cost, not
+	// the pair set: 0 rebuilds on every step, larger skins rebuild less
+	// often but make every refresh scan more candidates.
 	Skin float64
 
 	// RebuildEvery forces a candidate rebuild at least every K steps on top
-	// of the drift trigger (0 = drift-triggered only). 1 disables reuse
-	// entirely, reproducing the rebuild-every-step pipeline exactly.
+	// of the drift trigger (0 = drift-triggered only); 1 rebuilds on every
+	// step.
 	RebuildEvery int
-
-	// SymmetricPairs folds the two directions of every neighbor pair into
-	// one record (Newton's third law): FindNeighbors derives a folded pair
-	// list from the main CSR, and the pair-interaction passes — XMass,
-	// NormalizationGradh, IADVelocityDivCurl, MomentumEnergy — visit each
-	// (i, j) pair once and scatter to both endpoints through per-worker
-	// private accumulators (par.Scatter). Results differ from the
-	// asymmetric list only in summation order (~1e-15 relative) and are
-	// deterministic for a fixed GOMAXPROCS. Must be chosen before the run's
-	// first FindNeighbors and left alone: the folded list replaces the Ext
-	// transpose, so flipping the flag mid-run leaves the other layout stale
-	// until the next FindNeighbors.
-	SymmetricPairs bool
-
-	// Float32Eval quantizes kernel evaluation on the symmetric path to
-	// float32 — float32 kernel tables and interpolation, pair displacements
-	// rounded through float32 — while keeping every accumulation in
-	// float64. Requires SymmetricPairs and a tabulated kernel (other
-	// kernels keep float64 evaluation). Verdict for the ROADMAP question:
-	// the quantization alone contributes ~1e-7 relative error, so this mode
-	// measurably fails the pipeline's 1e-9 equivalence gate; see
-	// TestFloat32EvalFailsEquivalenceGate.
-	Float32Eval bool
 
 	// CFL is the Courant factor for the timestep.
 	CFL float64
@@ -291,8 +234,8 @@ type Options struct {
 	// profile samples group per pass.
 	WrapPass func(pass string, run func())
 
-	// NeighborEvent, when non-nil, observes every FindNeighbors outcome in
-	// list mode with the step index and the trigger kind: "init", "cadence",
+	// NeighborEvent, when non-nil, observes every FindNeighbors outcome on
+	// the production path with the step index and the kind: "init", "cadence",
 	// "drift" or "overflow" for candidate rebuilds (matching the NbrStats
 	// cause counters) and "refresh" for a Verlet-skin refresh. Nil costs a
 	// single check; the closure-walk pipeline never fires it.
@@ -321,6 +264,15 @@ func DefaultOptions(box sfc.Box) Options {
 	}
 }
 
+// skin resolves the skin fraction candidates are gathered with: none when
+// every step rebuilds, because nothing would ever reuse it.
+func (o Options) skin() float64 {
+	if o.RebuildEvery == 1 {
+		return 0
+	}
+	return o.Skin
+}
+
 // ngmax resolves the effective per-particle neighbor-list cap.
 func (o Options) ngmax() int {
 	if o.NgMax > 0 {
@@ -339,13 +291,13 @@ type State struct {
 	Opt  Options
 	Grid neighbors.Searcher
 
-	// List is the per-step neighbor list built by FindNeighbors (nil in
-	// ClosureWalk mode or before the first FindNeighbors); its buffers are
-	// reused across steps.
+	// List is the neighbor list FindNeighbors maintains (nil in ClosureWalk
+	// mode, before the first FindNeighbors and after an SFC reorder); its
+	// buffers are reused across steps.
 	List *NeighborList
 
-	// MaxH caches the largest smoothing length after FindNeighbors; kernels
-	// use it to bound asymmetric-support neighbor scans.
+	// MaxH caches the largest smoothing length after FindNeighbors; the
+	// closure-walk momentum pass uses it to bound its neighbor scan.
 	MaxH float64
 
 	// Dt is the current timestep; Time the accumulated simulated physics time.
@@ -364,51 +316,21 @@ type State struct {
 	gridBuf  *neighbors.Grid // reused cell-grid buffers across rebuilds
 	hBackup  []float64       // refresh-abort scratch: pre-update H
 	ncBackup []int32         // refresh-abort scratch: pre-update NC
-
-	// Cell-slab sweep scratch (Options.CellSlab): the sweep's reusable
-	// slab/spill buffers, the per-particle cut radii of the gather, and the
-	// gathered per-candidate squared distances (CSR-aligned with the
-	// candidate list; valid only within the build step that gathered them).
-	slab   neighbors.SlabSweep
-	cuts   []float64
-	candR2 []float64
-
-	// Symmetric-pair scratch, all reused across steps: the scatter-add
-	// accumulators, the per-particle precomputations the folded passes
-	// hoist out of the pair loop (volume elements, P/(Ω ρ²), Balsara
-	// factors), and the per-pair kernel values W/DW at both endpoints that
-	// the fused XMass sweep evaluates once per step for every downstream
-	// pass (symCacheOK) along with the gradh sums it accumulates on the
-	// side (symDsumOK). Both flags drop when the pair list is refolded.
-	scat                  par.Scatter
-	symV, symPrho, symF   []float64
-	symWa, symWb          []float64
-	symDwa, symDwb        []float64
-	symDsum               []float64
-	symCacheOK, symDsumOK bool
-	kern32, kern32base    kernel.Kernel // cached Float32Eval quantization
+	scat     par.Scatter     // scatter-add accumulators of the pair passes
 }
 
-// NeighborStats breaks down FindNeighbors activity since the state was
-// created: how many steps rebuilt the Verlet-skin candidate list versus
-// refreshing the cached pairs, and what triggered each rebuild. With skin
-// reuse disabled every step counts as an init rebuild.
+// NeighborStats breaks down FindNeighbors activity on the production path
+// since the state was created: how many steps rebuilt the Verlet-skin
+// candidate list versus refreshing the cached pairs, and what triggered
+// each rebuild.
 type NeighborStats struct {
 	Rebuilds  int // candidate-list builds (sum of the cause counters)
 	Refreshes int // steps served from the cached candidate list
 
-	RebuildInit     int // no valid list: first step, post-reorder, mode switch
+	RebuildInit     int // no valid list: first step, post-reorder
 	RebuildCadence  int // Options.RebuildEvery interval expired
 	RebuildDrift    int // accumulated drift could hide an unseen pair
 	RebuildOverflow int // ngmax overflow during a refresh forced a rebuild
-
-	// GatherSeconds/FilterSeconds split the rebuild cost of the cell-slab
-	// path (Options.CellSlab): wall-clock spent in the candidate sweep
-	// versus the candidate→list filter, cumulative over rebuild steps.
-	// The walk-based build interleaves the two phases per particle, so
-	// both stay zero outside slab mode.
-	GatherSeconds float64
-	FilterSeconds float64
 }
 
 // NewState creates a simulation state. The first Timestep call sets Dt

@@ -7,64 +7,44 @@ import (
 	"sphenergy/internal/par"
 )
 
-// FindNeighbors rebuilds the neighbor search structure for the current
-// particle positions, adapts smoothing lengths toward the target neighbor
-// count using the standard n^(1/3) update, and — in the default list mode —
-// builds the persistent per-step NeighborList that the subsequent passes
-// stream over. With Options.ClosureWalk set, only neighbor counts and
+// FindNeighbors adapts smoothing lengths toward the target neighbor count
+// using the standard n^(1/3) update and brings the neighbor structure up to
+// date with the current positions. On the production path that is the
+// folded pair list (see NeighborList) the subsequent passes stream over:
+// refreshed from the cached Verlet-skin candidates while they still cover
+// every support sphere, rebuilt from a fresh search grid otherwise. With
+// Options.ClosureWalk set, only the grid, the neighbor counts and the
 // smoothing lengths are updated and the passes re-traverse the grid.
 func (s *State) FindNeighbors() {
-	p := s.P
-	maxH := p.MaxH()
+	maxH := s.P.MaxH()
 	if s.Opt.ClosureWalk {
 		s.Grid = s.buildGrid(maxH)
 		s.List = nil
 		s.countAndUpdateH(maxH)
 		return
 	}
-	if !s.skinActive() {
-		s.Grid = s.buildGrid(maxH)
-		s.MaxH = s.buildNeighborList(maxH)
-		s.NbrStats.Rebuilds++
-		s.NbrStats.RebuildInit++
-		s.neighborEvent("init")
-		return
+	kind := s.rebuildCause(maxH)
+	if kind == "" {
+		if newMax, ok := s.buildList(maxH, false); ok {
+			s.NbrStats.Refreshes++
+			s.MaxH = newMax
+			s.neighborEvent("refresh")
+			return
+		}
+		kind = "overflow"
 	}
-	// Verlet-skin path: reuse the cached candidate list when it still
-	// covers every support sphere, rebuild otherwise.
-	nl := s.List
-	if nl == nil || !nl.refsOK {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildInit, "init")
-		return
-	}
-	if !nl.candsOK {
-		// Restored from checkpoint: regenerate the candidate CSR from the
-		// persisted reference snapshot before deciding anything.
-		s.regenCandidates()
-	}
-	if re := s.Opt.RebuildEvery; re > 0 && s.Step-nl.BuildStep >= re {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildCadence, "cadence")
-		return
-	}
-	if !s.skinValid(maxH) {
-		s.rebuildWithSkin(maxH, &s.NbrStats.RebuildDrift, "drift")
-		return
-	}
-	if newMax, ok := s.refreshSkin(maxH); ok {
-		s.NbrStats.Refreshes++
-		s.MaxH = newMax
-		s.neighborEvent("refresh")
-		return
-	}
-	s.rebuildWithSkin(maxH, &s.NbrStats.RebuildOverflow, "overflow")
-}
-
-// rebuildWithSkin runs a candidate rebuild and charges it to the given
-// cause counter.
-func (s *State) rebuildWithSkin(maxH float64, cause *int, kind string) {
-	s.MaxH = s.rebuildSkin(maxH)
+	s.MaxH, _ = s.buildList(maxH, true)
 	s.NbrStats.Rebuilds++
-	*cause++
+	switch kind {
+	case "init":
+		s.NbrStats.RebuildInit++
+	case "cadence":
+		s.NbrStats.RebuildCadence++
+	case "drift":
+		s.NbrStats.RebuildDrift++
+	case "overflow":
+		s.NbrStats.RebuildOverflow++
+	}
 	s.neighborEvent(kind)
 }
 
@@ -77,8 +57,7 @@ func (s *State) neighborEvent(kind string) {
 
 // countAndUpdateH is the closure-walk neighbor pass: count neighbors at the
 // current support, apply the smoothing-length update, and fold the
-// post-update maximum into the same parallel pass (previously a second
-// full MaxH scan).
+// post-update maximum into the same parallel pass.
 func (s *State) countAndUpdateH(maxH float64) {
 	p := s.P
 	ng := float64(s.Opt.NgTarget)
@@ -97,25 +76,17 @@ func (s *State) countAndUpdateH(maxH float64) {
 	}, math.Max)
 }
 
-// buildGrid constructs the neighbor search structure for the given maximum
-// smoothing length, honoring the configured backend.
-func (s *State) buildGrid(maxH float64) neighbors.Searcher {
+// buildGrid constructs the search grid for the given maximum smoothing
+// length.
+func (s *State) buildGrid(maxH float64) *neighbors.Grid {
 	p := s.P
 	return s.buildSearcher(p.X, p.Y, p.Z, 2*maxH*hGrowthCap) // allow for the in-step h growth clamp
 }
 
-// buildSearcher constructs the neighbor search structure over the given
-// coordinate slices, honoring the configured backend. The cell-grid backend
-// reuses the state's grid buffers, so steady-state rebuilds allocate
-// nothing.
-func (s *State) buildSearcher(x, y, z []float64, radius float64) neighbors.Searcher {
-	if s.Opt.TreeSearch {
-		bucket := s.Opt.TreeBucketSize
-		if bucket <= 0 {
-			bucket = 64
-		}
-		return neighbors.BuildTree(s.Opt.Box, x, y, z, bucket)
-	}
+// buildSearcher constructs the search grid over the given coordinate
+// slices. It reuses the state's grid buffers, so steady-state rebuilds
+// allocate nothing.
+func (s *State) buildSearcher(x, y, z []float64, radius float64) *neighbors.Grid {
 	if radius <= 0 {
 		radius = s.Opt.Box.MinExtent() / 4
 	}
@@ -124,16 +95,24 @@ func (s *State) buildSearcher(x, y, z []float64, radius float64) neighbors.Searc
 }
 
 // BuildGridFor constructs the neighbor search structure sized for the
-// current maximum interaction radius, honoring the configured backend.
+// current maximum interaction radius, for callers that drive the passes
+// over a hand-built Grid instead of calling FindNeighbors.
 func BuildGridFor(s *State) neighbors.Searcher {
 	return s.buildGrid(s.P.MaxH())
 }
 
-// useList reports whether the passes should stream over the per-step
-// neighbor list. Callers that set up Grid manually (without FindNeighbors)
-// fall back to the closure walk.
+// useList reports whether XMass streams the pair list. Without one —
+// closure-walk runs, callers that set up Grid by hand, a state just read
+// from a checkpoint, which carries the skin references only — the passes
+// walk the grid.
 func (s *State) useList() bool {
-	return !s.Opt.ClosureWalk && s.List != nil && len(s.List.Offsets) == s.P.N+1
+	return !s.Opt.ClosureWalk && s.List != nil && len(s.List.PairOffsets) == s.P.N+1
+}
+
+// useCached is useList for the passes after XMass, which read the per-pair
+// kernel values (and gradh sums) its sweep over this list left behind.
+func (s *State) useCached() bool {
+	return s.useList() && s.List.kernOK
 }
 
 // XMass computes the generalized volume-element normalization
@@ -154,10 +133,8 @@ func (s *State) XMass() {
 		}
 		p.XM[i] = xm
 	})
-	if s.useSym() {
-		s.xmassSym()
-	} else if s.useList() {
-		s.xmassList()
+	if s.useList() {
+		s.xmassPairs()
 	} else {
 		s.xmassWalk()
 	}
@@ -168,10 +145,8 @@ func (s *State) XMass() {
 // momentum and energy equations of the variable-smoothing-length
 // formulation. ("computeVeDefGradh" in SPH-EXA.)
 func (s *State) NormalizationGradh() {
-	if s.useSym() {
-		s.gradhSym()
-	} else if s.useList() {
-		s.gradhList()
+	if s.useCached() {
+		s.gradhPairs()
 	} else {
 		s.gradhWalk()
 	}

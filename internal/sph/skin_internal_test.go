@@ -48,15 +48,15 @@ func TestSkinBoundaryExactCrossing(t *testing.T) {
 	if !st.skinValid(p.MaxH()) {
 		t.Errorf("displacement just under the threshold (%.17g) invalidated the cache", threshold)
 	}
-	if st.rebuildDue() {
-		t.Error("rebuildDue true while the cache is still valid")
+	if kind := st.rebuildCause(p.MaxH()); kind != "" {
+		t.Errorf("rebuildCause %q while the cache is still valid", kind)
 	}
 	p.X[k] = origX + threshold*(1+1e-9)
 	if st.skinValid(p.MaxH()) {
 		t.Errorf("displacement just over the threshold (%.17g) left the cache valid", threshold)
 	}
-	if !st.rebuildDue() {
-		t.Error("rebuildDue false although drift crossed the threshold")
+	if kind := st.rebuildCause(p.MaxH()); kind != "drift" {
+		t.Errorf("rebuildCause %q although drift crossed the threshold", kind)
 	}
 
 	st.FindNeighbors()
@@ -88,7 +88,7 @@ func TestSkinOverflowForcesEarlyRebuild(t *testing.T) {
 	}
 	ngmax := st.Opt.ngmax()
 	for i := 0; i < st.P.N; i++ {
-		if n := int(st.List.Offsets[i+1] - st.List.Offsets[i]); n > ngmax {
+		if n := st.List.Count(i); n > ngmax {
 			t.Fatalf("particle %d list length %d exceeds ngmax %d after overflow rebuild", i, n, ngmax)
 		}
 	}
@@ -108,7 +108,7 @@ func TestSkinRefreshAbortRestoresState(t *testing.T) {
 	hBefore := append([]float64(nil), st.P.H...)
 	ncBefore := append([]int32(nil), st.P.NC...)
 	maxH := st.P.MaxH()
-	if _, ok := st.refreshSkin(maxH); ok {
+	if _, ok := st.buildList(maxH, false); ok {
 		t.Fatal("refresh unexpectedly succeeded under an ngmax overflow")
 	}
 	for i := range hBefore {

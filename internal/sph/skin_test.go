@@ -1,9 +1,9 @@
 package sph_test
 
-// Verlet-skin equivalence and restart tests: the skin path must match the
-// every-step rebuild to tight tolerance on real problems, collapse to the
-// legacy path bit-for-bit when disabled, and replay the same rebuild
-// schedule across a checkpoint/restart.
+// Verlet-skin equivalence and restart tests: refreshing from the skin must
+// match rebuilding on every step to tight tolerance on real problems, the
+// two ways of asking for a rebuild on every step must agree bit for bit,
+// and a checkpoint/restart must replay the same rebuild schedule.
 
 import (
 	"bytes"
@@ -41,7 +41,7 @@ func compareSkinToRebuild(t *testing.T, mkState func() *sph.State, steps int, wi
 		t.Fatalf("no refresh steps in %d steps (stats %+v); the skin path went untested", steps, skin.NbrStats)
 	}
 	if ref.NbrStats.Rebuilds != steps {
-		t.Fatalf("reference rebuilt %d times over %d steps; expected the legacy every-step build", ref.NbrStats.Rebuilds, steps)
+		t.Fatalf("reference rebuilt %d times over %d steps; Skin = 0 must rebuild on every one", ref.NbrStats.Rebuilds, steps)
 	}
 
 	ps, pr := skin.P, ref.P
@@ -91,8 +91,8 @@ func TestSkinMatchesRebuildEvrard(t *testing.T) {
 	compareSkinToRebuild(t, mk, 4, true, 1e-9)
 }
 
-// TestSkinDisabledBitIdentical pins the opt-out contract: both Skin=0 and
-// RebuildEvery=1 must take the literal legacy code path, producing
+// TestSkinDisabledBitIdentical pins the opt-out contract: Skin=0 and
+// RebuildEvery=1 both rebuild on every step and never refresh, producing
 // byte-identical state — not merely state within tolerance.
 func TestSkinDisabledBitIdentical(t *testing.T) {
 	run := func(mutate func(*sph.Options)) *sph.State {

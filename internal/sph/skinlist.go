@@ -2,28 +2,42 @@ package sph
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"sphenergy/internal/neighbors"
 	"sphenergy/internal/par"
 )
 
-// Verlet-skin neighbor-list reuse. The candidate list is built once at the
-// inflated cutoff (1+Skin)·2·hGrowthCap·h and reused across steps: between
-// rebuilds a streaming refresh recomputes the cached pairs' displacements
-// and re-filters them by the current cutoff, producing a NeighborList
-// bit-identical to what a fresh gather over the same pair set would have
-// built. A rebuild is forced when accumulated drift could let an unseen
-// pair enter some support sphere (skinValid), when the RebuildEvery cadence
-// expires, when a refresh overflows ngmax, or when an SFC reorder has
-// invalidated the indices.
+// Verlet-skin candidate reuse. A rebuild gathers candidates at the inflated
+// cutoff (1+Skin)·2·hGrowthCap·h and later steps reuse them: a refresh
+// recomputes the cached pairs' displacements and re-filters them by the
+// current cutoff, producing a list bit-identical to what a fresh gather
+// over the same pair set would have built (both run through buildList). A
+// rebuild is forced when accumulated drift could let an unseen pair enter
+// some support sphere (skinValid), when the RebuildEvery cadence expires,
+// when a refresh overflows ngmax, or when an SFC reorder has invalidated
+// the indices. Skin = 0 and RebuildEvery = 1 both rebuild on every step.
 
-// skinActive reports whether FindNeighbors runs the Verlet-skin path.
-// Skin=0 and RebuildEvery=1 both select the legacy rebuild-every-step list
-// build, byte for byte.
-func (s *State) skinActive() bool {
-	return s.Opt.Skin > 0 && s.Opt.RebuildEvery != 1 && !s.Opt.ClosureWalk
+// rebuildCause is FindNeighbors' decision, free of side effects: the
+// NeighborEvent kind of the rebuild the current positions call for, or ""
+// when the cached candidates still serve. RunStep also keys the SFC reorder
+// cadence to it so a reorder — which invalidates the cached indices — rides
+// along with a step that was going to rebuild regardless.
+func (s *State) rebuildCause(maxH float64) string {
+	nl := s.List
+	switch {
+	case nl == nil:
+		return "init"
+	case s.Opt.RebuildEvery > 0 && s.Step-nl.BuildStep >= s.Opt.RebuildEvery:
+		return "cadence"
+	case s.Opt.skin() <= 0 || !s.skinValid(maxH):
+		// Without a skin the candidates reach no further than the supports
+		// they were gathered for; shrinking supports could keep such a
+		// cache formally complete, but reusing it would reorder the rows
+		// of a setting documented as rebuilding on every step.
+		return "drift"
+	}
+	return ""
 }
 
 // skinValid reports whether the cached candidate list still covers every
@@ -45,7 +59,7 @@ func (s *State) skinValid(maxH float64) bool {
 	box := s.Opt.Box
 	lx, ly, lz := box.Lx(), box.Ly(), box.Lz()
 	pbx, pby, pbz := box.PBCx, box.PBCy, box.PBCz
-	sk := 1 + s.Opt.Skin
+	sk := 1 + s.Opt.skin()
 
 	var mu sync.Mutex
 	maxDrift, maxExcess := math.Inf(-1), math.Inf(-1)
@@ -76,159 +90,65 @@ func (s *State) skinValid(maxH float64) bool {
 	return maxExcess+maxDrift <= -1e-12*(2*hGrowthCap*maxH)
 }
 
-// rebuildSkin builds the neighbor list and the inflated candidate cache in
-// one grid traversal: the gather runs out to (1+Skin)·2·hGrowthCap·h_old,
-// every gathered pair is recorded as a candidate, and the subset within the
-// un-inflated 2·hGrowthCap·h_old feeds the exact count/update/filter
-// sequence of the every-step build. Returns the post-update maximum
-// smoothing length.
-func (s *State) rebuildSkin(maxH float64) float64 {
-	p := s.P
-	n := p.N
-	if s.List == nil {
-		s.List = &NeighborList{}
-	}
-	nl := s.List
-	nl.Ngmax = s.Opt.ngmax()
-	ng := float64(s.Opt.NgTarget)
-	sk := 1 + s.Opt.Skin
-
-	// Snapshot the reference state before the smoothing-length update; the
-	// candidate list is a pure function of this snapshot (and the box), so
-	// checkpoints persist only the snapshot.
-	nl.RefX = ensureF64(nl.RefX, n)
-	nl.RefY = ensureF64(nl.RefY, n)
-	nl.RefZ = ensureF64(nl.RefZ, n)
-	nl.RefH = ensureF64(nl.RefH, n)
-	copy(nl.RefX, p.X)
-	copy(nl.RefY, p.Y)
-	copy(nl.RefZ, p.Z)
-	copy(nl.RefH, p.H)
-
-	s.Grid = s.buildSearcher(p.X, p.Y, p.Z, sk*(2*maxH*hGrowthCap))
-
-	if s.Opt.CellSlab {
-		if newMax, ok := s.rebuildSkinSlab(maxH); ok {
-			nl.BuildStep = s.Step
-			nl.refsOK, nl.candsOK = true, true
-			s.buildDerived()
-			return newMax
-		}
-	}
-
-	var mu sync.Mutex
-	chunks := make([]*listChunk, 0, par.MaxWorkers())
-	newMax := par.Reduce(n, func(lo, hi int) float64 {
-		cb := listChunkPool.Get().(*listChunk)
-		cb.reset(lo)
-		localMax := 0.0
-		for i := lo; i < hi; i++ {
-			hOld := p.H[i]
-			start := len(cb.idx)
-			candStart := len(cb.cand)
-			bound := 2 * hGrowthCap * hOld
-			s.Grid.ForEachNeighbor(i, sk*bound, func(j int, dx, dy, dz, dist float64) {
-				cb.cand = append(cb.cand, int32(j))
-				if dist < bound {
-					cb.idx = append(cb.idx, int32(j))
-					cb.dx = append(cb.dx, dx)
-					cb.dy = append(cb.dy, dy)
-					cb.dz = append(cb.dz, dz)
-					cb.dist = append(cb.dist, dist)
-				}
-			})
-			cb.candCounts = append(cb.candCounts, int32(len(cb.cand)-candStart))
-			if h := finishParticle(p, cb, i, start, nl.Ngmax, hOld, ng, maxH); h > localMax {
-				localMax = h
-			}
-		}
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
-		return localMax
-	}, math.Max)
-
-	nl.mergeChunks(chunks, n, true)
-	nl.BuildStep = s.Step
-	nl.refsOK, nl.candsOK = true, true
-	s.buildDerived()
-	return newMax
+// boxGeom caches the box quantities of the inlined minimum-image fold.
+type boxGeom struct {
+	lx, ly, lz    float64
+	hx, hy, hz    float64
+	pbx, pby, pbz bool
 }
 
-// refreshSkin re-derives the step's neighbor list from the cached candidate
-// pairs: displacements are recomputed with the grid's minimum-image
-// arithmetic, pairs are re-admitted by the same r² bound the grid gather
-// uses, and the shared count/update/filter sequence finishes each particle.
-// Returns (maxH', true) on success. If any particle overflows ngmax the
-// pass restores H and NC and returns false so the caller falls back to a
-// full rebuild — the skin gather sees pairs the capped candidate segment
-// may not hold, so truncation semantics are only honest on a build step.
-func (s *State) refreshSkin(maxH float64) (float64, bool) {
-	p := s.P
-	n := p.N
-	nl := s.List
-	ng := float64(s.Opt.NgTarget)
-	geo := s.geom()
-	px, py, pz := p.X, p.Y, p.Z
-	candOff, candIdx := nl.CandOffsets, nl.CandIdx
+func (s *State) geom() boxGeom {
+	box := s.Opt.Box
+	lx, ly, lz := box.Lx(), box.Ly(), box.Lz()
+	return boxGeom{lx, ly, lz, lx / 2, ly / 2, lz / 2, box.PBCx, box.PBCy, box.PBCz}
+}
 
-	// Back up the fields the finishing pass mutates so an overflow can
-	// abort into a rebuild without double-applying the h update.
-	s.hBackup = ensureF64(s.hBackup, n)
-	s.ncBackup = ensureInt32(s.ncBackup, n)
-	copy(s.hBackup, p.H)
-	copy(s.ncBackup, p.NC)
-
-	var mu sync.Mutex
-	chunks := make([]*listChunk, 0, par.MaxWorkers())
-	newMax := par.Reduce(n, func(lo, hi int) float64 {
-		cb := listChunkPool.Get().(*listChunk)
-		cb.reset(lo)
-		blk := candBlockPool.Get().(*candBlock)
-		localMax := 0.0
-		for i := lo; i < hi; i++ {
-			hOld := p.H[i]
-			start := len(cb.idx)
-			bound := 2 * hGrowthCap * hOld
-			b2 := bound * bound
-			// Blocked re-filter: the candidate segment streams through the
-			// dense distance kernel (computeRow inlines the minimum-image
-			// fold term for term the arithmetic of neighbors.MinImage, so
-			// refreshed displacements stay bit-identical to a fresh grid
-			// gather over the same pairs), then compare-and-compact admits
-			// the survivors by the same r² bound the grid gather uses.
-			cand := candIdx[candOff[i]:candOff[i+1]]
-			blk.computeRow(px, py, pz, px[i], py[i], pz[i], cand, geo)
-			for k := range cand {
-				r2 := blk.r2[k]
-				if r2 >= b2 {
-					continue
-				}
-				cb.idx = append(cb.idx, cand[k])
-				cb.dx = append(cb.dx, blk.dx[k])
-				cb.dy = append(cb.dy, blk.dy[k])
-				cb.dz = append(cb.dz, blk.dz[k])
-				cb.dist = append(cb.dist, math.Sqrt(r2))
-			}
-			if h := finishParticle(p, cb, i, start, nl.Ngmax, hOld, ng, maxH); h > localMax {
-				localMax = h
+// computeRow fills the chunk's dense buffers with the minimum-image
+// displacements and squared distances from particle i to every candidate.
+// Keeping this loop apart from the admission pass leaves it free of appends
+// and lets the compiler eliminate the bounds checks. The fold is inlined
+// term for term with the arithmetic of neighbors.MinImage, so the buffered
+// values are bit-identical to a fresh grid gather over the same pairs.
+func (cb *listChunk) computeRow(px, py, pz []float64, i int, cand []int32, g boxGeom) {
+	n := len(cand)
+	if cap(cb.cdx) < n {
+		cb.cdx = make([]float64, n)
+		cb.cdy = make([]float64, n)
+		cb.cdz = make([]float64, n)
+		cb.cr2 = make([]float64, n)
+	}
+	bdx, bdy, bdz, br2 := cb.cdx[:n], cb.cdy[:n], cb.cdz[:n], cb.cr2[:n]
+	xi, yi, zi := px[i], py[i], pz[i]
+	for k, j := range cand {
+		dx := xi - px[j]
+		if g.pbx {
+			if dx > g.hx {
+				dx -= g.lx
+			} else if dx < -g.hx {
+				dx += g.lx
 			}
 		}
-		candBlockPool.Put(blk)
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
-		return localMax
-	}, math.Max)
-
-	nl.mergeChunks(chunks, n, false)
-	if nl.Overflow > 0 {
-		copy(p.H, s.hBackup)
-		copy(p.NC, s.ncBackup)
-		return 0, false
+		dy := yi - py[j]
+		if g.pby {
+			if dy > g.hy {
+				dy -= g.ly
+			} else if dy < -g.hy {
+				dy += g.ly
+			}
+		}
+		dz := zi - pz[j]
+		if g.pbz {
+			if dz > g.hz {
+				dz -= g.lz
+			} else if dz < -g.hz {
+				dz += g.lz
+			}
+		}
+		bdx[k] = dx
+		bdy[k] = dy
+		bdz[k] = dz
+		br2[k] = dx*dx + dy*dy + dz*dz
 	}
-	s.buildDerived()
-	return newMax, true
 }
 
 // regenCandidates rebuilds the candidate CSR from the checkpointed
@@ -240,64 +160,19 @@ func (s *State) regenCandidates() {
 	nl := s.List
 	n := s.P.N
 	maxRefH := 0.0
-	for i := 0; i < n; i++ {
-		if nl.RefH[i] > maxRefH {
-			maxRefH = nl.RefH[i]
-		}
+	for _, h := range nl.RefH {
+		maxRefH = math.Max(maxRefH, h)
 	}
-	sk := 1 + s.Opt.Skin
+	sk := 1 + s.Opt.skin()
 	grid := s.buildSearcher(nl.RefX, nl.RefY, nl.RefZ, sk*(2*maxRefH*hGrowthCap))
 
-	var mu sync.Mutex
-	chunks := make([]*listChunk, 0, par.MaxWorkers())
-	par.ForChunked(n, func(lo, hi int) {
-		cb := listChunkPool.Get().(*listChunk)
-		cb.reset(lo)
-		for i := lo; i < hi; i++ {
-			candStart := len(cb.cand)
-			grid.ForEachNeighbor(i, sk*(2*hGrowthCap*nl.RefH[i]), func(j int, _, _, _, _ float64) {
-				cb.cand = append(cb.cand, int32(j))
-			})
-			cb.candCounts = append(cb.candCounts, int32(len(cb.cand)-candStart))
-		}
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
+	chunks, _ := gatherRows(n, func(cb *listChunk, i int) float64 {
+		grid.ForEachNeighbor(i, sk*(2*hGrowthCap*nl.RefH[i]), func(j int, _, _, _, _ float64) {
+			cb.cand = append(cb.cand, int32(j))
+		})
+		cb.candEnd = append(cb.candEnd, int32(len(cb.cand)))
+		return 0
 	})
-
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
-	nl.CandOffsets = ensureInt32(nl.CandOffsets, n+1)
-	off := int32(0)
-	for _, cb := range chunks {
-		for t, c := range cb.candCounts {
-			nl.CandOffsets[cb.lo+t] = off
-			off += c
-		}
-	}
-	nl.CandOffsets[n] = off
-	nl.CandIdx = ensureInt32(nl.CandIdx, int(off))
-	for _, cb := range chunks {
-		copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand)
-		listChunkPool.Put(cb)
-	}
-	nl.candsOK = true
-}
-
-// rebuildDue mirrors FindNeighbors' rebuild decision without mutating
-// anything: true when the next FindNeighbors will rebuild the candidate
-// list anyway (or reuse is disabled entirely). RunStep keys the SFC reorder
-// cadence to it so a reorder — which invalidates the cached indices — rides
-// along with a step that was going to rebuild regardless.
-func (s *State) rebuildDue() bool {
-	if !s.skinActive() {
-		return true
-	}
-	nl := s.List
-	if nl == nil || !nl.refsOK {
-		return true
-	}
-	if re := s.Opt.RebuildEvery; re > 0 && s.Step-nl.BuildStep >= re {
-		return true
-	}
-	return !s.skinValid(s.P.MaxH())
+	nl.mergeCands(chunks, n)
+	releaseChunks(chunks)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sphenergy/internal/kernel"
+	"sphenergy/internal/neighbors"
 	"sphenergy/internal/sfc"
 )
 
@@ -357,23 +358,29 @@ func TestVolumeElementsExponent(t *testing.T) {
 }
 
 func TestTreeSearchBackendMatchesGrid(t *testing.T) {
-	// The full density pipeline produces identical results under both
-	// neighbor-search backends.
-	gridState := latticeState(8, t)
-	runDensityPipeline(gridState)
-
-	treeState := latticeState(8, t)
-	treeState.Opt.TreeSearch = true
-	runDensityPipeline(treeState)
-
+	// The walk passes take any neighbors.Searcher: handed the octree the
+	// neighbor tests use as their oracle, they produce the densities and
+	// counts they produce over the grid.
+	density := func(search func(st *State) neighbors.Searcher) *State {
+		st := latticeState(8, t)
+		st.Grid = search(st)
+		st.XMass()
+		st.NormalizationGradh()
+		return st
+	}
+	gridState := density(BuildGridFor)
+	treeState := density(func(st *State) neighbors.Searcher {
+		return neighbors.BuildTree(st.Opt.Box, st.P.X, st.P.Y, st.P.Z, 64)
+	})
 	for i := 0; i < gridState.P.N; i++ {
-		if math.Abs(gridState.P.Rho[i]-treeState.P.Rho[i]) > 1e-12 {
-			t.Fatalf("particle %d: grid rho %v != tree rho %v",
-				i, gridState.P.Rho[i], treeState.P.Rho[i])
+		if math.Abs(gridState.P.Rho[i]-treeState.P.Rho[i]) > 1e-12 ||
+			math.Abs(gridState.P.Gradh[i]-treeState.P.Gradh[i]) > 1e-12 {
+			t.Fatalf("particle %d: grid rho %v gradh %v != tree rho %v gradh %v", i,
+				gridState.P.Rho[i], gridState.P.Gradh[i], treeState.P.Rho[i], treeState.P.Gradh[i])
 		}
-		if gridState.P.NC[i] != treeState.P.NC[i] {
-			t.Fatalf("particle %d: neighbor counts differ (%d vs %d)",
-				i, gridState.P.NC[i], treeState.P.NC[i])
+		r := 2 * gridState.P.H[i]
+		if g, tr := gridState.Grid.CountNeighbors(i, r), treeState.Grid.CountNeighbors(i, r); g != tr {
+			t.Fatalf("particle %d: neighbor counts differ (%d vs %d)", i, g, tr)
 		}
 	}
 }

@@ -103,11 +103,10 @@ func (s *State) RunStep(extraAccel func(p *Particles)) float64 {
 		// Keyed to the rebuild trigger: reordering invalidates the cached
 		// Verlet-skin candidate list, so once the cadence expires the
 		// reorder piggybacks on a step that rebuilds anyway, and is forced
-		// at 2K so the layout cannot go permanently stale. Without skin
-		// reuse every step rebuilds and this reduces to reordering exactly
-		// every K steps, as before.
+		// at 2K so the layout cannot go permanently stale. A closure-walk
+		// run has no list and reorders exactly every K steps.
 		since := s.Step - s.LastReorderStep
-		if since >= k && (since >= 2*k || s.rebuildDue()) {
+		if since >= k && (since >= 2*k || s.rebuildCause(s.P.MaxH()) != "") {
 			s.ReorderBySFC()
 			s.LastReorderStep = s.Step
 		}
