@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-energy race-faults race-recovery bench bench-telemetry bench-json bench-sph bench-sph-smoke bench-gomaxprocs perfgate perfgate-smoke perfgate-ckpt chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-telemetry bench-json bench-sph bench-sph-smoke bench-gomaxprocs perfgate perfgate-smoke perfgate-ckpt chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
 # check is the CI gate: static vetting plus the full suite under the race
 # detector (includes the telemetry concurrency tests), the SPH engine's
 # race suite again at GOMAXPROCS 4 (race-sph: the default width of a small
-# box never splits its loops), a focused re-run of the energy
+# box never splits its loops) and the energy stack's likewise (race-model:
+# whole runs in flight at once), a focused re-run of the energy
 # attribution/validation path so a regression there is named in the
 # failure output rather than buried in ./..., a short
 # SPH perf-harness smoke + pipeline-equivalence gate so the production
@@ -21,7 +22,7 @@ all: build lint test
 # (events-smoke) proving a tuned run exports an auditable ledger, and the
 # recovery soak smoke (soak-smoke) proving seeded kill-and-recover runs
 # converge bit-identically plus the checkpoint-overhead self-gate.
-check: lint race race-sph race-energy race-faults bench-sph-smoke chaos-smoke perfgate-smoke events-smoke soak-smoke
+check: lint race race-sph race-model race-energy race-faults bench-sph-smoke chaos-smoke perfgate-smoke events-smoke soak-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -31,8 +32,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The fault-injection and graceful-degradation stack under the race
-# detector: injector streams evaluated from rank goroutines, the mediated
-# resilient setter, sampler failover, and straggler/crash handling.
+# detector: injector streams evaluated inside rank phases while scrapes and
+# status reads come from other goroutines, the mediated resilient setter,
+# sampler failover, and straggler/crash handling.
 race-faults:
 	$(GO) test -race ./internal/faults/ ./internal/freqctl/ ./internal/mpisim/ \
 		./internal/sampler/ ./internal/core/
@@ -73,8 +75,8 @@ perfgate-ckpt:
 	$(GO) run ./cmd/perfgate -ckpt-overhead 1.0
 
 # The sampler/attribution/three-way-validation stack exercised under the
-# race detector: per-rank channels polled from rank goroutines while the
-# coordinator polls node sensors and the registry serves scrapes.
+# race detector: the run's goroutine polls rank channels inside the rank
+# phases and node sensors between them while the registry serves scrapes.
 race-energy:
 	$(GO) test -race -run 'Sampler|Sampling|Attrib|Build|Validation|ThreeWay' \
 		./internal/sampler/ ./internal/attrib/ ./internal/core/ ./internal/slurm/ ./internal/report/
@@ -95,6 +97,15 @@ race:
 # under the race detector at a width that splits them.
 race-sph:
 	GOMAXPROCS=4 $(GO) test -race ./internal/sph/ ./internal/neighbors/ ./internal/par/
+
+# The energy stack's run-level concurrency under the race detector at a
+# width that splits it: ranks step in-line, so what runs concurrently is
+# whole core.Runs handed out by par.Tasks — sharing the experiments' session
+# cache and Fig. 4/5 memo, the spec tables and hostOverheads — plus the
+# tuner's candidate sweep.
+race-model:
+	GOMAXPROCS=4 $(GO) test -race ./internal/par/ ./internal/mpisim/ ./internal/core/ \
+		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

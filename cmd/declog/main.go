@@ -134,7 +134,7 @@ var anomalyTypes = []events.Type{
 	events.FreqRetry, events.FreqAbsorb, events.FreqClamp,
 	events.FreqBreakerTrip, events.FreqShortCircuit,
 	events.RankFail, events.Degradation,
-	events.SamplerDegraded, events.SamplerRecovered,
+	events.SamplerDegraded, events.SamplerRecovered, events.SamplerOverflow,
 	events.CheckpointSave, events.CheckpointRestore, events.Restart,
 	events.WatchdogStall, events.BudgetStop,
 }

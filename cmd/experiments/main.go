@@ -5,117 +5,78 @@
 //
 //	experiments -list
 //	experiments -run fig7
-//	experiments -run all -scale 0.2 -j 4
+//	experiments -run all -scale 0.2
+//
+// Experiments — and, inside each, its independent runs — execute on up to
+// GOMAXPROCS goroutines; the output is byte-identical at every width.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"sphenergy/internal/experiments"
+	"sphenergy/internal/par"
 )
 
-// outcome carries one experiment's rendered output (or its failure) from a
-// worker to the in-order emitter.
-type outcome struct {
-	out string
-	err error
-}
+// run is main without the process: it parses args, renders the selected
+// experiments through par.Tasks and writes them to stdout in -list order.
+// The first failure by that order — a render or an -out write — is returned
+// after the outputs before it were written.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	list := fs.Bool("list", false, "list available experiments")
+	id := fs.String("run", "all", "experiment id to run (table1, fig1..fig9, ext-*, all)")
+	scale := fs.Float64("scale", 1.0, "step-count scale factor (1.0 = the paper's 100 steps)")
+	outDir := fs.String("out", "", "also write each experiment's output to <out>/<id>.txt")
+	fs.Parse(args) // ExitOnError: never returns one
 
-// runExperiments executes run for every name on a bounded worker pool and
-// calls emit with the results strictly in the order of names, regardless of
-// which worker finishes first. The first failure — from a run or from emit —
-// stops new work from being launched and is returned; in-flight workers are
-// left to drain. workers is clamped to [1, len(names)].
-func runExperiments(names []string, workers int, run func(name string) (string, error), emit func(name, out string) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	results := make([]chan outcome, len(names))
-	for i := range results {
-		results[i] = make(chan outcome, 1)
-	}
-	done := make(chan struct{})
-	sem := make(chan struct{}, workers)
-	go func() {
-		for i, name := range names {
-			select {
-			case <-done:
-				return
-			case sem <- struct{}{}:
-			}
-			go func(i int, name string) {
-				defer func() { <-sem }()
-				out, err := run(name)
-				results[i] <- outcome{out: out, err: err}
-			}(i, name)
+	if *list {
+		for _, n := range experiments.Names() {
+			fmt.Fprintln(stdout, n)
 		}
-	}()
-	for i, name := range names {
-		oc := <-results[i]
-		if oc.err != nil {
-			close(done)
-			return fmt.Errorf("%s: %w", name, oc.err)
-		}
-		if err := emit(name, oc.out); err != nil {
-			close(done)
+		return nil
+	}
+
+	names := []string{*id}
+	if *id == "all" {
+		names = experiments.Names()
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
+		}
+	}
+	outs := make([]string, len(names))
+	errs := make([]error, len(names))
+	par.Tasks(len(names), func(i int) {
+		res, err := experiments.Run(names[i], *scale)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", names[i], err)
+			return
+		}
+		outs[i] = res.Render()
+	})
+	for i, name := range names {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		fmt.Fprintln(stdout, "=================================================================")
+		fmt.Fprintln(stdout, outs[i])
+		if *outDir != "" {
+			if err := os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(outs[i]), 0o644); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 func main() {
-	list := flag.Bool("list", false, "list available experiments")
-	run := flag.String("run", "all", "experiment id to run (table1, fig1..fig9, ext-*, all)")
-	scale := flag.Float64("scale", 1.0, "step-count scale factor (1.0 = the paper's 100 steps)")
-	outDir := flag.String("out", "", "also write each experiment's output to <out>/<id>.txt")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max experiments to run concurrently")
-	flag.Parse()
-
-	if *list {
-		for _, n := range experiments.Names() {
-			fmt.Println(n)
-		}
-		return
-	}
-
-	names := []string{*run}
-	if *run == "all" {
-		names = experiments.Names()
-	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	err := runExperiments(names, *jobs,
-		func(name string) (string, error) {
-			res, err := experiments.Run(name, *scale)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		},
-		func(name, out string) error {
-			fmt.Println("=================================================================")
-			fmt.Println(out)
-			if *outDir != "" {
-				path := filepath.Join(*outDir, name+".txt")
-				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,121 +1,62 @@
 package main
 
 import (
-	"errors"
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// Output must come out in input order even when workers finish shuffled.
-func TestRunExperimentsPreservesOrder(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	var mu sync.Mutex
-	started := map[string]chan struct{}{}
-	for _, n := range names {
-		started[n] = make(chan struct{})
+// parentAllSHA256 is the SHA-256 of what `experiments -run all -scale 0.2`
+// printed at commit b7916db, where a hand-rolled pool of -j workers ran the
+// experiments and every run inside one was serial.
+const parentAllSHA256 = "5fb6e90fb641a4a9c74545536f19d8acaa0dea42e6e0a44e73eb7247d1459f0d"
+
+// The whole paper at scale 0.2 prints the parent commit's bytes — at the
+// test's GOMAXPROCS, which `make race-model` sets to 4 so that experiments
+// sharing the session cache and the Fig. 4/5 runs really overlap.
+func TestRunAllPrintsParentBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment")
 	}
-	run := func(name string) (string, error) {
-		mu.Lock()
-		ch := started[name]
-		mu.Unlock()
-		close(ch)
-		if name == "a" {
-			// Make the first experiment finish last: it only returns once
-			// the final experiment has been started, which requires the
-			// pool to actually run work concurrently.
-			<-started[names[len(names)-1]]
-		}
-		return "out:" + name, nil
-	}
-	var got []string
-	emit := func(name, out string) error {
-		if out != "out:"+name {
-			t.Errorf("emit(%q) got %q", name, out)
-		}
-		got = append(got, name)
-		return nil
-	}
-	if err := runExperiments(names, 4, run, emit); err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-run", "all", "-scale", "0.2"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(got, ",") != strings.Join(names, ",") {
-		t.Errorf("emitted order %v, want %v", got, names)
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != parentAllSHA256 {
+		t.Errorf("-run all -scale 0.2 prints %s, parent printed %s", got, parentAllSHA256)
 	}
 }
 
-// A failing experiment must surface its error (wrapped with its name) and
-// stop further work from being launched.
-func TestRunExperimentsFirstErrorFatal(t *testing.T) {
-	boom := errors.New("boom")
-	var launchedAfter atomic.Int64
-	gate := make(chan struct{})
-	names := []string{"ok1", "bad", "late1", "late2", "late3", "late4", "late5", "late6"}
-	run := func(name string) (string, error) {
-		switch {
-		case name == "bad":
-			return "", boom
-		case strings.HasPrefix(name, "late"):
-			// Block so the single worker slot stays occupied: the launcher
-			// cannot start another late experiment before the consumer sees
-			// bad's error and stops launching. Released after the error
-			// returns.
-			launchedAfter.Add(1)
-			<-gate
-		}
-		return name, nil
+// A failing experiment surfaces its error, wrapped with its name, and
+// nothing is printed for it.
+func TestUnknownExperimentFatal(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-run", "fig99"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Fatalf("err = %v, want one naming fig99", err)
 	}
-	err := runExperiments(names, 1, run, func(string, string) error { return nil })
-	close(gate)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error %q does not name the failing experiment", err)
-	}
-	// At most one late experiment can have been launched (the one holding
-	// the worker slot when the failure surfaced); a launcher that ignored
-	// the failure would have run all six.
-	if n := launchedAfter.Load(); n > 1 {
-		t.Errorf("launched %d experiments after the failure, want <= 1", n)
+	if out.Len() != 0 {
+		t.Errorf("printed %q before failing", out.String())
 	}
 }
 
-// An emit failure (e.g. -out write error) is fatal too.
-func TestRunExperimentsEmitErrorFatal(t *testing.T) {
-	werr := errors.New("disk full")
-	names := []string{"a", "b", "c"}
-	var emitted int
-	err := runExperiments(names, 2,
-		func(name string) (string, error) { return name, nil },
-		func(name, out string) error {
-			emitted++
-			if name == "b" {
-				return werr
-			}
-			return nil
-		})
-	if !errors.Is(err, werr) {
-		t.Fatalf("err = %v, want disk-full", err)
+// An -out write failure is fatal too, after the output was printed.
+func TestOutWriteErrorFatal(t *testing.T) {
+	dir := t.TempDir()
+	// <out>/table1.txt exists as a directory, so writing the file fails.
+	if err := os.Mkdir(filepath.Join(dir, "table1.txt"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if emitted != 2 {
-		t.Errorf("emit called %d times, want 2 (a then failing b)", emitted)
+	var out bytes.Buffer
+	err := run([]string{"-run", "table1", "-out", dir}, &out)
+	if err == nil {
+		t.Fatal("write into a directory path succeeded")
 	}
-}
-
-func TestRunExperimentsClampsWorkers(t *testing.T) {
-	for _, workers := range []int{-3, 0, 1, 100} {
-		var got []string
-		err := runExperiments([]string{"x", "y"}, workers,
-			func(name string) (string, error) { return name, nil },
-			func(name, out string) error { got = append(got, name); return nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if fmt.Sprint(got) != "[x y]" {
-			t.Errorf("workers=%d: got %v", workers, got)
-		}
+	if !strings.Contains(out.String(), "TABLE I") {
+		t.Errorf("table1 was not printed before the write failed:\n%s", out.String())
 	}
 }

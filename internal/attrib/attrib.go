@@ -149,6 +149,24 @@ type Attribution struct {
 	Degraded        bool    `json:"degraded,omitempty"`
 	DegradedRows    int     `json:"degraded_rows,omitempty"`
 	DegradedEnergyJ float64 `json:"degraded_energy_j,omitempty"`
+	// DroppedSamples is the number of rank samples the sampler's bounded
+	// rings had rotated out when the series were joined (MarkDropped); a
+	// non-zero count fails the attribution whatever the gates read.
+	DroppedSamples uint64 `json:"dropped_samples,omitempty"`
+}
+
+// MarkDropped records that the rank channels' rings overflowed before the
+// join and dropped n samples in all. The retained series then starts after
+// the run does: spans older than its first tick integrate to nothing, and
+// the error figures measure that gap (−31 % aggregate at 1000 steps of
+// 100 Hz against a 65 536-sample ring), not the sampler. The attribution
+// fails with the count as its stated reason. n == 0 changes nothing.
+func (a *Attribution) MarkDropped(n uint64) {
+	if n == 0 {
+		return
+	}
+	a.DroppedSamples = n
+	a.Pass = false
 }
 
 // energySeries evaluates cumulative sampled energy at arbitrary times by

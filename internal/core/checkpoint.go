@@ -138,9 +138,8 @@ type runCheckpoint struct {
 	Failures  []RankFailure
 }
 
-// captureCheckpoint snapshots the run between steps. The coordinator calls
-// it while all rank workers are idle, so every State() sees a quiescent
-// model.
+// captureCheckpoint snapshots the run at a step boundary, when no phase is
+// open, so every State() sees a quiescent model.
 func captureCheckpoint(cfg Config, system *cluster.System, world *mpisim.World,
 	ranks []*rankCtx, fs *faultState, nextStep int, t0 float64,
 	stepBounds []float64, load float64, setup setupEnergies) (*runCheckpoint, error) {

@@ -21,13 +21,11 @@ type runEvents struct {
 	// lastLoad tracks the survivor load multiplier so degradation events
 	// fire on transitions only.
 	lastLoad float64
-	// bufs stages rank-goroutine events per rank so the hot path never
-	// touches the ledger mutex: a rank appends to its own buffer during a
-	// phase (ordered against the coordinator by the worker channel handoff,
-	// like profile.Record) and the coordinator drains all buffers at step
-	// boundaries in rank order. Besides killing cross-rank lock contention,
-	// rank-ordered draining makes the ledger's event sequence deterministic
-	// — direct emission would interleave ranks by goroutine schedule.
+	// bufs stages the events a rank's phases raise, per rank, so the hot
+	// path never touches the ledger mutex: a rank's phase appends to the
+	// rank's buffer and the run loop drains all buffers at step boundaries
+	// in rank order. That fixes the ledger's event sequence as rank-major
+	// within a step, whatever order the phases raised them in.
 	bufs []*rankEvents
 }
 
@@ -50,17 +48,17 @@ func newRunEvents(cfg Config) *runEvents {
 	return re
 }
 
-// stage appends a rank-goroutine event to the rank's buffer. Only call
-// from the rank's own goroutine during a phase, or from the coordinator
-// while the workers are idle (setup, reset, sampler PollAll).
+// stage appends an event raised on behalf of a rank — inside one of its
+// phases, or around the loop (setup, reset, sampler PollAll) — to the
+// rank's buffer.
 func (re *runEvents) stage(rank int, ev events.Event) {
 	rb := re.bufs[rank]
 	rb.evs = append(rb.evs, ev)
 }
 
 // flushRanks drains every rank's staged events into the ledger in rank
-// order. Coordinator only, between phases. FreqDecision events route
-// through the ledger's prediction-attaching emit.
+// order, between phases. FreqDecision events route through the ledger's
+// prediction-attaching emit.
 func (re *runEvents) flushRanks() {
 	if re == nil {
 		return
@@ -78,9 +76,7 @@ func (re *runEvents) flushRanks() {
 	}
 }
 
-// step reads the coordinator's current step (-1 outside the loop). Rank
-// goroutines may call this: like the fault injectors' step reader, the
-// worker channel handoff orders their reads after the coordinator's write.
+// step reads the run loop's current step (-1 outside the loop).
 func (re *runEvents) step() int {
 	if re == nil || re.stepFn == nil {
 		return -1
@@ -88,7 +84,7 @@ func (re *runEvents) step() int {
 	return re.stepFn()
 }
 
-// trackSteps installs the coordinator's current-step reader.
+// trackSteps installs the run loop's current-step reader.
 func (re *runEvents) trackSteps(fn func() int) {
 	if re == nil {
 		return
@@ -148,8 +144,8 @@ func (re *runEvents) instrumentRank(rc *rankCtx, rank int) {
 }
 
 // hookResilient forwards the resilient setter's actions as freq-* events.
-// OnEvent fires under the setter's mutex on the rank's own goroutine; the
-// ledger mutex is a leaf, so the nesting cannot deadlock. Resilience
+// OnEvent fires under the setter's mutex; the ledger mutex is a leaf, so
+// the nesting cannot deadlock. Resilience
 // events are fault-path only, so the error formatting never runs on the
 // healthy steady state.
 func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *gpusim.Device) {
@@ -181,7 +177,7 @@ func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *g
 }
 
 // ledgerDecisionSink records applied frequency decisions into the ledger.
-// One sink serves one rank's goroutine (the Traced contract).
+// One sink serves one rank (the Traced contract).
 type ledgerDecisionSink struct {
 	re   *runEvents
 	rank int
@@ -217,15 +213,26 @@ func (re *runEvents) samplerSink() sampler.TransitionFunc {
 			Step: re.step(), Rank: rank, Type: typ,
 			Subject: name, Detail: detail,
 		}
-		// Rank channels poll on their rank's goroutine (or the coordinator
-		// while workers idle) — stage like any rank event. Node channels
-		// (rank -1) always poll from the coordinator: emit directly.
+		// Rank channels' transitions are staged like any rank event; node
+		// channels (rank -1) poll between phases and emit directly.
 		if rank >= 0 && rank < len(re.bufs) {
 			re.stage(rank, ev)
 			return
 		}
 		re.led.Emit(ev)
 	}
+}
+
+// samplerOverflow records that the span join found dropped rank samples
+// and failed the attribution for it; nothing is emitted for a clean join.
+func (re *runEvents) samplerOverflow(timeS float64, dropped uint64) {
+	if re == nil || dropped == 0 {
+		return
+	}
+	re.led.Emit(events.Event{
+		TimeS: timeS, Step: -1, Rank: -1, Type: events.SamplerOverflow,
+		Subject: "rank-channels", Detail: "ring overflow: attribution failed", Value: float64(dropped),
+	})
 }
 
 // neighborStep records the step's FindNeighbors trigger: a full candidate

@@ -127,8 +127,7 @@ func (fs *faultState) nodeSensor(i int, node *cluster.Node, now func() float64) 
 }
 
 // wireWorld installs the straggler/crash hook on the MPI world. step
-// reads the coordinator's current step; the channel handoff into the
-// rank workers orders those reads after the coordinator's writes.
+// reads the run loop's current step.
 func (fs *faultState) wireWorld(world *mpisim.World, ranks []*rankCtx, step func() int) {
 	if fs == nil {
 		return
@@ -144,8 +143,7 @@ func (fs *faultState) wireWorld(world *mpisim.World, ranks []*rankCtx, step func
 		return mpisim.RankFault{}
 	})
 	// A straggling rank's GPU idles through the stall, keeping the device
-	// clock aligned with the rank clock (the observer runs on the rank's
-	// own worker goroutine, which owns the device).
+	// clock aligned with the rank clock.
 	world.SetStragglerObserver(func(r int, extraS float64) {
 		ranks[r].dev.Idle(extraS)
 	})

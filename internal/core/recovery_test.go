@@ -243,6 +243,88 @@ func TestSupervisedWatchdogStallRestarts(t *testing.T) {
 	}
 }
 
+// panicOnce panics in the Apply of one rank at one step, the first time the
+// run gets there — a bug in a strategy, a device model or a hook, anywhere a
+// rank's phase can reach.
+type panicOnce struct {
+	freqctl.Strategy
+	fired   *atomic.Bool
+	armed   bool // this instance is the chosen rank's
+	atApply int  // Apply calls before the panic
+	applies int
+}
+
+func (p *panicOnce) Apply(s freqctl.Setter, fn string) error {
+	p.applies++
+	if p.armed && p.applies > p.atApply && p.fired.CompareAndSwap(false, true) {
+		panic("strategy bug on a rank")
+	}
+	return p.Strategy.Apply(s, fn)
+}
+
+// TestSupervisedRunSurvivesRankPanic: ranks step on Run's goroutine, so a
+// panic inside a rank's phase unwinds through Run to the supervisor, which
+// restarts from the last checkpoint — on a rank worker goroutine it would
+// have killed the process.
+func TestSupervisedRunSurvivesRankPanic(t *testing.T) {
+	const panicRank, panicStep = 2, 5
+	mk := func(fired *atomic.Bool) Config {
+		cfg := recoverableConfig()
+		pipeline, err := Pipeline(cfg.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0 // Run builds one strategy per rank, in rank order
+		cfg.NewStrategy = func() freqctl.Strategy {
+			p := &panicOnce{Strategy: freqctl.Static{MHz: 1230}, fired: fired,
+				armed: built%cfg.Ranks == panicRank, atApply: panicStep*len(pipeline) + 3}
+			built++
+			return p
+		}
+		return cfg
+	}
+	var never atomic.Bool
+	never.Store(true) // the reference run never panics
+	ref, err := Run(mk(&never))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var fired atomic.Bool
+	res, out, err := RunSupervised(mk(&fired), recovery.Config{
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("the panic never fired")
+	}
+	if out.Status != recovery.StatusCompleted || out.Restarts != 1 || out.Attempts != 2 {
+		t.Fatalf("want completed after exactly one restart, got %+v", out)
+	}
+	if len(out.AttemptErrors) != 1 || !strings.Contains(out.AttemptErrors[0], "strategy bug on a rank") {
+		t.Errorf("attempt errors do not name the panic: %v", out.AttemptErrors)
+	}
+	if res.Recovery == nil || !res.Recovery.Resumed || res.Recovery.ResumeStep != panicStep {
+		t.Errorf("resumed at %+v, want step %d (the last boundary before the panic)", res.Recovery, panicStep)
+	}
+	got, err := json.Marshal(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("report after the panic differs from the uninterrupted run's\n got: %.160s...\nwant: %.160s...", got, want)
+	}
+	if modelRecord(t, res) != modelRecord(t, ref) {
+		t.Error("model record after the panic differs from the uninterrupted run's")
+	}
+}
+
 // TestManualStopRequestAndResume drives the unsupervised path a signal
 // handler uses: RequestStop forces a final checkpoint and a graceful
 // partial result; a later supervised submission resumes and completes.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"sphenergy/internal/attrib"
 	"sphenergy/internal/cluster"
@@ -102,8 +101,9 @@ type Config struct {
 	// (per-rank jitter seeds derived from Seed).
 	Resilience freqctl.ResilienceConfig
 	// ProfileLabels attaches a pprof label ("pass" = function name) to the
-	// coordinator goroutine around each pipeline phase, so CPU-profile
-	// samples group per pass in `go tool pprof -tags`. Off by default:
+	// run's goroutine around each pipeline phase, so CPU-profile samples —
+	// the ranks' kernel work included, which steps on that goroutine — group
+	// per pass in `go tool pprof -tags`. Off by default:
 	// pprof.Do allocates per call, which the hot loop should not pay unless
 	// a profile is actually being taken.
 	ProfileLabels bool
@@ -273,7 +273,7 @@ type rankCtx struct {
 	sensor   pmt.Sensor
 	profile  *instr.RankProfile
 	// samp is the rank's async sampling channel (nil when sampling is off);
-	// polled from the rank's own goroutine at kernel and idle boundaries.
+	// polled inside the rank's phases at kernel and idle boundaries.
 	samp *sampler.Channel
 }
 
@@ -296,7 +296,6 @@ func Run(cfg Config) (*Result, error) {
 	system := cluster.NewSystem(cfg.System, nodes)
 	net := mpisim.DefaultNetwork(system.RanksPerNode())
 	world := mpisim.NewWorld(cfg.Ranks, net, cfg.Seed)
-	defer world.Close()
 
 	rt := newRunTelemetry(cfg)
 	if rec := rt.spanRecorder(); rec != nil {
@@ -350,9 +349,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Async power sampling: one channel per rank GPU sensor, one
-	// pm_counters node channel per node. Rank channels poll from their own
-	// goroutines at kernel/idle boundaries; node channels poll from the
-	// coordinator at phase boundaries. The initial PollAll establishes the
+	// pm_counters node channel per node. Rank channels poll inside their
+	// rank's phases at kernel/idle boundaries; node channels poll between
+	// phases. The initial PollAll establishes the
 	// t=0 energy baseline so node accumulation covers the setup phase —
 	// matching Slurm's from-submission scope.
 	var smp *sampler.Sampler
@@ -441,22 +440,12 @@ func Run(cfg Config) (*Result, error) {
 		startStep = resumed.nextStep
 	}
 
-	// Strategy failures inside rank goroutines surface as a run error
-	// rather than a panic; the first one wins.
+	// A strategy failure inside a rank's phase surfaces as a run error at
+	// the step boundary; the first one wins.
 	var strategyErr error
-	var strategyErrMu sync.Mutex
-	reportErr := func(err error) {
-		strategyErrMu.Lock()
-		if strategyErr == nil {
-			strategyErr = err
-		}
-		strategyErrMu.Unlock()
-	}
 
 	// Rank fault injection: the world consults the per-rank injectors at
-	// every phase; curStep and load are written by the coordinator between
-	// phases only, ordered against the rank goroutines by the worker
-	// channel handoff.
+	// every phase; curStep and load change between phases only.
 	curStep := startStep
 	load := 1.0
 	if resumed != nil {
@@ -472,7 +461,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// A checkpoint is encoded lazily at a step boundary: nextStep is the
 	// first step a restore will execute; everything else is read from the
-	// loop's live variables at call time (the workers are idle then).
+	// loop's live variables at call time (a step boundary: no phase is open).
 	snapshotAt := func(nextStep int) func(w io.Writer) error {
 		return func(w io.Writer) error {
 			cp, err := captureCheckpoint(cfg, system, world, ranks, fs,
@@ -492,17 +481,64 @@ func Run(cfg Config) (*Result, error) {
 	if len(stepBounds) > 0 {
 		stepStart = stepBounds[len(stepBounds)-1]
 	}
+
+	// The phase loop allocates nothing: its per-rank and per-node scratch,
+	// and the closures the world steps the ranks through, are built once
+	// here and read the loop's current fn/nbrRefresh/load/waits/tail.
+	var (
+		fn          FuncModel
+		nbrRefresh  bool
+		durs, waits []float64
+		tail        float64
+	)
+	gpuStart := make([]pmt.State, cfg.Ranks)
+	ran := make([]bool, cfg.Ranks)
+	cpuBefore := make([]float64, len(system.Nodes))
+	memBefore := make([]float64, len(system.Nodes))
+	auxBefore := make([]float64, len(system.Nodes))
+	// Kernel execution on one rank. Dead ranks are skipped by the world;
+	// load > 1 spreads failed ranks' particles over the survivors
+	// (DegradeRedistribute).
+	kernelPhase := func(r int) float64 {
+		rc := ranks[r]
+		if err := rc.strategy.Apply(rc.setter, fn.Name); err != nil {
+			if strategyErr == nil {
+				strategyErr = fmt.Errorf("core: strategy apply on rank %d: %w", r, err)
+			}
+			return 0
+		}
+		ran[r] = true
+		gpuStart[r] = rc.sensor.Read()
+		desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, cfg.JitterSpread), cfg.Ng, vendor)
+		if nbrRefresh && fn.Name == FnFindNeighbors {
+			desc.FlopsPerItem *= cfg.NeighborRefreshCost
+			desc.BytesPerItem *= cfg.NeighborRefreshCost
+		}
+		dur := rc.dev.Execute(desc)
+		rc.samp.Poll()
+		return dur
+	}
+	runKernels := func() { durs = world.Execute(kernelPhase) }
+	// Post-kernel phase on one rank: barrier wait + communication +
+	// host-side serial work, during which the GPU idles.
+	idlePhase := func(r int) float64 {
+		rc := ranks[r]
+		rc.dev.Idle(waits[r] + tail)
+		rc.samp.Poll()
+		return 0
+	}
+
 	for step := startStep; step < cfg.Steps; step++ {
 		curStep = step
 		stepJ := 0.0
 		// Verlet-skin modeling: refresh-only FindNeighbors steps run the
 		// same phase at a fraction of the rebuild's work.
-		nbrRefresh := cfg.NeighborRebuildEvery > 1 && step%cfg.NeighborRebuildEvery != 0
+		nbrRefresh = cfg.NeighborRebuildEvery > 1 && step%cfg.NeighborRebuildEvery != 0
 		if !nbrRefresh {
 			rt.neighborRebuild()
 		}
 		re.neighborStep(world.MaxClock(), step, nbrRefresh)
-		for _, fn := range pipeline {
+		for _, fn = range pipeline {
 			commS := commTime(fn, cfg, net)
 			hostS, known := hostOverheads[fn.Name]
 			if !known {
@@ -511,44 +547,13 @@ func Run(cfg Config) (*Result, error) {
 			hostS *= cfg.HostOverheadScale
 
 			phaseStart := world.MaxClock()
-			gpuStart := make([]pmt.State, cfg.Ranks)
-			ran := make([]bool, cfg.Ranks)
-
-			// Kernel execution on every rank, concurrently. Dead ranks are
-			// skipped by the world; load > 1 spreads failed ranks' particles
-			// over the survivors (DegradeRedistribute).
-			var durs []float64
-			telemetry.DoLabeled(cfg.ProfileLabels, "pass", fn.Name, func() {
-				durs = world.Execute(func(r int) float64 {
-					rc := ranks[r]
-					if err := rc.strategy.Apply(rc.setter, fn.Name); err != nil {
-						reportErr(fmt.Errorf("core: strategy apply on rank %d: %w", r, err))
-						return 0
-					}
-					ran[r] = true
-					gpuStart[r] = rc.sensor.Read()
-					desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, cfg.JitterSpread), cfg.Ng, vendor)
-					if nbrRefresh && fn.Name == FnFindNeighbors {
-						desc.FlopsPerItem *= cfg.NeighborRefreshCost
-						desc.BytesPerItem *= cfg.NeighborRefreshCost
-					}
-					dur := rc.dev.Execute(desc)
-					rc.samp.Poll()
-					return dur
-				})
-			})
-			waits := world.Synchronize(durs)
+			clear(ran)
+			telemetry.DoLabeled(cfg.ProfileLabels, "pass", fn.Name, runKernels)
+			waits = world.Synchronize(durs)
 			rt.phaseWaits(waits)
 
-			// Post-kernel phase: barrier wait + communication + host-side
-			// serial work, during which the GPU idles.
-			tail := commS + hostS
-			world.Execute(func(r int) float64 {
-				rc := ranks[r]
-				rc.dev.Idle(waits[r] + tail)
-				rc.samp.Poll()
-				return 0
-			})
+			tail = commS + hostS
+			world.Execute(idlePhase)
 			for r := range ranks {
 				world.Advance(r, tail)
 			}
@@ -558,9 +563,6 @@ func Run(cfg Config) (*Result, error) {
 			rt.functionTime(fn.Name, phaseS)
 
 			// Host energy for the phase, advanced once per node.
-			cpuBefore := make([]float64, len(system.Nodes))
-			memBefore := make([]float64, len(system.Nodes))
-			auxBefore := make([]float64, len(system.Nodes))
 			for i, n := range system.Nodes {
 				cpuBefore[i] = n.CPUEnergyJ()
 				memBefore[i] = n.Mem.Meter.EnergyJ()
@@ -672,6 +674,17 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Tracer != nil {
 			attribution = attrib.Build(cfg.Tracer.Spans(), smp.RankSeries(),
 				attrib.Options{RateHz: smp.Config().GPUHz})
+			// No silent overflow: a rank ring that wrapped no longer holds
+			// the run's start, and the join says so instead of reporting the
+			// gap as sampler error.
+			var dropped uint64
+			for _, st := range smp.Stats() {
+				if st.Rank >= 0 {
+					dropped += st.Dropped
+				}
+			}
+			attribution.MarkDropped(dropped)
+			re.samplerOverflow(world.MaxClock(), dropped)
 			report.Attribution = attribution
 		}
 	}

@@ -374,3 +374,39 @@ func TestStrategyErrorPropagates(t *testing.T) {
 		t.Errorf("error %v does not carry the cause", err)
 	}
 }
+
+// The phase loop allocates nothing: what a run allocates is set-up (per rank,
+// per node) and does not grow with the step count, whatever ranks ×
+// functions a step covers.
+func TestRunPhaseLoopAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		ranks int
+		sim   SimKind
+	}{{1, Turbulence}, {2, Evrard}, {16, Turbulence}} {
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				_, err := Run(Config{System: cluster.CSCSA100(), Ranks: c.ranks, Sim: c.sim,
+					ParticlesPerRank: 10e6, Steps: steps})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Forty more steps are 400+ more phases of up to 16 ranks; the slack
+		// of 2 covers size-class rounding of the step-bounds slice. Mallocs
+		// are counted process-wide, and an attempt abandoned by an earlier
+		// test (the watchdog-stall one) may still be finishing in the
+		// background, so a polluted measurement is repeated: stray
+		// allocations come and go, the loop's own would be in every attempt.
+		var short, long float64
+		for attempt := 0; attempt < 5; attempt++ {
+			if short, long = allocs(4), allocs(44); long-short <= 2 {
+				break
+			}
+		}
+		if long-short > 2 {
+			t.Errorf("%d ranks %s: %v allocations at 4 steps, %v at 44 — the loop allocates per step",
+				c.ranks, c.sim, short, long)
+		}
+	}
+}

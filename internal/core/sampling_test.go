@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
+	"sphenergy/internal/events"
+	"sphenergy/internal/report"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -213,5 +216,86 @@ func BenchmarkSamplerOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSamplerOverflowFailsAttributionWithReason drives the rank rings to
+// their wrap point: with room for every tick the join is clean and
+// serialises as it always did; one slot short, the rings drop one sample per
+// rank and the attribution fails with that count as its stated reason — in
+// the struct, the report JSON, the rendered table and one ledger event.
+func TestSamplerOverflowFailsAttributionWithReason(t *testing.T) {
+	run := func(ringCap int) (*Result, *events.Ledger) {
+		led := events.NewLedger(0)
+		res, err := Run(Config{
+			System:           cluster.MiniHPC(),
+			Ranks:            2,
+			Sim:              Turbulence,
+			ParticlesPerRank: 10e6,
+			Steps:            3,
+			Tracer:           telemetry.NewTracer(2),
+			Events:           led,
+			Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10, RingCap: ringCap},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, led
+	}
+	reportJSON := func(res *Result) string {
+		b, err := json.Marshal(res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	ref, _ := run(0) // the default ring is far larger than a 3-step run
+	var ticks uint64
+	for _, st := range ref.Sampler.Stats() {
+		if st.Rank >= 0 {
+			if st.Dropped != 0 {
+				t.Fatalf("reference run dropped %d samples", st.Dropped)
+			}
+			if ticks != 0 && st.Ticks != ticks {
+				t.Fatalf("rank channels disagree on the tick count: %d vs %d", st.Ticks, ticks)
+			}
+			ticks = st.Ticks
+		}
+	}
+	if ticks < 10 {
+		t.Fatalf("only %d ticks: no wrap point to test", ticks)
+	}
+
+	// Exactly full: nothing dropped, nothing new said.
+	full, led := run(int(ticks))
+	if a := full.Attribution; !a.Pass || a.DroppedSamples != 0 {
+		t.Fatalf("ring of exactly %d ticks: pass=%v dropped=%d", ticks, a.Pass, a.DroppedSamples)
+	}
+	if got, want := reportJSON(full), reportJSON(ref); got != want {
+		t.Error("a full ring without drops serialises differently from the default ring")
+	}
+	if strings.Contains(reportJSON(full), "dropped_samples") {
+		t.Error("a join without drops serialises a dropped-sample count")
+	}
+	if n := led.Summary().ByType[events.SamplerOverflow]; n != 0 {
+		t.Errorf("%d sampler-overflow events without an overflow", n)
+	}
+
+	// One slot short: each of the two rank rings rotates out one sample.
+	short, led := run(int(ticks) - 1)
+	a := short.Attribution
+	if a.DroppedSamples != 2 || a.Pass {
+		t.Fatalf("ring one short of %d ticks: dropped=%d pass=%v, want 2 and a failed attribution",
+			ticks, a.DroppedSamples, a.Pass)
+	}
+	if !strings.Contains(reportJSON(short), `"dropped_samples":2`) {
+		t.Error("report JSON lacks the dropped-sample count")
+	}
+	if out := report.RenderAttribution(a, 0); !strings.Contains(out, "2 samples dropped") {
+		t.Errorf("rendered attribution does not state the reason:\n%s", out)
+	}
+	if n := led.Summary().ByType[events.SamplerOverflow]; n != 1 {
+		t.Errorf("%d sampler-overflow events, want exactly 1", n)
 	}
 }

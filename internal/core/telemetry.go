@@ -30,12 +30,12 @@ type runTelemetry struct {
 
 	// fnTime memoizes the per-function phase-latency histograms, labeled by
 	// function name and registered lazily on first observation (pipelines
-	// are not known until the loop runs). Coordinator-goroutine only.
+	// are not known until the loop runs). Run-loop only, unsynchronized.
 	fnTime map[string]*telemetry.Histogram
 
 	// Interned span identities for the per-phase spans, memoized per call
 	// site so the steady-state loop records through SpanRefs only. These
-	// maps are touched by the coordinator goroutine alone.
+	// maps are touched by the run loop alone.
 	fnRefs   map[string]telemetry.SpanRef // fn name → "function" span
 	hostRefs map[string]telemetry.SpanRef // fn name → "host:"+name span
 	commRefs map[string]telemetry.SpanRef // comm label → "mpi" span
@@ -47,8 +47,8 @@ type runTelemetry struct {
 	curFnRef  telemetry.SpanRef
 
 	// observers collects the per-rank device observers so step-boundary
-	// flushes can fold their goroutine-local kernel counts into the
-	// registry without the ranks contending on one counter mid-phase.
+	// flushes can fold their per-rank kernel counts into the registry
+	// instead of bumping one shared counter per launch.
 	observers     []*rankObserver
 	kernelFlushed float64
 }
@@ -144,10 +144,9 @@ func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
 }
 
 // rankObserver forwards one device's events onto its rank track. Each
-// observer serves one rank's goroutine: kernelRefs and the kernels cell
-// are written without cross-rank sharing, so kernel launches never
-// contend on a global counter mid-phase (the coordinator folds the cells
-// into kernel_launches_total at step boundaries).
+// observer serves one rank: kernelRefs and the kernels cell are per rank,
+// so a kernel launch touches no registry counter (the run loop folds the
+// cells into kernel_launches_total at step boundaries).
 type rankObserver struct {
 	rank       int
 	rt         *runTelemetry
@@ -177,7 +176,7 @@ func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
 }
 
 // rankDecisionSink records frequency-strategy decisions as instant events.
-// Like the observer, one sink serves one rank's goroutine; refs memoizes
+// Like the observer, one sink serves one rank; refs memoizes
 // the interned "decision:<fn>" identities.
 type rankDecisionSink struct {
 	rank int

@@ -53,6 +53,10 @@ const (
 
 	SamplerDegraded  Type = "sampler-degraded"
 	SamplerRecovered Type = "sampler-recovered"
+	// SamplerOverflow: the rank channels' bounded rings had dropped samples
+	// (Value, in all) when the run joined them against its spans, which
+	// fails the attribution. At most one per run.
+	SamplerOverflow Type = "sampler-overflow"
 
 	RankFail    Type = "rank-fail"
 	Degradation Type = "degradation"
@@ -75,7 +79,7 @@ var builtinTypes = []Type{
 	RunStart, RunEnd, StepDone,
 	FreqDecision, FreqRetry, FreqAbsorb, FreqClamp, FreqBreakerTrip,
 	FreqShortCircuit, TunerMeasure, TunerSelect,
-	SamplerDegraded, SamplerRecovered, RankFail, Degradation,
+	SamplerDegraded, SamplerRecovered, SamplerOverflow, RankFail, Degradation,
 	NbrRebuild, NbrRefresh,
 	CheckpointSave, CheckpointRestore, Restart, WatchdogStall, BudgetStop,
 }

@@ -7,7 +7,6 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
 	"sphenergy/internal/freqctl"
-	"sphenergy/internal/report"
 	"sphenergy/internal/tuner"
 )
 
@@ -41,51 +40,28 @@ func ExtAMD(scale float64) (*ExtAMDData, error) {
 		d.Table[fn.Name] = res.Best.MHz
 	}
 
-	type sc struct {
-		name string
-		mk   func() freqctl.Strategy
-	}
 	table := d.Table
-	cfgs := []sc{
+	var err error
+	d.Rows, err = compareStrategies(core.Config{
+		System:           spec,
+		Ranks:            8, // one full LUMI-G node
+		Sim:              core.Turbulence,
+		ParticlesPerRank: 80e6,
+		Steps:            steps(scale),
+	}, []namedStrategy{
 		{"baseline-1700", func() freqctl.Strategy { return freqctl.Baseline{} }},
 		{"static-1000", func() freqctl.Strategy { return freqctl.Static{MHz: 1000} }},
 		{"dvfs", func() freqctl.Strategy { return freqctl.DVFS{} }},
 		{"mandyn", func() freqctl.Strategy { return &freqctl.ManDyn{Table: table} }},
-	}
-	var baseT, baseE float64
-	for _, c := range cfgs {
-		res, err := core.Run(core.Config{
-			System:           spec,
-			Ranks:            8, // one full LUMI-G node
-			Sim:              core.Turbulence,
-			ParticlesPerRank: 80e6,
-			Steps:            steps(scale),
-			NewStrategy:      c.mk,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{Name: c.name, TimeS: res.WallTimeS, GPUJ: res.GPUEnergyJ()}
-		if c.name == "baseline-1700" {
-			baseT, baseE = row.TimeS, row.GPUJ
-		}
-		row.TimeNorm = row.TimeS / baseT
-		row.EnergyNorm = row.GPUJ / baseE
-		row.EDPNorm = row.TimeNorm * row.EnergyNorm
-		d.Rows = append(d.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
 // Row returns a named configuration's results.
-func (d *ExtAMDData) Row(name string) (Fig7Row, bool) {
-	for _, r := range d.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Fig7Row{}, false
-}
+func (d *ExtAMDData) Row(name string) (Fig7Row, bool) { return findRow(d.Rows, name) }
 
 // Render implements Renderable.
 func (d *ExtAMDData) Render() string {
@@ -95,12 +71,6 @@ func (d *ExtAMDData) Render() string {
 	for _, fn := range core.PipelineFunctionNames(core.Turbulence) {
 		fmt.Fprintf(&b, "  %-22s %4d MHz\n", fn, d.Table[fn])
 	}
-	rows := make([]report.Normalized, 0, len(d.Rows))
-	for _, r := range d.Rows {
-		rows = append(rows, report.Normalized{
-			Name: r.Name, TimeRatio: r.TimeNorm, EnergyRatio: r.EnergyNorm, EDPRatio: r.EDPNorm,
-		})
-	}
-	b.WriteString("\n" + report.RenderNormalizedTable("", rows))
+	b.WriteString("\n" + renderRows(d.Rows))
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
 	"sphenergy/internal/freqctl"
-	"sphenergy/internal/report"
 )
 
 // ExtPowerCapData compares the paper's frequency-scaling knob against
@@ -26,68 +25,38 @@ func ExtPowerCap(scale float64) (*ExtPowerCapData, error) {
 	}
 	table := tuned.Table()
 
-	type sc struct {
-		name string
-		mk   func() freqctl.Strategy
-	}
-	cfgs := []sc{
+	cfgs := []namedStrategy{
 		{"baseline-1410", func() freqctl.Strategy { return freqctl.Baseline{} }},
 		{"static-1005", func() freqctl.Strategy { return freqctl.Static{MHz: 1005} }},
 		{"mandyn", func() freqctl.Strategy { return &freqctl.ManDyn{Table: table} }},
 	}
 	for _, w := range []float64{220, 190, 160} {
-		w := w
-		cfgs = append(cfgs, sc{fmt.Sprintf("powercap-%.0f", w),
+		cfgs = append(cfgs, namedStrategy{fmt.Sprintf("powercap-%.0f", w),
 			func() freqctl.Strategy { return freqctl.PowerCap{Watts: w} }})
 	}
 
 	d := &ExtPowerCapData{}
-	var baseT, baseE float64
-	for _, c := range cfgs {
-		res, err := core.Run(core.Config{
-			System:           cluster.MiniHPC(),
-			Ranks:            1,
-			Sim:              core.Turbulence,
-			ParticlesPerRank: particles450Cubed,
-			Steps:            steps(scale),
-			NewStrategy:      c.mk,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{Name: c.name, TimeS: res.WallTimeS, GPUJ: res.GPUEnergyJ()}
-		if c.name == "baseline-1410" {
-			baseT, baseE = row.TimeS, row.GPUJ
-		}
-		row.TimeNorm = row.TimeS / baseT
-		row.EnergyNorm = row.GPUJ / baseE
-		row.EDPNorm = row.TimeNorm * row.EnergyNorm
-		d.Rows = append(d.Rows, row)
+	d.Rows, err = compareStrategies(core.Config{
+		System:           cluster.MiniHPC(),
+		Ranks:            1,
+		Sim:              core.Turbulence,
+		ParticlesPerRank: particles450Cubed,
+		Steps:            steps(scale),
+	}, cfgs)
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
 // Row returns a named configuration's results.
-func (d *ExtPowerCapData) Row(name string) (Fig7Row, bool) {
-	for _, r := range d.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Fig7Row{}, false
-}
+func (d *ExtPowerCapData) Row(name string) (Fig7Row, bool) { return findRow(d.Rows, name) }
 
 // Render implements Renderable.
 func (d *ExtPowerCapData) Render() string {
 	var b strings.Builder
 	b.WriteString("EXTENSION — frequency scaling vs power capping (450^3, single A100, normalized)\n\n")
-	rows := make([]report.Normalized, 0, len(d.Rows))
-	for _, r := range d.Rows {
-		rows = append(rows, report.Normalized{
-			Name: r.Name, TimeRatio: r.TimeNorm, EnergyRatio: r.EnergyNorm, EDPRatio: r.EDPNorm,
-		})
-	}
-	b.WriteString(report.RenderNormalizedTable("", rows))
+	b.WriteString(renderRows(d.Rows))
 	b.WriteString("\npower caps derate every kernel uniformly; ManDyn's per-kernel clocks\n")
 	b.WriteString("target only the kernels whose EDP benefits — the paper's argument for\n")
 	b.WriteString("application-level control.\n")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
@@ -25,13 +26,50 @@ func fig45Cases() []fig45Case {
 	}
 }
 
-func runFig45Case(c fig45Case, scale float64) (*core.Result, error) {
-	return core.Run(core.Config{
-		System:           c.spec,
-		Ranks:            32,
-		Sim:              c.sim,
-		ParticlesPerRank: c.ppr,
-		Steps:            steps(scale),
+// fig45Run is what Figs. 4 and 5 keep of one shared run: the two breakdowns,
+// never the *core.Result (32 rank profiles and a 4-8 node system) they were
+// computed from.
+type fig45Run struct {
+	once     sync.Once
+	device   report.DeviceBreakdown
+	function report.FunctionBreakdown
+	err      error
+}
+
+// fig45Key identifies a shared run: the case and its step count.
+type fig45Key struct {
+	label string
+	steps int
+}
+
+// fig45Memo holds, beside sessionCache and for the lifetime of the process,
+// one fig45Run per (case, steps), so whichever of the two figures renders
+// first pays for the four runs and the other reads them. Runs are
+// deterministic, so a memoized breakdown is the one a fresh run would give.
+var fig45Memo sync.Map // fig45Key -> *fig45Run
+
+// fig45Runs returns the four shared runs' breakdowns in case order.
+func fig45Runs(scale float64) ([]*fig45Run, error) {
+	cases, nsteps := fig45Cases(), steps(scale)
+	return runEach(len(cases), func(i int) (*fig45Run, error) {
+		c := cases[i]
+		v, _ := fig45Memo.LoadOrStore(fig45Key{c.label, nsteps}, new(fig45Run))
+		r := v.(*fig45Run)
+		r.once.Do(func() {
+			var res *core.Result
+			res, r.err = core.Run(core.Config{
+				System:           c.spec,
+				Ranks:            32,
+				Sim:              c.sim,
+				ParticlesPerRank: c.ppr,
+				Steps:            nsteps,
+			})
+			if r.err == nil {
+				r.device = report.NewDeviceBreakdown(res.Report, c.spec, c.label)
+				r.function = report.NewFunctionBreakdown(res.Report, c.label)
+			}
+		})
+		return r, r.err
 	})
 }
 
@@ -43,13 +81,13 @@ type Fig4Data struct {
 // Fig4 measures energy consumption per device class for Subsonic
 // Turbulence and Evrard Collapse on LUMI-G and CSCS-A100 with 32 ranks.
 func Fig4(scale float64) (*Fig4Data, error) {
+	runs, err := fig45Runs(scale)
+	if err != nil {
+		return nil, err
+	}
 	d := &Fig4Data{}
-	for _, c := range fig45Cases() {
-		res, err := runFig45Case(c, scale)
-		if err != nil {
-			return nil, err
-		}
-		d.Breakdowns = append(d.Breakdowns, report.NewDeviceBreakdown(res.Report, c.spec, c.label))
+	for _, r := range runs {
+		d.Breakdowns = append(d.Breakdowns, r.device)
 	}
 	return d, nil
 }
@@ -73,13 +111,13 @@ type Fig5Data struct {
 // Fig5 measures per-function energy consumption for the four Fig. 4 runs,
 // the level of detail normally unavailable to system-monitoring users.
 func Fig5(scale float64) (*Fig5Data, error) {
+	runs, err := fig45Runs(scale)
+	if err != nil {
+		return nil, err
+	}
 	d := &Fig5Data{}
-	for _, c := range fig45Cases() {
-		res, err := runFig45Case(c, scale)
-		if err != nil {
-			return nil, err
-		}
-		d.Breakdowns = append(d.Breakdowns, report.NewFunctionBreakdown(res.Report, c.label))
+	for _, r := range runs {
+		d.Breakdowns = append(d.Breakdowns, r.function)
 	}
 	return d, nil
 }

@@ -41,31 +41,37 @@ type Fig6Data struct {
 func Fig6(scale float64) (*Fig6Data, error) {
 	d := &Fig6Data{}
 	nsteps := steps(scale)
-	for _, nside := range fig6Sizes {
-		ppr := float64(nside) * float64(nside) * float64(nside)
+	// One task per (size, clock) cell, size-major: what a run leaves behind
+	// is its GPU EDP and wall time.
+	type cell struct{ edp, timeS float64 }
+	nf := len(fig6Freqs)
+	cells, err := runEach(len(fig6Sizes)*nf, func(i int) (cell, error) {
+		nside, mhz := float64(fig6Sizes[i/nf]), fig6Freqs[i%nf]
+		res, err := core.Run(core.Config{
+			System:           cluster.MiniHPC(),
+			Ranks:            1,
+			Sim:              core.Turbulence,
+			ParticlesPerRank: nside * nside * nside,
+			Steps:            nsteps,
+			NewStrategy:      func() freqctl.Strategy { return freqctl.Static{MHz: mhz} },
+		})
+		if err != nil {
+			return cell{}, err
+		}
+		return cell{res.GPUEDP(), res.WallTimeS}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for si, nside := range fig6Sizes {
 		series := Fig6Series{NSide: nside}
-		var baseEDP, baseTime float64
-		for _, mhz := range fig6Freqs {
-			mhz := mhz
-			res, err := core.Run(core.Config{
-				System:           cluster.MiniHPC(),
-				Ranks:            1,
-				Sim:              core.Turbulence,
-				ParticlesPerRank: ppr,
-				Steps:            nsteps,
-				NewStrategy:      func() freqctl.Strategy { return freqctl.Static{MHz: mhz} },
-			})
-			if err != nil {
-				return nil, err
-			}
-			edp := res.GPUEDP()
-			if mhz == fig6Freqs[0] {
-				baseEDP, baseTime = edp, res.WallTimeS
-			}
+		row := cells[si*nf : (si+1)*nf]
+		base := row[0] // fig6Freqs[0] is the 1410 MHz reference
+		for fi, c := range row {
 			series.Points = append(series.Points, Fig6Point{
-				MHz:      mhz,
-				EDPNorm:  edp / baseEDP,
-				TimeNorm: res.WallTimeS / baseTime,
+				MHz:      fig6Freqs[fi],
+				EDPNorm:  c.edp / base.edp,
+				TimeNorm: c.timeS / base.timeS,
 			})
 		}
 		best := series.Points[0]

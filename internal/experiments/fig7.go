@@ -41,43 +41,75 @@ func Fig7(scale float64) (*Fig7Data, error) {
 	table := tuned.Table()
 	d := &Fig7Data{ManDynTable: table}
 
-	type cfg struct {
-		name string
-		mk   func() freqctl.Strategy
-	}
-	var cfgs []cfg
-	cfgs = append(cfgs, cfg{"baseline-1410", func() freqctl.Strategy { return freqctl.Baseline{} }})
+	cfgs := []namedStrategy{{"baseline-1410", func() freqctl.Strategy { return freqctl.Baseline{} }}}
 	for _, mhz := range []int{1380, 1335, 1275, 1230, 1170, 1110, 1050, 1005} {
-		mhz := mhz
-		cfgs = append(cfgs, cfg{fmt.Sprintf("static-%d", mhz), func() freqctl.Strategy { return freqctl.Static{MHz: mhz} }})
+		cfgs = append(cfgs, namedStrategy{fmt.Sprintf("static-%d", mhz), func() freqctl.Strategy { return freqctl.Static{MHz: mhz} }})
 	}
-	cfgs = append(cfgs, cfg{"dvfs", func() freqctl.Strategy { return freqctl.DVFS{} }})
-	cfgs = append(cfgs, cfg{"mandyn", func() freqctl.Strategy { return &freqctl.ManDyn{Table: table} }})
+	cfgs = append(cfgs,
+		namedStrategy{"dvfs", func() freqctl.Strategy { return freqctl.DVFS{} }},
+		namedStrategy{"mandyn", func() freqctl.Strategy { return &freqctl.ManDyn{Table: table} }})
 
-	nsteps := steps(scale)
-	var baseT, baseE float64
-	for _, c := range cfgs {
-		res, err := core.Run(core.Config{
-			System:           cluster.MiniHPC(),
-			Ranks:            1,
-			Sim:              core.Turbulence,
-			ParticlesPerRank: particles450Cubed,
-			Steps:            nsteps,
-			NewStrategy:      c.mk,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{Name: c.name, TimeS: res.WallTimeS, GPUJ: res.GPUEnergyJ()}
-		if c.name == "baseline-1410" {
-			baseT, baseE = row.TimeS, row.GPUJ
-		}
-		row.TimeNorm = row.TimeS / baseT
-		row.EnergyNorm = row.GPUJ / baseE
-		row.EDPNorm = row.TimeNorm * row.EnergyNorm
-		d.Rows = append(d.Rows, row)
+	d.Rows, err = compareStrategies(core.Config{
+		System:           cluster.MiniHPC(),
+		Ranks:            1,
+		Sim:              core.Turbulence,
+		ParticlesPerRank: particles450Cubed,
+		Steps:            steps(scale),
+	}, cfgs)
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// namedStrategy is one configuration of a strategy comparison.
+type namedStrategy struct {
+	name string
+	mk   func() freqctl.Strategy
+}
+
+// compareStrategies runs base once per strategy and returns one row per
+// strategy, normalized to the first — the baseline.
+func compareStrategies(base core.Config, strategies []namedStrategy) ([]Fig7Row, error) {
+	rows, err := runEach(len(strategies), func(i int) (Fig7Row, error) {
+		cfg := base
+		cfg.NewStrategy = strategies[i].mk
+		res, err := core.Run(cfg)
+		if err != nil {
+			return Fig7Row{}, err
+		}
+		return Fig7Row{Name: strategies[i].name, TimeS: res.WallTimeS, GPUJ: res.GPUEnergyJ()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	baseT, baseE := rows[0].TimeS, rows[0].GPUJ
+	for i := range rows {
+		r := &rows[i]
+		r.TimeNorm = r.TimeS / baseT
+		r.EnergyNorm = r.GPUJ / baseE
+		r.EDPNorm = r.TimeNorm * r.EnergyNorm
+	}
+	return rows, nil
+}
+
+// findRow returns the named row of a strategy comparison.
+func findRow(rows []Fig7Row, name string) (Fig7Row, bool) {
+	for _, r := range rows {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Fig7Row{}, false
+}
+
+// renderRows renders a strategy comparison as the normalized table.
+func renderRows(rows []Fig7Row) string {
+	norm := make([]report.Normalized, len(rows))
+	for i, r := range rows {
+		norm[i] = report.Normalized{Name: r.Name, TimeRatio: r.TimeNorm, EnergyRatio: r.EnergyNorm, EDPRatio: r.EDPNorm}
+	}
+	return report.RenderNormalizedTable("", norm)
 }
 
 // ParetoOptimal returns the names of the strategies on the (time, energy)
@@ -97,26 +129,13 @@ func (d *Fig7Data) ParetoOptimal() []string {
 }
 
 // Row returns a named configuration's results.
-func (d *Fig7Data) Row(name string) (Fig7Row, bool) {
-	for _, r := range d.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Fig7Row{}, false
-}
+func (d *Fig7Data) Row(name string) (Fig7Row, bool) { return findRow(d.Rows, name) }
 
 // Render implements Renderable.
 func (d *Fig7Data) Render() string {
 	var b strings.Builder
 	b.WriteString("FIG. 7 — time / energy / EDP vs frequency strategy (450^3, single A100, normalized)\n\n")
-	rows := make([]report.Normalized, 0, len(d.Rows))
-	for _, r := range d.Rows {
-		rows = append(rows, report.Normalized{
-			Name: r.Name, TimeRatio: r.TimeNorm, EnergyRatio: r.EnergyNorm, EDPRatio: r.EDPNorm,
-		})
-	}
-	b.WriteString(report.RenderNormalizedTable("", rows))
+	b.WriteString(renderRows(d.Rows))
 	if md, ok := d.Row("mandyn"); ok {
 		fmt.Fprintf(&b, "\nManDyn: %+.2f%% time, %+.2f%% energy, %+.2f%% EDP vs baseline\n",
 			100*(md.TimeNorm-1), 100*(md.EnergyNorm-1), 100*(md.EDPNorm-1))

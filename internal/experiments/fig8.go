@@ -40,9 +40,8 @@ func Fig8(scale float64) (*Fig8Data, error) {
 	d := &Fig8Data{Freqs: freqs}
 	nsteps := steps(scale)
 
-	reports := make(map[int]*instr.Report, len(freqs))
-	for _, mhz := range freqs {
-		mhz := mhz
+	reports, err := runEach(len(freqs), func(i int) (*instr.Report, error) {
+		mhz := freqs[i]
 		res, err := core.Run(core.Config{
 			System:           cluster.MiniHPC(),
 			Ranks:            1,
@@ -54,15 +53,18 @@ func Fig8(scale float64) (*Fig8Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		reports[mhz] = res.Report
+		return res.Report, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	base := reports[freqs[0]]
+	base := reports[0]
 	for _, name := range base.FunctionNames() {
 		bst := base.FunctionTotal(name)
 		fn := Fig8Function{Name: name}
-		for _, mhz := range freqs {
-			st := reports[mhz].FunctionTotal(name)
+		for i, mhz := range freqs {
+			st := reports[i].FunctionTotal(name)
 			cell := Fig8Cell{MHz: mhz}
 			if bst.TimeS > 0 {
 				cell.TimeNorm = st.TimeS / bst.TimeS

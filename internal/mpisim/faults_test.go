@@ -1,20 +1,11 @@
 package mpisim
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestStragglerStretchesPhaseAndNotifies(t *testing.T) {
 	w := NewWorld(4, DefaultNetwork(4), 1)
-	defer w.Close()
-	var mu sync.Mutex
 	extras := map[int]float64{}
-	w.SetStragglerObserver(func(r int, extraS float64) {
-		mu.Lock()
-		extras[r] += extraS
-		mu.Unlock()
-	})
+	w.SetStragglerObserver(func(r int, extraS float64) { extras[r] += extraS })
 	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
 		if r == 2 {
 			return RankFault{SlowFactor: 3}
@@ -49,7 +40,6 @@ func TestStragglerStretchesPhaseAndNotifies(t *testing.T) {
 
 func TestCrashKillsRankAndFreezesClock(t *testing.T) {
 	w := NewWorld(3, DefaultNetwork(3), 1)
-	defer w.Close()
 	phase := 0
 	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
 		return RankFault{Crash: r == 1 && phase == 0}
@@ -70,11 +60,8 @@ func TestCrashKillsRankAndFreezesClock(t *testing.T) {
 
 	phase = 1
 	ran := make([]bool, 3)
-	var mu sync.Mutex
 	durs = w.Execute(func(r int) float64 {
-		mu.Lock()
 		ran[r] = true
-		mu.Unlock()
 		return 1.0
 	})
 	if ran[1] {
@@ -83,7 +70,11 @@ func TestCrashKillsRankAndFreezesClock(t *testing.T) {
 	if durs[1] != 0 {
 		t.Fatalf("dead rank dur = %g, want 0", durs[1])
 	}
-	w.Synchronize(durs)
+	// The waits slice is reused across calls: a rank that waited last phase
+	// and is dead now must read 0, not its stale wait.
+	if waits := w.Synchronize(durs); waits[1] != 0 {
+		t.Fatalf("dead rank wait = %g, want 0", waits[1])
+	}
 	w.Advance(1, 5)
 	if c := w.Clock(1); c != 2.0 {
 		t.Fatalf("dead rank clock = %g, want frozen at 2", c)
@@ -97,7 +88,6 @@ func TestCrashAtBarrierDoesNotPullSurvivors(t *testing.T) {
 	// A rank that dies while reporting a long duration still banks its
 	// time, but survivors do not wait for it.
 	w := NewWorld(2, DefaultNetwork(2), 1)
-	defer w.Close()
 	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
 		if r == 1 {
 			return RankFault{SlowFactor: 10, Crash: true}

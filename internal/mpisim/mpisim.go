@@ -4,16 +4,20 @@
 // analytic communication cost model (latency/bandwidth with log-scaling
 // collectives) for the halo exchanges and reductions between them.
 //
-// Rank work executes concurrently on goroutines (wall-clock parallelism),
-// while simulated durations live on each rank's virtual clock; barriers
-// synchronize the virtual clocks exactly like MPI collectives synchronize
-// real ranks — slower ranks make faster ones wait.
+// Ranks are simulated state, not host threads: a phase steps them one after
+// the other, in rank order, on the caller's goroutine. Simulated durations
+// live on each rank's virtual clock, and barriers synchronize the virtual
+// clocks exactly like MPI collectives synchronize real ranks — slower ranks
+// make faster ones wait. A rank's kernel is a few dozen nanoseconds of
+// analytic model, far below the cost of handing it to another goroutine;
+// host parallelism belongs one level up, across independent runs
+// (par.Tasks). A World therefore belongs to the goroutine that runs it and
+// carries no locks.
 package mpisim
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"sphenergy/internal/rng"
 )
@@ -148,17 +152,9 @@ type World struct {
 	recorder SpanRecorder
 	fhook    RankFaultHook
 	stragObs StragglerObserver
-	mu       sync.Mutex
 
-	workers sync.Once
-	work    []chan workItem
-}
-
-// workItem is one phase dispatched to a rank worker.
-type workItem struct {
-	fn   func(rank int) float64
-	durs []float64
-	wg   *sync.WaitGroup
+	// durs and waits back the slices Execute and Synchronize return.
+	durs, waits []float64
 }
 
 // NewWorld creates a world of `size` ranks with per-rank deterministic
@@ -166,6 +162,8 @@ type workItem struct {
 func NewWorld(size int, net Network, seed uint64) *World {
 	w := &World{Size: size, Network: net}
 	w.clocks = make([]float64, size)
+	w.durs = make([]float64, size)
+	w.waits = make([]float64, size)
 	w.alive = make([]bool, size)
 	for i := range w.alive {
 		w.alive[i] = true
@@ -179,32 +177,24 @@ func NewWorld(size int, net Network, seed uint64) *World {
 
 // Clock returns rank r's virtual time.
 func (w *World) Clock(r int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.clocks[r]
 }
 
 // Advance moves rank r's clock forward by dt seconds. Dead ranks do not
 // advance.
 func (w *World) Advance(r int, dt float64) {
-	w.mu.Lock()
 	if w.alive[r] {
 		w.clocks[r] += dt
 	}
-	w.mu.Unlock()
 }
 
 // Alive reports whether rank r is still executing.
 func (w *World) Alive(r int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.alive[r]
 }
 
 // AliveCount returns the number of surviving ranks.
 func (w *World) AliveCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	n := 0
 	for _, a := range w.alive {
 		if a {
@@ -218,8 +208,6 @@ func (w *World) AliveCount() int {
 // stops participating in barriers; its clock freezes. Killing a dead
 // rank is a no-op.
 func (w *World) Fail(r int, atS float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.alive[r] {
 		return
 	}
@@ -229,8 +217,6 @@ func (w *World) Fail(r int, atS float64) {
 
 // Failures returns the rank deaths so far, in order of occurrence.
 func (w *World) Failures() []RankFailure {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]RankFailure, len(w.failures))
 	copy(out, w.failures)
 	return out
@@ -238,118 +224,82 @@ func (w *World) Failures() []RankFailure {
 
 // SetRankFaultHook installs the per-phase fault hook; nil removes it.
 func (w *World) SetRankFaultHook(h RankFaultHook) {
-	w.mu.Lock()
 	w.fhook = h
-	w.mu.Unlock()
 }
 
 // SetStragglerObserver installs the straggler observer; nil removes it.
 func (w *World) SetStragglerObserver(o StragglerObserver) {
-	w.mu.Lock()
 	w.stragObs = o
-	w.mu.Unlock()
 }
 
 // Jitter returns a deterministic multiplicative load-imbalance factor for
 // rank r around 1.0 with the given relative spread (e.g. 0.02 for ±2%).
 func (w *World) Jitter(r int, spread float64) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return 1 + spread*(2*w.jitter[r].Float64()-1)
 }
 
-// Execute runs fn(rank) concurrently on all ranks and returns each rank's
-// reported duration. Dead ranks are skipped (duration 0, fn not called).
-// With a fault hook installed, each rank's result passes through it:
-// stragglers stretch the duration (notifying the observer), crashes kill
-// the rank at phase end. It does not touch the virtual clocks; callers
-// combine the durations with Synchronize.
+// Execute runs fn(rank) for every rank, in rank order, on the caller's
+// goroutine, and returns each rank's reported duration. Any interleaving of
+// the ranks is a legal schedule of a bulk-synchronous phase — a rank touches
+// only its own state until the barrier — so the serial one yields the same
+// virtual-time results a concurrent one would. Dead ranks are skipped
+// (duration 0, fn not called). With a fault hook installed, each rank's
+// result passes through it: stragglers stretch the duration (notifying the
+// observer), crashes kill the rank at phase end. It does not touch the
+// virtual clocks; callers combine the durations with Synchronize. A panic in
+// fn unwinds through the caller.
 //
-// Ranks run on persistent worker goroutines (one per rank, started on first
-// use), mirroring how MPI ranks are long-lived processes. Reusing workers
-// keeps per-phase cost at two channel operations instead of a goroutine
-// spawn, and lets each rank's stack grow once and stay grown — fresh
-// goroutines would re-pay the stack copy every phase once instrumentation
-// deepens the call path. Call Close when done with the world.
+// The returned slice belongs to the World and is valid until the next
+// Execute; copy it to keep it.
 func (w *World) Execute(fn func(rank int) float64) []float64 {
-	w.workers.Do(w.startWorkers)
-	durs := make([]float64, w.Size)
-	var wg sync.WaitGroup
-	wg.Add(w.Size)
-	for r := 0; r < w.Size; r++ {
-		w.work[r] <- workItem{fn: fn, durs: durs, wg: &wg}
+	for r := range w.durs {
+		w.durs[r] = w.phase(r, fn)
 	}
-	wg.Wait()
-	return durs
-}
-
-// startWorkers launches the per-rank worker goroutines.
-func (w *World) startWorkers() {
-	w.work = make([]chan workItem, w.Size)
-	for r := 0; r < w.Size; r++ {
-		ch := make(chan workItem, 1)
-		w.work[r] = ch
-		go func(r int, ch chan workItem) {
-			for it := range ch {
-				it.durs[r] = w.phase(r, it.fn)
-				it.wg.Done()
-			}
-		}(r, ch)
-	}
+	return w.durs
 }
 
 // phase runs one rank's share of an Execute call, applying injected rank
-// faults. It runs on the rank's own worker goroutine, so straggler
-// observers may safely touch rank-owned state (its GPU device).
+// faults.
 func (w *World) phase(r int, fn func(rank int) float64) float64 {
-	w.mu.Lock()
-	alive, hook, obs := w.alive[r], w.fhook, w.stragObs
-	w.mu.Unlock()
-	if !alive {
+	if !w.alive[r] {
 		return 0
 	}
 	dur := fn(r)
-	if hook == nil {
+	if w.fhook == nil {
 		return dur
 	}
-	f := hook(r, w.Clock(r)+dur)
+	f := w.fhook(r, w.clocks[r]+dur)
 	if f.SlowFactor > 1 {
 		extra := dur * (f.SlowFactor - 1)
 		dur += extra
-		if obs != nil {
-			obs(r, extra)
+		if w.stragObs != nil {
+			w.stragObs(r, extra)
 		}
 	}
 	if f.Crash {
-		w.Fail(r, w.Clock(r)+dur)
+		w.Fail(r, w.clocks[r]+dur)
 	}
 	return dur
 }
 
-// Close stops the rank workers. The world must not Execute afterwards;
-// closing a world that never executed is a no-op.
-func (w *World) Close() {
-	w.workers.Do(func() {}) // never start workers after Close
-	for _, ch := range w.work {
-		close(ch)
-	}
-	w.work = nil
-}
+// Close does nothing — a World holds no goroutines or other resources — and
+// exists only for benchmark/model.go, which defers it.
+func (w *World) Close() {}
 
 // SetRecorder installs the synchronization span recorder; nil removes it.
 func (w *World) SetRecorder(r SpanRecorder) {
-	w.mu.Lock()
 	w.recorder = r
-	w.mu.Unlock()
 }
 
 // Synchronize applies per-rank durations, then aligns all clocks to the
 // maximum (a barrier/collective): it returns, per rank, the wait time the
 // barrier imposed on it. With a recorder installed, each rank's barrier
 // wait is emitted as an "mpi" span starting when the rank finished its own
-// work; the recorder runs after the world lock is released.
+// work.
+//
+// The returned slice belongs to the World and is valid until the next
+// Synchronize; it is distinct from the one Execute returns.
 func (w *World) Synchronize(durs []float64) []float64 {
-	w.mu.Lock()
 	maxT := 0.0
 	for r, d := range durs {
 		// A rank that died this phase still banks its duration (it did
@@ -360,21 +310,20 @@ func (w *World) Synchronize(durs []float64) []float64 {
 			maxT = w.clocks[r]
 		}
 	}
-	waits := make([]float64, w.Size)
+	waits := w.waits
 	for r := range w.clocks {
 		if !w.alive[r] {
+			waits[r] = 0 // the slice is reused: no stale wait for the dead
 			continue
 		}
 		waits[r] = maxT - w.clocks[r]
 		w.clocks[r] = maxT
 	}
-	rec := w.recorder
-	w.mu.Unlock()
-	if rec != nil {
+	if w.recorder != nil {
 		for r, wt := range waits {
 			if wt > 0 {
 				// The wait starts when the rank finished its own work.
-				rec.RecordSpan(r, "mpi", "barrier-wait", maxT-wt, wt)
+				w.recorder.RecordSpan(r, "mpi", "barrier-wait", maxT-wt, wt)
 			}
 		}
 	}
@@ -394,8 +343,6 @@ type WorldState struct {
 
 // State captures the world's checkpointable state.
 func (w *World) State() WorldState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	st := WorldState{
 		Clocks:   append([]float64(nil), w.clocks...),
 		Alive:    append([]bool(nil), w.alive...),
@@ -413,8 +360,6 @@ func (w *World) Restore(st WorldState) error {
 		return fmt.Errorf("mpisim: restore size mismatch: world has %d ranks, state has %d/%d/%d",
 			w.Size, len(st.Clocks), len(st.Alive), len(st.Jitter))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	copy(w.clocks, st.Clocks)
 	copy(w.alive, st.Alive)
 	w.failures = append(w.failures[:0], st.Failures...)
@@ -426,8 +371,6 @@ func (w *World) Restore(st WorldState) error {
 
 // MaxClock returns the furthest-advanced rank clock (the job's wall time).
 func (w *World) MaxClock() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	m := 0.0
 	for _, c := range w.clocks {
 		if c > m {

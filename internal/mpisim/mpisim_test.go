@@ -2,7 +2,6 @@ package mpisim
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -109,18 +108,66 @@ func TestAdvanceSingleRank(t *testing.T) {
 
 func TestExecuteRunsAllRanks(t *testing.T) {
 	w := NewWorld(8, DefaultNetwork(4), 1)
-	var count int64
+	var order []int
 	durs := w.Execute(func(rank int) float64 {
-		atomic.AddInt64(&count, 1)
+		order = append(order, rank)
 		return float64(rank)
 	})
-	if count != 8 {
-		t.Errorf("executed %d ranks", count)
+	// Ranks step in rank order on the caller's goroutine (the unsynchronized
+	// append is the check: `go test -race` would flag a second goroutine).
+	if len(order) != 8 {
+		t.Fatalf("executed %d ranks", len(order))
 	}
 	for r, d := range durs {
+		if order[r] != r {
+			t.Fatalf("ranks ran in order %v", order)
+		}
 		if d != float64(r) {
 			t.Errorf("rank %d duration %v", r, d)
 		}
+	}
+}
+
+// A panic on any rank unwinds through Execute to the caller, where a
+// supervisor can recover it.
+func TestExecutePanicReachesCaller(t *testing.T) {
+	w := NewWorld(4, DefaultNetwork(4), 1)
+	defer func() {
+		if r := recover(); r != "rank 2" {
+			t.Fatalf("recovered %v, want the rank's panic", r)
+		}
+	}()
+	w.Execute(func(rank int) float64 {
+		if rank == 2 {
+			panic("rank 2")
+		}
+		return 1
+	})
+	t.Fatal("Execute returned past a panicking rank")
+}
+
+// Execute and Synchronize return World-owned slices: distinct from each
+// other, overwritten by the next call of the same method, never allocated
+// per phase.
+func TestPhaseSlicesAreWorldOwned(t *testing.T) {
+	w := NewWorld(3, DefaultNetwork(3), 1)
+	durs := w.Execute(func(r int) float64 { return float64(r + 1) })
+	waits := w.Synchronize(durs)
+	if waits[0] != 2 || waits[1] != 1 || waits[2] != 0 {
+		t.Fatalf("waits = %v", waits)
+	}
+	// A second Execute (core.Run's idle phase) reuses durs, not waits.
+	again := w.Execute(func(r int) float64 { return 0 })
+	if &again[0] != &durs[0] {
+		t.Error("Execute allocated a new slice")
+	}
+	if waits[0] != 2 || waits[1] != 1 {
+		t.Errorf("Execute clobbered the waits: %v", waits)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Synchronize(w.Execute(func(r int) float64 { return 1e-3 }))
+	}); allocs != 0 {
+		t.Errorf("%v allocations per phase, want 0", allocs)
 	}
 }
 

@@ -52,6 +52,11 @@ func RenderAttribution(a *attrib.Attribution, n int) string {
 		fmt.Fprintf(&sb, "%-24d %8s %10d %12.1f %12.1f %8.3f\n",
 			rs.Rank, "", rs.Samples, rs.ModelJ, rs.SampledJ, rs.ErrPct)
 	}
+	if a.DroppedSamples > 0 {
+		fmt.Fprintf(&sb, "FAIL: sampler rings overflowed, %d samples dropped before the join — spans older than the\n"+
+			"  retained series attribute to nothing, so the errors below measure that gap, not the sampler\n"+
+			"  (shorten the run, lower the rate or raise sampler.Config.RingCap)\n", a.DroppedSamples)
+	}
 	verdict := "PASS"
 	if !a.Pass {
 		verdict = "FAIL"

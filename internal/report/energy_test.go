@@ -66,6 +66,16 @@ func TestRenderAttributionFailVerdict(t *testing.T) {
 	if !strings.Contains(out, "FAIL: aggregate err 4.200%") {
 		t.Errorf("missing FAIL verdict:\n%s", out)
 	}
+	if strings.Contains(out, "dropped") {
+		t.Errorf("a join without drops mentions them:\n%s", out)
+	}
+	// A ring overflow is the stated reason, ahead of the figures it voids.
+	a.MarkDropped(34464)
+	out = RenderAttribution(a, 0)
+	reason := strings.Index(out, "FAIL: sampler rings overflowed, 34464 samples dropped")
+	if reason < 0 || reason > strings.Index(out, "FAIL: aggregate err") {
+		t.Errorf("overflow not given as the reason before the verdict:\n%s", out)
+	}
 }
 
 func TestRenderValidation(t *testing.T) {

@@ -669,8 +669,8 @@ func (s *Sampler) PollAll() {
 	}
 }
 
-// PollNodes polls the node-level channels only; the coordinator calls this
-// at phase boundaries while rank channels poll from their own goroutines.
+// PollNodes polls the node-level channels only; the run loop calls this at
+// phase boundaries, rank channels being polled inside the rank phases.
 func (s *Sampler) PollNodes() {
 	for _, ch := range s.Channels() {
 		if ch.rank < 0 {

@@ -98,6 +98,10 @@ type Job struct {
 	LoopEnergyJ float64
 	LoopTimeS   float64
 	Result      *core.Result
+
+	// What Run executes and whether it accounts energy, fixed at Queue time.
+	cfg          core.Config
+	tracksEnergy bool
 }
 
 // Manager assigns job IDs and stores accounting records.
@@ -113,6 +117,15 @@ func NewManager() *Manager { return &Manager{nextID: 1000} }
 // from submission, a --gpu-freq flag turns into a static frequency
 // strategy, and TRES energy is recorded at completion.
 func (m *Manager) Submit(cfg core.Config, opts SubmitOptions) (*Job, error) {
+	job := m.Queue(cfg, opts)
+	return job, job.Run()
+}
+
+// Queue registers a job without running it: its ID and its place in Jobs()
+// are fixed now, in submission order, so a campaign can queue every job and
+// then Run them in any order — or concurrently, each Job from one goroutine
+// — with the accounting records a serial campaign would have left.
+func (m *Manager) Queue(cfg core.Config, opts SubmitOptions) *Job {
 	if opts.SetupS == 0 {
 		opts.SetupS = 45
 	}
@@ -125,27 +138,35 @@ func (m *Manager) Submit(cfg core.Config, opts SubmitOptions) (*Job, error) {
 		ID:     m.nextID,
 		Name:   opts.JobName,
 		NTasks: cfg.Ranks,
-		State:  StateRunning,
+		State:  StatePending,
+		cfg:    cfg,
+		// Default site config tracks energy (as on LUMI and CSCS).
+		tracksEnergy: opts.TRES.TracksEnergy() || len(opts.TRES.Tracked) == 0,
 	}
 	m.nextID++
 	m.jobs = append(m.jobs, job)
+	return job
+}
 
-	res, err := core.Run(cfg)
+// Run executes a queued job to completion and fills in its accounting
+// record.
+func (j *Job) Run() error {
+	j.State = StateRunning
+	res, err := core.Run(j.cfg)
 	if err != nil {
-		job.State = StateFailed
-		return job, fmt.Errorf("slurm: job %d: %w", job.ID, err)
+		j.State = StateFailed
+		return fmt.Errorf("slurm: job %d: %w", j.ID, err)
 	}
-	job.State = StateCompleted
-	job.Result = res
-	job.NNodes = len(res.System.Nodes)
-	job.ElapsedS = res.SetupTimeS + res.WallTimeS
-	job.LoopEnergyJ = res.Report.TotalEnergyJ
-	job.LoopTimeS = res.WallTimeS
-	if opts.TRES.TracksEnergy() || len(opts.TRES.Tracked) == 0 {
-		// Default site config tracks energy (as on LUMI and CSCS).
-		job.ConsumedEnergyJ = res.SetupEnergyJ + res.Report.TotalEnergyJ
+	j.State = StateCompleted
+	j.Result = res
+	j.NNodes = len(res.System.Nodes)
+	j.ElapsedS = res.SetupTimeS + res.WallTimeS
+	j.LoopEnergyJ = res.Report.TotalEnergyJ
+	j.LoopTimeS = res.WallTimeS
+	if j.tracksEnergy {
+		j.ConsumedEnergyJ = res.SetupEnergyJ + res.Report.TotalEnergyJ
 	}
-	return job, nil
+	return nil
 }
 
 // ThreeWay reproduces the paper's cross-source energy validation (§IV-A,

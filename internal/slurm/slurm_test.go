@@ -111,6 +111,38 @@ func TestJobIDsIncrement(t *testing.T) {
 	}
 }
 
+// A queued campaign's IDs and accounting order are the submission order,
+// fixed before anything runs; running the jobs in another order — as a
+// largest-first batch does — leaves the records a serial campaign leaves.
+func TestQueueFixesIDsBeforeRun(t *testing.T) {
+	serial, queued := NewManager(), NewManager()
+	var want, jobs []*Job
+	for i, name := range []string{"a", "b", "c"} {
+		cfg := smallJobConfig()
+		cfg.Steps = 3 + i
+		j, err := serial.Submit(cfg, SubmitOptions{JobName: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, j)
+		jobs = append(jobs, queued.Queue(cfg, SubmitOptions{JobName: name}))
+	}
+	for i, j := range jobs {
+		if j.State != StatePending || j.ID != want[i].ID || queued.Jobs()[i] != j {
+			t.Fatalf("queued job %d: state %s id %d (want PENDING, %d), in place %v",
+				i, j.State, j.ID, want[i].ID, queued.Jobs()[i] == j)
+		}
+	}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		if err := jobs[i].Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := queued.Sacct(nil), serial.Sacct(nil); got != want {
+		t.Errorf("accounting differs from the serial campaign's:\n%s\nvs\n%s", got, want)
+	}
+}
+
 func TestSacctFormat(t *testing.T) {
 	mgr := NewManager()
 	mgr.Submit(smallJobConfig(), SubmitOptions{JobName: "fmt", TRES: ParseTRES("energy")})

@@ -161,7 +161,6 @@ func TestMpisimStragglerAttribution(t *testing.T) {
 		const ranks, phases = 4, 20
 		net := mpisim.DefaultNetwork(ranks)
 		w := mpisim.NewWorld(ranks, net, 7)
-		defer w.Close()
 		tr := telemetry.NewTracer(ranks)
 		w.SetRecorder(tr)
 		if slow {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"sphenergy/internal/events"
@@ -257,41 +256,16 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	switch cfg.Strategy {
 	case BruteForce:
 		// The sweep's candidates are independent measurements on fresh
-		// simulated devices, so evaluate them with a worker pool. Noise
-		// sequences are pre-drawn in candidate order and each result lands
-		// at its candidate's index, keeping result ordering and rng-seeded
-		// values identical to a serial sweep.
+		// simulated devices, so they go through par.Tasks. Noise sequences
+		// are pre-drawn in candidate order and each result lands at its
+		// candidate's index, keeping result ordering and rng-seeded values
+		// identical to a serial sweep.
 		all := make([]Measurement, len(cands))
 		seqs := make([][]float64, len(cands))
 		for i := range cands {
 			seqs[i] = drawNoise()
 		}
-		workers := par.MaxWorkers()
-		if workers > len(cands) {
-			workers = len(cands)
-		}
-		if workers <= 1 {
-			for i, f := range cands {
-				all[i] = evalWith(f, seqs[i])
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := int64(-1)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(atomic.AddInt64(&next, 1))
-						if i >= len(cands) {
-							return
-						}
-						all[i] = evalWith(cands[i], seqs[i])
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		par.Tasks(len(cands), func(i int) { all[i] = evalWith(cands[i], seqs[i]) })
 		res.All = all
 	case RandomSample:
 		frac := cfg.SampleFraction
