@@ -110,12 +110,17 @@ race-model:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Telemetry cost: per-primitive ns/op and the end-to-end off/live/trace
-# comparison. Wall clock is noisy on shared machines — compare minimums
-# across the -count runs.
+# Telemetry cost: per-primitive ns/op, what an observed run's trace costs
+# at export (WriteJSON), in-process read-back (Spans) and re-load
+# (traceanalysis.Load) on a recorded 8-rank 300-step run, and the
+# end-to-end off/live/trace comparison. Wall clock is noisy on shared
+# machines — compare minimums across the -count runs; the allocation
+# columns repeat exactly.
 bench-telemetry:
-	$(GO) test -bench 'SpanRecord|CounterInc|HistogramObserve' -benchmem ./internal/telemetry/
-	$(GO) test -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench 'SpanRecord|CounterInc|HistogramObserve' -benchmem ./internal/telemetry/
+	$(GO) test -run '^$$' -bench 'TraceWriteJSON|SpansReadBack' -benchtime 20x -count 3 ./internal/telemetry/
+	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 ./internal/traceanalysis/
+	$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
 
 # Sampler overhead (off / 10 Hz / 100 Hz) as machine-readable JSON for
 # regression tracking; the human-readable twin is

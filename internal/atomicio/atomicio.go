@@ -16,10 +16,13 @@ import (
 )
 
 // WriteFile atomically replaces path with the bytes produced by write.
-// The write callback receives a buffered writer backed by a temporary
-// file created in path's directory; on success the temp file is synced,
-// closed, and renamed over path. On any error (from write, sync, close,
-// or rename) the temp file is removed and path is left untouched.
+// The write callback receives the temporary file itself, created in
+// path's directory and not buffered: every Write is a system call, so
+// writers batch their own output (the trace encoder hands over 64 KB
+// chunks, the event ledger and the SPH checkpoint wrap a bufio.Writer
+// and flush it before returning). On success the temp file is synced, closed,
+// and renamed over path. On any error (from write, sync, close, or
+// rename) the temp file is removed and path is left untouched.
 func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

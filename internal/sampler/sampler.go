@@ -40,6 +40,7 @@ package sampler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -468,12 +469,17 @@ func (c *Channel) Samples() []Sample {
 	if c == nil {
 		return nil
 	}
+	return c.appendSamples([]Sample{})
+}
+
+// appendSamples appends the retained series to dst in time order, copying
+// each sample once out of the ring (unwrapped at head).
+func (c *Channel) appendSamples(dst []Sample) []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Sample, 0, len(c.buf))
-	out = append(out, c.buf[c.head:]...)
-	out = append(out, c.buf[:c.head]...)
-	return out
+	dst = slices.Grow(dst, len(c.buf))
+	dst = append(dst, c.buf[c.head:]...)
+	return append(dst, c.buf[:c.head]...)
 }
 
 // AccumJ returns the overflow-safe cumulative energy since the first poll.
@@ -680,17 +686,25 @@ func (s *Sampler) PollNodes() {
 }
 
 // RankSeries returns each rank's sampled series, merging multiple channels
-// of the same rank in time order (the join input for internal/attrib).
+// of the same rank in time order (the join input for internal/attrib). A
+// channel's ring is already in time order, so only a rank fed by more than
+// one channel is sorted.
 func (s *Sampler) RankSeries() map[int][]Sample {
 	out := map[int][]Sample{}
+	var merged []int // ranks holding more than one channel's samples
 	for _, ch := range s.Channels() {
 		if ch.rank < 0 {
 			continue
 		}
-		out[ch.rank] = append(out[ch.rank], ch.Samples()...)
+		series, seen := out[ch.rank]
+		if seen && !slices.Contains(merged, ch.rank) {
+			merged = append(merged, ch.rank)
+		}
+		out[ch.rank] = ch.appendSamples(series)
 	}
-	for r := range out {
-		sort.Slice(out[r], func(a, b int) bool { return out[r][a].TimeS < out[r][b].TimeS })
+	for _, r := range merged {
+		series := out[r]
+		sort.Slice(series, func(a, b int) bool { return series[a].TimeS < series[b].TimeS })
 	}
 	return out
 }

@@ -61,6 +61,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
 				_ = tr.WriteJSON(io.Discard)
+				_ = tr.Spans()
 				_ = reg.WritePrometheus(io.Discard)
 				_ = reg.WriteJSON(io.Discard)
 				_ = profile.FunctionNames()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -306,7 +307,7 @@ type family struct {
 	kind     metricKind
 	buckets  []float64
 	children map[string]*child
-	order    []string // insertion order of children keys
+	order    []*child // children in insertion order
 }
 
 // Registry holds the run's metric families. A nil *Registry is a valid
@@ -378,7 +379,7 @@ func (r *Registry) child(name, help string, kind metricKind, buckets []float64, 
 			ch.h = newHistogram(f.buckets)
 		}
 		f.children[key] = ch
-		f.order = append(f.order, key)
+		f.order = append(f.order, ch)
 	}
 	return ch
 }
@@ -402,14 +403,25 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
-// snapshotFamilies copies the family list under the registry lock so
-// exposition can render without holding it.
-func (r *Registry) snapshotFamilies() []*family {
+// familySnapshot is one family and the children it had when the snapshot
+// was taken. A family's name, help, kind and buckets and a child's labels
+// and metric never change once created; the child list and map do, under
+// the registry lock, so rendering reads the copy.
+type familySnapshot struct {
+	*family
+	members []*child
+}
+
+// snapshotFamilies copies the family list, and each family's child list,
+// under the registry lock so exposition can render without holding it
+// while a first-use label registers concurrently.
+func (r *Registry) snapshotFamilies() []familySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*family, 0, len(r.ord))
+	out := make([]familySnapshot, 0, len(r.ord))
 	for _, n := range r.ord {
-		out = append(out, r.fams[n])
+		f := r.fams[n]
+		out = append(out, familySnapshot{family: f, members: slices.Clone(f.order)})
 	}
 	return out
 }
@@ -427,8 +439,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, key := range f.order {
-			ch := f.children[key]
+		for _, ch := range f.members {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(ch.labels), fmtFloat(ch.c.Value()))
@@ -524,8 +535,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	var out []MetricSnapshot
 	for _, f := range r.snapshotFamilies() {
 		ms := MetricSnapshot{Name: f.name, Type: f.kind.String(), Help: f.help}
-		for _, key := range f.order {
-			ch := f.children[key]
+		for _, ch := range f.members {
 			s := SampleSnapshot{}
 			if len(ch.labels) > 0 {
 				s.Labels = map[string]string{}

@@ -14,12 +14,17 @@
 // fire every step can go further and intern the span identity once
 // (Intern + CompleteRef/InstantRef), reducing each record to a 40-byte
 // struct write with no string traffic at all.
+//
+// What was deferred is paid once, and flatly, when the run is over: the
+// export (WriteJSON) appends every event into one reused buffer in a fixed
+// field order — no container per span, an interned identity's strings
+// quoted once — and the in-process read-back (Spans) is two allocations
+// whatever the span count. Both take the shard locks, so they are safe
+// while ranks still record.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"sphenergy/internal/atomicio"
@@ -55,7 +60,16 @@ func Int(key string, value int) Attr { return Attr{Key: key, f: float64(value), 
 func Float(key string, value float64) Attr { return Attr{Key: key, f: value, kind: attrFloat} }
 
 // Value unboxes the attribute (string, int64 or float64).
-func (a Attr) Value() any { return a.value() }
+func (a Attr) Value() any {
+	switch a.kind {
+	case attrString:
+		return a.s
+	case attrInt:
+		return int64(a.f)
+	default:
+		return a.f
+	}
+}
 
 // Float64 returns the attribute's numeric value, 0 for string attributes.
 // Span read-back consumers (energy attribution) use this to pull metric
@@ -65,18 +79,6 @@ func (a Attr) Float64() float64 {
 		return 0
 	}
 	return a.f
-}
-
-// value unboxes the attribute for JSON export.
-func (a Attr) value() any {
-	switch a.kind {
-	case attrString:
-		return a.s
-	case attrInt:
-		return int64(a.f)
-	default:
-		return a.f
-	}
 }
 
 // GlobalTrack addresses the tracer's extra whole-run track (step spans, job
@@ -351,158 +353,100 @@ func (e SpanEvent) Arg(key string) (float64, bool) {
 // metadata records are skipped) across every track, resolving interned
 // descriptors. Events within one track appear in recording order; tracks
 // are concatenated rank 0..N then the global track. Safe to call while
-// recording continues.
+// recording continues: the read-back holds every shard lock for its
+// duration, counts first, and then allocates twice — the result at its
+// final length and one slab all Args are carved from (each capped at
+// its own length, so appending to one span's Args never reaches the next).
 func (t *Tracer) Spans() []SpanEvent {
 	if t == nil {
 		return nil
 	}
+	// Descriptors are immutable once appended, so the slice header taken
+	// under descMu stays valid while Intern grows the table behind it.
 	t.descMu.Lock()
-	descs := append([]spanDesc(nil), t.descs...)
+	descs := t.descs
 	t.descMu.Unlock()
-	var out []SpanEvent
+	for i := range t.shards {
+		t.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range t.shards {
+			t.shards[i].mu.Unlock()
+		}
+	}()
+
+	nspans, nargs := 0, 0
+	for tid := range t.shards {
+		s := &t.shards[tid]
+		for i := range s.events {
+			if e := &s.events[i]; readBack(e.ph) {
+				nspans++
+				nargs += int(e.nattr) + len(e.extra)
+			}
+		}
+		for i := range s.fast {
+			if fe := &s.fast[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
+				nspans++
+				nargs += int(descs[fe.ref].nkeys)
+			}
+		}
+	}
+	if nspans == 0 {
+		return nil
+	}
+	out := make([]SpanEvent, nspans)
+	slab := make([]Attr, 0, nargs)
+	n := 0
 	for tid := range t.shards {
 		track := tid
 		if tid == len(t.shards)-1 {
 			track = GlobalTrack
 		}
 		s := &t.shards[tid]
-		s.mu.Lock()
-		buf := make([]event, len(s.events))
-		copy(buf, s.events)
-		fast := make([]fastEvent, len(s.fast))
-		copy(fast, s.fast)
-		s.mu.Unlock()
-		for i := range buf {
-			e := &buf[i]
-			if e.ph != phaseComplete && e.ph != phaseInstant {
+		for i := range s.events {
+			e := &s.events[i]
+			if !readBack(e.ph) {
 				continue
 			}
-			se := SpanEvent{Track: track, Category: e.cat, Name: e.name,
-				StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant}
-			if n := int(e.nattr) + len(e.extra); n > 0 {
-				se.Args = make([]Attr, 0, n)
-				se.Args = append(se.Args, e.attrs[:e.nattr]...)
-				se.Args = append(se.Args, e.extra...)
-			}
-			out = append(out, se)
+			from := len(slab)
+			slab = append(append(slab, e.attrs[:e.nattr]...), e.extra...)
+			out[n] = SpanEvent{Track: track, Category: e.cat, Name: e.name,
+				StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant,
+				Args: carve(slab, from)}
+			n++
 		}
-		for i := range fast {
-			fe := &fast[i]
-			if int(fe.ref) >= len(descs) {
-				continue
-			}
-			if fe.ph != phaseComplete && fe.ph != phaseInstant {
+		for i := range s.fast {
+			fe := &s.fast[i]
+			if int(fe.ref) >= len(descs) || !readBack(fe.ph) {
 				continue
 			}
 			d := &descs[fe.ref]
-			se := SpanEvent{Track: track, Category: d.cat, Name: d.name,
-				StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant}
+			from := len(slab)
 			if d.nkeys > 0 {
-				se.Args = make([]Attr, 0, d.nkeys)
-				se.Args = append(se.Args, Float(d.keys[0], fe.v0))
-				if d.nkeys > 1 {
-					se.Args = append(se.Args, Float(d.keys[1], fe.v1))
-				}
+				slab = append(slab, Float(d.keys[0], fe.v0))
 			}
-			out = append(out, se)
+			if d.nkeys > 1 {
+				slab = append(slab, Float(d.keys[1], fe.v1))
+			}
+			out[n] = SpanEvent{Track: track, Category: d.cat, Name: d.name,
+				StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant,
+				Args: carve(slab, from)}
+			n++
 		}
 	}
 	return out
 }
 
-// WriteJSON exports the recorded events as Chrome trace_event JSON (the
-// "JSON object format": {"traceEvents": [...]}), loadable in Perfetto and
-// chrome://tracing. Ranks map to tids of pid 0; times convert from virtual
-// seconds to microseconds.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	events := []map[string]any{}
-	if t != nil {
-		t.descMu.Lock()
-		descs := append([]spanDesc(nil), t.descs...)
-		t.descMu.Unlock()
-		for tid := range t.shards {
-			s := &t.shards[tid]
-			s.mu.Lock()
-			buf := make([]event, len(s.events))
-			copy(buf, s.events)
-			fast := make([]fastEvent, len(s.fast))
-			copy(fast, s.fast)
-			s.mu.Unlock()
-			for i := range buf {
-				events = append(events, buf[i].jsonObject(tid))
-			}
-			for i := range fast {
-				if int(fast[i].ref) < len(descs) {
-					events = append(events, fast[i].jsonObject(tid, &descs[fast[i].ref]))
-				}
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ms",
-	})
-}
+// readBack reports whether events of phase ph are part of Spans.
+func readBack(ph byte) bool { return ph == phaseComplete || ph == phaseInstant }
 
-// jsonObject renders one event in trace_event form on track tid.
-func (e *event) jsonObject(tid int) map[string]any {
-	obj := map[string]any{
-		"name": e.name,
-		"ph":   string(rune(e.ph)),
-		"ts":   e.startS * 1e6,
-		"pid":  0,
-		"tid":  tid,
+// carve returns slab[from:] with its capacity cut to its length, nil when
+// empty.
+func carve(slab []Attr, from int) []Attr {
+	if from == len(slab) {
+		return nil
 	}
-	if e.cat != "" {
-		obj["cat"] = e.cat
-	}
-	switch e.ph {
-	case phaseComplete:
-		obj["dur"] = e.durS * 1e6
-	case phaseInstant:
-		obj["s"] = "t" // thread-scoped instant
-	}
-	if n := int(e.nattr) + len(e.extra); n > 0 {
-		args := make(map[string]any, n)
-		for _, a := range e.attrs[:e.nattr] {
-			args[a.Key] = a.value()
-		}
-		for _, a := range e.extra {
-			args[a.Key] = a.value()
-		}
-		obj["args"] = args
-	}
-	return obj
-}
-
-// jsonObject renders one interned event in trace_event form on track tid.
-func (e *fastEvent) jsonObject(tid int, d *spanDesc) map[string]any {
-	obj := map[string]any{
-		"name": d.name,
-		"ph":   string(rune(e.ph)),
-		"ts":   e.startS * 1e6,
-		"pid":  0,
-		"tid":  tid,
-	}
-	if d.cat != "" {
-		obj["cat"] = d.cat
-	}
-	switch e.ph {
-	case phaseComplete:
-		obj["dur"] = e.durS * 1e6
-	case phaseInstant:
-		obj["s"] = "t"
-	}
-	if d.nkeys > 0 {
-		args := make(map[string]any, d.nkeys)
-		args[d.keys[0]] = e.v0
-		if d.nkeys > 1 {
-			args[d.keys[1]] = e.v1
-		}
-		obj["args"] = args
-	}
-	return obj
+	return slab[from:len(slab):len(slab)]
 }
 
 // WriteFile writes the Chrome trace JSON to path, atomically: a crash or

@@ -14,8 +14,6 @@
 package traceanalysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -306,122 +304,40 @@ func FromSpanEvents(events []telemetry.SpanEvent) []Span {
 	return out
 }
 
-// traceFile mirrors the Chrome trace_event "JSON object format".
-type traceFile struct {
-	TraceEvents []traceEvent `json:"traceEvents"`
-}
-
-type traceEvent struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	Ph   string          `json:"ph"`
-	TS   float64         `json:"ts"`
-	Dur  float64         `json:"dur"`
-	TID  int             `json:"tid"`
-	Args json.RawMessage `json:"args"`
-}
-
 // Load parses Chrome trace_event JSON into analysis spans. Track identity
 // follows the exporter's convention: thread_name metadata names rank tracks
 // "rank N" and the global track "sim"; tracks named "sim" map to
 // GlobalRank, every other tid is taken as the rank number directly.
+//
+// Load and LoadLenient share one single-pass scanner (scan.go). It reads
+// the "traceEvents" array of the top-level object and, of each event, only
+// name, cat, ph, ts, dur, tid and args.name, skipping everything else
+// structurally. Keys match exactly — the trace_event format is
+// case-sensitive — the last of a repeated key wins, and null reads as
+// absent; a known key holding the wrong type is an error.
 func Load(data []byte) ([]Span, error) {
-	var tf traceFile
-	if err := json.Unmarshal(data, &tf); err != nil {
+	spans, _, err := scan(data)
+	if err != nil {
 		return nil, fmt.Errorf("traceanalysis: parse trace: %w", err)
 	}
-	return spansFromEvents(tf.TraceEvents), nil
+	return spans, nil
 }
 
 // LoadLenient parses a trace that may have been cut off mid-write — a
-// killed run, a full disk, a signal-flushed partial export. When the strict
-// parse fails it recovers every complete event from the valid prefix of the
-// traceEvents array and reports truncated=true; the error is non-nil only
-// when not even a prefix could be recovered.
+// killed run, a full disk, a signal-flushed partial export. Where Load
+// fails it keeps what the scanner had by then: the spans of every event
+// that closed before the malformed or missing byte, reported with
+// truncated=true. The error is non-nil only when not one whole event
+// preceded it.
 func LoadLenient(data []byte) (spans []Span, truncated bool, err error) {
-	if spans, err = Load(data); err == nil {
+	spans, events, err := scan(data)
+	switch {
+	case err == nil:
 		return spans, false, nil
+	case events == 0:
+		return nil, true, fmt.Errorf("traceanalysis: parse trace: %w", err)
 	}
-	// Token-stream the prefix: { "traceEvents": [ ev, ev, ... and keep
-	// every event that decodes whole; the first decode error is the
-	// truncation point.
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if !nextDelim(dec, '{') {
-		return nil, true, err
-	}
-	var evs []traceEvent
-scan:
-	for {
-		tok, terr := dec.Token()
-		if terr != nil {
-			break
-		}
-		key, ok := tok.(string)
-		if !ok {
-			break
-		}
-		if key != "traceEvents" {
-			var skip json.RawMessage
-			if dec.Decode(&skip) != nil {
-				break
-			}
-			continue
-		}
-		if !nextDelim(dec, '[') {
-			break
-		}
-		for dec.More() {
-			var e traceEvent
-			if dec.Decode(&e) != nil {
-				break scan
-			}
-			evs = append(evs, e)
-		}
-		break
-	}
-	if len(evs) == 0 {
-		return nil, true, err
-	}
-	return spansFromEvents(evs), true, nil
-}
-
-// nextDelim consumes one token and reports whether it is the delimiter.
-func nextDelim(dec *json.Decoder, d json.Delim) bool {
-	tok, err := dec.Token()
-	if err != nil {
-		return false
-	}
-	got, ok := tok.(json.Delim)
-	return ok && got == d
-}
-
-// spansFromEvents converts decoded trace events into analysis spans,
-// resolving the global track from thread_name metadata.
-func spansFromEvents(events []traceEvent) []Span {
-	globalTIDs := map[int]bool{}
-	for _, e := range events {
-		if e.Ph == "M" && e.Name == "thread_name" {
-			var args struct {
-				Name string `json:"name"`
-			}
-			if err := json.Unmarshal(e.Args, &args); err == nil && args.Name == "sim" {
-				globalTIDs[e.TID] = true
-			}
-		}
-	}
-	var out []Span
-	for _, e := range events {
-		if e.Ph != "X" {
-			continue
-		}
-		r := e.TID
-		if globalTIDs[e.TID] {
-			r = GlobalRank
-		}
-		out = append(out, Span{Rank: r, Cat: e.Cat, Name: e.Name,
-			StartS: e.TS / 1e6, DurS: e.Dur / 1e6})
-	}
-	return out
+	return spans, true, nil
 }
 
 // LoadFile reads and parses a trace file.
