@@ -2,27 +2,31 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-telemetry bench-json bench-sph bench-sph-smoke bench-gomaxprocs perfgate perfgate-smoke perfgate-ckpt chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
-# check is the CI gate: static vetting plus the full suite under the race
-# detector (includes the telemetry concurrency tests), the SPH engine's
-# race suite again at GOMAXPROCS 4 (race-sph: the default width of a small
-# box never splits its loops) and the energy stack's likewise (race-model:
-# whole runs in flight at once), a focused re-run of the energy
-# attribution/validation path so a regression there is named in the
-# failure output rather than buried in ./..., a short
-# SPH perf-harness smoke + pipeline-equivalence gate so the production
-# path can't silently drift from the closure-walk reference, a
-# seeded chaos smoke proving the fault/degradation layer keeps the
-# measurement contract and stays bit-identical per seed, the perf
-# regression sentinel (perfgate-smoke) diffing a short bench run against
-# the committed BENCH_sph.json baseline, the decision-ledger smoke
-# (events-smoke) proving a tuned run exports an auditable ledger, and the
-# recovery soak smoke (soak-smoke) proving seeded kill-and-recover runs
-# converge bit-identically plus the checkpoint-overhead self-gate.
-check: lint race race-sph race-model race-energy race-faults bench-sph-smoke chaos-smoke perfgate-smoke events-smoke soak-smoke
+# check is the CI gate. What runs, in order:
+#   lint         go vet and a gofmt cleanliness check.
+#   race         every package under the race detector at the machine's
+#                default width.
+#   race-sph     the SPH engine's packages again under -race at -cpu 4, a
+#   race-model   width that splits the parallel loops a 2-CPU box never
+#                splits, and the energy stack's likewise (whole runs in
+#                flight at once). The width is set with -cpu, a test
+#                flag and so part of go test's cache key; behind a
+#                GOMAXPROCS=4 prefix, which is not, go test replays
+#                `race`'s results as "(cached)" and nothing runs.
+#   chaos-smoke  a seeded fault sweep: the degradation layer keeps the
+#                measurement contract and replays bit-identically.
+#   events-smoke a tuned run whose exported decision ledger must audit.
+#   soak-smoke   a seeded kill-and-recover sweep that must converge
+#                bit-identically, and the cost-per-autosave bound.
+#   bench-smoke  the repository's one benchmark at smoke size: production
+#                pipeline vs the closure-walk oracle, a bit-identical
+#                checkpoint-resume twin, the Fig. 7 bands and the
+#                attribution pass; exits 1 on any "correct": false.
+check: lint race race-sph race-model chaos-smoke events-smoke soak-smoke bench-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -56,23 +60,19 @@ chaos-smoke:
 # the uninterrupted reference, plus a budget preemption + resume per seed.
 soak:
 	$(GO) run ./cmd/faultbench -soak -seeds 5 -kills 10 -ranks 4 -s 8 -q
-	$(GO) run ./cmd/perfgate -ckpt-overhead 1.0
 
 # Fast recovery gate for `check`: a short seeded kill-and-recover sweep and
-# the self-measured checkpoint-overhead gate (autosave-every 10 vs off).
+# the cost-per-autosave bound, which is a wall-clock figure and therefore
+# skips itself in the -race passes above; here it runs uninstrumented.
 soak-smoke:
 	$(GO) run ./cmd/faultbench -soak -seeds 2 -kills 4 -ranks 2 -s 6 -q
-	$(GO) run ./cmd/perfgate -ckpt-overhead 1.0
+	$(GO) test -run TestAutosaveCostPerSnapshot -count=1 ./internal/core/
 
 # The checkpoint/supervisor stack under the race detector: store
 # corruption/truncation handling, atomic writer, controller + watchdog +
 # supervisor, and the end-to-end crash/budget/stall recovery tests in core.
 race-recovery:
 	$(GO) test -race ./internal/recovery/ ./internal/atomicio/ ./internal/core/
-
-# Checkpoint-overhead self-gate at the default tolerance.
-perfgate-ckpt:
-	$(GO) run ./cmd/perfgate -ckpt-overhead 1.0
 
 # The sampler/attribution/three-way-validation stack exercised under the
 # race detector: the run's goroutine polls rank channels inside the rank
@@ -96,7 +96,7 @@ race:
 # The SPH engine's parallel loops, chunk pools and scatter accumulators
 # under the race detector at a width that splits them.
 race-sph:
-	GOMAXPROCS=4 $(GO) test -race ./internal/sph/ ./internal/neighbors/ ./internal/par/
+	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is
@@ -104,11 +104,25 @@ race-sph:
 # cache and Fig. 4/5 memo, the spec tables and hostOverheads — plus the
 # tuner's candidate sweep.
 race-model:
-	GOMAXPROCS=4 $(GO) test -race ./internal/par/ ./internal/mpisim/ ./internal/core/ \
+	$(GO) test -race -cpu 4 ./internal/par/ ./internal/mpisim/ ./internal/core/ \
 		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/
 
+# The repository's benchmark (benchmark/README.md has the protocol): all
+# four workloads at full size, then judged against the newest full-size
+# result committed under bench_results/ with the bounds of BENCHMARK.json.
+# Readings from different sessions differ by more than the timing bounds
+# on a shared machine — to judge a change, run parent and change
+# alternately in one session and -compare those.
 bench:
-	$(GO) test -bench . -benchmem ./...
+	$(GO) run ./benchmark -workload all
+	$(GO) run ./benchmark -compare \
+		"$$(git ls-files 'bench_results/pr*_change.json' | sort -V | tail -n 1)" \
+		.bench_build/benchmark-result.json
+
+# The same benchmark at tiny sizes, one repetition (~2 s): every
+# correctness check it makes before timing anything, none of the timing.
+bench-smoke:
+	$(GO) run ./benchmark -workload all -smoke
 
 # Telemetry cost: per-primitive ns/op, what an observed run's trace costs
 # at export (WriteJSON), in-process read-back (Spans) and re-load
@@ -121,56 +135,6 @@ bench-telemetry:
 	$(GO) test -run '^$$' -bench 'TraceWriteJSON|SpansReadBack' -benchtime 20x -count 3 ./internal/telemetry/
 	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 ./internal/traceanalysis/
 	$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
-
-# Sampler overhead (off / 10 Hz / 100 Hz) as machine-readable JSON for
-# regression tracking; the human-readable twin is
-# `go test -bench SamplerOverhead ./internal/core/`.
-bench-json:
-	$(GO) run ./cmd/energybench -out BENCH_energy.json
-
-# Per-pass SPH pipeline timing (closure-walk reference vs the production
-# neighbor list) at the tracked problem sizes, as machine-readable JSON.
-# This IS the perfgate baseline refresh: after an intentional perf change,
-# run `make bench-sph` (with the 1,2,4,8 sweep so the parallel-efficiency
-# fields stay populated) and commit the regenerated BENCH_sph.json
-# alongside the change that caused it.
-bench-sph:
-	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -gomaxprocs 1,2,4,8 -out BENCH_sph.json
-
-# GOMAXPROCS scaling sweep on the production pipeline: per-pass
-# parallel-efficiency fields (t1/(P·tP)) land in gomaxprocs_sweep of the
-# output. Writes to a scratch file so it never clobbers the baseline.
-bench-gomaxprocs:
-	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -gomaxprocs 1,2,4,8 -out /tmp/BENCH_sph_sweep.json
-
-# Perf regression sentinel at full fidelity: rerun the tracked bench and
-# diff it against the committed baseline with the default tolerances.
-perfgate:
-	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -out /tmp/BENCH_sph_fresh.json
-	$(GO) run ./cmd/perfgate -baseline BENCH_sph.json /tmp/BENCH_sph_fresh.json
-
-# Fast sentinel for `check`: relaxed -smoke tolerances — only gross
-# regressions (a pass's share of step time jumping, allocs blowing up,
-# skin reuse breaking) fail the gate. 4 measured steps so the ~4-step
-# rebuild cadence lands one rebuild inside the measured window.
-perfgate-smoke:
-	$(GO) run ./cmd/sphbench -sizes 20,30 -steps 4 -warmup 1 -out /tmp/BENCH_sph_smoke.json
-	$(GO) run ./cmd/perfgate -smoke -baseline BENCH_sph.json /tmp/BENCH_sph_smoke.json
-
-# Fast correctness/liveness gate for `check`: a tiny sphbench run (exercises
-# both pipelines end to end — the closure-walk reference and the production
-# neighbor list; the multi-step run gives the skin real refresh steps), the
-# production-vs-walk and skin-vs-rebuild equivalence tests plus the skin
-# and fold edge cases (drift threshold, overflow/ngmax fallback,
-# mid-interval restart, bit-identical opt-out) and the sequence fuzz seeds,
-# the zero-allocation regressions on the reusable grid build and the folded
-# passes, and a one-shot pass over the SPH micro-benchmarks.
-bench-sph-smoke:
-	$(GO) run ./cmd/sphbench -sizes 8 -steps 1 -warmup 1 -out /dev/null
-	$(GO) run ./cmd/sphbench -sizes 10 -steps 4 -warmup 1 -out /dev/null
-	$(GO) test -run 'NeighborListMatchesWalk|NgmaxOverflow|TabulatedKernelPipeline|Skin|Symmetric|PairPass|FuzzPipelineSequence' -count=1 ./internal/sph/
-	$(GO) test -run 'ZeroSteadyStateAllocs|QueryZeroAllocs|IntoMatchesBuildGrid|FuzzBuildGridIntoReuse' -count=1 ./internal/neighbors/
-	$(GO) test -run xxx -bench 'SPHStep$$' -benchtime 1x ./...
 
 # Decision-observability gate for `check`: a tiny tuned run with the event
 # ledger on, exported as JSONL, then audited — declog must exit 0 with at

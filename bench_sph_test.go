@@ -8,13 +8,23 @@ import (
 	"sphenergy/internal/sph"
 )
 
-// benchmarkSPHStep drives the real Go SPH solver for b.N full pipeline
-// steps on an nSide³ turbulent box, using the default neighbor-list
-// pipeline.
-func benchmarkSPHStep(b *testing.B, nSide int) {
-	benchmarkSPHStepMode(b, nSide, false)
+// BenchmarkSPHStep measures the real Go SPH solver's step throughput on the
+// production neighbor-list pipeline. It is also the profiling entry for
+// the engine: standard Go tooling attaches to it,
+//
+//	go test -run '^$' -bench 'SPHStep$' -cpuprofile cpu.pprof -memprofile heap.pprof .
+//
+// and `go tool pprof -top cpu.pprof` reads the result.
+func BenchmarkSPHStep(b *testing.B) {
+	benchmarkSPHStepMode(b, 16, false)
 }
 
+func BenchmarkSPHStepLarge(b *testing.B) {
+	benchmarkSPHStepMode(b, 24, false)
+}
+
+// benchmarkSPHStepMode drives the solver for b.N full pipeline steps on an
+// nSide³ turbulent box.
 func benchmarkSPHStepMode(b *testing.B, nSide int, closureWalk bool) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(nSide))
 	opt.NgTarget = 48
@@ -39,9 +49,8 @@ func benchmarkSPHStepMode(b *testing.B, nSide int, closureWalk bool) {
 }
 
 // BenchmarkSPHStepWalk measures the closure-walk reference pipeline at
-// BenchmarkSPHStep's size; the ratio of the two is the tracked
-// neighbor-list speedup (BENCH_sph.json records the same comparison with
-// per-pass resolution).
+// BenchmarkSPHStep's size; the ratio of the two is the neighbor-list
+// speedup.
 func BenchmarkSPHStepWalk(b *testing.B) {
 	benchmarkSPHStepMode(b, 16, true)
 }

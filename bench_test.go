@@ -1,10 +1,9 @@
 package sphenergy
 
-// Benchmark harness: one benchmark per table/figure of the paper plus
-// ablation benches for the design choices called out in DESIGN.md §5.
-// Custom metrics attach the headline numbers of each experiment so that
-// `go test -bench . -benchmem` regenerates the paper's rows; the full
-// printed tables come from `go run ./cmd/experiments`.
+// Ablation benchmarks for the design choices called out in DESIGN.md §5;
+// each attaches its headline ratio as a custom metric. Per-experiment and
+// per-layer timings are `go run ./benchmark`'s (experiments.*_ms,
+// core.rank_steps_per_s, gpusim.execute_ns), not this file's.
 
 import (
 	"fmt"
@@ -12,158 +11,10 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
-	"sphenergy/internal/experiments"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/tuner"
 )
-
-// benchScale keeps benchmark iterations fast; the normalized shapes the
-// metrics report are step-count invariant.
-const benchScale = 0.05
-
-func BenchmarkTableI(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.TableI().Render()
-	}
-	b.ReportMetric(float64(len(out)), "render_bytes")
-}
-
-func BenchmarkFig1(b *testing.B) {
-	var pts int
-	for i := 0; i < b.N; i++ {
-		pts = len(experiments.Fig1().Points)
-	}
-	b.ReportMetric(float64(pts), "implementations")
-}
-
-func BenchmarkFig2(b *testing.B) {
-	var d *experiments.Fig2Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig2(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(d.BestFor(core.FnMomentum)), "momentum_best_mhz")
-	b.ReportMetric(float64(d.BestFor(core.FnXMass)), "xmass_best_mhz")
-}
-
-func BenchmarkFig3(b *testing.B) {
-	var d *experiments.Fig3Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig3(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*d.Series[0].MaxRelativeGap(), "cscs_max_gap_pct")
-	b.ReportMetric(100*d.Series[1].MaxRelativeGap(), "lumi_max_gap_pct")
-}
-
-func BenchmarkFig4(b *testing.B) {
-	var d *experiments.Fig4Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig4(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, br := range d.Breakdowns {
-		b.ReportMetric(100*br.GPUShare(), br.Label+"_gpu_pct")
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	var d *experiments.Fig5Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig5(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*d.ShareOf("LUMI-Turb", core.FnMomentum), "lumi_momentum_pct")
-	b.ReportMetric(100*d.ShareOf("CSCS-A100-Turb", core.FnMomentum), "cscs_momentum_pct")
-}
-
-func BenchmarkFig6(b *testing.B) {
-	var d *experiments.Fig6Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig6(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if s, ok := d.SeriesFor(200); ok {
-		b.ReportMetric(float64(s.BestMHz), "best_mhz_200cubed")
-		b.ReportMetric(s.Points[len(s.Points)-1].EDPNorm, "edp_200cubed_at_1005")
-	}
-	if s, ok := d.SeriesFor(450); ok {
-		b.ReportMetric(s.Points[len(s.Points)-1].EDPNorm, "edp_450cubed_at_1005")
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	var d *experiments.Fig7Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig7(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if md, ok := d.Row("mandyn"); ok {
-		b.ReportMetric(md.TimeNorm, "mandyn_time_ratio")
-		b.ReportMetric(md.EnergyNorm, "mandyn_energy_ratio")
-		b.ReportMetric(md.EDPNorm, "mandyn_edp_ratio")
-	}
-	if st, ok := d.Row("static-1005"); ok {
-		b.ReportMetric(st.EDPNorm, "static1005_edp_ratio")
-	}
-	if dv, ok := d.Row("dvfs"); ok {
-		b.ReportMetric(dv.EnergyNorm, "dvfs_energy_ratio")
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	var d *experiments.Fig8Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig8(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if c, ok := d.CellFor(core.FnMomentum, 1005); ok {
-		b.ReportMetric(c.TimeNorm, "momentum_time_at_1005")
-		b.ReportMetric(c.EnergyNorm, "momentum_energy_at_1005")
-	}
-	if c, ok := d.CellFor(core.FnXMass, 1005); ok {
-		b.ReportMetric(c.EDPNorm, "xmass_edp_at_1005")
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	var d *experiments.Fig9Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.Fig9(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(d.MeanClockMHz[core.FnMomentum], "momentum_mean_mhz")
-	b.ReportMetric(d.MeanClockMHz[core.FnDomainDecomp], "domaindecomp_mean_mhz")
-	b.ReportMetric(float64(d.MinClockMHz), "min_mhz")
-}
-
-// --- Ablation benches (DESIGN.md §5) ---
 
 // BenchmarkAblationBoostHold varies the governor's post-kernel boost-hold
 // window, the parameter behind the DVFS energy penalty of Fig. 7.
@@ -278,76 +129,6 @@ func BenchmarkAblationHostOverhead(b *testing.B) {
 			}
 			b.ReportMetric(edp, "edp_1005_ratio_200cubed")
 		})
-	}
-}
-
-// BenchmarkSPHStep measures the real Go SPH solver's step throughput — the
-// computational substrate itself, not the virtual-time model.
-func BenchmarkSPHStep(b *testing.B) {
-	benchmarkSPHStep(b, 16)
-}
-
-func BenchmarkSPHStepLarge(b *testing.B) {
-	benchmarkSPHStep(b, 24)
-}
-
-// BenchmarkGPUSimExecute measures the simulator's kernel-execution
-// overhead (the cost of one virtual kernel launch).
-func BenchmarkGPUSimExecute(b *testing.B) {
-	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	dev.SetApplicationClocks(0, 1410)
-	k := gpusim.KernelDesc{Name: "bench", Items: 91e6, FlopsPerItem: 25000, BytesPerItem: 5000, EffFactor: 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.Execute(k)
-	}
-}
-
-// BenchmarkRunnerStep measures the full instrumented pipeline cost per
-// simulated time-step (all functions, one rank).
-func BenchmarkRunnerStep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := core.Run(core.Config{
-			System: cluster.MiniHPC(), Ranks: 1, Sim: core.Turbulence,
-			ParticlesPerRank: 450 * 450 * 450, Steps: 10,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtAMD reports the §V future-work experiment: ManDyn on AMD.
-func BenchmarkExtAMD(b *testing.B) {
-	var d *experiments.ExtAMDData
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.ExtAMD(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if md, ok := d.Row("mandyn"); ok {
-		b.ReportMetric(md.TimeNorm, "mandyn_time_ratio")
-		b.ReportMetric(md.EnergyNorm, "mandyn_energy_ratio")
-	}
-}
-
-// BenchmarkExtPowerCap reports the frequency-vs-power-cap comparison.
-func BenchmarkExtPowerCap(b *testing.B) {
-	var d *experiments.ExtPowerCapData
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = experiments.ExtPowerCap(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if md, ok := d.Row("mandyn"); ok {
-		b.ReportMetric(md.EDPNorm, "mandyn_edp_ratio")
-	}
-	if pc, ok := d.Row("powercap-190"); ok {
-		b.ReportMetric(pc.EDPNorm, "powercap190_edp_ratio")
 	}
 }
 

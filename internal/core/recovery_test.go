@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -322,6 +323,79 @@ func TestSupervisedRunSurvivesRankPanic(t *testing.T) {
 	}
 	if modelRecord(t, res) != modelRecord(t, ref) {
 		t.Error("model record after the panic differs from the uninterrupted run's")
+	}
+}
+
+// raceDetectorOn reports whether this test binary was built with -race.
+func raceDetectorOn() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestAutosaveCostPerSnapshot bounds what durability costs in absolute
+// terms: the same small run timed plain and supervised with an autosave
+// every 10 steps, best of 3 each, must differ by at most 6 ms per snapshot
+// written (≈ 1 ms measured: encoding, fsync, rename, rotation). The
+// plain run is under a millisecond of virtual-time bookkeeping, so the
+// supervised/plain ratio reads +700–950 % and says nothing; the cost per
+// snapshot is the quantity a regression in the encoder or the store's
+// write path moves.
+func TestAutosaveCostPerSnapshot(t *testing.T) {
+	if raceDetectorOn() {
+		t.Skip("race instrumentation reads 3-6 ms per snapshot; the bound is for plain builds (go test, make soak-smoke)")
+	}
+	const perSnapshot = 6 * time.Millisecond
+	cfg := Config{
+		System:           cluster.MiniHPC(),
+		Ranks:            2,
+		Sim:              Turbulence,
+		ParticlesPerRank: 1e6,
+		Steps:            80,
+		Seed:             5,
+	}
+	bestOf3 := func(run func() error) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	plain := bestOf3(func() error {
+		_, err := Run(cfg)
+		return err
+	})
+	snapshots := 0
+	supervised := bestOf3(func() error {
+		// A fresh store per rep: resuming a finished run is an instant
+		// no-op and would measure nothing.
+		res, _, err := RunSupervised(cfg, recovery.Config{Dir: t.TempDir(), AutosaveEvery: 10})
+		if err == nil {
+			snapshots = res.Recovery.Checkpoints
+		}
+		return err
+	})
+	if snapshots < cfg.Steps/10 {
+		t.Fatalf("supervised run wrote %d snapshots, want at least %d", snapshots, cfg.Steps/10)
+	}
+	cost := (supervised - plain) / time.Duration(snapshots)
+	t.Logf("plain %v, supervised %v, %d snapshots: %v per snapshot", plain, supervised, snapshots, cost)
+	if cost > perSnapshot {
+		t.Errorf("autosave costs %v per snapshot (%v supervised vs %v plain over %d snapshots), want ≤ %v",
+			cost, supervised, plain, snapshots, perSnapshot)
 	}
 }
 

@@ -249,7 +249,6 @@ func Evrard(spec EvrardSpec) (*sph.Particles, sph.Options) {
 	box := sfc.NewCube(-2*spec.R, 2*spec.R)
 	opt := sph.DefaultOptions(box)
 	opt.EOS = sph.IdealGas{Gamma: 5.0 / 3.0}
-	opt.Gravity = true
 	opt.GravG = 1
 	opt.GravEps = 0.05 * spec.R / math.Cbrt(float64(N)/1000)
 	return p, opt

@@ -101,10 +101,7 @@ func TestSolenoidalFieldPeriodic(t *testing.T) {
 }
 
 func TestEvrardDensityProfile(t *testing.T) {
-	p, opt := Evrard(DefaultEvrard(20))
-	if !opt.Gravity {
-		t.Error("Evrard must enable gravity")
-	}
+	p, _ := Evrard(DefaultEvrard(20))
 	// Bin particles radially; mass in shell / shell volume should follow
 	// rho ~ 1/r, i.e. r*rho ~ const = M/(2 pi R^2).
 	const bins = 5

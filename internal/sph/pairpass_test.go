@@ -397,17 +397,23 @@ func TestPairPassWithoutXMassWalks(t *testing.T) {
 // allocation. A small constant number of allocations per sweep remains —
 // escaping closure headers in the par layer — so the test asserts the
 // count is tiny AND independent of problem size (no per-particle or
-// per-pair allocation).
+// per-pair allocation). The second input is a whole RunStep on a refresh
+// step, which adds the one pass the sweep leaves out (FindNeighbors from
+// the cached skin candidates) plus Timestep and UpdateQuantities.
 func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	sweepAllocs := func(nside int) float64 {
+	warm := func(nside int) *sph.State {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(nside))
 		opt.NgTarget = 32
 		st := sph.NewState(p, opt)
 		for s := 0; s < 2; s++ {
 			st.RunStep(nil)
 		}
+		return st
+	}
+	sweepAllocs := func(nside int) float64 {
+		st := warm(nside)
 		st.FindNeighbors()
 		return testing.AllocsPerRun(5, func() {
 			st.XMass()
@@ -418,11 +424,44 @@ func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 			st.MomentumEnergy()
 		})
 	}
-	small, large := sweepAllocs(8), sweepAllocs(12)
-	if small != large {
-		t.Errorf("steady-state sweep allocations scale with problem size: %.0f at 8³ vs %.0f at 12³", small, large)
+	// refreshStepAllocs is the fewest mallocs any of the next refresh steps
+	// performs: steps differ in kind (a rebuild may reorder and regrow), so
+	// each is counted on its own and the rebuilds are left out.
+	refreshStepAllocs := func(nside int) float64 {
+		st := warm(nside)
+		least := math.Inf(1)
+		var ms runtime.MemStats
+		for s := 0; s < 6; s++ {
+			refreshes := st.NbrStats.Refreshes
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			st.RunStep(nil)
+			runtime.ReadMemStats(&ms)
+			if st.NbrStats.Refreshes > refreshes {
+				least = math.Min(least, float64(ms.Mallocs-before))
+			}
+		}
+		if math.IsInf(least, 1) {
+			t.Fatalf("no refresh step among 6 at %d³", nside)
+		}
+		return least
 	}
-	if large > 24 {
-		t.Errorf("steady-state sweep allocates %.0f times, want a small constant (≤ 24 closure headers)", large)
+	for _, in := range []struct {
+		name    string
+		allocs  func(nside int) float64
+		ceiling float64
+	}{
+		{"pass sweep", sweepAllocs, 24}, // closure headers
+		// The retired perf gate's smoke allowance on allocs per step,
+		// 2×baseline + 256 with the baseline at 176 (30³, 2 CPUs).
+		{"refresh RunStep", refreshStepAllocs, 2*176 + 256},
+	} {
+		small, large := in.allocs(8), in.allocs(12)
+		if small != large {
+			t.Errorf("%s: steady-state allocations scale with problem size: %.0f at 8³ vs %.0f at 12³", in.name, small, large)
+		}
+		if large > in.ceiling {
+			t.Errorf("%s: steady state allocates %.0f times, want a small constant (≤ %.0f)", in.name, large, in.ceiling)
+		}
 	}
 }

@@ -217,8 +217,8 @@ type Options struct {
 	// MaxDtGrowth bounds dt growth between steps.
 	MaxDtGrowth float64
 
-	// Gravity enables self-gravity (used by Evrard collapse).
-	Gravity   bool
+	// Self-gravity parameters for drivers that pass RunStep a tree-gravity
+	// extraAccel closure (Evrard collapse).
 	GravG     float64 // gravitational constant in simulation units
 	GravEps   float64 // softening length
 	GravTheta float64 // Barnes-Hut opening angle
@@ -228,11 +228,6 @@ type Options struct {
 	// seconds. Nil skips the timing entirely — the uninstrumented step pays
 	// only a nil check per pass.
 	PassHook func(pass string, seconds float64)
-
-	// WrapPass, when non-nil, wraps each pass's execution in RunStep; it
-	// must invoke run exactly once. Used to attach pprof labels so CPU
-	// profile samples group per pass.
-	WrapPass func(pass string, run func())
 
 	// NeighborEvent, when non-nil, observes every FindNeighbors outcome on
 	// the production path with the step index and the kind: "init", "cadence",

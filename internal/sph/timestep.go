@@ -29,24 +29,16 @@ var PassNames = []string{
 	PassAVSwitches, PassMomentumEnergy, PassTimestep, PassUpdate,
 }
 
-// pass runs one pipeline pass through the optional observability hooks:
-// WrapPass (outermost, pprof labels) and PassHook (wall-clock timing).
-// With both hooks nil it degenerates to a direct call.
+// pass runs one pipeline pass, timing it for PassHook when one is set.
 func (s *State) pass(name string, fn func()) {
-	run := fn
-	if h := s.Opt.PassHook; h != nil {
-		inner := run
-		run = func() {
-			t0 := time.Now()
-			inner()
-			h(name, time.Since(t0).Seconds())
-		}
-	}
-	if w := s.Opt.WrapPass; w != nil {
-		w(name, run)
+	h := s.Opt.PassHook
+	if h == nil {
+		fn()
 		return
 	}
-	run()
+	t0 := time.Now()
+	fn()
+	h(name, time.Since(t0).Seconds())
 }
 
 // Timestep computes the next CFL-limited timestep:
