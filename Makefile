@@ -93,10 +93,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The SPH engine's parallel loops, chunk pools and scatter accumulators
-# under the race detector at a width that splits them.
+# The SPH engine's parallel loops, chunk pools and scatter accumulators, and
+# the gravity tree's group hand-out and per-worker lists, under the race
+# detector at a width that splits them.
 race-sph:
-	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/
+	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is

@@ -3,7 +3,6 @@ package sphenergy
 import (
 	"testing"
 
-	"sphenergy/internal/gravity"
 	"sphenergy/internal/initcond"
 	"sphenergy/internal/sph"
 )
@@ -53,16 +52,4 @@ func benchmarkSPHStepMode(b *testing.B, nSide int, closureWalk bool) {
 // speedup.
 func BenchmarkSPHStepWalk(b *testing.B) {
 	benchmarkSPHStepMode(b, 16, true)
-}
-
-// BenchmarkGravityTree measures Barnes-Hut tree build + traversal.
-func BenchmarkGravityTree(b *testing.B) {
-	p, opt := initcond.Evrard(initcond.DefaultEvrard(20))
-	pot := make([]float64, p.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree := gravity.Build(p.X, p.Y, p.Z, p.M, opt.GravTheta, opt.GravEps, opt.GravG)
-		tree.AccelerationsInto(p.AX, p.AY, p.AZ, pot)
-	}
-	b.ReportMetric(float64(p.N), "particles")
 }
