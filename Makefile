@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -136,6 +136,14 @@ bench-telemetry:
 	$(GO) test -run '^$$' -bench 'TraceWriteJSON|SpansReadBack' -benchtime 20x -count 3 ./internal/telemetry/
 	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 ./internal/traceanalysis/
 	$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
+
+# FindNeighbors alone, by kind of step, on a jittered 30³ lattice: a
+# rebuild (candidate gather + row pass) and a refresh (row pass), each with
+# what it does per particle — distance tests and contiguous runs of the
+# gather, candidates streamed. Those counts repeat exactly; the times do not
+# on a shared machine — compare minimums across the -count runs.
+bench-sph:
+	$(GO) test -run '^$$' -bench FindNeighbors -benchtime 10x -count 3 ./internal/sph/
 
 # Decision-observability gate for `check`: a tiny tuned run with the event
 # ledger on, exported as JSONL, then audited — declog must exit 0 with at

@@ -67,3 +67,22 @@ func BenchmarkTreeQuery(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "neighbors/query")
 }
+
+// BenchmarkGather is one candidate gather per particle of a 30³ point set
+// at the engine's proportions: radius 3.4 h with 64 neighbors inside 2 h,
+// cells of half the radius.
+func BenchmarkGather(b *testing.B) {
+	box, x, y, z := benchPoints(27000)
+	const radius = 0.14
+	g := BuildGrid(box, x, y, z, radius/2)
+	var c Candidates
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c = Candidates{Idx: c.Idx[:0]}
+		for p := range x {
+			g.Gather(&c, p, radius)
+		}
+	}
+	b.ReportMetric(float64(c.Tests)/float64(len(x)), "tests/particle")
+	b.ReportMetric(float64(len(c.Idx))/float64(len(x)), "cand/particle")
+}

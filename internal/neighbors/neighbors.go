@@ -8,6 +8,7 @@ package neighbors
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"sphenergy/internal/par"
@@ -249,138 +250,130 @@ func wrapCell(c, n int, periodic bool) int {
 	return c
 }
 
-// minImage returns the minimum-image displacement d for a periodic dimension
-// of length l.
-func minImage(d, l float64, periodic bool) float64 {
-	if !periodic {
-		return d
-	}
-	if d > l/2 {
+// Fold returns the minimum-image displacement for a displacement d along an
+// axis of length l that folds beyond half (see HalfFold). It is the exact
+// arithmetic of every displacement the grid computes, exported so callers
+// refreshing cached pair lists reproduce them bit for bit.
+func Fold(d, half, l float64) float64 {
+	if d > half {
 		return d - l
 	}
-	if d < -l/2 {
+	if d < -half {
 		return d + l
 	}
 	return d
 }
 
+// HalfFold returns the displacement beyond which an axis of length l folds:
+// half the length if it is periodic, never (+Inf) if it is open.
+func HalfFold(l float64, periodic bool) float64 {
+	if periodic {
+		return l / 2
+	}
+	return math.Inf(1)
+}
+
 // MinImage returns the minimum-image displacement d for a (possibly
-// periodic) dimension of length l. It is the exact arithmetic the grid's
-// Displacement uses, exported so callers refreshing cached pair lists
-// reproduce grid-built displacements bit for bit.
+// periodic) dimension of length l.
 func MinImage(d, l float64, periodic bool) float64 {
-	return minImage(d, l, periodic)
+	return Fold(d, HalfFold(l, periodic), l)
 }
 
 // Displacement returns the minimum-image displacement vector from particle j
 // to particle i and its squared norm.
 func (g *Grid) Displacement(i, j int) (dx, dy, dz, r2 float64) {
-	dx = minImage(g.x[i]-g.x[j], g.box.Lx(), g.box.PBCx)
-	dy = minImage(g.y[i]-g.y[j], g.box.Ly(), g.box.PBCy)
-	dz = minImage(g.z[i]-g.z[j], g.box.Lz(), g.box.PBCz)
+	dx = MinImage(g.x[i]-g.x[j], g.box.Lx(), g.box.PBCx)
+	dy = MinImage(g.y[i]-g.y[j], g.box.Ly(), g.box.PBCy)
+	dz = MinImage(g.z[i]-g.z[j], g.box.Lz(), g.box.PBCz)
 	r2 = dx*dx + dy*dy + dz*dz
 	return
 }
 
 // axisCell is one cell coordinate of a query's scan window, annotated with
 // the squared minimum distance from the query coordinate to the cell's slab
-// along that axis (0 for the query's own cell).
+// along that axis (0 for the query's own cell) and, in a window narrower
+// than a periodic axis, with the image the window reaches the cell in: its
+// particles stand image box lengths from their coordinates.
 type axisCell struct {
-	c  int32
-	d2 float64
+	c, image int32
+	d2       float64
 }
 
-// axisBufEntries sizes the stack-allocated scan windows of ForEachNeighbor:
-// it covers half-widths up to 16 (and whole axes up to 33 cells) without
-// touching the heap; SPH queries use half-width 1.
+// axisBufEntries sizes the stack-allocated scan windows of eachRun: it
+// covers half-widths up to 16 (and whole axes up to 33 cells) without
+// touching the heap; SPH queries use half-widths 1 and 2.
 const axisBufEntries = 33
 
-// ForEachNeighbor invokes fn for every particle j != i within radius of
-// particle i, passing the displacement (xi - xj) and distance. The maximum
-// useful radius is the one the grid was built for; larger radii miss
-// neighbors.
-//
-// Cells whose nearest point along the scan window already lies beyond the
-// radius are skipped wholesale (cell-distance pruning); the surviving cells
-// are visited in the same order as the unpruned scan, so iteration order —
-// and therefore downstream floating-point summation order — is unchanged.
-func (g *Grid) ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz, dist float64)) {
-	r2max := radius * radius
+// eachRun walks the cells a query of the given radius around particle i
+// must test and hands them to fn as contiguous runs of order, each with the
+// periodic image per axis its window reaches it in (see axisCell). The scan
+// goes z, then y, then x as axisScan lists each window; cells whose nearest
+// point already lies beyond the radius are skipped wholesale, and since
+// cell indices are x-fastest, the x-adjacent cells that remain in one
+// (z, y) cell row are one run (two where a periodic window wraps). Within a
+// cell order ascends, so the iteration order of every query — and with it
+// downstream floating-point summation order — is a function of the grid
+// and the radius alone.
+func (g *Grid) eachRun(i int, radius float64, fn func(run []int32, ix, iy, iz int32)) {
 	// Slab distances carry a few ulps of rounding; widen the pruning bound
 	// so a cell can never be rejected for a pair the unpruned scan admits.
-	r2prune := r2max * (1 + 0x1p-40)
+	r2prune := radius * radius * (1 + 0x1p-40)
 	px, py, pz := g.x[i], g.y[i], g.z[i]
 	cx := int((px - g.box.Xmin) / g.cellSize[0])
 	cy := int((py - g.box.Ymin) / g.cellSize[1])
 	cz := int((pz - g.box.Zmin) / g.cellSize[2])
-	// Number of cells to scan per direction: radius may span multiple cells
-	// when it exceeds the cell size (possible only if caller exceeded
-	// maxRadius; we still handle it correctly up to the scan width).
 	var xb, yb, zb [axisBufEntries]axisCell
 	xs := axisScan(xb[:0], cx, scanWidth(radius, g.cellSize[0]), g.nx, g.box.PBCx, px, g.box.Xmin, g.cellSize[0])
 	ys := axisScan(yb[:0], cy, scanWidth(radius, g.cellSize[1]), g.ny, g.box.PBCy, py, g.box.Ymin, g.cellSize[1])
 	zs := axisScan(zb[:0], cz, scanWidth(radius, g.cellSize[2]), g.nz, g.box.PBCz, pz, g.box.Zmin, g.cellSize[2])
-	// The point loop below is the hottest code in the SPH step (every list
-	// build and candidate gather funnels through it), so the box lengths,
-	// half-lengths, and coordinate slices are hoisted and the minimum-image
-	// fold is inlined — the arithmetic is exactly Displacement's, term for
-	// term, keeping admitted pairs and their stored values bit-identical.
-	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
-	hx, hy, hz := lx/2, ly/2, lz/2
-	pbx, pby, pbz := g.box.PBCx, g.box.PBCy, g.box.PBCz
-	gx, gy, gz := g.x, g.y, g.z
-	cellOff, order := g.cellOff, g.order
 	for _, zc := range zs {
-		if zc.d2 > r2prune {
-			continue
-		}
 		for _, yc := range ys {
 			dzy := zc.d2 + yc.d2
-			if dzy > r2prune {
-				continue
+			// Slab distance grows away from the query's cell, so the x
+			// cells within reach are one window of xs.
+			lo, hi := 0, len(xs)
+			for lo < hi && dzy+xs[lo].d2 > r2prune {
+				lo++
 			}
-			for _, xc := range xs {
-				if dzy+xc.d2 > r2prune {
-					continue
+			for lo < hi && dzy+xs[hi-1].d2 > r2prune {
+				hi--
+			}
+			row := g.cellIndex(0, int(yc.c), int(zc.c))
+			for lo < hi {
+				end := lo + 1
+				for end < hi && xs[end].c == xs[end-1].c+1 {
+					end++
 				}
-				c := g.cellIndex(int(xc.c), int(yc.c), int(zc.c))
-				for k := cellOff[c]; k < cellOff[c+1]; k++ {
-					j := int(order[k])
-					if j == i {
-						continue
-					}
-					dx := px - gx[j]
-					if pbx {
-						if dx > hx {
-							dx -= lx
-						} else if dx < -hx {
-							dx += lx
-						}
-					}
-					dy := py - gy[j]
-					if pby {
-						if dy > hy {
-							dy -= ly
-						} else if dy < -hy {
-							dy += ly
-						}
-					}
-					dz := pz - gz[j]
-					if pbz {
-						if dz > hz {
-							dz -= lz
-						} else if dz < -hz {
-							dz += lz
-						}
-					}
-					r2 := dx*dx + dy*dy + dz*dz
-					if r2 < r2max {
-						fn(j, dx, dy, dz, math.Sqrt(r2))
-					}
-				}
+				fn(g.order[g.cellOff[row+int(xs[lo].c)]:g.cellOff[row+int(xs[end-1].c)+1]], xs[lo].image, yc.image, zc.image)
+				lo = end
 			}
 		}
 	}
+}
+
+// ForEachNeighbor invokes fn for every particle j != i within radius of
+// particle i, passing the displacement (xi - xj) and distance, in eachRun's
+// order. The maximum useful radius is the one the grid was built for;
+// larger radii miss neighbors.
+func (g *Grid) ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz, dist float64)) {
+	r2max := radius * radius
+	px, py, pz := g.x[i], g.y[i], g.z[i]
+	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
+	hx, hy, hz := HalfFold(lx, g.box.PBCx), HalfFold(ly, g.box.PBCy), HalfFold(lz, g.box.PBCz)
+	gx, gy, gz := g.x, g.y, g.z
+	g.eachRun(i, radius, func(run []int32, _, _, _ int32) {
+		for _, j32 := range run {
+			j := int(j32)
+			if j == i {
+				continue
+			}
+			dx, dy, dz := Fold(px-gx[j], hx, lx), Fold(py-gy[j], hy, ly), Fold(pz-gz[j], hz, lz)
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 < r2max {
+				fn(j, dx, dy, dz, math.Sqrt(r2))
+			}
+		}
+	})
 }
 
 // axisScan returns the distinct cell coordinates to scan along one axis for
@@ -420,9 +413,76 @@ func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) 
 		if dist < 0 {
 			dist = 0 // query sits inside or on the edge (rounding)
 		}
-		buf = append(buf, axisCell{c: int32(w), d2: dist * dist})
+		buf = append(buf, axisCell{c: int32(w), image: int32((c + d - w) / n), d2: dist * dist})
 	}
 	return buf
+}
+
+// Candidates is what Grid.Gather fills: the indices found so far, query
+// after query, and exact counts of the work its runs took.
+type Candidates struct {
+	Idx   []int32
+	Tests int // distance tests
+	Runs  int // contiguous runs of the grid's particle order walked
+}
+
+// Gather appends to c.Idx every particle j != i within radius of particle
+// i: the set ForEachNeighbor visits, by the same minimum-image r² test, in
+// the same order. It is made for grids finer than the radius, where a run
+// spans several cells: the run knows its periodic image from the window
+// instead of folding every displacement, and inside it the index is written
+// unconditionally and kept by advancing the cursor — no callback per
+// particle, no append, no square root.
+func (g *Grid) Gather(c *Candidates, i int, radius float64) {
+	sx, sy, sz := scanWidth(radius, g.cellSize[0]), scanWidth(radius, g.cellSize[1]), scanWidth(radius, g.cellSize[2])
+	if g.box.PBCx && 2*sx+1 >= g.nx || g.box.PBCy && 2*sy+1 >= g.ny || g.box.PBCz && 2*sz+1 >= g.nz {
+		// A window as wide as a periodic axis lists the axis's cells once,
+		// images unknown: boxes that few cells wide take the callback walk.
+		g.ForEachNeighbor(i, radius, func(j int, _, _, _, _ float64) { c.Idx = append(c.Idx, int32(j)) })
+		return
+	}
+	q := gatherQuery{x: g.x, y: g.y, z: g.z, px: g.x[i], py: g.y[i], pz: g.z[i], self: int32(i), r2max: radius * radius}
+	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
+	g.eachRun(i, radius, func(run []int32, ix, iy, iz int32) {
+		q.sx, q.sy, q.sz = -float64(ix)*lx, -float64(iy)*ly, -float64(iz)*lz
+		c.Runs++
+		c.Tests += len(run)
+		c.Idx = q.keep(slices.Grow(c.Idx, len(run)), run)
+	})
+}
+
+// gatherQuery is what Gather's distance test reads, kept apart from the
+// cell walk so that the loop over a run holds it in registers.
+type gatherQuery struct {
+	x, y, z    []float64
+	px, py, pz float64
+	sx, sy, sz float64 // the run's image: 0 or ∓ a box length per axis
+	r2max      float64
+	self       int32
+}
+
+// keep appends to idx the members of run within the query radius, self
+// excepted; idx has room for all of run. Adding the image's box length is
+// the minimum-image fold of ForEachNeighbor, term for term, on every pair
+// either keeps.
+func (q *gatherQuery) keep(idx, run []int32) []int32 {
+	x, y, z, r2max, self := q.x, q.y, q.z, q.r2max, q.self
+	px, py, pz, sx, sy, sz := q.px, q.py, q.pz, q.sx, q.sy, q.sz
+	w := len(idx)
+	idx = idx[:w+len(run)]
+	for _, j := range run {
+		dx, dy, dz := px-x[j]+sx, py-y[j]+sy, pz-z[j]+sz
+		idx[w] = j
+		in := 0
+		if dx*dx+dy*dy+dz*dz < r2max {
+			in = 1
+		}
+		if j == self {
+			in = 0
+		}
+		w += in
+	}
+	return idx[:w]
 }
 
 func scanWidth(radius, cell float64) int {

@@ -18,9 +18,9 @@ func bruteNeighbors(box sfc.Box, x, y, z []float64, i int, radius float64) []int
 		if j == i {
 			continue
 		}
-		dx := minImage(x[i]-x[j], box.Lx(), box.PBCx)
-		dy := minImage(y[i]-y[j], box.Ly(), box.PBCy)
-		dz := minImage(z[i]-z[j], box.Lz(), box.PBCz)
+		dx := MinImage(x[i]-x[j], box.Lx(), box.PBCx)
+		dy := MinImage(y[i]-y[j], box.Ly(), box.PBCy)
+		dz := MinImage(z[i]-z[j], box.Lz(), box.PBCz)
 		if dx*dx+dy*dy+dz*dz < r2 {
 			out = append(out, j)
 		}

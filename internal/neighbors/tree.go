@@ -78,9 +78,9 @@ func (t *TreeSearch) ForEachNeighbor(i int, radius float64, fn func(j int, dx, d
 			if j == i {
 				continue
 			}
-			dx := minImage(cx-t.x[j], t.box.Lx(), t.box.PBCx)
-			dy := minImage(cy-t.y[j], t.box.Ly(), t.box.PBCy)
-			dz := minImage(cz-t.z[j], t.box.Lz(), t.box.PBCz)
+			dx := MinImage(cx-t.x[j], t.box.Lx(), t.box.PBCx)
+			dy := MinImage(cy-t.y[j], t.box.Ly(), t.box.PBCy)
+			dz := MinImage(cz-t.z[j], t.box.Lz(), t.box.PBCz)
 			r2 := dx*dx + dy*dy + dz*dz
 			if r2 < r2max {
 				fn(j, dx, dy, dz, math.Sqrt(r2))

@@ -19,6 +19,11 @@ import (
 // self-gravity the same way integration_test.go's Evrard run does.
 func stepManual(st *sph.State, withGravity bool, pot []float64) {
 	st.FindNeighbors()
+	finishStep(st, withGravity, pot)
+}
+
+// finishStep is the rest of a step whose FindNeighbors has run.
+func finishStep(st *sph.State, withGravity bool, pot []float64) {
 	st.XMass()
 	st.NormalizationGradh()
 	st.EquationOfState()

@@ -2,16 +2,19 @@ package sph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"sphenergy/internal/neighbors"
 	"sphenergy/internal/par"
 )
 
 // hGrowthCap bounds per-step smoothing-length growth (the 1.3 clamp of the
-// h update). The neighbor grid and the candidate-gather radius are sized
-// for it, so one traversal covers both the old-h neighbor count and the
-// post-update support.
+// h update). The candidate-gather radius is sized for it, so the candidates
+// of a rebuild cover both the old-h neighbor count and the post-update
+// support.
 const hGrowthCap = 1.3
 
 // NeighborList is the neighbor structure of the production pipeline,
@@ -23,7 +26,9 @@ const hGrowthCap = 1.3
 type NeighborList struct {
 	// Pair* is the folded pair list. A particle's directed row holds every
 	// j != i with |x_i - x_j| < 2*h_i after the step's smoothing-length
-	// update, in grid traversal order, capped at Ngmax. Every unordered
+	// update, in the order of i's candidate segment — the traversal order of
+	// the candidate gather (neighbors.Grid.Gather) at the reference
+	// positions — and truncated at Ngmax in that order. Every unordered
 	// pair that some row holds appears here exactly once, in the segment
 	// [PairOffsets[a], PairOffsets[a+1]) of the endpoint a that owns it —
 	// the smaller index when both rows hold the pair, the only endpoint
@@ -48,13 +53,13 @@ type NeighborList struct {
 	// Verlet-skin candidate cache: CandOffsets/CandIdx hold, CSR style,
 	// every particle within the inflated radius (1+Skin)·2·1.3·refH_i of
 	// particle i at the positions the candidates were last gathered from.
-	// Refresh steps recompute displacements for these pairs only.
-	// RefX/RefY/RefZ/RefH snapshot the build-time positions and
-	// (pre-update) smoothing lengths that drift is measured against, and
-	// BuildStep the step the build ran on. The candidate arrays are a pure
-	// function of the references, so checkpoints persist only the
-	// references and restarts regenerate CandIdx bit-identically (a list
-	// read from a checkpoint has nil candidate and pair arrays until then).
+	// Every step's rows are admitted from these segments. RefX/RefY/RefZ/RefH
+	// snapshot the build-time positions and (pre-update) smoothing lengths
+	// that drift is measured against, and BuildStep the step the build ran
+	// on. The candidate arrays are a pure function of the references, so
+	// checkpoints persist only the references and restarts regenerate
+	// CandIdx bit-identically (a list read from a checkpoint has nil
+	// candidate and pair arrays until then).
 	CandOffsets []int32
 	CandIdx     []int32
 	RefX        []float64
@@ -80,27 +85,27 @@ type NeighborList struct {
 func (nl *NeighborList) Count(i int) int { return int(nl.rowLen[i]) }
 
 // listChunk is the worker-local buffer of one contiguous particle range:
-// the directed rows a FindNeighbors traversal gathers, which foldRows reads
+// the directed rows a FindNeighbors traversal admits, which foldRows reads
 // in place. Chunks are pooled, so what they hold is scratch, not state.
 type listChunk struct {
 	lo       int     // first particle of the range
-	rowEnd   []int32 // rowEnd[t] closes the row of particle lo+t in idx…dist
+	rowEnd   []int32 // rowEnd[t] closes the row of particle lo+t in idx…r2
 	idx      []int32
 	dx       []float64
 	dy       []float64
 	dz       []float64
-	dist     []float64
+	r2       []float64
 	own      []uint8 // fold disposition of every row entry
 	overflow int
 
-	// Rebuilds also capture the inflated-radius candidate set, laid out
-	// like the rows.
-	cand    []int32
+	// A candidate gather fills these instead, laid out like the rows.
+	cand    neighbors.Candidates
 	candEnd []int32
 
-	// Refreshes stream one candidate row at a time through these dense
-	// buffers (see computeRow).
-	cdx, cdy, cdz, cr2 []float64
+	// Every row streams its candidates' r² through cr2 and compacts the
+	// positions of those it admits into sel (streamRow, admitRow).
+	cr2 []float64
+	sel []int32
 }
 
 var listChunkPool = sync.Pool{New: func() interface{} { return new(listChunk) }}
@@ -112,18 +117,10 @@ func (cb *listChunk) reset(lo int) {
 	cb.dx = cb.dx[:0]
 	cb.dy = cb.dy[:0]
 	cb.dz = cb.dz[:0]
-	cb.dist = cb.dist[:0]
+	cb.r2 = cb.r2[:0]
 	cb.overflow = 0
-	cb.cand = cb.cand[:0]
+	cb.cand = neighbors.Candidates{Idx: cb.cand.Idx[:0]}
 	cb.candEnd = cb.candEnd[:0]
-}
-
-func (cb *listChunk) admit(j int32, dx, dy, dz, dist float64) {
-	cb.idx = append(cb.idx, j)
-	cb.dx = append(cb.dx, dx)
-	cb.dy = append(cb.dy, dy)
-	cb.dz = append(cb.dz, dz)
-	cb.dist = append(cb.dist, dist)
 }
 
 // row returns the entry range of the chunk's t-th row.
@@ -238,21 +235,29 @@ func updateH(h float64, n int, ng, maxH float64) float64 {
 	return nh
 }
 
-// buildList is the one FindNeighbors traversal of the production path.
-// Every particle's entries within the step's admission bound
-// 2·hGrowthCap·h_old — the maximum post-update support — are gathered into
-// the worker's chunk and finished into its directed row (finishRow), and
-// the finished rows are folded into the pair list. A rebuild gathers from
-// a fresh search grid out to the skin-inflated radius and keeps everything
-// it saw as the new candidate cache; a refresh re-derives the same rows
-// from the cached candidates, with the grid's own minimum-image arithmetic
-// and r² admission test, so both produce bit-identical lists from the same
-// pair set. Returns the post-update maximum smoothing length.
+// support2 is the square of the support radius 2h: the r² bound of every
+// admission test, the closure walk's (a grid query of radius 2h) included.
+func support2(h float64) float64 { return (2 * h) * (2 * h) }
+
+// buildList is the FindNeighbors of the production path. A rebuild first
+// gathers the candidate cache afresh at the current positions
+// (gatherCandidates); from there rebuild and refresh are the same pass over
+// the candidate segments, count-then-admit: a row streams its candidates'
+// r² through the dense distance kernel, counts those inside the old support
+// — NC, which fixes the new smoothing length, as in the closure walk —
+// and admits those inside the new one, up to Ngmax, in candidate order. The
+// finished rows are folded into the pair list. Returns the post-update
+// maximum smoothing length.
 //
-// A refresh that overflows ngmax restores H and NC and returns false, and
-// the caller rebuilds: the skin gather sees pairs the capped candidate
-// segment may not hold, so truncation is only honest on a rebuild.
-func (s *State) buildList(maxH float64, rebuild bool) (float64, bool) {
+// The candidates are known to cover the old supports (by construction on a
+// rebuild, by skinValid on a refresh); a row whose h grew checks its new
+// one against maxDrift, the largest drift skinValid found, as soon as it
+// knows it. A refresh that fails that check on any row ("drift": the skin
+// ran out), or that overflows ngmax ("overflow": the capped candidate
+// segment may not hold the pairs a fresh gather would keep, so truncation
+// is only honest on a rebuild), restores H and NC and returns that cause
+// for the rebuild the caller owes. A rebuild passes -Inf and cannot fail.
+func (s *State) buildList(maxH, maxDrift float64, rebuild bool) (newMax float64, abort string) {
 	p := s.P
 	n := p.N
 	if s.List == nil {
@@ -261,8 +266,6 @@ func (s *State) buildList(maxH float64, rebuild bool) (float64, bool) {
 	nl := s.List
 	nl.Ngmax = s.Opt.ngmax()
 	nl.rowLen = ensureInt32(nl.rowLen, n)
-	ng := float64(s.Opt.NgTarget)
-	sk := 1 + s.Opt.skin()
 	if rebuild {
 		// Snapshot the reference state before the smoothing-length update;
 		// the candidate list is a pure function of this snapshot (and the
@@ -271,47 +274,42 @@ func (s *State) buildList(maxH float64, rebuild bool) (float64, bool) {
 		nl.RefY = append(nl.RefY[:0], p.Y...)
 		nl.RefZ = append(nl.RefZ[:0], p.Z...)
 		nl.RefH = append(nl.RefH[:0], p.H...)
-		s.Grid = s.buildSearcher(p.X, p.Y, p.Z, sk*(2*maxH*hGrowthCap))
+		nl.BuildStep = s.Step
+		s.Grid = s.gatherCandidates(p.X, p.Y, p.Z, p.H)
 	} else {
 		if nl.CandOffsets == nil {
 			// Read from a checkpoint, which carries the references only.
-			s.regenCandidates()
+			s.gatherCandidates(nl.RefX, nl.RefY, nl.RefZ, nl.RefH)
 		}
-		// The finishing pass mutates H and NC; keep them so an overflow
-		// can abort into a rebuild without double-applying the h update.
+		// The row pass mutates H and NC; keep them so an abort can fall
+		// back to a rebuild without double-applying the h update.
 		s.hBackup = append(s.hBackup[:0], p.H...)
 		s.ncBackup = append(s.ncBackup[:0], p.NC...)
 		// The grid still bins the last rebuild's positions; nothing may
 		// walk it as if it were this step's.
 		s.Grid = nil
 	}
-	grid, geo := s.gridBuf, s.geom()
+	ng, ngmax, geo := float64(s.Opt.NgTarget), nl.Ngmax, s.geom()
 
+	var skinOut atomic.Bool // a grown support outran the skin
 	chunks, newMax := gatherRows(n, func(cb *listChunk, i int) float64 {
+		if skinOut.Load() {
+			return 0 // the pass is void; finish it fast
+		}
 		hOld := p.H[i]
-		start := len(cb.idx)
-		bound := 2 * hGrowthCap * hOld
-		if rebuild {
-			grid.ForEachNeighbor(i, sk*bound, func(j int, dx, dy, dz, dist float64) {
-				cb.cand = append(cb.cand, int32(j))
-				if dist < bound {
-					cb.admit(int32(j), dx, dy, dz, dist)
-				}
-			})
-			cb.candEnd = append(cb.candEnd, int32(len(cb.cand)))
-		} else {
-			// The candidate row streams through the dense distance
-			// kernel, then compare-and-compact admits the survivors.
-			cand := nl.CandIdx[nl.CandOffsets[i]:nl.CandOffsets[i+1]]
-			cb.computeRow(p.X, p.Y, p.Z, i, cand, geo)
-			b2 := bound * bound
-			for k, j := range cand {
-				if r2 := cb.cr2[k]; r2 < b2 {
-					cb.admit(j, cb.cdx[k], cb.cdy[k], cb.cdz[k], math.Sqrt(r2))
-				}
+		cand := nl.CandIdx[nl.CandOffsets[i]:nl.CandOffsets[i+1]]
+		cnt := cb.streamRow(p, i, cand, geo, support2(hOld))
+		p.NC[i] = int32(cnt)
+		h := updateH(hOld, cnt, ng, maxH)
+		p.H[i] = h
+		if h > hOld {
+			if slack, _ := s.skinSlack(i, h, maxH); slack < maxDrift {
+				skinOut.Store(true)
+				return 0
 			}
 		}
-		return nl.finishRow(p, cb, i, start, hOld, ng, maxH)
+		nl.rowLen[i] = int32(cb.admitRow(p, i, cand, geo, support2(h), ngmax))
+		return h
 	})
 	defer releaseChunks(chunks)
 
@@ -319,58 +317,52 @@ func (s *State) buildList(maxH float64, rebuild bool) (float64, bool) {
 	for _, cb := range chunks {
 		nl.Overflow += cb.overflow
 	}
-	if rebuild {
-		nl.mergeCands(chunks, n)
-		nl.BuildStep = s.Step
-	} else if nl.Overflow > 0 {
-		copy(p.H, s.hBackup)
-		copy(p.NC, s.ncBackup)
-		return 0, false
+	if !rebuild {
+		// A voided pass stopped its chunks wherever they were, so its
+		// overflow count means nothing: the skin is asked first.
+		switch {
+		case skinOut.Load():
+			abort = "drift"
+		case nl.Overflow > 0:
+			abort = "overflow"
+		}
+		if abort != "" {
+			copy(p.H, s.hBackup)
+			copy(p.NC, s.ncBackup)
+			return 0, abort
+		}
 	}
 	nl.foldRows(p.H, chunks)
-	return newMax, true
+	return newMax, ""
 }
 
-// finishRow turns particle i's gathered entries — chunk positions
-// [start, len) — into its directed row: the old-h count drives the
-// smoothing-length update (recorded in NC, matching the closure-walk
-// pipeline), and the survivors within the new 2*h — capped at Ngmax — are
-// compacted in place. Returns the updated smoothing length.
-func (nl *NeighborList) finishRow(p *Particles, cb *listChunk, i, start int, hOld, ng, maxH float64) float64 {
-	cnt := 0
-	for k := start; k < len(cb.dist); k++ {
-		if cb.dist[k] < 2*hOld {
-			cnt++
-		}
+// candRadius is how far a particle of smoothing length h gathers its
+// candidates: the widest support one step can leave it with, 2·hGrowthCap·h,
+// inflated by the skin factor sk = 1 + Skin.
+func candRadius(sk, h float64) float64 { return sk * (2 * hGrowthCap * h) }
+
+// gatherCandidates fills the candidate CSR from positions and smoothing
+// lengths — the particles' on a rebuild, the checkpointed references' on a
+// restart, which is why the two agree bit for bit — and returns the grid it
+// searched. The grid's cells are half the largest candidate radius: a query
+// then tests ≈ 2.7 particles per candidate kept where radius-sized cells
+// test 6, and Grid.Gather walks x-adjacent cells as one run, so the finer
+// grid costs no more loop set-up.
+func (s *State) gatherCandidates(x, y, z, h []float64) *neighbors.Grid {
+	sk := 1 + s.Opt.skin()
+	grid := s.buildSearcher(x, y, z, candRadius(sk, slices.Max(h))/2)
+	chunks, _ := gatherRows(len(h), func(cb *listChunk, i int) float64 {
+		grid.Gather(&cb.cand, i, candRadius(sk, h[i]))
+		cb.candEnd = append(cb.candEnd, int32(len(cb.cand.Idx)))
+		return 0
+	})
+	s.List.mergeCands(chunks, len(h))
+	for _, cb := range chunks {
+		s.gatherTests += cb.cand.Tests
+		s.gatherRuns += cb.cand.Runs
 	}
-	p.NC[i] = int32(cnt)
-	h := updateH(hOld, cnt, ng, maxH)
-	p.H[i] = h
-	r := 2 * h
-	w := start
-	for k := start; k < len(cb.idx); k++ {
-		if cb.dist[k] >= r {
-			continue
-		}
-		if w-start >= nl.Ngmax {
-			cb.overflow++
-			break
-		}
-		cb.idx[w] = cb.idx[k]
-		cb.dx[w] = cb.dx[k]
-		cb.dy[w] = cb.dy[k]
-		cb.dz[w] = cb.dz[k]
-		cb.dist[w] = cb.dist[k]
-		w++
-	}
-	cb.idx = cb.idx[:w]
-	cb.dx = cb.dx[:w]
-	cb.dy = cb.dy[:w]
-	cb.dz = cb.dz[:w]
-	cb.dist = cb.dist[:w]
-	cb.rowEnd = append(cb.rowEnd, int32(w))
-	nl.rowLen[i] = int32(w - start)
-	return h
+	releaseChunks(chunks)
+	return grid
 }
 
 // mergeCands concatenates the chunks' captured candidate rows, in range
@@ -383,11 +375,11 @@ func (nl *NeighborList) mergeCands(chunks []*listChunk, n int) {
 		for t, end := range cb.candEnd {
 			nl.CandOffsets[cb.lo+t+1] = base + end
 		}
-		base += int32(len(cb.cand))
+		base += int32(len(cb.cand.Idx))
 	}
 	nl.CandIdx = ensureInt32(nl.CandIdx, int(base))
 	for _, cb := range chunks {
-		copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand)
+		copy(nl.CandIdx[nl.CandOffsets[cb.lo]:], cb.cand.Idx)
 	}
 }
 
@@ -399,15 +391,16 @@ const (
 )
 
 // foldRows folds the finished directed rows, read in place from the chunks
-// that gathered them, into the pair list. For an entry a→b the reverse
-// entry b→a exists iff dist < 2·h_b and b's row was not truncated: the
-// h-growth clamp guarantees b's admission bound 2·hGrowthCap·h_old_b
-// covers 2·h_new_b (and a refresh admits from a candidate set skinValid
-// proved complete), so the only way a sub-support pair can be missing from
-// b's row is the ngmax cap — checked by scanning that row. All smoothing
-// lengths are final before this runs. Two sweeps over the chunks —
-// disposition + count, then fill — with a serial prefix sum in between; no
-// atomics, output independent of the worker count.
+// that admitted them, into the pair list. For an entry a→b the reverse
+// entry b→a exists iff r² < (2·h_b)² and b's row was not truncated: r² is
+// the same bits from either end, b's row admitted by that very test, and
+// b's candidates were proved to hold everything within 2·max(h_old, h_new)
+// of b — the old support before the pass, a grown one by b's own row — so
+// the only way a sub-support pair can be missing from b's row is the ngmax
+// cap, checked by scanning that row. All smoothing lengths are final before
+// this runs. Two sweeps over the chunks — disposition + count, then fill,
+// taking the square root of the records kept — with a serial prefix sum in
+// between; no atomics, output independent of the worker count.
 func (nl *NeighborList) foldRows(h []float64, chunks []*listChunk) {
 	n := len(h)
 	nl.PairOffsets = ensureInt32(nl.PairOffsets, n+1)
@@ -420,7 +413,7 @@ func (nl *NeighborList) foldRows(h []float64, chunks []*listChunk) {
 			cnt := int32(0)
 			for ; k < end; k++ {
 				b := cb.idx[k]
-				rev := cb.dist[k] < 2*h[b]
+				rev := cb.r2[k] < support2(h[b])
 				if rev && nl.rowLen[b] == ngmax {
 					rev = rowHas(chunks, b, a)
 				}
@@ -462,7 +455,7 @@ func (nl *NeighborList) foldRows(h []float64, chunks []*listChunk) {
 			nl.PairDx[w] = cb.dx[k]
 			nl.PairDy[w] = cb.dy[k]
 			nl.PairDz[w] = cb.dz[k]
-			nl.PairDist[w] = cb.dist[k]
+			nl.PairDist[w] = math.Sqrt(cb.r2[k])
 			w++
 		}
 	})

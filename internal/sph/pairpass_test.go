@@ -16,7 +16,6 @@ import (
 
 	"sphenergy/internal/gravity"
 	"sphenergy/internal/initcond"
-	"sphenergy/internal/neighbors"
 	"sphenergy/internal/sph"
 )
 
@@ -127,26 +126,35 @@ type nbrRow struct {
 	dist float64
 }
 
-// enumerateRows runs FindNeighbors on st and returns, independently of the
-// list it built, every particle's directed row: the j within 2·h_i of i
-// after the smoothing-length update, in the traversal order of a grid
-// binned like the build's, cut at the ngmax cap.
+// enumerateRows runs FindNeighbors on st — a rebuild, which leaves its
+// search grid in st.Grid — and returns every particle's directed row as the
+// list defines it: the j within 2·h_i of i after the smoothing-length
+// update, in the order of i's candidate segment, cut at the ngmax cap. Which
+// j those are is the grid's word, not the list's: the walk at exactly 2·h_i
+// that the closure-walk passes make, which every candidate segment must
+// contain.
 func enumerateRows(t *testing.T, st *sph.State) [][]nbrRow {
 	t.Helper()
 	p := st.P
-	maxH0 := p.MaxH()
 	st.FindNeighbors()
-	g := neighbors.BuildGrid(st.Opt.Box, p.X, p.Y, p.Z, (1+st.Opt.Skin)*2*1.3*maxH0)
+	nl := st.List
 	rows := make([][]nbrRow, p.N)
 	for i := range rows {
-		r := 2 * p.H[i]
-		g.ForEachNeighbor(i, 1.01*r, func(j int, _, _, _, dist float64) {
-			if dist < r && len(rows[i]) < st.List.Ngmax {
-				rows[i] = append(rows[i], nbrRow{int32(j), dist})
+		within := map[int32]float64{}
+		st.Grid.ForEachNeighbor(i, 2*p.H[i], func(j int, _, _, _, dist float64) { within[int32(j)] = dist })
+		found := 0
+		for _, j := range nl.CandIdx[nl.CandOffsets[i]:nl.CandOffsets[i+1]] {
+			if dist, ok := within[j]; ok {
+				if found++; len(rows[i]) < nl.Ngmax {
+					rows[i] = append(rows[i], nbrRow{j, dist})
+				}
 			}
-		})
-		if len(rows[i]) != st.List.Count(i) {
-			t.Fatalf("particle %d: row length %d, the list counts %d", i, len(rows[i]), st.List.Count(i))
+		}
+		if found != len(within) {
+			t.Fatalf("particle %d: %d of its %d neighbors are among its candidates", i, found, len(within))
+		}
+		if len(rows[i]) != nl.Count(i) {
+			t.Fatalf("particle %d: row length %d, the list counts %d", i, len(rows[i]), nl.Count(i))
 		}
 	}
 	return rows

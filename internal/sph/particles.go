@@ -199,11 +199,13 @@ type Options struct {
 	// Skin is the Verlet-skin fraction of the neighbor search: FindNeighbors
 	// gathers candidates out to (1+Skin)·2·1.3·h and reuses that candidate
 	// list across steps, refreshing only the cached pair displacements,
-	// until accumulated particle drift (or smoothing-length growth) could
-	// let an unseen pair enter some support sphere. A refresh admits
-	// exactly the pairs a rebuild would, so the value changes cost, not
-	// the pair set: 0 rebuilds on every step, larger skins rebuild less
-	// often but make every refresh scan more candidates.
+	// while it provably holds every pair inside a support: the margin
+	// between a particle's support 2·h and its candidate radius is spent on
+	// drift (its own plus the largest of anyone's), checked before the pass
+	// for the arriving h and during it for an h the update grew. A refresh
+	// admits exactly the pairs a rebuild would, so the value changes cost,
+	// not the pair set: 0 rebuilds on every step, larger skins rebuild less
+	// often but make every step stream more candidates.
 	Skin float64
 
 	// RebuildEvery forces a candidate rebuild at least every K steps on top
@@ -312,6 +314,11 @@ type State struct {
 	hBackup  []float64       // refresh-abort scratch: pre-update H
 	ncBackup []int32         // refresh-abort scratch: pre-update NC
 	scat     par.Scatter     // scatter-add accumulators of the pair passes
+
+	// What every candidate gather so far cost, exactly: distance tests and
+	// contiguous runs walked (see neighbors.Candidates). Benchmarks report
+	// them.
+	gatherTests, gatherRuns int
 }
 
 // NeighborStats breaks down FindNeighbors activity on the production path
@@ -324,7 +331,7 @@ type NeighborStats struct {
 
 	RebuildInit     int // no valid list: first step, post-reorder
 	RebuildCadence  int // Options.RebuildEvery interval expired
-	RebuildDrift    int // accumulated drift could hide an unseen pair
+	RebuildDrift    int // the skin ran out: drift, found before a refresh or by a support grown during one
 	RebuildOverflow int // ngmax overflow during a refresh forced a rebuild
 }
 

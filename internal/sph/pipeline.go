@@ -23,17 +23,18 @@ func (s *State) FindNeighbors() {
 		s.countAndUpdateH(maxH)
 		return
 	}
-	kind := s.rebuildCause(maxH)
+	kind, maxDrift := s.rebuildCause(maxH)
 	if kind == "" {
-		if newMax, ok := s.buildList(maxH, false); ok {
+		newMax, abort := s.buildList(maxH, maxDrift, false)
+		if abort == "" {
 			s.NbrStats.Refreshes++
 			s.MaxH = newMax
 			s.neighborEvent("refresh")
 			return
 		}
-		kind = "overflow"
+		kind = abort
 	}
-	s.MaxH, _ = s.buildList(maxH, true)
+	s.MaxH, _ = s.buildList(maxH, math.Inf(-1), true)
 	s.NbrStats.Rebuilds++
 	switch kind {
 	case "init":

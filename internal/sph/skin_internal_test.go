@@ -1,10 +1,17 @@
 package sph
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"sphenergy/internal/neighbors"
+	"sphenergy/internal/rng"
+	"sphenergy/internal/sfc"
+)
 
 // skinLatticeState is latticeState with the reorder cadence off, so the
 // tests below control exactly when rebuilds may happen.
-func skinLatticeState(n int, t *testing.T) *State {
+func skinLatticeState(n int, t testing.TB) *State {
 	t.Helper()
 	st := latticeState(n, t)
 	st.Opt.ReorderEvery = 0
@@ -14,48 +21,47 @@ func skinLatticeState(n int, t *testing.T) *State {
 // TestSkinBoundaryExactCrossing pins the drift trigger at its exact float
 // boundary: a single particle displaced just inside the analytic slack must
 // leave the cached candidates valid, and a displacement just beyond it must
-// force a drift rebuild. The slack is recovered from the same arrays
-// skinValid reads, so the test tracks the criterion rather than a copy of
-// its constants.
+// force a drift rebuild. The slack comes from skinSlack, the one statement
+// of the criterion skinValid and the refresh's growth check evaluate, so
+// the test tracks the criterion rather than a copy of its constants.
 func TestSkinBoundaryExactCrossing(t *testing.T) {
 	st := skinLatticeState(6, t)
 	st.FindNeighbors()
 	if got := st.NbrStats; got.Rebuilds != 1 || got.RebuildInit != 1 {
 		t.Fatalf("after initial build NbrStats = %+v", got)
 	}
-	nl := st.List
 	p := st.P
 
-	// With every particle still on its reference position, particle i's
-	// excess is 2·hGrowthCap·(h_i − (1+Skin)·RefH_i); moving particle k by
-	// δ adds δ to both its excess and the global max drift, so the cache
-	// stays valid exactly while base_k + 2δ <= −tol.
-	sk := 1 + st.Opt.Skin
+	// With every particle still on its reference position the drifts are
+	// zero; moving the particle k of least slack by δ takes δ off its slack
+	// and makes δ the global max drift, so the cache stays valid exactly
+	// while slack_k − δ >= δ.
 	base, k := 0.0, -1
 	for i := 0; i < p.N; i++ {
-		if e := 2 * hGrowthCap * (p.H[i] - sk*nl.RefH[i]); k < 0 || e > base {
-			base, k = e, i
+		if sl, d := st.skinSlack(i, p.H[i], p.MaxH()); d != 0 {
+			t.Fatalf("particle %d drifted %g from a reference just taken", i, d)
+		} else if k < 0 || sl < base {
+			base, k = sl, i
 		}
 	}
-	if base >= 0 {
-		t.Fatalf("lattice has no skin slack (base excess %g); test setup is broken", base)
+	if base <= 0 {
+		t.Fatalf("lattice has no skin slack (least %g); test setup is broken", base)
 	}
-	tol := 1e-12 * (2 * hGrowthCap * p.MaxH())
-	threshold := (-tol - base) / 2
+	threshold := base / 2
 
 	origX := p.X[k]
 	p.X[k] = origX + threshold*(1-1e-9)
-	if !st.skinValid(p.MaxH()) {
+	if _, ok := st.skinValid(p.MaxH()); !ok {
 		t.Errorf("displacement just under the threshold (%.17g) invalidated the cache", threshold)
 	}
-	if kind := st.rebuildCause(p.MaxH()); kind != "" {
+	if kind, _ := st.rebuildCause(p.MaxH()); kind != "" {
 		t.Errorf("rebuildCause %q while the cache is still valid", kind)
 	}
 	p.X[k] = origX + threshold*(1+1e-9)
-	if st.skinValid(p.MaxH()) {
+	if _, ok := st.skinValid(p.MaxH()); ok {
 		t.Errorf("displacement just over the threshold (%.17g) left the cache valid", threshold)
 	}
-	if kind := st.rebuildCause(p.MaxH()); kind != "drift" {
+	if kind, _ := st.rebuildCause(p.MaxH()); kind != "drift" {
 		t.Errorf("rebuildCause %q although drift crossed the threshold", kind)
 	}
 
@@ -108,8 +114,8 @@ func TestSkinRefreshAbortRestoresState(t *testing.T) {
 	hBefore := append([]float64(nil), st.P.H...)
 	ncBefore := append([]int32(nil), st.P.NC...)
 	maxH := st.P.MaxH()
-	if _, ok := st.buildList(maxH, false); ok {
-		t.Fatal("refresh unexpectedly succeeded under an ngmax overflow")
+	if _, abort := st.buildList(maxH, 0, false); abort != "overflow" {
+		t.Fatalf("refresh under an ngmax overflow ended %q, want an overflow abort", abort)
 	}
 	for i := range hBefore {
 		if st.P.H[i] != hBefore[i] {
@@ -118,5 +124,208 @@ func TestSkinRefreshAbortRestoresState(t *testing.T) {
 		if st.P.NC[i] != ncBefore[i] {
 			t.Fatalf("aborted refresh changed NC[%d]: %d -> %d", i, ncBefore[i], st.P.NC[i])
 		}
+	}
+}
+
+// BenchmarkFindNeighbors times the two kinds of production FindNeighbors
+// step at the engine benchmark's size, a jittered 30³ lattice at 64 neighbors, and
+// reports what a step of each kind does per particle, exactly: the distance
+// tests and contiguous runs of the candidate gather (none on a refresh) and
+// the candidates a row then streams. Rebuilds are forced through the cadence
+// with the step counter, not with RebuildEvery: 1, which gathers without a
+// skin; refreshes by leaving the particles where the build found them. The
+// counts repeat from run to run; compare the times by their minimum over
+// -count (`make bench-sph`).
+func BenchmarkFindNeighbors(b *testing.B) {
+	for _, kind := range []string{"rebuild", "refresh"} {
+		b.Run(kind, func(b *testing.B) {
+			st := skinLatticeState(30, b)
+			st.Opt.NgTarget = 64
+			r := rng.New(42)
+			for i := range st.P.H {
+				// initcond.Turbulence's start: 64 neighbors, and a fifth of
+				// the spacing in jitter, without which the lattice's shells
+				// keep h hopping between two values.
+				st.P.H[i] *= math.Cbrt(2)
+				st.P.X[i] += 0.2 / 30 * (r.Float64() - 0.5)
+				st.P.Y[i] += 0.2 / 30 * (r.Float64() - 0.5)
+				st.P.Z[i] += 0.2 / 30 * (r.Float64() - 0.5)
+			}
+			st.Opt.RebuildEvery = 2
+			step := func() {
+				st.Step += st.Opt.RebuildEvery
+				st.FindNeighbors()
+			}
+			for i := 0; i < 6; i++ {
+				step() // settle the smoothing lengths, size the buffers
+			}
+			if kind == "refresh" {
+				st.Opt.RebuildEvery = 0
+				step()
+			}
+			stats, tests, runs := st.NbrStats, st.gatherTests, st.gatherRuns
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			if kind == "rebuild" {
+				stats.Rebuilds, stats.RebuildCadence = stats.Rebuilds+b.N, stats.RebuildCadence+b.N
+			} else {
+				stats.Refreshes += b.N
+			}
+			if st.NbrStats != stats {
+				b.Fatalf("not %d %s steps: NbrStats %+v, want %+v", b.N, kind, st.NbrStats, stats)
+			}
+			per := float64(b.N * st.P.N)
+			b.ReportMetric(float64(st.gatherTests-tests)/per, "tests/particle")
+			b.ReportMetric(float64(st.gatherRuns-runs)/per, "runs/particle")
+			b.ReportMetric(float64(len(st.List.CandIdx))/float64(st.P.N), "cand/particle")
+		})
+	}
+}
+
+// walkTwin returns a closure-walk state over a copy of st's particles as
+// they stand: what its FindNeighbors makes of them is the reference.
+func walkTwin(st *State) *State {
+	p := NewParticles(st.P.N)
+	for k, f := range st.P.fieldSlices() {
+		copy(p.fieldSlices()[k], f)
+	}
+	opt := st.Opt
+	opt.ClosureWalk = true
+	return NewState(p, opt)
+}
+
+// requireRowsOfWalk holds st, after its FindNeighbors, to the twin taken
+// before it: the same old-support counts, the same smoothing lengths, and
+// rows as long as the walk's grid counts each new support — a row cannot
+// hold a pair that is none, so an equal count is an equal set.
+func requireRowsOfWalk(t *testing.T, st, walk *State) {
+	t.Helper()
+	walk.FindNeighbors()
+	for i := 0; i < st.P.N; i++ {
+		if st.P.NC[i] != walk.P.NC[i] || st.P.H[i] != walk.P.H[i] {
+			t.Fatalf("particle %d: NC %d, h %.17g; the walk has %d, %.17g", i, st.P.NC[i], st.P.H[i], walk.P.NC[i], walk.P.H[i])
+		}
+		if got, want := st.List.Count(i), walk.Grid.CountNeighbors(i, 2*st.P.H[i]); got != want {
+			t.Fatalf("particle %d: row of %d, the walk finds %d within its support: a pair is missing", i, got, want)
+		}
+	}
+}
+
+// TestSkinGrowthAbort takes the refresh's second phase: smoothing lengths
+// cut so the update grows them by the full 30 %, one particle drifted so
+// far that the arriving supports are still covered — the pre-check passes —
+// but its grown one is not. The step must end as a drift rebuild, not an
+// overflow one and not a refresh, from restored state: H and NC equal, bit
+// for bit, a Skin = 0 twin's, which rebuilt without trying.
+func TestSkinGrowthAbort(t *testing.T) {
+	const drifter = 7
+	run := func(skin float64) *State {
+		st := skinLatticeState(12, t)
+		st.Opt.Skin = skin
+		st.FindNeighbors()
+		ref := st.List.RefH
+		for i := range st.P.H {
+			st.P.H[i] = 0.5 * ref[i]
+		}
+		// Slack 2.38 ref arriving, 2.08 ref grown: 1.1 ref of drift (and as
+		// much again as the maximum) fits the first and not the second.
+		st.P.X[drifter] += 1.1 * ref[drifter]
+		return st
+	}
+	st := run(DefaultOptions(sfc.NewPeriodicCube(0, 1)).Skin)
+	if kind, _ := st.rebuildCause(st.P.MaxH()); kind != "" {
+		t.Fatalf("pre-check calls for a %q rebuild; the setup must pass it", kind)
+	}
+	before := st.P.H[drifter]
+	var kinds []string
+	st.Opt.NeighborEvent = func(_ int, kind string) { kinds = append(kinds, kind) }
+	st.FindNeighbors()
+	if got := st.NbrStats; got.Rebuilds != 2 || got.RebuildDrift != 1 || got.RebuildOverflow != 0 || got.Refreshes != 0 {
+		t.Errorf("NbrStats %+v: want the init build and one drift rebuild, no refresh", got)
+	}
+	if len(kinds) != 1 || kinds[0] != "drift" {
+		t.Errorf("NeighborEvent fired %v, want one \"drift\"", kinds)
+	}
+	twin := run(0)
+	twin.FindNeighbors()
+	if got := st.P.H[drifter]; got != hGrowthCap*before {
+		t.Fatalf("the drifter's h grew %g -> %g, not by the cap: the setup is off", before, got)
+	}
+	for i := range st.P.H {
+		if st.P.H[i] != twin.P.H[i] || st.P.NC[i] != twin.P.NC[i] {
+			t.Fatalf("particle %d: H %.17g NC %d after the abort, %.17g and %d without a skin", i, st.P.H[i], st.P.NC[i], twin.P.H[i], twin.P.NC[i])
+		}
+	}
+}
+
+// TestSkinNeverMissesAPair aims at the widened drift budget from outside
+// it. Two particles are built just beyond each other's candidate radius,
+// then brought as close as the pre-check allows — both moving, or one
+// moving at a partner whose support is wide — on a step whose update grows
+// every h by the full 30 %, so the pair lands inside a support its
+// candidates never saw. Whatever FindNeighbors does then, the list must be
+// the closure walk's; here that takes the rebuild, and a refresh would have
+// lost the pair.
+func TestSkinNeverMissesAPair(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bothMove bool
+	}{{"both approach", true}, {"one approaches a wide support", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := skinLatticeState(12, t)
+			p := st.P
+			const a, b = 700, 20
+			sk := 1 + st.Opt.Skin
+			p.X[b], p.Y[b], p.Z[b] = st.Opt.Box.Wrap(p.X[a]+candRadius(sk, p.H[a])*(1+1e-9), p.Y[a], p.Z[a])
+			st.FindNeighbors()
+			nl := st.List
+			for _, j := range nl.CandIdx[nl.CandOffsets[a]:nl.CandOffsets[a+1]] {
+				if j == b {
+					t.Fatal("b is among a's candidates; it was to start outside")
+				}
+			}
+			// Supports cut in half leave room to move; a keeps the width it
+			// was built with when it is the one to grow into the pair. A
+			// target no count reaches makes every h grow by the cap.
+			for i := range p.H {
+				if tc.bothMove || i != a {
+					p.H[i] = 0.5 * nl.RefH[i]
+				} else {
+					p.H[i] = nl.RefH[i]
+				}
+			}
+			st.Opt.NgTarget = 1 << 20
+			// The largest approach the pre-check passes: a mover's drift is
+			// also the maximum, so it may use half its own slack and all of
+			// anyone else's.
+			maxH := p.MaxH()
+			slack := func(i int) float64 { s, _ := st.skinSlack(i, p.H[i], maxH); return s }
+			move := slack(b) / 2
+			if tc.bothMove {
+				move = min(move, slack(a)/2)
+			} else {
+				move = min(move, slack(a))
+			}
+			move *= 1 - 1e-9
+			p.X[b], _, _ = st.Opt.Box.Wrap(p.X[b]-move, p.Y[b], p.Z[b])
+			if tc.bothMove {
+				p.X[a], _, _ = st.Opt.Box.Wrap(p.X[a]+move, p.Y[a], p.Z[a])
+			}
+			if kind, _ := st.rebuildCause(maxH); kind != "" {
+				t.Fatalf("pre-check calls for a %q rebuild; the approach was to stay within it", kind)
+			}
+			walk := walkTwin(st)
+			st.FindNeighbors()
+			requireRowsOfWalk(t, st, walk)
+			if dx := neighbors.MinImage(p.X[a]-p.X[b], 1, true); !(dx*dx < support2(p.H[a])) {
+				t.Errorf("b ended %g from a, support %g: the pair never formed and the test proves nothing", dx, 2*p.H[a])
+			}
+			if got := st.NbrStats; got.RebuildDrift != 1 || got.Refreshes != 0 {
+				t.Errorf("NbrStats %+v: the grown support outran the skin, yet no drift rebuild", got)
+			}
+		})
 	}
 }

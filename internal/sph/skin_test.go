@@ -8,6 +8,8 @@ package sph_test
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sphenergy/internal/initcond"
@@ -201,5 +203,83 @@ func TestSkinCheckpointMidIntervalResume(t *testing.T) {
 	}
 	if dRes == 0 {
 		t.Fatalf("resumed run never refreshed (stats %+v); the regenerated candidates went untested", resumed.NbrStats)
+	}
+}
+
+// TestListIndependentOfWorkerCount: what FindNeighbors leaves — smoothing
+// lengths, counts, the candidate CSR, the pair list — is the same bit for
+// bit however many workers share the pass, on a periodic and an open
+// problem large enough to split four ways, on a rebuild step, a refresh
+// step and a step whose refresh runs out of skin half-way and rebuilds
+// (forced, once the drift allows, by a neighbor target that grows every h
+// by the cap). Three states, one per width, make each FindNeighbors call
+// from the same positions and smoothing lengths; the first then finishes
+// the step for all of them.
+func TestListIndependentOfWorkerCount(t *testing.T) {
+	// Fast enough for the skin to run out within a few steps: supersonic
+	// turbulence, and a sphere already falling inward.
+	spec := initcond.DefaultTurbulence(19)
+	spec.Mach = 1.5
+	tp, topt := initcond.Turbulence(spec)
+	ep, eopt := initcond.Evrard(initcond.DefaultEvrard(23))
+	for i := range ep.X {
+		ep.VX[i], ep.VY[i], ep.VZ[i] = -2*ep.X[i], -2*ep.Y[i], -2*ep.Z[i]
+	}
+	for _, pr := range []struct {
+		name    string
+		p       *sph.Particles
+		opt     sph.Options
+		gravity bool
+	}{{"turbulence", tp, topt, false}, {"evrard", ep, eopt, true}} {
+		t.Run(pr.name, func(t *testing.T) {
+			width := runtime.GOMAXPROCS(0)
+			defer runtime.GOMAXPROCS(width)
+			pr.opt.NgTarget = 32
+			pr.opt.ReorderEvery = 0
+			widths := []int{1, 2, 4}
+			lead := sph.NewState(pr.p, pr.opt)
+			states := []*sph.State{lead, sph.NewState(sph.NewParticles(pr.p.N), pr.opt), sph.NewState(sph.NewParticles(pr.p.N), pr.opt)}
+			pot := make([]float64, pr.p.N)
+			kinds := map[string]int{}
+			for step := 0; step < 12 && (kinds["refresh"] == 0 || kinds["abort"] == 0 || kinds["rebuild"] == 0); step++ {
+				pre, target := lead.PreCheck(), pr.opt.NgTarget
+				if pre == "" && kinds["refresh"] > 0 {
+					target = 1 << 20 // every h grows by the cap: a rebuild once the drift is up
+				}
+				x, y, z, h := slices.Clone(lead.P.X), slices.Clone(lead.P.Y), slices.Clone(lead.P.Z), slices.Clone(lead.P.H)
+				for k := len(states) - 1; k >= 0; k-- {
+					st := states[k]
+					copy(st.P.X, x)
+					copy(st.P.Y, y)
+					copy(st.P.Z, z)
+					copy(st.P.H, h)
+					st.Step, st.Opt.NgTarget = lead.Step, target
+					runtime.GOMAXPROCS(widths[k])
+					st.FindNeighbors()
+					a, b := states[len(states)-1], st
+					if a.NbrStats != b.NbrStats || !slices.Equal(a.P.H, b.P.H) || !slices.Equal(a.P.NC, b.P.NC) ||
+						!slices.Equal(a.List.CandOffsets, b.List.CandOffsets) || !slices.Equal(a.List.CandIdx, b.List.CandIdx) ||
+						!slices.Equal(a.List.PairOffsets, b.List.PairOffsets) || !slices.Equal(a.List.PairIdx, b.List.PairIdx) ||
+						!slices.Equal(a.List.PairBoth, b.List.PairBoth) || !slices.Equal(a.List.PairDist, b.List.PairDist) ||
+						!slices.Equal(a.List.PairDx, b.List.PairDx) || !slices.Equal(a.List.PairDy, b.List.PairDy) || !slices.Equal(a.List.PairDz, b.List.PairDz) {
+						t.Fatalf("step %d (%+v): FindNeighbors at GOMAXPROCS %d differs from GOMAXPROCS %d", step, a.NbrStats, widths[k], widths[len(widths)-1])
+					}
+				}
+				switch {
+				case lead.List.BuildStep != lead.Step:
+					kinds["refresh"]++
+				case pre == "":
+					kinds["abort"]++
+				default:
+					kinds["rebuild"]++
+				}
+				runtime.GOMAXPROCS(width)
+				lead.Opt.NgTarget = pr.opt.NgTarget
+				finishStep(lead, pr.gravity, pot)
+			}
+			if kinds["refresh"] == 0 || kinds["abort"] == 0 || kinds["rebuild"] == 0 {
+				t.Errorf("steps by kind %v: want a rebuild, a refresh and a refresh that ran out of skin", kinds)
+			}
+		})
 	}
 }

@@ -8,171 +8,157 @@ import (
 	"sphenergy/internal/par"
 )
 
-// Verlet-skin candidate reuse. A rebuild gathers candidates at the inflated
-// cutoff (1+Skin)·2·hGrowthCap·h and later steps reuse them: a refresh
-// recomputes the cached pairs' displacements and re-filters them by the
-// current cutoff, producing a list bit-identical to what a fresh gather
-// over the same pair set would have built (both run through buildList). A
-// rebuild is forced when accumulated drift could let an unseen pair enter
-// some support sphere (skinValid), when the RebuildEvery cadence expires,
-// when a refresh overflows ngmax, or when an SFC reorder has invalidated
-// the indices. Skin = 0 and RebuildEvery = 1 both rebuild on every step.
+// Verlet-skin candidate reuse. A rebuild gathers every particle's candidates
+// out to R = (1+Skin)·2·hGrowthCap·h around its position and later steps
+// reuse them: a refresh recomputes the cached pairs' displacements and
+// admits from them by the current supports, producing the list a fresh
+// gather over the same pair set would (both run buildList's row pass). What
+// lies between a particle's support and R is spent on drift alone, and the
+// cache is proved complete in two phases, each when its radius is known:
+// before the pass for the supports the particles arrive with (skinValid),
+// inside it for a support the h update has just grown (buildList). A
+// rebuild is forced when either fails, when the RebuildEvery cadence
+// expires, when a refresh overflows ngmax, or when an SFC reorder has
+// invalidated the indices. Skin = 0 and RebuildEvery = 1 both rebuild on
+// every step.
 
 // rebuildCause is FindNeighbors' decision, free of side effects: the
 // NeighborEvent kind of the rebuild the current positions call for, or ""
-// when the cached candidates still serve. RunStep also keys the SFC reorder
-// cadence to it so a reorder — which invalidates the cached indices — rides
-// along with a step that was going to rebuild regardless.
-func (s *State) rebuildCause(maxH float64) string {
+// when the cached candidates still serve — then with the largest drift of
+// any particle, which the refresh needs for its own check. RunStep also
+// keys the SFC reorder cadence to the kind so a reorder — which invalidates
+// the cached indices — rides along with a step that was going to rebuild
+// regardless.
+func (s *State) rebuildCause(maxH float64) (kind string, maxDrift float64) {
 	nl := s.List
 	switch {
 	case nl == nil:
-		return "init"
+		return "init", 0
 	case s.Opt.RebuildEvery > 0 && s.Step-nl.BuildStep >= s.Opt.RebuildEvery:
-		return "cadence"
-	case s.Opt.skin() <= 0 || !s.skinValid(maxH):
+		return "cadence", 0
+	case s.Opt.skin() <= 0:
 		// Without a skin the candidates reach no further than the supports
 		// they were gathered for; shrinking supports could keep such a
 		// cache formally complete, but reusing it would reorder the rows
 		// of a setting documented as rebuilding on every step.
-		return "drift"
+		return "drift", 0
 	}
-	return ""
+	maxDrift, ok := s.skinValid(maxH)
+	if !ok {
+		return "drift", 0
+	}
+	return "", maxDrift
 }
 
-// skinValid reports whether the cached candidate list still covers every
-// support sphere at the current positions. Particle i's candidates were
-// gathered out to R_i = (1+Skin)·2·hGrowthCap·RefH_i around its reference
-// position; this step's gather needs every j within B_i = 2·hGrowthCap·h_i
-// of the current position. Writing d_i for i's minimum-image drift from its
-// reference, a pair now within B_i satisfied |ref_i - ref_j| <= B_i + d_i +
-// d_j at build time, so the cache is complete while
+// skinSlack is the one statement of the skin criterion. Particle i's
+// candidates are everything within R_i = candRadius(RefH_i) of its reference
+// position; it has drifted d_i from there, and asks whether they still hold
+// every j within a support 2h of where it is now. Such a j was within
+// 2h + d_i + d_j of i at build time, so they do while
 //
-//	max_i (d_i + B_i - R_i) + max_j d_j <= 0
+//	slack_i = R_i − d_i − 2h  ≥  max_j d_j
 //
-// evaluated here with a small negative slack absorbing the rounding of the
-// drift computation. Smoothing-length growth beyond (1+Skin)·RefH_i makes
-// B_i - R_i positive and forces a rebuild through the same expression.
-func (s *State) skinValid(maxH float64) bool {
-	p := s.P
-	nl := s.List
-	box := s.Opt.Box
-	lx, ly, lz := box.Lx(), box.Ly(), box.Lz()
-	pbx, pby, pbz := box.PBCx, box.PBCy, box.PBCz
-	sk := 1 + s.Opt.skin()
+// which is how both phases use it. The slack is returned less a rounding
+// allowance for the drift arithmetic (relative to maxH, the step's largest
+// smoothing length), with d_i.
+func (s *State) skinSlack(i int, h, maxH float64) (slack, drift float64) {
+	p, nl, box := s.P, s.List, s.Opt.Box
+	dx := neighbors.MinImage(p.X[i]-nl.RefX[i], box.Lx(), box.PBCx)
+	dy := neighbors.MinImage(p.Y[i]-nl.RefY[i], box.Ly(), box.PBCy)
+	dz := neighbors.MinImage(p.Z[i]-nl.RefZ[i], box.Lz(), box.PBCz)
+	drift = math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return candRadius(1+s.Opt.skin(), nl.RefH[i]) - drift - 2*h - 1e-12*(2*hGrowthCap*maxH), drift
+}
 
+// skinValid is the first phase: whether the cached candidates cover the
+// support every particle arrives with, min_i slack_i ≥ max_j d_j at the
+// current smoothing lengths. It says nothing of the supports this step's h
+// update will grow — a particle whose h rises spends its own slack, which
+// buildList checks row by row against the maximum drift returned here.
+func (s *State) skinValid(maxH float64) (maxDrift float64, ok bool) {
+	p := s.P
 	var mu sync.Mutex
-	maxDrift, maxExcess := math.Inf(-1), math.Inf(-1)
+	minSlack := math.Inf(1)
 	par.ForChunked(p.N, func(lo, hi int) {
-		localDrift, localExcess := math.Inf(-1), math.Inf(-1)
+		localSlack, localDrift := math.Inf(1), 0.0
 		for i := lo; i < hi; i++ {
-			dx := neighbors.MinImage(p.X[i]-nl.RefX[i], lx, pbx)
-			dy := neighbors.MinImage(p.Y[i]-nl.RefY[i], ly, pby)
-			dz := neighbors.MinImage(p.Z[i]-nl.RefZ[i], lz, pbz)
-			d := math.Sqrt(dx*dx + dy*dy + dz*dz)
-			if d > localDrift {
-				localDrift = d
-			}
-			// B_i - R_i = 2·hGrowthCap·(h_i - (1+Skin)·RefH_i)
-			if e := d + 2*hGrowthCap*(p.H[i]-sk*nl.RefH[i]); e > localExcess {
-				localExcess = e
-			}
+			sl, d := s.skinSlack(i, p.H[i], maxH)
+			localSlack = math.Min(localSlack, sl)
+			localDrift = math.Max(localDrift, d)
 		}
 		mu.Lock()
-		if localDrift > maxDrift {
-			maxDrift = localDrift
-		}
-		if localExcess > maxExcess {
-			maxExcess = localExcess
-		}
+		minSlack = math.Min(minSlack, localSlack)
+		maxDrift = math.Max(maxDrift, localDrift)
 		mu.Unlock()
 	})
-	return maxExcess+maxDrift <= -1e-12*(2*hGrowthCap*maxH)
+	return maxDrift, minSlack >= maxDrift
 }
 
-// boxGeom caches the box quantities of the inlined minimum-image fold.
+// boxGeom caches the box quantities of the minimum-image fold
+// (neighbors.Fold): per axis the length and the fold distance.
 type boxGeom struct {
-	lx, ly, lz    float64
-	hx, hy, hz    float64
-	pbx, pby, pbz bool
+	lx, ly, lz float64
+	hx, hy, hz float64
 }
 
 func (s *State) geom() boxGeom {
 	box := s.Opt.Box
 	lx, ly, lz := box.Lx(), box.Ly(), box.Lz()
-	return boxGeom{lx, ly, lz, lx / 2, ly / 2, lz / 2, box.PBCx, box.PBCy, box.PBCz}
+	return boxGeom{lx, ly, lz, neighbors.HalfFold(lx, box.PBCx), neighbors.HalfFold(ly, box.PBCy), neighbors.HalfFold(lz, box.PBCz)}
 }
 
-// computeRow fills the chunk's dense buffers with the minimum-image
-// displacements and squared distances from particle i to every candidate.
-// Keeping this loop apart from the admission pass leaves it free of appends
-// and lets the compiler eliminate the bounds checks. The fold is inlined
-// term for term with the arithmetic of neighbors.MinImage, so the buffered
-// values are bit-identical to a fresh grid gather over the same pairs.
-func (cb *listChunk) computeRow(px, py, pz []float64, i int, cand []int32, g boxGeom) {
-	n := len(cand)
-	if cap(cb.cdx) < n {
-		cb.cdx = make([]float64, n)
-		cb.cdy = make([]float64, n)
-		cb.cdz = make([]float64, n)
-		cb.cr2 = make([]float64, n)
+// streamRow fills the chunk's dense r² buffer with the squared
+// minimum-image distance from particle i to each of its candidates and
+// returns how many lie below bound. Dense in, dense out: the loop appends
+// nothing and stores r² alone; displacements are recomputed for the few
+// candidates admitRow keeps.
+func (cb *listChunk) streamRow(p *Particles, i int, cand []int32, g boxGeom, bound float64) int {
+	if cap(cb.cr2) < len(cand) {
+		cb.cr2 = make([]float64, len(cand))
+		cb.sel = make([]int32, len(cand))
 	}
-	bdx, bdy, bdz, br2 := cb.cdx[:n], cb.cdy[:n], cb.cdz[:n], cb.cr2[:n]
+	r2 := cb.cr2[:len(cand)]
+	px, py, pz := p.X, p.Y, p.Z
 	xi, yi, zi := px[i], py[i], pz[i]
+	cnt := 0
 	for k, j := range cand {
-		dx := xi - px[j]
-		if g.pbx {
-			if dx > g.hx {
-				dx -= g.lx
-			} else if dx < -g.hx {
-				dx += g.lx
-			}
+		dx, dy, dz := neighbors.Fold(xi-px[j], g.hx, g.lx), neighbors.Fold(yi-py[j], g.hy, g.ly), neighbors.Fold(zi-pz[j], g.hz, g.lz)
+		v := dx*dx + dy*dy + dz*dz
+		r2[k] = v
+		if v < bound {
+			cnt++
 		}
-		dy := yi - py[j]
-		if g.pby {
-			if dy > g.hy {
-				dy -= g.ly
-			} else if dy < -g.hy {
-				dy += g.ly
-			}
-		}
-		dz := zi - pz[j]
-		if g.pbz {
-			if dz > g.hz {
-				dz -= g.lz
-			} else if dz < -g.hz {
-				dz += g.lz
-			}
-		}
-		bdx[k] = dx
-		bdy[k] = dy
-		bdz[k] = dz
-		br2[k] = dx*dx + dy*dy + dz*dz
 	}
+	return cnt
 }
 
-// regenCandidates rebuilds the candidate CSR from the checkpointed
-// reference snapshot. The grid construction and gather are pure functions
-// of the references, so the regenerated candidates are bit-identical to the
-// ones the original build captured and a restarted run replays the same
-// refresh/rebuild sequence.
-func (s *State) regenCandidates() {
-	nl := s.List
-	n := s.P.N
-	maxRefH := 0.0
-	for _, h := range nl.RefH {
-		maxRefH = math.Max(maxRefH, h)
+// admitRow closes particle i's row with the candidates streamRow found
+// below bound, in candidate order, cut at ngmax: their positions in the
+// segment are compacted first (cursor advance, no branch), then only the
+// survivors' displacements are recomputed. Returns the row's length.
+func (cb *listChunk) admitRow(p *Particles, i int, cand []int32, g boxGeom, bound float64, ngmax int) int {
+	r2, sel := cb.cr2[:len(cand)], cb.sel[:len(cand)]
+	m := 0
+	for k, v := range r2 {
+		sel[m] = int32(k)
+		if v < bound {
+			m++
+		}
 	}
-	sk := 1 + s.Opt.skin()
-	grid := s.buildSearcher(nl.RefX, nl.RefY, nl.RefZ, sk*(2*maxRefH*hGrowthCap))
-
-	chunks, _ := gatherRows(n, func(cb *listChunk, i int) float64 {
-		grid.ForEachNeighbor(i, sk*(2*hGrowthCap*nl.RefH[i]), func(j int, _, _, _, _ float64) {
-			cb.cand = append(cb.cand, int32(j))
-		})
-		cb.candEnd = append(cb.candEnd, int32(len(cb.cand)))
-		return 0
-	})
-	nl.mergeCands(chunks, n)
-	releaseChunks(chunks)
+	if m > ngmax {
+		cb.overflow++
+		m = ngmax
+	}
+	px, py, pz := p.X, p.Y, p.Z
+	xi, yi, zi := px[i], py[i], pz[i]
+	for _, k := range sel[:m] {
+		j := cand[k]
+		cb.idx = append(cb.idx, j)
+		cb.dx = append(cb.dx, neighbors.Fold(xi-px[j], g.hx, g.lx))
+		cb.dy = append(cb.dy, neighbors.Fold(yi-py[j], g.hy, g.ly))
+		cb.dz = append(cb.dz, neighbors.Fold(zi-pz[j], g.hz, g.lz))
+		cb.r2 = append(cb.r2, r2[k])
+	}
+	cb.rowEnd = append(cb.rowEnd, int32(len(cb.idx)))
+	return m
 }

@@ -11,7 +11,7 @@ import (
 
 // latticeState builds a uniform periodic lattice of n³ unit-density
 // particles ready for pipeline calls.
-func latticeState(n int, t *testing.T) *State {
+func latticeState(n int, t testing.TB) *State {
 	t.Helper()
 	box := sfc.NewPeriodicCube(0, 1)
 	N := n * n * n

@@ -98,9 +98,11 @@ func (s *State) RunStep(extraAccel func(p *Particles)) float64 {
 		// at 2K so the layout cannot go permanently stale. A closure-walk
 		// run has no list and reorders exactly every K steps.
 		since := s.Step - s.LastReorderStep
-		if since >= k && (since >= 2*k || s.rebuildCause(s.P.MaxH()) != "") {
-			s.ReorderBySFC()
-			s.LastReorderStep = s.Step
+		if since >= k {
+			if kind, _ := s.rebuildCause(s.P.MaxH()); since >= 2*k || kind != "" {
+				s.ReorderBySFC()
+				s.LastReorderStep = s.Step
+			}
 		}
 	}
 	s.pass(PassFindNeighbors, s.FindNeighbors)
