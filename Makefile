@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -103,10 +103,12 @@ race-sph:
 # width that splits it: ranks step in-line, so what runs concurrently is
 # whole core.Runs handed out by par.Tasks — sharing the experiments' session
 # cache and Fig. 4/5 memo, the spec tables and hostOverheads — plus the
-# tuner's candidate sweep.
+# tuner's candidate sweep and the trace export, whose tracks are encoded
+# side by side.
 race-model:
 	$(GO) test -race -cpu 4 ./internal/par/ ./internal/mpisim/ ./internal/core/ \
-		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/
+		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/ \
+		./internal/telemetry/
 
 # The repository's benchmark (benchmark/README.md has the protocol): all
 # four workloads at full size, then judged against the newest full-size
@@ -136,6 +138,15 @@ bench-telemetry:
 	$(GO) test -run '^$$' -bench 'TraceWriteJSON|SpansReadBack' -benchtime 20x -count 3 ./internal/telemetry/
 	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 ./internal/traceanalysis/
 	$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
+
+# What observing a run costs, leg by leg, on a recorded 8-rank 300-step
+# ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
+# whole observed run (sampler, tracer, ledger, metrics, attribution joined
+# in place) and the attribution join through both its feeds. The B/op and
+# allocs/op columns repeat exactly; TestObservedRunAllocBudget holds the
+# run's allocation volume in plain `go test ./...`.
+bench-observe:
+	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
 
 # FindNeighbors alone, by kind of step, on a jittered 30³ lattice: a
 # rebuild (candidate gather + row pass) and a refresh (row pass), each with

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -207,9 +210,22 @@ func TestAnalyzeTruncatedLedger(t *testing.T) {
 	if a.Decisions == 0 {
 		t.Errorf("valid prefix lost its decisions: %+v", a)
 	}
-	a.Truncated = truncated
-	if !strings.Contains(render(a), "truncated ledger") {
-		t.Error("rendered audit does not surface the truncation")
+	// As main does it: from the file, with the size of what was not read.
+	path := filepath.Join(t.TempDir(), "cut.jsonl")
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, beyond, err := events.ReadFile(path)
+	if err != nil || len(fromFile) != len(evs) {
+		t.Fatalf("ReadFile: %d events, err %v; ReadJSONL read %d", len(fromFile), err, len(evs))
+	}
+	lastLine := bytes.LastIndexByte(cut, '\n') + 1
+	if want := int64(len(cut) - lastLine); beyond != want {
+		t.Fatalf("ReadFile reports %d bytes beyond the valid prefix, the half line is %d", beyond, want)
+	}
+	a.Truncated, a.BeyondBytes = beyond > 0, beyond
+	if want := fmt.Sprintf("truncated ledger: %d bytes beyond", beyond); !strings.Contains(render(a), want) {
+		t.Errorf("rendered audit does not say %q:\n%s", want, render(a))
 	}
 }
 

@@ -47,10 +47,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	evs, truncated, err := events.ReadFile(*eventsPath)
+	evs, beyond, err := events.ReadFile(*eventsPath)
 	fatalIf(err)
-	if truncated {
-		fmt.Fprintln(os.Stderr, "declog: warning: ledger file is truncated; auditing the valid prefix")
+	if beyond > 0 {
+		fmt.Fprintf(os.Stderr, "declog: warning: ledger file is truncated; auditing the valid prefix (%d bytes beyond it not read)\n", beyond)
 	}
 
 	var att *attrib.Attribution
@@ -63,7 +63,7 @@ func main() {
 	}
 
 	a := analyze(evs, att, *threshold)
-	a.Truncated = truncated
+	a.Truncated, a.BeyondBytes = beyond > 0, beyond
 	if a.System == "" {
 		a.System = system
 	}
@@ -94,7 +94,10 @@ type analysis struct {
 	Events     int    `json:"events"`
 	Decisions  int    `json:"decisions"`
 	Truncated  bool   `json:"truncated,omitempty"`
-	Rows       []row  `json:"rows"`
+	// BeyondBytes is how much of a truncated ledger file lay past the valid
+	// prefix the audit covers: the malformed line and everything after it.
+	BeyondBytes int64 `json:"bytes_beyond_prefix,omitempty"`
+	Rows        []row `json:"rows"`
 	// AggLeftPct is the aggregate EDP left on the table versus the
 	// brute-force sweet spot, over functions with sweep data.
 	AggLeftPct   float64        `json:"agg_left_pct"`
@@ -271,7 +274,7 @@ func render(a *analysis) string {
 	fmt.Fprintf(&sb, ", strategy %s, %d steps — %d events, %d frequency decisions",
 		orDash(a.Strategy), a.Steps, a.Events, a.Decisions)
 	if a.Truncated {
-		sb.WriteString(" (truncated ledger)")
+		fmt.Fprintf(&sb, " (truncated ledger: %d bytes beyond the valid prefix not read)", a.BeyondBytes)
 	}
 	sb.WriteString("\n\n")
 

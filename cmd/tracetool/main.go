@@ -46,6 +46,7 @@ func run(args []string, out *os.File) int {
 		TopK: *topK,
 		EpsS: *epsUS * 1e-6,
 	})
+	a.Truncated = truncated
 	if *asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")

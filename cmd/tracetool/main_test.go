@@ -85,6 +85,38 @@ func TestTracetoolJSON(t *testing.T) {
 	}
 }
 
+// TestTracetoolTruncatedTraceSaysSo cuts the trace mid-event: both
+// renderings of the analysis, not only stderr, say it covers a prefix — and
+// neither says so of the whole file.
+func TestTracetoolTruncatedTraceSaysSo(t *testing.T) {
+	path := writeStragglerTrace(t)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.trace.json")
+	if err := os.WriteFile(cut, whole[:len(whole)*2/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for file, want := range map[string]bool{path: false, cut: true} {
+		text, code := runTool(t, file)
+		if code != 0 {
+			t.Fatalf("%s: exit code %d", file, code)
+		}
+		if got := strings.Contains(text, "truncated trace"); got != want {
+			t.Errorf("%s: text report mentions truncation: %v, want %v\n%s", file, got, want, text)
+		}
+		out, _ := runTool(t, "-json", file)
+		var a traceanalysis.Analysis
+		if err := json.Unmarshal([]byte(out), &a); err != nil {
+			t.Fatalf("%s: invalid JSON: %v", file, err)
+		}
+		if a.Truncated != want || strings.Contains(out, `"truncated"`) != want {
+			t.Errorf("%s: JSON analysis has truncated=%v, want %v", file, a.Truncated, want)
+		}
+	}
+}
+
 func TestTracetoolBadInput(t *testing.T) {
 	if _, code := runTool(t, filepath.Join(t.TempDir(), "missing.json")); code != 1 {
 		t.Errorf("missing file exit = %d, want 1", code)

@@ -181,6 +181,18 @@ type energySeries struct {
 	degSeg    []bool
 	degPrefix []float64
 	degAny    bool
+	// One cursor per row table: a rank's kernel spans arrive in time order,
+	// and so do its function spans, but a function is recorded after the
+	// kernels it contains.
+	cursors [2]cursor
+}
+
+// cursor remembers where the previous span of one table fell in the
+// series, so that the next one, starting and ending no earlier, is located
+// by stepping forward from there instead of by two binary searches.
+type cursor struct {
+	startS, endS float64 // the previous span
+	lo, hi       int     // its window
 }
 
 func newEnergySeries(samples []sampler.Sample) *energySeries {
@@ -206,7 +218,36 @@ func newEnergySeries(samples []sampler.Sample) *energySeries {
 			}
 		}
 	}
+	for i := range es.cursors {
+		es.cursors[i] = cursor{startS: math.Inf(-1), endS: math.Inf(-1), hi: -1}
+	}
 	return es
+}
+
+// window locates a span in the series: lo is the first tick at or after
+// startS (len(times) when there is none), hi the last tick at or before
+// endS (-1 when there is none). Every estimator below works from these two.
+// A span that starts and ends no earlier than the table's previous one is
+// found by stepping the cursor forward, which over a time-ordered table
+// costs one pass through the series in all; any other falls back to
+// binary search.
+func (es *energySeries) window(table int, startS, endS float64) (lo, hi int) {
+	c := &es.cursors[table]
+	n := len(es.times)
+	if startS >= c.startS {
+		for lo = c.lo; lo < n && es.times[lo] < startS; lo++ {
+		}
+	} else {
+		lo = sort.SearchFloat64s(es.times, startS)
+	}
+	if endS >= c.endS {
+		for hi = c.hi; hi+1 < n && es.times[hi+1] <= endS; hi++ {
+		}
+	} else {
+		hi = sort.Search(n, func(i int) bool { return es.times[i] > endS }) - 1
+	}
+	*c = cursor{startS: startS, endS: endS, lo: lo, hi: hi}
+	return lo, hi
 }
 
 // degAt returns the cumulative degraded time up to t.
@@ -229,48 +270,58 @@ func (es *energySeries) degAt(t float64) float64 {
 	return p
 }
 
-// degradedOverlap returns the degraded time inside [startS, endS].
-// Spans too short to contain an interior sample interval are estimated
-// from their *neighbor* intervals (atStart extends the preceding one,
-// atEnd the following one), so for those the query widens to the
-// borrowed intervals: such a span rests on estimated data even when its
-// own time window is clean. The result is capped at the span duration
-// so DegradedPct stays a fraction of the span.
-func (es *energySeries) degradedOverlap(startS, endS float64) float64 {
+// degradedOverlap returns the degraded time inside the span [startS, endS]
+// whose window is lo, hi. Spans too short to contain an interior sample
+// interval are estimated from their *neighbor* intervals (atStart extends
+// the preceding one, atEnd the following one), so for those the query
+// widens to the borrowed intervals: such a span rests on estimated data
+// even when its own time window is clean. The result is capped at the span
+// duration so DegradedPct stays a fraction of the span.
+func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float64 {
 	if !es.degAny || endS <= startS {
 		return 0
 	}
 	n := len(es.times)
-	lo := sort.SearchFloat64s(es.times, startS)
-	hi := sort.Search(n, func(i int) bool { return es.times[i] > endS }) - 1
 	if lo < n && hi >= 0 && hi > lo {
 		// Interior-interval spans (integrate's exact path) draw only on
 		// samples inside their window; strict overlap is the whole story.
 		return es.degAt(endS) - es.degAt(startS)
 	}
 	padLo, padHi := startS, endS
-	if i := es.locate(startS); i > 0 {
+	if i := es.intervalOfStart(startS, lo); i > 0 {
 		padLo = es.times[i-1]
 	}
-	if i := es.locate(endS); i >= 0 && i+2 < n {
+	if i := es.intervalOfEnd(endS, hi); i >= 0 && i+2 < n {
 		padHi = es.times[i+2]
 	}
 	return math.Min(es.degAt(padHi)-es.degAt(padLo), endS-startS)
 }
 
-// locate returns the interval index i with times[i] <= t < times[i+1],
-// or -1 when t is outside the series (including the exact last point).
-func (es *energySeries) locate(t float64) int {
+// intervalOfStart returns the interval index i with times[i] <= t <
+// times[i+1], or -1 when t is outside the series (including the exact last
+// point), given lo, the first tick at or after t.
+func (es *energySeries) intervalOfStart(t float64, lo int) int {
 	n := len(es.times)
 	if n < 2 || t < es.times[0] || t >= es.times[n-1] {
 		return -1
 	}
-	// First index with time > t, so the interval starts one before it.
-	i := sort.SearchFloat64s(es.times, t)
-	if i < n && es.times[i] == t {
-		return i
+	if es.times[lo] == t {
+		return lo
 	}
-	return i - 1
+	return lo - 1
+}
+
+// intervalOfEnd is intervalOfStart given hi, the last tick at or before t —
+// which, inside the series, is the interval's own index. (Where a rank
+// merged from several channels repeats the tick time t, a search from the
+// left would name the first of them; but only spans with no tick between
+// their ends come here, and a span ending on a repeated tick has one.)
+func (es *energySeries) intervalOfEnd(t float64, hi int) int {
+	n := len(es.times)
+	if n < 2 || t < es.times[0] || t >= es.times[n-1] {
+		return -1
+	}
+	return hi
 }
 
 // powerOf returns the mean power across interval i.
@@ -289,22 +340,23 @@ func (es *energySeries) clamp(e float64, i int) float64 {
 	return math.Min(math.Max(e, es.energies[i]), es.energies[i+1])
 }
 
-// atStart estimates cumulative energy at a span's start time. A plain
-// lerp across the containing sample interval systematically smears span
-// energy into the preceding idle (the cumulative-energy curve is convex
-// at a low→high power transition), biasing every attribution low. The
-// span boundary time is known exactly from the tracer, so the estimator
-// assumes the power transition happens there and extends the *preceding*
-// interval's observed power up to it — Score-P-style timestamp-aligned
-// attribution. Out-of-window times clamp to the series' ends, surfacing
-// sampler coverage gaps as attribution error instead of hiding them by
+// atStart estimates cumulative energy at a span's start time (lo being
+// the first tick at or after it). A plain lerp across the containing
+// sample interval systematically smears span energy into the preceding
+// idle (the cumulative-energy curve is convex at a low→high power
+// transition), biasing every attribution low. The span boundary time is
+// known exactly from the tracer, so the estimator assumes the power
+// transition happens there and extends the *preceding* interval's observed
+// power up to it — Score-P-style timestamp-aligned attribution.
+// Out-of-window times clamp to the series' ends, surfacing sampler
+// coverage gaps as attribution error instead of hiding them by
 // extrapolation.
-func (es *energySeries) atStart(t float64) float64 {
+func (es *energySeries) atStart(t float64, lo int) float64 {
 	n := len(es.times)
 	if n == 0 {
 		return 0
 	}
-	i := es.locate(t)
+	i := es.intervalOfStart(t, lo)
 	if i < 0 {
 		if t < es.times[0] {
 			return es.energies[0]
@@ -318,15 +370,15 @@ func (es *energySeries) atStart(t float64) float64 {
 	return es.clamp(es.energies[i]+es.powerOf(before)*(t-es.times[i]), i)
 }
 
-// atEnd estimates cumulative energy at a span's end time, mirroring
-// atStart: the *following* interval's power is extended backwards to the
-// boundary.
-func (es *energySeries) atEnd(t float64) float64 {
+// atEnd estimates cumulative energy at a span's end time (hi being the
+// last tick at or before it), mirroring atStart: the *following*
+// interval's power is extended backwards to the boundary.
+func (es *energySeries) atEnd(t float64, hi int) float64 {
 	n := len(es.times)
 	if n == 0 {
 		return 0
 	}
-	i := es.locate(t)
+	i := es.intervalOfEnd(t, hi)
 	if i < 0 {
 		if t < es.times[0] {
 			return es.energies[0]
@@ -340,22 +392,19 @@ func (es *energySeries) atEnd(t float64) float64 {
 	return es.clamp(es.energies[i+1]-es.powerOf(after)*(es.times[i+1]-t), i)
 }
 
-// integrate returns the sampled energy across [startS, endS]. When the
-// span contains at least one full sample interval, its interior energy is
-// taken verbatim and the partial edge intervals are filled by extending
-// the nearest *interior* interval's power outward — within the span the
-// power regime is the span's own, so this is exact for constant-power
-// kernels however short the surrounding idle gaps are. Spans too short to
-// contain an interior interval fall back to the neighbor-interval
-// boundary estimate of atStart/atEnd.
-func (es *energySeries) integrate(startS, endS float64) float64 {
+// integrate returns the sampled energy across the span [startS, endS]
+// whose window is lo, hi. When the span contains at least one full sample
+// interval, its interior energy is taken verbatim and the partial edge
+// intervals are filled by extending the nearest *interior* interval's
+// power outward — within the span the power regime is the span's own, so
+// this is exact for constant-power kernels however short the surrounding
+// idle gaps are. Spans too short to contain an interior interval fall back
+// to the neighbor-interval boundary estimate of atStart/atEnd.
+func (es *energySeries) integrate(startS, endS float64, lo, hi int) float64 {
 	if endS <= startS {
 		return 0
 	}
 	n := len(es.times)
-	// lo: first tick at or after startS; hi: last tick at or before endS.
-	lo := sort.SearchFloat64s(es.times, startS)
-	hi := sort.Search(n, func(i int) bool { return es.times[i] > endS }) - 1
 	if lo < n && hi >= 0 && hi > lo {
 		interior := es.energies[hi] - es.energies[lo]
 		startEdge := 0.0
@@ -370,7 +419,7 @@ func (es *energySeries) integrate(startS, endS float64) float64 {
 		}
 		return interior + startEdge + endEdge
 	}
-	return math.Max(0, es.atEnd(endS)-es.atStart(startS))
+	return math.Max(0, es.atEnd(endS, hi)-es.atStart(startS, lo))
 }
 
 // rowKey groups spans into table rows.
@@ -379,61 +428,132 @@ type rowKey struct {
 	name string
 }
 
+// table is one of the attribution's two row sets under construction.
+type table struct {
+	category string // the span category whose spans are its rows
+	truthKey string // the span argument holding the model's energy
+	rows     map[rowKey]*Row
+	// byRef caches the rows of spans with an interned identity, by identity
+	// and rank, so that finding a span's row is two slice indexings instead
+	// of hashing its name. rows stays the table of record: a row is entered
+	// here the first time its identity is seen on its rank.
+	byRef [][]*Row
+}
+
+// row returns the row of a span named name on rank, recorded under the
+// interned identity ref (telemetry.NoRef when under none).
+func (t *table) row(ref telemetry.SpanRef, rank int, name string) *Row {
+	if ref != telemetry.NoRef {
+		for int(ref) >= len(t.byRef) {
+			t.byRef = append(t.byRef, nil)
+		}
+		for rank >= len(t.byRef[ref]) {
+			t.byRef[ref] = append(t.byRef[ref], nil)
+		}
+		if row := t.byRef[ref][rank]; row != nil {
+			return row
+		}
+	}
+	key := rowKey{rank: rank, name: name}
+	row, ok := t.rows[key]
+	if !ok {
+		row = &Row{Rank: rank, Name: name}
+		t.rows[key] = row
+	}
+	if ref != telemetry.NoRef {
+		t.byRef[ref][rank] = row
+	}
+	return row
+}
+
+// join is an attribution under construction: spans are folded into its
+// rows one at a time by add, in whatever order their source holds them,
+// and finish turns the rows into the result. Build feeds it a slice of
+// spans, BuildFromTracer a tracer's records where they lie.
+type join struct {
+	opts   Options
+	series map[int]*energySeries
+	// The series of the last span's rank: sources hand over one track's
+	// spans after another's, so this saves the map probe.
+	rank    int
+	current *energySeries
+	tables  [2]table
+}
+
+func newJoin(series map[int][]sampler.Sample, opts Options) *join {
+	j := &join{opts: opts.defaulted(), rank: -1, series: make(map[int]*energySeries, len(series))}
+	for rank, ss := range series {
+		j.series[rank] = newEnergySeries(ss)
+	}
+	j.tables[0] = table{category: "kernel", truthKey: "energy_j", rows: map[rowKey]*Row{}}
+	j.tables[1] = table{category: "function", truthKey: "gpu_j", rows: map[rowKey]*Row{}}
+	return j
+}
+
+// add folds one span into its row. Only complete spans of the two tables'
+// categories on rank tracks the sampler covered participate; everything
+// else is ignored.
+func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
+	if sp.Track < 0 || sp.Instant {
+		return
+	}
+	ti := 0
+	if sp.Category != j.tables[0].category {
+		if ti = 1; sp.Category != j.tables[1].category {
+			return
+		}
+	}
+	if sp.Track != j.rank {
+		j.rank, j.current = sp.Track, j.series[sp.Track]
+	}
+	s := j.current
+	if s == nil {
+		return
+	}
+	t := &j.tables[ti]
+	row := t.row(ref, sp.Track, sp.Name)
+	row.Calls++
+	row.TimeS += sp.DurS
+	truth, _ := sp.Arg(t.truthKey)
+	row.ModelJ += truth
+	lo, hi := s.window(ti, sp.StartS, sp.EndS())
+	row.SampledJ += s.integrate(sp.StartS, sp.EndS(), lo, hi)
+	row.degradedS += s.degradedOverlap(sp.StartS, sp.EndS(), lo, hi)
+	if clock, ok := sp.Arg("clock_mhz"); ok {
+		row.clockWeight += clock * sp.DurS
+	}
+}
+
 // Build joins spans against sampled series. Only spans in the categories
 // "kernel" (ground truth in the "energy_j" arg) and "function" (ground
 // truth in the "gpu_j" arg) on rank tracks participate; everything else is
 // ignored.
 func Build(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, opts Options) *Attribution {
-	opts = opts.defaulted()
+	j := newJoin(series, opts)
+	for i := range spans {
+		j.add(telemetry.NoRef, &spans[i])
+	}
+	return j.finish()
+}
+
+// BuildFromTracer is Build(t.Spans(), series, opts) without the slice:
+// the tracer's records are joined where they lie, in the order Spans
+// returns them, so the result is the same to the last bit.
+func BuildFromTracer(t *telemetry.Tracer, series map[int][]sampler.Sample, opts Options) *Attribution {
+	j := newJoin(series, opts)
+	t.VisitSpans(j.add)
+	return j.finish()
+}
+
+// finish closes the rows and applies the tolerance contract.
+func (j *join) finish() *Attribution {
+	opts := j.opts
 	a := &Attribution{Opts: opts}
-
-	es := map[int]*energySeries{}
-	for rank, ss := range series {
-		es[rank] = newEnergySeries(ss)
-	}
-
-	kernels := map[rowKey]*Row{}
-	functions := map[rowKey]*Row{}
-	for _, sp := range spans {
-		if sp.Track < 0 || sp.Instant {
-			continue
-		}
-		var table map[rowKey]*Row
-		var truthKey string
-		switch sp.Category {
-		case "kernel":
-			table, truthKey = kernels, "energy_j"
-		case "function":
-			table, truthKey = functions, "gpu_j"
-		default:
-			continue
-		}
-		s := es[sp.Track]
-		if s == nil {
-			continue
-		}
-		key := rowKey{rank: sp.Track, name: sp.Name}
-		row, ok := table[key]
-		if !ok {
-			row = &Row{Rank: sp.Track, Name: sp.Name}
-			table[key] = row
-		}
-		row.Calls++
-		row.TimeS += sp.DurS
-		truth, _ := sp.Arg(truthKey)
-		row.ModelJ += truth
-		row.SampledJ += s.integrate(sp.StartS, sp.EndS())
-		row.degradedS += s.degradedOverlap(sp.StartS, sp.EndS())
-		if clock, ok := sp.Arg("clock_mhz"); ok {
-			row.clockWeight += clock * sp.DurS
-		}
-	}
-
 	minDur := 0.0
 	if opts.RateHz > 0 {
 		minDur = opts.MinResolvablePeriods / opts.RateHz
 	}
-	finish := func(table map[rowKey]*Row) []Row {
+	closeRows := func(table map[rowKey]*Row) []Row {
 		out := make([]Row, 0, len(table))
 		for _, r := range table {
 			if r.Calls > 0 {
@@ -462,15 +582,15 @@ func Build(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, opts Op
 		})
 		return out
 	}
-	a.Kernels = finish(kernels)
-	a.Functions = finish(functions)
+	a.Kernels = closeRows(j.tables[0].rows)
+	a.Functions = closeRows(j.tables[1].rows)
 
 	// Rank summaries over kernel rows.
 	perRank := map[int]*RankSummary{}
 	for _, r := range a.Kernels {
 		rs, ok := perRank[r.Rank]
 		if !ok {
-			rs = &RankSummary{Rank: r.Rank, Samples: len(series[r.Rank])}
+			rs = &RankSummary{Rank: r.Rank, Samples: len(j.series[r.Rank].times)}
 			perRank[r.Rank] = rs
 		}
 		rs.ModelJ += r.ModelJ

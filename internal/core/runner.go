@@ -666,13 +666,13 @@ func Run(cfg Config) (*Result, error) {
 	})
 
 	// Final sampler flush, then the span join: sampled series against
-	// kernel/function spans, gated by the documented tolerance contract at
-	// the sampler's own rate.
+	// kernel/function spans, read where the tracer holds them, gated by the
+	// documented tolerance contract at the sampler's own rate.
 	var attribution *attrib.Attribution
 	if smp != nil {
 		smp.PollAll()
 		if cfg.Tracer != nil {
-			attribution = attrib.Build(cfg.Tracer.Spans(), smp.RankSeries(),
+			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.RankSeries(),
 				attrib.Options{RateHz: smp.Config().GPUHz})
 			// No silent overflow: a rank ring that wrapped no longer holds
 			// the run's start, and the join says so instead of reporting the

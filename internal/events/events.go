@@ -13,21 +13,22 @@
 //
 // Non-perturbation contract (the same one internal/telemetry holds): a nil
 // *Ledger is a valid no-op, every emit is a pure observation with no effect
-// on simulation state, and the steady-state emit path performs no heap
-// allocation. Emit serializes on one short mutex — decision events are
+// on simulation state, and the emit path performs no heap allocation beyond
+// the ring's own storage, taken a block of events at a time until the ring
+// is full. Emit serializes on one short mutex — decision events are
 // per-phase, not per-particle, so the ring never sits on a per-item hot
 // loop.
 package events
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
 	"sphenergy/internal/atomicio"
+	"sphenergy/internal/blocks"
 )
 
 // Type names a decision-event kind.
@@ -154,9 +155,8 @@ const DefaultCap = 1 << 15
 // nil *Ledger is a valid no-op on every method.
 type Ledger struct {
 	mu     sync.Mutex
-	buf    []Event // ring storage, len == cap once warm
-	capN   int
-	next   uint64 // total emitted; the next event gets Seq next+1
+	ring   blocks.Seq[Event] // the retained events, oldest first
+	next   uint64            // total emitted; the next event gets Seq next+1
 	counts map[Type]uint64
 	preds  Predictions
 	status Status
@@ -170,8 +170,7 @@ func NewLedger(capacity int) *Ledger {
 		capacity = DefaultCap
 	}
 	l := &Ledger{
-		capN:   capacity,
-		buf:    make([]Event, 0, capacity),
+		ring:   blocks.Bounded[Event](capacity),
 		counts: make(map[Type]uint64, len(builtinTypes)),
 	}
 	for _, t := range builtinTypes {
@@ -194,7 +193,8 @@ func (l *Ledger) SetPredictions(p Predictions) {
 }
 
 // Emit appends one event, assigning its sequence id. The event value is
-// copied into the ring; steady-state emits do not allocate.
+// copied into the ring, whose storage is allocated a block at a time as the
+// run first fills it: steady-state emits do not allocate.
 func (l *Ledger) Emit(ev Event) {
 	if l == nil {
 		return
@@ -208,11 +208,8 @@ func (l *Ledger) Emit(ev Event) {
 func (l *Ledger) emitLocked(ev Event) {
 	l.next++
 	ev.Seq = l.next
-	if len(l.buf) < l.capN {
-		l.buf = append(l.buf, ev)
-	} else {
-		l.buf[int((ev.Seq-1)%uint64(l.capN))] = ev
-	}
+	slot, _ := l.ring.Push()
+	*slot = ev
 	l.counts[ev.Type]++
 	l.status.apply(ev)
 	for _, ch := range l.subs {
@@ -263,7 +260,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.buf)
+	return l.ring.Len()
 }
 
 // Summary returns the ledger roll-up (only non-zero type counts).
@@ -274,9 +271,7 @@ func (l *Ledger) Summary() *Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := &Summary{Emitted: l.next, ByType: make(map[Type]uint64)}
-	if n := uint64(len(l.buf)); l.next > n {
-		s.Dropped = l.next - n
-	}
+	s.Dropped = l.next - uint64(l.ring.Len())
 	for t, c := range l.counts {
 		if c > 0 {
 			s.ByType[t] = c
@@ -294,10 +289,7 @@ func (l *Ledger) ReadSince(after uint64, dst []Event) ([]Event, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	oldest := uint64(1)
-	if n := uint64(len(l.buf)); l.next > n {
-		oldest = l.next - n + 1
-	}
+	oldest := l.oldestLocked()
 	from := after + 1
 	gap := false
 	if from < oldest {
@@ -305,7 +297,7 @@ func (l *Ledger) ReadSince(after uint64, dst []Event) ([]Event, bool) {
 		gap = true
 	}
 	for seq := from; seq <= l.next; seq++ {
-		dst = append(dst, l.buf[int((seq-1)%uint64(l.capN))])
+		dst = append(dst, *l.ring.At(int(seq - oldest)))
 	}
 	return dst, gap
 }
@@ -355,20 +347,47 @@ func (l *Ledger) Subscribers() int {
 	return len(l.subs)
 }
 
-// WriteJSONL writes every retained event as one JSON object per line, in
-// sequence order.
+// encodeChunk is how many encoded bytes WriteJSONL gathers under the
+// ledger's lock before it lets go of the lock to hand them to the writer.
+const encodeChunk = 64 << 10
+
+// WriteJSONL writes the events retained when it is called as one JSON
+// object per line, in sequence order. Events are encoded straight out of
+// the ring into one reused buffer — under the lock, a chunk at a time, so
+// the writer is never called with the lock held and emitters wait for an
+// encoding burst at most. Should the ring turn past the export's place
+// during a write (more than its capacity emitted meanwhile), the export
+// resumes at the oldest event still held.
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range l.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("events: encode: %w", err)
+	enc := eventEncoder{buf: make([]byte, 0, encodeChunk+encodeChunk/8)}
+	l.mu.Lock()
+	seq, end := l.oldestLocked(), l.next
+	for seq <= end {
+		oldest := l.oldestLocked()
+		for seq = max(seq, oldest); seq <= end && len(enc.buf) < encodeChunk; seq++ {
+			enc.event(l.ring.At(int(seq - oldest)))
 		}
+		l.mu.Unlock()
+		if enc.err != nil {
+			return enc.err
+		}
+		if _, err := w.Write(enc.buf); err != nil {
+			return err
+		}
+		enc.buf = enc.buf[:0]
+		l.mu.Lock()
 	}
-	return bw.Flush()
+	l.mu.Unlock()
+	return nil
+}
+
+// oldestLocked is the sequence id of the oldest retained event (next+1
+// when none is); caller holds l.mu.
+func (l *Ledger) oldestLocked() uint64 {
+	return l.next - uint64(l.ring.Len()) + 1
 }
 
 // WriteFile writes the JSONL export to path atomically: a crash mid-write
@@ -380,36 +399,80 @@ func (l *Ledger) WriteFile(path string) error {
 	return atomicio.WriteFile(path, l.WriteJSONL)
 }
 
-// ReadJSONL parses a ledger export. A malformed tail (a run killed
-// mid-write) stops the parse at the last valid line and reports
-// truncated=true rather than erroring — interrupted runs must stay
-// auditable.
+// ReadJSONL parses a ledger export. A malformed line — the tail of a run
+// killed mid-write, or damage anywhere before it — ends the parse there and
+// reports truncated=true rather than erroring: what precedes it is returned,
+// what follows it is not read, and interrupted runs stay auditable.
 func ReadJSONL(r io.Reader) (evs []Event, truncated bool, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if uerr := json.Unmarshal(line, &ev); uerr != nil {
-			return evs, true, nil
-		}
-		evs = append(evs, ev)
-	}
-	if serr := sc.Err(); serr != nil {
-		return evs, true, fmt.Errorf("events: read: %w", serr)
-	}
-	return evs, false, nil
+	evs, _, truncated, err = readJSONL(r)
+	return evs, truncated, err
 }
 
-// ReadFile parses a JSONL ledger export from path.
-func ReadFile(path string) ([]Event, bool, error) {
+// readBlock is how many events readJSONL decodes into one block.
+const readBlock = 512
+
+// readJSONL is ReadJSONL that also returns the length of the valid prefix:
+// the offset just past the last line that parsed. Events are decoded in
+// place into blocks and copied once into a result of exactly their number:
+// an Event is 176 bytes, and growing one slice by append would copy a long
+// ledger five times over and keep a quarter more than it holds.
+func readJSONL(r io.Reader) (evs []Event, valid int64, truncated bool, err error) {
+	var consumed int64
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		consumed += int64(advance)
+		return advance, token, err
+	})
+	dec := newEventDecoder()
+	var full [][]Event
+	var block []Event
+	for !truncated && sc.Scan() {
+		if line := sc.Bytes(); len(line) > 0 {
+			if len(block) == cap(block) {
+				if block != nil {
+					full = append(full, block)
+				}
+				block = make([]Event, 0, readBlock)
+			}
+			block = append(block, Event{})
+			if !dec.decode(line, &block[len(block)-1]) {
+				block, truncated = block[:len(block)-1], true
+				continue
+			}
+		}
+		valid = consumed
+	}
+	if serr := sc.Err(); serr != nil {
+		truncated, err = true, fmt.Errorf("events: read: %w", serr)
+	}
+	if n := len(full)*readBlock + len(block); n > 0 {
+		evs = make([]Event, 0, n)
+		for _, b := range full {
+			evs = append(evs, b...)
+		}
+		evs = append(evs, block...)
+	}
+	return evs, valid, truncated, err
+}
+
+// ReadFile parses a JSONL ledger export from path. beyond is how many bytes
+// of the file lie past the valid prefix ReadJSONL would return — 0 for a
+// file read to its end.
+func ReadFile(path string) (evs []Event, beyond int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("events: %w", err)
+		return nil, 0, fmt.Errorf("events: %w", err)
 	}
 	defer f.Close()
-	return ReadJSONL(f)
+	evs, valid, _, err := readJSONL(f)
+	if err != nil {
+		return evs, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return evs, 0, fmt.Errorf("events: %w", err)
+	}
+	return evs, fi.Size() - valid, nil
 }

@@ -39,7 +39,7 @@ func (l *Ledger) SSEHandler() http.Handler {
 		notify := l.Subscribe()
 		defer l.Unsubscribe(notify)
 
-		enc := json.NewEncoder(w)
+		var enc eventEncoder
 		buf := make([]Event, 0, 256)
 		cursor := after
 		for {
@@ -47,12 +47,16 @@ func (l *Ledger) SSEHandler() http.Handler {
 			if gap {
 				fmt.Fprintf(w, ": gap after seq %d\n\n", cursor)
 			}
-			for _, ev := range evs {
-				fmt.Fprintf(w, "id: %d\nevent: %s\ndata: ", ev.Seq, ev.Type)
-				if err := enc.Encode(ev); err != nil {
+			for i := range evs {
+				ev := &evs[i]
+				enc.buf = fmt.Appendf(enc.buf[:0], "id: %d\nevent: %s\ndata: ", ev.Seq, ev.Type)
+				enc.event(ev)
+				if enc.err != nil {
 					return
 				}
-				fmt.Fprint(w, "\n")
+				if _, err := w.Write(append(enc.buf, '\n')); err != nil {
+					return
+				}
 				cursor = ev.Seq
 			}
 			if len(evs) > 0 {

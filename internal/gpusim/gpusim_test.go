@@ -64,6 +64,40 @@ func TestNearestSupportedClock(t *testing.T) {
 	}
 }
 
+// TestNearestSupportedClockMatchesTableScan holds the arithmetic snap to the
+// scan of the table it replaced — first (higher) entry on a tie — on every
+// shipped spec and on one whose range is no multiple of its step and one with
+// an even step, where a request can sit exactly between two entries.
+func TestNearestSupportedClockMatchesTableScan(t *testing.T) {
+	ragged, even := A100SXM480GB(), A100SXM480GB()
+	ragged.MinSMClockMHz = 217
+	even.SMClockStepMHz = 50
+	for _, s := range append(specs(), ragged, even) {
+		table := s.SupportedClocksMHz()
+		for i, f := range table {
+			if got, ok := s.SupportedClockAt(i); !ok || got != f {
+				t.Fatalf("%s step %d: SupportedClockAt(%d) = %d, %v, want %d", s.Name, s.SMClockStepMHz, i, got, ok, f)
+			}
+		}
+		for _, i := range []int{-1, len(table)} {
+			if _, ok := s.SupportedClockAt(i); ok {
+				t.Errorf("%s: SupportedClockAt(%d) ok outside a table of %d", s.Name, i, len(table))
+			}
+		}
+		for mhz := s.MinSMClockMHz - s.SMClockStepMHz; mhz <= s.MaxSMClockMHz+s.SMClockStepMHz; mhz++ {
+			want, wantD := table[0], abs(mhz-table[0])
+			for _, c := range table[1:] {
+				if d := abs(mhz - c); d < wantD {
+					want, wantD = c, d
+				}
+			}
+			if got := s.NearestSupportedClock(mhz); got != want {
+				t.Fatalf("%s step %d: NearestSupportedClock(%d) = %d, table scan gives %d", s.Name, s.SMClockStepMHz, mhz, got, want)
+			}
+		}
+	}
+}
+
 func TestVoltageMonotonic(t *testing.T) {
 	for _, s := range specs() {
 		prev := 0.0

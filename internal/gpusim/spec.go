@@ -143,27 +143,44 @@ func (s Spec) NearestMemClock(mhz int) int {
 }
 
 // SupportedClocksMHz lists the application clocks the device accepts, in
-// descending order (the NVML convention).
+// descending order (the NVML convention): MaxSMClockMHz down in steps of
+// SMClockStepMHz while not below MinSMClockMHz.
 func (s Spec) SupportedClocksMHz() []int {
-	var out []int
-	for f := s.MaxSMClockMHz; f >= s.MinSMClockMHz; f -= s.SMClockStepMHz {
-		out = append(out, f)
+	out := make([]int, s.clockCount())
+	for i := range out {
+		out[i] = s.MaxSMClockMHz - i*s.SMClockStepMHz
 	}
 	return out
 }
 
-// NearestSupportedClock snaps a requested clock to the closest supported
-// application clock.
-func (s Spec) NearestSupportedClock(mhz int) int {
-	clocks := s.SupportedClocksMHz()
-	best := clocks[0]
-	bestD := abs(mhz - best)
-	for _, c := range clocks[1:] {
-		if d := abs(mhz - c); d < bestD {
-			best, bestD = c, d
-		}
+// clockCount is the length of the SupportedClocksMHz table.
+func (s Spec) clockCount() int {
+	return (s.MaxSMClockMHz-s.MinSMClockMHz)/s.SMClockStepMHz + 1
+}
+
+// SupportedClockAt returns entry index of the SupportedClocksMHz table
+// without building it; ok is false for an index outside the table.
+func (s Spec) SupportedClockAt(index int) (mhz int, ok bool) {
+	if index < 0 || index >= s.clockCount() {
+		return 0, false
 	}
-	return best
+	return s.MaxSMClockMHz - index*s.SMClockStepMHz, true
+}
+
+// NearestSupportedClock snaps a requested clock to the closest supported
+// application clock, the higher one when two are equally close. It is the
+// table's nearest entry worked out from the table's rule: every clock
+// change goes through here, so it builds nothing.
+func (s Spec) NearestSupportedClock(mhz int) int {
+	below := s.MaxSMClockMHz - mhz
+	if below <= 0 {
+		return s.MaxSMClockMHz
+	}
+	k := below / s.SMClockStepMHz
+	if 2*(below%s.SMClockStepMHz) > s.SMClockStepMHz {
+		k++
+	}
+	return s.MaxSMClockMHz - min(k, s.clockCount()-1)*s.SMClockStepMHz
 }
 
 func abs(x int) int {

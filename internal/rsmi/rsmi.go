@@ -88,24 +88,16 @@ func (l *Library) DevGPUClkFreqSet(i, index int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	table := d.Spec().SupportedClocksMHz()
-	if index < 0 || index >= len(table) {
+	want, ok := d.Spec().SupportedClockAt(index)
+	if !ok {
 		return 0, fmt.Errorf("%w: frequency index %d", ErrInvalidArgs, index)
 	}
-	mhz, err := l.fault("clock-set", table[index])
+	// A hook that clamped the request is honored at the nearest table
+	// entry, the snap SetApplicationClocks applies as the platform
+	// firmware does.
+	mhz, err := l.fault("clock-set", want)
 	if err != nil {
 		return 0, err
-	}
-	if mhz != table[index] {
-		// The hook clamped the request; honor the nearest table entry, the
-		// same snap the platform firmware applies.
-		best, bestDiff := table[0], abs(table[0]-mhz)
-		for _, f := range table[1:] {
-			if diff := abs(f - mhz); diff < bestDiff {
-				best, bestDiff = f, diff
-			}
-		}
-		mhz = best
 	}
 	return d.SetApplicationClocks(0, mhz)
 }

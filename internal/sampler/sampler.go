@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"sync"
 
+	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
 	"sphenergy/internal/telemetry"
 )
@@ -173,10 +174,8 @@ type Channel struct {
 	secondary pmt.Sensor // optional failover source
 	periodS   float64
 
-	// ring buffer
-	buf     []Sample
-	head    int
-	cap     int
+	// The retained series: a ring of Config.RingCap samples, in blocks.
+	ring    blocks.Seq[Sample]
 	dropped uint64
 
 	// accumulation state. last is the effective anchor for interpolation,
@@ -455,13 +454,11 @@ func (c *Channel) kahanAdd(deltaJ float64) {
 
 // push appends one sample to the bounded ring; caller holds c.mu.
 func (c *Channel) push(s Sample) {
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, s)
-		return
+	slot, dropped := c.ring.Push()
+	*slot = s
+	if dropped {
+		c.dropped++
 	}
-	c.buf[c.head] = s
-	c.head = (c.head + 1) % len(c.buf)
-	c.dropped++
 }
 
 // Samples returns the retained series in time order.
@@ -473,13 +470,11 @@ func (c *Channel) Samples() []Sample {
 }
 
 // appendSamples appends the retained series to dst in time order, copying
-// each sample once out of the ring (unwrapped at head).
+// each sample once out of the ring.
 func (c *Channel) appendSamples(dst []Sample) []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dst = slices.Grow(dst, len(c.buf))
-	dst = append(dst, c.buf[c.head:]...)
-	return append(dst, c.buf[:c.head]...)
+	return c.ring.AppendTo(slices.Grow(dst, c.ring.Len()))
 }
 
 // AccumJ returns the overflow-safe cumulative energy since the first poll.
@@ -611,7 +606,7 @@ func (s *Sampler) Add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 		rank:         rank,
 		sensor:       sensor,
 		periodS:      1 / hz,
-		cap:          s.cfg.RingCap,
+		ring:         blocks.Bounded[Sample](s.cfg.RingCap),
 		stuckPolls:   s.cfg.StuckPolls,
 		onTransition: onTrans,
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
 	"sphenergy/internal/telemetry"
 )
@@ -104,6 +105,39 @@ func TestChannelRingOverflow(t *testing.T) {
 	// Accumulation is unaffected by ring overflow.
 	if !approx(ch.AccumJ(), 50, 1e-9) {
 		t.Fatalf("accum = %g, want 50", ch.AccumJ())
+	}
+}
+
+// TestChannelRingWrapsAcrossBlocks wraps a ring of two full blocks and a
+// ragged third several times over: what stays is exactly the newest cap
+// ticks, in order, with every older one counted as dropped.
+func TestChannelRingWrapsAcrossBlocks(t *testing.T) {
+	const ringCap, ticks = 2*blocks.Len + 452, 3*(2*blocks.Len+452) + 77
+	states := make([]pmt.State, ticks)
+	for i := range states {
+		states[i] = pmt.State{TimeS: float64(i) * 0.1, EnergyJ: float64(i)}
+	}
+	ch := New(Config{NodeHz: 10, RingCap: ringCap}).Add("fake", -1, &scriptSensor{name: "fake", states: states}, 10)
+	for i := range states {
+		ch.Poll()
+		if i == ringCap/2 || i == ringCap-1 {
+			// Before the first wrap the series is everything emitted so far.
+			if got := ch.Samples(); len(got) != i+1 || got[0].EnergyJ != 0 || got[i].EnergyJ != float64(i) {
+				t.Fatalf("after %d ticks: %d samples retained, first %g J, last %g J", i+1, len(got), got[0].EnergyJ, got[len(got)-1].EnergyJ)
+			}
+		}
+	}
+	got := ch.Samples()
+	if len(got) != ringCap {
+		t.Fatalf("retained = %d, want %d", len(got), ringCap)
+	}
+	for i, s := range got {
+		if want := float64(ticks - ringCap + i); s.EnergyJ != want {
+			t.Fatalf("sample %d holds tick %g, want tick %g", i, s.EnergyJ, want)
+		}
+	}
+	if st := ch.Stats(); st.Ticks != ticks || st.Dropped != ticks-ringCap {
+		t.Fatalf("ticks %d dropped %d, want %d and %d", st.Ticks, st.Dropped, ticks, ticks-ringCap)
 	}
 }
 

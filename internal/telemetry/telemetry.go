@@ -16,11 +16,14 @@
 // struct write with no string traffic at all.
 //
 // What was deferred is paid once, and flatly, when the run is over: the
-// export (WriteJSON) appends every event into one reused buffer in a fixed
-// field order — no container per span, an interned identity's strings
-// quoted once — and the in-process read-back (Spans) is two allocations
-// whatever the span count. Both take the shard locks, so they are safe
-// while ranks still record.
+// export (WriteJSON) appends every event in a fixed field order — no
+// container per span, an interned identity's strings quoted once — the
+// tracks side by side; the in-process read-back is a visit of the records
+// where they lie (VisitSpans) or, for callers that want the slice, Spans, a
+// handful of allocations whatever the span count. All take the shard locks,
+// so they are safe while ranks still record. A shard keeps its records in
+// fixed blocks (internal/blocks): recording never copies what is already
+// recorded.
 package telemetry
 
 import (
@@ -28,6 +31,7 @@ import (
 	"sync"
 
 	"sphenergy/internal/atomicio"
+	"sphenergy/internal/blocks"
 )
 
 // attrKind tags the payload of an Attr.
@@ -115,8 +119,8 @@ type event struct {
 // chronological order, so export emits them back to back.
 type shard struct {
 	mu     sync.Mutex
-	events []event
-	fast   []fastEvent
+	events blocks.Seq[event]
+	fast   blocks.Seq[fastEvent]
 }
 
 // add constructs the event directly in the buffer — a single struct write,
@@ -124,8 +128,8 @@ type shard struct {
 // here, so escape analysis keeps it on the caller's stack.
 func (s *shard) add(ph byte, cat, name string, startS, durS float64, attrs []Attr) {
 	s.mu.Lock()
-	s.events = append(s.events, event{name: name, cat: cat, startS: startS, durS: durS, ph: ph})
-	e := &s.events[len(s.events)-1]
+	e, _ := s.events.Push()
+	*e = event{name: name, cat: cat, startS: startS, durS: durS, ph: ph}
 	e.nattr = uint8(copy(e.attrs[:], attrs))
 	if len(attrs) > inlineAttrs {
 		e.extra = append([]Attr(nil), attrs[inlineAttrs:]...)
@@ -149,7 +153,8 @@ type fastEvent struct {
 // addFast appends one interned event in place.
 func (s *shard) addFast(ph byte, ref SpanRef, startS, durS, v0, v1 float64) {
 	s.mu.Lock()
-	s.fast = append(s.fast, fastEvent{startS: startS, durS: durS, v0: v0, v1: v1, ref: ref, ph: ph})
+	fe, _ := s.fast.Push()
+	*fe = fastEvent{startS: startS, durS: durS, v0: v0, v1: v1, ref: ref, ph: ph}
 	s.mu.Unlock()
 }
 
@@ -298,8 +303,8 @@ func (t *Tracer) Reset() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		s.events = s.events[:0]
-		s.fast = s.fast[:0]
+		s.events.Reset()
+		s.fast.Reset()
 		s.mu.Unlock()
 	}
 }
@@ -313,7 +318,7 @@ func (t *Tracer) Len() int {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += len(s.events) + len(s.fast)
+		n += s.events.Len() + s.fast.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -357,15 +362,13 @@ func (e SpanEvent) Arg(key string) (float64, bool) {
 // duration, counts first, and then allocates twice — the result at its
 // final length and one slab all Args are carved from (each capped at
 // its own length, so appending to one span's Args never reaches the next).
+// A consumer that only folds the spans into something smaller should use
+// VisitSpans, which builds neither.
 func (t *Tracer) Spans() []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	// Descriptors are immutable once appended, so the slice header taken
-	// under descMu stays valid while Intern grows the table behind it.
-	t.descMu.Lock()
-	descs := t.descs
-	t.descMu.Unlock()
+	descs := t.descriptors()
 	for i := range t.shards {
 		t.shards[i].mu.Lock()
 	}
@@ -375,66 +378,124 @@ func (t *Tracer) Spans() []SpanEvent {
 		}
 	}()
 
+	view := newSpanView()
 	nspans, nargs := 0, 0
 	for tid := range t.shards {
-		s := &t.shards[tid]
-		for i := range s.events {
-			if e := &s.events[i]; readBack(e.ph) {
-				nspans++
-				nargs += int(e.nattr) + len(e.extra)
-			}
-		}
-		for i := range s.fast {
-			if fe := &s.fast[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
-				nspans++
-				nargs += int(descs[fe.ref].nkeys)
-			}
-		}
+		t.shards[tid].visit(GlobalTrack, descs, view, func(_ SpanRef, ev *SpanEvent) {
+			nspans++
+			nargs += len(ev.Args)
+		})
 	}
 	if nspans == 0 {
 		return nil
 	}
-	out := make([]SpanEvent, nspans)
+	out := make([]SpanEvent, 0, nspans)
 	slab := make([]Attr, 0, nargs)
-	n := 0
 	for tid := range t.shards {
-		track := tid
-		if tid == len(t.shards)-1 {
-			track = GlobalTrack
-		}
+		t.shards[tid].visit(t.track(tid), descs, view, func(_ SpanRef, ev *SpanEvent) {
+			from := len(slab)
+			slab = append(slab, ev.Args...)
+			out = append(out, *ev)
+			out[len(out)-1].Args = carve(slab, from)
+		})
+	}
+	return out
+}
+
+// NoRef is the SpanRef VisitSpans reports for an event recorded by name
+// (Complete, Instant) rather than through an interned identity.
+const NoRef = ^SpanRef(0)
+
+// VisitSpans calls visit once for every event Spans would return, in
+// Spans' order, without materialising them: ev and its Args are reused
+// from one call to the next and are valid only during the call. ref is the
+// event's interned identity — all events sharing one have the same
+// category, name and argument keys, so a consumer can resolve those once
+// per identity instead of once per event — or NoRef. Each track is visited
+// under its shard's lock (safe while ranks still record), so visit must not
+// call back into the tracer.
+func (t *Tracer) VisitSpans(visit func(ref SpanRef, ev *SpanEvent)) {
+	if t == nil {
+		return
+	}
+	descs := t.descriptors()
+	view := newSpanView()
+	for tid := range t.shards {
 		s := &t.shards[tid]
-		for i := range s.events {
-			e := &s.events[i]
+		s.mu.Lock()
+		s.visit(t.track(tid), descs, view, visit)
+		s.mu.Unlock()
+	}
+}
+
+// spanView is the one SpanEvent a visit hands out again and again, and the
+// backing of its Args (in one allocation, unless an event has more
+// attributes than anything in the repository records).
+type spanView struct {
+	ev     SpanEvent
+	args   []Attr
+	inline [4 * inlineAttrs]Attr
+}
+
+func newSpanView() *spanView {
+	v := &spanView{}
+	v.args = v.inline[:0]
+	return v
+}
+
+// descriptors returns the interned identities. Descriptors are immutable
+// once appended, so the slice header taken under descMu stays valid while
+// Intern grows the table behind it.
+func (t *Tracer) descriptors() []spanDesc {
+	t.descMu.Lock()
+	defer t.descMu.Unlock()
+	return t.descs
+}
+
+// track is the track number of shard tid: its rank, or GlobalTrack for
+// the last.
+func (t *Tracer) track(tid int) int {
+	if tid == len(t.shards)-1 {
+		return GlobalTrack
+	}
+	return tid
+}
+
+// visit expands the shard's complete and instant events one at a time into
+// v and hands each to fn: generic events first, then interned ones, each
+// kind in recording order. Caller holds s.mu.
+func (s *shard) visit(track int, descs []spanDesc, v *spanView, fn func(SpanRef, *SpanEvent)) {
+	s.events.Runs(func(run []event) {
+		for i := range run {
+			e := &run[i]
 			if !readBack(e.ph) {
 				continue
 			}
-			from := len(slab)
-			slab = append(append(slab, e.attrs[:e.nattr]...), e.extra...)
-			out[n] = SpanEvent{Track: track, Category: e.cat, Name: e.name,
-				StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant,
-				Args: carve(slab, from)}
-			n++
+			v.args = append(append(v.args[:0], e.attrs[:e.nattr]...), e.extra...)
+			v.ev = SpanEvent{Track: track, Category: e.cat, Name: e.name,
+				StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant, Args: v.args}
+			fn(NoRef, &v.ev)
 		}
-		for i := range s.fast {
-			fe := &s.fast[i]
+	})
+	s.fast.Runs(func(run []fastEvent) {
+		for i := range run {
+			fe := &run[i]
 			if int(fe.ref) >= len(descs) || !readBack(fe.ph) {
 				continue
 			}
 			d := &descs[fe.ref]
-			from := len(slab)
+			v.args = v.args[:0]
 			if d.nkeys > 0 {
-				slab = append(slab, Float(d.keys[0], fe.v0))
+				v.args = append(v.args, Float(d.keys[0], fe.v0))
 			}
 			if d.nkeys > 1 {
-				slab = append(slab, Float(d.keys[1], fe.v1))
+				v.args = append(v.args, Float(d.keys[1], fe.v1))
 			}
-			out[n] = SpanEvent{Track: track, Category: d.cat, Name: d.name,
-				StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant,
-				Args: carve(slab, from)}
-			n++
+			v.ev = SpanEvent{Track: track, Category: d.cat, Name: d.name,
+				StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant, Args: v.args}
+			fn(fe.ref, &v.ev)
 		}
-	}
-	return out
+	})
 }
 
 // readBack reports whether events of phase ph are part of Spans.

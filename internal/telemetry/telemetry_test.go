@@ -3,8 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sphenergy/internal/blocks"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -229,6 +232,77 @@ func TestSpansReadBack(t *testing.T) {
 	if nilT.Spans() != nil {
 		t.Error("nil tracer Spans should be nil")
 	}
+}
+
+// TestVisitSpansMatchesSpans walks a tracer whose shards span several
+// blocks, with interned and by-name events, instants, many-argument events
+// and the records Spans skips: the visitor sees exactly Spans' events in
+// Spans' order, reports each interned event's ref (one per identity) and
+// NoRef for the rest, and reuses its view between calls.
+func TestVisitSpansMatchesSpans(t *testing.T) {
+	tr := NewTracer(3)
+	refs := []SpanRef{
+		tr.Intern("kernel", "density", "clock_mhz", "energy_j"),
+		tr.Intern("function", "Domain::sync", "gpu_j"),
+		tr.Intern("mpi", "barrier-wait"),
+	}
+	for i := 0; i < 2*blocks.Len+77; i++ {
+		rank := i % 4 // 3 lands on the global track
+		tr.CompleteRef(rank, refs[i%3], float64(i), 0.5, float64(i), 2*float64(i))
+		switch i % 5 {
+		case 0:
+			tr.Complete(rank, "step", "by name", float64(i), 1, Int("a", i), Float("b", 0.5), String("c", "x"), Int("d", 4))
+		case 1:
+			tr.Instant(rank, "freq", "freq-change", float64(i), Int("mhz", 1005))
+		case 2:
+			tr.InstantRef(rank, refs[2], float64(i), 0, 0)
+		case 3:
+			tr.Counter(rank, "clock", float64(i), Float("mhz", 1410))
+		}
+	}
+	tr.SetTrackName(0, "rank 0")
+
+	want := tr.Spans()
+	var got []SpanEvent
+	var gotRefs []SpanRef
+	var view *SpanEvent
+	tr.VisitSpans(func(ref SpanRef, ev *SpanEvent) {
+		if view == nil {
+			view = ev
+		} else if ev != view {
+			t.Fatal("the visitor was handed a second SpanEvent; it reuses one")
+		}
+		e := *ev
+		e.Args = append([]Attr(nil), ev.Args...)
+		got, gotRefs = append(got, e), append(gotRefs, ref)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("visited %d events, Spans returns %d", len(got), len(want))
+	}
+	identity := map[SpanRef]string{}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("event %d: visited %+v, Spans has %+v", i, got[i], want[i])
+		}
+		ref, id := gotRefs[i], want[i].Category+"/"+want[i].Name
+		switch {
+		case want[i].Name == "by name" || want[i].Name == "freq-change":
+			if ref != NoRef {
+				t.Fatalf("event %d (%s) recorded by name carries ref %d", i, id, ref)
+			}
+		case ref == NoRef:
+			t.Fatalf("event %d (%s) is interned but carries NoRef", i, id)
+		case identity[ref] == "":
+			identity[ref] = id
+		case identity[ref] != id:
+			t.Fatalf("ref %d names both %s and %s", ref, identity[ref], id)
+		}
+	}
+	if len(identity) != len(refs) {
+		t.Errorf("saw %d interned identities, recorded %d", len(identity), len(refs))
+	}
+	var nilT *Tracer
+	nilT.VisitSpans(func(SpanRef, *SpanEvent) { t.Error("a nil tracer visited an event") })
 }
 
 func TestAttrValue(t *testing.T) {

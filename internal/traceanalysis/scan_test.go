@@ -13,6 +13,7 @@ import (
 	"sphenergy/internal/core"
 	"sphenergy/internal/events"
 	"sphenergy/internal/freqctl"
+	"sphenergy/internal/jsontext"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -252,10 +253,10 @@ func scannerSeeds() []string {
 		`{"traceEvents":[{"ph":"X"}]},`, `{"traceEvents":[{"ph":"X","args":{"a":tru}}]}`, `{"traceEvents":[{"ph":"X","args":[1,]}]}`,
 		"{\"traceEvents\":[{\"ph\":\"X\"}]}\x00", `{"a":1,"a"}`, `{"a"}`, `{1:2}`,
 		// Nesting at and past the limit encoding/json sets.
-		`{"deep":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`,
-		`{"deep":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`,
-		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, maxDepth-3) + `1` + strings.Repeat("}", maxDepth-3) + `}]}`,
-		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, maxDepth-2) + `1` + strings.Repeat("}", maxDepth-2) + `}]}`,
+		`{"deep":` + strings.Repeat("[", jsontext.MaxDepth-1) + strings.Repeat("]", jsontext.MaxDepth-1) + `}`,
+		`{"deep":` + strings.Repeat("[", jsontext.MaxDepth) + strings.Repeat("]", jsontext.MaxDepth) + `}`,
+		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-3) + `1` + strings.Repeat("}", jsontext.MaxDepth-3) + `}]}`,
+		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-2) + `1` + strings.Repeat("}", jsontext.MaxDepth-2) + `}]}`,
 	}
 }
 

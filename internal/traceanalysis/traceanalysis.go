@@ -121,6 +121,10 @@ type Analysis struct {
 	CriticalPath []Segment `json:"critical_path"`
 	// Stragglers ranks the TopK ranks by CausedWaitS, descending.
 	Stragglers []RankStat `json:"stragglers"`
+	// Truncated marks an analysis of spans LoadLenient recovered from a
+	// trace cut off mid-write: it covers the events that had closed before
+	// the cut, not the run. Set by the caller that loaded them.
+	Truncated bool `json:"truncated,omitempty"`
 }
 
 // CausedWaitS returns the wait attributed to one rank, 0 for unknown ranks.
@@ -361,8 +365,12 @@ func LoadFileLenient(path string) ([]Span, bool, error) {
 // Render formats the analysis as a human-readable report.
 func Render(a *Analysis) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %.3f s wall, %d barriers, %d ranks\n",
+	fmt.Fprintf(&b, "trace: %.3f s wall, %d barriers, %d ranks",
 		a.WallS, len(a.Barriers), len(a.Ranks))
+	if a.Truncated {
+		b.WriteString(" (truncated trace: covers the events that closed before the cut)")
+	}
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "barrier wait: %.4f s total", a.TotalWaitS)
 	if a.TotalWaitS > 0 {
 		fmt.Fprintf(&b, " (%.1f%% attributed to critical ranks)",
