@@ -18,11 +18,12 @@ import (
 // WriteFile atomically replaces path with the bytes produced by write.
 // The write callback receives the temporary file itself, created in
 // path's directory and not buffered: every Write is a system call, so
-// writers batch their own output (the trace encoder hands over a track at
-// a time, the event ledger 64 KB chunks, the SPH checkpoint wraps a
-// bufio.Writer and flushes it before returning). On success the temp file is synced, closed,
-// and renamed over path. On any error (from write, sync, close, or
-// rename) the temp file is removed and path is left untouched.
+// writers batch their own output (the trace encoder hands over 64 KB
+// chunks, the event ledger its whole export at once, the SPH checkpoint
+// wraps a bufio.Writer and flushes it before returning). On success the
+// temp file is synced, closed, and renamed over path. On any error (from
+// write, sync, close, or rename) the temp file is removed and path is left
+// untouched.
 func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

@@ -9,6 +9,8 @@
 // that the run did not fill retains what it used, not its bound.
 package blocks
 
+import "slices"
+
 // Len is the number of elements in a block.
 const Len = 512
 
@@ -79,8 +81,10 @@ func (s *Seq[T]) runs(from, to int, fn func(run []T)) {
 	}
 }
 
-// AppendTo appends the elements to dst, oldest first.
+// AppendTo appends the elements to dst, oldest first, growing it at most
+// once.
 func (s *Seq[T]) AppendTo(dst []T) []T {
+	dst = slices.Grow(dst, s.n)
 	s.Runs(func(run []T) { dst = append(dst, run...) })
 	return dst
 }

@@ -73,7 +73,7 @@ func TestSeqMatchesSliceModel(t *testing.T) {
 func TestSeqAllocatesABlockAtATime(t *testing.T) {
 	const n = 40 * Len
 	var s Seq[[4]float64]
-	fill := testing.AllocsPerRun(1, func() {
+	fill := testing.AllocsPerRun(5, func() {
 		s = Seq[[4]float64]{}
 		for i := 0; i < n; i++ {
 			slot, _ := s.Push()

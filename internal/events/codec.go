@@ -2,7 +2,6 @@ package events
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -20,25 +19,9 @@ import (
 
 // eventEncoder appends events to buf as JSON lines.
 type eventEncoder struct {
-	buf   []byte
-	err   error // first value JSON cannot hold
-	preds [predMemo]struct {
-		f    float64
-		text []byte
-	}
+	buf []byte
+	err error // first value JSON cannot hold
 }
-
-// predMemo sizes the codec's memos of prediction values. A decision's four
-// Pred* fields are copied from the tuner's table — one entry per kernel and
-// clock, a few dozen in a run — so a ledger repeats each of them hundreds
-// of times, and converting a float to or from its shortest decimal form is
-// half of what an event costs either way. Both memos are direct-mapped and
-// overwrite on collision: a miss only costs the conversion it would have
-// cost anyway.
-const predMemo = 256
-
-// predSlot maps a float's bits to a memo slot.
-func predSlot(bits uint64) int { return int(bits * 0x9E3779B97F4A7C15 >> 56) }
 
 // event appends ev as encoding/json marshals it — fields in declaration
 // order, omitempty ones dropped at their zero value, strings HTML-safe —
@@ -62,16 +45,16 @@ func (e *eventEncoder) event(ev *Event) {
 		e.buf = strconv.AppendInt(append(e.buf, `,"applied_mhz":`...), int64(ev.AppliedMHz), 10)
 	}
 	if ev.PredTimeS != 0 {
-		e.pred(`,"pred_time_s":`, ev.PredTimeS)
+		e.float(`,"pred_time_s":`, ev.PredTimeS)
 	}
 	if ev.PredEnergyJ != 0 {
-		e.pred(`,"pred_energy_j":`, ev.PredEnergyJ)
+		e.float(`,"pred_energy_j":`, ev.PredEnergyJ)
 	}
 	if ev.PredPowerW != 0 {
-		e.pred(`,"pred_power_w":`, ev.PredPowerW)
+		e.float(`,"pred_power_w":`, ev.PredPowerW)
 	}
 	if ev.PredEDPJs != 0 {
-		e.pred(`,"pred_edp_js":`, ev.PredEDPJs)
+		e.float(`,"pred_edp_js":`, ev.PredEDPJs)
 	}
 	if ev.Value != 0 {
 		e.float(`,"value":`, ev.Value)
@@ -95,19 +78,6 @@ func (e *eventEncoder) float(key string, f float64) {
 	}
 }
 
-// pred appends one prediction field, formatting each distinct value once.
-func (e *eventEncoder) pred(key string, f float64) {
-	m := &e.preds[predSlot(math.Float64bits(f))]
-	if m.f != f || m.text == nil {
-		from := len(e.buf) + len(key)
-		if e.float(key, f); e.err == nil {
-			m.f, m.text = f, append(m.text[:0], e.buf[from:]...)
-		}
-		return
-	}
-	e.buf = append(append(e.buf, key...), m.text...)
-}
-
 // eventKeys are Event's JSON keys.
 var eventKeys = [...]string{"seq", "t_s", "step", "rank", "type", "subject", "detail",
 	"requested_mhz", "applied_mhz", "pred_time_s", "pred_energy_j", "pred_power_w",
@@ -118,10 +88,6 @@ var eventKeys = [...]string{"seq", "t_s", "step", "rank", "type", "subject", "de
 // times.
 type eventDecoder struct {
 	names map[string]string
-	preds [predMemo]struct {
-		lit string
-		f   float64
-	}
 	visit func(key, val []byte) // d.member, bound once
 	ev    *Event
 	bad   bool // a known key of the line held a value of the wrong type
@@ -199,13 +165,13 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 	case "applied_mhz":
 		ev.AppliedMHz, ok = integer(val)
 	case "pred_time_s":
-		ev.PredTimeS, ok = d.pred(val)
+		ev.PredTimeS, ok = jsontext.Float(val)
 	case "pred_energy_j":
-		ev.PredEnergyJ, ok = d.pred(val)
+		ev.PredEnergyJ, ok = jsontext.Float(val)
 	case "pred_power_w":
-		ev.PredPowerW, ok = d.pred(val)
+		ev.PredPowerW, ok = jsontext.Float(val)
 	case "pred_edp_js":
-		ev.PredEDPJs, ok = d.pred(val)
+		ev.PredEDPJs, ok = jsontext.Float(val)
 	case "value":
 		ev.Value, ok = jsontext.Float(val)
 	case "cached":
@@ -219,28 +185,6 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 		d.bad = true
 	}
 	return true
-}
-
-// pred interprets a value as a float, parsing each distinct literal once.
-func (d *eventDecoder) pred(val []byte) (float64, bool) {
-	m := &d.preds[predSlot(litHash(val))]
-	if m.lit == string(val) {
-		return m.f, true
-	}
-	f, ok := jsontext.Float(val)
-	if ok {
-		m.lit, m.f = string(val), f
-	}
-	return f, ok
-}
-
-// litHash folds a literal's bytes (FNV-1a).
-func litHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
 }
 
 // integer interprets a value as an int: an integer literal, as it must be

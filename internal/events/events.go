@@ -347,41 +347,34 @@ func (l *Ledger) Subscribers() int {
 	return len(l.subs)
 }
 
-// encodeChunk is how many encoded bytes WriteJSONL gathers under the
-// ledger's lock before it lets go of the lock to hand them to the writer.
-const encodeChunk = 64 << 10
+// ledgerBytesPerEvent sizes WriteJSONL's buffer from the event count: a
+// frequency decision with its four predictions is some 290 bytes, most
+// other events half that.
+const ledgerBytesPerEvent = 320
 
 // WriteJSONL writes the events retained when it is called as one JSON
-// object per line, in sequence order. Events are encoded straight out of
-// the ring into one reused buffer — under the lock, a chunk at a time, so
-// the writer is never called with the lock held and emitters wait for an
-// encoding burst at most. Should the ring turn past the export's place
-// during a write (more than its capacity emitted meanwhile), the export
-// resumes at the oldest event still held.
+// object per line, in sequence order: one consistent snapshot, encoded
+// straight out of the ring into one buffer under a single hold of the lock
+// (no Events() copy; at most the ring's capacity in lines) and handed to
+// the writer once the lock is released.
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
-	enc := eventEncoder{buf: make([]byte, 0, encodeChunk+encodeChunk/8)}
+	var enc eventEncoder
 	l.mu.Lock()
-	seq, end := l.oldestLocked(), l.next
-	for seq <= end {
-		oldest := l.oldestLocked()
-		for seq = max(seq, oldest); seq <= end && len(enc.buf) < encodeChunk; seq++ {
-			enc.event(l.ring.At(int(seq - oldest)))
+	enc.buf = make([]byte, 0, l.ring.Len()*ledgerBytesPerEvent)
+	l.ring.Runs(func(run []Event) {
+		for i := range run {
+			enc.event(&run[i])
 		}
-		l.mu.Unlock()
-		if enc.err != nil {
-			return enc.err
-		}
-		if _, err := w.Write(enc.buf); err != nil {
-			return err
-		}
-		enc.buf = enc.buf[:0]
-		l.mu.Lock()
-	}
+	})
 	l.mu.Unlock()
-	return nil
+	if enc.err != nil {
+		return enc.err
+	}
+	_, err := w.Write(enc.buf)
+	return err
 }
 
 // oldestLocked is the sequence id of the oldest retained event (next+1

@@ -474,7 +474,7 @@ func (c *Channel) Samples() []Sample {
 func (c *Channel) appendSamples(dst []Sample) []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring.AppendTo(slices.Grow(dst, c.ring.Len()))
+	return c.ring.AppendTo(dst)
 }
 
 // AccumJ returns the overflow-safe cumulative energy since the first poll.

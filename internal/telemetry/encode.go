@@ -8,92 +8,93 @@ import (
 	"strings"
 
 	"sphenergy/internal/jsontext"
-	"sphenergy/internal/par"
 )
 
-// traceBytesPerEvent sizes a shard's export buffer from its event count:
-// the repository's own traces spend 145 bytes per event.
-const traceBytesPerEvent = 160
+// encodeChunk is how many encoded bytes WriteJSON gathers before handing
+// them to the writer: large enough that an unbuffered *os.File sees a few
+// hundred writes for a 13 MB trace, small enough to stay cache-resident.
+const encodeChunk = 64 << 10
 
 // WriteJSON exports the recorded events as Chrome trace_event JSON (the
 // "JSON object format": {"traceEvents": [...]}), loadable in Perfetto and
 // chrome://tracing. Ranks map to tids of pid 0; times convert from virtual
 // seconds to microseconds.
 //
-// This is where the tracer's deferred cost is paid. Each shard is encoded
-// into a buffer of its own — the shards concurrently, through par.Tasks,
-// each under its lock, so a rank still recording waits for the encoding of
-// its own track at most — and the buffers reach w in shard order, one Write
-// each: the file is the same whatever the worker count. An event is
-// appended straight into the buffer, an interned identity's strings quoted
-// once per export, not once per event. The output is byte-stable and is
-// exactly what encoding/json makes of the same events held as maps: keys in
-// sorted order (args, cat, dur, name, ph, pid, s, tid, ts; argument keys
-// sorted, the last write of a repeated key winning), strings HTML-escaped,
-// floats in its ES6-style format (both written by internal/jsontext). A NaN
-// or infinite time or argument fails the export before w has received
-// anything.
+// This is where the tracer's deferred cost is paid. Each event is appended
+// straight into one reused buffer that reaches w in encodeChunk pieces; an
+// interned identity's strings are quoted once per export, not once per
+// event. The output is byte-stable and is exactly what encoding/json makes
+// of the same events held as maps: keys in sorted order (args, cat, dur,
+// name, ph, pid, s, tid, ts; argument keys sorted, the last write of a
+// repeated key winning), strings HTML-escaped, floats in its ES6-style
+// format (both written by internal/jsontext). A NaN or infinite time or
+// argument fails the export; w may have received earlier chunks by then.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	const header, trailer = `{"displayTimeUnit":"ms","traceEvents":[`, "]}\n"
-	if t == nil {
-		_, err := io.WriteString(w, header+trailer)
-		return err
-	}
-	descs := t.descriptors()
-	frames := make([]descFrame, len(descs))
-	for i := range descs {
-		frames[i] = newDescFrame(&descs[i])
-	}
-	encs := make([]traceEncoder, len(t.shards))
-	par.Tasks(len(t.shards), func(tid int) {
-		s, enc := &t.shards[tid], &encs[tid]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		enc.buf = make([]byte, 0, (s.events.Len()+s.fast.Len())*traceBytesPerEvent)
-		s.events.Runs(func(run []event) {
-			for i := range run {
-				enc.event(tid, &run[i])
-			}
-		})
-		s.fast.Runs(func(run []fastEvent) {
-			for i := range run {
-				if fe := &run[i]; int(fe.ref) < len(frames) {
-					enc.fastEvent(tid, fe, &frames[fe.ref])
+	enc := traceEncoder{w: w, buf: make([]byte, 0, encodeChunk+encodeChunk/8)}
+	enc.buf = append(enc.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	if t != nil {
+		descs := t.descriptors()
+		frames := make([]descFrame, len(descs))
+		for i := range descs {
+			frames[i] = newDescFrame(&descs[i])
+		}
+		// Each shard is copied out under its lock into buffers shared by all
+		// shards, so encoding never blocks a recording rank.
+		var events []event
+		var fast []fastEvent
+		for tid := range t.shards {
+			s := &t.shards[tid]
+			s.mu.Lock()
+			events = s.events.AppendTo(events[:0])
+			fast = s.fast.AppendTo(fast[:0])
+			s.mu.Unlock()
+			for i := range events {
+				enc.event(tid, &events[i])
+				if err := enc.flushFull(); err != nil {
+					return err
 				}
 			}
-		})
-	})
-	for i := range encs {
-		if encs[i].err != nil {
-			return encs[i].err
-		}
-	}
-	if _, err := io.WriteString(w, header); err != nil {
-		return err
-	}
-	first := true
-	for i := range encs {
-		// Every event was written with a comma before it; the file's first
-		// leaves its own behind.
-		if buf := encs[i].buf; len(buf) > 0 {
-			if first {
-				buf, first = buf[1:], false
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
+			for i := range fast {
+				if int(fast[i].ref) >= len(frames) {
+					continue
+				}
+				enc.fastEvent(tid, &fast[i], &frames[fast[i].ref])
+				if err := enc.flushFull(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	_, err := io.WriteString(w, trailer)
+	enc.buf = append(enc.buf, "]}\n"...)
+	return enc.flush()
+}
+
+// traceEncoder appends trace events to buf and drains it into w.
+type traceEncoder struct {
+	w     io.Writer
+	buf   []byte
+	args  []Attr // scratch: one generic event's arguments, sorted by key
+	wrote bool   // an event has been written, so the next needs a comma
+	err   error  // first unencodable value
+}
+
+// flush writes the pending bytes, or reports the first unencodable value
+// instead of writing past it.
+func (e *traceEncoder) flush() error {
+	if e.err != nil {
+		return e.err
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
 }
 
-// traceEncoder appends one shard's trace events to buf, a comma before
-// each.
-type traceEncoder struct {
-	buf  []byte
-	args []Attr // scratch: one generic event's arguments, sorted by key
-	err  error  // first unencodable value
+// flushFull flushes once a chunk has gathered.
+func (e *traceEncoder) flushFull() error {
+	if len(e.buf) < encodeChunk && e.err == nil {
+		return nil
+	}
+	return e.flush()
 }
 
 // descFrame is the constant text of one interned identity's events, quoted
@@ -135,7 +136,8 @@ func newDescFrame(d *spanDesc) descFrame {
 
 // fastEvent appends one interned event on track tid.
 func (e *traceEncoder) fastEvent(tid int, fe *fastEvent, f *descFrame) {
-	e.buf = append(append(e.buf, ','), f.open...)
+	e.begin()
+	e.buf = append(e.buf, f.open...)
 	if f.nvals > 0 {
 		v := [2]float64{fe.v0, fe.v1}
 		e.float(v[f.vals[0]])
@@ -152,7 +154,8 @@ func (e *traceEncoder) fastEvent(tid int, fe *fastEvent, f *descFrame) {
 
 // event appends one generic event on track tid.
 func (e *traceEncoder) event(tid int, ev *event) {
-	e.buf = append(e.buf, ',', '{')
+	e.begin()
+	e.buf = append(e.buf, '{')
 	if n := int(ev.nattr) + len(ev.extra); n > 0 {
 		e.args = append(append(e.args[:0], ev.attrs[:ev.nattr]...), ev.extra...)
 		// Stable, so that of several writes of one key the last stays last.
@@ -186,6 +189,14 @@ func (e *traceEncoder) event(tid int, ev *event) {
 	e.dur(ev.ph, ev.durS)
 	e.buf = append(jsontext.AppendString(append(e.buf, `"name":`...), ev.name), `,"ph":"`...)
 	e.end(ev.ph, tid, ev.startS)
+}
+
+// begin separates an event from the one before it.
+func (e *traceEncoder) begin() {
+	if e.wrote {
+		e.buf = append(e.buf, ',')
+	}
+	e.wrote = true
 }
 
 // dur appends the duration field complete events carry.

@@ -17,13 +17,12 @@
 //
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
-// container per span, an interned identity's strings quoted once — the
-// tracks side by side; the in-process read-back is a visit of the records
-// where they lie (VisitSpans) or, for callers that want the slice, Spans, a
-// handful of allocations whatever the span count. All take the shard locks,
-// so they are safe while ranks still record. A shard keeps its records in
-// fixed blocks (internal/blocks): recording never copies what is already
-// recorded.
+// container per span, an interned identity's strings quoted once; the
+// in-process read-back is a visit of the records where they lie
+// (VisitSpans) or, for callers that want the slice, Spans, two allocations
+// whatever the span count. All take the shard locks, so they are safe while
+// ranks still record. A shard keeps its records in fixed blocks
+// (internal/blocks): recording never copies what is already recorded.
 package telemetry
 
 import (
@@ -378,12 +377,24 @@ func (t *Tracer) Spans() []SpanEvent {
 		}
 	}()
 
-	view := newSpanView()
 	nspans, nargs := 0, 0
 	for tid := range t.shards {
-		t.shards[tid].visit(GlobalTrack, descs, view, func(_ SpanRef, ev *SpanEvent) {
-			nspans++
-			nargs += len(ev.Args)
+		s := &t.shards[tid]
+		s.events.Runs(func(run []event) {
+			for i := range run {
+				if e := &run[i]; readBack(e.ph) {
+					nspans++
+					nargs += int(e.nattr) + len(e.extra)
+				}
+			}
+		})
+		s.fast.Runs(func(run []fastEvent) {
+			for i := range run {
+				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
+					nspans++
+					nargs += int(descs[fe.ref].nkeys)
+				}
+			}
 		})
 	}
 	if nspans == 0 {
@@ -392,11 +403,24 @@ func (t *Tracer) Spans() []SpanEvent {
 	out := make([]SpanEvent, 0, nspans)
 	slab := make([]Attr, 0, nargs)
 	for tid := range t.shards {
-		t.shards[tid].visit(t.track(tid), descs, view, func(_ SpanRef, ev *SpanEvent) {
-			from := len(slab)
-			slab = append(slab, ev.Args...)
-			out = append(out, *ev)
-			out[len(out)-1].Args = carve(slab, from)
+		track, s := t.track(tid), &t.shards[tid]
+		s.events.Runs(func(run []event) {
+			for i := range run {
+				if e := &run[i]; readBack(e.ph) {
+					from := len(slab)
+					slab = e.appendArgs(slab)
+					out = append(out, e.span(track, carve(slab, from)))
+				}
+			}
+		})
+		s.fast.Runs(func(run []fastEvent) {
+			for i := range run {
+				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
+					from, d := len(slab), &descs[fe.ref]
+					slab = fe.appendArgs(slab, d)
+					out = append(out, fe.span(track, d, carve(slab, from)))
+				}
+			}
 		})
 	}
 	return out
@@ -467,35 +491,52 @@ func (t *Tracer) track(tid int) int {
 func (s *shard) visit(track int, descs []spanDesc, v *spanView, fn func(SpanRef, *SpanEvent)) {
 	s.events.Runs(func(run []event) {
 		for i := range run {
-			e := &run[i]
-			if !readBack(e.ph) {
-				continue
+			if e := &run[i]; readBack(e.ph) {
+				v.args = e.appendArgs(v.args[:0])
+				v.ev = e.span(track, v.args)
+				fn(NoRef, &v.ev)
 			}
-			v.args = append(append(v.args[:0], e.attrs[:e.nattr]...), e.extra...)
-			v.ev = SpanEvent{Track: track, Category: e.cat, Name: e.name,
-				StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant, Args: v.args}
-			fn(NoRef, &v.ev)
 		}
 	})
 	s.fast.Runs(func(run []fastEvent) {
 		for i := range run {
-			fe := &run[i]
-			if int(fe.ref) >= len(descs) || !readBack(fe.ph) {
-				continue
+			if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
+				d := &descs[fe.ref]
+				v.args = fe.appendArgs(v.args[:0], d)
+				v.ev = fe.span(track, d, v.args)
+				fn(fe.ref, &v.ev)
 			}
-			d := &descs[fe.ref]
-			v.args = v.args[:0]
-			if d.nkeys > 0 {
-				v.args = append(v.args, Float(d.keys[0], fe.v0))
-			}
-			if d.nkeys > 1 {
-				v.args = append(v.args, Float(d.keys[1], fe.v1))
-			}
-			v.ev = SpanEvent{Track: track, Category: d.cat, Name: d.name,
-				StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant, Args: v.args}
-			fn(fe.ref, &v.ev)
 		}
 	})
+}
+
+// appendArgs appends the event's attributes to dst.
+func (e *event) appendArgs(dst []Attr) []Attr {
+	return append(append(dst, e.attrs[:e.nattr]...), e.extra...)
+}
+
+// span is the event's read-back view on track, with args as its Args.
+func (e *event) span(track int, args []Attr) SpanEvent {
+	return SpanEvent{Track: track, Category: e.cat, Name: e.name,
+		StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant, Args: args}
+}
+
+// appendArgs appends the event's values to dst under its identity's keys.
+func (fe *fastEvent) appendArgs(dst []Attr, d *spanDesc) []Attr {
+	if d.nkeys > 0 {
+		dst = append(dst, Float(d.keys[0], fe.v0))
+	}
+	if d.nkeys > 1 {
+		dst = append(dst, Float(d.keys[1], fe.v1))
+	}
+	return dst
+}
+
+// span is the event's read-back view on track under identity d, with args
+// as its Args.
+func (fe *fastEvent) span(track int, d *spanDesc, args []Attr) SpanEvent {
+	return SpanEvent{Track: track, Category: d.cat, Name: d.name,
+		StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant, Args: args}
 }
 
 // readBack reports whether events of phase ph are part of Spans.
