@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -17,6 +17,8 @@ all: build lint test
 #                flag and so part of go test's cache key; behind a
 #                GOMAXPROCS=4 prefix, which is not, go test replays
 #                `race`'s results as "(cached)" and nothing runs.
+#   fuzz-smoke   the engine's three sequence fuzzers for a fixed number of
+#                executions each beyond their seed corpora.
 #   chaos-smoke  a seeded fault sweep: the degradation layer keeps the
 #                measurement contract and replays bit-identically.
 #   events-smoke a tuned run whose exported decision ledger must audit.
@@ -26,7 +28,7 @@ all: build lint test
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
 #                attribution pass; exits 1 on any "correct": false.
-check: lint race race-sph race-model chaos-smoke events-smoke soak-smoke bench-smoke
+check: lint race race-sph race-model fuzz-smoke chaos-smoke events-smoke soak-smoke bench-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -93,11 +95,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The SPH engine's parallel loops, chunk pools and scatter accumulators, and
-# the gravity tree's group hand-out and per-worker lists, under the race
-# detector at a width that splits them.
+# The SPH engine's parallel loops, chunk pools, per-worker count accumulators
+# (neighbor counts and row lengths scattered to both ends of a candidate
+# pair) and scatter accumulators, and the gravity tree's group hand-out and
+# per-worker lists, under the race detector at a width that splits them.
 race-sph:
 	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
+
+# The fuzzers that guard the list builder and the buffers it reuses, each for
+# a fixed execution count: the seed corpora alone run in `go test`, and a
+# fixed count takes the same time on any machine. go test fuzzes one target
+# of one package per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPipelineSequence$$' -fuzztime 200x ./internal/sph/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildGridIntoReuse$$' -fuzztime 200x ./internal/neighbors/
+	$(GO) test -run '^$$' -fuzz '^FuzzScatterRun$$' -fuzztime 200x ./internal/par/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is

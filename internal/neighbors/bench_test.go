@@ -70,17 +70,19 @@ func BenchmarkTreeQuery(b *testing.B) {
 
 // BenchmarkGather is one candidate gather per particle of a 30³ point set
 // at the engine's proportions: radius 3.4 h with 64 neighbors inside 2 h,
-// cells of half the radius.
+// cells of half the radius, every rank equal so that each pair is kept by
+// its lower index.
 func BenchmarkGather(b *testing.B) {
 	box, x, y, z := benchPoints(27000)
 	const radius = 0.14
 	g := BuildGrid(box, x, y, z, radius/2)
 	var c Candidates
+	rank := make([]float64, len(x))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = Candidates{Idx: c.Idx[:0]}
+		c = Candidates{Idx: c.Idx[:0], R2: c.R2[:0]}
 		for p := range x {
-			g.Gather(&c, p, radius)
+			g.Gather(&c, p, radius, rank)
 		}
 	}
 	b.ReportMetric(float64(c.Tests)/float64(len(x)), "tests/particle")

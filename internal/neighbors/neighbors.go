@@ -418,37 +418,69 @@ func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) 
 	return buf
 }
 
-// Candidates is what Grid.Gather fills: the indices found so far, query
-// after query, and exact counts of the work its runs took.
+// Candidates is what Grid.Gather fills: the indices found so far and their
+// squared distances (two slices of one length), query after query, and exact
+// counts of the work its runs took.
 type Candidates struct {
 	Idx   []int32
-	Tests int // distance tests
-	Runs  int // contiguous runs of the grid's particle order walked
+	R2    []float64 // R2[k] is the squared distance of Idx[k] from its query
+	Tests int       // distance tests
+	Runs  int       // contiguous runs of the grid's particle order walked
 }
 
-// Gather appends to c.Idx every particle j != i within radius of particle
-// i: the set ForEachNeighbor visits, by the same minimum-image r² test, in
-// the same order. It is made for grids finer than the radius, where a run
-// spans several cells: the run knows its periodic image from the window
-// instead of folding every displacement, and inside it the index is written
-// unconditionally and kept by advancing the cursor — no callback per
-// particle, no append, no square root.
-func (g *Grid) Gather(c *Candidates, i int, radius float64) {
+// Gather appends to c.Idx, with its squared distance to c.R2, every particle
+// j within radius of particle i that ranks below i — rank[j] < rank[i], ties
+// to the higher index — by ForEachNeighbor's minimum-image r² test and in
+// its order. Over all i, with a radius that does not decrease with rank,
+// every unordered pair within the larger of its two radii is found exactly
+// once, by the endpoint of the larger radius: the half of a symmetric
+// candidate list that needs no reverse lookup. Gather is made for grids finer
+// than the radius, where a run spans several cells: the run knows its
+// periodic image from the window instead of folding every displacement, and
+// inside it index and r² are written unconditionally and kept by advancing
+// the cursor — no callback per particle, no append, no square root.
+func (g *Grid) Gather(c *Candidates, i int, radius float64, rank []float64) {
+	from := len(c.Idx)
 	sx, sy, sz := scanWidth(radius, g.cellSize[0]), scanWidth(radius, g.cellSize[1]), scanWidth(radius, g.cellSize[2])
 	if g.box.PBCx && 2*sx+1 >= g.nx || g.box.PBCy && 2*sy+1 >= g.ny || g.box.PBCz && 2*sz+1 >= g.nz {
 		// A window as wide as a periodic axis lists the axis's cells once,
 		// images unknown: boxes that few cells wide take the callback walk.
-		g.ForEachNeighbor(i, radius, func(j int, _, _, _, _ float64) { c.Idx = append(c.Idx, int32(j)) })
-		return
+		g.ForEachNeighbor(i, radius, func(j int, dx, dy, dz, _ float64) {
+			c.Idx = append(c.Idx, int32(j))
+			c.R2 = append(c.R2, dx*dx+dy*dy+dz*dz)
+		})
+	} else {
+		q := gatherQuery{x: g.x, y: g.y, z: g.z, px: g.x[i], py: g.y[i], pz: g.z[i], r2max: radius * radius}
+		lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
+		g.eachRun(i, radius, func(run []int32, ix, iy, iz int32) {
+			q.sx, q.sy, q.sz = -float64(ix)*lx, -float64(iy)*ly, -float64(iz)*lz
+			c.Runs++
+			c.Tests += len(run)
+			c.Idx, c.R2 = q.keep(slices.Grow(c.Idx, len(run)), slices.Grow(c.R2, len(run)), run)
+		})
 	}
-	q := gatherQuery{x: g.x, y: g.y, z: g.z, px: g.x[i], py: g.y[i], pz: g.z[i], self: int32(i), r2max: radius * radius}
-	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
-	g.eachRun(i, radius, func(run []int32, ix, iy, iz int32) {
-		q.sx, q.sy, q.sz = -float64(ix)*lx, -float64(iy)*ly, -float64(iz)*lz
-		c.Runs++
-		c.Tests += len(run)
-		c.Idx = q.keep(slices.Grow(c.Idx, len(run)), run)
-	})
+	// The rank test reads one more array at j, so it runs over the third of
+	// the tested particles that passed the distance test, not over all.
+	idx, r2, ri, w := c.Idx, c.R2, rank[i], from
+	for k := from; k < len(idx); k++ {
+		j := idx[k]
+		idx[w], r2[w] = j, r2[k]
+		// Three flags and no branch: between near-equal ranks the outcome
+		// is a coin toss.
+		below, level, later := 0, 0, 0
+		rj := rank[j]
+		if rj < ri {
+			below = 1
+		}
+		if rj == ri {
+			level = 1
+		}
+		if int(j) > i {
+			later = 1
+		}
+		w += below | level&later
+	}
+	c.Idx, c.R2 = idx[:w], r2[:w]
 }
 
 // gatherQuery is what Gather's distance test reads, kept apart from the
@@ -458,31 +490,29 @@ type gatherQuery struct {
 	px, py, pz float64
 	sx, sy, sz float64 // the run's image: 0 or ∓ a box length per axis
 	r2max      float64
-	self       int32
 }
 
-// keep appends to idx the members of run within the query radius, self
-// excepted; idx has room for all of run. Adding the image's box length is
+// keep appends to idx the members of run within the query radius and to r2
+// their squared distances; both have room for all of run. The query particle
+// itself stays in (the rank test drops it). Adding the image's box length is
 // the minimum-image fold of ForEachNeighbor, term for term, on every pair
 // either keeps.
-func (q *gatherQuery) keep(idx, run []int32) []int32 {
-	x, y, z, r2max, self := q.x, q.y, q.z, q.r2max, q.self
+func (q *gatherQuery) keep(idx []int32, r2 []float64, run []int32) ([]int32, []float64) {
+	x, y, z, r2max := q.x, q.y, q.z, q.r2max
 	px, py, pz, sx, sy, sz := q.px, q.py, q.pz, q.sx, q.sy, q.sz
 	w := len(idx)
-	idx = idx[:w+len(run)]
+	idx, r2 = idx[:w+len(run)], r2[:w+len(run)]
 	for _, j := range run {
 		dx, dy, dz := px-x[j]+sx, py-y[j]+sy, pz-z[j]+sz
-		idx[w] = j
+		v := dx*dx + dy*dy + dz*dz
+		idx[w], r2[w] = j, v
 		in := 0
-		if dx*dx+dy*dy+dz*dz < r2max {
+		if v < r2max {
 			in = 1
-		}
-		if j == self {
-			in = 0
 		}
 		w += in
 	}
-	return idx[:w]
+	return idx[:w], r2[:w]
 }
 
 func scanWidth(radius, cell float64) int {

@@ -78,7 +78,7 @@ func (s *State) WriteCheckpoint(w io.Writer) error {
 		return fmt.Errorf("sph: checkpoint: %w", err)
 	}
 	hasSkin := uint8(0)
-	if s.List != nil {
+	if s.List.hasRefs(s.P.N) {
 		hasSkin = 1
 	}
 	if err := binary.Write(bw, binary.LittleEndian, hasSkin); err != nil {
@@ -191,7 +191,7 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 					return nil, fmt.Errorf("sph: checkpoint: %w", err)
 				}
 			}
-			// The candidate CSR is regenerated from the snapshot on the
+			// The candidate shells are regenerated from the snapshot on the
 			// next FindNeighbors; until then only the references are valid.
 			st.List = nl
 		}

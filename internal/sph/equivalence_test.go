@@ -6,6 +6,7 @@ package sph_test
 // analytic base within the documented error bound.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -87,6 +88,9 @@ func comparePipelines(t *testing.T, mkState func() *sph.State, steps int, withGr
 	}
 	if walk.List != nil {
 		t.Fatal("walk pipeline unexpectedly built a neighbor list")
+	}
+	if got := list.NbrStats.WalkFallbacks; got != 0 {
+		t.Fatalf("%d passes of the list pipeline walked the grid", got)
 	}
 
 	pw, pl := walk.P, list.P
@@ -240,6 +244,9 @@ func TestRunStepSFCReorderKeepsPhysics(t *testing.T) {
 	if err := a.P.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if got := a.NbrStats.WalkFallbacks; got != 0 {
+		t.Errorf("%d passes walked the grid: a reorder inside RunStep is followed by its rebuild", got)
+	}
 	massAfter := 0.0
 	for i := 0; i < a.P.N; i++ {
 		massAfter += a.P.M[i]
@@ -264,14 +271,27 @@ func TestRunStepSFCReorderKeepsPhysics(t *testing.T) {
 }
 
 // TestReorderBySFCSortsKeys checks the particles really are in Morton order
-// after an explicit reorder and that stale neighbor structures are dropped.
+// after an explicit reorder and that stale neighbor structures are dropped:
+// the grid goes, the list is emptied — it keeps its buffers for the rebuild
+// the next step owes — and no checkpoint takes references from it.
 func TestReorderBySFCSortsKeys(t *testing.T) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
 	st := sph.NewState(p, opt)
 	st.RunStep(nil)
+	pairs := cap(st.List.PairIdx)
 	st.ReorderBySFC()
-	if st.Grid != nil || st.List != nil {
+	if nl := st.List; st.Grid != nil || len(nl.PairOffsets)+len(nl.CandIdx)+len(nl.ShellOff)+len(nl.RefH) != 0 || st.PreCheck() != "init" {
 		t.Error("reorder must invalidate the neighbor structures")
+	}
+	if cap(st.List.PairIdx) != pairs || pairs == 0 {
+		t.Errorf("the emptied list holds room for %d pair records, %d before the reorder", cap(st.List.PairIdx), pairs)
+	}
+	var ckpt bytes.Buffer
+	if err := st.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := sph.ReadCheckpoint(&ckpt, opt); err != nil || restored.List != nil {
+		t.Errorf("a checkpoint of the reordered state restores a list (%v), error %v", restored.List != nil, err)
 	}
 	for i := 1; i < p.N; i++ {
 		if p.Keys[i-1] > p.Keys[i] {

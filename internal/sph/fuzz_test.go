@@ -11,9 +11,10 @@ import (
 )
 
 // FuzzPipelineSequence fuzzes every buffer the production path reuses — the
-// pooled gather chunks, the candidate cache, the pair list and its kernel
-// cache, the scatter accumulators, the grid — across sequences in which
-// the shape of the work changes under them. The first four bytes pick the
+// pooled chunks with their survivors and count accumulators, the candidate
+// shells, the pair list and its kernel cache (kept across reorders), the
+// scatter accumulators, the grid — across sequences in which the shape of
+// the work changes under them. The first four bytes pick the
 // problem (Turbulence or gravity-coupled Evrard, lattice side), the ngmax
 // cap (default, or low enough to truncate some or all rows), the skin
 // (including none) and GOMAXPROCS; every later byte is one operation on a
@@ -101,6 +102,9 @@ func FuzzPipelineSequence(f *testing.F) {
 			if warm.NbrStats.Rebuilds-rebuilds != fresh.NbrStats.Rebuilds || warm.List.Overflow != fresh.List.Overflow {
 				t.Fatalf("step %d: warm state rebuilt %d times and truncated %d rows, the restored one %d and %d", warm.Step,
 					warm.NbrStats.Rebuilds-rebuilds, warm.List.Overflow, fresh.NbrStats.Rebuilds, fresh.List.Overflow)
+			}
+			if warm.NbrStats.WalkFallbacks != 0 || fresh.NbrStats.WalkFallbacks != 0 {
+				t.Fatalf("step %d: passes walked the grid: %d warm, %d restored", warm.Step, warm.NbrStats.WalkFallbacks, fresh.NbrStats.WalkFallbacks)
 			}
 			if opt.NgMax == 0 && warm.List.Overflow != 0 {
 				t.Fatalf("step %d: %d rows overflowed the default ngmax", warm.Step, warm.List.Overflow)

@@ -7,15 +7,15 @@ import (
 	"sphenergy/internal/par"
 )
 
-// The production passes stream the folded pair list: every interacting
-// pair is visited exactly once, the shared per-pair terms — distances,
-// artificial viscosity, kernel derivatives at both smoothing lengths — are
-// computed a single time, and contributions go to both endpoints through
-// par.Scatter's per-worker private accumulators. The pair set and the
-// per-contribution arithmetic are the closure walk's (including ngmax
-// truncation and one-sided supports), so the only deviation from walk.go
-// is float summation order: ~1e-15 relative, deterministic for a fixed
-// GOMAXPROCS.
+// The production passes stream the pair list: every interacting pair is
+// visited exactly once, the shared per-pair terms — distances, artificial
+// viscosity, kernel derivatives at both smoothing lengths — are computed a
+// single time, and contributions go to the endpoints PairSide names: the
+// owner's into the sums of its segment, the other's through par.Scatter's
+// per-worker private accumulators. The pair set and the per-contribution
+// arithmetic are the closure walk's (including ngmax truncation and
+// one-sided supports), so the only deviation from walk.go is float
+// summation order: ~1e-15 relative, deterministic for a fixed GOMAXPROCS.
 
 // wdwFunc returns a combined W/DW evaluator for k, using the kernel's
 // fused table lookup (kernel.PairEvaluator) when it has one; the fallback
@@ -43,11 +43,11 @@ func (s *State) xmassPairs() {
 	nl := s.List
 	n := p.N
 	np := int(nl.PairOffsets[n])
-	nl.wa = ensureF64(nl.wa, np)
-	nl.wb = ensureF64(nl.wb, np)
-	nl.dwa = ensureF64(nl.dwa, np)
-	nl.dwb = ensureF64(nl.dwb, np)
-	nl.dsum = ensureF64(nl.dsum, n)
+	nl.wa = fit(nl.wa, np)
+	nl.wb = fit(nl.wb, np)
+	nl.dwa = fit(nl.dwa, np)
+	nl.dwb = fit(nl.dwb, np)
+	nl.dsum = ensure(nl.dsum, n)
 	wa, wb, dwa, dwb := nl.wa, nl.wb, nl.dwa, nl.dwb
 	wdw := wdwFunc(k)
 	bufs := s.scat.Run(n, n, 2, func(lo, hi int, acc []float64) {
@@ -63,10 +63,13 @@ func (s *State) xmassPairs() {
 				w2, dw2 := wdw(d, hb)
 				wa[t], dwa[t] = w1, dw1
 				wb[t], dwb[t] = w2, dw2
-				xmb := p.XM[b]
-				sum += xmb * w1
-				dsum += xmb * (-(3*w1 + d*dw1) / ha)
-				if nl.PairBoth[t] != 0 {
+				side := nl.PairSide[t]
+				if side&SideOwner != 0 {
+					xmb := p.XM[b]
+					sum += xmb * w1
+					dsum += xmb * (-(3*w1 + d*dw1) / ha)
+				}
+				if side&SideOther != 0 {
 					o := int(b) * 2
 					acc[o] += xma * w2
 					acc[o+1] += xma * (-(3*w2 + d*dw2) / hb)
@@ -124,7 +127,7 @@ func (s *State) iadPairs() {
 	nl := s.List
 	n := p.N
 	kwa, kwb := nl.wa, nl.wb
-	nl.vol = ensureF64(nl.vol, n)
+	nl.vol = ensure(nl.vol, n)
 	v := nl.vol
 	par.ForChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -141,14 +144,17 @@ func (s *State) iadPairs() {
 				dx, dy, dz := nl.PairDx[t], nl.PairDy[t], nl.PairDz[t]
 				xx, xy, xz := dx*dx, dx*dy, dx*dz
 				yy, yz, zz := dy*dy, dy*dz, dz*dz
-				wa := kwa[t] * v[b]
-				txx += xx * wa
-				txy += xy * wa
-				txz += xz * wa
-				tyy += yy * wa
-				tyz += yz * wa
-				tzz += zz * wa
-				if nl.PairBoth[t] != 0 {
+				side := nl.PairSide[t]
+				if side&SideOwner != 0 {
+					wa := kwa[t] * v[b]
+					txx += xx * wa
+					txy += xy * wa
+					txz += xz * wa
+					tyy += yy * wa
+					tyz += yz * wa
+					tzz += zz * wa
+				}
+				if side&SideOther != 0 {
 					wb := kwb[t] * va
 					o := int(b) * 6
 					acc[o] += xx * wb
@@ -198,15 +204,18 @@ func (s *State) iadPairs() {
 				dvx := p.VX[b] - p.VX[a]
 				dvy := p.VY[b] - p.VY[a]
 				dvz := p.VZ[b] - p.VZ[a]
-				wa := kwa[t] * v[b]
-				ax := c11a*rx + c12a*ry + c13a*rz
-				ay := c12a*rx + c22a*ry + c23a*rz
-				az := c13a*rx + c23a*ry + c33a*rz
-				divA += (dvx*ax + dvy*ay + dvz*az) * wa
-				cxA += (dvz*ay - dvy*az) * wa
-				cyA += (dvx*az - dvz*ax) * wa
-				czA += (dvy*ax - dvx*ay) * wa
-				if nl.PairBoth[t] != 0 {
+				side := nl.PairSide[t]
+				if side&SideOwner != 0 {
+					wa := kwa[t] * v[b]
+					ax := c11a*rx + c12a*ry + c13a*rz
+					ay := c12a*rx + c22a*ry + c23a*rz
+					az := c13a*rx + c23a*ry + c33a*rz
+					divA += (dvx*ax + dvy*ay + dvz*az) * wa
+					cxA += (dvz*ay - dvy*az) * wa
+					cyA += (dvx*az - dvz*ax) * wa
+					czA += (dvy*ax - dvx*ay) * wa
+				}
+				if side&SideOther != 0 {
 					// From b's side every factor flips sign: r_a - r_b =
 					// +(dx,dy,dz) and dv_b = -dv, so div and curl keep the
 					// same formulas with b's tensor A_b = C_b·(dx,dy,dz).
@@ -251,17 +260,17 @@ func (s *State) iadPairs() {
 // P/(Ω ρ²) and the Balsara factor are hoisted to per-particle
 // precomputations (the walk re-derives both for the far particle on every
 // visit). The momentum equation integrates a pair from both sides as soon
-// as either support covers it, so the far endpoint of a one-way record
-// still takes its share when the pair lies outside its own support
-// (dist >= 2·h); inside it, the record is one-way only because that
+// as either support covers it, so an endpoint whose side the record does
+// not name still takes its share when the pair lies outside its own support
+// (dist >= 2·h); inside it, the side is missing only because that
 // endpoint's row was truncated at ngmax, and truncated pairs stay dropped.
 func (s *State) momentumPairs() {
 	p := s.P
 	nl := s.List
 	n := p.N
 	kdwa, kdwb := nl.dwa, nl.dwb
-	nl.prho = ensureF64(nl.prho, n)
-	nl.bal = ensureF64(nl.bal, n)
+	nl.prho = ensure(nl.prho, n)
+	nl.bal = ensure(nl.bal, n)
 	prho, f := nl.prho, nl.bal
 	par.ForChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -305,12 +314,15 @@ func (s *State) momentumPairs() {
 				// pair's sides (both dv and e flip sign), so one evaluation
 				// serves both endpoints.
 				vdotgrad := dvx*ex + dvy*ey + dvz*ez
-				accA := p.M[b] * bracket
-				axA -= accA * ex
-				ayA -= accA * ey
-				azA -= accA * ez
-				duA += p.M[b] * (gradA + 0.5*avdw) * vdotgrad
-				if nl.PairBoth[t] != 0 || dist >= 2*hb {
+				side := nl.PairSide[t]
+				if side&SideOwner != 0 || dist >= 2*ha {
+					accA := p.M[b] * bracket
+					axA -= accA * ex
+					ayA -= accA * ey
+					azA -= accA * ez
+					duA += p.M[b] * (gradA + 0.5*avdw) * vdotgrad
+				}
+				if side&SideOther != 0 || dist >= 2*hb {
 					accB := p.M[a] * bracket
 					o := int(b) * 4
 					acc[o] += accB * ex

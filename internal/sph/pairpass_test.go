@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -120,38 +121,64 @@ func TestSymmetricMatchesAsymmetricEvrard(t *testing.T) {
 	compareStates(t, "sym-vs-walk", sym, walk, 1e-9)
 }
 
-// nbrRow is one entry of a directed neighbor row enumerated by the tests.
+// nbrRow is one entry of a neighbor row enumerated by the tests.
 type nbrRow struct {
 	j    int32
 	dist float64
 }
 
+// candidates returns the half list's segment of owner a, every shell.
+func candidates(nl *sph.NeighborList, n, a int) []int32 {
+	shells := (len(nl.ShellOff) - 1) / n
+	return nl.CandIdx[nl.ShellOff[a*shells]:nl.ShellOff[(a+1)*shells]]
+}
+
 // enumerateRows runs FindNeighbors on st — a rebuild, which leaves its
-// search grid in st.Grid — and returns every particle's directed row as the
-// list defines it: the j within 2·h_i of i after the smoothing-length
-// update, in the order of i's candidate segment, cut at the ngmax cap. Which
-// j those are is the grid's word, not the list's: the walk at exactly 2·h_i
-// that the closure-walk passes make, which every candidate segment must
-// contain.
+// search grid in st.Grid — and returns every particle's row as the list
+// defines it: the pairs within 2·h_i of i after the smoothing-length update,
+// in the order of the half list — owners ascending, each owner's candidates
+// in theirs, a pair entering the rows of both endpoints as it comes up — and
+// cut at the ngmax cap. Which pairs those are is the grid's word, not the
+// list's: the walk at exactly 2·h_i that the closure-walk passes make, every
+// pair of which the half list must store, once.
 func enumerateRows(t *testing.T, st *sph.State) [][]nbrRow {
 	t.Helper()
 	p := st.P
 	st.FindNeighbors()
 	nl := st.List
+	within := make([]map[int32]float64, p.N)
+	for i := range within {
+		within[i] = map[int32]float64{}
+		st.Grid.ForEachNeighbor(i, 2*p.H[i], func(j int, _, _, _, dist float64) { within[i][int32(j)] = dist })
+	}
 	rows := make([][]nbrRow, p.N)
-	for i := range rows {
-		within := map[int32]float64{}
-		st.Grid.ForEachNeighbor(i, 2*p.H[i], func(j int, _, _, _, dist float64) { within[int32(j)] = dist })
-		found := 0
-		for _, j := range nl.CandIdx[nl.CandOffsets[i]:nl.CandOffsets[i+1]] {
-			if dist, ok := within[j]; ok {
-				if found++; len(rows[i]) < nl.Ngmax {
-					rows[i] = append(rows[i], nbrRow{j, dist})
-				}
+	found := make([]int, p.N)
+	enter := func(i, j int32) {
+		if dist, ok := within[i][j]; ok {
+			if found[i]++; len(rows[i]) < nl.Ngmax {
+				rows[i] = append(rows[i], nbrRow{j, dist})
 			}
 		}
-		if found != len(within) {
-			t.Fatalf("particle %d: %d of its %d neighbors are among its candidates", i, found, len(within))
+	}
+	type pair struct{ lo, hi int32 }
+	stored := map[pair]bool{}
+	for a := int32(0); int(a) < p.N; a++ {
+		for _, b := range candidates(nl, p.N, int(a)) {
+			if rb, ra := nl.RefH[b], nl.RefH[a]; rb > ra || rb == ra && b < a {
+				t.Fatalf("candidate (%d,%d): stored with the endpoint of the smaller reference h (%g against %g)", a, b, ra, rb)
+			}
+			key := pair{min(a, b), max(a, b)}
+			if stored[key] {
+				t.Fatalf("candidate pair {%d,%d} stored twice", a, b)
+			}
+			stored[key] = true
+			enter(a, b)
+			enter(b, a)
+		}
+	}
+	for i := range rows {
+		if found[i] != len(within[i]) {
+			t.Fatalf("particle %d: %d of its %d neighbors are among the candidates", i, found[i], len(within[i]))
 		}
 		if len(rows[i]) != nl.Count(i) {
 			t.Fatalf("particle %d: row length %d, the list counts %d", i, len(rows[i]), nl.Count(i))
@@ -160,13 +187,14 @@ func enumerateRows(t *testing.T, st *sph.State) [][]nbrRow {
 	return rows
 }
 
-// checkFold asserts the structural claims of the fold against enumerated
-// rows: every unordered pair some row holds is recorded exactly once, by an
-// endpoint whose row holds it; PairBoth is set iff both rows hold it; and
-// the records scattering into a particle reproduce exactly its own row for
-// the density-type passes, and its row plus the pairs only the other
-// endpoint's support covers for momentum. Returns the number of such
-// one-way momentum contributions.
+// checkFold asserts the structural claims of the pair list against
+// enumerated rows: every unordered pair some row holds is recorded exactly
+// once, in the segment of the endpoint that owns its candidate and in that
+// segment's order; PairSide names exactly the rows that hold it; and the
+// records reaching a particle reproduce exactly its own row for the
+// density-type passes, and its row plus the pairs only the other endpoint's
+// support covers for momentum. Returns the number of such one-way momentum
+// contributions.
 func checkFold(t *testing.T, st *sph.State, rows [][]nbrRow) int {
 	t.Helper()
 	nl, n := st.List, st.P.N
@@ -180,9 +208,10 @@ func checkFold(t *testing.T, st *sph.State, rows [][]nbrRow) int {
 	}
 	type pair struct{ lo, hi int32 }
 	seen := map[pair]bool{}
-	density := make([][]int32, n) // indices scattering into i for density-type passes
+	density := make([][]int32, n) // indices reaching i in the density-type passes
 	momentum := make([][]int32, n)
 	for a := int32(0); int(a) < n; a++ {
+		cand := candidates(nl, n, int(a))
 		for k := nl.PairOffsets[a]; k < nl.PairOffsets[a+1]; k++ {
 			b := nl.PairIdx[k]
 			key := pair{min(a, b), max(a, b)}
@@ -190,22 +219,30 @@ func checkFold(t *testing.T, st *sph.State, rows [][]nbrRow) int {
 				t.Fatalf("pair {%d,%d} recorded twice", a, b)
 			}
 			seen[key] = true
-			if !holds(a, b) {
-				t.Fatalf("record (%d,%d): the owner's row does not hold the pair", a, b)
+			// Records keep the candidate order: b comes up in what is left
+			// of a's segment.
+			at := slices.Index(cand, b)
+			if at < 0 {
+				t.Fatalf("record (%d,%d): not in the owner's candidate order", a, b)
 			}
-			both := nl.PairBoth[k] != 0
-			if both != holds(b, a) {
-				t.Fatalf("record (%d,%d): PairBoth %v, but the other row holds it: %v", a, b, both, holds(b, a))
+			cand = cand[at+1:]
+			side := nl.PairSide[k]
+			if side == 0 || side&^(sph.SideOwner|sph.SideOther) != 0 {
+				t.Fatalf("record (%d,%d): side mask %#x", a, b, side)
 			}
-			if both && a > b {
-				t.Fatalf("record (%d,%d): two-way pair owned by the larger index", a, b)
+			if own, other := side&sph.SideOwner != 0, side&sph.SideOther != 0; own != holds(a, b) || other != holds(b, a) {
+				t.Fatalf("record (%d,%d): side mask %#x, but the rows hold it: owner %v, other %v", a, b, side, holds(a, b), holds(b, a))
 			}
-			density[a] = append(density[a], b)
-			momentum[a] = append(momentum[a], b)
-			if both {
+			if side&sph.SideOwner != 0 {
+				density[a] = append(density[a], b)
+			}
+			if side&sph.SideOther != 0 {
 				density[b] = append(density[b], a)
 			}
-			if both || nl.PairDist[k] >= 2*st.P.H[b] {
+			if side&sph.SideOwner != 0 || nl.PairDist[k] >= 2*st.P.H[a] {
+				momentum[a] = append(momentum[a], b)
+			}
+			if side&sph.SideOther != 0 || nl.PairDist[k] >= 2*st.P.H[b] {
 				momentum[b] = append(momentum[b], a)
 			}
 		}
@@ -214,19 +251,8 @@ func checkFold(t *testing.T, st *sph.State, rows [][]nbrRow) int {
 		sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
 		return v
 	}
-	equal := func(a, b []int32) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	// What must scatter into i: for density its own row; for momentum also
-	// every j whose row holds i from beyond i's support.
+	// What must reach i: for density its own row; for momentum also every j
+	// whose row holds i from beyond i's support.
 	wantDensity, wantMomentum := make([][]int32, n), make([][]int32, n)
 	held, oneWay := 0, 0
 	for i := int32(0); int(i) < n; i++ {
@@ -246,10 +272,10 @@ func checkFold(t *testing.T, st *sph.State, rows [][]nbrRow) int {
 		t.Fatalf("%d pair records, the rows hold %d unordered pairs", len(seen), held)
 	}
 	for i := 0; i < n; i++ {
-		if !equal(sorted(density[i]), sorted(wantDensity[i])) {
+		if !slices.Equal(sorted(density[i]), sorted(wantDensity[i])) {
 			t.Fatalf("particle %d: density coverage %v != row %v", i, density[i], wantDensity[i])
 		}
-		if !equal(sorted(momentum[i]), sorted(wantMomentum[i])) {
+		if !slices.Equal(sorted(momentum[i]), sorted(wantMomentum[i])) {
 			t.Fatalf("particle %d: momentum coverage %v != %v", i, momentum[i], wantMomentum[i])
 		}
 	}
@@ -273,8 +299,9 @@ func TestSymmetricPairListCoverage(t *testing.T) {
 }
 
 // TestSymmetricNgmaxTruncation drives every row to the ngmax cap, forcing
-// the fold's truncation-aware reverse-entry scan: the fold must still cover
-// exactly the truncated rows, the density pass must reproduce the
+// the capped emission that ranks every pair in both its rows: the records
+// must still cover exactly the truncated rows — the first Ngmax pairs of
+// each in the half list's order — the density pass must reproduce the
 // asymmetric sum over them, and the pipeline must stay runnable.
 func TestSymmetricNgmaxTruncation(t *testing.T) {
 	p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
@@ -381,7 +408,9 @@ func TestSymmetricSkinCheckpointMidIntervalResume(t *testing.T) {
 
 // TestPairPassWithoutXMassWalks pins what the passes after XMass do on a
 // pair list XMass has not swept — their kernel cache is missing, so they
-// walk the grid instead of reading another list's values.
+// walk the grid instead of reading another list's values — and that the
+// production path counts each such pass, and only those: the full step before
+// them adds nothing, nor does a closure-walk run, which walks by choice.
 func TestPairPassWithoutXMassWalks(t *testing.T) {
 	run := func(walk bool) *sph.State {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
@@ -391,12 +420,22 @@ func TestPairPassWithoutXMassWalks(t *testing.T) {
 		opt.ClosureWalk = walk
 		st := sph.NewState(p, opt)
 		stepManual(st, false, nil)
+		if got := st.NbrStats.WalkFallbacks; got != 0 {
+			t.Errorf("closure walk %v: %d passes of a full step counted as falling back", walk, got)
+		}
 		st.FindNeighbors()
 		st.IADVelocityDivCurl()
 		st.MomentumEnergy()
 		return st
 	}
-	compareStates(t, "unswept-list-vs-walk", run(false), run(true), 1e-9)
+	list, walk := run(false), run(true)
+	compareStates(t, "unswept-list-vs-walk", list, walk, 1e-9)
+	if got := list.NbrStats.WalkFallbacks; got != 2 {
+		t.Errorf("WalkFallbacks = %d after two passes over an unswept list, want 2", got)
+	}
+	if got := walk.NbrStats.WalkFallbacks; got != 0 {
+		t.Errorf("WalkFallbacks = %d on the closure walk, want 0", got)
+	}
 }
 
 // TestSymmetricPassesSteadyStateAllocFree pins the allocation-free steady
@@ -407,7 +446,8 @@ func TestPairPassWithoutXMassWalks(t *testing.T) {
 // count is tiny AND independent of problem size (no per-particle or
 // per-pair allocation). The second input is a whole RunStep on a refresh
 // step, which adds the one pass the sweep leaves out (FindNeighbors from
-// the cached skin candidates) plus Timestep and UpdateQuantities.
+// the cached skin candidates: 14 of the same headers, and no buffer of the
+// list's, which all keep their capacity) plus Timestep and UpdateQuantities.
 func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -459,10 +499,8 @@ func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 		allocs  func(nside int) float64
 		ceiling float64
 	}{
-		{"pass sweep", sweepAllocs, 24}, // closure headers
-		// The retired perf gate's smoke allowance on allocs per step,
-		// 2×baseline + 256 with the baseline at 176 (30³, 2 CPUs).
-		{"refresh RunStep", refreshStepAllocs, 2*176 + 256},
+		{"pass sweep", sweepAllocs, 24},            // closure headers: 19
+		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 36
 	} {
 		small, large := in.allocs(8), in.allocs(12)
 		if small != large {

@@ -179,9 +179,9 @@ type Options struct {
 	// the search grid with a per-neighbor callback and each particle sums
 	// over its own neighbors. It is the oracle the tests and the benchmark's
 	// verification compare against. Unset, the production pipeline runs:
-	// FindNeighbors keeps a folded pair list up to date (Verlet-skin
-	// candidates, see Skin) and the pair passes visit each pair once,
-	// scattering to both endpoints. While no row overflows NgMax (a cap the
+	// FindNeighbors keeps a pair list up to date (Verlet-skin candidates,
+	// see Skin) and the pair passes visit each pair once, contributing to
+	// both endpoints. While no row overflows NgMax (a cap the
 	// walk does not have) the two integrate identical pair sets and agree
 	// within 1e-9 relative (summation order differs); the production path
 	// is deterministic for a fixed GOMAXPROCS.
@@ -196,16 +196,20 @@ type Options struct {
 	// cannot go permanently stale.
 	ReorderEvery int
 
-	// Skin is the Verlet-skin fraction of the neighbor search: FindNeighbors
-	// gathers candidates out to (1+Skin)·2·1.3·h and reuses that candidate
-	// list across steps, refreshing only the cached pair displacements,
-	// while it provably holds every pair inside a support: the margin
-	// between a particle's support 2·h and its candidate radius is spent on
-	// drift (its own plus the largest of anyone's), checked before the pass
-	// for the arriving h and during it for an h the update grew. A refresh
-	// admits exactly the pairs a rebuild would, so the value changes cost,
-	// not the pair set: 0 rebuilds on every step, larger skins rebuild less
-	// often but make every step stream more candidates.
+	// Skin is the Verlet-skin fraction of the neighbor search: a rebuild
+	// gathers every pair within (1+Skin)·2·1.3·h of each other — once, with
+	// the endpoint of the larger h, binned by distance into shells (see
+	// NeighborList) — and later steps reuse that half candidate list,
+	// recomputing only the cached pairs' distances, while it provably holds
+	// every pair inside a support: the margin between a particle's support
+	// 2·h and its candidate radius is spent on drift (its own plus the
+	// largest of anyone's), checked before the pass for the arriving h and
+	// after its counts for an h the update grew. A refresh admits exactly
+	// the pairs a rebuild would, so the value changes cost, not the pair
+	// set: 0 rebuilds on every step, larger skins rebuild less often and
+	// make the gather of a rebuild, not the steps between, reach further —
+	// a refresh streams only the shells that drift and h growth since the
+	// build can have brought inside a support.
 	Skin float64
 
 	// RebuildEvery forces a candidate rebuild at least every K steps on top
@@ -264,7 +268,7 @@ func DefaultOptions(box sfc.Box) Options {
 // skin resolves the skin fraction candidates are gathered with: none when
 // every step rebuilds, because nothing would ever reuse it.
 func (o Options) skin() float64 {
-	if o.RebuildEvery == 1 {
+	if o.RebuildEvery == 1 || o.Skin < 0 {
 		return 0
 	}
 	return o.Skin
@@ -289,8 +293,8 @@ type State struct {
 	Grid neighbors.Searcher
 
 	// List is the neighbor list FindNeighbors maintains (nil in ClosureWalk
-	// mode, before the first FindNeighbors and after an SFC reorder); its
-	// buffers are reused across steps.
+	// mode and before the first FindNeighbors); its buffers are reused
+	// across steps, and across an SFC reorder, which empties it.
 	List *NeighborList
 
 	// MaxH caches the largest smoothing length after FindNeighbors; the
@@ -310,21 +314,33 @@ type State struct {
 	// only; not checkpointed).
 	NbrStats NeighborStats
 
-	gridBuf  *neighbors.Grid // reused cell-grid buffers across rebuilds
-	hBackup  []float64       // refresh-abort scratch: pre-update H
-	ncBackup []int32         // refresh-abort scratch: pre-update NC
-	scat     par.Scatter     // scatter-add accumulators of the pair passes
+	gridBuf *neighbors.Grid // reused cell-grid buffers across rebuilds
+	hNew    []float64       // FindNeighbors scratch: the updated H, until the list stands
+	ncNew   []int32         // FindNeighbors scratch: the neighbor counts, likewise
+	chunks  []*listChunk    // FindNeighbors scratch: the ranges of the sweep in flight
+	perm    []int           // ReorderBySFC scratch: the sort permutation
+	scat    par.Scatter     // scatter-add accumulators of the pair passes
 
-	// What every candidate gather so far cost, exactly: distance tests and
-	// contiguous runs walked (see neighbors.Candidates). Benchmarks report
-	// them.
-	gatherTests, gatherRuns int
+	// work counts what FindNeighbors has done so far. Benchmarks report it.
+	work listWork
+}
+
+// listWork counts, exactly, the work of every FindNeighbors so far on the
+// production path. A rebuild gathers (distance tests, contiguous runs walked,
+// see neighbors.Candidates) and stores candidates; every step streams
+// candidates, shell by shell, compacts survivors and writes records; a step
+// whose h update outgrew hGrowthAllow streams and compacts twice and counts
+// as a repeat.
+type listWork struct {
+	gatherTests, gatherRuns, stored      int
+	streamed, shells, survivors, records int
+	repeats                              int
 }
 
 // NeighborStats breaks down FindNeighbors activity on the production path
 // since the state was created: how many steps rebuilt the Verlet-skin
-// candidate list versus refreshing the cached pairs, and what triggered
-// each rebuild.
+// candidate list versus refreshing the cached pairs, what triggered each
+// rebuild, and how often a pass could not use the list.
 type NeighborStats struct {
 	Rebuilds  int // candidate-list builds (sum of the cause counters)
 	Refreshes int // steps served from the cached candidate list
@@ -333,6 +349,12 @@ type NeighborStats struct {
 	RebuildCadence  int // Options.RebuildEvery interval expired
 	RebuildDrift    int // the skin ran out: drift, found before a refresh or by a support grown during one
 	RebuildOverflow int // ngmax overflow during a refresh forced a rebuild
+
+	// WalkFallbacks counts the pair passes (XMass, NormalizationGradh,
+	// IADVelocityDivCurl, MomentumEnergy) that walked the grid although the
+	// production path was asked for: no pair list for these particles, or
+	// one XMass has not swept. A RunStep never adds to it.
+	WalkFallbacks int
 }
 
 // NewState creates a simulation state. The first Timestep call sets Dt

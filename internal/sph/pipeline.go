@@ -10,7 +10,7 @@ import (
 // FindNeighbors adapts smoothing lengths toward the target neighbor count
 // using the standard n^(1/3) update and brings the neighbor structure up to
 // date with the current positions. On the production path that is the
-// folded pair list (see NeighborList) the subsequent passes stream over:
+// pair list (see NeighborList) the subsequent passes stream over:
 // refreshed from the cached Verlet-skin candidates while they still cover
 // every support sphere, rebuilt from a fresh search grid otherwise. With
 // Options.ClosureWalk set, only the grid, the neighbor counts and the
@@ -34,7 +34,7 @@ func (s *State) FindNeighbors() {
 		}
 		kind = abort
 	}
-	s.MaxH, _ = s.buildList(maxH, math.Inf(-1), true)
+	s.MaxH, _ = s.buildList(maxH, 0, true)
 	s.NbrStats.Rebuilds++
 	switch kind {
 	case "init":
@@ -104,16 +104,25 @@ func BuildGridFor(s *State) neighbors.Searcher {
 
 // useList reports whether XMass streams the pair list. Without one —
 // closure-walk runs, callers that set up Grid by hand, a state just read
-// from a checkpoint, which carries the skin references only — the passes
-// walk the grid.
-func (s *State) useList() bool {
-	return !s.Opt.ClosureWalk && s.List != nil && len(s.List.PairOffsets) == s.P.N+1
-}
+// from a checkpoint, which carries the skin references only, or just
+// reordered — the passes walk the grid.
+func (s *State) useList() bool { return s.streamsList(false) }
 
 // useCached is useList for the passes after XMass, which read the per-pair
 // kernel values (and gradh sums) its sweep over this list left behind.
-func (s *State) useCached() bool {
-	return s.useList() && s.List.kernOK
+func (s *State) useCached() bool { return s.streamsList(true) }
+
+// streamsList decides for one pair pass; on the production path a pass that
+// has to walk is counted (NeighborStats.WalkFallbacks).
+func (s *State) streamsList(swept bool) bool {
+	if s.Opt.ClosureWalk {
+		return false
+	}
+	if nl := s.List; nl != nil && len(nl.PairOffsets) == s.P.N+1 && (nl.kernOK || !swept) {
+		return true
+	}
+	s.NbrStats.WalkFallbacks++
+	return false
 }
 
 // XMass computes the generalized volume-element normalization

@@ -19,7 +19,10 @@ func (s *State) ReorderBySFC() {
 	par.For(p.N, func(i int) {
 		p.Keys[i] = box.KeyOf(p.X[i], p.Y[i], p.Z[i])
 	})
-	perm := make([]int, p.N)
+	if cap(s.perm) < p.N {
+		s.perm = make([]int, p.N)
+	}
+	perm := s.perm[:p.N]
 	for i := range perm {
 		perm[i] = i
 	}
@@ -31,7 +34,10 @@ func (s *State) ReorderBySFC() {
 		return perm[a] < perm[b]
 	})
 	p.Reorder(perm)
-	// Indices in any previously built neighbor structure are stale now.
+	// Indices in any previously built neighbor structure are stale now. The
+	// list keeps its buffers for the rebuild that follows.
 	s.Grid = nil
-	s.List = nil
+	if s.List != nil {
+		s.List.invalidate()
+	}
 }

@@ -2,6 +2,7 @@ package sph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sphenergy/internal/neighbors"
@@ -130,10 +131,13 @@ func TestSkinRefreshAbortRestoresState(t *testing.T) {
 // BenchmarkFindNeighbors times the two kinds of production FindNeighbors
 // step at the engine benchmark's size, a jittered 30³ lattice at 64 neighbors, and
 // reports what a step of each kind does per particle, exactly: the distance
-// tests and contiguous runs of the candidate gather (none on a refresh) and
-// the candidates a row then streams. Rebuilds are forced through the cadence
-// with the step counter, not with RebuildEvery: 1, which gathers without a
-// skin; refreshes by leaving the particles where the build found them. The
+// tests and contiguous runs of the candidate gather and the candidates it
+// stores (none of the three on a refresh), then the candidates and shells
+// streamed, the survivors compacted and the records written, and how many of
+// the steps streamed twice because an h outgrew hGrowthAllow. Rebuilds are
+// forced through the cadence with the step counter, not with RebuildEvery: 1,
+// which gathers without a skin; refreshes by leaving the particles where the
+// build found them, so they stream the fewest shells a refresh can. The
 // counts repeat from run to run; compare the times by their minimum over
 // -count (`make bench-sph`).
 func BenchmarkFindNeighbors(b *testing.B) {
@@ -163,7 +167,7 @@ func BenchmarkFindNeighbors(b *testing.B) {
 				st.Opt.RebuildEvery = 0
 				step()
 			}
-			stats, tests, runs := st.NbrStats, st.gatherTests, st.gatherRuns
+			stats, before := st.NbrStats, st.work
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step()
@@ -177,41 +181,31 @@ func BenchmarkFindNeighbors(b *testing.B) {
 			if st.NbrStats != stats {
 				b.Fatalf("not %d %s steps: NbrStats %+v, want %+v", b.N, kind, st.NbrStats, stats)
 			}
-			per := float64(b.N * st.P.N)
-			b.ReportMetric(float64(st.gatherTests-tests)/per, "tests/particle")
-			b.ReportMetric(float64(st.gatherRuns-runs)/per, "runs/particle")
-			b.ReportMetric(float64(len(st.List.CandIdx))/float64(st.P.N), "cand/particle")
+			per, w := float64(b.N*st.P.N), st.work
+			b.ReportMetric(float64(w.gatherTests-before.gatherTests)/per, "tests/particle")
+			b.ReportMetric(float64(w.gatherRuns-before.gatherRuns)/per, "runs/particle")
+			b.ReportMetric(float64(w.stored-before.stored)/per, "stored/particle")
+			b.ReportMetric(float64(w.streamed-before.streamed)/per, "streamed/particle")
+			b.ReportMetric(float64(w.shells-before.shells)/per, "shells/particle")
+			b.ReportMetric(float64(w.survivors-before.survivors)/per, "survivors/particle")
+			b.ReportMetric(float64(w.records-before.records)/per, "records/particle")
+			b.ReportMetric(float64(w.repeats-before.repeats), "repeats")
 		})
 	}
 }
 
-// walkTwin returns a closure-walk state over a copy of st's particles as
-// they stand: what its FindNeighbors makes of them is the reference.
-func walkTwin(st *State) *State {
-	p := NewParticles(st.P.N)
-	for k, f := range st.P.fieldSlices() {
-		copy(p.fieldSlices()[k], f)
-	}
-	opt := st.Opt
-	opt.ClosureWalk = true
-	return NewState(p, opt)
-}
-
-// requireRowsOfWalk holds st, after its FindNeighbors, to the twin taken
-// before it: the same old-support counts, the same smoothing lengths, and
-// rows as long as the walk's grid counts each new support — a row cannot
-// hold a pair that is none, so an equal count is an equal set.
-func requireRowsOfWalk(t *testing.T, st, walk *State) {
-	t.Helper()
-	walk.FindNeighbors()
-	for i := 0; i < st.P.N; i++ {
-		if st.P.NC[i] != walk.P.NC[i] || st.P.H[i] != walk.P.H[i] {
-			t.Fatalf("particle %d: NC %d, h %.17g; the walk has %d, %.17g", i, st.P.NC[i], st.P.H[i], walk.P.NC[i], walk.P.H[i])
-		}
-		if got, want := st.List.Count(i), walk.Grid.CountNeighbors(i, 2*st.P.H[i]); got != want {
-			t.Fatalf("particle %d: row of %d, the walk finds %d within its support: a pair is missing", i, got, want)
+// candidateShell returns the shell the half list stores the pair {a, b} in,
+// with whichever endpoint, or -1 if it does not.
+func (nl *NeighborList) candidateShell(a, b int32) int {
+	for _, e := range [][2]int32{{a, b}, {b, a}} {
+		for sh := 0; sh < candShells; sh++ {
+			o := int(e[0])*candShells + sh
+			if slices.Contains(nl.CandIdx[nl.ShellOff[o]:nl.ShellOff[o+1]], e[1]) {
+				return sh
+			}
 		}
 	}
+	return -1
 }
 
 // TestSkinGrowthAbort takes the refresh's second phase: smoothing lengths
@@ -261,31 +255,41 @@ func TestSkinGrowthAbort(t *testing.T) {
 	}
 }
 
-// TestSkinNeverMissesAPair aims at the widened drift budget from outside
-// it. Two particles are built just beyond each other's candidate radius,
-// then brought as close as the pre-check allows — both moving, or one
-// moving at a partner whose support is wide — on a step whose update grows
-// every h by the full 30 %, so the pair lands inside a support its
-// candidates never saw. Whatever FindNeighbors does then, the list must be
-// the closure walk's; here that takes the rebuild, and a refresh would have
-// lost the pair.
+// TestSkinNeverMissesAPair aims at the drift budget from both sides of its
+// edge. Two particles are built a hair beyond each other's candidate radius,
+// or a hair within it — then the half list stores the pair in the last shell
+// of its owner — and brought as close as the criterion allows, both moving,
+// or one moving at a partner whose support is wide, on a step whose update
+// grows every h by the full 30 %. From beyond, the approach is the largest
+// the pre-check passes, the pair lands inside a support its candidates never
+// saw, and only the drift rebuild the grown support calls for can find it.
+// From within, the approach is the largest the grown supports pass too: the
+// step is a refresh (one that outgrows hGrowthAllow and streams twice), the
+// pair ends a few parts in 10⁹ inside a support, and a shell cut that stopped
+// one shell early would lose it. Whatever FindNeighbors does, the list must
+// be the closure walk's.
 func TestSkinNeverMissesAPair(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		bothMove bool
-	}{{"both approach", true}, {"one approaches a wide support", false}} {
+		name             string
+		bothMove, within bool
+	}{
+		{"both approach", true, false}, {"one approaches a wide support", false, false},
+		{"both approach from the last shell", true, true}, {"one approaches a wide support from the last shell", false, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := skinLatticeState(12, t)
 			p := st.P
 			const a, b = 700, 20
 			sk := 1 + st.Opt.Skin
-			p.X[b], p.Y[b], p.Z[b] = st.Opt.Box.Wrap(p.X[a]+candRadius(sk, p.H[a])*(1+1e-9), p.Y[a], p.Z[a])
+			start := 1 + 1e-9
+			if tc.within {
+				start = 1 - 1e-9
+			}
+			p.X[b], p.Y[b], p.Z[b] = st.Opt.Box.Wrap(p.X[a]+candRadius(sk, p.H[a])*start, p.Y[a], p.Z[a])
 			st.FindNeighbors()
 			nl := st.List
-			for _, j := range nl.CandIdx[nl.CandOffsets[a]:nl.CandOffsets[a+1]] {
-				if j == b {
-					t.Fatal("b is among a's candidates; it was to start outside")
-				}
+			if at := nl.candidateShell(a, b); tc.within != (at == candShells-1) {
+				t.Fatalf("the pair is in shell %d of the candidates (-1: not stored); it was to start %v", at, map[bool]string{true: "in the last", false: "outside"}[tc.within])
 			}
 			// Supports cut in half leave room to move; a keeps the width it
 			// was built with when it is the one to grow into the pair. A
@@ -298,11 +302,19 @@ func TestSkinNeverMissesAPair(t *testing.T) {
 				}
 			}
 			st.Opt.NgTarget = 1 << 20
-			// The largest approach the pre-check passes: a mover's drift is
-			// also the maximum, so it may use half its own slack and all of
-			// anyone else's.
+			// The largest approach that passes: a mover's drift is also the
+			// maximum, so it may use half its own slack and all of anyone
+			// else's — the slack of the supports they arrive with for the
+			// pre-check alone, of the grown ones for the whole step.
 			maxH := p.MaxH()
-			slack := func(i int) float64 { s, _ := st.skinSlack(i, p.H[i], maxH); return s }
+			slack := func(i int) float64 {
+				h := p.H[i]
+				if tc.within {
+					h *= hGrowthCap
+				}
+				s, _ := st.skinSlack(i, h, maxH)
+				return s
+			}
 			move := slack(b) / 2
 			if tc.bothMove {
 				move = min(move, slack(a)/2)
@@ -317,15 +329,64 @@ func TestSkinNeverMissesAPair(t *testing.T) {
 			if kind, _ := st.rebuildCause(maxH); kind != "" {
 				t.Fatalf("pre-check calls for a %q rebuild; the approach was to stay within it", kind)
 			}
-			walk := walkTwin(st)
+			walk := WalkTwin(st)
 			st.FindNeighbors()
-			requireRowsOfWalk(t, st, walk)
+			RequireRowsOfWalk(t, st, walk)
 			if dx := neighbors.MinImage(p.X[a]-p.X[b], 1, true); !(dx*dx < support2(p.H[a])) {
 				t.Errorf("b ended %g from a, support %g: the pair never formed and the test proves nothing", dx, 2*p.H[a])
 			}
-			if got := st.NbrStats; got.RebuildDrift != 1 || got.Refreshes != 0 {
+			got := st.NbrStats
+			if !tc.within && (got.RebuildDrift != 1 || got.Refreshes != 0) {
 				t.Errorf("NbrStats %+v: the grown support outran the skin, yet no drift rebuild", got)
 			}
+			if tc.within && (got.Refreshes != 1 || got.Rebuilds != 1 || st.work.repeats != 1) {
+				t.Errorf("NbrStats %+v, %d repeats: the approach was to leave the step a refresh, streamed twice", got, st.work.repeats)
+			}
 		})
+	}
+}
+
+// TestGrowthPastAllowanceRepeats: on a settled, jittered lattice no h grows
+// by more than hGrowthAllow and no step streams twice; then one particle's h
+// is cut by a fifth, its count falls, the update grows it by a tenth, and the
+// step — a refresh or a cadence rebuild — must stream again providing for
+// hGrowthCap, and end with the list of a sweep that provided for the cap, and
+// streamed every shell, from the start.
+func TestGrowthPastAllowanceRepeats(t *testing.T) {
+	for _, rebuild := range []bool{false, true} {
+		st := skinLatticeState(12, t)
+		r := rng.New(7)
+		for i := range st.P.X {
+			st.P.X[i] += 0.2 / 12 * (r.Float64() - 0.5)
+			st.P.Y[i] += 0.2 / 12 * (r.Float64() - 0.5)
+			st.P.Z[i] += 0.2 / 12 * (r.Float64() - 0.5)
+		}
+		for i := 0; i < 8; i++ {
+			st.FindNeighbors()
+		}
+		settled := st.work.repeats
+		st.FindNeighbors()
+		if st.work.repeats != settled {
+			t.Fatalf("the settled lattice still streams twice (%d repeats so far)", st.work.repeats)
+		}
+		const shrunk = 333
+		st.P.H[shrunk] *= 0.8
+		if rebuild {
+			st.Opt.RebuildEvery = 2
+			st.Step += 2
+		}
+		before, stats := st.P.H[shrunk], st.NbrStats
+		ref := Twin(st)
+		st.FindNeighbors()
+		if got := st.NbrStats; got.Refreshes-stats.Refreshes == 1 == rebuild || got.RebuildCadence-stats.RebuildCadence == 1 != rebuild {
+			t.Fatalf("rebuild %v: NbrStats went %+v -> %+v", rebuild, stats, got)
+		}
+		if g := st.P.H[shrunk] / before; !(g > hGrowthAllow) || st.work.repeats != settled+1 {
+			t.Errorf("rebuild %v: h grew by %g and %d steps streamed twice; want more than %g and one", rebuild, g, st.work.repeats-settled, hGrowthAllow)
+		}
+		ref.SweepAllShells(rebuild)
+		if d := ListDiff(st, ref); d != "" {
+			t.Errorf("rebuild %v: the repeated pass against a sweep at the cap from the start: %s", rebuild, d)
+		}
 	}
 }

@@ -45,6 +45,9 @@ func compareSkinToRebuild(t *testing.T, mkState func() *sph.State, steps int, wi
 	if ref.NbrStats.Rebuilds != steps {
 		t.Fatalf("reference rebuilt %d times over %d steps; Skin = 0 must rebuild on every one", ref.NbrStats.Rebuilds, steps)
 	}
+	if skin.NbrStats.WalkFallbacks != 0 || ref.NbrStats.WalkFallbacks != 0 {
+		t.Fatalf("passes walked the grid: %d with the skin, %d without", skin.NbrStats.WalkFallbacks, ref.NbrStats.WalkFallbacks)
+	}
 
 	ps, pr := skin.P, ref.P
 	for i := range ps.NC {
@@ -139,6 +142,9 @@ func TestSkinDisabledBitIdentical(t *testing.T) {
 	if zero.NbrStats.Refreshes != 0 || every.NbrStats.Refreshes != 0 {
 		t.Fatal("disabled skin still served refreshes")
 	}
+	if zero.NbrStats.WalkFallbacks != 0 || every.NbrStats.WalkFallbacks != 0 {
+		t.Fatal("a RunStep pass walked the grid")
+	}
 }
 
 // TestSkinCheckpointMidIntervalResume: a checkpoint taken between rebuilds
@@ -204,11 +210,14 @@ func TestSkinCheckpointMidIntervalResume(t *testing.T) {
 	if dRes == 0 {
 		t.Fatalf("resumed run never refreshed (stats %+v); the regenerated candidates went untested", resumed.NbrStats)
 	}
+	if orig.NbrStats.WalkFallbacks != 0 || resumed.NbrStats.WalkFallbacks != 0 {
+		t.Fatalf("passes walked the grid: %d in the original run, %d in the resumed one", orig.NbrStats.WalkFallbacks, resumed.NbrStats.WalkFallbacks)
+	}
 }
 
 // TestListIndependentOfWorkerCount: what FindNeighbors leaves — smoothing
-// lengths, counts, the candidate CSR, the pair list — is the same bit for
-// bit however many workers share the pass, on a periodic and an open
+// lengths, counts, the candidate shells, row lengths, the pair list — is the
+// same bit for bit however many workers share the pass, on a periodic and an open
 // problem large enough to split four ways, on a rebuild step, a refresh
 // step and a step whose refresh runs out of skin half-way and rebuilds
 // (forced, once the drift allows, by a neighbor target that grows every h
@@ -257,12 +266,8 @@ func TestListIndependentOfWorkerCount(t *testing.T) {
 					runtime.GOMAXPROCS(widths[k])
 					st.FindNeighbors()
 					a, b := states[len(states)-1], st
-					if a.NbrStats != b.NbrStats || !slices.Equal(a.P.H, b.P.H) || !slices.Equal(a.P.NC, b.P.NC) ||
-						!slices.Equal(a.List.CandOffsets, b.List.CandOffsets) || !slices.Equal(a.List.CandIdx, b.List.CandIdx) ||
-						!slices.Equal(a.List.PairOffsets, b.List.PairOffsets) || !slices.Equal(a.List.PairIdx, b.List.PairIdx) ||
-						!slices.Equal(a.List.PairBoth, b.List.PairBoth) || !slices.Equal(a.List.PairDist, b.List.PairDist) ||
-						!slices.Equal(a.List.PairDx, b.List.PairDx) || !slices.Equal(a.List.PairDy, b.List.PairDy) || !slices.Equal(a.List.PairDz, b.List.PairDz) {
-						t.Fatalf("step %d (%+v): FindNeighbors at GOMAXPROCS %d differs from GOMAXPROCS %d", step, a.NbrStats, widths[k], widths[len(widths)-1])
+					if d := sph.ListDiff(a, b); a.NbrStats != b.NbrStats || d != "" {
+						t.Fatalf("step %d (%+v): FindNeighbors at GOMAXPROCS %d differs from GOMAXPROCS %d: %s", step, a.NbrStats, widths[k], widths[len(widths)-1], d)
 					}
 				}
 				switch {
@@ -281,5 +286,78 @@ func TestListIndependentOfWorkerCount(t *testing.T) {
 				t.Errorf("steps by kind %v: want a rebuild, a refresh and a refresh that ran out of skin", kinds)
 			}
 		})
+	}
+}
+
+// TestShellPrefixMatchesAllShells holds the two levers that only move cost —
+// streaming the shells below the drift bound instead of all of them, keeping
+// the survivors of a 3 % growth instead of a 30 % one — to a sweep that pulls
+// neither (SweepAllShells), bit for bit, at every step of several rebuild
+// cycles on supersonic turbulence and on a gravity-coupled sphere already
+// falling inward; and both to the closure walk's counts, smoothing lengths
+// and row lengths.
+func TestShellPrefixMatchesAllShells(t *testing.T) {
+	spec := initcond.DefaultTurbulence(13)
+	spec.Mach = 1.5
+	tp, topt := initcond.Turbulence(spec)
+	ep, eopt := initcond.Evrard(initcond.DefaultEvrard(15))
+	for i := range ep.X {
+		ep.VX[i], ep.VY[i], ep.VZ[i] = -2*ep.X[i], -2*ep.Y[i], -2*ep.Z[i]
+	}
+	for _, pr := range []struct {
+		name    string
+		p       *sph.Particles
+		opt     sph.Options
+		gravity bool
+	}{{"turbulence", tp, topt, false}, {"evrard", ep, eopt, true}} {
+		t.Run(pr.name, func(t *testing.T) {
+			pr.opt.NgTarget = 32
+			pr.opt.ReorderEvery = 0
+			st := sph.NewState(pr.p, pr.opt)
+			pot := make([]float64, pr.p.N)
+			for step := 0; step < 24; step++ {
+				ref, walk := sph.Twin(st), sph.WalkTwin(st)
+				st.FindNeighbors()
+				ref.SweepAllShells(st.List.BuildStep == st.Step)
+				if d := sph.ListDiff(st, ref); d != "" {
+					t.Fatalf("step %d (%+v): against the sweep of every shell: %s", step, st.NbrStats, d)
+				}
+				sph.RequireRowsOfWalk(t, st, walk)
+				finishStep(st, pr.gravity, pot)
+			}
+			if got := st.NbrStats; got.Rebuilds < 3 || got.Refreshes < 8 || got.WalkFallbacks != 0 {
+				t.Errorf("NbrStats %+v: want several rebuild cycles, refreshes between them and no pass off the list", got)
+			}
+		})
+	}
+}
+
+// TestCappedRowsIndependentOfWorkerCount: with a cap every row exceeds, which
+// pairs a row keeps is decided by the order of the half list alone, so the
+// capped list is the same bit for bit at 1, 2 and 4 workers.
+func TestCappedRowsIndependentOfWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int) *sph.State {
+		runtime.GOMAXPROCS(procs)
+		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(19))
+		opt.NgTarget = 32
+		opt.NgMax = 24
+		st := sph.NewState(p, opt)
+		st.FindNeighbors()
+		return st
+	}
+	serial := build(1)
+	if serial.List.Overflow == 0 {
+		t.Fatal("no row overflowed; the capped emission went untested")
+	}
+	for i := 0; i < serial.P.N; i++ {
+		if n := serial.List.Count(i); n > 24 {
+			t.Fatalf("particle %d: row of %d under a cap of 24", i, n)
+		}
+	}
+	for _, procs := range []int{2, 4} {
+		if d := sph.ListDiff(serial, build(procs)); d != "" {
+			t.Errorf("GOMAXPROCS %d against 1: %s", procs, d)
+		}
 	}
 }
