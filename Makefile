@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model race-energy race-faults race-recovery fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -37,14 +37,6 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The fault-injection and graceful-degradation stack under the race
-# detector: injector streams evaluated inside rank phases while scrapes and
-# status reads come from other goroutines, the mediated resilient setter,
-# sampler failover, and straggler/crash handling.
-race-faults:
-	$(GO) test -race ./internal/faults/ ./internal/freqctl/ ./internal/mpisim/ \
-		./internal/sampler/ ./internal/core/
-
 # Full chaos sweep: many seeds, larger runs, with rank crashes.
 chaos:
 	$(GO) run ./cmd/faultbench -seeds 10 -ranks 4 -s 4 -crash
@@ -69,19 +61,6 @@ soak:
 soak-smoke:
 	$(GO) run ./cmd/faultbench -soak -seeds 2 -kills 4 -ranks 2 -s 6 -q
 	$(GO) test -run TestAutosaveCostPerSnapshot -count=1 ./internal/core/
-
-# The checkpoint/supervisor stack under the race detector: store
-# corruption/truncation handling, atomic writer, controller + watchdog +
-# supervisor, and the end-to-end crash/budget/stall recovery tests in core.
-race-recovery:
-	$(GO) test -race ./internal/recovery/ ./internal/atomicio/ ./internal/core/
-
-# The sampler/attribution/three-way-validation stack exercised under the
-# race detector: the run's goroutine polls rank channels inside the rank
-# phases and node sensors between them while the registry serves scrapes.
-race-energy:
-	$(GO) test -race -run 'Sampler|Sampling|Attrib|Build|Validation|ThreeWay' \
-		./internal/sampler/ ./internal/attrib/ ./internal/core/ ./internal/slurm/ ./internal/report/
 
 build:
 	$(GO) build ./...
@@ -190,7 +169,6 @@ examples:
 	$(GO) run ./examples/sedov
 	$(GO) run ./examples/dvfstrace
 	$(GO) run ./examples/measurement
-	$(GO) run ./examples/distributed
 	$(GO) run ./examples/customcode
 
 clean:

@@ -36,7 +36,6 @@ import (
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/slurm"
 	"sphenergy/internal/telemetry"
-	"sphenergy/internal/units"
 )
 
 func main() {
@@ -75,6 +74,9 @@ func main() {
 		energyBudget = flag.Float64("energy-budget", 0, "stop gracefully once total allocation energy passes this many joules (0 = unlimited)")
 	)
 	flag.Parse()
+
+	gridIntensity, err := resolveGrid(*carbon)
+	fatalIf(err)
 
 	var prof *telemetry.Profiler
 	if *cpuProfile != "" || *memProfile != "" {
@@ -311,20 +313,9 @@ func main() {
 	}
 
 	if *carbon != "" {
-		var g units.CarbonIntensity
-		switch *carbon {
-		case "hydro":
-			g = units.GridHydro
-		case "swiss":
-			g = units.GridSwiss
-		case "eu":
-			g = units.GridEUAverage
-		case "coal":
-			g = units.GridCoalHeavy
-		default:
-			fatalIf(fmt.Errorf("unknown grid %q (want hydro, swiss, eu or coal)", *carbon))
-		}
-		fmt.Println("\ncarbon footprint:", units.NewCarbonReport(units.Energy(res.EnergyJ()), g))
+		kwh := res.EnergyJ() / 3.6e6
+		fmt.Printf("\ncarbon footprint: %.2f kWh at %.0f gCO2e/kWh -> %.3f kg CO2e\n",
+			kwh, gridIntensity, kwh*gridIntensity/1000)
 	}
 
 	if *reportOut != "" {
@@ -385,6 +376,22 @@ func resolvePPR(s string, sim core.SimKind) (float64, error) {
 		return 0, fmt.Errorf("invalid particles-per-rank %q", s)
 	}
 	return v, nil
+}
+
+// gridCO2e is the emission intensity in gCO2e/kWh of the grids -carbon
+// names: order-of-magnitude values for the regions hosting the paper's
+// systems (the Nordic grid powering LUMI, the Swiss mix at CSCS, the EU
+// average) and a coal-dominated grid for contrast.
+var gridCO2e = map[string]float64{"hydro": 30, "swiss": 100, "eu": 250, "coal": 700}
+
+// resolveGrid maps the -carbon flag to its intensity; empty means no
+// carbon line.
+func resolveGrid(name string) (float64, error) {
+	g, ok := gridCO2e[name]
+	if !ok && name != "" {
+		return 0, fmt.Errorf("unknown grid %q (want hydro, swiss, eu or coal)", name)
+	}
+	return g, nil
 }
 
 func fatalIf(err error) {

@@ -1,8 +1,9 @@
-// Evrard collapse, end to end: first the *real* SPH solver (octree
-// neighbor search, IAD, volume elements, Barnes–Hut gravity) integrates a
-// small Evrard sphere and reports physics diagnostics; then the same
-// pipeline runs instrumented at paper scale (80 M particles per GPU, 32
-// ranks) on the simulated LUMI-G system with per-device energy attribution.
+// Evrard collapse, end to end: first the *real* SPH solver (cell-grid
+// neighbor search feeding a half pair list, IAD, volume elements,
+// Barnes–Hut gravity) integrates a small Evrard sphere and reports physics
+// diagnostics; then the same pipeline runs instrumented at paper scale
+// (80 M particles per GPU, 32 ranks) on the simulated LUMI-G system with
+// per-device energy attribution.
 package main
 
 import (
@@ -31,25 +32,17 @@ func physicsDemo() {
 	st := sph.NewState(p, opt)
 
 	pot := make([]float64, p.N)
-	step := func() {
-		st.FindNeighbors()
-		st.XMass()
-		st.NormalizationGradh()
-		st.EquationOfState()
-		st.IADVelocityDivCurl()
-		st.AVSwitches(st.Dt)
-		st.MomentumEnergy()
-		// Self-gravity via Barnes-Hut quadrupole tree.
+	// Self-gravity via Barnes-Hut quadrupole tree, added to the step's
+	// hydrodynamic accelerations.
+	selfGravity := func(p *sph.Particles) {
 		tree := gravity.Build(p.X, p.Y, p.Z, p.M, opt.GravTheta, opt.GravEps, opt.GravG)
 		tree.AccelerationsInto(p.AX, p.AY, p.AZ, pot)
-		dt := st.Timestep()
-		st.UpdateQuantities(dt)
 	}
 
 	e0 := st.ComputeEnergies(pot)
 	fmt.Printf("particles: %d\n", p.N)
 	for i := 0; i < 30; i++ {
-		step()
+		st.RunStep(selfGravity)
 		if (i+1)%10 == 0 {
 			e := st.ComputeEnergies(pot)
 			fmt.Printf("step %3d  t=%.4f  Ekin=%8.4f  Eint=%8.4f  Epot=%8.4f  Etot=%8.4f\n",

@@ -38,15 +38,7 @@ func main() {
 	fmt.Printf("%8s %10s %12s %14s\n", "step", "time", "shock r", "r / t^(2/5)")
 
 	for i := 0; i < 60; i++ {
-		st.FindNeighbors()
-		st.XMass()
-		st.NormalizationGradh()
-		st.EquationOfState()
-		st.IADVelocityDivCurl()
-		st.AVSwitches(st.Dt)
-		st.MomentumEnergy()
-		dt := st.Timestep()
-		st.UpdateQuantities(dt)
+		st.RunStep(nil)
 		if (i+1)%10 == 0 {
 			r := shockRadius(p)
 			selfSim := r / math.Pow(st.Time, 0.4)

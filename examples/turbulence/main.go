@@ -31,15 +31,7 @@ func physicsDemo() {
 
 	fmt.Printf("particles: %d, target Mach: %.2f\n", p.N, spec.Mach)
 	for i := 0; i < 20; i++ {
-		st.FindNeighbors()
-		st.XMass()
-		st.NormalizationGradh()
-		st.EquationOfState()
-		st.IADVelocityDivCurl()
-		st.AVSwitches(st.Dt)
-		st.MomentumEnergy()
-		dt := st.Timestep()
-		st.UpdateQuantities(dt)
+		dt := st.RunStep(nil)
 		if (i+1)%5 == 0 {
 			fmt.Printf("step %3d  t=%.5f  Mach_rms=%.3f  dt=%.2e\n",
 				i+1, st.Time, st.MachRMS(), dt)

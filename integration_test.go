@@ -14,7 +14,6 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
-	"sphenergy/internal/domain"
 	"sphenergy/internal/gravity"
 	"sphenergy/internal/initcond"
 	"sphenergy/internal/instr"
@@ -219,73 +218,5 @@ func TestEvrardCollapseEnergyBudget(t *testing.T) {
 	drift := math.Abs(e.Total()-e0.Total()) / math.Abs(e0.Total())
 	if drift > 0.05 {
 		t.Errorf("total energy drifted %.1f%% in 20 steps", 100*drift)
-	}
-}
-
-// TestDistributedDensityMatchesSerial cross-checks the domain layer: the
-// density computed on rank-local extended sets equals the serial result.
-func TestDistributedDensityMatchesSerial(t *testing.T) {
-	// Serial reference.
-	global, opt := initcond.Turbulence(initcond.DefaultTurbulence(12))
-	opt.NgTarget = 32
-	serial := sph.NewState(global, opt)
-	serial.FindNeighbors()
-	serial.XMass()
-
-	// Distributed: same particles split over 2 ranks via the domain layer.
-	global2, _ := initcond.Turbulence(initcond.DefaultTurbulence(12))
-	half := global2.N / 2
-	ranks := []*sph.Particles{sph.NewParticles(half), sph.NewParticles(global2.N - half)}
-	for i := 0; i < global2.N; i++ {
-		dst, j := ranks[0], i
-		if i >= half {
-			dst, j = ranks[1], i-half
-		}
-		dst.X[j], dst.Y[j], dst.Z[j] = global2.X[i], global2.Y[i], global2.Z[i]
-		dst.M[j], dst.H[j], dst.U[j] = global2.M[i], global2.H[i], global2.U[i]
-		dst.Rho[j] = global2.Rho[i]
-	}
-	d := domain.New(opt.Box, 2, 64)
-	out, _, err := d.Sync(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compute density per rank with halos; collect by position key.
-	got := map[float64]float64{}
-	for r := range out {
-		radius := 2 * out[r].MaxH() * 1.3
-		ext, _, err := d.HaloExchange(out, r, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := sph.NewState(ext, opt)
-		// Fixed h pass: count+density without h adaptation to keep the
-		// serial/distributed states identical.
-		st.Grid = sph.BuildGridFor(st)
-		st.MaxH = ext.MaxH()
-		st.XMass()
-		for i := 0; i < out[r].N; i++ {
-			got[ext.X[i]*1e6+ext.Y[i]] = ext.Rho[i]
-		}
-	}
-	// Serial pass with the same fixed-h treatment.
-	ref := sph.NewState(global2, opt)
-	ref.Grid = sph.BuildGridFor(ref)
-	ref.MaxH = global2.MaxH()
-	ref.XMass()
-	mismatches := 0
-	for i := 0; i < global2.N; i++ {
-		key := global2.X[i]*1e6 + global2.Y[i]
-		rho, ok := got[key]
-		if !ok {
-			mismatches++
-			continue
-		}
-		if math.Abs(rho-global2.Rho[i]) > 1e-9 {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		t.Errorf("%d/%d densities differ between serial and distributed", mismatches, global2.N)
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"sphenergy/internal/sfc"
 )
 
-// Benchmarks comparing the two search backends (an ablation on the
-// neighbor-search design choice).
-
 func benchPoints(n int) (sfc.Box, []float64, []float64, []float64) {
 	box := sfc.NewPeriodicCube(0, 1)
 	x, y, z := randomPoints(box, n, 7)
@@ -37,14 +34,6 @@ func BenchmarkGridBuildReuse(b *testing.B) {
 	}
 }
 
-func BenchmarkTreeBuild(b *testing.B) {
-	box, x, y, z := benchPoints(50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildTree(box, x, y, z, 64)
-	}
-}
-
 func BenchmarkGridQuery(b *testing.B) {
 	box, x, y, z := benchPoints(50000)
 	g := BuildGrid(box, x, y, z, 0.05)
@@ -53,17 +42,6 @@ func BenchmarkGridQuery(b *testing.B) {
 	total := 0
 	for i := 0; i < b.N; i++ {
 		total += g.CountNeighbors(i%50000, 0.05)
-	}
-	b.ReportMetric(float64(total)/float64(b.N), "neighbors/query")
-}
-
-func BenchmarkTreeQuery(b *testing.B) {
-	box, x, y, z := benchPoints(50000)
-	ts := BuildTree(box, x, y, z, 64)
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += ts.CountNeighbors(i%50000, 0.05)
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "neighbors/query")
 }

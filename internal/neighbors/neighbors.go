@@ -15,17 +15,6 @@ import (
 	"sphenergy/internal/sfc"
 )
 
-// Searcher is the neighbor-search contract shared by the cell grid and the
-// octree; the SPH pipeline's closure-walk passes work against this
-// interface.
-type Searcher interface {
-	// ForEachNeighbor invokes fn for every particle j != i within radius of
-	// particle i, passing the displacement (xi - xj) and distance.
-	ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz, dist float64))
-	// CountNeighbors returns the number of neighbors within radius.
-	CountNeighbors(i int, radius float64) int
-}
-
 // Grid is a uniform-cell acceleration structure over a particle set. Cell
 // contents are stored CSR-style: cellOff[c]..cellOff[c+1] indexes into
 // order, which lists particle indices grouped by cell in ascending order.

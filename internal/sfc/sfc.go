@@ -1,15 +1,12 @@
-// Package sfc implements the space-filling-curve machinery that underlies
-// cornerstone-style octrees: 63-bit Morton (Z-order) keys over a cubic
-// bounding box, with 21 bits of resolution per dimension.
+// Package sfc holds the simulation box (extents, periodicity, wrapping) and
+// the space-filling curve over it: 63-bit Morton (Z-order) keys with 21 bits
+// of resolution per dimension.
 //
-// Keys order particles along the Z-curve; contiguous key ranges correspond to
-// octree nodes, which is what makes SFC-based domain decomposition cheap.
+// Keys order particles along the Z-curve, so particles close in key are close
+// in space; the SPH state is sorted by key to keep neighbors close in memory.
 package sfc
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // BitsPerDim is the per-dimension key resolution. 3*21 = 63 bits fit a
 // non-negative int64/uint64 key with one spare bit.
@@ -18,14 +15,8 @@ const BitsPerDim = 21
 // MaxCoord is the largest integer coordinate representable per dimension.
 const MaxCoord = (1 << BitsPerDim) - 1
 
-// MaxLevel is the deepest octree subdivision level a key can address.
-const MaxLevel = BitsPerDim
-
 // Key is a 63-bit Morton code.
 type Key uint64
-
-// KeyEnd is one past the largest valid key; [0, KeyEnd) spans the whole box.
-const KeyEnd Key = 1 << (3 * BitsPerDim)
 
 // Box is an axis-aligned cuboid domain. SFC keys are computed after
 // normalizing positions into the unit cube spanned by the box, so slightly
@@ -153,57 +144,4 @@ func quantize(v, lo, hi float64) uint32 {
 func (b Box) KeyOf(x, y, z float64) Key {
 	ix, iy, iz := b.Coord(x, y, z)
 	return Encode3D(ix, iy, iz)
-}
-
-// CenterOf returns the position of a key's grid cell center within the box.
-func (b Box) CenterOf(k Key) (x, y, z float64) {
-	ix, iy, iz := Decode3D(k)
-	cell := 1.0 / (MaxCoord + 1)
-	x = b.Xmin + (float64(ix)+0.5)*cell*b.Lx()
-	y = b.Ymin + (float64(iy)+0.5)*cell*b.Ly()
-	z = b.Zmin + (float64(iz)+0.5)*cell*b.Lz()
-	return
-}
-
-// NodeRange returns the half-open key range [start, end) covered by the
-// octree node at the given level that contains key k. Level 0 is the root.
-func NodeRange(k Key, level int) (Key, Key) {
-	if level < 0 || level > MaxLevel {
-		panic(fmt.Sprintf("sfc: invalid level %d", level))
-	}
-	shift := uint(3 * (MaxLevel - level))
-	start := k >> shift << shift
-	return start, start + 1<<shift
-}
-
-// NodeSize returns the number of leaf-resolution keys inside one node at the
-// given level.
-func NodeSize(level int) Key {
-	return 1 << uint(3*(MaxLevel-level))
-}
-
-// TreeLevel returns the octree level of a node whose key range length is
-// count, or -1 if count is not a power-of-eight node size.
-func TreeLevel(count Key) int {
-	for l := 0; l <= MaxLevel; l++ {
-		if NodeSize(l) == count {
-			return l
-		}
-	}
-	return -1
-}
-
-// CommonPrefixLevel returns the deepest level at which a and b fall into the
-// same octree node.
-func CommonPrefixLevel(a, b Key) int {
-	x := uint64(a ^ b)
-	if x == 0 {
-		return MaxLevel
-	}
-	// Highest differing bit index (0..62).
-	hi := 62
-	for hi >= 0 && x>>uint(hi)&1 == 0 {
-		hi--
-	}
-	return MaxLevel - hi/3 - 1
 }

@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// keyEnd is one past the largest valid key.
+const keyEnd Key = 1 << (3 * BitsPerDim)
+
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		ix, iy, iz := x&MaxCoord, y&MaxCoord, z&MaxCoord
@@ -21,8 +24,8 @@ func TestEncodeCorners(t *testing.T) {
 		t.Error("origin key not 0")
 	}
 	k := Encode3D(MaxCoord, MaxCoord, MaxCoord)
-	if k != KeyEnd-1 {
-		t.Errorf("max corner key = %d, want %d", k, KeyEnd-1)
+	if k != keyEnd-1 {
+		t.Errorf("max corner key = %d, want %d", k, keyEnd-1)
 	}
 }
 
@@ -32,7 +35,7 @@ func TestKeyOfWithinBounds(t *testing.T) {
 		// Wrap arbitrary floats into [0, 1).
 		wx, wy, wz := b.Wrap(x, y, z)
 		k := b.KeyOf(wx, wy, wz)
-		return k < KeyEnd
+		return k < keyEnd
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -58,92 +61,15 @@ func TestQuantizeEdges(t *testing.T) {
 	}
 }
 
-func TestCenterOfRoundtrip(t *testing.T) {
-	b := NewCube(-1, 3)
-	x, y, z := 0.123, 1.9, 2.5
-	k := b.KeyOf(x, y, z)
-	cx, cy, cz := b.CenterOf(k)
-	cell := 4.0 / (1 << BitsPerDim)
-	if dx := cx - x; dx > cell || dx < -cell {
-		t.Errorf("center x %v too far from %v", cx, x)
-	}
-	if dy := cy - y; dy > cell || dy < -cell {
-		t.Errorf("center y %v too far from %v", cy, y)
-	}
-	if dz := cz - z; dz > cell || dz < -cell {
-		t.Errorf("center z %v too far from %v", cz, z)
-	}
-}
-
 func TestSpatialLocality(t *testing.T) {
-	// Points in the same octant share the top key bits.
+	// Points in the same octant share the top three key bits.
 	b := NewCube(0, 1)
-	k1 := b.KeyOf(0.1, 0.1, 0.1)
-	k2 := b.KeyOf(0.2, 0.2, 0.2)
-	k3 := b.KeyOf(0.9, 0.9, 0.9)
-	if CommonPrefixLevel(k1, k2) < 1 {
-		t.Error("nearby points should share at least level 1")
+	octant := func(x, y, z float64) Key { return b.KeyOf(x, y, z) >> (3 * (BitsPerDim - 1)) }
+	if octant(0.1, 0.1, 0.1) != octant(0.2, 0.2, 0.2) {
+		t.Error("nearby points should fall in the same octant")
 	}
-	if CommonPrefixLevel(k1, k3) != 0 {
-		t.Error("opposite corners should only share the root")
-	}
-}
-
-func TestNodeRange(t *testing.T) {
-	b := NewCube(0, 1)
-	k := b.KeyOf(0.3, 0.7, 0.2)
-	for level := 0; level <= 4; level++ {
-		start, end := NodeRange(k, level)
-		if k < start || k >= end {
-			t.Errorf("level %d: key outside its node range", level)
-		}
-		if end-start != NodeSize(level) {
-			t.Errorf("level %d: size %d, want %d", level, end-start, NodeSize(level))
-		}
-		if start%(end-start) != 0 {
-			t.Errorf("level %d: misaligned node start", level)
-		}
-	}
-	s, e := NodeRange(k, 0)
-	if s != 0 || e != KeyEnd {
-		t.Error("level-0 node should cover the whole space")
-	}
-}
-
-func TestNodeRangePanicsOnBadLevel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NodeRange with level -1 did not panic")
-		}
-	}()
-	NodeRange(0, -1)
-}
-
-func TestTreeLevel(t *testing.T) {
-	for l := 0; l <= MaxLevel; l++ {
-		if got := TreeLevel(NodeSize(l)); got != l {
-			t.Errorf("TreeLevel(NodeSize(%d)) = %d", l, got)
-		}
-	}
-	if TreeLevel(3) != -1 {
-		t.Error("non-power-of-eight size should give -1")
-	}
-}
-
-func TestCommonPrefixLevelProperty(t *testing.T) {
-	f := func(a, b uint64) bool {
-		ka := Key(a) % KeyEnd
-		kb := Key(b) % KeyEnd
-		l := CommonPrefixLevel(ka, kb)
-		if l < 0 || l > MaxLevel {
-			return false
-		}
-		// Both keys must be inside the same node at level l.
-		sa, ea := NodeRange(ka, l)
-		return kb >= sa && kb < ea
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	if octant(0.1, 0.1, 0.1) == octant(0.9, 0.9, 0.9) {
+		t.Error("opposite corners should fall in different octants")
 	}
 }
 

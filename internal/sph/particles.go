@@ -290,7 +290,7 @@ func (o Options) ngmax() int {
 type State struct {
 	P    *Particles
 	Opt  Options
-	Grid neighbors.Searcher
+	Grid *neighbors.Grid
 
 	// List is the neighbor list FindNeighbors maintains (nil in ClosureWalk
 	// mode and before the first FindNeighbors); its buffers are reused

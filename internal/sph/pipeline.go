@@ -18,7 +18,8 @@ import (
 func (s *State) FindNeighbors() {
 	maxH := s.P.MaxH()
 	if s.Opt.ClosureWalk {
-		s.Grid = s.buildGrid(maxH)
+		p := s.P
+		s.Grid = s.buildGrid(p.X, p.Y, p.Z, 2*maxH*hGrowthCap) // allow for the in-step h growth clamp
 		s.List = nil
 		s.countAndUpdateH(maxH)
 		return
@@ -77,17 +78,9 @@ func (s *State) countAndUpdateH(maxH float64) {
 	}, math.Max)
 }
 
-// buildGrid constructs the search grid for the given maximum smoothing
-// length.
-func (s *State) buildGrid(maxH float64) *neighbors.Grid {
-	p := s.P
-	return s.buildSearcher(p.X, p.Y, p.Z, 2*maxH*hGrowthCap) // allow for the in-step h growth clamp
-}
-
-// buildSearcher constructs the search grid over the given coordinate
-// slices. It reuses the state's grid buffers, so steady-state rebuilds
-// allocate nothing.
-func (s *State) buildSearcher(x, y, z []float64, radius float64) *neighbors.Grid {
+// buildGrid constructs the search grid over the given coordinate slices. It
+// reuses the state's grid buffers, so steady-state rebuilds allocate nothing.
+func (s *State) buildGrid(x, y, z []float64, radius float64) *neighbors.Grid {
 	if radius <= 0 {
 		radius = s.Opt.Box.MinExtent() / 4
 	}
@@ -95,17 +88,9 @@ func (s *State) buildSearcher(x, y, z []float64, radius float64) *neighbors.Grid
 	return s.gridBuf
 }
 
-// BuildGridFor constructs the neighbor search structure sized for the
-// current maximum interaction radius, for callers that drive the passes
-// over a hand-built Grid instead of calling FindNeighbors.
-func BuildGridFor(s *State) neighbors.Searcher {
-	return s.buildGrid(s.P.MaxH())
-}
-
 // useList reports whether XMass streams the pair list. Without one —
-// closure-walk runs, callers that set up Grid by hand, a state just read
-// from a checkpoint, which carries the skin references only, or just
-// reordered — the passes walk the grid.
+// closure-walk runs, a state just read from a checkpoint, which carries the
+// skin references only, or just reordered — the passes walk the grid.
 func (s *State) useList() bool { return s.streamsList(false) }
 
 // useCached is useList for the passes after XMass, which read the per-pair

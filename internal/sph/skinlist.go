@@ -163,7 +163,7 @@ func shellOf(q, scale float64) int {
 // owns and bins them while they are in cache.
 func (s *State) gatherCandidates(x, y, z, h []float64) *neighbors.Grid {
 	sk := 1 + s.Opt.skin()
-	grid := s.buildSearcher(x, y, z, candRadius(sk, slices.Max(h))/2)
+	grid := s.buildGrid(x, y, z, candRadius(sk, slices.Max(h))/2)
 	chunks := s.eachRange(len(h), func(cb *listChunk) {
 		cb.idx, cb.end = cb.idx[:0], cb.end[:0]
 		cb.cand.Tests, cb.cand.Runs = 0, 0

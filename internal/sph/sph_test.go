@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sphenergy/internal/kernel"
-	"sphenergy/internal/neighbors"
 	"sphenergy/internal/sfc"
 )
 
@@ -353,34 +352,6 @@ func TestVolumeElementsExponent(t *testing.T) {
 		}
 		if math.Abs(p.Rho[i]-1) > 0.15 {
 			t.Fatalf("VE density %v far from 1", p.Rho[i])
-		}
-	}
-}
-
-func TestTreeSearchBackendMatchesGrid(t *testing.T) {
-	// The walk passes take any neighbors.Searcher: handed the octree the
-	// neighbor tests use as their oracle, they produce the densities and
-	// counts they produce over the grid.
-	density := func(search func(st *State) neighbors.Searcher) *State {
-		st := latticeState(8, t)
-		st.Grid = search(st)
-		st.XMass()
-		st.NormalizationGradh()
-		return st
-	}
-	gridState := density(BuildGridFor)
-	treeState := density(func(st *State) neighbors.Searcher {
-		return neighbors.BuildTree(st.Opt.Box, st.P.X, st.P.Y, st.P.Z, 64)
-	})
-	for i := 0; i < gridState.P.N; i++ {
-		if math.Abs(gridState.P.Rho[i]-treeState.P.Rho[i]) > 1e-12 ||
-			math.Abs(gridState.P.Gradh[i]-treeState.P.Gradh[i]) > 1e-12 {
-			t.Fatalf("particle %d: grid rho %v gradh %v != tree rho %v gradh %v", i,
-				gridState.P.Rho[i], gridState.P.Gradh[i], treeState.P.Rho[i], treeState.P.Gradh[i])
-		}
-		r := 2 * gridState.P.H[i]
-		if g, tr := gridState.Grid.CountNeighbors(i, r), treeState.Grid.CountNeighbors(i, r); g != tr {
-			t.Fatalf("particle %d: neighbor counts differ (%d vs %d)", i, g, tr)
 		}
 	}
 }
