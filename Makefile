@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -28,6 +28,9 @@ all: build lint test
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
 #                attribution pass; exits 1 on any "correct": false.
+# The other bench-* targets time things and gate nothing: bench-observe the
+# observers, bench-model the plain run's rank-phase loop, bench-sph and
+# bench-telemetry their packages' primitives, bench the whole benchmark.
 check: lint race race-sph race-model fuzz-smoke chaos-smoke events-smoke soak-smoke bench-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
@@ -138,6 +141,17 @@ bench-telemetry:
 # run's allocation volume in plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
+
+# What one simulated launch costs the host with every observer off: the
+# 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as
+# ns/rank-phase (one rank through one pipeline function: two sensor reads, a
+# launch, an idle window, one profile record) with the run's allocations,
+# which are set-up only. One package and no test besides, so
+# `-cpuprofile cpu.pprof -o core.test` can be appended as is, e.g.
+# `go test -run '^$' -bench PlainRun -benchtime 100x -cpuprofile cpu.pprof
+# -o core.test ./internal/core/ && go tool pprof -top core.test cpu.pprof`.
+bench-model:
+	$(GO) test -run '^$$' -bench PlainRun -benchtime 50x -count 3 ./internal/core/
 
 # FindNeighbors alone, by kind of step, on a jittered 30³ lattice: a
 # rebuild (candidate gather + row pass) and a refresh (row pass), each with

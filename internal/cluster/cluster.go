@@ -36,16 +36,19 @@ type EnergyMeter struct {
 	lastW   float64
 }
 
-// Advance accrues `watts` for `seconds` of virtual time.
-func (m *EnergyMeter) Advance(seconds, watts float64) {
-	if seconds <= 0 {
-		return
-	}
+// Advance accrues `watts` for `seconds` of virtual time and returns the
+// cumulative energy before and after, read under the same hold of the lock —
+// what a caller metering the window would otherwise read back with two more.
+func (m *EnergyMeter) Advance(seconds, watts float64) (beforeJ, afterJ float64) {
 	m.mu.Lock()
-	m.nowS += seconds
-	m.energyJ += watts * seconds
-	m.lastW = watts
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	beforeJ = m.energyJ
+	if seconds > 0 {
+		m.nowS += seconds
+		m.energyJ += watts * seconds
+		m.lastW = watts
+	}
+	return beforeJ, m.energyJ
 }
 
 // EnergyJ returns cumulative energy in joules.
@@ -75,15 +78,16 @@ type CPU struct {
 	Meter EnergyMeter
 }
 
-// Advance accrues CPU energy for a window at the given utilization in [0,1].
-func (c *CPU) Advance(seconds, util float64) {
+// Advance accrues CPU energy for a window at the given utilization in [0,1]
+// and returns the package's cumulative energy before and after.
+func (c *CPU) Advance(seconds, util float64) (beforeJ, afterJ float64) {
 	if util < 0 {
 		util = 0
 	}
 	if util > 1 {
 		util = 1
 	}
-	c.Meter.Advance(seconds, c.Model.IdleW+(c.Model.MaxW-c.Model.IdleW)*util)
+	return c.Meter.Advance(seconds, c.Model.IdleW+(c.Model.MaxW-c.Model.IdleW)*util)
 }
 
 // EnergyJ implements rapl.Source.
@@ -95,15 +99,16 @@ type Mem struct {
 	Meter EnergyMeter
 }
 
-// Advance accrues memory energy for a window at the given traffic level.
-func (m *Mem) Advance(seconds, util float64) {
+// Advance accrues memory energy for a window at the given traffic level and
+// returns the cumulative energy before and after.
+func (m *Mem) Advance(seconds, util float64) (beforeJ, afterJ float64) {
 	if util < 0 {
 		util = 0
 	}
 	if util > 1 {
 		util = 1
 	}
-	m.Meter.Advance(seconds, m.Model.IdleW+(m.Model.MaxW-m.Model.IdleW)*util)
+	return m.Meter.Advance(seconds, m.Model.IdleW+(m.Model.MaxW-m.Model.IdleW)*util)
 }
 
 // NodeSpec describes a node architecture.
@@ -142,13 +147,21 @@ func NewNode(spec NodeSpec, index int) *Node {
 }
 
 // AdvanceHost accrues CPU, memory and auxiliary energy for a window; the
-// GPUs advance separately through their own Execute/Idle calls.
-func (n *Node) AdvanceHost(seconds, cpuUtil, memUtil float64) {
+// GPUs advance separately through their own Execute/Idle calls. It returns
+// what the window added to each class: CPUEnergyJ(), Mem.Meter.EnergyJ() and
+// Aux.EnergyJ() read after the call minus the same read before it, bit for
+// bit (the packages are summed on each side first, in CPUEnergyJ's order),
+// without the reads.
+func (n *Node) AdvanceHost(seconds, cpuUtil, memUtil float64) (cpuJ, memJ, auxJ float64) {
+	cpu0, cpu1 := 0.0, 0.0
 	for _, c := range n.CPUs {
-		c.Advance(seconds, cpuUtil)
+		b, a := c.Advance(seconds, cpuUtil)
+		cpu0 += b
+		cpu1 += a
 	}
-	n.Mem.Advance(seconds, memUtil)
-	n.Aux.Advance(seconds, n.Spec.AuxW)
+	mem0, mem1 := n.Mem.Advance(seconds, memUtil)
+	aux0, aux1 := n.Aux.Advance(seconds, n.Spec.AuxW)
+	return cpu1 - cpu0, mem1 - mem0, aux1 - aux0
 }
 
 // CardEnergyJ returns the energy of physical GPU card `card`, summing its

@@ -106,6 +106,34 @@ func TestAdvanceHostTouchesAllComponents(t *testing.T) {
 	}
 }
 
+// AdvanceHost hands back, per device class, exactly what metering the window
+// from outside reads: the class total after the call minus the total before
+// it — also with two CPU packages, whose counters are summed before they are
+// subtracted — and nothing for an empty window.
+func TestAdvanceHostReturnsMeteredDeltas(t *testing.T) {
+	for _, spec := range []NodeSpec{CSCSA100(), MiniHPC(), LUMIG()} {
+		n := NewNode(spec, 0)
+		for i, w := range []struct{ s, cpu, mem float64 }{
+			{0.1234567, 0.55, 0.35}, {3.3e-3, 0.08, 0.3}, {0, 0.5, 0.5}, {0.07, 1.7, -1}, {41.9, 0.1, 0.15}, {1e-9, 0.06, 0.25},
+		} {
+			cpu0, mem0, aux0 := n.CPUEnergyJ(), n.Mem.Meter.EnergyJ(), n.Aux.EnergyJ()
+			cpuJ, memJ, auxJ := n.AdvanceHost(w.s, w.cpu, w.mem)
+			if want := n.CPUEnergyJ() - cpu0; cpuJ != want {
+				t.Errorf("%s window %d: cpu delta %v, metered %v", spec.Name, i, cpuJ, want)
+			}
+			if want := n.Mem.Meter.EnergyJ() - mem0; memJ != want {
+				t.Errorf("%s window %d: mem delta %v, metered %v", spec.Name, i, memJ, want)
+			}
+			if want := n.Aux.EnergyJ() - aux0; auxJ != want {
+				t.Errorf("%s window %d: aux delta %v, metered %v", spec.Name, i, auxJ, want)
+			}
+			if w.s == 0 && (cpuJ != 0 || memJ != 0 || auxJ != 0) {
+				t.Errorf("%s: empty window accrued %v %v %v", spec.Name, cpuJ, memJ, auxJ)
+			}
+		}
+	}
+}
+
 func TestTotalEnergyIsSum(t *testing.T) {
 	n := NewNode(LUMIG(), 0)
 	n.AdvanceHost(1, 0.3, 0.2)

@@ -226,7 +226,7 @@ func faultedSensorFor(dev *gpusim.Device, hook func(string, int) (int, error)) p
 			if hook != nil {
 				lib.SetFaultHook(hook)
 			}
-			return pmt.NewRSMI(lib, 0, dev)
+			return pmt.NewRSMI(lib, 0)
 		}
 	default:
 		lib, err := nvml.New([]*gpusim.Device{dev})

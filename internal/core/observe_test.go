@@ -47,6 +47,23 @@ func BenchmarkObservedRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPlainRun is the run every figure of the paper repeats with all
+// observers off — 48 ranks on CSCS-A100, Turbulence, 100 steps, baseline
+// strategy — and the profiling entry for the rank-phase loop: ns/rank-phase
+// is the host time one rank spends in one pipeline function.
+func BenchmarkPlainRun(b *testing.B) {
+	const ranks, steps = 48, 100
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(Config{System: cluster.CSCSA100(), Ranks: ranks, Sim: Turbulence,
+			ParticlesPerRank: 10e6, Steps: steps, Seed: 42}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	phases := float64(b.N) * ranks * steps * float64(len(TurbulencePipeline()))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/phases, "ns/rank-phase")
+}
+
 // TestBuildMatchesSpanSliceBuild holds the attribution core.Run joins in
 // place — from the tracer's records, no span slice — to attrib.Build over
 // Tracer.Spans() on the same run, bit for bit, whatever the worker count.

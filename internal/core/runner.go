@@ -264,6 +264,14 @@ func (r *Result) EDP() float64 { return r.Report.TotalEnergyJ * r.WallTimeS }
 // GPUEDP returns the GPU-energy EDP, the per-GPU metric of Figs. 6-8.
 func (r *Result) GPUEDP() float64 { return r.Report.GPUEnergyJ * r.WallTimeS }
 
+// phase is one pipeline function as the step loop sees it: its model and the
+// two costs that follow its kernels on every step.
+type phase struct {
+	fn    *FuncModel
+	commS float64 // post-kernel communication
+	hostS float64 // host-side serial overhead, scaled
+}
+
 // rankCtx is the per-rank execution context.
 type rankCtx struct {
 	node     *cluster.Node
@@ -482,20 +490,32 @@ func Run(cfg Config) (*Result, error) {
 		stepStart = stepBounds[len(stepBounds)-1]
 	}
 
+	// What the loop needs of each pipeline function is constant over the
+	// run and worked out here, once; a function is then known by its slot.
+	phases := make([]phase, len(pipeline))
+	for i := range pipeline {
+		fn := &pipeline[i]
+		hostS, known := hostOverheads[fn.Name]
+		if !known {
+			hostS = defaultHostOverheadS // custom pipelines
+		}
+		phases[i] = phase{fn: fn, commS: commTime(*fn, cfg, net), hostS: hostS * cfg.HostOverheadScale}
+	}
+
 	// The phase loop allocates nothing: its per-rank and per-node scratch,
 	// and the closures the world steps the ranks through, are built once
 	// here and read the loop's current fn/nbrRefresh/load/waits/tail.
 	var (
-		fn          FuncModel
+		fn          *FuncModel
 		nbrRefresh  bool
 		durs, waits []float64
 		tail        float64
 	)
 	gpuStart := make([]pmt.State, cfg.Ranks)
 	ran := make([]bool, cfg.Ranks)
-	cpuBefore := make([]float64, len(system.Nodes))
-	memBefore := make([]float64, len(system.Nodes))
-	auxBefore := make([]float64, len(system.Nodes))
+	// One rank's share of its node's host energy over the current phase.
+	hostShare := make([]struct{ cpuJ, memJ, otherJ float64 }, len(system.Nodes))
+	rpn := system.RanksPerNode()
 	// Kernel execution on one rank. Dead ranks are skipped by the world;
 	// load > 1 spreads failed ranks' particles over the survivors
 	// (DegradeRedistribute).
@@ -538,13 +558,9 @@ func Run(cfg Config) (*Result, error) {
 			rt.neighborRebuild()
 		}
 		re.neighborStep(world.MaxClock(), step, nbrRefresh)
-		for _, fn = range pipeline {
-			commS := commTime(fn, cfg, net)
-			hostS, known := hostOverheads[fn.Name]
-			if !known {
-				hostS = defaultHostOverheadS // custom pipelines
-			}
-			hostS *= cfg.HostOverheadScale
+		for slot := range phases {
+			fn = phases[slot].fn
+			commS, hostS := phases[slot].commS, phases[slot].hostS
 
 			phaseStart := world.MaxClock()
 			clear(ran)
@@ -562,18 +578,17 @@ func Run(cfg Config) (*Result, error) {
 			phaseS := phaseEnd - phaseStart
 			rt.functionTime(fn.Name, phaseS)
 
-			// Host energy for the phase, advanced once per node.
+			// Host energy for the phase, advanced and read once per node:
+			// the ranks of a node all get the same share of the same deltas.
 			for i, n := range system.Nodes {
-				cpuBefore[i] = n.CPUEnergyJ()
-				memBefore[i] = n.Mem.Meter.EnergyJ()
-				auxBefore[i] = n.Aux.EnergyJ()
-				n.AdvanceHost(phaseS, fn.CPUUtil, fn.MemUtil)
+				cpuJ, memJ, auxJ := n.AdvanceHost(phaseS, fn.CPUUtil, fn.MemUtil)
+				sharers := float64(rpn)
+				hostShare[i].cpuJ, hostShare[i].memJ, hostShare[i].otherJ = cpuJ/sharers, memJ/sharers, auxJ/sharers
 			}
 			smp.PollNodes()
 
 			// Per-rank attribution: GPU energy from the rank's own sensor,
 			// host energy as the rank's share of its node's delta.
-			rpn := float64(system.RanksPerNode())
 			for r, rc := range ranks {
 				if !ran[r] {
 					continue // dead rank: no kernel, no sensor window
@@ -587,13 +602,11 @@ func Run(cfg Config) (*Result, error) {
 					// poisoning downstream aggregates.
 					gpuJ = 0
 				}
-				ni := r / system.RanksPerNode()
-				cpuJ := (system.Nodes[ni].CPUEnergyJ() - cpuBefore[ni]) / rpn
-				memJ := (system.Nodes[ni].Mem.Meter.EnergyJ() - memBefore[ni]) / rpn
-				otherJ := (system.Nodes[ni].Aux.EnergyJ() - auxBefore[ni]) / rpn
-				rc.profile.Record(fn.Name, phaseS, gpuJ, cpuJ, memJ, otherJ, commS)
+				host := hostShare[r/rpn]
+				cpuJ, memJ, otherJ := host.cpuJ, host.memJ, host.otherJ
+				rc.profile.RecordAt(slot, fn.Name, phaseS, gpuJ, cpuJ, memJ, otherJ, commS)
 				if rt != nil {
-					rt.functionSpan(r, fn, phaseStart, phaseS, gpuJ, commS)
+					rt.functionSpan(r, fn.Name, phaseStart, phaseS, gpuJ, commS)
 				}
 				stepJ += gpuJ + cpuJ + memJ + otherJ
 			}

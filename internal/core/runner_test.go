@@ -347,6 +347,60 @@ func TestKeepSeries(t *testing.T) {
 	}
 }
 
+// The runner works out a phase's host energy once per node and hands every
+// rank of the node the same three shares. They are, to the bit, what each
+// rank used to compute for itself — its node's CPU, memory and auxiliary
+// counters after the phase minus before it, over the ranks per node —
+// replayed here on a twin allocation of two two-package nodes from the
+// phase times the run recorded.
+func TestHostEnergySharesMatchPerRankExpression(t *testing.T) {
+	cfg := Config{System: cluster.MiniHPC(), Ranks: 4, Sim: Evrard,
+		ParticlesPerRank: 10e6, Steps: 6, Seed: 3, KeepSeries: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := cluster.NewSystem(cfg.System, cfg.System.NodesForRanks(cfg.Ranks))
+	if len(twin.Nodes) != 2 || len(twin.Nodes[0].CPUs) != 2 {
+		t.Fatalf("want 2 nodes of 2 packages, have %d nodes", len(twin.Nodes))
+	}
+	rpn := float64(twin.RanksPerNode())
+	type shares struct{ cpuJ, memJ, otherJ float64 }
+	want := make([]map[string]*shares, cfg.Ranks)
+	for r := range want {
+		want[r] = map[string]*shares{}
+	}
+	cpu0, mem0, aux0 := make([]float64, 2), make([]float64, 2), make([]float64, 2)
+	for step := 0; step < cfg.Steps; step++ {
+		for _, fn := range EvrardPipeline() {
+			phaseS := res.Report.Ranks[0].Series[fn.Name][step]
+			for i, n := range twin.Nodes {
+				cpu0[i], mem0[i], aux0[i] = n.CPUEnergyJ(), n.Mem.Meter.EnergyJ(), n.Aux.EnergyJ()
+				n.AdvanceHost(phaseS, fn.CPUUtil, fn.MemUtil)
+			}
+			for r := 0; r < cfg.Ranks; r++ {
+				ni := r / twin.RanksPerNode()
+				w := want[r][fn.Name]
+				if w == nil {
+					w = &shares{}
+					want[r][fn.Name] = w
+				}
+				w.cpuJ += (twin.Nodes[ni].CPUEnergyJ() - cpu0[ni]) / rpn
+				w.memJ += (twin.Nodes[ni].Mem.Meter.EnergyJ() - mem0[ni]) / rpn
+				w.otherJ += (twin.Nodes[ni].Aux.EnergyJ() - aux0[ni]) / rpn
+			}
+		}
+	}
+	for r, rp := range res.Report.Ranks {
+		for name, w := range want[r] {
+			if st := rp.Get(name); st.CPUJ != w.cpuJ || st.MemJ != w.memJ || st.OtherJ != w.otherJ {
+				t.Errorf("rank %d %s: host energy %v/%v/%v J, per-rank expression %v/%v/%v J",
+					r, name, st.CPUJ, st.MemJ, st.OtherJ, w.cpuJ, w.memJ, w.otherJ)
+			}
+		}
+	}
+}
+
 // failingStrategy errors on Apply after a few calls, exercising the
 // runner's error propagation from rank goroutines.
 type failingStrategy struct{ calls int }

@@ -244,17 +244,17 @@ func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
 // functionSpan records one rank's span for a finished function phase. The
 // timestamps derive from values the runner computed anyway, so
 // instrumentation adds no extra clock queries.
-func (rt *runTelemetry) functionSpan(rank int, fn FuncModel, startS, durS, gpuJ, commS float64) {
+func (rt *runTelemetry) functionSpan(rank int, fn string, startS, durS, gpuJ, commS float64) {
 	if rt == nil || rt.tr == nil {
 		return
 	}
-	if fn.Name != rt.curFnName {
-		ref, ok := rt.fnRefs[fn.Name]
+	if fn != rt.curFnName {
+		ref, ok := rt.fnRefs[fn]
 		if !ok {
-			ref = rt.tr.Intern("function", fn.Name, "gpu_j", "comm_s")
-			rt.fnRefs[fn.Name] = ref
+			ref = rt.tr.Intern("function", fn, "gpu_j", "comm_s")
+			rt.fnRefs[fn] = ref
 		}
-		rt.curFnName, rt.curFnRef = fn.Name, ref
+		rt.curFnName, rt.curFnRef = fn, ref
 	}
 	rt.tr.CompleteRef(rank, rt.curFnRef, startS, durS, gpuJ, commS)
 }
@@ -265,7 +265,7 @@ func (rt *runTelemetry) functionSpan(rank int, fn FuncModel, startS, durS, gpuJ,
 // byte-identical on every rank track — they are recorded once on the
 // global track instead, nesting under the step span. This keeps trace
 // volume per phase O(1) in the rank count.
-func (rt *runTelemetry) phaseTailSpans(fn FuncModel, endS, commS, hostS float64) {
+func (rt *runTelemetry) phaseTailSpans(fn *FuncModel, endS, commS, hostS float64) {
 	if rt == nil || rt.tr == nil {
 		return
 	}

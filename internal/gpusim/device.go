@@ -27,6 +27,7 @@ type Device struct {
 	mu sync.Mutex
 
 	spec  Spec
+	vmax  float64 // spec.VoltageAt(spec.MaxSMClockMHz), the power model's reference
 	index int
 
 	mode        ClockMode
@@ -91,7 +92,8 @@ func NewDevice(spec Spec, index int) *Device {
 		panic(err)
 	}
 	d := &Device{spec: spec, index: index, mode: ModeAuto, memMHz: spec.MemClockMHz}
-	d.gov = newGovernor(spec)
+	d.vmax = d.spec.voltageAt(spec.MaxSMClockMHz)
+	d.gov = newGovernor(&d.spec)
 	d.lastPowerW = spec.IdlePowerW
 	return d
 }
@@ -115,6 +117,16 @@ func (d *Device) EnergyJ() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.energyJ
+}
+
+// EnergyAt returns the device's virtual time and the energy counter as of
+// that time, read under one hold of the lock: Now() and EnergyJ() called in
+// turn can straddle a launch and pair a time with joules the device never
+// had at it. Sensors timestamp their samples through this.
+func (d *Device) EnergyAt() (nowS, energyJ float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.now, d.energyJ
 }
 
 // PowerW returns the most recent instantaneous board power.
@@ -264,11 +276,9 @@ func (d *Device) rawKernelPower(mhz int, t kernelTiming) float64 {
 // power computes the board power draw for the given clock and activity
 // levels; caller holds d.mu.
 func (d *Device) power(mhz int, smAct, memAct float64) float64 {
-	s := d.spec
-	v := s.VoltageAt(mhz)
-	vmax := s.VoltageAt(s.MaxSMClockMHz)
+	s := &d.spec
 	fRel := float64(mhz) / float64(s.MaxSMClockMHz)
-	vRel := v / vmax
+	vRel := s.voltageAt(mhz) / d.vmax
 	p := s.IdlePowerW +
 		s.MaxSMPowerW*vRel*vRel*fRel*smAct +
 		s.MaxMemPowerW*memAct
@@ -285,7 +295,7 @@ func (d *Device) power(mhz int, smAct, memAct float64) float64 {
 // integrating energy. It returns the wall (virtual) duration.
 func (d *Device) Execute(k KernelDesc) float64 {
 	d.mu.Lock()
-	t := k.timing(d.spec)
+	t := k.timing(&d.spec)
 	// A down-scaled memory clock stretches the bandwidth-bound portion and
 	// reduces memory-subsystem power proportionally.
 	if r := d.memRatio(); r < 1 {
@@ -298,7 +308,7 @@ func (d *Device) Execute(k KernelDesc) float64 {
 		// An active power limit derates the effective clock below the
 		// application-clock setting when the kernel would exceed it.
 		eff := d.derateClock(d.lockedMHz, t)
-		dur = t.durationAt(d.spec, eff)
+		dur = t.durationAt(&d.spec, eff)
 		p := d.kernelPower(eff, t)
 		d.accountLocked(dur, p, k.Name)
 	} else {

@@ -16,12 +16,12 @@ import "math"
 //  2. Communication phases let the clock dip once the boost hold expires,
 //     producing the sub-1000 MHz valleys at time-step boundaries.
 type governor struct {
-	spec      Spec
+	spec      *Spec   // the owning device's
 	current   float64 // current SM clock in MHz
 	holdUntil float64 // virtual time until which boost is held
 }
 
-func newGovernor(s Spec) governor {
+func newGovernor(s *Spec) governor {
 	return governor{spec: s, current: float64(s.IdleSMClockMHz)}
 }
 

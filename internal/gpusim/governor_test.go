@@ -113,9 +113,10 @@ func TestResetFromLockedKeepsClockContinuity(t *testing.T) {
 }
 
 func TestGovernorTargetOrdering(t *testing.T) {
-	g := newGovernor(A100SXM480GB())
-	compute := computeKernel().timing(A100SXM480GB())
-	memory := memKernel().timing(A100SXM480GB())
+	spec := A100SXM480GB()
+	g := newGovernor(&spec)
+	compute := computeKernel().timing(&spec)
+	memory := memKernel().timing(&spec)
 	if g.target(compute) <= g.target(memory) {
 		t.Errorf("compute target %v should exceed memory target %v",
 			g.target(compute), g.target(memory))

@@ -401,6 +401,49 @@ func TestEstimateDurationMatchesExecution(t *testing.T) {
 	}
 }
 
+// The device reads its spec through a pointer and keeps V(fmax); the exported
+// API takes specs by value. The two paths agree to the bit on every supported
+// clock: a launch's duration with EstimateDuration, and its board power with
+// the power model written out over Spec.VoltageAt.
+func TestDevicePathMatchesValueAPI(t *testing.T) {
+	kernels := []KernelDesc{
+		computeKernel(),
+		memKernel(),
+		{Name: "multi-launch", Items: 10e6, FlopsPerItem: 150, BytesPerItem: 1500, Launches: 64, EffFactor: 0.45},
+		{Name: "under-filled", Items: 2e4, FlopsPerItem: 5000, BytesPerItem: 64, EffFactor: 0.5},
+	}
+	for _, s := range append(specs(), A100PCIE40GB()) {
+		d := NewDevice(s, 0)
+		if want := s.VoltageAt(s.MaxSMClockMHz); d.vmax != want {
+			t.Fatalf("%s: device keeps V(fmax) = %v, Spec.VoltageAt gives %v", s.Name, d.vmax, want)
+		}
+		for _, mhz := range s.SupportedClocksMHz() {
+			if _, err := d.SetApplicationClocks(0, mhz); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kernels {
+				before := d.EnergyJ()
+				dur := d.Execute(k)
+				if want := k.EstimateDuration(s, mhz); dur != want {
+					t.Errorf("%s %s @%d MHz: Execute took %v, EstimateDuration says %v", s.Name, k.Name, mhz, dur, want)
+				}
+				// The launch drew d.PowerW() for dur; price it by value.
+				kt := k.timing(&s)
+				fRel := float64(mhz) / float64(s.MaxSMClockMHz)
+				vRel := s.VoltageAt(mhz) / s.VoltageAt(s.MaxSMClockMHz)
+				smAct := math.Min(1, kt.smActivity*(1+0.45*(1-fRel)*kt.cFrac))
+				want := math.Min(s.TDPW, s.IdlePowerW+s.MaxSMPowerW*vRel*vRel*fRel*smAct+s.MaxMemPowerW*kt.memActivity)
+				if got := d.PowerW(); got != want {
+					t.Errorf("%s %s @%d MHz: device priced %v W, value path %v W", s.Name, k.Name, mhz, got, want)
+				}
+				if got := d.EnergyJ(); got != before+want*dur {
+					t.Errorf("%s %s @%d MHz: energy counter %v, want %v", s.Name, k.Name, mhz, got, before+want*dur)
+				}
+			}
+		}
+	}
+}
+
 func TestArithmeticIntensity(t *testing.T) {
 	k := KernelDesc{FlopsPerItem: 100, BytesPerItem: 25}
 	if k.ArithmeticIntensity() != 4 {

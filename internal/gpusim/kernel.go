@@ -70,8 +70,9 @@ type kernelTiming struct {
 // with occupancy = items/(items + knee) capturing the throughput loss of
 // under-filled devices. The compute part scales with fmax/f at a lower
 // frequency f; the memory part does not (HBM clock held constant, as in the
-// paper's experiments).
-func (k KernelDesc) timing(s Spec) kernelTiming {
+// paper's experiments). The spec is read through a pointer: it is 224 bytes
+// and this runs once per launch.
+func (k KernelDesc) timing(s *Spec) kernelTiming {
 	occ := k.Items / (k.Items + s.SaturationItems)
 	if occ <= 0 {
 		occ = 1e-6
@@ -110,7 +111,7 @@ func (k KernelDesc) timing(s Spec) kernelTiming {
 
 // durationAt returns the kernel body + overhead duration when the SM clock
 // runs at mhz.
-func (t kernelTiming) durationAt(s Spec, mhz int) float64 {
+func (t kernelTiming) durationAt(s *Spec, mhz int) float64 {
 	scale := float64(s.MaxSMClockMHz) / float64(mhz)
 	return t.freqScaledS*scale + t.flatS + t.overheadS
 }
@@ -119,7 +120,7 @@ func (t kernelTiming) durationAt(s Spec, mhz int) float64 {
 // that scales with frequency, a diagnostic used by tests and the governor's
 // utilization heuristic.
 func (k KernelDesc) FrequencySensitivity(s Spec) float64 {
-	t := k.timing(s)
+	t := k.timing(&s)
 	body := t.freqScaledS + t.flatS + t.overheadS
 	if body <= 0 {
 		return 0
@@ -131,7 +132,7 @@ func (k KernelDesc) FrequencySensitivity(s Spec) float64 {
 // without executing it on a device. Used by the tuner's dry-run mode and by
 // tests.
 func (k KernelDesc) EstimateDuration(s Spec, mhz int) float64 {
-	return k.timing(s).durationAt(s, mhz)
+	return k.timing(&s).durationAt(&s, mhz)
 }
 
 // ArithmeticIntensity returns flops/byte for the descriptor.

@@ -192,7 +192,11 @@ func abs(x int) int {
 
 // VoltageAt interpolates the core voltage at a clock frequency, clamping to
 // the curve's ends.
-func (s Spec) VoltageAt(mhz int) float64 {
+func (s Spec) VoltageAt(mhz int) float64 { return s.voltageAt(mhz) }
+
+// voltageAt is VoltageAt for callers that hold the spec by pointer (the
+// device's power model, once per priced clock).
+func (s *Spec) voltageAt(mhz int) float64 {
 	c := s.VoltageCurve
 	if mhz <= c[0].MHz {
 		return c[0].Volts

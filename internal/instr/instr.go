@@ -48,7 +48,11 @@ type RankProfile struct {
 	// SeriesEnabled turns on per-call recording.
 	SeriesEnabled bool
 	order         []string
-	mu            sync.Mutex
+	// slots holds, by the caller's own index, the stats RecordAt last
+	// resolved there: a caller that records the same sequence of functions
+	// every step pays the by-name lookup once per function.
+	slots []*FunctionStats
+	mu    sync.Mutex
 }
 
 // rankProfileJSON is the wire form of RankProfile: the same data plus the
@@ -89,6 +93,7 @@ func (p *RankProfile) UnmarshalJSON(data []byte) error {
 		p.Functions = map[string]*FunctionStats{}
 	}
 	p.Series = aux.Series
+	clear(p.slots) // they point into the map just replaced
 	p.order = p.order[:0]
 	seen := map[string]bool{}
 	for _, n := range aux.FunctionOrder {
@@ -117,12 +122,43 @@ func NewRankProfile(rank int) *RankProfile {
 func (p *RankProfile) Record(fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.add(p.stats(fn), fn, timeS, gpuJ, cpuJ, memJ, otherJ, commS)
+}
+
+// RecordAt is Record for a caller that runs a fixed sequence of functions
+// over and over: slot is fn's position in that sequence, and the profile
+// remembers which stats it stands for. The slot is a hint, never an
+// identity — a function enters the profile, and its recording order, when it
+// is first recorded, and a slot given another name is looked up afresh — so
+// RecordAt(i, fn, ...) and Record(fn, ...) leave the same profile.
+func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.slots) <= slot {
+		p.slots = append(p.slots, nil)
+	}
+	st := p.slots[slot]
+	if st == nil || st.Name != fn {
+		st = p.stats(fn)
+		p.slots[slot] = st
+	}
+	p.add(st, fn, timeS, gpuJ, cpuJ, memJ, otherJ, commS)
+}
+
+// stats returns fn's entry, creating it at the end of the recording order;
+// caller holds p.mu.
+func (p *RankProfile) stats(fn string) *FunctionStats {
 	st, ok := p.Functions[fn]
 	if !ok {
 		st = &FunctionStats{Name: fn}
 		p.Functions[fn] = st
 		p.order = append(p.order, fn)
 	}
+	return st
+}
+
+// add accumulates one measurement of fn into its entry st; caller holds p.mu.
+func (p *RankProfile) add(st *FunctionStats, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
 	st.Calls++
 	st.TimeS += timeS
 	st.GPUJ += gpuJ

@@ -2,6 +2,7 @@ package instr
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"strings"
@@ -270,5 +271,45 @@ func TestReadReportWithoutOrderFallsBackSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("FunctionNames = %v, want %v (listed first, unlisted sorted, stale dropped)", got, want)
 		}
+	}
+}
+
+// RecordAt's slot is a hint: whatever slots the caller passes — fresh, reused
+// for another name, pointing into a map a restore has since replaced — the
+// profile it leaves is the one Record leaves, recording order included.
+func TestRecordAtMatchesRecord(t *testing.T) {
+	type call struct {
+		slot int
+		fn   string
+	}
+	calls := []call{{0, "a"}, {1, "b"}, {0, "a"}, {3, "d"}, {1, "b"}, {1, "c"}, {1, "b"}, {2, "a"}, {0, "d"}}
+	byName, bySlot := NewRankProfile(3), NewRankProfile(3)
+	byName.SeriesEnabled, bySlot.SeriesEnabled = true, true
+	for i, c := range calls {
+		if i == 5 {
+			// A checkpoint restore lands mid-run: in-place unmarshal.
+			wire, err := json.Marshal(bySlot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(wire, bySlot); err != nil {
+				t.Fatal(err)
+			}
+			bySlot.SeriesEnabled = true
+		}
+		v := float64(i + 1)
+		byName.Record(c.fn, v, 2*v, 3*v, 4*v, 5*v, 6*v)
+		bySlot.RecordAt(c.slot, c.fn, v, 2*v, 3*v, 4*v, 5*v, 6*v)
+	}
+	want, err := json.Marshal(byName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(bySlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("RecordAt left\n%s\nRecord left\n%s", got, want)
 	}
 }

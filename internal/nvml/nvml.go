@@ -169,10 +169,19 @@ func (dev Device) PowerUsage() (int, error) {
 // TotalEnergyConsumption returns cumulative energy in millijoules
 // (nvmlDeviceGetTotalEnergyConsumption).
 func (dev Device) TotalEnergyConsumption() (int64, error) {
+	_, mj, err := dev.TotalEnergyConsumptionAt()
+	return mj, err
+}
+
+// TotalEnergyConsumptionAt is TotalEnergyConsumption with the device time
+// the counter stood at that value, the two read together (see
+// gpusim.Device.EnergyAt). A failed read still reports the device's time.
+func (dev Device) TotalEnergyConsumptionAt() (timeS float64, mj int64, err error) {
 	if _, err := dev.fault("energy-read", 0); err != nil {
-		return 0, err
+		return dev.d.Now(), 0, err
 	}
-	return int64(dev.d.EnergyJ() * 1000), nil
+	timeS, j := dev.d.EnergyAt()
+	return timeS, int64(j * 1000), nil
 }
 
 // PowerManagementLimit returns the active board power limit in milliwatts

@@ -41,8 +41,8 @@ func TestNVMLSensorDegradesUnderFaults(t *testing.T) {
 	if !math.IsNaN(nan.EnergyJ) {
 		t.Fatalf("transient fault: EnergyJ = %v, want NaN", nan.EnergyJ)
 	}
-	if nan.TimeS <= good.TimeS {
-		t.Fatalf("transient fault should carry the current timestamp, got %v", nan.TimeS)
+	if nan.TimeS != dev.Now() || nan.TimeS <= good.TimeS {
+		t.Fatalf("transient fault should carry the device's current timestamp %v, got %v", dev.Now(), nan.TimeS)
 	}
 
 	stuck := s.Read()
@@ -71,12 +71,15 @@ func TestNVMLSensorStuckBeforeFirstGoodRead(t *testing.T) {
 func TestRSMISensorDegradesUnderFaults(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
 	lib, _ := rsmi.New([]*gpusim.Device{dev})
-	s := NewRSMI(lib, 0, dev)
+	s := NewRSMI(lib, 0)
 	good := s.Read()
 	dev.Idle(1)
-	lib.SetFaultHook(scriptedHook([]error{faults.ErrStuck}))
+	lib.SetFaultHook(scriptedHook([]error{faults.ErrStuck, faults.ErrTransient}))
 	if st := s.Read(); st != good {
 		t.Fatalf("stuck fault: %+v, want %+v", st, good)
+	}
+	if st := s.Read(); !math.IsNaN(st.EnergyJ) || st.TimeS != dev.Now() {
+		t.Fatalf("transient fault: %+v, want NaN at the device's current timestamp %v", st, dev.Now())
 	}
 	lib.SetFaultHook(nil)
 	if st := s.Read(); st.EnergyJ <= good.EnergyJ {

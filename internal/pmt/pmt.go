@@ -20,7 +20,6 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
-	"sphenergy/internal/gpusim"
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
 	"sphenergy/internal/rapl"
@@ -114,8 +113,7 @@ func (s *nvmlSensor) Name() string { return fmt.Sprintf("nvml:%s", s.dev.Name())
 func (s *nvmlSensor) Backend() Backend { return BackendNVML }
 
 func (s *nvmlSensor) Read() State {
-	now := s.dev.Sim().Now()
-	mj, err := s.dev.TotalEnergyConsumption()
+	now, mj, err := s.dev.TotalEnergyConsumptionAt()
 	if err != nil {
 		return degrade(err, now, &s.last, &s.started)
 	}
@@ -128,15 +126,13 @@ func (s *nvmlSensor) Read() State {
 type rsmiSensor struct {
 	lib     *rsmi.Library
 	idx     int
-	dev     *gpusim.Device
 	last    State
 	started bool
 }
 
-// NewRSMI creates a GPU sensor over a rocm-smi device index. The underlying
-// device is needed only for the virtual timestamp.
-func NewRSMI(lib *rsmi.Library, idx int, dev *gpusim.Device) Sensor {
-	return &rsmiSensor{lib: lib, idx: idx, dev: dev}
+// NewRSMI creates a GPU sensor over a rocm-smi device index.
+func NewRSMI(lib *rsmi.Library, idx int) Sensor {
+	return &rsmiSensor{lib: lib, idx: idx}
 }
 
 func (s *rsmiSensor) Name() string { return fmt.Sprintf("rocm:%d", s.idx) }
@@ -145,8 +141,7 @@ func (s *rsmiSensor) Name() string { return fmt.Sprintf("rocm:%d", s.idx) }
 func (s *rsmiSensor) Backend() Backend { return BackendRSMI }
 
 func (s *rsmiSensor) Read() State {
-	now := s.dev.Now()
-	uj, err := s.lib.DevEnergyCountGet(s.idx)
+	now, uj, err := s.lib.DevEnergyCountGetAt(s.idx)
 	if err != nil {
 		return degrade(err, now, &s.last, &s.started)
 	}

@@ -54,7 +54,7 @@ func TestNVMLBackend(t *testing.T) {
 func TestRSMIBackend(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
 	lib, _ := rsmi.New([]*gpusim.Device{dev})
-	s := NewRSMI(lib, 0, dev)
+	s := NewRSMI(lib, 0)
 	before := s.Read()
 	dev.SetApplicationClocks(0, 1700)
 	dev.Idle(1)

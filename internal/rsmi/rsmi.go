@@ -129,14 +129,24 @@ func (l *Library) DevPowerAveGet(i int) (int64, error) {
 // DevEnergyCountGet returns accumulated energy in microjoules
 // (rsmi_dev_energy_count_get).
 func (l *Library) DevEnergyCountGet(i int) (uint64, error) {
+	_, uj, err := l.DevEnergyCountGetAt(i)
+	return uj, err
+}
+
+// DevEnergyCountGetAt is DevEnergyCountGet with the device time the counter
+// stood at that value, the two read together (see gpusim.Device.EnergyAt) —
+// the timestamp rsmi_dev_energy_count_get itself hands back. A failed read
+// of a valid device still reports the device's time.
+func (l *Library) DevEnergyCountGetAt(i int) (timeS float64, uj uint64, err error) {
 	d, err := l.dev(i)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if _, err := l.fault("energy-read", 0); err != nil {
-		return 0, err
+		return d.Now(), 0, err
 	}
-	return uint64(d.EnergyJ() * 1e6), nil
+	timeS, j := d.EnergyAt()
+	return timeS, uint64(j * 1e6), nil
 }
 
 // DevPowerCapSet sets the socket power cap in microwatts
