@@ -47,7 +47,9 @@ chaos:
 
 # Fast chaos gate for `check`: a few seeds through the full fault stack
 # (sensor transients, stuck node sensor, clamped-clock window, straggler,
-# one rank crash under drop-rank), each run twice and byte-compared.
+# one rank crash under drop-rank) with every observer on, the decision
+# ledger included; each run twice and byte-compared, the ledger's counts
+# per event type with the rest.
 chaos-smoke:
 	$(GO) run ./cmd/faultbench -seeds 2 -q
 	$(GO) run ./cmd/faultbench -seeds 2 -ranks 3 -s 4 -crash -q

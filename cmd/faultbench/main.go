@@ -10,7 +10,9 @@
 //     that rest on estimated sensor data are classified (degraded or
 //     unresolvable), never silently gated;
 //  3. the whole run is bit-identical across two same-seed executions
-//     (compared on the serialized result summary).
+//     (compared on the serialized result summary, which carries the
+//     decision ledger's per-type counts: freq-decision, freq-clamp,
+//     freq-retry, ...).
 //
 // Any violation exits non-zero, which makes `make chaos-smoke` a CI
 // gate. Examples:
@@ -61,6 +63,8 @@ type seedResult struct {
 	Faults     *faults.Report     `json:"faults"`
 	Kernels    []attrib.Row       `json:"kernels,omitempty"`
 	Failures   []core.RankFailure `json:"failures,omitempty"`
+	// Events counts the decision ledger's events by type.
+	Events map[events.Type]uint64 `json:"events"`
 }
 
 func main() {
@@ -152,7 +156,8 @@ func main() {
 // runChaos executes one seeded chaos run and folds the result into the
 // comparable summary. The plan stacks every fault family the framework
 // supports on top of a ManDyn-driven run so the sensor, clock-control
-// and rank layers all see injections.
+// and rank layers all see injections, with every observer on: tracer,
+// metrics, sampler and decision ledger.
 func runChaos(spec cluster.NodeSpec, seed uint64, ranks, steps int, ppr float64, crash bool) (seedResult, error) {
 	max := spec.GPUSpec.MaxSMClockMHz
 	plan := &faults.Plan{Name: fmt.Sprintf("chaos-%d", seed), Seed: seed, Rules: []faults.Rule{
@@ -177,6 +182,7 @@ func runChaos(spec cluster.NodeSpec, seed uint64, ranks, steps int, ppr float64,
 		Seed:             seed,
 		Tracer:           telemetry.NewTracer(ranks),
 		Metrics:          telemetry.NewRegistry(),
+		Events:           events.NewLedger(0),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		Faults:           plan,
 		Degradation:      policy,
@@ -203,6 +209,7 @@ func runChaos(spec cluster.NodeSpec, seed uint64, ranks, steps int, ppr float64,
 		Faults:     res.Faults,
 		Kernels:    res.Attribution.Kernels,
 		Failures:   res.Failures,
+		Events:     res.Events.ByType,
 	}, nil
 }
 

@@ -105,7 +105,7 @@ func main() {
 	if *traceOut != "" {
 		cfg.Tracer = telemetry.NewTracer(*ranks)
 		// Mirror rank 0's frequency/power trajectory into the timeline.
-		cfg.Trace, cfg.TraceRank = true, 0
+		cfg.Trace = true
 	}
 	if *validate && *sampleHz <= 0 {
 		*sampleHz = sampler.DefaultGPUHz

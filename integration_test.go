@@ -81,7 +81,7 @@ func TestFullWorkflowTuneRunReport(t *testing.T) {
 
 	// Analysis layer over the loaded report.
 	db := report.NewDeviceBreakdown(back, system, "integration")
-	if db.TotalJ() <= 0 || db.GPUShare() <= 0 {
+	if db.TotalJ() <= 0 || db.GPUJ <= 0 {
 		t.Error("device breakdown empty")
 	}
 	fb := report.NewFunctionBreakdown(back, "integration")
@@ -127,24 +127,17 @@ func TestSlurmPMCountersConsistency(t *testing.T) {
 		t.Error("loop + setup != consumed energy")
 	}
 
-	// Per-card attribution across ranks reconciles with per-rank GPU sums.
+	// Per-card readings reconcile with the per-rank GPU sums.
 	node := job.Result.System.Nodes[0]
-	var cards []float64
+	var cardSum, devSum float64
 	for c := 0; c < node.NumCards(); c++ {
-		cards = append(cards, node.CardEnergyJ(c))
+		cardSum += node.CardEnergyJ(c)
 	}
-	busy := make([]float64, len(node.Devices))
-	for i, d := range node.Devices {
-		busy[i] = d.BusySeconds()
-	}
-	attributed := report.RankGPUAttribution(cards, node.Spec.DiesPerCard, busy)
-	var attrSum, devSum float64
-	for i, d := range node.Devices {
-		attrSum += attributed[i]
+	for _, d := range node.Devices {
 		devSum += d.EnergyJ()
 	}
-	if math.Abs(attrSum-devSum) > 1e-6*devSum {
-		t.Errorf("attribution sum %v != device sum %v", attrSum, devSum)
+	if math.Abs(cardSum-devSum) > 1e-6*devSum {
+		t.Errorf("card sum %v != device sum %v", cardSum, devSum)
 	}
 }
 

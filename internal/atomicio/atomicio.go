@@ -53,14 +53,6 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	return nil
 }
 
-// WriteFileBytes is WriteFile for callers that already hold the content.
-func WriteFileBytes(path string, data []byte) error {
-	return WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // syncDir fsyncs a directory so a completed rename survives power loss.
 // Errors are ignored: some filesystems reject directory fsync, and the
 // rename has already happened — the write is complete either way.

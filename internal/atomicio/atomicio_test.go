@@ -109,3 +109,11 @@ func TestWriteFileCreatesFreshTarget(t *testing.T) {
 		t.Fatalf("last write lost: %q", got)
 	}
 }
+
+// WriteFileBytes is WriteFile for callers that already hold the content.
+func WriteFileBytes(path string, data []byte) error {
+	return WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}

@@ -28,7 +28,6 @@ type MemModel struct {
 }
 
 // EnergyMeter integrates power over virtual time for one node component.
-// It implements rapl.Source.
 type EnergyMeter struct {
 	mu      sync.Mutex
 	nowS    float64
@@ -90,7 +89,7 @@ func (c *CPU) Advance(seconds, util float64) (beforeJ, afterJ float64) {
 	return c.Meter.Advance(seconds, c.Model.IdleW+(c.Model.MaxW-c.Model.IdleW)*util)
 }
 
-// EnergyJ implements rapl.Source.
+// EnergyJ returns the package's cumulative energy.
 func (c *CPU) EnergyJ() float64 { return c.Meter.EnergyJ() }
 
 // Mem is the node DRAM instance with its meter.

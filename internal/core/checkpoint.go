@@ -41,7 +41,9 @@ type RecoveryInfo struct {
 
 // checkpointVersion guards the gob payload layout, separately from the
 // store's envelope version: the envelope knows bytes, this knows fields.
-const checkpointVersion = 1
+// Version 2 dropped the fingerprint's JitterSpread and NbrRefreshCost, which
+// became constants of the model.
+const checkpointVersion = 2
 
 // runFingerprint pins a checkpoint to the configuration that produced it.
 // Restoring under any other configuration would silently diverge, so a
@@ -55,12 +57,10 @@ type runFingerprint struct {
 	ParticlesPerRank float64
 	Ng               int
 	Seed             uint64
-	JitterSpread     float64
 	HostOverheadS    float64
 	SetupS           float64
 	Strategy         string
 	NbrRebuildEvery  int
-	NbrRefreshCost   float64
 	Degradation      string
 	FaultPlan        string
 	CustomFuncs      int
@@ -76,12 +76,10 @@ func fingerprintOf(cfg Config, strategyName string) runFingerprint {
 		ParticlesPerRank: cfg.ParticlesPerRank,
 		Ng:               cfg.Ng,
 		Seed:             cfg.Seed,
-		JitterSpread:     cfg.JitterSpread,
 		HostOverheadS:    cfg.HostOverheadScale,
 		SetupS:           cfg.SetupS,
 		Strategy:         strategyName,
 		NbrRebuildEvery:  cfg.NeighborRebuildEvery,
-		NbrRefreshCost:   cfg.NeighborRefreshCost,
 		Degradation:      cfg.Degradation,
 		CustomFuncs:      len(cfg.CustomPipeline),
 	}
@@ -163,7 +161,7 @@ func captureCheckpoint(cfg Config, system *cluster.System, world *mpisim.World,
 		}
 		cp.Profiles = append(cp.Profiles, b)
 		var ss strategyState
-		if md, ok := freqctl.UnwrapStrategy(rc.strategy).(*freqctl.ManDyn); ok {
+		if md, ok := rc.strategy.(*freqctl.ManDyn); ok {
 			ss.IsManDyn = true
 			ss.LastReqMHz, ss.LastApplied = md.State()
 		}
@@ -218,6 +216,10 @@ func restoreRun(resume *recovery.Resume, cfg Config, system *cluster.System,
 		return nil, err
 	}
 	want := fingerprintOf(cfg, ranks[0].strategy.Name())
+	if cp.Fp.Version != want.Version {
+		return nil, fmt.Errorf("core: checkpoint %s has payload version %d, this build reads version %d",
+			resume.Snapshot.Path, cp.Fp.Version, want.Version)
+	}
 	if cp.Fp != want {
 		return nil, fmt.Errorf("core: checkpoint %s was written by a different configuration (have %+v, want %+v)",
 			resume.Snapshot.Path, cp.Fp, want)
@@ -244,8 +246,7 @@ func restoreRun(resume *recovery.Resume, cfg Config, system *cluster.System,
 		if err := json.Unmarshal(cp.Profiles[r], rc.profile); err != nil {
 			return nil, fmt.Errorf("core: restore profile rank %d: %w", r, err)
 		}
-		rc.profile.SeriesEnabled = cfg.KeepSeries
-		md, isMD := freqctl.UnwrapStrategy(rc.strategy).(*freqctl.ManDyn)
+		md, isMD := rc.strategy.(*freqctl.ManDyn)
 		if isMD != cp.Strategies[r].IsManDyn {
 			return nil, fmt.Errorf("core: restore strategy rank %d: checkpoint and run disagree on ManDyn", r)
 		}

@@ -122,24 +122,16 @@ func (re *runEvents) summary() *events.Summary {
 	return re.led.Summary()
 }
 
-// instrumentRank hooks one rank's frequency-control path into the ledger:
-// the strategy is wrapped in a freqctl.Traced whose sink records applied
-// clock changes (with the tuner's prediction attached by the ledger), and
-// the resilient setter's event stream — retries, absorbs, clamps, breaker
-// trips — is forwarded when fault wiring installed one. Must run after
-// fs.wireRank (so the resilient setter exists to hook) and composes with
-// rt.instrumentRank: the two Traced layers nest, each capturing the same
-// Apply through its own capture setter.
+// instrumentRank forwards the resilient setter's event stream — retries,
+// absorbs, clamps, breaker trips — into the ledger when fault wiring
+// installed one. Must run after fs.wireRank, so the resilient setter exists
+// to hook, and before the rank's clock tap wraps it.
 func (re *runEvents) instrumentRank(rc *rankCtx, rank int) {
 	if re == nil {
 		return
 	}
 	if rs, ok := rc.setter.(*freqctl.ResilientSetter); ok {
 		re.hookResilient(rs, rank, rc.dev)
-	}
-	rc.strategy = &freqctl.Traced{
-		Inner: rc.strategy,
-		Sink:  &ledgerDecisionSink{re: re, rank: rank, dev: rc.dev},
 	}
 }
 
@@ -176,23 +168,15 @@ func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *g
 	}
 }
 
-// ledgerDecisionSink records applied frequency decisions into the ledger.
-// One sink serves one rank (the Traced contract).
-type ledgerDecisionSink struct {
-	re   *runEvents
-	rank int
-	dev  *gpusim.Device
-}
-
-// StrategyDecision implements freqctl.DecisionSink. Elided switches
-// (requestedMHz < 0) are skipped, mirroring the tracer's sink: the ledger
-// records clock transitions, not every Apply.
-func (s *ledgerDecisionSink) StrategyDecision(function string, requestedMHz, appliedMHz int) {
-	if requestedMHz < 0 {
+// decision stages a clock a strategy set before a function; the ledger
+// attaches the tuner's prediction when the rank's buffer drains. Elided sets
+// never reach it: the ledger records clock transitions, not every Apply.
+func (re *runEvents) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
+	if re == nil {
 		return
 	}
-	s.re.stage(s.rank, events.Event{
-		TimeS: s.dev.Now(), Step: s.re.step(), Rank: s.rank,
+	re.stage(rank, events.Event{
+		TimeS: nowS, Step: re.step(), Rank: rank,
 		Type: events.FreqDecision, Subject: function,
 		RequestedMHz: requestedMHz, AppliedMHz: appliedMHz,
 	})

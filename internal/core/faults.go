@@ -96,8 +96,9 @@ func (fs *faultState) sensorHook(r int, dev *gpusim.Device) func(string, int) (i
 }
 
 // wireRank installs the clock-path fault hook underneath rank r's setter
-// and wraps it in the resilience layer. Must run before telemetry
-// instrumentation so the instrumented view sees the resilient semantics.
+// and wraps it in the resilience layer, whose backoff jitter is seeded per
+// rank from the run's seed. Must run before the rank's clock tap is
+// installed, so the tap sees the resilient semantics.
 func (fs *faultState) wireRank(rc *rankCtx, r int, cfg Config) {
 	if fs == nil {
 		return
@@ -105,11 +106,8 @@ func (fs *faultState) wireRank(rc *rankCtx, r int, cfg Config) {
 	if h := fs.clockInj[r].ClockHook(rc.dev.Now); h != nil {
 		freqctl.AttachFaultHook(rc.setter, h)
 	}
-	rcfg := cfg.Resilience
-	if rcfg.Seed == 0 {
-		rcfg.Seed = cfg.Seed ^ (uint64(r+1) * 0x9E3779B97F4A7C15)
-	}
-	rs := freqctl.NewResilientSetter(rc.setter, rcfg)
+	rs := freqctl.NewResilientSetter(rc.setter,
+		freqctl.ResilienceConfig{Seed: cfg.Seed ^ (uint64(r+1) * 0x9E3779B97F4A7C15)})
 	fs.resilient = append(fs.resilient, rs)
 	rc.setter = rs
 }

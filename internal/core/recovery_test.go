@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
@@ -470,5 +472,51 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	_, _, err := RunSupervised(cfg, recovery.Config{Dir: dir, MaxRestarts: 0, Seed: 7})
 	if err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("fingerprint mismatch accepted: %v", err)
+	}
+}
+
+// TestCheckpointVersion1Refused restores a payload shaped like the version 1
+// checkpoints — whose fingerprint still carried JitterSpread and
+// NbrRefreshCost — into this build, which must refuse it naming both
+// versions rather than resume under a model it no longer runs.
+func TestCheckpointVersion1Refused(t *testing.T) {
+	type fingerprintV1 struct {
+		Version          int
+		Sim              string
+		System           string
+		Ranks            int
+		Steps            int
+		ParticlesPerRank float64
+		Ng               int
+		Seed             uint64
+		JitterSpread     float64
+		HostOverheadS    float64
+		SetupS           float64
+		Strategy         string
+		NbrRebuildEvery  int
+		NbrRefreshCost   float64
+		Degradation      string
+		FaultPlan        string
+		CustomFuncs      int
+	}
+	type checkpointV1 struct {
+		Fp       fingerprintV1
+		NextStep int
+	}
+	cfg := recoverableConfig().Defaulted()
+	v1 := checkpointV1{Fp: fingerprintV1{Version: 1, Sim: string(cfg.Sim), System: cfg.System.Name,
+		Ranks: cfg.Ranks, Steps: cfg.Steps, ParticlesPerRank: cfg.ParticlesPerRank, Ng: cfg.Ng,
+		Seed: cfg.Seed, JitterSpread: 0.015, HostOverheadS: cfg.HostOverheadScale, SetupS: cfg.SetupS,
+		Strategy: "mandyn", NbrRebuildEvery: cfg.NeighborRebuildEvery, NbrRefreshCost: 0.35},
+		NextStep: 4}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{
+		Snapshot: recovery.Snapshot{Path: "ckpt-v1.sprc"}, Payload: payload.Bytes()}}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("a version 1 checkpoint was not refused by version: %v", err)
 	}
 }

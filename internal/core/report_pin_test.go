@@ -12,10 +12,12 @@ import (
 )
 
 // TestReportJSONPinned holds the per-rank report — every rank's
-// function_order, FunctionStats and Series, and the fault summary — to
-// SHA-256s recorded at commit fc86c67, before the runner accounted by
-// pipeline index. internal/experiments/pin_test.go pins rendered figures,
-// which read the report through sums; this pins the report itself. The
+// function_order and FunctionStats, and the fault summary — to SHA-256s
+// recorded at commit fc86c67, before the runner accounted by pipeline index
+// (the second at f70485f, the last commit whose profiles could carry a
+// per-call series, with the series off: the bytes every program wrote).
+// internal/experiments/pin_test.go pins rendered figures, which read the
+// report through sums; this pins the report itself. The
 // third run crashes rank 5 in step 3 under drop-rank with a noisy sensor on
 // every rank: a dead rank skips phases, so an accounting slot must neither
 // resurrect nor reorder a function, and the sensor fault stream must be
@@ -33,9 +35,9 @@ func TestReportJSONPinned(t *testing.T) {
 		{"turbulence-mandyn-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 12, Seed: 42, NewStrategy: mandyn},
 			"92134dbb0f78243ef103502a05b4c7447fad89a5585b9efd6379c5904aab9357"},
-		{"evrard-series-2", Config{System: cluster.LUMIG(), Ranks: 2, Sim: Evrard,
-			ParticlesPerRank: 10e6, Steps: 8, Seed: 7, KeepSeries: true, NeighborRebuildEvery: 3},
-			"54751e593fe6e0f4f7d7f8c9c38a0450cbe101094a4a990e4d16acb83aea79fa"},
+		{"evrard-skin-2", Config{System: cluster.LUMIG(), Ranks: 2, Sim: Evrard,
+			ParticlesPerRank: 10e6, Steps: 8, Seed: 7, NeighborRebuildEvery: 3},
+			"3e59d8b282265239b7e797e9850bc930d8ef8228a74bb1676f578732f86a6b18"},
 		{"crash-drop-rank-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 8, Seed: 42, NewStrategy: mandyn,
 			Degradation: DegradeDropRank,

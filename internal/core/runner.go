@@ -42,11 +42,8 @@ type Config struct {
 	NewStrategy func() freqctl.Strategy
 	// Seed drives the deterministic load-imbalance jitter.
 	Seed uint64
-	// JitterSpread is the relative per-function load imbalance (default 1.5%).
-	JitterSpread float64
-	// Trace enables frequency/power trace recording on rank TraceRank's GPU.
-	Trace     bool
-	TraceRank int
+	// Trace enables frequency/power trace recording on rank 0's GPU.
+	Trace bool
 	// SetupS simulates the job-setup phase (launch, allocation, moving
 	// simulation data to GPU memory) that precedes the time-stepping loop.
 	// Slurm's energy accounting covers it; PMT instrumentation does not —
@@ -55,21 +52,14 @@ type Config struct {
 	// HostOverheadScale scales the fixed host-side per-step overheads
 	// (1.0 default); ablations use it.
 	HostOverheadScale float64
-	// KeepSeries records every function's per-call time in the report
-	// (per-step timelines for variability analysis).
-	KeepSeries bool
 	// NeighborRebuildEvery models the SPH layer's Verlet-skin neighbor-list
 	// reuse: the FindNeighbors phase performs a full candidate rebuild only
 	// every K-th step and a cheap streaming refresh in between, whose
-	// modeled work is the NeighborRefreshCost fraction of a rebuild's. 0 or
+	// modeled work is the neighborRefreshCost fraction of a rebuild's. 0 or
 	// 1 rebuilds every step (the pre-skin behavior, byte-identical). The
 	// function phase — and its span, attribution row and frequency-switch
 	// point — still exists on refresh steps, matching the real pipeline.
 	NeighborRebuildEvery int
-	// NeighborRefreshCost is the refresh:rebuild work ratio in (0, 1];
-	// defaults to 0.35 (the measured CPU-side ratio of the SPH harness)
-	// when NeighborRebuildEvery enables reuse.
-	NeighborRefreshCost float64
 	// Tracer, when non-nil, receives the run's span timeline — steps,
 	// instrumented functions, kernel launches, frequency changes, MPI
 	// waits — exportable as Chrome trace_event JSON. Nil disables span
@@ -89,17 +79,13 @@ type Config struct {
 	// Faults, when non-nil and active, injects the plan's fault rules into
 	// the run: sensor-read faults on every rank's GPU sensor and every
 	// node's pm_counters view, clock-control faults on every rank's setter
-	// (which is then wrapped in a freqctl.ResilientSetter), and
-	// straggler/crash faults on rank execution. Nil keeps the healthy path
-	// byte-identical to an unfaulted run.
+	// (which is then wrapped in a freqctl.ResilientSetter seeded per rank
+	// from Seed), and straggler/crash faults on rank execution. Nil keeps
+	// the healthy path byte-identical to an unfaulted run.
 	Faults *faults.Plan
 	// Degradation selects the rank-failure policy: DegradeAbort (default),
 	// DegradeDropRank or DegradeRedistribute.
 	Degradation string
-	// Resilience tunes the resilient setter wrapped around each rank's
-	// clock control when Faults is active; the zero value uses defaults
-	// (per-rank jitter seeds derived from Seed).
-	Resilience freqctl.ResilienceConfig
 	// ProfileLabels attaches a pprof label ("pass" = function name) to the
 	// run's goroutine around each pipeline phase, so CPU-profile samples —
 	// the ranks' kernel work included, which steps on that goroutine — group
@@ -135,17 +121,11 @@ func (c Config) Defaulted() Config {
 	if c.NewStrategy == nil {
 		c.NewStrategy = func() freqctl.Strategy { return freqctl.Baseline{} }
 	}
-	if c.JitterSpread == 0 {
-		c.JitterSpread = 0.015
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.HostOverheadScale == 0 {
 		c.HostOverheadScale = 1
-	}
-	if c.NeighborRebuildEvery > 1 && c.NeighborRefreshCost == 0 {
-		c.NeighborRefreshCost = 0.35
 	}
 	return c
 }
@@ -182,9 +162,6 @@ func (c Config) Validate() error {
 	if c.NeighborRebuildEvery < 0 {
 		return fmt.Errorf("core: negative NeighborRebuildEvery %d", c.NeighborRebuildEvery)
 	}
-	if c.NeighborRefreshCost < 0 || c.NeighborRefreshCost > 1 {
-		return fmt.Errorf("core: NeighborRefreshCost %g outside (0, 1]", c.NeighborRefreshCost)
-	}
 	return nil
 }
 
@@ -192,6 +169,14 @@ func (c Config) Validate() error {
 // used to enforce the paper's memory-capacity constraint (§IV-C: miniHPC's
 // 40 GB forced smaller runs, at most 450³ ≈ 91 M particles).
 const particleBytes = 280
+
+// jitterSpread is the relative per-function load imbalance between ranks.
+const jitterSpread = 0.015
+
+// neighborRefreshCost is the modeled work of a Verlet-skin refresh step's
+// FindNeighbors phase as a fraction of a rebuild's (the CPU-side ratio the
+// SPH harness measured); see Config.NeighborRebuildEvery.
+const neighborRefreshCost = 0.35
 
 // hostOverheads are fixed per-step host-side serial times (seconds) during
 // which the GPU idles: kernel-launch stalls, CPU partitioning work,
@@ -222,7 +207,8 @@ type Result struct {
 	System *cluster.System
 	// WallTimeS is the time-to-solution of the time-stepping loop.
 	WallTimeS float64
-	// Trace is non-nil when Config.TraceRank was set.
+	// Trace is rank 0's frequency/power trace, non-nil when Config.Trace
+	// was set.
 	Trace *gpusim.Trace
 	// SetupTimeS and SetupEnergyJ cover the pre-loop job phase; only Slurm
 	// accounting sees them (Report covers the instrumented loop only).
@@ -280,6 +266,9 @@ type rankCtx struct {
 	strategy freqctl.Strategy
 	sensor   pmt.Sensor
 	profile  *instr.RankProfile
+	// tap observes the rank's clock sets when a tracer, registry or ledger
+	// is on (nil otherwise); setter is then the tap.
+	tap *clockTap
 	// samp is the rank's async sampling channel (nil when sampling is off);
 	// polled inside the rank's phases at kernel and idle boundaries.
 	samp *sampler.Channel
@@ -330,18 +319,21 @@ func Run(cfg Config) (*Result, error) {
 			strategy: cfg.NewStrategy(),
 			profile:  instr.NewRankProfile(r),
 		}
-		rc.profile.SeriesEnabled = cfg.KeepSeries
 		rc.sensor = faultedSensorFor(dev, fs.sensorHook(r, dev))
 		fs.wireRank(rc, r, cfg)
 		re.instrumentRank(rc, r)
 		rt.instrumentRank(rc, r)
+		if rt != nil || re != nil {
+			rc.tap = rt.newClockTap(rc.setter)
+			rc.setter = rc.tap
+		}
 		ranks[r] = rc
 	}
 
 	var trace *gpusim.Trace
-	if cfg.Trace && cfg.TraceRank >= 0 && cfg.TraceRank < cfg.Ranks {
-		trace = ranks[cfg.TraceRank].dev.EnableTrace()
-		rt.attachTraceSink(trace, cfg.TraceRank)
+	if cfg.Trace {
+		trace = ranks[0].dev.EnableTrace()
+		rt.attachTraceSink(trace, 0)
 	}
 
 	// Checkpoint restore happens here — after every rank's setter, strategy
@@ -521,7 +513,19 @@ func Run(cfg Config) (*Result, error) {
 	// (DegradeRedistribute).
 	kernelPhase := func(r int) float64 {
 		rc := ranks[r]
-		if err := rc.strategy.Apply(rc.setter, fn.Name); err != nil {
+		tap := rc.tap
+		if tap != nil {
+			tap.arm()
+		}
+		err := rc.strategy.Apply(rc.setter, fn.Name)
+		if tap != nil && tap.requested >= 0 {
+			// The strategy set a clock before this function, and the tracer
+			// and the ledger see that decision whether or not the set failed.
+			nowS := rc.dev.Now()
+			rt.decision(r, fn.Name, nowS, tap.requested, tap.applied)
+			re.decision(r, fn.Name, nowS, tap.requested, tap.applied)
+		}
+		if err != nil {
 			if strategyErr == nil {
 				strategyErr = fmt.Errorf("core: strategy apply on rank %d: %w", r, err)
 			}
@@ -529,10 +533,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
-		desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, cfg.JitterSpread), cfg.Ng, vendor)
+		desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread), cfg.Ng, vendor)
 		if nbrRefresh && fn.Name == FnFindNeighbors {
-			desc.FlopsPerItem *= cfg.NeighborRefreshCost
-			desc.BytesPerItem *= cfg.NeighborRefreshCost
+			desc.FlopsPerItem *= neighborRefreshCost
+			desc.BytesPerItem *= neighborRefreshCost
 		}
 		dur := rc.dev.Execute(desc)
 		rc.samp.Poll()
@@ -639,7 +643,7 @@ func Run(cfg Config) (*Result, error) {
 		// budget/stop checks. Stop means a final checkpoint is already on
 		// disk and the partial result below is the graceful early exit.
 		if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {
-			d := rcv.Controller.StepDone(step, bound-t0, systemEnergy(system),
+			d := rcv.Controller.StepDone(step, bound-t0, system.TotalEnergyJ(),
 				recovery.Meta{Step: step + 1, TimeS: bound}, snapshotAt(step+1))
 			if d == recovery.Stop {
 				stopped = true
@@ -741,21 +745,6 @@ func Run(cfg Config) (*Result, error) {
 		res.Recovery = info
 	}
 	return res, nil
-}
-
-// systemEnergy sums all component meters of the allocation.
-func systemEnergy(s *cluster.System) float64 {
-	total := 0.0
-	for _, n := range s.Nodes {
-		total += n.TotalEnergyJ()
-	}
-	return total
-}
-
-// sensorFor builds the vendor-appropriate PMT GPU sensor for a device —
-// the back-end selection PMT performs at Create() time.
-func sensorFor(dev *gpusim.Device) pmt.Sensor {
-	return faultedSensorFor(dev, nil)
 }
 
 // commTime computes the function's post-kernel communication cost.

@@ -8,6 +8,7 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/freqctl"
+	"sphenergy/internal/telemetry"
 )
 
 func miniConfig() Config {
@@ -331,34 +332,27 @@ func TestHostOverheadScale(t *testing.T) {
 	}
 }
 
-func TestKeepSeries(t *testing.T) {
-	cfg := miniConfig()
-	cfg.KeepSeries = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, mean, _, ok := res.Report.Ranks[0].SeriesStats(FnMomentum)
-	if !ok || n != cfg.Steps {
-		t.Fatalf("series n=%d ok=%v, want %d entries", n, ok, cfg.Steps)
-	}
-	if mean <= 0 {
-		t.Error("empty series values")
-	}
-}
-
 // The runner works out a phase's host energy once per node and hands every
 // rank of the node the same three shares. They are, to the bit, what each
 // rank used to compute for itself — its node's CPU, memory and auxiliary
 // counters after the phase minus before it, over the ranks per node —
 // replayed here on a twin allocation of two two-package nodes from the
-// phase times the run recorded.
+// phase times of rank 0's function spans.
 func TestHostEnergySharesMatchPerRankExpression(t *testing.T) {
 	cfg := Config{System: cluster.MiniHPC(), Ranks: 4, Sim: Evrard,
-		ParticlesPerRank: 10e6, Steps: 6, Seed: 3, KeepSeries: true}
+		ParticlesPerRank: 10e6, Steps: 6, Seed: 3, Tracer: telemetry.NewTracer(4)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var phases []float64
+	for _, sp := range cfg.Tracer.Spans() {
+		if sp.Track == 0 && sp.Category == "function" {
+			phases = append(phases, sp.DurS)
+		}
+	}
+	if want := cfg.Steps * len(EvrardPipeline()); len(phases) != want {
+		t.Fatalf("rank 0 has %d function spans, want %d", len(phases), want)
 	}
 	twin := cluster.NewSystem(cfg.System, cfg.System.NodesForRanks(cfg.Ranks))
 	if len(twin.Nodes) != 2 || len(twin.Nodes[0].CPUs) != 2 {
@@ -372,8 +366,8 @@ func TestHostEnergySharesMatchPerRankExpression(t *testing.T) {
 	}
 	cpu0, mem0, aux0 := make([]float64, 2), make([]float64, 2), make([]float64, 2)
 	for step := 0; step < cfg.Steps; step++ {
-		for _, fn := range EvrardPipeline() {
-			phaseS := res.Report.Ranks[0].Series[fn.Name][step]
+		for i, fn := range EvrardPipeline() {
+			phaseS := phases[step*len(EvrardPipeline())+i]
 			for i, n := range twin.Nodes {
 				cpu0[i], mem0[i], aux0[i] = n.CPUEnergyJ(), n.Mem.Meter.EnergyJ(), n.Aux.EnergyJ()
 				n.AdvanceHost(phaseS, fn.CPUUtil, fn.MemUtil)

@@ -64,16 +64,17 @@ func TestSamplingAttributionMatchesGroundTruth(t *testing.T) {
 		t.Fatal("no resolvable kernels at 100 Hz — gate is vacuous")
 	}
 
-	// Cross-check against the device's own ground-truth accounting: the
-	// attribution's ModelJ per kernel must equal the per-device integrated
-	// energy (the spans carry exactly what the device accumulated).
+	// Cross-check against the device's own ground-truth accounting, the
+	// per-kernel totals its checkpoint state carries: the attribution's
+	// ModelJ per kernel must equal the per-device integrated energy (the
+	// spans carry exactly what the device accumulated).
 	for r := 0; r < cfg.Ranks; r++ {
 		_, dev, err := res.System.DeviceForRank(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := map[string]float64{}
-		for _, k := range dev.KernelEnergies() {
+		for _, k := range dev.State().Kernels {
 			want[k.Name] = k.EnergyJ
 		}
 		got := map[string]float64{}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/telemetry"
@@ -46,6 +45,9 @@ type runTelemetry struct {
 	curFnName string
 	curFnRef  telemetry.SpanRef
 
+	// decisionRefs memoizes the "decision:<fn>" instants' identities.
+	decisionRefs map[string]telemetry.SpanRef
+
 	// observers collects the per-rank device observers so step-boundary
 	// flushes can fold their per-rank kernel counts into the registry
 	// instead of bumping one shared counter per launch.
@@ -69,6 +71,7 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 		rt.fnRefs = map[string]telemetry.SpanRef{}
 		rt.hostRefs = map[string]telemetry.SpanRef{}
 		rt.commRefs = map[string]telemetry.SpanRef{}
+		rt.decisionRefs = map[string]telemetry.SpanRef{}
 	}
 	rt.kernelLaunches = rt.reg.Counter("kernel_launches_total",
 		"GPU kernel batches executed across all ranks")
@@ -108,9 +111,8 @@ func (rt *runTelemetry) neighborRebuild() {
 	rt.nbrRebuilds.Inc()
 }
 
-// instrumentRank attaches the device observer, wraps the clock setter, and
-// wraps the strategy of one rank so kernels, frequency changes, and
-// strategy decisions flow into the tracer and registry.
+// instrumentRank attaches the device observer of one rank so its kernels
+// and clock changes flow into the tracer and registry.
 func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
 	if rt == nil {
 		return
@@ -125,22 +127,6 @@ func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
 	}
 	rt.observers = append(rt.observers, obs)
 	rc.dev.SetObserver(obs)
-	rc.setter = freqctl.InstrumentedSetter{
-		Inner: rc.setter,
-		OnSet: func(requestedMHz, appliedMHz int, latencyS float64, err error) {
-			rt.freqSwitches.Inc()
-			rt.switchLatency.Observe(latencyS)
-		},
-	}
-	if rt.tr != nil {
-		// Strategy decisions only feed the tracer; metrics-only runs skip
-		// the capture wrapper entirely.
-		rc.strategy = &freqctl.Traced{
-			Inner: rc.strategy,
-			Sink: &rankDecisionSink{rank: rank, rt: rt, dev: rc.dev,
-				refs: map[string]telemetry.SpanRef{}},
-		}
-	}
 }
 
 // rankObserver forwards one device's events onto its rank track. Each
@@ -175,29 +161,20 @@ func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
 	o.clock.Set(float64(clockMHz))
 }
 
-// rankDecisionSink records frequency-strategy decisions as instant events.
-// Like the observer, one sink serves one rank; refs memoizes
-// the interned "decision:<fn>" identities.
-type rankDecisionSink struct {
-	rank int
-	rt   *runTelemetry
-	dev  *gpusim.Device
-	refs map[string]telemetry.SpanRef
-}
-
-// StrategyDecision implements freqctl.DecisionSink. Elided switches
-// (requestedMHz < 0) are skipped: the interesting events are the actual
-// clock transitions ManDyn issues at function boundaries.
-func (s *rankDecisionSink) StrategyDecision(function string, requestedMHz, appliedMHz int) {
-	if requestedMHz < 0 {
+// decision records a clock a strategy set before a function as an instant
+// on the rank's track (the run loop hands over only sets, never elisions:
+// the interesting events are the clock transitions ManDyn issues at
+// function boundaries).
+func (rt *runTelemetry) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
+	if rt == nil || rt.tr == nil {
 		return
 	}
-	ref, ok := s.refs[function]
+	ref, ok := rt.decisionRefs[function]
 	if !ok {
-		ref = s.rt.tr.Intern("freqctl", "decision:"+function, "requested_mhz", "applied_mhz")
-		s.refs[function] = ref
+		ref = rt.tr.Intern("freqctl", "decision:"+function, "requested_mhz", "applied_mhz")
+		rt.decisionRefs[function] = ref
 	}
-	s.rt.tr.InstantRef(s.rank, ref, s.dev.Now(), float64(requestedMHz), float64(appliedMHz))
+	rt.tr.InstantRef(rank, ref, nowS, float64(requestedMHz), float64(appliedMHz))
 }
 
 // waitRecorder adapts the tracer to mpisim.SpanRecorder. mpisim emits one

@@ -26,7 +26,7 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	cfg := telemetryTestConfig()
 	cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
 	cfg.Metrics = telemetry.NewRegistry()
-	cfg.Trace, cfg.TraceRank = true, 0
+	cfg.Trace = true
 	cfg.NewStrategy = func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
 	}
@@ -115,7 +115,7 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	// Telemetry must not change the physics: identical run without it.
 	plain := telemetryTestConfig()
 	plain.NewStrategy = cfg.NewStrategy
-	plain.Trace, plain.TraceRank = true, 0
+	plain.Trace = true
 	res2, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)

@@ -102,10 +102,16 @@ func TestVendorEfficiencyGap(t *testing.T) {
 	}
 	amd := gpusim.MI250XGCD()
 	nv := gpusim.A100SXM480GB()
-	meRatio := me.Kernel(150e6, 150, gpusim.AMD).EstimateDuration(amd, amd.MaxSMClockMHz) /
-		me.Kernel(150e6, 150, gpusim.Nvidia).EstimateDuration(nv, nv.MaxSMClockMHz)
-	xmRatio := xm.Kernel(150e6, 150, gpusim.AMD).EstimateDuration(amd, amd.MaxSMClockMHz) /
-		xm.Kernel(150e6, 150, gpusim.Nvidia).EstimateDuration(nv, nv.MaxSMClockMHz)
+	// One launch on a fresh device locked at its maximum clock.
+	atMax := func(spec gpusim.Spec, k gpusim.KernelDesc) float64 {
+		d := gpusim.NewDevice(spec, 0)
+		if _, err := d.SetApplicationClocks(0, spec.MaxSMClockMHz); err != nil {
+			t.Fatal(err)
+		}
+		return d.Execute(k)
+	}
+	meRatio := atMax(amd, me.Kernel(150e6, 150, gpusim.AMD)) / atMax(nv, me.Kernel(150e6, 150, gpusim.Nvidia))
+	xmRatio := atMax(amd, xm.Kernel(150e6, 150, gpusim.AMD)) / atMax(nv, xm.Kernel(150e6, 150, gpusim.Nvidia))
 	if meRatio <= xmRatio {
 		t.Errorf("ME AMD/Nvidia slowdown %v should exceed XMass slowdown %v", meRatio, xmRatio)
 	}

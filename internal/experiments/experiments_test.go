@@ -322,7 +322,7 @@ func TestFig4Fig5Bands(t *testing.T) {
 		t.Fatal("want 4 breakdowns")
 	}
 	for _, b := range f4.Breakdowns {
-		if s := b.GPUShare(); s < 0.65 || s > 0.85 {
+		if s := b.GPUJ / b.TotalJ(); s < 0.65 || s > 0.85 {
 			t.Errorf("%s GPU share %.3f, want [0.65, 0.85]", b.Label, s)
 		}
 		if strings.HasPrefix(b.Label, "LUMI") && !b.MemorySeparate {

@@ -125,8 +125,13 @@ func Fig5(scale float64) (*Fig5Data, error) {
 // ShareOf returns the GPU-energy share of a function in a labeled run.
 func (d *Fig5Data) ShareOf(label, fn string) float64 {
 	for _, br := range d.Breakdowns {
-		if br.Label == label {
-			return br.Share(fn)
+		if br.Label != label {
+			continue
+		}
+		for _, f := range br.Functions {
+			if f.Name == fn {
+				return f.GPUShare
+			}
 		}
 	}
 	return 0

@@ -16,7 +16,7 @@
 // assert bit-identical degraded output across repeated runs.
 //
 // The package deliberately depends only on internal/rng. The sensor
-// back-ends (nvml, rsmi, rapl, pmcounters) expose a FaultHook of the shared
+// back-ends (nvml, rsmi, pmcounters) expose a FaultHook of the shared
 // shape func(op string, arg int) (int, error); SensorHook and ClockHook
 // adapt an Injector to that shape, returning the sentinel errors below that
 // the pmt layer translates into stuck or invalid readings.
@@ -81,7 +81,7 @@ type Target string
 // Injection targets.
 const (
 	// TargetSensor is the in-band per-rank GPU/CPU sensor read path
-	// (NVML, ROCm-SMI, RAPL).
+	// (NVML, ROCm-SMI).
 	TargetSensor Target = "sensor"
 	// TargetNodeSensor is the out-of-band node path (pm_counters/BMC).
 	TargetNodeSensor Target = "node-sensor"
@@ -428,14 +428,6 @@ func (in *Injector) Counts() map[Kind]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Stream identifies the injector's target instance ("sensor/0", "clock/3").
-func (in *Injector) Stream() string {
-	if in == nil {
-		return ""
-	}
-	return in.stream
 }
 
 // SensorHook adapts the injector to the back-end FaultHook shape for a

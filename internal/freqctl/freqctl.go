@@ -259,19 +259,6 @@ func (m *ManDyn) SetState(lastReqMHz, lastAppliedMHz int) {
 	m.lastReq, m.last = lastReqMHz, lastAppliedMHz
 }
 
-// UnwrapStrategy strips observability wrappers (Traced) off a strategy,
-// returning the underlying policy object — the one carrying restorable
-// state.
-func UnwrapStrategy(s Strategy) Strategy {
-	for {
-		t, ok := s.(*Traced)
-		if !ok {
-			return s
-		}
-		s = t.Inner
-	}
-}
-
 // PowerCap is the alternative control knob: leave clocks to the governor
 // but cap board power, letting the device derate itself. Sites prefer this
 // when they distrust per-application clock settings; the ext-powercap

@@ -231,27 +231,3 @@ func TestSetterPowerLimitBothVendors(t *testing.T) {
 		t.Error("amd reset failed")
 	}
 }
-
-func TestMediatedPowerLimitAudited(t *testing.T) {
-	inner, dev := agentSetter(t)
-	a := NewAgent(Policy{MinMHz: 1005, MaxMHz: 1410})
-	med := MediatedSetter{Agent: a, User: "alice", Inner: inner}
-	if err := med.SetPowerLimitW(250); err != nil {
-		t.Fatal(err)
-	}
-	if dev.PowerLimitW() != 250 {
-		t.Error("mediated power limit not applied")
-	}
-	log := a.Audit()
-	if len(log) != 1 || log[0].Op != "power-limit" {
-		t.Errorf("audit %v", log)
-	}
-	// Failed requests are audited too.
-	if err := med.SetPowerLimitW(5); err == nil {
-		t.Error("absurd limit accepted")
-	}
-	log = a.Audit()
-	if len(log) != 2 || log[1].Err == "" {
-		t.Errorf("failed op not audited: %v", log)
-	}
-}

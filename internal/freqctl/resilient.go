@@ -304,9 +304,8 @@ func (r *ResilientSetter) RestoreState(st ResilientState) {
 }
 
 // AttachFaultHook installs a back-end fault hook underneath a Setter,
-// unwrapping the resilience/mediation/instrumentation layers to reach the
-// vendor library. Returns false when the chain bottoms out in a setter
-// with no known back-end (test fakes).
+// unwrapping the resilience layer to reach the vendor library. Returns false
+// when the chain bottoms out in a setter with no known back-end (test fakes).
 func AttachFaultHook(s Setter, hook func(op string, arg int) (int, error)) bool {
 	switch st := s.(type) {
 	case NVMLSetter:
@@ -316,10 +315,6 @@ func AttachFaultHook(s Setter, hook func(op string, arg int) (int, error)) bool 
 		st.Lib.SetFaultHook(hook)
 		return true
 	case *ResilientSetter:
-		return AttachFaultHook(st.Inner, hook)
-	case MediatedSetter:
-		return AttachFaultHook(st.Inner, hook)
-	case InstrumentedSetter:
 		return AttachFaultHook(st.Inner, hook)
 	}
 	return false

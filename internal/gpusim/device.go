@@ -27,7 +27,7 @@ type Device struct {
 	mu sync.Mutex
 
 	spec  Spec
-	vmax  float64 // spec.VoltageAt(spec.MaxSMClockMHz), the power model's reference
+	vmax  float64 // spec.voltageAt(spec.MaxSMClockMHz), the power model's reference
 	index int
 
 	mode        ClockMode
@@ -141,13 +141,6 @@ func (d *Device) SMClockMHz() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.currentClockLocked()
-}
-
-// MemClockMHz returns the current memory clock.
-func (d *Device) MemClockMHz() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.memMHz
 }
 
 // memRatio is the current memory clock relative to the maximum; caller
@@ -388,85 +381,6 @@ func (d *Device) updateUtilLocked(dur, busy float64) {
 	const tau = 0.1
 	w := math.Exp(-dur / tau)
 	d.utilEMA = d.utilEMA*w + busy*(1-w)
-}
-
-// ThrottleReason explains why the effective clock sits below the maximum,
-// mirroring nvmlDeviceGetCurrentClocksThrottleReasons.
-type ThrottleReason int
-
-// Throttle reasons (bit-flag style, combinable).
-const (
-	ThrottleNone ThrottleReason = 0
-	// ThrottleIdle: clocks parked because the device is idle (auto mode).
-	ThrottleIdle ThrottleReason = 1 << iota
-	// ThrottleAppClocks: a user application-clock setting caps the clock.
-	ThrottleAppClocks
-	// ThrottlePowerCap: the power limit derates the clock.
-	ThrottlePowerCap
-)
-
-// String renders the reason set.
-func (r ThrottleReason) String() string {
-	if r == ThrottleNone {
-		return "none"
-	}
-	out := ""
-	add := func(s string) {
-		if out != "" {
-			out += "|"
-		}
-		out += s
-	}
-	if r&ThrottleIdle != 0 {
-		add("idle")
-	}
-	if r&ThrottleAppClocks != 0 {
-		add("app-clocks")
-	}
-	if r&ThrottlePowerCap != 0 {
-		add("power-cap")
-	}
-	return out
-}
-
-// ThrottleReasons reports why the current clock is below the maximum.
-func (d *Device) ThrottleReasons() ThrottleReason {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cur := d.currentClockLocked()
-	if cur >= d.spec.MaxSMClockMHz {
-		return ThrottleNone
-	}
-	var r ThrottleReason
-	if d.mode == ModeLocked {
-		if d.lockedMHz < d.spec.MaxSMClockMHz {
-			r |= ThrottleAppClocks
-		}
-	} else {
-		r |= ThrottleIdle
-	}
-	if d.powerLimitW > 0 && d.powerLimitW < d.spec.TDPW {
-		r |= ThrottlePowerCap
-	}
-	return r
-}
-
-// KernelEnergies snapshots the ground-truth per-kernel accounting, sorted
-// by descending energy.
-func (d *Device) KernelEnergies() []KernelEnergy {
-	d.mu.Lock()
-	out := make([]KernelEnergy, 0, len(d.kstats))
-	for _, ks := range d.kstats {
-		out = append(out, *ks)
-	}
-	d.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].EnergyJ != out[b].EnergyJ {
-			return out[a].EnergyJ > out[b].EnergyJ
-		}
-		return out[a].Name < out[b].Name
-	})
-	return out
 }
 
 // BusySeconds returns the cumulative kernel-execution time.

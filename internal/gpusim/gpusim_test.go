@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,16 +101,16 @@ func TestVoltageMonotonic(t *testing.T) {
 	for _, s := range specs() {
 		prev := 0.0
 		for f := s.MinSMClockMHz; f <= s.MaxSMClockMHz; f += s.SMClockStepMHz {
-			v := s.VoltageAt(f)
+			v := s.voltageAt(f)
 			if v < prev {
 				t.Fatalf("%s: voltage decreases at %d MHz", s.Name, f)
 			}
 			prev = v
 		}
-		if s.VoltageAt(0) != s.VoltageCurve[0].Volts {
+		if s.voltageAt(0) != s.VoltageCurve[0].Volts {
 			t.Errorf("%s: below-curve voltage not clamped", s.Name)
 		}
-		if s.VoltageAt(99999) != s.VoltageCurve[len(s.VoltageCurve)-1].Volts {
+		if s.voltageAt(99999) != s.VoltageCurve[len(s.VoltageCurve)-1].Volts {
 			t.Errorf("%s: above-curve voltage not clamped", s.Name)
 		}
 	}
@@ -395,16 +394,16 @@ func TestEstimateDurationMatchesExecution(t *testing.T) {
 	d := NewDevice(s, 0)
 	d.SetApplicationClocks(0, 1110)
 	got := d.Execute(k)
-	want := k.EstimateDuration(s, 1110)
+	want := k.timing(&s).durationAt(&s, 1110)
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Execute %v != EstimateDuration %v", got, want)
+		t.Errorf("Execute %v != the timing model's %v", got, want)
 	}
 }
 
 // The device reads its spec through a pointer and keeps V(fmax); the exported
-// API takes specs by value. The two paths agree to the bit on every supported
-// clock: a launch's duration with EstimateDuration, and its board power with
-// the power model written out over Spec.VoltageAt.
+// value path takes specs by value. The two agree to the bit on every
+// supported clock: a launch's duration with the timing model's, and its board
+// power with the power model written out over the voltage curve.
 func TestDevicePathMatchesValueAPI(t *testing.T) {
 	kernels := []KernelDesc{
 		computeKernel(),
@@ -414,8 +413,8 @@ func TestDevicePathMatchesValueAPI(t *testing.T) {
 	}
 	for _, s := range append(specs(), A100PCIE40GB()) {
 		d := NewDevice(s, 0)
-		if want := s.VoltageAt(s.MaxSMClockMHz); d.vmax != want {
-			t.Fatalf("%s: device keeps V(fmax) = %v, Spec.VoltageAt gives %v", s.Name, d.vmax, want)
+		if want := s.voltageAt(s.MaxSMClockMHz); d.vmax != want {
+			t.Fatalf("%s: device keeps V(fmax) = %v, the voltage curve gives %v", s.Name, d.vmax, want)
 		}
 		for _, mhz := range s.SupportedClocksMHz() {
 			if _, err := d.SetApplicationClocks(0, mhz); err != nil {
@@ -424,13 +423,13 @@ func TestDevicePathMatchesValueAPI(t *testing.T) {
 			for _, k := range kernels {
 				before := d.EnergyJ()
 				dur := d.Execute(k)
-				if want := k.EstimateDuration(s, mhz); dur != want {
-					t.Errorf("%s %s @%d MHz: Execute took %v, EstimateDuration says %v", s.Name, k.Name, mhz, dur, want)
+				kt := k.timing(&s)
+				if want := kt.durationAt(&s, mhz); dur != want {
+					t.Errorf("%s %s @%d MHz: Execute took %v, the timing model says %v", s.Name, k.Name, mhz, dur, want)
 				}
 				// The launch drew d.PowerW() for dur; price it by value.
-				kt := k.timing(&s)
 				fRel := float64(mhz) / float64(s.MaxSMClockMHz)
-				vRel := s.VoltageAt(mhz) / s.VoltageAt(s.MaxSMClockMHz)
+				vRel := s.voltageAt(mhz) / s.voltageAt(s.MaxSMClockMHz)
 				smAct := math.Min(1, kt.smActivity*(1+0.45*(1-fRel)*kt.cFrac))
 				want := math.Min(s.TDPW, s.IdlePowerW+s.MaxSMPowerW*vRel*vRel*fRel*smAct+s.MaxMemPowerW*kt.memActivity)
 				if got := d.PowerW(); got != want {
@@ -444,56 +443,9 @@ func TestDevicePathMatchesValueAPI(t *testing.T) {
 	}
 }
 
-func TestArithmeticIntensity(t *testing.T) {
-	k := KernelDesc{FlopsPerItem: 100, BytesPerItem: 25}
-	if k.ArithmeticIntensity() != 4 {
-		t.Errorf("intensity = %v", k.ArithmeticIntensity())
-	}
-	inf := KernelDesc{FlopsPerItem: 100}
-	if !math.IsInf(inf.ArithmeticIntensity(), 1) {
-		t.Error("zero-byte kernel intensity not +Inf")
-	}
-}
-
 func TestVendorString(t *testing.T) {
 	if Nvidia.String() != "nvidia" || AMD.String() != "amd" {
 		t.Error("vendor strings")
-	}
-}
-
-func TestTraceWindowAndCSV(t *testing.T) {
-	d := NewDevice(A100SXM480GB(), 0)
-	tr := d.EnableTrace()
-	d.SetApplicationClocks(0, 1410)
-	d.Execute(computeKernel())
-	mid := d.Now()
-	d.Idle(0.1)
-	d.Execute(memKernel())
-
-	all := tr.Points()
-	win := tr.Window(0, mid)
-	if len(win) == 0 || len(win) >= len(all) {
-		t.Errorf("window has %d of %d points", len(win), len(all))
-	}
-	for _, p := range win {
-		if p.TimeS >= mid {
-			t.Fatal("window leaked later samples")
-		}
-	}
-
-	var buf strings.Builder
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "time_s,clock_mhz,power_w,kernel") {
-		t.Errorf("csv header: %q", strings.SplitN(out, "\n", 2)[0])
-	}
-	if !strings.Contains(out, "compute") || !strings.Contains(out, "memory") {
-		t.Error("csv missing kernel labels")
-	}
-	if rows := strings.Count(out, "\n"); rows != len(all)+1 {
-		t.Errorf("csv has %d rows, want %d", rows, len(all)+1)
 	}
 }
 
@@ -519,7 +471,6 @@ func TestConcurrentManagementPlane(t *testing.T) {
 			_ = d.PowerW()
 			_ = d.SMClockMHz()
 			_ = d.Utilization()
-			_ = d.ThrottleReasons()
 		}
 	}
 }
@@ -532,8 +483,8 @@ func TestPureRooflineOverlapAblation(t *testing.T) {
 	add := A100SXM480GB()
 	roof := A100SXM480GB()
 	roof.PureRooflineOverlap = true
-	tAdd := balanced.EstimateDuration(add, 1410)
-	tRoof := balanced.EstimateDuration(roof, 1410)
+	tAdd := balanced.timing(&add).durationAt(&add, 1410)
+	tRoof := balanced.timing(&roof).durationAt(&roof, 1410)
 	if tRoof >= tAdd {
 		t.Errorf("roofline %v not faster than additive %v", tRoof, tAdd)
 	}
@@ -558,7 +509,7 @@ func TestKernelEnergiesGroundTruth(t *testing.T) {
 	d.Execute(memKernel())
 	d.Idle(0.5)
 
-	ks := d.KernelEnergies()
+	ks := d.State().Kernels
 	if len(ks) != 2 {
 		t.Fatalf("kernels = %d, want 2", len(ks))
 	}
@@ -583,11 +534,5 @@ func TestKernelEnergiesGroundTruth(t *testing.T) {
 	}
 	if bt := d.BusySeconds(); bt-sumT > 1e-12 || sumT-bt > 1e-12 {
 		t.Fatalf("sum kernel time %v != busy seconds %v", sumT, bt)
-	}
-	// Sorted by descending energy.
-	for i := 1; i < len(ks); i++ {
-		if ks[i].EnergyJ > ks[i-1].EnergyJ {
-			t.Fatal("KernelEnergies not sorted by energy")
-		}
 	}
 }

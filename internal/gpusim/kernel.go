@@ -1,7 +1,5 @@
 package gpusim
 
-import "math"
-
 // KernelDesc characterizes one GPU kernel launch batch: the computational
 // work it performs and how that work stresses the device. The SPH layer
 // produces one descriptor per instrumented function and step.
@@ -126,19 +124,4 @@ func (k KernelDesc) FrequencySensitivity(s Spec) float64 {
 		return 0
 	}
 	return t.freqScaledS / body
-}
-
-// EstimateDuration predicts the wall time of the kernel at a locked clock,
-// without executing it on a device. Used by the tuner's dry-run mode and by
-// tests.
-func (k KernelDesc) EstimateDuration(s Spec, mhz int) float64 {
-	return k.timing(&s).durationAt(&s, mhz)
-}
-
-// ArithmeticIntensity returns flops/byte for the descriptor.
-func (k KernelDesc) ArithmeticIntensity() float64 {
-	if k.BytesPerItem == 0 {
-		return math.Inf(1)
-	}
-	return k.FlopsPerItem / k.BytesPerItem
 }

@@ -107,33 +107,3 @@ func TestEnergyVsPowerCapTradeoff(t *testing.T) {
 		t.Error("capped run should be slower")
 	}
 }
-
-func TestThrottleReasons(t *testing.T) {
-	d := NewDevice(A100SXM480GB(), 0)
-	// Auto mode at idle clock: idle throttling.
-	if r := d.ThrottleReasons(); r&ThrottleIdle == 0 {
-		t.Errorf("idle device reasons %v", r)
-	}
-	// Locked at max: none.
-	d.SetApplicationClocks(0, 1410)
-	if r := d.ThrottleReasons(); r != ThrottleNone {
-		t.Errorf("locked-at-max reasons %v", r)
-	}
-	// Locked below max: app clocks.
-	d.SetApplicationClocks(0, 1005)
-	if r := d.ThrottleReasons(); r&ThrottleAppClocks == 0 {
-		t.Errorf("down-clocked reasons %v", r)
-	}
-	// Add a power cap: both flags.
-	d.SetPowerLimit(200)
-	r := d.ThrottleReasons()
-	if r&ThrottlePowerCap == 0 || r&ThrottleAppClocks == 0 {
-		t.Errorf("capped+locked reasons %v", r)
-	}
-	if s := r.String(); s != "app-clocks|power-cap" {
-		t.Errorf("String() = %q", s)
-	}
-	if ThrottleNone.String() != "none" {
-		t.Error("none string")
-	}
-}

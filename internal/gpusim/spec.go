@@ -190,12 +190,9 @@ func abs(x int) int {
 	return x
 }
 
-// VoltageAt interpolates the core voltage at a clock frequency, clamping to
-// the curve's ends.
-func (s Spec) VoltageAt(mhz int) float64 { return s.voltageAt(mhz) }
-
-// voltageAt is VoltageAt for callers that hold the spec by pointer (the
-// device's power model, once per priced clock).
+// voltageAt interpolates the core voltage at a clock frequency, clamping to
+// the curve's ends. The spec is read through a pointer: the device's power
+// model calls it once per priced clock.
 func (s *Spec) voltageAt(mhz int) float64 {
 	c := s.VoltageCurve
 	if mhz <= c[0].MHz {

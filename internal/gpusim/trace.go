@@ -1,12 +1,6 @@
 package gpusim
 
-import (
-	"encoding/csv"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // TracePoint is one sample of the device's frequency/power trajectory.
 type TracePoint struct {
@@ -24,8 +18,7 @@ type PointSink func(TracePoint)
 
 // Trace records the frequency and power trajectory of a device, the data
 // behind the paper's Fig. 9 DVFS measurement. Device virtual time is
-// monotonic, so points arrive in nondecreasing TimeS order — Window relies
-// on that invariant for its binary search.
+// monotonic, so points arrive in nondecreasing TimeS order.
 type Trace struct {
 	mu     sync.Mutex
 	points []TracePoint
@@ -50,18 +43,6 @@ func (t *Trace) Add(p TracePoint) {
 	sink := t.sink
 	t.mu.Unlock()
 	if sink != nil {
-		sink(p)
-	}
-}
-
-// AppendTo replays every recorded point into the sink, in time order. It
-// snapshots under the lock and calls the sink unlocked, so a tracer
-// attached mid-run can backfill history without blocking recording.
-func (t *Trace) AppendTo(sink PointSink) {
-	if sink == nil {
-		return
-	}
-	for _, p := range t.Points() {
 		sink(p)
 	}
 }
@@ -99,44 +80,6 @@ func (t *Trace) MinMaxClock() (min, max int) {
 		}
 	}
 	return
-}
-
-// Window returns the samples with TimeS in [t0, t1). Points are
-// time-ordered, so both window edges resolve by binary search instead of a
-// scan over the full trace.
-func (t *Trace) Window(t0, t1 float64) []TracePoint {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lo := sort.Search(len(t.points), func(i int) bool { return t.points[i].TimeS >= t0 })
-	hi := sort.Search(len(t.points), func(i int) bool { return t.points[i].TimeS >= t1 })
-	if lo >= hi {
-		return nil
-	}
-	out := make([]TracePoint, hi-lo)
-	copy(out, t.points[lo:hi])
-	return out
-}
-
-// WriteCSV exports the trace as time_s,clock_mhz,power_w,kernel rows — the
-// raw data behind the Fig. 9 plot.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "clock_mhz", "power_w", "kernel"}); err != nil {
-		return err
-	}
-	for _, p := range t.Points() {
-		row := []string{
-			strconv.FormatFloat(p.TimeS, 'g', 10, 64),
-			strconv.Itoa(p.ClockMHz),
-			strconv.FormatFloat(p.PowerW, 'g', 8, 64),
-			p.Kernel,
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ClockOfKernel returns the mean clock over samples labeled with the kernel

@@ -4,45 +4,6 @@ import (
 	"testing"
 )
 
-func TestWindowBinarySearch(t *testing.T) {
-	tr := NewTrace()
-	for i := 0; i < 100; i++ {
-		tr.Add(TracePoint{TimeS: float64(i) * 0.1, ClockMHz: 1410})
-	}
-	// Half-open [t0, t1): 2.0 included, 5.0 excluded.
-	win := tr.Window(2.0, 5.0)
-	if len(win) != 30 {
-		t.Fatalf("window has %d points, want 30", len(win))
-	}
-	if win[0].TimeS != 2.0 {
-		t.Errorf("first point at %v, want 2.0", win[0].TimeS)
-	}
-	if last := win[len(win)-1].TimeS; last >= 5.0 {
-		t.Errorf("last point at %v, want < 5.0", last)
-	}
-	if got := tr.Window(50, 60); got != nil {
-		t.Errorf("out-of-range window = %v, want nil", got)
-	}
-	if got := tr.Window(3, 3); got != nil {
-		t.Errorf("empty window = %v, want nil", got)
-	}
-	empty := NewTrace()
-	if got := empty.Window(0, 1); got != nil {
-		t.Errorf("empty trace window = %v, want nil", got)
-	}
-}
-
-func TestWindowDuplicateTimestamps(t *testing.T) {
-	tr := NewTrace()
-	// Clock-change markers share the timestamp of the preceding sample.
-	tr.Add(TracePoint{TimeS: 1.0, Kernel: "a"})
-	tr.Add(TracePoint{TimeS: 1.0, Kernel: "set-app-clocks"})
-	tr.Add(TracePoint{TimeS: 2.0, Kernel: "b"})
-	if got := len(tr.Window(1.0, 2.0)); got != 2 {
-		t.Errorf("window over duplicates has %d points, want 2", got)
-	}
-}
-
 func TestTraceSinkForwardsLive(t *testing.T) {
 	tr := NewTrace()
 	tr.Add(TracePoint{TimeS: 0.5, ClockMHz: 1410, PowerW: 100})
@@ -61,24 +22,6 @@ func TestTraceSinkForwardsLive(t *testing.T) {
 	if len(got) != 1 {
 		t.Error("removed sink still called")
 	}
-}
-
-func TestTraceAppendToBackfills(t *testing.T) {
-	tr := NewTrace()
-	for i := 0; i < 5; i++ {
-		tr.Add(TracePoint{TimeS: float64(i)})
-	}
-	var got []TracePoint
-	tr.AppendTo(func(p TracePoint) { got = append(got, p) })
-	if len(got) != 5 {
-		t.Fatalf("backfilled %d points, want 5", len(got))
-	}
-	for i, p := range got {
-		if p.TimeS != float64(i) {
-			t.Errorf("point %d at %v", i, p.TimeS)
-		}
-	}
-	tr.AppendTo(nil) // must not panic
 }
 
 // observerRecorder captures device observer callbacks.

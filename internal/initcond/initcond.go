@@ -175,19 +175,6 @@ func (f *SolenoidalField) At(x, y, z float64) (vx, vy, vz float64) {
 	return
 }
 
-// Divergence numerically evaluates the field divergence at a point (used by
-// tests to verify the solenoidal property).
-func (f *SolenoidalField) Divergence(x, y, z float64) float64 {
-	const e = 1e-5
-	vxp, _, _ := f.At(x+e, y, z)
-	vxm, _, _ := f.At(x-e, y, z)
-	_, vyp, _ := f.At(x, y+e, z)
-	_, vym, _ := f.At(x, y-e, z)
-	_, _, vzp := f.At(x, y, z+e)
-	_, _, vzm := f.At(x, y, z-e)
-	return (vxp-vxm)/(2*e) + (vyp-vym)/(2*e) + (vzp-vzm)/(2*e)
-}
-
 // EvrardSpec configures the Evrard collapse initial condition.
 type EvrardSpec struct {
 	NSide int     // nominal lattice resolution before radial stretching

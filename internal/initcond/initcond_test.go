@@ -183,3 +183,16 @@ func TestMassConservation(t *testing.T) {
 		t.Errorf("Evrard total mass %v, want 1", m)
 	}
 }
+
+// Divergence numerically evaluates the field divergence at a point (used by
+// tests to verify the solenoidal property).
+func (f *SolenoidalField) Divergence(x, y, z float64) float64 {
+	const e = 1e-5
+	vxp, _, _ := f.At(x+e, y, z)
+	vxm, _, _ := f.At(x-e, y, z)
+	_, vyp, _ := f.At(x, y+e, z)
+	_, vym, _ := f.At(x, y-e, z)
+	_, _, vzp := f.At(x, y, z+e)
+	_, _, vzm := f.At(x, y, z-e)
+	return (vxp-vxm)/(2*e) + (vyp-vym)/(2*e) + (vzp-vzm)/(2*e)
+}

@@ -53,54 +53,3 @@ func (r *Report) WriteCSVFile(path string) error {
 	}
 	return nil
 }
-
-// ReadCSV parses rows written by WriteCSV back into per-rank profiles.
-// Report metadata (system, wall time, device totals) is not part of the
-// CSV format; callers needing it should use the JSON report.
-func ReadCSV(rd io.Reader) (*Report, error) {
-	cr := csv.NewReader(rd)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("instr: csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("instr: csv: empty input")
-	}
-	if len(rows[0]) != len(csvHeader) || rows[0][0] != "rank" {
-		return nil, fmt.Errorf("instr: csv: unexpected header %v", rows[0])
-	}
-	byRank := map[int]*RankProfile{}
-	var order []int
-	for i, row := range rows[1:] {
-		rank, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, fmt.Errorf("instr: csv row %d: bad rank %q", i+1, row[0])
-		}
-		vals := make([]float64, 6)
-		for j := range vals {
-			v, err := strconv.ParseFloat(row[3+j], 64)
-			if err != nil {
-				return nil, fmt.Errorf("instr: csv row %d col %d: %w", i+1, 3+j, err)
-			}
-			vals[j] = v
-		}
-		calls, err := strconv.Atoi(row[2])
-		if err != nil {
-			return nil, fmt.Errorf("instr: csv row %d: bad calls %q", i+1, row[2])
-		}
-		rp, ok := byRank[rank]
-		if !ok {
-			rp = NewRankProfile(rank)
-			byRank[rank] = rp
-			order = append(order, rank)
-		}
-		rp.Record(row[1], vals[0], vals[1], vals[2], vals[3], vals[4], vals[5])
-		// Record counts one call; fix up to the serialized count.
-		rp.Get(row[1]).Calls = calls
-	}
-	out := &Report{}
-	for _, rank := range order {
-		out.Ranks = append(out.Ranks, byRank[rank])
-	}
-	return out, nil
-}

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -41,13 +40,7 @@ func (f FunctionStats) TotalJ() float64 { return f.GPUJ + f.CPUJ + f.MemJ + f.Ot
 type RankProfile struct {
 	Rank      int
 	Functions map[string]*FunctionStats
-	// Series, when enabled, records the per-call time of every function in
-	// call order — the per-step timeline behind variability analysis and
-	// trace alignment.
-	Series map[string][]float64
-	// SeriesEnabled turns on per-call recording.
-	SeriesEnabled bool
-	order         []string
+	order     []string
 	// slots holds, by the caller's own index, the stats RecordAt last
 	// resolved there: a caller that records the same sequence of functions
 	// every step pays the by-name lookup once per function.
@@ -61,7 +54,6 @@ type rankProfileJSON struct {
 	Rank          int                       `json:"rank"`
 	FunctionOrder []string                  `json:"function_order,omitempty"`
 	Functions     map[string]*FunctionStats `json:"functions"`
-	Series        map[string][]float64      `json:"series,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -72,14 +64,14 @@ func (p *RankProfile) MarshalJSON() ([]byte, error) {
 		Rank:          p.Rank,
 		FunctionOrder: p.order,
 		Functions:     p.Functions,
-		Series:        p.Series,
 	})
 }
 
 // UnmarshalJSON implements json.Unmarshaler, restoring the recording order
 // from the function_order field. Functions missing from the list (older or
 // hand-edited reports) sort after the listed ones; listed names without
-// stats are dropped.
+// stats are dropped, and so is the per-call "series" field older reports
+// may carry.
 func (p *RankProfile) UnmarshalJSON(data []byte) error {
 	var aux rankProfileJSON
 	if err := json.Unmarshal(data, &aux); err != nil {
@@ -92,7 +84,6 @@ func (p *RankProfile) UnmarshalJSON(data []byte) error {
 	if p.Functions == nil {
 		p.Functions = map[string]*FunctionStats{}
 	}
-	p.Series = aux.Series
 	clear(p.slots) // they point into the map just replaced
 	p.order = p.order[:0]
 	seen := map[string]bool{}
@@ -118,19 +109,13 @@ func NewRankProfile(rank int) *RankProfile {
 	return &RankProfile{Rank: rank, Functions: map[string]*FunctionStats{}}
 }
 
-// Record adds one region measurement to the profile.
-func (p *RankProfile) Record(fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.add(p.stats(fn), fn, timeS, gpuJ, cpuJ, memJ, otherJ, commS)
-}
-
-// RecordAt is Record for a caller that runs a fixed sequence of functions
-// over and over: slot is fn's position in that sequence, and the profile
-// remembers which stats it stands for. The slot is a hint, never an
-// identity — a function enters the profile, and its recording order, when it
-// is first recorded, and a slot given another name is looked up afresh — so
-// RecordAt(i, fn, ...) and Record(fn, ...) leave the same profile.
+// RecordAt adds one region measurement of fn to the profile. The caller
+// runs a fixed sequence of functions over and over: slot is fn's position in
+// that sequence, and the profile remembers which stats it stands for. The
+// slot is a hint, never an identity — a function enters the profile, and its
+// recording order, when it is first recorded, and a slot given another name
+// is looked up afresh — so any slots leave the profile a lookup by name
+// would.
 func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -142,7 +127,13 @@ func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, oth
 		st = p.stats(fn)
 		p.slots[slot] = st
 	}
-	p.add(st, fn, timeS, gpuJ, cpuJ, memJ, otherJ, commS)
+	st.Calls++
+	st.TimeS += timeS
+	st.GPUJ += gpuJ
+	st.CPUJ += cpuJ
+	st.MemJ += memJ
+	st.OtherJ += otherJ
+	st.CommS += commS
 }
 
 // stats returns fn's entry, creating it at the end of the recording order;
@@ -155,53 +146,6 @@ func (p *RankProfile) stats(fn string) *FunctionStats {
 		p.order = append(p.order, fn)
 	}
 	return st
-}
-
-// add accumulates one measurement of fn into its entry st; caller holds p.mu.
-func (p *RankProfile) add(st *FunctionStats, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
-	st.Calls++
-	st.TimeS += timeS
-	st.GPUJ += gpuJ
-	st.CPUJ += cpuJ
-	st.MemJ += memJ
-	st.OtherJ += otherJ
-	st.CommS += commS
-	if p.SeriesEnabled {
-		if p.Series == nil {
-			p.Series = map[string][]float64{}
-		}
-		p.Series[fn] = append(p.Series[fn], timeS)
-	}
-}
-
-// SeriesStats summarizes a function's per-call time series: call count,
-// mean and relative standard deviation. ok is false when no series was
-// recorded.
-func (p *RankProfile) SeriesStats(fn string) (n int, mean, relStd float64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.Series[fn]
-	if len(s) == 0 {
-		return 0, 0, 0, false
-	}
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	mean = sum / float64(len(s))
-	var varSum float64
-	for _, v := range s {
-		d := v - mean
-		varSum += d * d
-	}
-	std := 0.0
-	if len(s) > 1 {
-		std = varSum / float64(len(s)-1)
-	}
-	if mean > 0 {
-		relStd = math.Sqrt(std) / mean
-	}
-	return len(s), mean, relStd, true
 }
 
 // FunctionNames returns function names in first-recorded order.

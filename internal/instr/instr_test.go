@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,9 +14,9 @@ func sampleReport() *Report {
 	r := &Report{Simulation: "turbulence", System: "CSCS-A100", WallTimeS: 100, Strategy: "baseline"}
 	for rank := 0; rank < 2; rank++ {
 		p := NewRankProfile(rank)
-		p.Record("MomentumEnergy", 40, 8000, 500, 100, 200, 0.5)
-		p.Record("XMass", 10, 1500, 120, 30, 60, 0.1)
-		p.Record("MomentumEnergy", 42, 8100, 510, 110, 210, 0.6)
+		p.RecordAt(0, "MomentumEnergy", 40, 8000, 500, 100, 200, 0.5)
+		p.RecordAt(1, "XMass", 10, 1500, 120, 30, 60, 0.1)
+		p.RecordAt(0, "MomentumEnergy", 42, 8100, 510, 110, 210, 0.6)
 		r.Ranks = append(r.Ranks, p)
 	}
 	r.GPUEnergyJ = 2 * (8000 + 1500 + 8100)
@@ -28,8 +29,8 @@ func sampleReport() *Report {
 
 func TestRecordAccumulates(t *testing.T) {
 	p := NewRankProfile(0)
-	p.Record("fn", 1, 10, 1, 0.5, 0.2, 0.1)
-	p.Record("fn", 2, 20, 2, 1.0, 0.4, 0.2)
+	p.RecordAt(0, "fn", 1, 10, 1, 0.5, 0.2, 0.1)
+	p.RecordAt(0, "fn", 2, 20, 2, 1.0, 0.4, 0.2)
 	st := p.Get("fn")
 	if st.Calls != 2 {
 		t.Errorf("calls = %d", st.Calls)
@@ -45,7 +46,7 @@ func TestRecordAccumulates(t *testing.T) {
 func TestFunctionOrderPreserved(t *testing.T) {
 	p := NewRankProfile(0)
 	for _, fn := range []string{"c", "a", "b"} {
-		p.Record(fn, 1, 0, 0, 0, 0, 0)
+		p.RecordAt(0, fn, 1, 0, 0, 0, 0, 0)
 	}
 	names := p.FunctionNames()
 	if names[0] != "c" || names[1] != "a" || names[2] != "b" {
@@ -55,8 +56,8 @@ func TestFunctionOrderPreserved(t *testing.T) {
 
 func TestRankTotals(t *testing.T) {
 	p := NewRankProfile(0)
-	p.Record("a", 1, 10, 0, 0, 0, 0)
-	p.Record("b", 4, 30, 0, 0, 0, 0)
+	p.RecordAt(0, "a", 1, 10, 0, 0, 0, 0)
+	p.RecordAt(0, "b", 4, 30, 0, 0, 0, 0)
 	if p.TotalTimeS() != 5 {
 		t.Errorf("TotalTimeS = %v", p.TotalTimeS())
 	}
@@ -82,7 +83,7 @@ func TestReportFunctionTotal(t *testing.T) {
 
 func TestReportFunctionNamesUnion(t *testing.T) {
 	r := sampleReport()
-	r.Ranks[1].Record("Gravity", 1, 5, 0, 0, 0, 0)
+	r.Ranks[1].RecordAt(0, "Gravity", 1, 5, 0, 0, 0, 0)
 	names := r.FunctionNames()
 	if names[0] != "MomentumEnergy" || names[1] != "XMass" {
 		t.Errorf("order = %v", names)
@@ -151,7 +152,7 @@ func TestConcurrentRecording(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 1000; i++ {
-				p.Record("fn", 1, 1, 0, 0, 0, 0)
+				p.RecordAt(0, "fn", 1, 1, 0, 0, 0, 0)
 			}
 			done <- struct{}{}
 		}()
@@ -164,45 +165,24 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestSeriesRecording(t *testing.T) {
-	p := NewRankProfile(0)
-	p.SeriesEnabled = true
-	for _, v := range []float64{1, 2, 3, 2} {
-		p.Record("fn", v, 0, 0, 0, 0, 0)
-	}
-	n, mean, relStd, ok := p.SeriesStats("fn")
-	if !ok || n != 4 {
-		t.Fatalf("series n=%d ok=%v", n, ok)
-	}
-	if math.Abs(mean-2) > 1e-12 {
-		t.Errorf("mean %v", mean)
-	}
-	if relStd <= 0 || relStd > 1 {
-		t.Errorf("relStd %v", relStd)
-	}
-	// Disabled profiles record no series.
-	q := NewRankProfile(1)
-	q.Record("fn", 1, 0, 0, 0, 0, 0)
-	if _, _, _, ok := q.SeriesStats("fn"); ok {
-		t.Error("series recorded while disabled")
-	}
-}
-
-func TestSeriesSurvivesJSON(t *testing.T) {
-	p := NewRankProfile(0)
-	p.SeriesEnabled = true
-	p.Record("fn", 1.5, 0, 0, 0, 0, 0)
-	r := &Report{Ranks: []*RankProfile{p}}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+// Reports written while profiles could record a per-call "series" field
+// still load: the field is ignored and everything else reads as before.
+func TestReadReportIgnoresSeriesField(t *testing.T) {
+	raw := `{"simulation":"turbulence","ranks":[{"rank":0,
+		"function_order":["fn"],
+		"functions":{"fn":{"name":"fn","calls":1,"time_s":1.5,"gpu_j":2}},
+		"series":{"fn":[1.5]}}],"wall_time_s":3}`
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(&buf)
+	back, err := ReadReportFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Ranks[0].Series["fn"]; len(got) != 1 || got[0] != 1.5 {
-		t.Errorf("series lost: %v", got)
+	st := back.Ranks[0].Get("fn")
+	if back.WallTimeS != 3 || st == nil || st.Calls != 1 || st.TimeS != 1.5 || st.GPUJ != 2 {
+		t.Errorf("report read back as %+v, fn %+v", back, st)
 	}
 }
 
@@ -211,7 +191,7 @@ func TestRoundtripPreservesFunctionOrder(t *testing.T) {
 	// load would come back as [density, iad, momentumEnergy].
 	p := NewRankProfile(0)
 	for _, fn := range []string{"momentumEnergy", "density", "iad"} {
-		p.Record(fn, 1, 10, 1, 1, 1, 0.1)
+		p.RecordAt(0, fn, 1, 10, 1, 1, 1, 0.1)
 	}
 	r := &Report{Simulation: "turbulence", Ranks: []*RankProfile{p}}
 
@@ -276,7 +256,8 @@ func TestReadReportWithoutOrderFallsBackSorted(t *testing.T) {
 
 // RecordAt's slot is a hint: whatever slots the caller passes — fresh, reused
 // for another name, pointing into a map a restore has since replaced — the
-// profile it leaves is the one Record leaves, recording order included.
+// profile it leaves is the one a lookup by name on every call leaves (a slot
+// never used before), recording order included.
 func TestRecordAtMatchesRecord(t *testing.T) {
 	type call struct {
 		slot int
@@ -284,7 +265,6 @@ func TestRecordAtMatchesRecord(t *testing.T) {
 	}
 	calls := []call{{0, "a"}, {1, "b"}, {0, "a"}, {3, "d"}, {1, "b"}, {1, "c"}, {1, "b"}, {2, "a"}, {0, "d"}}
 	byName, bySlot := NewRankProfile(3), NewRankProfile(3)
-	byName.SeriesEnabled, bySlot.SeriesEnabled = true, true
 	for i, c := range calls {
 		if i == 5 {
 			// A checkpoint restore lands mid-run: in-place unmarshal.
@@ -295,10 +275,9 @@ func TestRecordAtMatchesRecord(t *testing.T) {
 			if err := json.Unmarshal(wire, bySlot); err != nil {
 				t.Fatal(err)
 			}
-			bySlot.SeriesEnabled = true
 		}
 		v := float64(i + 1)
-		byName.Record(c.fn, v, 2*v, 3*v, 4*v, 5*v, 6*v)
+		byName.RecordAt(len(calls)+i, c.fn, v, 2*v, 3*v, 4*v, 5*v, 6*v)
 		bySlot.RecordAt(c.slot, c.fn, v, 2*v, 3*v, 4*v, 5*v, 6*v)
 	}
 	want, err := json.Marshal(byName)

@@ -7,7 +7,7 @@ import (
 )
 
 func kernels() []Kernel {
-	return []Kernel{CubicSpline{}, WendlandC2{}, WendlandC6{}, NewSinc(5), NewSinc(6)}
+	return []Kernel{WendlandC2{}}
 }
 
 // volumeIntegral numerically integrates W over its support in 3-D.
@@ -144,15 +144,7 @@ func TestTablePanicsOnTooFewPoints(t *testing.T) {
 			t.Error("NewTable(.., 1) did not panic")
 		}
 	}()
-	NewTable(CubicSpline{}, 1)
-}
-
-func TestSincExponentEffect(t *testing.T) {
-	// Higher exponent concentrates the kernel: larger central value.
-	s5, s6 := NewSinc(5), NewSinc(6)
-	if s6.W(0, 1) <= s5.W(0, 1) {
-		t.Errorf("sinc6 center %v should exceed sinc5 center %v", s6.W(0, 1), s5.W(0, 1))
-	}
+	NewTable(WendlandC2{}, 1)
 }
 
 func TestNames(t *testing.T) {
@@ -164,8 +156,8 @@ func TestNames(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	tab := NewTable(CubicSpline{}, 100)
-	if tab.Name() != "cubic-spline-table" {
+	tab := NewTable(WendlandC2{}, 100)
+	if tab.Name() != "wendland-c2-table" {
 		t.Errorf("table name = %q", tab.Name())
 	}
 }

@@ -75,26 +75,6 @@ func (n Network) AllgatherS(bytesPerRank float64, ranks int) float64 {
 	return float64(ranks-1) * (n.LatencyS + bytesPerRank/n.BandwidthBs)
 }
 
-// BroadcastS returns the time for a broadcast of `bytes` from one rank
-// (binomial tree: ceil(log2 P) rounds).
-func (n Network) BroadcastS(bytes float64, ranks int) float64 {
-	if ranks <= 1 {
-		return 0
-	}
-	rounds := math.Ceil(math.Log2(float64(ranks)))
-	return rounds * (n.LatencyS + bytes/n.BandwidthBs)
-}
-
-// ReduceScatterS returns the time for a reduce-scatter where each rank
-// ends with `bytesPerRank` of the reduced result (ring: P-1 rounds over
-// shrinking blocks ≈ total payload once over the wire).
-func (n Network) ReduceScatterS(bytesPerRank float64, ranks int) float64 {
-	if ranks <= 1 {
-		return 0
-	}
-	return float64(ranks-1)*n.LatencyS + bytesPerRank*float64(ranks-1)/n.BandwidthBs
-}
-
 // HaloExchangeS returns the time for the nearest-neighbor halo exchange of
 // an SPH domain: each rank exchanges `haloBytes` with ~6 SFC-neighbor ranks
 // concurrently (bandwidth shared).
@@ -378,13 +358,4 @@ func (w *World) MaxClock() float64 {
 		}
 	}
 	return m
-}
-
-// SameNode reports whether two ranks share a node under block placement.
-func (w *World) SameNode(a, b int) bool {
-	rpn := w.Network.RanksPerNode
-	if rpn <= 0 {
-		return false
-	}
-	return a/rpn == b/rpn
 }

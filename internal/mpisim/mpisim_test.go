@@ -42,31 +42,6 @@ func TestAllgatherRingScaling(t *testing.T) {
 	}
 }
 
-func TestBroadcastLogScaling(t *testing.T) {
-	n := DefaultNetwork(4)
-	if n.BroadcastS(100, 1) != 0 {
-		t.Error("single-rank broadcast should be free")
-	}
-	if n.BroadcastS(100, 64)/n.BroadcastS(100, 2) != 6 {
-		t.Error("broadcast not log2-scaled")
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	n := DefaultNetwork(4)
-	if n.ReduceScatterS(100, 1) != 0 {
-		t.Error("single-rank reduce-scatter should be free")
-	}
-	if n.ReduceScatterS(1e6, 8) <= n.ReduceScatterS(1e3, 8) {
-		t.Error("reduce-scatter not increasing in volume")
-	}
-	// For the same total payload, reduce-scatter beats allgather+reduce
-	// style full exchange: it is at most the allgather cost.
-	if n.ReduceScatterS(1e6, 8) > n.AllgatherS(1e6, 8)+1e-12 {
-		t.Error("reduce-scatter slower than allgather for the same block size")
-	}
-}
-
 func TestHaloExchange(t *testing.T) {
 	n := DefaultNetwork(4)
 	if n.HaloExchangeS(1e6, 1) != 0 {
@@ -220,4 +195,13 @@ func TestSynchronizeAccumulates(t *testing.T) {
 	if w.MaxClock() != 5 {
 		t.Errorf("MaxClock = %v, want 5", w.MaxClock())
 	}
+}
+
+// SameNode reports whether two ranks share a node under block placement.
+func (w *World) SameNode(a, b int) bool {
+	rpn := w.Network.RanksPerNode
+	if rpn <= 0 {
+		return false
+	}
+	return a/rpn == b/rpn
 }

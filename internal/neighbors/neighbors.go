@@ -44,18 +44,12 @@ const parallelBuildMaxCells = 1 << 20
 // parallelBuildMinN is the particle count below which the serial build wins.
 const parallelBuildMinN = 1 << 14
 
-// BuildGrid creates a search grid for particles at (x, y, z) in the box,
-// sized for queries up to maxRadius.
-func BuildGrid(box sfc.Box, x, y, z []float64, maxRadius float64) *Grid {
-	return BuildGridInto(nil, box, x, y, z, maxRadius)
-}
-
-// BuildGridInto is BuildGrid with buffer reuse: when g is non-nil its CSR
-// arrays and binning scratch are recycled, so steady-state rebuilds (same
-// particle count, same resolution) perform no allocations. The resulting
-// layout is identical to a fresh BuildGrid. Returns g (or a new grid when
-// g is nil); any outstanding queries against the previous contents must
-// have finished.
+// BuildGridInto creates a search grid for particles at (x, y, z) in the
+// box, sized for queries up to maxRadius. When g is non-nil its CSR arrays
+// and binning scratch are recycled, so steady-state rebuilds (same particle
+// count, same resolution) perform no allocations; the resulting layout is
+// identical to a fresh grid's. Returns g (or a new grid when g is nil); any
+// outstanding queries against the previous contents must have finished.
 func BuildGridInto(g *Grid, box sfc.Box, x, y, z []float64, maxRadius float64) *Grid {
 	if maxRadius <= 0 {
 		panic("neighbors: maxRadius must be positive")
@@ -266,16 +260,6 @@ func HalfFold(l float64, periodic bool) float64 {
 // periodic) dimension of length l.
 func MinImage(d, l float64, periodic bool) float64 {
 	return Fold(d, HalfFold(l, periodic), l)
-}
-
-// Displacement returns the minimum-image displacement vector from particle j
-// to particle i and its squared norm.
-func (g *Grid) Displacement(i, j int) (dx, dy, dz, r2 float64) {
-	dx = MinImage(g.x[i]-g.x[j], g.box.Lx(), g.box.PBCx)
-	dy = MinImage(g.y[i]-g.y[j], g.box.Ly(), g.box.PBCy)
-	dz = MinImage(g.z[i]-g.z[j], g.box.Lz(), g.box.PBCz)
-	r2 = dx*dx + dy*dy + dz*dz
-	return
 }
 
 // axisCell is one cell coordinate of a query's scan window, annotated with
@@ -510,16 +494,6 @@ func scanWidth(radius, cell float64) int {
 		w = 1
 	}
 	return w
-}
-
-// Neighbors collects the indices of all neighbors of particle i within
-// radius. Intended for tests and diagnostics; hot paths use ForEachNeighbor.
-func (g *Grid) Neighbors(i int, radius float64) []int {
-	var out []int
-	g.ForEachNeighbor(i, radius, func(j int, _, _, _, _ float64) {
-		out = append(out, j)
-	})
-	return out
 }
 
 // CountNeighbors returns the number of neighbors of particle i within radius.

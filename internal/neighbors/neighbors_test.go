@@ -190,3 +190,29 @@ func TestEmptyGrid(t *testing.T) {
 		t.Fatal("nil grid for empty input")
 	}
 }
+
+// BuildGrid creates a search grid for particles at (x, y, z) in the box,
+// sized for queries up to maxRadius.
+func BuildGrid(box sfc.Box, x, y, z []float64, maxRadius float64) *Grid {
+	return BuildGridInto(nil, box, x, y, z, maxRadius)
+}
+
+// Displacement returns the minimum-image displacement vector from particle j
+// to particle i and its squared norm.
+func (g *Grid) Displacement(i, j int) (dx, dy, dz, r2 float64) {
+	dx = MinImage(g.x[i]-g.x[j], g.box.Lx(), g.box.PBCx)
+	dy = MinImage(g.y[i]-g.y[j], g.box.Ly(), g.box.PBCy)
+	dz = MinImage(g.z[i]-g.z[j], g.box.Lz(), g.box.PBCz)
+	r2 = dx*dx + dy*dy + dz*dz
+	return
+}
+
+// Neighbors collects the indices of all neighbors of particle i within
+// radius. Intended for tests and diagnostics; hot paths use ForEachNeighbor.
+func (g *Grid) Neighbors(i int, radius float64) []int {
+	var out []int
+	g.ForEachNeighbor(i, radius, func(j int, _, _, _, _ float64) {
+		out = append(out, j)
+	})
+	return out
+}

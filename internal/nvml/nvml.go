@@ -68,20 +68,6 @@ func (l *Library) Init() error {
 	return nil
 }
 
-// Shutdown tears down the library (nvmlShutdown).
-func (l *Library) Shutdown() error {
-	l.initialized = false
-	return nil
-}
-
-// DeviceCount returns the number of devices (nvmlDeviceGetCount_v2).
-func (l *Library) DeviceCount() (int, error) {
-	if !l.initialized {
-		return 0, ErrUninitialized
-	}
-	return len(l.devices), nil
-}
-
 // DeviceGetHandleByIndex resolves a device handle
 // (nvmlDeviceGetHandleByIndex_v2).
 func (l *Library) DeviceGetHandleByIndex(index int) (Device, error) {
@@ -138,56 +124,22 @@ func (dev Device) ResetApplicationsClocks() error {
 	return nil
 }
 
-// ClockInfo returns the current clock of a domain in MHz
-// (nvmlDeviceGetClockInfo).
-func (dev Device) ClockInfo(domain ClockDomain) (int, error) {
-	switch domain {
-	case ClockSM, ClockGraphics:
-		return dev.d.SMClockMHz(), nil
-	case ClockMem:
-		return dev.d.MemClockMHz(), nil
-	default:
-		return 0, ErrInvalidArgument
-	}
-}
-
 // SupportedGraphicsClocks lists supported application SM clocks, descending
 // (nvmlDeviceGetSupportedGraphicsClocks).
 func (dev Device) SupportedGraphicsClocks() []int {
 	return dev.d.Spec().SupportedClocksMHz()
 }
 
-// PowerUsage returns the current board draw in milliwatts
-// (nvmlDeviceGetPowerUsage).
-func (dev Device) PowerUsage() (int, error) {
-	if _, err := dev.fault("power-read", 0); err != nil {
-		return 0, err
-	}
-	return int(dev.d.PowerW() * 1000), nil
-}
-
-// TotalEnergyConsumption returns cumulative energy in millijoules
-// (nvmlDeviceGetTotalEnergyConsumption).
-func (dev Device) TotalEnergyConsumption() (int64, error) {
-	_, mj, err := dev.TotalEnergyConsumptionAt()
-	return mj, err
-}
-
-// TotalEnergyConsumptionAt is TotalEnergyConsumption with the device time
-// the counter stood at that value, the two read together (see
-// gpusim.Device.EnergyAt). A failed read still reports the device's time.
+// TotalEnergyConsumptionAt returns cumulative energy in millijoules
+// (nvmlDeviceGetTotalEnergyConsumption) with the device time the counter
+// stood at that value, the two read together (see gpusim.Device.EnergyAt).
+// A failed read still reports the device's time.
 func (dev Device) TotalEnergyConsumptionAt() (timeS float64, mj int64, err error) {
 	if _, err := dev.fault("energy-read", 0); err != nil {
 		return dev.d.Now(), 0, err
 	}
 	timeS, j := dev.d.EnergyAt()
 	return timeS, int64(j * 1000), nil
-}
-
-// PowerManagementLimit returns the active board power limit in milliwatts
-// (nvmlDeviceGetPowerManagementLimit).
-func (dev Device) PowerManagementLimit() (int, error) {
-	return int(dev.d.PowerLimitW() * 1000), nil
 }
 
 // SetPowerManagementLimit caps the board power in milliwatts
@@ -199,23 +151,6 @@ func (dev Device) SetPowerManagementLimit(mw int) error {
 	return nil
 }
 
-// UtilizationRates returns the coarse GPU utilization percentage
-// (nvmlDeviceGetUtilizationRates). Like the real counter, this reflects
-// "a kernel was resident", not how well it used the device.
-func (dev Device) UtilizationRates() (int, error) {
-	return int(dev.d.Utilization()*100 + 0.5), nil
-}
-
 // Sim exposes the underlying simulated device for test hooks; production
 // code paths use only the NVML-shaped methods above.
 func (dev Device) Sim() *gpusim.Device { return dev.d }
-
-// ClockDomain selects a clock domain (nvmlClockType_t).
-type ClockDomain int
-
-// Clock domains.
-const (
-	ClockGraphics ClockDomain = iota
-	ClockSM
-	ClockMem
-)

@@ -29,28 +29,8 @@ func TestRejectsAMDDevices(t *testing.T) {
 
 func TestUninitializedErrors(t *testing.T) {
 	lib := newLib(t, 1)
-	if _, err := lib.DeviceCount(); !errors.Is(err, ErrUninitialized) {
-		t.Errorf("DeviceCount before Init: %v", err)
-	}
 	if _, err := lib.DeviceGetHandleByIndex(0); !errors.Is(err, ErrUninitialized) {
 		t.Errorf("handle before Init: %v", err)
-	}
-}
-
-func TestInitShutdownLifecycle(t *testing.T) {
-	lib := newLib(t, 2)
-	if err := lib.Init(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := lib.DeviceCount()
-	if err != nil || n != 2 {
-		t.Fatalf("DeviceCount = %d, %v", n, err)
-	}
-	if err := lib.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lib.DeviceCount(); err == nil {
-		t.Error("DeviceCount after Shutdown should fail")
 	}
 }
 
@@ -76,25 +56,11 @@ func TestSetApplicationsClocks(t *testing.T) {
 	if applied != 1005 {
 		t.Errorf("applied %d, want snapped 1005", applied)
 	}
-	got, err := dev.ClockInfo(ClockSM)
-	if err != nil || got != 1005 {
-		t.Errorf("ClockInfo(SM) = %d, %v", got, err)
+	if got := dev.Sim().SMClockMHz(); got != 1005 {
+		t.Errorf("device SM clock = %d, want 1005", got)
 	}
 	if err := dev.ResetApplicationsClocks(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClockInfoDomains(t *testing.T) {
-	lib := newLib(t, 1)
-	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	mem, err := dev.ClockInfo(ClockMem)
-	if err != nil || mem != 1593 {
-		t.Errorf("memory clock = %d, %v (want 1593)", mem, err)
-	}
-	if _, err := dev.ClockInfo(ClockDomain(99)); err == nil {
-		t.Error("bad clock domain accepted")
 	}
 }
 
@@ -119,7 +85,7 @@ func TestEnergyAndPowerUnits(t *testing.T) {
 	dev, _ := lib.DeviceGetHandleByIndex(0)
 	dev.SetApplicationsClocks(0, 1410)
 	dev.Sim().Idle(2) // 2 s at idle power
-	mj, err := dev.TotalEnergyConsumption()
+	timeS, mj, err := dev.TotalEnergyConsumptionAt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,25 +93,8 @@ func TestEnergyAndPowerUnits(t *testing.T) {
 	if mj < wantMJ-1 || mj > wantMJ+1 {
 		t.Errorf("energy %d mJ, want ~%d", mj, wantMJ)
 	}
-	mw, err := dev.PowerUsage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mw < 1000 {
-		t.Errorf("power %d mW implausibly low", mw)
-	}
-}
-
-func TestUtilizationRatesPercent(t *testing.T) {
-	lib := newLib(t, 1)
-	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	u, err := dev.UtilizationRates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u < 0 || u > 100 {
-		t.Errorf("utilization %d%% out of range", u)
+	if timeS != dev.Sim().Now() {
+		t.Errorf("energy read at %v s, device at %v s", timeS, dev.Sim().Now())
 	}
 }
 
@@ -153,16 +102,14 @@ func TestPowerManagementLimit(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
 	dev, _ := lib.DeviceGetHandleByIndex(0)
-	mw, err := dev.PowerManagementLimit()
-	if err != nil || mw != 400000 {
-		t.Errorf("default limit %d mW, %v; want 400000", mw, err)
+	if w := dev.Sim().PowerLimitW(); w != 400 {
+		t.Errorf("default limit %v W, want 400", w)
 	}
 	if err := dev.SetPowerManagementLimit(300000); err != nil {
 		t.Fatal(err)
 	}
-	mw, _ = dev.PowerManagementLimit()
-	if mw != 300000 {
-		t.Errorf("limit after set %d mW", mw)
+	if w := dev.Sim().PowerLimitW(); w != 300 {
+		t.Errorf("limit after set %v W", w)
 	}
 	if err := dev.SetPowerManagementLimit(1000); err == nil {
 		t.Error("absurd limit accepted")

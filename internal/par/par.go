@@ -105,51 +105,6 @@ func ForChunked(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// SumFloat64 computes sum over i in [0, n) of fn(i) with a parallel
-// tree-free reduction (one partial per worker, summed deterministically in
-// worker order).
-func SumFloat64(n int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := workersFor(n)
-	if workers == 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += fn(i)
-		}
-		return s
-	}
-	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partials[w].v = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for w := range partials {
-		total += partials[w].v
-	}
-	return total
-}
-
 // MinFloat64 computes the minimum of fn(i) over [0, n); it returns
 // +Inf-equivalent fallback (the first value) semantics by requiring n > 0.
 func MinFloat64(n int, fn func(i int) float64) float64 {

@@ -44,35 +44,6 @@ func TestForChunkedEmpty(t *testing.T) {
 	}
 }
 
-func TestSumMatchesSerial(t *testing.T) {
-	const n = 54321
-	got := SumFloat64(n, func(i int) float64 { return float64(i) * 0.5 })
-	want := 0.0
-	for i := 0; i < n; i++ {
-		want += float64(i) * 0.5
-	}
-	if math.Abs(got-want) > 1e-6*math.Abs(want) {
-		t.Errorf("SumFloat64 = %v, want %v", got, want)
-	}
-}
-
-func TestSumDeterministic(t *testing.T) {
-	// Partial sums combine in worker order, so repeated runs agree exactly.
-	const n = 100000
-	f := func(i int) float64 { return math.Sin(float64(i)) }
-	a := SumFloat64(n, f)
-	b := SumFloat64(n, f)
-	if a != b {
-		t.Errorf("non-deterministic sum: %v vs %v", a, b)
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	if got := SumFloat64(0, func(int) float64 { return 1 }); got != 0 {
-		t.Errorf("empty sum = %v", got)
-	}
-}
-
 func TestMinMatchesSerial(t *testing.T) {
 	const n = 9999
 	f := func(i int) float64 { return math.Cos(float64(i)) * float64((i%17)+1) }

@@ -4,11 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/nvml"
-	"sphenergy/internal/rapl"
 	"sphenergy/internal/rsmi"
 )
 
@@ -84,24 +82,6 @@ func TestRSMISensorDegradesUnderFaults(t *testing.T) {
 	lib.SetFaultHook(nil)
 	if st := s.Read(); st.EnergyJ <= good.EnergyJ {
 		t.Fatalf("recovery read %+v not past %+v", st, good)
-	}
-}
-
-func TestRAPLSensorDegradesUnderFaults(t *testing.T) {
-	cpu := &cluster.CPU{Model: cluster.CPUModel{IdleW: 100, MaxW: 200}}
-	iface := rapl.New(cpu)
-	rd, _ := iface.NewReader(0)
-	s := NewRAPL(rd, cpu, 0)
-	good := s.Read()
-	cpu.Advance(1, 0.5)
-	iface.SetFaultHook(scriptedHook([]error{faults.ErrTransient}))
-	if st := s.Read(); !math.IsNaN(st.EnergyJ) {
-		t.Fatalf("transient fault: %+v, want NaN energy", st)
-	}
-	iface.SetFaultHook(nil)
-	st := s.Read()
-	if math.IsNaN(st.EnergyJ) || math.Abs(st.EnergyJ-good.EnergyJ-150) > 0.01 {
-		t.Fatalf("recovery read %+v, want ~150 J past %+v (no double counting)", st, good)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package pmt reimplements the interface of the Power Measurement Toolkit
 // (Corda, Veenboer & Tolley, HUST'22) over the simulated sensors: a common
 // State/Read/Joules API with interchangeable back-ends for Nvidia GPUs
-// (NVML), AMD GPUs (ROCm-SMI), CPUs (RAPL) and whole HPE/Cray nodes
-// (pm_counters).
+// (NVML), AMD GPUs (ROCm-SMI) and whole HPE/Cray nodes (pm_counters), whose
+// components include the CPU packages.
 //
 // Usage mirrors the real toolkit:
 //
@@ -22,7 +22,6 @@ import (
 	"sphenergy/internal/faults"
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
-	"sphenergy/internal/rapl"
 	"sphenergy/internal/rsmi"
 )
 
@@ -33,7 +32,6 @@ type Backend string
 const (
 	BackendNVML  Backend = "nvml"
 	BackendRSMI  Backend = "rocm"
-	BackendRAPL  Backend = "rapl"
 	BackendCray  Backend = "cray"
 	BackendDummy Backend = "dummy"
 )
@@ -48,21 +46,9 @@ type State struct {
 // Joules returns the energy consumed between two states.
 func Joules(start, end State) float64 { return end.EnergyJ - start.EnergyJ }
 
-// Seconds returns the time elapsed between two states.
-func Seconds(start, end State) float64 { return end.TimeS - start.TimeS }
-
-// Watts returns the average power between two states, 0 for empty windows.
-func Watts(start, end State) float64 {
-	dt := Seconds(start, end)
-	if dt <= 0 {
-		return 0
-	}
-	return Joules(start, end) / dt
-}
-
 // Sensor is a PMT measurement source.
 type Sensor interface {
-	// Name identifies the sensor ("nvml:0", "rapl:pkg0", ...).
+	// Name identifies the sensor ("nvml:0", "cray:energy", ...).
 	Name() string
 	// Read samples the sensor.
 	Read() State
@@ -150,37 +136,6 @@ func (s *rsmiSensor) Read() State {
 	return s.last
 }
 
-// raplSensor measures one CPU package through the RAPL counter.
-type raplSensor struct {
-	reader  *rapl.Reader
-	cpu     *cluster.CPU
-	pkg     int
-	last    State
-	started bool
-}
-
-// NewRAPL creates a CPU sensor over a RAPL reader; cpu provides the virtual
-// timestamp of the package meter.
-func NewRAPL(reader *rapl.Reader, cpu *cluster.CPU, pkg int) Sensor {
-	return &raplSensor{reader: reader, cpu: cpu, pkg: pkg}
-}
-
-func (s *raplSensor) Name() string { return fmt.Sprintf("rapl:pkg%d", s.pkg) }
-
-// Backend implements the back-end probe used by BackendOf.
-func (s *raplSensor) Backend() Backend { return BackendRAPL }
-
-func (s *raplSensor) Read() State {
-	now := s.cpu.Meter.NowS()
-	j, err := s.reader.Poll()
-	if err != nil {
-		return degrade(err, now, &s.last, &s.started)
-	}
-	s.last = State{TimeS: now, EnergyJ: j}
-	s.started = true
-	return s.last
-}
-
 // CrayComponent selects which pm_counters file a Cray sensor reads.
 type CrayComponent string
 
@@ -198,12 +153,6 @@ type craySensor struct {
 	component CrayComponent
 	card      int
 	node      *cluster.Node
-}
-
-// NewCray creates a sensor over a node's pm_counters view. card selects the
-// accelerator card for CrayAccel and is ignored otherwise.
-func NewCray(node *cluster.Node, component CrayComponent, card int) Sensor {
-	return NewCrayOn(pmcounters.New(node), node, component, card)
 }
 
 // NewCrayOn creates a sensor over an existing pm_counters view, so callers
@@ -249,31 +198,3 @@ func (Dummy) Read() State { return State{} }
 
 // Backend implements the back-end probe used by BackendOf.
 func (Dummy) Backend() Backend { return BackendDummy }
-
-// Multi aggregates several sensors into one (e.g. GPU + CPU for a rank's
-// combined footprint). Timestamps take the furthest-advanced sensor.
-type Multi struct {
-	name    string
-	sensors []Sensor
-}
-
-// NewMulti combines sensors under one name.
-func NewMulti(name string, sensors ...Sensor) *Multi {
-	return &Multi{name: name, sensors: sensors}
-}
-
-// Name implements Sensor.
-func (m *Multi) Name() string { return m.name }
-
-// Read implements Sensor.
-func (m *Multi) Read() State {
-	var out State
-	for _, s := range m.sensors {
-		st := s.Read()
-		out.EnergyJ += st.EnergyJ
-		if st.TimeS > out.TimeS {
-			out.TimeS = st.TimeS
-		}
-	}
-	return out
-}

@@ -165,9 +165,6 @@ func (c *Controller) RequestStop(cause string) {
 // replacement attempt.
 func (c *Controller) Abandon() { c.abandoned.Store(true) }
 
-// Abandoned reports whether the supervisor gave up on this attempt.
-func (c *Controller) Abandoned() bool { return c.abandoned.Load() }
-
 // StepDone is the runner's step-boundary hook. step is the completed step
 // index, wallS/energyJ the run's virtual wall clock and total allocation
 // energy so far, and encode serializes the model state after this step.

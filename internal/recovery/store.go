@@ -90,9 +90,6 @@ func Open(dir string, keep int) (*Store, error) {
 	return &Store{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func snapName(step int) string {
 	return fmt.Sprintf("%s%012d%s", snapPrefix, step, snapSuffix)
 }
@@ -205,36 +202,6 @@ func (s *Store) steps() []int {
 	}
 	sort.Ints(steps)
 	return steps
-}
-
-// Snapshots returns the snapshots present on disk, oldest first, without
-// verifying payload integrity (use Load for that).
-func (s *Store) Snapshots() []Snapshot {
-	var out []Snapshot
-	for _, step := range s.steps() {
-		path := filepath.Join(s.dir, snapName(step))
-		m, _, _, err := readHeader(path)
-		if err != nil {
-			// Keep the entry with what the filename tells us; Load will
-			// report the precise corruption.
-			m = Meta{Step: step}
-		}
-		out = append(out, Snapshot{Path: path, Meta: m})
-	}
-	return out
-}
-
-func readHeader(path string) (Meta, int, [32]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, 0, [32]byte{}, err
-	}
-	defer f.Close()
-	buf := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return Meta{}, 0, [32]byte{}, fmt.Errorf("recovery: read header of %s: %w", filepath.Base(path), err)
-	}
-	return decodeHeader(buf)
 }
 
 // Load reads and fully verifies the snapshot at path: header magic,

@@ -1,9 +1,8 @@
 // Package report implements the paper's analysis-script layer: it turns raw
 // instrumentation reports into per-device and per-function energy
-// breakdowns, taking the system's hardware configuration and MPI
-// rank-to-GPU assignment into account (§III-B) — in particular the LUMI-G
-// case where pm_counters report per MI250X card while two ranks each drive
-// one GCD of it.
+// breakdowns, taking the system's hardware configuration into account
+// (§III-B) — in particular CSCS-A100, whose nodes cannot meter memory
+// separately.
 package report
 
 import (
@@ -31,15 +30,6 @@ type DeviceBreakdown struct {
 
 // TotalJ returns total energy.
 func (d DeviceBreakdown) TotalJ() float64 { return d.GPUJ + d.CPUJ + d.MemJ + d.OtherJ }
-
-// GPUShare returns the GPU fraction of total energy.
-func (d DeviceBreakdown) GPUShare() float64 {
-	t := d.TotalJ()
-	if t == 0 {
-		return 0
-	}
-	return d.GPUJ / t
-}
 
 // NewDeviceBreakdown derives the Fig. 4 breakdown from a run report. On
 // systems without separate memory metering the memory energy is folded into
@@ -140,16 +130,6 @@ func (fb FunctionBreakdown) TopConsumers(n int) []string {
 	return out
 }
 
-// Share returns the GPU-energy share of a function, 0 when absent.
-func (fb FunctionBreakdown) Share(name string) float64 {
-	for _, f := range fb.Functions {
-		if f.Name == name {
-			return f.GPUShare
-		}
-	}
-	return 0
-}
-
 // Render prints the function breakdown as a bar chart over GPU energy.
 func (fb FunctionBreakdown) Render() string {
 	bars := make([]textplot.Bar, 0, len(fb.Functions))
@@ -227,39 +207,6 @@ func WeakScaling(ranks []int, timeS, energyJ []float64) []WeakScalingPoint {
 		}
 		if ranks[i] > 0 {
 			out[i].EnergyPerRank = energyJ[i] / float64(ranks[i])
-		}
-	}
-	return out
-}
-
-// RankGPUAttribution resolves measurement granularity mismatches between
-// MPI ranks and power counters: given per-card energies and the
-// dies-per-card binding, it attributes card energy to ranks. On LUMI-G (two
-// GCDs per card) two ranks share one reading; the split assumption is
-// proportional to each rank's busy time. This is the "analysis scripts take
-// the hardware configuration and rank-to-GPU assignment into consideration"
-// logic of §III-B.
-func RankGPUAttribution(cardEnergyJ []float64, diesPerCard int, rankBusyS []float64) []float64 {
-	out := make([]float64, len(rankBusyS))
-	for card, e := range cardEnergyJ {
-		lo := card * diesPerCard
-		hi := lo + diesPerCard
-		if hi > len(rankBusyS) {
-			hi = len(rankBusyS)
-		}
-		if lo >= hi {
-			continue
-		}
-		busy := 0.0
-		for r := lo; r < hi; r++ {
-			busy += rankBusyS[r]
-		}
-		for r := lo; r < hi; r++ {
-			if busy > 0 {
-				out[r] = e * rankBusyS[r] / busy
-			} else {
-				out[r] = e / float64(hi-lo)
-			}
 		}
 	}
 	return out

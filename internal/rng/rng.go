@@ -78,11 +78,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * 0x1p-53
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -113,12 +108,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders the n elements addressed by swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

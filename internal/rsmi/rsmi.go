@@ -52,9 +52,6 @@ func New(devices []*gpusim.Device) (*Library, error) {
 	return &Library{devices: devices}, nil
 }
 
-// NumMonitorDevices returns the device count (rsmi_num_monitor_devices).
-func (l *Library) NumMonitorDevices() int { return len(l.devices) }
-
 func (l *Library) dev(i int) (*gpusim.Device, error) {
 	if i < 0 || i >= len(l.devices) {
 		return nil, fmt.Errorf("%w: device index %d", ErrInvalidArgs, i)
@@ -113,29 +110,10 @@ func (l *Library) DevPerfLevelSetAuto(i int) error {
 	return nil
 }
 
-// DevPowerAveGet returns the current socket power in microwatts
-// (rsmi_dev_power_ave_get).
-func (l *Library) DevPowerAveGet(i int) (int64, error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := l.fault("power-read", 0); err != nil {
-		return 0, err
-	}
-	return int64(d.PowerW() * 1e6), nil
-}
-
-// DevEnergyCountGet returns accumulated energy in microjoules
-// (rsmi_dev_energy_count_get).
-func (l *Library) DevEnergyCountGet(i int) (uint64, error) {
-	_, uj, err := l.DevEnergyCountGetAt(i)
-	return uj, err
-}
-
-// DevEnergyCountGetAt is DevEnergyCountGet with the device time the counter
-// stood at that value, the two read together (see gpusim.Device.EnergyAt) —
-// the timestamp rsmi_dev_energy_count_get itself hands back. A failed read
+// DevEnergyCountGetAt returns accumulated energy in microjoules
+// (rsmi_dev_energy_count_get) with the device time the counter stood at
+// that value, the two read together (see gpusim.Device.EnergyAt) — the
+// timestamp rsmi_dev_energy_count_get itself hands back. A failed read
 // of a valid device still reports the device's time.
 func (l *Library) DevEnergyCountGetAt(i int) (timeS float64, uj uint64, err error) {
 	d, err := l.dev(i)
@@ -170,25 +148,6 @@ func (l *Library) DevPowerCapReset(i int) error {
 	}
 	d.ResetPowerLimit()
 	return nil
-}
-
-// DevPowerCapGet returns the active socket power cap in microwatts
-// (rsmi_dev_power_cap_get).
-func (l *Library) DevPowerCapGet(i int) (int64, error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return 0, err
-	}
-	return int64(d.PowerLimitW() * 1e6), nil
-}
-
-// DevBusyPercentGet returns coarse utilization (rsmi_dev_busy_percent_get).
-func (l *Library) DevBusyPercentGet(i int) (int, error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return 0, err
-	}
-	return int(d.Utilization()*100 + 0.5), nil
 }
 
 func abs(x int) int {

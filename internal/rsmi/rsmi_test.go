@@ -26,12 +26,6 @@ func TestRejectsNvidiaDevices(t *testing.T) {
 	}
 }
 
-func TestNumMonitorDevices(t *testing.T) {
-	if got := newLib(t, 3).NumMonitorDevices(); got != 3 {
-		t.Errorf("NumMonitorDevices = %d", got)
-	}
-}
-
 func TestClkFreqGetSet(t *testing.T) {
 	lib := newLib(t, 1)
 	freqs, cur, err := lib.DevGPUClkFreqGet(0)
@@ -80,14 +74,7 @@ func TestPowerAndEnergyCounters(t *testing.T) {
 	devs := []*gpusim.Device{gpusim.NewDevice(gpusim.MI250XGCD(), 0)}
 	lib, _ := New(devs)
 	devs[0].Idle(3)
-	uw, err := lib.DevPowerAveGet(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uw <= 0 {
-		t.Errorf("power %d µW", uw)
-	}
-	uj, err := lib.DevEnergyCountGet(0)
+	_, uj, err := lib.DevEnergyCountGetAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,26 +86,14 @@ func TestPowerAndEnergyCounters(t *testing.T) {
 	}
 }
 
-func TestBusyPercent(t *testing.T) {
-	lib := newLib(t, 1)
-	b, err := lib.DevBusyPercentGet(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b < 0 || b > 100 {
-		t.Errorf("busy %d%%", b)
-	}
-}
-
 func TestPowerCapSetGetReset(t *testing.T) {
 	devs := []*gpusim.Device{gpusim.NewDevice(gpusim.MI250XGCD(), 0)}
 	lib, _ := New(devs)
 	if err := lib.DevPowerCapSet(0, 200e6); err != nil { // 200 W
 		t.Fatal(err)
 	}
-	uw, err := lib.DevPowerCapGet(0)
-	if err != nil || uw != 200e6 {
-		t.Errorf("cap %d µW, %v", uw, err)
+	if w := devs[0].PowerLimitW(); w != 200 {
+		t.Errorf("cap %v W", w)
 	}
 	if err := lib.DevPowerCapSet(0, 1e12); err == nil {
 		t.Error("absurd cap accepted")
@@ -126,15 +101,11 @@ func TestPowerCapSetGetReset(t *testing.T) {
 	if err := lib.DevPowerCapReset(0); err != nil {
 		t.Fatal(err)
 	}
-	uw, _ = lib.DevPowerCapGet(0)
-	if uw != int64(devs[0].Spec().TDPW*1e6) {
-		t.Errorf("cap after reset %d µW", uw)
+	if w := devs[0].PowerLimitW(); w != devs[0].Spec().TDPW {
+		t.Errorf("cap after reset %v W", w)
 	}
 	// Bad device indices.
 	if err := lib.DevPowerCapSet(5, 1); err == nil {
-		t.Error("bad index accepted")
-	}
-	if _, err := lib.DevPowerCapGet(5); err == nil {
 		t.Error("bad index accepted")
 	}
 	if err := lib.DevPowerCapReset(5); err == nil {

@@ -65,7 +65,7 @@ const DefaultRingCap = 1 << 16
 // Config configures the sampler. The zero value means "sampling off";
 // setting either rate enables it (Defaulted fills the other).
 type Config struct {
-	// GPUHz is the tick rate for in-band per-device sensors (NVML/RSMI/RAPL).
+	// GPUHz is the tick rate for in-band per-device sensors (NVML/RSMI).
 	GPUHz float64
 	// NodeHz is the tick rate for out-of-band node sensors (pm_counters).
 	NodeHz float64
@@ -227,14 +227,6 @@ func (c *Channel) Name() string {
 		return ""
 	}
 	return c.name
-}
-
-// Rank returns the MPI rank the channel is bound to, -1 for node channels.
-func (c *Channel) Rank() int {
-	if c == nil {
-		return -1
-	}
-	return c.rank
 }
 
 // RateHz returns the channel's tick rate.

@@ -97,28 +97,9 @@ func spreadBits(x uint64) uint64 {
 	return x
 }
 
-// compactBits is the inverse of spreadBits.
-func compactBits(x uint64) uint64 {
-	x &= 0x1249249249249249
-	x = (x ^ x>>2) & 0x10C30C30C30C30C3
-	x = (x ^ x>>4) & 0x100F00F00F00F00F
-	x = (x ^ x>>8) & 0x1F0000FF0000FF
-	x = (x ^ x>>16) & 0x1F00000000FFFF
-	x = (x ^ x>>32) & 0x1FFFFF
-	return x
-}
-
 // Encode3D interleaves three 21-bit integer coordinates into a Morton key.
 func Encode3D(ix, iy, iz uint32) Key {
 	return Key(spreadBits(uint64(ix))<<2 | spreadBits(uint64(iy))<<1 | spreadBits(uint64(iz)))
-}
-
-// Decode3D recovers the integer coordinates from a Morton key.
-func Decode3D(k Key) (ix, iy, iz uint32) {
-	ix = uint32(compactBits(uint64(k) >> 2))
-	iy = uint32(compactBits(uint64(k) >> 1))
-	iz = uint32(compactBits(uint64(k)))
-	return
 }
 
 // Coord quantizes a position in the box to integer grid coordinates.

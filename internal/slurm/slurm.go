@@ -11,7 +11,6 @@ package slurm
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -211,19 +210,6 @@ func ThreeWay(job *Job, thresholdPct float64) (*attrib.Validation, error) {
 	return v, nil
 }
 
-// Jobs returns the accounting records.
-func (m *Manager) Jobs() []*Job { return m.jobs }
-
-// Find returns a job by ID.
-func (m *Manager) Find(id int) (*Job, bool) {
-	for _, j := range m.jobs {
-		if j.ID == id {
-			return j, true
-		}
-	}
-	return nil, false
-}
-
 // SacctFields are the supported sacct --format fields.
 var SacctFields = []string{"JobID", "JobName", "State", "NNodes", "NTasks", "Elapsed", "ConsumedEnergy"}
 
@@ -283,32 +269,4 @@ func formatEnergy(j float64) string {
 	default:
 		return fmt.Sprintf("%.0f", j)
 	}
-}
-
-// ParseGPUFreq parses a --gpu-freq flag value ("900", "medium", "high",
-// "highm1") into a MHz request against a supported-clock list (descending).
-func ParseGPUFreq(value string, supportedMHz []int) (int, error) {
-	if len(supportedMHz) == 0 {
-		return 0, fmt.Errorf("slurm: no supported clocks")
-	}
-	sorted := append([]int(nil), supportedMHz...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	switch value {
-	case "low":
-		return sorted[len(sorted)-1], nil
-	case "high":
-		return sorted[0], nil
-	case "highm1":
-		if len(sorted) > 1 {
-			return sorted[1], nil
-		}
-		return sorted[0], nil
-	case "medium":
-		return sorted[len(sorted)/2], nil
-	}
-	mhz, err := strconv.Atoi(value)
-	if err != nil {
-		return 0, fmt.Errorf("slurm: invalid --gpu-freq value %q", value)
-	}
-	return mhz, nil
 }

@@ -100,13 +100,7 @@ func TestJobIDsIncrement(t *testing.T) {
 	if b.ID != a.ID+1 {
 		t.Errorf("ids %d, %d", a.ID, b.ID)
 	}
-	if got, ok := mgr.Find(a.ID); !ok || got.Name != "a" {
-		t.Error("Find failed")
-	}
-	if _, ok := mgr.Find(99999); ok {
-		t.Error("Find invented a job")
-	}
-	if len(mgr.Jobs()) != 2 {
+	if len(mgr.jobs) != 2 || mgr.jobs[0] != a || mgr.jobs[1] != b {
 		t.Error("job records lost")
 	}
 }
@@ -128,9 +122,9 @@ func TestQueueFixesIDsBeforeRun(t *testing.T) {
 		jobs = append(jobs, queued.Queue(cfg, SubmitOptions{JobName: name}))
 	}
 	for i, j := range jobs {
-		if j.State != StatePending || j.ID != want[i].ID || queued.Jobs()[i] != j {
+		if j.State != StatePending || j.ID != want[i].ID || queued.jobs[i] != j {
 			t.Fatalf("queued job %d: state %s id %d (want PENDING, %d), in place %v",
-				i, j.State, j.ID, want[i].ID, queued.Jobs()[i] == j)
+				i, j.State, j.ID, want[i].ID, queued.jobs[i] == j)
 		}
 	}
 	for i := len(jobs) - 1; i >= 0; i-- {
@@ -174,29 +168,6 @@ func TestFormatEnergySuffixes(t *testing.T) {
 		if got := formatEnergy(j); got != want {
 			t.Errorf("formatEnergy(%v) = %q, want %q", j, got, want)
 		}
-	}
-}
-
-func TestParseGPUFreq(t *testing.T) {
-	supported := []int{1410, 1395, 1005, 210}
-	cases := map[string]int{
-		"900":    900,
-		"high":   1410,
-		"highm1": 1395,
-		"low":    210,
-		"medium": 1005,
-	}
-	for in, want := range cases {
-		got, err := ParseGPUFreq(in, supported)
-		if err != nil || got != want {
-			t.Errorf("ParseGPUFreq(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	if _, err := ParseGPUFreq("fast", supported); err == nil {
-		t.Error("invalid value accepted")
-	}
-	if _, err := ParseGPUFreq("high", nil); err == nil {
-		t.Error("empty clock table accepted")
 	}
 }
 

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-
-	"sphenergy/internal/atomicio"
 )
 
 // Checkpoint I/O: production SPH codes periodically dump the particle state
@@ -210,23 +207,4 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 		return nil, fmt.Errorf("sph: checkpoint: %d trailing bytes", br.Len())
 	}
 	return st, nil
-}
-
-// SaveCheckpointFile writes the checkpoint to a file, atomically: a kill
-// mid-write leaves any previous checkpoint at path intact.
-func (s *State) SaveCheckpointFile(path string) error {
-	if err := atomicio.WriteFile(path, s.WriteCheckpoint); err != nil {
-		return fmt.Errorf("sph: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpointFile reads a checkpoint from a file.
-func LoadCheckpointFile(path string, opt Options) (*State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sph: checkpoint: %w", err)
-	}
-	defer f.Close()
-	return ReadCheckpoint(f, opt)
 }

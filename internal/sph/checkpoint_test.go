@@ -2,7 +2,6 @@ package sph
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -92,24 +91,5 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, err := ReadCheckpoint(bytes.NewReader(nil), st.Opt); err == nil {
 		t.Error("empty checkpoint accepted")
-	}
-}
-
-func TestCheckpointFileRoundtrip(t *testing.T) {
-	st := latticeState(4, t)
-	st.RunStep(nil)
-	path := filepath.Join(t.TempDir(), "state.sphx")
-	if err := st.SaveCheckpointFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadCheckpointFile(path, st.Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.P.N != st.P.N || back.Time != st.Time {
-		t.Error("file roundtrip lost state")
-	}
-	if _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "missing"), st.Opt); err == nil {
-		t.Error("missing file accepted")
 	}
 }

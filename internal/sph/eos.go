@@ -41,21 +41,3 @@ func (iso Isothermal) Name() string { return "isothermal" }
 func (iso Isothermal) PressureSoundSpeed(rho, _ float64) (float64, float64) {
 	return iso.Cs * iso.Cs * rho, iso.Cs
 }
-
-// Polytropic is P = K rho^gamma, provided for completeness (e.g. simple
-// stellar structure setups).
-type Polytropic struct {
-	K, Gamma float64
-}
-
-// Name implements EOS.
-func (pt Polytropic) Name() string { return "polytropic" }
-
-// PressureSoundSpeed implements EOS.
-func (pt Polytropic) PressureSoundSpeed(rho, _ float64) (float64, float64) {
-	if rho <= 0 {
-		return 0, 0
-	}
-	p := pt.K * math.Pow(rho, pt.Gamma)
-	return p, math.Sqrt(pt.Gamma * p / rho)
-}

@@ -38,19 +38,8 @@ func TestIsothermal(t *testing.T) {
 	}
 }
 
-func TestPolytropic(t *testing.T) {
-	eos := Polytropic{K: 2, Gamma: 2}
-	p, c := eos.PressureSoundSpeed(3, 0)
-	if math.Abs(p-18) > 1e-12 {
-		t.Errorf("P = %v, want 18", p)
-	}
-	if math.Abs(c-math.Sqrt(2*18/3.0)) > 1e-12 {
-		t.Errorf("c = %v", c)
-	}
-}
-
 func TestEOSPositivityProperty(t *testing.T) {
-	list := []EOS{IdealGas{Gamma: 1.4}, Isothermal{Cs: 1}, Polytropic{K: 1, Gamma: 5.0 / 3.0}}
+	list := []EOS{IdealGas{Gamma: 1.4}, Isothermal{Cs: 1}}
 	f := func(rhoRaw, uRaw float64) bool {
 		rho := math.Abs(rhoRaw)
 		u := math.Abs(uRaw)
@@ -76,8 +65,5 @@ func TestEOSNames(t *testing.T) {
 	}
 	if (Isothermal{}).Name() != "isothermal" {
 		t.Error("isothermal name")
-	}
-	if (Polytropic{}).Name() != "polytropic" {
-		t.Error("polytropic name")
 	}
 }

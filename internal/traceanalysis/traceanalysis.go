@@ -19,8 +19,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"sphenergy/internal/telemetry"
 )
 
 // GlobalRank marks spans recorded on the whole-run ("sim") track rather
@@ -125,16 +123,6 @@ type Analysis struct {
 	// trace cut off mid-write: it covers the events that had closed before
 	// the cut, not the run. Set by the caller that loaded them.
 	Truncated bool `json:"truncated,omitempty"`
-}
-
-// CausedWaitS returns the wait attributed to one rank, 0 for unknown ranks.
-func (a *Analysis) CausedWaitS(rank int) float64 {
-	for _, r := range a.Ranks {
-		if r.Rank == rank {
-			return r.CausedWaitS
-		}
-	}
-	return 0
 }
 
 // Analyze reconstructs barriers, attribution and the critical path from a
@@ -288,24 +276,6 @@ func intervalUnionS(ss []Span) float64 {
 		}
 	}
 	return total + (curEnd - curStart)
-}
-
-// FromSpanEvents converts a tracer read-back into the analysis span form,
-// dropping instant events (they carry no duration).
-func FromSpanEvents(events []telemetry.SpanEvent) []Span {
-	out := make([]Span, 0, len(events))
-	for _, e := range events {
-		if e.Instant {
-			continue
-		}
-		r := e.Track
-		if r == telemetry.GlobalTrack {
-			r = GlobalRank
-		}
-		out = append(out, Span{Rank: r, Cat: e.Category, Name: e.Name,
-			StartS: e.StartS, DurS: e.DurS})
-	}
-	return out
 }
 
 // Load parses Chrome trace_event JSON into analysis spans. Track identity

@@ -229,3 +229,31 @@ func TestRender(t *testing.T) {
 		}
 	}
 }
+
+// CausedWaitS returns the wait attributed to one rank, 0 for unknown ranks.
+func (a *Analysis) CausedWaitS(rank int) float64 {
+	for _, r := range a.Ranks {
+		if r.Rank == rank {
+			return r.CausedWaitS
+		}
+	}
+	return 0
+}
+
+// FromSpanEvents converts a tracer read-back into the analysis span form,
+// dropping instant events (they carry no duration).
+func FromSpanEvents(events []telemetry.SpanEvent) []Span {
+	out := make([]Span, 0, len(events))
+	for _, e := range events {
+		if e.Instant {
+			continue
+		}
+		r := e.Track
+		if r == telemetry.GlobalTrack {
+			r = GlobalRank
+		}
+		out = append(out, Span{Rank: r, Cat: e.Category, Name: e.Name,
+			StartS: e.StartS, DurS: e.DurS})
+	}
+	return out
+}

@@ -94,10 +94,3 @@ func (c *Cache) Stats() (hits, misses int64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// Len returns the number of cached measurements.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

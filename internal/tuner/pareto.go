@@ -4,8 +4,7 @@ import "sort"
 
 // Pareto analysis over tuning measurements: §IV-D frames dynamic frequency
 // selection as identifying Pareto-optimal (time, energy) configurations.
-// ParetoFront filters the measurements to the non-dominated set; KneePoint
-// picks the balanced trade-off on that front.
+// ParetoFront filters the measurements to the non-dominated set.
 
 // ParetoFront returns the measurements not dominated in (TimeS, EnergyJ):
 // a configuration is dominated if another is at least as good on both axes
@@ -30,63 +29,4 @@ func ParetoFront(ms []Measurement) []Measurement {
 		}
 	}
 	return front
-}
-
-// KneePoint returns the front member with the largest normalized distance
-// from the line connecting the front's extremes — the conventional "knee"
-// of the trade-off curve. For fronts with fewer than three points the
-// lowest-EDP member is returned. ok is false for empty input.
-func KneePoint(front []Measurement) (Measurement, bool) {
-	switch len(front) {
-	case 0:
-		return Measurement{}, false
-	case 1:
-		return front[0], true
-	case 2:
-		if front[0].TimeS*front[0].EnergyJ <= front[1].TimeS*front[1].EnergyJ {
-			return front[0], true
-		}
-		return front[1], true
-	}
-	first, last := front[0], front[len(front)-1]
-	dt := last.TimeS - first.TimeS
-	de := last.EnergyJ - first.EnergyJ
-	if dt == 0 && de == 0 {
-		return front[0], true
-	}
-	// Normalize axes so neither unit dominates the distance.
-	nt := func(t float64) float64 {
-		if dt == 0 {
-			return 0
-		}
-		return (t - first.TimeS) / dt
-	}
-	ne := func(e float64) float64 {
-		if de == 0 {
-			return 0
-		}
-		return (e - first.EnergyJ) / de
-	}
-	best := front[0]
-	bestD := -1.0
-	for _, m := range front {
-		// Distance from the (0,0)-(1,1) line in normalized space:
-		// |x - y| / sqrt(2); the constant factor cancels.
-		x, y := nt(m.TimeS), ne(m.EnergyJ)
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
-		if d > bestD {
-			bestD = d
-			best = m
-		}
-	}
-	return best, true
-}
-
-// Dominates reports whether a dominates b in the (time, energy) plane.
-func Dominates(a, b Measurement) bool {
-	return a.TimeS <= b.TimeS && a.EnergyJ <= b.EnergyJ &&
-		(a.TimeS < b.TimeS || a.EnergyJ < b.EnergyJ)
 }

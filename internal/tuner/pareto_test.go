@@ -77,35 +77,6 @@ func TestParetoFrontProperty(t *testing.T) {
 	}
 }
 
-func TestKneePoint(t *testing.T) {
-	front := []Measurement{
-		{MHz: 1410, TimeS: 1.0, EnergyJ: 100},
-		{MHz: 1230, TimeS: 1.03, EnergyJ: 85}, // big energy win for small time cost
-		{MHz: 1005, TimeS: 1.3, EnergyJ: 80},
-	}
-	knee, ok := KneePoint(front)
-	if !ok || knee.MHz != 1230 {
-		t.Errorf("knee = %d MHz, want 1230", knee.MHz)
-	}
-}
-
-func TestKneePointDegenerate(t *testing.T) {
-	if _, ok := KneePoint(nil); ok {
-		t.Error("empty front should report !ok")
-	}
-	one := []Measurement{{MHz: 1410, TimeS: 1, EnergyJ: 1}}
-	if k, ok := KneePoint(one); !ok || k.MHz != 1410 {
-		t.Error("single-point knee")
-	}
-	two := []Measurement{
-		{MHz: 1410, TimeS: 1, EnergyJ: 100},
-		{MHz: 1005, TimeS: 2, EnergyJ: 40},
-	}
-	if k, _ := KneePoint(two); k.MHz != 1005 {
-		t.Errorf("two-point knee picked %d (want the lower-EDP one)", k.MHz)
-	}
-}
-
 func TestParetoOnRealSweep(t *testing.T) {
 	// The front of a real frequency sweep is non-trivial and includes both
 	// extremes' neighborhoods.
@@ -121,7 +92,10 @@ func TestParetoOnRealSweep(t *testing.T) {
 	if front[0].MHz != 1410 {
 		t.Errorf("fastest front member %d, want 1410", front[0].MHz)
 	}
-	if _, ok := KneePoint(front); !ok {
-		t.Error("no knee on a real front")
-	}
+}
+
+// Dominates reports whether a dominates b in the (time, energy) plane.
+func Dominates(a, b Measurement) bool {
+	return a.TimeS <= b.TimeS && a.EnergyJ <= b.EnergyJ &&
+		(a.TimeS < b.TimeS || a.EnergyJ < b.EnergyJ)
 }

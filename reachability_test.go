@@ -1,6 +1,7 @@
 package sphenergy
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -18,41 +19,19 @@ import (
 // roots (an example demonstrates code something else runs) and _test.go
 // files are not read (a package only its own tests reach is scaffolding).
 func TestInternalPackagesAreReachable(t *testing.T) {
-	const module = "sphenergy/"
 	imports := map[string][]string{} // package directory -> module-relative imports
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir // .git, .bench_build
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		deps := imports[dir]
-		for _, spec := range f.Imports {
+	for _, gf := range nonTestFiles(t, parser.ImportsOnly) {
+		deps := imports[gf.dir]
+		for _, spec := range gf.f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if rel, ok := strings.CutPrefix(p, module); ok {
 				deps = append(deps, rel)
 			}
 		}
-		imports[dir] = deps // a package with no imports is still a package
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		imports[gf.dir] = deps // a package with no imports is still a package
 	}
 
 	reached := map[string]bool{}
@@ -87,4 +66,138 @@ func TestInternalPackagesAreReachable(t *testing.T) {
 	for _, dir := range orphans {
 		t.Errorf("%s is imported by no program (cmd/*, benchmark, the root package): give it a caller that runs or delete it", dir)
 	}
+}
+
+// TestTopLevelFunctionsHaveACaller is the same rule one level down: every
+// top-level function declared in a non-test file must be named by some
+// non-test file outside its own body — as alias.F through an import, or as
+// F inside its own package. Examples count as callers here. Methods are out
+// of reach (a method is named through a value, not a package), and so are
+// main, init and the root facade's exported functions, which exist to be
+// called from outside the module.
+func TestTopLevelFunctionsHaveACaller(t *testing.T) {
+	files := nonTestFiles(t, parser.SkipObjectResolution)
+	pkgName := map[string]string{} // package directory -> package name
+	for _, gf := range files {
+		pkgName[gf.dir] = gf.f.Name.Name
+	}
+
+	named := map[funcRef]bool{}
+	var declared []funcRef
+	for _, gf := range files {
+		// The file's import names: local name -> package directory.
+		alias := map[string]string{}
+		for _, spec := range gf.f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel, ok := strings.CutPrefix(p, module); ok {
+				name := pkgName[rel]
+				if spec.Name != nil {
+					name = spec.Name.Name
+				}
+				alias[name] = rel
+			}
+		}
+		for _, decl := range gf.f.Decls {
+			self := "" // a function naming itself is recursion, not a caller
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				self = fd.Name.Name
+				declared = append(declared, funcRef{gf.dir, self})
+			}
+			var visit func(ast.Node) bool
+			walk := func(n ast.Node) {
+				if n != nil {
+					ast.Inspect(n, visit)
+				}
+			}
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl: // its name is a declaration, not a use
+					if n.Recv != nil {
+						walk(n.Recv)
+					}
+					walk(n.Type)
+					if n.Body != nil {
+						walk(n.Body)
+					}
+					return false
+				case *ast.Field: // so are field and parameter names
+					walk(n.Type)
+					return false
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if dir, ok := alias[x.Name]; ok {
+							named[funcRef{dir, n.Sel.Name}] = true
+							return false
+						}
+					}
+					walk(n.X) // n.Sel names a field or a method
+					return false
+				case *ast.Ident:
+					if n.Name != self {
+						named[funcRef{gf.dir, n.Name}] = true
+					}
+				}
+				return true
+			}
+			walk(decl)
+		}
+	}
+
+	var missing []string
+	for _, d := range declared {
+		exempt := d.name == "main" || d.name == "init" || d.dir == "." && ast.IsExported(d.name)
+		if !exempt && !named[d] {
+			missing = append(missing, d.dir+"."+d.name)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s is named by no non-test file: give it a caller that runs or delete it (a helper only tests use belongs in a _test.go file)", m)
+	}
+}
+
+// funcRef names a top-level function by its package directory.
+type funcRef struct{ dir, name string }
+
+// module is the import-path prefix of the repository's packages.
+const module = "sphenergy/"
+
+// goFile is one parsed Go file and its package directory, module-relative.
+type goFile struct {
+	dir string
+	f   *ast.File
+}
+
+// nonTestFiles parses every non-test Go file of the repository with mode,
+// skipping hidden directories (.git, .bench_build).
+func nonTestFiles(t *testing.T, mode parser.Mode) []goFile {
+	t.Helper()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, mode)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
