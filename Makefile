@@ -99,12 +99,15 @@ fuzz-smoke:
 # width that splits it: ranks step in-line, so what runs concurrently is
 # whole core.Runs handed out by par.Tasks — sharing the experiments' session
 # cache and Fig. 4/5 memo, the spec tables and hostOverheads — plus the
-# tuner's candidate sweep and the trace export, whose tracks are encoded
-# side by side.
+# tuner's candidate sweep; and the run bundle's round trip: the trace
+# export's two workers encoding pieces of the shards while the caller
+# writes the finished ones in order, the trace loader's second half scanned
+# on its own goroutine and joined or dropped, and the attribution join
+# reading the sampler's rings under their locks.
 race-model:
 	$(GO) test -race -cpu 4 ./internal/par/ ./internal/mpisim/ ./internal/core/ \
 		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/ \
-		./internal/telemetry/
+		./internal/telemetry/ ./internal/traceanalysis/ ./internal/attrib/
 
 # The repository's benchmark (benchmark/README.md has the protocol): all
 # four workloads at full size, then judged against the newest full-size
@@ -123,26 +126,24 @@ bench:
 bench-smoke:
 	$(GO) run ./benchmark -workload all -smoke
 
-# Telemetry cost: per-primitive ns/op, what an observed run's trace costs
-# at export (WriteJSON), in-process read-back (Spans) and re-load
-# (traceanalysis.Load) on a recorded 8-rank 300-step run, and the
-# end-to-end off/live/trace comparison. Wall clock is noisy on shared
-# machines — compare minimums across the -count runs; the allocation
-# columns repeat exactly.
+# Telemetry's per-primitive cost: a span recorded by name and through an
+# interned identity, a counter increment, a histogram observation — ns/op
+# and allocs/op, nil receivers included.
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'SpanRecord|CounterInc|HistogramObserve' -benchmem ./internal/telemetry/
-	$(GO) test -run '^$$' -bench 'TraceWriteJSON|SpansReadBack' -benchtime 20x -count 3 ./internal/telemetry/
-	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 ./internal/traceanalysis/
-	$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
 
 # What observing a run costs, leg by leg, on a recorded 8-rank 300-step
 # ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
 # whole observed run (sampler, tracer, ledger, metrics, attribution joined
-# in place) and the attribution join through both its feeds. The B/op and
-# allocs/op columns repeat exactly; TestObservedRunAllocBudget holds the
-# run's allocation volume in plain `go test ./...`.
+# in place) and the attribution join through both its feeds; then the
+# trace's export and re-load on one CPU and on two, so that what the second
+# CPU buys and what the pipeline costs without one come from one command.
+# The B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
+# holds the run's allocation volume in plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
+	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
+	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
 
 # What one simulated launch costs the host with every observer off: the
 # 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as

@@ -110,6 +110,33 @@ func TestWriteFileCreatesFreshTarget(t *testing.T) {
 	}
 }
 
+// TestWriteFileModeMatchesCreate: a new artifact is as readable as one
+// os.Create makes in the same directory — the umask decides, not the temp
+// file WriteFile renamed into place.
+func TestWriteFileModeMatchesCreate(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := os.Create(filepath.Join(dir, "reference"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	path := filepath.Join(dir, "artifact")
+	if err := WriteFileBytes(path, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Errorf("WriteFile made %v, os.Create makes %v", got.Mode(), want.Mode())
+	}
+}
+
 // WriteFileBytes is WriteFile for callers that already hold the content.
 func WriteFileBytes(path string, data []byte) error {
 	return WriteFile(path, func(w io.Writer) error {

@@ -195,23 +195,33 @@ type cursor struct {
 	lo, hi       int     // its window
 }
 
-func newEnergySeries(samples []sampler.Sample) *energySeries {
-	es := &energySeries{
-		times:    make([]float64, len(samples)),
-		energies: make([]float64, len(samples)),
+// newEnergySeries builds one rank's series from its samples, handed over in
+// the runs they are stored in.
+func newEnergySeries(runs [][]sampler.Sample) *energySeries {
+	n := 0
+	for _, run := range runs {
+		n += len(run)
 	}
-	for i, s := range samples {
-		es.times[i] = s.TimeS
-		es.energies[i] = s.EnergyJ
-		if s.Degraded {
-			es.degAny = true
+	es := &energySeries{
+		times:    make([]float64, n),
+		energies: make([]float64, n),
+	}
+	i := 0
+	for _, run := range runs {
+		for _, s := range run {
+			es.times[i], es.energies[i] = s.TimeS, s.EnergyJ
+			if s.Degraded {
+				if !es.degAny {
+					es.degAny, es.degSeg = true, make([]bool, n)
+				}
+				es.degSeg[i] = i > 0 // no interval ends at the first tick
+			}
+			i++
 		}
 	}
 	if es.degAny {
-		es.degSeg = make([]bool, len(samples))
-		es.degPrefix = make([]float64, len(samples))
-		for i := 1; i < len(samples); i++ {
-			es.degSeg[i] = samples[i].Degraded
+		es.degPrefix = make([]float64, n)
+		for i := 1; i < n; i++ {
 			es.degPrefix[i] = es.degPrefix[i-1]
 			if es.degSeg[i] {
 				es.degPrefix[i] += es.times[i] - es.times[i-1]
@@ -480,11 +490,24 @@ type join struct {
 	tables  [2]table
 }
 
-func newJoin(series map[int][]sampler.Sample, opts Options) *join {
-	j := &join{opts: opts.defaulted(), rank: -1, series: make(map[int]*energySeries, len(series))}
-	for rank, ss := range series {
-		j.series[rank] = newEnergySeries(ss)
+// Series hands a join every rank's sampled series: visit is called once per
+// rank with the series' samples in time order, in contiguous runs that are
+// valid only during the call. sampler.Sampler.VisitRankSeries is one: the
+// join then reads the channels' rings where they lie.
+type Series func(visit func(rank int, runs [][]sampler.Sample))
+
+// seriesOf hands over the series of a map, each as one run.
+func seriesOf(m map[int][]sampler.Sample) Series {
+	return func(visit func(int, [][]sampler.Sample)) {
+		for rank, ss := range m {
+			visit(rank, [][]sampler.Sample{ss})
+		}
 	}
+}
+
+func newJoin(series Series, opts Options) *join {
+	j := &join{opts: opts.defaulted(), rank: -1, series: map[int]*energySeries{}}
+	series(func(rank int, runs [][]sampler.Sample) { j.series[rank] = newEnergySeries(runs) })
 	j.tables[0] = table{category: "kernel", truthKey: "energy_j", rows: map[rowKey]*Row{}}
 	j.tables[1] = table{category: "function", truthKey: "gpu_j", rows: map[rowKey]*Row{}}
 	return j
@@ -529,17 +552,18 @@ func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
 // truth in the "gpu_j" arg) on rank tracks participate; everything else is
 // ignored.
 func Build(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, opts Options) *Attribution {
-	j := newJoin(series, opts)
+	j := newJoin(seriesOf(series), opts)
 	for i := range spans {
 		j.add(telemetry.NoRef, &spans[i])
 	}
 	return j.finish()
 }
 
-// BuildFromTracer is Build(t.Spans(), series, opts) without the slice:
+// BuildFromTracer is Build(t.Spans(), series, opts) without either slice:
 // the tracer's records are joined where they lie, in the order Spans
-// returns them, so the result is the same to the last bit.
-func BuildFromTracer(t *telemetry.Tracer, series map[int][]sampler.Sample, opts Options) *Attribution {
+// returns them, against series handed over where they lie, so the result is
+// the same to the last bit.
+func BuildFromTracer(t *telemetry.Tracer, series Series, opts Options) *Attribution {
 	j := newJoin(series, opts)
 	t.VisitSpans(j.add)
 	return j.finish()

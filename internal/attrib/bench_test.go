@@ -14,8 +14,9 @@ var attributionSink *attrib.Attribution
 
 // BenchmarkAttribBuild joins one real observed run — 8 ranks, 300 steps,
 // some 90 000 spans against 40 000 ticks a rank — through both feeds of the
-// join: the tracer's records in place, as core.Run does it, and the span
-// slice, where the cost of Tracer.Spans() is part of the price.
+// join: the tracer's records and the sampler's rings in place, as core.Run
+// does it, and the span and series slices, where the cost of Tracer.Spans()
+// and Sampler.RankSeries() is part of the price.
 func BenchmarkAttribBuild(b *testing.B) {
 	cfg := core.Config{
 		System:           cluster.CSCSA100(),
@@ -31,17 +32,17 @@ func BenchmarkAttribBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	series, opts := res.Sampler.RankSeries(), res.Attribution.Opts
+	opts := res.Attribution.Opts
 	b.Run("tracer", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			attributionSink = attrib.BuildFromTracer(cfg.Tracer, series, opts)
+			attributionSink = attrib.BuildFromTracer(cfg.Tracer, res.Sampler.VisitRankSeries, opts)
 		}
 	})
 	b.Run("slice", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			attributionSink = attrib.Build(cfg.Tracer.Spans(), series, opts)
+			attributionSink = attrib.Build(cfg.Tracer.Spans(), res.Sampler.RankSeries(), opts)
 		}
 	})
 	if !attributionSink.Pass {

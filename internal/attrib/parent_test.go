@@ -459,7 +459,7 @@ func TestJoinMatchesParentBuild(t *testing.T) {
 		if got := Build(spans, c.series, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: Build differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}
-		if got := BuildFromTracer(c.tr, c.series, opts); !reflect.DeepEqual(got, want) {
+		if got := BuildFromTracer(c.tr, seriesOf(c.series), opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: BuildFromTracer differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}
 		rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })

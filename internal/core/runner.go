@@ -683,13 +683,14 @@ func Run(cfg Config) (*Result, error) {
 	})
 
 	// Final sampler flush, then the span join: sampled series against
-	// kernel/function spans, read where the tracer holds them, gated by the
-	// documented tolerance contract at the sampler's own rate.
+	// kernel/function spans, both read where the sampler and the tracer hold
+	// them, gated by the documented tolerance contract at the sampler's own
+	// rate.
 	var attribution *attrib.Attribution
 	if smp != nil {
 		smp.PollAll()
 		if cfg.Tracer != nil {
-			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.RankSeries(),
+			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.VisitRankSeries,
 				attrib.Options{RateHz: smp.Config().GPUHz})
 			// No silent overflow: a rank ring that wrapped no longer holds
 			// the run's start, and the join says so instead of reporting the

@@ -19,9 +19,12 @@ const MaxDepth = 10000
 // (Text, Float) only where the caller knows the key. Errors name the byte
 // offset they were found at.
 type Scanner struct {
-	Data  []byte
-	Pos   int
-	depth int
+	Data []byte
+	Pos  int
+	// Depth counts the containers open at Pos. A scanner set down inside a
+	// document, at a position another scanner will reach, starts from the
+	// depth that one will have there.
+	Depth int
 }
 
 // Skip passes over one value of any kind, checking its syntax.
@@ -83,7 +86,7 @@ func (s *Scanner) Members(visit func(key, val []byte)) error {
 // Open steps into the object or array at Pos.
 func (s *Scanner) Open() error {
 	s.Pos++
-	if s.depth++; s.depth > MaxDepth {
+	if s.Depth++; s.Depth > MaxDepth {
 		return fmt.Errorf("nesting deeper than %d at offset %d", MaxDepth, s.Pos)
 	}
 	return nil
@@ -95,7 +98,7 @@ func (s *Scanner) Member(first bool) (key []byte, more bool, err error) {
 	c := s.Peek()
 	if c == '}' {
 		s.Pos++
-		s.depth--
+		s.Depth--
 		return nil, false, nil
 	}
 	if !first {
@@ -129,7 +132,7 @@ func (s *Scanner) Element(first bool) (more bool, err error) {
 	switch c := s.Peek(); {
 	case c == ']':
 		s.Pos++
-		s.depth--
+		s.Depth--
 		return false, nil
 	case first:
 		return true, nil

@@ -673,27 +673,46 @@ func (s *Sampler) PollNodes() {
 }
 
 // RankSeries returns each rank's sampled series, merging multiple channels
-// of the same rank in time order (the join input for internal/attrib). A
-// channel's ring is already in time order, so only a rank fed by more than
-// one channel is sorted.
+// of the same rank in time order (the join input for internal/attrib).
 func (s *Sampler) RankSeries() map[int][]Sample {
 	out := map[int][]Sample{}
-	var merged []int // ranks holding more than one channel's samples
+	s.VisitRankSeries(func(rank int, runs [][]Sample) { out[rank] = slices.Concat(runs...) })
+	return out
+}
+
+// VisitRankSeries calls visit once for every rank with a channel, in no
+// particular order, with the rank's series as RankSeries returns it,
+// without building it: runs hold
+// the samples, oldest first, in the contiguous pieces they are stored in,
+// and are valid only during the call. A channel's ring is already in time
+// order, so a rank fed by one channel is read where it lies, under the
+// channel's lock (visit must not call back into the sampler); only a rank
+// fed by several is copied, merged and sorted.
+func (s *Sampler) VisitRankSeries(visit func(rank int, runs [][]Sample)) {
+	byRank := map[int][]*Channel{}
 	for _, ch := range s.Channels() {
-		if ch.rank < 0 {
+		if ch.rank >= 0 {
+			byRank[ch.rank] = append(byRank[ch.rank], ch)
+		}
+	}
+	var runs [][]Sample
+	for r, chs := range byRank {
+		if len(chs) == 1 {
+			ch := chs[0]
+			ch.mu.Lock()
+			runs = runs[:0]
+			ch.ring.Runs(func(run []Sample) { runs = append(runs, run) })
+			visit(r, runs)
+			ch.mu.Unlock()
 			continue
 		}
-		series, seen := out[ch.rank]
-		if seen && !slices.Contains(merged, ch.rank) {
-			merged = append(merged, ch.rank)
+		var series []Sample
+		for _, ch := range chs {
+			series = ch.appendSamples(series)
 		}
-		out[ch.rank] = ch.appendSamples(series)
-	}
-	for _, r := range merged {
-		series := out[r]
 		sort.Slice(series, func(a, b int) bool { return series[a].TimeS < series[b].TimeS })
+		visit(r, [][]Sample{series})
 	}
-	return out
 }
 
 // NodeAccumJ sums the cumulative sampled energy of all node-level channels

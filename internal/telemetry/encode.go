@@ -6,95 +6,168 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sphenergy/internal/jsontext"
 )
 
-// encodeChunk is how many encoded bytes WriteJSON gathers before handing
-// them to the writer: large enough that an unbuffered *os.File sees a few
-// hundred writes for a 13 MB trace, small enough to stay cache-resident.
-const encodeChunk = 64 << 10
+// The export's pipeline: each shard is cut into pieces of pieceEvents
+// events, encodeWorkers goroutines encode pieces side by side, and WriteJSON
+// writes them in shard order as each is ready. At most encodePieces pieces
+// are in flight, each encoded into a buffer of its own that starts at
+// encodeChunk bytes — a piece of the repository's 145-byte events fits — and
+// is reused for piece after piece.
+const (
+	encodeWorkers = 2
+	encodePieces  = 2 * encodeWorkers
+	pieceEvents   = 400
+	encodeChunk   = 64 << 10
+)
 
 // WriteJSON exports the recorded events as Chrome trace_event JSON (the
 // "JSON object format": {"traceEvents": [...]}), loadable in Perfetto and
 // chrome://tracing. Ranks map to tids of pid 0; times convert from virtual
 // seconds to microseconds.
 //
-// This is where the tracer's deferred cost is paid. Each event is appended
-// straight into one reused buffer that reaches w in encodeChunk pieces; an
-// interned identity's strings are quoted once per export, not once per
-// event. The output is byte-stable and is exactly what encoding/json makes
-// of the same events held as maps: keys in sorted order (args, cat, dur,
-// name, ph, pid, s, tid, ts; argument keys sorted, the last write of a
-// repeated key winning), strings HTML-escaped, floats in its ES6-style
-// format (both written by internal/jsontext). A NaN or infinite time or
-// argument fails the export; w may have received earlier chunks by then.
+// This is where the tracer's deferred cost is paid. Events are appended
+// straight into reused buffers, by two workers at once, and reach w in
+// order, a piece at a time; an interned identity's strings are quoted once
+// per export, not once per event. The output is byte-stable and is exactly
+// what encoding/json makes of the same events held as maps: keys in sorted
+// order (args, cat, dur, name, ph, pid, s, tid, ts; argument keys sorted,
+// the last write of a repeated key winning), strings HTML-escaped, floats in
+// its ES6-style format (both written by internal/jsontext). A NaN or
+// infinite time or argument fails the export; w may have received earlier
+// pieces by then.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := traceEncoder{w: w, buf: make([]byte, 0, encodeChunk+encodeChunk/8)}
-	enc.buf = append(enc.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+		return err
+	}
 	if t != nil {
-		descs := t.descriptors()
-		frames := make([]descFrame, len(descs))
-		for i := range descs {
-			frames[i] = newDescFrame(&descs[i])
-		}
-		// Each shard is copied out under its lock into buffers shared by all
-		// shards, so encoding never blocks a recording rank.
-		var events []event
-		var fast []fastEvent
-		for tid := range t.shards {
-			s := &t.shards[tid]
-			s.mu.Lock()
-			events = s.events.AppendTo(events[:0])
-			fast = s.fast.AppendTo(fast[:0])
-			s.mu.Unlock()
-			for i := range events {
-				enc.event(tid, &events[i])
-				if err := enc.flushFull(); err != nil {
-					return err
-				}
-			}
-			for i := range fast {
-				if int(fast[i].ref) >= len(frames) {
-					continue
-				}
-				enc.fastEvent(tid, &fast[i], &frames[fast[i].ref])
-				if err := enc.flushFull(); err != nil {
-					return err
-				}
-			}
+		if err := t.writeEvents(w); err != nil {
+			return err
 		}
 	}
-	enc.buf = append(enc.buf, "]}\n"...)
-	return enc.flush()
-}
-
-// traceEncoder appends trace events to buf and drains it into w.
-type traceEncoder struct {
-	w     io.Writer
-	buf   []byte
-	args  []Attr // scratch: one generic event's arguments, sorted by key
-	wrote bool   // an event has been written, so the next needs a comma
-	err   error  // first unencodable value
-}
-
-// flush writes the pending bytes, or reports the first unencodable value
-// instead of writing past it.
-func (e *traceEncoder) flush() error {
-	if e.err != nil {
-		return e.err
-	}
-	_, err := e.w.Write(e.buf)
-	e.buf = e.buf[:0]
+	_, err := io.WriteString(w, "]}\n")
 	return err
 }
 
-// flushFull flushes once a chunk has gathered.
-func (e *traceEncoder) flushFull() error {
-	if len(e.buf) < encodeChunk && e.err == nil {
-		return nil
+// piece is a run of one shard's events and, once a worker has been through
+// it, their encoding: every event with the comma that separates it from the
+// one before.
+type piece struct {
+	tid    int
+	events []event
+	fast   []fastEvent
+	buf    []byte
+	err    error         // first unencodable value
+	done   chan struct{} // a worker has encoded the piece
+}
+
+// writeEvents encodes every shard's events and writes them to w in shard
+// order. Each shard is copied out under its lock, so encoding never blocks
+// a recording rank; two copies are kept, so that one shard's pieces are cut
+// while the last of the previous shard's are still being encoded.
+func (t *Tracer) writeEvents(w io.Writer) error {
+	descs := t.descriptors()
+	frames := make([]descFrame, len(descs))
+	for i := range descs {
+		frames[i] = newDescFrame(&descs[i])
 	}
-	return e.flush()
+	work := make(chan *piece, encodePieces) // never more pieces in flight: sends do not block
+	var workers sync.WaitGroup
+	for range encodeWorkers {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			var enc traceEncoder
+			for p := range work {
+				enc.buf, enc.err = p.buf[:0], nil
+				for i := range p.events {
+					enc.event(p.tid, &p.events[i])
+				}
+				for i := range p.fast {
+					if fe := &p.fast[i]; int(fe.ref) < len(frames) {
+						enc.fastEvent(p.tid, fe, &frames[fe.ref])
+					}
+				}
+				p.buf, p.err = enc.buf, enc.err
+				p.done <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		close(work)
+		workers.Wait()
+	}()
+
+	var ring [encodePieces]piece
+	for i := range ring {
+		ring[i].buf = make([]byte, 0, encodeChunk)
+		ring[i].done = make(chan struct{}, 1)
+	}
+	cut, written := 0, 0 // pieces handed to the workers, pieces written
+	first := true        // no event has been written: drop the next comma
+	writeNext := func() error {
+		p := &ring[written%encodePieces]
+		<-p.done
+		written++
+		if p.err != nil {
+			return p.err
+		}
+		out := p.buf
+		if first && len(out) > 0 {
+			out, first = out[1:], false
+		}
+		_, err := w.Write(out)
+		return err
+	}
+
+	var copies [2]struct {
+		events []event
+		fast   []fastEvent
+		end    int // pieces cut by the time this copy was: all are written before it is refilled
+	}
+	for tid := range t.shards {
+		c := &copies[tid%2]
+		for written < c.end {
+			if err := writeNext(); err != nil {
+				return err
+			}
+		}
+		s := &t.shards[tid]
+		s.mu.Lock()
+		c.events = s.events.AppendTo(c.events[:0])
+		c.fast = s.fast.AppendTo(c.fast[:0])
+		s.mu.Unlock()
+		for events, fast := c.events, c.fast; len(events)+len(fast) > 0; cut++ {
+			if cut-written == encodePieces {
+				if err := writeNext(); err != nil {
+					return err
+				}
+			}
+			p := &ring[cut%encodePieces]
+			n := min(len(events), pieceEvents)
+			m := min(len(fast), pieceEvents-n)
+			p.tid, p.events, p.fast = tid, events[:n], fast[:m]
+			events, fast = events[n:], fast[m:]
+			work <- p
+		}
+		c.end = cut
+	}
+	for written < cut {
+		if err := writeNext(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// traceEncoder appends trace events to buf.
+type traceEncoder struct {
+	buf  []byte
+	args []Attr // scratch: one generic event's arguments, sorted by key
+	err  error  // first unencodable value
 }
 
 // descFrame is the constant text of one interned identity's events, quoted
@@ -192,12 +265,7 @@ func (e *traceEncoder) event(tid int, ev *event) {
 }
 
 // begin separates an event from the one before it.
-func (e *traceEncoder) begin() {
-	if e.wrote {
-		e.buf = append(e.buf, ',')
-	}
-	e.wrote = true
-}
+func (e *traceEncoder) begin() { e.buf = append(e.buf, ',') }
 
 // dur appends the duration field complete events carry.
 func (e *traceEncoder) dur(ph byte, durS float64) {

@@ -224,7 +224,8 @@ func TestWriteJSONMatchesOracleOnEdgeEvents(t *testing.T) {
 		requireOracleBytes(t, tr)
 	})
 
-	// An export larger than one chunk crosses flush boundaries unharmed.
+	// An export of many pieces, one event larger than a piece's buffer,
+	// comes out unharmed.
 	t.Run("chunks", func(t *testing.T) {
 		tr := NewTracer(1)
 		ref := tr.Intern("kernel", "k", "a", "b")

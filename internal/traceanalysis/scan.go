@@ -1,17 +1,25 @@
 package traceanalysis
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"sphenergy/internal/jsontext"
+	"sphenergy/internal/par"
 )
 
 // spanBytesHint sizes the span slice from the input length. The repo's own
 // exports spend 145 bytes per event, so dividing by a little less makes one
 // allocation hold all their spans.
 const spanBytesHint = 128
+
+// splitMin is the smallest document scan reads in two halves at once: below
+// it a goroutine and a second intern table cost more than half the walk.
+const splitMin = 1 << 20
 
 // scanner is the single pass over a Chrome trace_event document behind Load
 // and LoadLenient, on the repository's shared JSON scanner: values are
@@ -26,16 +34,41 @@ type scanner struct {
 	events int               // events closed so far, spans or not
 	sim    []int             // tids that thread_name metadata names "sim"
 	names  map[string]string // interned names and categories
+
+	tail *tail       // the second half, scanning ahead; nil when none
+	stop atomic.Bool // set when this scanner is a tail nobody will join
+}
+
+func newScanner(data []byte, spanHint int) *scanner {
+	return &scanner{Scanner: jsontext.Scanner{Data: data}, names: make(map[string]string, 64),
+		spans: make([]Span, 0, spanHint)}
 }
 
 // scan walks data and returns the spans of every event that closed before
 // the walk ended, how many events closed, and why the walk ended early
-// (nil for a well-formed document). Tracks named "sim" are resolved after
-// the walk, since metadata may follow the spans it names.
+// (nil for a well-formed document). A long document is read in two halves
+// at once when there is a second CPU, split at the first event boundary
+// past its middle; the result is the serial walk's to the byte.
 func scan(data []byte) ([]Span, int, error) {
-	s := scanner{Scanner: jsontext.Scanner{Data: data}, names: make(map[string]string, 64),
-		spans: make([]Span, 0, len(data)/spanBytesHint)}
+	at := -1
+	if mid := len(data) / 2; len(data) >= splitMin && par.MaxWorkers() > 1 {
+		if i := bytes.Index(data[mid:], []byte("},{")); i >= 0 {
+			at = mid + i
+		}
+	}
+	return scanAt(data, at)
+}
+
+// scanAt is scan with the second half guessed to start after the '}' at
+// byte at, or no second half when at < 0. Tracks named "sim" are resolved
+// after the walk, since metadata may follow the spans it names.
+func scanAt(data []byte, at int) ([]Span, int, error) {
+	s := newScanner(data, len(data)/spanBytesHint)
+	if at >= 0 && at < len(data) {
+		s.tail = startTail(data, at+1)
+	}
 	err := s.document()
+	s.dropTail()
 	if len(s.sim) > 0 {
 		for i := range s.spans {
 			if slices.Contains(s.sim, s.spans[i].Rank) {
@@ -44,6 +77,56 @@ func scan(data []byte) ([]Span, int, error) {
 		}
 	}
 	return s.spans, s.events, err
+}
+
+// tail scans the events of a traceEvents array from byte from on, on its
+// own goroutine, as the array loop would if it stood at from between two
+// events: at array depth 2 (inside the trace object and the array), over the
+// same Data so that its error offsets are the document's. Whether from is
+// such a place is known only when the main walk gets there, so the guess is
+// checked then and the tail's result adopted or dropped (scanner.elements).
+type tail struct {
+	from int
+	s    *scanner
+	err  error
+	done chan struct{}
+}
+
+// startTail sets a tail scanning from byte from on.
+func startTail(data []byte, from int) *tail {
+	t := &tail{from: from, s: newScanner(data, (len(data)-from)/spanBytesHint), done: make(chan struct{})}
+	t.s.Pos, t.s.Depth = from, 2
+	go func() {
+		defer close(t.done)
+		t.err = t.s.elements(false)
+	}()
+	return t
+}
+
+// errAbandoned ends a tail whose guess the main walk found to be wrong.
+var errAbandoned = errors.New("abandoned")
+
+// join adopts the tail's walk as the rest of this array's: its spans,
+// events and track names appended, its position, depth and error taken over.
+func (s *scanner) join() error {
+	t := s.tail
+	s.tail = nil
+	<-t.done
+	s.spans = append(s.spans, t.s.spans...)
+	s.sim = append(s.sim, t.s.sim...)
+	s.events += t.s.events
+	s.Pos, s.Depth = t.s.Pos, t.s.Depth
+	return t.err
+}
+
+// dropTail stops a tail that will not be joined, at the end of the event
+// it is reading, and waits for it; its result is never read.
+func (s *scanner) dropTail() {
+	if s.tail != nil {
+		s.tail.s.stop.Store(true)
+		<-s.tail.done
+		s.tail = nil
+	}
 }
 
 // document reads the top-level value: the trace object, or null — an empty
@@ -98,7 +181,25 @@ func (s *scanner) traceEvents() error {
 	if err := s.Open(); err != nil {
 		return err
 	}
-	for first := true; ; first = false {
+	return s.elements(true)
+}
+
+// elements reads the open array's events up to its close; first says that
+// none has been read yet. Between two events, the loop is where a tail's
+// guess is settled: arriving exactly at its start, the walk joins it;
+// passing it, the guess fell inside a string or a nested value, and the walk
+// drops it and goes on alone.
+func (s *scanner) elements(first bool) error {
+	for ; ; first = false {
+		if s.tail != nil && !first && s.Pos >= s.tail.from {
+			if s.Pos == s.tail.from {
+				return s.join()
+			}
+			s.dropTail()
+		}
+		if s.stop.Load() {
+			return errAbandoned
+		}
 		more, err := s.Element(first)
 		if err != nil || !more {
 			return err

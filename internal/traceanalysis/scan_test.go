@@ -252,35 +252,50 @@ func scannerSeeds() []string {
 		`{"traceEvents":[{"ph":"X"} {"ph":"X"}]}`, `{"traceEvents":[{"ph" "X"}]}`, `{"traceEvents":[{ph:"X"}]}`, `{"traceEvents":[{"ph":"X"}]]`,
 		`{"traceEvents":[{"ph":"X"}]},`, `{"traceEvents":[{"ph":"X","args":{"a":tru}}]}`, `{"traceEvents":[{"ph":"X","args":[1,]}]}`,
 		"{\"traceEvents\":[{\"ph\":\"X\"}]}\x00", `{"a":1,"a"}`, `{"a"}`, `{1:2}`,
-		// Nesting at and past the limit encoding/json sets.
-		`{"deep":` + strings.Repeat("[", jsontext.MaxDepth-1) + strings.Repeat("]", jsontext.MaxDepth-1) + `}`,
-		`{"deep":` + strings.Repeat("[", jsontext.MaxDepth) + strings.Repeat("]", jsontext.MaxDepth) + `}`,
-		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-3) + `1` + strings.Repeat("}", jsontext.MaxDepth-3) + `}]}`,
-		`{"traceEvents":[{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-2) + `1` + strings.Repeat("}", jsontext.MaxDepth-2) + `}]}`,
+		// An event boundary's bytes inside a string and inside args: where a
+		// split's guess can fall without being one.
+		`{"traceEvents":[{"ph":"X","name":"a},{b","tid":0},{"ph":"M","name":"thread_name","tid":1,` +
+			`"args":{"l":[{"name":"x"},{"name":"sim"}],"name":"sim"}},{"ph":"X","name":"},{","tid":1},{"ph":"X","tid":2}]}`,
+		// Nesting at and past the limit encoding/json sets: after the events
+		// and in events after the first, so that a split's second half must
+		// count the depth of the array it starts in and hand over the depth
+		// it ends at.
+		`{"traceEvents":[{},{}],"deep":` + strings.Repeat("[", jsontext.MaxDepth-1) + strings.Repeat("]", jsontext.MaxDepth-1) + `}`,
+		`{"traceEvents":[{},{}],"deep":` + strings.Repeat("[", jsontext.MaxDepth) + strings.Repeat("]", jsontext.MaxDepth) + `}`,
+		`{"traceEvents":[{"ph":"X"},{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-3) + `1` + strings.Repeat("}", jsontext.MaxDepth-3) + `}]}`,
+		`{"traceEvents":[{"ph":"X"},{"ph":"X","args":` + strings.Repeat(`{"a":`, jsontext.MaxDepth-2) + `1` + strings.Repeat("}", jsontext.MaxDepth-2) + `}]}`,
 	}
 }
 
 // FuzzLoad holds the scanner to the encoding/json reference: for any input
 // no panic (so no read outside the input) and the same verdict; for an
 // accepted document the same spans; for every cut of one a prefix of them
-// with truncated=true.
+// with truncated=true. The same input read in two halves, split at the
+// fuzzed byte, must then come out as the serial walk did.
 func FuzzLoad(f *testing.F) {
 	for _, seed := range scannerSeeds() {
-		f.Add([]byte(seed))
+		at := len(seed) / 2
+		if i := strings.Index(seed[at:], "},{"); i >= 0 {
+			at += i
+		}
+		f.Add([]byte(seed), uint(at))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstReference(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte, at uint) {
+		checkAgainstReference(t, data)
+		checkSplit(t, data, int(at%uint(len(data)+1)))
+	})
 }
 
 // recordedTrace is the exported trace of one fixed observed run: 8 ranks,
-// 300 steps, ManDyn, sampler and decision ledger on (93 017 events).
-func recordedTrace(tb testing.TB) []byte {
+// ManDyn, sampler and decision ledger on (93 017 events at 300 steps).
+func recordedTrace(tb testing.TB, steps int) []byte {
 	tb.Helper()
 	cfg := core.Config{
 		System:           cluster.MiniHPC(),
 		Ranks:            8,
 		Sim:              core.Turbulence,
 		ParticlesPerRank: 10e6,
-		Steps:            300,
+		Steps:            steps,
 		Seed:             42,
 		Tracer:           telemetry.NewTracer(8),
 		Events:           events.NewLedger(0),
@@ -303,7 +318,7 @@ func recordedTrace(tb testing.TB) []byte {
 // real run through the scanner: same spans as the reference, and the same
 // spans as the in-process read-back but for the trace's microsecond trip.
 func TestLoadRealRunMatchesReferenceAndReadBack(t *testing.T) {
-	data := recordedTrace(t)
+	data := recordedTrace(t, 300)
 	want, _, err := referenceLoad(data)
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +342,59 @@ func TestLoadRealRunMatchesReferenceAndReadBack(t *testing.T) {
 	if err != nil || !truncated || len(part) == 0 || len(part) >= len(got) {
 		t.Errorf("half the trace: truncated=%v err=%v, %d of %d spans", truncated, err, len(part), len(got))
 	}
+}
+
+// checkSplit fails unless scanAt, guessing the second half to start after
+// byte at, returns what the serial walk returns for each at: the same
+// spans, the same event count and the same error, to its text and offset.
+func checkSplit(t *testing.T, data []byte, ats ...int) {
+	t.Helper()
+	want, wantEvents, wantErr := scanAt(data, -1)
+	for _, at := range ats {
+		got, events, err := scanAt(data, at)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || events != wantEvents || !sameSpans(got, want) {
+			t.Fatalf("split after byte %d: %d spans, %d events, error %v; serially %d spans, %d events, error %v\ndocument: %.300q",
+				at, len(got), events, err, len(want), wantEvents, wantErr, data)
+		}
+	}
+}
+
+// boundaries returns the byte of every '}' that opens a "},{" in data —
+// between two events, or inside a string or args.
+func boundaries(data []byte) []int {
+	var at []int
+	for i := 0; i+3 <= len(data); i++ {
+		if string(data[i:i+3]) == "},{" {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+// TestScanAtMatchesSerial reads documents in two halves, split at many
+// guesses, and holds each read to the serial walk: every seed document and
+// a short recorded 8-rank trace at each "},{" and at a spread of bytes of
+// every kind — inside strings, numbers and args — and the long recorded
+// trace, whole and cut, at the guess scan makes. Load splits nothing under a
+// megabyte, so this is what exercises the join (and `make race-model`
+// races it).
+func TestScanAtMatchesSerial(t *testing.T) {
+	docs := [][]byte{recordedTrace(t, 2)}
+	for _, seed := range scannerSeeds() {
+		docs = append(docs, []byte(seed))
+	}
+	for _, data := range docs {
+		ats := boundaries(data)
+		for i := 0; i < len(data); i += 1 + len(data)/64 {
+			ats = append(ats, i)
+		}
+		checkSplit(t, data, ats...)
+	}
+	data := recordedTrace(t, 300)
+	mid := len(data) / 2
+	guess := mid + bytes.Index(data[mid:], []byte("},{"))
+	checkSplit(t, data, guess)
+	checkSplit(t, data[:guess+len(data)/4], guess)
 }
 
 // syntheticExport is a trace of the given number of spans drawn from the
@@ -373,7 +441,7 @@ func TestLoadAllocations(t *testing.T) {
 }
 
 func BenchmarkTraceLoad(b *testing.B) {
-	data := recordedTrace(b)
+	data := recordedTrace(b, 300)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -283,7 +283,8 @@ func intervalUnionS(ss []Span) float64 {
 // "rank N" and the global track "sim"; tracks named "sim" map to
 // GlobalRank, every other tid is taken as the rank number directly.
 //
-// Load and LoadLenient share one single-pass scanner (scan.go). It reads
+// Load and LoadLenient share one single-pass scanner (scan.go), which reads
+// a long trace in two halves at once when it has a second CPU. It reads
 // the "traceEvents" array of the top-level object and, of each event, only
 // name, cat, ph, ts, dur, tid and args.name, skipping everything else
 // structurally. Keys match exactly — the trace_event format is
@@ -377,7 +378,12 @@ func Render(a *Analysis) string {
 		for r, s := range onPath {
 			shares = append(shares, share{r, s})
 		}
-		sort.Slice(shares, func(i, j int) bool { return shares[i].s > shares[j].s })
+		sort.Slice(shares, func(i, j int) bool {
+			if shares[i].s != shares[j].s {
+				return shares[i].s > shares[j].s
+			}
+			return shares[i].rank < shares[j].rank
+		})
 		b.WriteString("critical path (time each rank set the pace):\n")
 		for _, sh := range shares {
 			fmt.Fprintf(&b, "  rank %-4d %9.4fs across %d segment(s)\n",

@@ -230,6 +230,24 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// TestRenderOrdersTiedRanks: ranks that set the pace for equal time print
+// in rank order, so the report is the same from one call to the next.
+func TestRenderOrdersTiedRanks(t *testing.T) {
+	a := &Analysis{}
+	for r := 0; r < 4; r++ {
+		a.CriticalPath = append(a.CriticalPath, Segment{StartS: float64(r), EndS: float64(r + 1), Rank: 3 - r})
+	}
+	first := Render(a)
+	if !strings.Contains(first, "rank 0 ") || strings.Index(first, "rank 0 ") > strings.Index(first, "rank 3 ") {
+		t.Fatalf("tied ranks not in rank order:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if out := Render(a); out != first {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, out, first)
+		}
+	}
+}
+
 // CausedWaitS returns the wait attributed to one rank, 0 for unknown ranks.
 func (a *Analysis) CausedWaitS(rank int) float64 {
 	for _, r := range a.Ranks {
