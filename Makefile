@@ -137,13 +137,15 @@ bench-telemetry:
 # whole observed run (sampler, tracer, ledger, metrics, attribution joined
 # in place) and the attribution join through both its feeds; then the
 # trace's export and re-load on one CPU and on two, so that what the second
-# CPU buys and what the pipeline costs without one come from one command.
-# The B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
-# holds the run's allocation volume in plain `go test ./...`.
+# CPU buys and what the pipeline costs without one come from one command,
+# and the critical-path analysis of the loaded spans (serial; the second
+# CPU only runs the collector). The B/op and allocs/op columns repeat
+# exactly; TestObservedRunAllocBudget holds the run's allocation volume in
+# plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
-	$(GO) test -run '^$$' -bench TraceLoad -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
+	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
 
 # What one simulated launch costs the host with every observer off: the
 # 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as

@@ -42,8 +42,9 @@ type RecoveryInfo struct {
 // checkpointVersion guards the gob payload layout, separately from the
 // store's envelope version: the envelope knows bytes, this knows fields.
 // Version 2 dropped the fingerprint's JitterSpread and NbrRefreshCost, which
-// became constants of the model.
-const checkpointVersion = 2
+// became constants of the model; 3 dropped DeviceState's UtilEMA, BusyS and
+// Kernels, which nothing read.
+const checkpointVersion = 3
 
 // runFingerprint pins a checkpoint to the configuration that produced it.
 // Restoring under any other configuration would silently diverge, so a

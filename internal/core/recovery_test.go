@@ -15,6 +15,7 @@ import (
 	"sphenergy/internal/events"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
+	"sphenergy/internal/mpisim"
 	"sphenergy/internal/recovery"
 )
 
@@ -516,7 +517,106 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{
 		Snapshot: recovery.Snapshot{Path: "ckpt-v1.sprc"}, Payload: payload.Bytes()}}
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
 		t.Fatalf("a version 1 checkpoint was not refused by version: %v", err)
+	}
+}
+
+// TestCheckpointVersion2Refused rewrites a real checkpoint into the version
+// 2 layout, whose device states still carried UtilEMA, BusyS and the
+// per-kernel Kernels ledger. gob drops fields the decoding type lacks, so
+// the same bytes labelled version 3 resume and finish the run exactly as
+// an uninterrupted one: only the version number tells the two layouts
+// apart, and labelled 2 they must be refused naming both versions.
+func TestCheckpointVersion2Refused(t *testing.T) {
+	type kernelEnergyV2 struct {
+		Name     string
+		Launches int64
+		TimeS    float64
+		EnergyJ  float64
+	}
+	type deviceStateV2 struct {
+		Mode, LockedMHz, MemMHz                     int
+		PowerLimitW, GovCurrent, GovHoldUntil, NowS float64
+		EnergyJ, LastPowerW, BusyS, UtilEMA         float64
+		KernelsRun                                  int64
+		Kernels                                     []kernelEnergyV2
+	}
+	type nodeStateV2 struct {
+		CPUs     []cluster.MeterState
+		Mem, Aux cluster.MeterState
+		Devices  []deviceStateV2
+	}
+	type checkpointV2 struct {
+		Fp         runFingerprint
+		NextStep   int
+		T0         float64
+		StepBounds []float64
+		Load       float64
+		Setup      setupEnergies
+		World      mpisim.WorldState
+		Nodes      []nodeStateV2
+		Profiles   [][]byte
+		Strategies []strategyState
+	}
+
+	ref, err := Run(recoverableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A run stopped at its first boundary leaves a checkpoint of step 1.
+	dir := t.TempDir()
+	store, err := recovery.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := recovery.NewController(recovery.Config{Dir: dir}, store)
+	ctl.RequestStop("signal:interrupt")
+	cfg := recoverableConfig()
+	cfg.Recovery = &RunRecovery{Controller: ctl}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap, payload, _, ok := store.Latest()
+	if !ok {
+		t.Fatal("the stopped run left no checkpoint")
+	}
+	cp, err := decodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := checkpointV2{Fp: cp.Fp, NextStep: cp.NextStep, T0: cp.T0, StepBounds: cp.StepBounds,
+		Load: cp.Load, Setup: cp.Setup, World: cp.World, Profiles: cp.Profiles, Strategies: cp.Strategies}
+	for _, n := range cp.Nodes {
+		nv := nodeStateV2{CPUs: n.CPUs, Mem: n.Mem, Aux: n.Aux}
+		for _, d := range n.Devices {
+			nv.Devices = append(nv.Devices, deviceStateV2{Mode: d.Mode, LockedMHz: d.LockedMHz, MemMHz: d.MemMHz,
+				PowerLimitW: d.PowerLimitW, GovCurrent: d.GovCurrent, GovHoldUntil: d.GovHoldUntil, NowS: d.NowS,
+				EnergyJ: d.EnergyJ, LastPowerW: d.LastPowerW, BusyS: 0.5 * d.NowS, UtilEMA: 0.9, KernelsRun: d.KernelsRun,
+				Kernels: []kernelEnergyV2{{Name: FnMomentum, Launches: d.KernelsRun, TimeS: 0.5 * d.NowS, EnergyJ: d.EnergyJ}}})
+		}
+		v2.Nodes = append(v2.Nodes, nv)
+	}
+	resume := func(version int) (*Result, error) {
+		v2.Fp.Version = version
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v2); err != nil {
+			t.Fatal(err)
+		}
+		cfg := recoverableConfig()
+		cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{Snapshot: snap, Payload: buf.Bytes()}}
+		return Run(cfg)
+	}
+
+	res, err := resume(checkpointVersion)
+	if err != nil {
+		t.Fatalf("the version 2 layout labelled %d: %v", checkpointVersion, err)
+	}
+	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
+		t.Error("the version 2 layout, labelled current, resumed into a different run")
+	}
+	_, err = resume(2)
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
+		t.Fatalf("a version 2 checkpoint was not refused by version: %v", err)
 	}
 }

@@ -64,32 +64,36 @@ func TestSamplingAttributionMatchesGroundTruth(t *testing.T) {
 		t.Fatal("no resolvable kernels at 100 Hz — gate is vacuous")
 	}
 
-	// Cross-check against the device's own ground-truth accounting, the
-	// per-kernel totals its checkpoint state carries: the attribution's
-	// ModelJ per kernel must equal the per-device integrated energy (the
-	// spans carry exactly what the device accumulated).
+	// Cross-check against the device's own counters: the kernel rows must
+	// account for every launch the device ran (a row's call is one batch of
+	// its function's Launches), and — the Baseline strategy locking the
+	// clock, so the device idles at its idle floor — their ModelJ plus idle
+	// power over the time no kernel ran must rebuild the device's energy
+	// counter.
+	launches := map[string]int64{}
+	for _, f := range TurbulencePipeline() {
+		launches[f.Name] = int64(f.Launches)
+	}
 	for r := 0; r < cfg.Ranks; r++ {
 		_, dev, err := res.System.DeviceForRank(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[string]float64{}
-		for _, k := range dev.State().Kernels {
-			want[k.Name] = k.EnergyJ
-		}
-		got := map[string]float64{}
+		var ran int64
+		var modelJ, busyS float64
 		for _, row := range a.Kernels {
 			if row.Rank == r {
-				got[row.Name] = row.ModelJ
+				ran += int64(row.Calls) * launches[row.Name]
+				modelJ += row.ModelJ
+				busyS += row.TimeS
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("rank %d: %d attributed kernels, device ran %d", r, len(got), len(want))
+		if n := dev.KernelsRun(); ran != n {
+			t.Errorf("rank %d: kernel rows account for %d launches, the device ran %d", r, ran, n)
 		}
-		for name, wj := range want {
-			if gj := got[name]; math.Abs(gj-wj) > 1e-6*math.Max(1, wj) {
-				t.Errorf("rank %d kernel %s: span ModelJ %g != device ground truth %g", r, name, gj, wj)
-			}
+		want := dev.EnergyJ()
+		if got := modelJ + dev.Spec().IdlePowerW*(dev.Now()-busyS); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("rank %d: kernel ModelJ + idle floor = %.12g J, device counter %.12g J", r, got, want)
 		}
 	}
 

@@ -2,8 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 )
 
@@ -39,29 +37,9 @@ type Device struct {
 	energyJ     float64
 	lastPowerW  float64
 
-	// Busy/idle accounting for utilization queries.
-	busyS float64
-	// window utilization tracking (exponential moving average).
-	utilEMA float64
-
 	trace      *Trace
 	kernelsRun int64
 	obs        Observer
-
-	// kstats accumulates ground-truth per-kernel time/energy from the
-	// model's own integration — the reference the sampling-based
-	// attribution layer validates against.
-	kstats map[string]*KernelEnergy
-}
-
-// KernelEnergy is the model's ground-truth accounting for one kernel:
-// exact integrated energy and busy time across all launches, independent
-// of any sampling rate.
-type KernelEnergy struct {
-	Name     string
-	Launches int64
-	TimeS    float64
-	EnergyJ  float64
 }
 
 // Observer receives device events for external telemetry: completed kernel
@@ -147,15 +125,6 @@ func (d *Device) SMClockMHz() int {
 // holds d.mu. It scales achievable bandwidth and memory power.
 func (d *Device) memRatio() float64 {
 	return float64(d.memMHz) / float64(d.spec.MemClockMHz)
-}
-
-// Utilization returns a smoothed busy fraction in [0,1], mirroring the
-// coarse utilization numbers nvidia-smi/rocm-smi report (the paper and [25]
-// note these overestimate true SM occupancy).
-func (d *Device) Utilization() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.utilEMA
 }
 
 // KernelsRun returns the number of kernel launches executed.
@@ -307,20 +276,7 @@ func (d *Device) Execute(k KernelDesc) float64 {
 	} else {
 		dur = d.gov.executeKernel(d, k, t)
 	}
-	d.busyS += dur
-	d.updateUtilLocked(dur, 1)
 	d.kernelsRun += int64(k.launches())
-	if d.kstats == nil {
-		d.kstats = map[string]*KernelEnergy{}
-	}
-	ks, ok := d.kstats[k.Name]
-	if !ok {
-		ks = &KernelEnergy{Name: k.Name}
-		d.kstats[k.Name] = ks
-	}
-	ks.Launches += int64(k.launches())
-	ks.TimeS += dur
-	ks.EnergyJ += d.energyJ - startJ
 	obs, clock, energy := d.obs, d.currentClockLocked(), d.energyJ-startJ
 	d.mu.Unlock()
 	if obs != nil {
@@ -344,7 +300,6 @@ func (d *Device) Idle(seconds float64) {
 	} else {
 		d.gov.idle(d, seconds)
 	}
-	d.updateUtilLocked(seconds, 0)
 }
 
 // accountLocked advances time by dur at power p; caller holds d.mu.
@@ -373,28 +328,10 @@ func (d *Device) tracePoint(label string) {
 	}
 }
 
-func (d *Device) updateUtilLocked(dur, busy float64) {
-	if dur <= 0 {
-		return
-	}
-	// EMA with ~100 ms time constant, matching management-API smoothing.
-	const tau = 0.1
-	w := math.Exp(-dur / tau)
-	d.utilEMA = d.utilEMA*w + busy*(1-w)
-}
-
-// BusySeconds returns the cumulative kernel-execution time.
-func (d *Device) BusySeconds() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.busyS
-}
-
 // DeviceState is a device's checkpointable state: clock management mode
-// and settings, governor position, virtual time, energy/power/utilization
-// accounting, and the ground-truth per-kernel counters. The trace buffer
-// and observer are observability wiring, not model state, and are not
-// captured. Kernel entries are sorted by name so the encoding is stable.
+// and settings, governor position, virtual time, energy and power
+// accounting, and the launch count. The trace buffer and observer are
+// observability wiring, not model state, and are not captured.
 type DeviceState struct {
 	Mode         int
 	LockedMHz    int
@@ -405,17 +342,14 @@ type DeviceState struct {
 	NowS         float64
 	EnergyJ      float64
 	LastPowerW   float64
-	BusyS        float64
-	UtilEMA      float64
 	KernelsRun   int64
-	Kernels      []KernelEnergy
 }
 
 // State captures the device's checkpointable state.
 func (d *Device) State() DeviceState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := DeviceState{
+	return DeviceState{
 		Mode:         int(d.mode),
 		LockedMHz:    d.lockedMHz,
 		MemMHz:       d.memMHz,
@@ -425,15 +359,8 @@ func (d *Device) State() DeviceState {
 		NowS:         d.now,
 		EnergyJ:      d.energyJ,
 		LastPowerW:   d.lastPowerW,
-		BusyS:        d.busyS,
-		UtilEMA:      d.utilEMA,
 		KernelsRun:   d.kernelsRun,
 	}
-	for _, ks := range d.kstats {
-		st.Kernels = append(st.Kernels, *ks)
-	}
-	sort.Slice(st.Kernels, func(a, b int) bool { return st.Kernels[a].Name < st.Kernels[b].Name })
-	return st
 }
 
 // Restore installs a state captured by State, leaving the trace and
@@ -452,12 +379,5 @@ func (d *Device) Restore(st DeviceState) {
 	d.now = st.NowS
 	d.energyJ = st.EnergyJ
 	d.lastPowerW = st.LastPowerW
-	d.busyS = st.BusyS
-	d.utilEMA = st.UtilEMA
 	d.kernelsRun = st.KernelsRun
-	d.kstats = make(map[string]*KernelEnergy, len(st.Kernels))
-	for _, ks := range st.Kernels {
-		cp := ks
-		d.kstats[ks.Name] = &cp
-	}
 }

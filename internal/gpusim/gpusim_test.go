@@ -318,21 +318,6 @@ func TestIdleAccountsTimeAndEnergy(t *testing.T) {
 	}
 }
 
-func TestUtilizationTracksActivity(t *testing.T) {
-	d := NewDevice(A100SXM480GB(), 0)
-	for i := 0; i < 10; i++ {
-		d.Execute(computeKernel())
-	}
-	busy := d.Utilization()
-	if busy < 0.9 {
-		t.Errorf("utilization after sustained kernels %v, want > 0.9", busy)
-	}
-	d.Idle(5)
-	if d.Utilization() > 0.1 {
-		t.Errorf("utilization after long idle %v, want < 0.1", d.Utilization())
-	}
-}
-
 func TestKernelsRunCountsLaunches(t *testing.T) {
 	d := NewDevice(A100SXM480GB(), 0)
 	d.Execute(KernelDesc{Name: "multi", Items: 1e6, FlopsPerItem: 10, BytesPerItem: 10, Launches: 64})
@@ -470,7 +455,6 @@ func TestConcurrentManagementPlane(t *testing.T) {
 			_ = d.EnergyJ()
 			_ = d.PowerW()
 			_ = d.SMClockMHz()
-			_ = d.Utilization()
 		}
 	}
 }
@@ -498,41 +482,67 @@ func TestPureRooflineOverlapAblation(t *testing.T) {
 	}
 }
 
+// kernelLedger sums what the Observer stream reports per kernel name.
+type kernelLedger map[string]*kernelSum
+
+type kernelSum struct {
+	launches       int64
+	timeS, energyJ float64
+}
+
+func (l kernelLedger) KernelLaunched(name string, _, durS float64, _ int, energyJ float64) {
+	k := l[name]
+	if k == nil {
+		k = &kernelSum{}
+		l[name] = k
+	}
+	k.launches++
+	k.timeS += durS
+	k.energyJ += energyJ
+}
+
+func (kernelLedger) ClockChanged(float64, int, string) {}
+
+// TestKernelEnergiesGroundTruth holds the Observer's KernelLaunched stream,
+// the per-kernel ground truth attribution joins, to the device's own
+// counters: at a locked clock the kernels plus the idle floor over the idle
+// windows rebuild the energy counter and the virtual clock, and the stream
+// carries every launch.
 func TestKernelEnergiesGroundTruth(t *testing.T) {
 	d := NewDevice(A100SXM480GB(), 0)
 	if _, err := d.SetApplicationClocks(0, 1005); err != nil {
 		t.Fatal(err)
 	}
+	ledger := kernelLedger{}
+	d.SetObserver(ledger)
 	for i := 0; i < 3; i++ {
 		d.Execute(computeKernel())
 	}
+	d.Idle(0.2)
 	d.Execute(memKernel())
-	d.Idle(0.5)
+	d.Idle(0.3)
 
-	ks := d.State().Kernels
-	if len(ks) != 2 {
-		t.Fatalf("kernels = %d, want 2", len(ks))
+	if len(ledger) != 2 || ledger["compute"].launches != 3 || ledger["memory"].launches != 1 {
+		t.Fatalf("launch counts = %d kernels, compute %+v, memory %+v", len(ledger), ledger["compute"], ledger["memory"])
 	}
-	byName := map[string]KernelEnergy{}
+	var launches int64
 	var sumJ, sumT float64
-	for _, k := range ks {
-		byName[k.Name] = k
-		sumJ += k.EnergyJ
-		sumT += k.TimeS
+	for name, k := range ledger {
+		if k.energyJ <= 0 || k.timeS <= 0 {
+			t.Fatalf("kernel %s: %g J over %g s, want both positive", name, k.energyJ, k.timeS)
+		}
+		launches += k.launches
+		sumJ += k.energyJ
+		sumT += k.timeS
 	}
-	if byName["compute"].Launches != 3 || byName["memory"].Launches != 1 {
-		t.Fatalf("launch counts = %+v", byName)
+	if n := d.KernelsRun(); launches != n {
+		t.Errorf("the stream reports %d launches, the device ran %d", launches, n)
 	}
-	if byName["compute"].EnergyJ <= 0 || byName["memory"].EnergyJ <= 0 {
-		t.Fatal("kernel energies must be positive")
+	const idleS = 0.5
+	if got, want := sumT+idleS, d.Now(); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("sum(kernel time)+idle = %.15g s, device clock %.15g s", got, want)
 	}
-	// Per-kernel accounting + idle must reconstruct the device counter.
-	idleJ := 0.5 * A100SXM480GB().IdlePowerW
-	total := d.EnergyJ()
-	if diff := total - sumJ - idleJ; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("sum(kernels)+idle = %v, device counter = %v", sumJ+idleJ, total)
-	}
-	if bt := d.BusySeconds(); bt-sumT > 1e-12 || sumT-bt > 1e-12 {
-		t.Fatalf("sum kernel time %v != busy seconds %v", sumT, bt)
+	if got, want := sumJ+idleS*A100SXM480GB().IdlePowerW, d.EnergyJ(); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("sum(kernel energy)+idle = %.15g J, device counter %.15g J", got, want)
 	}
 }

@@ -296,16 +296,16 @@ func (s *State) momentumPairs() {
 				dvy := p.VY[a] - p.VY[b]
 				dvz := p.VZ[a] - p.VZ[b]
 				vdotr := dvx*dx + dvy*dy + dvz*dz
-				var piij float64
-				if vdotr < 0 {
-					hij := 0.5 * (ha + hb)
-					cij := 0.5 * (p.C[a] + p.C[b])
-					rhoij := 0.5 * (p.Rho[a] + p.Rho[b])
-					muij := hij * vdotr / (dist*dist + 0.01*hij*hij)
-					alphaij := 0.5 * (p.Alpha[a] + p.Alpha[b])
-					fij := 0.5 * (f[a] + f[b])
-					piij = fij * alphaij * (-cij*muij + avBeta*muij*muij) / rhoij
-				}
+				// Viscosity acts on approaching pairs only. Computed
+				// without a branch: on a receding pair muij is ±0, so piij
+				// is +0 — the bits the walk's untaken branch leaves.
+				hij := 0.5 * (ha + hb)
+				cij := 0.5 * (p.C[a] + p.C[b])
+				rhoij := 0.5 * (p.Rho[a] + p.Rho[b])
+				muij := hij * min(vdotr, 0) / (dist*dist + 0.01*hij*hij)
+				alphaij := 0.5 * (p.Alpha[a] + p.Alpha[b])
+				fij := 0.5 * (f[a] + f[b])
+				piij := fij * alphaij * (-cij*muij + avBeta*muij*muij) / rhoij
 				gradA := prho[a] * dwa
 				gradB := prho[b] * dwb
 				avdw := piij * 0.5 * (dwa + dwb)

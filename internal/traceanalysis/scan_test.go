@@ -271,7 +271,8 @@ func scannerSeeds() []string {
 // no panic (so no read outside the input) and the same verdict; for an
 // accepted document the same spans; for every cut of one a prefix of them
 // with truncated=true. The same input read in two halves, split at the
-// fuzzed byte, must then come out as the serial walk did.
+// fuzzed byte, must then come out as the serial walk did, and whatever it
+// loads must analyze as the oracle analyzes it.
 func FuzzLoad(f *testing.F) {
 	for _, seed := range scannerSeeds() {
 		at := len(seed) / 2
@@ -283,6 +284,9 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, at uint) {
 		checkAgainstReference(t, data)
 		checkSplit(t, data, int(at%uint(len(data)+1)))
+		if spans, _, err := LoadLenient(data); err == nil {
+			checkAnalyzeOracle(t, spans)
+		}
 	})
 }
 

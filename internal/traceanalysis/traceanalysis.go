@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -125,97 +126,164 @@ type Analysis struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
+// interval is a non-wait rank-track span as the analysis reads it.
+type interval struct{ start, end float64 }
+
+// wait is a barrier-wait span as the analysis reads it; slot is its rank's
+// index into Analyze's per-rank tables.
+type wait struct {
+	end, dur float64
+	slot     int
+}
+
+// compareFloat orders a and b by < alone, as the less functions sort.Slice
+// was given did (cmp.Compare would order NaNs first).
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
 // Analyze reconstructs barriers, attribution and the critical path from a
 // span set. Spans on the global track contribute to WallS but are excluded
 // from the rank participant logic.
+//
+// The spans are read twice and copied into pointer-free records: a first
+// pass gives each rank track a slot in order of first appearance and counts
+// its non-wait spans, a second lays their intervals out contiguously per
+// slot and collects the waits. Both are sorted in place by slices.SortFunc
+// — the pdqsort sort.Slice runs — on the keys a sort of Span copies used,
+// so entries with equal keys (the waits of one barrier) come out in the
+// same order and the float sums over them keep their bits.
 func Analyze(spans []Span, opt Options) *Analysis {
 	opt = opt.defaulted()
 	a := &Analysis{}
 
-	var waits []Span
-	perRank := map[int][]Span{} // non-wait rank-track spans
-	ranks := map[int]*RankStat{}
-	stat := func(r int) *RankStat {
-		st, ok := ranks[r]
-		if !ok {
-			st = &RankStat{Rank: r}
-			ranks[r] = st
-		}
-		return st
-	}
-	for _, s := range spans {
+	// tags[i] is span i's slot times two plus one for a wait, -1 on the
+	// global track.
+	tags := make([]int32, len(spans))
+	slotOf := map[int]int{}
+	var stats []RankStat // by slot
+	var counts []int     // non-wait spans by slot
+	nwaits := 0
+	lastRank, lastSlot := GlobalRank, -1
+	for i := range spans {
+		s := &spans[i]
 		if e := s.EndS(); e > a.WallS {
 			a.WallS = e
 		}
 		if s.Rank == GlobalRank {
+			tags[i] = -1
 			continue
+		}
+		if s.Rank != lastRank {
+			k, ok := slotOf[s.Rank]
+			if !ok {
+				k = len(stats)
+				slotOf[s.Rank] = k
+				stats = append(stats, RankStat{Rank: s.Rank})
+				counts = append(counts, 0)
+			}
+			lastRank, lastSlot = s.Rank, k
 		}
 		if s.isWait() {
-			waits = append(waits, s)
-			stat(s.Rank).WaitS += s.DurS
+			tags[i] = int32(2*lastSlot + 1)
+			stats[lastSlot].WaitS += s.DurS
+			nwaits++
 			continue
 		}
-		perRank[s.Rank] = append(perRank[s.Rank], s)
-		stat(s.Rank)
+		tags[i] = int32(2 * lastSlot)
+		counts[lastSlot]++
 	}
-	for r, ss := range perRank {
-		stat(r).BusyS = intervalUnionS(ss)
+
+	// off[k]:off[k+1] is slot k's run of intervals (and of their ends).
+	off := make([]int, len(stats)+1)
+	for k, c := range counts {
+		off[k+1] = off[k] + c
+	}
+	ivs := make([]interval, off[len(stats)])
+	waits := make([]wait, 0, nwaits)
+	next := counts // from here on, each slot's fill cursor
+	copy(next, off)
+	for i, tag := range tags {
+		if tag < 0 {
+			continue
+		}
+		s := &spans[i]
+		k := int(tag >> 1)
+		if tag&1 == 1 {
+			waits = append(waits, wait{end: s.EndS(), dur: s.DurS, slot: k})
+			continue
+		}
+		ivs[next[k]] = interval{start: s.StartS, end: s.EndS()}
+		next[k]++
+	}
+
+	// Per slot: busy time from the intervals sorted by start, then the
+	// sorted end times for the participant probe.
+	ends := make([]float64, len(ivs))
+	for k := range stats {
+		run := ivs[off[k]:off[k+1]]
+		if len(run) == 0 {
+			continue
+		}
+		slices.SortFunc(run, func(x, y interval) int { return compareFloat(x.start, y.start) })
+		stats[k].BusyS = intervalUnionS(run)
+		es := ends[off[k]:off[k+1]]
+		for i, iv := range run {
+			es[i] = iv.end
+		}
+		sort.Float64s(es)
 	}
 
 	// Group wait spans into barriers by shared end time.
-	sort.Slice(waits, func(i, j int) bool { return waits[i].EndS() < waits[j].EndS() })
-	// Rank-track span end times, sorted per rank for the participant probe.
-	ends := map[int][]float64{}
-	for r, ss := range perRank {
-		es := make([]float64, len(ss))
-		for i, s := range ss {
-			es[i] = s.EndS()
-		}
-		sort.Float64s(es)
-		ends[r] = es
-	}
-
+	slices.SortFunc(waits, func(x, y wait) int { return compareFloat(x.end, y.end) })
+	// waitingAt[k] is one more than the last barrier slot k waited at.
+	waitingAt := make([]int, len(stats))
+	var critical []int // the current barrier's critical slots
 	prevT := math.Inf(-1)
 	for i := 0; i < len(waits); {
 		j := i + 1
-		barrierT := waits[i].EndS()
-		for j < len(waits) && waits[j].EndS()-barrierT <= opt.EpsS {
-			if e := waits[j].EndS(); e > barrierT {
+		barrierT := waits[i].end
+		for j < len(waits) && waits[j].end-barrierT <= opt.EpsS {
+			if e := waits[j].end; e > barrierT {
 				barrierT = e
 			}
 			j++
 		}
 		b := Barrier{TimeS: barrierT}
-		waiting := map[int]bool{}
+		mark := len(a.Barriers) + 1
 		for _, w := range waits[i:j] {
-			b.WaitS += w.DurS
-			if w.DurS > b.MaxWaitS {
-				b.MaxWaitS = w.DurS
+			b.WaitS += w.dur
+			if w.dur > b.MaxWaitS {
+				b.MaxWaitS = w.dur
 			}
-			if !waiting[w.Rank] {
-				waiting[w.Rank] = true
-				b.Waiters = append(b.Waiters, w.Rank)
+			if waitingAt[w.slot] != mark {
+				waitingAt[w.slot] = mark
+				b.Waiters = append(b.Waiters, stats[w.slot].Rank)
 			}
 		}
 		sort.Ints(b.Waiters)
 		// Participants: ranks with any span ending inside (prevT, barrierT].
 		// The critical rank's own work span ends at the barrier; dead ranks
 		// have nothing in the window and drop out.
-		for r, es := range ends {
-			if waiting[r] {
-				continue
-			}
-			if hasEndIn(es, prevT, barrierT+opt.EpsS) {
-				b.Critical = append(b.Critical, r)
+		critical = critical[:0]
+		for k := range stats {
+			if waitingAt[k] != mark && hasEndIn(ends[off[k]:off[k+1]], prevT, barrierT+opt.EpsS) {
+				critical = append(critical, k)
+				b.Critical = append(b.Critical, stats[k].Rank)
 			}
 		}
 		sort.Ints(b.Critical)
-		if len(b.Critical) > 0 {
-			share := b.WaitS / float64(len(b.Critical))
-			for _, r := range b.Critical {
-				st := stat(r)
-				st.CausedWaitS += share
-				st.CriticalCount++
+		if len(critical) > 0 {
+			share := b.WaitS / float64(len(critical))
+			for _, k := range critical {
+				stats[k].CausedWaitS += share
+				stats[k].CriticalCount++
 			}
 			a.AttributedWaitS += b.WaitS
 		}
@@ -234,9 +302,7 @@ func Analyze(spans []Span, opt Options) *Analysis {
 		i = j
 	}
 
-	for _, st := range ranks {
-		a.Ranks = append(a.Ranks, *st)
-	}
+	a.Ranks = stats
 	sort.Slice(a.Ranks, func(i, j int) bool { return a.Ranks[i].Rank < a.Ranks[j].Rank })
 
 	a.Stragglers = append([]RankStat(nil), a.Ranks...)
@@ -255,24 +321,19 @@ func hasEndIn(es []float64, lo, hi float64) bool {
 	return i < len(es) && es[i] <= hi
 }
 
-// intervalUnionS returns the total extent covered by the spans' intervals,
-// overlaps counted once (function spans contain their kernel spans).
-func intervalUnionS(ss []Span) float64 {
-	if len(ss) == 0 {
-		return 0
-	}
-	sorted := append([]Span(nil), ss...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].StartS < sorted[j].StartS })
+// intervalUnionS returns the total extent covered by intervals sorted by
+// start, overlaps counted once (function spans contain their kernel spans).
+func intervalUnionS(sorted []interval) float64 {
 	total := 0.0
-	curStart, curEnd := sorted[0].StartS, sorted[0].EndS()
-	for _, s := range sorted[1:] {
-		if s.StartS > curEnd {
+	curStart, curEnd := sorted[0].start, sorted[0].end
+	for _, iv := range sorted[1:] {
+		if iv.start > curEnd {
 			total += curEnd - curStart
-			curStart, curEnd = s.StartS, s.EndS()
+			curStart, curEnd = iv.start, iv.end
 			continue
 		}
-		if e := s.EndS(); e > curEnd {
-			curEnd = e
+		if iv.end > curEnd {
+			curEnd = iv.end
 		}
 	}
 	return total + (curEnd - curStart)
