@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke events-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke bundle-smoke soak soak-smoke check experiments examples clean
 
 all: build lint test
 
@@ -21,7 +21,8 @@ all: build lint test
 #                executions each beyond their seed corpora.
 #   chaos-smoke  a seeded fault sweep: the degradation layer keeps the
 #                measurement contract and replays bit-identically.
-#   events-smoke a tuned run whose exported decision ledger must audit.
+#   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
+#                and with its trace and ledger cut mid-line.
 #   soak-smoke   a seeded kill-and-recover sweep that must converge
 #                bit-identically, and the cost-per-autosave bound.
 #   bench-smoke  the repository's one benchmark at smoke size: production
@@ -31,7 +32,7 @@ all: build lint test
 # The other bench-* targets time things and gate nothing: bench-observe the
 # observers, bench-model the plain run's rank-phase loop, bench-sph and
 # bench-telemetry their packages' primitives, bench the whole benchmark.
-check: lint race race-sph race-model fuzz-smoke chaos-smoke events-smoke soak-smoke bench-smoke
+check: lint race race-sph race-model fuzz-smoke chaos-smoke bundle-smoke soak-smoke bench-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -166,16 +167,28 @@ bench-model:
 bench-sph:
 	$(GO) test -run '^$$' -bench FindNeighbors -benchtime 10x -count 3 ./internal/sph/
 
-# Decision-observability gate for `check`: a tiny tuned run with the event
-# ledger on, exported as JSONL, then audited — declog must exit 0 with at
-# least one per-function decision row (it exits 1 on a decision-free
-# ledger, failing the target).
-events-smoke:
-	$(GO) run ./cmd/sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 \
-		-strategy mandyn -sample-hz 100 -q \
-		-events-out /tmp/events_smoke.jsonl -report /tmp/events_smoke.json \
-		-trace-out /tmp/events_smoke.trace.json > /dev/null
-	$(GO) run ./cmd/declog -events /tmp/events_smoke.jsonl -report /tmp/events_smoke.json
+# Run-bundle gate for `check`: a tiny tuned, sampled run writes its bundle,
+# and every inspect verb must read it (decisions exits 1 on a ledger without
+# decisions, failing the target). Then the trace and the ledger are cut
+# mid-line, as a killed run can leave them: trace must analyze the prefix
+# and say "truncated trace", decisions audit it and say "truncated ledger".
+BUNDLE_SMOKE ?= /tmp/sphexa_bundle_smoke
+bundle-smoke:
+	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut
+	$(GO) build -o $(BUNDLE_SMOKE)/ ./cmd/sphexa ./cmd/inspect
+	$(BUNDLE_SMOKE)/sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 \
+		-strategy mandyn -sample-hz 100 -q -out $(BUNDLE_SMOKE)/run > /dev/null
+	$(BUNDLE_SMOKE)/inspect energy $(BUNDLE_SMOKE)/run > /dev/null
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/run
+	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/run
+	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/trace.json) / 2 )) \
+		$(BUNDLE_SMOKE)/run/trace.json > $(BUNDLE_SMOKE)/cut/trace.json
+	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/events.jsonl) - 10 )) \
+		$(BUNDLE_SMOKE)/run/events.jsonl > $(BUNDLE_SMOKE)/cut/events.jsonl
+	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/trace.txt
+	grep -q 'truncated trace' $(BUNDLE_SMOKE)/cut/trace.txt
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
+	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
 
 # Regenerate every table/figure at the paper's step counts.
 experiments:

@@ -1,88 +1,15 @@
-// Command declog audits a run's decision ledger: it joins the frequency
-// decisions recorded by the events ledger (what the ManDyn controller chose,
-// and what the tuner's model predicted for that choice) against the achieved
-// per-kernel energy attribution, renders a per-function decision timeline,
-// flags decisions whose achieved EDP deviates from the prediction beyond a
-// threshold, and compares every choice against the brute-force sweep's sweet
-// spot — "this run left X% EDP on the table".
-//
-// Examples:
-//
-//	sphexa -sim turbulence -ranks 2 -s 4 -ppr 10e6 -strategy mandyn \
-//	    -energy-validate -events-out run.events.jsonl -report run.json
-//	declog -events run.events.jsonl -report run.json
-//	declog -events run.events.jsonl -threshold 10 -json
-//
-// Exit status is 0 when the ledger holds at least one frequency decision,
-// 1 otherwise (missing file, unparseable ledger, or a run that never
-// switched clocks — nothing to audit).
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 
 	"sphenergy/internal/attrib"
 	"sphenergy/internal/events"
-	"sphenergy/internal/instr"
 )
-
-func main() {
-	var (
-		eventsPath = flag.String("events", "", "decision-ledger JSONL (sphexa -events-out)")
-		reportPath = flag.String("report", "", "energy report JSON (sphexa -report) for the achieved-EDP join")
-		threshold  = flag.Float64("threshold", 25, "flag decisions whose achieved EDP deviates from the prediction by more than this percentage")
-		jsonOut    = flag.Bool("json", false, "emit the analysis as JSON instead of the rendered table")
-	)
-	flag.Parse()
-	if *eventsPath == "" {
-		fmt.Fprintln(os.Stderr, "declog: -events is required")
-		flag.Usage()
-		os.Exit(1)
-	}
-
-	evs, beyond, err := events.ReadFile(*eventsPath)
-	fatalIf(err)
-	if beyond > 0 {
-		fmt.Fprintf(os.Stderr, "declog: warning: ledger file is truncated; auditing the valid prefix (%d bytes beyond it not read)\n", beyond)
-	}
-
-	var att *attrib.Attribution
-	system := ""
-	if *reportPath != "" {
-		rep, err := instr.ReadReportFile(*reportPath)
-		fatalIf(err)
-		att = rep.Attribution
-		system = rep.System
-	}
-
-	a := analyze(evs, att, *threshold)
-	a.Truncated, a.BeyondBytes = beyond > 0, beyond
-	if a.System == "" {
-		a.System = system
-	}
-	// A recovery audit (crash/restart/budget timeline under a baseline or
-	// static strategy) legitimately has no frequency decisions; only bail
-	// when there are no anomalies to report either.
-	if a.Decisions == 0 && len(a.Anomalies) == 0 {
-		fmt.Fprintln(os.Stderr, "declog: ledger holds no frequency decisions or anomalies — nothing to audit")
-		os.Exit(1)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		fatalIf(enc.Encode(a))
-		return
-	}
-	fmt.Print(render(a))
-}
 
 // analysis is the joined audit: one row per instrumented function that saw
 // at least one frequency decision.
@@ -305,7 +232,7 @@ func render(a *analysis) string {
 		sb.WriteString("\nno tuner sweep in the ledger: run the tuner through the same ledger for sweet-spot comparison\n")
 	}
 	if !a.HaveAchieved {
-		sb.WriteString("no attribution join: pass -report from a sampled run (-energy-validate) for achieved EDP\n")
+		sb.WriteString("no attribution join: achieved EDP needs the report.json of a sampled run (sphexa -sample-hz or -energy-validate)\n")
 	}
 	if a.Flagged > 0 {
 		fmt.Fprintf(&sb, "%d decision(s) deviate from prediction beyond %.0f%% — inspect the flagged rows\n",
@@ -338,11 +265,4 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "declog:", err)
-		os.Exit(1)
-	}
 }

@@ -17,12 +17,12 @@ import (
 	"sphenergy/internal/tuner"
 )
 
-// TestDeclogEndToEnd is the acceptance path: tune through a ledger, run
+// TestDecisionsEndToEnd is the acceptance path: tune through a ledger, run
 // ManDyn with the same ledger and sampling on, export the ledger as JSONL,
 // and audit it — the per-function table must join predicted EDP against the
 // attribution's achieved EDP, and the sweet spot recovered from the sweep
 // events must agree with the brute-force tuner within 1%.
-func TestDeclogEndToEnd(t *testing.T) {
+func TestDecisionsEndToEnd(t *testing.T) {
 	spec := sphenergy.MiniHPC()
 	led := sphenergy.NewEventLedger(0)
 	table, err := sphenergy.TuneFrequenciesObserved(spec, sphenergy.Turbulence, 10e6, 150, led)
@@ -49,7 +49,7 @@ func TestDeclogEndToEnd(t *testing.T) {
 		t.Fatal("sampled run produced no attribution")
 	}
 
-	// Round-trip through the JSONL export, as the CLI consumes it.
+	// Round-trip through the JSONL export, as the verb consumes it.
 	var buf bytes.Buffer
 	if err := led.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -139,9 +139,9 @@ func TestDeclogEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeclogUntunedRunLeavesEDPOnTable pins the "left on the table" math: a
+// TestDecisionsUntunedRunLeavesEDPOnTable pins the "left on the table" math: a
 // static off-sweet-spot clock must show a positive aggregate loss.
-func TestDeclogUntunedRunLeavesEDPOnTable(t *testing.T) {
+func TestDecisionsUntunedRunLeavesEDPOnTable(t *testing.T) {
 	spec := sphenergy.MiniHPC()
 	led := sphenergy.NewEventLedger(0)
 	if _, err := sphenergy.TuneFrequenciesObserved(spec, sphenergy.Turbulence, 10e6, 150, led); err != nil {
@@ -210,7 +210,8 @@ func TestAnalyzeTruncatedLedger(t *testing.T) {
 	if a.Decisions == 0 {
 		t.Errorf("valid prefix lost its decisions: %+v", a)
 	}
-	// As main does it: from the file, with the size of what was not read.
+	// As the decisions verb does it: from the file, with the size of what
+	// was not read.
 	path := filepath.Join(t.TempDir(), "cut.jsonl")
 	if err := os.WriteFile(path, cut, 0o644); err != nil {
 		t.Fatal(err)
@@ -229,8 +230,8 @@ func TestAnalyzeTruncatedLedger(t *testing.T) {
 	}
 }
 
-// TestAnalyzeEmptyLedgerHasNoDecisions pins the CLI's failure mode: a
-// ledger without frequency decisions audits to zero rows (main exits 1).
+// TestAnalyzeEmptyLedgerHasNoDecisions pins the verb's failure mode: a
+// ledger without frequency decisions audits to zero rows (it exits 1).
 func TestAnalyzeEmptyLedgerHasNoDecisions(t *testing.T) {
 	a := analyze(nil, nil, 25)
 	if a.Decisions != 0 || len(a.Rows) != 0 {

@@ -8,10 +8,10 @@
 // Examples:
 //
 //	sphexa -sim turbulence -system cscs-a100 -ranks 32 -s 100
-//	sphexa -sim evrard -system lumi-g -ranks 32 -s 100 -report evrard.json
+//	sphexa -sim evrard -system lumi-g -ranks 32 -s 100 -out evrard
 //	sphexa -sim turbulence -system minihpc -ranks 1 -strategy mandyn
-//	sphexa -sim turbulence -ranks 4 -strategy mandyn -trace-out run.trace.json \
-//	    -metrics-out metrics.json -metrics-addr :9090
+//	sphexa -sim turbulence -ranks 4 -strategy mandyn -sample-hz 100 -out run \
+//	    -metrics-addr :9090
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate \
 //	    -fault-plan plan.json -degradation drop-rank
@@ -24,6 +24,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 
@@ -40,22 +41,18 @@ import (
 
 func main() {
 	var (
-		simName   = flag.String("sim", "turbulence", "simulation: turbulence or evrard")
-		system    = flag.String("system", "minihpc", "system: lumi-g, cscs-a100 or minihpc")
-		ranks     = flag.Int("ranks", 1, "MPI ranks (one per GPU die)")
-		steps     = flag.Int("s", 100, "time-steps")
-		pprFlag   = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation")
-		strategy  = flag.String("strategy", "baseline", "frequency strategy: baseline, static:<mhz>, dvfs, mandyn, powercap:<watts>")
-		ng        = flag.Int("ng", 150, "SPH neighbor count")
-		reportOut = flag.String("report", "", "write the JSON energy report to this path")
-		csvOut    = flag.String("csv", "", "write the per-function CSV export to this path")
-		carbon    = flag.String("carbon", "", "report CO2e for a grid: hydro, swiss, eu, coal")
-		quiet     = flag.Bool("q", false, "suppress breakdown output")
+		simName  = flag.String("sim", "turbulence", "simulation: turbulence or evrard")
+		system   = flag.String("system", "minihpc", "system: lumi-g, cscs-a100 or minihpc")
+		ranks    = flag.Int("ranks", 1, "MPI ranks (one per GPU die)")
+		steps    = flag.Int("s", 100, "time-steps")
+		pprFlag  = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation")
+		strategy = flag.String("strategy", "baseline", "frequency strategy: baseline, static:<mhz>, dvfs, mandyn, powercap:<watts>")
+		ng       = flag.Int("ng", 150, "SPH neighbor count")
+		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json and report.csv (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto), metrics.json and events.jsonl (decision ledger); read it with cmd/inspect")
+		carbon   = flag.String("carbon", "", "report CO2e for a grid: hydro, swiss, eu, coal")
+		quiet    = flag.Bool("q", false, "suppress breakdown output")
 
-		traceOut    = flag.String("trace-out", "", "write the run timeline as Chrome trace_event JSON (open in Perfetto or chrome://tracing)")
-		metricsOut  = flag.String("metrics-out", "", "write the metrics JSON snapshot to this path")
-		eventsOut   = flag.String("events-out", "", "write the decision ledger as JSONL to this path (audit with cmd/declog)")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text format on this address at /metrics during the run (e.g. :9090); also mounts /metrics.json, /healthz, /debug/pprof/ and — when the decision ledger is on — /events (SSE) and /status")
+		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text format on this address at /metrics during the run (e.g. :9090); also mounts /metrics.json, /healthz, /debug/pprof/ and the decision ledger's /events (SSE) and /status")
 		cpuProfile  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this path (per-pass samples carry a pass= pprof label)")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this path at exit")
 
@@ -77,13 +74,32 @@ func main() {
 
 	gridIntensity, err := resolveGrid(*carbon)
 	fatalIf(err)
+	if *outDir != "" {
+		// A bad output path fails here, not after the run.
+		fatalIf(os.MkdirAll(*outDir, 0o755))
+	}
+
+	// Signals are caught from here on. The handler starts once the run is
+	// configured; a signal that comes before it waits in sigc, which holds
+	// the graceful first signal and the forcing second.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
 	var prof *telemetry.Profiler
 	if *cpuProfile != "" || *memProfile != "" {
-		var err error
 		prof, err = telemetry.StartProfiler(*cpuProfile, *memProfile)
 		fatalIf(err)
-		defer func() { fatalIf(prof.Close()) }()
+	}
+	// closeProf writes the profiles once, whether the run ends or a signal
+	// stops it.
+	closeProf := sync.OnceValue(prof.Close)
+	defer func() { fatalIf(closeProf()) }()
+	// exitWith writes the profiles (os.Exit skips defers) before leaving
+	// with a contract code: 0 clean, 1 error, 3 budget-stop, 4 restarts
+	// exhausted, 128+sig signal stop.
+	exitWith := func(code int) {
+		closeProf()
+		os.Exit(code)
 	}
 
 	spec, err := sphenergy.SystemByName(*system)
@@ -102,28 +118,23 @@ func main() {
 		Ng:               *ng,
 	}
 
-	if *traceOut != "" {
+	if *outDir != "" || *validate {
+		// Attribution joins sampled power against kernel spans, so the
+		// validation mode needs a tracer even without -out.
 		cfg.Tracer = telemetry.NewTracer(*ranks)
-		// Mirror rank 0's frequency/power trajectory into the timeline.
-		cfg.Trace = true
 	}
+	// Mirror rank 0's frequency/power trajectory into the bundle's timeline.
+	cfg.Trace = *outDir != ""
 	if *validate && *sampleHz <= 0 {
 		*sampleHz = sampler.DefaultGPUHz
 	}
 	if *sampleHz > 0 {
 		cfg.Sampling = sampler.Config{GPUHz: *sampleHz, NodeHz: *sampleNodeHz}
 	}
-	if *validate && cfg.Tracer == nil {
-		// Attribution joins sampled power against kernel spans, so the
-		// validation mode needs a tracer even without -trace-out.
-		cfg.Tracer = telemetry.NewTracer(*ranks)
-	}
-	if *metricsOut != "" || *metricsAddr != "" {
+	if *outDir != "" || *metricsAddr != "" {
 		cfg.Metrics = telemetry.NewRegistry()
-	}
-	if *eventsOut != "" || *metricsAddr != "" {
-		// The decision ledger: exported as JSONL for cmd/declog, and served
-		// live (SSE + status) when an HTTP listener is up anyway.
+		// The decision ledger: written to the bundle, and served live (SSE +
+		// status) when an HTTP listener is up anyway.
 		cfg.Events = sphenergy.NewEventLedger(0)
 	}
 	if *faultPlan != "" {
@@ -134,69 +145,18 @@ func main() {
 	cfg.Degradation = *degradation
 	cfg.ProfileLabels = *cpuProfile != ""
 	if *metricsAddr != "" {
-		var mounts []sphenergy.Mount
-		if cfg.Events != nil {
-			mounts = append(mounts,
-				sphenergy.Mount{Pattern: "/events", Handler: cfg.Events.SSEHandler()},
-				sphenergy.Mount{Pattern: "/status", Handler: cfg.Events.StatusHandler()})
-		}
-		srv, err := telemetry.ServeMetrics(*metricsAddr, cfg.Metrics, mounts...)
+		srv, err := telemetry.ServeMetrics(*metricsAddr, cfg.Metrics,
+			sphenergy.Mount{Pattern: "/events", Handler: cfg.Events.SSEHandler()},
+			sphenergy.Mount{Pattern: "/status", Handler: cfg.Events.StatusHandler()})
 		fatalIf(err)
 		defer srv.Close()
 		fmt.Printf("serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 
-	// On SIGINT/SIGTERM, flush the streaming outputs before dying so a
-	// cancelled job still leaves an analyzable partial trace, metrics
-	// snapshot and decision ledger on disk. The writers snapshot under
-	// their own locks, so flushing mid-step is safe; declog and tracetool
-	// both tolerate the truncated tail.
-	flushOutputs := func(w *os.File) {
-		if *traceOut != "" && cfg.Tracer != nil {
-			if err := cfg.Tracer.WriteFile(*traceOut); err == nil {
-				fmt.Fprintf(w, "trace written to %s (%d events)\n", *traceOut, cfg.Tracer.Len())
-			}
-		}
-		if *metricsOut != "" && cfg.Metrics != nil {
-			if err := cfg.Metrics.WriteFile(*metricsOut); err == nil {
-				fmt.Fprintf(w, "metrics written to %s\n", *metricsOut)
-			}
-		}
-		if *eventsOut != "" && cfg.Events != nil {
-			if err := cfg.Events.WriteFile(*eventsOut); err == nil {
-				fmt.Fprintf(w, "events written to %s (%d emitted)\n", *eventsOut, cfg.Events.Emitted())
-			}
-		}
-	}
-	// With recovery on, the first signal requests a graceful stop: the run
-	// writes a final checkpoint at the next step boundary and sphexa exits
-	// 128+sig after flushing its outputs; a second signal (or any signal
-	// with recovery off) forces the old immediate flush-and-die path.
 	recoveryOn := *ckptDir != "" || *wallBudget > 0 || *energyBudget > 0
 	if recoveryOn && *validate {
 		fatalIf(fmt.Errorf("-energy-validate cannot be combined with -checkpoint-dir or budgets"))
 	}
-	var curCtl atomic.Pointer[recovery.Controller]
-	var sigCode atomic.Int32
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		for sig := range sigc {
-			code := 128 + int(syscall.SIGTERM)
-			if s, ok := sig.(syscall.Signal); ok {
-				code = 128 + int(s)
-			}
-			if ctl := curCtl.Load(); ctl != nil && sigCode.Swap(int32(code)) == 0 {
-				fmt.Fprintf(os.Stderr,
-					"sphexa: %v: stopping gracefully with a final checkpoint (repeat to force quit)\n", sig)
-				ctl.RequestStop("signal:" + sig.String())
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", sig)
-			flushOutputs(os.Stderr)
-			os.Exit(code)
-		}
-	}()
 
 	switch {
 	case *strategy == "baseline":
@@ -214,7 +174,8 @@ func main() {
 	case *strategy == "mandyn":
 		// Observe the search through the ledger: sweep measurements become
 		// tuner events and the predicted time/power/EDP table rides on every
-		// frequency decision the run makes (cmd/declog joins the two).
+		// frequency decision the run makes (`inspect decisions` joins the
+		// two).
 		table, err := sphenergy.TuneFrequenciesObserved(spec, sim, ppr, *ng, cfg.Events)
 		fatalIf(err)
 		fmt.Println("tuned per-function frequencies (MHz):")
@@ -226,15 +187,39 @@ func main() {
 		fatalIf(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
-	// exitWith flushes the profiler (os.Exit skips defers) before leaving
-	// with a contract code: 0 clean, 1 error, 3 budget-stop, 4 restarts
-	// exhausted, 128+sig signal stop.
-	exitWith := func(code int) {
-		if prof != nil {
-			prof.Close()
+	// flush writes the bundle of a run that ends without a report (a signal,
+	// or restarts exhausted): the partial trace, metrics and ledger. The
+	// writers snapshot under their own locks, so flushing mid-step is safe.
+	flush := func() {
+		if *outDir != "" {
+			if err := sphenergy.WriteBundle(*outDir, cfg, nil); err != nil {
+				fmt.Fprintln(os.Stderr, "sphexa:", err)
+			}
 		}
-		os.Exit(code)
 	}
+	// With recovery on, the first signal requests a graceful stop: the run
+	// writes a final checkpoint at the next step boundary and sphexa exits
+	// 128+sig after writing its bundle; a second signal (or any signal with
+	// recovery off) forces the immediate flush-and-exit path.
+	var curCtl atomic.Pointer[recovery.Controller]
+	var sigCode atomic.Int32
+	go func() {
+		for sig := range sigc {
+			code := 128 + int(syscall.SIGTERM)
+			if s, ok := sig.(syscall.Signal); ok {
+				code = 128 + int(s)
+			}
+			if ctl := curCtl.Load(); ctl != nil && sigCode.Swap(int32(code)) == 0 {
+				fmt.Fprintf(os.Stderr,
+					"sphexa: %v: stopping gracefully with a final checkpoint (repeat to force quit)\n", sig)
+				ctl.RequestStop("signal:" + sig.String())
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", sig)
+			flush()
+			exitWith(code)
+		}
+	}()
 
 	var res *sphenergy.Result
 	var outcome *sphenergy.RecoveryOutcome
@@ -256,7 +241,7 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sphexa:", err)
 			if outcome != nil && outcome.Status == recovery.StatusRestartsExhausted {
-				flushOutputs(os.Stderr)
+				flush()
 				exitWith(4)
 			}
 			exitWith(1)
@@ -318,25 +303,10 @@ func main() {
 			kwh, gridIntensity, kwh*gridIntensity/1000)
 	}
 
-	if *reportOut != "" {
-		fatalIf(res.Report.WriteFile(*reportOut))
-		fmt.Printf("\nreport written to %s\n", *reportOut)
-	}
-	if *csvOut != "" {
-		fatalIf(res.Report.WriteCSVFile(*csvOut))
-		fmt.Printf("CSV written to %s\n", *csvOut)
-	}
-	if *traceOut != "" {
-		fatalIf(cfg.Tracer.WriteFile(*traceOut))
-		fmt.Printf("trace written to %s (%d events)\n", *traceOut, cfg.Tracer.Len())
-	}
-	if *metricsOut != "" {
-		fatalIf(cfg.Metrics.WriteFile(*metricsOut))
-		fmt.Printf("metrics written to %s\n", *metricsOut)
-	}
-	if *eventsOut != "" {
-		fatalIf(cfg.Events.WriteFile(*eventsOut))
-		fmt.Printf("events written to %s (%d emitted)\n", *eventsOut, cfg.Events.Emitted())
+	if *outDir != "" {
+		fatalIf(sphenergy.WriteBundle(*outDir, cfg, res.Report))
+		fmt.Printf("\nbundle written to %s (%d trace events, %d ledger events)\n",
+			*outDir, cfg.Tracer.Len(), cfg.Events.Emitted())
 	}
 
 	if outcome != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sphenergy/internal/core"
 )
@@ -32,8 +33,8 @@ func runSphexa(t *testing.T, args ...string) (stdout, stderr string, err error) 
 }
 
 func TestUnknownCarbonGridFailsBeforeTheRun(t *testing.T) {
-	report := filepath.Join(t.TempDir(), "r.json")
-	stdout, stderr, err := runSphexa(t, "-ranks", "1", "-s", "3", "-ppr", "10e6", "-carbon", "bogus", "-report", report)
+	out := filepath.Join(t.TempDir(), "run")
+	stdout, stderr, err := runSphexa(t, "-ranks", "1", "-s", "3", "-ppr", "10e6", "-carbon", "bogus", "-out", out)
 	if _, ok := err.(*exec.ExitError); !ok {
 		t.Fatalf("err = %v, want a non-zero exit", err)
 	}
@@ -43,8 +44,81 @@ func TestUnknownCarbonGridFailsBeforeTheRun(t *testing.T) {
 	if stdout != "" {
 		t.Errorf("the run executed before the flag was rejected:\n%s", stdout)
 	}
-	if _, err := os.Stat(report); err == nil {
-		t.Error("report written despite the bad flag")
+	if _, err := os.Stat(out); err == nil {
+		t.Error("bundle directory created despite the bad flag")
+	}
+}
+
+// TestUnusableOutFailsBeforeTheRun: a bundle directory that cannot be
+// created is refused before anything runs, not after the results print.
+func TestUnusableOutFailsBeforeTheRun(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := runSphexa(t, "-ranks", "1", "-s", "3", "-ppr", "10e6", "-out", filepath.Join(file, "run"))
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("err = %v, want a non-zero exit", err)
+	}
+	if stdout != "" {
+		t.Errorf("the run executed before the path was rejected:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "not a directory") {
+		t.Errorf("stderr = %q, want the mkdir error", stderr)
+	}
+}
+
+// TestInterruptKeepsProfileAndBundle stops a long run with SIGINT: it exits
+// 130 with its CPU profile written out (gzip-compressed protobuf) and the
+// observers' files in the bundle, without a report.
+func TestInterruptKeepsProfileAndBundle(t *testing.T) {
+	dir := t.TempDir()
+	prof, out := filepath.Join(dir, "c.pprof"), filepath.Join(dir, "run")
+	cmd := exec.Command(os.Args[0], "-s", "100000000", "-ppr", "10e6", "-q", "-cpuprofile", prof, "-out", out)
+	cmd.Env = append(os.Environ(), "SPHEXA_TEST_MAIN=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	// The profile is created after sphexa starts catching signals.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(prof); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("no profile file after 30 s; stderr:\n%s", errb.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		cmd.Process.Kill()
+		t.Fatal("sphexa still running 60 s after SIGINT")
+	}
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 130 {
+		t.Fatalf("err = %v, want exit 130; stderr:\n%s", err, errb.String())
+	}
+	data, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		t.Errorf("profile is %d bytes and does not start with the gzip magic", len(data))
+	}
+	for name, want := range map[string]bool{"trace.json": true, "metrics.json": true, "events.jsonl": true, "report.json": false} {
+		if _, err := os.Stat(filepath.Join(out, name)); (err == nil) != want {
+			t.Errorf("%s on disk: %v, want %v", name, err == nil, want)
+		}
 	}
 }
 

@@ -687,7 +687,7 @@ func (a *Attribution) TopKernels(n int) []Row {
 		agg.Resolvable = agg.Resolvable && r.Resolvable
 		agg.Degraded = agg.Degraded || r.Degraded
 		// The scratch accumulators don't survive a JSON round trip
-		// (energyreport re-aggregates rows read from disk), so rebuild
+		// (`inspect energy` re-aggregates rows read from disk), so rebuild
 		// them from the exported per-row values when they're empty.
 		if r.clockWeight == 0 && r.ClockMHz > 0 {
 			r.clockWeight = r.ClockMHz * r.TimeS

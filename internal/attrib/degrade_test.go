@@ -148,7 +148,7 @@ func TestBuildReportsAchievedClock(t *testing.T) {
 }
 
 func TestTopKernelsSurvivesJSONRoundTrip(t *testing.T) {
-	// energyreport re-aggregates rows parsed from disk, where the scratch
+	// `inspect energy` re-aggregates rows parsed from disk, where the scratch
 	// accumulators are gone: Degraded, DegradedPct and ClockMHz must be
 	// rebuilt from the exported fields.
 	samples := grid(10, [2]float64{1, 200}, [2]float64{1, 50})

@@ -139,7 +139,7 @@ func TestRunWithoutTelemetryUnchanged(t *testing.T) {
 
 // BenchmarkTelemetryOverhead quantifies the cost of instrumentation against
 // the no-op nil-sink path — the §III-B non-perturbation check — at the
-// paper's step count (100 steps, the workload --trace-out actually sees).
+// paper's step count (100 steps, the workload sphexa -out actually sees).
 // Compare:
 //
 //	go test -bench TelemetryOverhead -benchtime 300x -count 3 ./internal/core/
@@ -149,10 +149,10 @@ func TestRunWithoutTelemetryUnchanged(t *testing.T) {
 //   - "off" is the seed behavior: nil sinks cost one nil check per hook
 //     (~0% by construction; the hooks measure at ~2 ns each).
 //   - "live" is telemetry as long runs enable it — the metrics registry
-//     behind --metrics-out / --metrics-addr scraping. Stays within ~5% of
+//     behind -out / -metrics-addr scraping. Stays within ~5% of
 //     "off" (measured ~2-4%): hot updates are single atomics and the
 //     per-rank kernel counts fold into the registry only at step bounds.
-//   - "trace" additionally captures every span for --trace-out: ~66
+//   - "trace" additionally captures every span for -out's trace.json: ~66
 //     spans/step here (kernels, functions, MPI waits, decisions). Each
 //     record is a ~40 ns interned append, ~2-3 µs per step; that is ~10%
 //     of this simulator's µs-scale step, and a vanishing fraction of the

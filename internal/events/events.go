@@ -9,7 +9,7 @@
 // each frequency event carries the model's *predicted* time/energy/EDP at
 // the applied clock (from the tuner sweep), so a ledger can later be joined
 // against internal/attrib achieved rows to ask "what did this decision cost
-// or save?" — the cmd/declog workflow.
+// or save?" — the `inspect decisions` workflow.
 //
 // Non-perturbation contract (the same one internal/telemetry holds): a nil
 // *Ledger is a valid no-op, every emit is a pure observation with no effect
@@ -65,8 +65,8 @@ const (
 	NbrRebuild Type = "nbr-rebuild"
 	NbrRefresh Type = "nbr-refresh"
 
-	// Recovery family: one event per supervision decision, so cmd/declog
-	// can audit an interrupted run's full restart/budget timeline.
+	// Recovery family: one event per supervision decision, so `inspect
+	// decisions` can audit an interrupted run's full restart/budget timeline.
 	CheckpointSave    Type = "checkpoint-save"
 	CheckpointRestore Type = "checkpoint-restore"
 	Restart           Type = "restart"

@@ -60,7 +60,7 @@ func analyzeOracle(spans []Span, opt Options) *Analysis {
 	for i := 0; i < len(waits); {
 		j := i + 1
 		barrierT := waits[i].EndS()
-		for j < len(waits) && waits[j].EndS()-barrierT <= opt.EpsS {
+		for j < len(waits) && waits[j].EndS()-barrierT <= barrierEpsS {
 			if e := waits[j].EndS(); e > barrierT {
 				barrierT = e
 			}
@@ -83,7 +83,7 @@ func analyzeOracle(spans []Span, opt Options) *Analysis {
 			if waiting[r] {
 				continue
 			}
-			if hasEndIn(es, prevT, barrierT+opt.EpsS) {
+			if hasEndIn(es, prevT, barrierT+barrierEpsS) {
 				b.Critical = append(b.Critical, r)
 			}
 		}
@@ -153,7 +153,7 @@ func intervalUnionOracle(ss []Span) float64 {
 // sums over tied waits must come out in the same order.
 func checkAnalyzeOracle(t *testing.T, spans []Span) {
 	t.Helper()
-	for _, opt := range []Options{{}, {EpsS: 1e-3, TopK: 1}} {
+	for _, opt := range []Options{{}, {TopK: 1}} {
 		want := analyzeOracle(spans, opt)
 		if got := Analyze(spans, opt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Analyze(%d spans, %+v) = %+v\nthe oracle: %+v", len(spans), opt, got, want)

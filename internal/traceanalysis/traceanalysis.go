@@ -43,20 +43,18 @@ func (s Span) EndS() float64 { return s.StartS + s.DurS }
 // isWait reports whether the span is an mpisim barrier wait.
 func (s Span) isWait() bool { return s.Cat == "mpi" && s.Name == "barrier-wait" }
 
+// barrierEpsS is the end-time tolerance when grouping wait spans into
+// barriers, absorbing the µs-granularity round-trip of the trace JSON: one
+// trace tick.
+const barrierEpsS = 1e-6
+
 // Options tunes the analysis.
 type Options struct {
-	// EpsS is the end-time tolerance when grouping wait spans into
-	// barriers, absorbing the µs-granularity round-trip of the trace JSON.
-	// Default 1e-6 (one trace tick).
-	EpsS float64
 	// TopK bounds the straggler ranking (default 3).
 	TopK int
 }
 
 func (o Options) defaulted() Options {
-	if o.EpsS <= 0 {
-		o.EpsS = 1e-6
-	}
 	if o.TopK <= 0 {
 		o.TopK = 3
 	}
@@ -249,7 +247,7 @@ func Analyze(spans []Span, opt Options) *Analysis {
 	for i := 0; i < len(waits); {
 		j := i + 1
 		barrierT := waits[i].end
-		for j < len(waits) && waits[j].end-barrierT <= opt.EpsS {
+		for j < len(waits) && waits[j].end-barrierT <= barrierEpsS {
 			if e := waits[j].end; e > barrierT {
 				barrierT = e
 			}
@@ -273,7 +271,7 @@ func Analyze(spans []Span, opt Options) *Analysis {
 		// have nothing in the window and drop out.
 		critical = critical[:0]
 		for k := range stats {
-			if waitingAt[k] != mark && hasEndIn(ends[off[k]:off[k+1]], prevT, barrierT+opt.EpsS) {
+			if waitingAt[k] != mark && hasEndIn(ends[off[k]:off[k+1]], prevT, barrierT+barrierEpsS) {
 				critical = append(critical, k)
 				b.Critical = append(b.Critical, stats[k].Rank)
 			}

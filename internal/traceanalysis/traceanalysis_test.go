@@ -81,7 +81,7 @@ func TestAnalyzeSyntheticStraggler(t *testing.T) {
 
 func TestAnalyzeJSONRoundTrip(t *testing.T) {
 	// The same trace through the Chrome JSON exporter and Load must yield
-	// the same verdict — this is the cmd/tracetool input path.
+	// the same verdict — this is the `inspect trace` input path.
 	tr := telemetry.NewTracer(3)
 	for r := 0; r < 3; r++ {
 		tr.SetTrackName(r, "rank "+string(rune('0'+r)))

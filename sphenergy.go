@@ -37,6 +37,10 @@
 package sphenergy
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
 	"sphenergy/internal/events"
@@ -136,6 +140,44 @@ type EventSummary = events.Summary
 // default ring size.
 func NewEventLedger(capacity int) *EventLedger { return events.NewLedger(capacity) }
 
+// The run bundle: the files one run leaves in its output directory.
+const (
+	BundleReport  = "report.json"  // the energy report (Report.WriteFile)
+	BundleCSV     = "report.csv"   // its per-function CSV export
+	BundleTrace   = "trace.json"   // the Chrome trace_event timeline
+	BundleMetrics = "metrics.json" // the metrics registry's JSON snapshot
+	BundleEvents  = "events.jsonl" // the decision ledger
+)
+
+// WriteBundle writes a run's bundle into dir, creating it: rep as the
+// report and its CSV, cfg's Tracer, Metrics and Events as the trace, the
+// metrics snapshot and the ledger. Nil parts are skipped, so a run stopped
+// before it has a report still leaves what its observers recorded. Every
+// part is attempted; the error joins those that failed.
+func WriteBundle(dir string, cfg Config, rep *Report) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	var errs []error
+	write := func(name string, w func(path string) error) {
+		errs = append(errs, w(filepath.Join(dir, name)))
+	}
+	if rep != nil {
+		write(BundleReport, rep.WriteFile)
+		write(BundleCSV, rep.WriteCSVFile)
+	}
+	if cfg.Tracer != nil {
+		write(BundleTrace, cfg.Tracer.WriteFile)
+	}
+	if cfg.Metrics != nil {
+		write(BundleMetrics, cfg.Metrics.WriteFile)
+	}
+	if cfg.Events != nil {
+		write(BundleEvents, cfg.Events.WriteFile)
+	}
+	return errors.Join(errs...)
+}
+
 // LUMIG returns the LUMI-G node architecture of Table I.
 func LUMIG() NodeSpec { return cluster.LUMIG() }
 
@@ -183,8 +225,8 @@ func TuneFrequencies(system NodeSpec, sim SimKind, particlesPerRank float64, ng 
 // a decision ledger: every sweep measurement and winning pick is emitted as
 // a tuner event, and the full predicted time/power/EDP table is installed
 // on the ledger so subsequent frequency decisions in a Run using the same
-// ledger carry the model's prediction (the join cmd/declog audits). A nil
-// ledger degrades to the unobserved search.
+// ledger carry the model's prediction (the join `inspect decisions`
+// audits). A nil ledger degrades to the unobserved search.
 func TuneFrequenciesObserved(system NodeSpec, sim SimKind, particlesPerRank float64, ng int, led *EventLedger) (map[string]int, error) {
 	if ng <= 0 {
 		ng = 150
