@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke bundle-smoke soak soak-smoke check experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke bundle-smoke soak soak-smoke check unlinked experiments examples clean
 
 all: build lint test
 
@@ -189,6 +189,36 @@ bundle-smoke:
 	grep -q 'truncated trace' $(BUNDLE_SMOKE)/cut/trace.txt
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
+
+# What no program links: every declared function of a non-test file that
+# appears in no program's symbol table. Each cmd/, example and the benchmark
+# is built with inlining off, so a function that runs keeps its own symbol;
+# symbols of main packages are renamed to their directory and type arguments
+# stripped, so a generic method counts as linked when any instantiation is.
+# Prints `symbol file:line lines` per function, then the totals; gates
+# nothing. Assumes gofmt'd source: a body ends at the first `}` in column 0.
+unlinked:
+	@t=$$(mktemp -d) && trap 'rm -rf $$t' EXIT && \
+	for p in cmd/* examples/* benchmark; do \
+		$(GO) build -gcflags=all=-l -o $$t/bin ./$$p || exit 1; \
+		$(GO) tool nm $$t/bin | awk -v d=sphenergy/$$p '{ s = $$0; \
+			sub(/^ *([0-9a-f]+ +)?[A-Za-z] +/, "", s); sub(/^main\./, d ".", s); \
+			while (gsub(/\[[^][]*\]/, "", s)) {} print s }' >> $$t/linked; \
+	done && \
+	for f in $$(git ls-files '*.go' ':!:*_test.go'); do \
+		awk -v d=$$(dirname $$f) -v f=$$f ' \
+			/^package / { p = (d == ".") ? "sphenergy" : "sphenergy/" d } \
+			/^func / { s = $$0; sub(/^func /, "", s); r = ""; \
+				if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+					n = split(r, w, " "); r = w[n]; while (gsub(/\[[^][]*\]/, "", r)) {} \
+					r = (r ~ /^\*/) ? "(" r ")." : r "." } \
+				match(s, /^[A-Za-z0-9_]+/); name = p "." r substr(s, 1, RLENGTH); start = NR; \
+				if ($$0 ~ /}$$/) { print name, f ":" NR, 1; next } \
+				infn = 1; next } \
+			infn && /^}/ { print name, f ":" start, NR - start + 1; infn = 0 }' $$f; \
+	done > $$t/declared && \
+	awk 'NR == FNR { l[$$1] = 1; next } !($$1 in l) { print; n++; lines += $$3 } \
+		END { printf "%d functions / %d lines\n", n, lines }' $$t/linked $$t/declared
 
 # Regenerate every table/figure at the paper's step counts.
 experiments:

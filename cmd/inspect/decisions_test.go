@@ -190,7 +190,7 @@ func TestDecisionsUntunedRunLeavesEDPOnTable(t *testing.T) {
 // surfaced, and nothing panics.
 func TestAnalyzeTruncatedLedger(t *testing.T) {
 	led := events.NewLedger(0)
-	led.BeginRun("turbulence", "minihpc", "mandyn", 1, 4)
+	led.BeginRun("turbulence", "mandyn", 4)
 	for i := 0; i < 8; i++ {
 		led.FreqDecision(float64(i), i, 0, "MomentumEnergy", 1005, 1005)
 	}

@@ -10,8 +10,7 @@
 //	sphexa -sim turbulence -system cscs-a100 -ranks 32 -s 100
 //	sphexa -sim evrard -system lumi-g -ranks 32 -s 100 -out evrard
 //	sphexa -sim turbulence -system minihpc -ranks 1 -strategy mandyn
-//	sphexa -sim turbulence -ranks 4 -strategy mandyn -sample-hz 100 -out run \
-//	    -metrics-addr :9090
+//	sphexa -sim turbulence -ranks 4 -strategy mandyn -sample-hz 100 -out run
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate \
 //	    -fault-plan plan.json -degradation drop-rank
@@ -45,16 +44,15 @@ func main() {
 		system   = flag.String("system", "minihpc", "system: lumi-g, cscs-a100 or minihpc")
 		ranks    = flag.Int("ranks", 1, "MPI ranks (one per GPU die)")
 		steps    = flag.Int("s", 100, "time-steps")
-		pprFlag  = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation")
+		pprFlag  = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation and system")
 		strategy = flag.String("strategy", "baseline", "frequency strategy: baseline, static:<mhz>, dvfs, mandyn, powercap:<watts>")
 		ng       = flag.Int("ng", 150, "SPH neighbor count")
 		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json and report.csv (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto), metrics.json and events.jsonl (decision ledger); read it with cmd/inspect")
 		carbon   = flag.String("carbon", "", "report CO2e for a grid: hydro, swiss, eu, coal")
 		quiet    = flag.Bool("q", false, "suppress breakdown output")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text format on this address at /metrics during the run (e.g. :9090); also mounts /metrics.json, /healthz, /debug/pprof/ and the decision ledger's /events (SSE) and /status")
-		cpuProfile  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this path (per-pass samples carry a pass= pprof label)")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this path at exit")
+		cpuProfile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this path (per-pass samples carry a pass= pprof label)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this path at exit")
 
 		sampleHz     = flag.Float64("sample-hz", 0, "async per-GPU power sampling rate in Hz (0 disables sampling)")
 		sampleNodeHz = flag.Float64("sample-node-hz", sampler.DefaultNodeHz, "async node-sensor (BMC/pm_counters) sampling rate in Hz")
@@ -106,7 +104,7 @@ func main() {
 	fatalIf(err)
 
 	sim := core.SimKind(*simName)
-	ppr, err := resolvePPR(*pprFlag, sim)
+	ppr, err := resolvePPR(*pprFlag, sim, spec)
 	fatalIf(err)
 
 	cfg := sphenergy.Config{
@@ -131,10 +129,9 @@ func main() {
 	if *sampleHz > 0 {
 		cfg.Sampling = sampler.Config{GPUHz: *sampleHz, NodeHz: *sampleNodeHz}
 	}
-	if *outDir != "" || *metricsAddr != "" {
+	if *outDir != "" {
+		// The bundle's metrics.json and events.jsonl (the decision ledger).
 		cfg.Metrics = telemetry.NewRegistry()
-		// The decision ledger: written to the bundle, and served live (SSE +
-		// status) when an HTTP listener is up anyway.
 		cfg.Events = sphenergy.NewEventLedger(0)
 	}
 	if *faultPlan != "" {
@@ -144,14 +141,9 @@ func main() {
 	}
 	cfg.Degradation = *degradation
 	cfg.ProfileLabels = *cpuProfile != ""
-	if *metricsAddr != "" {
-		srv, err := telemetry.ServeMetrics(*metricsAddr, cfg.Metrics,
-			sphenergy.Mount{Pattern: "/events", Handler: cfg.Events.SSEHandler()},
-			sphenergy.Mount{Pattern: "/status", Handler: cfg.Events.StatusHandler()})
-		fatalIf(err)
-		defer srv.Close()
-		fmt.Printf("serving metrics on http://%s/metrics\n", srv.Addr)
-	}
+	// A configuration the run would refuse fails here, before the ManDyn
+	// sweep prints its table.
+	fatalIf(cfg.Validate())
 
 	recoveryOn := *ckptDir != "" || *wallBudget > 0 || *energyBudget > 0
 	if recoveryOn && *validate {
@@ -326,11 +318,16 @@ func main() {
 }
 
 // resolvePPR parses the particles-per-rank flag: "450^3" lattice notation,
-// scientific notation, or the per-simulation defaults of Table I.
-func resolvePPR(s string, sim core.SimKind) (float64, error) {
+// scientific notation, or the defaults of the paper's runs — Table I's
+// 80e6 for Evrard and 150e6 for Turbulence, except on miniHPC, whose 40 GB
+// GPUs ran Turbulence at 450³ in every experiment.
+func resolvePPR(s string, sim core.SimKind, system sphenergy.NodeSpec) (float64, error) {
 	if s == "" {
-		if sim == core.Evrard {
+		switch {
+		case sim == core.Evrard:
 			return 80e6, nil
+		case system.Name == sphenergy.MiniHPC().Name:
+			return 450 * 450 * 450, nil
 		}
 		return 150e6, nil
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sphenergy"
 	"sphenergy/internal/core"
 )
 
@@ -134,33 +135,74 @@ func TestCarbonLine(t *testing.T) {
 	}
 }
 
-func TestResolvePPRDefaults(t *testing.T) {
-	turb, err := resolvePPR("", core.Turbulence)
-	if err != nil || turb != 150e6 {
-		t.Errorf("turbulence default = %v, %v", turb, err)
+// TestBareRunSucceeds: with no flag but the step count, sphexa runs the
+// default system and simulation at a size that fits its GPUs.
+func TestBareRunSucceeds(t *testing.T) {
+	stdout, stderr, err := runSphexa(t, "-s", "3", "-q")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
 	}
-	evr, err := resolvePPR("", core.Evrard)
-	if err != nil || evr != 80e6 {
-		t.Errorf("evrard default = %v, %v", evr, err)
+	if !strings.Contains(stdout, "9.11e+07 particles/rank") {
+		t.Errorf("stdout does not run 450^3 particles/rank:\n%s", stdout)
+	}
+}
+
+// TestInvalidConfigExitsOne: a configuration the run refuses exits 1 before
+// anything runs — not 4 after the supervisor retried it as a crash, and not
+// after the ManDyn sweep printed its table.
+func TestInvalidConfigExitsOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ppr", "200e6", "-checkpoint-dir", t.TempDir()},
+		{"-ppr", "200e6", "-strategy", "mandyn"},
+	} {
+		stdout, stderr, err := runSphexa(t, append(args, "-s", "3", "-q")...)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit 1; stderr:\n%s", args, err, stderr)
+		}
+		if !strings.Contains(stderr, "GPU memory") {
+			t.Errorf("%v: stderr = %q, want the memory-capacity refusal", args, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed before refusing:\n%s", args, stdout)
+		}
+	}
+}
+
+func TestResolvePPRDefaults(t *testing.T) {
+	for _, c := range []struct {
+		sim    core.SimKind
+		system sphenergy.NodeSpec
+		want   float64
+	}{
+		{core.Turbulence, sphenergy.MiniHPC(), 450 * 450 * 450},
+		{core.Turbulence, sphenergy.LUMIG(), 150e6},
+		{core.Turbulence, sphenergy.CSCSA100(), 150e6},
+		{core.Evrard, sphenergy.MiniHPC(), 80e6},
+		{core.Evrard, sphenergy.LUMIG(), 80e6},
+		{core.Evrard, sphenergy.CSCSA100(), 80e6},
+	} {
+		if got, err := resolvePPR("", c.sim, c.system); err != nil || got != c.want {
+			t.Errorf("%s on %s default = %v, %v; want %v", c.sim, c.system.Name, got, err, c.want)
+		}
 	}
 }
 
 func TestResolvePPRLatticeNotation(t *testing.T) {
-	v, err := resolvePPR("450^3", core.Turbulence)
+	v, err := resolvePPR("450^3", core.Turbulence, sphenergy.LUMIG())
 	if err != nil || v != 450*450*450 {
 		t.Errorf("450^3 = %v, %v", v, err)
 	}
-	if _, err := resolvePPR("x^3", core.Turbulence); err == nil {
+	if _, err := resolvePPR("x^3", core.Turbulence, sphenergy.LUMIG()); err == nil {
 		t.Error("bad lattice accepted")
 	}
 }
 
 func TestResolvePPRScientific(t *testing.T) {
-	v, err := resolvePPR("1.5e7", core.Turbulence)
+	v, err := resolvePPR("1.5e7", core.Turbulence, sphenergy.MiniHPC())
 	if err != nil || v != 1.5e7 {
 		t.Errorf("1.5e7 = %v, %v", v, err)
 	}
-	if _, err := resolvePPR("lots", core.Turbulence); err == nil {
+	if _, err := resolvePPR("lots", core.Turbulence, sphenergy.MiniHPC()); err == nil {
 		t.Error("garbage accepted")
 	}
 }

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// At returns the i-th oldest element, 0 <= i < Len().
+func (s *Seq[T]) At(i int) *T {
+	if i += s.head; i >= s.n {
+		i -= s.n
+	}
+	return &s.blocks[i/Len][i%Len]
+}
+
 // TestSeqMatchesSliceModel drives an unbounded sequence and rings of
 // several bounds — below a block, a whole number of blocks, ragged —
 // against a plain slice that keeps the newest bound elements.

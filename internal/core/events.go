@@ -96,7 +96,7 @@ func (re *runEvents) beginRun(cfg Config, strategy string) {
 	if re == nil {
 		return
 	}
-	re.led.BeginRun(string(cfg.Sim), cfg.System.Name, strategy, cfg.Ranks, cfg.Steps)
+	re.led.BeginRun(string(cfg.Sim), strategy, cfg.Steps)
 }
 
 func (re *runEvents) stepDone(timeS float64, step int, stepJ float64) {

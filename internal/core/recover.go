@@ -9,8 +9,9 @@ import (
 // watchdog stalls restart the run from disk with seeded backoff up to
 // rcfg.MaxRestarts, and budgets stop it gracefully with a final
 // checkpoint. The Outcome reports attempts, restarts, stalls and the stop
-// cause; the error is non-nil only when restarts are exhausted or the
-// snapshot store cannot be opened.
+// cause; the error is non-nil when the configuration is invalid (then
+// before any attempt, with a nil Outcome: no restart can fix it), when
+// restarts are exhausted, or when the snapshot store cannot be opened.
 //
 // A crash is an error from Run or a panic anywhere under it. The supervisor
 // recovers panics of the attempt's goroutine only, and that is enough: Run
@@ -19,6 +20,9 @@ import (
 // poll on any rank unwinds through Run and counts as one failed attempt
 // (TestSupervisedRunSurvivesRankPanic).
 func RunSupervised(cfg Config, rcfg recovery.Config) (*Result, *recovery.Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	return recovery.Supervise(rcfg, func(resume *recovery.Resume, ctl *recovery.Controller) (*Result, error) {
 		c := cfg
 		c.Recovery = &RunRecovery{Controller: ctl, Resume: resume}

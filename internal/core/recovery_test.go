@@ -461,6 +461,25 @@ func TestSupervisedRestartsExhausted(t *testing.T) {
 	}
 }
 
+// TestSupervisedInvalidConfigNeverAttempts: a configuration Run refuses is
+// returned as Validate's error before the supervisor starts, not retried
+// as a crash until restarts run out.
+func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
+	cfg := recoverableConfig()
+	cfg.ParticlesPerRank = 400e6 // 112 GB, beyond an 80 GB A100
+	attempts := 0
+	_, out, err := RunSupervised(cfg, recovery.Config{
+		Dir: t.TempDir(), MaxRestarts: 2, BackoffS: 0.001, Seed: 7,
+		OnAttempt: func(*recovery.Controller) { attempts++ },
+	})
+	if want := cfg.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want Validate's %v", err, want)
+	}
+	if attempts != 0 || out != nil {
+		t.Fatalf("invalid config reached the supervisor: %d attempt(s), outcome %+v", attempts, out)
+	}
+}
+
 // TestCheckpointFingerprintMismatch proves a snapshot cannot be restored
 // under a different configuration.
 func TestCheckpointFingerprintMismatch(t *testing.T) {

@@ -67,7 +67,8 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the run's counters, gauges and
 	// histograms (kernel_launches_total, gpu_clock_mhz, step_energy_j, ...)
-	// for Prometheus exposition or JSON snapshots. Nil disables metrics.
+	// for the JSON snapshot a bundle keeps as metrics.json. Nil disables
+	// metrics.
 	Metrics *telemetry.Registry
 	// Sampling, when enabled, runs the async power sampler during the job:
 	// every rank's GPU sensor at Sampling.GPUHz plus one pm_counters node

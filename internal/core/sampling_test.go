@@ -109,8 +109,8 @@ func TestSamplingAttributionMatchesGroundTruth(t *testing.T) {
 }
 
 // TestSamplingExposesLiveMetrics verifies the acceptance criterion that
-// the Prometheus exposition includes per-device power gauges and
-// cumulative energy counters fed by the async sampler.
+// the metrics snapshot includes per-device power gauges and cumulative
+// energy counters fed by the async sampler.
 func TestSamplingExposesLiveMetrics(t *testing.T) {
 	cfg := Config{
 		System:           cluster.MiniHPC(),
@@ -125,21 +125,20 @@ func TestSamplingExposesLiveMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE sampled_power_w gauge",
-		"# TYPE sampled_energy_j_total counter",
-		`rank="0"`,
-		`rank="1"`,
-		`sensor="node0:cray:energy"`,
-		"sampler_ticks_total",
+	snap := cfg.Metrics.Snapshot()
+	for _, want := range []struct {
+		name, kind string
+		kv         []string
+	}{
+		{"sampled_power_w", "gauge", []string{"rank", "0"}},
+		{"sampled_power_w", "gauge", []string{"rank", "1"}},
+		{"sampled_energy_j_total", "counter", []string{"rank", "0"}},
+		{"sampled_energy_j_total", "counter", []string{"rank", "1"}},
+		{"sampled_energy_j_total", "counter", []string{"sensor", "node0:cray:energy"}},
+		{"sampler_ticks_total", "counter", nil},
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
+		if fam, _, ok := findSample(snap, want.name, want.kv...); !ok || fam.Type != want.kind {
+			t.Fatalf("snapshot has no %s %s%v: %+v", want.kind, want.name, want.kv, snap)
 		}
 	}
 	// The rank channels' accumulated energy must track the loop GPU energy.

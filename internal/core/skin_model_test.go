@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"sphenergy/internal/telemetry"
@@ -14,7 +12,7 @@ import (
 // fraction of a rebuild's work, so time and energy drop; the rebuild
 // counter and cadence gauge report the schedule.
 func TestNeighborRebuildEveryModelsRefresh(t *testing.T) {
-	run := func(every int) (*Result, string) {
+	run := func(every int) (*Result, []telemetry.MetricSnapshot) {
 		cfg := miniConfig()
 		cfg.Steps = 8
 		cfg.NeighborRebuildEvery = every
@@ -23,15 +21,11 @@ func TestNeighborRebuildEveryModelsRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prom bytes.Buffer
-		if err := cfg.Metrics.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		return res, prom.String()
+		return res, cfg.Metrics.Snapshot()
 	}
 
-	base, baseProm := run(0)
-	skin, skinProm := run(4)
+	base, baseSnap := run(0)
+	skin, skinSnap := run(4)
 
 	// The phase exists on every step in both modes — refresh steps are
 	// cheaper, not absent — so calls match and attribution stays complete.
@@ -52,17 +46,20 @@ func TestNeighborRebuildEveryModelsRefresh(t *testing.T) {
 
 	// 8 steps at cadence 4 rebuild on steps 0 and 4; without reuse every
 	// step rebuilds.
-	if !strings.Contains(baseProm, "neighbor_rebuilds_total 8") {
-		t.Errorf("rebuild-every-step exposition missing neighbor_rebuilds_total 8:\n%s", grepMetric(baseProm, "neighbor_rebuild"))
-	}
-	if !strings.Contains(skinProm, "neighbor_rebuilds_total 2") {
-		t.Errorf("skin exposition missing neighbor_rebuilds_total 2:\n%s", grepMetric(skinProm, "neighbor_rebuild"))
-	}
-	if !strings.Contains(baseProm, "neighbor_rebuild_interval_steps 1") {
-		t.Errorf("rebuild-every-step cadence gauge != 1:\n%s", grepMetric(baseProm, "neighbor_rebuild"))
-	}
-	if !strings.Contains(skinProm, "neighbor_rebuild_interval_steps 4") {
-		t.Errorf("skin cadence gauge != 4:\n%s", grepMetric(skinProm, "neighbor_rebuild"))
+	for _, c := range []struct {
+		mode         string
+		snap         []telemetry.MetricSnapshot
+		rebuilds, at float64
+	}{
+		{"rebuild-every-step", baseSnap, 8, 1},
+		{"skin", skinSnap, 2, 4},
+	} {
+		if _, s, _ := findSample(c.snap, "neighbor_rebuilds_total"); s.Value != c.rebuilds {
+			t.Errorf("%s: neighbor_rebuilds_total = %v, want %v", c.mode, s.Value, c.rebuilds)
+		}
+		if _, s, _ := findSample(c.snap, "neighbor_rebuild_interval_steps"); s.Value != c.at {
+			t.Errorf("%s: neighbor_rebuild_interval_steps = %v, want %v", c.mode, s.Value, c.at)
+		}
 	}
 
 	// Cadence 1 is the explicit opt-out and must be bit-identical to the
@@ -72,16 +69,4 @@ func TestNeighborRebuildEveryModelsRefresh(t *testing.T) {
 		t.Errorf("NeighborRebuildEvery=1 diverges from 0: wall %v vs %v, energy %v vs %v",
 			one.WallTimeS, base.WallTimeS, one.Report.TotalEnergyJ, base.Report.TotalEnergyJ)
 	}
-}
-
-// grepMetric returns the exposition lines mentioning substr, for failure
-// messages that don't dump the whole registry.
-func grepMetric(prom, substr string) string {
-	var out []string
-	for _, line := range strings.Split(prom, "\n") {
-		if strings.Contains(line, substr) {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
 }

@@ -267,8 +267,8 @@ func (rt *runTelemetry) phaseTailSpans(fn *FuncModel, endS, commS, hostS float64
 }
 
 // functionTime observes one finished function phase's duration in the
-// per-function latency histogram, giving p50/p95/p99 per pipeline pass on
-// the exposition endpoints. Observed once per phase (not per rank): the
+// per-function latency histogram, giving p50/p95/p99 per pipeline pass in
+// the metrics snapshot. Observed once per phase (not per rank): the
 // phase duration is global after the barrier.
 func (rt *runTelemetry) functionTime(name string, durS float64) {
 	if rt == nil || rt.reg == nil {

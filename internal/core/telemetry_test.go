@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
@@ -80,27 +79,37 @@ func TestRunEmitsTelemetry(t *testing.T) {
 		t.Error("trace sink did not mirror power samples into the tracer")
 	}
 
-	var prom bytes.Buffer
-	if err := cfg.Metrics.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	text := prom.String()
-	for _, want := range []string{
-		"kernel_launches_total",
-		"freq_switches_total",
-		"freq_switch_latency_s_count",
-		`gpu_clock_mhz{rank="0"}`,
-		"steps_total 2",
-		"step_energy_j_sum",
-		"mpi_wait_s_total",
-		`energy_total_j{class="gpu"}`,
-		"wall_time_s",
-		`function_time_s_bucket{function="MomentumEnergy"`,
-		`function_time_s_quantile{function="MomentumEnergy",quantile="0.5"}`,
-		`freq_switch_latency_s_quantile`,
+	snap := cfg.Metrics.Snapshot()
+	for _, want := range []struct {
+		name, kind string
+		kv         []string
+	}{
+		{"kernel_launches_total", "counter", nil},
+		{"freq_switches_total", "counter", nil},
+		{"gpu_clock_mhz", "gauge", []string{"rank", "0"}},
+		{"step_energy_j", "histogram", nil},
+		{"mpi_wait_s_total", "counter", nil},
+		{"energy_total_j", "gauge", []string{"class", "gpu"}},
+		{"wall_time_s", "gauge", nil},
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics exposition missing %q", want)
+		if fam, _, ok := findSample(snap, want.name, want.kv...); !ok || fam.Type != want.kind {
+			t.Errorf("snapshot has no %s %s%v", want.kind, want.name, want.kv)
+		}
+	}
+	if _, s, _ := findSample(snap, "steps_total"); s.Value != 2 {
+		t.Errorf("steps_total = %v, want 2", s.Value)
+	}
+	// Histograms carry buckets and, once observed, the p50/p95/p99 tails.
+	for _, want := range []struct {
+		name string
+		kv   []string
+	}{
+		{"function_time_s", []string{"function", FnMomentum}},
+		{"freq_switch_latency_s", nil},
+	} {
+		fam, s, ok := findSample(snap, want.name, want.kv...)
+		if _, p50 := s.Quantiles["0.5"]; !ok || fam.Type != "histogram" || len(s.Buckets) == 0 || !p50 {
+			t.Errorf("%s%v = %+v, want an observed histogram with buckets and quantiles", want.name, want.kv, s)
 		}
 	}
 
@@ -126,6 +135,27 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	}
 }
 
+// findSample returns the family called name in a registry snapshot and its
+// first sample carrying every label of kv (name, value pairs); ok is false
+// when there is none.
+func findSample(snap []telemetry.MetricSnapshot, name string, kv ...string) (telemetry.MetricSnapshot, telemetry.SampleSnapshot, bool) {
+	for _, fam := range snap {
+		if fam.Name != name {
+			continue
+		}
+	samples:
+		for _, s := range fam.Samples {
+			for i := 0; i+1 < len(kv); i += 2 {
+				if s.Labels[kv[i]] != kv[i+1] {
+					continue samples
+				}
+			}
+			return fam, s, true
+		}
+	}
+	return telemetry.MetricSnapshot{}, telemetry.SampleSnapshot{}, false
+}
+
 func TestRunWithoutTelemetryUnchanged(t *testing.T) {
 	cfg := telemetryTestConfig()
 	res, err := Run(cfg)
@@ -148,8 +178,8 @@ func TestRunWithoutTelemetryUnchanged(t *testing.T) {
 //
 //   - "off" is the seed behavior: nil sinks cost one nil check per hook
 //     (~0% by construction; the hooks measure at ~2 ns each).
-//   - "live" is telemetry as long runs enable it — the metrics registry
-//     behind -out / -metrics-addr scraping. Stays within ~5% of
+//   - "live" is the metrics registry alone, as behind -out's
+//     metrics.json. Stays within ~5% of
 //     "off" (measured ~2-4%): hot updates are single atomics and the
 //     per-rank kernel counts fold into the registry only at step bounds.
 //   - "trace" additionally captures every span for -out's trace.json: ~66

@@ -285,8 +285,9 @@ func TestWriteJSONLFollowsARotatingRing(t *testing.T) {
 }
 
 // TestWriteJSONLIsOneSnapshot exports a small ring while emitters turn it
-// over many times: every file is a gapless run of sequence ids, never two
-// stretches of the ledger with overwritten events missing between them.
+// over many times: every file, and every Events() copy, is a gapless run of
+// sequence ids, never two stretches of the ledger with overwritten events
+// missing between them.
 func TestWriteJSONLIsOneSnapshot(t *testing.T) {
 	l := NewLedger(700)
 	stop := make(chan struct{})
@@ -311,9 +312,11 @@ func TestWriteJSONLIsOneSnapshot(t *testing.T) {
 		if err != nil || truncated {
 			t.Fatalf("export %d: truncated %v, err %v", n, truncated, err)
 		}
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Seq != evs[i-1].Seq+1 {
-				t.Fatalf("export %d: seq %d follows %d", n, evs[i].Seq, evs[i-1].Seq)
+		for name, evs := range map[string][]Event{"export": evs, "Events()": l.Events()} {
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Seq != evs[i-1].Seq+1 {
+					t.Fatalf("%s %d: seq %d follows %d", name, n, evs[i].Seq, evs[i-1].Seq)
+				}
 			}
 		}
 	}

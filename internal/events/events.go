@@ -2,8 +2,8 @@
 // typed, sequence-numbered records for every consequential runtime decision
 // — frequency requests and outcomes, resilient-setter actions, tuner sweep
 // and cache choices, sampler degradation transitions, neighbor-list
-// rebuild/refresh triggers, rank failures — exportable as JSONL and
-// streamable live over SSE (see http.go).
+// rebuild/refresh triggers, rank failures — exported as JSONL into the run
+// bundle's events.jsonl and read back by ReadJSONL.
 //
 // The ledger exists to make frequency control explainable after the fact:
 // each frequency event carries the model's *predicted* time/energy/EDP at
@@ -159,8 +159,6 @@ type Ledger struct {
 	next   uint64            // total emitted; the next event gets Seq next+1
 	counts map[Type]uint64
 	preds  Predictions
-	status Status
-	subs   []chan struct{}
 }
 
 // NewLedger creates a ledger retaining the last capacity events
@@ -176,7 +174,6 @@ func NewLedger(capacity int) *Ledger {
 	for _, t := range builtinTypes {
 		l.counts[t] = 0
 	}
-	l.status.Step = -1
 	return l
 }
 
@@ -211,13 +208,34 @@ func (l *Ledger) emitLocked(ev Event) {
 	slot, _ := l.ring.Push()
 	*slot = ev
 	l.counts[ev.Type]++
-	l.status.apply(ev)
-	for _, ch := range l.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+}
+
+// BeginRun emits the run-start event: the simulation, the strategy and the
+// configured step count.
+func (l *Ledger) BeginRun(sim, strategy string, steps int) {
+	if l == nil {
+		return
 	}
+	l.Emit(Event{Step: -1, Rank: -1, Type: RunStart,
+		Subject: sim, Detail: strategy, Value: float64(steps)})
+}
+
+// StepDone closes one simulation step: stepEnergyJ is the step's
+// allocation energy, timeS the loop virtual time at the step boundary.
+func (l *Ledger) StepDone(timeS float64, step int, stepEnergyJ float64) {
+	if l == nil {
+		return
+	}
+	l.Emit(Event{TimeS: timeS, Step: step, Rank: -1, Type: StepDone,
+		Value: stepEnergyJ})
+}
+
+// EndRun emits the run-end event.
+func (l *Ledger) EndRun(timeS float64) {
+	if l == nil {
+		return
+	}
+	l.Emit(Event{TimeS: timeS, Step: -1, Rank: -1, Type: RunEnd})
 }
 
 // FreqDecision records one strategy Apply that touched the clock,
@@ -280,71 +298,14 @@ func (l *Ledger) Summary() *Summary {
 	return s
 }
 
-// ReadSince appends to dst every retained event with Seq > after, in
-// sequence order, and reports whether a gap precedes them (events after
-// `after` already rotated out of the ring).
-func (l *Ledger) ReadSince(after uint64, dst []Event) ([]Event, bool) {
-	if l == nil {
-		return dst, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	oldest := l.oldestLocked()
-	from := after + 1
-	gap := false
-	if from < oldest {
-		from = oldest
-		gap = true
-	}
-	for seq := from; seq <= l.next; seq++ {
-		dst = append(dst, *l.ring.At(int(seq - oldest)))
-	}
-	return dst, gap
-}
-
 // Events returns a copy of all retained events in sequence order.
 func (l *Ledger) Events() []Event {
-	out, _ := l.ReadSince(0, nil)
-	return out
-}
-
-// Subscribe registers a notification channel that receives (at least) one
-// token after every Emit; pair with ReadSince to stream without polling.
-func (l *Ledger) Subscribe() chan struct{} {
 	if l == nil {
 		return nil
 	}
-	ch := make(chan struct{}, 1)
-	l.mu.Lock()
-	l.subs = append(l.subs, ch)
-	l.mu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a channel registered by Subscribe.
-func (l *Ledger) Unsubscribe(ch chan struct{}) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	for i, s := range l.subs {
-		if s == ch {
-			l.subs = append(l.subs[:i], l.subs[i+1:]...)
-			break
-		}
-	}
-	l.mu.Unlock()
-}
-
-// Subscribers returns the number of live subscriptions (test hook for the
-// clean-unsubscribe contract).
-func (l *Ledger) Subscribers() int {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.subs)
+	return l.ring.AppendTo(nil)
 }
 
 // ledgerBytesPerEvent sizes WriteJSONL's buffer from the event count: a
@@ -375,12 +336,6 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 	}
 	_, err := w.Write(enc.buf)
 	return err
-}
-
-// oldestLocked is the sequence id of the oldest retained event (next+1
-// when none is); caller holds l.mu.
-func (l *Ledger) oldestLocked() uint64 {
-	return l.next - uint64(l.ring.Len()) + 1
 }
 
 // WriteFile writes the JSONL export to path atomically: a crash mid-write

@@ -425,7 +425,7 @@ func (c *Channel) Poll() {
 	if gap > 0 {
 		mPower.Set(meanW)
 		// Poll-gap distribution: the jitter view of the Stats mean/stddev
-		// summary, with p50/p95/p99 on the exposition endpoints.
+		// summary, with p50/p95/p99 in the metrics snapshot.
 		mGap.Observe(gap)
 	}
 	mEnergy.Add(deltaJ)

@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -221,21 +220,30 @@ func TestBindMetrics(t *testing.T) {
 	ch.Poll()
 	ch.Poll()
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`sampled_power_w{sensor="gpu0",rank="3"} 200`,
-		`sampled_energy_j_total{sensor="gpu0",rank="3"} 200`,
-		`sampler_ticks_total{sensor="gpu0",rank="3"} 11`,
-		`sampler_poll_gap_s_count{sensor="gpu0",rank="3"} 1`,
-		`sampler_poll_gap_s_sum{sensor="gpu0",rank="3"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
+	snap := reg.Snapshot()
+	sample := func(name string) telemetry.SampleSnapshot {
+		t.Helper()
+		for _, fam := range snap {
+			for _, s := range fam.Samples {
+				if fam.Name == name && s.Labels["sensor"] == "gpu0" && s.Labels["rank"] == "3" {
+					return s
+				}
+			}
 		}
+		t.Fatalf(`snapshot has no %s{sensor="gpu0",rank="3"}: %+v`, name, snap)
+		return telemetry.SampleSnapshot{}
+	}
+	for name, want := range map[string]float64{
+		"sampled_power_w":        200,
+		"sampled_energy_j_total": 200,
+		"sampler_ticks_total":    11,
+	} {
+		if got := sample(name).Value; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if gap := sample("sampler_poll_gap_s"); gap.Count != 1 || gap.Sum != 1 {
+		t.Errorf("sampler_poll_gap_s count %d sum %v, want 1 and 1", gap.Count, gap.Sum)
 	}
 }
 

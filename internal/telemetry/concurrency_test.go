@@ -61,7 +61,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				_ = tr.WriteJSON(io.Discard)
 				_ = tr.Spans()
-				_ = reg.WritePrometheus(io.Discard)
+				_ = reg.Snapshot()
 				_ = reg.WriteJSON(io.Discard)
 				_ = profile.FunctionNames()
 				_ = profile.TotalTimeS()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -113,19 +114,9 @@ func TestHistogramExpositionQuantiles(t *testing.T) {
 		h.Observe(float64(v))
 	}
 
-	var prom bytes.Buffer
-	if err := r.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	text := prom.String()
-	for _, want := range []string{
-		`pass_s_quantile{pass="momentum_energy",quantile="0.5"} 50`,
-		`pass_s_quantile{pass="momentum_energy",quantile="0.95"} 95`,
-		`pass_s_quantile{pass="momentum_energy",quantile="0.99"} 99`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Prometheus exposition missing %q in:\n%s", want, text)
-		}
+	_, s, ok := findSample(r.Snapshot(), "pass_s", "pass", "momentum_energy")
+	if want := map[string]float64{"0.5": 50, "0.95": 95, "0.99": 99}; !ok || !reflect.DeepEqual(s.Quantiles, want) {
+		t.Errorf("snapshot quantiles = %v, want exactly %v", s.Quantiles, want)
 	}
 
 	var buf bytes.Buffer
@@ -150,7 +141,7 @@ func TestHistogramExpositionQuantiles(t *testing.T) {
 }
 
 // TestHistogramConcurrentRecordScrape hammers one histogram from parallel
-// recorders while a scraper loops over both exposition formats — run under
+// recorders while a reader loops over the snapshot and its JSON — run under
 // -race this is the lock-free record path's safety proof, and the final
 // counts must be exact (atomic adds lose nothing).
 func TestHistogramConcurrentRecordScrape(t *testing.T) {
@@ -166,7 +157,7 @@ func TestHistogramConcurrentRecordScrape(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			var buf bytes.Buffer
-			_ = r.WritePrometheus(&buf)
+			_ = r.WriteJSON(&buf)
 			_ = r.Snapshot()
 			h.Quantile(0.95)
 		}

@@ -84,16 +84,15 @@ func atomicAdd(bits *atomic.Uint64, v float64) {
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are cumulative
-// upper-bound counts in Prometheus style; an implicit +Inf bucket catches
-// everything. A nil *Histogram is a valid no-op.
+// upper-bound counts; an implicit +Inf bucket catches everything. A nil
+// *Histogram is a valid no-op.
 //
 // The record path is lock-free and allocation-free: one inlined binary
 // search over the (immutable) upper bounds plus three atomic updates, so
 // per-pass latency recording can sit inside hot loops without perturbing
-// what it measures. Readers (scrapes, quantiles) see each observation's
-// bucket count, sum and total settle independently — a scrape racing a
-// recorder may be off by the in-flight observation, which fixed-rate
-// scraping tolerates by construction.
+// what it measures. Readers (snapshots, quantiles) see each observation's
+// bucket count, sum and total settle independently — a snapshot racing a
+// recorder may be off by the in-flight observation.
 type Histogram struct {
 	upper  []float64       // sorted upper bounds, exclusive of +Inf
 	counts []atomic.Uint64 // len(upper)+1; last is the +Inf bucket
@@ -145,8 +144,8 @@ func (h *Histogram) Sum() float64 {
 }
 
 // snapshot copies the histogram state (cumulative bucket counts). The
-// reported total is the sum of the bucket counts, so bucket lines and the
-// _count line stay mutually consistent even when a scrape races recorders.
+// reported total is the sum of the bucket counts, so the buckets and the
+// count stay mutually consistent even when a snapshot races recorders.
 func (h *Histogram) snapshot() (upper []float64, cumulative []uint64, sum float64, total uint64) {
 	upper = h.upper
 	cumulative = make([]uint64, len(h.counts))
@@ -219,8 +218,8 @@ func bucketQuantile(q float64, upper []float64, cum []uint64, total uint64) floa
 	return lower + (upper[i]-lower)*frac
 }
 
-// exposedQuantiles are the quantiles rendered into both exposition formats
-// for every histogram family (the tails tuning decisions read).
+// exposedQuantiles are the quantiles the snapshot carries for every
+// histogram (the tails tuning decisions read).
 var exposedQuantiles = []float64{0.5, 0.95, 0.99}
 
 // ExpBuckets returns n upper bounds start, start*factor, ...
@@ -254,7 +253,7 @@ func LogBuckets(min, max float64, perDecade int) []float64 {
 // four buckets per decade (≤ ~78% relative quantile error per bucket).
 func LatencyBuckets() []float64 { return LogBuckets(1e-7, 10, 4) }
 
-// metricKind tags a family's type for exposition.
+// metricKind tags a family's type in the snapshot.
 type metricKind int
 
 const (
@@ -396,8 +395,8 @@ type familySnapshot struct {
 }
 
 // snapshotFamilies copies the family list, and each family's child list,
-// under the registry lock so exposition can render without holding it
-// while a first-use label registers concurrently.
+// under the registry lock so Snapshot can read without holding it while a
+// first-use label registers concurrently.
 func (r *Registry) snapshotFamilies() []familySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -407,83 +406,6 @@ func (r *Registry) snapshotFamilies() []familySnapshot {
 		out = append(out, familySnapshot{family: f, members: slices.Clone(f.order)})
 	}
 	return out
-}
-
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): HELP/TYPE headers followed by one line per
-// labeled sample, histograms as cumulative _bucket/_sum/_count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	var b strings.Builder
-	for _, f := range r.snapshotFamilies() {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, ch := range f.members {
-			switch f.kind {
-			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(ch.labels), fmtFloat(ch.c.Value()))
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(ch.labels), fmtFloat(ch.g.Value()))
-			case kindHistogram:
-				upper, cum, sum, total := ch.h.snapshot()
-				for i, u := range upper {
-					le := append(append([]Label(nil), ch.labels...), L("le", fmtFloat(u)))
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, renderLabels(le), cum[i])
-				}
-				inf := append(append([]Label(nil), ch.labels...), L("le", "+Inf"))
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, renderLabels(inf), total)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, renderLabels(ch.labels), fmtFloat(sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, renderLabels(ch.labels), total)
-				if total > 0 {
-					// Pre-computed p50/p95/p99 as a sibling gauge family in
-					// summary style, so scrapers without histogram_quantile
-					// (and the JSON twin's consumers) read the same tails.
-					for _, q := range exposedQuantiles {
-						ql := append(append([]Label(nil), ch.labels...), L("quantile", fmtFloat(q)))
-						fmt.Fprintf(&b, "%s_quantile%s %s\n", f.name, renderLabels(ql),
-							fmtFloat(bucketQuantile(q, upper, cum, total)))
-					}
-				}
-			}
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// renderLabels renders {a="x",b="y"}, or "" for an empty set.
-func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
 func fmtFloat(v float64) string {

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -27,7 +26,10 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if h.Count() != 0 {
 		t.Error("nil histogram observed")
 	}
-	if err := r.WritePrometheus(io.Discard); err != nil {
+	if s := r.Snapshot(); s != nil {
+		t.Errorf("nil registry snapshot = %+v", s)
+	}
+	if err := r.WriteJSON(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +83,28 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestPrometheusExposition(t *testing.T) {
+// findSample returns the family called name in a registry snapshot and its
+// first sample carrying every label of kv (name, value pairs); ok is false
+// when there is none.
+func findSample(snap []MetricSnapshot, name string, kv ...string) (MetricSnapshot, SampleSnapshot, bool) {
+	for _, fam := range snap {
+		if fam.Name != name {
+			continue
+		}
+	samples:
+		for _, s := range fam.Samples {
+			for i := 0; i+1 < len(kv); i += 2 {
+				if s.Labels[kv[i]] != kv[i+1] {
+					continue samples
+				}
+			}
+			return fam, s, true
+		}
+	}
+	return MetricSnapshot{}, SampleSnapshot{}, false
+}
+
+func TestSnapshotExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("steps_total", "completed steps").Add(100)
 	r.Gauge("gpu_clock_mhz", "current clock", L("rank", "0")).Set(1005)
@@ -90,27 +113,23 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(3)
 	h.Observe(30)
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	snap := r.Snapshot()
+	fam, s, ok := findSample(snap, "steps_total")
+	if !ok || fam.Type != "counter" || fam.Help != "completed steps" || s.Labels != nil || s.Value != 100 {
+		t.Errorf("steps_total = %+v, %+v", fam, s)
 	}
-	text := buf.String()
-	for _, want := range []string{
-		"# HELP steps_total completed steps",
-		"# TYPE steps_total counter",
-		"steps_total 100",
-		"# TYPE gpu_clock_mhz gauge",
-		`gpu_clock_mhz{rank="0"} 1005`,
-		"# TYPE step_time_s histogram",
-		`step_time_s_bucket{le="1"} 1`,
-		`step_time_s_bucket{le="10"} 2`,
-		`step_time_s_bucket{le="+Inf"} 3`,
-		"step_time_s_sum 33.5",
-		"step_time_s_count 3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, text)
-		}
+	fam, s, ok = findSample(snap, "gpu_clock_mhz", "rank", "0")
+	if !ok || fam.Type != "gauge" || fam.Help != "current clock" || s.Value != 1005 {
+		t.Errorf("gpu_clock_mhz{rank=0} = %+v, %+v", fam, s)
+	}
+	fam, s, ok = findSample(snap, "step_time_s")
+	if !ok || fam.Type != "histogram" || fam.Help != "step duration" {
+		t.Fatalf("step_time_s = %+v", fam)
+	}
+	wantBuckets := map[string]uint64{"1": 1, "10": 2, "+Inf": 3}
+	if !reflect.DeepEqual(s.Buckets, wantBuckets) || s.Sum != 33.5 || s.Count != 3 {
+		t.Errorf("step_time_s buckets %v sum %v count %d, want %v sum 33.5 count 3",
+			s.Buckets, s.Sum, s.Count, wantBuckets)
 	}
 }
 
@@ -138,40 +157,6 @@ func TestJSONSnapshot(t *testing.T) {
 	hist := doc.Metrics[1]
 	if hist.Type != "histogram" || hist.Samples[0].Count != 1 || hist.Samples[0].Buckets["100"] != 1 {
 		t.Errorf("histogram snapshot = %+v", hist)
-	}
-}
-
-func TestServeMetrics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("kernel_launches_total", "launches").Add(12)
-	srv, err := ServeMetrics("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "kernel_launches_total 12") {
-		t.Errorf("/metrics body:\n%s", body)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q", ct)
-	}
-
-	resp, err = http.Get("http://" + srv.Addr + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Errorf("/metrics.json invalid: %v", err)
 	}
 }
 

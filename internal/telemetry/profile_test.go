@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -52,61 +49,5 @@ func TestDoLabeledDisabledRunsFn(t *testing.T) {
 	DoLabeled(false, "pass", "x", func() { ran = true })
 	if !ran {
 		t.Error("disabled DoLabeled skipped fn")
-	}
-}
-
-func TestServeMetricsHealthzAndContentTypes(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("steps_total", "").Add(3)
-	srv, err := ServeMetrics("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || strings.TrimSpace(string(body)) != "ok" {
-		t.Errorf("/healthz = %d %q", resp.StatusCode, body)
-	}
-
-	// Browser-style Accept lists must still negotiate JSON.
-	req, _ := http.NewRequest("GET", base+"/metrics", nil)
-	req.Header.Set("Accept", "application/json, text/plain;q=0.9")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("Accept-negotiated content type = %q", ct)
-	}
-	if !strings.Contains(string(body), `"steps_total"`) {
-		t.Errorf("JSON body missing metric:\n%s", body)
-	}
-
-	resp, err = http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("/metrics.json content type = %q", ct)
-	}
-
-	// pprof index should be mounted on the same mux.
-	resp, err = http.Get(base + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("/debug/pprof/ = %d", resp.StatusCode)
 	}
 }

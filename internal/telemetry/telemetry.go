@@ -1,8 +1,8 @@
 // Package telemetry is the unified observability substrate of the
 // repository: a span tracer recording nestable named spans into lock-cheap
 // per-rank buffers with Chrome trace_event JSON export, and a metrics
-// registry of counters, gauges and histograms with Prometheus text-format
-// exposition and JSON snapshots.
+// registry of counters, gauges and histograms whose one exposition is the
+// JSON snapshot a run bundle keeps as metrics.json.
 //
 // The design follows the paper's §III-B non-perturbation requirement: every
 // entry point is safe on a nil receiver and returns immediately, so code can

@@ -84,7 +84,7 @@ type Config struct {
 	NoiseRel float64
 	// Metrics, when non-nil, receives the sweep's progress: evaluation
 	// counts and per-candidate time/energy/score gauges labeled by kernel
-	// and frequency, live-scrapable while a long tuning session runs.
+	// and frequency, read back through the registry's snapshot.
 	Metrics *telemetry.Registry
 	// Cache, when non-nil, memoizes device measurements across tuning
 	// sessions keyed by (spec, kernel descriptor, MHz, iterations, noise

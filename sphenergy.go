@@ -102,7 +102,8 @@ func RunSupervised(cfg Config, rcfg RecoveryConfig) (*Result, *RecoveryOutcome, 
 type Tracer = telemetry.Tracer
 
 // Metrics aliases the telemetry metrics registry: set Config.Metrics to
-// collect counters/gauges/histograms with Prometheus or JSON exposition.
+// collect counters/gauges/histograms, snapshotted as JSON into the bundle's
+// metrics.json.
 type Metrics = telemetry.Registry
 
 // NewTracer creates a span tracer with one track per rank.
@@ -111,26 +112,10 @@ func NewTracer(ranks int) *Tracer { return telemetry.NewTracer(ranks) }
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
-// ServeMetrics starts a /metrics HTTP listener exposing a registry for live
-// scraping during long runs; close the returned server when done. Extra
-// mounts attach additional handlers — typically the event ledger's SSE
-// stream and live status:
-//
-//	led := sphenergy.NewEventLedger(0)
-//	sphenergy.ServeMetrics(":9090", reg,
-//		sphenergy.Mount{Pattern: "/events", Handler: led.SSEHandler()},
-//		sphenergy.Mount{Pattern: "/status", Handler: led.StatusHandler()})
-func ServeMetrics(addr string, m *Metrics, extra ...Mount) (*telemetry.MetricsServer, error) {
-	return telemetry.ServeMetrics(addr, m, extra...)
-}
-
-// Mount aliases an extra HTTP route on the metrics server.
-type Mount = telemetry.Mount
-
 // EventLedger aliases the structured decision ledger: set Config.Events to
 // record every consequential runtime decision (frequency changes, tuner
 // picks, sampler failovers, rank failures, neighbor rebuilds) in a bounded
-// ring with JSONL export and SSE streaming.
+// ring with JSONL export.
 type EventLedger = events.Ledger
 
 // EventSummary aliases the ledger's emit summary carried on Result.Events.
