@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph chaos chaos-smoke bundle-smoke soak soak-smoke check unlinked experiments examples clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph sweeps bundle-smoke check unlinked experiments clean
 
 all: build lint test
 
@@ -19,12 +19,11 @@ all: build lint test
 #                `race`'s results as "(cached)" and nothing runs.
 #   fuzz-smoke   the engine's three sequence fuzzers for a fixed number of
 #                executions each beyond their seed corpora.
-#   chaos-smoke  a seeded fault sweep: the degradation layer keeps the
-#                measurement contract and replays bit-identically.
+#   sweeps       without -race: the seeded chaos and kill-and-recover
+#                sweeps, the cost-per-autosave bound, and the Examples'
+#                Output at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
 #                and with its trace and ledger cut mid-line.
-#   soak-smoke   a seeded kill-and-recover sweep that must converge
-#                bit-identically, and the cost-per-autosave bound.
 #   bench-smoke  the repository's one benchmark at smoke size: production
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
@@ -32,7 +31,7 @@ all: build lint test
 # The other bench-* targets time things and gate nothing: bench-observe the
 # observers, bench-model the plain run's rank-phase loop, bench-sph and
 # bench-telemetry their packages' primitives, bench the whole benchmark.
-check: lint race race-sph race-model fuzz-smoke chaos-smoke bundle-smoke soak-smoke bench-smoke
+check: lint race race-sph race-model fuzz-smoke sweeps bundle-smoke bench-smoke
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -41,32 +40,21 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Full chaos sweep: many seeds, larger runs, with rank crashes.
-chaos:
-	$(GO) run ./cmd/faultbench -seeds 10 -ranks 4 -s 4 -crash
-	$(GO) run ./cmd/faultbench -seeds 10
-
-# Fast chaos gate for `check`: a few seeds through the full fault stack
-# (sensor transients, stuck node sensor, clamped-clock window, straggler,
-# one rank crash under drop-rank) with every observer on, the decision
-# ledger included; each run twice and byte-compared, the ledger's counts
-# per event type with the rest.
-chaos-smoke:
-	$(GO) run ./cmd/faultbench -seeds 2 -q
-	$(GO) run ./cmd/faultbench -seeds 2 -ranks 3 -s 4 -crash -q
-
-# Full recovery soak: many seeds, >= 10 kill points each, every killed run
-# must restart from its on-disk checkpoint and converge bit-identically to
-# the uninterrupted reference, plus a budget preemption + resume per seed.
-soak:
-	$(GO) run ./cmd/faultbench -soak -seeds 5 -kills 10 -ranks 4 -s 8 -q
-
-# Fast recovery gate for `check`: a short seeded kill-and-recover sweep and
-# the cost-per-autosave bound, which is a wall-clock figure and therefore
-# skips itself in the -race passes above; here it runs uninstrumented.
-soak-smoke:
-	$(GO) run ./cmd/faultbench -soak -seeds 2 -kills 4 -ranks 2 -s 6 -q
-	$(GO) test -run TestAutosaveCostPerSnapshot -count=1 ./internal/core/
+# The uninstrumented gate for `check`. The chaos sweep replays seeded fault
+# plans (sensor transients, a stuck node sensor, a clamped-clock window, a
+# straggler, a rank crash under drop-rank) with every observer on and
+# requires bit-identical replays and the attribution contract; the recovery
+# sweep kills supervised runs at seeded steps and requires each to converge
+# bit-identically to the uninterrupted run, as a budget stop and resume must.
+# The cost-per-autosave bound is a wall-clock figure and so skips itself in
+# the -race passes above. The Examples run three times at each width, so an
+# Output that depends on map order or GOMAXPROCS fails; go test runs an
+# Example once whatever -count and -cpu say, so each run is its own go test
+# and the width its GOMAXPROCS (-count=1: that variable is not in the cache
+# key).
+sweeps:
+	$(GO) test -count=1 -run 'TestChaosRunDeterministic|TestSupervised|TestAutosaveCostPerSnapshot' ./internal/core/
+	for n in 1 2 4 1 2 4 1 2 4; do GOMAXPROCS=$$n $(GO) test -count=1 -run '^Example' . || exit 1; done
 
 build:
 	$(GO) build ./...
@@ -191,15 +179,15 @@ bundle-smoke:
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
 
 # What no program links: every declared function of a non-test file that
-# appears in no program's symbol table. Each cmd/, example and the benchmark
-# is built with inlining off, so a function that runs keeps its own symbol;
+# appears in no program's symbol table. Each cmd/ and the benchmark is
+# built with inlining off, so a function that runs keeps its own symbol;
 # symbols of main packages are renamed to their directory and type arguments
 # stripped, so a generic method counts as linked when any instantiation is.
 # Prints `symbol file:line lines` per function, then the totals; gates
 # nothing. Assumes gofmt'd source: a body ends at the first `}` in column 0.
 unlinked:
 	@t=$$(mktemp -d) && trap 'rm -rf $$t' EXIT && \
-	for p in cmd/* examples/* benchmark; do \
+	for p in cmd/* benchmark; do \
 		$(GO) build -gcflags=all=-l -o $$t/bin ./$$p || exit 1; \
 		$(GO) tool nm $$t/bin | awk -v d=sphenergy/$$p '{ s = $$0; \
 			sub(/^ *([0-9a-f]+ +)?[A-Za-z] +/, "", s); sub(/^main\./, d ".", s); \
@@ -223,15 +211,6 @@ unlinked:
 # Regenerate every table/figure at the paper's step counts.
 experiments:
 	$(GO) run ./cmd/experiments -run all -scale 1 -out results
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/turbulence
-	$(GO) run ./examples/evrard
-	$(GO) run ./examples/sedov
-	$(GO) run ./examples/dvfstrace
-	$(GO) run ./examples/measurement
-	$(GO) run ./examples/customcode
 
 clean:
 	rm -rf results

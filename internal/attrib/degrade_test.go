@@ -89,7 +89,7 @@ func TestBuildFlagsSubIntervalSpansNearDegradedTicks(t *testing.T) {
 	// neighbor intervals' power. When a neighbor is degraded — e.g. the
 	// recovery tick carrying a failover reconciliation backlog — the span
 	// rests on estimated data and must be classified even though its own
-	// time window is clean. (Found by the faultbench chaos harness: tiny
+	// time window is clean. (Found by the seeded chaos sweep: tiny
 	// Timestep rows next to recovery ticks showed >1000% error unflagged.)
 	samples := grid(10, [2]float64{1, 100}, [2]float64{1, 100}, [2]float64{1, 100})
 	series := map[int][]sampler.Sample{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}

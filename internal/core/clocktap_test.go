@@ -7,7 +7,6 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/events"
-	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
@@ -65,32 +64,20 @@ func TestDecisionsReachTracerAndLedger(t *testing.T) {
 // freq_switch_latency_s to what the runner exported at commit f70485f,
 // when an InstrumentedSetter wrapper counted the sets, on two runs: the
 // recorded 8-rank, 300-step ManDyn run (one Setup set plus four sets a step
-// per rank) and faultbench's chaos plan for seed 1, whose clamped-clock
-// window sits under a resilient setter.
+// per rank) and the chaos sweep's 2-rank run for seed 1 (chaosConfig),
+// whose clamped-clock window sits under a resilient setter.
 func TestClockTapMetricsPinned(t *testing.T) {
 	mandyn := func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
 	}
-	spec := cluster.MiniHPC()
-	max := spec.GPUSpec.MaxSMClockMHz
-	chaos := &faults.Plan{Name: "chaos-1", Seed: 1, Rules: []faults.Rule{
-		{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.15},
-		{Kind: faults.Stuck, Target: faults.TargetNodeSensor, Probability: 0.05, Burst: 3},
-		{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: max * 2 / 3, StartS: 5},
-		{Kind: faults.Straggler, Target: faults.TargetRank, Ranks: []int{0}, Probability: 0.1, Factor: 2},
-	}}
 	for _, c := range []struct {
 		name string
 		cfg  Config
 		want float64
 	}{
-		{"recorded-mandyn-8", Config{System: spec, Ranks: 8, Sim: Turbulence,
+		{"recorded-mandyn-8", Config{System: cluster.MiniHPC(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 300, Seed: 42, NewStrategy: mandyn}, 9608},
-		{"faultbench-chaos-1", Config{System: spec, Ranks: 2, Sim: Turbulence,
-			ParticlesPerRank: 10e6, Steps: 3, Seed: 1, Faults: chaos,
-			NewStrategy: func() freqctl.Strategy {
-				return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
-			}}, 26},
+		{"chaos-1", chaosConfig(1, 2, 3, false), 26},
 	} {
 		c.cfg.Tracer = telemetry.NewTracer(c.cfg.Ranks)
 		c.cfg.Metrics = telemetry.NewRegistry()

@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
+	"sphenergy/internal/events"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
@@ -303,10 +305,87 @@ func TestManDynUnderClampReportsAchievedClock(t *testing.T) {
 	}
 }
 
-// TestChaosRunDeterministic: the same config and plan must produce
-// bit-identical results — wall time, energy, and the full fault report.
+// chaosConfig is a seeded chaos run on miniHPC: every fault family the
+// framework injects — sensor transients, a stuck node sensor, a
+// clamped-clock window, a straggler and, with crash, a rank that dies
+// halfway under drop-rank — stacked on a ManDyn run with a default clock,
+// so the sensor, clock-control and rank layers all see injections, with
+// every observer on: tracer, metrics, sampler and decision ledger.
+func chaosConfig(seed uint64, ranks, steps int, crash bool) Config {
+	spec := cluster.MiniHPC()
+	max := spec.GPUSpec.MaxSMClockMHz
+	cfg := Config{
+		System:           spec,
+		Ranks:            ranks,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            steps,
+		Seed:             seed,
+		Tracer:           telemetry.NewTracer(ranks),
+		Metrics:          telemetry.NewRegistry(),
+		Events:           events.NewLedger(0),
+		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
+		Faults: &faults.Plan{Name: fmt.Sprintf("chaos-%d", seed), Seed: seed, Rules: []faults.Rule{
+			{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.15},
+			{Kind: faults.Stuck, Target: faults.TargetNodeSensor, Probability: 0.05, Burst: 3},
+			{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: max * 2 / 3, StartS: 5},
+			{Kind: faults.Straggler, Target: faults.TargetRank, Ranks: []int{0}, Probability: 0.1, Factor: 2},
+		}},
+		NewStrategy: func() freqctl.Strategy {
+			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
+		},
+	}
+	if crash {
+		cfg.Faults.Rules = append(cfg.Faults.Rules, faults.Rule{
+			Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{ranks - 1}, Step: steps / 2,
+		})
+		cfg.Degradation = DegradeDropRank
+	}
+	return cfg
+}
+
+// chaosSummary runs cfg and returns, as JSON, what a replay of it must
+// reproduce: wall time, energy, the fault report, the attribution rows, the
+// rank failures and the ledger's counts per event type. It fails t unless
+// the run kept the two-gate attribution contract: rows that rest on
+// estimated sensor data are classified, never silently gated.
+func chaosSummary(t *testing.T, cfg Config) string {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attribution == nil || res.Events == nil {
+		t.Fatal("no attribution or ledger summary produced")
+	}
+	if !res.Attribution.Pass {
+		t.Fatalf("two-gate contract violated: agg err %.3f%% with %d degraded rows classified",
+			res.Attribution.AggErrPct, res.Attribution.DegradedRows)
+	}
+	b, err := json.Marshal(map[string]any{
+		"wall":     res.WallTimeS,
+		"energy_j": res.EnergyJ(),
+		"faults":   res.Faults,
+		"kernels":  res.Attribution.Kernels,
+		"failures": res.Failures,
+		"events":   res.Events.ByType,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestChaosRunDeterministic: the same config and plan must replay
+// bit-identically and keep the attribution contract, on a CSCS-A100 run
+// under redistribute and on the seeded sweep: seeds 1-10 on 2 ranks for 3
+// steps, and on 4 ranks for 4 steps with a rank crash under drop-rank.
 func TestChaosRunDeterministic(t *testing.T) {
-	mk := func() Config {
+	type row struct {
+		name string
+		cfg  func() Config
+	}
+	rows := []row{{"cscs-42", func() Config {
 		return Config{
 			System:           cluster.CSCSA100(),
 			Ranks:            4,
@@ -315,6 +394,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 			Steps:            4,
 			Tracer:           telemetry.NewTracer(4),
 			Metrics:          telemetry.NewRegistry(),
+			Events:           events.NewLedger(0),
 			Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 			Degradation:      DegradeRedistribute,
 			Faults: &faults.Plan{Name: "chaos", Seed: 42, Rules: []faults.Rule{
@@ -325,29 +405,18 @@ func TestChaosRunDeterministic(t *testing.T) {
 				{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{3}, Step: 2},
 			}},
 		}
+	}}}
+	for seed := uint64(1); seed <= 10; seed++ {
+		rows = append(rows,
+			row{fmt.Sprintf("seed-%d-2x3", seed), func() Config { return chaosConfig(seed, 2, 3, false) }},
+			row{fmt.Sprintf("seed-%d-4x4-crash", seed), func() Config { return chaosConfig(seed, 4, 4, true) }})
 	}
-	a, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WallTimeS != b.WallTimeS || a.Report.TotalEnergyJ != b.Report.TotalEnergyJ {
-		t.Fatalf("chaos runs diverged: wall %v vs %v, energy %v vs %v",
-			a.WallTimeS, b.WallTimeS, a.Report.TotalEnergyJ, b.Report.TotalEnergyJ)
-	}
-	ja, err := json.Marshal(a.Faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b.Faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Fatalf("fault reports diverged:\n%s\nvs\n%s", ja, jb)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if a, b := chaosSummary(t, r.cfg()), chaosSummary(t, r.cfg()); a != b {
+				t.Fatalf("replay diverged:\n%s\nvs\n%s", a, b)
+			}
+		})
 	}
 }
 

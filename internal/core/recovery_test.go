@@ -17,6 +17,7 @@ import (
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/recovery"
+	"sphenergy/internal/rng"
 )
 
 // recoverableConfig is a small multi-rank run exercising the checkpointed
@@ -61,71 +62,116 @@ func modelRecord(t *testing.T, res *Result) string {
 	return string(b)
 }
 
+// soakConfig is the seeded recovery sweep's run: model only, on miniHPC,
+// with a setup phase, ManDyn elision state with a default clock and the
+// Verlet-skin rebuild cadence, so every checkpointed state surface is
+// exercised.
+func soakConfig(seed uint64) Config {
+	spec := cluster.MiniHPC()
+	max := spec.GPUSpec.MaxSMClockMHz
+	return Config{
+		System:               spec,
+		Ranks:                4,
+		Sim:                  Turbulence,
+		ParticlesPerRank:     10e6,
+		Steps:                8,
+		Seed:                 seed,
+		SetupS:               1,
+		NeighborRebuildEvery: 3,
+		NewStrategy: func() freqctl.Strategy {
+			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
+		},
+	}
+}
+
+// soakSeeds is how many seeds the recovery sweep runs soakConfig with.
+const soakSeeds = 5
+
+// requireCrashRecovers crashes rank at step of cfg's run with a pinned
+// rank-crash plan and requires the supervisor to restart it from its
+// on-disk checkpoint into want, the uninterrupted run's modelRecord, with
+// the save, the restore and the restart on the ledger.
+func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed, seed uint64) {
+	t.Helper()
+	cfg.Faults = &faults.Plan{Name: "kill", Seed: planSeed, Rules: []faults.Rule{
+		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{rank}, Step: step},
+	}}
+	led := events.NewLedger(0)
+	res, out, err := RunSupervised(cfg, recovery.Config{
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: seed, Events: led,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Status != recovery.StatusCompleted {
+		t.Fatalf("status %q, want completed (outcome %+v)", out.Status, out)
+	}
+	if out.Restarts < 1 || !out.Resumed {
+		t.Fatalf("crash at step %d did not force a restore: %+v", step, out)
+	}
+	if got := modelRecord(t, res); got != want {
+		t.Errorf("recovered run diverged from uninterrupted reference\n got: %.120s...\nwant: %.120s...", got, want)
+	}
+	if res.Recovery == nil || !res.Recovery.Resumed || res.Recovery.Checkpoints == 0 {
+		t.Errorf("Result.Recovery incomplete: %+v", res.Recovery)
+	}
+	sum := led.Summary()
+	for _, typ := range []events.Type{events.CheckpointSave, events.CheckpointRestore, events.Restart} {
+		if sum.ByType[typ] == 0 {
+			t.Errorf("ledger missing %s events: %+v", typ, sum.ByType)
+		}
+	}
+}
+
+// TestSupervisedCrashRecoveryBitIdentical kills recoverableConfig's run at
+// fixed steps, then each soakConfig seed's at ten points whose step and
+// rank the seed draws.
 func TestSupervisedCrashRecoveryBitIdentical(t *testing.T) {
 	ref, err := Run(recoverableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := modelRecord(t, ref)
-
 	for _, killStep := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("kill-step-%d", killStep), func(t *testing.T) {
-			cfg := recoverableConfig()
-			cfg.Faults = &faults.Plan{Name: "kill", Seed: 11, Rules: []faults.Rule{
-				{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{2}, Step: killStep},
-			}}
-			led := events.NewLedger(0)
-			rcfg := recovery.Config{
-				Dir:           t.TempDir(),
-				AutosaveEvery: 1,
-				MaxRestarts:   2,
-				BackoffS:      0.001,
-				Seed:          7,
-				Events:        led,
-			}
-			res, out, err := RunSupervised(cfg, rcfg)
+			requireCrashRecovers(t, recoverableConfig(), want, killStep, 2, 11, 7)
+		})
+	}
+
+	for seed := uint64(1); seed <= soakSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			cfg := soakConfig(seed)
+			ref, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Status != recovery.StatusCompleted {
-				t.Fatalf("status %q, want completed (outcome %+v)", out.Status, out)
-			}
-			if out.Restarts < 1 || !out.Resumed {
-				t.Fatalf("crash at step %d did not force a restore: %+v", killStep, out)
-			}
-			if got := modelRecord(t, res); got != want {
-				t.Errorf("recovered run diverged from uninterrupted reference\n got: %.120s...\nwant: %.120s...", got, want)
-			}
-			if res.Recovery == nil || !res.Recovery.Resumed || res.Recovery.Checkpoints == 0 {
-				t.Errorf("Result.Recovery incomplete: %+v", res.Recovery)
-			}
-			sum := led.Summary()
-			for _, typ := range []events.Type{events.CheckpointSave, events.CheckpointRestore, events.Restart} {
-				if sum.ByType[typ] == 0 {
-					t.Errorf("ledger missing %s events: %+v", typ, sum.ByType)
-				}
+			want := modelRecord(t, ref)
+			r := rng.New(seed ^ 0x50AC50AC)
+			for kill := 0; kill < 10; kill++ {
+				// Step 0 has no autosave before it, so a crash there would
+				// exhaust the restarts.
+				step, rank := 1+r.Intn(cfg.Steps-1), r.Intn(cfg.Ranks)
+				t.Run(fmt.Sprintf("kill-%d-step-%d-rank-%d", kill, step, rank), func(t *testing.T) {
+					requireCrashRecovers(t, cfg, want, step, rank, seed, seed)
+				})
 			}
 		})
 	}
 }
 
-func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
-	ref, err := Run(recoverableConfig())
+// requireBudgetStopResumes submits cfg with a wall-time budget of half its
+// uninterrupted run, which must stop it at a step boundary with a final
+// checkpoint, then again with the budget lifted, which must resume there
+// and finish the run bit-identically.
+func requireBudgetStopResumes(t *testing.T, cfg Config, rcfg recovery.Config) {
+	t.Helper()
+	ref, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := modelRecord(t, ref)
-
-	dir := t.TempDir()
 	led := events.NewLedger(0)
-	rcfg := recovery.Config{
-		Dir:             dir,
-		AutosaveEvery:   2,
-		Seed:            7,
-		WalltimeBudgetS: ref.WallTimeS * 0.5,
-		Events:          led,
-	}
-	res1, out1, err := RunSupervised(recoverableConfig(), rcfg)
+	rcfg.Dir, rcfg.Events, rcfg.WalltimeBudgetS = t.TempDir(), led, ref.WallTimeS*0.5
+	res1, out1, err := RunSupervised(cfg, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +181,15 @@ func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
 	if res1.Recovery == nil || !res1.Recovery.Stopped || res1.Recovery.LastCheckpoint == "" {
 		t.Fatalf("budget stop left no final checkpoint: %+v", res1.Recovery)
 	}
-	if n := len(res1.StepBoundariesS); n == 0 || n >= recoverableConfig().Steps {
+	if n := len(res1.StepBoundariesS); n == 0 || n >= cfg.Steps {
 		t.Fatalf("budget stop ran %d steps, want a strict partial run", n)
 	}
 	if led.Summary().ByType[events.BudgetStop] == 0 {
 		t.Error("no budget-stop event in the ledger")
 	}
 
-	// Second submission with the budget lifted resumes from the final
-	// checkpoint and finishes the remaining steps bit-identically.
 	rcfg.WalltimeBudgetS = 0
-	res2, out2, err := RunSupervised(recoverableConfig(), rcfg)
+	res2, out2, err := RunSupervised(cfg, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +199,18 @@ func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
 	if out2.ResumeStep != len(res1.StepBoundariesS) {
 		t.Errorf("resumed at step %d, want %d", out2.ResumeStep, len(res1.StepBoundariesS))
 	}
-	if got := modelRecord(t, res2); got != want {
+	if got, want := modelRecord(t, res2), modelRecord(t, ref); got != want {
 		t.Errorf("preempted+resumed run diverged from uninterrupted reference")
+	}
+}
+
+func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
+	requireBudgetStopResumes(t, recoverableConfig(), recovery.Config{AutosaveEvery: 2, Seed: 7})
+	for seed := uint64(1); seed <= soakSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			requireBudgetStopResumes(t, soakConfig(seed),
+				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: seed})
+		})
 	}
 }
 
@@ -353,7 +407,7 @@ func raceDetectorOn() bool {
 // write path moves.
 func TestAutosaveCostPerSnapshot(t *testing.T) {
 	if raceDetectorOn() {
-		t.Skip("race instrumentation reads 3-6 ms per snapshot; the bound is for plain builds (go test, make soak-smoke)")
+		t.Skip("race instrumentation reads 3-6 ms per snapshot; the bound is for plain builds (go test, make sweeps)")
 	}
 	const perSnapshot = 6 * time.Millisecond
 	cfg := Config{

@@ -12,8 +12,9 @@
 // Determinism is the load-bearing property: every injector derives its
 // random stream from (plan seed, target, instance), so two runs of the same
 // simulation with the same plan inject byte-identical fault sequences
-// regardless of goroutine scheduling — which is what lets `make chaos-smoke`
-// assert bit-identical degraded output across repeated runs.
+// regardless of goroutine scheduling — which is what lets core's
+// TestChaosRunDeterministic assert bit-identical degraded output across
+// repeated runs.
 //
 // The package deliberately depends only on internal/rng. The sensor
 // back-ends (nvml, rsmi, pmcounters) expose a FaultHook of the shared

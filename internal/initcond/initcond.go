@@ -1,6 +1,5 @@
 // Package initcond generates the initial conditions for the paper's two
-// workloads — Subsonic Turbulence and Evrard Collapse — plus a Sedov blast
-// wave used by an extra example.
+// workloads: Subsonic Turbulence and Evrard Collapse.
 //
 // Particle counts are expressed as n³ lattices ("450³ particles" in the
 // paper). Turbulence starts from a periodic glass-like lattice with a
@@ -238,56 +237,5 @@ func Evrard(spec EvrardSpec) (*sph.Particles, sph.Options) {
 	opt.EOS = sph.IdealGas{Gamma: 5.0 / 3.0}
 	opt.GravG = 1
 	opt.GravEps = 0.05 * spec.R / math.Cbrt(float64(N)/1000)
-	return p, opt
-}
-
-// SedovSpec configures a Sedov–Taylor point explosion (extra example).
-type SedovSpec struct {
-	NSide int
-	E0    float64 // injected energy
-	Rho0  float64
-	Seed  uint64
-}
-
-// Sedov builds a Sedov blast initial condition in a periodic unit box:
-// uniform density, cold background, with E0 deposited in the central
-// smoothing volume.
-func Sedov(spec SedovSpec) (*sph.Particles, sph.Options) {
-	n := spec.NSide * spec.NSide * spec.NSide
-	box := sfc.NewPeriodicCube(0, 1)
-	p := sph.NewParticles(n)
-	Lattice(p, box, spec.NSide, 0.05, spec.Seed)
-	mass := spec.Rho0 / float64(n)
-	h0 := 1.2 * math.Cbrt(3.0/(4*math.Pi)*64) / (2 * float64(spec.NSide))
-	ubg := 1e-6
-	for i := 0; i < n; i++ {
-		p.M[i] = mass
-		p.H[i] = h0
-		p.U[i] = ubg
-		p.Alpha[i] = 0.5
-		p.Rho[i] = spec.Rho0
-	}
-	// Deposit energy in particles within 2h of the center, kernel-weighted.
-	cx, cy, cz := 0.5, 0.5, 0.5
-	var wsum float64
-	weights := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dx, dy, dz := p.X[i]-cx, p.Y[i]-cy, p.Z[i]-cz
-		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
-		if r < 2*h0 {
-			w := math.Exp(-r * r / (h0 * h0))
-			weights[i] = w
-			wsum += w
-		}
-	}
-	if wsum > 0 {
-		for i := 0; i < n; i++ {
-			if weights[i] > 0 {
-				p.U[i] += spec.E0 * weights[i] / (wsum * mass)
-			}
-		}
-	}
-	opt := sph.DefaultOptions(box)
-	opt.EOS = sph.IdealGas{Gamma: 5.0 / 3.0}
 	return p, opt
 }

@@ -140,31 +140,6 @@ func TestEvrardColdStart(t *testing.T) {
 	}
 }
 
-func TestSedovEnergyInjection(t *testing.T) {
-	spec := SedovSpec{NSide: 12, E0: 1.0, Rho0: 1.0, Seed: 3}
-	p, _ := Sedov(spec)
-	var total float64
-	for i := 0; i < p.N; i++ {
-		total += p.M[i] * p.U[i]
-	}
-	// Total internal energy = E0 + background.
-	if math.Abs(total-1.0) > 0.01 {
-		t.Errorf("injected energy %v, want ~1.0", total)
-	}
-	// Energy concentrates at the center.
-	var maxU float64
-	var maxI int
-	for i := 0; i < p.N; i++ {
-		if p.U[i] > maxU {
-			maxU, maxI = p.U[i], i
-		}
-	}
-	dx, dy, dz := p.X[maxI]-0.5, p.Y[maxI]-0.5, p.Z[maxI]-0.5
-	if math.Sqrt(dx*dx+dy*dy+dz*dz) > 0.2 {
-		t.Error("hottest particle is far from the blast center")
-	}
-}
-
 func TestMassConservation(t *testing.T) {
 	p, _ := Turbulence(DefaultTurbulence(10))
 	var m float64

@@ -1,7 +1,7 @@
 // Package pmcounters emulates the HPE/Cray out-of-band power management
-// counters: the read-only /sys/cray/pm_counters/ sysfs files that publish
-// node, CPU, memory and accelerator energy at a default 10 Hz collection
-// rate (Martin, CUG 2014/2018).
+// counters: the values of the read-only /sys/cray/pm_counters/ files,
+// which publish node, CPU, memory and accelerator energy at a default
+// 10 Hz collection rate (Martin, CUG 2014/2018).
 //
 // Two fidelity details matter for the paper's analysis:
 //
@@ -15,10 +15,9 @@
 //
 // Counters refresh only on collection ticks: a read at virtual time t
 // reflects the hardware state at tick floor(t*CollectionHz)/CollectionHz,
-// never later. The freshness file carries that tick count, so consumers
-// can detect a stale read. Ticks are not backfilled — if several periods
-// elapse between reads, intermediate samples simply never existed, and the
-// next read jumps straight to the current tick. Consequently a consumer
+// never later. Ticks are not backfilled — if several periods elapse
+// between reads, intermediate samples simply never existed, and the next
+// read jumps straight to the current tick. Consequently a consumer
 // sampling the energy file at rate f sees at most min(f, CollectionHz)
 // distinct values per second, and energy deltas between consecutive reads
 // are quantized to whole collection periods. Cross-source validation
@@ -28,9 +27,6 @@ package pmcounters
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"sphenergy/internal/cluster"
 )
@@ -41,8 +37,8 @@ const CollectionHz = 10
 // FaultHook intercepts collection ticks for fault injection, sharing the
 // shape of nvml.FaultHook. It is consulted once per collection resample
 // (op "refresh"); an error skips the resample, so readers keep seeing the
-// previous tick's values and the freshness file stops advancing — exactly
-// the pm_counters staleness mode documented for the real hardware.
+// previous tick's values — exactly the pm_counters staleness mode
+// documented for the real hardware.
 // Production paths leave the hook nil.
 type FaultHook func(op string, arg int) (int, error)
 
@@ -151,54 +147,4 @@ func (c *Counters) AccelEnergy(n int) (float64, error) {
 func (c *Counters) Power() float64 {
 	c.refresh()
 	return c.cached.nodeW
-}
-
-// AuxiliaryEnergy computes the "other" energy the paper derives by
-// subtracting CPU, memory and accelerator energy from node energy.
-func (c *Counters) AuxiliaryEnergy() float64 {
-	c.refresh()
-	accel := 0.0
-	for _, a := range c.cached.accelJ {
-		accel += a
-	}
-	return c.cached.nodeJ - c.cached.cpuJ - c.cached.memJ - accel
-}
-
-// Files renders the sysfs file contents, keyed by file name relative to
-// /sys/cray/pm_counters/. Formats follow the real files: "<value> <unit>".
-func (c *Counters) Files() map[string]string {
-	c.refresh()
-	files := map[string]string{
-		"energy":        fmt.Sprintf("%d J", int64(c.cached.nodeJ)),
-		"cpu_energy":    fmt.Sprintf("%d J", int64(c.cached.cpuJ)),
-		"memory_energy": fmt.Sprintf("%d J", int64(c.cached.memJ)),
-		"power":         fmt.Sprintf("%d W", int64(c.cached.nodeW)),
-		"freshness":     fmt.Sprintf("%d", int64(c.lastSampleTime*CollectionHz)),
-		"generation":    "1",
-		"version":       "sphenergy-sim 1",
-	}
-	for i, a := range c.cached.accelJ {
-		files[fmt.Sprintf("accel%d_energy", i)] = fmt.Sprintf("%d J", int64(a))
-	}
-	return files
-}
-
-// WriteSysfs materializes the counters as real files under dir, for tools
-// that expect to read a directory tree. Returns the list of files written.
-func (c *Counters) WriteSysfs(dir string) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("pmcounters: %w", err)
-	}
-	files := c.Files()
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(files[name]+"\n"), 0o444); err != nil {
-			return nil, fmt.Errorf("pmcounters: %w", err)
-		}
-	}
-	return names, nil
 }

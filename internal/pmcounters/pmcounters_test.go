@@ -2,9 +2,6 @@ package pmcounters
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
@@ -43,22 +40,27 @@ func TestPerCardAccounting(t *testing.T) {
 func TestNodeEnergyIsSumOfComponents(t *testing.T) {
 	node := lumiNode(t)
 	c := New(node)
-	sum := c.CPUEnergy() + c.MemoryEnergy() + c.AuxiliaryEnergy()
-	for card := 0; card < node.NumCards(); card++ {
-		e, _ := c.AccelEnergy(card)
-		sum += e
-	}
+	sum := node.CPUEnergyJ() + node.Mem.Meter.EnergyJ() + node.GPUEnergyJ() + node.Aux.EnergyJ()
 	if math.Abs(sum-c.Energy()) > 1e-6 {
-		t.Errorf("component sum %v != node energy %v", sum, c.Energy())
+		t.Errorf("component meters sum to %v, node energy reads %v", sum, c.Energy())
 	}
 }
 
 func TestAuxiliaryDerivation(t *testing.T) {
 	node := lumiNode(t)
 	c := New(node)
-	// The paper derives "other" by subtraction; it must match the aux meter.
-	if math.Abs(c.AuxiliaryEnergy()-node.Aux.EnergyJ()) > 1e-9 {
-		t.Errorf("aux = %v, meter = %v", c.AuxiliaryEnergy(), node.Aux.EnergyJ())
+	// The paper derives "other" by subtracting CPU, memory and accelerator
+	// energy from node energy; it must match the aux meter.
+	aux := c.Energy() - c.CPUEnergy() - c.MemoryEnergy()
+	for card := 0; card < node.NumCards(); card++ {
+		e, err := c.AccelEnergy(card)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aux -= e
+	}
+	if math.Abs(aux-node.Aux.EnergyJ()) > 1e-6 {
+		t.Errorf("derived aux = %v, meter = %v", aux, node.Aux.EnergyJ())
 	}
 }
 
@@ -89,57 +91,18 @@ func TestCollectionRateQuantization(t *testing.T) {
 	}
 }
 
-func TestFilesFormat(t *testing.T) {
-	node := lumiNode(t)
-	files := New(node).Files()
-	for _, name := range []string{"energy", "cpu_energy", "memory_energy", "power", "freshness", "accel0_energy", "accel3_energy"} {
-		if _, ok := files[name]; !ok {
-			t.Errorf("missing pm file %q", name)
-		}
-	}
-	if !strings.HasSuffix(files["energy"], " J") {
-		t.Errorf("energy file %q missing unit", files["energy"])
-	}
-	if !strings.HasSuffix(files["power"], " W") {
-		t.Errorf("power file %q missing unit", files["power"])
-	}
-}
-
 func TestA100NodeHasOneAccelPerCard(t *testing.T) {
 	node := cluster.NewNode(cluster.CSCSA100(), 0)
 	for _, d := range node.Devices {
 		d.Idle(0.5)
 	}
 	node.AdvanceHost(0.5, 0.1, 0.1)
-	files := New(node).Files()
-	if _, ok := files["accel3_energy"]; !ok {
-		t.Error("CSCS-A100 node should expose 4 accel files")
+	c := New(node)
+	if _, err := c.AccelEnergy(3); err != nil {
+		t.Errorf("CSCS-A100 node should expose 4 accel files: %v", err)
 	}
-	if _, ok := files["accel4_energy"]; ok {
+	if _, err := c.AccelEnergy(4); err == nil {
 		t.Error("CSCS-A100 node exposes too many accel files")
-	}
-}
-
-func TestWriteSysfs(t *testing.T) {
-	node := lumiNode(t)
-	dir := filepath.Join(t.TempDir(), "pm_counters")
-	names, err := New(node).WriteSysfs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) < 8 {
-		t.Errorf("only %d files written", len(names))
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "energy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), " J") {
-		t.Errorf("energy file content %q", data)
-	}
-	info, _ := os.Stat(filepath.Join(dir, "energy"))
-	if info.Mode().Perm()&0o222 != 0 {
-		t.Error("pm_counters files should be read-only")
 	}
 }
 
@@ -157,53 +120,56 @@ func TestPowerReflectsComponents(t *testing.T) {
 	}
 }
 
-// TestFreshnessTimestampSemantics pins the freshness contract: the
-// freshness file is the collection-tick count floor(now*CollectionHz) of
-// the last refresh. When virtual time advances with no intervening reads,
-// the next read jumps freshness straight to the current tick (ticks are
-// not backfilled), and repeated reads at the same virtual time return the
-// identical snapshot.
+// TestFreshnessTimestampSemantics pins the collection contract through the
+// energy file: a read returns the node's energy as of the last collection
+// tick it refreshed on, so re-reads at the same time and within one period
+// return the identical value. When virtual time advances with no
+// intervening reads, the next read jumps straight to the current tick —
+// ticks are not backfilled — and its value holds until the tick after.
 func TestFreshnessTimestampSemantics(t *testing.T) {
 	node := cluster.NewNode(cluster.LUMIG(), 0)
-	for _, d := range node.Devices {
-		d.Idle(1.0)
+	advance := func(s float64) {
+		for _, d := range node.Devices {
+			d.Idle(s)
+		}
+		node.AdvanceHost(s, 0.2, 0.2)
 	}
-	node.AdvanceHost(1.0, 0.2, 0.2)
+	advance(1.0)
 	c := New(node)
 
-	f1 := New(node).Files()["freshness"]
-	files := c.Files()
-	if files["freshness"] != "10" {
-		t.Fatalf("freshness at t=1.0 s = %q, want \"10\" (tick count at 10 Hz)", files["freshness"])
+	e1 := c.Energy()
+	if e1 != node.TotalEnergyJ() || e1 != New(node).Energy() {
+		t.Fatalf("read at t=1.0 s = %v, want the node's %v, as a second view reads it", e1, node.TotalEnergyJ())
 	}
-	if f1 != files["freshness"] {
-		t.Errorf("two views at the same time disagree: %q vs %q", f1, files["freshness"])
+	if c.lastSampleTime*CollectionHz != 10 {
+		t.Errorf("read at t=1.0 s sampled tick %v, want 10", c.lastSampleTime*CollectionHz)
 	}
-
-	// Re-read with no clock movement: identical snapshot, same freshness.
-	again := c.Files()
-	if again["freshness"] != files["freshness"] || again["energy"] != files["energy"] {
-		t.Errorf("re-read at same time changed snapshot: %v -> %v", files, again)
+	// Re-read with no clock movement: the identical value.
+	if again := c.Energy(); again != e1 {
+		t.Errorf("re-read at same time changed the value: %v -> %v", e1, again)
 	}
 
 	// Advance 0.57 s in one go (5 collection periods elapse unread): the
-	// next read reports the latest tick only, floor(1.57*10) = 15.
-	for _, d := range node.Devices {
-		d.Idle(0.57)
+	// next read reports the current tick, floor(1.57*10) = 15, and the
+	// node's energy as of now, not as of some intermediate tick.
+	advance(0.57)
+	jump := c.Energy()
+	if jump != node.TotalEnergyJ() {
+		t.Errorf("read after the jump to t=1.57 s = %v, want the node's current %v", jump, node.TotalEnergyJ())
 	}
-	node.AdvanceHost(0.57, 0.2, 0.2)
-	files = c.Files()
-	if files["freshness"] != "15" {
-		t.Errorf("freshness after jump to t=1.57 s = %q, want \"15\"", files["freshness"])
+	if c.lastSampleTime*CollectionHz != 15 {
+		t.Errorf("read after the jump sampled tick %v, want 15", c.lastSampleTime*CollectionHz)
 	}
 
 	// Advance within the current 10 Hz quantum (1.57 s -> 1.59 s stays on
-	// tick 15): freshness must hold still.
-	for _, d := range node.Devices {
-		d.Idle(0.02)
+	// tick 15): the value must hold still while the node's energy moves.
+	advance(0.02)
+	if got := c.Energy(); got != jump || got == node.TotalEnergyJ() {
+		t.Errorf("read within one period = %v, want the held %v (node now at %v)", got, jump, node.TotalEnergyJ())
 	}
-	node.AdvanceHost(0.02, 0.2, 0.2)
-	if got := c.Files()["freshness"]; got != "15" {
-		t.Errorf("freshness moved within one period: %q", got)
+	// Past the next tick (1.59 s -> 1.61 s) it refreshes.
+	advance(0.02)
+	if got := c.Energy(); got != node.TotalEnergyJ() {
+		t.Errorf("read past tick 16 = %v, want the node's current %v", got, node.TotalEnergyJ())
 	}
 }

@@ -1,7 +1,7 @@
 // Package slurm models the Slurm workload-manager surface the paper relies
 // on for energy validation (§II-A, §IV-A): job submission with a setup
-// phase, Trackable RESource (TRES) energy accounting, the sacct
-// ConsumedEnergy report, and the --gpu-freq/--cpu-freq submission flags.
+// phase, Trackable RESource (TRES) energy accounting, the job record's
+// ConsumedEnergy, and the --gpu-freq/--cpu-freq submission flags.
 //
 // The decisive behavioral detail for Fig. 3: Slurm integrates energy from
 // job submission, so its ConsumedEnergy includes the launch/allocation/
@@ -11,9 +11,7 @@ package slurm
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
 	"sphenergy/internal/attrib"
 	"sphenergy/internal/core"
@@ -120,8 +118,8 @@ func (m *Manager) Submit(cfg core.Config, opts SubmitOptions) (*Job, error) {
 	return job, job.Run()
 }
 
-// Queue registers a job without running it: its ID and its place in Jobs()
-// are fixed now, in submission order, so a campaign can queue every job and
+// Queue registers a job without running it: its ID and its place among the
+// accounting records are fixed now, in submission order, so a campaign can queue every job and
 // then Run them in any order — or concurrently, each Job from one goroutine
 // — with the accounting records a serial campaign would have left.
 func (m *Manager) Queue(cfg core.Config, opts SubmitOptions) *Job {
@@ -208,65 +206,4 @@ func ThreeWay(job *Job, thresholdPct float64) (*attrib.Validation, error) {
 	}
 	res.Report.Validation = v
 	return v, nil
-}
-
-// SacctFields are the supported sacct --format fields.
-var SacctFields = []string{"JobID", "JobName", "State", "NNodes", "NTasks", "Elapsed", "ConsumedEnergy"}
-
-// Sacct renders an sacct-style table for the given fields (all when empty).
-func (m *Manager) Sacct(fields []string) string {
-	if len(fields) == 0 {
-		fields = SacctFields
-	}
-	var b strings.Builder
-	for i, f := range fields {
-		if i > 0 {
-			b.WriteString("|")
-		}
-		b.WriteString(f)
-	}
-	b.WriteString("\n")
-	for _, j := range m.jobs {
-		for i, f := range fields {
-			if i > 0 {
-				b.WriteString("|")
-			}
-			b.WriteString(j.field(f))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-func (j *Job) field(name string) string {
-	switch name {
-	case "JobID":
-		return strconv.Itoa(j.ID)
-	case "JobName":
-		return j.Name
-	case "State":
-		return string(j.State)
-	case "NNodes":
-		return strconv.Itoa(j.NNodes)
-	case "NTasks":
-		return strconv.Itoa(j.NTasks)
-	case "Elapsed":
-		d := time.Duration(j.ElapsedS * float64(time.Second)).Round(time.Second)
-		return fmt.Sprintf("%02d:%02d:%02d", int(d.Hours()), int(d.Minutes())%60, int(d.Seconds())%60)
-	case "ConsumedEnergy":
-		return formatEnergy(j.ConsumedEnergyJ)
-	}
-	return ""
-}
-
-// formatEnergy renders joules the way sacct does (K/M suffixes).
-func formatEnergy(j float64) string {
-	switch {
-	case j >= 1e6:
-		return fmt.Sprintf("%.2fM", j/1e6)
-	case j >= 1e3:
-		return fmt.Sprintf("%.2fK", j/1e3)
-	default:
-		return fmt.Sprintf("%.0f", j)
-	}
 }

@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
@@ -132,41 +131,20 @@ func TestQueueFixesIDsBeforeRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := queued.Sacct(nil), serial.Sacct(nil); got != want {
-		t.Errorf("accounting differs from the serial campaign's:\n%s\nvs\n%s", got, want)
+	// What sacct reports of a job.
+	type record struct {
+		ID                        int
+		Name                      string
+		State                     JobState
+		NNodes, NTasks            int
+		ElapsedS, ConsumedEnergyJ float64
 	}
-}
-
-func TestSacctFormat(t *testing.T) {
-	mgr := NewManager()
-	mgr.Submit(smallJobConfig(), SubmitOptions{JobName: "fmt", TRES: ParseTRES("energy")})
-	out := mgr.Sacct(nil)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sacct output:\n%s", out)
+	accounting := func(j *Job) record {
+		return record{j.ID, j.Name, j.State, j.NNodes, j.NTasks, j.ElapsedS, j.ConsumedEnergyJ}
 	}
-	if !strings.HasPrefix(lines[0], "JobID|JobName|State") {
-		t.Errorf("header %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "COMPLETED") {
-		t.Errorf("row %q", lines[1])
-	}
-	// Custom field selection.
-	out = mgr.Sacct([]string{"JobName", "ConsumedEnergy"})
-	if !strings.HasPrefix(out, "JobName|ConsumedEnergy") {
-		t.Errorf("custom fields: %q", out)
-	}
-}
-
-func TestFormatEnergySuffixes(t *testing.T) {
-	cases := map[float64]string{
-		500:   "500",
-		2500:  "2.50K",
-		3.2e6: "3.20M",
-	}
-	for j, want := range cases {
-		if got := formatEnergy(j); got != want {
-			t.Errorf("formatEnergy(%v) = %q, want %q", j, got, want)
+	for i, j := range queued.jobs {
+		if got, want := accounting(j), accounting(serial.jobs[i]); got != want {
+			t.Errorf("job %d's accounting differs from the serial campaign's:\n%+v\nvs\n%+v", i, got, want)
 		}
 	}
 }

@@ -152,19 +152,3 @@ func (s *State) ComputeEnergies(pot []float64) Energies {
 	}
 	return e
 }
-
-// MachRMS returns the root-mean-square Mach number of the particle set,
-// the control quantity for subsonic turbulence runs.
-func (s *State) MachRMS() float64 {
-	p := s.P
-	sum := 0.0
-	for i := 0; i < p.N; i++ {
-		if p.C[i] <= 0 {
-			continue
-		}
-		v2 := p.VX[i]*p.VX[i] + p.VY[i]*p.VY[i] + p.VZ[i]*p.VZ[i]
-		m := math.Sqrt(v2) / p.C[i]
-		sum += m * m
-	}
-	return math.Sqrt(sum / float64(p.N))
-}

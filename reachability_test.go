@@ -15,9 +15,8 @@ import (
 // TestInternalPackagesAreReachable keeps internal/ from accumulating
 // packages nothing runs: every directory under internal/ must be imported,
 // directly or through other packages, by a program that consumes the
-// repository — cmd/*, benchmark or this root package. examples/ are not
-// roots (an example demonstrates code something else runs) and _test.go
-// files are not read (a package only its own tests reach is scaffolding).
+// repository — cmd/*, benchmark or this root package. _test.go files are
+// not read (a package only its own tests reach is scaffolding).
 func TestInternalPackagesAreReachable(t *testing.T) {
 	imports := map[string][]string{} // package directory -> module-relative imports
 	for _, gf := range nonTestFiles(t, parser.ImportsOnly) {
@@ -71,10 +70,10 @@ func TestInternalPackagesAreReachable(t *testing.T) {
 // TestTopLevelFunctionsHaveACaller is the same rule one level down: every
 // top-level function declared in a non-test file must be named by some
 // non-test file outside its own body — as alias.F through an import, or as
-// F inside its own package. Examples count as callers here. Methods are out
-// of reach (a method is named through a value, not a package), and so are
-// main, init and the root facade's exported functions, which exist to be
-// called from outside the module.
+// F inside its own package. Methods are out of reach (a method is named
+// through a value, not a package), and so are main, init and the root
+// facade's exported functions, which exist to be called from outside the
+// module.
 func TestTopLevelFunctionsHaveACaller(t *testing.T) {
 	files := nonTestFiles(t, parser.SkipObjectResolution)
 	pkgName := map[string]string{} // package directory -> package name
