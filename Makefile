@@ -147,13 +147,23 @@ bench-observe:
 bench-model:
 	$(GO) test -run '^$$' -bench PlainRun -benchtime 50x -count 3 ./internal/core/
 
-# FindNeighbors alone, by kind of step, on a jittered 30³ lattice: a
-# rebuild (candidate gather + row pass) and a refresh (row pass), each with
-# what it does per particle — distance tests and contiguous runs of the
-# gather, candidates streamed. Those counts repeat exactly; the times do not
-# on a shared machine — compare minimums across the -count runs.
+# The engine's layers one at a time; counts repeat exactly, times do not on
+# a shared machine — compare minimums across the -count runs.
+#   FindNeighbors  by kind of step, on a jittered 30³ lattice: a rebuild
+#                  (candidate gather + row pass) and a refresh (row pass),
+#                  each with what it does per particle — distance tests and
+#                  contiguous runs of the gather, candidates stored,
+#                  streamed, shells, survivors, records, repeated streams.
+#   PairPasses     XMass, IADVelocityDivCurl and MomentumEnergy each alone
+#                  over one turb30 step's pair list: ns/record, the step's
+#                  records, and the bytes a record streams through the
+#                  pass's sweeps.
+#   Gather         the candidate gather alone over Morton-ordered points at
+#                  the engine's proportions: tests/particle, cand/particle
+#                  and ns/test.
 bench-sph:
-	$(GO) test -run '^$$' -bench FindNeighbors -benchtime 10x -count 3 ./internal/sph/
+	$(GO) test -run '^$$' -bench 'FindNeighbors|PairPasses' -benchtime 10x -count 3 ./internal/sph/
+	$(GO) test -run '^$$' -bench Gather -benchtime 10x -count 3 ./internal/neighbors/
 
 # Run-bundle gate for `check`: a tiny tuned, sampled run writes its bundle,
 # and every inspect verb must read it (decisions exits 1 on a ledger without

@@ -1,9 +1,11 @@
 // Package neighbors provides fixed-radius neighbor search for SPH using a
 // uniform cell grid (cell-linked lists), with optional periodic boundaries.
 //
-// The grid resolution adapts to the search radius so that each query scans
-// at most 27 cells. Queries are safe to run concurrently once the grid is
-// built, which the SPH pipeline exploits with one worker per core.
+// A query scans the cells within its radius: 3 per axis when the cells are
+// as wide as the radius the grid was built for, more on a finer grid (the
+// SPH candidate gather's cells of half the radius scan 5 per axis, pruned
+// to the ones the sphere reaches). Queries are safe to run concurrently once
+// the grid is built, which the SPH pipeline exploits with one worker per core.
 package neighbors
 
 import (
@@ -28,6 +30,10 @@ type Grid struct {
 	cellOff    []int32 // ncells+1 prefix offsets into order
 	order      []int32 // particle indices grouped by cell, ascending within each
 	x, y, z    []float64
+	// ox, oy, oz copy the coordinates in order's order, ox[k] = x[order[k]],
+	// so that Gather streams a run's coordinates instead of loading them
+	// through order. The binning writes them beside order.
+	ox, oy, oz []float64
 
 	// Binning scratch, kept on the grid so BuildGridInto rebuilds without
 	// allocating once the buffers have warmed up to the problem size.
@@ -64,8 +70,9 @@ func BuildGridInto(g *Grid, box sfc.Box, x, y, z []float64, maxRadius float64) *
 	g.nz = gridDim(box.Lz(), maxRadius)
 	g.cellSize = [3]float64{box.Lx() / float64(g.nx), box.Ly() / float64(g.ny), box.Lz() / float64(g.nz)}
 	ncells := g.nx * g.ny * g.nz
-	g.cellOff = growInt32(g.cellOff, ncells+1)
-	g.order = growInt32(g.order, n)
+	g.cellOff = grow(g.cellOff, ncells+1)
+	g.order = grow(g.order, n)
+	g.ox, g.oy, g.oz = grow(g.ox, n), grow(g.oy, n), grow(g.oz, n)
 	workers := par.MaxWorkers()
 	if workers > 1 && n >= parallelBuildMinN && ncells <= parallelBuildMaxCells {
 		g.binParallel(ncells, workers)
@@ -75,20 +82,26 @@ func BuildGridInto(g *Grid, box sfc.Box, x, y, z []float64, maxRadius float64) *
 	return g
 }
 
-// growInt32 resizes s to n entries, reallocating only on capacity growth.
+// grow resizes s to n entries, reallocating only on capacity growth.
 // Contents are unspecified; callers overwrite or zero as needed.
-func growInt32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// place puts particle i at position k of order, with its coordinates.
+func (g *Grid) place(k int32, i int) {
+	g.order[k] = int32(i)
+	g.ox[k], g.oy[k], g.oz[k] = g.x[i], g.y[i], g.z[i]
 }
 
 // binSerial fills the CSR layout with a two-pass counting sort.
 func (g *Grid) binSerial(ncells int) {
 	n := len(g.x)
-	g.counts = growInt32(g.counts, ncells)
-	g.cells = growInt32(g.cells, n)
+	g.counts = grow(g.counts, ncells)
+	g.cells = grow(g.cells, n)
 	counts := g.counts
 	cells := g.cells
 	for i := range counts {
@@ -108,7 +121,7 @@ func (g *Grid) binSerial(ncells int) {
 	g.cellOff[ncells] = off
 	for i := 0; i < n; i++ {
 		c := cells[i]
-		g.order[counts[c]] = int32(i)
+		g.place(counts[c], i)
 		counts[c]++
 	}
 }
@@ -122,8 +135,8 @@ func (g *Grid) binSerial(ncells int) {
 func (g *Grid) binParallel(ncells, workers int) {
 	n := len(g.x)
 	chunk := (n + workers - 1) / workers
-	g.hist = growInt32(g.hist, workers*ncells)
-	g.cells = growInt32(g.cells, n)
+	g.hist = grow(g.hist, workers*ncells)
+	g.cells = grow(g.cells, n)
 	hist := g.hist
 	cells := g.cells
 	for i := range hist {
@@ -176,7 +189,7 @@ func (g *Grid) binParallel(ncells, workers int) {
 			h := hist[w*ncells : (w+1)*ncells]
 			for i := lo; i < hi; i++ {
 				c := cells[i]
-				g.order[h[c]] = int32(i)
+				g.place(h[c], i)
 				h[c]++
 			}
 		}(w, lo, hi)
@@ -278,7 +291,8 @@ type axisCell struct {
 const axisBufEntries = 33
 
 // eachRun walks the cells a query of the given radius around particle i
-// must test and hands them to fn as contiguous runs of order, each with the
+// must test and hands them to fn as contiguous runs of order, given as the
+// offsets [lo, hi) into it (and into the coordinate copies), each with the
 // periodic image per axis its window reaches it in (see axisCell). The scan
 // goes z, then y, then x as axisScan lists each window; cells whose nearest
 // point already lies beyond the radius are skipped wholesale, and since
@@ -287,7 +301,7 @@ const axisBufEntries = 33
 // cell order ascends, so the iteration order of every query — and with it
 // downstream floating-point summation order — is a function of the grid
 // and the radius alone.
-func (g *Grid) eachRun(i int, radius float64, fn func(run []int32, ix, iy, iz int32)) {
+func (g *Grid) eachRun(i int, radius float64, fn func(lo, hi int32, ix, iy, iz int32)) {
 	// Slab distances carry a few ulps of rounding; widen the pruning bound
 	// so a cell can never be rejected for a pair the unpruned scan admits.
 	r2prune := radius * radius * (1 + 0x1p-40)
@@ -317,7 +331,7 @@ func (g *Grid) eachRun(i int, radius float64, fn func(run []int32, ix, iy, iz in
 				for end < hi && xs[end].c == xs[end-1].c+1 {
 					end++
 				}
-				fn(g.order[g.cellOff[row+int(xs[lo].c)]:g.cellOff[row+int(xs[end-1].c)+1]], xs[lo].image, yc.image, zc.image)
+				fn(g.cellOff[row+int(xs[lo].c)], g.cellOff[row+int(xs[end-1].c)+1], xs[lo].image, yc.image, zc.image)
 				lo = end
 			}
 		}
@@ -334,8 +348,8 @@ func (g *Grid) ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz,
 	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
 	hx, hy, hz := HalfFold(lx, g.box.PBCx), HalfFold(ly, g.box.PBCy), HalfFold(lz, g.box.PBCz)
 	gx, gy, gz := g.x, g.y, g.z
-	g.eachRun(i, radius, func(run []int32, _, _, _ int32) {
-		for _, j32 := range run {
+	g.eachRun(i, radius, func(lo, hi int32, _, _, _ int32) {
+		for _, j32 := range g.order[lo:hi] {
 			j := int(j32)
 			if j == i {
 				continue
@@ -423,13 +437,14 @@ func (g *Grid) Gather(c *Candidates, i int, radius float64, rank []float64) {
 			c.R2 = append(c.R2, dx*dx+dy*dy+dz*dz)
 		})
 	} else {
-		q := gatherQuery{x: g.x, y: g.y, z: g.z, px: g.x[i], py: g.y[i], pz: g.z[i], r2max: radius * radius}
+		q := gatherQuery{px: g.x[i], py: g.y[i], pz: g.z[i], r2max: radius * radius}
 		lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
-		g.eachRun(i, radius, func(run []int32, ix, iy, iz int32) {
+		g.eachRun(i, radius, func(lo, hi int32, ix, iy, iz int32) {
 			q.sx, q.sy, q.sz = -float64(ix)*lx, -float64(iy)*ly, -float64(iz)*lz
+			m := int(hi - lo)
 			c.Runs++
-			c.Tests += len(run)
-			c.Idx, c.R2 = q.keep(slices.Grow(c.Idx, len(run)), slices.Grow(c.R2, len(run)), run)
+			c.Tests += m
+			c.Idx, c.R2 = q.keep(slices.Grow(c.Idx, m), slices.Grow(c.R2, m), g.order[lo:hi], g.ox[lo:hi], g.oy[lo:hi], g.oz[lo:hi])
 		})
 	}
 	// The rank test reads one more array at j, so it runs over the third of
@@ -459,24 +474,24 @@ func (g *Grid) Gather(c *Candidates, i int, radius float64, rank []float64) {
 // gatherQuery is what Gather's distance test reads, kept apart from the
 // cell walk so that the loop over a run holds it in registers.
 type gatherQuery struct {
-	x, y, z    []float64
 	px, py, pz float64
 	sx, sy, sz float64 // the run's image: 0 or ∓ a box length per axis
 	r2max      float64
 }
 
 // keep appends to idx the members of run within the query radius and to r2
-// their squared distances; both have room for all of run. The query particle
-// itself stays in (the rank test drops it). Adding the image's box length is
-// the minimum-image fold of ForEachNeighbor, term for term, on every pair
-// either keeps.
-func (q *gatherQuery) keep(idx []int32, r2 []float64, run []int32) ([]int32, []float64) {
-	x, y, z, r2max := q.x, q.y, q.z, q.r2max
+// their squared distances; both have room for all of run. x, y and z are the
+// run's coordinates, in its order. The query particle itself stays in (the
+// rank test drops it). Adding the image's box length is the minimum-image
+// fold of ForEachNeighbor, term for term, on every pair either keeps.
+func (q *gatherQuery) keep(idx []int32, r2 []float64, run []int32, x, y, z []float64) ([]int32, []float64) {
+	r2max := q.r2max
 	px, py, pz, sx, sy, sz := q.px, q.py, q.pz, q.sx, q.sy, q.sz
 	w := len(idx)
 	idx, r2 = idx[:w+len(run)], r2[:w+len(run)]
-	for _, j := range run {
-		dx, dy, dz := px-x[j]+sx, py-y[j]+sy, pz-z[j]+sz
+	x, y, z = x[:len(run)], y[:len(run)], z[:len(run)]
+	for k, j := range run {
+		dx, dy, dz := px-x[k]+sx, py-y[k]+sy, pz-z[k]+sz
 		v := dx*dx + dy*dy + dz*dz
 		idx[w], r2[w] = j, v
 		in := 0

@@ -124,8 +124,9 @@ func comparePipelines(t *testing.T, mkState func() *sph.State, steps int, withGr
 
 // TestNeighborListMatchesWalkTurbulence checks the equivalence on the
 // periodic subsonic-turbulence setup over several steps. The two pipelines
-// integrate the same pair sets and differ only in floating-point summation
-// order, so the tolerance is far below any physical scale.
+// integrate the same pair sets and differ only by rounding (summation
+// order, the reciprocal h, the IAD gradient as D·C), so the tolerance is far
+// below any physical scale.
 func TestNeighborListMatchesWalkTurbulence(t *testing.T) {
 	mk := func() *sph.State {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(10))

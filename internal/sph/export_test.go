@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // PreCheck exposes FindNeighbors' decision before the pass to the external
@@ -78,6 +79,30 @@ func (s *State) SweepAllShells(rebuild bool) {
 	copy(s.P.NC, s.ncNew)
 	nl.writeRecords(s.P, s.geom(), chunks)
 	releaseChunks(chunks)
+}
+
+// StreamedBytesPerRecord is what the named pair pass streams per record:
+// the bytes of one element of every record or kernel-cache array its sweeps
+// read or write in record order, once per sweep. Per-particle arrays, read
+// at random or in O(n) loops, are not counted.
+func StreamedBytesPerRecord(pass string) int {
+	var nl NeighborList
+	record := elemSize(nl.PairIdx) + elemSize(nl.PairSide)
+	disp := elemSize(nl.PairDx) + elemSize(nl.PairDy) + elemSize(nl.PairDz)
+	switch pass {
+	case PassXMass: // reads the distance, writes the four kernel values
+		return record + elemSize(nl.PairDist) + elemSize(nl.wa) + elemSize(nl.wb) + elemSize(nl.dwa) + elemSize(nl.dwb)
+	case PassIAD: // one sweep: τ and D from the displacement and W at both ends
+		return record + disp + elemSize(nl.wa) + elemSize(nl.wb)
+	case PassMomentumEnergy:
+		return record + disp + elemSize(nl.PairDist) + elemSize(nl.dwa) + elemSize(nl.dwb)
+	}
+	panic("no pair pass " + pass)
+}
+
+func elemSize[T any](_ []T) int {
+	var x T
+	return int(unsafe.Sizeof(x))
 }
 
 // ListDiff names the first thing FindNeighbors left differently in a and b

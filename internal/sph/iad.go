@@ -10,8 +10,17 @@ import "math"
 //
 // is inverted analytically (symmetric 3x3); its inverse C_i converts kernel
 // sums into first derivatives without explicit kernel gradients, which
-// improves accuracy on disordered particle distributions. This function is
-// one of the two most compute-intensive kernels in the paper's measurements.
+// improves accuracy on disordered particle distributions. The velocity
+// gradient
+//
+//	g_i = sum_j V_j (v_j - v_i) ⊗ C_i (r_j - r_i) W_ij = D_i · C_i,
+//	D_i = sum_j V_j (v_j - v_i) ⊗ (r_j - r_i) W_ij
+//
+// gives the divergence (its trace) and the curl (its antisymmetric part).
+// The closure walk sums g term by term; the pair sweep sums τ and D, which
+// need no C, in the same pass and multiplies by C_i once per particle. This
+// function is one of the two most compute-intensive kernels in the paper's
+// measurements.
 func (s *State) IADVelocityDivCurl() {
 	if s.useCached() {
 		s.iadPairs()
@@ -22,8 +31,9 @@ func (s *State) IADVelocityDivCurl() {
 
 // storeIADTensor inverts the accumulated IAD tensor of particle i and
 // stores C_i, falling back to an isotropic inverse for degenerate
-// neighborhoods (e.g. isolated particles) to keep derivatives bounded.
-func (s *State) storeIADTensor(i int, txx, txy, txz, tyy, tyz, tzz float64) {
+// neighborhoods (e.g. isolated particles) to keep derivatives bounded. It
+// returns what it stored.
+func (s *State) storeIADTensor(i int, txx, txy, txz, tyy, tyz, tzz float64) (c11, c12, c13, c22, c23, c33 float64) {
 	p := s.P
 	c11, c12, c13, c22, c23, c33, ok := invertSym3(txx, txy, txz, tyy, tyz, tzz)
 	if !ok {
@@ -33,6 +43,7 @@ func (s *State) storeIADTensor(i int, txx, txy, txz, tyy, tyz, tzz float64) {
 	}
 	p.C11[i], p.C12[i], p.C13[i] = c11, c12, c13
 	p.C22[i], p.C23[i], p.C33[i] = c22, c23, c33
+	return c11, c12, c13, c22, c23, c33
 }
 
 // invertSym3 inverts the symmetric matrix [[xx,xy,xz],[xy,yy,yz],[xz,yz,zz]].

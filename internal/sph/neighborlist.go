@@ -106,11 +106,12 @@ type NeighborList struct {
 
 	// What the passes cache between each other, indexed like the pair list
 	// (kernel values W and dW/dr at the owner's and the other endpoint's
-	// smoothing length) or per particle (the gradh sums, volume elements
-	// m/ρ, P/(Ω ρ²) and Balsara factors the pair loops hoist). They live
-	// here so that whatever drops the list drops them with it.
-	wa, wb, dwa, dwb     []float64
-	dsum, vol, prho, bal []float64
+	// smoothing length) or per particle (the reciprocal smoothing lengths,
+	// gradh sums, volume elements m/ρ, P/(Ω ρ²) and Balsara factors the pair
+	// loops hoist). They live here so that whatever drops the list drops
+	// them with it.
+	wa, wb, dwa, dwb           []float64
+	invh, dsum, vol, prho, bal []float64
 }
 
 // Count returns the length of particle i's row.

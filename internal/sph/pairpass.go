@@ -3,40 +3,31 @@ package sph
 import (
 	"math"
 
-	"sphenergy/internal/kernel"
 	"sphenergy/internal/par"
 )
 
 // The production passes stream the pair list: every interacting pair is
 // visited exactly once, the shared per-pair terms — distances, artificial
-// viscosity, kernel derivatives at both smoothing lengths — are computed a
-// single time, and contributions go to the endpoints PairSide names: the
-// owner's into the sums of its segment, the other's through par.Scatter's
-// per-worker private accumulators. The pair set and the per-contribution
-// arithmetic are the closure walk's (including ngmax truncation and
-// one-sided supports), so the only deviation from walk.go is float
-// summation order: ~1e-15 relative, deterministic for a fixed GOMAXPROCS.
-
-// wdwFunc returns a combined W/DW evaluator for k, using the kernel's
-// fused table lookup (kernel.PairEvaluator) when it has one; the fallback
-// calls W and DW separately, producing the same values.
-func wdwFunc(k kernel.Kernel) func(r, h float64) (float64, float64) {
-	if pe, ok := k.(kernel.PairEvaluator); ok {
-		return pe.WDW
-	}
-	return func(r, h float64) (float64, float64) {
-		return k.W(r, h), k.DW(r, h)
-	}
-}
+// viscosity, kernel derivatives at both smoothing lengths, the velocity
+// differences of the IAD gradient — are computed a single time, and
+// contributions go to the endpoints PairSide names: the owner's into the sums
+// of its segment, the other's through par.Scatter's per-worker private
+// accumulators. The pair set is the closure walk's (including ngmax
+// truncation and one-sided supports); the arithmetic is not quite: besides
+// the summation order, the density sweep evaluates the kernel at the
+// reciprocal smoothing length (kernel.WDWRelTol) and the IAD gradient is
+// summed as D·C (see iadPairs). The passes agree with walk.go to ~1e-14
+// relative and are deterministic for a fixed GOMAXPROCS.
 
 // xmassPairs is the fused density sweep — the only production pass that
-// touches the kernel tables. For every pair it evaluates W and dW/dr at
-// both smoothing lengths through one fused lookup per endpoint, caches the
-// four values for the downstream IAD and momentum passes, and accumulates
-// the XMass and NormalizationGradh sums together (stride-2 scatter), so
-// the gradh pass reduces to its O(n) finalization. Each contribution is
-// float-identical to the walk's per-direction arithmetic; only summation
-// order differs.
+// touches the kernel. It rounds each particle's 1/h once, then for every
+// pair evaluates W and dW/dr at both smoothing lengths through one
+// division-free Kernel.WDW per endpoint, caches the four values for the
+// downstream IAD and momentum passes, and accumulates the XMass and
+// NormalizationGradh sums together (stride-2 scatter), so the gradh pass
+// reduces to its O(n) finalization. The gradh sum of a particle is taken
+// as Σ x_j (3 W + r dW/dr) and multiplied by −1/h once, in the
+// finalization, where the walk divides every term by h.
 func (s *State) xmassPairs() {
 	p := s.P
 	k := s.Opt.Kernel
@@ -47,32 +38,36 @@ func (s *State) xmassPairs() {
 	nl.wb = fit(nl.wb, np)
 	nl.dwa = fit(nl.dwa, np)
 	nl.dwb = fit(nl.dwb, np)
+	nl.invh = ensure(nl.invh, n)
 	nl.dsum = ensure(nl.dsum, n)
-	wa, wb, dwa, dwb := nl.wa, nl.wb, nl.dwa, nl.dwb
-	wdw := wdwFunc(k)
+	wa, wb, dwa, dwb, invh := nl.wa, nl.wb, nl.dwa, nl.dwb, nl.invh
+	par.ForChunked(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			invh[i] = 1 / p.H[i]
+		}
+	})
 	bufs := s.scat.Run(n, n, 2, func(lo, hi int, acc []float64) {
 		for a := lo; a < hi; a++ {
-			ha := p.H[a]
+			ia := invh[a]
 			xma := p.XM[a]
 			sum, dsum := 0.0, 0.0
 			for t := nl.PairOffsets[a]; t < nl.PairOffsets[a+1]; t++ {
 				b := nl.PairIdx[t]
 				d := nl.PairDist[t]
-				hb := p.H[b]
-				w1, dw1 := wdw(d, ha)
-				w2, dw2 := wdw(d, hb)
+				w1, dw1 := k.WDW(d, ia)
+				w2, dw2 := k.WDW(d, invh[b])
 				wa[t], dwa[t] = w1, dw1
 				wb[t], dwb[t] = w2, dw2
 				side := nl.PairSide[t]
 				if side&SideOwner != 0 {
 					xmb := p.XM[b]
 					sum += xmb * w1
-					dsum += xmb * (-(3*w1 + d*dw1) / ha)
+					dsum += xmb * (3*w1 + d*dw1)
 				}
 				if side&SideOther != 0 {
 					o := int(b) * 2
 					acc[o] += xma * w2
-					acc[o+1] += xma * (-(3*w2 + d*dw2) / hb)
+					acc[o+1] += xma * (3*w2 + d*dw2)
 				}
 			}
 			o := a * 2
@@ -83,17 +78,16 @@ func (s *State) xmassPairs() {
 	dsums := nl.dsum
 	par.ForChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			h := p.H[i]
-			w0 := k.W(0, h)
+			w0, _ := k.WDW(0, invh[i])
 			sum := p.XM[i] * w0
-			dsum := -3 * p.XM[i] * w0 / h
+			dsum := 3 * p.XM[i] * w0
 			for _, b := range bufs {
 				sum += b[2*i]
 				dsum += b[2*i+1]
 			}
 			p.Kx[i] = sum
 			p.Rho[i] = sum * p.M[i] / p.XM[i]
-			dsums[i] = dsum
+			dsums[i] = -dsum * invh[i]
 		}
 	})
 	nl.kernOK = true
@@ -115,13 +109,19 @@ func (s *State) gradhPairs() {
 	})
 }
 
-// iadPairs is the folded IAD pass: kernel values come from the per-pair
-// cache filled by the fused XMass sweep (no table lookups here), the
-// tensor loop shares the six dyadic products (dx·dx … dz·dz) between the
-// two endpoints and reads precomputed volume elements V = m/ρ instead of
-// dividing per pair, and the gradient loop accumulates the divergence and
-// the three curl components directly (4 accumulator slots instead of the
-// 9 g-tensor entries — only those four combinations are ever consumed).
+// iadStride is the scatter slot of the IAD sweep: the six entries of the
+// symmetric tensor τ, then the nine of D, row by row (see iadPairs).
+const iadStride = 15
+
+// iadPairs is the IAD pass in one sweep over the pair list. Kernel values
+// come from the per-pair cache the density sweep filled, and the volume
+// elements V = m/ρ are computed once per particle. The walk's gradient
+// g_i = Σ_j V_j dv ⊗ (C_i r) W_ij is linear in C_i: g_i = D_i·C_i with
+// D_i = Σ_j V_j dv ⊗ r W_ij. The products r_a r_b of τ and dv_a r_b of D are
+// the same from both endpoints — r and dv both flip sign — so the sweep
+// accumulates τ and D for both (stride iadStride), and the O(n) epilogue
+// inverts τ into C, forms g = D·C, and takes the divergence from its trace
+// and the curl from its antisymmetric part.
 func (s *State) iadPairs() {
 	p := s.P
 	nl := s.List
@@ -135,119 +135,86 @@ func (s *State) iadPairs() {
 		}
 	})
 
-	bufs := s.scat.Run(n, n, 6, func(lo, hi int, acc []float64) {
+	bufs := s.scat.Run(n, n, iadStride, func(lo, hi int, acc []float64) {
 		for a := lo; a < hi; a++ {
 			va := v[a]
-			var txx, txy, txz, tyy, tyz, tzz float64
+			vxa, vya, vza := p.VX[a], p.VY[a], p.VZ[a]
+			// The owner's sums go straight to its slot, like the other
+			// endpoint's: fifteen running sums do not fit in registers, and
+			// spilled ones cost more than the slot's loads and stores.
+			own := acc[a*iadStride:][:iadStride]
 			for t := nl.PairOffsets[a]; t < nl.PairOffsets[a+1]; t++ {
 				b := nl.PairIdx[t]
-				dx, dy, dz := nl.PairDx[t], nl.PairDy[t], nl.PairDz[t]
-				xx, xy, xz := dx*dx, dx*dy, dx*dz
-				yy, yz, zz := dy*dy, dy*dz, dz*dz
-				side := nl.PairSide[t]
-				if side&SideOwner != 0 {
-					wa := kwa[t] * v[b]
-					txx += xx * wa
-					txy += xy * wa
-					txz += xz * wa
-					tyy += yy * wa
-					tyz += yz * wa
-					tzz += zz * wa
-				}
-				if side&SideOther != 0 {
-					wb := kwb[t] * va
-					o := int(b) * 6
-					acc[o] += xx * wb
-					acc[o+1] += xy * wb
-					acc[o+2] += xz * wb
-					acc[o+3] += yy * wb
-					acc[o+4] += yz * wb
-					acc[o+5] += zz * wb
-				}
-			}
-			o := a * 6
-			acc[o] += txx
-			acc[o+1] += txy
-			acc[o+2] += txz
-			acc[o+3] += tyy
-			acc[o+4] += tyz
-			acc[o+5] += tzz
-		}
-	})
-	par.ForChunked(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			o := i * 6
-			var t6 [6]float64
-			for _, b := range bufs {
-				t6[0] += b[o]
-				t6[1] += b[o+1]
-				t6[2] += b[o+2]
-				t6[3] += b[o+3]
-				t6[4] += b[o+4]
-				t6[5] += b[o+5]
-			}
-			s.storeIADTensor(i, t6[0], t6[1], t6[2], t6[3], t6[4], t6[5])
-		}
-	})
-
-	bufs = s.scat.Run(n, n, 4, func(lo, hi int, acc []float64) {
-		for a := lo; a < hi; a++ {
-			va := v[a]
-			c11a, c12a, c13a := p.C11[a], p.C12[a], p.C13[a]
-			c22a, c23a, c33a := p.C22[a], p.C23[a], p.C33[a]
-			var divA, cxA, cyA, czA float64
-			for t := nl.PairOffsets[a]; t < nl.PairOffsets[a+1]; t++ {
-				b := nl.PairIdx[t]
-				// r_b - r_a = -(dx, dy, dz); dv = v_b - v_a, both from a's
-				// side, exactly as iadWalk writes them.
+				// r = r_b - r_a = -(dx, dy, dz) and dv = v_b - v_a, from a's
+				// side, as iadWalk writes them.
 				rx, ry, rz := -nl.PairDx[t], -nl.PairDy[t], -nl.PairDz[t]
-				dvx := p.VX[b] - p.VX[a]
-				dvy := p.VY[b] - p.VY[a]
-				dvz := p.VZ[b] - p.VZ[a]
+				dvx, dvy, dvz := p.VX[b]-vxa, p.VY[b]-vya, p.VZ[b]-vza
 				side := nl.PairSide[t]
 				if side&SideOwner != 0 {
-					wa := kwa[t] * v[b]
-					ax := c11a*rx + c12a*ry + c13a*rz
-					ay := c12a*rx + c22a*ry + c23a*rz
-					az := c13a*rx + c23a*ry + c33a*rz
-					divA += (dvx*ax + dvy*ay + dvz*az) * wa
-					cxA += (dvz*ay - dvy*az) * wa
-					cyA += (dvx*az - dvz*ax) * wa
-					czA += (dvy*ax - dvx*ay) * wa
+					w := kwa[t] * v[b]
+					wx, wy, wz := rx*w, ry*w, rz*w
+					o := own
+					o[0] += rx * wx
+					o[1] += rx * wy
+					o[2] += rx * wz
+					o[3] += ry * wy
+					o[4] += ry * wz
+					o[5] += rz * wz
+					o[6] += dvx * wx
+					o[7] += dvx * wy
+					o[8] += dvx * wz
+					o[9] += dvy * wx
+					o[10] += dvy * wy
+					o[11] += dvy * wz
+					o[12] += dvz * wx
+					o[13] += dvz * wy
+					o[14] += dvz * wz
 				}
 				if side&SideOther != 0 {
-					// From b's side every factor flips sign: r_a - r_b =
-					// +(dx,dy,dz) and dv_b = -dv, so div and curl keep the
-					// same formulas with b's tensor A_b = C_b·(dx,dy,dz).
-					wb := kwb[t] * va
-					bx := p.C11[b]*rx + p.C12[b]*ry + p.C13[b]*rz
-					by := p.C12[b]*rx + p.C22[b]*ry + p.C23[b]*rz
-					bz := p.C13[b]*rx + p.C23[b]*ry + p.C33[b]*rz
-					o := int(b) * 4
-					acc[o] += (dvx*bx + dvy*by + dvz*bz) * wb
-					acc[o+1] += (dvz*by - dvy*bz) * wb
-					acc[o+2] += (dvx*bz - dvz*bx) * wb
-					acc[o+3] += (dvy*bx - dvx*by) * wb
+					w := kwb[t] * va
+					wx, wy, wz := rx*w, ry*w, rz*w
+					o := acc[int(b)*iadStride:][:iadStride]
+					o[0] += rx * wx
+					o[1] += rx * wy
+					o[2] += rx * wz
+					o[3] += ry * wy
+					o[4] += ry * wz
+					o[5] += rz * wz
+					o[6] += dvx * wx
+					o[7] += dvx * wy
+					o[8] += dvx * wz
+					o[9] += dvy * wx
+					o[10] += dvy * wy
+					o[11] += dvy * wz
+					o[12] += dvz * wx
+					o[13] += dvz * wy
+					o[14] += dvz * wz
 				}
 			}
-			o := a * 4
-			acc[o] += divA
-			acc[o+1] += cxA
-			acc[o+2] += cyA
-			acc[o+3] += czA
 		}
 	})
 	par.ForChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			o := i * 4
-			var div, cx, cy, cz float64
+			var m [iadStride]float64
 			for _, b := range bufs {
-				div += b[o]
-				cx += b[o+1]
-				cy += b[o+2]
-				cz += b[o+3]
+				for k, x := range b[i*iadStride:][:iadStride] {
+					m[k] += x
+				}
 			}
-			p.DivV[i] = div
+			c11, c12, c13, c22, c23, c33 := s.storeIADTensor(i, m[0], m[1], m[2], m[3], m[4], m[5])
+			dxx, dxy, dxz := m[6], m[7], m[8]
+			dyx, dyy, dyz := m[9], m[10], m[11]
+			dzx, dzy, dzz := m[12], m[13], m[14]
+			// g_ab = Σ_k D_ak C_kb; only the trace and the antisymmetric
+			// part are consumed.
+			gxy := dxx*c12 + dxy*c22 + dxz*c23
+			gxz := dxx*c13 + dxy*c23 + dxz*c33
+			gyx := dyx*c11 + dyy*c12 + dyz*c13
+			gyz := dyx*c13 + dyy*c23 + dyz*c33
+			gzx := dzx*c11 + dzy*c12 + dzz*c13
+			gzy := dzx*c12 + dzy*c22 + dzz*c23
+			p.DivV[i] = (dxx*c11 + dxy*c12 + dxz*c13) + (dyx*c12 + dyy*c22 + dyz*c23) + (dzx*c13 + dzy*c23 + dzz*c33)
+			cx, cy, cz := gzy-gyz, gxz-gzx, gyx-gxy
 			p.CurlV[i] = math.Sqrt(cx*cx + cy*cy + cz*cz)
 		}
 	})

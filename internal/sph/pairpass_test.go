@@ -71,7 +71,7 @@ func compareStates(t *testing.T, label string, a, b *sph.State, tol float64) {
 // TestSymmetricMatchesAsymmetricTurbulence compares the folded passes with
 // the closure walk's asymmetric per-particle gather on periodic turbulence,
 // with the Verlet skin both on and off: they must agree to 1e-9 over
-// several steps (only float summation order differs).
+// several steps (they differ by rounding alone).
 func TestSymmetricMatchesAsymmetricTurbulence(t *testing.T) {
 	for _, skin := range []struct {
 		name string
@@ -499,8 +499,8 @@ func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 		allocs  func(nside int) float64
 		ceiling float64
 	}{
-		{"pass sweep", sweepAllocs, 24},            // closure headers: 19
-		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 36
+		{"pass sweep", sweepAllocs, 24},            // closure headers: 16
+		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 33
 	} {
 		small, large := in.allocs(8), in.allocs(12)
 		if small != large {

@@ -181,9 +181,10 @@ type Options struct {
 	// verification compare against. Unset, the production pipeline runs:
 	// FindNeighbors keeps a pair list up to date (Verlet-skin candidates,
 	// see Skin) and the pair passes visit each pair once, contributing to
-	// both endpoints. While no row overflows NgMax (a cap the
-	// walk does not have) the two integrate identical pair sets and agree
-	// within 1e-9 relative (summation order differs); the production path
+	// both endpoints. While no row overflows NgMax (a cap the walk does not
+	// have) the two integrate identical pair sets and agree within 1e-9
+	// relative (they differ by rounding: summation order, the reciprocal h
+	// of the density sweep, the IAD gradient as D·C); the production path
 	// is deterministic for a fixed GOMAXPROCS.
 	ClosureWalk bool
 
