@@ -154,13 +154,15 @@ bench-model:
 #                  each with what it does per particle — distance tests and
 #                  contiguous runs of the gather, candidates stored,
 #                  streamed, shells, survivors, records, repeated streams.
+#                  The half-stencil gather moved rebuild tests/particle
+#                  741.9 → 379.0; stored/particle stayed 136.7.
 #   PairPasses     XMass, IADVelocityDivCurl and MomentumEnergy each alone
 #                  over one turb30 step's pair list: ns/record, the step's
 #                  records, and the bytes a record streams through the
 #                  pass's sweeps.
 #   Gather         the candidate gather alone over Morton-ordered points at
-#                  the engine's proportions: tests/particle, cand/particle
-#                  and ns/test.
+#                  the engine's proportions, radii spread ±10 %:
+#                  tests/particle, cand/particle and ns/test.
 bench-sph:
 	$(GO) test -run '^$$' -bench 'FindNeighbors|PairPasses' -benchtime 10x -count 3 ./internal/sph/
 	$(GO) test -run '^$$' -bench Gather -benchtime 10x -count 3 ./internal/neighbors/

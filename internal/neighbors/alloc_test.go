@@ -1,10 +1,12 @@
 package neighbors
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 
+	"sphenergy/internal/rng"
 	"sphenergy/internal/sfc"
 )
 
@@ -94,7 +96,10 @@ func TestBuildGridIntoMatchesBuildGrid(t *testing.T) {
 // whose size, box, periodicity, search radius and GOMAXPROCS (serial and
 // parallel binning) all change, and holds every rebuild to a fresh
 // BuildGrid of the same input: same resolution, same cell layout, same
-// neighbor sets in the same order.
+// neighbor sets in the same order. Then both gather with radii drawn from
+// the input, spread up to tenfold, through the reused radius copy and cell
+// maxima: the same candidates, every pair within the larger of its radii
+// once.
 func FuzzBuildGridIntoReuse(f *testing.F) {
 	f.Add([]byte{200, 1, 3, 9, 255, 5, 0, 20, 40, 2, 80, 5, 255, 7, 255, 3, 3, 0, 9, 1})
 	f.Add([]byte{255, 6, 1, 60, 2, 3, 7, 1, 255, 4, 201, 2, 9, 0, 255, 2})
@@ -122,6 +127,74 @@ func FuzzBuildGridIntoReuse(f *testing.F) {
 					t.Fatalf("n=%d: Neighbors(%d) = %v on the reused grid, %v fresh", n, i, got, want)
 				}
 			}
+			radii := fuzzRadii(n, radius, data[0], data[3])
+			if !gatherAffordable(g, radii) {
+				continue
+			}
+			got, gotEnds := gatherAll(g, radii)
+			want, wantEnds := gatherAll(fresh, radii)
+			if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Key, want.Key) || !slices.Equal(gotEnds, wantEnds) || got.Tests != want.Tests || got.Runs != want.Runs {
+				t.Fatalf("n=%d procs=%d: the reused grid gathers %d candidates in %d tests, a fresh one %d in %d",
+					n, runtime.GOMAXPROCS(0), len(got.Idx), got.Tests, len(want.Idx), want.Tests)
+			}
+			requireCoveredOnce(t, got, gotEnds, box, x, y, z, radii)
 		}
 	})
+}
+
+// fuzzRadii draws n radii from the fuzz input: up to radius, spread by a
+// factor of 1 to 10 that spread picks.
+func fuzzRadii(n int, radius float64, spread, seed byte) []float64 {
+	lo := radius / (1 + 9*float64(spread)/255)
+	r := rng.New(uint64(seed) + 99)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = lo + (radius-lo)*r.Float64()
+	}
+	return out
+}
+
+// gatherAffordable reports whether a whole gather at these radii stays
+// within some 10⁷ distance tests — n² times the share of the cells a
+// window covers — which keeps a fuzz execution short on coarse grids over
+// many points.
+func gatherAffordable(g *Grid, radii []float64) bool {
+	g.SetRadii(radii)
+	share := 1.0
+	for a, n := range [3]int{g.nx, g.ny, g.nz} {
+		share *= float64(min(n, 2*g.span[a]+1)) / float64(n)
+	}
+	n := float64(len(radii))
+	return n*n*share <= 1e7
+}
+
+// requireCoveredOnce holds a whole gather to brute force: no pair found
+// twice, each found one within the larger of its radii with the reference
+// key, and of every sampled particle each such pair found.
+func requireCoveredOnce(t *testing.T, c Candidates, ends []int, box sfc.Box, x, y, z, radii []float64) {
+	t.Helper()
+	key := func(i, j int) float64 {
+		return dist2(box, x, y, z, i, j) * min(1/(radii[i]*radii[i]), 1/(radii[j]*radii[j]))
+	}
+	found := map[pair]bool{}
+	lo := 0
+	for i, hi := range ends {
+		for k := lo; k < hi; k++ {
+			j := int(c.Idx[k])
+			p := pairOf(int32(i), int32(j))
+			if j == i || found[p] || math.Abs(c.Key[k]-key(i, j)) > 1e-12 || !(key(i, j) < 1) {
+				t.Fatalf("pair {%d,%d}: key %.17g, brute force %.17g, found before: %v", i, j, c.Key[k], key(i, j), found[p])
+			}
+			found[p] = true
+		}
+		lo = hi
+	}
+	n := len(x)
+	for i := 0; i < n; i += 1 + n/50 {
+		for j := range x {
+			if j != i && key(i, j) < 1 && !found[pairOf(int32(i), int32(j))] {
+				t.Fatalf("n=%d: pair {%d,%d} lies within the larger radius and was not gathered", n, i, j)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sphenergy/internal/rng"
 	"sphenergy/internal/sfc"
 )
 
@@ -49,24 +50,29 @@ func BenchmarkGridQuery(b *testing.B) {
 }
 
 // BenchmarkGather is one candidate gather per particle of a 30³ point set
-// at the engine's proportions: radius 3.4 h with 64 neighbors inside 2 h,
-// cells of half the radius, every rank equal so that each pair is kept by
-// its lower index. The points are in Morton order, as the engine's
-// particles are (sph.State.ReorderBySFC), so that a query's neighbours lie
-// near it in memory and the time per test is the engine's; in random order
-// every load of a coordinate through the grid's order is a cache miss.
+// at the engine's proportions: radii of 3.4 h with 64 neighbors inside 2 h,
+// spread ±10 % as the engine's smoothing lengths are, so that the per-cell
+// pruning has radii to tell apart, on cells of half the largest radius. The
+// points are in Morton order, as the engine's particles are
+// (sph.State.ReorderBySFC), so that a query's neighbours lie near it in
+// memory and the time per test is the engine's; in random order every load
+// of a coordinate through the grid's order is a cache miss.
 func BenchmarkGather(b *testing.B) {
 	box, x, y, z := benchPoints(27000)
 	sortBySFC(box, x, y, z)
-	const radius = 0.14
-	g := BuildGrid(box, x, y, z, radius/2)
+	r := rng.New(11)
+	radius := make([]float64, len(x))
+	for i := range radius {
+		radius[i] = 0.14 * (0.9 + 0.2*r.Float64())
+	}
+	g := BuildGrid(box, x, y, z, slices.Max(radius)/2)
+	g.SetRadii(radius)
 	var c Candidates
-	rank := make([]float64, len(x))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = Candidates{Idx: c.Idx[:0], R2: c.R2[:0]}
+		c = Candidates{Idx: c.Idx[:0], Key: c.Key[:0]}
 		for p := range x {
-			g.Gather(&c, p, radius, rank)
+			g.Gather(&c, p)
 		}
 	}
 	b.ReportMetric(float64(c.Tests)/float64(len(x)), "tests/particle")

@@ -2,10 +2,13 @@
 // uniform cell grid (cell-linked lists), with optional periodic boundaries.
 //
 // A query scans the cells within its radius: 3 per axis when the cells are
-// as wide as the radius the grid was built for, more on a finer grid (the
-// SPH candidate gather's cells of half the radius scan 5 per axis, pruned
-// to the ones the sphere reaches). Queries are safe to run concurrently once
-// the grid is built, which the SPH pipeline exploits with one worker per core.
+// as wide as the radius the grid was built for, more on a finer grid. The
+// SPH candidate gather (Gather) runs on cells of half the largest radius and
+// scans only the half of each 5-per-axis window ahead of the query's own
+// cell, pruned to the cells that either end's radius reaches: a pair is
+// tested by the endpoint it lies ahead of, once. Queries are safe to run
+// concurrently once the grid is built, which the SPH pipeline exploits with
+// one worker per core.
 package neighbors
 
 import (
@@ -35,8 +38,20 @@ type Grid struct {
 	// through order. The binning writes them beside order.
 	ox, oy, oz []float64
 
+	// The gather radii (SetRadii): the reciprocal square of each particle's
+	// radius in order's order, beside the coordinates; the largest square in
+	// each cell, widened for pruning (pruneSlack); the scan half-width per
+	// axis of the largest radius; and whether that window spans a periodic
+	// axis, which sends every gather to the callback walk.
+	oinv   []float64
+	cellR2 []float64
+	maxR   float64
+	span   [3]int
+	walk   bool
+
 	// Binning scratch, kept on the grid so BuildGridInto rebuilds without
-	// allocating once the buffers have warmed up to the problem size.
+	// allocating once the buffers have warmed up to the problem size. cells
+	// outlives the binning: it is every query's own cell.
 	cells  []int32 // per-particle cell index
 	counts []int32 // serial build: per-cell counters
 	hist   []int32 // parallel build: per-worker cell histograms
@@ -73,6 +88,7 @@ func BuildGridInto(g *Grid, box sfc.Box, x, y, z []float64, maxRadius float64) *
 	g.cellOff = grow(g.cellOff, ncells+1)
 	g.order = grow(g.order, n)
 	g.ox, g.oy, g.oz = grow(g.ox, n), grow(g.oy, n), grow(g.oz, n)
+	g.maxR = 0 // the radii, if any, were the last point set's
 	workers := par.MaxWorkers()
 	if workers > 1 && n >= parallelBuildMinN && ncells <= parallelBuildMaxCells {
 		g.binParallel(ncells, workers)
@@ -213,6 +229,11 @@ func (g *Grid) cellIndex(cx, cy, cz int) int {
 	return (cz*g.ny+cy)*g.nx + cx
 }
 
+// cellCoords is the inverse of cellIndex.
+func (g *Grid) cellCoords(c int) (cx, cy, cz int) {
+	return c % g.nx, c / g.nx % g.ny, c / (g.nx * g.ny)
+}
+
 func (g *Grid) cellOf(x, y, z float64) int {
 	cx := clampCell(int((x-g.box.Xmin)/g.cellSize[0]), g.nx)
 	cy := clampCell(int((y-g.box.Ymin)/g.cellSize[1]), g.ny)
@@ -300,19 +321,15 @@ const axisBufEntries = 33
 // (z, y) cell row are one run (two where a periodic window wraps). Within a
 // cell order ascends, so the iteration order of every query — and with it
 // downstream floating-point summation order — is a function of the grid
-// and the radius alone.
+// and the radius alone. The window is centred on the cell i was binned in.
 func (g *Grid) eachRun(i int, radius float64, fn func(lo, hi int32, ix, iy, iz int32)) {
-	// Slab distances carry a few ulps of rounding; widen the pruning bound
-	// so a cell can never be rejected for a pair the unpruned scan admits.
-	r2prune := radius * radius * (1 + 0x1p-40)
+	r2prune := radius * radius * pruneSlack
 	px, py, pz := g.x[i], g.y[i], g.z[i]
-	cx := int((px - g.box.Xmin) / g.cellSize[0])
-	cy := int((py - g.box.Ymin) / g.cellSize[1])
-	cz := int((pz - g.box.Zmin) / g.cellSize[2])
+	cx, cy, cz := g.cellCoords(int(g.cells[i]))
 	var xb, yb, zb [axisBufEntries]axisCell
-	xs := axisScan(xb[:0], cx, scanWidth(radius, g.cellSize[0]), g.nx, g.box.PBCx, px, g.box.Xmin, g.cellSize[0])
-	ys := axisScan(yb[:0], cy, scanWidth(radius, g.cellSize[1]), g.ny, g.box.PBCy, py, g.box.Ymin, g.cellSize[1])
-	zs := axisScan(zb[:0], cz, scanWidth(radius, g.cellSize[2]), g.nz, g.box.PBCz, pz, g.box.Zmin, g.cellSize[2])
+	xs, _ := axisScan(xb[:0], cx, scanWidth(radius, g.cellSize[0]), g.nx, g.box.PBCx, px, g.box.Xmin, g.cellSize[0])
+	ys, _ := axisScan(yb[:0], cy, scanWidth(radius, g.cellSize[1]), g.ny, g.box.PBCy, py, g.box.Ymin, g.cellSize[1])
+	zs, _ := axisScan(zb[:0], cz, scanWidth(radius, g.cellSize[2]), g.nz, g.box.PBCz, pz, g.box.Zmin, g.cellSize[2])
 	for _, zc := range zs {
 		for _, yc := range ys {
 			dzy := zc.d2 + yc.d2
@@ -371,7 +388,9 @@ func (g *Grid) ForEachNeighbor(i int, radius float64, fn func(j int, dx, dy, dz,
 // stays a valid minimum-image lower bound because the window is narrower
 // than the axis (2s+1 < n); when it is not, the whole axis is scanned
 // unpruned. buf supplies the (typically stack-resident) backing storage.
-func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) []axisCell {
+// The cells come in ascending offset from c, and self is the position of c
+// itself among them: those after it are the ones ahead of the query.
+func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) (cells []axisCell, self int) {
 	if 2*s+1 >= n {
 		// Window covers the whole axis: scan every cell once, unpruned.
 		if cap(buf) < n {
@@ -380,7 +399,7 @@ func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) 
 		for i := 0; i < n; i++ {
 			buf = append(buf, axisCell{c: int32(i)})
 		}
-		return buf
+		return buf, c
 	}
 	if cap(buf) < 2*s+1 {
 		buf = make([]axisCell, 0, 2*s+1)
@@ -389,6 +408,9 @@ func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) 
 		w := wrapCell(c+d, n, periodic)
 		if w < 0 {
 			continue
+		}
+		if d == 0 {
+			self = len(buf)
 		}
 		var dist float64
 		switch {
@@ -402,73 +424,167 @@ func axisScan(buf []axisCell, c, s, n int, periodic bool, p, min, cell float64) 
 		}
 		buf = append(buf, axisCell{c: int32(w), image: int32((c + d - w) / n), d2: dist * dist})
 	}
-	return buf
+	return buf, self
+}
+
+// pruneSlack widens every pruning bound: slab distances carry a few ulps of
+// rounding, and a cell must never be rejected for a pair the unpruned scan
+// admits.
+const pruneSlack = 1 + 0x1p-40
+
+// SetRadii gives the grid's particles their gather radii, r[i] > 0 for
+// particle i, which Gather reads until the next SetRadii or rebuild: the
+// reciprocal squares are copied into the grid's particle order, each cell
+// notes the largest radius in it, and the one scan window every gather uses
+// is sized for the largest radius of all, as is the choice between runs
+// and the callback walk.
+func (g *Grid) SetRadii(r []float64) {
+	if len(r) != len(g.order) {
+		panic("neighbors: one radius per particle")
+	}
+	ncells := len(g.cellOff) - 1
+	g.oinv = grow(g.oinv, len(g.order))
+	g.cellR2 = grow(g.cellR2, ncells)
+	g.maxR = 0
+	for c := 0; c < ncells; c++ {
+		most := 0.0
+		for k := g.cellOff[c]; k < g.cellOff[c+1]; k++ {
+			rj := r[g.order[k]]
+			g.oinv[k] = 1 / (rj * rj)
+			most = max(most, rj)
+		}
+		g.cellR2[c] = most * most * pruneSlack
+		g.maxR = max(g.maxR, most)
+	}
+	// A window as wide as a periodic axis lists the axis's cells once,
+	// images unknown, and cannot tell ahead from behind.
+	g.walk = false
+	periodic := [3]bool{g.box.PBCx, g.box.PBCy, g.box.PBCz}
+	for a, n := range [3]int{g.nx, g.ny, g.nz} {
+		g.span[a] = scanWidth(g.maxR, g.cellSize[a])
+		g.walk = g.walk || periodic[a] && 2*g.span[a]+1 >= n
+	}
 }
 
 // Candidates is what Grid.Gather fills: the indices found so far and their
-// squared distances (two slices of one length), query after query, and exact
-// counts of the work its runs took.
+// keys (two slices of one length), query after query, and exact counts of
+// the work its runs took.
 type Candidates struct {
 	Idx   []int32
-	R2    []float64 // R2[k] is the squared distance of Idx[k] from its query
+	Key   []float64 // Key[k] is r²/max(R_i, R_j)² of Idx[k] = j and its query i, below 1
 	Tests int       // distance tests
 	Runs  int       // contiguous runs of the grid's particle order walked
 }
 
-// Gather appends to c.Idx, with its squared distance to c.R2, every particle
-// j within radius of particle i that ranks below i — rank[j] < rank[i], ties
-// to the higher index — by ForEachNeighbor's minimum-image r² test and in
-// its order. Over all i, with a radius that does not decrease with rank,
-// every unordered pair within the larger of its two radii is found exactly
-// once, by the endpoint of the larger radius: the half of a symmetric
-// candidate list that needs no reverse lookup. Gather is made for grids finer
-// than the radius, where a run spans several cells: the run knows its
-// periodic image from the window instead of folding every displacement, and
-// inside it index and r² are written unconditionally and kept by advancing
-// the cursor — no callback per particle, no append, no square root.
-func (g *Grid) Gather(c *Candidates, i int, radius float64, rank []float64) {
-	from := len(c.Idx)
-	sx, sy, sz := scanWidth(radius, g.cellSize[0]), scanWidth(radius, g.cellSize[1]), scanWidth(radius, g.cellSize[2])
-	if g.box.PBCx && 2*sx+1 >= g.nx || g.box.PBCy && 2*sy+1 >= g.ny || g.box.PBCz && 2*sz+1 >= g.nz {
-		// A window as wide as a periodic axis lists the axis's cells once,
-		// images unknown: boxes that few cells wide take the callback walk.
-		g.ForEachNeighbor(i, radius, func(j int, dx, dy, dz, _ float64) {
-			c.Idx = append(c.Idx, int32(j))
-			c.R2 = append(c.R2, dx*dx+dy*dy+dz*dz)
-		})
-	} else {
-		q := gatherQuery{px: g.x[i], py: g.y[i], pz: g.z[i], r2max: radius * radius}
-		lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
-		g.eachRun(i, radius, func(lo, hi int32, ix, iy, iz int32) {
-			q.sx, q.sy, q.sz = -float64(ix)*lx, -float64(iy)*ly, -float64(iz)*lz
-			m := int(hi - lo)
-			c.Runs++
-			c.Tests += m
-			c.Idx, c.R2 = q.keep(slices.Grow(c.Idx, m), slices.Grow(c.R2, m), g.order[lo:hi], g.ox[lo:hi], g.oy[lo:hi], g.oz[lo:hi])
-		})
+// Gather appends to c.Idx, with its key to c.Key, every particle j that
+// particle i owns and that lies within the larger of the two's radii
+// (SetRadii): u = r²·min(1/R_i², 1/R_j²) < 1, r the minimum-image distance
+// and u the key. Particle i owns what lies ahead of it in the scan window
+// of the largest radius: the particles after it in its own cell (order
+// ascends there, so they are a suffix of the cell's run), and those of the
+// cells after its own in the window's (z, y, x) offset order. Of two cells,
+// each in the other's window, exactly one is ahead of the other, so over all
+// i every unordered pair within the larger of its radii is found, and
+// tested, exactly once — the half of a symmetric candidate list that needs
+// no reverse lookup. A cell is skipped when its slab lies beyond both R_i
+// and the largest radius in it.
+//
+// Gather is made for grids finer than the radius, where a run spans several
+// cells: the run knows its periodic image from the window instead of
+// folding every displacement, and inside it index and key are written
+// unconditionally and kept by advancing the cursor — no callback per
+// particle, no append, no square root. On a grid whose window spans a
+// periodic axis every query walks the whole window instead and owns the
+// pairs j > i.
+func (g *Grid) Gather(c *Candidates, i int) {
+	if g.maxR == 0 {
+		panic("neighbors: Gather before SetRadii")
 	}
-	// The rank test reads one more array at j, so it runs over the third of
-	// the tested particles that passed the distance test, not over all.
-	idx, r2, ri, w := c.Idx, c.R2, rank[i], from
-	for k := from; k < len(idx); k++ {
-		j := idx[k]
-		idx[w], r2[w] = j, r2[k]
-		// Three flags and no branch: between near-equal ranks the outcome
-		// is a coin toss.
-		below, level, later := 0, 0, 0
-		rj := rank[j]
-		if rj < ri {
-			below = 1
-		}
-		if rj == ri {
-			level = 1
-		}
-		if int(j) > i {
-			later = 1
-		}
-		w += below | level&later
+	at := g.slot(i)
+	if g.walk {
+		g.gatherWalk(c, i, at)
+		return
 	}
-	c.Idx, c.R2 = idx[:w], r2[:w]
+	q := gatherQuery{px: g.x[i], py: g.y[i], pz: g.z[i], inv: g.oinv[at]}
+	r2i := pruneSlack / q.inv // R_i², widened like cellR2
+	cx, cy, cz := g.cellCoords(int(g.cells[i]))
+	var xb, yb, zb [axisBufEntries]axisCell
+	xs, x0 := axisScan(xb[:0], cx, g.span[0], g.nx, g.box.PBCx, q.px, g.box.Xmin, g.cellSize[0])
+	ys, y0 := axisScan(yb[:0], cy, g.span[1], g.ny, g.box.PBCy, q.py, g.box.Ymin, g.cellSize[1])
+	zs, z0 := axisScan(zb[:0], cz, g.span[2], g.nz, g.box.PBCz, q.pz, g.box.Zmin, g.cellSize[2])
+	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
+	// Ahead of i: the z layers from its own on; in its own layer the rows
+	// from its own on; in its own row the cells from its own on, whose run
+	// starts after i.
+	ownRow, yfrom := true, y0
+	for _, zc := range zs[z0:] {
+		for _, yc := range ys[yfrom:] {
+			dzy := zc.d2 + yc.d2
+			row := g.cellIndex(0, int(yc.c), int(zc.c))
+			lo, hi := 0, len(xs)
+			if ownRow {
+				lo = x0
+			}
+			// Slab distance grows away from the query's cell: trim the row's
+			// ends to the cells some radius reaches (the own cell, at distance
+			// 0, always stays).
+			for lo < hi && dzy+xs[lo].d2 > max(r2i, g.cellR2[row+int(xs[lo].c)]) {
+				lo++
+			}
+			for lo < hi && dzy+xs[hi-1].d2 > max(r2i, g.cellR2[row+int(xs[hi-1].c)]) {
+				hi--
+			}
+			q.sy, q.sz = -float64(yc.image)*ly, -float64(zc.image)*lz
+			for lo < hi {
+				end := lo + 1
+				for end < hi && xs[end].c == xs[end-1].c+1 {
+					end++
+				}
+				from, to := g.cellOff[row+int(xs[lo].c)], g.cellOff[row+int(xs[end-1].c)+1]
+				if ownRow {
+					from, ownRow = at+1, false
+				}
+				if m := int(to - from); m > 0 {
+					q.sx = -float64(xs[lo].image) * lx
+					c.Runs++
+					c.Tests += m
+					c.Idx, c.Key = q.keep(slices.Grow(c.Idx, m), slices.Grow(c.Key, m), g.order[from:to], g.ox[from:to], g.oy[from:to], g.oz[from:to], g.oinv[from:to])
+				}
+				lo = end
+			}
+		}
+		yfrom = 0
+	}
+}
+
+// slot is particle i's position in order: in the run of the cell it was
+// binned in, which ascends.
+func (g *Grid) slot(i int) int32 {
+	k := g.cellOff[g.cells[i]]
+	for g.order[k] != int32(i) {
+		k++
+	}
+	return k
+}
+
+// gatherWalk is Gather on a grid whose window spans a periodic axis: every
+// particle j > i of the window of the largest radius, its displacement
+// folded, at ForEachNeighbor's pace. at is i's slot.
+func (g *Grid) gatherWalk(c *Candidates, i int, at int32) {
+	px, py, pz, inv := g.x[i], g.y[i], g.z[i], g.oinv[at]
+	lx, ly, lz := g.box.Lx(), g.box.Ly(), g.box.Lz()
+	hx, hy, hz := HalfFold(lx, g.box.PBCx), HalfFold(ly, g.box.PBCy), HalfFold(lz, g.box.PBCz)
+	g.eachRun(i, g.maxR, func(lo, hi int32, _, _, _ int32) {
+		for k := lo; k < hi; k++ {
+			if int(g.order[k]) <= i {
+				continue
+			}
+			dx, dy, dz := Fold(px-g.ox[k], hx, lx), Fold(py-g.oy[k], hy, ly), Fold(pz-g.oz[k], hz, lz)
+			if u := (dx*dx + dy*dy + dz*dz) * min(inv, g.oinv[k]); u < 1 {
+				c.Idx, c.Key = append(c.Idx, g.order[k]), append(c.Key, u)
+			}
+		}
+	})
 }
 
 // gatherQuery is what Gather's distance test reads, kept apart from the
@@ -476,31 +592,30 @@ func (g *Grid) Gather(c *Candidates, i int, radius float64, rank []float64) {
 type gatherQuery struct {
 	px, py, pz float64
 	sx, sy, sz float64 // the run's image: 0 or ∓ a box length per axis
-	r2max      float64
+	inv        float64 // 1/R_i²
 }
 
-// keep appends to idx the members of run within the query radius and to r2
-// their squared distances; both have room for all of run. x, y and z are the
-// run's coordinates, in its order. The query particle itself stays in (the
-// rank test drops it). Adding the image's box length is the minimum-image
-// fold of ForEachNeighbor, term for term, on every pair either keeps.
-func (q *gatherQuery) keep(idx []int32, r2 []float64, run []int32, x, y, z []float64) ([]int32, []float64) {
-	r2max := q.r2max
-	px, py, pz, sx, sy, sz := q.px, q.py, q.pz, q.sx, q.sy, q.sz
+// keep appends to idx the members of run within the larger of the query's
+// radius and their own and to key their keys; both have room for all of run.
+// x, y, z and inv are the run's coordinates and reciprocal squared radii, in
+// its order. Shifting the query into the run's image stands for the
+// minimum-image fold of ForEachNeighbor, to rounding, on every pair kept.
+func (q *gatherQuery) keep(idx []int32, key []float64, run []int32, x, y, z, inv []float64) ([]int32, []float64) {
+	ax, ay, az, invI := q.px+q.sx, q.py+q.sy, q.pz+q.sz, q.inv
 	w := len(idx)
-	idx, r2 = idx[:w+len(run)], r2[:w+len(run)]
-	x, y, z = x[:len(run)], y[:len(run)], z[:len(run)]
+	idx, key = idx[:w+len(run)], key[:w+len(run)]
+	x, y, z, inv = x[:len(run)], y[:len(run)], z[:len(run)], inv[:len(run)]
 	for k, j := range run {
-		dx, dy, dz := px-x[k]+sx, py-y[k]+sy, pz-z[k]+sz
-		v := dx*dx + dy*dy + dz*dz
-		idx[w], r2[w] = j, v
+		dx, dy, dz := ax-x[k], ay-y[k], az-z[k]
+		u := (dx*dx + dy*dy + dz*dz) * min(invI, inv[k])
+		idx[w], key[w] = j, u
 		in := 0
-		if v < r2max {
+		if u < 1 {
 			in = 1
 		}
 		w += in
 	}
-	return idx[:w], r2[:w]
+	return idx[:w], key[:w]
 }
 
 func scanWidth(radius, cell float64) int {

@@ -70,19 +70,20 @@ type NeighborList struct {
 	// The Verlet-skin candidate cache is a half list in distance shells.
 	// A rebuild stores every unordered pair within max(R_i, R_j) of each
 	// other at the reference positions, R = (1+Skin)·2·1.3·RefH, once: with
-	// the endpoint of the larger RefH, ties to the lower index, whose own
-	// query radius finds it. Particle i's candidates are stably binned by
-	// σ = dist_ref − 2·RefH_i — through dist_ref², which orders them the same
-	// — into candShells shells (shellOf); shell k of particle i is
-	// CandIdx[ShellOff[i·candShells+k]:ShellOff[i·candShells+k+1]], in the
-	// traversal order of the gather (neighbors.Grid.Gather).
+	// the endpoint whose query found it, the one it lies ahead of in the
+	// gather's half stencil (neighbors.Grid.Gather). A pair is binned by
+	// κ = dist_ref/M, M the larger RefH of the two — through κ², which
+	// orders it the same — into candShells shells (shellOf); shell k of
+	// particle i is CandIdx[ShellOff[i·candShells+k]:ShellOff[i·candShells+k+1]],
+	// in the traversal order of the gather.
 	//
-	// A pair can be inside either support now only if its σ is below
-	// d_i + max_j d_j + 2·G, with d the drift from the reference and G the
-	// largest h − RefH of any particle: dist_ref ≤ dist_now + d_i + d_j by
-	// the triangle inequality, dist_now < 2·max(h_i, h_j), and both h are at
-	// most RefH_i + G because the owner has the larger RefH. Every step
-	// streams only the shells that start below that bound.
+	// A pair can be inside either support now only if its κ is below
+	// 2 + (d_i + max_j d_j + 2·G)/RefH_i, with d the drift from the
+	// reference and G the largest h − RefH of any particle: dist_ref ≤
+	// dist_now + d_i + d_j by the triangle inequality, dist_now <
+	// 2·max(h_i, h_j), and both h are at most M + G; dividing by M ≥ RefH_i
+	// leaves the bound no wider than the one the owner computes from its own
+	// RefH. Every step streams only the shells that start below it.
 	//
 	// RefX/RefY/RefZ/RefH snapshot the build-time positions and (pre-update)
 	// smoothing lengths that drift is measured against, and BuildStep the

@@ -198,8 +198,9 @@ type Options struct {
 	ReorderEvery int
 
 	// Skin is the Verlet-skin fraction of the neighbor search: a rebuild
-	// gathers every pair within (1+Skin)·2·1.3·h of each other — once, with
-	// the endpoint of the larger h, binned by distance into shells (see
+	// gathers every pair within (1+Skin)·2·1.3·h of each other, h the larger
+	// of the two — once, with the endpoint the gather's half stencil finds it
+	// from, binned by distance in units of that h into shells (see
 	// NeighborList) — and later steps reuse that half candidate list,
 	// recomputing only the cached pairs' distances, while it provably holds
 	// every pair inside a support: the margin between a particle's support
@@ -316,6 +317,7 @@ type State struct {
 	NbrStats NeighborStats
 
 	gridBuf *neighbors.Grid // reused cell-grid buffers across rebuilds
+	candR   []float64       // candidate gather scratch: every particle's candidate radius
 	hNew    []float64       // FindNeighbors scratch: the updated H, until the list stands
 	ncNew   []int32         // FindNeighbors scratch: the neighbor counts, likewise
 	chunks  []*listChunk    // FindNeighbors scratch: the ranges of the sweep in flight

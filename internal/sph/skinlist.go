@@ -11,15 +11,17 @@ import (
 
 // Verlet-skin candidate reuse. A rebuild gathers every pair within
 // R = (1+Skin)·2·hGrowthCap·h of each other, h the larger of its two
-// smoothing lengths, into the half candidate list (NeighborList.CandIdx) and
-// later steps reuse it: a refresh recomputes the cached pairs' distances and
-// admits from them by the current supports, producing the list a fresh
-// gather over the same pair set would (both run buildList's sweeps). What
-// lies between a particle's support and R is spent on drift alone, and the
-// cache is proved complete in two phases, each when its radius is known:
-// before the pass for the supports the particles arrive with (skinValid),
-// after its counts for a support the h update has just grown
-// (updateSmoothing). A rebuild is forced when either fails, when the
+// smoothing lengths, into the half candidate list (NeighborList.CandIdx) —
+// each pair once, tested once, by the endpoint it lies ahead of in the
+// gather's half stencil, binned by its distance in units of that larger h —
+// and later steps reuse it: a refresh recomputes the cached pairs'
+// distances and admits from them by the current supports, producing the
+// list a fresh gather over the same pair set would (both run buildList's
+// sweeps). What lies between a particle's support and R is spent on drift
+// alone, and the cache is proved complete in two phases, each when its
+// radius is known: before the pass for the supports the particles arrive
+// with (skinValid), after its counts for a support the h update has just
+// grown (updateSmoothing). A rebuild is forced when either fails, when the
 // RebuildEvery cadence expires, when a refresh overflows ngmax, or when an
 // SFC reorder has invalidated the indices. Skin = 0 and RebuildEvery = 1
 // both rebuild on every step.
@@ -76,7 +78,9 @@ func driftRounding(maxH float64) float64 { return 1e-12 * (2 * hGrowthCap * maxH
 //	slack_i = R_i − d_i − 2h  ≥  max_j d_j
 //
 // which is how both phases use it. The slack is returned less the rounding
-// allowance, with d_i.
+// allowance, with d_i. The allowance also covers the gather's admission
+// test, r²·min(1/R_i², 1/R_j²) < 1 rather than r < max(R_i, R_j): the two
+// can disagree on a pair within a few ulps of R only.
 func (s *State) skinSlack(i int, h, maxH float64) (slack, drift float64) {
 	drift = s.drift(i)
 	return candRadius(1+s.Opt.skin(), s.List.RefH[i]) - drift - 2*h - driftRounding(maxH), drift
@@ -125,32 +129,29 @@ func (s *State) geom() boxGeom {
 func candRadius(sk, h float64) float64 { return sk * (2 * hGrowthCap * h) }
 
 // candShells is the number of distance shells an owner's candidates are
-// binned into by q = dist_ref²: shell 0 holds q < (2·RefH)² — the pairs
-// inside the owner's reference support, which every step streams — and the
-// others cut [(2·RefH)², R²) evenly, which spares the binning a square root
-// per candidate. Finer shells stream less beyond the bound (half a shell on
+// binned into, each pair by κ² = dist_ref²/M², M the larger reference
+// smoothing length of the two: shell 0 holds κ² < 4 — the pairs inside the
+// larger reference support, which every step streams — and the others cut
+// [4, c²) evenly, c = candRadius(1+Skin, 1) the scale-free candidate radius,
+// one scale for every owner, which spares the binning a square root per
+// candidate. Finer shells stream less beyond the bound (half a shell on
 // average, ≈ 3 candidates of ≈ 140 at 16) and cost candShells offsets per
 // particle.
 const candShells = 16
 
-// shellScale is the number of outer shells per unit of q for an owner of
-// reference smoothing length h.
-func shellScale(sk, h float64) float64 {
-	r := candRadius(sk, h)
-	return (candShells - 1) / (r*r - support2(h))
+// shellScale is the number of outer shells per unit of κ².
+func shellScale(sk float64) float64 {
+	c := candRadius(sk, 1)
+	return (candShells - 1) / (c*c - 4)
 }
 
-// shellOf is the shell of a pair q beyond the owner's reference support,
-// q = dist_ref² − (2·RefH)², under the owner's scale. It does not decrease
-// with q, which is the whole of the prefix argument: the pairs below a bound
-// lie in shells 0 … shellOf(bound). The sign of q takes no branch: a quarter
-// of the candidates lie inside the support, in no order.
+// shellOf is the shell of a pair q beyond the larger reference support, q =
+// κ² − 4, under the scale. It does not decrease with q, which is the whole
+// of the prefix argument: the pairs below a bound lie in shells 0 …
+// shellOf(bound). Neither clamp takes a branch: a quarter of the candidates
+// lie inside the support and a tenth in the last shell, in no order.
 func shellOf(q, scale float64) int {
-	f := q*scale + 1
-	if !(f < candShells-1) {
-		return candShells - 1 // the last shell, and whatever a degenerate scale makes of q
-	}
-	return max(int(f), 0)
+	return int(max(min(q*scale+1, candShells-1), 0))
 }
 
 // gatherCandidates fills the candidate shells from positions and smoothing
@@ -158,19 +159,27 @@ func shellOf(q, scale float64) int {
 // restart, which is why the two agree bit for bit — and returns the grid it
 // searched. The grid's cells are half the largest candidate radius: a query
 // then tests ≈ 2.7 particles per particle in range where radius-sized cells
-// test 6, and Grid.Gather walks x-adjacent cells as one run, so the finer
-// grid costs no more loop set-up. Each query keeps the pairs its particle
-// owns and bins them while they are in cache.
+// test 6, and Grid.Gather walks x-adjacent cells as one run and only the
+// half of the window ahead of its particle, so the finer grid costs no more
+// loop set-up and every pair is tested once. Each query keeps the pairs its
+// particle owns and bins them while they are in cache.
 func (s *State) gatherCandidates(x, y, z, h []float64) *neighbors.Grid {
 	sk := 1 + s.Opt.skin()
+	s.candR = ensure(s.candR, len(h))
+	for i, hi := range h {
+		s.candR[i] = candRadius(sk, hi)
+	}
 	grid := s.buildGrid(x, y, z, candRadius(sk, slices.Max(h))/2)
+	grid.SetRadii(s.candR)
+	c := candRadius(sk, 1)
+	c2, scale := c*c, shellScale(sk)
 	chunks := s.eachRange(len(h), func(cb *listChunk) {
 		cb.idx, cb.end = cb.idx[:0], cb.end[:0]
 		cb.cand.Tests, cb.cand.Runs = 0, 0
 		for i := cb.lo; i < cb.hi; i++ {
-			cb.cand.Idx, cb.cand.R2 = cb.cand.Idx[:0], cb.cand.R2[:0]
-			grid.Gather(&cb.cand, i, candRadius(sk, h[i]), h)
-			cb.binShells(support2(h[i]), shellScale(sk, h[i]))
+			cb.cand.Idx, cb.cand.Key = cb.cand.Idx[:0], cb.cand.Key[:0]
+			grid.Gather(&cb.cand, i)
+			cb.binShells(c2, scale)
 		}
 	})
 	s.List.mergeCands(chunks, len(h))
@@ -184,15 +193,17 @@ func (s *State) gatherCandidates(x, y, z, h []float64) *neighbors.Grid {
 }
 
 // binShells appends the query in cb.cand to the chunk's candidates, stably
-// sorted by shell — a counting sort on r² beyond the owner's support² — with
-// the candShells ends of the owner's segment.
-func (cb *listChunk) binShells(support2, scale float64) {
+// sorted by shell — a counting sort on κ² = u·c², u the gather's key
+// r²/max(R_i, R_j)² and c² the squared scale-free candidate radius, beyond
+// the support's 4.
+func (cb *listChunk) binShells(c2, scale float64) {
 	m := len(cb.cand.Idx)
 	cb.key = ensure(cb.key, m)
+	key := cb.key
 	var count [candShells]int32
-	for k, r2 := range cb.cand.R2 {
-		sh := shellOf(r2-support2, scale)
-		cb.key[k] = uint8(sh)
+	for k, u := range cb.cand.Key[:m] {
+		sh := shellOf(u*c2-4, scale)
+		key[k] = uint8(sh)
 		count[sh]++
 	}
 	at := int32(len(cb.idx))
@@ -202,9 +213,10 @@ func (cb *listChunk) binShells(support2, scale float64) {
 		at += c
 		cb.end = append(cb.end, at)
 	}
+	idx := cb.idx
 	for k, j := range cb.cand.Idx {
-		sh := cb.key[k]
-		cb.idx[count[sh]] = j
+		sh := key[k]
+		idx[count[sh]] = j
 		count[sh]++
 	}
 }
@@ -229,15 +241,15 @@ func (nl *NeighborList) mergeCands(chunks []*listChunk, n int) {
 }
 
 // streamCandidates is the sweep rebuild and refresh share. Every owner
-// streams the shells that start below its bound d_i + maxDrift + 2·G (see
-// NeighborList; as the shells are cut in r², the bound is taken there as
-// (2·RefH_i + bound)²), where G provides for smoothing lengths up to grow·h:
+// streams the shells that start below its bound κ < 2 + (d_i + maxDrift +
+// 2·G)/RefH_i (see NeighborList; as the shells are cut in κ², the bound is
+// squared), where G provides for smoothing lengths up to grow·h:
 // the supports the particles arrive with, which the neighbor counts are
 // taken over, and whatever the update makes of them, unless it grows one
 // further. The chunks come back with the survivors and the counts.
 func (s *State) streamCandidates(maxH, maxDrift, grow float64) []*listChunk {
 	p, nl, n := s.P, s.List, s.P.N
-	sk := 1 + s.Opt.skin()
+	scale := shellScale(1 + s.Opt.skin())
 	geo := s.geom()
 	g := par.Reduce(n, func(lo, hi int) float64 {
 		most := math.Inf(-1)
@@ -253,9 +265,10 @@ func (s *State) streamCandidates(maxH, maxDrift, grow float64) []*listChunk {
 		cb.survEnd, cb.survIdx, cb.survR2 = cb.survEnd[:0], cb.survIdx[:0], cb.survR2[:0]
 		cb.streamed, cb.shells = 0, 0
 		for i := cb.lo; i < cb.hi; i++ {
-			ref := nl.RefH[i]
-			reach := max(2*ref+s.drift(i)+beyond, 0)
-			shells := 1 + shellOf(reach*reach-support2(ref), shellScale(sk, ref))
+			// A negative margin is left at 0: divided by RefH_i rather than
+			// by the pair's M it would cut deeper than the bound allows.
+			reach := 2 + max(s.drift(i)+beyond, 0)/nl.RefH[i]
+			shells := 1 + shellOf(reach*reach-4, scale)
 			cand := nl.CandIdx[nl.ShellOff[i*candShells]:nl.ShellOff[i*candShells+shells]]
 			cb.streamed += len(cand)
 			cb.shells += shells
