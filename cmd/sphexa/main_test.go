@@ -151,19 +151,26 @@ func TestBareRunSucceeds(t *testing.T) {
 // anything runs — not 4 after the supervisor retried it as a crash, and not
 // after the ManDyn sweep printed its table.
 func TestInvalidConfigExitsOne(t *testing.T) {
-	for _, args := range [][]string{
-		{"-ppr", "200e6", "-checkpoint-dir", t.TempDir()},
-		{"-ppr", "200e6", "-strategy", "mandyn"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ppr", "200e6", "-checkpoint-dir", t.TempDir()}, "GPU memory"},
+		{[]string{"-ppr", "200e6", "-strategy", "mandyn"}, "GPU memory"},
+		{[]string{"-ppr", "NaN"}, "particles per rank must be positive"},
+		{[]string{"-s", "-1"}, "negative step count"},
+		{[]string{"-ng", "-5"}, "negative neighbor count"},
 	} {
-		stdout, stderr, err := runSphexa(t, append(args, "-s", "3", "-q")...)
+		// The case's own flags come last, so its -s overrides the short run.
+		stdout, stderr, err := runSphexa(t, append([]string{"-s", "3", "-q"}, c.args...)...)
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Errorf("%v: err = %v, want exit 1; stderr:\n%s", args, err, stderr)
+			t.Errorf("%v: err = %v, want exit 1; stderr:\n%s", c.args, err, stderr)
 		}
-		if !strings.Contains(stderr, "GPU memory") {
-			t.Errorf("%v: stderr = %q, want the memory-capacity refusal", args, stderr)
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: stderr = %q, want %q", c.args, stderr, c.want)
 		}
 		if stdout != "" {
-			t.Errorf("%v: printed before refusing:\n%s", args, stdout)
+			t.Errorf("%v: printed before refusing:\n%s", c.args, stdout)
 		}
 	}
 }

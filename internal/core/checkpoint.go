@@ -43,8 +43,9 @@ type RecoveryInfo struct {
 // store's envelope version: the envelope knows bytes, this knows fields.
 // Version 2 dropped the fingerprint's JitterSpread and NbrRefreshCost, which
 // became constants of the model; 3 dropped DeviceState's UtilEMA, BusyS and
-// Kernels, which nothing read.
-const checkpointVersion = 3
+// Kernels, which nothing read; 4 dropped the fingerprint's HostOverheadS
+// when the host-overhead scale left Config.
+const checkpointVersion = 4
 
 // runFingerprint pins a checkpoint to the configuration that produced it.
 // Restoring under any other configuration would silently diverge, so a
@@ -58,7 +59,6 @@ type runFingerprint struct {
 	ParticlesPerRank float64
 	Ng               int
 	Seed             uint64
-	HostOverheadS    float64
 	SetupS           float64
 	Strategy         string
 	NbrRebuildEvery  int
@@ -77,7 +77,6 @@ func fingerprintOf(cfg Config, strategyName string) runFingerprint {
 		ParticlesPerRank: cfg.ParticlesPerRank,
 		Ng:               cfg.Ng,
 		Seed:             cfg.Seed,
-		HostOverheadS:    cfg.HostOverheadScale,
 		SetupS:           cfg.SetupS,
 		Strategy:         strategyName,
 		NbrRebuildEvery:  cfg.NeighborRebuildEvery,

@@ -150,7 +150,7 @@ func TestSupervisedCrashRecoveryBitIdentical(t *testing.T) {
 			for kill := 0; kill < 10; kill++ {
 				// Step 0 has no autosave before it, so a crash there would
 				// exhaust the restarts.
-				step, rank := 1+r.Intn(cfg.Steps-1), r.Intn(cfg.Ranks)
+				step, rank := 1+int(r.Uint64()%uint64(cfg.Steps-1)), int(r.Uint64()%uint64(cfg.Ranks))
 				t.Run(fmt.Sprintf("kill-%d-step-%d-rank-%d", kill, step, rank), func(t *testing.T) {
 					requireCrashRecovers(t, cfg, want, step, rank, seed, seed)
 				})
@@ -580,7 +580,7 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	cfg := recoverableConfig().Defaulted()
 	v1 := checkpointV1{Fp: fingerprintV1{Version: 1, Sim: string(cfg.Sim), System: cfg.System.Name,
 		Ranks: cfg.Ranks, Steps: cfg.Steps, ParticlesPerRank: cfg.ParticlesPerRank, Ng: cfg.Ng,
-		Seed: cfg.Seed, JitterSpread: 0.015, HostOverheadS: cfg.HostOverheadScale, SetupS: cfg.SetupS,
+		Seed: cfg.Seed, JitterSpread: 0.015, HostOverheadS: 1.0, SetupS: cfg.SetupS,
 		Strategy: "mandyn", NbrRebuildEvery: cfg.NeighborRebuildEvery, NbrRefreshCost: 0.35},
 		NextStep: 4}
 	var payload bytes.Buffer
@@ -598,9 +598,11 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 // TestCheckpointVersion2Refused rewrites a real checkpoint into the version
 // 2 layout, whose device states still carried UtilEMA, BusyS and the
 // per-kernel Kernels ledger. gob drops fields the decoding type lacks, so
-// the same bytes labelled version 3 resume and finish the run exactly as
-// an uninterrupted one: only the version number tells the two layouts
-// apart, and labelled 2 they must be refused naming both versions.
+// the same bytes labelled with the current version resume and finish the
+// run exactly as an uninterrupted one: only the version number tells the
+// layouts apart. Labelled 2, or 3 (whose fingerprint still carried
+// HostOverheadS, a field gob would drop just the same), they must be
+// refused naming both versions.
 func TestCheckpointVersion2Refused(t *testing.T) {
 	type kernelEnergyV2 struct {
 		Name     string
@@ -688,8 +690,10 @@ func TestCheckpointVersion2Refused(t *testing.T) {
 	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
 		t.Error("the version 2 layout, labelled current, resumed into a different run")
 	}
-	_, err = resume(2)
-	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
-		t.Fatalf("a version 2 checkpoint was not refused by version: %v", err)
+	for _, v := range []int{2, 3} {
+		_, err = resume(v)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
+			t.Fatalf("a version %d checkpoint was not refused by version: %v", v, err)
+		}
 	}
 }

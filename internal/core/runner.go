@@ -49,9 +49,6 @@ type Config struct {
 	// Slurm's energy accounting covers it; PMT instrumentation does not —
 	// the gap Fig. 3 quantifies. 0 disables it.
 	SetupS float64
-	// HostOverheadScale scales the fixed host-side per-step overheads
-	// (1.0 default); ablations use it.
-	HostOverheadScale float64
 	// NeighborRebuildEvery models the SPH layer's Verlet-skin neighbor-list
 	// reuse: the FindNeighbors phase performs a full candidate rebuild only
 	// every K-th step and a cheap streaming refresh in between, whose
@@ -125,9 +122,6 @@ func (c Config) Defaulted() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.HostOverheadScale == 0 {
-		c.HostOverheadScale = 1
-	}
 	return c
 }
 
@@ -136,8 +130,14 @@ func (c Config) Validate() error {
 	if c.Ranks < 1 {
 		return fmt.Errorf("core: need at least 1 rank, got %d", c.Ranks)
 	}
-	if c.ParticlesPerRank <= 0 {
-		return fmt.Errorf("core: non-positive particles per rank")
+	if !(c.ParticlesPerRank > 0) { // NaN too
+		return fmt.Errorf("core: particles per rank must be positive, got %g", c.ParticlesPerRank)
+	}
+	if c.Steps < 0 {
+		return fmt.Errorf("core: negative step count %d", c.Steps)
+	}
+	if c.Ng < 0 {
+		return fmt.Errorf("core: negative neighbor count %d", c.Ng)
 	}
 	switch c.Sim {
 	case Turbulence, Evrard:
@@ -256,7 +256,7 @@ func (r *Result) GPUEDP() float64 { return r.Report.GPUEnergyJ * r.WallTimeS }
 type phase struct {
 	fn    *FuncModel
 	commS float64 // post-kernel communication
-	hostS float64 // host-side serial overhead, scaled
+	hostS float64 // host-side serial overhead
 }
 
 // rankCtx is the per-rank execution context.
@@ -492,7 +492,7 @@ func Run(cfg Config) (*Result, error) {
 		if !known {
 			hostS = defaultHostOverheadS // custom pipelines
 		}
-		phases[i] = phase{fn: fn, commS: commTime(*fn, cfg, net), hostS: hostS * cfg.HostOverheadScale}
+		phases[i] = phase{fn: fn, commS: commTime(*fn, cfg, net), hostS: hostS}
 	}
 
 	// The phase loop allocates nothing: its per-rank and per-node scratch,

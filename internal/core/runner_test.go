@@ -148,20 +148,22 @@ func TestMemoryCapacityValidation(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := miniConfig()
-	bad.Ranks = 0
-	if _, err := Run(bad); err == nil {
-		t.Error("zero ranks accepted")
-	}
-	bad = miniConfig()
-	bad.ParticlesPerRank = 0
-	if _, err := Run(bad); err == nil {
-		t.Error("zero particles accepted")
-	}
-	bad = miniConfig()
-	bad.Sim = "magnetohydrodynamics"
-	if _, err := Run(bad); err == nil {
-		t.Error("unknown sim accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"zero ranks", func(c *Config) { c.Ranks = 0 }},
+		{"zero particles", func(c *Config) { c.ParticlesPerRank = 0 }},
+		{"NaN particles", func(c *Config) { c.ParticlesPerRank = math.NaN() }},
+		{"negative steps", func(c *Config) { c.Steps = -1 }},
+		{"negative neighbor count", func(c *Config) { c.Ng = -5 }},
+		{"unknown sim", func(c *Config) { c.Sim = "magnetohydrodynamics" }},
+	} {
+		bad := miniConfig()
+		tc.set(&bad)
+		if _, err := Run(bad); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -318,17 +320,6 @@ func TestCustomPipeline(t *testing.T) {
 	cfg.CustomPipeline = nil
 	if _, err := Run(cfg); err == nil {
 		t.Error("Custom without CustomPipeline accepted")
-	}
-}
-
-func TestHostOverheadScale(t *testing.T) {
-	a := miniConfig()
-	b := miniConfig()
-	b.HostOverheadScale = 3
-	ra, _ := Run(a)
-	rb, _ := Run(b)
-	if rb.WallTimeS <= ra.WallTimeS {
-		t.Error("scaling host overheads up should slow the run")
 	}
 }
 

@@ -38,12 +38,10 @@ func Fig2(scale float64) (*Fig2Data, error) {
 	spec := gpusim.A100PCIE40GB()
 	d := &Fig2Data{Spec: spec, MinMHz: 1005, MaxMHz: 1410}
 	cfg := tuner.Config{
-		Spec:       spec,
-		Params:     tuner.Params{MinMHz: d.MinMHz, MaxMHz: d.MaxMHz},
-		Objective:  tuner.EDP,
-		Strategy:   tuner.BruteForce,
-		Iterations: 3,
-		Cache:      sessionCache,
+		Spec:      spec,
+		Params:    tuner.Params{MinMHz: d.MinMHz, MaxMHz: d.MaxMHz},
+		Objective: tuner.EDP,
+		Cache:     sessionCache,
 	}
 	for _, fn := range core.TurbulencePipeline() {
 		kernel := fn.Kernel(particles450Cubed, 150, spec.Vendor)

@@ -68,7 +68,7 @@ type kernelTiming struct {
 // with occupancy = items/(items + knee) capturing the throughput loss of
 // under-filled devices. The compute part scales with fmax/f at a lower
 // frequency f; the memory part does not (HBM clock held constant, as in the
-// paper's experiments). The spec is read through a pointer: it is 224 bytes
+// paper's experiments). The spec is read through a pointer: it is 216 bytes
 // and this runs once per launch.
 func (k KernelDesc) timing(s *Spec) kernelTiming {
 	occ := k.Items / (k.Items + s.SaturationItems)
@@ -79,16 +79,6 @@ func (k KernelDesc) timing(s *Spec) kernelTiming {
 	bytes := k.Items * k.BytesPerItem
 	tc := flops / (s.PeakGFLOPS * 1e9 * k.eff() * occ)
 	tm := bytes / (s.MemBWGBs * 1e9 * occ)
-	if s.PureRooflineOverlap {
-		// Perfect overlap: the shorter phase hides entirely behind the
-		// longer one. Attribute the hidden phase's time to the visible one
-		// so the frequency decomposition stays consistent.
-		if tc >= tm {
-			tm = 0
-		} else {
-			tc = 0
-		}
-	}
 	tot := tc + tm
 	var smAct, memAct, cFrac float64
 	if tot > 0 {

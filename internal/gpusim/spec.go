@@ -73,13 +73,6 @@ type Spec struct {
 	KernelLaunchOverheadS float64 // CPU+driver cost per kernel launch (wall time)
 	SaturationItems       float64 // work items at which throughput reaches ~50% of peak scaling knee
 
-	// PureRooflineOverlap switches the kernel body time from the additive
-	// tc + tm model (partial overlap, the default) to the ideal roofline
-	// max(tc, tm) (perfect compute/memory overlap). An ablation knob: the
-	// additive model reproduces the paper's smooth frequency sensitivity,
-	// the pure roofline makes kernels all-or-nothing.
-	PureRooflineOverlap bool
-
 	// Governor dynamics (DVFS mode).
 	RampTauS    float64 // exponential clock ramp time constant
 	BoostHoldS  float64 // time clocks stay up after a kernel completes

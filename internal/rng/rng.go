@@ -1,6 +1,6 @@
 // Package rng provides a deterministic, splittable pseudo-random number
 // generator used for reproducible initial conditions, workload jitter and
-// tuner search strategies.
+// fault injection.
 //
 // The generator is xoshiro256** seeded through SplitMix64, the combination
 // recommended by the xoshiro authors. Unlike math/rand's global state it is
@@ -78,14 +78,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * 0x1p-53
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Norm returns a standard normal deviate using the Box–Muller transform.
 func (r *Rand) Norm() float64 {
 	// Avoid log(0) by nudging u1 away from zero.
@@ -95,17 +87,4 @@ func (r *Rand) Norm() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

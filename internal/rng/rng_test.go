@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -58,30 +57,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestIntn(t *testing.T) {
-	r := New(11)
-	seen := make(map[int]bool)
-	for i := 0; i < 1000; i++ {
-		v := r.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Errorf("Intn(10) only produced %d distinct values in 1000 draws", len(seen))
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestNormMoments(t *testing.T) {
 	r := New(21)
 	const n = 100000
@@ -98,28 +73,6 @@ func TestNormMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + r.Intn(64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

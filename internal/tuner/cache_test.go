@@ -10,57 +10,46 @@ import (
 // The cache must be invisible in the results: a cached sweep is bit-identical
 // to an uncached one, and a repeat sweep answers from the cache alone.
 func TestCacheBitIdenticalToUncached(t *testing.T) {
-	for _, noise := range []float64{0, 0.02} {
-		cfg := baseCfg()
-		cfg.NoiseRel = noise
-		cfg.Seed = 42
+	cold, err := TuneKernel("k", computeBound(), baseCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		cold, err := TuneKernel("k", computeBound(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	cached := baseCfg()
+	cached.Cache = NewCache()
+	warm1, err := TuneKernel("k", computeBound(), cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm2, err := TuneKernel("k", computeBound(), cached)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		cached := cfg
-		cached.Cache = NewCache()
-		warm1, err := TuneKernel("k", computeBound(), cached)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm2, err := TuneKernel("k", computeBound(), cached)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if !reflect.DeepEqual(cold, warm1) {
-			t.Errorf("noise=%v: first cached sweep differs from uncached", noise)
-		}
-		if !reflect.DeepEqual(cold, warm2) {
-			t.Errorf("noise=%v: repeat cached sweep differs from uncached", noise)
-		}
-		hits, misses := cached.Cache.Stats()
-		if misses != int64(len(cold.All)) {
-			t.Errorf("noise=%v: misses = %d, want %d (one per clock on the cold sweep)",
-				noise, misses, len(cold.All))
-		}
-		if hits != int64(len(cold.All)) {
-			t.Errorf("noise=%v: hits = %d, want %d (the repeat sweep should be all hits)",
-				noise, hits, len(cold.All))
-		}
-		if warm2.Evaluations != cold.Evaluations {
-			t.Errorf("noise=%v: cached Evaluations = %d, want %d",
-				noise, warm2.Evaluations, cold.Evaluations)
-		}
+	if !reflect.DeepEqual(cold, warm1) {
+		t.Error("first cached sweep differs from uncached")
+	}
+	if !reflect.DeepEqual(cold, warm2) {
+		t.Error("repeat cached sweep differs from uncached")
+	}
+	hits, misses := cached.Cache.Stats()
+	if misses != int64(len(cold.All)) {
+		t.Errorf("misses = %d, want %d (one per clock on the cold sweep)", misses, len(cold.All))
+	}
+	if hits != int64(len(cold.All)) {
+		t.Errorf("hits = %d, want %d (the repeat sweep should be all hits)", hits, len(cold.All))
+	}
+	if warm2.Evaluations != cold.Evaluations {
+		t.Errorf("cached Evaluations = %d, want %d", warm2.Evaluations, cold.Evaluations)
 	}
 }
 
-// Changing any keyed input — kernel shape, seed (via the noise stream), or
-// objective — must not cross-contaminate results through the cache.
+// Changing the kernel shape or the objective must not cross-contaminate
+// results through the cache.
 func TestCacheKeySeparatesInputs(t *testing.T) {
 	c := NewCache()
 
 	cfg := baseCfg()
-	cfg.NoiseRel = 0.02
-	cfg.Seed = 1
 	cfg.Cache = c
 	a, err := TuneKernel("k", computeBound(), cfg)
 	if err != nil {
@@ -74,18 +63,6 @@ func TestCacheKeySeparatesInputs(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.All, b.All) {
 		t.Error("different kernels returned identical measurements")
-	}
-
-	// Different seed → different noise stream → no hits.
-	_, missesBefore := c.Stats()
-	cfg2 := cfg
-	cfg2.Seed = 2
-	if _, err := TuneKernel("k", computeBound(), cfg2); err != nil {
-		t.Fatal(err)
-	}
-	_, missesAfter := c.Stats()
-	if missesAfter-missesBefore != int64(len(a.All)) {
-		t.Errorf("seed change produced %d misses, want %d", missesAfter-missesBefore, len(a.All))
 	}
 
 	// Objective is not part of the key: a hit-only re-sweep under a new
@@ -112,8 +89,6 @@ func TestCacheKeySeparatesInputs(t *testing.T) {
 func TestCacheConcurrentSharedUse(t *testing.T) {
 	c := NewCache()
 	cfg := baseCfg()
-	cfg.NoiseRel = 0.01
-	cfg.Seed = 7
 	cfg.Cache = c
 
 	ref, err := TuneKernel("k", computeBound(), cfg)
@@ -144,21 +119,10 @@ func TestCacheConcurrentSharedUse(t *testing.T) {
 	}
 }
 
-func TestNoiseSignatureDistinguishesStreams(t *testing.T) {
-	a := noiseSignature([]float64{1.0, 2.0})
-	b := noiseSignature([]float64{2.0, 1.0})
-	if a == b {
-		t.Error("order-swapped noise streams collide")
-	}
-	if noiseSignature(nil) != noiseSignature([]float64{}) {
-		t.Error("empty stream signatures differ")
-	}
-	if noiseSignature([]float64{0}) == noiseSignature(nil) {
-		t.Error("zero-valued draw collides with empty stream")
-	}
+func TestCacheKeyDistinguishesKernels(t *testing.T) {
 	spec := gpusim.A100PCIE40GB()
-	k1 := (&Cache{}).key(spec, computeBound(), 1200, 3, 0.02, nil)
-	k2 := (&Cache{}).key(spec, memoryBound(), 1200, 3, 0.02, nil)
+	k1 := (&Cache{}).key(spec, computeBound(), 1200)
+	k2 := (&Cache{}).key(spec, memoryBound(), 1200)
 	if k1 == k2 {
 		t.Error("distinct kernels share a cache key")
 	}

@@ -8,18 +8,14 @@ import (
 )
 
 // TestBruteForceConcurrentMatchesSerial pins the determinism contract of
-// the concurrent sweep: with measurement noise enabled, a brute-force run
-// under real parallelism must be bit-identical to the single-worker run,
-// because noise sequences are pre-drawn in candidate order.
+// the concurrent sweep: a run under real parallelism must be bit-identical
+// to the single-worker run, each measurement landing at its candidate's
+// index.
 func TestBruteForceConcurrentMatchesSerial(t *testing.T) {
 	k := computeBound()
 	cfg := Config{
-		Spec:       gpusim.A100PCIE40GB(),
-		Params:     Params{MinMHz: 1005, MaxMHz: 1410},
-		Strategy:   BruteForce,
-		Iterations: 5,
-		Seed:       11,
-		NoiseRel:   0.03,
+		Spec:   gpusim.A100PCIE40GB(),
+		Params: Params{MinMHz: 1005, MaxMHz: 1410},
 	}
 
 	old := runtime.GOMAXPROCS(4)

@@ -33,7 +33,7 @@ func TestTuneKernelRecordsSweepMetrics(t *testing.T) {
 	kernel := gpusim.KernelDesc{Items: 10e6, FlopsPerItem: 2000, BytesPerItem: 400, EffFactor: 0.5}
 	res, err := TuneKernel("iad", kernel, Config{
 		Spec:    spec,
-		Params:  Params{FrequenciesMHz: []int{1410, 1200, 1005}},
+		Params:  Params{MinMHz: 1380, MaxMHz: 1410},
 		Metrics: reg,
 	})
 	if err != nil {
@@ -48,8 +48,8 @@ func TestTuneKernelRecordsSweepMetrics(t *testing.T) {
 		kv   []string
 	}{
 		{"tuner_candidate_score", []string{"kernel", "iad", "mhz", "1410"}},
-		{"tuner_candidate_score", []string{"kernel", "iad", "mhz", "1005"}},
-		{"tuner_candidate_time_s", []string{"kernel", "iad", "mhz", "1200"}},
+		{"tuner_candidate_score", []string{"kernel", "iad", "mhz", "1380"}},
+		{"tuner_candidate_time_s", []string{"kernel", "iad", "mhz", "1395"}},
 		{"tuner_best_mhz", []string{"kernel", "iad"}},
 	} {
 		if _, ok := findSample(snap, want.name, want.kv...); !ok {
@@ -66,7 +66,7 @@ func TestTuneKernelNilRegistryIsFine(t *testing.T) {
 	kernel := gpusim.KernelDesc{Items: 10e6, FlopsPerItem: 2000, BytesPerItem: 400, EffFactor: 0.5}
 	if _, err := TuneKernel("iad", kernel, Config{
 		Spec:   spec,
-		Params: Params{FrequenciesMHz: []int{1410, 1005}},
+		Params: Params{MinMHz: 1395, MaxMHz: 1410},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestParetoFrontFiltersDominated(t *testing.T) {
 func TestParetoFrontProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := 3 + r.Intn(40)
+		n := 3 + int(r.Uint64()%40)
 		ms := make([]Measurement, n)
 		for i := range ms {
 			ms[i] = Measurement{MHz: 1000 + i, TimeS: 1 + r.Float64(), EnergyJ: 50 + 100*r.Float64()}
