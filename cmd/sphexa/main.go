@@ -19,8 +19,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,6 +71,28 @@ func main() {
 		energyBudget = flag.Float64("energy-budget", 0, "stop gracefully once total allocation energy passes this many joules (0 = unlimited)")
 	)
 	flag.Parse()
+
+	// Values the run would read as "off", "unlimited" or a default are
+	// refused here, naming the flag, before anything is created or printed.
+	if *steps == 0 {
+		fatalIf(fmt.Errorf("-s 0: need at least one time-step"))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"sample-hz", *sampleHz},
+		{"sample-node-hz", *sampleNodeHz},
+		{"walltime-budget", *wallBudget},
+		{"energy-budget", *energyBudget},
+		{"autosave-every", float64(*autosave)},
+		{"keep-checkpoints", float64(*keepCkpts)},
+		{"max-restarts", float64(*maxRestarts)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			fatalIf(fmt.Errorf("-%s %v: want a finite value >= 0", f.name, f.v))
+		}
+	}
 
 	gridIntensity, err := resolveGrid(*carbon)
 	fatalIf(err)
@@ -158,10 +182,19 @@ func main() {
 	case strings.HasPrefix(*strategy, "static:"):
 		mhz, err := strconv.Atoi(strings.TrimPrefix(*strategy, "static:"))
 		fatalIf(err)
+		// The device would snap any other value to its nearest clock, and
+		// the report would be labelled with a clock it never ran.
+		if !slices.Contains(spec.GPUSpec.SupportedClocksMHz(), mhz) {
+			fatalIf(fmt.Errorf("-strategy %s: %s's clock table has no %d MHz (%d-%d MHz in %d MHz steps)",
+				*strategy, spec.Name, mhz, spec.GPUSpec.MinSMClockMHz, spec.GPUSpec.MaxSMClockMHz, spec.GPUSpec.SMClockStepMHz))
+		}
 		cfg.NewStrategy = sphenergy.StaticMHz(mhz)
 	case strings.HasPrefix(*strategy, "powercap:"):
 		w, err := strconv.ParseFloat(strings.TrimPrefix(*strategy, "powercap:"), 64)
 		fatalIf(err)
+		if !(w > 0) || math.IsInf(w, 1) {
+			fatalIf(fmt.Errorf("-strategy %s: want a finite power cap > 0 W", *strategy))
+		}
 		cfg.NewStrategy = func() sphenergy.Strategy { return freqctl.PowerCap{Watts: w} }
 	case *strategy == "mandyn":
 		// Observe the search through the ledger: sweep measurements become

@@ -160,6 +160,21 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-ppr", "NaN"}, "particles per rank must be positive"},
 		{[]string{"-s", "-1"}, "negative step count"},
 		{[]string{"-ng", "-5"}, "negative neighbor count"},
+		{[]string{"-s", "0"}, "-s 0"},
+		{[]string{"-strategy", "static:0"}, "-strategy static:0"},
+		{[]string{"-strategy", "static:-100"}, "-strategy static:-100"},
+		{[]string{"-strategy", "static:5000"}, "-strategy static:5000"},
+		{[]string{"-strategy", "powercap:NaN"}, "-strategy powercap:NaN"},
+		{[]string{"-sample-hz", "-5"}, "-sample-hz -5"},
+		{[]string{"-sample-hz", "NaN"}, "-sample-hz NaN"},
+		{[]string{"-sample-node-hz", "-3"}, "-sample-node-hz -3"},
+		{[]string{"-max-restarts", "-1", "-checkpoint-dir", t.TempDir()}, "-max-restarts -1"},
+		{[]string{"-keep-checkpoints", "-1", "-checkpoint-dir", t.TempDir()}, "-keep-checkpoints -1"},
+		{[]string{"-autosave-every", "-1", "-checkpoint-dir", t.TempDir()}, "-autosave-every -1"},
+		{[]string{"-walltime-budget", "-5"}, "-walltime-budget -5"},
+		{[]string{"-walltime-budget", "NaN"}, "-walltime-budget NaN"},
+		{[]string{"-energy-budget", "-5"}, "-energy-budget -5"},
+		{[]string{"-energy-budget", "NaN"}, "-energy-budget NaN"},
 	} {
 		// The case's own flags come last, so its -s overrides the short run.
 		stdout, stderr, err := runSphexa(t, append([]string{"-s", "3", "-q"}, c.args...)...)

@@ -44,8 +44,9 @@ type RecoveryInfo struct {
 // Version 2 dropped the fingerprint's JitterSpread and NbrRefreshCost, which
 // became constants of the model; 3 dropped DeviceState's UtilEMA, BusyS and
 // Kernels, which nothing read; 4 dropped the fingerprint's HostOverheadS
-// when the host-overhead scale left Config.
-const checkpointVersion = 4
+// when the host-overhead scale left Config; 5 dropped its NbrRebuildEvery
+// when the neighbor-refresh model left Config.
+const checkpointVersion = 5
 
 // runFingerprint pins a checkpoint to the configuration that produced it.
 // Restoring under any other configuration would silently diverge, so a
@@ -61,7 +62,6 @@ type runFingerprint struct {
 	Seed             uint64
 	SetupS           float64
 	Strategy         string
-	NbrRebuildEvery  int
 	Degradation      string
 	FaultPlan        string
 	CustomFuncs      int
@@ -79,7 +79,6 @@ func fingerprintOf(cfg Config, strategyName string) runFingerprint {
 		Seed:             cfg.Seed,
 		SetupS:           cfg.SetupS,
 		Strategy:         strategyName,
-		NbrRebuildEvery:  cfg.NeighborRebuildEvery,
 		Degradation:      cfg.Degradation,
 		CustomFuncs:      len(cfg.CustomPipeline),
 	}

@@ -219,19 +219,6 @@ func (re *runEvents) samplerOverflow(timeS float64, dropped uint64) {
 	})
 }
 
-// neighborStep records the step's FindNeighbors trigger: a full candidate
-// rebuild or a Verlet-skin refresh (Config.NeighborRebuildEvery).
-func (re *runEvents) neighborStep(timeS float64, step int, refresh bool) {
-	if re == nil {
-		return
-	}
-	typ, detail := events.NbrRebuild, "cadence"
-	if refresh {
-		typ, detail = events.NbrRefresh, "skin-reuse"
-	}
-	re.led.Emit(events.Event{TimeS: timeS, Step: step, Rank: -1, Type: typ, Detail: detail})
-}
-
 // rankFailures records rank deaths newly observed by checkStep (from is
 // the failure count before the check) and the degradation policy's load
 // transition when redistribution changed the survivor multiplier.

@@ -21,7 +21,6 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 	})
 	cfg := telemetryTestConfig()
 	cfg.Steps = 4
-	cfg.NeighborRebuildEvery = 2
 	cfg.Events = led
 	cfg.NewStrategy = func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
@@ -40,10 +39,6 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 	if by[events.StepDone] != uint64(cfg.Steps) {
 		t.Errorf("step events = %d, want %d", by[events.StepDone], cfg.Steps)
 	}
-	if by[events.NbrRebuild] != 2 || by[events.NbrRefresh] != 2 {
-		t.Errorf("nbr events = %d rebuilds / %d refreshes, want 2/2 at cadence 2 over 4 steps",
-			by[events.NbrRebuild], by[events.NbrRefresh])
-	}
 	if by[events.FreqDecision] == 0 {
 		t.Fatal("no frequency decisions despite ManDyn switching clocks")
 	}
@@ -57,7 +52,7 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 		if ev.TimeS < lastT && ev.Type != events.RunStart {
 			// Coordinator events are time-ordered; rank events may interleave
 			// within a phase but never run backwards past a step boundary.
-			if ev.Type == events.StepDone || ev.Type == events.NbrRebuild || ev.Type == events.NbrRefresh {
+			if ev.Type == events.StepDone {
 				t.Errorf("coordinator event %s at t=%g after t=%g", ev.Type, ev.TimeS, lastT)
 			}
 		}

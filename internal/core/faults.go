@@ -106,8 +106,7 @@ func (fs *faultState) wireRank(rc *rankCtx, r int, cfg Config) {
 	if h := fs.clockInj[r].ClockHook(rc.dev.Now); h != nil {
 		freqctl.AttachFaultHook(rc.setter, h)
 	}
-	rs := freqctl.NewResilientSetter(rc.setter,
-		freqctl.ResilienceConfig{Seed: cfg.Seed ^ (uint64(r+1) * 0x9E3779B97F4A7C15)})
+	rs := freqctl.NewResilientSetter(rc.setter, cfg.Seed^(uint64(r+1)*0x9E3779B97F4A7C15))
 	fs.resilient = append(fs.resilient, rs)
 	rc.setter = rs
 }

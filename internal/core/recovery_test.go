@@ -5,6 +5,9 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -21,17 +24,16 @@ import (
 )
 
 // recoverableConfig is a small multi-rank run exercising the checkpointed
-// state surfaces: setup phase, ManDyn elision, Verlet-skin cadence, jitter.
+// state surfaces: setup phase, ManDyn elision, jitter.
 func recoverableConfig() Config {
 	return Config{
-		System:               cluster.CSCSA100(),
-		Ranks:                4,
-		Sim:                  Turbulence,
-		ParticlesPerRank:     10e6,
-		Steps:                8,
-		Seed:                 21,
-		SetupS:               2,
-		NeighborRebuildEvery: 3,
+		System:           cluster.CSCSA100(),
+		Ranks:            4,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            8,
+		Seed:             21,
+		SetupS:           2,
 		NewStrategy: func() freqctl.Strategy {
 			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: 1005, FnGravity: 1110}}
 		},
@@ -63,21 +65,19 @@ func modelRecord(t *testing.T, res *Result) string {
 }
 
 // soakConfig is the seeded recovery sweep's run: model only, on miniHPC,
-// with a setup phase, ManDyn elision state with a default clock and the
-// Verlet-skin rebuild cadence, so every checkpointed state surface is
-// exercised.
+// with a setup phase and ManDyn elision state with a default clock, so
+// every checkpointed state surface is exercised.
 func soakConfig(seed uint64) Config {
 	spec := cluster.MiniHPC()
 	max := spec.GPUSpec.MaxSMClockMHz
 	return Config{
-		System:               spec,
-		Ranks:                4,
-		Sim:                  Turbulence,
-		ParticlesPerRank:     10e6,
-		Steps:                8,
-		Seed:                 seed,
-		SetupS:               1,
-		NeighborRebuildEvery: 3,
+		System:           spec,
+		Ranks:            4,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            8,
+		Seed:             seed,
+		SetupS:           1,
 		NewStrategy: func() freqctl.Strategy {
 			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
 		},
@@ -90,7 +90,8 @@ const soakSeeds = 5
 // requireCrashRecovers crashes rank at step of cfg's run with a pinned
 // rank-crash plan and requires the supervisor to restart it from its
 // on-disk checkpoint into want, the uninterrupted run's modelRecord, with
-// the save, the restore and the restart on the ledger.
+// the save, the restore and the restart on the ledger, and no stall from
+// the watchdog every supervised attempt arms.
 func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed, seed uint64) {
 	t.Helper()
 	cfg.Faults = &faults.Plan{Name: "kill", Seed: planSeed, Rules: []faults.Rule{
@@ -108,6 +109,9 @@ func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int,
 	}
 	if out.Restarts < 1 || !out.Resumed {
 		t.Fatalf("crash at step %d did not force a restore: %+v", step, out)
+	}
+	if out.WatchdogStalls != 0 {
+		t.Fatalf("the default watchdog deadline fired on a healthy attempt: %+v", out)
 	}
 	if got := modelRecord(t, res); got != want {
 		t.Errorf("recovered run diverged from uninterrupted reference\n got: %.120s...\nwant: %.120s...", got, want)
@@ -196,6 +200,9 @@ func requireBudgetStopResumes(t *testing.T, cfg Config, rcfg recovery.Config) {
 	if out2.Status != recovery.StatusCompleted || !out2.Resumed {
 		t.Fatalf("resume run ended %+v, want completed resume", out2)
 	}
+	if out1.WatchdogStalls+out2.WatchdogStalls != 0 {
+		t.Fatalf("the default watchdog deadline fired on a healthy run: %+v, %+v", out1, out2)
+	}
 	if out2.ResumeStep != len(res1.StepBoundariesS) {
 		t.Errorf("resumed at step %d, want %d", out2.ResumeStep, len(res1.StepBoundariesS))
 	}
@@ -276,7 +283,7 @@ func TestSupervisedWatchdogStallRestarts(t *testing.T) {
 		MaxRestarts:   2,
 		BackoffS:      0.001,
 		Seed:          7,
-		Watchdog:      recovery.WatchdogConfig{Enabled: true, MinDeadlineS: 0.1, Mult: 4, PollS: 0.01},
+		Watchdog:      recovery.WatchdogConfig{MinDeadlineS: 0.1, Mult: 4, PollS: 0.01},
 		Events:        led,
 	}
 	var fired atomic.Bool
@@ -534,6 +541,40 @@ func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
 	}
 }
 
+// TestSupervisedInvalidRecoveryConfigNeverAttempts: a negative count, or a
+// negative or NaN delay or budget, which the supervisor would otherwise
+// read as a default, "no restarts" or "unlimited", is refused naming the
+// field before any attempt starts or the store directory is created.
+func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*recovery.Config)
+	}{
+		{"AutosaveEvery", func(r *recovery.Config) { r.AutosaveEvery = -1 }},
+		{"Keep", func(r *recovery.Config) { r.Keep = -1 }},
+		{"MaxRestarts", func(r *recovery.Config) { r.MaxRestarts = -1 }},
+		{"BackoffS", func(r *recovery.Config) { r.BackoffS = math.NaN() }},
+		{"WalltimeBudgetS", func(r *recovery.Config) { r.WalltimeBudgetS = -5 }},
+		{"EnergyBudgetJ", func(r *recovery.Config) { r.EnergyBudgetJ = math.NaN() }},
+		{"Watchdog.PollS", func(r *recovery.Config) { r.Watchdog.PollS = -0.01 }},
+	} {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		attempts := 0
+		rcfg := recovery.Config{Dir: dir, Seed: 7, OnAttempt: func(*recovery.Controller) { attempts++ }}
+		c.set(&rcfg)
+		_, _, err := RunSupervised(recoverableConfig(), rcfg)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a refusal naming the field", c.field, err)
+		}
+		if attempts != 0 {
+			t.Errorf("%s: %d attempt(s) ran", c.field, attempts)
+		}
+		if _, err := os.Stat(dir); err == nil {
+			t.Errorf("%s: store directory created", c.field)
+		}
+	}
+}
+
 // TestCheckpointFingerprintMismatch proves a snapshot cannot be restored
 // under a different configuration.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
@@ -581,7 +622,7 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	v1 := checkpointV1{Fp: fingerprintV1{Version: 1, Sim: string(cfg.Sim), System: cfg.System.Name,
 		Ranks: cfg.Ranks, Steps: cfg.Steps, ParticlesPerRank: cfg.ParticlesPerRank, Ng: cfg.Ng,
 		Seed: cfg.Seed, JitterSpread: 0.015, HostOverheadS: 1.0, SetupS: cfg.SetupS,
-		Strategy: "mandyn", NbrRebuildEvery: cfg.NeighborRebuildEvery, NbrRefreshCost: 0.35},
+		Strategy: "mandyn", NbrRebuildEvery: 3, NbrRefreshCost: 0.35},
 		NextStep: 4}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v1); err != nil {
@@ -600,9 +641,9 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 // per-kernel Kernels ledger. gob drops fields the decoding type lacks, so
 // the same bytes labelled with the current version resume and finish the
 // run exactly as an uninterrupted one: only the version number tells the
-// layouts apart. Labelled 2, or 3 (whose fingerprint still carried
-// HostOverheadS, a field gob would drop just the same), they must be
-// refused naming both versions.
+// layouts apart. Labelled 2, 3 or 4 (whose fingerprints still carried
+// HostOverheadS and NbrRebuildEvery, fields gob would drop just the same),
+// they must be refused naming both versions.
 func TestCheckpointVersion2Refused(t *testing.T) {
 	type kernelEnergyV2 struct {
 		Name     string
@@ -690,7 +731,7 @@ func TestCheckpointVersion2Refused(t *testing.T) {
 	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
 		t.Error("the version 2 layout, labelled current, resumed into a different run")
 	}
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		_, err = resume(v)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
 			t.Fatalf("a version %d checkpoint was not refused by version: %v", v, err)

@@ -15,7 +15,9 @@ import (
 // function_order and FunctionStats, and the fault summary — to SHA-256s
 // recorded at commit fc86c67, before the runner accounted by pipeline index
 // (the second at f70485f, the last commit whose profiles could carry a
-// per-call series, with the series off: the bytes every program wrote).
+// per-call series, with the series off: the bytes every program wrote; the
+// second re-recorded at 05faf06 without the neighbor-refresh cadence that
+// left Config, the hash that commit computes for the same run).
 // internal/experiments/pin_test.go pins rendered figures, which read the
 // report through sums; this pins the report itself. The
 // third run crashes rank 5 in step 3 under drop-rank with a noisy sensor on
@@ -35,9 +37,9 @@ func TestReportJSONPinned(t *testing.T) {
 		{"turbulence-mandyn-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 12, Seed: 42, NewStrategy: mandyn},
 			"92134dbb0f78243ef103502a05b4c7447fad89a5585b9efd6379c5904aab9357"},
-		{"evrard-skin-2", Config{System: cluster.LUMIG(), Ranks: 2, Sim: Evrard,
-			ParticlesPerRank: 10e6, Steps: 8, Seed: 7, NeighborRebuildEvery: 3},
-			"3e59d8b282265239b7e797e9850bc930d8ef8228a74bb1676f578732f86a6b18"},
+		{"evrard-2", Config{System: cluster.LUMIG(), Ranks: 2, Sim: Evrard,
+			ParticlesPerRank: 10e6, Steps: 8, Seed: 7},
+			"efe567c826a32af2614472a80352bf921d7a3a75f03e48e543aa00807fa7e9f8"},
 		{"crash-drop-rank-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 8, Seed: 42, NewStrategy: mandyn,
 			Degradation: DegradeDropRank,

@@ -49,14 +49,6 @@ type Config struct {
 	// Slurm's energy accounting covers it; PMT instrumentation does not —
 	// the gap Fig. 3 quantifies. 0 disables it.
 	SetupS float64
-	// NeighborRebuildEvery models the SPH layer's Verlet-skin neighbor-list
-	// reuse: the FindNeighbors phase performs a full candidate rebuild only
-	// every K-th step and a cheap streaming refresh in between, whose
-	// modeled work is the neighborRefreshCost fraction of a rebuild's. 0 or
-	// 1 rebuilds every step (the pre-skin behavior, byte-identical). The
-	// function phase — and its span, attribution row and frequency-switch
-	// point — still exists on refresh steps, matching the real pipeline.
-	NeighborRebuildEvery int
 	// Tracer, when non-nil, receives the run's span timeline — steps,
 	// instrumented functions, kernel launches, frequency changes, MPI
 	// waits — exportable as Chrome trace_event JSON. Nil disables span
@@ -94,10 +86,10 @@ type Config struct {
 	// Events, when non-nil, receives the run's decision ledger: frequency
 	// requests and outcomes per rank (with the tuner's predicted
 	// time/energy/EDP when SetPredictions was called), resilient-setter
-	// actions, sampler degradation transitions, neighbor rebuild/refresh
-	// triggers, rank failures, and step/run boundary records. Nil disables
-	// the ledger at the cost of one nil check per hook; an enabled ledger
-	// never perturbs the simulation (see internal/events).
+	// actions, sampler degradation transitions, rank failures, and
+	// step/run boundary records. Nil disables the ledger at the cost of one
+	// nil check per hook; an enabled ledger never perturbs the simulation
+	// (see internal/events).
 	Events *events.Ledger
 	// Recovery, when non-nil, makes the run durable and interruptible: the
 	// Controller receives a step-boundary hook for autosave checkpoints,
@@ -156,12 +148,14 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	for _, hz := range []float64{c.Sampling.GPUHz, c.Sampling.NodeHz} {
+		if !(hz >= 0) || math.IsInf(hz, 1) {
+			return fmt.Errorf("core: sampling rate %v Hz, want a finite rate >= 0", hz)
+		}
+	}
 	if !validPolicy(c.Degradation) {
 		return fmt.Errorf("core: unknown degradation policy %q (want %s, %s or %s)",
 			c.Degradation, DegradeAbort, DegradeDropRank, DegradeRedistribute)
-	}
-	if c.NeighborRebuildEvery < 0 {
-		return fmt.Errorf("core: negative NeighborRebuildEvery %d", c.NeighborRebuildEvery)
 	}
 	return nil
 }
@@ -173,11 +167,6 @@ const particleBytes = 280
 
 // jitterSpread is the relative per-function load imbalance between ranks.
 const jitterSpread = 0.015
-
-// neighborRefreshCost is the modeled work of a Verlet-skin refresh step's
-// FindNeighbors phase as a fraction of a rebuild's (the CPU-side ratio the
-// SPH harness measured); see Config.NeighborRebuildEvery.
-const neighborRefreshCost = 0.35
 
 // hostOverheads are fixed per-step host-side serial times (seconds) during
 // which the GPU idles: kernel-launch stalls, CPU partitioning work,
@@ -497,10 +486,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// The phase loop allocates nothing: its per-rank and per-node scratch,
 	// and the closures the world steps the ranks through, are built once
-	// here and read the loop's current fn/nbrRefresh/load/waits/tail.
+	// here and read the loop's current fn/load/waits/tail.
 	var (
 		fn          *FuncModel
-		nbrRefresh  bool
 		durs, waits []float64
 		tail        float64
 	)
@@ -535,10 +523,6 @@ func Run(cfg Config) (*Result, error) {
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
 		desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread), cfg.Ng, vendor)
-		if nbrRefresh && fn.Name == FnFindNeighbors {
-			desc.FlopsPerItem *= neighborRefreshCost
-			desc.BytesPerItem *= neighborRefreshCost
-		}
 		dur := rc.dev.Execute(desc)
 		rc.samp.Poll()
 		return dur
@@ -556,13 +540,6 @@ func Run(cfg Config) (*Result, error) {
 	for step := startStep; step < cfg.Steps; step++ {
 		curStep = step
 		stepJ := 0.0
-		// Verlet-skin modeling: refresh-only FindNeighbors steps run the
-		// same phase at a fraction of the rebuild's work.
-		nbrRefresh = cfg.NeighborRebuildEvery > 1 && step%cfg.NeighborRebuildEvery != 0
-		if !nbrRefresh {
-			rt.neighborRebuild()
-		}
-		re.neighborStep(world.MaxClock(), step, nbrRefresh)
 		for slot := range phases {
 			fn = phases[slot].fn
 			commS, hostS := phases[slot].commS, phases[slot].hostS

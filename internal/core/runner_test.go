@@ -158,6 +158,10 @@ func TestConfigValidation(t *testing.T) {
 		{"negative steps", func(c *Config) { c.Steps = -1 }},
 		{"negative neighbor count", func(c *Config) { c.Ng = -5 }},
 		{"unknown sim", func(c *Config) { c.Sim = "magnetohydrodynamics" }},
+		{"negative GPU sampling rate", func(c *Config) { c.Sampling.GPUHz = -5 }},
+		{"NaN GPU sampling rate", func(c *Config) { c.Sampling.GPUHz = math.NaN() }},
+		{"infinite GPU sampling rate", func(c *Config) { c.Sampling.GPUHz = math.Inf(1) }},
+		{"negative node sampling rate", func(c *Config) { c.Sampling.NodeHz = -3 }},
 	} {
 		bad := miniConfig()
 		tc.set(&bad)

@@ -25,7 +25,6 @@ type runTelemetry struct {
 	stepTime       *telemetry.Histogram
 	stepEnergy     *telemetry.Histogram
 	mpiWait        *telemetry.Counter
-	nbrRebuilds    *telemetry.Counter
 
 	// fnTime memoizes the per-function phase-latency histograms, labeled by
 	// function name and registered lazily on first observation (pipelines
@@ -87,28 +86,10 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 		"allocation energy per step", telemetry.ExpBuckets(1, 10, 9))
 	rt.mpiWait = rt.reg.Counter("mpi_wait_s_total",
 		"cumulative barrier wait time across all ranks")
-	rt.nbrRebuilds = rt.reg.Counter("neighbor_rebuilds_total",
-		"steps whose FindNeighbors phase rebuilt the neighbor candidate list")
 	if rt.reg != nil {
 		rt.fnTime = map[string]*telemetry.Histogram{}
 	}
-	if every := cfg.NeighborRebuildEvery; every > 1 {
-		rt.reg.Gauge("neighbor_rebuild_interval_steps",
-			"configured Verlet-skin rebuild cadence (1 = rebuild every step)").Set(float64(every))
-	} else {
-		rt.reg.Gauge("neighbor_rebuild_interval_steps",
-			"configured Verlet-skin rebuild cadence (1 = rebuild every step)").Set(1)
-	}
 	return rt
-}
-
-// neighborRebuild records a step whose FindNeighbors phase performs a full
-// candidate-list rebuild (as opposed to a Verlet-skin refresh).
-func (rt *runTelemetry) neighborRebuild() {
-	if rt == nil {
-		return
-	}
-	rt.nbrRebuilds.Inc()
 }
 
 // instrumentRank attaches the device observer of one rank so its kernels

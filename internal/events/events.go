@@ -62,9 +62,6 @@ const (
 	RankFail    Type = "rank-fail"
 	Degradation Type = "degradation"
 
-	NbrRebuild Type = "nbr-rebuild"
-	NbrRefresh Type = "nbr-refresh"
-
 	// Recovery family: one event per supervision decision, so `inspect
 	// decisions` can audit an interrupted run's full restart/budget timeline.
 	CheckpointSave    Type = "checkpoint-save"
@@ -81,7 +78,6 @@ var builtinTypes = []Type{
 	FreqDecision, FreqRetry, FreqAbsorb, FreqClamp, FreqBreakerTrip,
 	FreqShortCircuit, TunerMeasure, TunerSelect,
 	SamplerDegraded, SamplerRecovered, SamplerOverflow, RankFail, Degradation,
-	NbrRebuild, NbrRefresh,
 	CheckpointSave, CheckpointRestore, Restart, WatchdogStall, BudgetStop,
 }
 
@@ -101,8 +97,8 @@ type Event struct {
 	// Subject is what the decision is about: a function/kernel name for
 	// frequency and tuner events, a sensor name for sampler events.
 	Subject string `json:"subject,omitempty"`
-	// Detail carries the cause or sub-kind: the resilient op, the rebuild
-	// trigger ("cadence", "drift", ...), the degradation policy.
+	// Detail carries the cause or sub-kind: the resilient op, the
+	// degradation policy.
 	Detail string `json:"detail,omitempty"`
 	// RequestedMHz / AppliedMHz are the strategy's target and the achieved
 	// clock (post-clamp) for frequency events; AppliedMHz doubles as the

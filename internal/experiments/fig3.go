@@ -62,10 +62,9 @@ func Fig3(scale float64) (*Fig3Data, error) {
 				ParticlesPerRank: 150e6,
 				Steps:            nsteps,
 			}, slurm.SubmitOptions{
-				JobName:       fmt.Sprintf("turb-%dgpu", gpus),
-				SetupS:        45 * scale,
-				TRES:          slurm.ParseTRES("billing,cpu,energy,gres/gpu"),
-				EnergyBackend: "pm_counters",
+				JobName: fmt.Sprintf("turb-%dgpu", gpus),
+				SetupS:  45 * scale,
+				TRES:    slurm.ParseTRES("billing,cpu,energy,gres/gpu"),
 			}))
 		}
 	}

@@ -8,39 +8,20 @@ import (
 	"sphenergy/internal/rng"
 )
 
-// ResilienceConfig tunes the retry/breaker behaviour of a ResilientSetter.
-// The zero value is usable: sensible defaults are substituted on first use.
-type ResilienceConfig struct {
-	// MaxRetries is how many times a failed operation is retried before it
-	// is absorbed (default 2, i.e. up to 3 attempts).
-	MaxRetries int
-	// BackoffS is the base (virtual-time) backoff before the first retry;
-	// it doubles per retry with deterministic jitter (default 1 ms).
-	BackoffS float64
-	// BreakerThreshold is the number of consecutive exhausted set failures
-	// that latches the circuit breaker (default 3).
-	BreakerThreshold int
-	// SafeMHz is the clock the breaker latches the device to; 0 means the
-	// maximum application clock (the paper's baseline — energy-suboptimal
-	// but never performance-degrading).
-	SafeMHz int
-	// Seed drives the jitter stream; runs with equal seeds back off
-	// identically, preserving bit-identical chaos runs.
-	Seed uint64
-}
-
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.BackoffS == 0 {
-		c.BackoffS = 1e-3
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	return c
-}
+// The one retry and breaker policy every ResilientSetter runs.
+const (
+	// resilientRetries is how many times a failed operation is retried
+	// before it is absorbed: up to 3 attempts.
+	resilientRetries = 2
+	// resilientBackoffS is the base (virtual-time) backoff before the first
+	// retry; it doubles per retry with deterministic jitter.
+	resilientBackoffS = 1e-3
+	// breakerThreshold is the number of consecutive exhausted failures that
+	// latches the circuit breaker to the device's maximum application clock
+	// (the paper's baseline — energy-suboptimal but never
+	// performance-degrading).
+	breakerThreshold = 3
+)
 
 // ResilienceStats is a snapshot of a ResilientSetter's counters.
 type ResilienceStats struct {
@@ -73,13 +54,14 @@ type ResilienceStats struct {
 //
 //   - requests are validated (positive MHz only);
 //   - failed operations are retried with exponential backoff and
-//     deterministic jitter, bounded by MaxRetries;
+//     deterministic jitter, at most resilientRetries times;
 //   - exhausted failures are absorbed, not propagated — the run continues
 //     on the previous clock and the failure is counted, because a missed
 //     frequency switch costs some energy while an aborted simulation
 //     costs all of it;
-//   - repeated exhausted failures latch a circuit breaker that pins the
-//     device to a safe clock and short-circuits further set attempts;
+//   - breakerThreshold consecutive exhausted failures latch a circuit
+//     breaker that pins the device to its maximum clock and short-circuits
+//     further set attempts;
 //   - the achieved clock is verified against the request, so clamped sets
 //     are observable (Stats().Clamped, OnEvent) instead of silent.
 //
@@ -89,15 +71,16 @@ type ResilientSetter struct {
 	// OnEvent, when set, observes retries/absorbs/trips for telemetry.
 	OnEvent func(ev ResilientEvent)
 
-	cfg  ResilienceConfig
+	// seed drives the jitter stream; setters with equal seeds back off
+	// identically, preserving bit-identical chaos runs.
+	seed uint64
 	once sync.Once
 
-	mu      sync.Mutex
-	jit     *rng.Rand
-	consec  int
-	broken  bool
-	stats   ResilienceStats
-	backoff float64 // scratch: next delay
+	mu     sync.Mutex
+	jit    *rng.Rand
+	consec int
+	broken bool
+	stats  ResilienceStats
 }
 
 // ResilientEvent describes one resilience action for telemetry sinks.
@@ -113,15 +96,14 @@ type ResilientEvent struct {
 	Err error
 }
 
-// NewResilientSetter wraps inner with the given config.
-func NewResilientSetter(inner Setter, cfg ResilienceConfig) *ResilientSetter {
-	return &ResilientSetter{Inner: inner, cfg: cfg}
+// NewResilientSetter wraps inner, seeding the backoff jitter with seed.
+func NewResilientSetter(inner Setter, seed uint64) *ResilientSetter {
+	return &ResilientSetter{Inner: inner, seed: seed}
 }
 
 func (r *ResilientSetter) init() {
 	r.once.Do(func() {
-		r.cfg = r.cfg.withDefaults()
-		r.jit = rng.New(r.cfg.Seed ^ 0xDEC1C1B0)
+		r.jit = rng.New(r.seed ^ 0xDEC1C1B0)
 	})
 }
 
@@ -180,12 +162,12 @@ func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
 // attempt runs op with bounded retries and exponential backoff +
 // deterministic jitter. Caller holds r.mu.
 func (r *ResilientSetter) attempt(op string, mhz int, f func() (int, error)) (int, error) {
-	delay := r.cfg.BackoffS
+	delay := resilientBackoffS
 	var applied int
 	var err error
 	for try := 0; ; try++ {
 		applied, err = f()
-		if err == nil || try >= r.cfg.MaxRetries {
+		if err == nil || try >= resilientRetries {
 			return applied, err
 		}
 		// Jittered exponential backoff in virtual time: the delay is
@@ -205,14 +187,11 @@ func (r *ResilientSetter) absorb(op string, mhz int, err error) int {
 	r.stats.Absorbed++
 	r.consec++
 	r.emit(ResilientEvent{Kind: "absorb", Op: op, MHz: mhz, Err: err})
-	if !r.broken && r.consec >= r.cfg.BreakerThreshold {
+	if !r.broken && r.consec >= breakerThreshold {
 		r.broken = true
 		r.stats.Broken = true
 		r.stats.BreakerTrips++
-		safe := r.cfg.SafeMHz
-		if safe == 0 {
-			safe = r.Inner.MaxSMClock()
-		}
+		safe := r.Inner.MaxSMClock()
 		// Best-effort latch to the safe clock; if even this fails the
 		// device keeps whatever clock it has and we stop asking.
 		if applied, serr := r.Inner.SetSMClock(safe); serr == nil {

@@ -66,7 +66,7 @@ var errFlaky = errors.New("flaky")
 
 func TestResilientSetterRetriesThroughTransients(t *testing.T) {
 	inner := &flakySetter{script: []error{errFlaky, errFlaky, nil}}
-	r := NewResilientSetter(inner, ResilienceConfig{MaxRetries: 2})
+	r := NewResilientSetter(inner, 0)
 	applied, err := r.SetSMClock(1005)
 	if err != nil || applied != 1005 {
 		t.Fatalf("SetSMClock = (%d, %v), want (1005, nil)", applied, err)
@@ -82,7 +82,7 @@ func TestResilientSetterRetriesThroughTransients(t *testing.T) {
 
 func TestResilientSetterAbsorbsExhaustedFailure(t *testing.T) {
 	inner := &flakySetter{script: []error{nil, errFlaky, errFlaky, errFlaky}}
-	r := NewResilientSetter(inner, ResilienceConfig{MaxRetries: 2, BreakerThreshold: 5})
+	r := NewResilientSetter(inner, 0)
 	if _, err := r.SetSMClock(1200); err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +100,17 @@ func TestResilientSetterAbsorbsExhaustedFailure(t *testing.T) {
 }
 
 func TestResilientSetterBreakerLatchesSafeClock(t *testing.T) {
-	// The first 6 calls fail — 3 sets × 2 attempts each — so every set
-	// exhausts its retries; after BreakerThreshold consecutive exhaustions
-	// the breaker trips and pins the safe clock (call 7, which succeeds).
-	script := make([]error, 6)
+	// The first 9 calls fail — 3 sets × 3 attempts each — so every set
+	// exhausts its retries; after breakerThreshold consecutive exhaustions
+	// the breaker trips and pins the device's maximum clock (call 10, which
+	// succeeds).
+	script := make([]error, (resilientRetries+1)*breakerThreshold)
 	for i := range script {
 		script[i] = errFlaky
 	}
 	inner := &flakySetter{script: script}
-	r := NewResilientSetter(inner, ResilienceConfig{MaxRetries: 1, BreakerThreshold: 3, SafeMHz: 1095})
+	safe := inner.MaxSMClock()
+	r := NewResilientSetter(inner, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := r.SetSMClock(900); err != nil {
 			t.Fatal(err)
@@ -117,13 +119,13 @@ func TestResilientSetterBreakerLatchesSafeClock(t *testing.T) {
 	if !r.Broken() {
 		t.Fatal("breaker should be latched after 3 exhausted failures")
 	}
-	if inner.mhz != 1095 {
-		t.Fatalf("device clock %d, want safe 1095", inner.mhz)
+	if inner.mhz != safe {
+		t.Fatalf("device clock %d, want safe %d", inner.mhz, safe)
 	}
 	before := inner.callCount()
 	applied, err := r.SetSMClock(600)
-	if err != nil || applied != 1095 {
-		t.Fatalf("post-latch set = (%d, %v), want (1095, nil)", applied, err)
+	if err != nil || applied != safe {
+		t.Fatalf("post-latch set = (%d, %v), want (%d, nil)", applied, err, safe)
 	}
 	if inner.callCount() != before {
 		t.Fatal("latched breaker still reached the device")
@@ -135,7 +137,7 @@ func TestResilientSetterBreakerLatchesSafeClock(t *testing.T) {
 }
 
 func TestResilientSetterRejectsInvalidMHz(t *testing.T) {
-	r := NewResilientSetter(&flakySetter{}, ResilienceConfig{})
+	r := NewResilientSetter(&flakySetter{}, 0)
 	for _, mhz := range []int{0, -5} {
 		if _, err := r.SetSMClock(mhz); err == nil {
 			t.Errorf("SetSMClock(%d) accepted", mhz)
@@ -154,7 +156,7 @@ func TestResilientSetterRejectsInvalidMHz(t *testing.T) {
 
 func TestResilientSetterVerifiesAchievedClock(t *testing.T) {
 	inner := &flakySetter{clamp: 801}
-	r := NewResilientSetter(inner, ResilienceConfig{})
+	r := NewResilientSetter(inner, 0)
 	applied, err := r.SetSMClock(1005)
 	if err != nil || applied != 801 {
 		t.Fatalf("clamped set = (%d, %v), want (801, nil)", applied, err)
@@ -167,7 +169,7 @@ func TestResilientSetterVerifiesAchievedClock(t *testing.T) {
 func TestResilientSetterDeterministicBackoff(t *testing.T) {
 	run := func() float64 {
 		inner := &flakySetter{script: []error{errFlaky, errFlaky, nil}}
-		r := NewResilientSetter(inner, ResilienceConfig{MaxRetries: 2, Seed: 7})
+		r := NewResilientSetter(inner, 7)
 		if _, err := r.SetSMClock(1005); err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +228,7 @@ func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
 	if !AttachFaultHook(s, plan.Injector(faults.TargetClock, 0).ClockHook(dev.Now)) {
 		t.Fatal("AttachFaultHook failed on NVML setter")
 	}
-	r := NewResilientSetter(s, ResilienceConfig{})
+	r := NewResilientSetter(s, 0)
 	m := &ManDyn{Table: map[string]int{"momentum": 1005}}
 	if err := m.Setup(r); err != nil {
 		t.Fatal(err)

@@ -29,9 +29,8 @@ type Config struct {
 	// MaxRestarts+1 times total is abandoned with StatusRestartsExhausted.
 	MaxRestarts int
 	// BackoffS is the base of the seeded exponential restart backoff in
-	// real seconds (default 0.05); MaxBackoffS caps it (default 5).
-	BackoffS    float64
-	MaxBackoffS float64
+	// real seconds (default 0.05); maxBackoffS caps it.
+	BackoffS float64
 	// Seed drives the deterministic backoff jitter.
 	Seed uint64
 	// WalltimeBudgetS stops the run gracefully once the virtual wall
@@ -54,6 +53,31 @@ type Config struct {
 	OnAttempt func(*Controller)
 }
 
+// validate rejects the values defaulted or the loop would silently read as
+// a default, "no restarts" or "unlimited": negative counts, and negative
+// or NaN delays, budgets and watchdog settings.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"AutosaveEvery", float64(c.AutosaveEvery)},
+		{"Keep", float64(c.Keep)},
+		{"MaxRestarts", float64(c.MaxRestarts)},
+		{"BackoffS", c.BackoffS},
+		{"WalltimeBudgetS", c.WalltimeBudgetS},
+		{"EnergyBudgetJ", c.EnergyBudgetJ},
+		{"Watchdog.Mult", c.Watchdog.Mult},
+		{"Watchdog.MinDeadlineS", c.Watchdog.MinDeadlineS},
+		{"Watchdog.PollS", c.Watchdog.PollS},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("recovery: %s = %v, want a value >= 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) defaulted() Config {
 	if c.Keep <= 0 {
 		c.Keep = DefaultKeep
@@ -61,12 +85,12 @@ func (c Config) defaulted() Config {
 	if c.BackoffS <= 0 {
 		c.BackoffS = 0.05
 	}
-	if c.MaxBackoffS <= 0 {
-		c.MaxBackoffS = 5
-	}
 	c.Watchdog = c.Watchdog.defaulted()
 	return c
 }
+
+// maxBackoffS caps one restart backoff, in real seconds.
+const maxBackoffS = 5
 
 // Stop causes (Controller.StopCause, Outcome.StopCause).
 const (
@@ -279,9 +303,6 @@ func (c *Controller) StopCause() string {
 
 // stalledNow exposes the watchdog check to the supervisor.
 func (c *Controller) stalledNow() (sinceS float64, hit bool) {
-	if !c.cfg.Watchdog.Enabled {
-		return 0, false
-	}
 	return c.wd.stalled(time.Now())
 }
 

@@ -64,11 +64,15 @@ type AttemptFunc[T any] func(resume *Resume, ctl *Controller) (T, error)
 // watchdog stall restart from disk with seeded exponential backoff, up to
 // MaxRestarts restarts. A graceful controller stop (budget/signal) is a
 // success with Outcome.Status = StatusStopped. The returned error is
-// non-nil only when restarts are exhausted or the store cannot be opened.
+// non-nil only when the config is invalid, restarts are exhausted or the
+// store cannot be opened; an invalid config runs no attempt.
 func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
-	cfg = cfg.defaulted()
 	var zero T
 	out := &Outcome{Status: StatusCompleted}
+	if err := cfg.validate(); err != nil {
+		return zero, out, err
+	}
+	cfg = cfg.defaulted()
 	var store *Store
 	if cfg.Dir != "" {
 		var err error
@@ -170,9 +174,7 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 		out.Restarts++
 		mets.restarts.Inc()
 		d := cfg.BackoffS * math.Pow(2, float64(attemptN)) * (0.5 + backoff.Float64())
-		if d > cfg.MaxBackoffS {
-			d = cfg.MaxBackoffS
-		}
+		d = math.Min(d, maxBackoffS)
 		cfg.Events.Emit(events.Event{
 			Type: events.Restart, Step: -1, Rank: -1,
 			Detail: ar.err.Error(), Value: d,

@@ -8,16 +8,14 @@ import (
 	"sphenergy/internal/telemetry"
 )
 
-// WatchdogConfig tunes hung-step detection. The watchdog compares the real
-// time since the last step-boundary heartbeat against a per-step deadline
-// derived from a rolling estimate of real step duration: deadline =
-// max(MinDeadlineS, Mult × estimate). The estimate is an EWMA of observed
-// step wall times, seeded from the shared telemetry histogram
-// (recovery_step_wall_seconds) when earlier attempts already populated it.
+// WatchdogConfig tunes hung-step detection, which every Supervise attempt
+// runs. The watchdog compares the real time since the last step-boundary
+// heartbeat against a per-step deadline derived from a rolling estimate of
+// real step duration: deadline = max(MinDeadlineS, Mult × estimate). The
+// estimate is an EWMA of observed step wall times, seeded from the shared
+// telemetry histogram (recovery_step_wall_seconds) when earlier attempts
+// already populated it.
 type WatchdogConfig struct {
-	// Enabled turns stall detection on; off, the supervisor only reacts to
-	// crashes and budget stops.
-	Enabled bool
 	// Mult scales the rolling step-time estimate into a deadline
 	// (default 16 — simulation steps are uniform, a 16x outlier is a hang).
 	Mult float64

@@ -100,7 +100,7 @@ func TestStuckDetectionLatchesAndRecovers(t *testing.T) {
 		{TimeS: 0.5, EnergyJ: 10},
 		{TimeS: 0.6, EnergyJ: 60},
 	}}
-	s := New(Config{GPUHz: 10, StuckPolls: 3})
+	s := New(Config{GPUHz: 10})
 	ch := s.Add("fake", 0, sen, 10)
 	for i := 0; i < 7; i++ {
 		ch.Poll()
@@ -140,7 +140,7 @@ func TestStuckNotTriggeredByQuantization(t *testing.T) {
 		{TimeS: 0.08, EnergyJ: 0},
 		{TimeS: 0.12, EnergyJ: 12},
 	}}
-	s := New(Config{NodeHz: 10, StuckPolls: 3})
+	s := New(Config{NodeHz: 10})
 	ch := s.Add("fake", -1, sen, 10)
 	for i := 0; i < 6; i++ {
 		ch.Poll()
@@ -152,13 +152,15 @@ func TestStuckNotTriggeredByQuantization(t *testing.T) {
 }
 
 func TestSecondaryFailoverCreditsEnergy(t *testing.T) {
-	// Primary freezes entirely (time and energy) for 3 polls; a healthy
-	// secondary covers the outage. On primary recovery the cumulative
-	// total must reconcile to the primary's counter, not primary+credit.
+	// Primary freezes entirely (time and energy) for 3 polls past the
+	// stuck threshold; a healthy secondary covers the outage. On primary
+	// recovery the cumulative total must reconcile to the primary's
+	// counter, not primary+credit.
 	primary := &scriptSensor{name: "prim", states: []pmt.State{
 		{TimeS: 0, EnergyJ: 0},
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10}, // frozen
+		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10},
@@ -169,10 +171,10 @@ func TestSecondaryFailoverCreditsEnergy(t *testing.T) {
 		{TimeS: 0.3, EnergyJ: 111}, // ~110 W view of the same hardware
 		{TimeS: 0.4, EnergyJ: 122},
 	}}
-	s := New(Config{GPUHz: 10, StuckPolls: 2})
+	s := New(Config{GPUHz: 10})
 	ch := s.Add("prim", 0, primary, 10)
 	ch.SetSecondary(secondary)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 8; i++ {
 		ch.Poll()
 	}
 	st := ch.Stats()
@@ -206,16 +208,17 @@ func TestSecondaryCreditExceedingPrimaryClamps(t *testing.T) {
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.1, EnergyJ: 10},
+		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.5, EnergyJ: 10.1}, // counter barely moved
 	}}
 	secondary := &scriptSensor{name: "sec", states: []pmt.State{
 		{TimeS: 0.2, EnergyJ: 0},
 		{TimeS: 0.4, EnergyJ: 30},
 	}}
-	s := New(Config{GPUHz: 10, StuckPolls: 2})
+	s := New(Config{GPUHz: 10})
 	ch := s.Add("prim", 0, primary, 10)
 	ch.SetSecondary(secondary)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 7; i++ {
 		ch.Poll()
 	}
 	st := ch.Stats()
@@ -293,7 +296,7 @@ func TestKahanAccumulationAcrossStuckRecover(t *testing.T) {
 		e0 += deltaJ
 	}
 	sen := &scriptSensor{name: "fake", states: states}
-	s := New(Config{GPUHz: 1000, RingCap: 16, StuckPolls: 3})
+	s := New(Config{GPUHz: 1000, RingCap: 16})
 	ch := s.Add("fake", 0, sen, 1000)
 	for range states {
 		ch.Poll()

@@ -26,7 +26,7 @@
 // Real sensors flake: reads fail transiently (surfacing here as NaN
 // energy, see pmt), and counters go stale while time marches on (the
 // pm_counters staleness of Simsek et al. §IV). Channels detect both —
-// NaN reads are discarded and counted, and Config.StuckPolls consecutive
+// NaN reads are discarded and counted, and DefaultStuckPolls consecutive
 // reads with frozen energy mark the channel stuck — and degrade instead
 // of corrupting the series: ticks covering the outage are estimated from
 // a secondary sensor (SetSecondary) or from the last observed power, and
@@ -71,17 +71,15 @@ type Config struct {
 	NodeHz float64
 	// RingCap bounds each channel's sample buffer (DefaultRingCap when 0).
 	RingCap int
-	// StuckPolls is how many consecutive frozen-energy reads mark a
-	// channel stuck (DefaultStuckPolls when 0). A read is "frozen" when
-	// energy is bit-identical to the previous read and either no time
-	// passed or at least a full sampling period did — sub-period
-	// quantization (a 10 Hz pm_counters file re-read within one collection
-	// window) is expected, not suspicious.
-	StuckPolls int
 }
 
-// DefaultStuckPolls is the stuck-detector threshold: short natural
-// repetition (double polls at phase boundaries) stays below it.
+// DefaultStuckPolls is how many consecutive frozen-energy reads mark a
+// channel stuck: short natural repetition (double polls at phase
+// boundaries) stays below it. A read is "frozen" when energy is
+// bit-identical to the previous read and either no time passed or at
+// least a full sampling period did — sub-period quantization (a 10 Hz
+// pm_counters file re-read within one collection window) is expected, not
+// suspicious.
 const DefaultStuckPolls = 3
 
 // Enabled reports whether any sampling rate is configured.
@@ -100,9 +98,6 @@ func (c Config) Defaulted() Config {
 	}
 	if c.RingCap <= 0 {
 		c.RingCap = DefaultRingCap
-	}
-	if c.StuckPolls <= 0 {
-		c.StuckPolls = DefaultStuckPolls
 	}
 	return c
 }
@@ -190,7 +185,6 @@ type Channel struct {
 	lastTick Sample  // most recent emitted sample
 
 	// degradation state
-	stuckPolls   int       // frozen-read threshold (from Config)
 	lastRaw      pmt.State // previous non-NaN primary read, for stuck detection
 	rawStarted   bool
 	stuckRun     int  // consecutive frozen reads
@@ -270,11 +264,7 @@ func (c *Channel) classify(st pmt.State) bool {
 	}
 	c.lastRaw = st
 	c.rawStarted = true
-	threshold := c.stuckPolls
-	if threshold <= 0 {
-		threshold = DefaultStuckPolls
-	}
-	if c.stuckRun >= threshold && !c.stuck {
+	if c.stuckRun >= DefaultStuckPolls && !c.stuck {
 		c.stuck = true
 		c.stuckEvents++
 	}
@@ -599,7 +589,6 @@ func (s *Sampler) Add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 		sensor:       sensor,
 		periodS:      1 / hz,
 		ring:         blocks.Bounded[Sample](s.cfg.RingCap),
-		stuckPolls:   s.cfg.StuckPolls,
 		onTransition: onTrans,
 	}
 	s.mu.Lock()

@@ -1,7 +1,7 @@
 // Package slurm models the Slurm workload-manager surface the paper relies
 // on for energy validation (§II-A, §IV-A): job submission with a setup
 // phase, Trackable RESource (TRES) energy accounting, the job record's
-// ConsumedEnergy, and the --gpu-freq/--cpu-freq submission flags.
+// ConsumedEnergy.
 //
 // The decisive behavioral detail for Fig. 3: Slurm integrates energy from
 // job submission, so its ConsumedEnergy includes the launch/allocation/
@@ -15,7 +15,6 @@ import (
 
 	"sphenergy/internal/attrib"
 	"sphenergy/internal/core"
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/pmcounters"
 )
 
@@ -62,21 +61,12 @@ func (t TRESConfig) TracksEnergy() bool {
 // SubmitOptions are the sbatch flags relevant to the paper.
 type SubmitOptions struct {
 	JobName string
-	// GPUFreqMHz implements --gpu-freq=<mhz>: a static application clock
-	// for the whole job, when the site permits user clock control.
-	GPUFreqMHz int
-	// CPUFreqKHz implements --cpu-freq (recorded, not modeled further).
-	CPUFreqKHz int
 	// SetupS is the job launch + application initialization time before the
 	// time-stepping loop; defaults to 45 s.
 	SetupS float64
 	// TRES is the accounting configuration; energy is only recorded when
 	// the energy TRES is tracked.
 	TRES TRESConfig
-	// EnergyBackend records which plugin would supply the data
-	// ("ipmi", "pm_counters" or "rapl") — informational, as the simulated
-	// node meters stand in for all of them.
-	EnergyBackend string
 }
 
 // Job is one completed (or failed) job record.
@@ -111,8 +101,7 @@ type Manager struct {
 func NewManager() *Manager { return &Manager{nextID: 1000} }
 
 // Submit runs a simulation as a Slurm job: the setup phase is accounted
-// from submission, a --gpu-freq flag turns into a static frequency
-// strategy, and TRES energy is recorded at completion.
+// from submission, and TRES energy is recorded at completion.
 func (m *Manager) Submit(cfg core.Config, opts SubmitOptions) (*Job, error) {
 	job := m.Queue(cfg, opts)
 	return job, job.Run()
@@ -127,10 +116,6 @@ func (m *Manager) Queue(cfg core.Config, opts SubmitOptions) *Job {
 		opts.SetupS = 45
 	}
 	cfg.SetupS = opts.SetupS
-	if opts.GPUFreqMHz > 0 {
-		mhz := opts.GPUFreqMHz
-		cfg.NewStrategy = func() freqctl.Strategy { return freqctl.Static{MHz: mhz} }
-	}
 	job := &Job{
 		ID:     m.nextID,
 		Name:   opts.JobName,

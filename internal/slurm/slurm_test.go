@@ -5,6 +5,7 @@ import (
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
+	"sphenergy/internal/freqctl"
 	"sphenergy/internal/sampler"
 )
 
@@ -77,12 +78,15 @@ func TestEnergyTrackingRequiresTRES(t *testing.T) {
 	}
 }
 
-func TestGPUFreqFlagBecomesStaticStrategy(t *testing.T) {
+// A job runs the frequency strategy its configuration carries: Queue sets
+// the setup phase and nothing else of the run.
+func TestJobRunsTheConfiguredStrategy(t *testing.T) {
 	mgr := NewManager()
-	job, err := mgr.Submit(smallJobConfig(), SubmitOptions{
-		JobName:    "freq",
-		GPUFreqMHz: 1005,
-		TRES:       ParseTRES("energy"),
+	cfg := smallJobConfig()
+	cfg.NewStrategy = func() freqctl.Strategy { return freqctl.Static{MHz: 1005} }
+	job, err := mgr.Submit(cfg, SubmitOptions{
+		JobName: "freq",
+		TRES:    ParseTRES("energy"),
 	})
 	if err != nil {
 		t.Fatal(err)

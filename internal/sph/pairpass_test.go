@@ -497,8 +497,8 @@ func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 		allocs  func(nside int) float64
 		ceiling float64
 	}{
-		{"pass sweep", sweepAllocs, 24},            // closure headers: 16
-		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 33
+		{"pass sweep", sweepAllocs, 24},            // closure headers: 14
+		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 31
 	} {
 		small, large := in.allocs(8), in.allocs(12)
 		if small != large {

@@ -44,7 +44,7 @@ type Particles struct {
 	DU  []float64 // du/dt
 
 	// Volume-element machinery.
-	XM    []float64 // generalized volume element mass x_i
+	XM    []float64 // volume element mass x_i (= m_i, standard SPH)
 	Kx    []float64 // normalization kx_i = sum_j x_j W_ij (density estimate per x)
 	Gradh []float64 // Omega_i gradh correction factor
 
@@ -157,10 +157,6 @@ type Options struct {
 	// production; smaller values keep tests fast).
 	NgTarget int
 
-	// VEExponent is the generalized volume element exponent p in
-	// x_i = (m_i/rho_i)^p m_i^(1-p); 0 recovers standard SPH.
-	VEExponent float64
-
 	// EOS selects the equation of state.
 	EOS EOS
 
@@ -251,7 +247,6 @@ func DefaultOptions(box sfc.Box) Options {
 		Kernel:       kernel.NewCheckedTable(kernel.WendlandC2{}, kernel.DefaultTablePoints),
 		Box:          box,
 		NgTarget:     64,
-		VEExponent:   0,
 		EOS:          IdealGas{Gamma: 5.0 / 3.0},
 		AlphaMin:     0.05,
 		AlphaMax:     1.0,

@@ -110,24 +110,16 @@ func (s *State) streamsList(swept bool) bool {
 	return false
 }
 
-// XMass computes the generalized volume-element normalization
-// kx_i = sum_j x_j W_ij(h_i) (including the self contribution), where
-// x_i = m_i for standard SPH (VEExponent = 0). The density estimate is
+// XMass computes the volume-element normalization
+// kx_i = sum_j x_j W_ij(h_i) (including the self contribution), with the
+// standard SPH volume elements x_i = m_i. The density estimate is
 // rho_i = kx_i * m_i / x_i.
 //
 // This is the first of the two density-like passes of SPH-EXA's pipeline
 // ("computeXMass" in the original framework).
 func (s *State) XMass() {
 	p := s.P
-	// Volume element mass: with exponent p>0 this uses the previous step's
-	// density, which is the standard VE iteration.
-	par.For(p.N, func(i int) {
-		xm := p.M[i]
-		if s.Opt.VEExponent > 0 && p.Rho[i] > 0 {
-			xm = p.M[i] * math.Pow(p.M[i]/p.Rho[i], s.Opt.VEExponent)
-		}
-		p.XM[i] = xm
-	})
+	copy(p.XM[:p.N], p.M[:p.N])
 	if s.useList() {
 		s.xmassPairs()
 	} else {

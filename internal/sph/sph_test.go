@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sphenergy/internal/kernel"
 	"sphenergy/internal/sfc"
 )
 
@@ -353,22 +352,6 @@ func TestMachRMS(t *testing.T) {
 	m := st.MachRMS()
 	if math.Abs(m-0.3) > 1e-6 {
 		t.Errorf("MachRMS = %v, want 0.3", m)
-	}
-}
-
-func TestVolumeElementsExponent(t *testing.T) {
-	st := latticeState(6, t)
-	st.Opt.VEExponent = 0.5
-	st.Opt.Kernel = kernel.NewTable(kernel.WendlandC2{}, 2000)
-	runDensityPipeline(st)
-	p := st.P
-	for i := 0; i < p.N; i++ {
-		if p.XM[i] <= 0 {
-			t.Fatalf("volume element mass %v", p.XM[i])
-		}
-		if math.Abs(p.Rho[i]-1) > 0.15 {
-			t.Fatalf("VE density %v far from 1", p.Rho[i])
-		}
 	}
 }
 

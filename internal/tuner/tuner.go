@@ -13,12 +13,10 @@ package tuner
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"sphenergy/internal/events"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/par"
-	"sphenergy/internal/telemetry"
 )
 
 // Objective scores one measured configuration; lower is better.
@@ -56,10 +54,6 @@ type Config struct {
 	Spec      gpusim.Spec
 	Params    Params
 	Objective Objective
-	// Metrics, when non-nil, receives the sweep's progress: evaluation
-	// counts and per-candidate time/energy/score gauges labeled by kernel
-	// and frequency, read back through the registry's snapshot.
-	Metrics *telemetry.Registry
 	// Cache, when non-nil, memoizes device measurements across tuning
 	// sessions keyed by (spec, kernel descriptor, MHz); repeat sweeps replay
 	// cached time/energy bit-identically instead of re-measuring.
@@ -140,8 +134,6 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	}
 	kernel.Name = kernelName
 
-	evals := cfg.Metrics.Counter("tuner_evaluations_total",
-		"frequency configurations measured", telemetry.L("kernel", kernelName))
 	eval := func(mhz int) Measurement {
 		var m Measurement
 		fromCache := false
@@ -158,7 +150,6 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 			m = measure(cfg.Spec, kernel, mhz)
 		}
 		m.Score = cfg.Objective(m.TimeS, m.EnergyJ)
-		evals.Inc()
 		if cfg.Events != nil {
 			cfg.Events.Emit(events.Event{
 				Step: -1, Rank: -1, Type: events.TunerMeasure,
@@ -167,18 +158,6 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 				PredPowerW: powerW(m), PredEDPJs: m.TimeS * m.EnergyJ,
 				Value: m.Score, Cached: fromCache,
 			})
-		}
-		if cfg.Metrics != nil {
-			labels := []telemetry.Label{
-				telemetry.L("kernel", kernelName),
-				telemetry.L("mhz", strconv.Itoa(mhz)),
-			}
-			cfg.Metrics.Gauge("tuner_candidate_time_s",
-				"measured kernel time per candidate clock", labels...).Set(m.TimeS)
-			cfg.Metrics.Gauge("tuner_candidate_energy_j",
-				"measured kernel energy per candidate clock", labels...).Set(m.EnergyJ)
-			cfg.Metrics.Gauge("tuner_candidate_score",
-				"objective score per candidate clock (lower is better)", labels...).Set(m.Score)
 		}
 		return m
 	}
@@ -204,9 +183,6 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 			Value: best.Score,
 		})
 	}
-	cfg.Metrics.Gauge("tuner_best_mhz",
-		"winning application clock per kernel", telemetry.L("kernel", kernelName)).
-		Set(float64(best.MHz))
 	return res, nil
 }
 

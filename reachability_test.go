@@ -158,6 +158,126 @@ func TestTopLevelFunctionsHaveACaller(t *testing.T) {
 	}
 }
 
+// TestConfigFieldsHaveASetter is the same rule for settings: every field of
+// a struct type named Config, Options or Params, or ending in one of those
+// names, declared in a non-test file under internal/, must be written by
+// name in some non-test file — as a keyed literal element F: v or as the
+// left-hand side of x.F = v — outside a defaulting function (Defaulted,
+// defaulted, withDefaults). A field no program sets is a constant every run
+// shares: make it one, or delete it with what only it selects. Matching is
+// by field name alone, so a write to a same-named field of another type
+// counts; the rule is lenient on collisions, not strict.
+func TestConfigFieldsHaveASetter(t *testing.T) {
+	// excludedTypes are out of the rule's scope, each with why.
+	excludedTypes := map[string]string{
+		"sph.Options": "the engine's physics parameters and the test seams " +
+			"(RebuildEvery, NgMax, Skin, ReorderEvery) through which the " +
+			"equivalence, skin and fuzz tests reach the reference and overflow paths",
+	}
+	// testSetOnly are the fields only a test sets, each with the test that
+	// does and needs it.
+	testSetOnly := map[string]string{
+		"core.Config.CustomPipeline": "Example_customPipeline",
+		"attrib.Options.TolerancePct": "TestRenderAttribution; report.json's " +
+			"attribution opts serialize it",
+		"attrib.Options.MinResolvablePeriods": "TestRenderAttribution; likewise",
+		"sampler.Config.RingCap": "TestChannelRingOverflow and " +
+			"TestSamplerOverflowFailsAttributionWithReason, which reach ring overflow",
+		"recovery.Config.BackoffS": "TestSupervisedCrashRecoveryBitIdentical, " +
+			"which cannot wait out the default base per restart",
+		"recovery.Config.Watchdog":             "TestSupervisedWatchdogStallRestarts",
+		"recovery.WatchdogConfig.Mult":         "TestSupervisedWatchdogStallRestarts, which cannot wait out a 30 s deadline",
+		"recovery.WatchdogConfig.MinDeadlineS": "TestSupervisedWatchdogStallRestarts, likewise",
+		"recovery.WatchdogConfig.PollS":        "TestSupervisedWatchdogStallRestarts, likewise",
+	}
+
+	files := nonTestFiles(t, parser.SkipObjectResolution)
+	written := map[string]bool{} // field names written outside a defaulting function
+	var fields []string          // pkg.Type.Field of every field in scope
+	for _, gf := range files {
+		for _, decl := range gf.f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				switch d.Name.Name {
+				case "Defaulted", "defaulted", "withDefaults":
+					continue
+				}
+			case *ast.GenDecl:
+				if !strings.HasPrefix(gf.dir, "internal/") {
+					break
+				}
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					name := gf.f.Name.Name + "." + ts.Name.Name
+					if !ok || !isSettingsType(ts.Name.Name) || excludedTypes[name] != "" {
+						continue
+					}
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							fields = append(fields, name+"."+id.Name)
+						}
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						written[k.Name] = true
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.ASSIGN {
+						break // x.F += d updates a value something else set
+					}
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							written[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no settings types found; is the test running in the repository root?")
+	}
+
+	sort.Strings(fields)
+	inScope := map[string]bool{}
+	for _, f := range fields {
+		inScope[f] = true
+		name := f[strings.LastIndexByte(f, '.')+1:]
+		_, allowed := testSetOnly[f]
+		switch {
+		case !written[name] && !allowed:
+			t.Errorf("%s is set by no non-test file outside its defaults: make it a constant or delete it", f)
+		case written[name] && allowed:
+			t.Errorf("%s is set by a program now: drop it from the test-only list", f)
+		}
+	}
+	for f, test := range testSetOnly {
+		if !inScope[f] {
+			t.Errorf("%s (set by %s) is no longer a field in scope: drop it from the test-only list", f, test)
+		}
+	}
+}
+
+// isSettingsType reports whether a type name is in the scope of
+// TestConfigFieldsHaveASetter.
+func isSettingsType(name string) bool {
+	for _, suffix := range []string{"Config", "Options", "Params"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
 // funcRef names a top-level function by its package directory.
 type funcRef struct{ dir, name string }
 
