@@ -6,12 +6,11 @@
 // losing every joule spent so far.
 //
 // The Store is payload-agnostic: callers hand it an opaque byte stream
-// (the runner's model checkpoint, or an SPH checkpoint-v2 blob) plus a
-// small Meta describing where in the run it was taken. Each snapshot file
-// carries a checksummed header — magic, format version, the Meta clocks,
-// payload length, and a SHA-256 digest of the payload — so corruption and
-// truncation are detected on read, and Latest falls back to the newest
-// snapshot that still verifies.
+// (the core runner's model checkpoint) plus a small Meta describing where
+// in the run it was taken. Each snapshot file carries a checksummed header
+// — magic, format version, the Meta clocks, payload length, and a SHA-256
+// digest of the payload — so corruption and truncation are detected on
+// read, and Latest falls back to the newest snapshot that still verifies.
 package recovery
 
 import (
@@ -35,27 +34,23 @@ import (
 // Envelope format constants. The header is fixed-size, little-endian, and
 // protected by its own CRC32 so a damaged header is distinguishable from a
 // damaged payload; the payload is protected by the SHA-256 digest carried
-// in the header.
+// in the header. Version 2 dropped three producer clocks (RNG, rebuild and
+// reorder) that no program wrote; a version-1 file is refused.
 const (
 	storeMagic   = "SPRC"
-	storeVersion = 1
-	headerSize   = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 32 + 4 // magic..crc
+	storeVersion = 2
+	headerSize   = 4 + 4 + 8 + 8 + 8 + 32 + 4 // magic..crc
 	snapPrefix   = "ckpt-"
 	snapSuffix   = ".sprc"
 )
 
-// Meta identifies where in the run a snapshot was taken. The clock fields
-// mirror the determinism-relevant counters of the producer: Step is the
-// next step to execute after restore; RNGClock, RebuildStep and
-// ReorderStep carry producer-specific stream/cadence positions (the SPH
-// layer uses the latter two for its skin-rebuild and Morton-reorder
-// cadence; the core runner records its seed in RNGClock).
+// Meta identifies where in the run a snapshot was taken: Step is the next
+// step to execute after restore, TimeS the run's clock at that boundary.
+// Anything else a producer needs to resume deterministically travels in its
+// payload.
 type Meta struct {
-	Step        int
-	TimeS       float64
-	RNGClock    uint64
-	RebuildStep int
-	ReorderStep int
+	Step  int
+	TimeS float64
 }
 
 // Snapshot describes one snapshot file found in a Store.
@@ -114,13 +109,10 @@ func encodeHeader(m Meta, payloadLen int, digest [32]byte) []byte {
 	le := binary.LittleEndian
 	le.PutUint32(buf[4:8], storeVersion)
 	le.PutUint64(buf[8:16], uint64(m.Step))
-	le.PutUint64(buf[16:24], uint64(int64(m.RebuildStep)))
-	le.PutUint64(buf[24:32], uint64(int64(m.ReorderStep)))
-	le.PutUint64(buf[32:40], m.RNGClock)
-	le.PutUint64(buf[40:48], math.Float64bits(m.TimeS))
-	le.PutUint64(buf[48:56], uint64(payloadLen))
-	copy(buf[56:88], digest[:])
-	le.PutUint32(buf[88:92], crc32.ChecksumIEEE(buf[:88]))
+	le.PutUint64(buf[16:24], math.Float64bits(m.TimeS))
+	le.PutUint64(buf[24:32], uint64(payloadLen))
+	copy(buf[32:64], digest[:])
+	le.PutUint32(buf[64:68], crc32.ChecksumIEEE(buf[:64]))
 	return buf
 }
 
@@ -135,19 +127,16 @@ func decodeHeader(buf []byte) (Meta, int, [32]byte, error) {
 		return m, 0, digest, errors.New("recovery: bad magic (not a snapshot file)")
 	}
 	le := binary.LittleEndian
-	if got, want := crc32.ChecksumIEEE(buf[:88]), le.Uint32(buf[88:92]); got != want {
+	if got, want := crc32.ChecksumIEEE(buf[:64]), le.Uint32(buf[64:68]); got != want {
 		return m, 0, digest, fmt.Errorf("recovery: header checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	if v := le.Uint32(buf[4:8]); v != storeVersion {
 		return m, 0, digest, fmt.Errorf("recovery: unsupported snapshot version %d (this build reads version %d)", v, storeVersion)
 	}
 	m.Step = int(int64(le.Uint64(buf[8:16])))
-	m.RebuildStep = int(int64(le.Uint64(buf[16:24])))
-	m.ReorderStep = int(int64(le.Uint64(buf[24:32])))
-	m.RNGClock = le.Uint64(buf[32:40])
-	m.TimeS = math.Float64frombits(le.Uint64(buf[40:48]))
-	payloadLen := int(le.Uint64(buf[48:56]))
-	copy(digest[:], buf[56:88])
+	m.TimeS = math.Float64frombits(le.Uint64(buf[16:24]))
+	payloadLen := int(le.Uint64(buf[24:32]))
+	copy(digest[:], buf[32:64])
 	return m, payloadLen, digest, nil
 }
 

@@ -37,7 +37,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := Meta{Step: 42, TimeS: 17.25e-3, RNGClock: 0xdeadbeefcafe, RebuildStep: 40, ReorderStep: 36}
+	meta := Meta{Step: 42, TimeS: 17.25e-3}
 	payload := testPayload(513, 1)
 	path := savePayload(t, s, meta, payload)
 
@@ -94,23 +94,28 @@ func TestStoreBitFlipDetectedAndFallsBack(t *testing.T) {
 		{1, "bad magic"},                 // magic
 		{5, "header checksum mismatch"},  // version (CRC trips first)
 		{10, "header checksum mismatch"}, // step
-		{44, "header checksum mismatch"}, // time
-		{50, "header checksum mismatch"}, // payload length
+		{20, "header checksum mismatch"}, // time
+		{26, "header checksum mismatch"}, // payload length
+		{44, "header checksum mismatch"}, // digest
+		{50, "header checksum mismatch"}, // digest
 		{60, "header checksum mismatch"}, // digest
-		{89, "header checksum mismatch"}, // the CRC itself
-		{headerSize + 0, "payload digest mismatch"},
-		{headerSize + 100, "payload digest mismatch"},
-		{headerSize + 255, "payload digest mismatch"},
+		{65, "header checksum mismatch"}, // the CRC itself
+		{headerSize, "payload digest mismatch"},
+		{89, "payload digest mismatch"},
+		{92, "payload digest mismatch"},
+		{192, "payload digest mismatch"},
+		{347, "payload digest mismatch"}, // the last payload byte
 	}
+	const payloadLen = 347 - headerSize + 1
 	for _, tc := range offsets {
 		t.Run(fmt.Sprintf("off%d", tc.off), func(t *testing.T) {
 			s, err := Open(t.TempDir(), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldPayload := testPayload(256, 1)
+			oldPayload := testPayload(payloadLen, 1)
 			savePayload(t, s, Meta{Step: 3, TimeS: 1}, oldPayload)
-			newPath := savePayload(t, s, Meta{Step: 5, TimeS: 2}, testPayload(256, 2))
+			newPath := savePayload(t, s, Meta{Step: 5, TimeS: 2}, testPayload(payloadLen, 2))
 
 			raw, err := os.ReadFile(newPath)
 			if err != nil {
@@ -186,7 +191,7 @@ func TestStoreTruncationAtEveryByte(t *testing.T) {
 	}
 }
 
-// TestStoreVersionMismatch hand-crafts a version-2 header with a valid
+// TestStoreVersionMismatch hand-crafts a version-1 header with a valid
 // CRC so the version check itself (not the checksum) rejects it with the
 // documented message.
 func TestStoreVersionMismatch(t *testing.T) {
@@ -200,17 +205,17 @@ func TestStoreVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	le.PutUint32(raw[4:8], 2)                              // future format version
-	le.PutUint32(raw[88:92], crc32.ChecksumIEEE(raw[:88])) // keep header CRC valid
+	le.PutUint32(raw[4:8], 1)                              // the format before this one
+	le.PutUint32(raw[64:68], crc32.ChecksumIEEE(raw[:64])) // keep header CRC valid
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	_, _, err = Load(path)
 	if err == nil {
-		t.Fatal("Load accepted a version-2 snapshot")
+		t.Fatal("Load accepted a version-1 snapshot")
 	}
-	want := "unsupported snapshot version 2 (this build reads version 1)"
+	want := "unsupported snapshot version 1 (this build reads version 2)"
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q, want substring %q", err, want)
 	}

@@ -22,8 +22,9 @@ import (
 //	    snapshot (positions + smoothing lengths the candidate list was
 //	    built from), so restarted runs replay the same rebuild/reorder
 //	    steps bit-identically. The candidate indices themselves are a pure
-//	    function of the snapshot and are regenerated on restore. Version-1
-//	    files still load.
+//	    function of the snapshot and are regenerated on restore.
+//
+// ReadCheckpoint reads the current version only and refuses any other.
 const (
 	checkpointMagic   = "SPHX"
 	checkpointVersion = 2
@@ -131,8 +132,8 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("sph: checkpoint: %w", err)
 	}
-	if version != 1 && version != checkpointVersion {
-		return nil, fmt.Errorf("sph: checkpoint: unsupported version %d", version)
+	if version != checkpointVersion {
+		return nil, fmt.Errorf("sph: checkpoint: version %d, this build reads version %d", version, checkpointVersion)
 	}
 	var n uint64
 	var timeS, dt float64
@@ -162,46 +163,34 @@ func ReadCheckpoint(r io.Reader, opt Options) (*State, error) {
 	st.Time = timeS
 	st.Dt = dt
 	st.Step = int(step)
-	if version >= 2 {
-		var lastReorder int64
-		if err := binary.Read(br, binary.LittleEndian, &lastReorder); err != nil {
+	var lastReorder int64
+	if err := binary.Read(br, binary.LittleEndian, &lastReorder); err != nil {
+		return nil, fmt.Errorf("sph: checkpoint: %w", err)
+	}
+	st.LastReorderStep = int(lastReorder)
+	var hasSkin uint8
+	if err := binary.Read(br, binary.LittleEndian, &hasSkin); err != nil {
+		return nil, fmt.Errorf("sph: checkpoint: %w", err)
+	}
+	if hasSkin == 1 {
+		nl := &NeighborList{Ngmax: opt.ngmax()}
+		var buildStep int64
+		if err := binary.Read(br, binary.LittleEndian, &buildStep); err != nil {
 			return nil, fmt.Errorf("sph: checkpoint: %w", err)
 		}
-		st.LastReorderStep = int(lastReorder)
-		var hasSkin uint8
-		if err := binary.Read(br, binary.LittleEndian, &hasSkin); err != nil {
-			return nil, fmt.Errorf("sph: checkpoint: %w", err)
-		}
-		if hasSkin == 1 {
-			nl := &NeighborList{Ngmax: opt.ngmax()}
-			var buildStep int64
-			if err := binary.Read(br, binary.LittleEndian, &buildStep); err != nil {
+		nl.BuildStep = int(buildStep)
+		nl.RefX = make([]float64, n)
+		nl.RefY = make([]float64, n)
+		nl.RefZ = make([]float64, n)
+		nl.RefH = make([]float64, n)
+		for _, f := range [][]float64{nl.RefX, nl.RefY, nl.RefZ, nl.RefH} {
+			if err := binary.Read(br, binary.LittleEndian, f); err != nil {
 				return nil, fmt.Errorf("sph: checkpoint: %w", err)
 			}
-			nl.BuildStep = int(buildStep)
-			nl.RefX = make([]float64, n)
-			nl.RefY = make([]float64, n)
-			nl.RefZ = make([]float64, n)
-			nl.RefH = make([]float64, n)
-			for _, f := range [][]float64{nl.RefX, nl.RefY, nl.RefZ, nl.RefH} {
-				if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-					return nil, fmt.Errorf("sph: checkpoint: %w", err)
-				}
-			}
-			// The candidate shells are regenerated from the snapshot on the
-			// next FindNeighbors; until then only the references are valid.
-			st.List = nl
 		}
-	} else if k := opt.ReorderEvery; k > 0 && st.Step > 0 {
-		// Version-1 files predate the reorder clock; pre-PR runs reordered
-		// at the start of every step that is a multiple of ReorderEvery,
-		// which this reproduces (a resume landing exactly on a multiple
-		// still has that reorder ahead of it).
-		if st.Step%k == 0 {
-			st.LastReorderStep = st.Step - k
-		} else {
-			st.LastReorderStep = st.Step - st.Step%k
-		}
+		// The candidate shells are regenerated from the snapshot on the
+		// next FindNeighbors; until then only the references are valid.
+		st.List = nl
 	}
 	if br.Len() != 0 {
 		return nil, fmt.Errorf("sph: checkpoint: %d trailing bytes", br.Len())

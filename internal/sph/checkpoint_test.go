@@ -2,6 +2,10 @@ package sph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -91,5 +95,30 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, err := ReadCheckpoint(bytes.NewReader(nil), st.Opt); err == nil {
 		t.Error("empty checkpoint accepted")
+	}
+}
+
+// TestCheckpointRefusesVersion1 patches a checkpoint's version field to 1
+// under a recomputed CRC, so only the version check can refuse it, and
+// expects an error naming both the version found and the one this build
+// reads.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	st := latticeState(4, t)
+	st.RunStep(nil)
+	var buf bytes.Buffer
+	if err := st.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	payload := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(payload[len(checkpointMagic):], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(payload))
+	_, err := ReadCheckpoint(bytes.NewReader(data), st.Opt)
+	if err == nil {
+		t.Fatal("version-1 checkpoint accepted")
+	}
+	want := fmt.Sprintf("version 1, this build reads version %d", checkpointVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }

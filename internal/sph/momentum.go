@@ -3,7 +3,6 @@ package sph
 import (
 	"math"
 
-	"sphenergy/internal/kernel"
 	"sphenergy/internal/par"
 )
 
@@ -48,15 +47,15 @@ func (s *State) MomentumEnergy() {
 // (dx, dy, dz) is x_i - x_j and dist its norm; hi, prhoi and fi are i's
 // smoothing length, P/(Omega rho^2) and Balsara factor, hoisted by the
 // caller.
-func (s *State) momentumPair(k kernel.Kernel, i, j int, hi, prhoi, fi, dx, dy, dz, dist float64) (ax, ay, az, du float64) {
+func (s *State) momentumPair(i, j int, hi, prhoi, fi, dx, dy, dz, dist float64) (ax, ay, az, du float64) {
 	p := s.P
 	hj := p.H[j]
 	rhoi := p.Rho[i]
 	rhoj := p.Rho[j]
 	prhoj := p.P[j] / (p.Gradh[j] * rhoj * rhoj)
 	// Symmetrized kernel gradient magnitude along r_ij.
-	dwi := k.DW(dist, hi)
-	dwj := k.DW(dist, hj)
+	dwi := s.Opt.Kernel.DW(dist, hi)
+	dwj := s.Opt.Kernel.DW(dist, hj)
 	// Unit vector from j to i is (dx,dy,dz)/dist.
 	invr := 1 / (dist + 1e-30)
 	ex, ey, ez := dx*invr, dy*invr, dz*invr

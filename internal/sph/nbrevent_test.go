@@ -29,8 +29,7 @@ func TestNeighborEventMatchesStats(t *testing.T) {
 	}
 	ns := st.NbrStats
 	want := map[string]int{
-		"init": ns.RebuildInit, "cadence": ns.RebuildCadence,
-		"drift": ns.RebuildDrift, "overflow": ns.RebuildOverflow,
+		"init": ns.RebuildInit, "drift": ns.RebuildDrift, "overflow": ns.RebuildOverflow,
 		"refresh": ns.Refreshes,
 	}
 	for kind, w := range want {

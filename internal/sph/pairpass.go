@@ -22,7 +22,7 @@ import (
 // xmassPairs is the fused density sweep — the only production pass that
 // touches the kernel. It rounds each particle's 1/h once, then for every
 // pair evaluates W and dW/dr at both smoothing lengths through one
-// division-free Kernel.WDW per endpoint, caches the four values for the
+// division-free WDW per endpoint, caches the four values for the
 // downstream IAD and momentum passes, and accumulates the XMass and
 // NormalizationGradh sums together (stride-2 scatter), so the gradh pass
 // reduces to its O(n) finalization. The gradh sum of a particle is taken

@@ -414,7 +414,7 @@ func TestPairPassWithoutXMassWalks(t *testing.T) {
 		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
 		opt.NgTarget = 32
 		opt.ReorderEvery = 0
-		opt.RebuildEvery = 1 // the grid a walk needs exists on rebuild steps only
+		opt.Skin = 0 // the grid a walk needs exists on rebuild steps only
 		opt.ClosureWalk = walk
 		st := sph.NewState(p, opt)
 		stepManual(st, false, nil)

@@ -150,7 +150,7 @@ func (p *Particles) Reorder(perm []int) {
 
 // Options configures the SPH pipeline.
 type Options struct {
-	Kernel kernel.Kernel
+	Kernel kernel.WendlandC2 // the smoothing kernel, called directly
 	Box    sfc.Box
 
 	// NgTarget is the desired neighbor count (SPH-EXA uses ~100-150 for
@@ -210,11 +210,6 @@ type Options struct {
 	// build can have brought inside a support.
 	Skin float64
 
-	// RebuildEvery forces a candidate rebuild at least every K steps on top
-	// of the drift trigger (0 = drift-triggered only); 1 rebuilds on every
-	// step.
-	RebuildEvery int
-
 	// CFL is the Courant factor for the timestep.
 	CFL float64
 
@@ -234,17 +229,17 @@ type Options struct {
 	PassHook func(pass string, seconds float64)
 
 	// NeighborEvent, when non-nil, observes every FindNeighbors outcome on
-	// the production path with the step index and the kind: "init", "cadence",
-	// "drift" or "overflow" for candidate rebuilds (matching the NbrStats
-	// cause counters) and "refresh" for a Verlet-skin refresh. Nil costs a
-	// single check; the closure-walk pipeline never fires it.
+	// the production path with the step index and the kind: "init", "drift"
+	// or "overflow" for candidate rebuilds (matching the NbrStats cause
+	// counters) and "refresh" for a Verlet-skin refresh. Nil costs a single
+	// check; the closure-walk pipeline never fires it.
 	NeighborEvent func(step int, kind string)
 }
 
 // DefaultOptions returns the options used by the examples and tests.
 func DefaultOptions(box sfc.Box) Options {
 	return Options{
-		Kernel:       kernel.NewCheckedTable(kernel.WendlandC2{}, kernel.DefaultTablePoints),
+		Kernel:       kernel.WendlandC2{},
 		Box:          box,
 		NgTarget:     64,
 		EOS:          IdealGas{Gamma: 5.0 / 3.0},
@@ -262,10 +257,10 @@ func DefaultOptions(box sfc.Box) Options {
 	}
 }
 
-// skin resolves the skin fraction candidates are gathered with: none when
-// every step rebuilds, because nothing would ever reuse it.
+// skin resolves the skin fraction candidates are gathered with; a negative
+// Skin is none.
 func (o Options) skin() float64 {
-	if o.RebuildEvery == 1 || o.Skin < 0 {
+	if o.Skin < 0 {
 		return 0
 	}
 	return o.Skin
@@ -344,7 +339,6 @@ type NeighborStats struct {
 	Refreshes int // steps served from the cached candidate list
 
 	RebuildInit     int // no valid list: first step, post-reorder
-	RebuildCadence  int // Options.RebuildEvery interval expired
 	RebuildDrift    int // the skin ran out: drift, found before a refresh or by a support grown during one
 	RebuildOverflow int // ngmax overflow during a refresh forced a rebuild
 

@@ -40,8 +40,6 @@ func (s *State) FindNeighbors() {
 	switch kind {
 	case "init":
 		s.NbrStats.RebuildInit++
-	case "cadence":
-		s.NbrStats.RebuildCadence++
 	case "drift":
 		s.NbrStats.RebuildDrift++
 	case "overflow":

@@ -135,9 +135,9 @@ func TestSkinRefreshAbortRestoresState(t *testing.T) {
 // stores (none of the three on a refresh), then the candidates and shells
 // streamed, the survivors compacted and the records written, and how many of
 // the steps streamed twice because an h outgrew hGrowthAllow. Rebuilds are
-// forced through the cadence with the step counter, not with RebuildEvery: 1,
-// which gathers without a skin; refreshes by leaving the particles where the
-// build found them, so they stream the fewest shells a refresh can. The
+// forced by invalidating the list, which keeps the skin as Skin: 0 would
+// not; refreshes by leaving the particles where the build found them, so
+// they stream the fewest shells a refresh can. The
 // counts repeat from run to run; compare the times by their minimum over
 // -count (`make bench-sph`).
 func BenchmarkFindNeighbors(b *testing.B) {
@@ -155,16 +155,19 @@ func BenchmarkFindNeighbors(b *testing.B) {
 				st.P.Y[i] += 0.2 / 30 * (r.Float64() - 0.5)
 				st.P.Z[i] += 0.2 / 30 * (r.Float64() - 0.5)
 			}
-			st.Opt.RebuildEvery = 2
+			rebuild := true
 			step := func() {
-				st.Step += st.Opt.RebuildEvery
+				if rebuild && st.List != nil {
+					st.List.invalidate()
+				}
+				st.Step++
 				st.FindNeighbors()
 			}
 			for i := 0; i < 6; i++ {
 				step() // settle the smoothing lengths, size the buffers
 			}
 			if kind == "refresh" {
-				st.Opt.RebuildEvery = 0
+				rebuild = false
 				step()
 			}
 			stats, before := st.NbrStats, st.work
@@ -174,7 +177,7 @@ func BenchmarkFindNeighbors(b *testing.B) {
 			}
 			b.StopTimer()
 			if kind == "rebuild" {
-				stats.Rebuilds, stats.RebuildCadence = stats.Rebuilds+b.N, stats.RebuildCadence+b.N
+				stats.Rebuilds, stats.RebuildInit = stats.Rebuilds+b.N, stats.RebuildInit+b.N
 			} else {
 				stats.Refreshes += b.N
 			}
@@ -349,9 +352,9 @@ func TestSkinNeverMissesAPair(t *testing.T) {
 // TestGrowthPastAllowanceRepeats: on a settled, jittered lattice no h grows
 // by more than hGrowthAllow and no step streams twice; then one particle's h
 // is cut by a fifth, its count falls, the update grows it by a tenth, and the
-// step — a refresh or a cadence rebuild — must stream again providing for
-// hGrowthCap, and end with the list of a sweep that provided for the cap, and
-// streamed every shell, from the start.
+// step — a refresh or a rebuild forced by invalidating the list — must
+// stream again providing for hGrowthCap, and end with the list of a sweep
+// that provided for the cap, and streamed every shell, from the start.
 func TestGrowthPastAllowanceRepeats(t *testing.T) {
 	for _, rebuild := range []bool{false, true} {
 		st := skinLatticeState(12, t)
@@ -372,13 +375,12 @@ func TestGrowthPastAllowanceRepeats(t *testing.T) {
 		const shrunk = 333
 		st.P.H[shrunk] *= 0.8
 		if rebuild {
-			st.Opt.RebuildEvery = 2
-			st.Step += 2
+			st.List.invalidate()
 		}
 		before, stats := st.P.H[shrunk], st.NbrStats
 		ref := Twin(st)
 		st.FindNeighbors()
-		if got := st.NbrStats; got.Refreshes-stats.Refreshes == 1 == rebuild || got.RebuildCadence-stats.RebuildCadence == 1 != rebuild {
+		if got := st.NbrStats; got.Refreshes-stats.Refreshes == 1 == rebuild || got.RebuildInit-stats.RebuildInit == 1 != rebuild {
 			t.Fatalf("rebuild %v: NbrStats went %+v -> %+v", rebuild, stats, got)
 		}
 		if g := st.P.H[shrunk] / before; !(g > hGrowthAllow) || st.work.repeats != settled+1 {

@@ -96,57 +96,6 @@ func TestSkinMatchesRebuildEvrard(t *testing.T) {
 	compareSkinToRebuild(t, mk, 4, true, 1e-9)
 }
 
-// TestSkinDisabledBitIdentical pins the opt-out contract: Skin=0 and
-// RebuildEvery=1 both rebuild on every step and never refresh, producing
-// byte-identical state — not merely state within tolerance.
-func TestSkinDisabledBitIdentical(t *testing.T) {
-	run := func(mutate func(*sph.Options)) *sph.State {
-		p, opt := initcond.Turbulence(initcond.DefaultTurbulence(8))
-		opt.NgTarget = 32
-		opt.ReorderEvery = 2
-		mutate(&opt)
-		st := sph.NewState(p, opt)
-		for s := 0; s < 5; s++ {
-			st.RunStep(nil)
-		}
-		return st
-	}
-	zero := run(func(o *sph.Options) { o.Skin = 0 })
-	every := run(func(o *sph.Options) { o.RebuildEvery = 1 })
-
-	pz, pe := zero.P, every.P
-	fields := []struct {
-		name string
-		a, b []float64
-	}{
-		{"x", pz.X, pe.X}, {"y", pz.Y, pe.Y}, {"z", pz.Z, pe.Z},
-		{"vx", pz.VX, pe.VX}, {"h", pz.H, pe.H},
-		{"rho", pz.Rho, pe.Rho}, {"u", pz.U, pe.U}, {"ax", pz.AX, pe.AX},
-	}
-	for _, f := range fields {
-		for i := range f.a {
-			if f.a[i] != f.b[i] {
-				t.Fatalf("%s[%d] differs between Skin=0 and RebuildEvery=1: %.17g vs %.17g",
-					f.name, i, f.a[i], f.b[i])
-			}
-		}
-	}
-	for i := range pz.NC {
-		if pz.NC[i] != pe.NC[i] {
-			t.Fatalf("NC[%d] differs: %d vs %d", i, pz.NC[i], pe.NC[i])
-		}
-	}
-	if zero.Dt != every.Dt {
-		t.Fatalf("dt differs: %.17g vs %.17g", zero.Dt, every.Dt)
-	}
-	if zero.NbrStats.Refreshes != 0 || every.NbrStats.Refreshes != 0 {
-		t.Fatal("disabled skin still served refreshes")
-	}
-	if zero.NbrStats.WalkFallbacks != 0 || every.NbrStats.WalkFallbacks != 0 {
-		t.Fatal("a RunStep pass walked the grid")
-	}
-}
-
 // TestSkinCheckpointMidIntervalResume: a checkpoint taken between rebuilds
 // must restart bit-identically — same particle state after every subsequent
 // step and the same rebuild/refresh schedule, because the candidate list is

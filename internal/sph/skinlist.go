@@ -21,10 +21,9 @@ import (
 // alone, and the cache is proved complete in two phases, each when its
 // radius is known: before the pass for the supports the particles arrive
 // with (skinValid), after its counts for a support the h update has just
-// grown (updateSmoothing). A rebuild is forced when either fails, when the
-// RebuildEvery cadence expires, when a refresh overflows ngmax, or when an
-// SFC reorder has invalidated the indices. Skin = 0 and RebuildEvery = 1
-// both rebuild on every step.
+// grown (updateSmoothing). A rebuild is forced when either fails, when a
+// refresh overflows ngmax, or when an SFC reorder has invalidated the
+// indices. Skin = 0 rebuilds on every step.
 
 // rebuildCause is FindNeighbors' decision, free of side effects: the
 // NeighborEvent kind of the rebuild the current positions call for, or ""
@@ -38,8 +37,6 @@ func (s *State) rebuildCause(maxH float64) (kind string, maxDrift float64) {
 	switch {
 	case !nl.hasRefs(s.P.N):
 		return "init", 0
-	case s.Opt.RebuildEvery > 0 && s.Step-nl.BuildStep >= s.Opt.RebuildEvery:
-		return "cadence", 0
 	case s.Opt.skin() <= 0:
 		// Without a skin the candidates reach no further than the supports
 		// they were gathered for; shrinking supports could keep such a

@@ -29,7 +29,9 @@ import (
 // again when the candidate gather took the half stencil: a pair is now owned
 // by the endpoint it lies ahead of in the scan window, not by the larger h,
 // so candidate order follows the half stencil, and the pair passes' sums
-// follow the records.
+// follow the records; and again when the engine dropped the kernel's
+// 2 000-point lookup table for the closed-form Wendland C2 polynomial, which
+// moves every kernel value by up to the table's 5e-6 of the peak.
 func TestStateHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -37,14 +39,14 @@ func TestStateHashPinned(t *testing.T) {
 		want    map[int]string // by GOMAXPROCS
 	}{
 		{"turbulence", false, map[int]string{
-			1: "981901a155585e0a2424895a410599cfb33032a2f47d2ca3080683dcff27e00e",
-			2: "075accf8ce84a52dfbb3abae584ee06749227ac0490a44a6965eee9c5a05e7de",
-			4: "a2aca91d510576984f38b9d1206bdb0ca06fa19047494fab5b60c470cd35a97e",
+			1: "fb05f6db0571444a6fa55f965a5b0c5d3586b5450ab65b8b3195a1b0a8372a6e",
+			2: "54de7f5809cb4ad5bfd95242f8ed04a6bc7f8cc88024afb762197e1ff4047cfc",
+			4: "f2b2f47f6b603df03a873ffc20ce9b6b8c0b31fd991a12572fa2bd6741597b42",
 		}},
 		{"evrard", true, map[int]string{
-			1: "db5cf395b746682744ecca20baaae0ffed0779fbf5b8faf7144201d89a5117f0",
-			2: "5a7df5a37abc48400f88536cd105663adac41c61abe83d76f66089547e71ac47",
-			4: "62c3079779adff17f925a47c3ee2dd22b7e9e3073f9a24e6004e8d6e71c2bce8",
+			1: "30a85d5147c43fbd0ade3d223afa06846d236df1403cf60f83c02ccf69d69cf7",
+			2: "788ad2495c05fcf1840c11bbacf8c960070b7655b3faf41a638822c6f37c4706",
+			4: "57897bf728d1c4fb1831b5d122be32e62ff36bf525f887e9ff462eb96c68c649",
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

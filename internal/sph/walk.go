@@ -106,7 +106,6 @@ func (s *State) iadWalk() {
 
 func (s *State) momentumWalk() {
 	p := s.P
-	k := s.Opt.Kernel
 	par.For(p.N, func(i int) {
 		hi := p.H[i]
 		rhoi := p.Rho[i]
@@ -121,7 +120,7 @@ func (s *State) momentumWalk() {
 			if dist >= 2*hi && dist >= 2*p.H[j] {
 				return
 			}
-			dax, day, daz, ddu := s.momentumPair(k, i, j, hi, prhoi, fi, dx, dy, dz, dist)
+			dax, day, daz, ddu := s.momentumPair(i, j, hi, prhoi, fi, dx, dy, dz, dist)
 			ax += dax
 			ay += day
 			az += daz

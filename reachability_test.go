@@ -168,12 +168,6 @@ func TestTopLevelFunctionsHaveACaller(t *testing.T) {
 // by field name alone, so a write to a same-named field of another type
 // counts; the rule is lenient on collisions, not strict.
 func TestConfigFieldsHaveASetter(t *testing.T) {
-	// excludedTypes are out of the rule's scope, each with why.
-	excludedTypes := map[string]string{
-		"sph.Options": "the engine's physics parameters and the test seams " +
-			"(RebuildEvery, NgMax, Skin, ReorderEvery) through which the " +
-			"equivalence, skin and fuzz tests reach the reference and overflow paths",
-	}
 	// testSetOnly are the fields only a test sets, each with the test that
 	// does and needs it.
 	testSetOnly := map[string]string{
@@ -189,6 +183,8 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 		"recovery.WatchdogConfig.Mult":         "TestSupervisedWatchdogStallRestarts, which cannot wait out a 30 s deadline",
 		"recovery.WatchdogConfig.MinDeadlineS": "TestSupervisedWatchdogStallRestarts, likewise",
 		"recovery.WatchdogConfig.PollS":        "TestSupervisedWatchdogStallRestarts, likewise",
+		"sph.Options.NgMax": "the overflow tests and the sequence fuzzers, which " +
+			"reach ngmax truncation through it",
 	}
 
 	files := nonTestFiles(t, parser.SkipObjectResolution)
@@ -213,7 +209,7 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 					}
 					st, ok := ts.Type.(*ast.StructType)
 					name := gf.f.Name.Name + "." + ts.Name.Name
-					if !ok || !isSettingsType(ts.Name.Name) || excludedTypes[name] != "" {
+					if !ok || !isSettingsType(ts.Name.Name) {
 						continue
 					}
 					for _, f := range st.Fields.List {
