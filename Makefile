@@ -115,9 +115,9 @@ bench:
 bench-smoke:
 	$(GO) run ./benchmark -workload all -smoke
 
-# Telemetry's per-primitive cost: a span recorded by name and through an
-# interned identity, a counter increment, a histogram observation — ns/op
-# and allocs/op, nil receivers included.
+# Telemetry's per-primitive cost: a span recorded by name (RecordSpan) and
+# through an interned identity (CompleteRef), a counter increment, a
+# histogram observation — ns/op and allocs/op, nil receivers included.
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'SpanRecord|CounterInc|HistogramObserve' -benchmem ./internal/telemetry/
 

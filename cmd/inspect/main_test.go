@@ -29,9 +29,9 @@ func writeStragglerTrace(t *testing.T) string {
 		durs := []float64{1.0, 1.1, 2.0}
 		barrier := tm + 2.0
 		for r, d := range durs {
-			tr.Complete(r, "kernel", "work", tm, d)
+			tr.RecordSpan(r, "kernel", "work", tm, d)
 			if wait := barrier - (tm + d); wait > 0 {
-				tr.Complete(r, "mpi", "barrier-wait", tm+d, wait)
+				tr.RecordSpan(r, "mpi", "barrier-wait", tm+d, wait)
 			}
 		}
 		tm = barrier

@@ -117,9 +117,9 @@ func TestBuildMisalignedSpanHasBoundedError(t *testing.T) {
 func TestBuildIgnoresOtherSpans(t *testing.T) {
 	series := map[int][]sampler.Sample{0: grid(10, [2]float64{1, 100})}
 	tr := telemetry.NewTracer(1)
-	tr.Complete(0, "mpi", "barrier", 0, 0.5)
-	tr.Complete(telemetry.GlobalTrack, "step", "step 0", 0, 1)
-	tr.Instant(0, "kernel", "phantom", 0.5)
+	tr.RecordSpan(0, "mpi", "barrier", 0, 0.5)
+	tr.RecordSpan(telemetry.GlobalTrack, "step", "step 0", 0, 1)
+	tr.InstantRef(0, tr.Intern("kernel", "phantom"), 0.5, 0, 0)
 	a := Build(tr.Spans(), series, Options{RateHz: 10})
 	if len(a.Kernels) != 0 || len(a.Functions) != 0 {
 		t.Fatalf("unexpected rows: %+v %+v", a.Kernels, a.Functions)

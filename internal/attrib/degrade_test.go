@@ -11,7 +11,7 @@ import (
 )
 
 // degrade marks the tick intervals ending at the given sample indices as
-// degraded, mirroring what the sampler's failover path emits.
+// degraded, mirroring what the sampler's degradation path emits.
 func degrade(s []sampler.Sample, idx ...int) []sampler.Sample {
 	for _, i := range idx {
 		s[i].Degraded = true
@@ -20,8 +20,8 @@ func degrade(s []sampler.Sample, idx ...int) []sampler.Sample {
 }
 
 func TestBuildExcludesDegradedRowsFromGates(t *testing.T) {
-	// Three 1 s kernels at 10 Hz; the middle second is served by failover
-	// estimates (ticks 11..20 degraded). Kernel B overlaps the degraded
+	// Three 1 s kernels at 10 Hz; the middle second is served by
+	// extrapolated estimates (ticks 11..20 degraded). Kernel B overlaps the degraded
 	// window, so it must be classified — flagged and excluded from both
 	// gates — rather than allowed to fail the run.
 	samples := grid(10, [2]float64{1, 200}, [2]float64{1, 50}, [2]float64{1, 300})
@@ -87,7 +87,7 @@ func TestBuildDegradedRowCannotFailGate(t *testing.T) {
 func TestBuildFlagsSubIntervalSpansNearDegradedTicks(t *testing.T) {
 	// A span too short to contain a sample interval is estimated from its
 	// neighbor intervals' power. When a neighbor is degraded — e.g. the
-	// recovery tick carrying a failover reconciliation backlog — the span
+	// recovery tick carrying a reconciliation backlog — the span
 	// rests on estimated data and must be classified even though its own
 	// time window is clean. (Found by the seeded chaos sweep: tiny
 	// Timestep rows next to recovery ticks showed >1000% error unflagged.)

@@ -426,11 +426,11 @@ func drawJoinCase(rng *rand.Rand, disorder bool) joinCase {
 				name := names[rng.Intn(len(names))]
 				switch rng.Intn(6) {
 				case 0:
-					c.tr.Complete(r, "kernel", name, start, dur, telemetry.Float("energy_j", dur*200), telemetry.Int("clock_mhz", 1005))
+					c.tr.CompleteRef(r, c.tr.Intern("kernel", name, "energy_j", "clock_mhz"), start, dur, dur*200, 1005)
 				case 1:
-					c.tr.Instant(r, "kernel", name, start)
+					c.tr.InstantRef(r, c.tr.Intern("kernel", name), start, 0, 0)
 				case 2:
-					c.tr.Complete(r, "mpi", name, start, dur)
+					c.tr.RecordSpan(r, "mpi", name, start, dur)
 				default:
 					c.tr.CompleteRef(r, c.tr.Intern("kernel", name, "clock_mhz", "energy_j"), start, dur, 1410, dur*250)
 				}

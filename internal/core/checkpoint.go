@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
@@ -39,20 +43,59 @@ type RecoveryInfo struct {
 	StopCause string
 }
 
-// checkpointVersion guards the gob payload layout, separately from the
-// store's envelope version: the envelope knows bytes, this knows fields.
-// Version 2 dropped the fingerprint's JitterSpread and NbrRefreshCost, which
-// became constants of the model; 3 dropped DeviceState's UtilEMA, BusyS and
-// Kernels, which nothing read; 4 dropped the fingerprint's HostOverheadS
-// when the host-overhead scale left Config; 5 dropped its NbrRebuildEvery
-// when the neighbor-refresh model left Config.
-const checkpointVersion = 5
+// checkpointLayout guards the gob payload layout, separately from the
+// store's envelope version: the envelope knows bytes, this knows fields. gob
+// silently drops a field the decoding type lacks, so a payload is restored
+// only under the layout it was written with.
+var checkpointLayout = layoutDigest(reflect.TypeOf(runCheckpoint{}))
+
+// layoutDigest is a digest of the field names and kinds gob encodes for t,
+// recursing through structs, slices, arrays, maps and pointers: any field
+// added, dropped, renamed or retyped changes it. The recursion assumes no
+// type contains itself, which holds for runCheckpoint.
+func layoutDigest(t reflect.Type) string {
+	var b strings.Builder
+	writeLayout(&b, t)
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+func writeLayout(b *strings.Builder, t reflect.Type) {
+	switch t.Kind() {
+	case reflect.Struct:
+		b.WriteString("{")
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				b.WriteString(f.Name + " ")
+				writeLayout(b, f.Type)
+				b.WriteString(";")
+			}
+		}
+		b.WriteString("}")
+	case reflect.Slice:
+		b.WriteString("[]")
+		writeLayout(b, t.Elem())
+	case reflect.Array:
+		fmt.Fprintf(b, "[%d]", t.Len())
+		writeLayout(b, t.Elem())
+	case reflect.Map:
+		b.WriteString("map[")
+		writeLayout(b, t.Key())
+		b.WriteString("]")
+		writeLayout(b, t.Elem())
+	case reflect.Pointer:
+		b.WriteString("*")
+		writeLayout(b, t.Elem())
+	default:
+		b.WriteString(t.Kind().String())
+	}
+}
 
 // runFingerprint pins a checkpoint to the configuration that produced it.
 // Restoring under any other configuration would silently diverge, so a
 // mismatch is an error, not a warning.
 type runFingerprint struct {
-	Version          int
+	Layout           string // checkpointLayout of the writing build
 	Sim              string
 	System           string
 	Ranks            int
@@ -69,7 +112,7 @@ type runFingerprint struct {
 
 func fingerprintOf(cfg Config, strategyName string) runFingerprint {
 	fp := runFingerprint{
-		Version:          checkpointVersion,
+		Layout:           checkpointLayout,
 		Sim:              string(cfg.Sim),
 		System:           cfg.System.Name,
 		Ranks:            cfg.Ranks,
@@ -215,9 +258,9 @@ func restoreRun(resume *recovery.Resume, cfg Config, system *cluster.System,
 		return nil, err
 	}
 	want := fingerprintOf(cfg, ranks[0].strategy.Name())
-	if cp.Fp.Version != want.Version {
-		return nil, fmt.Errorf("core: checkpoint %s has payload version %d, this build reads version %d",
-			resume.Snapshot.Path, cp.Fp.Version, want.Version)
+	if cp.Fp.Layout != want.Layout {
+		return nil, fmt.Errorf("core: checkpoint %s has payload layout %q, this build reads layout %q",
+			resume.Snapshot.Path, cp.Fp.Layout, want.Layout)
 	}
 	if cp.Fp != want {
 		return nil, fmt.Errorf("core: checkpoint %s was written by a different configuration (have %+v, want %+v)",

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -591,9 +592,9 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 }
 
 // TestCheckpointVersion1Refused restores a payload shaped like the version 1
-// checkpoints — whose fingerprint still carried JitterSpread and
-// NbrRefreshCost — into this build, which must refuse it naming both
-// versions rather than resume under a model it no longer runs.
+// checkpoints — whose fingerprint carried a version number, JitterSpread and
+// NbrRefreshCost, and no layout digest — into this build, which must refuse
+// it by layout rather than resume under a model it no longer runs.
 func TestCheckpointVersion1Refused(t *testing.T) {
 	type fingerprintV1 struct {
 		Version          int
@@ -631,19 +632,18 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{
 		Snapshot: recovery.Snapshot{Path: "ckpt-v1.sprc"}, Payload: payload.Bytes()}}
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
-		t.Fatalf("a version 1 checkpoint was not refused by version: %v", err)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`payload layout "", this build reads layout %q`, checkpointLayout)) {
+		t.Fatalf("a version 1 checkpoint was not refused by layout: %v", err)
 	}
 }
 
 // TestCheckpointVersion2Refused rewrites a real checkpoint into the version
 // 2 layout, whose device states still carried UtilEMA, BusyS and the
 // per-kernel Kernels ledger. gob drops fields the decoding type lacks, so
-// the same bytes labelled with the current version resume and finish the
-// run exactly as an uninterrupted one: only the version number tells the
-// layouts apart. Labelled 2, 3 or 4 (whose fingerprints still carried
-// HostOverheadS and NbrRebuildEvery, fields gob would drop just the same),
-// they must be refused naming both versions.
+// the same bytes labelled with the current layout resume and finish the
+// run exactly as an uninterrupted one: only the layout digest tells the
+// layouts apart. Labelled with the digest of their own layout, as the
+// build that wrote them would, they must be refused naming both digests.
 func TestCheckpointVersion2Refused(t *testing.T) {
 	type kernelEnergyV2 struct {
 		Name     string
@@ -713,8 +713,8 @@ func TestCheckpointVersion2Refused(t *testing.T) {
 		}
 		v2.Nodes = append(v2.Nodes, nv)
 	}
-	resume := func(version int) (*Result, error) {
-		v2.Fp.Version = version
+	resume := func(layout string) (*Result, error) {
+		v2.Fp.Layout = layout
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(v2); err != nil {
 			t.Fatal(err)
@@ -724,17 +724,71 @@ func TestCheckpointVersion2Refused(t *testing.T) {
 		return Run(cfg)
 	}
 
-	res, err := resume(checkpointVersion)
+	res, err := resume(checkpointLayout)
 	if err != nil {
-		t.Fatalf("the version 2 layout labelled %d: %v", checkpointVersion, err)
+		t.Fatalf("the version 2 layout labelled %s: %v", checkpointLayout, err)
 	}
 	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
 		t.Error("the version 2 layout, labelled current, resumed into a different run")
 	}
-	for _, v := range []int{2, 3, 4} {
-		_, err = resume(v)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", checkpointVersion)) {
-			t.Fatalf("a version %d checkpoint was not refused by version: %v", v, err)
+	own := layoutDigest(reflect.TypeOf(v2))
+	if own == checkpointLayout {
+		t.Fatal("the version 2 layout has the current layout's digest")
+	}
+	_, err = resume(own)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("payload layout %q, this build reads layout %q", own, checkpointLayout)) {
+		t.Fatalf("a version 2 checkpoint was not refused by layout: %v", err)
+	}
+}
+
+// checkpointLayoutPinned is checkpointLayout as recorded. A change to
+// runCheckpoint's layout, nested types included, changes the digest:
+// re-record it here on purpose, so that older checkpoints are refused.
+const checkpointLayoutPinned = "7c0a1466db8ea67b"
+
+// TestCheckpointLayoutPinned holds the digest to the recorded one, and the
+// digest to the layout: a field renamed, retyped, added or dropped at any
+// depth moves it, and an unexported field or a type's own name does not.
+func TestCheckpointLayoutPinned(t *testing.T) {
+	if checkpointLayout != checkpointLayoutPinned {
+		t.Errorf("checkpoint layout digest is %s, recorded %s: re-record it if the layout change is meant",
+			checkpointLayout, checkpointLayoutPinned)
+	}
+	type inner struct{ A, B float64 }
+	type base struct {
+		X  int
+		In []map[string]*inner
+	}
+	type renamedInner struct{ A, B float64 }
+	type same struct {
+		X      int
+		In     []map[string]*renamedInner
+		hidden bool
+	}
+	type deepRenamed struct {
+		X  int
+		In []map[string]*struct{ A, C float64 }
+	}
+	type deepRetyped struct {
+		X  int
+		In []map[string]*struct{ A, B float32 }
+	}
+	type added struct {
+		X  int
+		In []map[string]*inner
+		Y  int
+	}
+	want := layoutDigest(reflect.TypeOf(base{}))
+	if got := layoutDigest(reflect.TypeOf(same{})); got != want {
+		t.Errorf("an unexported field or a type name moved the digest: %s, want %s", got, want)
+	}
+	for name, typ := range map[string]reflect.Type{
+		"deep rename": reflect.TypeOf(deepRenamed{}),
+		"deep retype": reflect.TypeOf(deepRetyped{}),
+		"added":       reflect.TypeOf(added{}),
+	} {
+		if layoutDigest(typ) == want {
+			t.Errorf("%s: the digest did not move", name)
 		}
 	}
 }

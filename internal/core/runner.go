@@ -398,8 +398,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		setup.Total = setup.GPU + setup.CPU + setup.Mem + setup.Other
 		if rt != nil {
-			rt.tr.Complete(telemetry.GlobalTrack, "phase", "job-setup", 0, cfg.SetupS,
-				telemetry.Float("energy_j", setup.Total))
+			ref := rt.tr.Intern("phase", "job-setup", "energy_j")
+			rt.tr.CompleteRef(telemetry.GlobalTrack, ref, 0, cfg.SetupS, setup.Total, 0)
 		}
 		smp.PollAll()
 	}

@@ -105,20 +105,22 @@ func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
 	}
 	if rt.tr != nil {
 		obs.kernelRefs = map[string]telemetry.SpanRef{}
+		obs.clockRefs = map[string]telemetry.SpanRef{}
 	}
 	rt.observers = append(rt.observers, obs)
 	rc.dev.SetObserver(obs)
 }
 
 // rankObserver forwards one device's events onto its rank track. Each
-// observer serves one rank: kernelRefs and the kernels cell are per rank,
-// so a kernel launch touches no registry counter (the run loop folds the
-// cells into kernel_launches_total at step boundaries).
+// observer serves one rank: its identity memos and the kernels cell are per
+// rank, so a kernel launch touches no registry counter (the run loop folds
+// the cells into kernel_launches_total at step boundaries).
 type rankObserver struct {
 	rank       int
 	rt         *runTelemetry
 	clock      *telemetry.Gauge
 	kernelRefs map[string]telemetry.SpanRef // kernel name → interned span
+	clockRefs  map[string]telemetry.SpanRef // clock-change cause → interned instant
 	kernels    atomic.Int64                 // launches on this rank so far
 }
 
@@ -137,8 +139,14 @@ func (o *rankObserver) KernelLaunched(name string, startS, durS float64, clockMH
 
 // ClockChanged implements gpusim.Observer.
 func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
-	o.rt.tr.Instant(o.rank, "freq", "freq-change", timeS,
-		telemetry.Int("mhz", clockMHz), telemetry.String("cause", cause))
+	if o.rt.tr != nil {
+		ref, ok := o.clockRefs[cause]
+		if !ok {
+			ref = o.rt.tr.InternWith("freq", "freq-change", "cause", cause, "mhz")
+			o.clockRefs[cause] = ref
+		}
+		o.rt.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
+	}
 	o.clock.Set(float64(clockMHz))
 }
 
@@ -193,9 +201,10 @@ func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
 		return
 	}
 	tr := rt.tr
+	clock, power := tr.Intern("", "gpu_clock_mhz", "mhz"), tr.Intern("", "gpu_power_w", "watts")
 	trace.SetSink(func(p gpusim.TracePoint) {
-		tr.Counter(rank, "gpu_clock_mhz", p.TimeS, telemetry.Int("mhz", p.ClockMHz))
-		tr.Counter(rank, "gpu_power_w", p.TimeS, telemetry.Float("watts", p.PowerW))
+		tr.CounterRef(rank, clock, p.TimeS, float64(p.ClockMHz), 0)
+		tr.CounterRef(rank, power, p.TimeS, p.PowerW, 0)
 	})
 }
 
@@ -297,8 +306,8 @@ func (rt *runTelemetry) stepSpan(step int, startS, endS, energyJ float64) {
 		return
 	}
 	if rt.tr != nil {
-		rt.tr.Complete(telemetry.GlobalTrack, "step", "step "+strconv.Itoa(step),
-			startS, endS-startS, telemetry.Float("energy_j", energyJ))
+		ref := rt.tr.Intern("step", "step "+strconv.Itoa(step), "energy_j")
+		rt.tr.CompleteRef(telemetry.GlobalTrack, ref, startS, endS-startS, energyJ, 0)
 	}
 	rt.stepsTotal.Inc()
 	rt.stepTime.Observe(endS - startS)

@@ -6,7 +6,7 @@
 //
 // Usage mirrors the real toolkit:
 //
-//	sensor, _ := pmt.Create(pmt.BackendNVML, ...)
+//	sensor := pmt.NewNVML(handle) // or NewRSMI, NewCrayOn
 //	start := sensor.Read()
 //	... run the instrumented region ...
 //	end := sensor.Read()
@@ -23,17 +23,6 @@ import (
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
 	"sphenergy/internal/rsmi"
-)
-
-// Backend identifies a PMT measurement back-end.
-type Backend string
-
-// Supported back-ends.
-const (
-	BackendNVML  Backend = "nvml"
-	BackendRSMI  Backend = "rocm"
-	BackendCray  Backend = "cray"
-	BackendDummy Backend = "dummy"
 )
 
 // State is one sensor sample: a (virtual) timestamp and cumulative energy,
@@ -68,21 +57,6 @@ func degrade(err error, now float64, last *State, started *bool) State {
 	return State{TimeS: now, EnergyJ: math.NaN()}
 }
 
-// backender is implemented by sensors that know their back-end; BackendOf
-// falls back to BackendDummy for anything else.
-type backender interface {
-	Backend() Backend
-}
-
-// BackendOf reports the back-end a sensor measures through, BackendDummy
-// when unknown. Callers use this to pick per-backend sampling rates.
-func BackendOf(s Sensor) Backend {
-	if b, ok := s.(backender); ok {
-		return b.Backend()
-	}
-	return BackendDummy
-}
-
 // nvmlSensor measures one Nvidia device through the NVML energy counter.
 type nvmlSensor struct {
 	dev     nvml.Device
@@ -94,9 +68,6 @@ type nvmlSensor struct {
 func NewNVML(dev nvml.Device) Sensor { return &nvmlSensor{dev: dev} }
 
 func (s *nvmlSensor) Name() string { return fmt.Sprintf("nvml:%s", s.dev.Name()) }
-
-// Backend implements the back-end probe used by BackendOf.
-func (s *nvmlSensor) Backend() Backend { return BackendNVML }
 
 func (s *nvmlSensor) Read() State {
 	now, mj, err := s.dev.TotalEnergyConsumptionAt()
@@ -122,9 +93,6 @@ func NewRSMI(lib *rsmi.Library, idx int) Sensor {
 }
 
 func (s *rsmiSensor) Name() string { return fmt.Sprintf("rocm:%d", s.idx) }
-
-// Backend implements the back-end probe used by BackendOf.
-func (s *rsmiSensor) Backend() Backend { return BackendRSMI }
 
 func (s *rsmiSensor) Read() State {
 	now, uj, err := s.lib.DevEnergyCountGetAt(s.idx)
@@ -162,9 +130,6 @@ func NewCrayOn(pc *pmcounters.Counters, node *cluster.Node, component CrayCompon
 	return &craySensor{pc: pc, component: component, card: card, node: node}
 }
 
-// Backend implements the back-end probe used by BackendOf.
-func (s *craySensor) Backend() Backend { return BackendCray }
-
 func (s *craySensor) Name() string {
 	if s.component == CrayAccel {
 		return fmt.Sprintf("cray:accel%d_energy", s.card)
@@ -195,6 +160,3 @@ func (Dummy) Name() string { return "dummy" }
 
 // Read implements Sensor.
 func (Dummy) Read() State { return State{} }
-
-// Backend implements the back-end probe used by BackendOf.
-func (Dummy) Backend() Backend { return BackendDummy }

@@ -1,8 +1,8 @@
 // Package sampler implements PMT's asynchronous sampling mode over the
 // simulated sensors: a background sampler that observes any set of
-// pmt.Sensors on fixed per-backend tick grids (100 Hz for the in-band GPU
-// counters, 10 Hz for the out-of-band Cray/BMC node counters, mirroring the
-// real toolkit's measurement threads).
+// pmt.Sensors on fixed tick grids, one rate per role (100 Hz for a rank's
+// in-band GPU counter, 10 Hz for the out-of-band Cray/BMC node counters,
+// mirroring the real toolkit's measurement threads).
 //
 // Time in the repository is virtual, so "background" means logically
 // concurrent with the instrumented application: whenever the application's
@@ -21,20 +21,20 @@
 // jitter statistics. BindMetrics mirrors every channel into a telemetry
 // registry as live power gauges and cumulative energy counters.
 //
-// # Degradation and failover
+// # Degradation
 //
 // Real sensors flake: reads fail transiently (surfacing here as NaN
 // energy, see pmt), and counters go stale while time marches on (the
 // pm_counters staleness of Simsek et al. §IV). Channels detect both —
 // NaN reads are discarded and counted, and DefaultStuckPolls consecutive
 // reads with frozen energy mark the channel stuck — and degrade instead
-// of corrupting the series: ticks covering the outage are estimated from
-// a secondary sensor (SetSecondary) or from the last observed power, and
-// carry Sample.Degraded so downstream attribution can exclude them from
-// validation gates rather than silently trusting them. Estimates are
-// kept on the primary counter's cumulative scale, so when the primary
-// recovers, real energy reconciles against the estimate through the
-// existing negative-delta clamp and nothing is double-counted.
+// of corrupting the series: ticks covering the outage are extrapolated
+// from the last observed power, and carry Sample.Degraded so downstream
+// attribution can exclude them from validation gates rather than silently
+// trusting them. Estimates are kept on the primary counter's cumulative
+// scale, so when the primary recovers, real energy reconciles against the
+// estimate through the existing negative-delta clamp and nothing is
+// double-counted.
 package sampler
 
 import (
@@ -102,17 +102,6 @@ func (c Config) Defaulted() Config {
 	return c
 }
 
-// RateFor returns the configured tick rate for a PMT back-end: node-level
-// (Cray/BMC and the dummy fallback) sensors sample at NodeHz, everything
-// in-band at GPUHz.
-func (c Config) RateFor(b pmt.Backend) float64 {
-	switch b {
-	case pmt.BackendCray, pmt.BackendDummy:
-		return c.NodeHz
-	}
-	return c.GPUHz
-}
-
 // Sample is one fixed-rate observation of a sensor.
 type Sample struct {
 	// TimeS is the tick's virtual time (an exact multiple of the period).
@@ -121,8 +110,8 @@ type Sample struct {
 	EnergyJ float64
 	// PowerW is the mean power over the tick interval ending at TimeS.
 	PowerW float64
-	// Degraded marks ticks whose energy is estimated (secondary source or
-	// power model) rather than observed, plus the first recovered window:
+	// Degraded marks ticks whose energy is extrapolated from the last
+	// observed power rather than observed, plus the first recovered window:
 	// downstream validation must not hold these to the observed-data gate.
 	Degraded bool
 }
@@ -150,8 +139,6 @@ type Stats struct {
 	FaultReads uint64
 	// StuckEvents counts transitions into the stuck state.
 	StuckEvents uint64
-	// Failovers counts polls served by the secondary sensor.
-	Failovers uint64
 	// DegradedTicks counts emitted samples flagged Degraded.
 	DegradedTicks uint64
 	// Degraded reports whether the channel is currently degraded.
@@ -163,11 +150,10 @@ type Stats struct {
 type Channel struct {
 	mu sync.Mutex
 
-	name      string
-	rank      int
-	sensor    pmt.Sensor
-	secondary pmt.Sensor // optional failover source
-	periodS   float64
+	name    string
+	rank    int
+	sensor  pmt.Sensor
+	periodS float64
 
 	// The retained series: a ring of Config.RingCap samples, in blocks.
 	ring    blocks.Seq[Sample]
@@ -187,12 +173,9 @@ type Channel struct {
 	// degradation state
 	lastRaw      pmt.State // previous non-NaN primary read, for stuck detection
 	rawStarted   bool
-	stuckRun     int  // consecutive frozen reads
-	stuck        bool // currently latched stuck
-	prevDegraded bool // previous poll was degraded (flags the recovery window)
-	secLast      pmt.State
-	secStarted   bool
-	estMode      string         // how the last degraded read was estimated
+	stuckRun     int            // consecutive frozen reads
+	stuck        bool           // currently latched stuck
+	prevDegraded bool           // previous poll was degraded (flags the recovery window)
 	onTransition TransitionFunc // fired on degraded<->healthy edges (may be nil)
 
 	// stats
@@ -203,7 +186,6 @@ type Channel struct {
 	gapSumSqS     float64
 	faultReads    uint64
 	stuckEvents   uint64
-	failovers     uint64
 	degradedTicks uint64
 
 	// bound metrics (nil when unbound)
@@ -229,18 +211,6 @@ func (c *Channel) RateHz() float64 {
 		return 0
 	}
 	return 1 / c.periodS
-}
-
-// SetSecondary installs a failover sensor consulted while the primary is
-// degraded (e.g. the node's pm_counters accel file backing up NVML). Call
-// before the first Poll.
-func (c *Channel) SetSecondary(s pmt.Sensor) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.secondary = s
-	c.mu.Unlock()
 }
 
 // classify updates the degradation detectors with a fresh primary read and
@@ -272,29 +242,9 @@ func (c *Channel) classify(st pmt.State) bool {
 }
 
 // estimate substitutes a degraded primary read with an effective state on
-// the primary's cumulative-energy scale: the secondary sensor's energy
-// delta when one is configured and answering, otherwise an extrapolation
-// of the last observed tick power; caller holds c.mu.
+// the primary's cumulative-energy scale: an extrapolation of the last
+// observed tick power; caller holds c.mu.
 func (c *Channel) estimate(raw pmt.State) pmt.State {
-	c.estMode = "model-extrapolation"
-	if c.secondary != nil {
-		sec := c.secondary.Read()
-		if !math.IsNaN(sec.EnergyJ) && !math.IsNaN(sec.TimeS) {
-			c.estMode = "secondary-failover"
-			c.failovers++
-			if !c.secStarted {
-				c.secStarted = true
-				c.secLast = sec
-				return pmt.State{TimeS: sec.TimeS, EnergyJ: c.last.EnergyJ}
-			}
-			d := sec.EnergyJ - c.secLast.EnergyJ
-			if d < 0 {
-				d = 0
-			}
-			c.secLast = sec
-			return pmt.State{TimeS: sec.TimeS, EnergyJ: c.last.EnergyJ + d}
-		}
-	}
 	now := raw.TimeS
 	if math.IsNaN(now) || now < c.last.TimeS {
 		now = c.last.TimeS
@@ -342,7 +292,7 @@ func (c *Channel) Poll() {
 	if transition && c.onTransition != nil {
 		detail := "primary-restored"
 		if degraded {
-			detail = c.estMode
+			detail = "model-extrapolation"
 		}
 		c.onTransition(c.name, c.rank, degraded, detail)
 	}
@@ -488,7 +438,6 @@ func (c *Channel) Stats() Stats {
 		LastTimeS:     c.last.TimeS,
 		FaultReads:    c.faultReads,
 		StuckEvents:   c.stuckEvents,
-		Failovers:     c.failovers,
 		DegradedTicks: c.degradedTicks,
 		Degraded:      c.stuck || c.prevDegraded,
 	}
@@ -527,10 +476,10 @@ func (c *Channel) bind(reg *telemetry.Registry) {
 
 // TransitionFunc observes a channel crossing a degradation edge: degraded
 // is true when the channel just lost its primary (detail names the
-// estimation mode — "secondary-failover" or "model-extrapolation") and
-// false when the primary came back ("primary-restored"). The callback runs
-// under the channel's mutex on the polling goroutine, so it must be cheap
-// and must not re-enter the channel.
+// estimation mode, "model-extrapolation") and false when the primary came
+// back ("primary-restored"). The callback runs under the channel's mutex on
+// the polling goroutine, so it must be cheap and must not re-enter the
+// channel.
 type TransitionFunc func(name string, rank int, degraded bool, detail string)
 
 // Sampler owns a set of channels. A nil *Sampler is a valid no-op.
@@ -568,14 +517,11 @@ func (s *Sampler) Config() Config {
 }
 
 // Add registers a sensor under an explicit name, rank (use -1 for
-// node-level sensors) and rate; hz <= 0 selects the backend default via
-// Config.RateFor. Returns the new channel.
+// node-level sensors) and rate; hz <= 0 selects DefaultNodeHz. Returns the
+// new channel.
 func (s *Sampler) Add(name string, rank int, sensor pmt.Sensor, hz float64) *Channel {
 	if s == nil {
 		return nil
-	}
-	if hz <= 0 {
-		hz = s.cfg.RateFor(pmt.BackendOf(sensor))
 	}
 	if hz <= 0 {
 		hz = DefaultNodeHz
@@ -601,13 +547,13 @@ func (s *Sampler) Add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 	return ch
 }
 
-// AddRank registers a rank's GPU sensor at the backend default rate, named
-// after the sensor.
+// AddRank registers a rank's GPU sensor (NVML, ROCm-SMI) at the in-band
+// rate, named after the sensor.
 func (s *Sampler) AddRank(rank int, sensor pmt.Sensor) *Channel {
 	if s == nil {
 		return nil
 	}
-	return s.Add(fmt.Sprintf("rank%d:%s", rank, sensor.Name()), rank, sensor, 0)
+	return s.Add(fmt.Sprintf("rank%d:%s", rank, sensor.Name()), rank, sensor, s.cfg.GPUHz)
 }
 
 // AddNode registers a node-level sensor at the node rate.

@@ -192,19 +192,22 @@ func TestChannelStalenessStats(t *testing.T) {
 	}
 }
 
-func TestSamplerBackendRates(t *testing.T) {
-	cfg := Config{GPUHz: 100, NodeHz: 10}.Defaulted()
-	if r := cfg.RateFor(pmt.BackendNVML); r != 100 {
-		t.Fatalf("nvml rate = %g, want 100", r)
-	}
-	if r := cfg.RateFor(pmt.BackendCray); r != 10 {
-		t.Fatalf("cray rate = %g, want 10", r)
-	}
+// TestRatesByRole: rank sensors tick at the in-band rate, node sensors at
+// the node rate, and an explicit rate of zero falls back to the node rate.
+func TestRatesByRole(t *testing.T) {
 	s := New(Config{GPUHz: 50})
-	// Unknown sensor type → dummy backend → node rate (defaulted to 10).
-	ch := s.Add("x", -1, &scriptSensor{name: "x", states: []pmt.State{{}}}, 0)
-	if r := ch.RateHz(); !approx(r, 10, 1e-9) {
-		t.Fatalf("default node rate = %g, want 10", r)
+	sen := &scriptSensor{name: "x", states: []pmt.State{{}}}
+	for _, c := range []struct {
+		ch   *Channel
+		want float64
+	}{
+		{s.AddRank(0, sen), 50},
+		{s.AddNode(0, sen), DefaultNodeHz},
+		{s.Add("x", -1, sen, 0), DefaultNodeHz},
+	} {
+		if r := c.ch.RateHz(); !approx(r, c.want, 1e-9) {
+			t.Errorf("%s: rate = %g, want %g", c.ch.Name(), r, c.want)
+		}
 	}
 }
 

@@ -49,32 +49,6 @@ func TestTransitionSinkFiresOnEdges(t *testing.T) {
 	}
 }
 
-// TestTransitionSinkReportsSecondaryFailover checks the detail names the
-// secondary source when one answers during the outage.
-func TestTransitionSinkReportsSecondaryFailover(t *testing.T) {
-	primary := &nanAt{scriptSensor: scriptSensor{name: "prim", states: []pmt.State{
-		{TimeS: 0, EnergyJ: 0},
-		{TimeS: 0.1, EnergyJ: 10},
-		{TimeS: 0.2, EnergyJ: 20},
-	}}, bad: map[int]bool{2: true}}
-	secondary := &scriptSensor{name: "sec", states: []pmt.State{
-		{TimeS: 0.2, EnergyJ: 5},
-	}}
-	s := New(Config{GPUHz: 10})
-	var got []transitionRec
-	s.SetTransitionSink(func(name string, rank int, degraded bool, detail string) {
-		got = append(got, transitionRec{name, rank, degraded, detail})
-	})
-	ch := s.Add("prim", 0, primary, 10)
-	ch.SetSecondary(secondary)
-	for i := 0; i < 3; i++ {
-		ch.Poll()
-	}
-	if len(got) != 1 || !got[0].degraded || got[0].detail != "secondary-failover" {
-		t.Fatalf("transitions = %+v, want one degraded edge via secondary-failover", got)
-	}
-}
-
 // TestTransitionSinkSilentWithoutEdges: a fully healthy run must never fire.
 func TestTransitionSinkSilentWithoutEdges(t *testing.T) {
 	sen := &scriptSensor{name: "fake", states: []pmt.State{

@@ -182,9 +182,9 @@ func ThreeWay(job *Job, thresholdPct float64) (*attrib.Validation, error) {
 	v.Add("slurm-consumed", job.ConsumedEnergyJ, false)
 	v.Add("pmt-loop-only", job.LoopEnergyJ, true)
 	if res.Sampler.Degraded() {
-		// The sampler served estimated readings (NaN/stuck faults,
-		// failover); its accumulation — and Slurm's accounting, which is
-		// fed by the same node sensors — cannot arbitrate the 2% gate.
+		// The sampler served estimated readings (NaN/stuck faults); its
+		// accumulation — and Slurm's accounting, which is fed by the same
+		// node sensors — cannot arbitrate the 2% gate.
 		// Classify them as unresolvable instead of failing the contract.
 		v.MarkDegraded("sampled-sensors")
 		v.MarkDegraded("slurm-consumed")

@@ -8,23 +8,23 @@ import (
 
 // AVSwitches evolves the per-particle artificial-viscosity coefficient alpha
 // following the Morris & Monaghan (1997) switch: alpha rises on compression
-// (negative velocity divergence) and decays toward AlphaMin on a timescale
+// (negative velocity divergence) and decays toward alphaMin on a timescale
 // proportional to the sound-crossing time of the smoothing volume.
 func (s *State) AVSwitches(dt float64) {
 	p := s.P
 	par.For(p.N, func(i int) {
-		tau := p.H[i] / (s.Opt.AVDecayTime*p.C[i] + 1e-30)
-		decay := (s.Opt.AlphaMin - p.Alpha[i]) / tau
+		tau := p.H[i] / (avDecayTime*p.C[i] + 1e-30)
+		decay := (alphaMin - p.Alpha[i]) / tau
 		source := 0.0
 		if p.DivV[i] < 0 {
-			source = -p.DivV[i] * (s.Opt.AlphaMax - p.Alpha[i])
+			source = -p.DivV[i] * (alphaMax - p.Alpha[i])
 		}
 		a := p.Alpha[i] + dt*(decay+source)
-		if a < s.Opt.AlphaMin {
-			a = s.Opt.AlphaMin
+		if a < alphaMin {
+			a = alphaMin
 		}
-		if a > s.Opt.AlphaMax {
-			a = s.Opt.AlphaMax
+		if a > alphaMax {
+			a = alphaMax
 		}
 		p.Alpha[i] = a
 	})
@@ -76,7 +76,7 @@ func (s *State) momentumPair(i, j int, hi, prhoi, fi, dx, dy, dz, dist float64) 
 		fij := 0.5 * (fi + fj)
 		// Pi_ij = f * alpha * (-c mu + beta mu^2) / rho, beta as a
 		// multiple of alpha (conventionally 2).
-		piij = fij * alphaij * (-cij*muij + s.Opt.AVBeta*muij*muij) / rhoij
+		piij = fij * alphaij * (-cij*muij + avBeta*muij*muij) / rhoij
 	}
 
 	mj := p.M[j]

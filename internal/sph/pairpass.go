@@ -246,7 +246,6 @@ func (s *State) momentumPairs() {
 			f[i] = balsara(p.DivV[i], p.CurlV[i], p.C[i], p.H[i])
 		}
 	})
-	avBeta := s.Opt.AVBeta
 	bufs := s.scat.Run(n, n, 4, func(lo, hi int, acc []float64) {
 		for a := lo; a < hi; a++ {
 			ha := p.H[a]

@@ -148,6 +148,15 @@ func (p *Particles) Reorder(perm []int) {
 	copy(p.NC, tmpN)
 }
 
+// Artificial viscosity and timestep constants.
+const (
+	alphaMin, alphaMax = 0.05, 1.0 // bounds of the switch's viscosity coefficient
+	avBeta             = 2.0       // beta = 2*alpha convention when fixed
+	avDecayTime        = 0.2       // tau multiplier for the alpha decay
+	cfl                = 0.3       // Courant factor for the timestep
+	maxDtGrowth        = 1.1       // bound on dt growth between steps
+)
+
 // Options configures the SPH pipeline.
 type Options struct {
 	Kernel kernel.WendlandC2 // the smoothing kernel, called directly
@@ -159,11 +168,6 @@ type Options struct {
 
 	// EOS selects the equation of state.
 	EOS EOS
-
-	// Artificial viscosity parameters.
-	AlphaMin, AlphaMax float64
-	AVBeta             float64 // beta = 2*alpha convention when fixed
-	AVDecayTime        float64 // tau multiplier for the alpha decay
 
 	// NgMax caps the per-particle neighbor-list length (SPH-EXA's ngmax);
 	// particles whose support holds more neighbors are truncated and
@@ -210,12 +214,6 @@ type Options struct {
 	// build can have brought inside a support.
 	Skin float64
 
-	// CFL is the Courant factor for the timestep.
-	CFL float64
-
-	// MaxDtGrowth bounds dt growth between steps.
-	MaxDtGrowth float64
-
 	// Self-gravity parameters for drivers that pass RunStep a tree-gravity
 	// extraAccel closure (Evrard collapse).
 	GravG     float64 // gravitational constant in simulation units
@@ -243,12 +241,6 @@ func DefaultOptions(box sfc.Box) Options {
 		Box:          box,
 		NgTarget:     64,
 		EOS:          IdealGas{Gamma: 5.0 / 3.0},
-		AlphaMin:     0.05,
-		AlphaMax:     1.0,
-		AVBeta:       2.0,
-		AVDecayTime:  0.2,
-		CFL:          0.3,
-		MaxDtGrowth:  1.1,
 		ReorderEvery: 32,
 		Skin:         0.3,
 		GravG:        1.0,

@@ -205,7 +205,7 @@ func TestTimestepPositiveAndCFL(t *testing.T) {
 	// dt must respect the sound-crossing bound for every particle.
 	p := st.P
 	for i := 0; i < p.N; i++ {
-		bound := st.Opt.CFL * p.H[i] / (p.C[i] * (1 + 1.2*p.Alpha[i]))
+		bound := cfl * p.H[i] / (p.C[i] * (1 + 1.2*p.Alpha[i]))
 		if dt > bound*1.0001 {
 			t.Fatalf("dt %v exceeds CFL bound %v of particle %d", dt, bound, i)
 		}
@@ -218,7 +218,7 @@ func TestTimestepGrowthBounded(t *testing.T) {
 	st.MomentumEnergy()
 	first := st.Timestep()
 	second := st.Timestep()
-	if second > first*st.Opt.MaxDtGrowth*1.0001 {
+	if second > first*maxDtGrowth*1.0001 {
 		t.Errorf("dt grew from %v to %v, exceeding growth bound", first, second)
 	}
 }
@@ -263,7 +263,7 @@ func TestAVSwitchesRiseOnCompressionDecayOtherwise(t *testing.T) {
 	if p.Alpha[1] >= 0.8 {
 		t.Errorf("alpha did not decay in quiescence: %v", p.Alpha[1])
 	}
-	if p.Alpha[0] > st.Opt.AlphaMax || p.Alpha[1] < st.Opt.AlphaMin {
+	if p.Alpha[0] > alphaMax || p.Alpha[1] < alphaMin {
 		t.Error("alpha left its configured bounds")
 	}
 }

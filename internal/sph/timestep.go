@@ -46,7 +46,7 @@ func (s *State) pass(name string, fn func()) {
 //	dt = CFL * min_i h_i / (c_i + 1.2 alpha_i c_i)
 //
 // combined with an acceleration criterion sqrt(h_i/|a_i|). Growth relative
-// to the previous step is bounded by MaxDtGrowth. This corresponds to the
+// to the previous step is bounded by maxDtGrowth. This corresponds to the
 // paper's Timestep function, which ends each iteration with a collective
 // reduction across ranks.
 func (s *State) Timestep() float64 {
@@ -55,11 +55,11 @@ func (s *State) Timestep() float64 {
 		signal := p.C[i] * (1 + 1.2*p.Alpha[i])
 		dtc := math.Inf(1)
 		if signal > 0 {
-			dtc = s.Opt.CFL * p.H[i] / signal
+			dtc = cfl * p.H[i] / signal
 		}
 		a := math.Sqrt(p.AX[i]*p.AX[i] + p.AY[i]*p.AY[i] + p.AZ[i]*p.AZ[i])
 		if a > 0 {
-			dta := s.Opt.CFL * math.Sqrt(p.H[i]/a)
+			dta := cfl * math.Sqrt(p.H[i]/a)
 			if dta < dtc {
 				return dta
 			}
@@ -73,7 +73,7 @@ func (s *State) Timestep() float64 {
 			dt = 1e-6
 		}
 	}
-	if max := s.Dt * s.Opt.MaxDtGrowth; s.Dt > 0 && dt > max {
+	if max := s.Dt * maxDtGrowth; s.Dt > 0 && dt > max {
 		dt = max
 	}
 	s.Dt = dt

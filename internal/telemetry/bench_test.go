@@ -19,8 +19,7 @@ func BenchmarkSpanRecord(b *testing.B) {
 		if i%traceSize == 0 {
 			tr = NewTracer(1)
 		}
-		tr.Complete(0, "function", "momentumEnergy", float64(i), 0.5,
-			Int("clock_mhz", 1005), Float("energy_j", 3.5))
+		tr.RecordSpan(0, "function", "momentumEnergy", float64(i), 0.5)
 	}
 }
 
@@ -42,7 +41,7 @@ func BenchmarkSpanRecordNilTracer(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Complete(0, "function", "momentumEnergy", float64(i), 0.5)
+		tr.RecordSpan(0, "function", "momentumEnergy", float64(i), 0.5)
 	}
 }
 

@@ -35,15 +35,17 @@ func TestConcurrentTelemetry(t *testing.T) {
 			defer wg.Done()
 			clock := reg.Gauge("gpu_clock_mhz", "clock", tele.L("rank", strconv.Itoa(r)))
 			// Interning races with other ranks interning the same and
-			// different identities; recording through the ref races with
-			// the generic path on the same shard.
+			// different identities, inside the loop as well as before it,
+			// and with the exporters resolving them.
 			kernelRef := tr.Intern("kernel", "rank-kernel-"+strconv.Itoa(r%3), "clock_mhz", "energy_j")
+			gpu := tr.Intern("", "gpu", "power_w")
 			for i := 0; i < perRankOps; i++ {
 				ts := float64(i)
-				tr.Complete(r, "function", "momentumEnergy", ts, 0.5,
-					tele.Int("clock_mhz", 1410), tele.Float("gpu_j", 12.5))
-				tr.Instant(r, "freq", "freq-change", ts+0.1, tele.Int("mhz", 1005))
-				tr.Counter(r, "gpu", ts+0.2, tele.Float("power_w", 250))
+				fn := tr.Intern("function", "momentumEnergy", "clock_mhz", "gpu_j")
+				tr.CompleteRef(r, fn, ts, 0.5, 1410, 12.5)
+				cause := tr.InternWith("freq", "freq-change", "cause", "step-"+strconv.Itoa(i%7), "mhz")
+				tr.InstantRef(r, cause, ts+0.1, 1005, 0)
+				tr.CounterRef(r, gpu, ts+0.2, 250, 0)
 				tr.CompleteRef(r, kernelRef, ts, 0.4, 1410, 9.5)
 				tr.RecordSpan(r, "mpi", "barrier-wait", ts+0.6, 0.05)
 				launches.Inc()

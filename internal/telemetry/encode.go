@@ -31,7 +31,7 @@ const (
 //
 // This is where the tracer's deferred cost is paid. Events are appended
 // straight into reused buffers, by two workers at once, and reach w in
-// order, a piece at a time; an interned identity's strings are quoted once
+// recording order, a piece at a time; an identity's strings are quoted once
 // per export, not once per event. The output is byte-stable and is exactly
 // what encoding/json makes of the same events held as maps: keys in sorted
 // order (args, cat, dur, name, ph, pid, s, tid, ts; argument keys sorted,
@@ -57,8 +57,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 // one before.
 type piece struct {
 	tid    int
-	events []event
-	fast   []fastEvent
+	events []fastEvent
 	buf    []byte
 	err    error         // first unencodable value
 	done   chan struct{} // a worker has encoded the piece
@@ -84,11 +83,8 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 			for p := range work {
 				enc.buf, enc.err = p.buf[:0], nil
 				for i := range p.events {
-					enc.event(p.tid, &p.events[i])
-				}
-				for i := range p.fast {
-					if fe := &p.fast[i]; int(fe.ref) < len(frames) {
-						enc.fastEvent(p.tid, fe, &frames[fe.ref])
+					if fe := &p.events[i]; int(fe.ref) < len(frames) {
+						enc.event(p.tid, fe, &frames[fe.ref])
 					}
 				}
 				p.buf, p.err = enc.buf, enc.err
@@ -124,8 +120,7 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 	}
 
 	var copies [2]struct {
-		events []event
-		fast   []fastEvent
+		events []fastEvent
 		end    int // pieces cut by the time this copy was: all are written before it is refilled
 	}
 	for tid := range t.shards {
@@ -137,10 +132,9 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 		}
 		s := &t.shards[tid]
 		s.mu.Lock()
-		c.events = s.events.AppendTo(c.events[:0])
-		c.fast = s.fast.AppendTo(c.fast[:0])
+		c.events = s.fast.AppendTo(c.events[:0])
 		s.mu.Unlock()
-		for events, fast := c.events, c.fast; len(events)+len(fast) > 0; cut++ {
+		for events := c.events; len(events) > 0; cut++ {
 			if cut-written == encodePieces {
 				if err := writeNext(); err != nil {
 					return err
@@ -148,9 +142,8 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 			}
 			p := &ring[cut%encodePieces]
 			n := min(len(events), pieceEvents)
-			m := min(len(fast), pieceEvents-n)
-			p.tid, p.events, p.fast = tid, events[:n], fast[:m]
-			events, fast = events[n:], fast[m:]
+			p.tid, p.events = tid, events[:n]
+			events = events[n:]
 			work <- p
 		}
 		c.end = cut
@@ -165,103 +158,85 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 
 // traceEncoder appends trace events to buf.
 type traceEncoder struct {
-	buf  []byte
-	args []Attr // scratch: one generic event's arguments, sorted by key
-	err  error  // first unencodable value
+	buf []byte
+	err error // first unencodable value
 }
 
-// descFrame is the constant text of one interned identity's events, quoted
-// once per export: everything but the per-event numbers, phase and track.
+// descFrame is the constant text of one identity's events, quoted once per
+// export: everything but the per-event numbers, phase and track.
 type descFrame struct {
-	open  []byte   // `{`, or `{"args":{"<key>":` up to the first argument value
-	sep   []byte   // `,"<key>":` between two argument values
-	mid   []byte   // closes args and carries `"cat":"<cat>",`, either optional
-	name  []byte   // `"name":"<name>","ph":"`
-	vals  [2]uint8 // which of an event's v0, v1 each written argument takes
+	// text[0] opens the event and runs up to the first float value;
+	// text[i+1] follows value i: the next argument key, or the close of
+	// args and `"cat":"<cat>",`, either optional. The constant string
+	// argument sits inside the text, in its sorted place.
+	text  [3][]byte
+	vals  [2]uint8 // which of an event's v0, v1 each written value takes
 	nvals int
+	name  []byte // `"name":"<name>","ph":"`
 }
 
 func newDescFrame(d *spanDesc) descFrame {
-	f := descFrame{open: []byte{'{'}, vals: [2]uint8{0, 1}}
-	keys := d.keys[:d.nkeys]
-	if len(keys) == 2 {
-		switch {
-		case keys[0] == keys[1]: // the later value overwrote the earlier
-			keys, f.vals = keys[1:], [2]uint8{1}
-		case keys[0] > keys[1]:
-			keys, f.vals = []string{keys[1], keys[0]}, [2]uint8{1, 0}
+	type arg struct {
+		key   string
+		val   uint8 // the event value it takes: 0 for v0, 1 for v1
+		label bool  // the constant string instead
+	}
+	args := make([]arg, 0, 3)
+	for i, k := range d.keys[:d.nkeys] {
+		args = append(args, arg{key: k, val: uint8(i)})
+	}
+	if d.labeled {
+		args = append(args, arg{key: d.label, label: true})
+	}
+	// Stable, so that of several writes of one key the last stays last.
+	slices.SortStableFunc(args, func(a, b arg) int { return strings.Compare(a.key, b.key) })
+
+	var f descFrame
+	text := []byte{'{'}
+	if len(args) > 0 {
+		text = append(text, `"args":{`...)
+	}
+	first := true
+	for i, a := range args {
+		if i+1 < len(args) && args[i+1].key == a.key {
+			continue
 		}
+		if !first {
+			text = append(text, ',')
+		}
+		first = false
+		text = append(jsontext.AppendString(text, a.key), ':')
+		if a.label {
+			text = jsontext.AppendString(text, d.value)
+			continue
+		}
+		f.text[f.nvals], f.vals[f.nvals] = text, a.val
+		f.nvals++
+		text = nil
 	}
-	f.nvals = len(keys)
-	if len(keys) > 0 {
-		f.open = append(jsontext.AppendString(append(f.open, `"args":{`...), keys[0]), ':')
-		f.mid = []byte("},")
-	}
-	if len(keys) > 1 {
-		f.sep = append(jsontext.AppendString([]byte{','}, keys[1]), ':')
+	if len(args) > 0 {
+		text = append(text, "},"...)
 	}
 	if d.cat != "" {
-		f.mid = append(jsontext.AppendString(append(f.mid, `"cat":`...), d.cat), ',')
+		text = append(jsontext.AppendString(append(text, `"cat":`...), d.cat), ',')
 	}
+	f.text[f.nvals] = text
 	f.name = append(jsontext.AppendString([]byte(`"name":`), d.name), `,"ph":"`...)
 	return f
 }
 
-// fastEvent appends one interned event on track tid.
-func (e *traceEncoder) fastEvent(tid int, fe *fastEvent, f *descFrame) {
+// event appends one event on track tid.
+func (e *traceEncoder) event(tid int, fe *fastEvent, f *descFrame) {
 	e.begin()
-	e.buf = append(e.buf, f.open...)
-	if f.nvals > 0 {
-		v := [2]float64{fe.v0, fe.v1}
-		e.float(v[f.vals[0]])
-		if f.nvals > 1 {
-			e.buf = append(e.buf, f.sep...)
-			e.float(v[f.vals[1]])
-		}
+	v := [2]float64{fe.v0, fe.v1}
+	for i := range f.nvals {
+		e.buf = append(e.buf, f.text[i]...)
+		e.float(v[f.vals[i]])
 	}
-	e.buf = append(e.buf, f.mid...)
+	e.buf = append(e.buf, f.text[f.nvals]...)
 	e.dur(fe.ph, fe.durS)
 	e.buf = append(e.buf, f.name...)
 	e.end(fe.ph, tid, fe.startS)
-}
-
-// event appends one generic event on track tid.
-func (e *traceEncoder) event(tid int, ev *event) {
-	e.begin()
-	e.buf = append(e.buf, '{')
-	if n := int(ev.nattr) + len(ev.extra); n > 0 {
-		e.args = append(append(e.args[:0], ev.attrs[:ev.nattr]...), ev.extra...)
-		// Stable, so that of several writes of one key the last stays last.
-		slices.SortStableFunc(e.args, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
-		e.buf = append(e.buf, `"args":{`...)
-		first := true
-		for i := range e.args {
-			a := &e.args[i]
-			if i+1 < n && e.args[i+1].Key == a.Key {
-				continue
-			}
-			if !first {
-				e.buf = append(e.buf, ',')
-			}
-			first = false
-			e.buf = append(jsontext.AppendString(e.buf, a.Key), ':')
-			switch a.kind {
-			case attrString:
-				e.buf = jsontext.AppendString(e.buf, a.s)
-			case attrInt:
-				e.buf = strconv.AppendInt(e.buf, int64(a.f), 10)
-			default:
-				e.float(a.f)
-			}
-		}
-		e.buf = append(e.buf, "},"...)
-	}
-	if ev.cat != "" {
-		e.buf = append(jsontext.AppendString(append(e.buf, `"cat":`...), ev.cat), ',')
-	}
-	e.dur(ev.ph, ev.durS)
-	e.buf = append(jsontext.AppendString(append(e.buf, `"name":`...), ev.name), `,"ph":"`...)
-	e.end(ev.ph, tid, ev.startS)
 }
 
 // begin separates an event from the one before it.

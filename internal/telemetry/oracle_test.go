@@ -15,10 +15,9 @@ import (
 )
 
 // OracleWriteJSON is the trace export as it stood before the append
-// encoder (commit 08cd155), kept verbatim as the reference WriteJSON must
-// match byte for byte: one map[string]any per event, marshalled by
-// encoding/json. Exported so the external test package can run it over a
-// real core.Run.
+// encoder (commit 08cd155), kept as the reference WriteJSON must match byte
+// for byte: one map[string]any per event, marshalled by encoding/json.
+// Exported so the external test package can run it over a real core.Run.
 func OracleWriteJSON(t *Tracer, w io.Writer) error {
 	events := []map[string]any{}
 	if t != nil {
@@ -28,15 +27,11 @@ func OracleWriteJSON(t *Tracer, w io.Writer) error {
 		for tid := range t.shards {
 			s := &t.shards[tid]
 			s.mu.Lock()
-			buf := s.events.AppendTo(nil)
-			fast := s.fast.AppendTo(nil)
+			buf := s.fast.AppendTo(nil)
 			s.mu.Unlock()
 			for i := range buf {
-				events = append(events, oracleEventObject(&buf[i], tid))
-			}
-			for i := range fast {
-				if int(fast[i].ref) < len(descs) {
-					events = append(events, oracleFastEventObject(&fast[i], tid, &descs[fast[i].ref]))
+				if int(buf[i].ref) < len(descs) {
+					events = append(events, oracleEventObject(&buf[i], tid, &descs[buf[i].ref]))
 				}
 			}
 		}
@@ -48,37 +43,7 @@ func OracleWriteJSON(t *Tracer, w io.Writer) error {
 	})
 }
 
-func oracleEventObject(e *event, tid int) map[string]any {
-	obj := map[string]any{
-		"name": e.name,
-		"ph":   string(rune(e.ph)),
-		"ts":   e.startS * 1e6,
-		"pid":  0,
-		"tid":  tid,
-	}
-	if e.cat != "" {
-		obj["cat"] = e.cat
-	}
-	switch e.ph {
-	case phaseComplete:
-		obj["dur"] = e.durS * 1e6
-	case phaseInstant:
-		obj["s"] = "t" // thread-scoped instant
-	}
-	if n := int(e.nattr) + len(e.extra); n > 0 {
-		args := make(map[string]any, n)
-		for _, a := range e.attrs[:e.nattr] {
-			args[a.Key] = a.Value()
-		}
-		for _, a := range e.extra {
-			args[a.Key] = a.Value()
-		}
-		obj["args"] = args
-	}
-	return obj
-}
-
-func oracleFastEventObject(e *fastEvent, tid int, d *spanDesc) map[string]any {
+func oracleEventObject(e *fastEvent, tid int, d *spanDesc) map[string]any {
 	obj := map[string]any{
 		"name": d.name,
 		"ph":   string(rune(e.ph)),
@@ -93,13 +58,18 @@ func oracleFastEventObject(e *fastEvent, tid int, d *spanDesc) map[string]any {
 	case phaseComplete:
 		obj["dur"] = e.durS * 1e6
 	case phaseInstant:
-		obj["s"] = "t"
+		obj["s"] = "t" // thread-scoped instant
 	}
-	if d.nkeys > 0 {
-		args := make(map[string]any, d.nkeys)
-		args[d.keys[0]] = e.v0
+	if d.nargs() > 0 {
+		args := make(map[string]any, d.nargs())
+		if d.nkeys > 0 {
+			args[d.keys[0]] = e.v0
+		}
 		if d.nkeys > 1 {
 			args[d.keys[1]] = e.v1
+		}
+		if d.labeled {
+			args[d.label] = d.value
 		}
 		obj["args"] = args
 	}
@@ -141,47 +111,52 @@ func TestWriteJSONMatchesOracleOnEdgeEvents(t *testing.T) {
 	t.Run("empty", func(t *testing.T) { requireOracleBytes(t, NewTracer(3)) })
 	t.Run("zero-ranks", func(t *testing.T) {
 		tr := NewTracer(0)
-		tr.Complete(0, "c", "only the global track", 1, 2)
+		tr.RecordSpan(0, "c", "only the global track", 1, 2)
 		requireOracleBytes(t, tr)
 	})
 
+	// Events beyond kernels and waits: constant string labels, track
+	// names, counters and instants.
 	t.Run("generic", func(t *testing.T) {
 		tr := NewTracer(2)
 		tr.SetTrackName(0, "rank 0")
 		tr.SetTrackName(GlobalTrack, "sim")
-		// String, int and float attributes, inline and spilling into extra.
-		tr.Complete(0, "function", "one", 1, 0.5, String("s", "v"))
-		tr.Complete(0, "function", "two", 1, 0.5, Int("i", -42), Float("f", 2.5))
-		tr.Complete(1, "function", "three", 1, 0.5, Int("i", 7), Float("f", 2.5), String("s", "v"))
-		tr.Complete(1, "function", "five", 1, 0.5,
-			Float("e", 5), Float("d", 4), Float("c", 3), Float("b", 2), Float("a", 1))
-		// Unsorted and duplicate keys: sorted on export, the last write wins
-		// whether the two writes sit inline, in extra, or one in each.
-		tr.Complete(0, "k", "unsorted", 0, 1, Int("zz", 1), Int("aa", 2))
-		tr.Complete(0, "k", "dup-inline", 0, 1, Int("k", 1), Int("k", 2))
-		tr.Complete(0, "k", "dup-spill", 0, 1, Int("k", 1), Int("b", 0), Int("k", 3), Int("a", 9))
-		tr.Complete(0, "k", "dup-extra", 0, 1, Int("x", 1), Int("y", 2), String("k", "old"), Float("k", 0.5), Int("k", 8))
-		tr.Complete(0, "k", "prefix-keys", 0, 1, Int("ab", 1), Int("a", 2), Int("", 3), Int("B", 4))
-		// No category, no name.
-		tr.Complete(0, "", "no-cat", 0, 1)
-		tr.Instant(1, "c", "", 0.25)
+		one := tr.InternWith("function", "one", "s", "v")
+		// The label sorts among the float keys: first, between, last.
+		refs := []SpanRef{
+			one,
+			tr.InternWith("freq", "freq-change", "cause", "strategy", "mhz"),
+			tr.InternWith("k", "between", "m", "mid", "z", "a"),
+			tr.InternWith("k", "last", "zz", "end", "b", "a"),
+			// A label repeating a float key wins, as the later write.
+			tr.InternWith("k", "dup-label", "k", "old", "k", "x"),
+			tr.InternWith("k", "dup-both", "k", "label", "k", "k"),
+			tr.InternWith("k", "prefix-keys", "", "empty", "ab", "a"),
+			tr.InternWith("", "no-cat", "s", ""),
+			tr.InternWith("c", "", "", ""),
+		}
+		for i, ref := range refs {
+			tr.CompleteRef(i%2, ref, 1, 0.5, 1005, 2.5)
+			tr.InstantRef(GlobalTrack, ref, 1.2, -42, 7)
+		}
 		// Counter and metadata phases, with and without values.
-		tr.Counter(0, "gpu_power_w", 1.5, Float("watts", 250.5), Float("cap", 400))
-		tr.Counter(1, "bare-counter", 2)
-		tr.Instant(0, "freq", "freq-change", 1.2, Int("mhz", 1005))
-		tr.Instant(0, "v", "largest", 0, Float("max", math.MaxFloat64), Int("min", math.MinInt64), Int("big", 1<<53))
+		power := tr.Intern("", "gpu_power_w", "watts", "cap")
+		tr.CounterRef(0, power, 1.5, 250.5, 400)
+		tr.CounterRef(1, tr.Intern("", "bare-counter"), 2, 0, 0)
+		tr.CounterRef(1, tr.InternWith("", "labeled-counter", "unit", "W", "w"), 2, 3, 0)
+		tr.InstantRef(0, tr.Intern("v", "largest", "max", "min"), 0, math.MaxFloat64, -math.MaxFloat64)
 		// Out-of-range ranks land on the global track.
-		tr.Complete(99, "x", "overflow", 0, 1)
-		tr.Instant(-5, "x", "negative", 3)
+		tr.RecordSpan(99, "x", "overflow", 0, 1)
+		tr.InstantRef(-5, one, 3, 0, 0)
 		for _, s := range awkward {
-			tr.Complete(0, s, s, 0, 1, String(s, s))
-			tr.Instant(1, "c", "n", 0, String("k", s), Float(s, 1), Int(s+s, 2))
+			tr.CompleteRef(0, tr.InternWith(s, s, s, s), 0, 1, 0, 0)
+			tr.InstantRef(1, tr.InternWith("c", "n", "k", s, s, s+s), 0, 1, 2)
 			tr.SetTrackName(1, s)
 		}
 		for _, v := range edgeValues {
-			tr.Complete(0, "v", "value", v/1e6, v/1e6, Float("v", v), Int("i", int(math.Max(-1e18, math.Min(v, 1e18)))))
-			tr.Instant(1, "v", "value", v/1e6, Float("v", -v))
-			tr.Counter(0, "value", v/1e6, Float("v", v))
+			tr.CompleteRef(0, refs[1], v/1e6, v/1e6, v, 0)
+			tr.InstantRef(1, refs[2], v/1e6, -v, v)
+			tr.CounterRef(0, power, v/1e6, v, -v)
 		}
 		requireOracleBytes(t, tr)
 	})
@@ -215,8 +190,6 @@ func TestWriteJSONMatchesOracleOnEdgeEvents(t *testing.T) {
 		tr.RecordSpan(7, "mpi", "barrier-wait", 2, 0.1)
 		// A ref this tracer never issued is skipped, as before.
 		tr.CompleteRef(0, SpanRef(len(refs)+1000), 0, 1, 0, 0)
-		// Generic and interned events interleave on one shard.
-		tr.Complete(0, "step", "step 0", 0, 2)
 		requireOracleBytes(t, tr)
 
 		tr.Reset()
@@ -231,9 +204,9 @@ func TestWriteJSONMatchesOracleOnEdgeEvents(t *testing.T) {
 		ref := tr.Intern("kernel", "k", "a", "b")
 		for i := 0; i < 3*encodeChunk/100; i++ {
 			tr.CompleteRef(0, ref, float64(i)*1e-3, 1e-4, float64(i), 0.5)
-			tr.Complete(0, "step", strings.Repeat("s", i%7), float64(i), 1, Int("i", i))
+			tr.CompleteRef(0, tr.Intern("step", strings.Repeat("s", i%7), "i"), float64(i), 1, float64(i), 0)
 		}
-		tr.Complete(0, "big", strings.Repeat("<", 2*encodeChunk), 0, 1)
+		tr.RecordSpan(0, "big", strings.Repeat("<", 2*encodeChunk), 0, 1)
 		requireOracleBytes(t, tr)
 	})
 }
@@ -275,24 +248,24 @@ func TestWriteJSONErrors(t *testing.T) {
 	ref := func(tr *Tracer) SpanRef { return tr.Intern("kernel", "k", "a", "b") }
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for name, record := range map[string]func(tr *Tracer){
-			"ts":           func(tr *Tracer) { tr.Complete(0, "c", "n", bad, 1) },
-			"dur":          func(tr *Tracer) { tr.Complete(0, "c", "n", 0, bad) },
-			"attr":         func(tr *Tracer) { tr.Instant(0, "c", "n", 0, Float("v", bad)) },
-			"extra-attr":   func(tr *Tracer) { tr.Instant(0, "c", "n", 0, Int("a", 1), Int("b", 2), Float("v", bad)) },
-			"counter":      func(tr *Tracer) { tr.Counter(0, "n", 0, Float("v", bad)) },
-			"interned-ts":  func(tr *Tracer) { tr.CompleteRef(0, ref(tr), bad, 1, 0, 0) },
-			"interned-dur": func(tr *Tracer) { tr.CompleteRef(0, ref(tr), 0, bad, 0, 0) },
-			"interned-v0":  func(tr *Tracer) { tr.CompleteRef(0, ref(tr), 0, 1, bad, 0) },
-			"interned-v1":  func(tr *Tracer) { tr.InstantRef(0, ref(tr), 0, 0, bad) },
+			"ts":         func(tr *Tracer) { tr.CompleteRef(0, ref(tr), bad, 1, 0, 0) },
+			"dur":        func(tr *Tracer) { tr.CompleteRef(0, ref(tr), 0, bad, 0, 0) },
+			"v0":         func(tr *Tracer) { tr.CompleteRef(0, ref(tr), 0, 1, bad, 0) },
+			"v1":         func(tr *Tracer) { tr.InstantRef(0, ref(tr), 0, 0, bad) },
+			"by-name":    func(tr *Tracer) { tr.RecordSpan(0, "c", "n", bad, 1) },
+			"labeled":    func(tr *Tracer) { tr.InstantRef(0, tr.InternWith("c", "n", "s", "x", "v"), 0, bad, 0) },
+			"counter":    func(tr *Tracer) { tr.CounterRef(0, tr.Intern("", "n", "v"), 0, bad, 0) },
+			"instant":    func(tr *Tracer) { tr.InstantRef(0, ref(tr), bad, 0, 0) },
+			"counter-ts": func(tr *Tracer) { tr.CounterRef(0, ref(tr), bad, 0, 0) },
 			"after-a-chunk": func(tr *Tracer) {
-				tr.Complete(0, "c", strings.Repeat("x", 2*encodeChunk), 0, 1)
-				tr.Complete(0, "c", "n", bad, 1)
+				tr.RecordSpan(0, "c", strings.Repeat("x", 2*encodeChunk), 0, 1)
+				tr.RecordSpan(0, "c", "n", bad, 1)
 			},
 		} {
 			tr := NewTracer(1)
-			tr.Complete(0, "c", "fine", 0, 1)
+			tr.RecordSpan(0, "c", "fine", 0, 1)
 			record(tr)
-			tr.Complete(0, "c", "fine too", 1, 1)
+			tr.RecordSpan(0, "c", "fine too", 1, 1)
 			if err := OracleWriteJSON(tr, io.Discard); err == nil {
 				t.Fatalf("%s=%v: the oracle accepted it", name, bad)
 			}
@@ -311,7 +284,7 @@ func TestWriteJSONErrors(t *testing.T) {
 
 	tr := NewTracer(1)
 	for i := 0; i < 4*encodeChunk/50; i++ {
-		tr.Complete(0, "c", "n", float64(i), 1)
+		tr.RecordSpan(0, "c", "n", float64(i), 1)
 	}
 	for _, room := range []int{0, encodeChunk + 1, 3 * encodeChunk} {
 		if err := tr.WriteJSON(&failAfter{n: room}); !errors.Is(err, errSink) {
@@ -351,9 +324,10 @@ func TestWriteJSONAllocsDoNotGrowWithSpans(t *testing.T) {
 func TestSpansAllocations(t *testing.T) {
 	tr := NewTracer(4)
 	ref := tr.Intern("kernel", "density", "clock_mhz", "energy_j")
+	labeled := tr.InternWith("step", "s", "c", "x", "a", "b")
 	for i := 0; i < 50_000; i++ {
 		tr.CompleteRef(i%4, ref, float64(i), 1, 1410, 2)
-		tr.Complete(i%4, "step", "s", float64(i), 1, Int("a", 1), Int("b", 2), Int("c", 3))
+		tr.CompleteRef(i%4, labeled, float64(i), 1, 1, 2)
 	}
 	var spans []SpanEvent
 	if n := testing.AllocsPerRun(3, func() { spans = tr.Spans() }); n > 4 {
@@ -369,12 +343,11 @@ func TestSpansAllocations(t *testing.T) {
 func TestSpansArgsDoNotAlias(t *testing.T) {
 	tr := NewTracer(1)
 	ref := tr.Intern("kernel", "k", "a", "b")
+	tr.RecordSpan(0, "c", "bare", 2, 1)
+	tr.CompleteRef(0, tr.InternWith("c", "three", "z", "seven", "x", "y"), 3, 1, 5, 6)
 	tr.CompleteRef(0, ref, 0, 1, 1, 2)
 	tr.CompleteRef(0, ref, 1, 1, 3, 4)
-	tr.Complete(0, "c", "bare", 2, 1)
-	tr.Complete(0, "c", "three", 3, 1, Int("x", 5), Int("y", 6), Int("z", 7))
 	spans := tr.Spans()
-	// Shard order: generic events first, then interned ones.
 	if spans[0].Args != nil {
 		t.Errorf("span without arguments has Args %v, want nil", spans[0].Args)
 	}

@@ -16,10 +16,14 @@ import (
 	tele "sphenergy/internal/telemetry"
 )
 
-// recordedRunSHA256 is the SHA-256 of the trace recordedRun exports, taken
-// at commit 08cd155 with the encoding/json exporter: the append encoder is
-// held to the parent's real bytes, not only to a copy of its code.
-const recordedRunSHA256 = "e05cfe7e028ad394701c413ac0ba4f8166b77cefa0ed127b70c478ef829a7fa9"
+// recordedRunSHA256 is the SHA-256 of the trace recordedRun exports. It was
+// taken at commit 08cd155 with the encoding/json exporter, so that the append
+// encoder is held to real bytes, not only to a copy of its code, and
+// re-recorded once when every event became one interned record: a track's
+// events now export in recording order, where by-name events used to come
+// first. The re-recorded trace, split into events and sorted, is the
+// 08cd155 trace's byte for byte.
+const recordedRunSHA256 = "941ea14bb1251a8b2af6d6719ec1e1e087e32e970919d2835ad6c7e18d2c2786"
 
 // recordedRun is one fixed observed run — 8 ranks, 300 steps, ManDyn, with
 // the sampler and the decision ledger on — traced once and shared by the
@@ -72,7 +76,7 @@ func TestWriteJSONMatchesOracleOnRealRun(t *testing.T) {
 	}
 	sum := sha256.Sum256(got.Bytes())
 	if h := hex.EncodeToString(sum[:]); h != recordedRunSHA256 {
-		t.Errorf("trace of the fixed run hashes to %s, commit 08cd155 wrote %s", h, recordedRunSHA256)
+		t.Errorf("trace of the fixed run hashes to %s, recorded %s", h, recordedRunSHA256)
 	}
 }
 

@@ -7,17 +7,18 @@
 // The design follows the paper's §III-B non-perturbation requirement: every
 // entry point is safe on a nil receiver and returns immediately, so code can
 // be instrumented unconditionally — a run without a tracer or registry pays
-// only a nil check. Hot-path recording is allocation-free for up to two
-// attributes (attributes are tagged unions copied inline into the event
-// buffer, not boxed interfaces) and takes one short per-rank (sharded)
-// mutex; all serialization work happens at export time. Call sites that
-// fire every step can go further and intern the span identity once
-// (Intern + CompleteRef/InstantRef), reducing each record to a 40-byte
-// struct write with no string traffic at all.
+// only a nil check. Every event — span, instant, counter sample, track
+// name — is one 40-byte record: a start, a duration, two float values and
+// an interned identity, written under one short per-rank (sharded) mutex.
+// The identity (category, name, up to two float argument keys and at most
+// one constant string argument) is interned once (Intern, InternWith) and
+// recorded through the SpanRef it returns (CompleteRef, InstantRef,
+// CounterRef), so recording moves no strings; RecordSpan interns by name on
+// first use. All serialization work happens at export time.
 //
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
-// container per span, an interned identity's strings quoted once; the
+// container per span, an identity's strings quoted once; the
 // in-process read-back is a visit of the records where they lie
 // (VisitSpans) or, for callers that want the slice, Spans, two allocations
 // whatever the span count. All take the shard locks, so they are safe while
@@ -38,14 +39,12 @@ type attrKind uint8
 
 const (
 	attrString attrKind = iota
-	attrInt
 	attrFloat
 )
 
-// Attr is one key/value attribute attached to a span or event, rendered
-// into the Chrome trace "args" object. Construct with String, Int or Float;
-// the value lives inline (no interface boxing), keeping span recording off
-// the heap.
+// Attr is one key/value argument of a read-back span (SpanEvent.Args):
+// one of the identity's float values or its constant string. The value
+// lives inline, not boxed in an interface.
 type Attr struct {
 	Key  string
 	s    string
@@ -56,23 +55,8 @@ type Attr struct {
 // String builds a string attribute.
 func String(key, value string) Attr { return Attr{Key: key, s: value, kind: attrString} }
 
-// Int builds an integer attribute.
-func Int(key string, value int) Attr { return Attr{Key: key, f: float64(value), kind: attrInt} }
-
 // Float builds a float attribute.
 func Float(key string, value float64) Attr { return Attr{Key: key, f: value, kind: attrFloat} }
-
-// Value unboxes the attribute (string, int64 or float64).
-func (a Attr) Value() any {
-	switch a.kind {
-	case attrString:
-		return a.s
-	case attrInt:
-		return int64(a.f)
-	default:
-		return a.f
-	}
-}
 
 // Float64 returns the attribute's numeric value, 0 for string attributes.
 // Span read-back consumers (energy attribution) use this to pull metric
@@ -96,51 +80,17 @@ const (
 	phaseMeta     = 'M' // metadata (track names)
 )
 
-// inlineAttrs is the attribute count recorded without heap allocation.
-const inlineAttrs = 2
-
-// event is one recorded trace event. Times are virtual simulation seconds;
-// export converts to the microseconds Chrome expects.
-type event struct {
-	name   string
-	cat    string
-	startS float64
-	durS   float64
-	attrs  [inlineAttrs]Attr
-	extra  []Attr // overflow beyond inlineAttrs, rare
-	nattr  uint8
-	ph     byte
-}
-
-// shard is one rank's event buffer. Each rank appends under its own mutex,
-// so concurrent ranks never contend with each other. Generic and interned
-// events live in separate buffers; the trace_event format does not require
-// chronological order, so export emits them back to back.
+// shard is one rank's event buffer, in recording order. Each rank appends
+// under its own mutex, so concurrent ranks never contend with each other.
 type shard struct {
-	mu     sync.Mutex
-	events blocks.Seq[event]
-	fast   blocks.Seq[fastEvent]
+	mu   sync.Mutex
+	fast blocks.Seq[fastEvent]
 }
 
-// add constructs the event directly in the buffer — a single struct write,
-// no intermediate copies. The caller's variadic attrs slice is only read
-// here, so escape analysis keeps it on the caller's stack.
-func (s *shard) add(ph byte, cat, name string, startS, durS float64, attrs []Attr) {
-	s.mu.Lock()
-	e, _ := s.events.Push()
-	*e = event{name: name, cat: cat, startS: startS, durS: durS, ph: ph}
-	e.nattr = uint8(copy(e.attrs[:], attrs))
-	if len(attrs) > inlineAttrs {
-		e.extra = append([]Attr(nil), attrs[inlineAttrs:]...)
-	}
-	s.mu.Unlock()
-}
-
-// fastEvent is one recorded event on the interned path: a 40-byte POD
-// record whose identity (category, name, attribute keys) lives in the
-// tracer's descriptor table. Hot loops record these instead of full events
-// — no strings, no variadic slice, one small struct write under the shard
-// mutex.
+// fastEvent is one recorded event: a 40-byte POD record whose identity
+// (category, name, argument keys, constant string) lives in the tracer's
+// descriptor table. Times are virtual simulation seconds; export converts
+// to the microseconds Chrome expects.
 type fastEvent struct {
 	startS float64
 	durS   float64
@@ -149,7 +99,7 @@ type fastEvent struct {
 	ph     byte
 }
 
-// addFast appends one interned event in place.
+// addFast appends one event in place.
 func (s *shard) addFast(ph byte, ref SpanRef, startS, durS, v0, v1 float64) {
 	s.mu.Lock()
 	fe, _ := s.fast.Push()
@@ -161,12 +111,24 @@ func (s *shard) addFast(ph byte, ref SpanRef, startS, durS, v0, v1 float64) {
 // are only meaningful on the tracer that issued them.
 type SpanRef uint32
 
-// spanDesc is the interned identity of a hot span: its category, name, and
-// up to two float-valued attribute keys.
+// spanDesc is an interned identity: its category, name, up to two
+// float-valued argument keys whose values each event supplies, and, when
+// labeled, one constant string argument label=value. It is comparable, and
+// keys the tracer's index.
 type spanDesc struct {
-	cat, name string
-	keys      [inlineAttrs]string
-	nkeys     uint8
+	cat, name    string
+	keys         [2]string
+	nkeys        uint8
+	labeled      bool
+	label, value string
+}
+
+// nargs is the number of arguments an event of identity d reads back with.
+func (d *spanDesc) nargs() int {
+	if d.labeled {
+		return int(d.nkeys) + 1
+	}
+	return int(d.nkeys)
 }
 
 // spanKey indexes the RecordSpan descriptor cache without allocating.
@@ -179,8 +141,9 @@ type spanKey struct{ cat, name string }
 type Tracer struct {
 	shards []shard // one per rank, plus one global track at the end
 
-	descMu sync.Mutex // guards descs growth; interning is cold-path
+	descMu sync.Mutex // guards descs and index; interning is cold-path
 	descs  []spanDesc
+	index  map[spanDesc]SpanRef
 	cache  sync.Map // spanKey → SpanRef, backing RecordSpan
 }
 
@@ -189,30 +152,52 @@ func NewTracer(ranks int) *Tracer {
 	if ranks < 0 {
 		ranks = 0
 	}
-	return &Tracer{shards: make([]shard, ranks+1)}
+	return &Tracer{shards: make([]shard, ranks+1), index: map[spanDesc]SpanRef{}}
 }
 
 // Intern registers a span identity — category, name, and up to two
-// attribute keys whose values are supplied per event — returning a ref for
-// CompleteRef/InstantRef. Interning the identity once moves all string
-// handling off the recording path; callers typically intern at setup or
-// memoize per call site. Interning the same identity twice returns the
-// same ref. On a nil tracer Intern returns 0; the ref is inert.
+// attribute keys whose values are supplied per event (surplus keys are
+// dropped) — returning a ref for CompleteRef, InstantRef and CounterRef.
+// Interning the identity once moves all string handling off the recording
+// path; callers typically intern at setup or memoize per call site.
+// Interning the same identity twice returns the same ref. On a nil tracer
+// Intern returns 0; the ref is inert.
 func (t *Tracer) Intern(category, name string, keys ...string) SpanRef {
 	if t == nil {
 		return 0
 	}
+	return t.intern(newSpanDesc(category, name, keys))
+}
+
+// InternWith is Intern for an identity that also carries one constant
+// string argument, label=value, in every event recorded under it (a clock
+// change's cause, a track's name).
+func (t *Tracer) InternWith(category, name, label, value string, keys ...string) SpanRef {
+	if t == nil {
+		return 0
+	}
+	d := newSpanDesc(category, name, keys)
+	d.labeled, d.label, d.value = true, label, value
+	return t.intern(d)
+}
+
+func newSpanDesc(category, name string, keys []string) spanDesc {
 	d := spanDesc{cat: category, name: name}
 	d.nkeys = uint8(copy(d.keys[:], keys))
+	return d
+}
+
+// intern returns d's ref, issuing the next one on first sight.
+func (t *Tracer) intern(d spanDesc) SpanRef {
 	t.descMu.Lock()
 	defer t.descMu.Unlock()
-	for i := range t.descs {
-		if t.descs[i] == d {
-			return SpanRef(i)
-		}
+	ref, ok := t.index[d]
+	if !ok {
+		ref = SpanRef(len(t.descs))
+		t.descs = append(t.descs, d)
+		t.index[d] = ref
 	}
-	t.descs = append(t.descs, d)
-	return SpanRef(len(t.descs) - 1)
+	return ref
 }
 
 // CompleteRef records a finished span of an interned identity. v0 and v1
@@ -233,6 +218,16 @@ func (t *Tracer) InstantRef(rank int, ref SpanRef, tsS, v0, v1 float64) {
 	t.shardFor(rank).addFast(phaseInstant, ref, tsS, 0, v0, v1)
 }
 
+// CounterRef records a counter sample of an interned identity at tsS: the
+// identity's name is the counter, each of its keys one series (rendered as
+// a stacked area in the trace viewer).
+func (t *Tracer) CounterRef(rank int, ref SpanRef, tsS, v0, v1 float64) {
+	if t == nil {
+		return
+	}
+	t.shardFor(rank).addFast(phaseCounter, ref, tsS, 0, v0, v1)
+}
+
 // shardFor maps a rank (or GlobalTrack) to its buffer. Out-of-range ranks
 // land on the global track rather than panicking.
 func (t *Tracer) shardFor(rank int) *shard {
@@ -242,35 +237,10 @@ func (t *Tracer) shardFor(rank int) *shard {
 	return &t.shards[rank]
 }
 
-// Complete records a finished span [startS, startS+durS) on a rank track.
-func (t *Tracer) Complete(rank int, category, name string, startS, durS float64, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	t.shardFor(rank).add(phaseComplete, category, name, startS, durS, attrs)
-}
-
-// Instant records a zero-duration event at tsS on a rank track.
-func (t *Tracer) Instant(rank int, category, name string, tsS float64, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	t.shardFor(rank).add(phaseInstant, category, name, tsS, 0, attrs)
-}
-
-// Counter records a counter sample at tsS; each attribute becomes one series
-// of the named counter (rendered as a stacked area in the trace viewer).
-func (t *Tracer) Counter(rank int, name string, tsS float64, values ...Attr) {
-	if t == nil {
-		return
-	}
-	t.shardFor(rank).add(phaseCounter, "", name, tsS, 0, values)
-}
-
 // RecordSpan is the plain-span entry point used through small local
 // interfaces (e.g. mpisim's SpanRecorder), keeping subsystem packages free
 // of a telemetry dependency. Each (category, name) identity is interned on
-// first use, so repeated spans record on the fast path.
+// first use.
 func (t *Tracer) RecordSpan(rank int, category, name string, startS, durS float64) {
 	if t == nil {
 		return
@@ -288,8 +258,7 @@ func (t *Tracer) SetTrackName(rank int, name string) {
 	if t == nil {
 		return
 	}
-	t.shardFor(rank).add(phaseMeta, "", "thread_name", 0, 0,
-		[]Attr{String("name", name)})
+	t.shardFor(rank).addFast(phaseMeta, t.InternWith("", "thread_name", "name", name), 0, 0, 0, 0)
 }
 
 // Reset drops all recorded events but keeps the shard buffers' capacity,
@@ -302,7 +271,6 @@ func (t *Tracer) Reset() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		s.events.Reset()
 		s.fast.Reset()
 		s.mu.Unlock()
 	}
@@ -317,7 +285,7 @@ func (t *Tracer) Len() int {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += s.events.Len() + s.fast.Len()
+		n += s.fast.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -337,7 +305,9 @@ type SpanEvent struct {
 	DurS     float64
 	// Instant marks zero-duration events ('i' phase).
 	Instant bool
-	Args    []Attr
+	// Args holds the identity's float arguments in key order, then its
+	// constant string argument.
+	Args []Attr
 }
 
 // EndS returns the span's end time.
@@ -379,20 +349,11 @@ func (t *Tracer) Spans() []SpanEvent {
 
 	nspans, nargs := 0, 0
 	for tid := range t.shards {
-		s := &t.shards[tid]
-		s.events.Runs(func(run []event) {
-			for i := range run {
-				if e := &run[i]; readBack(e.ph) {
-					nspans++
-					nargs += int(e.nattr) + len(e.extra)
-				}
-			}
-		})
-		s.fast.Runs(func(run []fastEvent) {
+		t.shards[tid].fast.Runs(func(run []fastEvent) {
 			for i := range run {
 				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
 					nspans++
-					nargs += int(descs[fe.ref].nkeys)
+					nargs += descs[fe.ref].nargs()
 				}
 			}
 		})
@@ -403,17 +364,8 @@ func (t *Tracer) Spans() []SpanEvent {
 	out := make([]SpanEvent, 0, nspans)
 	slab := make([]Attr, 0, nargs)
 	for tid := range t.shards {
-		track, s := t.track(tid), &t.shards[tid]
-		s.events.Runs(func(run []event) {
-			for i := range run {
-				if e := &run[i]; readBack(e.ph) {
-					from := len(slab)
-					slab = e.appendArgs(slab)
-					out = append(out, e.span(track, carve(slab, from)))
-				}
-			}
-		})
-		s.fast.Runs(func(run []fastEvent) {
+		track := t.track(tid)
+		t.shards[tid].fast.Runs(func(run []fastEvent) {
 			for i := range run {
 				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
 					from, d := len(slab), &descs[fe.ref]
@@ -426,45 +378,38 @@ func (t *Tracer) Spans() []SpanEvent {
 	return out
 }
 
-// NoRef is the SpanRef VisitSpans reports for an event recorded by name
-// (Complete, Instant) rather than through an interned identity.
+// NoRef is a SpanRef no tracer issues: attrib.Build passes it for spans
+// that come from a slice rather than from a tracer's records.
 const NoRef = ^SpanRef(0)
 
 // VisitSpans calls visit once for every event Spans would return, in
 // Spans' order, without materialising them: ev and its Args are reused
 // from one call to the next and are valid only during the call. ref is the
 // event's interned identity — all events sharing one have the same
-// category, name and argument keys, so a consumer can resolve those once
-// per identity instead of once per event — or NoRef. Each track is visited
-// under its shard's lock (safe while ranks still record), so visit must not
-// call back into the tracer.
+// category, name and arguments but for the float values, so a consumer can
+// resolve those once per identity instead of once per event. Each track is
+// visited under its shard's lock (safe while ranks still record), so visit
+// must not call back into the tracer.
 func (t *Tracer) VisitSpans(visit func(ref SpanRef, ev *SpanEvent)) {
 	if t == nil {
 		return
 	}
 	descs := t.descriptors()
-	view := newSpanView()
+	var view spanView
 	for tid := range t.shards {
 		s := &t.shards[tid]
 		s.mu.Lock()
-		s.visit(t.track(tid), descs, view, visit)
+		s.visit(t.track(tid), descs, &view, visit)
 		s.mu.Unlock()
 	}
 }
 
 // spanView is the one SpanEvent a visit hands out again and again, and the
-// backing of its Args (in one allocation, unless an event has more
-// attributes than anything in the repository records).
+// backing of its Args: an identity has at most two float arguments and a
+// string one.
 type spanView struct {
-	ev     SpanEvent
-	args   []Attr
-	inline [4 * inlineAttrs]Attr
-}
-
-func newSpanView() *spanView {
-	v := &spanView{}
-	v.args = v.inline[:0]
-	return v
+	ev   SpanEvent
+	args [3]Attr
 }
 
 // descriptors returns the interned identities. Descriptors are immutable
@@ -485,49 +430,31 @@ func (t *Tracer) track(tid int) int {
 	return tid
 }
 
-// visit expands the shard's complete and instant events one at a time into
-// v and hands each to fn: generic events first, then interned ones, each
-// kind in recording order. Caller holds s.mu.
+// visit expands the shard's complete and instant events, in recording
+// order, one at a time into v and hands each to fn. Caller holds s.mu.
 func (s *shard) visit(track int, descs []spanDesc, v *spanView, fn func(SpanRef, *SpanEvent)) {
-	s.events.Runs(func(run []event) {
-		for i := range run {
-			if e := &run[i]; readBack(e.ph) {
-				v.args = e.appendArgs(v.args[:0])
-				v.ev = e.span(track, v.args)
-				fn(NoRef, &v.ev)
-			}
-		}
-	})
 	s.fast.Runs(func(run []fastEvent) {
 		for i := range run {
 			if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
 				d := &descs[fe.ref]
-				v.args = fe.appendArgs(v.args[:0], d)
-				v.ev = fe.span(track, d, v.args)
+				v.ev = fe.span(track, d, fe.appendArgs(v.args[:0], d))
 				fn(fe.ref, &v.ev)
 			}
 		}
 	})
 }
 
-// appendArgs appends the event's attributes to dst.
-func (e *event) appendArgs(dst []Attr) []Attr {
-	return append(append(dst, e.attrs[:e.nattr]...), e.extra...)
-}
-
-// span is the event's read-back view on track, with args as its Args.
-func (e *event) span(track int, args []Attr) SpanEvent {
-	return SpanEvent{Track: track, Category: e.cat, Name: e.name,
-		StartS: e.startS, DurS: e.durS, Instant: e.ph == phaseInstant, Args: args}
-}
-
-// appendArgs appends the event's values to dst under its identity's keys.
+// appendArgs appends the event's values to dst under its identity's keys,
+// then the identity's constant string.
 func (fe *fastEvent) appendArgs(dst []Attr, d *spanDesc) []Attr {
 	if d.nkeys > 0 {
 		dst = append(dst, Float(d.keys[0], fe.v0))
 	}
 	if d.nkeys > 1 {
 		dst = append(dst, Float(d.keys[1], fe.v1))
+	}
+	if d.labeled {
+		dst = append(dst, String(d.label, d.value))
 	}
 	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	tr.Complete(0, "function", "momentum", 0, 1)
-	tr.Instant(0, "freq", "clock-change", 0.5)
-	tr.Counter(0, "gpu", 0.5, Float("power_w", 250))
+	tr.RecordSpan(0, "function", "momentum", 0, 1)
+	ref := tr.InternWith("freq", "clock-change", "cause", "x", "mhz")
+	tr.InstantRef(0, ref, 0.5, 1005, 0)
+	tr.CounterRef(0, tr.Intern("", "gpu", "power_w"), 0.5, 250, 0)
 	tr.SetTrackName(0, "rank 0")
 	if tr.Len() != 0 {
 		t.Fatalf("nil tracer Len = %d", tr.Len())
@@ -33,11 +35,11 @@ func TestTracerChromeJSON(t *testing.T) {
 	tr := NewTracer(2)
 	tr.SetTrackName(0, "rank 0")
 	tr.SetTrackName(GlobalTrack, "sim")
-	tr.Complete(0, "function", "momentumEnergy", 1.0, 0.5, Int("clock_mhz", 1410))
-	tr.Complete(1, "kernel", "iadKernel", 1.0, 0.25)
-	tr.Instant(0, "freq", "freq-change", 1.2, Int("mhz", 1005))
-	tr.Counter(0, "gpu", 1.3, Float("power_w", 300))
-	tr.Complete(GlobalTrack, "step", "step 0", 0, 2)
+	tr.CompleteRef(0, tr.Intern("function", "momentumEnergy", "clock_mhz"), 1.0, 0.5, 1410, 0)
+	tr.RecordSpan(1, "kernel", "iadKernel", 1.0, 0.25)
+	tr.InstantRef(0, tr.InternWith("freq", "freq-change", "cause", "strategy", "mhz"), 1.2, 1005, 0)
+	tr.CounterRef(0, tr.Intern("", "gpu", "power_w"), 1.3, 300, 0)
+	tr.CompleteRef(GlobalTrack, tr.Intern("step", "step 0"), 0, 2, 0, 0)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -67,8 +69,11 @@ func TestTracerChromeJSON(t *testing.T) {
 	if args["clock_mhz"].(float64) != 1410 {
 		t.Errorf("span args = %v", args)
 	}
-	if byName["freq-change"]["ph"] != "i" {
-		t.Errorf("instant phase = %v", byName["freq-change"]["ph"])
+	if fc := byName["freq-change"]; fc["ph"] != "i" || !reflect.DeepEqual(fc["args"], map[string]any{"cause": "strategy", "mhz": 1005.0}) {
+		t.Errorf("instant rendered wrong: %v", fc)
+	}
+	if tn := byName["thread_name"]; tn["ph"] != "M" || !reflect.DeepEqual(tn["args"], map[string]any{"name": "sim"}) {
+		t.Errorf("track name rendered wrong: %v", tn)
 	}
 	if byName["gpu"]["ph"] != "C" {
 		t.Errorf("counter phase = %v", byName["gpu"]["ph"])
@@ -84,8 +89,8 @@ func TestTracerChromeJSON(t *testing.T) {
 
 func TestTracerOutOfRangeRankGoesToGlobal(t *testing.T) {
 	tr := NewTracer(1)
-	tr.Complete(99, "x", "overflow", 0, 1)
-	tr.Complete(-5, "x", "negative", 0, 1)
+	tr.RecordSpan(99, "x", "overflow", 0, 1)
+	tr.RecordSpan(-5, "x", "negative", 0, 1)
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -119,6 +124,17 @@ func TestInternedSpans(t *testing.T) {
 	bare := tr.Intern("mpi", "barrier-wait")
 	if bare == kernel {
 		t.Error("distinct identities share a ref")
+	}
+	// A label is part of the identity: same label, same ref; another label,
+	// or none, another ref.
+	labeled := tr.InternWith("mpi", "barrier-wait", "cause", "a")
+	for _, other := range []SpanRef{bare, tr.InternWith("mpi", "barrier-wait", "cause", "b"), tr.InternWith("mpi", "barrier-wait", "reason", "a")} {
+		if other == labeled {
+			t.Errorf("labeled identity shares ref %d with another", labeled)
+		}
+	}
+	if again := tr.InternWith("mpi", "barrier-wait", "cause", "a"); again != labeled {
+		t.Errorf("re-interning a labeled identity gave %d, want %d", again, labeled)
 	}
 	tr.CompleteRef(1, kernel, 1.5, 0.25, 1005, 3.5)
 	tr.InstantRef(0, bare, 2.0, 0, 0)
@@ -183,22 +199,23 @@ func TestInternNilTracer(t *testing.T) {
 	ref := tr.Intern("a", "b", "k")
 	tr.CompleteRef(0, ref, 0, 1, 2, 3) // must not panic
 	tr.InstantRef(0, ref, 0, 0, 0)
+	tr.CounterRef(0, tr.InternWith("a", "b", "c", "d"), 0, 0, 0)
 }
 
 func TestSpansReadBack(t *testing.T) {
 	tr := NewTracer(2)
 	kernel := tr.Intern("kernel", "densityKernel", "clock_mhz", "energy_j")
 	tr.CompleteRef(1, kernel, 1.5, 0.25, 1005, 3.5)
-	tr.Complete(0, "function", "Domain::sync", 0.5, 0.4,
-		Float("gpu_j", 12), Float("comm_s", 0.1))
-	tr.Instant(0, "comm", "barrier-wait", 2.0)
-	tr.Complete(GlobalTrack, "step", "step 0", 0, 3)
-	tr.Counter(0, "clock", 1.0, Float("mhz", 1410)) // must be skipped
-	tr.SetTrackName(0, "rank 0")                    // must be skipped
+	tr.CompleteRef(0, tr.Intern("function", "Domain::sync", "gpu_j", "comm_s"), 0.5, 0.4, 12, 0.1)
+	tr.InstantRef(0, tr.Intern("comm", "barrier-wait"), 2.0, 0, 0)
+	tr.InstantRef(0, tr.InternWith("freq", "freq-change", "cause", "strategy", "mhz"), 2.5, 1005, 0)
+	tr.CompleteRef(GlobalTrack, tr.Intern("step", "step 0"), 0, 3, 0, 0)
+	tr.CounterRef(0, tr.Intern("", "clock", "mhz"), 1.0, 1410, 0) // must be skipped
+	tr.SetTrackName(0, "rank 0")                                  // must be skipped
 
 	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("spans = %d, want 4 (counter/meta skipped)", len(spans))
+	if len(spans) != 5 {
+		t.Fatalf("spans = %d, want 5 (counter/meta skipped)", len(spans))
 	}
 	byName := map[string]SpanEvent{}
 	for _, s := range spans {
@@ -224,6 +241,10 @@ func TestSpansReadBack(t *testing.T) {
 	if !byName["barrier-wait"].Instant {
 		t.Error("instant flag lost")
 	}
+	// A label reads back after the float arguments, as a string.
+	if fc := byName["freq-change"]; !reflect.DeepEqual(fc.Args, []Attr{Float("mhz", 1005), String("cause", "strategy")}) {
+		t.Errorf("freq-change args = %+v", fc.Args)
+	}
 	if byName["step 0"].Track != GlobalTrack {
 		t.Errorf("global span track = %d", byName["step 0"].Track)
 	}
@@ -235,10 +256,10 @@ func TestSpansReadBack(t *testing.T) {
 }
 
 // TestVisitSpansMatchesSpans walks a tracer whose shards span several
-// blocks, with interned and by-name events, instants, many-argument events
-// and the records Spans skips: the visitor sees exactly Spans' events in
-// Spans' order, reports each interned event's ref (one per identity) and
-// NoRef for the rest, and reuses its view between calls.
+// blocks, with interned, labeled and by-name events, instants and the
+// records Spans skips: the visitor sees exactly Spans' events in Spans'
+// order, reports each event's ref (one per identity), and reuses its view
+// between calls.
 func TestVisitSpansMatchesSpans(t *testing.T) {
 	tr := NewTracer(3)
 	refs := []SpanRef{
@@ -251,13 +272,14 @@ func TestVisitSpansMatchesSpans(t *testing.T) {
 		tr.CompleteRef(rank, refs[i%3], float64(i), 0.5, float64(i), 2*float64(i))
 		switch i % 5 {
 		case 0:
-			tr.Complete(rank, "step", "by name", float64(i), 1, Int("a", i), Float("b", 0.5), String("c", "x"), Int("d", 4))
+			tr.RecordSpan(rank, "step", "by name", float64(i), 1)
 		case 1:
-			tr.Instant(rank, "freq", "freq-change", float64(i), Int("mhz", 1005))
+			cause := []string{"strategy", "governor"}[i%2]
+			tr.InstantRef(rank, tr.InternWith("freq", "freq-change", "cause", cause, "mhz"), float64(i), 1005, 0)
 		case 2:
 			tr.InstantRef(rank, refs[2], float64(i), 0, 0)
 		case 3:
-			tr.Counter(rank, "clock", float64(i), Float("mhz", 1410))
+			tr.CounterRef(rank, tr.Intern("", "clock", "mhz"), float64(i), 1410, 0)
 		}
 	}
 	tr.SetTrackName(0, "rank 0")
@@ -285,33 +307,89 @@ func TestVisitSpansMatchesSpans(t *testing.T) {
 			t.Fatalf("event %d: visited %+v, Spans has %+v", i, got[i], want[i])
 		}
 		ref, id := gotRefs[i], want[i].Category+"/"+want[i].Name
+		if a := want[i].Args; len(a) > 0 && a[len(a)-1].kind == attrString {
+			id += "/" + a[len(a)-1].s
+		}
 		switch {
-		case want[i].Name == "by name" || want[i].Name == "freq-change":
-			if ref != NoRef {
-				t.Fatalf("event %d (%s) recorded by name carries ref %d", i, id, ref)
-			}
 		case ref == NoRef:
-			t.Fatalf("event %d (%s) is interned but carries NoRef", i, id)
+			t.Fatalf("event %d (%s) carries NoRef", i, id)
 		case identity[ref] == "":
 			identity[ref] = id
 		case identity[ref] != id:
 			t.Fatalf("ref %d names both %s and %s", ref, identity[ref], id)
 		}
 	}
-	if len(identity) != len(refs) {
-		t.Errorf("saw %d interned identities, recorded %d", len(identity), len(refs))
+	// The three interned, the by-name span and two freq-change causes.
+	if len(identity) != len(refs)+3 {
+		t.Errorf("saw %d identities, recorded %d", len(identity), len(refs)+3)
 	}
 	var nilT *Tracer
 	nilT.VisitSpans(func(SpanRef, *SpanEvent) { t.Error("a nil tracer visited an event") })
 }
 
+// TestTrackExportsInRecordingOrder records every phase, labeled and not,
+// interleaved on one track: the export and the read-back keep the order
+// they were recorded in.
+func TestTrackExportsInRecordingOrder(t *testing.T) {
+	tr := NewTracer(1)
+	fn := tr.Intern("function", "momentum", "gpu_j", "comm_s")
+	clock := tr.Intern("", "gpu_clock_mhz", "mhz")
+	var want []string
+	for i := 0; i < 2*pieceEvents; i++ {
+		ts := float64(i)
+		switch i % 5 {
+		case 0:
+			tr.RecordSpan(0, "mpi", "wait", ts, 0.5)
+			want = append(want, "wait")
+		case 1:
+			tr.CompleteRef(0, fn, ts, 0.5, 1, 2)
+			want = append(want, "momentum")
+		case 2:
+			tr.InstantRef(0, tr.InternWith("freq", "freq-change", "cause", "strategy", "mhz"), ts, 1005, 0)
+			want = append(want, "freq-change")
+		case 3:
+			tr.CounterRef(0, clock, ts, 1410, 0)
+			want = append(want, "gpu_clock_mhz")
+		case 4:
+			tr.CompleteRef(0, tr.Intern("step", "step "+strconv.Itoa(i), "energy_j"), ts, 1, 3, 0)
+			want = append(want, "step "+strconv.Itoa(i))
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		got = append(got, e.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exported order:\n got %v\nwant %v", got, want)
+	}
+	got = got[:0]
+	for _, sp := range tr.Spans() {
+		got = append(got, sp.Name)
+	}
+	var spans []string
+	for _, n := range want {
+		if n != "gpu_clock_mhz" {
+			spans = append(spans, n)
+		}
+	}
+	if !reflect.DeepEqual(got, spans) {
+		t.Errorf("read-back order:\n got %v\nwant %v", got, spans)
+	}
+}
+
 func TestAttrValue(t *testing.T) {
-	if v := String("k", "x").Value(); v != "x" {
-		t.Errorf("string Value = %v", v)
-	}
-	if v := Int("k", 3).Value(); v != int64(3) {
-		t.Errorf("int Value = %v", v)
-	}
 	if v := Float("k", 2.5).Float64(); v != 2.5 {
 		t.Errorf("float Float64 = %v", v)
 	}

@@ -182,10 +182,10 @@ func scannerSeeds() []string {
 	tr.SetTrackName(0, "rank 0")
 	ref := tr.Intern("kernel", "density <fast> & \"quoted\"", "clock_mhz", "energy_j")
 	tr.CompleteRef(0, ref, 1.5, 0.25, 1005, 3.5e-9)
-	tr.Complete(1, "function", "日本語\u2028\\\x01", 2, 1e-9, telemetry.String("s", "a\"b"), telemetry.Int("i", -3), telemetry.Float("f", 1e22))
-	tr.Instant(0, "freq", "freq-change", 1.2, telemetry.Int("mhz", 1005))
-	tr.Counter(0, "gpu_power_w", 1.3, telemetry.Float("watts", 300))
-	tr.Complete(telemetry.GlobalTrack, "step", "step 0", 0, 2)
+	tr.CompleteRef(1, tr.InternWith("function", "日本語\u2028\\\x01", "s", "a\"b", "i", "f"), 2, 1e-9, -3, 1e22)
+	tr.InstantRef(0, tr.InternWith("freq", "freq-change", "cause", "strategy", "mhz"), 1.2, 1005, 0)
+	tr.CounterRef(0, tr.Intern("", "gpu_power_w", "watts"), 1.3, 300, 0)
+	tr.RecordSpan(telemetry.GlobalTrack, "step", "step 0", 0, 2)
 	tr.SetTrackName(telemetry.GlobalTrack, "sim")
 	var exported bytes.Buffer
 	if err := tr.WriteJSON(&exported); err != nil {

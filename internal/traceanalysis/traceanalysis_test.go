@@ -92,7 +92,7 @@ func TestAnalyzeJSONRoundTrip(t *testing.T) {
 		if track == GlobalRank {
 			track = telemetry.GlobalTrack
 		}
-		tr.Complete(track, s.Cat, s.Name, s.StartS, s.DurS)
+		tr.RecordSpan(track, s.Cat, s.Name, s.StartS, s.DurS)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

@@ -114,7 +114,7 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // EventLedger aliases the structured decision ledger: set Config.Events to
 // record every consequential runtime decision (frequency changes, tuner
-// picks, sampler failovers, rank failures, recovery actions) in a bounded
+// picks, sampler degradation, rank failures, recovery actions) in a bounded
 // ring with JSONL export.
 type EventLedger = events.Ledger
 
