@@ -29,18 +29,13 @@ type RunRecovery struct {
 	Resume     *recovery.Resume
 }
 
-// RecoveryInfo is the Result-level recovery summary.
+// RecoveryInfo is the Result-level recovery summary: how many snapshots
+// this attempt wrote, and the newest one's path. The restore a run started
+// from is in recovery.Outcome; why it stopped early is
+// Controller.StopCause.
 type RecoveryInfo struct {
-	// Resumed/ResumeStep describe the restore this run started from.
-	Resumed    bool
-	ResumeStep int
-	// Checkpoints is how many snapshots this attempt wrote; LastCheckpoint
-	// is the newest one's path.
 	Checkpoints    int
 	LastCheckpoint string
-	// Stopped/StopCause describe a graceful early stop (budget or signal).
-	Stopped   bool
-	StopCause string
 }
 
 // checkpointLayout guards the gob payload layout, separately from the

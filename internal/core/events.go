@@ -115,13 +115,6 @@ func (re *runEvents) endRun(timeS float64) {
 	re.led.EndRun(timeS)
 }
 
-func (re *runEvents) summary() *events.Summary {
-	if re == nil {
-		return nil
-	}
-	return re.led.Summary()
-}
-
 // instrumentRank forwards the resilient setter's event stream — retries,
 // absorbs, clamps, breaker trips — into the ledger when fault wiring
 // installed one. Must run after fs.wireRank, so the resilient setter exists

@@ -96,17 +96,16 @@ func (fs *faultState) sensorHook(r int, dev *gpusim.Device) func(string, int) (i
 }
 
 // wireRank installs the clock-path fault hook underneath rank r's setter
-// and wraps it in the resilience layer, whose backoff jitter is seeded per
-// rank from the run's seed. Must run before the rank's clock tap is
-// installed, so the tap sees the resilient semantics.
-func (fs *faultState) wireRank(rc *rankCtx, r int, cfg Config) {
+// and wraps it in the resilience layer. Must run before the rank's clock
+// tap is installed, so the tap sees the resilient semantics.
+func (fs *faultState) wireRank(rc *rankCtx, r int) {
 	if fs == nil {
 		return
 	}
 	if h := fs.clockInj[r].ClockHook(rc.dev.Now); h != nil {
 		freqctl.AttachFaultHook(rc.setter, h)
 	}
-	rs := freqctl.NewResilientSetter(rc.setter, cfg.Seed^(uint64(r+1)*0x9E3779B97F4A7C15))
+	rs := freqctl.NewResilientSetter(rc.setter)
 	fs.resilient = append(fs.resilient, rs)
 	rc.setter = rs
 }

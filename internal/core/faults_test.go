@@ -89,9 +89,9 @@ func TestSetupFailureStillResetsClocks(t *testing.T) {
 	if res.Sampler == nil {
 		t.Fatal("partial result must carry the sampler")
 	}
-	for _, st := range res.Sampler.Stats() {
+	for i, st := range res.Sampler.Stats() {
 		if st.Ticks == 0 {
-			t.Errorf("sampler channel %s never flushed", st.Name)
+			t.Errorf("sampler channel %d (rank %d) never flushed", i, st.Rank)
 		}
 	}
 }
@@ -129,11 +129,11 @@ func TestRankCrashAbortPolicy(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "rank 2 failed at step 1") {
 		t.Fatalf("err = %v, want abort on rank 2 at step 1", err)
 	}
-	if len(res.Failures) != 1 || res.Failures[0].Rank != 2 || res.Failures[0].Step != 1 {
-		t.Fatalf("failures = %+v", res.Failures)
-	}
 	if res.Faults == nil || len(res.Faults.Failures) != 1 {
 		t.Fatalf("fault report = %+v", res.Faults)
+	}
+	if f := res.Faults.Failures[0]; f.Rank != 2 || f.Step != 1 {
+		t.Fatalf("failures = %+v", res.Faults.Failures)
 	}
 	// Abort is an error path: clocks must be released to the governor.
 	assertClocksReleased(t, res)
@@ -154,8 +154,8 @@ func TestRankCrashDropAndRedistribute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drop-rank run failed: %v", err)
 	}
-	if len(dres.Failures) != 1 || dres.Failures[0].Rank != 2 {
-		t.Fatalf("drop failures = %+v", dres.Failures)
+	if len(dres.Faults.Failures) != 1 || dres.Faults.Failures[0].Rank != 2 {
+		t.Fatalf("drop failures = %+v", dres.Faults.Failures)
 	}
 	if dres.Report.Faults == nil || dres.Report.Faults.Degradation != DegradeDropRank {
 		t.Fatalf("report fault summary = %+v", dres.Report.Faults)
@@ -355,7 +355,7 @@ func chaosSummary(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attribution == nil || res.Events == nil {
+	if res.Attribution == nil || cfg.Events == nil {
 		t.Fatal("no attribution or ledger summary produced")
 	}
 	if !res.Attribution.Pass {
@@ -367,8 +367,8 @@ func chaosSummary(t *testing.T, cfg Config) string {
 		"energy_j": res.EnergyJ(),
 		"faults":   res.Faults,
 		"kernels":  res.Attribution.Kernels,
-		"failures": res.Failures,
-		"events":   res.Events.ByType,
+		"failures": res.Faults.Failures,
+		"events":   cfg.Events.Summary().ByType,
 	})
 	if err != nil {
 		t.Fatal(err)

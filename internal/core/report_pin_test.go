@@ -61,10 +61,10 @@ func TestReportJSONPinned(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if c.cfg.Faults != nil {
-			if len(res.Failures) != 1 {
-				t.Fatalf("%s: plan inert: failures %+v", c.name, res.Failures)
+			if len(res.Faults.Failures) != 1 {
+				t.Fatalf("%s: plan inert: failures %+v", c.name, res.Faults.Failures)
 			}
-			dead := res.Report.Ranks[res.Failures[0].Rank]
+			dead := res.Report.Ranks[res.Faults.Failures[0].Rank]
 			if names := dead.FunctionNames(); len(names) == len(res.Report.Ranks[0].FunctionNames()) &&
 				dead.Get(FnUpdate).Calls >= res.Report.Ranks[0].Get(FnUpdate).Calls {
 				t.Fatalf("%s: dead rank %d recorded as much as a live one: %v", c.name, dead.Rank, names)

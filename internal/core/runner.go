@@ -200,9 +200,8 @@ type Result struct {
 	// Trace is rank 0's frequency/power trace, non-nil when Config.Trace
 	// was set.
 	Trace *gpusim.Trace
-	// SetupTimeS and SetupEnergyJ cover the pre-loop job phase; only Slurm
-	// accounting sees them (Report covers the instrumented loop only).
-	SetupTimeS   float64
+	// SetupEnergyJ covers the pre-loop job phase (Config.SetupS); only
+	// Slurm accounting sees it (Report covers the instrumented loop only).
 	SetupEnergyJ float64
 	// StepBoundariesS records the virtual time at the end of each step, for
 	// trace alignment (Fig. 9's 10-step window).
@@ -214,15 +213,9 @@ type Result struct {
 	// accounting (also attached to Report); non-nil when both Sampling and
 	// a Tracer were configured.
 	Attribution *attrib.Attribution
-	// Failures lists injected rank deaths handled by the degradation
-	// policy (empty on healthy runs and under DegradeAbort, which errors).
-	Failures []RankFailure
-	// Faults summarizes injections and resilience actions; nil when no
-	// plan was configured.
+	// Faults summarizes injections, rank deaths and resilience actions;
+	// nil when no plan was configured.
 	Faults *FaultReport
-	// Events is the decision-ledger roll-up (emitted/dropped counts per
-	// type); nil when Config.Events was unset.
-	Events *events.Summary
 	// Recovery summarizes checkpoint/restore activity; nil when
 	// Config.Recovery was unset.
 	Recovery *RecoveryInfo
@@ -250,7 +243,6 @@ type phase struct {
 
 // rankCtx is the per-rank execution context.
 type rankCtx struct {
-	node     *cluster.Node
 	dev      *gpusim.Device
 	setter   freqctl.Setter
 	strategy freqctl.Strategy
@@ -294,7 +286,7 @@ func Run(cfg Config) (*Result, error) {
 
 	ranks := make([]*rankCtx, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
-		node, dev, err := system.DeviceForRank(r)
+		_, dev, err := system.DeviceForRank(r)
 		if err != nil {
 			return nil, err
 		}
@@ -303,14 +295,13 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		rc := &rankCtx{
-			node:     node,
 			dev:      dev,
 			setter:   setter,
 			strategy: cfg.NewStrategy(),
 			profile:  instr.NewRankProfile(r),
 		}
 		rc.sensor = faultedSensorFor(dev, fs.sensorHook(r, dev))
-		fs.wireRank(rc, r, cfg)
+		fs.wireRank(rc, r)
 		re.instrumentRank(rc, r)
 		rt.instrumentRank(rc, r)
 		if rt != nil || re != nil {
@@ -370,9 +361,8 @@ func Run(cfg Config) (*Result, error) {
 			smp.PollAll()
 		}
 		re.endRun(world.MaxClock())
-		res := &Result{System: system, Sampler: smp, Events: re.summary()}
+		res := &Result{System: system, Sampler: smp}
 		if fs != nil {
-			res.Failures = fs.failures
 			res.Faults = fs.report(smp, cfg.Metrics)
 		}
 		return res, err
@@ -692,14 +682,11 @@ func Run(cfg Config) (*Result, error) {
 		WallTimeS:       wall,
 		Trace:           trace,
 		StepBoundariesS: stepBounds,
-		SetupTimeS:      cfg.SetupS,
 		SetupEnergyJ:    setup.Total,
 		Sampler:         smp,
 		Attribution:     attribution,
-		Events:          re.summary(),
 	}
 	if fs != nil {
-		res.Failures = fs.failures
 		res.Faults = fs.report(smp, cfg.Metrics)
 		report.Faults = res.Faults
 	}
@@ -711,17 +698,7 @@ func Run(cfg Config) (*Result, error) {
 				wall, snapshotAt(len(stepBounds)))
 		}
 		n, last := rcv.Controller.Saves()
-		info := &RecoveryInfo{
-			Checkpoints:    n,
-			LastCheckpoint: last,
-			Stopped:        stopped,
-			StopCause:      rcv.Controller.StopCause(),
-		}
-		if rcv.Resume != nil {
-			info.Resumed = true
-			info.ResumeStep = rcv.Resume.Snapshot.Meta.Step
-		}
-		res.Recovery = info
+		res.Recovery = &RecoveryInfo{Checkpoints: n, LastCheckpoint: last}
 	}
 	return res, nil
 }

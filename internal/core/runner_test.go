@@ -192,9 +192,6 @@ func TestSetupPhaseAccounting(t *testing.T) {
 	if rel > 0.02 {
 		t.Errorf("setup leaked into loop accounting: %.2f%% difference", 100*rel)
 	}
-	if withSetup.SetupTimeS != 30 {
-		t.Errorf("setup time %v", withSetup.SetupTimeS)
-	}
 }
 
 func TestStrategyAffectsOutcome(t *testing.T) {

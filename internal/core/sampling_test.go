@@ -143,7 +143,12 @@ func TestSamplingExposesLiveMetrics(t *testing.T) {
 	}
 	// The rank channels' accumulated energy must track the loop GPU energy.
 	gpuJ := res.Report.GPUEnergyJ
-	sampJ := res.Sampler.RankAccumJ()
+	sampJ := 0.0
+	for _, ch := range res.Sampler.Channels() {
+		if ch.Stats().Rank >= 0 {
+			sampJ += ch.AccumJ()
+		}
+	}
 	if gpuJ <= 0 || math.Abs(sampJ-gpuJ)/gpuJ > 0.02 {
 		t.Fatalf("sampled GPU energy %g vs report %g (>2%% apart)", sampJ, gpuJ)
 	}

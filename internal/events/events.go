@@ -1,9 +1,9 @@
 // Package events is the run's decision ledger: a bounded in-memory ring of
 // typed, sequence-numbered records for every consequential runtime decision
 // — frequency requests and outcomes, resilient-setter actions, tuner sweep
-// and cache choices, sampler degradation transitions, neighbor-list
-// rebuild/refresh triggers, rank failures — exported as JSONL into the run
-// bundle's events.jsonl and read back by ReadJSONL.
+// and cache choices, sampler degradation transitions, rank failures,
+// checkpoint and restart actions — exported as JSONL into the run bundle's
+// events.jsonl and read back by ReadJSONL.
 //
 // The ledger exists to make frequency control explainable after the fact:
 // each frequency event carries the model's *predicted* time/energy/EDP at

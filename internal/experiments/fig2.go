@@ -27,7 +27,6 @@ type Fig2Row struct {
 // Fig2Data is the per-function best-EDP frequency table of Fig. 2.
 type Fig2Data struct {
 	Rows           []Fig2Row
-	Spec           gpusim.Spec
 	MinMHz, MaxMHz int
 }
 
@@ -36,7 +35,7 @@ type Fig2Data struct {
 // single A100, optimizing EDP over 1005–1410 MHz (§III-C).
 func Fig2(scale float64) (*Fig2Data, error) {
 	spec := gpusim.A100PCIE40GB()
-	d := &Fig2Data{Spec: spec, MinMHz: 1005, MaxMHz: 1410}
+	d := &Fig2Data{MinMHz: 1005, MaxMHz: 1410}
 	cfg := tuner.Config{
 		Spec:      spec,
 		Params:    tuner.Params{MinMHz: d.MinMHz, MaxMHz: d.MaxMHz},

@@ -18,9 +18,8 @@ var fig6Sizes = []int{200, 250, 300, 350, 400, 450}
 
 // Fig6Point is one (size, frequency) cell: EDP normalized to 1410 MHz.
 type Fig6Point struct {
-	MHz      int
-	EDPNorm  float64
-	TimeNorm float64
+	MHz     int
+	EDPNorm float64
 }
 
 // Fig6Series is the frequency sweep of one problem size.
@@ -42,10 +41,9 @@ func Fig6(scale float64) (*Fig6Data, error) {
 	d := &Fig6Data{}
 	nsteps := steps(scale)
 	// One task per (size, clock) cell, size-major: what a run leaves behind
-	// is its GPU EDP and wall time.
-	type cell struct{ edp, timeS float64 }
+	// is its GPU EDP.
 	nf := len(fig6Freqs)
-	cells, err := runEach(len(fig6Sizes)*nf, func(i int) (cell, error) {
+	edps, err := runEach(len(fig6Sizes)*nf, func(i int) (float64, error) {
 		nside, mhz := float64(fig6Sizes[i/nf]), fig6Freqs[i%nf]
 		res, err := core.Run(core.Config{
 			System:           cluster.MiniHPC(),
@@ -56,23 +54,19 @@ func Fig6(scale float64) (*Fig6Data, error) {
 			NewStrategy:      func() freqctl.Strategy { return freqctl.Static{MHz: mhz} },
 		})
 		if err != nil {
-			return cell{}, err
+			return 0, err
 		}
-		return cell{res.GPUEDP(), res.WallTimeS}, nil
+		return res.GPUEDP(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for si, nside := range fig6Sizes {
 		series := Fig6Series{NSide: nside}
-		row := cells[si*nf : (si+1)*nf]
+		row := edps[si*nf : (si+1)*nf]
 		base := row[0] // fig6Freqs[0] is the 1410 MHz reference
-		for fi, c := range row {
-			series.Points = append(series.Points, Fig6Point{
-				MHz:      fig6Freqs[fi],
-				EDPNorm:  c.edp / base.edp,
-				TimeNorm: c.timeS / base.timeS,
-			})
+		for fi, edp := range row {
+			series.Points = append(series.Points, Fig6Point{MHz: fig6Freqs[fi], EDPNorm: edp / base})
 		}
 		best := series.Points[0]
 		for _, p := range series.Points[1:] {

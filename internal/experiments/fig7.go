@@ -26,9 +26,6 @@ type Fig7Row struct {
 // single A100.
 type Fig7Data struct {
 	Rows []Fig7Row
-	// ManDynTable is the tuned per-function frequency table used (from the
-	// Fig. 2 tuning pass).
-	ManDynTable map[string]int
 }
 
 // Fig7 runs the strategy comparison. The ManDyn table comes from the same
@@ -39,7 +36,7 @@ func Fig7(scale float64) (*Fig7Data, error) {
 		return nil, err
 	}
 	table := tuned.Table()
-	d := &Fig7Data{ManDynTable: table}
+	d := &Fig7Data{}
 
 	cfgs := []namedStrategy{{"baseline-1410", func() freqctl.Strategy { return freqctl.Baseline{} }}}
 	for _, mhz := range []int{1380, 1335, 1275, 1230, 1170, 1110, 1050, 1005} {

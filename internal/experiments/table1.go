@@ -5,13 +5,11 @@ import (
 	"strings"
 
 	"sphenergy/internal/cluster"
-	"sphenergy/internal/core"
 )
 
 // SimulationParams is one row of Table I's simulation half.
 type SimulationParams struct {
 	Name            string
-	Kind            core.SimKind
 	ParticleCountsB []float64 // total particle counts in billions (-n)
 	Steps           int       // -s
 	ParticlesPerGPU float64
@@ -32,14 +30,12 @@ func TableI() *TableIData {
 		Simulations: []SimulationParams{
 			{
 				Name:            "Subsonic Turbulence",
-				Kind:            core.Turbulence,
 				ParticleCountsB: []float64{0.6, 1.2, 2.4, 4.9, 7.4, 9.2, 14.7},
 				Steps:           100,
 				ParticlesPerGPU: 150e6,
 			},
 			{
 				Name:            "Evrard Collapse",
-				Kind:            core.Evrard,
 				ParticleCountsB: []float64{0.6, 1.2, 2.4, 3.2, 4.8, 7.7},
 				Steps:           100,
 				ParticlesPerGPU: 80e6,

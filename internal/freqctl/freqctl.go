@@ -208,11 +208,6 @@ type ManDyn struct {
 // Name implements Strategy.
 func (m *ManDyn) Name() string { return "mandyn" }
 
-// LastApplied returns the clock most recently reported applied by the
-// setter — the achieved frequency, which under clamping differs from the
-// table entry.
-func (m *ManDyn) LastApplied() int { return m.last }
-
 // Setup implements Strategy.
 func (m *ManDyn) Setup(s Setter) error {
 	m.lastReq, m.last = 0, 0

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"sphenergy/internal/rng"
 )
 
 // The one retry and breaker policy every ResilientSetter runs.
@@ -13,9 +11,6 @@ const (
 	// resilientRetries is how many times a failed operation is retried
 	// before it is absorbed: up to 3 attempts.
 	resilientRetries = 2
-	// resilientBackoffS is the base (virtual-time) backoff before the first
-	// retry; it doubles per retry with deterministic jitter.
-	resilientBackoffS = 1e-3
 	// breakerThreshold is the number of consecutive exhausted failures that
 	// latches the circuit breaker to the device's maximum application clock
 	// (the paper's baseline — energy-suboptimal but never
@@ -25,8 +20,6 @@ const (
 
 // ResilienceStats is a snapshot of a ResilientSetter's counters.
 type ResilienceStats struct {
-	// Sets counts successful clock applications.
-	Sets uint64
 	// Retries counts re-attempts after a failed operation.
 	Retries uint64
 	// Absorbed counts operations that exhausted their retries and were
@@ -39,8 +32,6 @@ type ResilienceStats struct {
 	ShortCircuits uint64
 	// BreakerTrips counts breaker latch events (at most 1 per run today).
 	BreakerTrips uint64
-	// BackoffS is the total virtual-time backoff delay accrued.
-	BackoffS float64
 	// Broken reports whether the breaker is currently latched.
 	Broken bool
 	// LastApplied is the most recent clock known to be applied (0 before
@@ -53,8 +44,9 @@ type ResilienceStats struct {
 // routinely reject or clamp user clock requests):
 //
 //   - requests are validated (positive MHz only);
-//   - failed operations are retried with exponential backoff and
-//     deterministic jitter, at most resilientRetries times;
+//   - failed operations are retried at once, at most resilientRetries
+//     times (the run's clock is virtual and advances only through device
+//     activity, so there is nothing to wait out);
 //   - exhausted failures are absorbed, not propagated — the run continues
 //     on the previous clock and the failure is counted, because a missed
 //     frequency switch costs some energy while an aborted simulation
@@ -71,15 +63,8 @@ type ResilientSetter struct {
 	// OnEvent, when set, observes retries/absorbs/trips for telemetry.
 	OnEvent func(ev ResilientEvent)
 
-	// seed drives the jitter stream; setters with equal seeds back off
-	// identically, preserving bit-identical chaos runs.
-	seed uint64
-	once sync.Once
-
 	mu     sync.Mutex
-	jit    *rng.Rand
 	consec int
-	broken bool
 	stats  ResilienceStats
 }
 
@@ -96,15 +81,9 @@ type ResilientEvent struct {
 	Err error
 }
 
-// NewResilientSetter wraps inner, seeding the backoff jitter with seed.
-func NewResilientSetter(inner Setter, seed uint64) *ResilientSetter {
-	return &ResilientSetter{Inner: inner, seed: seed}
-}
-
-func (r *ResilientSetter) init() {
-	r.once.Do(func() {
-		r.jit = rng.New(r.seed ^ 0xDEC1C1B0)
-	})
+// NewResilientSetter wraps inner.
+func NewResilientSetter(inner Setter) *ResilientSetter {
+	return &ResilientSetter{Inner: inner}
 }
 
 func (r *ResilientSetter) emit(ev ResilientEvent) {
@@ -132,13 +111,12 @@ func ValidMHz(mhz float64) (int, error) {
 // device. An absorbed failure returns the last applied clock and no error;
 // callers needing the failure count read Stats().
 func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
-	r.init()
 	if _, err := ValidMHz(float64(mhz)); err != nil {
 		return 0, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.broken {
+	if r.stats.Broken {
 		r.stats.ShortCircuits++
 		r.emit(ResilientEvent{Kind: "short-circuit", Op: "set", MHz: mhz})
 		return r.stats.LastApplied, nil
@@ -150,7 +128,6 @@ func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
 		return r.absorb("set", mhz, err), nil
 	}
 	r.consec = 0
-	r.stats.Sets++
 	r.stats.LastApplied = applied
 	if applied != mhz {
 		r.stats.Clamped++
@@ -159,23 +136,13 @@ func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
 	return applied, nil
 }
 
-// attempt runs op with bounded retries and exponential backoff +
-// deterministic jitter. Caller holds r.mu.
+// attempt runs op with bounded, back-to-back retries. Caller holds r.mu.
 func (r *ResilientSetter) attempt(op string, mhz int, f func() (int, error)) (int, error) {
-	delay := resilientBackoffS
-	var applied int
-	var err error
 	for try := 0; ; try++ {
-		applied, err = f()
+		applied, err := f()
 		if err == nil || try >= resilientRetries {
 			return applied, err
 		}
-		// Jittered exponential backoff in virtual time: the delay is
-		// accounted (Stats().BackoffS) rather than slept, since the
-		// simulation clock only advances through device activity.
-		d := delay * (1 + 0.5*r.jit.Float64())
-		r.stats.BackoffS += d
-		delay *= 2
 		r.stats.Retries++
 		r.emit(ResilientEvent{Kind: "retry", Op: op, MHz: mhz, Err: err})
 	}
@@ -187,8 +154,7 @@ func (r *ResilientSetter) absorb(op string, mhz int, err error) int {
 	r.stats.Absorbed++
 	r.consec++
 	r.emit(ResilientEvent{Kind: "absorb", Op: op, MHz: mhz, Err: err})
-	if !r.broken && r.consec >= breakerThreshold {
-		r.broken = true
+	if !r.stats.Broken && r.consec >= breakerThreshold {
 		r.stats.Broken = true
 		r.stats.BreakerTrips++
 		safe := r.Inner.MaxSMClock()
@@ -204,7 +170,6 @@ func (r *ResilientSetter) absorb(op string, mhz int, err error) int {
 
 // ResetClocks implements Setter with the same retry/absorb semantics.
 func (r *ResilientSetter) ResetClocks() error {
-	r.init()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, err := r.attempt("reset", 0, func() (int, error) {
@@ -235,21 +200,10 @@ func (r *ResilientSetter) Stats() ResilienceStats {
 	return r.stats
 }
 
-// Broken reports whether the breaker has latched.
-func (r *ResilientSetter) Broken() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.broken
-}
-
-// ResilientState is a ResilientSetter's checkpointable state: jitter
-// stream position, breaker state, and counters. Inited distinguishes a
-// setter that never performed an operation (jitter stream not yet seeded).
+// ResilientState is a ResilientSetter's checkpointable state: the run of
+// consecutive exhausted failures and the counters, breaker latch included.
 type ResilientState struct {
-	Inited bool
-	RNG    [4]uint64
 	Consec int
-	Broken bool
 	Stats  ResilienceStats
 }
 
@@ -257,28 +211,15 @@ type ResilientState struct {
 func (r *ResilientSetter) State() ResilientState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := ResilientState{Consec: r.consec, Broken: r.broken, Stats: r.stats}
-	if r.jit != nil {
-		st.Inited = true
-		st.RNG = r.jit.State()
-	}
-	return st
+	return ResilientState{Consec: r.consec, Stats: r.stats}
 }
 
 // RestoreState installs a state captured by State. A restored setter
-// retries, backs off, and trips its breaker exactly as the original
-// would have.
+// retries and trips its breaker exactly as the original would have.
 func (r *ResilientSetter) RestoreState(st ResilientState) {
-	if st.Inited {
-		r.init()
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st.Inited {
-		r.jit.SetState(st.RNG)
-	}
 	r.consec = st.Consec
-	r.broken = st.Broken
 	r.stats = st.Stats
 }
 

@@ -66,23 +66,20 @@ var errFlaky = errors.New("flaky")
 
 func TestResilientSetterRetriesThroughTransients(t *testing.T) {
 	inner := &flakySetter{script: []error{errFlaky, errFlaky, nil}}
-	r := NewResilientSetter(inner, 0)
+	r := NewResilientSetter(inner)
 	applied, err := r.SetSMClock(1005)
 	if err != nil || applied != 1005 {
 		t.Fatalf("SetSMClock = (%d, %v), want (1005, nil)", applied, err)
 	}
 	st := r.Stats()
-	if st.Retries != 2 || st.Sets != 1 || st.Absorbed != 0 {
+	if st.Retries != 2 || st.Absorbed != 0 || st.LastApplied != 1005 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if st.BackoffS <= 0 {
-		t.Fatal("no backoff accrued")
 	}
 }
 
 func TestResilientSetterAbsorbsExhaustedFailure(t *testing.T) {
 	inner := &flakySetter{script: []error{nil, errFlaky, errFlaky, errFlaky}}
-	r := NewResilientSetter(inner, 0)
+	r := NewResilientSetter(inner)
 	if _, err := r.SetSMClock(1200); err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +107,13 @@ func TestResilientSetterBreakerLatchesSafeClock(t *testing.T) {
 	}
 	inner := &flakySetter{script: script}
 	safe := inner.MaxSMClock()
-	r := NewResilientSetter(inner, 0)
+	r := NewResilientSetter(inner)
 	for i := 0; i < 3; i++ {
 		if _, err := r.SetSMClock(900); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !r.Broken() {
+	if !r.Stats().Broken {
 		t.Fatal("breaker should be latched after 3 exhausted failures")
 	}
 	if inner.mhz != safe {
@@ -137,7 +134,7 @@ func TestResilientSetterBreakerLatchesSafeClock(t *testing.T) {
 }
 
 func TestResilientSetterRejectsInvalidMHz(t *testing.T) {
-	r := NewResilientSetter(&flakySetter{}, 0)
+	r := NewResilientSetter(&flakySetter{})
 	for _, mhz := range []int{0, -5} {
 		if _, err := r.SetSMClock(mhz); err == nil {
 			t.Errorf("SetSMClock(%d) accepted", mhz)
@@ -156,27 +153,13 @@ func TestResilientSetterRejectsInvalidMHz(t *testing.T) {
 
 func TestResilientSetterVerifiesAchievedClock(t *testing.T) {
 	inner := &flakySetter{clamp: 801}
-	r := NewResilientSetter(inner, 0)
+	r := NewResilientSetter(inner)
 	applied, err := r.SetSMClock(1005)
 	if err != nil || applied != 801 {
 		t.Fatalf("clamped set = (%d, %v), want (801, nil)", applied, err)
 	}
 	if st := r.Stats(); st.Clamped != 1 || st.LastApplied != 801 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestResilientSetterDeterministicBackoff(t *testing.T) {
-	run := func() float64 {
-		inner := &flakySetter{script: []error{errFlaky, errFlaky, nil}}
-		r := NewResilientSetter(inner, 7)
-		if _, err := r.SetSMClock(1005); err != nil {
-			t.Fatal(err)
-		}
-		return r.Stats().BackoffS
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("backoff not deterministic: %v vs %v", a, b)
 	}
 }
 
@@ -198,8 +181,8 @@ func TestManDynConvergesUnderClamp(t *testing.T) {
 	if got := inner.callCount() - setsAfterSetup; got != 1 {
 		t.Fatalf("clamped table clock issued %d sets over 5 applies, want 1", got)
 	}
-	if m.LastApplied() != 801 {
-		t.Fatalf("LastApplied = %d, want achieved 801", m.LastApplied())
+	if _, applied := m.State(); applied != 801 {
+		t.Fatalf("last applied = %d, want achieved 801", applied)
 	}
 	// Switching to another function and back must still re-issue.
 	if err := m.Apply(inner, "other"); err != nil { // default 1410 → clamped 801
@@ -228,7 +211,7 @@ func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
 	if !AttachFaultHook(s, plan.Injector(faults.TargetClock, 0).ClockHook(dev.Now)) {
 		t.Fatal("AttachFaultHook failed on NVML setter")
 	}
-	r := NewResilientSetter(s, 0)
+	r := NewResilientSetter(s)
 	m := &ManDyn{Table: map[string]int{"momentum": 1005}}
 	if err := m.Setup(r); err != nil {
 		t.Fatal(err)
@@ -240,11 +223,12 @@ func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
 	}
 	// 900 is not in the A100 table; the device snaps to the nearest
 	// supported application clock at or below the injector's ceiling.
-	if m.LastApplied() >= 1005 || m.LastApplied() <= 0 {
-		t.Fatalf("LastApplied = %d, want clamped below request", m.LastApplied())
+	_, applied := m.State()
+	if applied >= 1005 || applied <= 0 {
+		t.Fatalf("last applied = %d, want clamped below request", applied)
 	}
-	if dev.SMClockMHz() != m.LastApplied() {
-		t.Fatalf("device at %d MHz but strategy reports %d", dev.SMClockMHz(), m.LastApplied())
+	if dev.SMClockMHz() != applied {
+		t.Fatalf("device at %d MHz but strategy reports %d", dev.SMClockMHz(), applied)
 	}
 	if st := r.Stats(); st.Clamped == 0 {
 		t.Fatalf("clamp not observed: %+v", st)

@@ -180,7 +180,9 @@ type EvrardSpec struct {
 	R     float64 // sphere radius
 	M     float64 // total mass
 	U0    float64 // initial specific internal energy (0.05 GM/R classic)
-	Seed  uint64
+	// Seed selects nothing: Evrard draws no random numbers. It stays
+	// because the benchmark sets it.
+	Seed uint64
 }
 
 // DefaultEvrard returns the classic Evrard setup: R = 1, M = 1, u0 = 0.05

@@ -29,7 +29,9 @@ type Network struct {
 	LatencyS float64
 	// BandwidthBs is the per-link bandwidth in bytes/second (1/beta).
 	BandwidthBs float64
-	// RanksPerNode lets intra-node transfers use the faster fabric.
+	// RanksPerNode is never read: a transfer's caller says whether it stays
+	// on a node. It stays because the benchmark passes DefaultNetwork the
+	// argument that sets it.
 	RanksPerNode int
 	// IntraNodeFactor scales bandwidth up (and latency down) within a node.
 	IntraNodeFactor float64
@@ -122,7 +124,9 @@ type RankFailure struct {
 
 // World is a set of ranks executing in lockstep phases.
 type World struct {
-	Size    int
+	Size int
+	// Network is stored and never read: the runner prices communication
+	// with its own copy. It stays because the benchmark calls NewWorld.
 	Network Network
 
 	clocks   []float64 // virtual time per rank

@@ -48,10 +48,6 @@ type Outcome struct {
 type Resume struct {
 	Snapshot Snapshot
 	Payload  []byte
-	// Skipped lists snapshots that failed verification during the scan
-	// (path -> error); non-empty means this resume fell back past
-	// corruption.
-	Skipped map[string]error
 }
 
 // AttemptFunc runs one attempt. resume is nil for a fresh start; ctl must
@@ -90,7 +86,7 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 		var resume *Resume
 		if store != nil {
 			if snap, payload, skipped, ok := store.Latest(); ok {
-				resume = &Resume{Snapshot: snap, Payload: payload, Skipped: skipped}
+				resume = &Resume{Snapshot: snap, Payload: payload}
 				out.Resumed = true
 				out.ResumeStep = snap.Meta.Step
 				out.CorruptSkipped += len(skipped)

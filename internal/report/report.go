@@ -72,22 +72,18 @@ func (d DeviceBreakdown) Render() string {
 	return textplot.PercentStack(title, parts, 60)
 }
 
-// FunctionBreakdown is the Fig. 5 view: per-function energy by device.
+// FunctionBreakdown is the Fig. 5 view: per-function GPU energy.
 type FunctionBreakdown struct {
 	Label     string
 	Functions []FunctionShare
 	GPUTotalJ float64
-	CPUTotalJ float64
 }
 
-// FunctionShare is one function's share of device energy.
+// FunctionShare is one function's share of GPU energy.
 type FunctionShare struct {
 	Name     string
 	GPUJ     float64
-	CPUJ     float64
 	GPUShare float64 // of total GPU energy
-	CPUShare float64
-	TimeS    float64
 }
 
 // NewFunctionBreakdown aggregates a report into the Fig. 5 structure.
@@ -95,21 +91,12 @@ func NewFunctionBreakdown(r *instr.Report, label string) FunctionBreakdown {
 	fb := FunctionBreakdown{Label: label}
 	for _, name := range r.FunctionNames() {
 		st := r.FunctionTotal(name)
-		fb.Functions = append(fb.Functions, FunctionShare{
-			Name:  name,
-			GPUJ:  st.GPUJ,
-			CPUJ:  st.CPUJ,
-			TimeS: st.TimeS,
-		})
+		fb.Functions = append(fb.Functions, FunctionShare{Name: name, GPUJ: st.GPUJ})
 		fb.GPUTotalJ += st.GPUJ
-		fb.CPUTotalJ += st.CPUJ
 	}
 	for i := range fb.Functions {
 		if fb.GPUTotalJ > 0 {
 			fb.Functions[i].GPUShare = fb.Functions[i].GPUJ / fb.GPUTotalJ
-		}
-		if fb.CPUTotalJ > 0 {
-			fb.Functions[i].CPUShare = fb.Functions[i].CPUJ / fb.CPUTotalJ
 		}
 	}
 	return fb
@@ -178,9 +165,7 @@ func RenderNormalizedTable(title string, rows []Normalized) string {
 
 // WeakScalingPoint is one allocation size of a weak-scaling campaign.
 type WeakScalingPoint struct {
-	Ranks   int
-	TimeS   float64
-	EnergyJ float64
+	Ranks int
 	// Efficiency is T(1 unit)/T(n units) for fixed per-rank work (1.0 is
 	// perfect weak scaling); EnergyPerRank normalizes the energy.
 	Efficiency    float64
@@ -197,11 +182,7 @@ func WeakScaling(ranks []int, timeS, energyJ []float64) []WeakScalingPoint {
 	out := make([]WeakScalingPoint, len(ranks))
 	refT := timeS[0]
 	for i := range ranks {
-		out[i] = WeakScalingPoint{
-			Ranks:   ranks[i],
-			TimeS:   timeS[i],
-			EnergyJ: energyJ[i],
-		}
+		out[i] = WeakScalingPoint{Ranks: ranks[i]}
 		if timeS[i] > 0 {
 			out[i].Efficiency = refT / timeS[i]
 		}

@@ -17,9 +17,10 @@
 // Channels keep their series in bounded ring buffers (old samples are
 // dropped, not reallocated), accumulate energy overflow-safely (counter
 // wraps and resets clamp to zero delta instead of going negative, and the
-// running sum is Kahan-compensated), and track per-sensor staleness and
-// jitter statistics. BindMetrics mirrors every channel into a telemetry
-// registry as live power gauges and cumulative energy counters.
+// running sum is Kahan-compensated), and count their polls, ticks, drops
+// and degradations. BindMetrics mirrors every channel into a telemetry
+// registry as live power gauges, cumulative energy counters and a
+// poll-gap histogram.
 //
 // # Degradation
 //
@@ -41,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -118,23 +118,11 @@ type Sample struct {
 
 // Stats summarizes a channel's sampling behaviour.
 type Stats struct {
-	Name   string
-	Rank   int // -1 for node-level channels
-	RateHz float64
+	Rank int // -1 for node-level channels
 	// Polls counts sensor reads; Ticks counts emitted grid samples.
 	Polls, Ticks uint64
 	// Dropped counts samples rotated out of the bounded ring.
 	Dropped uint64
-	// MaxPollGapS is the worst observed staleness: the longest stretch of
-	// virtual time between two sensor reads (every tick inside such a gap
-	// is interpolated, not observed).
-	MaxPollGapS float64
-	// GapJitterS is the standard deviation of the inter-poll gaps.
-	GapJitterS float64
-	// AccumJ is the overflow-safe cumulative energy since the first poll.
-	AccumJ float64
-	// LastTimeS is the sensor time of the most recent poll.
-	LastTimeS float64
 	// FaultReads counts discarded NaN reads (transient sensor failures).
 	FaultReads uint64
 	// StuckEvents counts transitions into the stuck state.
@@ -181,9 +169,6 @@ type Channel struct {
 	// stats
 	polls         uint64
 	ticks         uint64
-	maxGapS       float64
-	gapSumS       float64
-	gapSumSqS     float64
 	faultReads    uint64
 	stuckEvents   uint64
 	degradedTicks uint64
@@ -203,14 +188,6 @@ func (c *Channel) Name() string {
 		return ""
 	}
 	return c.name
-}
-
-// RateHz returns the channel's tick rate.
-func (c *Channel) RateHz() float64 {
-	if c == nil {
-		return 0
-	}
-	return 1 / c.periodS
 }
 
 // classify updates the degradation detectors with a fresh primary read and
@@ -309,13 +286,6 @@ func (c *Channel) Poll() {
 		// negative delta — the overflow-safe contract.
 		deltaJ = 0
 	}
-	if gap > 0 {
-		if gap > c.maxGapS {
-			c.maxGapS = gap
-		}
-		c.gapSumS += gap
-		c.gapSumSqS += gap * gap
-	}
 	// Emit every tick in (last.TimeS, st.TimeS].
 	startAccum := c.accumJ
 	ticksBefore, dropsBefore := c.ticks, c.dropped
@@ -364,8 +334,7 @@ func (c *Channel) Poll() {
 	// atomic and nil-safe.
 	if gap > 0 {
 		mPower.Set(meanW)
-		// Poll-gap distribution: the jitter view of the Stats mean/stddev
-		// summary, with p50/p95/p99 in the metrics snapshot.
+		// Poll-gap distribution, with p50/p95/p99 in the metrics snapshot.
 		mGap.Observe(gap)
 	}
 	mEnergy.Add(deltaJ)
@@ -393,22 +362,6 @@ func (c *Channel) push(s Sample) {
 	}
 }
 
-// Samples returns the retained series in time order.
-func (c *Channel) Samples() []Sample {
-	if c == nil {
-		return nil
-	}
-	return c.appendSamples([]Sample{})
-}
-
-// appendSamples appends the retained series to dst in time order, copying
-// each sample once out of the ring.
-func (c *Channel) appendSamples(dst []Sample) []Sample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.AppendTo(dst)
-}
-
 // AccumJ returns the overflow-safe cumulative energy since the first poll.
 func (c *Channel) AccumJ() float64 {
 	if c == nil {
@@ -426,29 +379,16 @@ func (c *Channel) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
-		Name:          c.name,
+	return Stats{
 		Rank:          c.rank,
-		RateHz:        1 / c.periodS,
 		Polls:         c.polls,
 		Ticks:         c.ticks,
 		Dropped:       c.dropped,
-		MaxPollGapS:   c.maxGapS,
-		AccumJ:        c.accumJ,
-		LastTimeS:     c.last.TimeS,
 		FaultReads:    c.faultReads,
 		StuckEvents:   c.stuckEvents,
 		DegradedTicks: c.degradedTicks,
 		Degraded:      c.stuck || c.prevDegraded,
 	}
-	if n := float64(c.polls - 1); n > 1 {
-		mean := c.gapSumS / n
-		varS := c.gapSumSqS/n - mean*mean
-		if varS > 0 {
-			st.GapJitterS = math.Sqrt(varS)
-		}
-	}
-	return st
 }
 
 // bind wires the channel's metrics; caller holds the sampler lock.
@@ -516,16 +456,9 @@ func (s *Sampler) Config() Config {
 	return s.cfg
 }
 
-// Add registers a sensor under an explicit name, rank (use -1 for
-// node-level sensors) and rate; hz <= 0 selects DefaultNodeHz. Returns the
-// new channel.
-func (s *Sampler) Add(name string, rank int, sensor pmt.Sensor, hz float64) *Channel {
-	if s == nil {
-		return nil
-	}
-	if hz <= 0 {
-		hz = DefaultNodeHz
-	}
+// add registers a sensor under a name, rank (-1 for node-level sensors)
+// and rate, and returns the new channel.
+func (s *Sampler) add(name string, rank int, sensor pmt.Sensor, hz float64) *Channel {
 	s.mu.Lock()
 	onTrans := s.onTrans
 	s.mu.Unlock()
@@ -553,7 +486,7 @@ func (s *Sampler) AddRank(rank int, sensor pmt.Sensor) *Channel {
 	if s == nil {
 		return nil
 	}
-	return s.Add(fmt.Sprintf("rank%d:%s", rank, sensor.Name()), rank, sensor, s.cfg.GPUHz)
+	return s.add(fmt.Sprintf("rank%d:%s", rank, sensor.Name()), rank, sensor, s.cfg.GPUHz)
 }
 
 // AddNode registers a node-level sensor at the node rate.
@@ -561,7 +494,7 @@ func (s *Sampler) AddNode(node int, sensor pmt.Sensor) *Channel {
 	if s == nil {
 		return nil
 	}
-	return s.Add(fmt.Sprintf("node%d:%s", node, sensor.Name()), -1, sensor, s.cfg.NodeHz)
+	return s.add(fmt.Sprintf("node%d:%s", node, sensor.Name()), -1, sensor, s.cfg.NodeHz)
 }
 
 // BindMetrics mirrors every channel (and all later-added ones) into the
@@ -607,46 +540,33 @@ func (s *Sampler) PollNodes() {
 	}
 }
 
-// RankSeries returns each rank's sampled series, merging multiple channels
-// of the same rank in time order (the join input for internal/attrib).
+// RankSeries returns each rank's sampled series in time order (the join
+// input for internal/attrib).
 func (s *Sampler) RankSeries() map[int][]Sample {
 	out := map[int][]Sample{}
 	s.VisitRankSeries(func(rank int, runs [][]Sample) { out[rank] = slices.Concat(runs...) })
 	return out
 }
 
-// VisitRankSeries calls visit once for every rank with a channel, in no
-// particular order, with the rank's series as RankSeries returns it,
-// without building it: runs hold
-// the samples, oldest first, in the contiguous pieces they are stored in,
-// and are valid only during the call. A channel's ring is already in time
-// order, so a rank fed by one channel is read where it lies, under the
-// channel's lock (visit must not call back into the sampler); only a rank
-// fed by several is copied, merged and sorted.
+// VisitRankSeries calls visit once for every rank with a channel, in
+// registration order, with the rank's series as RankSeries returns it,
+// without building it: runs hold the samples, oldest first, in the
+// contiguous pieces they are stored in, and are valid only during the
+// call. A rank has one channel (AddRank is the only way to make one), and
+// a channel's ring is already in time order, so the series is read where
+// it lies, under the channel's lock (visit must not call back into the
+// sampler).
 func (s *Sampler) VisitRankSeries(visit func(rank int, runs [][]Sample)) {
-	byRank := map[int][]*Channel{}
-	for _, ch := range s.Channels() {
-		if ch.rank >= 0 {
-			byRank[ch.rank] = append(byRank[ch.rank], ch)
-		}
-	}
 	var runs [][]Sample
-	for r, chs := range byRank {
-		if len(chs) == 1 {
-			ch := chs[0]
-			ch.mu.Lock()
-			runs = runs[:0]
-			ch.ring.Runs(func(run []Sample) { runs = append(runs, run) })
-			visit(r, runs)
-			ch.mu.Unlock()
+	for _, ch := range s.Channels() {
+		if ch.rank < 0 {
 			continue
 		}
-		var series []Sample
-		for _, ch := range chs {
-			series = ch.appendSamples(series)
-		}
-		sort.Slice(series, func(a, b int) bool { return series[a].TimeS < series[b].TimeS })
-		visit(r, [][]Sample{series})
+		ch.mu.Lock()
+		runs = runs[:0]
+		ch.ring.Runs(func(run []Sample) { runs = append(runs, run) })
+		visit(ch.rank, runs)
+		ch.mu.Unlock()
 	}
 }
 
@@ -656,17 +576,6 @@ func (s *Sampler) NodeAccumJ() float64 {
 	total := 0.0
 	for _, ch := range s.Channels() {
 		if ch.rank < 0 {
-			total += ch.AccumJ()
-		}
-	}
-	return total
-}
-
-// RankAccumJ sums the cumulative sampled energy of all rank channels.
-func (s *Sampler) RankAccumJ() float64 {
-	total := 0.0
-	for _, ch := range s.Channels() {
-		if ch.rank >= 0 {
 			total += ch.AccumJ()
 		}
 	}

@@ -31,7 +31,7 @@ func TestTransitionSinkFiresOnEdges(t *testing.T) {
 	s.SetTransitionSink(func(name string, rank int, degraded bool, detail string) {
 		got = append(got, transitionRec{name, rank, degraded, detail})
 	})
-	ch := s.Add("fake", 3, sen, 10)
+	ch := s.add("fake", 3, sen, 10)
 	for i := 0; i < 5; i++ {
 		ch.Poll()
 	}
@@ -59,7 +59,7 @@ func TestTransitionSinkSilentWithoutEdges(t *testing.T) {
 	s := New(Config{GPUHz: 10})
 	fired := 0
 	s.SetTransitionSink(func(string, int, bool, string) { fired++ })
-	ch := s.Add("fake", 0, sen, 10)
+	ch := s.add("fake", 0, sen, 10)
 	for i := 0; i < 3; i++ {
 		ch.Poll()
 	}
@@ -73,7 +73,7 @@ func TestTransitionSinkSilentWithoutEdges(t *testing.T) {
 		{TimeS: 0.1, EnergyJ: 10},
 		{TimeS: 0.2, EnergyJ: 20},
 	}}, bad: map[int]bool{0: true}}
-	ch2 := s.Add("f2", 0, sen2, 10)
+	ch2 := s.add("f2", 0, sen2, 10)
 	for i := 0; i < 3; i++ {
 		ch2.Poll()
 	}

@@ -18,17 +18,6 @@ import (
 	"sphenergy/internal/pmcounters"
 )
 
-// JobState mirrors Slurm's job states.
-type JobState string
-
-// Job states.
-const (
-	StatePending   JobState = "PENDING"
-	StateRunning   JobState = "RUNNING"
-	StateCompleted JobState = "COMPLETED"
-	StateFailed    JobState = "FAILED"
-)
-
 // TRESConfig is the AccountingStorageTRES setting; energy accounting only
 // happens when the "energy" TRES is listed — exactly Slurm's behaviour.
 type TRESConfig struct {
@@ -71,12 +60,11 @@ type SubmitOptions struct {
 
 // Job is one completed (or failed) job record.
 type Job struct {
-	ID       int
-	Name     string
-	State    JobState
-	NNodes   int
-	NTasks   int
-	ElapsedS float64
+	ID int
+	// Name is SubmitOptions.JobName, which nothing reads back. It stays
+	// because the benchmark sets JobName.
+	Name   string
+	NTasks int
 	// ConsumedEnergyJ is the TRES energy from submission to completion;
 	// 0 when energy tracking is disabled.
 	ConsumedEnergyJ float64
@@ -91,13 +79,12 @@ type Job struct {
 	tracksEnergy bool
 }
 
-// Manager assigns job IDs and stores accounting records.
+// Manager assigns job IDs.
 type Manager struct {
 	nextID int
-	jobs   []*Job
 }
 
-// NewManager creates an empty accounting database.
+// NewManager creates a manager whose first job is 1000.
 func NewManager() *Manager { return &Manager{nextID: 1000} }
 
 // Submit runs a simulation as a Slurm job: the setup phase is accounted
@@ -107,10 +94,10 @@ func (m *Manager) Submit(cfg core.Config, opts SubmitOptions) (*Job, error) {
 	return job, job.Run()
 }
 
-// Queue registers a job without running it: its ID and its place among the
-// accounting records are fixed now, in submission order, so a campaign can queue every job and
-// then Run them in any order — or concurrently, each Job from one goroutine
-// — with the accounting records a serial campaign would have left.
+// Queue registers a job without running it: its ID is fixed now, in
+// submission order, so a campaign can queue every job and then Run them in
+// any order — or concurrently, each Job from one goroutine — with the IDs a
+// serial campaign would have given.
 func (m *Manager) Queue(cfg core.Config, opts SubmitOptions) *Job {
 	if opts.SetupS == 0 {
 		opts.SetupS = 45
@@ -120,29 +107,22 @@ func (m *Manager) Queue(cfg core.Config, opts SubmitOptions) *Job {
 		ID:     m.nextID,
 		Name:   opts.JobName,
 		NTasks: cfg.Ranks,
-		State:  StatePending,
 		cfg:    cfg,
 		// Default site config tracks energy (as on LUMI and CSCS).
 		tracksEnergy: opts.TRES.TracksEnergy() || len(opts.TRES.Tracked) == 0,
 	}
 	m.nextID++
-	m.jobs = append(m.jobs, job)
 	return job
 }
 
 // Run executes a queued job to completion and fills in its accounting
 // record.
 func (j *Job) Run() error {
-	j.State = StateRunning
 	res, err := core.Run(j.cfg)
 	if err != nil {
-		j.State = StateFailed
 		return fmt.Errorf("slurm: job %d: %w", j.ID, err)
 	}
-	j.State = StateCompleted
 	j.Result = res
-	j.NNodes = len(res.System.Nodes)
-	j.ElapsedS = res.SetupTimeS + res.WallTimeS
 	j.LoopEnergyJ = res.Report.TotalEnergyJ
 	j.LoopTimeS = res.WallTimeS
 	if j.tracksEnergy {

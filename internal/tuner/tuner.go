@@ -79,8 +79,7 @@ type Measurement struct {
 
 // Result is the outcome of TuneKernel.
 type Result struct {
-	KernelName string
-	Best       Measurement
+	Best Measurement
 	// All contains every candidate configuration, sorted by descending MHz
 	// (the Fig. 2 table rows).
 	All []Measurement
@@ -165,7 +164,7 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	// The sweep's candidates are independent measurements on fresh
 	// simulated devices, so they go through par.Tasks; each result lands at
 	// its candidate's index, keeping the order of a serial sweep.
-	res := &Result{KernelName: kernelName, All: make([]Measurement, len(cands)), Evaluations: len(cands)}
+	res := &Result{All: make([]Measurement, len(cands)), Evaluations: len(cands)}
 	par.Tasks(len(cands), func(i int) { res.All[i] = eval(cands[i]) })
 	best := res.All[0]
 	for _, m := range res.All[1:] {

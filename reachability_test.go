@@ -1,10 +1,14 @@
 package sphenergy
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -19,7 +23,7 @@ import (
 // not read (a package only its own tests reach is scaffolding).
 func TestInternalPackagesAreReachable(t *testing.T) {
 	imports := map[string][]string{} // package directory -> module-relative imports
-	for _, gf := range nonTestFiles(t, parser.ImportsOnly) {
+	for _, gf := range nonTestFiles(t, token.NewFileSet(), parser.ImportsOnly) {
 		deps := imports[gf.dir]
 		for _, spec := range gf.f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
@@ -75,7 +79,7 @@ func TestInternalPackagesAreReachable(t *testing.T) {
 // facade's exported functions, which exist to be called from outside the
 // module.
 func TestTopLevelFunctionsHaveACaller(t *testing.T) {
-	files := nonTestFiles(t, parser.SkipObjectResolution)
+	files := nonTestFiles(t, token.NewFileSet(), parser.SkipObjectResolution)
 	pkgName := map[string]string{} // package directory -> package name
 	for _, gf := range files {
 		pkgName[gf.dir] = gf.f.Name.Name
@@ -187,7 +191,7 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 			"reach ngmax truncation through it",
 	}
 
-	files := nonTestFiles(t, parser.SkipObjectResolution)
+	files := nonTestFiles(t, token.NewFileSet(), parser.SkipObjectResolution)
 	written := map[string]bool{} // field names written outside a defaulting function
 	var fields []string          // pkg.Type.Field of every field in scope
 	for _, gf := range files {
@@ -263,6 +267,261 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 	}
 }
 
+// TestFieldsHaveAReader is the same rule for state: every field of a struct
+// declared in a non-test file under internal/ must be read by some non-test
+// file (benchmark/ included). A read is a selection x.F that is not the
+// target of =, op= or ++/--, and not the first argument of
+// x.F = append(x.F, ...); a field written but never read is a value the
+// program computes for nobody. Exempt without listing: tagged fields (an
+// encoder reads them), blank fields, and the fields of struct types used as
+// map keys or compared with == or != (the comparison reads them all).
+// The files are type-checked, so a same-named field of another type never
+// stands in for the one in question.
+func TestFieldsHaveAReader(t *testing.T) {
+	// unreadByPrograms are the fields no program reads, each with the reason
+	// it stays: the test that reads it, or the benchmark input that sets it.
+	unreadByPrograms := map[string]string{
+		// Read by a test.
+		"experiments.Fig2Row.Sweep":            "TestFig2TunedFrequencies, which requires every function's sweep",
+		"experiments.Fig9Data.StepBoundariesS": "TestFig9DVFSTrace, which checks the 10-step window",
+		"sph.NeighborStats.RebuildInit": "TestSkinBoundaryExactCrossing, TestGrowthPastAllowanceRepeats, " +
+			"TestNeighborEventMatchesStats and BenchmarkFindNeighbors, which tell an initial build from a drift rebuild",
+		"sph.NeighborStats.WalkFallbacks": "compareSkinToRebuild, TestSkinCheckpointMidIntervalResume and " +
+			"TestShellPrefixMatchesAllShells, which require that no pass walked the grid",
+		"sph.listWork.gatherTests": "BenchmarkFindNeighbors, which reports it per particle (make bench-sph)",
+		"sph.listWork.gatherRuns":  "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.stored":      "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.streamed":    "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.shells":      "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.survivors":   "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.records":     "BenchmarkFindNeighbors, likewise",
+		"sph.listWork.repeats":     "BenchmarkFindNeighbors, likewise",
+		"telemetry.Attr.s":         "TestVisitSpansMatchesSpans, which keys a read-back span's identity on its string",
+		// Set only through benchmark/, which a change may not edit: each
+		// selects nothing.
+		"initcond.EvrardSpec.Seed":    "benchmark/engine.go sets it; Evrard draws no random numbers",
+		"mpisim.Network.RanksPerNode": "benchmark/model.go passes DefaultNetwork the argument that sets it",
+		"mpisim.World.Network":        "NewWorld stores it, and benchmark/model.go calls NewWorld",
+		"slurm.Job.Name":              "fed by SubmitOptions.JobName, which benchmark/model.go sets",
+	}
+
+	fset := token.NewFileSet()
+	byDir := map[string][]*ast.File{}
+	for _, gf := range nonTestFiles(t, fset, parser.SkipObjectResolution) {
+		byDir[gf.dir] = append(byDir[gf.dir], gf.f)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var check func(dir string) (*types.Package, error)
+	imp := importerFunc(func(importPath string) (*types.Package, error) {
+		if importPath == strings.TrimSuffix(module, "/") {
+			return check(".")
+		}
+		if rel, ok := strings.CutPrefix(importPath, module); ok {
+			return check(rel)
+		}
+		return std.Import(importPath)
+	})
+	check = func(dir string) (*types.Package, error) {
+		if pkg, ok := checked[dir]; ok {
+			return pkg, nil
+		}
+		files := byDir[dir]
+		if len(files) == 0 {
+			return nil, fmt.Errorf("no non-test Go files in %s", dir)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path.Join(module, dir), fset, files, info)
+		checked[dir] = pkg
+		return pkg, err
+	}
+	dirs := make([]string, 0, len(byDir))
+	for dir := range byDir {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if _, err := check(dir); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
+		}
+	}
+
+	// The fields in scope, by their objects.
+	declared := map[*types.Var]string{} // field -> pkg.Type.Field
+	exempt := map[*types.Var]bool{}
+	for _, dir := range dirs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range byDir[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				var fields func(prefix string, st *ast.StructType)
+				fields = func(prefix string, st *ast.StructType) {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							v := info.Defs[id].(*types.Var)
+							declared[v] = prefix + "." + id.Name
+							if fl.Tag != nil || id.Name == "_" {
+								exempt[v] = true
+							}
+							if inner, ok := fl.Type.(*ast.StructType); ok {
+								fields(prefix+"."+id.Name, inner)
+							}
+						}
+					}
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					fields(f.Name.Name+"."+ts.Name.Name, st)
+				}
+				return true
+			})
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no struct fields found under internal/; is the test running in the repository root?")
+	}
+
+	// Struct types whose values are compared: as map keys (sync.Map's too)
+	// or with == / !=.
+	var compared func(typ types.Type)
+	seen := map[types.Type]bool{}
+	compared = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				exempt[u.Field(i)] = true
+				compared(u.Field(i).Type())
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+
+	// Selections that write rather than read.
+	writes := map[*ast.SelectorExpr]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel] = true
+		}
+	}
+	for _, dir := range dirs {
+		for _, f := range byDir[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.DEFINE {
+						break
+					}
+					for i, lhs := range n.Lhs {
+						target(lhs)
+						if len(n.Rhs) != len(n.Lhs) {
+							continue
+						}
+						call, ok := n.Rhs[i].(*ast.CallExpr)
+						if !ok || len(call.Args) == 0 {
+							continue
+						}
+						if fn, ok := call.Fun.(*ast.Ident); ok && fn.Name == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+							target(call.Args[0])
+						}
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						compared(info.Types[n.X].Type)
+						compared(info.Types[n.Y].Type)
+					}
+				case *ast.CallExpr: // a sync.Map compares its keys
+					fun, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || len(n.Args) == 0 || info.Selections[fun] == nil {
+						break
+					}
+					recv := info.Selections[fun].Recv()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					if named, ok := recv.(*types.Named); ok && named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Map" {
+						compared(info.Types[n.Args[0]].Type)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			compared(m.Key())
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for expr, sel := range info.Selections {
+		if sel.Kind() != types.FieldVal {
+			continue
+		}
+		// The embedded fields a promoted selection passes through are read.
+		typ := sel.Recv()
+		idx := sel.Index()
+		for _, i := range idx[:len(idx)-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			embedded := typ.Underlying().(*types.Struct).Field(i)
+			read[embedded.Origin()] = true
+			typ = embedded.Type()
+		}
+		if !writes[expr] {
+			read[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+
+	var unread []string
+	for v, name := range declared {
+		if exempt[v] {
+			continue
+		}
+		_, allowed := unreadByPrograms[name]
+		switch {
+		case !read[v] && !allowed:
+			unread = append(unread, name)
+		case read[v] && allowed:
+			t.Errorf("%s is read by a program now: drop it from the list", name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s is read by no non-test file: delete it with what only it computes", name)
+	}
+	names := map[string]bool{}
+	for _, name := range declared {
+		names[name] = true
+	}
+	for name, reason := range unreadByPrograms {
+		if !names[name] {
+			t.Errorf("%s (%s) is no longer a field in scope: drop it from the list", name, reason)
+		}
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // isSettingsType reports whether a type name is in the scope of
 // TestConfigFieldsHaveASetter.
 func isSettingsType(name string) bool {
@@ -286,9 +545,9 @@ type goFile struct {
 	f   *ast.File
 }
 
-// nonTestFiles parses every non-test Go file of the repository with mode,
-// skipping hidden directories (.git, .bench_build).
-func nonTestFiles(t *testing.T, mode parser.Mode) []goFile {
+// nonTestFiles parses every non-test Go file of the repository into fset
+// with mode, skipping hidden directories (.git, .bench_build).
+func nonTestFiles(t *testing.T, fset *token.FileSet, mode parser.Mode) []goFile {
 	t.Helper()
 	var files []goFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -304,7 +563,7 @@ func nonTestFiles(t *testing.T, mode parser.Mode) []goFile {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, mode)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}

@@ -118,9 +118,6 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 // ring with JSONL export.
 type EventLedger = events.Ledger
 
-// EventSummary aliases the ledger's emit summary carried on Result.Events.
-type EventSummary = events.Summary
-
 // NewEventLedger creates a decision ledger; capacity <= 0 selects the
 // default ring size.
 func NewEventLedger(capacity int) *EventLedger { return events.NewLedger(capacity) }
