@@ -163,9 +163,13 @@ bench-model:
 #   Gather         the candidate gather alone over Morton-ordered points at
 #                  the engine's proportions, radii spread ±10 %:
 #                  tests/particle, cand/particle and ns/test.
+#   Turbulence     the turb30 initial conditions (lattice, then the
+#                  solenoidal velocity field, filled in parallel):
+#                  ns/particle.
 bench-sph:
 	$(GO) test -run '^$$' -bench 'FindNeighbors|PairPasses' -benchtime 10x -count 3 ./internal/sph/
 	$(GO) test -run '^$$' -bench Gather -benchtime 10x -count 3 ./internal/neighbors/
+	$(GO) test -run '^$$' -bench Turbulence -benchtime 10x -count 3 ./internal/initcond/
 
 # Run-bundle gate for `check`: a tiny tuned, sampled run writes its bundle,
 # and every inspect verb must read it (decisions exits 1 on a ledger without

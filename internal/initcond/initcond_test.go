@@ -2,9 +2,11 @@ package initcond
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"sphenergy/internal/rng"
 	"sphenergy/internal/sfc"
 	"sphenergy/internal/sph"
 )
@@ -60,12 +62,76 @@ func TestTurbulenceZeroNetMomentum(t *testing.T) {
 	}
 }
 
+// TestTurbulenceReproducible holds every coordinate and velocity of every
+// particle to the same bits at GOMAXPROCS 1, 2 and 4: the velocities are
+// filled in parallel, and side 22 gives each of four workers a chunk.
 func TestTurbulenceReproducible(t *testing.T) {
-	a, _ := Turbulence(DefaultTurbulence(8))
-	b, _ := Turbulence(DefaultTurbulence(8))
-	for i := 0; i < a.N; i++ {
-		if a.X[i] != b.X[i] || a.VX[i] != b.VX[i] {
-			t.Fatal("same spec produced different initial conditions")
+	gen := func(procs int) *sph.Particles {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, _ := Turbulence(DefaultTurbulence(22))
+		return p
+	}
+	a := gen(1)
+	for _, procs := range []int{1, 2, 4} {
+		b := gen(procs)
+		for i := 0; i < a.N; i++ {
+			if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] || a.Z[i] != b.Z[i] ||
+				a.VX[i] != b.VX[i] || a.VY[i] != b.VY[i] || a.VZ[i] != b.VZ[i] {
+				t.Fatalf("GOMAXPROCS %d: particle %d differs from GOMAXPROCS 1", procs, i)
+			}
+		}
+	}
+}
+
+// modeSum is the field's direct mode sum, Σ amp·sin(2π k·x + phase)·a with
+// one math.Sin per mode, the reference At is held to. The field keeps only
+// each phase's cos and sin, so phases come from modePhases.
+func modeSum(f *SolenoidalField, phases []float64, x, y, z float64) (vx, vy, vz float64) {
+	for i, m := range f.modes {
+		ph := 2*math.Pi*(float64(m.kx)*x+float64(m.ky)*y+float64(m.kz)*z) + phases[i]
+		s := m.amp * math.Sin(ph)
+		vx += m.ax * s
+		vy += m.ay * s
+		vz += m.az * s
+	}
+	return
+}
+
+// modePhases draws the phases of NewSolenoidalField(·, ·, seed) again from
+// its stream, which gives each mode three normals and then the phase.
+func modePhases(t *testing.T, f *SolenoidalField, seed uint64) []float64 {
+	r := rng.New(seed)
+	phases := make([]float64, len(f.modes))
+	for i, m := range f.modes {
+		r.Norm()
+		r.Norm()
+		r.Norm()
+		phases[i] = 2 * math.Pi * r.Float64()
+		if sin, cos := math.Sincos(phases[i]); sin != m.sin || cos != m.cos {
+			t.Fatalf("mode %d: phase %v is not the one the field drew", i, phases[i])
+		}
+	}
+	return phases
+}
+
+// TestSolenoidalFieldMatchesModeSum holds At to the direct mode sum at every
+// particle of DefaultTurbulence(20), and at every 40th with kmax past stackK,
+// where At takes its phase tables from the heap.
+func TestSolenoidalFieldMatchesModeSum(t *testing.T) {
+	spec := DefaultTurbulence(20)
+	p, _ := Turbulence(spec)
+	for _, c := range []struct{ kmax, stride int }{{spec.KMax, 1}, {stackK + 1, 40}} {
+		field := NewSolenoidalField(spec.KMin, c.kmax, spec.Seed+1)
+		phases := modePhases(t, field, spec.Seed+1)
+		var worst float64
+		for i := 0; i < p.N; i += c.stride {
+			ax, ay, az := field.At(p.X[i], p.Y[i], p.Z[i])
+			bx, by, bz := modeSum(field, phases, p.X[i], p.Y[i], p.Z[i])
+			worst = math.Max(worst, math.Max(math.Abs(ax-bx), math.Max(math.Abs(ay-by), math.Abs(az-bz))))
+		}
+		t.Logf("kmax %d, %d modes: worst difference %.3g", c.kmax, len(field.modes), worst)
+		if worst > 1e-13 {
+			t.Errorf("kmax %d: At differs from the mode sum by up to %g, want <= 1e-13", c.kmax, worst)
 		}
 	}
 }
@@ -170,4 +236,18 @@ func (f *SolenoidalField) Divergence(x, y, z float64) float64 {
 	_, _, vzp := f.At(x, y, z+e)
 	_, _, vzm := f.At(x, y, z-e)
 	return (vxp-vxm)/(2*e) + (vyp-vym)/(2*e) + (vzp-vzm)/(2*e)
+}
+
+// benchSink keeps BenchmarkTurbulence's result alive.
+var benchSink *sph.Particles
+
+// BenchmarkTurbulence times the turb30 initial conditions, lattice and
+// velocity field together.
+func BenchmarkTurbulence(b *testing.B) {
+	spec := DefaultTurbulence(30)
+	n := spec.NSide * spec.NSide * spec.NSide
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = Turbulence(spec)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/particle")
 }

@@ -105,8 +105,8 @@ func ForChunked(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MinFloat64 computes the minimum of fn(i) over [0, n); it returns
-// +Inf-equivalent fallback (the first value) semantics by requiring n > 0.
+// MinFloat64 returns the minimum of fn(i) over [0, n). It panics for
+// n <= 0: an empty range has no minimum.
 func MinFloat64(n int, fn func(i int) float64) float64 {
 	if n <= 0 {
 		panic("par: MinFloat64 requires n > 0")
