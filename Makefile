@@ -116,15 +116,15 @@ bench-smoke:
 	$(GO) run ./benchmark -workload all -smoke
 
 # Telemetry's per-primitive cost: a span recorded by name (RecordSpan) and
-# through an interned identity (CompleteRef), a counter increment, a
-# histogram observation — ns/op and allocs/op, nil receivers included.
+# through an interned identity (CompleteRef) — ns/op and allocs/op, the nil
+# tracer included.
 bench-telemetry:
-	$(GO) test -run '^$$' -bench 'SpanRecord|CounterInc|HistogramObserve' -benchmem ./internal/telemetry/
+	$(GO) test -run '^$$' -bench 'SpanRecord' -benchmem ./internal/telemetry/
 
 # What observing a run costs, leg by leg, on a recorded 8-rank 300-step
 # ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
-# whole observed run (sampler, tracer, ledger, metrics, attribution joined
-# in place) and the attribution join through both its feeds; then the
+# whole observed run (sampler, tracer, ledger, attribution joined in
+# place) and the attribution join through both its feeds; then the
 # trace's export and re-load on one CPU and on two, so that what the second
 # CPU buys and what the pipeline costs without one come from one command,
 # and the critical-path analysis of the loaded spans (serial; the second
@@ -172,7 +172,7 @@ bench-sph:
 	$(GO) test -run '^$$' -bench Turbulence -benchtime 10x -count 3 ./internal/initcond/
 
 # Run-bundle gate for `check`: a tiny tuned, sampled run writes its bundle,
-# and every inspect verb must read it (decisions exits 1 on a ledger without
+# which must hold exactly its four files, and every inspect verb must read it (decisions exits 1 on a ledger without
 # decisions, failing the target). Then the trace and the ledger are cut
 # mid-line, as a killed run can leave them: trace must analyze the prefix
 # and say "truncated trace", decisions audit it and say "truncated ledger".
@@ -182,6 +182,8 @@ bundle-smoke:
 	$(GO) build -o $(BUNDLE_SMOKE)/ ./cmd/sphexa ./cmd/inspect
 	$(BUNDLE_SMOKE)/sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 \
 		-strategy mandyn -sample-hz 100 -q -out $(BUNDLE_SMOKE)/run > /dev/null
+	test "$$(cd $(BUNDLE_SMOKE)/run && LC_ALL=C ls | tr '\n' ' ')" = \
+		'events.jsonl report.csv report.json trace.json '
 	$(BUNDLE_SMOKE)/inspect energy $(BUNDLE_SMOKE)/run > /dev/null
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/run
 	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/run

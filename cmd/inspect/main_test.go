@@ -183,7 +183,7 @@ func TestEnergyBaselineRow(t *testing.T) {
 }
 
 // TestSignalFlushedBundle reads the bundle a run stopped by a signal
-// leaves: trace, metrics and ledger, no report. energy has nothing to read
+// leaves: trace and ledger, no report. energy has nothing to read
 // and says which file is missing; decisions still audits the ledger and
 // points at the flag that would have given it the achieved side.
 func TestSignalFlushedBundle(t *testing.T) {
@@ -194,7 +194,7 @@ func TestSignalFlushedBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sphenergy.Config{System: spec, Ranks: 2, Sim: sphenergy.Turbulence, ParticlesPerRank: 10e6,
-		Steps: 3, Tracer: sphenergy.NewTracer(2), Metrics: sphenergy.NewMetrics(), Events: led,
+		Steps: 3, Tracer: sphenergy.NewTracer(2), Events: led,
 		NewStrategy: sphenergy.ManDyn(table)}
 	if _, err := sphenergy.Run(cfg); err != nil {
 		t.Fatal(err)

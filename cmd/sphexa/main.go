@@ -49,7 +49,7 @@ func main() {
 		pprFlag  = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation and system")
 		strategy = flag.String("strategy", "baseline", "frequency strategy: baseline, static:<mhz>, dvfs, mandyn, powercap:<watts>")
 		ng       = flag.Int("ng", 150, "SPH neighbor count")
-		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json and report.csv (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto), metrics.json and events.jsonl (decision ledger); read it with cmd/inspect")
+		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json and report.csv (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto) and events.jsonl (decision ledger); read it with cmd/inspect")
 		carbon   = flag.String("carbon", "", "report CO2e for a grid: hydro, swiss, eu, coal")
 		quiet    = flag.Bool("q", false, "suppress breakdown output")
 
@@ -154,8 +154,7 @@ func main() {
 		cfg.Sampling = sampler.Config{GPUHz: *sampleHz, NodeHz: *sampleNodeHz}
 	}
 	if *outDir != "" {
-		// The bundle's metrics.json and events.jsonl (the decision ledger).
-		cfg.Metrics = telemetry.NewRegistry()
+		// The bundle's events.jsonl (the decision ledger).
 		cfg.Events = sphenergy.NewEventLedger(0)
 	}
 	if *faultPlan != "" {
@@ -213,8 +212,8 @@ func main() {
 	}
 
 	// flush writes the bundle of a run that ends without a report (a signal,
-	// or restarts exhausted): the partial trace, metrics and ledger. The
-	// writers snapshot under their own locks, so flushing mid-step is safe.
+	// or restarts exhausted): the partial trace and ledger. The writers
+	// snapshot under their own locks, so flushing mid-step is safe.
 	flush := func() {
 		if *outDir != "" {
 			if err := sphenergy.WriteBundle(*outDir, cfg, nil); err != nil {
@@ -254,11 +253,9 @@ func main() {
 			AutosaveEvery:   *autosave,
 			Keep:            *keepCkpts,
 			MaxRestarts:     *maxRestarts,
-			Seed:            cfg.Seed,
 			WalltimeBudgetS: *wallBudget,
 			EnergyBudgetJ:   *energyBudget,
 			Events:          cfg.Events,
-			Metrics:         cfg.Metrics,
 			OnAttempt:       func(ctl *recovery.Controller) { curCtl.Store(ctl) },
 		}
 		var err error

@@ -116,7 +116,7 @@ func TestInterruptKeepsProfileAndBundle(t *testing.T) {
 	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
 		t.Errorf("profile is %d bytes and does not start with the gzip magic", len(data))
 	}
-	for name, want := range map[string]bool{"trace.json": true, "metrics.json": true, "events.jsonl": true, "report.json": false} {
+	for name, want := range map[string]bool{"trace.json": true, "metrics.json": false, "events.jsonl": true, "report.json": false} {
 		if _, err := os.Stat(filepath.Join(out, name)); (err == nil) != want {
 			t.Errorf("%s on disk: %v, want %v", name, err == nil, want)
 		}

@@ -60,27 +60,29 @@ func TestDecisionsReachTracerAndLedger(t *testing.T) {
 	}
 }
 
-// TestClockTapMetricsPinned holds freq_switches_total and the count of
-// freq_switch_latency_s to what the runner exported at commit f70485f,
-// when an InstrumentedSetter wrapper counted the sets, on two runs: the
-// recorded 8-rank, 300-step ManDyn run (one Setup set plus four sets a step
-// per rank) and the chaos sweep's 2-rank run for seed 1 (chaosConfig),
-// whose clamped-clock window sits under a resilient setter.
-func TestClockTapMetricsPinned(t *testing.T) {
+// TestFreqDecisionRowsPinned holds the ledger's freq-decision rows, and the
+// trace's decision instants beside them, on two runs: the recorded 8-rank,
+// 300-step ManDyn run (four sets a step per rank) and the chaos sweep's
+// 2-rank run for seed 1 (chaosConfig), whose clamped-clock window sits under
+// a resilient setter. The pins were the clock tap's set counts, 9 608 and
+// 26, which commit f70485f's InstrumentedSetter wrapper exported as
+// freq_switches_total; the tap no longer counts, and the rows the ledger
+// keeps are those sets less each rank's one Setup set, which makes no
+// decision row.
+func TestFreqDecisionRowsPinned(t *testing.T) {
 	mandyn := func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
 	}
 	for _, c := range []struct {
 		name string
 		cfg  Config
-		want float64
+		want uint64
 	}{
 		{"recorded-mandyn-8", Config{System: cluster.MiniHPC(), Ranks: 8, Sim: Turbulence,
-			ParticlesPerRank: 10e6, Steps: 300, Seed: 42, NewStrategy: mandyn}, 9608},
-		{"chaos-1", chaosConfig(1, 2, 3, false), 26},
+			ParticlesPerRank: 10e6, Steps: 300, Seed: 42, NewStrategy: mandyn}, 9608 - 8},
+		{"chaos-1", chaosConfig(1, 2, 3, false), 26 - 2},
 	} {
 		c.cfg.Tracer = telemetry.NewTracer(c.cfg.Ranks)
-		c.cfg.Metrics = telemetry.NewRegistry()
 		c.cfg.Events = events.NewLedger(0)
 		c.cfg.Sampling = sampler.Config{GPUHz: 100, NodeHz: 10}
 		res, err := Run(c.cfg)
@@ -90,11 +92,16 @@ func TestClockTapMetricsPinned(t *testing.T) {
 		if c.cfg.Faults != nil && res.Faults.Clamped == 0 {
 			t.Fatalf("%s: the clamped-clock window clamped nothing", c.name)
 		}
-		sets := c.cfg.Metrics.Counter("freq_switches_total", "").Value()
-		timed := c.cfg.Metrics.Histogram("freq_switch_latency_s", "", telemetry.ExpBuckets(1e-7, 10, 8)).Count()
-		if sets != c.want || float64(timed) != c.want {
-			t.Errorf("%s: freq_switches_total %v, freq_switch_latency_s_count %d, want %v each",
-				c.name, sets, timed, c.want)
+		var instants uint64
+		for _, sp := range c.cfg.Tracer.Spans() {
+			if sp.Instant && strings.HasPrefix(sp.Name, "decision:") {
+				instants++
+			}
+		}
+		rows := c.cfg.Events.Summary().ByType[events.FreqDecision]
+		if rows != c.want || instants != c.want {
+			t.Errorf("%s: %d freq-decision rows, %d decision instants, want %d each",
+				c.name, rows, instants, c.want)
 		}
 	}
 }

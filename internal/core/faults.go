@@ -13,7 +13,6 @@ import (
 	"sphenergy/internal/pmt"
 	"sphenergy/internal/rsmi"
 	"sphenergy/internal/sampler"
-	"sphenergy/internal/telemetry"
 )
 
 // Degradation policies for injected rank failures (Config.Degradation).
@@ -172,9 +171,8 @@ func (fs *faultState) checkStep(world *mpisim.World, step, totalRanks int) (floa
 	return 1, nil
 }
 
-// report assembles the run's FaultReport and exports the fault counters
-// into the metrics registry.
-func (fs *faultState) report(smp *sampler.Sampler, reg *telemetry.Registry) *FaultReport {
+// report assembles the run's FaultReport.
+func (fs *faultState) report(smp *sampler.Sampler) *FaultReport {
 	if fs == nil {
 		return nil
 	}
@@ -199,15 +197,6 @@ func (fs *faultState) report(smp *sampler.Sampler, reg *telemetry.Registry) *Fau
 	if smp != nil {
 		rep.SamplerDegraded = smp.Degraded()
 	}
-	for _, ic := range rep.Injected {
-		reg.Counter("faults_injected_total", "fault injections by target stream and kind",
-			telemetry.L("stream", ic.Stream), telemetry.L("kind", string(ic.Kind))).Add(float64(ic.Count))
-	}
-	reg.Counter("freqctl_retries_total", "clock-control retries across all ranks").Add(float64(rep.Retries))
-	reg.Counter("freqctl_absorbed_total", "clock-control failures absorbed after retry exhaustion").Add(float64(rep.Absorbed))
-	reg.Counter("freqctl_clamped_total", "clock sets whose achieved clock differed from the request").Add(float64(rep.Clamped))
-	reg.Counter("freqctl_breaker_trips_total", "circuit-breaker latches across all ranks").Add(float64(rep.BreakerTrips))
-	reg.Counter("ranks_failed_total", "injected rank deaths").Add(float64(len(rep.Failures)))
 	return rep
 }
 

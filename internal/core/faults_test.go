@@ -227,7 +227,6 @@ func TestSensorFaultsDegradeButDoNotFailContract(t *testing.T) {
 		ParticlesPerRank: 10e6,
 		Steps:            3,
 		Tracer:           telemetry.NewTracer(2),
-		Metrics:          telemetry.NewRegistry(),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		Faults: &faults.Plan{Name: "noisy-sensors", Seed: 9, Rules: []faults.Rule{
 			{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.2},
@@ -275,7 +274,6 @@ func TestManDynUnderClampReportsAchievedClock(t *testing.T) {
 		ParticlesPerRank: 10e6,
 		Steps:            3,
 		Tracer:           telemetry.NewTracer(1),
-		Metrics:          telemetry.NewRegistry(),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		NewStrategy: func() freqctl.Strategy {
 			return &freqctl.ManDyn{Table: map[string]int{
@@ -310,7 +308,7 @@ func TestManDynUnderClampReportsAchievedClock(t *testing.T) {
 // clamped-clock window, a straggler and, with crash, a rank that dies
 // halfway under drop-rank — stacked on a ManDyn run with a default clock,
 // so the sensor, clock-control and rank layers all see injections, with
-// every observer on: tracer, metrics, sampler and decision ledger.
+// every observer on: tracer, sampler and decision ledger.
 func chaosConfig(seed uint64, ranks, steps int, crash bool) Config {
 	spec := cluster.MiniHPC()
 	max := spec.GPUSpec.MaxSMClockMHz
@@ -322,7 +320,6 @@ func chaosConfig(seed uint64, ranks, steps int, crash bool) Config {
 		Steps:            steps,
 		Seed:             seed,
 		Tracer:           telemetry.NewTracer(ranks),
-		Metrics:          telemetry.NewRegistry(),
 		Events:           events.NewLedger(0),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		Faults: &faults.Plan{Name: fmt.Sprintf("chaos-%d", seed), Seed: seed, Rules: []faults.Rule{
@@ -393,7 +390,6 @@ func TestChaosRunDeterministic(t *testing.T) {
 			ParticlesPerRank: 10e6,
 			Steps:            4,
 			Tracer:           telemetry.NewTracer(4),
-			Metrics:          telemetry.NewRegistry(),
 			Events:           events.NewLedger(0),
 			Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 			Degradation:      DegradeRedistribute,

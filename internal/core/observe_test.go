@@ -14,8 +14,8 @@ import (
 )
 
 // observedConfig is a ManDyn Turbulence run on CSCS-A100 with every observer
-// on and fresh — tracer, metrics registry, decision ledger, 100 Hz sampler —
-// the configuration whose cost over the plain run is the observe overhead.
+// on and fresh — tracer, decision ledger, 100 Hz sampler — the
+// configuration whose cost over the plain run is the observe overhead.
 func observedConfig(ranks, steps int) Config {
 	return Config{
 		System:           cluster.CSCSA100(),
@@ -25,7 +25,6 @@ func observedConfig(ranks, steps int) Config {
 		Steps:            steps,
 		Seed:             42,
 		Tracer:           telemetry.NewTracer(ranks),
-		Metrics:          telemetry.NewRegistry(),
 		Events:           events.NewLedger(0),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		NewStrategy: func() freqctl.Strategy {
@@ -88,10 +87,11 @@ func TestBuildMatchesSpanSliceBuild(t *testing.T) {
 }
 
 // observedRunAllocCeiling is 25 % above the 2.85 MB an 8-rank, 30-step
-// observed run allocates — the sampler's, the tracer's and the ledger's
-// blocks, the times and energies the join reads off the sampler's rings,
-// the metrics registry. (13.61 MB at commit 7955eee, 3.66 MB while the join
-// took a copy of every sample first.)
+// observed run allocated when it was set — the sampler's, the tracer's and
+// the ledger's blocks, the times and energies the join reads off the
+// sampler's rings. (13.61 MB at commit 7955eee, 3.66 MB while the join took
+// a copy of every sample first, 2.19 MB since nothing records into a
+// metrics registry.)
 const observedRunAllocCeiling = 3650 << 10
 
 // TestObservedRunAllocBudget fails when observing a run starts to cost

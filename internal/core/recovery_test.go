@@ -43,7 +43,7 @@ func recoverableConfig() Config {
 
 // modelRecord flattens a Result's model truth — wall time, energies, step
 // boundaries, per-rank profiles — into comparable bytes. Observability
-// (trace, metrics, ledger, sampler) is excluded: it documents each attempt,
+// (trace, ledger, sampler) is excluded: it documents each attempt,
 // while the model must be bit-identical across recovery.
 func modelRecord(t *testing.T, res *Result) string {
 	t.Helper()
@@ -93,14 +93,14 @@ const soakSeeds = 5
 // on-disk checkpoint into want, the uninterrupted run's modelRecord, with
 // the save, the restore and the restart on the ledger, and no stall from
 // the watchdog every supervised attempt arms.
-func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed, seed uint64) {
+func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed uint64) {
 	t.Helper()
 	cfg.Faults = &faults.Plan{Name: "kill", Seed: planSeed, Rules: []faults.Rule{
 		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{rank}, Step: step},
 	}}
 	led := events.NewLedger(0)
 	res, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: seed, Events: led,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Events: led,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestSupervisedCrashRecoveryBitIdentical(t *testing.T) {
 	want := modelRecord(t, ref)
 	for _, killStep := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("kill-step-%d", killStep), func(t *testing.T) {
-			requireCrashRecovers(t, recoverableConfig(), want, killStep, 2, 11, 7)
+			requireCrashRecovers(t, recoverableConfig(), want, killStep, 2, 11)
 		})
 	}
 
@@ -157,7 +157,7 @@ func TestSupervisedCrashRecoveryBitIdentical(t *testing.T) {
 				// exhaust the restarts.
 				step, rank := 1+int(r.Uint64()%uint64(cfg.Steps-1)), int(r.Uint64()%uint64(cfg.Ranks))
 				t.Run(fmt.Sprintf("kill-%d-step-%d-rank-%d", kill, step, rank), func(t *testing.T) {
-					requireCrashRecovers(t, cfg, want, step, rank, seed, seed)
+					requireCrashRecovers(t, cfg, want, step, rank, seed)
 				})
 			}
 		})
@@ -213,11 +213,11 @@ func requireBudgetStopResumes(t *testing.T, cfg Config, rcfg recovery.Config) {
 }
 
 func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
-	requireBudgetStopResumes(t, recoverableConfig(), recovery.Config{AutosaveEvery: 2, Seed: 7})
+	requireBudgetStopResumes(t, recoverableConfig(), recovery.Config{AutosaveEvery: 2})
 	for seed := uint64(1); seed <= soakSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			requireBudgetStopResumes(t, soakConfig(seed),
-				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: seed})
+				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001})
 		})
 	}
 }
@@ -230,7 +230,6 @@ func TestSupervisedEnergyBudgetStops(t *testing.T) {
 	rcfg := recovery.Config{
 		Dir:           t.TempDir(),
 		AutosaveEvery: 1,
-		Seed:          7,
 		// Setup energy alone does not trip it; mid-loop total does.
 		EnergyBudgetJ: ref.SetupEnergyJ + ref.Report.TotalEnergyJ*0.5,
 	}
@@ -283,7 +282,6 @@ func TestSupervisedWatchdogStallRestarts(t *testing.T) {
 		AutosaveEvery: 1,
 		MaxRestarts:   2,
 		BackoffS:      0.001,
-		Seed:          7,
 		Watchdog:      recovery.WatchdogConfig{MinDeadlineS: 0.1, Mult: 4, PollS: 0.01},
 		Events:        led,
 	}
@@ -358,7 +356,7 @@ func TestSupervisedRunSurvivesRankPanic(t *testing.T) {
 
 	var fired atomic.Bool
 	res, out, err := RunSupervised(mk(&fired), recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: 7,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +491,7 @@ func TestManualStopRequestAndResume(t *testing.T) {
 		t.Fatalf("stop at first boundary ran %d steps", len(res.StepBoundariesS))
 	}
 
-	res2, out, err := RunSupervised(recoverableConfig(), recovery.Config{Dir: dir, Seed: 7})
+	res2, out, err := RunSupervised(recoverableConfig(), recovery.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +511,7 @@ func TestSupervisedRestartsExhausted(t *testing.T) {
 		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{1}, Probability: 1},
 	}}
 	_, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Seed: 7,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
 	})
 	if err == nil || !strings.Contains(err.Error(), "restarts exhausted") {
 		t.Fatalf("persistent crash did not exhaust restarts: %v", err)
@@ -531,7 +529,7 @@ func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
 	cfg.ParticlesPerRank = 400e6 // 112 GB, beyond an 80 GB A100
 	attempts := 0
 	_, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), MaxRestarts: 2, BackoffS: 0.001, Seed: 7,
+		Dir: t.TempDir(), MaxRestarts: 2, BackoffS: 0.001,
 		OnAttempt: func(*recovery.Controller) { attempts++ },
 	})
 	if want := cfg.Validate(); err == nil || want == nil || err.Error() != want.Error() {
@@ -561,7 +559,7 @@ func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
 	} {
 		dir := filepath.Join(t.TempDir(), "ckpt")
 		attempts := 0
-		rcfg := recovery.Config{Dir: dir, Seed: 7, OnAttempt: func(*recovery.Controller) { attempts++ }}
+		rcfg := recovery.Config{Dir: dir, OnAttempt: func(*recovery.Controller) { attempts++ }}
 		c.set(&rcfg)
 		_, _, err := RunSupervised(recoverableConfig(), rcfg)
 		if err == nil || !strings.Contains(err.Error(), c.field) {
@@ -580,12 +578,12 @@ func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
 // under a different configuration.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := RunSupervised(recoverableConfig(), recovery.Config{Dir: dir, Seed: 7}); err != nil {
+	if _, _, err := RunSupervised(recoverableConfig(), recovery.Config{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := recoverableConfig()
 	cfg.Seed = 99 // different run, same store
-	_, _, err := RunSupervised(cfg, recovery.Config{Dir: dir, MaxRestarts: 0, Seed: 7})
+	_, _, err := RunSupervised(cfg, recovery.Config{Dir: dir, MaxRestarts: 0})
 	if err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("fingerprint mismatch accepted: %v", err)
 	}

@@ -54,17 +54,15 @@ type Config struct {
 	// waits — exportable as Chrome trace_event JSON. Nil disables span
 	// recording at the cost of one nil check per hook.
 	Tracer *telemetry.Tracer
-	// Metrics, when non-nil, receives the run's counters, gauges and
-	// histograms (kernel_launches_total, gpu_clock_mhz, step_energy_j, ...)
-	// for the JSON snapshot a bundle keeps as metrics.json. Nil disables
-	// metrics.
+	// Metrics selects nothing: no part of a run records into it. It stays
+	// only because the repository's benchmark sets it and times its
+	// (empty) WriteFile; it goes when the benchmark drops those lines.
 	Metrics *telemetry.Registry
 	// Sampling, when enabled, runs the async power sampler during the job:
 	// every rank's GPU sensor at Sampling.GPUHz plus one pm_counters node
 	// sensor per node at Sampling.NodeHz. With a Tracer present, the
 	// sampled series are joined against the kernel/function spans into
-	// Result.Attribution; with Metrics present, live power gauges and
-	// cumulative-energy counters are exported per sensor.
+	// Result.Attribution.
 	Sampling sampler.Config
 	// Faults, when non-nil and active, injects the plan's fault rules into
 	// the run: sensor-read faults on every rank's GPU sensor and every
@@ -248,8 +246,8 @@ type rankCtx struct {
 	strategy freqctl.Strategy
 	sensor   pmt.Sensor
 	profile  *instr.RankProfile
-	// tap observes the rank's clock sets when a tracer, registry or ledger
-	// is on (nil otherwise); setter is then the tap.
+	// tap observes the rank's clock sets when a tracer or ledger is on (nil
+	// otherwise); setter is then the tap.
 	tap *clockTap
 	// samp is the rank's async sampling channel (nil when sampling is off);
 	// polled inside the rank's phases at kernel and idle boundaries.
@@ -305,7 +303,7 @@ func Run(cfg Config) (*Result, error) {
 		re.instrumentRank(rc, r)
 		rt.instrumentRank(rc, r)
 		if rt != nil || re != nil {
-			rc.tap = rt.newClockTap(rc.setter)
+			rc.tap = newClockTap(rc.setter)
 			rc.setter = rc.tap
 		}
 		ranks[r] = rc
@@ -339,7 +337,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Sampling.Enabled() {
 		smp = sampler.New(cfg.Sampling)
 		smp.SetTransitionSink(re.samplerSink())
-		smp.BindMetrics(cfg.Metrics)
 		for r, rc := range ranks {
 			rc.samp = smp.AddRank(r, rc.sensor)
 		}
@@ -363,7 +360,7 @@ func Run(cfg Config) (*Result, error) {
 		re.endRun(world.MaxClock())
 		res := &Result{System: system, Sampler: smp}
 		if fs != nil {
-			res.Faults = fs.report(smp, cfg.Metrics)
+			res.Faults = fs.report(smp)
 		}
 		return res, err
 	}
@@ -538,7 +535,6 @@ func Run(cfg Config) (*Result, error) {
 			clear(ran)
 			telemetry.DoLabeled(cfg.ProfileLabels, "pass", fn.Name, runKernels)
 			waits = world.Synchronize(durs)
-			rt.phaseWaits(waits)
 
 			tail = commS + hostS
 			world.Execute(idlePhase)
@@ -548,7 +544,6 @@ func Run(cfg Config) (*Result, error) {
 
 			phaseEnd := world.MaxClock()
 			phaseS := phaseEnd - phaseStart
-			rt.functionTime(fn.Name, phaseS)
 
 			// Host energy for the phase, advanced and read once per node:
 			// the ranks of a node all get the same share of the same deltas.
@@ -577,9 +572,7 @@ func Run(cfg Config) (*Result, error) {
 				host := hostShare[r/rpn]
 				cpuJ, memJ, otherJ := host.cpuJ, host.memJ, host.otherJ
 				rc.profile.RecordAt(slot, fn.Name, phaseS, gpuJ, cpuJ, memJ, otherJ, commS)
-				if rt != nil {
-					rt.functionSpan(r, fn.Name, phaseStart, phaseS, gpuJ, commS)
-				}
+				rt.functionSpan(r, fn.Name, phaseStart, phaseS, gpuJ, commS)
 				stepJ += gpuJ + cpuJ + memJ + otherJ
 			}
 			rt.phaseTailSpans(fn, phaseEnd, commS, hostS)
@@ -645,10 +638,6 @@ func Run(cfg Config) (*Result, error) {
 	report.MemEnergyJ -= setup.Mem
 	report.OtherEnergyJ -= setup.Other
 	report.TotalEnergyJ = report.GPUEnergyJ + report.CPUEnergyJ + report.MemEnergyJ + report.OtherEnergyJ
-	rt.finish(wall, &reportTotals{
-		gpuJ: report.GPUEnergyJ, cpuJ: report.CPUEnergyJ,
-		memJ: report.MemEnergyJ, otherJ: report.OtherEnergyJ,
-	})
 
 	// Final sampler flush, then the span join: sampled series against
 	// kernel/function spans, both read where the sampler and the tracer hold
@@ -687,7 +676,7 @@ func Run(cfg Config) (*Result, error) {
 		Attribution:     attribution,
 	}
 	if fs != nil {
-		res.Faults = fs.report(smp, cfg.Metrics)
+		res.Faults = fs.report(smp)
 		report.Faults = res.Faults
 	}
 	if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {

@@ -3,33 +3,17 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/telemetry"
 )
 
-// runTelemetry bundles the run's telemetry sinks and pre-registered
-// metrics. A nil *runTelemetry means telemetry is off; every hook below
-// guards on that, so the uninstrumented path costs one nil check per phase
-// — the §III-B non-perturbation property.
+// runTelemetry wires the run's tracer. A nil *runTelemetry means tracing
+// is off; every hook below guards on that, so the uninstrumented path costs
+// one nil check per phase — the §III-B non-perturbation property.
 type runTelemetry struct {
-	tr  *telemetry.Tracer
-	reg *telemetry.Registry
-
-	kernelLaunches *telemetry.Counter
-	freqSwitches   *telemetry.Counter
-	switchLatency  *telemetry.Histogram
-	stepsTotal     *telemetry.Counter
-	stepTime       *telemetry.Histogram
-	stepEnergy     *telemetry.Histogram
-	mpiWait        *telemetry.Counter
-
-	// fnTime memoizes the per-function phase-latency histograms, labeled by
-	// function name and registered lazily on first observation (pipelines
-	// are not known until the loop runs). Run-loop only, unsynchronized.
-	fnTime map[string]*telemetry.Histogram
+	tr *telemetry.Tracer
 
 	// Interned span identities for the per-phase spans, memoized per call
 	// site so the steady-state loop records through SpanRefs only. These
@@ -46,108 +30,66 @@ type runTelemetry struct {
 
 	// decisionRefs memoizes the "decision:<fn>" instants' identities.
 	decisionRefs map[string]telemetry.SpanRef
-
-	// observers collects the per-rank device observers so step-boundary
-	// flushes can fold their per-rank kernel counts into the registry
-	// instead of bumping one shared counter per launch.
-	observers     []*rankObserver
-	kernelFlushed float64
 }
 
-// newRunTelemetry wires the tracer and registry for a run, labeling rank
-// tracks and registering the metric families up front so hot-path updates
-// are pure atomic/shard operations.
+// newRunTelemetry wires the tracer for a run, labeling the rank tracks and
+// the global one; nil when the run has no tracer.
 func newRunTelemetry(cfg Config) *runTelemetry {
-	if cfg.Tracer == nil && cfg.Metrics == nil {
+	if cfg.Tracer == nil {
 		return nil
 	}
-	rt := &runTelemetry{tr: cfg.Tracer, reg: cfg.Metrics}
-	if rt.tr != nil {
-		for r := 0; r < cfg.Ranks; r++ {
-			rt.tr.SetTrackName(r, fmt.Sprintf("rank %d", r))
-		}
-		rt.tr.SetTrackName(telemetry.GlobalTrack, "sim")
-		rt.fnRefs = map[string]telemetry.SpanRef{}
-		rt.hostRefs = map[string]telemetry.SpanRef{}
-		rt.commRefs = map[string]telemetry.SpanRef{}
-		rt.decisionRefs = map[string]telemetry.SpanRef{}
+	rt := &runTelemetry{
+		tr:           cfg.Tracer,
+		fnRefs:       map[string]telemetry.SpanRef{},
+		hostRefs:     map[string]telemetry.SpanRef{},
+		commRefs:     map[string]telemetry.SpanRef{},
+		decisionRefs: map[string]telemetry.SpanRef{},
 	}
-	rt.kernelLaunches = rt.reg.Counter("kernel_launches_total",
-		"GPU kernel batches executed across all ranks")
-	rt.freqSwitches = rt.reg.Counter("freq_switches_total",
-		"application-clock set operations across all ranks")
-	rt.switchLatency = rt.reg.Histogram("freq_switch_latency_s",
-		"wall-clock latency of clock-control calls",
-		telemetry.ExpBuckets(1e-7, 10, 8))
-	rt.stepsTotal = rt.reg.Counter("steps_total", "completed simulation steps")
-	rt.stepTime = rt.reg.Histogram("step_time_s",
-		"virtual wall time per step", telemetry.ExpBuckets(0.1, 2, 12))
-	rt.stepEnergy = rt.reg.Histogram("step_energy_j",
-		"allocation energy per step", telemetry.ExpBuckets(1, 10, 9))
-	rt.mpiWait = rt.reg.Counter("mpi_wait_s_total",
-		"cumulative barrier wait time across all ranks")
-	if rt.reg != nil {
-		rt.fnTime = map[string]*telemetry.Histogram{}
+	for r := 0; r < cfg.Ranks; r++ {
+		rt.tr.SetTrackName(r, fmt.Sprintf("rank %d", r))
 	}
+	rt.tr.SetTrackName(telemetry.GlobalTrack, "sim")
 	return rt
 }
 
 // instrumentRank attaches the device observer of one rank so its kernels
-// and clock changes flow into the tracer and registry.
+// and clock changes flow into the tracer.
 func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
 	if rt == nil {
 		return
 	}
-	obs := &rankObserver{rank: rank, rt: rt}
-	if rt.reg != nil {
-		obs.clock = rt.reg.Gauge("gpu_clock_mhz",
-			"current SM application clock", telemetry.L("rank", strconv.Itoa(rank)))
-	}
-	if rt.tr != nil {
-		obs.kernelRefs = map[string]telemetry.SpanRef{}
-		obs.clockRefs = map[string]telemetry.SpanRef{}
-	}
-	rt.observers = append(rt.observers, obs)
-	rc.dev.SetObserver(obs)
+	rc.dev.SetObserver(&rankObserver{rank: rank, tr: rt.tr,
+		kernelRefs: map[string]telemetry.SpanRef{},
+		clockRefs:  map[string]telemetry.SpanRef{}})
 }
 
 // rankObserver forwards one device's events onto its rank track. Each
-// observer serves one rank: its identity memos and the kernels cell are per
-// rank, so a kernel launch touches no registry counter (the run loop folds
-// the cells into kernel_launches_total at step boundaries).
+// observer serves one rank, so its identity memos are per rank.
 type rankObserver struct {
 	rank       int
-	rt         *runTelemetry
-	clock      *telemetry.Gauge
+	tr         *telemetry.Tracer
 	kernelRefs map[string]telemetry.SpanRef // kernel name → interned span
 	clockRefs  map[string]telemetry.SpanRef // clock-change cause → interned instant
-	kernels    atomic.Int64                 // launches on this rank so far
 }
 
 // KernelLaunched implements gpusim.Observer.
 func (o *rankObserver) KernelLaunched(name string, startS, durS float64, clockMHz int, energyJ float64) {
-	if o.rt.tr != nil {
-		ref, ok := o.kernelRefs[name]
-		if !ok {
-			ref = o.rt.tr.Intern("kernel", name, "clock_mhz", "energy_j")
-			o.kernelRefs[name] = ref
-		}
-		o.rt.tr.CompleteRef(o.rank, ref, startS, durS, float64(clockMHz), energyJ)
+	ref, ok := o.kernelRefs[name]
+	if !ok {
+		ref = o.tr.Intern("kernel", name, "clock_mhz", "energy_j")
+		o.kernelRefs[name] = ref
 	}
-	o.kernels.Add(1)
+	o.tr.CompleteRef(o.rank, ref, startS, durS, float64(clockMHz), energyJ)
 }
 
 // ClockChanged implements gpusim.Observer.
 func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
-	if o.rt.tr != nil {
-		ref, ok := o.clockRefs[cause]
-		if !ok {
-			ref = o.rt.tr.InternWith("freq", "freq-change", "cause", cause, "mhz")
-			o.clockRefs[cause] = ref
-		}
-		o.rt.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
+	ref, ok := o.clockRefs[cause]
+	if !ok {
+		ref = o.tr.InternWith("freq", "freq-change", "cause", cause, "mhz")
+		o.clockRefs[cause] = ref
 	}
-	o.clock.Set(float64(clockMHz))
+	o.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
 }
 
 // decision records a clock a strategy set before a function as an instant
@@ -155,7 +97,7 @@ func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
 // the interesting events are the clock transitions ManDyn issues at
 // function boundaries).
 func (rt *runTelemetry) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
-	if rt == nil || rt.tr == nil {
+	if rt == nil {
 		return
 	}
 	ref, ok := rt.decisionRefs[function]
@@ -187,7 +129,7 @@ func (w waitRecorder) RecordSpan(rank int, category, name string, startS, durS f
 // spanRecorder returns the world's span recorder, or nil when tracing is
 // off.
 func (rt *runTelemetry) spanRecorder() mpisim.SpanRecorder {
-	if rt == nil || rt.tr == nil {
+	if rt == nil {
 		return nil
 	}
 	return waitRecorder{tr: rt.tr, ref: rt.tr.Intern("mpi", "barrier-wait")}
@@ -197,7 +139,7 @@ func (rt *runTelemetry) spanRecorder() mpisim.SpanRecorder {
 // tracks of the tracer, so the Fig. 9 trajectory renders alongside the
 // spans in the same timeline.
 func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
-	if rt == nil || rt.tr == nil || trace == nil {
+	if rt == nil || trace == nil {
 		return
 	}
 	tr := rt.tr
@@ -212,7 +154,7 @@ func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
 // timestamps derive from values the runner computed anyway, so
 // instrumentation adds no extra clock queries.
 func (rt *runTelemetry) functionSpan(rank int, fn string, startS, durS, gpuJ, commS float64) {
-	if rt == nil || rt.tr == nil {
+	if rt == nil {
 		return
 	}
 	if fn != rt.curFnName {
@@ -233,7 +175,7 @@ func (rt *runTelemetry) functionSpan(rank int, fn string, startS, durS, gpuJ, co
 // global track instead, nesting under the step span. This keeps trace
 // volume per phase O(1) in the rank count.
 func (rt *runTelemetry) phaseTailSpans(fn *FuncModel, endS, commS, hostS float64) {
-	if rt == nil || rt.tr == nil {
+	if rt == nil {
 		return
 	}
 	syncT := endS - commS - hostS
@@ -256,36 +198,6 @@ func (rt *runTelemetry) phaseTailSpans(fn *FuncModel, endS, commS, hostS float64
 	}
 }
 
-// functionTime observes one finished function phase's duration in the
-// per-function latency histogram, giving p50/p95/p99 per pipeline pass in
-// the metrics snapshot. Observed once per phase (not per rank): the
-// phase duration is global after the barrier.
-func (rt *runTelemetry) functionTime(name string, durS float64) {
-	if rt == nil || rt.reg == nil {
-		return
-	}
-	h, ok := rt.fnTime[name]
-	if !ok {
-		h = rt.reg.Histogram("function_time_s",
-			"virtual wall time per function phase (kernel + barrier + comm + host tail)",
-			telemetry.LatencyBuckets(), telemetry.L("function", name))
-		rt.fnTime[name] = h
-	}
-	h.Observe(durS)
-}
-
-// phaseWaits accounts the barrier wait times of one phase.
-func (rt *runTelemetry) phaseWaits(waits []float64) {
-	if rt == nil {
-		return
-	}
-	total := 0.0
-	for _, w := range waits {
-		total += w
-	}
-	rt.mpiWait.Add(total)
-}
-
 // commLabel names a communication pattern for the trace.
 func commLabel(k CommKind) string {
 	switch k {
@@ -299,46 +211,11 @@ func commLabel(k CommKind) string {
 	return "sync"
 }
 
-// stepSpan closes out one simulation step on the global track and folds
-// the ranks' kernel-launch cells into the registry.
+// stepSpan closes out one simulation step on the global track.
 func (rt *runTelemetry) stepSpan(step int, startS, endS, energyJ float64) {
 	if rt == nil {
 		return
 	}
-	if rt.tr != nil {
-		ref := rt.tr.Intern("step", "step "+strconv.Itoa(step), "energy_j")
-		rt.tr.CompleteRef(telemetry.GlobalTrack, ref, startS, endS-startS, energyJ, 0)
-	}
-	rt.stepsTotal.Inc()
-	rt.stepTime.Observe(endS - startS)
-	rt.stepEnergy.Observe(energyJ)
-	if rt.reg != nil {
-		total := 0.0
-		for _, o := range rt.observers {
-			total += float64(o.kernels.Load())
-		}
-		rt.kernelLaunches.Add(total - rt.kernelFlushed)
-		rt.kernelFlushed = total
-	}
-}
-
-// finish records the run-level summary gauges.
-func (rt *runTelemetry) finish(wallS float64, report *reportTotals) {
-	if rt == nil || rt.reg == nil {
-		return
-	}
-	rt.reg.Gauge("wall_time_s", "time-to-solution of the stepping loop").Set(wallS)
-	eg := func(class string, j float64) {
-		rt.reg.Gauge("energy_total_j", "loop energy by device class",
-			telemetry.L("class", class)).Set(j)
-	}
-	eg("gpu", report.gpuJ)
-	eg("cpu", report.cpuJ)
-	eg("mem", report.memJ)
-	eg("other", report.otherJ)
-}
-
-// reportTotals carries the per-class loop energy into finish.
-type reportTotals struct {
-	gpuJ, cpuJ, memJ, otherJ float64
+	ref := rt.tr.Intern("step", "step "+strconv.Itoa(step), "energy_j")
+	rt.tr.CompleteRef(telemetry.GlobalTrack, ref, startS, endS-startS, energyJ, 0)
 }

@@ -24,7 +24,6 @@ func telemetryTestConfig() Config {
 func TestRunEmitsTelemetry(t *testing.T) {
 	cfg := telemetryTestConfig()
 	cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
-	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Trace = true
 	cfg.NewStrategy = func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
@@ -70,55 +69,45 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	if names["step 0"] == 0 || names["step 1"] == 0 {
 		t.Errorf("missing step spans; names: %v", names)
 	}
-	// Every instrumented function appears as a span on each rank and step.
-	if got := names[FnMomentum]; got < cfg.Ranks*cfg.Steps {
-		t.Errorf("momentum spans = %d, want >= %d", got, cfg.Ranks*cfg.Steps)
-	}
 	// The gpusim trace mirrors into counter tracks via the shared sink.
 	if names["gpu_power_w"] == 0 {
 		t.Error("trace sink did not mirror power samples into the tracer")
 	}
 
-	snap := cfg.Metrics.Snapshot()
-	for _, want := range []struct {
-		name, kind string
-		kv         []string
-	}{
-		{"kernel_launches_total", "counter", nil},
-		{"freq_switches_total", "counter", nil},
-		{"gpu_clock_mhz", "gauge", []string{"rank", "0"}},
-		{"step_energy_j", "histogram", nil},
-		{"mpi_wait_s_total", "counter", nil},
-		{"energy_total_j", "gauge", []string{"class", "gpu"}},
-		{"wall_time_s", "gauge", nil},
-	} {
-		if fam, _, ok := findSample(snap, want.name, want.kv...); !ok || fam.Type != want.kind {
-			t.Errorf("snapshot has no %s %s%v", want.kind, want.name, want.kv)
+	// The facts a reader takes from the trace: one function span per rank,
+	// step and pipeline function, and one step span per step carrying the
+	// step's energy.
+	type rankFn struct {
+		rank int
+		fn   string
+	}
+	fnSpans := map[rankFn]int{}
+	stepSpans := 0
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph != "X":
+		case e.Cat == "function":
+			fnSpans[rankFn{e.TID, e.Name}]++
+		case e.Cat == "step":
+			stepSpans++
+			if j, ok := e.Args["energy_j"].(float64); !ok || !(j > 0) || !(e.Dur > 0) {
+				t.Errorf("%s: energy_j %v, dur %v, want both > 0", e.Name, e.Args["energy_j"], e.Dur)
+			}
 		}
 	}
-	if _, s, _ := findSample(snap, "steps_total"); s.Value != 2 {
-		t.Errorf("steps_total = %v, want 2", s.Value)
+	fns := PipelineFunctionNames(cfg.Sim)
+	if len(fnSpans) != cfg.Ranks*len(fns) {
+		t.Errorf("function spans on %d (rank, function) pairs, want %d", len(fnSpans), cfg.Ranks*len(fns))
 	}
-	// Histograms carry buckets and, once observed, the p50/p95/p99 tails.
-	for _, want := range []struct {
-		name string
-		kv   []string
-	}{
-		{"function_time_s", []string{"function", FnMomentum}},
-		{"freq_switch_latency_s", nil},
-	} {
-		fam, s, ok := findSample(snap, want.name, want.kv...)
-		if _, p50 := s.Quantiles["0.5"]; !ok || fam.Type != "histogram" || len(s.Buckets) == 0 || !p50 {
-			t.Errorf("%s%v = %+v, want an observed histogram with buckets and quantiles", want.name, want.kv, s)
+	for r := 0; r < cfg.Ranks; r++ {
+		for _, fn := range fns {
+			if got := fnSpans[rankFn{r, fn}]; got != cfg.Steps {
+				t.Errorf("rank %d: %d %s spans, want %d (one per step)", r, got, fn, cfg.Steps)
+			}
 		}
 	}
-
-	// Per-function latency histogram: one observation per pipeline phase.
-	fnHist := cfg.Metrics.Histogram("function_time_s", "",
-		telemetry.LatencyBuckets(), telemetry.L("function", FnMomentum))
-	if got := fnHist.Count(); got != uint64(cfg.Steps) {
-		t.Errorf("function_time_s{%s} count = %d, want %d (one per step)",
-			FnMomentum, got, cfg.Steps)
+	if stepSpans != cfg.Steps {
+		t.Errorf("%d step spans, want %d", stepSpans, cfg.Steps)
 	}
 
 	// Telemetry must not change the physics: identical run without it.
@@ -133,27 +122,6 @@ func TestRunEmitsTelemetry(t *testing.T) {
 		t.Errorf("telemetry perturbed the run: wall %v vs %v, energy %v vs %v",
 			res.WallTimeS, res2.WallTimeS, res.Report.TotalEnergyJ, res2.Report.TotalEnergyJ)
 	}
-}
-
-// findSample returns the family called name in a registry snapshot and its
-// first sample carrying every label of kv (name, value pairs); ok is false
-// when there is none.
-func findSample(snap []telemetry.MetricSnapshot, name string, kv ...string) (telemetry.MetricSnapshot, telemetry.SampleSnapshot, bool) {
-	for _, fam := range snap {
-		if fam.Name != name {
-			continue
-		}
-	samples:
-		for _, s := range fam.Samples {
-			for i := 0; i+1 < len(kv); i += 2 {
-				if s.Labels[kv[i]] != kv[i+1] {
-					continue samples
-				}
-			}
-			return fam, s, true
-		}
-	}
-	return telemetry.MetricSnapshot{}, telemetry.SampleSnapshot{}, false
 }
 
 func TestRunWithoutTelemetryUnchanged(t *testing.T) {
@@ -178,10 +146,7 @@ func TestRunWithoutTelemetryUnchanged(t *testing.T) {
 //
 //   - "off" is the seed behavior: nil sinks cost one nil check per hook
 //     (~0% by construction; the hooks measure at ~2 ns each).
-//   - "live" is the metrics registry alone, as behind -out's
-//     metrics.json. Stays within ~5% of
-//     "off" (measured ~2-4%): hot updates are single atomics and the
-//     per-rank kernel counts fold into the registry only at step bounds.
+//   - "events" is the decision ledger alone, ledger off and on.
 //   - "trace" additionally captures every span for -out's trace.json: ~66
 //     spans/step here (kernels, functions, MPI waits, decisions). Each
 //     record is a ~40 ns interned append, ~2-3 µs per step; that is ~10%
@@ -202,18 +167,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		}
 	})
-	b.Run("live", func(b *testing.B) {
-		cfg := base
-		cfg.Metrics = telemetry.NewRegistry()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("events", func(b *testing.B) {
-		// The decision ledger alone (no tracer/registry). ManDyn drives real
+		// The decision ledger alone (no tracer). ManDyn drives real
 		// frequency decisions so the whole pipeline runs: Traced capture on
 		// every Apply, per-rank staging, coordinator drain at step bounds.
 		//
@@ -254,12 +209,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		})
 	})
 	b.Run("trace", func(b *testing.B) {
-		// One tracer/registry for the whole benchmark, as a long-lived
-		// process would hold them; Reset keeps buffer capacity so the
+		// One tracer for the whole benchmark, as a long-lived process would
+		// hold it; Reset keeps buffer capacity so the
 		// measurement is the marginal recording cost, not allocation churn.
 		cfg := base
 		cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
-		cfg.Metrics = telemetry.NewRegistry()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg.Tracer.Reset()

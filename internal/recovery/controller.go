@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"sphenergy/internal/events"
-	"sphenergy/internal/telemetry"
 )
 
 // Config tunes run supervision: durability (Dir/AutosaveEvery/Keep),
-// restart policy (MaxRestarts/BackoffS/Seed), budgets, and the watchdog.
-// Events and Metrics are optional observability sinks shared across
-// restart attempts, so the full recovery timeline of an interrupted run
-// lands in one ledger and one registry.
+// restart policy (MaxRestarts/BackoffS), budgets, and the watchdog.
+// Events is an optional ledger shared across restart attempts, so the full
+// recovery timeline of an interrupted run lands in one ledger.
 type Config struct {
 	// Dir is the snapshot directory; empty disables durability (budgets
 	// and the watchdog still work, restarts then replay from step 0).
@@ -28,11 +26,10 @@ type Config struct {
 	// MaxRestarts bounds supervisor restarts; a run that fails more than
 	// MaxRestarts+1 times total is abandoned with StatusRestartsExhausted.
 	MaxRestarts int
-	// BackoffS is the base of the seeded exponential restart backoff in
-	// real seconds (default 0.05); maxBackoffS caps it.
+	// BackoffS is the base of the exponential restart backoff in real
+	// seconds (default 0.05): restart n waits BackoffS·2^n, capped at
+	// maxBackoffS.
 	BackoffS float64
-	// Seed drives the deterministic backoff jitter.
-	Seed uint64
 	// WalltimeBudgetS stops the run gracefully once the virtual wall
 	// clock passes the budget (0 = unlimited).
 	WalltimeBudgetS float64
@@ -44,8 +41,6 @@ type Config struct {
 
 	// Events receives typed checkpoint/restart/watchdog/budget records.
 	Events *events.Ledger
-	// Metrics receives the recovery metric families.
-	Metrics *telemetry.Registry
 
 	// OnAttempt observes each attempt's controller just before the attempt
 	// starts. Signal handlers use it to route RequestStop to whichever
@@ -110,41 +105,6 @@ const (
 	Stop
 )
 
-// metricsHooks bundles the recovery metric families (all nil-safe).
-type metricsHooks struct {
-	ckptSeconds  *telemetry.Histogram
-	stepWall     *telemetry.Histogram
-	ckptTotal    *telemetry.Counter
-	restarts     *telemetry.Counter
-	stalls       *telemetry.Counter
-	budgetStops  *telemetry.Counter
-	wallLimit    *telemetry.Gauge
-	wallUsed     *telemetry.Gauge
-	energyLimit  *telemetry.Gauge
-	energyUsed   *telemetry.Gauge
-	restoredStep *telemetry.Gauge
-}
-
-func newMetricsHooks(reg *telemetry.Registry) *metricsHooks {
-	return &metricsHooks{
-		ckptSeconds: reg.Histogram("recovery_checkpoint_write_seconds",
-			"real time spent writing one durable checkpoint", telemetry.ExpBuckets(1e-4, 2, 14)),
-		stepWall: reg.Histogram("recovery_step_wall_seconds",
-			"real (host) time per simulation step, the watchdog's deadline source",
-			telemetry.ExpBuckets(1e-3, 2, 16)),
-		ckptTotal:   reg.Counter("recovery_checkpoints_saved_total", "durable checkpoints written"),
-		restarts:    reg.Counter("recovery_restarts_total", "supervisor restarts after a crashed or stalled attempt"),
-		stalls:      reg.Counter("recovery_watchdog_stalls_total", "watchdog deadline hits"),
-		budgetStops: reg.Counter("recovery_budget_stops_total", "graceful stops triggered by a budget"),
-		wallLimit:   reg.Gauge("recovery_walltime_budget_s", "configured wall-clock budget (0 = unlimited)"),
-		wallUsed:    reg.Gauge("recovery_walltime_used_s", "virtual wall clock consumed so far"),
-		energyLimit: reg.Gauge("recovery_energy_budget_j", "configured energy budget (0 = unlimited)"),
-		energyUsed:  reg.Gauge("recovery_energy_used_j", "total allocation energy consumed so far"),
-		restoredStep: reg.Gauge("recovery_restored_step",
-			"step the latest restart resumed from (unset until a restore happens)"),
-	}
-}
-
 // Controller drives one run attempt's recovery decisions at step
 // boundaries: autosave cadence, watchdog heartbeats, budget checks, and
 // externally requested graceful stops (signals). The runner calls StepDone
@@ -154,7 +114,6 @@ func newMetricsHooks(reg *telemetry.Registry) *metricsHooks {
 type Controller struct {
 	cfg   Config
 	store *Store // nil when durability is off
-	mets  *metricsHooks
 	wd    *watchdog
 
 	abandoned atomic.Bool
@@ -169,12 +128,7 @@ type Controller struct {
 // NewController builds a controller for one attempt. The store may be nil.
 func NewController(cfg Config, store *Store) *Controller {
 	cfg = cfg.defaulted()
-	mets := newMetricsHooks(cfg.Metrics)
-	c := &Controller{cfg: cfg, store: store, mets: mets}
-	c.wd = newWatchdog(cfg.Watchdog, mets.stepWall)
-	mets.wallLimit.Set(cfg.WalltimeBudgetS)
-	mets.energyLimit.Set(cfg.EnergyBudgetJ)
-	return c
+	return &Controller{cfg: cfg, store: store, wd: newWatchdog(cfg.Watchdog)}
 }
 
 // RequestStop asks for a graceful stop at the next step boundary (the
@@ -203,8 +157,6 @@ func (c *Controller) StepDone(step int, wallS, energyJ float64, m Meta, encode f
 		// The supervisor moved on; quietly wind the zombie attempt down.
 		return Stop
 	}
-	c.mets.wallUsed.Set(wallS)
-	c.mets.energyUsed.Set(energyJ)
 
 	cause := ""
 	switch {
@@ -218,7 +170,6 @@ func (c *Controller) StepDone(step int, wallS, energyJ float64, m Meta, encode f
 	if cause != "" {
 		c.finalSave(m, wallS, encode, cause)
 		if cause == StopWalltimeBudget || cause == StopEnergyBudget {
-			c.mets.budgetStops.Inc()
 			c.emit(events.Event{
 				Type: events.BudgetStop, TimeS: wallS, Step: step, Rank: -1,
 				Detail: cause, Value: energyJ,
@@ -266,8 +217,6 @@ func (c *Controller) save(m Meta, wallS float64, encode func(io.Writer) error, d
 		})
 		return
 	}
-	c.mets.ckptSeconds.Observe(durS)
-	c.mets.ckptTotal.Inc()
 	c.mu.Lock()
 	c.saves++
 	c.lastPath = path

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sphenergy/internal/events"
-	"sphenergy/internal/rng"
 )
 
 // Status classifies how a supervised run ended.
@@ -57,7 +56,7 @@ type AttemptFunc[T any] func(resume *Resume, ctl *Controller) (T, error)
 
 // Supervise runs attempt under the full supervision loop: restore the
 // newest valid snapshot, run, and on a crash (error or panic) or a
-// watchdog stall restart from disk with seeded exponential backoff, up to
+// watchdog stall restart from disk with exponential backoff, up to
 // MaxRestarts restarts. A graceful controller stop (budget/signal) is a
 // success with Outcome.Status = StatusStopped. The returned error is
 // non-nil only when the config is invalid, restarts are exhausted or the
@@ -77,8 +76,6 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 			return zero, out, err
 		}
 	}
-	mets := newMetricsHooks(cfg.Metrics)
-	backoff := rng.New(cfg.Seed ^ 0xBAC0FF5EED)
 	poll := time.Duration(cfg.Watchdog.PollS * float64(time.Second))
 
 	for attemptN := 0; ; attemptN++ {
@@ -90,7 +87,6 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 				out.Resumed = true
 				out.ResumeStep = snap.Meta.Step
 				out.CorruptSkipped += len(skipped)
-				mets.restoredStep.Set(float64(snap.Meta.Step))
 				detail := "restore"
 				if len(skipped) > 0 {
 					detail = fmt.Sprintf("restore-fallback:%d-corrupt-skipped", len(skipped))
@@ -135,7 +131,6 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 					// truly wedged step leaks its goroutine — restarting in
 					// place is still better than hanging the whole run).
 					ctl.Abandon()
-					mets.stalls.Inc()
 					out.WatchdogStalls++
 					cfg.Events.Emit(events.Event{
 						Type: events.WatchdogStall, Step: -1, Rank: -1,
@@ -168,9 +163,7 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 				attemptN+1, ar.err)
 		}
 		out.Restarts++
-		mets.restarts.Inc()
-		d := cfg.BackoffS * math.Pow(2, float64(attemptN)) * (0.5 + backoff.Float64())
-		d = math.Min(d, maxBackoffS)
+		d := math.Min(cfg.BackoffS*math.Pow(2, float64(attemptN)), maxBackoffS)
 		cfg.Events.Emit(events.Event{
 			Type: events.Restart, Step: -1, Rank: -1,
 			Detail: ar.err.Error(), Value: d,

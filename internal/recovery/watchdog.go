@@ -4,17 +4,14 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"sphenergy/internal/telemetry"
 )
 
 // WatchdogConfig tunes hung-step detection, which every Supervise attempt
 // runs. The watchdog compares the real time since the last step-boundary
 // heartbeat against a per-step deadline derived from a rolling estimate of
 // real step duration: deadline = max(MinDeadlineS, Mult × estimate). The
-// estimate is an EWMA of observed step wall times, seeded from the shared
-// telemetry histogram (recovery_step_wall_seconds) when earlier attempts
-// already populated it.
+// estimate is an EWMA of the attempt's own step wall times, so each attempt
+// starts from the MinDeadlineS floor.
 type WatchdogConfig struct {
 	// Mult scales the rolling step-time estimate into a deadline
 	// (default 16 — simulation steps are uniform, a 16x outlier is a hang).
@@ -42,20 +39,19 @@ func (c WatchdogConfig) defaulted() WatchdogConfig {
 // watchdog tracks step-boundary heartbeats and the rolling real-time
 // estimate behind the per-step deadline.
 type watchdog struct {
-	cfg  WatchdogConfig
-	hist *telemetry.Histogram // shared across attempts via the registry; nil ok
+	cfg WatchdogConfig
 
 	mu       sync.Mutex
 	lastBeat time.Time
 	ewma     float64 // seconds; 0 = no local observation yet
 }
 
-func newWatchdog(cfg WatchdogConfig, hist *telemetry.Histogram) *watchdog {
-	return &watchdog{cfg: cfg.defaulted(), hist: hist, lastBeat: time.Now()}
+func newWatchdog(cfg WatchdogConfig) *watchdog {
+	return &watchdog{cfg: cfg.defaulted(), lastBeat: time.Now()}
 }
 
 // beat records a step boundary, folding the elapsed real time into the
-// rolling estimate and the shared histogram.
+// rolling estimate.
 func (w *watchdog) beat(now time.Time) {
 	w.mu.Lock()
 	dur := now.Sub(w.lastBeat).Seconds()
@@ -67,9 +63,6 @@ func (w *watchdog) beat(now time.Time) {
 		w.ewma = alpha*dur + (1-alpha)*w.ewma
 	}
 	w.mu.Unlock()
-	if w.hist != nil {
-		w.hist.Observe(dur)
-	}
 }
 
 // deadlineS returns the current per-step deadline in seconds.
@@ -77,11 +70,6 @@ func (w *watchdog) deadlineS() float64 {
 	w.mu.Lock()
 	est := w.ewma
 	w.mu.Unlock()
-	if est == 0 && w.hist != nil && w.hist.Count() > 0 {
-		// A previous attempt's observations live in the shared histogram;
-		// use its tail as the cold-start estimate.
-		est = w.hist.Quantile(0.99)
-	}
 	return math.Max(w.cfg.MinDeadlineS, w.cfg.Mult*est)
 }
 

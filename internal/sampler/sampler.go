@@ -18,9 +18,7 @@
 // dropped, not reallocated), accumulate energy overflow-safely (counter
 // wraps and resets clamp to zero delta instead of going negative, and the
 // running sum is Kahan-compensated), and count their polls, ticks, drops
-// and degradations. BindMetrics mirrors every channel into a telemetry
-// registry as live power gauges, cumulative energy counters and a
-// poll-gap histogram.
+// and degradations.
 //
 // # Degradation
 //
@@ -42,12 +40,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 
 	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/telemetry"
 )
 
 // Default sampling rates, following the real PMT's per-backend defaults:
@@ -172,14 +168,6 @@ type Channel struct {
 	faultReads    uint64
 	stuckEvents   uint64
 	degradedTicks uint64
-
-	// bound metrics (nil when unbound)
-	mPower    *telemetry.Gauge
-	mEnergy   *telemetry.Counter
-	mTicks    *telemetry.Counter
-	mDrops    *telemetry.Counter
-	mDegraded *telemetry.Counter
-	mGap      *telemetry.Histogram
 }
 
 // Name returns the channel's sensor label.
@@ -288,8 +276,6 @@ func (c *Channel) Poll() {
 	}
 	// Emit every tick in (last.TimeS, st.TimeS].
 	startAccum := c.accumJ
-	ticksBefore, dropsBefore := c.ticks, c.dropped
-	degradedBefore := c.degradedTicks
 	for {
 		tickT := float64(c.tick) * c.periodS
 		if tickT > st.TimeS+1e-12 {
@@ -320,27 +306,7 @@ func (c *Channel) Poll() {
 	}
 	c.kahanAdd(deltaJ)
 	c.last = st
-	mPower, mEnergy, mTicks, mDrops, mDegraded, mGap :=
-		c.mPower, c.mEnergy, c.mTicks, c.mDrops, c.mDegraded, c.mGap
-	meanW := 0.0
-	if gap > 0 {
-		meanW = deltaJ / gap
-	}
-	newTicks, newDrops := c.ticks-ticksBefore, c.dropped-dropsBefore
-	newDegraded := c.degradedTicks - degradedBefore
 	c.mu.Unlock()
-
-	// Metric updates run outside the channel lock; gauges/counters are
-	// atomic and nil-safe.
-	if gap > 0 {
-		mPower.Set(meanW)
-		// Poll-gap distribution, with p50/p95/p99 in the metrics snapshot.
-		mGap.Observe(gap)
-	}
-	mEnergy.Add(deltaJ)
-	mTicks.Add(float64(newTicks))
-	mDrops.Add(float64(newDrops))
-	mDegraded.Add(float64(newDegraded))
 }
 
 // kahanAdd accumulates deltaJ into accumJ with Kahan compensation, keeping
@@ -391,29 +357,6 @@ func (c *Channel) Stats() Stats {
 	}
 }
 
-// bind wires the channel's metrics; caller holds the sampler lock.
-func (c *Channel) bind(reg *telemetry.Registry) {
-	labels := []telemetry.Label{telemetry.L("sensor", c.name)}
-	if c.rank >= 0 {
-		labels = append(labels, telemetry.L("rank", strconv.Itoa(c.rank)))
-	}
-	c.mu.Lock()
-	c.mPower = reg.Gauge("sampled_power_w",
-		"instantaneous power observed by the async sampler", labels...)
-	c.mEnergy = reg.Counter("sampled_energy_j_total",
-		"cumulative energy accumulated by the async sampler", labels...)
-	c.mTicks = reg.Counter("sampler_ticks_total",
-		"fixed-rate samples emitted per sensor", labels...)
-	c.mDrops = reg.Counter("sampler_dropped_total",
-		"samples rotated out of the bounded ring per sensor", labels...)
-	c.mDegraded = reg.Counter("sampler_degraded_ticks_total",
-		"samples estimated under sensor degradation per sensor", labels...)
-	c.mGap = reg.Histogram("sampler_poll_gap_s",
-		"virtual-time gap between consecutive sensor polls (staleness/jitter)",
-		telemetry.LatencyBuckets(), labels...)
-	c.mu.Unlock()
-}
-
 // TransitionFunc observes a channel crossing a degradation edge: degraded
 // is true when the channel just lost its primary (detail names the
 // estimation mode, "model-extrapolation") and false when the primary came
@@ -427,7 +370,6 @@ type Sampler struct {
 	mu       sync.Mutex
 	cfg      Config
 	channels []*Channel
-	reg      *telemetry.Registry
 	onTrans  TransitionFunc
 }
 
@@ -472,11 +414,7 @@ func (s *Sampler) add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 	}
 	s.mu.Lock()
 	s.channels = append(s.channels, ch)
-	reg := s.reg
 	s.mu.Unlock()
-	if reg != nil {
-		ch.bind(reg)
-	}
 	return ch
 }
 
@@ -495,22 +433,6 @@ func (s *Sampler) AddNode(node int, sensor pmt.Sensor) *Channel {
 		return nil
 	}
 	return s.add(fmt.Sprintf("node%d:%s", node, sensor.Name()), -1, sensor, s.cfg.NodeHz)
-}
-
-// BindMetrics mirrors every channel (and all later-added ones) into the
-// registry: sampled_power_w gauges, sampled_energy_j_total counters, and
-// the sampler's own tick/drop counters.
-func (s *Sampler) BindMetrics(reg *telemetry.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	s.mu.Lock()
-	s.reg = reg
-	chs := append([]*Channel(nil), s.channels...)
-	s.mu.Unlock()
-	for _, ch := range chs {
-		ch.bind(reg)
-	}
 }
 
 // Channels returns all registered channels.

@@ -7,7 +7,6 @@ import (
 
 	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/telemetry"
 )
 
 // scriptSensor replays a fixed sequence of states, then repeats the last.
@@ -211,71 +210,6 @@ func TestRatesByRole(t *testing.T) {
 	}
 }
 
-func TestBindMetrics(t *testing.T) {
-	sen := &scriptSensor{name: "fake", states: []pmt.State{
-		{TimeS: 0, EnergyJ: 0},
-		{TimeS: 1, EnergyJ: 200},
-	}}
-	s := New(Config{GPUHz: 10})
-	reg := telemetry.NewRegistry()
-	s.BindMetrics(reg)
-	ch := s.add("gpu0", 3, sen, 10)
-	ch.Poll()
-	ch.Poll()
-
-	snap := reg.Snapshot()
-	sample := func(name string) telemetry.SampleSnapshot {
-		t.Helper()
-		for _, fam := range snap {
-			for _, s := range fam.Samples {
-				if fam.Name == name && s.Labels["sensor"] == "gpu0" && s.Labels["rank"] == "3" {
-					return s
-				}
-			}
-		}
-		t.Fatalf(`snapshot has no %s{sensor="gpu0",rank="3"}: %+v`, name, snap)
-		return telemetry.SampleSnapshot{}
-	}
-	for name, want := range map[string]float64{
-		"sampled_power_w":        200,
-		"sampled_energy_j_total": 200,
-		"sampler_ticks_total":    11,
-	} {
-		if got := sample(name).Value; got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-	if gap := sample("sampler_poll_gap_s"); gap.Count != 1 || gap.Sum != 1 {
-		t.Errorf("sampler_poll_gap_s count %d sum %v, want 1 and 1", gap.Count, gap.Sum)
-	}
-}
-
-func TestPollGapHistogram(t *testing.T) {
-	// Uneven poll cadence should land distinct gaps in the jitter histogram;
-	// the zero-gap double poll must not be observed.
-	sen := &scriptSensor{name: "fake", states: []pmt.State{
-		{TimeS: 0, EnergyJ: 0},
-		{TimeS: 0.10, EnergyJ: 10},
-		{TimeS: 0.10, EnergyJ: 10}, // double poll at a phase boundary
-		{TimeS: 0.40, EnergyJ: 40},
-	}}
-	s := New(Config{GPUHz: 10})
-	reg := telemetry.NewRegistry()
-	s.BindMetrics(reg)
-	ch := s.add("gpu0", 0, sen, 10)
-	for range sen.states {
-		ch.Poll()
-	}
-	h := reg.Histogram("sampler_poll_gap_s", "", telemetry.LatencyBuckets(),
-		telemetry.L("sensor", "gpu0"), telemetry.L("rank", "0"))
-	if h.Count() != 2 {
-		t.Fatalf("gap observations = %d, want 2 (zero gaps excluded)", h.Count())
-	}
-	if !approx(h.Sum(), 0.4, 1e-9) {
-		t.Fatalf("gap sum = %g, want 0.4", h.Sum())
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var s *Sampler
 	var ch *Channel
@@ -295,10 +229,8 @@ func TestNilSafety(t *testing.T) {
 
 func TestConcurrentChannels(t *testing.T) {
 	// Each goroutine owns one channel — the runner's usage pattern. Under
-	// -race this validates the locking discipline with BindMetrics active.
+	// -race this validates the locking discipline.
 	s := New(Config{GPUHz: 100, NodeHz: 10})
-	reg := telemetry.NewRegistry()
-	s.BindMetrics(reg)
 	var wg sync.WaitGroup
 	for r := range 4 {
 		states := []pmt.State{{TimeS: 0, EnergyJ: 0}}

@@ -10,8 +10,8 @@ import (
 	tele "sphenergy/internal/telemetry"
 )
 
-// TestConcurrentTelemetry hammers the telemetry hot paths — span emission,
-// counter/gauge/histogram updates — together with instr.RankProfile.Record
+// TestConcurrentTelemetry hammers the telemetry hot path — span emission —
+// together with instr.RankProfile.Record
 // from many goroutines while readers export concurrently. Run under
 // `go test -race` (the `make check` target does) this proves the
 // measurement substrate itself is data-race free, the precondition for
@@ -22,18 +22,13 @@ func TestConcurrentTelemetry(t *testing.T) {
 		perRankOps = 200
 	)
 	tr := tele.NewTracer(ranks)
-	reg := tele.NewRegistry()
 	profile := instr.NewRankProfile(0)
-
-	launches := reg.Counter("kernel_launches_total", "launches")
-	hist := reg.Histogram("step_energy_j", "energy", tele.ExpBuckets(1, 10, 6))
 
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			clock := reg.Gauge("gpu_clock_mhz", "clock", tele.L("rank", strconv.Itoa(r)))
 			// Interning races with other ranks interning the same and
 			// different identities, inside the loop as well as before it,
 			// and with the exporters resolving them.
@@ -48,9 +43,6 @@ func TestConcurrentTelemetry(t *testing.T) {
 				tr.CounterRef(r, gpu, ts+0.2, 250, 0)
 				tr.CompleteRef(r, kernelRef, ts, 0.4, 1410, 9.5)
 				tr.RecordSpan(r, "mpi", "barrier-wait", ts+0.6, 0.05)
-				launches.Inc()
-				clock.Set(float64(1005 + i%405))
-				hist.Observe(float64(i))
 				profile.RecordAt(0, "momentumEnergy", 0.01, 1, 0.1, 0.05, 0.02, 0.001)
 			}
 		}(r)
@@ -63,8 +55,6 @@ func TestConcurrentTelemetry(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				_ = tr.WriteJSON(io.Discard)
 				_ = tr.Spans()
-				_ = reg.Snapshot()
-				_ = reg.WriteJSON(io.Discard)
 				_ = profile.FunctionNames()
 				_ = profile.TotalTimeS()
 			}
@@ -74,12 +64,6 @@ func TestConcurrentTelemetry(t *testing.T) {
 
 	if got := tr.Len(); got != ranks*perRankOps*5 {
 		t.Errorf("tracer recorded %d events, want %d", got, ranks*perRankOps*5)
-	}
-	if got := launches.Value(); got != ranks*perRankOps {
-		t.Errorf("launch counter = %v, want %d", got, ranks*perRankOps)
-	}
-	if got := hist.Count(); got != ranks*perRankOps {
-		t.Errorf("histogram count = %d, want %d", got, ranks*perRankOps)
 	}
 	st := profile.Get("momentumEnergy")
 	if st == nil || st.Calls != ranks*perRankOps {

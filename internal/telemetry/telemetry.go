@@ -1,13 +1,11 @@
-// Package telemetry is the unified observability substrate of the
-// repository: a span tracer recording nestable named spans into lock-cheap
-// per-rank buffers with Chrome trace_event JSON export, and a metrics
-// registry of counters, gauges and histograms whose one exposition is the
-// JSON snapshot a run bundle keeps as metrics.json.
+// Package telemetry is the repository's span tracer: nestable named spans
+// recorded into lock-cheap per-rank buffers with Chrome trace_event JSON
+// export.
 //
 // The design follows the paper's §III-B non-perturbation requirement: every
 // entry point is safe on a nil receiver and returns immediately, so code can
-// be instrumented unconditionally — a run without a tracer or registry pays
-// only a nil check. Every event — span, instant, counter sample, track
+// be instrumented unconditionally — a run without a tracer pays only a nil
+// check. Every event — span, instant, counter sample, track
 // name — is one 40-byte record: a start, a duration, two float values and
 // an interned identity, written under one short per-rank (sharded) mutex.
 // The identity (category, name, up to two float argument keys and at most

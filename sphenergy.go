@@ -81,7 +81,7 @@ type Strategy = freqctl.Strategy
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // RecoveryConfig aliases the supervision configuration: durable
-// checkpoint cadence and retention, bounded restarts with seeded backoff,
+// checkpoint cadence and retention, bounded restarts with exponential backoff,
 // wall-clock/energy budgets, and the hung-step watchdog.
 type RecoveryConfig = recovery.Config
 
@@ -101,15 +101,17 @@ func RunSupervised(cfg Config, rcfg RecoveryConfig) (*Result, *RecoveryOutcome, 
 // run's timeline and export it as Chrome trace_event JSON.
 type Tracer = telemetry.Tracer
 
-// Metrics aliases the telemetry metrics registry: set Config.Metrics to
-// collect counters/gauges/histograms, snapshotted as JSON into the bundle's
-// metrics.json.
+// Metrics aliases the empty telemetry registry behind Config.Metrics. It
+// selects nothing: no part of a run records into it, and it is not part of
+// the run bundle. It stays only because the repository's benchmark sets
+// Config.Metrics and times its WriteFile.
 type Metrics = telemetry.Registry
 
 // NewTracer creates a span tracer with one track per rank.
 func NewTracer(ranks int) *Tracer { return telemetry.NewTracer(ranks) }
 
-// NewMetrics creates an empty metrics registry.
+// NewMetrics creates the empty registry the benchmark sets as
+// Config.Metrics; like Metrics, it selects nothing.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // EventLedger aliases the structured decision ledger: set Config.Events to
@@ -124,18 +126,17 @@ func NewEventLedger(capacity int) *EventLedger { return events.NewLedger(capacit
 
 // The run bundle: the files one run leaves in its output directory.
 const (
-	BundleReport  = "report.json"  // the energy report (Report.WriteFile)
-	BundleCSV     = "report.csv"   // its per-function CSV export
-	BundleTrace   = "trace.json"   // the Chrome trace_event timeline
-	BundleMetrics = "metrics.json" // the metrics registry's JSON snapshot
-	BundleEvents  = "events.jsonl" // the decision ledger
+	BundleReport = "report.json"  // the energy report (Report.WriteFile)
+	BundleCSV    = "report.csv"   // its per-function CSV export
+	BundleTrace  = "trace.json"   // the Chrome trace_event timeline
+	BundleEvents = "events.jsonl" // the decision ledger
 )
 
 // WriteBundle writes a run's bundle into dir, creating it: rep as the
-// report and its CSV, cfg's Tracer, Metrics and Events as the trace, the
-// metrics snapshot and the ledger. Nil parts are skipped, so a run stopped
-// before it has a report still leaves what its observers recorded. Every
-// part is attempted; the error joins those that failed.
+// report and its CSV, cfg's Tracer and Events as the trace and the ledger.
+// Nil parts are skipped, so a run stopped before it has a report still
+// leaves what its observers recorded. Every part is attempted; the error
+// joins those that failed.
 func WriteBundle(dir string, cfg Config, rep *Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -150,9 +151,6 @@ func WriteBundle(dir string, cfg Config, rep *Report) error {
 	}
 	if cfg.Tracer != nil {
 		write(BundleTrace, cfg.Tracer.WriteFile)
-	}
-	if cfg.Metrics != nil {
-		write(BundleMetrics, cfg.Metrics.WriteFile)
 	}
 	if cfg.Events != nil {
 		write(BundleEvents, cfg.Events.WriteFile)
