@@ -176,7 +176,13 @@ bench-sph:
 # decisions, failing the target). Then the trace and the ledger are cut
 # mid-line, as a killed run can leave them: trace must analyze the prefix
 # and say "truncated trace", decisions audit it and say "truncated ledger".
+# Last the CLI's stop-and-resume path: a tuned 10-step run stopped by a
+# wall-time budget of half its wall time must exit 3, and re-run without the
+# budget must resume from its checkpoint and exit 0 with the uninterrupted
+# run's report.json, byte for byte. Sampling stays off there: the span join
+# in report.json reads the tracer, which documents each attempt alone.
 BUNDLE_SMOKE ?= /tmp/sphexa_bundle_smoke
+RESUME_RUN = -sim turbulence -ranks 2 -s 10 -ppr 10e6 -strategy mandyn -q
 bundle-smoke:
 	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut
 	$(GO) build -o $(BUNDLE_SMOKE)/ ./cmd/sphexa ./cmd/inspect
@@ -195,6 +201,15 @@ bundle-smoke:
 	grep -q 'truncated trace' $(BUNDLE_SMOKE)/cut/trace.txt
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
+	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/whole > /dev/null
+	half=$$(sed -n 's/.*"wall_time_s": \([^,]*\).*/\1/p' $(BUNDLE_SMOKE)/whole/report.json | awk '{ print $$1 / 2; exit }'); \
+	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/resumed \
+		-checkpoint-dir $(BUNDLE_SMOKE)/ckpt -walltime-budget $$half > /dev/null; \
+	test $$? -eq 3
+	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/resumed \
+		-checkpoint-dir $(BUNDLE_SMOKE)/ckpt > $(BUNDLE_SMOKE)/resumed.txt
+	grep -q 'resumed from step' $(BUNDLE_SMOKE)/resumed.txt
+	cmp $(BUNDLE_SMOKE)/whole/report.json $(BUNDLE_SMOKE)/resumed/report.json
 
 # What no program links: every declared function of a non-test file that
 # appears in no program's symbol table. Each cmd/ and the benchmark is

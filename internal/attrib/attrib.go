@@ -322,10 +322,7 @@ func (es *energySeries) intervalOfStart(t float64, lo int) int {
 }
 
 // intervalOfEnd is intervalOfStart given hi, the last tick at or before t —
-// which, inside the series, is the interval's own index. (Where a rank
-// merged from several channels repeats the tick time t, a search from the
-// left would name the first of them; but only spans with no tick between
-// their ends come here, and a span ending on a repeated tick has one.)
+// which, inside the series, is the interval's own index.
 func (es *energySeries) intervalOfEnd(t float64, hi int) int {
 	n := len(es.times)
 	if n < 2 || t < es.times[0] || t >= es.times[n-1] {

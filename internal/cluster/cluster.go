@@ -125,7 +125,6 @@ type NodeSpec struct {
 // Node is one instantiated compute node.
 type Node struct {
 	Spec    NodeSpec
-	Index   int
 	CPUs    []*CPU
 	Mem     *Mem
 	Aux     EnergyMeter
@@ -133,8 +132,8 @@ type Node struct {
 }
 
 // NewNode instantiates a node from its spec.
-func NewNode(spec NodeSpec, index int) *Node {
-	n := &Node{Spec: spec, Index: index}
+func NewNode(spec NodeSpec) *Node {
+	n := &Node{Spec: spec}
 	for i := 0; i < spec.NumCPUs; i++ {
 		n.CPUs = append(n.CPUs, &CPU{Model: spec.CPUModel})
 	}
@@ -205,67 +204,6 @@ func (n *Node) TotalEnergyJ() float64 {
 	return n.CPUEnergyJ() + n.Mem.Meter.EnergyJ() + n.GPUEnergyJ() + n.Aux.EnergyJ()
 }
 
-// MeterState is an EnergyMeter's checkpointable state.
-type MeterState struct {
-	NowS    float64
-	EnergyJ float64
-	LastW   float64
-}
-
-// State captures the meter's checkpointable state.
-func (m *EnergyMeter) State() MeterState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MeterState{NowS: m.nowS, EnergyJ: m.energyJ, LastW: m.lastW}
-}
-
-// Restore installs a state captured by State.
-func (m *EnergyMeter) Restore(st MeterState) {
-	m.mu.Lock()
-	m.nowS = st.NowS
-	m.energyJ = st.EnergyJ
-	m.lastW = st.LastW
-	m.mu.Unlock()
-}
-
-// NodeState is a node's checkpointable state: every component meter and
-// every GPU die's device state.
-type NodeState struct {
-	CPUs    []MeterState
-	Mem     MeterState
-	Aux     MeterState
-	Devices []gpusim.DeviceState
-}
-
-// State captures the node's checkpointable state.
-func (n *Node) State() NodeState {
-	st := NodeState{Mem: n.Mem.Meter.State(), Aux: n.Aux.State()}
-	for _, c := range n.CPUs {
-		st.CPUs = append(st.CPUs, c.Meter.State())
-	}
-	for _, d := range n.Devices {
-		st.Devices = append(st.Devices, d.State())
-	}
-	return st
-}
-
-// Restore installs a state captured by State on a node of the same spec.
-func (n *Node) Restore(st NodeState) error {
-	if len(st.CPUs) != len(n.CPUs) || len(st.Devices) != len(n.Devices) {
-		return fmt.Errorf("cluster: restore shape mismatch on node %d: %d/%d CPUs, %d/%d devices",
-			n.Index, len(st.CPUs), len(n.CPUs), len(st.Devices), len(n.Devices))
-	}
-	for i, c := range n.CPUs {
-		c.Meter.Restore(st.CPUs[i])
-	}
-	n.Mem.Meter.Restore(st.Mem)
-	n.Aux.Restore(st.Aux)
-	for i, d := range n.Devices {
-		d.Restore(st.Devices[i])
-	}
-	return nil
-}
-
 // System is a multi-node allocation.
 type System struct {
 	Spec  NodeSpec
@@ -276,7 +214,7 @@ type System struct {
 func NewSystem(spec NodeSpec, numNodes int) *System {
 	s := &System{Spec: spec}
 	for i := 0; i < numNodes; i++ {
-		s.Nodes = append(s.Nodes, NewNode(spec, i))
+		s.Nodes = append(s.Nodes, NewNode(spec))
 	}
 	return s
 }

@@ -51,10 +51,7 @@ func TestSystemByName(t *testing.T) {
 }
 
 func TestNodeConstruction(t *testing.T) {
-	n := NewNode(LUMIG(), 3)
-	if n.Index != 3 {
-		t.Error("node index")
-	}
+	n := NewNode(LUMIG())
 	if len(n.Devices) != 8 || len(n.CPUs) != 1 {
 		t.Error("component counts")
 	}
@@ -96,7 +93,7 @@ func TestCPUUtilizationClamping(t *testing.T) {
 }
 
 func TestAdvanceHostTouchesAllComponents(t *testing.T) {
-	n := NewNode(CSCSA100(), 0)
+	n := NewNode(CSCSA100())
 	n.AdvanceHost(2, 0.5, 0.5)
 	if n.CPUEnergyJ() <= 0 || n.Mem.Meter.EnergyJ() <= 0 || n.Aux.EnergyJ() <= 0 {
 		t.Error("host advance missed a component")
@@ -112,7 +109,7 @@ func TestAdvanceHostTouchesAllComponents(t *testing.T) {
 // subtracted — and nothing for an empty window.
 func TestAdvanceHostReturnsMeteredDeltas(t *testing.T) {
 	for _, spec := range []NodeSpec{CSCSA100(), MiniHPC(), LUMIG()} {
-		n := NewNode(spec, 0)
+		n := NewNode(spec)
 		for i, w := range []struct{ s, cpu, mem float64 }{
 			{0.1234567, 0.55, 0.35}, {3.3e-3, 0.08, 0.3}, {0, 0.5, 0.5}, {0.07, 1.7, -1}, {41.9, 0.1, 0.15}, {1e-9, 0.06, 0.25},
 		} {
@@ -135,7 +132,7 @@ func TestAdvanceHostReturnsMeteredDeltas(t *testing.T) {
 }
 
 func TestTotalEnergyIsSum(t *testing.T) {
-	n := NewNode(LUMIG(), 0)
+	n := NewNode(LUMIG())
 	n.AdvanceHost(1, 0.3, 0.2)
 	for _, d := range n.Devices {
 		d.Idle(1)
@@ -147,7 +144,7 @@ func TestTotalEnergyIsSum(t *testing.T) {
 }
 
 func TestCardEnergyGroupsGCDs(t *testing.T) {
-	n := NewNode(LUMIG(), 0)
+	n := NewNode(LUMIG())
 	n.Devices[0].Idle(1)
 	n.Devices[1].Idle(2)
 	want := n.Devices[0].EnergyJ() + n.Devices[1].EnergyJ()
@@ -168,8 +165,8 @@ func TestDeviceForRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.Index != 1 || dev.Index() != 1 {
-		t.Errorf("rank 9 -> node %d dev %d, want node 1 dev 1", node.Index, dev.Index())
+	if node != sys.Nodes[1] || dev.Index() != 1 {
+		t.Errorf("rank 9 -> node %p dev %d, want node 1 (%p) dev 1", node, dev.Index(), sys.Nodes[1])
 	}
 	if _, _, err := sys.DeviceForRank(16); err == nil {
 		t.Error("out-of-range rank accepted")

@@ -4,7 +4,6 @@ import (
 	"sphenergy/internal/events"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
-	"sphenergy/internal/sampler"
 )
 
 // runEvents wires the decision ledger into a run. Like runTelemetry, a nil
@@ -17,7 +16,7 @@ import (
 // directly against traceanalysis and attrib output.
 type runEvents struct {
 	led    *events.Ledger
-	stepFn func() int // coordinator's current step; nil before the loop
+	stepFn func() int // the run loop's current step, -1 before it
 	// lastLoad tracks the survivor load multiplier so degradation events
 	// fire on transitions only.
 	lastLoad float64
@@ -36,12 +35,13 @@ type rankEvents struct {
 }
 
 // newRunEvents builds the run's ledger wiring, or nil when Config.Events
-// is unset.
-func newRunEvents(cfg Config) *runEvents {
+// is unset. step reads the run loop's current step; load is the survivor
+// load multiplier the run is at.
+func newRunEvents(cfg Config, step func() int, load float64) *runEvents {
 	if cfg.Events == nil {
 		return nil
 	}
-	re := &runEvents{led: cfg.Events, lastLoad: 1, bufs: make([]*rankEvents, cfg.Ranks)}
+	re := &runEvents{led: cfg.Events, stepFn: step, lastLoad: load, bufs: make([]*rankEvents, cfg.Ranks)}
 	for r := range re.bufs {
 		re.bufs[r] = &rankEvents{}
 	}
@@ -76,21 +76,8 @@ func (re *runEvents) flushRanks() {
 	}
 }
 
-// step reads the run loop's current step (-1 outside the loop).
-func (re *runEvents) step() int {
-	if re == nil || re.stepFn == nil {
-		return -1
-	}
-	return re.stepFn()
-}
-
-// trackSteps installs the run loop's current-step reader.
-func (re *runEvents) trackSteps(fn func() int) {
-	if re == nil {
-		return
-	}
-	re.stepFn = fn
-}
+// step reads the run loop's current step (-1 before the loop).
+func (re *runEvents) step() int { return re.stepFn() }
 
 func (re *runEvents) beginRun(cfg Config, strategy string) {
 	if re == nil {
@@ -175,29 +162,27 @@ func (re *runEvents) decision(rank int, function string, nowS float64, requested
 	})
 }
 
-// samplerSink bridges sampler degradation transitions into the ledger (nil
-// when the ledger is off, which the sampler treats as no sink).
-func (re *runEvents) samplerSink() sampler.TransitionFunc {
+// samplerTransition bridges a sampler degradation transition into the
+// ledger; a no-op while the ledger is off or not yet attached.
+func (re *runEvents) samplerTransition(name string, rank int, degraded bool, detail string) {
 	if re == nil {
-		return nil
+		return
 	}
-	return func(name string, rank int, degraded bool, detail string) {
-		typ := events.SamplerRecovered
-		if degraded {
-			typ = events.SamplerDegraded
-		}
-		ev := events.Event{
-			Step: re.step(), Rank: rank, Type: typ,
-			Subject: name, Detail: detail,
-		}
-		// Rank channels' transitions are staged like any rank event; node
-		// channels (rank -1) poll between phases and emit directly.
-		if rank >= 0 && rank < len(re.bufs) {
-			re.stage(rank, ev)
-			return
-		}
-		re.led.Emit(ev)
+	typ := events.SamplerRecovered
+	if degraded {
+		typ = events.SamplerDegraded
 	}
+	ev := events.Event{
+		Step: re.step(), Rank: rank, Type: typ,
+		Subject: name, Detail: detail,
+	}
+	// Rank channels' transitions are staged like any rank event; node
+	// channels (rank -1) poll between phases and emit directly.
+	if rank >= 0 && rank < len(re.bufs) {
+		re.stage(rank, ev)
+		return
+	}
+	re.led.Emit(ev)
 }
 
 // samplerOverflow records that the span join found dropped rank samples

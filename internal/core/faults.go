@@ -200,6 +200,16 @@ func (fs *faultState) report(smp *sampler.Sampler) *FaultReport {
 	return rep
 }
 
+// injectors returns every injector of the run: sensor, clock, rank, node.
+func (fs *faultState) injectors() []*faults.Injector {
+	var all []*faults.Injector
+	all = append(all, fs.sensorInj...)
+	all = append(all, fs.clockInj...)
+	all = append(all, fs.rankInj...)
+	all = append(all, fs.nodeInj...)
+	return all
+}
+
 // faultedSensorFor builds the rank GPU sensor with the fault hook
 // installed on its vendor library (the same injection point a real
 // deployment faces: the read syscall, not the PMT wrapper).

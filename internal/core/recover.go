@@ -4,9 +4,10 @@ import (
 	"sphenergy/internal/recovery"
 )
 
-// RunSupervised executes Run under the recovery supervisor: the newest
-// valid snapshot in rcfg.Dir is restored before stepping, crashes and
-// watchdog stalls restart the run from disk with seeded backoff up to
+// RunSupervised executes Run under the recovery supervisor: the run
+// resumes from the newest valid snapshot in rcfg.Dir, replaying the steps
+// it records and refusing it when the replay misses them; crashes and
+// watchdog stalls restart the run from disk with exponential backoff up to
 // rcfg.MaxRestarts, and budgets stop it gracefully with a final
 // checkpoint. The Outcome reports attempts, restarts, stalls and the stop
 // cause; the error is non-nil when the configuration is invalid (then

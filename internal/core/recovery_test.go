@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,13 +20,14 @@ import (
 	"sphenergy/internal/events"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
-	"sphenergy/internal/mpisim"
 	"sphenergy/internal/recovery"
 	"sphenergy/internal/rng"
+	"sphenergy/internal/sampler"
+	"sphenergy/internal/telemetry"
 )
 
-// recoverableConfig is a small multi-rank run exercising the checkpointed
-// state surfaces: setup phase, ManDyn elision, jitter.
+// recoverableConfig is a small multi-rank run whose replay must reproduce a
+// setup phase, ManDyn elision and jitter.
 func recoverableConfig() Config {
 	return Config{
 		System:           cluster.CSCSA100(),
@@ -42,9 +44,9 @@ func recoverableConfig() Config {
 }
 
 // modelRecord flattens a Result's model truth — wall time, energies, step
-// boundaries, per-rank profiles — into comparable bytes. Observability
-// (trace, ledger, sampler) is excluded: it documents each attempt,
-// while the model must be bit-identical across recovery.
+// boundaries, per-rank profiles — into comparable bytes. The tracer and the
+// ledger are excluded: they document each attempt, while the model must be
+// bit-identical across recovery.
 func modelRecord(t *testing.T, res *Result) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
@@ -66,8 +68,8 @@ func modelRecord(t *testing.T, res *Result) string {
 }
 
 // soakConfig is the seeded recovery sweep's run: model only, on miniHPC,
-// with a setup phase and ManDyn elision state with a default clock, so
-// every checkpointed state surface is exercised.
+// with a setup phase and ManDyn elision state with a default clock for the
+// replay to reproduce.
 func soakConfig(seed uint64) Config {
 	spec := cluster.MiniHPC()
 	max := spec.GPUSpec.MaxSMClockMHz
@@ -89,15 +91,19 @@ func soakConfig(seed uint64) Config {
 const soakSeeds = 5
 
 // requireCrashRecovers crashes rank at step of cfg's run with a pinned
-// rank-crash plan and requires the supervisor to restart it from its
-// on-disk checkpoint into want, the uninterrupted run's modelRecord, with
-// the save, the restore and the restart on the ledger, and no stall from
-// the watchdog every supervised attempt arms.
-func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed uint64) {
+// rank crash, added to cfg's fault rules in a plan seeded planSeed, and
+// requires the supervisor to restart it from its on-disk checkpoint into
+// want, the uninterrupted run's modelRecord, with the save, the restore and
+// the restart on the ledger, and no stall from the watchdog every
+// supervised attempt arms. It returns the recovered result.
+func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed uint64) *Result {
 	t.Helper()
-	cfg.Faults = &faults.Plan{Name: "kill", Seed: planSeed, Rules: []faults.Rule{
-		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{rank}, Step: step},
-	}}
+	var rules []faults.Rule
+	if cfg.Faults != nil {
+		rules = append(rules, cfg.Faults.Rules...)
+	}
+	cfg.Faults = &faults.Plan{Name: "kill", Seed: planSeed, Rules: append(rules,
+		faults.Rule{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{rank}, Step: step})}
 	led := events.NewLedger(0)
 	res, out, err := RunSupervised(cfg, recovery.Config{
 		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Events: led,
@@ -109,7 +115,7 @@ func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int,
 		t.Fatalf("status %q, want completed (outcome %+v)", out.Status, out)
 	}
 	if out.Restarts < 1 || !out.Resumed {
-		t.Fatalf("crash at step %d did not force a restore: %+v", step, out)
+		t.Fatalf("crash at step %d did not force a resume: %+v", step, out)
 	}
 	if out.WatchdogStalls != 0 {
 		t.Fatalf("the default watchdog deadline fired on a healthy attempt: %+v", out)
@@ -126,6 +132,7 @@ func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int,
 			t.Errorf("ledger missing %s events: %+v", typ, sum.ByType)
 		}
 	}
+	return res
 }
 
 // TestSupervisedCrashRecoveryBitIdentical kills recoverableConfig's run at
@@ -219,6 +226,49 @@ func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
 			requireBudgetStopResumes(t, soakConfig(seed),
 				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001})
 		})
+	}
+}
+
+// TestSupervisedPinnedCrashThenBudgetStopResumes kills the run with a
+// pinned crash at step 2 under abort; the restarted attempt runs past it
+// and is stopped by a wall-time budget, with a checkpoint beyond step 2.
+// The resume from there must keep the crash disarmed in its replay, as the
+// attempt that wrote the checkpoint had, and finish as the uninterrupted
+// run.
+func TestSupervisedPinnedCrashThenBudgetStopResumes(t *testing.T) {
+	ref, err := Run(recoverableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recoverableConfig()
+	cfg.Faults = &faults.Plan{Name: "kill", Seed: 11, Rules: []faults.Rule{
+		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{2}, Step: 2}}}
+	rcfg := recovery.Config{Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
+		WalltimeBudgetS: ref.WallTimeS * 0.6}
+	res1, out1, err := RunSupervised(cfg, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out1.Restarts != 1 || out1.Status != recovery.StatusStopped || out1.StopCause != recovery.StopWalltimeBudget {
+		t.Fatalf("first submission ended %+v, want one restart and a budget stop", out1)
+	}
+	if n := len(res1.StepBoundariesS); n <= 3 || n >= cfg.Steps {
+		t.Fatalf("budget stop after %d steps, want past the crash and short of %d", n, cfg.Steps)
+	}
+
+	rcfg.WalltimeBudgetS = 0
+	res2, out2, err := RunSupervised(cfg, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out2.Status != recovery.StatusCompleted || !out2.Resumed || out2.Restarts != 0 {
+		t.Fatalf("resume ended %+v, want a completed resume without restarts", out2)
+	}
+	if out2.ResumeStep != len(res1.StepBoundariesS) {
+		t.Errorf("resumed at step %d, want %d", out2.ResumeStep, len(res1.StepBoundariesS))
+	}
+	if got, want := modelRecord(t, res2), modelRecord(t, ref); got != want {
+		t.Errorf("crashed, stopped and resumed run diverged from the uninterrupted reference")
 	}
 }
 
@@ -406,11 +456,12 @@ func raceDetectorOn() bool {
 // TestAutosaveCostPerSnapshot bounds what durability costs in absolute
 // terms: the same small run timed plain and supervised with an autosave
 // every 10 steps, best of 3 each, must differ by at most 6 ms per snapshot
-// written (≈ 1 ms measured: encoding, fsync, rename, rotation). The
-// plain run is under a millisecond of virtual-time bookkeeping, so the
-// supervised/plain ratio reads +700–950 % and says nothing; the cost per
-// snapshot is the quantity a regression in the encoder or the store's
-// write path moves.
+// written (≈ 0.5 ms measured, most of it the fsync: the payload is the
+// fingerprint, the boundaries and the energy). The plain run is under a
+// millisecond of virtual-time bookkeeping, so the supervised/plain ratio
+// reads several hundred per cent and says nothing; the cost per snapshot
+// is the quantity a regression in the encoder or the store's write path
+// moves.
 func TestAutosaveCostPerSnapshot(t *testing.T) {
 	if raceDetectorOn() {
 		t.Skip("race instrumentation reads 3-6 ms per snapshot; the bound is for plain builds (go test, make sweeps)")
@@ -443,8 +494,9 @@ func TestAutosaveCostPerSnapshot(t *testing.T) {
 	})
 	snapshots := 0
 	supervised := bestOf3(func() error {
-		// A fresh store per rep: resuming a finished run is an instant
-		// no-op and would measure nothing.
+		// A fresh store per rep: resuming a finished run replays it and
+		// writes one snapshot, which would measure the replay, not the
+		// autosaves.
 		res, _, err := RunSupervised(cfg, recovery.Config{Dir: t.TempDir(), AutosaveEvery: 10})
 		if err == nil {
 			snapshots = res.Recovery.Checkpoints
@@ -574,7 +626,7 @@ func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
 	}
 }
 
-// TestCheckpointFingerprintMismatch proves a snapshot cannot be restored
+// TestCheckpointFingerprintMismatch proves a snapshot cannot be resumed
 // under a different configuration.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
@@ -589,10 +641,73 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersion1Refused restores a payload shaped like the version 1
-// checkpoints — whose fingerprint carried a version number, JitterSpread and
-// NbrRefreshCost, and no layout digest — into this build, which must refuse
-// it by layout rather than resume under a model it no longer runs.
+// resumeFrom runs recoverableConfig with its tracer and ledger on, resumed
+// from payload as if it were the snapshot at path.
+func resumeFrom(path string, payload []byte) (*Result, *telemetry.Tracer, *events.Ledger, error) {
+	cfg := recoverableConfig()
+	tr, led := telemetry.NewTracer(cfg.Ranks), events.NewLedger(0)
+	cfg.Tracer, cfg.Events = tr, led
+	cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{
+		Snapshot: recovery.Snapshot{Path: path}, Payload: payload}}
+	res, err := Run(cfg)
+	return res, tr, led, err
+}
+
+// requireRefused resumes recoverableConfig's run from old, a checkpoint
+// payload in a layout of an earlier build, and requires the refusal to
+// name the snapshot and contain each of wants, with no result and nothing
+// observed.
+func requireRefused(t *testing.T, old any, wants ...string) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	res, tr, led, err := resumeFrom("ckpt-old.sprc", payload.Bytes())
+	for _, want := range append(wants, "checkpoint ckpt-old.sprc refused") {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("an old checkpoint was not refused with %q: %v", want, err)
+		}
+	}
+	if res != nil || tr.Len() != 0 || led.Emitted() != 0 {
+		t.Fatalf("a refused checkpoint resumed: result %v, %d trace events, %d ledger rows",
+			res != nil, tr.Len(), led.Emitted())
+	}
+}
+
+// fingerprintV3 is the fingerprint of the checkpoints that restored state,
+// which carried the digest of their payload layout.
+type fingerprintV3 struct {
+	Layout           string
+	Sim              string
+	System           string
+	Ranks            int
+	Steps            int
+	ParticlesPerRank float64
+	Ng               int
+	Seed             uint64
+	SetupS           float64
+	Strategy         string
+	Degradation      string
+	FaultPlan        string
+	CustomFuncs      int
+}
+
+// oldFingerprint is recoverableConfig's fingerprint as the restoring builds
+// wrote it, labelled with layout.
+func oldFingerprint(layout string) fingerprintV3 {
+	cfg := recoverableConfig().Defaulted()
+	return fingerprintV3{Layout: layout, Sim: string(cfg.Sim), System: cfg.System.Name,
+		Ranks: cfg.Ranks, Steps: cfg.Steps, ParticlesPerRank: cfg.ParticlesPerRank, Ng: cfg.Ng,
+		Seed: cfg.Seed, SetupS: cfg.SetupS, Strategy: "mandyn"}
+}
+
+// TestCheckpointVersion1Refused resumes from a payload shaped like the
+// version 1 checkpoints, whose fingerprint carried a version number,
+// JitterSpread and NbrRefreshCost, and no layout digest. Every field this
+// build's fingerprint has matches the run, but the payload records no
+// trajectory to replay, so it is refused rather than resumed under a model
+// this build no longer runs.
 func TestCheckpointVersion1Refused(t *testing.T) {
 	type fingerprintV1 struct {
 		Version          int
@@ -617,176 +732,148 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 		Fp       fingerprintV1
 		NextStep int
 	}
-	cfg := recoverableConfig().Defaulted()
-	v1 := checkpointV1{Fp: fingerprintV1{Version: 1, Sim: string(cfg.Sim), System: cfg.System.Name,
-		Ranks: cfg.Ranks, Steps: cfg.Steps, ParticlesPerRank: cfg.ParticlesPerRank, Ng: cfg.Ng,
-		Seed: cfg.Seed, JitterSpread: 0.015, HostOverheadS: 1.0, SetupS: cfg.SetupS,
-		Strategy: "mandyn", NbrRebuildEvery: 3, NbrRefreshCost: 0.35},
-		NextStep: 4}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v1); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{
-		Snapshot: recovery.Snapshot{Path: "ckpt-v1.sprc"}, Payload: payload.Bytes()}}
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`payload layout "", this build reads layout %q`, checkpointLayout)) {
-		t.Fatalf("a version 1 checkpoint was not refused by layout: %v", err)
-	}
+	fp := oldFingerprint("")
+	requireRefused(t, checkpointV1{Fp: fingerprintV1{Version: 1, Sim: fp.Sim, System: fp.System,
+		Ranks: fp.Ranks, Steps: fp.Steps, ParticlesPerRank: fp.ParticlesPerRank, Ng: fp.Ng,
+		Seed: fp.Seed, JitterSpread: 0.015, HostOverheadS: 1.0, SetupS: fp.SetupS,
+		Strategy: fp.Strategy, NbrRebuildEvery: 3, NbrRefreshCost: 0.35},
+		NextStep: 4}, "0 step boundaries recorded for next step 4")
 }
 
-// TestCheckpointVersion2Refused rewrites a real checkpoint into the version
-// 2 layout, whose device states still carried UtilEMA, BusyS and the
-// per-kernel Kernels ledger. gob drops fields the decoding type lacks, so
-// the same bytes labelled with the current layout resume and finish the
-// run exactly as an uninterrupted one: only the layout digest tells the
-// layouts apart. Labelled with the digest of their own layout, as the
-// build that wrote them would, they must be refused naming both digests.
+// TestCheckpointVersion2Refused resumes from payloads in the layouts of
+// the builds that restored state instead of replaying: version 2, whose
+// device states still carried UtilEMA, and the layout-digest payload that
+// followed, which also held the fault injectors' states. gob drops the
+// fields this build's checkpoint lacks, so each carries only its
+// fingerprint with the layout digest, the run's own boundaries before step
+// 4 and one such field. The replay reproduces every boundary and is
+// refused at the last: the payload records no energy to check it against.
 func TestCheckpointVersion2Refused(t *testing.T) {
-	type kernelEnergyV2 struct {
-		Name     string
-		Launches int64
-		TimeS    float64
-		EnergyJ  float64
-	}
-	type deviceStateV2 struct {
-		Mode, LockedMHz, MemMHz                     int
-		PowerLimitW, GovCurrent, GovHoldUntil, NowS float64
-		EnergyJ, LastPowerW, BusyS, UtilEMA         float64
-		KernelsRun                                  int64
-		Kernels                                     []kernelEnergyV2
-	}
-	type nodeStateV2 struct {
-		CPUs     []cluster.MeterState
-		Mem, Aux cluster.MeterState
-		Devices  []deviceStateV2
-	}
-	type checkpointV2 struct {
-		Fp         runFingerprint
-		NextStep   int
-		T0         float64
-		StepBounds []float64
-		Load       float64
-		Setup      setupEnergies
-		World      mpisim.WorldState
-		Nodes      []nodeStateV2
-		Profiles   [][]byte
-		Strategies []strategyState
-	}
-
 	ref, err := Run(recoverableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A run stopped at its first boundary leaves a checkpoint of step 1.
-	dir := t.TempDir()
-	store, err := recovery.Open(dir, 0)
+	bounds := ref.StepBoundariesS[:4]
+	type deviceStateV2 struct{ UtilEMA float64 }
+	type injectorState struct{ Fired []bool }
+	for _, c := range []struct {
+		name    string
+		payload any
+	}{
+		{"v2", struct {
+			Fp         fingerprintV3
+			NextStep   int
+			StepBounds []float64
+			Devices    []deviceStateV2
+		}{oldFingerprint("1b4c95e3a7f0d2c8"), 4, bounds, []deviceStateV2{{UtilEMA: 0.9}}}},
+		{"layout-digest", struct {
+			Fp         fingerprintV3
+			NextStep   int
+			StepBounds []float64
+			Injectors  []injectorState
+		}{oldFingerprint("3858c58a06612d42"), 4, bounds, []injectorState{{Fired: []bool{true}}}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			requireRefused(t, c.payload, "replayed step 3 ends at", "J, the checkpoint records 0 J")
+		})
+	}
+}
+
+// TestCheckpointReplayDivergenceRefused moves one boundary of a real
+// checkpoint by one ulp. Resumed directly, the run must refuse it naming
+// that step, before the tracer or the ledger records anything; saved as the
+// newest snapshot of a store, the supervisor must fail on it as on a
+// fingerprint mismatch, and nothing resumes.
+func TestCheckpointReplayDivergenceRefused(t *testing.T) {
+	ref, err := Run(recoverableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := recovery.NewController(recovery.Config{Dir: dir}, store)
-	ctl.RequestStop("signal:interrupt")
-	cfg := recoverableConfig()
-	cfg.Recovery = &RunRecovery{Controller: ctl}
-	if _, err := Run(cfg); err != nil {
+	dir := t.TempDir()
+	if _, _, err := RunSupervised(recoverableConfig(), recovery.Config{
+		Dir: dir, WalltimeBudgetS: ref.WallTimeS * 0.6}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := recovery.Open(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap, payload, _, ok := store.Latest()
 	if !ok {
 		t.Fatal("the stopped run left no checkpoint")
 	}
-	cp, err := decodeCheckpoint(payload)
-	if err != nil {
+	var cp runCheckpoint
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); err != nil {
 		t.Fatal(err)
 	}
-	v2 := checkpointV2{Fp: cp.Fp, NextStep: cp.NextStep, T0: cp.T0, StepBounds: cp.StepBounds,
-		Load: cp.Load, Setup: cp.Setup, World: cp.World, Profiles: cp.Profiles, Strategies: cp.Strategies}
-	for _, n := range cp.Nodes {
-		nv := nodeStateV2{CPUs: n.CPUs, Mem: n.Mem, Aux: n.Aux}
-		for _, d := range n.Devices {
-			nv.Devices = append(nv.Devices, deviceStateV2{Mode: d.Mode, LockedMHz: d.LockedMHz, MemMHz: d.MemMHz,
-				PowerLimitW: d.PowerLimitW, GovCurrent: d.GovCurrent, GovHoldUntil: d.GovHoldUntil, NowS: d.NowS,
-				EnergyJ: d.EnergyJ, LastPowerW: d.LastPowerW, BusyS: 0.5 * d.NowS, UtilEMA: 0.9, KernelsRun: d.KernelsRun,
-				Kernels: []kernelEnergyV2{{Name: FnMomentum, Launches: d.KernelsRun, TimeS: 0.5 * d.NowS, EnergyJ: d.EnergyJ}}})
-		}
-		v2.Nodes = append(v2.Nodes, nv)
+	const moved = 2
+	if cp.NextStep <= moved+1 {
+		t.Fatalf("the checkpoint records %d boundaries, want more than %d", cp.NextStep, moved+1)
 	}
-	resume := func(layout string) (*Result, error) {
-		v2.Fp.Layout = layout
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v2); err != nil {
-			t.Fatal(err)
-		}
-		cfg := recoverableConfig()
-		cfg.Recovery = &RunRecovery{Resume: &recovery.Resume{Snapshot: snap, Payload: buf.Bytes()}}
-		return Run(cfg)
+	cp.StepBounds[moved] = math.Nextafter(cp.StepBounds[moved], math.Inf(1))
+	var tampered bytes.Buffer
+	if err := cp.encode(&tampered); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("checkpoint %s refused: replayed step %d ends at", snap.Path, moved)
+
+	res, tr, led, err := resumeFrom(snap.Path, tampered.Bytes())
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a moved boundary was not refused with %q: %v", want, err)
+	}
+	if res != nil || tr.Len() != 0 || led.Emitted() != 0 {
+		t.Fatalf("a refused checkpoint resumed: result %v, %d trace events, %d ledger rows",
+			res != nil, tr.Len(), led.Emitted())
 	}
 
-	res, err := resume(checkpointLayout)
-	if err != nil {
-		t.Fatalf("the version 2 layout labelled %s: %v", checkpointLayout, err)
+	if _, err := store.Save(snap.Meta, func(w io.Writer) error {
+		_, err := w.Write(tampered.Bytes())
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
-		t.Error("the version 2 layout, labelled current, resumed into a different run")
+	_, out, err := RunSupervised(recoverableConfig(), recovery.Config{Dir: dir, MaxRestarts: 0})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("the supervisor resumed past a moved boundary: %v", err)
 	}
-	own := layoutDigest(reflect.TypeOf(v2))
-	if own == checkpointLayout {
-		t.Fatal("the version 2 layout has the current layout's digest")
-	}
-	_, err = resume(own)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("payload layout %q, this build reads layout %q", own, checkpointLayout)) {
-		t.Fatalf("a version 2 checkpoint was not refused by layout: %v", err)
+	if out.Status != recovery.StatusRestartsExhausted || out.Attempts != 1 {
+		t.Fatalf("outcome %+v, want one failed attempt", out)
 	}
 }
 
-// checkpointLayoutPinned is checkpointLayout as recorded. A change to
-// runCheckpoint's layout, nested types included, changes the digest:
-// re-record it here on purpose, so that older checkpoints are refused.
-const checkpointLayoutPinned = "3858c58a06612d42"
-
-// TestCheckpointLayoutPinned holds the digest to the recorded one, and the
-// digest to the layout: a field renamed, retyped, added or dropped at any
-// depth moves it, and an unexported field or a type's own name does not.
-func TestCheckpointLayoutPinned(t *testing.T) {
-	if checkpointLayout != checkpointLayoutPinned {
-		t.Errorf("checkpoint layout digest is %s, recorded %s: re-record it if the layout change is meant",
-			checkpointLayout, checkpointLayoutPinned)
+// TestSupervisedSampledResumeBitIdentical kills a sampled run whose sensor
+// reads fault transiently: the resumed run must be the uninterrupted one in
+// its model, in every sampler channel, whose baseline poll, sensor fault
+// draws and ticks cover the whole run only when the resume replays it, and
+// in its rank-0 clock and power trace.
+func TestSupervisedSampledResumeBitIdentical(t *testing.T) {
+	cfg := recoverableConfig()
+	cfg.Sampling = sampler.Config{GPUHz: 100, NodeHz: 10}
+	cfg.Trace = true
+	cfg.Faults = &faults.Plan{Name: "sensor", Seed: 5, Rules: []faults.Rule{
+		{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.2},
+	}}
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	type inner struct{ A, B float64 }
-	type base struct {
-		X  int
-		In []map[string]*inner
+	want, wantStats := modelRecord(t, ref), ref.Sampler.Stats()
+	faulted := uint64(0)
+	for _, st := range wantStats {
+		faulted += st.FaultReads
 	}
-	type renamedInner struct{ A, B float64 }
-	type same struct {
-		X      int
-		In     []map[string]*renamedInner
-		hidden bool
+	if faulted == 0 {
+		t.Fatal("the sensor rule faulted no read")
 	}
-	type deepRenamed struct {
-		X  int
-		In []map[string]*struct{ A, C float64 }
-	}
-	type deepRetyped struct {
-		X  int
-		In []map[string]*struct{ A, B float32 }
-	}
-	type added struct {
-		X  int
-		In []map[string]*inner
-		Y  int
-	}
-	want := layoutDigest(reflect.TypeOf(base{}))
-	if got := layoutDigest(reflect.TypeOf(same{})); got != want {
-		t.Errorf("an unexported field or a type name moved the digest: %s, want %s", got, want)
-	}
-	for name, typ := range map[string]reflect.Type{
-		"deep rename": reflect.TypeOf(deepRenamed{}),
-		"deep retype": reflect.TypeOf(deepRetyped{}),
-		"added":       reflect.TypeOf(added{}),
-	} {
-		if layoutDigest(typ) == want {
-			t.Errorf("%s: the digest did not move", name)
-		}
+	for _, killStep := range []int{2, 4, 6} {
+		t.Run(fmt.Sprintf("kill-step-%d", killStep), func(t *testing.T) {
+			res := requireCrashRecovers(t, cfg, want, killStep, 2, 5)
+			if got := res.Sampler.Stats(); !reflect.DeepEqual(got, wantStats) {
+				t.Errorf("sampler channels differ from the uninterrupted run's\n got: %+v\nwant: %+v", got, wantStats)
+			}
+			if got, want := res.Trace.Points(), ref.Trace.Points(); !reflect.DeepEqual(got, want) {
+				t.Errorf("rank-0 trace has %d points, the uninterrupted run's %d, or they differ", len(got), len(want))
+			}
+		})
 	}
 }

@@ -92,9 +92,12 @@ type Config struct {
 	// Recovery, when non-nil, makes the run durable and interruptible: the
 	// Controller receives a step-boundary hook for autosave checkpoints,
 	// watchdog heartbeats and budget enforcement, and Resume (when set)
-	// restores a snapshot before stepping instead of starting from step 0.
-	// A resumed run's model state is bit-identical to an uninterrupted one;
-	// see internal/recovery and RunSupervised. Nil keeps the seed behaviour.
+	// names a checkpoint the run replays up to, verifying the recorded
+	// trajectory, before it steps for real. A resumed run is the
+	// uninterrupted one: its model, sampler series and rank-0 trace are
+	// bit-identical, while the tracer and the ledger document the attempt
+	// from its resume step. See internal/recovery and RunSupervised. Nil
+	// keeps the seed behaviour.
 	Recovery *RunRecovery
 }
 
@@ -214,7 +217,7 @@ type Result struct {
 	// Faults summarizes injections, rank deaths and resilience actions;
 	// nil when no plan was configured.
 	Faults *FaultReport
-	// Recovery summarizes checkpoint/restore activity; nil when
+	// Recovery summarizes the attempt's checkpoints; nil when
 	// Config.Recovery was unset.
 	Recovery *RecoveryInfo
 }
@@ -274,13 +277,7 @@ func Run(cfg Config) (*Result, error) {
 	net := mpisim.DefaultNetwork(system.RanksPerNode())
 	world := mpisim.NewWorld(cfg.Ranks, net, cfg.Seed)
 
-	rt := newRunTelemetry(cfg)
-	if rec := rt.spanRecorder(); rec != nil {
-		world.SetRecorder(rec)
-	}
-
 	fs := newFaultState(cfg, len(system.Nodes))
-	re := newRunEvents(cfg)
 
 	ranks := make([]*rankCtx, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -300,31 +297,68 @@ func Run(cfg Config) (*Result, error) {
 		}
 		rc.sensor = faultedSensorFor(dev, fs.sensorHook(r, dev))
 		fs.wireRank(rc, r)
-		re.instrumentRank(rc, r)
-		rt.instrumentRank(rc, r)
-		if rt != nil || re != nil {
-			rc.tap = newClockTap(rc.setter)
-			rc.setter = rc.tap
-		}
 		ranks[r] = rc
 	}
+	strategyName := ranks[0].strategy.Name()
 
 	var trace *gpusim.Trace
 	if cfg.Trace {
 		trace = ranks[0].dev.EnableTrace()
-		rt.attachTraceSink(trace, 0)
 	}
 
-	// Checkpoint restore happens here — after every rank's setter, strategy
-	// and fault wiring exist, and before the sampler's t=0 baseline poll and
-	// the setup phase, whose effects the restored state already contains.
-	var resumed *resumedState
+	// A resumed run is built exactly as a fresh one and replays the steps
+	// before its checkpoint's NextStep, which must reproduce the recorded
+	// trajectory. The step-pinned rank crashes from NextStep on are
+	// disarmed: one of them stopped the attempt that wrote the checkpoint,
+	// and the restart models a repaired rank. So are those an earlier
+	// attempt of the chain disarmed, from the checkpoint's DisarmedFrom on:
+	// the recorded steps ran without them. A crash pinned earlier fires in
+	// the replay as it did in the recorded run.
+	var cp *runCheckpoint
+	replayTo, disarmedFrom := 0, 0
 	if cfg.Recovery != nil && cfg.Recovery.Resume != nil {
 		var err error
-		resumed, err = restoreRun(cfg.Recovery.Resume, cfg, system, world, ranks, fs)
-		if err != nil {
+		if cp, err = loadCheckpoint(cfg.Recovery.Resume, cfg, strategyName); err != nil {
 			return nil, err
 		}
+		replayTo, disarmedFrom = cp.NextStep, cp.NextStep
+		if cp.DisarmedFrom > 0 && cp.DisarmedFrom < disarmedFrom {
+			disarmedFrom = cp.DisarmedFrom
+		}
+		if fs != nil {
+			for _, in := range fs.rankInj {
+				in.DisarmPinnedCrashes(disarmedFrom)
+			}
+		}
+	}
+
+	// The observers document what the attempt executes for real, so they
+	// attach at its first such step: before anything in a fresh run, after
+	// the replay in a resumed one. Until then rt and re are nil, and every
+	// hook on them is a no-op.
+	var (
+		rt      *runTelemetry
+		re      *runEvents
+		curStep = -1 // the loop's current step, -1 before it
+		load    = 1.0
+	)
+	observe := func() {
+		rt, re = newRunTelemetry(cfg), newRunEvents(cfg, func() int { return curStep }, load)
+		if rec := rt.spanRecorder(); rec != nil {
+			world.SetRecorder(rec)
+		}
+		for r, rc := range ranks {
+			re.instrumentRank(rc, r)
+			rt.instrumentRank(rc, r)
+			if rt != nil || re != nil {
+				rc.tap = newClockTap(rc.setter)
+				rc.setter = rc.tap
+			}
+		}
+		rt.attachTraceSink(trace, 0)
+	}
+	if cp == nil {
+		observe()
 	}
 
 	// Async power sampling: one channel per rank GPU sensor, one
@@ -336,7 +370,13 @@ func Run(cfg Config) (*Result, error) {
 	var smp *sampler.Sampler
 	if cfg.Sampling.Enabled() {
 		smp = sampler.New(cfg.Sampling)
-		smp.SetTransitionSink(re.samplerSink())
+		if cfg.Events != nil {
+			// Channels take the sink when added; it reaches the ledger once
+			// observe has attached it.
+			smp.SetTransitionSink(func(name string, rank int, degraded bool, detail string) {
+				re.samplerTransition(name, rank, degraded, detail)
+			})
+		}
 		for r, rc := range ranks {
 			rc.samp = smp.AddRank(r, rc.sensor)
 		}
@@ -368,8 +408,8 @@ func Run(cfg Config) (*Result, error) {
 	// Job setup phase: launch, allocation, host→device transfer. GPUs are
 	// mostly idle (the paper's §IV-A observation that setup energy is
 	// limited because the GPUs idle through it); the host is busy staging.
-	var setup setupEnergies
-	if cfg.SetupS > 0 && resumed == nil {
+	var setup struct{ GPU, CPU, Mem, Other, Total float64 }
+	if cfg.SetupS > 0 {
 		for r := 0; r < cfg.Ranks; r++ {
 			ranks[r].dev.Idle(cfg.SetupS)
 			world.Advance(r, cfg.SetupS)
@@ -392,30 +432,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Strategy setup (once per rank, before the loop — the paper's
-	// instrumentation point at time-stepping start). A resumed run skips
-	// it: the restored device state already reflects it, and re-running it
-	// would reset governor/elision state mid-sequence and diverge.
-	re.beginRun(cfg, ranks[0].strategy.Name())
-	if resumed == nil {
-		for _, rc := range ranks {
-			if err := rc.strategy.Setup(rc.setter); err != nil {
-				// Earlier ranks may already hold non-default clocks; fail()
-				// resets them all.
-				return fail(fmt.Errorf("core: strategy setup: %w", err))
-			}
+	// instrumentation point at time-stepping start).
+	re.beginRun(cfg, strategyName)
+	for _, rc := range ranks {
+		if err := rc.strategy.Setup(rc.setter); err != nil {
+			// Earlier ranks may already hold non-default clocks; fail()
+			// resets them all.
+			return fail(fmt.Errorf("core: strategy setup: %w", err))
 		}
 	}
 
 	vendor := cfg.System.GPUSpec.Vendor
 	t0 := world.MaxClock()
 	stepBounds := make([]float64, 0, cfg.Steps)
-	startStep := 0
-	if resumed != nil {
-		setup = resumed.setup
-		t0 = resumed.t0
-		stepBounds = append(stepBounds, resumed.stepBounds...)
-		startStep = resumed.nextStep
-	}
 
 	// A strategy failure inside a rank's phase surfaces as a run error at
 	// the step boundary; the first one wins.
@@ -423,29 +452,14 @@ func Run(cfg Config) (*Result, error) {
 
 	// Rank fault injection: the world consults the per-rank injectors at
 	// every phase; curStep and load change between phases only.
-	curStep := startStep
-	load := 1.0
-	if resumed != nil {
-		load = resumed.load
-		if re != nil {
-			// Degradation events fire on load transitions; seed the tracker
-			// so a restored multiplier does not re-fire spuriously.
-			re.lastLoad = load
-		}
-	}
 	fs.wireWorld(world, ranks, func() int { return curStep })
-	re.trackSteps(func() int { return curStep })
 
-	// A checkpoint is encoded lazily at a step boundary: nextStep is the
-	// first step a restore will execute; everything else is read from the
-	// loop's live variables at call time (a step boundary: no phase is open).
+	// A checkpoint is encoded at a step boundary, when nextStep boundaries
+	// are recorded.
 	snapshotAt := func(nextStep int) func(w io.Writer) error {
 		return func(w io.Writer) error {
-			cp, err := captureCheckpoint(cfg, system, world, ranks, fs,
-				nextStep, t0, stepBounds, load, setup)
-			if err != nil {
-				return err
-			}
+			cp := &runCheckpoint{Fp: fingerprintOf(cfg, strategyName), NextStep: nextStep,
+				StepBounds: stepBounds, EnergyJ: system.TotalEnergyJ(), DisarmedFrom: disarmedFrom}
 			return cp.encode(w)
 		}
 	}
@@ -455,9 +469,6 @@ func Run(cfg Config) (*Result, error) {
 	// runs from the previous step's boundary, and its energy accumulates
 	// from the per-rank attribution below — no extra clock or meter reads.
 	stepStart := t0
-	if len(stepBounds) > 0 {
-		stepStart = stepBounds[len(stepBounds)-1]
-	}
 
 	// What the loop needs of each pipeline function is constant over the
 	// run and worked out here, once; a function is then known by its slot.
@@ -524,7 +535,7 @@ func Run(cfg Config) (*Result, error) {
 		return 0
 	}
 
-	for step := startStep; step < cfg.Steps; step++ {
+	for step := 0; step < cfg.Steps; step++ {
 		curStep = step
 		stepJ := 0.0
 		for slot := range phases {
@@ -579,25 +590,35 @@ func Run(cfg Config) (*Result, error) {
 		}
 		bound := world.MaxClock()
 		stepBounds = append(stepBounds, bound)
-		if rt != nil {
-			rt.stepSpan(step, stepStart, bound, stepJ)
-			stepStart = bound
-		}
+		rt.stepSpan(step, stepStart, bound, stepJ)
+		stepStart = bound
 		re.stepDone(bound, step, stepJ)
-		if strategyErr != nil {
-			return fail(strategyErr)
-		}
 		// Step-level failure detection: record new rank deaths and let the
 		// degradation policy decide whether (and how) the run continues.
-		prevFails := 0
-		if fs != nil {
-			prevFails = len(fs.failures)
+		failed := strategyErr
+		if failed == nil {
+			prevFails := 0
+			if fs != nil {
+				prevFails = len(fs.failures)
+			}
+			load, failed = fs.checkStep(world, step, cfg.Ranks)
+			re.rankFailures(fs, prevFails, load)
 		}
-		var ferr error
-		load, ferr = fs.checkStep(world, step, cfg.Ranks)
-		re.rankFailures(fs, prevFails, load)
-		if ferr != nil {
-			return fail(ferr)
+		if step < replayTo {
+			// A replayed step must end where the recorded one did; the
+			// observers attach once the last of them has.
+			err := cp.replayed(cfg.Recovery.Resume.Snapshot.Path, step, failed, bound, system.TotalEnergyJ())
+			if err != nil {
+				return nil, err
+			}
+			if step == replayTo-1 {
+				observe()
+				re.beginRun(cfg, strategyName)
+			}
+			continue
+		}
+		if failed != nil {
+			return fail(failed)
 		}
 		// Recovery hook, last in the boundary so a step that killed the run
 		// is never checkpointed: autosave on cadence, watchdog heartbeat,
@@ -618,7 +639,7 @@ func Run(cfg Config) (*Result, error) {
 		Simulation: string(cfg.Sim),
 		System:     cfg.System.Name,
 		WallTimeS:  wall,
-		Strategy:   ranks[0].strategy.Name(),
+		Strategy:   strategyName,
 	}
 	for _, rc := range ranks {
 		report.Ranks = append(report.Ranks, rc.profile)
@@ -681,8 +702,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {
 		if !stopped {
-			// Completion checkpoint: a later resume of a finished run is an
-			// instant no-op, and the final state stays auditable on disk.
+			// Completion checkpoint: a later resume of a finished run
+			// replays it whole and returns its result, and the run's
+			// trajectory stays auditable on disk.
 			rcv.Controller.Final(recovery.Meta{Step: len(stepBounds), TimeS: world.MaxClock()},
 				wall, snapshotAt(len(stepBounds)))
 		}

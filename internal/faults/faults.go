@@ -330,91 +330,26 @@ func (in *Injector) Evaluate(nowS float64, step int, kinds ...Kind) Decision {
 	return out
 }
 
-// InjectorState is an injector's checkpointable state: the RNG stream
-// position, per-rule burst/fired latches, and injection counts. The rule
-// set itself is rebuilt from the plan, so State carries only what a
-// restored run needs to continue the exact same fault sequence.
-type InjectorState struct {
-	Stream string
-	RNG    [4]uint64
-	Burst  []int
-	Fired  []bool
-	Counts map[Kind]uint64
-}
-
-// State captures the injector's checkpointable state. Nil injectors
-// return a zero state (Stream "").
-func (in *Injector) State() InjectorState {
+// DisarmPinnedCrashes marks every step-pinned rank-crash rule at step or
+// later as already fired. A resumed run calls it with its resume step, or
+// with an earlier step from which a previous attempt ran disarmed: a
+// step-pinned crash models a transient rank death, and the restarted
+// process must not die again to the injection that stopped an attempt
+// before it — otherwise recovery could never make progress. A crash pinned
+// before step is left armed, so the replay of the steps before step meets
+// it as the recorded run did. Probabilistic crash rules are unaffected
+// (and remain bounded by the supervisor's restart budget).
+func (in *Injector) DisarmPinnedCrashes(step int) {
 	if in == nil {
-		return InjectorState{}
+		return
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	st := InjectorState{
-		Stream: in.stream,
-		RNG:    in.rng.State(),
-		Burst:  append([]int(nil), in.burst...),
-		Fired:  append([]bool(nil), in.fired...),
-		Counts: make(map[Kind]uint64, len(in.count)),
-	}
-	for k, v := range in.count {
-		st.Counts[k] = v
-	}
-	return st
-}
-
-// Restore installs a state captured by State on an injector built from
-// the same plan (same stream, same rule count). Restoring a nil injector
-// with a zero state is a no-op.
-func (in *Injector) Restore(st InjectorState) error {
-	if in == nil {
-		if st.Stream == "" {
-			return nil
-		}
-		return fmt.Errorf("faults: restore stream %q onto nil injector", st.Stream)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st.Stream != in.stream {
-		return fmt.Errorf("faults: restore stream mismatch: injector %q, state %q", in.stream, st.Stream)
-	}
-	if len(st.Burst) != len(in.rules) || len(st.Fired) != len(in.rules) {
-		return fmt.Errorf("faults: restore rule-count mismatch on %q: injector has %d rules, state %d/%d",
-			in.stream, len(in.rules), len(st.Burst), len(st.Fired))
-	}
-	in.rng.SetState(st.RNG)
-	copy(in.burst, st.Burst)
-	copy(in.fired, st.Fired)
-	for k := range in.count {
-		delete(in.count, k)
-	}
-	for k, v := range st.Counts {
-		in.count[k] = v
-	}
-	return nil
-}
-
-// DisarmPinnedCrashes marks every step-pinned rank-crash rule as already
-// fired and returns how many it disarmed. The supervisor calls it after a
-// restore: a step-pinned crash models a transient rank death, and the
-// restarted process replaying past the crash step must not die again to
-// the same injection — otherwise recovery could never make progress.
-// Probabilistic crash rules are unaffected (and remain bounded by the
-// supervisor's restart budget).
-func (in *Injector) DisarmPinnedCrashes() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
 	for i, r := range in.rules {
-		if r.Kind == RankCrash && r.Step > 0 && !in.fired[i] {
+		if r.Kind == RankCrash && r.Step > 0 && r.Step >= step {
 			in.fired[i] = true
-			n++
 		}
 	}
-	return n
 }
 
 // Counts returns the per-kind injection counts so far.

@@ -202,7 +202,6 @@ type ManDyn struct {
 	// forever, and eliding on applied would re-issue the same doomed set
 	// before every function call instead of converging.
 	lastReq int
-	last    int // last applied clock, for reporting
 }
 
 // Name implements Strategy.
@@ -210,16 +209,15 @@ func (m *ManDyn) Name() string { return "mandyn" }
 
 // Setup implements Strategy.
 func (m *ManDyn) Setup(s Setter) error {
-	m.lastReq, m.last = 0, 0
+	m.lastReq = 0
 	def := m.Default
 	if def == 0 {
 		def = s.MaxSMClock()
 	}
-	applied, err := s.SetSMClock(def)
-	if err != nil {
+	if _, err := s.SetSMClock(def); err != nil {
 		return err
 	}
-	m.lastReq, m.last = def, applied
+	m.lastReq = def
 	return nil
 }
 
@@ -235,23 +233,12 @@ func (m *ManDyn) Apply(s Setter, function string) error {
 	if mhz == m.lastReq {
 		return nil
 	}
-	applied, err := s.SetSMClock(mhz)
-	if err != nil {
+	if _, err := s.SetSMClock(mhz); err != nil {
 		m.lastReq = 0 // unknown state: do not elide the next set
 		return err
 	}
-	m.lastReq, m.last = mhz, applied
+	m.lastReq = mhz
 	return nil
-}
-
-// State returns ManDyn's elision state (last requested and last applied
-// clock), for checkpointing.
-func (m *ManDyn) State() (lastReqMHz, lastAppliedMHz int) { return m.lastReq, m.last }
-
-// SetState restores elision state captured by State. A restored ManDyn
-// elides or issues exactly the sets the uninterrupted run would have.
-func (m *ManDyn) SetState(lastReqMHz, lastAppliedMHz int) {
-	m.lastReq, m.last = lastReqMHz, lastAppliedMHz
 }
 
 // PowerCap is the alternative control knob: leave clocks to the governor

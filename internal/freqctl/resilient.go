@@ -200,29 +200,6 @@ func (r *ResilientSetter) Stats() ResilienceStats {
 	return r.stats
 }
 
-// ResilientState is a ResilientSetter's checkpointable state: the run of
-// consecutive exhausted failures and the counters, breaker latch included.
-type ResilientState struct {
-	Consec int
-	Stats  ResilienceStats
-}
-
-// State captures the setter's checkpointable state.
-func (r *ResilientSetter) State() ResilientState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ResilientState{Consec: r.consec, Stats: r.stats}
-}
-
-// RestoreState installs a state captured by State. A restored setter
-// retries and trips its breaker exactly as the original would have.
-func (r *ResilientSetter) RestoreState(st ResilientState) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.consec = st.Consec
-	r.stats = st.Stats
-}
-
 // AttachFaultHook installs a back-end fault hook underneath a Setter,
 // unwrapping the resilience layer to reach the vendor library. Returns false
 // when the chain bottoms out in a setter with no known back-end (test fakes).

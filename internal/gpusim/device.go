@@ -327,57 +327,3 @@ func (d *Device) tracePoint(label string) {
 		})
 	}
 }
-
-// DeviceState is a device's checkpointable state: clock management mode
-// and settings, governor position, virtual time, energy and power
-// accounting, and the launch count. The trace buffer and observer are
-// observability wiring, not model state, and are not captured.
-type DeviceState struct {
-	Mode         int
-	LockedMHz    int
-	MemMHz       int
-	PowerLimitW  float64
-	GovCurrent   float64
-	GovHoldUntil float64
-	NowS         float64
-	EnergyJ      float64
-	LastPowerW   float64
-	KernelsRun   int64
-}
-
-// State captures the device's checkpointable state.
-func (d *Device) State() DeviceState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return DeviceState{
-		Mode:         int(d.mode),
-		LockedMHz:    d.lockedMHz,
-		MemMHz:       d.memMHz,
-		PowerLimitW:  d.powerLimitW,
-		GovCurrent:   d.gov.current,
-		GovHoldUntil: d.gov.holdUntil,
-		NowS:         d.now,
-		EnergyJ:      d.energyJ,
-		LastPowerW:   d.lastPowerW,
-		KernelsRun:   d.kernelsRun,
-	}
-}
-
-// Restore installs a state captured by State, leaving the trace and
-// observer wiring untouched. A restored device continues the exact
-// trajectory of the original: governor position, boost hold, and energy
-// integration pick up where the snapshot left off.
-func (d *Device) Restore(st DeviceState) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.mode = ClockMode(st.Mode)
-	d.lockedMHz = st.LockedMHz
-	d.memMHz = st.MemMHz
-	d.powerLimitW = st.PowerLimitW
-	d.gov.current = st.GovCurrent
-	d.gov.holdUntil = st.GovHoldUntil
-	d.now = st.NowS
-	d.energyJ = st.EnergyJ
-	d.lastPowerW = st.LastPowerW
-	d.kernelsRun = st.KernelsRun
-}

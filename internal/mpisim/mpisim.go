@@ -16,7 +16,6 @@
 package mpisim
 
 import (
-	"fmt"
 	"math"
 
 	"sphenergy/internal/rng"
@@ -124,7 +123,6 @@ type RankFailure struct {
 
 // World is a set of ranks executing in lockstep phases.
 type World struct {
-	Size int
 	// Network is stored and never read: the runner prices communication
 	// with its own copy. It stays because the benchmark calls NewWorld.
 	Network Network
@@ -144,7 +142,7 @@ type World struct {
 // NewWorld creates a world of `size` ranks with per-rank deterministic
 // jitter streams derived from seed.
 func NewWorld(size int, net Network, seed uint64) *World {
-	w := &World{Size: size, Network: net}
+	w := &World{Network: net}
 	w.clocks = make([]float64, size)
 	w.durs = make([]float64, size)
 	w.waits = make([]float64, size)
@@ -312,45 +310,6 @@ func (w *World) Synchronize(durs []float64) []float64 {
 		}
 	}
 	return waits
-}
-
-// WorldState is a World's checkpointable state: the virtual clocks,
-// liveness, failure history, and the exact position of every per-rank
-// jitter stream. A restored world continues the same deterministic
-// trajectory the original would have.
-type WorldState struct {
-	Clocks   []float64
-	Alive    []bool
-	Failures []RankFailure
-	Jitter   [][4]uint64
-}
-
-// State captures the world's checkpointable state.
-func (w *World) State() WorldState {
-	st := WorldState{
-		Clocks:   append([]float64(nil), w.clocks...),
-		Alive:    append([]bool(nil), w.alive...),
-		Failures: append([]RankFailure(nil), w.failures...),
-	}
-	for _, j := range w.jitter {
-		st.Jitter = append(st.Jitter, j.State())
-	}
-	return st
-}
-
-// Restore installs a state captured by State on a world of the same size.
-func (w *World) Restore(st WorldState) error {
-	if len(st.Clocks) != w.Size || len(st.Alive) != w.Size || len(st.Jitter) != w.Size {
-		return fmt.Errorf("mpisim: restore size mismatch: world has %d ranks, state has %d/%d/%d",
-			w.Size, len(st.Clocks), len(st.Alive), len(st.Jitter))
-	}
-	copy(w.clocks, st.Clocks)
-	copy(w.alive, st.Alive)
-	w.failures = append(w.failures[:0], st.Failures...)
-	for i, s := range st.Jitter {
-		w.jitter[i].SetState(s)
-	}
-	return nil
 }
 
 // MaxClock returns the furthest-advanced rank clock (the job's wall time).

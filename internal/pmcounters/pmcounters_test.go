@@ -10,7 +10,7 @@ import (
 // lumiNode builds a LUMI-G node with some activity on its components.
 func lumiNode(t *testing.T) *cluster.Node {
 	t.Helper()
-	node := cluster.NewNode(cluster.LUMIG(), 0)
+	node := cluster.NewNode(cluster.LUMIG())
 	for _, d := range node.Devices {
 		d.Idle(1.0)
 	}
@@ -65,7 +65,7 @@ func TestAuxiliaryDerivation(t *testing.T) {
 }
 
 func TestCollectionRateQuantization(t *testing.T) {
-	node := cluster.NewNode(cluster.LUMIG(), 0)
+	node := cluster.NewNode(cluster.LUMIG())
 	node.AdvanceHost(1.0, 0.2, 0.2)
 	for _, d := range node.Devices {
 		d.Idle(1.0)
@@ -92,7 +92,7 @@ func TestCollectionRateQuantization(t *testing.T) {
 }
 
 func TestA100NodeHasOneAccelPerCard(t *testing.T) {
-	node := cluster.NewNode(cluster.CSCSA100(), 0)
+	node := cluster.NewNode(cluster.CSCSA100())
 	for _, d := range node.Devices {
 		d.Idle(0.5)
 	}
@@ -127,7 +127,7 @@ func TestPowerReflectsComponents(t *testing.T) {
 // intervening reads, the next read jumps straight to the current tick —
 // ticks are not backfilled — and its value holds until the tick after.
 func TestFreshnessTimestampSemantics(t *testing.T) {
-	node := cluster.NewNode(cluster.LUMIG(), 0)
+	node := cluster.NewNode(cluster.LUMIG())
 	advance := func(s float64) {
 		for _, d := range node.Devices {
 			d.Idle(s)

@@ -60,7 +60,7 @@ func TestRSMIBackend(t *testing.T) {
 }
 
 func TestCrayBackends(t *testing.T) {
-	node := cluster.NewNode(cluster.LUMIG(), 0)
+	node := cluster.NewNode(cluster.LUMIG())
 	pc := pmcounters.New(node)
 	sensors := map[CrayComponent]Sensor{
 		CrayNode:   NewCrayOn(pc, node, CrayNode, 0),

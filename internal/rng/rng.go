@@ -60,19 +60,6 @@ func (r *Rand) Uint64() uint64 {
 // distinct streams.
 func (r *Rand) Split() *Rand { return New(r.Uint64()) }
 
-// State returns the generator's internal state, for checkpointing. A
-// generator restored with SetState continues the exact same stream.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state captured by State. The all-zero state is
-// invalid for xoshiro and is replaced by the same fallback New uses.
-func (r *Rand) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		s[0] = 0x9E3779B97F4A7C15
-	}
-	r.s = s
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * 0x1p-53

@@ -44,7 +44,6 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/core"
 	"sphenergy/internal/events"
-	"sphenergy/internal/experiments"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/instr"
@@ -89,10 +88,12 @@ type RecoveryConfig = recovery.Config
 // restarts, watchdog stalls, resume point).
 type RecoveryOutcome = recovery.Outcome
 
-// RunSupervised executes a run under crash supervision: it restores the
-// newest valid checkpoint from RecoveryConfig.Dir, runs, and on a crash,
-// panic, or watchdog stall restarts from disk up to MaxRestarts times.
-// A resumed run's model results are bit-identical to an uninterrupted one.
+// RunSupervised executes a run under crash supervision: it resumes from the
+// newest valid checkpoint in RecoveryConfig.Dir by replaying the steps the
+// checkpoint records, runs, and on a crash, panic, or watchdog stall
+// restarts from disk up to MaxRestarts times. A resumed run is the
+// uninterrupted one: its model results, sampler series and rank-0 trace are
+// bit-identical.
 func RunSupervised(cfg Config, rcfg RecoveryConfig) (*Result, *RecoveryOutcome, error) {
 	return core.RunSupervised(cfg, rcfg)
 }
@@ -230,12 +231,3 @@ func TuneFrequenciesObserved(system NodeSpec, sim SimKind, particlesPerRank floa
 	}
 	return table, err
 }
-
-// RunExperiment regenerates one of the paper's tables/figures by id
-// ("table1", "fig1".."fig9"); scale 1.0 reproduces the paper's step counts.
-func RunExperiment(id string, scale float64) (interface{ Render() string }, error) {
-	return experiments.Run(id, scale)
-}
-
-// ExperimentNames lists the available experiment ids.
-func ExperimentNames() []string { return experiments.Names() }

@@ -1,7 +1,6 @@
 package sphenergy
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -73,22 +72,5 @@ func TestTuneFrequencies(t *testing.T) {
 	}
 	if res.Report.Strategy != "mandyn" {
 		t.Errorf("strategy %q", res.Report.Strategy)
-	}
-}
-
-func TestExperimentRegistry(t *testing.T) {
-	names := ExperimentNames()
-	if len(names) != 12 {
-		t.Fatalf("%d experiments registered", len(names))
-	}
-	r, err := RunExperiment("table1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(r.Render(), "TABLE I") {
-		t.Error("table1 render")
-	}
-	if _, err := RunExperiment("fig0", 1); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
