@@ -173,7 +173,11 @@ bench-sph:
 
 # Run-bundle gate for `check`: a tiny tuned, sampled run writes its bundle,
 # which must hold exactly its four files, and every inspect verb must read it (decisions exits 1 on a ledger without
-# decisions, failing the target). Then the trace and the ledger are cut
+# decisions, failing the target, and must join the decisions to the tuner
+# sweep, the one record of the predictions, for its aggregate). A tuned
+# 1 100-step run wraps its ledger's ring: the sweep and the run header are
+# the ledger's preamble, so decisions must still name the run and the
+# aggregate. Then the trace and the ledger are cut
 # mid-line, as a killed run can leave them: trace must analyze the prefix
 # and say "truncated trace", decisions audit it and say "truncated ledger".
 # Last the CLI's stop-and-resume path: a tuned 10-step run stopped by a
@@ -191,8 +195,14 @@ bundle-smoke:
 	test "$$(cd $(BUNDLE_SMOKE)/run && LC_ALL=C ls | tr '\n' ' ')" = \
 		'events.jsonl report.csv report.json trace.json '
 	$(BUNDLE_SMOKE)/inspect energy $(BUNDLE_SMOKE)/run > /dev/null
-	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/run
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/run > $(BUNDLE_SMOKE)/run.decisions.txt
+	grep -q 'aggregate: this run left' $(BUNDLE_SMOKE)/run.decisions.txt
 	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/run
+	$(BUNDLE_SMOKE)/sphexa -ranks 8 -s 1100 -ppr 10e6 -strategy mandyn -q \
+		-out $(BUNDLE_SMOKE)/wrapped > /dev/null
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/wrapped > $(BUNDLE_SMOKE)/wrapped.txt
+	grep -q 'strategy mandyn, 1100 steps' $(BUNDLE_SMOKE)/wrapped.txt
+	grep -q 'aggregate: this run left' $(BUNDLE_SMOKE)/wrapped.txt
 	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/trace.json) / 2 )) \
 		$(BUNDLE_SMOKE)/run/trace.json > $(BUNDLE_SMOKE)/cut/trace.json
 	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/events.jsonl) - 10 )) \

@@ -41,7 +41,7 @@ type row struct {
 	Decisions int    `json:"decisions"`
 	// ClockMHz is the modal applied clock across the function's decisions.
 	ClockMHz int `json:"clock_mhz"`
-	// PredEDPJs is the tuner model's per-call EDP at the chosen clock.
+	// PredEDPJs is the tuner sweep's per-call EDP at the chosen clock.
 	PredEDPJs float64 `json:"pred_edp_js,omitempty"`
 	// AchievedEDPJs is the attribution's per-call EDP (mean call time ×
 	// mean call sampled energy), joined from the report.
@@ -70,7 +70,8 @@ var anomalyTypes = []events.Type{
 }
 
 // analyze joins the ledger's decision stream with the tuner sweep it also
-// carries and, when available, the attribution rows from the energy report.
+// carries — the only source of the predicted EDP — and, when available, the
+// attribution rows from the energy report.
 func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) *analysis {
 	a := &analysis{Events: len(evs), ThresholdPct: thresholdPct, Anomalies: map[string]int{}}
 
@@ -78,9 +79,6 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 	// counts applied decisions.
 	sweep := map[string]map[int]float64{}
 	clocks := map[string]map[int]int{}
-	// predAt[fn][mhz] remembers the prediction attached to decisions, the
-	// fallback when the ledger predates the sweep events.
-	predAt := map[string]map[int]float64{}
 	for _, ev := range evs {
 		switch ev.Type {
 		case events.RunStart:
@@ -96,12 +94,6 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 			}
 			clocks[ev.Subject][ev.AppliedMHz]++
 			a.Decisions++
-			if ev.PredEDPJs > 0 {
-				if predAt[ev.Subject] == nil {
-					predAt[ev.Subject] = map[int]float64{}
-				}
-				predAt[ev.Subject][ev.AppliedMHz] = ev.PredEDPJs
-			}
 		}
 		for _, t := range anomalyTypes {
 			if ev.Type == t {
@@ -171,9 +163,6 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 				sumBest += r.BestEDPJs
 			}
 		}
-		if r.PredEDPJs == 0 {
-			r.PredEDPJs = predAt[fn][r.ClockMHz]
-		}
 		r.AchievedEDPJs = achieved[fn]
 		if r.PredEDPJs > 0 && r.AchievedEDPJs > 0 {
 			r.DevPct = (r.AchievedEDPJs - r.PredEDPJs) / r.PredEDPJs * 100
@@ -229,7 +218,7 @@ func render(a *analysis) string {
 	if a.HaveSweep {
 		fmt.Fprintf(&sb, "\naggregate: this run left %.2f%% EDP on the table vs the brute-force sweet spot\n", a.AggLeftPct)
 	} else {
-		sb.WriteString("\nno tuner sweep in the ledger: run the tuner through the same ledger for sweet-spot comparison\n")
+		sb.WriteString("\nno tuner sweep in the ledger: run the tuner through the same ledger for the predicted EDP and the sweet-spot comparison\n")
 	}
 	if !a.HaveAchieved {
 		sb.WriteString("no attribution join: achieved EDP needs the report.json of a sampled run (sphexa -sample-hz or -energy-validate)\n")

@@ -185,6 +185,42 @@ func TestDecisionsUntunedRunLeavesEDPOnTable(t *testing.T) {
 	}
 }
 
+// TestDecisionsWrappedLedgerKeepsSweep audits a ledger whose run wrapped
+// its ring many times over: the sweep and the run header are its preamble,
+// so the audit still names the run, predicts from the sweep and finds the
+// sweet spot.
+func TestDecisionsWrappedLedgerKeepsSweep(t *testing.T) {
+	spec := sphenergy.MiniHPC()
+	led := sphenergy.NewEventLedger(1024)
+	table, err := sphenergy.TuneFrequenciesObserved(spec, sphenergy.Turbulence, 10e6, 150, led)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sphenergy.Config{System: spec, Ranks: 2, Sim: sphenergy.Turbulence,
+		ParticlesPerRank: 10e6, Steps: 400, Events: led, NewStrategy: sphenergy.ManDyn(table)}
+	if _, err := sphenergy.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if sum := led.Summary(); sum.Dropped == 0 {
+		t.Fatalf("the run did not wrap the ledger: %+v", sum)
+	}
+	a := analyze(led.Events(), nil, 25)
+	if a.Simulation != "turbulence" || a.Strategy != "mandyn" || a.Steps != cfg.Steps {
+		t.Errorf("run header %q/%q/%d, want turbulence/mandyn/%d", a.Simulation, a.Strategy, a.Steps, cfg.Steps)
+	}
+	if !a.HaveSweep || a.Decisions == 0 {
+		t.Fatalf("sweep %v, %d decisions: the preamble did not survive", a.HaveSweep, a.Decisions)
+	}
+	for _, r := range a.Rows {
+		if r.PredEDPJs <= 0 || r.BestMHz == 0 {
+			t.Errorf("%s: predicted %g at %d MHz, sweet spot %d MHz", r.Function, r.PredEDPJs, r.ClockMHz, r.BestMHz)
+		}
+	}
+	if out := render(a); !strings.Contains(out, "aggregate: this run left") {
+		t.Errorf("audit of the wrapped ledger has no aggregate:\n%s", out)
+	}
+}
+
 // TestAnalyzeTruncatedLedger checks the audit degrades gracefully on a
 // partial JSONL file: the valid prefix is analyzed, the truncation is
 // surfaced, and nothing panics.
@@ -192,7 +228,8 @@ func TestAnalyzeTruncatedLedger(t *testing.T) {
 	led := events.NewLedger(0)
 	led.BeginRun("turbulence", "mandyn", 4)
 	for i := 0; i < 8; i++ {
-		led.FreqDecision(float64(i), i, 0, "MomentumEnergy", 1005, 1005)
+		led.Emit(events.Event{TimeS: float64(i), Step: i, Rank: 0, Type: events.FreqDecision,
+			Subject: "MomentumEnergy", RequestedMHz: 1005, AppliedMHz: 1005})
 	}
 	var buf bytes.Buffer
 	if err := led.WriteJSONL(&buf); err != nil {

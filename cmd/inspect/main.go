@@ -5,9 +5,10 @@
 //	inspect decisions DIR [-threshold 25] [-json]  the decision ledger's audit
 //	inspect trace DIR [-top 3] [-json]             critical path and straggler ranks
 //
-// decisions joins the ledger's frequency decisions and the tuner's
-// predictions against the report's achieved energy whenever the bundle has
-// a report, and measures each choice against the sweep's sweet spot. The
+// decisions joins the ledger's frequency decisions to the tuner sweep's
+// predictions in the same ledger, and both to the report's achieved energy
+// whenever the bundle has a report, and measures each choice against the
+// sweep's sweet spot. The
 // JSON form of energy is the bundle's report.json itself. A truncated trace
 // or ledger is analyzed up to its valid prefix, and the output says so.
 // Exit status: 0 success, 1 an unreadable bundle or nothing to audit, 2

@@ -77,6 +77,12 @@ func main() {
 	if *steps == 0 {
 		fatalIf(fmt.Errorf("-s 0: need at least one time-step"))
 	}
+	if *ng == 0 {
+		fatalIf(fmt.Errorf("-ng 0: the run would use the default of 150 neighbors"))
+	}
+	if *sampleNodeHz == 0 {
+		fatalIf(fmt.Errorf("-sample-node-hz 0: the node sensors would sample at the default %g Hz", float64(sampler.DefaultNodeHz)))
+	}
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -197,9 +203,9 @@ func main() {
 		cfg.NewStrategy = func() sphenergy.Strategy { return freqctl.PowerCap{Watts: w} }
 	case *strategy == "mandyn":
 		// Observe the search through the ledger: sweep measurements become
-		// tuner events and the predicted time/power/EDP table rides on every
-		// frequency decision the run makes (`inspect decisions` joins the
-		// two).
+		// tuner events carrying the predicted time/power/EDP, the ledger's
+		// preamble, which `inspect decisions` joins the run's frequency
+		// decisions to.
 		table, err := sphenergy.TuneFrequenciesObserved(spec, sim, ppr, *ng, cfg.Events)
 		fatalIf(err)
 		fmt.Println("tuned per-function frequencies (MHz):")

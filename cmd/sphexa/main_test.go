@@ -161,6 +161,8 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-s", "-1"}, "negative step count"},
 		{[]string{"-ng", "-5"}, "negative neighbor count"},
 		{[]string{"-s", "0"}, "-s 0"},
+		{[]string{"-ng", "0"}, "-ng 0"},
+		{[]string{"-sample-hz", "100", "-sample-node-hz", "0"}, "-sample-node-hz 0"},
 		{[]string{"-strategy", "static:0"}, "-strategy static:0"},
 		{[]string{"-strategy", "static:-100"}, "-strategy static:-100"},
 		{[]string{"-strategy", "static:5000"}, "-strategy static:5000"},

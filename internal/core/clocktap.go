@@ -4,10 +4,10 @@ import "sphenergy/internal/freqctl"
 
 // clockTap is the one observer on a rank's clock control. Run installs it
 // between the strategy and the rank's setter (the resilient one under a
-// fault plan) when a tracer or a decision ledger is on; strategies
-// themselves are never wrapped. It keeps the (requested, applied) pair of
-// the last set so the run loop can hand a strategy's decision to the tracer
-// and the ledger once Apply has returned. One tap serves one rank.
+// fault plan) when the decision ledger is on; strategies themselves are
+// never wrapped. It keeps the (requested, applied) pair of the last set so
+// the run loop can hand a strategy's decision to the ledger once Apply has
+// returned. One tap serves one rank.
 type clockTap struct {
 	freqctl.Setter
 	// requested is the clock of the last set since arm, -1 when there was

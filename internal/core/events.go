@@ -13,25 +13,15 @@ import (
 //
 // All event timestamps use the absolute virtual clock (world/device time),
 // the same timebase as trace spans and sampler series, so ledger rows join
-// directly against traceanalysis and attrib output.
+// directly against traceanalysis and attrib output. The world steps the
+// ranks one after another on the run's goroutine (package mpisim), so every
+// hook emits as it is raised and the ledger's order is the execution order.
 type runEvents struct {
 	led    *events.Ledger
 	stepFn func() int // the run loop's current step, -1 before it
 	// lastLoad tracks the survivor load multiplier so degradation events
 	// fire on transitions only.
 	lastLoad float64
-	// bufs stages the events a rank's phases raise, per rank, so the hot
-	// path never touches the ledger mutex: a rank's phase appends to the
-	// rank's buffer and the run loop drains all buffers at step boundaries
-	// in rank order. That fixes the ledger's event sequence as rank-major
-	// within a step, whatever order the phases raised them in.
-	bufs []*rankEvents
-}
-
-// rankEvents is one rank's staging buffer; allocated separately per rank so
-// two ranks' append bookkeeping never shares a cache line.
-type rankEvents struct {
-	evs []events.Event
 }
 
 // newRunEvents builds the run's ledger wiring, or nil when Config.Events
@@ -41,39 +31,7 @@ func newRunEvents(cfg Config, step func() int, load float64) *runEvents {
 	if cfg.Events == nil {
 		return nil
 	}
-	re := &runEvents{led: cfg.Events, stepFn: step, lastLoad: load, bufs: make([]*rankEvents, cfg.Ranks)}
-	for r := range re.bufs {
-		re.bufs[r] = &rankEvents{}
-	}
-	return re
-}
-
-// stage appends an event raised on behalf of a rank — inside one of its
-// phases, or around the loop (setup, reset, sampler PollAll) — to the
-// rank's buffer.
-func (re *runEvents) stage(rank int, ev events.Event) {
-	rb := re.bufs[rank]
-	rb.evs = append(rb.evs, ev)
-}
-
-// flushRanks drains every rank's staged events into the ledger in rank
-// order, between phases. FreqDecision events route through the ledger's
-// prediction-attaching emit.
-func (re *runEvents) flushRanks() {
-	if re == nil {
-		return
-	}
-	for _, rb := range re.bufs {
-		for _, ev := range rb.evs {
-			if ev.Type == events.FreqDecision {
-				re.led.FreqDecision(ev.TimeS, ev.Step, ev.Rank, ev.Subject,
-					ev.RequestedMHz, ev.AppliedMHz)
-			} else {
-				re.led.Emit(ev)
-			}
-		}
-		rb.evs = rb.evs[:0]
-	}
+	return &runEvents{led: cfg.Events, stepFn: step, lastLoad: load}
 }
 
 // step reads the run loop's current step (-1 before the loop).
@@ -90,7 +48,6 @@ func (re *runEvents) stepDone(timeS float64, step int, stepJ float64) {
 	if re == nil {
 		return
 	}
-	re.flushRanks()
 	re.led.StepDone(timeS, step, stepJ)
 }
 
@@ -98,7 +55,6 @@ func (re *runEvents) endRun(timeS float64) {
 	if re == nil {
 		return
 	}
-	re.flushRanks()
 	re.led.EndRun(timeS)
 }
 
@@ -141,21 +97,20 @@ func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *g
 		if ev.Err != nil {
 			errText = ev.Err.Error()
 		}
-		re.stage(rank, events.Event{
+		re.led.Emit(events.Event{
 			TimeS: dev.Now(), Step: re.step(), Rank: rank, Type: typ,
 			Subject: ev.Op, RequestedMHz: ev.MHz, Err: errText,
 		})
 	}
 }
 
-// decision stages a clock a strategy set before a function; the ledger
-// attaches the tuner's prediction when the rank's buffer drains. Elided sets
+// decision records a clock a strategy set before a function. Elided sets
 // never reach it: the ledger records clock transitions, not every Apply.
 func (re *runEvents) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
 	if re == nil {
 		return
 	}
-	re.stage(rank, events.Event{
+	re.led.Emit(events.Event{
 		TimeS: nowS, Step: re.step(), Rank: rank,
 		Type: events.FreqDecision, Subject: function,
 		RequestedMHz: requestedMHz, AppliedMHz: appliedMHz,
@@ -172,17 +127,10 @@ func (re *runEvents) samplerTransition(name string, rank int, degraded bool, det
 	if degraded {
 		typ = events.SamplerDegraded
 	}
-	ev := events.Event{
+	re.led.Emit(events.Event{
 		Step: re.step(), Rank: rank, Type: typ,
 		Subject: name, Detail: detail,
-	}
-	// Rank channels' transitions are staged like any rank event; node
-	// channels (rank -1) poll between phases and emit directly.
-	if rank >= 0 && rank < len(re.bufs) {
-		re.stage(rank, ev)
-		return
-	}
-	re.led.Emit(ev)
+	})
 }
 
 // samplerOverflow records that the span join found dropped rank samples

@@ -12,13 +12,13 @@ import (
 
 // TestRunEmitsDecisionLedger drives a ManDyn run with the ledger attached
 // and checks every coordinator-side event family shows up with the right
-// counts and correlation fields, and that predictions installed from a
-// tuner sweep ride on the frequency decisions.
+// counts and correlation fields, after the sweep row the ledger held before
+// the run, and that a frequency decision carries no copy of the sweep.
 func TestRunEmitsDecisionLedger(t *testing.T) {
 	led := events.NewLedger(0)
-	led.SetPredictions(events.Predictions{
-		FnIAD: {1005: {TimeS: 0.5, EnergyJ: 100, PowerW: 200, EDPJs: 50}},
-	})
+	sweep := events.Event{Step: -1, Rank: -1, Type: events.TunerMeasure, Subject: FnIAD,
+		AppliedMHz: 1005, PredTimeS: 0.5, PredEnergyJ: 100, PredPowerW: 200, PredEDPJs: 50}
+	led.Emit(sweep)
 	cfg := telemetryTestConfig()
 	cfg.Steps = 4
 	cfg.Events = led
@@ -39,9 +39,13 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 		t.Fatal("no frequency decisions despite ManDyn switching clocks")
 	}
 
-	sawPred, sawStepField := false, false
+	evs := led.Events()
+	if sweep.Seq = 1; evs[0] != sweep || evs[1].Type != events.RunStart {
+		t.Errorf("the ledger starts %+v, %s; want the sweep row, then the run-start", evs[0], evs[1].Type)
+	}
+	sawIAD, sawStepField := false, false
 	var lastT float64
-	for _, ev := range led.Events() {
+	for _, ev := range evs {
 		if ev.TimeS < lastT && ev.Type != events.RunStart {
 			// Coordinator events are time-ordered; rank events may interleave
 			// within a phase but never run backwards past a step boundary.
@@ -59,13 +63,14 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 			if ev.Step >= 0 {
 				sawStepField = true
 			}
-			if ev.Subject == FnIAD && ev.AppliedMHz == 1005 && ev.PredEDPJs == 50 {
-				sawPred = true
+			if ev.PredTimeS != 0 || ev.PredEnergyJ != 0 || ev.PredPowerW != 0 || ev.PredEDPJs != 0 {
+				t.Errorf("decision row copies a prediction: %+v", ev)
 			}
+			sawIAD = sawIAD || ev.Subject == FnIAD && ev.AppliedMHz == 1005
 		}
 	}
-	if !sawPred {
-		t.Error("no IAD@1005 decision carried the installed prediction")
+	if !sawIAD {
+		t.Error("no IAD@1005 decision to join to the sweep row")
 	}
 	if !sawStepField {
 		t.Error("no in-loop frequency decision carried a step index")

@@ -11,13 +11,17 @@ import (
 	"sphenergy/internal/freqctl"
 )
 
-// TestReportJSONPinned holds the per-rank report — every rank's
-// function_order and FunctionStats, and the fault summary — to SHA-256s
+// TestReportJSONPinned holds the per-rank report — every rank's list of
+// FunctionStats in recording order, and the fault summary — to SHA-256s
 // recorded at commit fc86c67, before the runner accounted by pipeline index
 // (the second at f70485f, the last commit whose profiles could carry a
 // per-call series, with the series off: the bytes every program wrote; the
 // second re-recorded at 05faf06 without the neighbor-refresh cadence that
-// left Config, the hash that commit computes for the same run).
+// left Config, the hash that commit computes for the same run). All four
+// were re-recorded once when a rank's functions became one list in place of
+// a function_order list beside a map keyed by name: commit 6058faf's
+// reports for the same runs, each rank's map rewritten as the list in its
+// function_order, are these bytes.
 // internal/experiments/pin_test.go pins rendered figures, which read the
 // report through sums; this pins the report itself. The
 // third run crashes rank 5 in step 3 under drop-rank with a noisy sensor on
@@ -36,10 +40,10 @@ func TestReportJSONPinned(t *testing.T) {
 	}{
 		{"turbulence-mandyn-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 12, Seed: 42, NewStrategy: mandyn},
-			"92134dbb0f78243ef103502a05b4c7447fad89a5585b9efd6379c5904aab9357"},
+			"aaac0489a81717c6c9b20b350d7df34cf9cefd8952b8881dc91e0f9c8c43f4c6"},
 		{"evrard-2", Config{System: cluster.LUMIG(), Ranks: 2, Sim: Evrard,
 			ParticlesPerRank: 10e6, Steps: 8, Seed: 7},
-			"efe567c826a32af2614472a80352bf921d7a3a75f03e48e543aa00807fa7e9f8"},
+			"f074b39a297837d9f3cb282f446603a8f2152b3502b6ba8d59ba68af23dcece7"},
 		{"crash-drop-rank-8", Config{System: cluster.CSCSA100(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 8, Seed: 42, NewStrategy: mandyn,
 			Degradation: DegradeDropRank,
@@ -48,13 +52,13 @@ func TestReportJSONPinned(t *testing.T) {
 				{Kind: faults.Stuck, Target: faults.TargetSensor, Probability: 0.05, Burst: 3},
 				{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{5}, Step: 3},
 			}}},
-			"9d8b99cd2ec377650d6b27348c88131727e8a27cf160d2f320cc7e8610cd5939"},
+			"59dfffb3291c30d49efa728b1244d9e2e1db320d30edb7ca1c8483ea87de7c08"},
 		{"crash-first-phase-4", Config{System: cluster.LUMIG(), Ranks: 4, Sim: Evrard,
 			ParticlesPerRank: 10e6, Steps: 3, Seed: 5, Degradation: DegradeRedistribute,
 			Faults: &faults.Plan{Name: "crash-at-once", Seed: 2, Rules: []faults.Rule{
 				{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{1}, Step: 0},
 			}}},
-			"7bfa721e493440e37d5612f300432f2b6ff626278a29699d663a7164078c08ff"},
+			"05302fb0a40334c73a32fd13dda67d98e8bdaf34b074092b41bd4dc569523e7e"},
 	} {
 		res, err := Run(c.cfg)
 		if err != nil {

@@ -82,12 +82,11 @@ type Config struct {
 	// a profile is actually being taken.
 	ProfileLabels bool
 	// Events, when non-nil, receives the run's decision ledger: frequency
-	// requests and outcomes per rank (with the tuner's predicted
-	// time/energy/EDP when SetPredictions was called), resilient-setter
-	// actions, sampler degradation transitions, rank failures, and
-	// step/run boundary records. Nil disables the ledger at the cost of one
-	// nil check per hook; an enabled ledger never perturbs the simulation
-	// (see internal/events).
+	// requests and outcomes per rank, resilient-setter actions, sampler
+	// degradation transitions, rank failures, and step/run boundary
+	// records, after whatever the ledger already holds (a tuner sweep).
+	// Nil disables the ledger at the cost of one nil check per hook; an
+	// enabled ledger never perturbs the simulation (see internal/events).
 	Events *events.Ledger
 	// Recovery, when non-nil, makes the run durable and interruptible: the
 	// Controller receives a step-boundary hook for autosave checkpoints,
@@ -249,7 +248,7 @@ type rankCtx struct {
 	strategy freqctl.Strategy
 	sensor   pmt.Sensor
 	profile  *instr.RankProfile
-	// tap observes the rank's clock sets when a tracer or ledger is on (nil
+	// tap observes the rank's clock sets when the ledger is on (nil
 	// otherwise); setter is then the tap.
 	tap *clockTap
 	// samp is the rank's async sampling channel (nil when sampling is off);
@@ -350,7 +349,7 @@ func Run(cfg Config) (*Result, error) {
 		for r, rc := range ranks {
 			re.instrumentRank(rc, r)
 			rt.instrumentRank(rc, r)
-			if rt != nil || re != nil {
+			if re != nil {
 				rc.tap = newClockTap(rc.setter)
 				rc.setter = rc.tap
 			}
@@ -506,11 +505,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		err := rc.strategy.Apply(rc.setter, fn.Name)
 		if tap != nil && tap.requested >= 0 {
-			// The strategy set a clock before this function, and the tracer
-			// and the ledger see that decision whether or not the set failed.
-			nowS := rc.dev.Now()
-			rt.decision(r, fn.Name, nowS, tap.requested, tap.applied)
-			re.decision(r, fn.Name, nowS, tap.requested, tap.applied)
+			// The strategy set a clock before this function, and the ledger
+			// sees that decision whether or not the set failed.
+			re.decision(r, fn.Name, rc.dev.Now(), tap.requested, tap.applied)
 		}
 		if err != nil {
 			if strategyErr == nil {

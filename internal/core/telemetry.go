@@ -27,9 +27,6 @@ type runTelemetry struct {
 	// only the first rank of a phase pays the map lookup.
 	curFnName string
 	curFnRef  telemetry.SpanRef
-
-	// decisionRefs memoizes the "decision:<fn>" instants' identities.
-	decisionRefs map[string]telemetry.SpanRef
 }
 
 // newRunTelemetry wires the tracer for a run, labeling the rank tracks and
@@ -39,11 +36,10 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 		return nil
 	}
 	rt := &runTelemetry{
-		tr:           cfg.Tracer,
-		fnRefs:       map[string]telemetry.SpanRef{},
-		hostRefs:     map[string]telemetry.SpanRef{},
-		commRefs:     map[string]telemetry.SpanRef{},
-		decisionRefs: map[string]telemetry.SpanRef{},
+		tr:       cfg.Tracer,
+		fnRefs:   map[string]telemetry.SpanRef{},
+		hostRefs: map[string]telemetry.SpanRef{},
+		commRefs: map[string]telemetry.SpanRef{},
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		rt.tr.SetTrackName(r, fmt.Sprintf("rank %d", r))
@@ -90,22 +86,6 @@ func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
 		o.clockRefs[cause] = ref
 	}
 	o.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
-}
-
-// decision records a clock a strategy set before a function as an instant
-// on the rank's track (the run loop hands over only sets, never elisions:
-// the interesting events are the clock transitions ManDyn issues at
-// function boundaries).
-func (rt *runTelemetry) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
-	if rt == nil {
-		return
-	}
-	ref, ok := rt.decisionRefs[function]
-	if !ok {
-		ref = rt.tr.Intern("freqctl", "decision:"+function, "requested_mhz", "applied_mhz")
-		rt.decisionRefs[function] = ref
-	}
-	rt.tr.InstantRef(rank, ref, nowS, float64(requestedMHz), float64(appliedMHz))
 }
 
 // waitRecorder adapts the tracer to mpisim.SpanRecorder. mpisim emits one

@@ -219,7 +219,7 @@ func FuzzReadJSONL(f *testing.F) {
 func TestReadJSONLMalformedMiddle(t *testing.T) {
 	l := NewLedger(0)
 	for i := 0; i < 6; i++ {
-		l.FreqDecision(float64(i), i, 0, "IAD", 1005, 1005)
+		l.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf); err != nil {
@@ -266,7 +266,7 @@ func TestWriteJSONLFollowsARotatingRing(t *testing.T) {
 	const ringCap = 3000
 	l := NewLedger(ringCap)
 	for i := 0; i < 2*ringCap+17; i++ {
-		l.FreqDecision(float64(i), i, i%8, "MomentumEnergy", 1110, 1005)
+		l.Emit(decision(float64(i), i, i%8, "MomentumEnergy", 1110, 1005))
 	}
 	var want, got bytes.Buffer
 	if err := OracleWriteJSONL(l, &want); err != nil {
@@ -299,7 +299,7 @@ func TestWriteJSONLIsOneSnapshot(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				l.FreqDecision(float64(i), i, i%8, "MomentumEnergy", 1110, 1005)
+				l.Emit(decision(float64(i), i, i%8, "MomentumEnergy", 1110, 1005))
 			}
 		}
 	}()

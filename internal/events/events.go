@@ -5,11 +5,13 @@
 // checkpoint and restart actions — exported as JSONL into the run bundle's
 // events.jsonl and read back by ReadJSONL.
 //
-// The ledger exists to make frequency control explainable after the fact:
-// each frequency event carries the model's *predicted* time/energy/EDP at
-// the applied clock (from the tuner sweep), so a ledger can later be joined
-// against internal/attrib achieved rows to ask "what did this decision cost
-// or save?" — the `inspect decisions` workflow.
+// The ledger exists to make frequency control explainable after the fact.
+// Each fact is one record: a frequency decision names the function and the
+// clock it applied, and the model's prediction at that clock is the tuner
+// sweep's tuner-measure row for the same function and clock, which the
+// ledger keeps as its preamble however long the run. `inspect decisions`
+// joins the two, and the attribution's achieved rows beside them, to ask
+// "what did this decision cost or save?".
 //
 // Non-perturbation contract (the same one internal/telemetry holds): a nil
 // *Ledger is a valid no-op, every emit is a pure observation with no effect
@@ -105,9 +107,9 @@ type Event struct {
 	// candidate clock on tuner events.
 	RequestedMHz int `json:"requested_mhz,omitempty"`
 	AppliedMHz   int `json:"applied_mhz,omitempty"`
-	// Pred* are the model's expectations at AppliedMHz — per kernel
-	// invocation — filled from the tuner sweep (SetPredictions). On
-	// tuner-measure events they are the sweep measurement itself.
+	// Pred* are the tuner's per-invocation expectations at AppliedMHz, on
+	// its own tuner-measure and tuner-select rows only: a frequency
+	// decision is joined to them by subject and clock.
 	PredTimeS   float64 `json:"pred_time_s,omitempty"`
 	PredEnergyJ float64 `json:"pred_energy_j,omitempty"`
 	PredPowerW  float64 `json:"pred_power_w,omitempty"`
@@ -120,17 +122,6 @@ type Event struct {
 	// Err carries the triggering error text on resilience events.
 	Err string `json:"err,omitempty"`
 }
-
-// Prediction is the model's expectation for one kernel at one clock.
-type Prediction struct {
-	TimeS   float64
-	EnergyJ float64
-	PowerW  float64
-	EDPJs   float64
-}
-
-// Predictions maps kernel/function name → clock MHz → expectation.
-type Predictions map[string]map[int]Prediction
 
 // Summary is the ledger roll-up attached to core.Result.
 type Summary struct {
@@ -149,40 +140,37 @@ const DefaultCap = 1 << 15
 
 // Ledger is the bounded decision-event ring. Safe for concurrent use; a
 // nil *Ledger is a valid no-op on every method.
+//
+// The ledger keeps its preamble: at the first run-start, the events it
+// holds — in every program that writes a ledger, the tuner sweep — and that
+// run-start are pinned, and from then on the ring rotates only the events
+// that follow them, in what is left of the capacity. A long run thus keeps
+// the sweep its decisions are joined to and the header that names it. A
+// preamble that would leave no room for the run is not pinned.
 type Ledger struct {
-	mu     sync.Mutex
-	ring   blocks.Seq[Event] // the retained events, oldest first
-	next   uint64            // total emitted; the next event gets Seq next+1
-	counts map[Type]uint64
-	preds  Predictions
+	mu       sync.Mutex
+	capacity int
+	pre      []Event           // the pinned preamble, nil until it is pinned
+	ring     blocks.Seq[Event] // the retained events after it, oldest first
+	next     uint64            // total emitted; the next event gets Seq next+1
+	counts   map[Type]uint64
 }
 
-// NewLedger creates a ledger retaining the last capacity events
-// (DefaultCap when <= 0).
+// NewLedger creates a ledger retaining at most capacity events (DefaultCap
+// when <= 0): its preamble and the newest of the events after it.
 func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
 	l := &Ledger{
-		ring:   blocks.Bounded[Event](capacity),
-		counts: make(map[Type]uint64, len(builtinTypes)),
+		capacity: capacity,
+		ring:     blocks.Bounded[Event](capacity),
+		counts:   make(map[Type]uint64, len(builtinTypes)),
 	}
 	for _, t := range builtinTypes {
 		l.counts[t] = 0
 	}
 	return l
-}
-
-// SetPredictions installs the tuner's per-kernel per-clock expectations;
-// subsequent FreqDecision emits carry the matching prediction. Call before
-// the run starts.
-func (l *Ledger) SetPredictions(p Predictions) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.preds = p
-	l.mu.Unlock()
 }
 
 // Emit appends one event, assigning its sequence id. The event value is
@@ -193,17 +181,27 @@ func (l *Ledger) Emit(ev Event) {
 		return
 	}
 	l.mu.Lock()
-	l.emitLocked(ev)
-	l.mu.Unlock()
-}
-
-// emitLocked is Emit's body; caller holds l.mu.
-func (l *Ledger) emitLocked(ev Event) {
 	l.next++
 	ev.Seq = l.next
 	slot, _ := l.ring.Push()
 	*slot = ev
 	l.counts[ev.Type]++
+	if ev.Type == RunStart && l.pre == nil {
+		l.pinPreamble()
+	}
+	l.mu.Unlock()
+}
+
+// pinPreamble moves the events the ring holds into the preamble and leaves
+// the rest of the capacity to the ring; caller holds l.mu. A ring that is
+// full keeps rotating as it is, and so does every later run-start on it.
+func (l *Ledger) pinPreamble() {
+	n := l.ring.Len()
+	if n >= l.capacity {
+		return
+	}
+	l.pre = l.ring.AppendTo(make([]Event, 0, n))
+	l.ring = blocks.Bounded[Event](l.capacity - n)
 }
 
 // BeginRun emits the run-start event: the simulation, the strategy and the
@@ -234,29 +232,6 @@ func (l *Ledger) EndRun(timeS float64) {
 	l.Emit(Event{TimeS: timeS, Step: -1, Rank: -1, Type: RunEnd})
 }
 
-// FreqDecision records one strategy Apply that touched the clock,
-// attaching the model's prediction at the applied clock when one is known.
-func (l *Ledger) FreqDecision(timeS float64, step, rank int, function string, requestedMHz, appliedMHz int) {
-	if l == nil {
-		return
-	}
-	ev := Event{
-		TimeS: timeS, Step: step, Rank: rank, Type: FreqDecision,
-		Subject: function, RequestedMHz: requestedMHz, AppliedMHz: appliedMHz,
-	}
-	l.mu.Lock()
-	if byClock, ok := l.preds[function]; ok {
-		if p, ok := byClock[appliedMHz]; ok {
-			ev.PredTimeS = p.TimeS
-			ev.PredEnergyJ = p.EnergyJ
-			ev.PredPowerW = p.PowerW
-			ev.PredEDPJs = p.EDPJs
-		}
-	}
-	l.emitLocked(ev)
-	l.mu.Unlock()
-}
-
 // Emitted returns the total number of events emitted so far.
 func (l *Ledger) Emitted() uint64 {
 	if l == nil {
@@ -274,7 +249,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.Len()
+	return len(l.pre) + l.ring.Len()
 }
 
 // Summary returns the ledger roll-up (only non-zero type counts).
@@ -285,7 +260,7 @@ func (l *Ledger) Summary() *Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := &Summary{Emitted: l.next, ByType: make(map[Type]uint64)}
-	s.Dropped = l.next - uint64(l.ring.Len())
+	s.Dropped = l.next - uint64(len(l.pre)+l.ring.Len())
 	for t, c := range l.counts {
 		if c > 0 {
 			s.ByType[t] = c
@@ -301,13 +276,13 @@ func (l *Ledger) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.AppendTo(nil)
+	return l.ring.AppendTo(append(make([]Event, 0, len(l.pre)+l.ring.Len()), l.pre...))
 }
 
 // ledgerBytesPerEvent sizes WriteJSONL's buffer from the event count: a
-// frequency decision with its four predictions is some 290 bytes, most
-// other events half that.
-const ledgerBytesPerEvent = 320
+// frequency decision, most of a tuned run's rows, is some 150 bytes; a
+// tuner row with its four predictions some 275, a step row 100.
+const ledgerBytesPerEvent = 160
 
 // WriteJSONL writes the events retained when it is called as one JSON
 // object per line, in sequence order: one consistent snapshot, encoded
@@ -320,7 +295,10 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 	}
 	var enc eventEncoder
 	l.mu.Lock()
-	enc.buf = make([]byte, 0, l.ring.Len()*ledgerBytesPerEvent)
+	enc.buf = make([]byte, 0, (len(l.pre)+l.ring.Len())*ledgerBytesPerEvent)
+	for i := range l.pre {
+		enc.event(&l.pre[i])
+	}
 	l.ring.Runs(func(run []Event) {
 		for i := range run {
 			enc.event(&run[i])

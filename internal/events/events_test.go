@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// decision is a freq-decision row as a run emits it.
+func decision(timeS float64, step, rank int, function string, requestedMHz, appliedMHz int) Event {
+	return Event{TimeS: timeS, Step: step, Rank: rank, Type: FreqDecision,
+		Subject: function, RequestedMHz: requestedMHz, AppliedMHz: appliedMHz}
+}
+
 func TestLedgerSequenceAndRing(t *testing.T) {
 	l := NewLedger(4)
 	for i := 0; i < 10; i++ {
@@ -33,11 +39,10 @@ func TestLedgerSequenceAndRing(t *testing.T) {
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
 	l.Emit(Event{Type: StepDone})
-	l.FreqDecision(0, 0, 0, "IAD", 1110, 1110)
+	l.Emit(decision(0, 0, 0, "IAD", 1110, 1110))
 	l.BeginRun("turbulence", "mandyn", 3)
 	l.StepDone(1, 0, 10)
 	l.EndRun(2)
-	l.SetPredictions(nil)
 	if l.Len() != 0 || l.Emitted() != 0 || l.Summary() != nil || l.Events() != nil {
 		t.Error("nil ledger must be inert")
 	}
@@ -46,26 +51,10 @@ func TestNilLedgerIsNoOp(t *testing.T) {
 	}
 }
 
-func TestFreqDecisionCarriesPrediction(t *testing.T) {
-	l := NewLedger(0)
-	l.SetPredictions(Predictions{
-		"MomentumEnergy": {1110: {TimeS: 0.5, EnergyJ: 100, PowerW: 200, EDPJs: 50}},
-	})
-	l.FreqDecision(1.5, 3, 1, "MomentumEnergy", 1110, 1110)
-	l.FreqDecision(1.6, 3, 1, "IAD", 1005, 1005) // no prediction known
-	evs := l.Events()
-	if evs[0].PredTimeS != 0.5 || evs[0].PredEnergyJ != 100 || evs[0].PredEDPJs != 50 {
-		t.Errorf("prediction not attached: %+v", evs[0])
-	}
-	if evs[1].PredTimeS != 0 || evs[1].PredEDPJs != 0 {
-		t.Errorf("unknown kernel must carry no prediction: %+v", evs[1])
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	l := NewLedger(0)
 	l.BeginRun("turbulence", "mandyn", 2)
-	l.FreqDecision(0.1, 0, 0, "IAD", 1005, 1005)
+	l.Emit(decision(0.1, 0, 0, "IAD", 1005, 1005))
 	l.StepDone(1.0, 0, 42.5)
 	l.EndRun(2.0)
 
@@ -90,8 +79,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestReadJSONLTruncatedTail(t *testing.T) {
 	l := NewLedger(0)
-	l.FreqDecision(0.1, 0, 0, "IAD", 1005, 1005)
-	l.FreqDecision(0.2, 0, 0, "MomentumEnergy", 1110, 1110)
+	l.Emit(decision(0.1, 0, 0, "IAD", 1005, 1005))
+	l.Emit(decision(0.2, 0, 0, "MomentumEnergy", 1110, 1110))
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -116,7 +105,7 @@ func TestReadJSONLTruncatedTail(t *testing.T) {
 func TestRunBoundaryEvents(t *testing.T) {
 	l := NewLedger(0)
 	l.BeginRun("turbulence", "mandyn", 3)
-	l.FreqDecision(0.1, 0, 1, "IAD", 1005, 1005)
+	l.Emit(decision(0.1, 0, 1, "IAD", 1005, 1005))
 	l.StepDone(1.0, 0, 100)
 	l.StepDone(2.5, 1, 150)
 	l.EndRun(3.0)
@@ -135,13 +124,12 @@ func TestRunBoundaryEvents(t *testing.T) {
 func TestEmitSteadyStateAllocationFree(t *testing.T) {
 	l := NewLedger(1024)
 	l.BeginRun("turbulence", "mandyn", 100)
-	l.SetPredictions(Predictions{"IAD": {1005: {TimeS: 1, EnergyJ: 2, EDPJs: 2}}})
 	// Warm the ring to capacity so appends are over.
 	for i := 0; i < 2048; i++ {
-		l.FreqDecision(float64(i), i, 0, "IAD", 1005, 1005)
+		l.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		l.FreqDecision(1, 1, 0, "IAD", 1005, 1005)
+		l.Emit(decision(1, 1, 0, "IAD", 1005, 1005))
 		l.Emit(Event{Type: StepDone, Step: 1, TimeS: 1, Value: 10})
 	})
 	if avg != 0 {
@@ -149,17 +137,85 @@ func TestEmitSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestLedgerKeepsPreambleWhenWrapped: the events before the first run-start
+// and the run-start itself stay however far the run wraps the ring, the
+// retained total stays within the capacity, and a ledger without a
+// run-start rotates as a plain ring.
+func TestLedgerKeepsPreambleWhenWrapped(t *testing.T) {
+	const capacity, sweep, decisions = 64, 40, 500
+	l := NewLedger(capacity)
+	for i := 0; i < sweep; i++ {
+		l.Emit(Event{Step: -1, Rank: -1, Type: TunerMeasure, Subject: "IAD",
+			AppliedMHz: 1005 + 15*i, PredTimeS: 0.5, PredEDPJs: float64(i + 1)})
+	}
+	l.BeginRun("turbulence", "mandyn", decisions)
+	for i := 0; i < decisions; i++ {
+		l.Emit(decision(float64(i), i, i%8, "IAD", 1005, 1005))
+	}
+	const emitted = sweep + 1 + decisions
+	evs := l.Events()
+	if len(evs) != capacity || l.Len() != capacity {
+		t.Fatalf("retained %d events (Len %d), want %d", len(evs), l.Len(), capacity)
+	}
+	for i, ev := range evs {
+		want := uint64(i + 1) // the sweep and the run-start
+		if i > sweep {
+			want = emitted - capacity + uint64(i) + 1 // the last decisions
+		}
+		if ev.Seq != want {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	if evs[sweep-1].Type != TunerMeasure || evs[sweep].Type != RunStart || evs[sweep+1].Type != FreqDecision {
+		t.Errorf("preamble ends %s, %s, then %s", evs[sweep-1].Type, evs[sweep].Type, evs[sweep+1].Type)
+	}
+	if n := capacity - sweep - 1; evs[sweep+1].Step != decisions-n {
+		t.Errorf("the ring keeps decisions from step %d, want the last %d", evs[sweep+1].Step, n)
+	}
+	if sum := l.Summary(); sum.Emitted != emitted || sum.Dropped != emitted-capacity {
+		t.Errorf("summary %+v, want %d emitted and %d dropped", sum, emitted, emitted-capacity)
+	}
+	var file bytes.Buffer
+	if err := l.WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	back, truncated, err := ReadJSONL(&file)
+	if err != nil || truncated || !reflect.DeepEqual(back, evs) {
+		t.Fatalf("round trip: %d events of %d, truncated %v, err %v", len(back), len(evs), truncated, err)
+	}
+
+	plain := NewLedger(capacity)
+	for i := 0; i < emitted; i++ {
+		plain.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
+	}
+	evs = plain.Events()
+	if len(evs) != capacity || evs[0].Seq != emitted-capacity+1 || evs[capacity-1].Seq != emitted {
+		t.Errorf("without a run-start: %d events, seq %d..%d, want the last %d", len(evs), evs[0].Seq, evs[len(evs)-1].Seq, capacity)
+	}
+
+	// A sweep that fills the ring leaves no room to pin it: the ring keeps
+	// rotating.
+	full := NewLedger(sweep)
+	for i := 0; i < sweep; i++ {
+		full.Emit(Event{Type: TunerMeasure, AppliedMHz: 1005 + 15*i})
+	}
+	full.BeginRun("turbulence", "mandyn", decisions)
+	full.Emit(decision(0, 0, 0, "IAD", 1005, 1005))
+	if evs = full.Events(); len(evs) != sweep || evs[0].Seq != 3 || evs[sweep-1].Type != FreqDecision {
+		t.Errorf("a full ring at the run-start: %d events from seq %d, want %d from seq 3", len(evs), evs[0].Seq, sweep)
+	}
+}
+
 // BenchmarkEmit is the acceptance gate for the emit path: one mutexed ring
 // store, no allocation.
 func BenchmarkEmit(b *testing.B) {
 	l := NewLedger(1 << 12)
-	l.SetPredictions(Predictions{"IAD": {1005: {TimeS: 1, EnergyJ: 2, EDPJs: 2}}})
 	for i := 0; i < 1<<13; i++ {
-		l.FreqDecision(float64(i), i, 0, "IAD", 1005, 1005)
+		l.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.FreqDecision(float64(i), i, 0, "IAD", 1005, 1005)
+		l.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
 }

@@ -12,9 +12,8 @@ import (
 
 // recordedLedger is the ledger of one fixed observed run — the tuner's
 // sweep of the Turbulence pipeline on CSCS-A100, then 8 ranks and 300 steps
-// of ManDyn on its table, every decision carrying the sweep's prediction —
-// recorded once and shared by the identity test and the round-trip
-// benchmark (7 900 events, 1.1 MB of JSONL).
+// of ManDyn on its table — recorded once and shared by the identity test
+// and the round-trip benchmark (10 200 events, 1.5 MB of JSONL).
 var recordedLedger = sync.OnceValues(func() (*events.Ledger, error) {
 	sys := sphenergy.CSCSA100()
 	led := sphenergy.NewEventLedger(0)

@@ -22,8 +22,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("instr: %w", err)
 	}
 	for _, rp := range r.Ranks {
-		for _, fn := range rp.FunctionNames() {
-			st := rp.Get(fn)
+		for _, st := range rp.Functions {
 			row := []string{
 				strconv.Itoa(rp.Rank),
 				st.Name,

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"sphenergy/internal/atomicio"
@@ -31,101 +30,37 @@ type FunctionStats struct {
 	CommS  float64 `json:"comm_s"`
 }
 
-// TotalJ returns the function's total energy across devices.
-func (f FunctionStats) TotalJ() float64 { return f.GPUJ + f.CPUJ + f.MemJ + f.OtherJ }
-
-// RankProfile holds all function stats of one MPI rank. Serialization goes
-// through MarshalJSON/UnmarshalJSON, which carry the first-recorded
-// function order explicitly so it survives a write/read round trip.
+// RankProfile holds all function stats of one MPI rank, one entry per
+// function in the order the functions were first recorded: pipeline order
+// in a run, of which a rank that died early holds a prefix. The methods
+// hold the mutex; the report's writers read the list directly, once the
+// run that records into it has returned.
 type RankProfile struct {
-	Rank      int
-	Functions map[string]*FunctionStats
-	order     []string
-	// slots holds, by the caller's own index, the stats RecordAt last
-	// resolved there: a caller that records the same sequence of functions
-	// every step pays the by-name lookup once per function.
-	slots []*FunctionStats
-	mu    sync.Mutex
-}
-
-// rankProfileJSON is the wire form of RankProfile: the same data plus the
-// recording order, which a Go map cannot preserve on its own.
-type rankProfileJSON struct {
-	Rank          int                       `json:"rank"`
-	FunctionOrder []string                  `json:"function_order,omitempty"`
-	Functions     map[string]*FunctionStats `json:"functions"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (p *RankProfile) MarshalJSON() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return json.Marshal(rankProfileJSON{
-		Rank:          p.Rank,
-		FunctionOrder: p.order,
-		Functions:     p.Functions,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler, restoring the recording order
-// from the function_order field. Functions missing from the list (older or
-// hand-edited reports) sort after the listed ones; listed names without
-// stats are dropped, and so is the per-call "series" field older reports
-// may carry.
-func (p *RankProfile) UnmarshalJSON(data []byte) error {
-	var aux rankProfileJSON
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.Rank = aux.Rank
-	p.Functions = aux.Functions
-	if p.Functions == nil {
-		p.Functions = map[string]*FunctionStats{}
-	}
-	clear(p.slots) // they point into the map just replaced
-	p.order = p.order[:0]
-	seen := map[string]bool{}
-	for _, n := range aux.FunctionOrder {
-		if _, ok := p.Functions[n]; ok && !seen[n] {
-			p.order = append(p.order, n)
-			seen[n] = true
-		}
-	}
-	var extra []string
-	for n := range p.Functions {
-		if !seen[n] {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	p.order = append(p.order, extra...)
-	return nil
+	Rank      int             `json:"rank"`
+	Functions []FunctionStats `json:"functions"`
+	mu        sync.Mutex
 }
 
 // NewRankProfile creates an empty profile for a rank.
 func NewRankProfile(rank int) *RankProfile {
-	return &RankProfile{Rank: rank, Functions: map[string]*FunctionStats{}}
+	return &RankProfile{Rank: rank, Functions: []FunctionStats{}}
 }
 
 // RecordAt adds one region measurement of fn to the profile. The caller
 // runs a fixed sequence of functions over and over: slot is fn's position in
-// that sequence, and the profile remembers which stats it stands for. The
-// slot is a hint, never an identity — a function enters the profile, and its
-// recording order, when it is first recorded, and a slot given another name
-// is looked up afresh — so any slots leave the profile a lookup by name
-// would.
+// that sequence, where the profile looks first. The slot is a hint, never an
+// identity — a function enters the profile, at its end, when it is first
+// recorded, and a slot holding another name is looked up by name — so any
+// slots leave the profile a lookup by name would.
 func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.slots) <= slot {
-		p.slots = append(p.slots, nil)
-	}
-	st := p.slots[slot]
-	if st == nil || st.Name != fn {
-		st = p.stats(fn)
-		p.slots[slot] = st
+	var st *FunctionStats
+	if slot < len(p.Functions) && p.Functions[slot].Name == fn {
+		st = &p.Functions[slot]
+	} else if st = p.get(fn); st == nil {
+		p.Functions = append(p.Functions, FunctionStats{Name: fn})
+		st = &p.Functions[len(p.Functions)-1]
 	}
 	st.Calls++
 	st.TimeS += timeS
@@ -136,43 +71,33 @@ func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, oth
 	st.CommS += commS
 }
 
-// stats returns fn's entry, creating it at the end of the recording order;
-// caller holds p.mu.
-func (p *RankProfile) stats(fn string) *FunctionStats {
-	st, ok := p.Functions[fn]
-	if !ok {
-		st = &FunctionStats{Name: fn}
-		p.Functions[fn] = st
-		p.order = append(p.order, fn)
+// get returns fn's entry, nil if never recorded; caller holds p.mu.
+func (p *RankProfile) get(fn string) *FunctionStats {
+	for i := range p.Functions {
+		if p.Functions[i].Name == fn {
+			return &p.Functions[i]
+		}
 	}
-	return st
+	return nil
 }
 
 // FunctionNames returns function names in first-recorded order.
 func (p *RankProfile) FunctionNames() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.order))
-	copy(out, p.order)
+	out := make([]string, len(p.Functions))
+	for i := range p.Functions {
+		out[i] = p.Functions[i].Name
+	}
 	return out
 }
 
-// Get returns the stats of a function (nil if never recorded).
+// Get returns the stats of a function (nil if never recorded), valid until
+// the profile records a function it has not seen.
 func (p *RankProfile) Get(fn string) *FunctionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.Functions[fn]
-}
-
-// TotalTimeS sums region time across functions.
-func (p *RankProfile) TotalTimeS() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := 0.0
-	for _, st := range p.Functions {
-		t += st.TimeS
-	}
-	return t
+	return p.get(fn)
 }
 
 // TotalGPUJ sums GPU energy across functions.
@@ -234,28 +159,17 @@ func (r *Report) FunctionTotal(fn string) FunctionStats {
 	return out
 }
 
-// FunctionNames returns the union of function names across ranks, in rank
-// 0's recording order with any extras sorted after.
+// FunctionNames returns the function names of the rank that recorded the
+// most, in its recording order: every rank runs the same pipeline, and a
+// rank that died early recorded a prefix of it.
 func (r *Report) FunctionNames() []string {
-	if len(r.Ranks) == 0 {
-		return nil
-	}
-	names := r.Ranks[0].FunctionNames()
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	var extra []string
-	for _, rp := range r.Ranks[1:] {
-		for _, n := range rp.FunctionNames() {
-			if !seen[n] {
-				seen[n] = true
-				extra = append(extra, n)
-			}
+	var longest []string
+	for _, rp := range r.Ranks {
+		if names := rp.FunctionNames(); len(names) > len(longest) {
+			longest = names
 		}
 	}
-	sort.Strings(extra)
-	return append(names, extra...)
+	return longest
 }
 
 // WriteJSON serializes the report.
@@ -273,8 +187,9 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// ReadReport parses a report written by WriteFile. Each rank's function
-// order is restored by RankProfile.UnmarshalJSON.
+// ReadReport parses a report written by WriteFile. A report whose ranks
+// keep their functions in a map, as reports before the list did, is refused
+// with a decode error.
 func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,8 +38,8 @@ func TestRecordAccumulates(t *testing.T) {
 	if st.TimeS != 3 || st.GPUJ != 30 || st.CPUJ != 3 {
 		t.Errorf("accumulation wrong: %+v", st)
 	}
-	if math.Abs(st.TotalJ()-(30+3+1.5+0.6)) > 1e-12 {
-		t.Errorf("TotalJ = %v", st.TotalJ())
+	if total := st.GPUJ + st.CPUJ + st.MemJ + st.OtherJ; math.Abs(total-(30+3+1.5+0.6)) > 1e-12 {
+		t.Errorf("total energy = %v", total)
 	}
 }
 
@@ -58,9 +58,6 @@ func TestRankTotals(t *testing.T) {
 	p := NewRankProfile(0)
 	p.RecordAt(0, "a", 1, 10, 0, 0, 0, 0)
 	p.RecordAt(0, "b", 4, 30, 0, 0, 0, 0)
-	if p.TotalTimeS() != 5 {
-		t.Errorf("TotalTimeS = %v", p.TotalTimeS())
-	}
 	if p.TotalGPUJ() != 40 {
 		t.Errorf("TotalGPUJ = %v", p.TotalGPUJ())
 	}
@@ -81,21 +78,19 @@ func TestReportFunctionTotal(t *testing.T) {
 	}
 }
 
+// The report's function names are the longest rank's: a rank that died
+// early recorded a prefix of the pipeline the others ran.
 func TestReportFunctionNamesUnion(t *testing.T) {
 	r := sampleReport()
-	r.Ranks[1].RecordAt(0, "Gravity", 1, 5, 0, 0, 0, 0)
-	names := r.FunctionNames()
-	if names[0] != "MomentumEnergy" || names[1] != "XMass" {
-		t.Errorf("order = %v", names)
+	r.Ranks[1].RecordAt(2, "Gravity", 1, 5, 0, 0, 0, 0)
+	dead := NewRankProfile(2)
+	dead.RecordAt(0, "MomentumEnergy", 1, 1, 0, 0, 0, 0)
+	r.Ranks = append([]*RankProfile{dead}, r.Ranks...)
+	if got, want := r.FunctionNames(), []string{"MomentumEnergy", "XMass", "Gravity"}; !slices.Equal(got, want) {
+		t.Errorf("FunctionNames = %v, want %v (rank 1's)", got, want)
 	}
-	found := false
-	for _, n := range names {
-		if n == "Gravity" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("rank-1-only function missing from union")
+	if names := (&Report{}).FunctionNames(); names != nil {
+		t.Errorf("a report without ranks names %v", names)
 	}
 }
 
@@ -165,32 +160,12 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// Reports written while profiles could record a per-call "series" field
-// still load: the field is ignored and everything else reads as before.
-func TestReadReportIgnoresSeriesField(t *testing.T) {
-	raw := `{"simulation":"turbulence","ranks":[{"rank":0,
-		"function_order":["fn"],
-		"functions":{"fn":{"name":"fn","calls":1,"time_s":1.5,"gpu_j":2}},
-		"series":{"fn":[1.5]}}],"wall_time_s":3}`
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReportFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := back.Ranks[0].Get("fn")
-	if back.WallTimeS != 3 || st == nil || st.Calls != 1 || st.TimeS != 1.5 || st.GPUJ != 2 {
-		t.Errorf("report read back as %+v, fn %+v", back, st)
-	}
-}
-
 func TestRoundtripPreservesFunctionOrder(t *testing.T) {
-	// Deliberately non-alphabetical recording order: sorting map keys on
-	// load would come back as [density, iad, momentumEnergy].
+	// Deliberately non-alphabetical recording order: the list keeps it, on
+	// the wire and read back.
 	p := NewRankProfile(0)
-	for _, fn := range []string{"momentumEnergy", "density", "iad"} {
+	want := []string{"momentumEnergy", "density", "iad"}
+	for _, fn := range want {
 		p.RecordAt(0, fn, 1, 10, 1, 1, 1, 0.1)
 	}
 	r := &Report{Simulation: "turbulence", Ranks: []*RankProfile{p}}
@@ -199,22 +174,27 @@ func TestRoundtripPreservesFunctionOrder(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"function_order"`)) {
-		t.Error("serialized report has no function_order field")
+	var wire struct {
+		Ranks []struct {
+			Functions []struct{ Name string } `json:"functions"`
+		} `json:"ranks"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	var onWire []string
+	for _, f := range wire.Ranks[0].Functions {
+		onWire = append(onWire, f.Name)
+	}
+	if !slices.Equal(onWire, want) {
+		t.Errorf("functions on the wire %v, want %v", onWire, want)
 	}
 	back, err := ReadReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Ranks[0].FunctionNames()
-	want := []string{"momentumEnergy", "density", "iad"}
-	if len(got) != len(want) {
-		t.Fatalf("FunctionNames = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FunctionNames = %v, want %v (first-recorded order lost)", got, want)
-		}
+	if got := back.Ranks[0].FunctionNames(); !slices.Equal(got, want) {
+		t.Fatalf("FunctionNames = %v, want %v (first-recorded order lost)", got, want)
 	}
 
 	// A second round trip must be stable.
@@ -226,38 +206,29 @@ func TestRoundtripPreservesFunctionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.Ranks[0].FunctionNames(); got[0] != "momentumEnergy" || got[2] != "iad" {
+	if got := again.Ranks[0].FunctionNames(); !slices.Equal(got, want) {
 		t.Errorf("second round trip reordered: %v", got)
 	}
 }
 
-func TestReadReportWithoutOrderFallsBackSorted(t *testing.T) {
-	// Reports from before function_order existed (or hand-edited ones)
-	// carry only the map; names come back sorted, and stale order entries
-	// are dropped.
+// A report from before a rank's functions were a list — a function_order
+// list beside a map keyed by name — is refused, not read as an empty or
+// reordered profile.
+func TestReadReportRefusesFunctionMap(t *testing.T) {
 	raw := `{"ranks":[{"rank":0,
-		"function_order":["iad","ghost"],
-		"functions":{
-			"iad":{"name":"iad","calls":1,"time_s":1},
-			"density":{"name":"density","calls":1,"time_s":2},
-			"momentumEnergy":{"name":"momentumEnergy","calls":1,"time_s":3}}}]}`
-	back, err := ReadReport(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.Ranks[0].FunctionNames()
-	want := []string{"iad", "density", "momentumEnergy"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FunctionNames = %v, want %v (listed first, unlisted sorted, stale dropped)", got, want)
-		}
+		"function_order":["iad"],
+		"functions":{"iad":{"name":"iad","calls":1,"time_s":1}}}]}`
+	if r, err := ReadReport(strings.NewReader(raw)); err == nil {
+		t.Fatalf("a map-shaped report read as %+v", r.Ranks[0])
+	} else if !strings.Contains(err.Error(), "decode report") {
+		t.Errorf("err = %v, want a decode error", err)
 	}
 }
 
 // RecordAt's slot is a hint: whatever slots the caller passes — fresh, reused
-// for another name, pointing into a map a restore has since replaced — the
-// profile it leaves is the one a lookup by name on every call leaves (a slot
-// never used before), recording order included.
+// for another name, pointing past the list or into one a read has since
+// replaced — the profile it leaves is the one a lookup by name on every call
+// leaves (a slot never used before), recording order included.
 func TestRecordAtMatchesRecord(t *testing.T) {
 	type call struct {
 		slot int
@@ -267,7 +238,7 @@ func TestRecordAtMatchesRecord(t *testing.T) {
 	byName, bySlot := NewRankProfile(3), NewRankProfile(3)
 	for i, c := range calls {
 		if i == 5 {
-			// A checkpoint restore lands mid-run: in-place unmarshal.
+			// The profile is read back in place mid-run.
 			wire, err := json.Marshal(bySlot)
 			if err != nil {
 				t.Fatal(err)

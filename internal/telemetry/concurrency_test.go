@@ -11,7 +11,7 @@ import (
 )
 
 // TestConcurrentTelemetry hammers the telemetry hot path — span emission —
-// together with instr.RankProfile.Record
+// together with instr.RankProfile.RecordAt
 // from many goroutines while readers export concurrently. Run under
 // `go test -race` (the `make check` target does) this proves the
 // measurement substrate itself is data-race free, the precondition for
@@ -56,7 +56,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 				_ = tr.WriteJSON(io.Discard)
 				_ = tr.Spans()
 				_ = profile.FunctionNames()
-				_ = profile.TotalTimeS()
+				_ = profile.TotalGPUJ()
 			}
 		}()
 	}

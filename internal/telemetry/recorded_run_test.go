@@ -22,12 +22,15 @@ import (
 // re-recorded once when every event became one interned record: a track's
 // events now export in recording order, where by-name events used to come
 // first. The re-recorded trace, split into events and sorted, is the
-// 08cd155 trace's byte for byte.
-const recordedRunSHA256 = "941ea14bb1251a8b2af6d6719ec1e1e087e32e970919d2835ad6c7e18d2c2786"
+// 08cd155 trace's byte for byte. Re-recorded a second time when the trace
+// stopped recording a strategy's decisions, which are the ledger's rows: the
+// trace is commit 6058faf's less its 9 600 decision:<fn> instants, split
+// into events and sorted.
+const recordedRunSHA256 = "e85f685f70e7b63ca5e497c014e68271bd060bc6a3dc7ae4c6a4afbd1ed6b7e1"
 
 // recordedRun is one fixed observed run — 8 ranks, 300 steps, ManDyn, with
 // the sampler and the decision ledger on — traced once and shared by the
-// identity tests and the export/read-back benchmarks (93 017 events).
+// identity tests and the export/read-back benchmarks (83 417 events).
 var recordedRun = sync.OnceValues(func() (*tele.Tracer, error) {
 	cfg := core.Config{
 		System:           cluster.MiniHPC(),

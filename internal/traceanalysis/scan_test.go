@@ -291,7 +291,7 @@ func FuzzLoad(f *testing.F) {
 }
 
 // recordedTrace is the exported trace of one fixed observed run: 8 ranks,
-// ManDyn, sampler and decision ledger on (93 017 events at 300 steps).
+// ManDyn, sampler and decision ledger on (83 417 events at 300 steps).
 func recordedTrace(tb testing.TB, steps int) []byte {
 	tb.Helper()
 	cfg := core.Config{

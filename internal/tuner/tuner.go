@@ -193,26 +193,6 @@ func powerW(m Measurement) float64 {
 	return m.EnergyJ / m.TimeS
 }
 
-// PredictionTable folds per-kernel sweep results into the ledger's
-// prediction lookup, so frequency-decision events carry the model's
-// expected time/energy/EDP at the clock they applied.
-func PredictionTable(results map[string]*Result) events.Predictions {
-	preds := make(events.Predictions, len(results))
-	for name, r := range results {
-		byClock := make(map[int]events.Prediction, len(r.All))
-		for _, m := range r.All {
-			byClock[m.MHz] = events.Prediction{
-				TimeS:   m.TimeS,
-				EnergyJ: m.EnergyJ,
-				PowerW:  powerW(m),
-				EDPJs:   m.TimeS * m.EnergyJ,
-			}
-		}
-		preds[name] = byClock
-	}
-	return preds
-}
-
 // TuneTable tunes every kernel in a named set and returns the
 // function→frequency table that ManDyn consumes, plus the per-kernel
 // results. This is the paper's Fig. 2 workflow: fixed problem size, EDP

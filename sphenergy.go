@@ -204,10 +204,10 @@ func TuneFrequencies(system NodeSpec, sim SimKind, particlesPerRank float64, ng 
 
 // TuneFrequenciesObserved is TuneFrequencies with the search recorded into
 // a decision ledger: every sweep measurement and winning pick is emitted as
-// a tuner event, and the full predicted time/power/EDP table is installed
-// on the ledger so subsequent frequency decisions in a Run using the same
-// ledger carry the model's prediction (the join `inspect decisions`
-// audits). A nil ledger degrades to the unobserved search.
+// a tuner event carrying the predicted time/energy/power/EDP at its clock.
+// A Run on the same ledger keeps these rows as its preamble, and `inspect
+// decisions` joins its frequency decisions to them. A nil ledger degrades
+// to the unobserved search.
 func TuneFrequenciesObserved(system NodeSpec, sim SimKind, particlesPerRank float64, ng int, led *EventLedger) (map[string]int, error) {
 	if ng <= 0 {
 		ng = 150
@@ -220,14 +220,11 @@ func TuneFrequenciesObserved(system NodeSpec, sim SimKind, particlesPerRank floa
 	for _, fn := range pipeline {
 		kernels[fn.Name] = fn.Kernel(particlesPerRank, ng, system.GPUSpec.Vendor)
 	}
-	table, results, err := tuner.TuneTable(kernels, tuner.Config{
+	table, _, err := tuner.TuneTable(kernels, tuner.Config{
 		Spec:      system.GPUSpec,
 		Params:    tuner.Params{MinMHz: 1005, MaxMHz: system.GPUSpec.MaxSMClockMHz},
 		Objective: tuner.EDP,
 		Events:    led,
 	})
-	if err == nil && led != nil {
-		led.SetPredictions(tuner.PredictionTable(results))
-	}
 	return table, err
 }
