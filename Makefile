@@ -68,10 +68,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The SPH engine's parallel loops, chunk pools, per-worker count accumulators
+# The SPH engine's parallel loops, chunk pools, per-chunk count accumulators
 # (neighbor counts and row lengths scattered to both ends of a candidate
-# pair) and scatter accumulators, and the gravity tree's group hand-out and
-# per-worker lists, under the race detector at a width that splits them.
+# pair) and scatter accumulators, the grid's per-chunk histograms, and the
+# gravity tree's group hand-out and per-worker lists, under the race
+# detector at a width that splits them.
 race-sph:
 	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
 

@@ -41,6 +41,9 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if err := experiments.CheckScale(*scale); err != nil {
+		return fmt.Errorf("-scale %w", err)
+	}
 	names := []string{*id}
 	if *id == "all" {
 		names = experiments.Names()

@@ -60,3 +60,25 @@ func TestOutWriteErrorFatal(t *testing.T) {
 		t.Errorf("table1 was not printed before the write failed:\n%s", out.String())
 	}
 }
+
+// A -scale the experiments would not run as given is refused, naming the
+// flag, before anything is printed or created: 0 and below once meant the
+// full paper, NaN and ±Inf two steps.
+func TestInvalidScaleRefused(t *testing.T) {
+	for _, scale := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
+		t.Run(scale, func(t *testing.T) {
+			var out bytes.Buffer
+			dir := filepath.Join(t.TempDir(), "out")
+			err := run([]string{"-run", "fig1", "-scale", scale, "-out", dir}, &out)
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Fatalf("err = %v, want one naming -scale", err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("printed %q before refusing", out.String())
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("-out directory created before refusing (%v)", err)
+			}
+		})
+	}
+}

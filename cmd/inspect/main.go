@@ -12,7 +12,7 @@
 // JSON form of energy is the bundle's report.json itself. A truncated trace
 // or ledger is analyzed up to its valid prefix, and the output says so.
 // Exit status: 0 success, 1 an unreadable bundle or nothing to audit, 2
-// usage.
+// usage, a flag value the verb would misread included.
 package main
 
 import (
@@ -51,6 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fset := flag.NewFlagSet("inspect "+args[0], flag.ContinueOnError)
 	fset.SetOutput(stderr)
 	var act func(dir string) error
+	check := func() error { return nil } // refuses flag values the verb would misread
 	switch args[0] {
 	case "energy":
 		baseline := fset.String("baseline", "", "baseline bundle to normalize against")
@@ -59,15 +60,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threshold := fset.Float64("threshold", 25, "flag decisions whose achieved EDP deviates from the prediction by more than this percentage")
 		asJSON := fset.Bool("json", false, "emit the analysis as JSON instead of the rendered table")
 		act = func(dir string) error { return decisions(stdout, stderr, dir, *threshold, *asJSON) }
+		check = func() error {
+			if !(*threshold >= 0) {
+				return fmt.Errorf("-threshold %v: want a percentage >= 0", *threshold)
+			}
+			return nil
+		}
 	case "trace":
 		topK := fset.Int("top", 3, "straggler ranks to list")
 		asJSON := fset.Bool("json", false, "emit the full analysis as JSON")
 		act = func(dir string) error { return trace(stdout, stderr, dir, *topK, *asJSON) }
+		check = func() error {
+			if *topK < 1 {
+				return fmt.Errorf("-top %d: want at least 1", *topK)
+			}
+			return nil
+		}
 	default:
 		fmt.Fprintf(stderr, "inspect: unknown verb %q\n%s", args[0], usage)
 		return 2
 	}
 	dir, ok := parse(fset, args[1:])
+	if ok {
+		if err := check(); err != nil {
+			fmt.Fprintf(stderr, "inspect %s: %v\n", args[0], err)
+			ok = false
+		}
+	}
 	if !ok {
 		fmt.Fprint(stderr, usage)
 		return 2

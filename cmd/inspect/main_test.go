@@ -134,6 +134,37 @@ func TestTraceBadInput(t *testing.T) {
 	}
 }
 
+// A flag value the verb would misread — a -top below 1, which the analysis
+// would take for its default, a -threshold that is NaN or negative, which
+// would flag nothing or everything — exits 2 naming the flag, before the
+// bundle is read; the smallest values it takes reach the bundle.
+func TestFlagValuesRefused(t *testing.T) {
+	empty := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		flag string // the flag the refusal names; "" for a value taken
+	}{
+		{[]string{"trace", "-top", "0", empty}, "-top"},
+		{[]string{"trace", empty, "-top", "-2"}, "-top"},
+		{[]string{"decisions", "-threshold", "NaN", empty}, "-threshold"},
+		{[]string{"decisions", empty, "-threshold", "-5"}, "-threshold"},
+		{[]string{"trace", "-top", "1", empty}, ""},
+		{[]string{"decisions", "-threshold", "0", empty}, ""},
+	} {
+		out, errOut, code := runInspect(t, c.args...)
+		want := 1 // the empty bundle
+		if c.flag != "" {
+			want = 2
+		}
+		if code != want || out != "" {
+			t.Errorf("%q: exit %d, stdout %q; want %d and nothing", c.args, code, out, want)
+		}
+		if c.flag != "" && !strings.Contains(errOut, c.flag+" ") {
+			t.Errorf("%q: stderr %q does not name %s", c.args, errOut, c.flag)
+		}
+	}
+}
+
 // writeReport writes a bundle holding only rep and returns its directory.
 func writeReport(t *testing.T, rep *instr.Report) string {
 	t.Helper()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,14 @@ func TestRegistryRunsEverything(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run("fig99", 1); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+func TestRunRefusesScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run("table1", scale); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -50,16 +51,25 @@ func Names() []string {
 	return out
 }
 
-// Run executes an experiment by id.
+// Run executes an experiment by id at the given scale.
 func Run(name string, scale float64) (Renderable, error) {
 	r, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	if scale <= 0 {
-		scale = 1
+	if err := CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("experiments: scale %w", err)
 	}
 	return r(scale)
+}
+
+// CheckScale refuses a scale Run would not run as given: one that is not a
+// finite number above 0. The error starts with the scale.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("%v is not a finite number > 0", scale)
+	}
+	return nil
 }
 
 // steps converts the paper's 100-step runs to a scaled step count (>= 2).

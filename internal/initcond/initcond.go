@@ -83,7 +83,7 @@ func Turbulence(spec TurbulenceSpec) (*sph.Particles, sph.Options) {
 	// Each particle's velocity depends on its position alone, so the bits
 	// are the same at every width.
 	field := NewSolenoidalField(spec.KMin, spec.KMax, spec.Seed+1)
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p.VX[i], p.VY[i], p.VZ[i] = field.At(p.X[i], p.Y[i], p.Z[i])
 		}

@@ -13,8 +13,8 @@ import (
 // The buffer-reusing build must reach a steady state where rebuilding the
 // grid in place allocates nothing: the Verlet-skin loop rebuilds every few
 // steps, and any per-rebuild allocation would show up as GC pressure across
-// a whole campaign. n stays below the parallel-build threshold because the
-// parallel path spawns goroutines (which allocate) by design.
+// a whole campaign. n stays below parallelBuildMinN, where the binning is
+// one chunk: several chunks spawn goroutines (which allocate) by design.
 func TestBuildGridIntoZeroSteadyStateAllocs(t *testing.T) {
 	box := sfc.NewPeriodicCube(0, 1)
 	const n = 8000
@@ -93,8 +93,8 @@ func TestBuildGridIntoMatchesBuildGrid(t *testing.T) {
 }
 
 // FuzzBuildGridIntoReuse rebuilds one grid over a sequence of point sets
-// whose size, box, periodicity, search radius and GOMAXPROCS (serial and
-// parallel binning) all change, and holds every rebuild to a fresh
+// whose size, box, periodicity, search radius and GOMAXPROCS (binning in
+// one chunk and in several) all change, and holds every rebuild to a fresh
 // BuildGrid of the same input: same resolution, same cell layout, same
 // neighbor sets in the same order. Then both gather with radii drawn from
 // the input, spread up to tenfold, through the reused radius copy and cell

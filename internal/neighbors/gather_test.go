@@ -221,9 +221,9 @@ func TestGatherMatchesForEachNeighbor(t *testing.T) {
 	}
 }
 
-// TestGatherIndependentOfWorkerCount: the grid bins in parallel past
+// TestGatherIndependentOfWorkerCount: the grid bins in several chunks past
 // parallelBuildMinN, and what Gather then reads must not depend on how many
-// workers binned it.
+// chunks binned it.
 func TestGatherIndependentOfWorkerCount(t *testing.T) {
 	box := sfc.NewPeriodicCube(0, 1)
 	const n = 20000

@@ -14,7 +14,6 @@ package neighbors
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"sphenergy/internal/par"
 	"sphenergy/internal/sfc"
@@ -23,8 +22,8 @@ import (
 // Grid is a uniform-cell acceleration structure over a particle set. Cell
 // contents are stored CSR-style: cellOff[c]..cellOff[c+1] indexes into
 // order, which lists particle indices grouped by cell in ascending order.
-// The ascending order is invariant across serial and parallel builds, so
-// query iteration order — and therefore the floating-point summation order
+// The ascending order does not depend on how many chunks bin it, so query
+// iteration order — and therefore the floating-point summation order
 // of the SPH kernels — is deterministic.
 type Grid struct {
 	box        sfc.Box
@@ -52,17 +51,16 @@ type Grid struct {
 	// Binning scratch, kept on the grid so BuildGridInto rebuilds without
 	// allocating once the buffers have warmed up to the problem size. cells
 	// outlives the binning: it is every query's own cell.
-	cells  []int32 // per-particle cell index
-	counts []int32 // serial build: per-cell counters
-	hist   []int32 // parallel build: per-worker cell histograms
+	cells []int32 // per-particle cell index
+	hist  []int32 // per-chunk cell histograms, chunk after chunk
 }
 
-// parallelBuildMaxCells bounds the per-worker histogram memory of the
-// parallel build (workers × ncells int32 counters); grids finer than this
-// fall back to the serial counting sort.
+// parallelBuildMaxCells bounds the histogram memory of the binning (chunks
+// × ncells int32 counters); grids finer than this bin in one chunk.
 const parallelBuildMaxCells = 1 << 20
 
-// parallelBuildMinN is the particle count below which the serial build wins.
+// parallelBuildMinN is the particle count below which one chunk bins
+// fastest.
 const parallelBuildMinN = 1 << 14
 
 // BuildGridInto creates a search grid for particles at (x, y, z) in the
@@ -89,12 +87,7 @@ func BuildGridInto(g *Grid, box sfc.Box, x, y, z []float64, maxRadius float64) *
 	g.order = grow(g.order, n)
 	g.ox, g.oy, g.oz = grow(g.ox, n), grow(g.oy, n), grow(g.oz, n)
 	g.maxR = 0 // the radii, if any, were the last point set's
-	workers := par.MaxWorkers()
-	if workers > 1 && n >= parallelBuildMinN && ncells <= parallelBuildMaxCells {
-		g.binParallel(ncells, workers)
-	} else {
-		g.binSerial(ncells)
-	}
+	g.bin(ncells)
 	return g
 }
 
@@ -113,104 +106,66 @@ func (g *Grid) place(k int32, i int) {
 	g.ox[k], g.oy[k], g.oz[k] = g.x[i], g.y[i], g.z[i]
 }
 
-// binSerial fills the CSR layout with a two-pass counting sort.
-func (g *Grid) binSerial(ncells int) {
+// bin fills the CSR layout with a counting sort over per-chunk cell
+// histograms: each of par's contiguous particle ranges counts its per-cell
+// occupancy, a serial scan assigns every (chunk, cell) pair its exclusive
+// start, and each range then places its particles without atomics. Within
+// a cell chunk c's particles precede chunk c+1's and each chunk scans
+// ascending, so the order is ascending particle index however many chunks
+// there are. Below parallelBuildMinN, and on grids finer than
+// parallelBuildMaxCells, the whole set is one chunk.
+func (g *Grid) bin(ncells int) {
 	n := len(g.x)
-	g.counts = grow(g.counts, ncells)
+	chunks := par.Chunks(n)
+	if n < parallelBuildMinN || ncells > parallelBuildMaxCells {
+		chunks = 1
+	}
+	g.hist = grow(g.hist, chunks*ncells)
 	g.cells = grow(g.cells, n)
-	counts := g.counts
-	cells := g.cells
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		c := g.cellOf(g.x[i], g.y[i], g.z[i])
-		cells[i] = int32(c)
-		counts[c]++
-	}
-	off := int32(0)
-	for c := 0; c < ncells; c++ {
-		g.cellOff[c] = off
-		off += counts[c]
-		counts[c] = g.cellOff[c] // becomes the fill cursor
-	}
-	g.cellOff[ncells] = off
-	for i := 0; i < n; i++ {
-		c := cells[i]
-		g.place(counts[c], i)
-		counts[c]++
-	}
-}
-
-// binParallel fills the CSR layout with per-worker cell histograms: each
-// worker owns a contiguous particle range, counts its per-cell occupancy,
-// and — after a serial scan assigns every (worker, cell) pair its exclusive
-// start — scatters its particles without atomics. Within a cell, worker w's
-// particles precede worker w+1's and each worker scans ascending, so the
-// final order is ascending particle index, identical to binSerial.
-func (g *Grid) binParallel(ncells, workers int) {
-	n := len(g.x)
-	chunk := (n + workers - 1) / workers
-	g.hist = grow(g.hist, workers*ncells)
-	g.cells = grow(g.cells, n)
+	clear(g.hist)
+	g.eachBin(chunks, ncells, (*Grid).count)
 	hist := g.hist
-	cells := g.cells
-	for i := range hist {
-		hist[i] = 0
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := hist[w*ncells : (w+1)*ncells]
-			for i := lo; i < hi; i++ {
-				c := g.cellOf(g.x[i], g.y[i], g.z[i])
-				cells[i] = int32(c)
-				h[c]++
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	off := int32(0)
 	for c := 0; c < ncells; c++ {
 		g.cellOff[c] = off
-		for w := 0; w < workers; w++ {
-			t := hist[w*ncells+c]
-			hist[w*ncells+c] = off
+		for k := c; k < len(hist); k += ncells {
+			t := hist[k]
+			hist[k] = off // becomes chunk k/ncells's fill cursor
 			off += t
 		}
 	}
 	g.cellOff[ncells] = off
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := hist[w*ncells : (w+1)*ncells]
-			for i := lo; i < hi; i++ {
-				c := cells[i]
-				g.place(h[c], i)
-				h[c]++
-			}
-		}(w, lo, hi)
+	g.eachBin(chunks, ncells, (*Grid).fill)
+}
+
+// eachBin runs pass over each chunk's particle range with that chunk's
+// histogram: par.Chunked's ranges, or [0, n) inline for one chunk.
+func (g *Grid) eachBin(chunks, ncells int, pass func(g *Grid, h []int32, lo, hi int)) {
+	if chunks == 1 {
+		pass(g, g.hist, 0, len(g.x))
+		return
 	}
-	wg.Wait()
+	par.Chunked(len(g.x), func(c, lo, hi int) {
+		pass(g, g.hist[c*ncells:(c+1)*ncells], lo, hi)
+	})
+}
+
+// count bins particles [lo, hi) and counts them into the histogram h.
+func (g *Grid) count(h []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c := g.cellOf(g.x[i], g.y[i], g.z[i])
+		g.cells[i] = int32(c)
+		h[c]++
+	}
+}
+
+// fill places particles [lo, hi) at the cursors h holds per cell.
+func (g *Grid) fill(h []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c := g.cells[i]
+		g.place(h[c], i)
+		h[c]++
+	}
 }
 
 func gridDim(extent, radius float64) int {

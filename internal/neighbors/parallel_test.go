@@ -1,56 +1,68 @@
 package neighbors
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
-	"sphenergy/internal/rng"
+	"sphenergy/internal/par"
 	"sphenergy/internal/sfc"
 )
 
-// TestParallelGridBuildMatchesSerial verifies the layout contract of the
-// parallel cell binning: cellOff and order must be byte-identical to the
-// serial counting sort (ascending particle index within each cell), which
-// is what keeps SPH floating-point summation order deterministic across
-// worker counts.
+// TestParallelGridBuildMatchesSerial holds the binning's layout to a
+// reference the test computes itself: the particle indices stably sorted by
+// cell, with each cell's offset into them. That order — ascending particle
+// index within each cell — is what keeps SPH floating-point summation order
+// the same however many chunks bin the grid, so it is checked at every
+// width, on both sides of parallelBuildMinN and on a grid finer than
+// parallelBuildMaxCells, which bins in one chunk.
 func TestParallelGridBuildMatchesSerial(t *testing.T) {
-	const n = 20000 // above parallelBuildMinN so the parallel path engages
-	r := rng.New(7)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = r.Float64()
-		y[i] = r.Float64()
-		z[i] = r.Float64()
-	}
 	box := sfc.NewPeriodicCube(0, 1)
-
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	gp := BuildGrid(box, x, y, z, 0.05)
-	runtime.GOMAXPROCS(1)
-	gs := BuildGrid(box, x, y, z, 0.05)
-
-	if len(gp.cellOff) != len(gs.cellOff) {
-		t.Fatalf("cell counts differ: %d vs %d", len(gp.cellOff), len(gs.cellOff))
-	}
-	for c := range gp.cellOff {
-		if gp.cellOff[c] != gs.cellOff[c] {
-			t.Fatalf("cellOff[%d]: parallel %d serial %d", c, gp.cellOff[c], gs.cellOff[c])
-		}
-	}
-	for k := range gp.order {
-		if gp.order[k] != gs.order[k] {
-			t.Fatalf("order[%d]: parallel %d serial %d", k, gp.order[k], gs.order[k])
-		}
-	}
-	// Within-cell ordering must be ascending (the determinism invariant).
-	for c := 0; c+1 < len(gp.cellOff); c++ {
-		for k := gp.cellOff[c] + 1; k < gp.cellOff[c+1]; k++ {
-			if gp.order[k-1] >= gp.order[k] {
-				t.Fatalf("cell %d not ascending at slot %d", c, k)
-			}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		n      int
+		radius float64
+	}{
+		{parallelBuildMinN - 1, 0.05},
+		{parallelBuildMinN, 0.05},
+		{20000, 0.05},
+		{20000, 1.0 / 128}, // 128³ cells, past parallelBuildMaxCells
+	} {
+		x, y, z := randomPoints(box, tc.n, 7)
+		for _, procs := range []int{1, 2, 4, 32} {
+			t.Run(fmt.Sprintf("n=%d/r=%.3g/procs=%d", tc.n, tc.radius, procs), func(t *testing.T) {
+				runtime.GOMAXPROCS(procs)
+				g := BuildGrid(box, x, y, z, tc.radius)
+				ncells := g.nx * g.ny * g.nz
+				if tc.radius < 0.01 && ncells <= parallelBuildMaxCells {
+					t.Fatalf("%d cells: the fine grid is no longer past parallelBuildMaxCells", ncells)
+				}
+				if procs > 1 && tc.n >= parallelBuildMinN && ncells <= parallelBuildMaxCells && par.Chunks(tc.n) < 2 {
+					t.Fatalf("%d particles bin in one chunk at width %d; the case no longer runs in parallel", tc.n, procs)
+				}
+				cell := make([]int, tc.n)
+				order := make([]int32, tc.n)
+				for i := range order {
+					cell[i], order[i] = g.cellOf(x[i], y[i], z[i]), int32(i)
+				}
+				slices.SortStableFunc(order, func(a, b int32) int { return cell[a] - cell[b] })
+				cellOff := make([]int32, ncells+1)
+				for _, i := range order {
+					cellOff[cell[i]+1]++
+				}
+				for c := range ncells {
+					cellOff[c+1] += cellOff[c]
+				}
+				if !slices.Equal(g.cellOff, cellOff) {
+					t.Fatal("cellOff differs from the reference counting")
+				}
+				for k := range order {
+					if g.order[k] != order[k] {
+						t.Fatalf("order[%d] = %d, the stable sort by cell has %d", k, g.order[k], order[k])
+					}
+				}
+			})
 		}
 	}
 }

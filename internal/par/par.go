@@ -2,9 +2,12 @@
 // pipeline: chunked parallel-for over index ranges and parallel reductions,
 // implemented with plain goroutines and sync.WaitGroup.
 //
-// Work is split into contiguous chunks (one per worker) rather than
-// fine-grained tasks: SPH loops are regular, so static chunking avoids
-// scheduling overhead and keeps memory access streaming.
+// Every index-range loop is cut by one partition, Chunks and Chunked:
+// contiguous, cache-line-aligned ranges of at least SerialGrain items, at
+// most one per worker. SPH loops are regular, so static chunking avoids
+// scheduling overhead and keeps memory access streaming; and since the cut
+// is a pure function of n and GOMAXPROCS, so is every per-chunk reduction
+// order. Coarse tasks of uneven size go through Tasks instead.
 package par
 
 import (
@@ -40,9 +43,7 @@ func workersFor(n int) int {
 const chunkAlign = 8
 
 // chunkSize returns the per-worker chunk length for n items over the given
-// worker count, cache-line aligned. The partition is a pure function of
-// (n, workers), so chunk boundaries — and therefore any per-chunk reduction
-// order — are deterministic for a fixed GOMAXPROCS.
+// worker count, cache-line aligned.
 func chunkSize(n, workers int) int {
 	c := (n + workers - 1) / workers
 	if r := c % chunkAlign; r != 0 {
@@ -51,161 +52,111 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// padded64 is a per-worker reduction slot padded out to a full cache line:
-// workers publish partials concurrently, and unpadded adjacent float64s
+// Chunks returns how many ranges Chunked cuts [0, n) into: 0 for n <= 0, 1
+// below 2·SerialGrain or at one worker. Rounding the chunk length up to a
+// cache line can leave fewer chunks than workers.
+func Chunks(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	c := chunkSize(n, workersFor(n))
+	return (n + c - 1) / c
+}
+
+// Chunked cuts [0, n) into Chunks(n) contiguous ranges and runs fn(c, lo,
+// hi) for chunk c = [lo, hi) of them, concurrently; c ascends with lo, so a
+// caller that keeps per-chunk results at index c reads them back in range
+// order. A single chunk runs inline on the calling goroutine. fn must be
+// safe to call concurrently for distinct chunks.
+func Chunked(n int, fn func(c, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	size := chunkSize(n, workersFor(n))
+	if size >= n {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+size {
+		wg.Add(1)
+		go func(c, lo, hi int) {
+			defer wg.Done()
+			fn(c, lo, hi)
+		}(c, lo, min(lo+size, n))
+	}
+	wg.Wait()
+}
+
+// padded64 is a per-chunk reduction slot padded out to a full cache line:
+// chunks publish partials concurrently, and unpadded adjacent float64s
 // would ping-pong the shared line between cores on every store (false
 // sharing — measurable on the scatter-heavy SPH pair passes).
 type padded64 struct {
-	v    float64
-	used bool
-	_    [55]byte
+	v float64
+	_ [56]byte
 }
 
-// For executes fn(i) for every i in [0, n) using up to MaxWorkers
-// goroutines. fn must be safe to call concurrently for distinct i. Loops
-// shorter than SerialGrain run inline on the calling goroutine.
+// For executes fn(i) for every i in [0, n), one Chunked range per
+// goroutine. fn must be safe to call concurrently for distinct i.
 func For(n int, fn func(i int)) {
-	ForChunked(n, func(lo, hi int) {
+	Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 	})
 }
 
-// ForChunked splits [0, n) into contiguous chunks and executes fn(lo, hi)
-// for each chunk concurrently. Useful when per-chunk setup (scratch buffers)
-// amortizes across iterations. Loops shorter than SerialGrain run inline on
-// the calling goroutine.
-func ForChunked(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := workersFor(n)
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// MinFloat64 returns the minimum of fn(i) over [0, n). It panics for
-// n <= 0: an empty range has no minimum.
+// MinFloat64 returns the minimum of fn(i) over [0, n): a Reduce whose fold
+// keeps the smaller. It panics for n <= 0: an empty range has no minimum.
 func MinFloat64(n int, fn func(i int) float64) float64 {
 	if n <= 0 {
 		panic("par: MinFloat64 requires n > 0")
 	}
-	workers := workersFor(n)
-	if workers == 1 {
-		m := fn(0)
-		for i := 1; i < n; i++ {
-			if v := fn(i); v < m {
-				m = v
-			}
-		}
-		return m
+	if Chunks(n) == 1 {
+		// Inline, without the closure Reduce would take.
+		return minOver(fn, 0, n)
 	}
-	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := fn(lo)
-			for i := lo + 1; i < hi; i++ {
-				if v := fn(i); v < m {
-					m = v
-				}
-			}
-			partials[w].v = m
-			partials[w].used = true
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var m float64
-	first := true
-	for w := range partials {
-		if !partials[w].used {
-			continue
-		}
-		if first || partials[w].v < m {
-			m = partials[w].v
-			first = false
+	return Reduce(n, func(lo, hi int) float64 { return minOver(fn, lo, hi) }, lesser)
+}
+
+// minOver is the minimum of fn over [lo, hi), which is not empty.
+func minOver(fn func(i int) float64, lo, hi int) float64 {
+	m := fn(lo)
+	for i := lo + 1; i < hi; i++ {
+		if v := fn(i); v < m {
+			m = v
 		}
 	}
 	return m
 }
 
-// Reduce splits [0, n) into contiguous chunks, evaluates fn(lo, hi) per
-// chunk concurrently, and folds the per-chunk results with combine in
-// ascending chunk order, so the result is deterministic for a fixed worker
-// count. fn may carry side effects (e.g. filling per-chunk buffers) in
-// addition to its reduction value. Returns 0 for n <= 0.
+// lesser is MinFloat64's fold: b where b < a, else a.
+func lesser(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+// Reduce evaluates fn(lo, hi) on every Chunked range concurrently and
+// folds the per-chunk results with combine in ascending chunk order, so
+// the result is deterministic for a fixed worker count. fn may carry side
+// effects (e.g. filling per-chunk buffers) in addition to its reduction
+// value. Returns 0 for n <= 0.
 func Reduce(n int, fn func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
+	switch chunks := Chunks(n); chunks {
+	case 0:
 		return 0
-	}
-	workers := workersFor(n)
-	if workers == 1 {
+	case 1:
 		return fn(0, n)
+	default:
+		partials := make([]padded64, chunks)
+		Chunked(n, func(c, lo, hi int) { partials[c].v = fn(lo, hi) })
+		acc := partials[0].v
+		for _, p := range partials[1:] {
+			acc = combine(acc, p.v)
+		}
+		return acc
 	}
-	partials := make([]padded64, workers)
-	var wg sync.WaitGroup
-	chunk := chunkSize(n, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w].v = fn(lo, hi)
-			partials[w].used = true
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var acc float64
-	first := true
-	for w := range partials {
-		if !partials[w].used {
-			continue
-		}
-		if first {
-			acc = partials[w].v
-			first = false
-		} else {
-			acc = combine(acc, partials[w].v)
-		}
-	}
-	return acc
 }

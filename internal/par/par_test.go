@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -18,29 +20,70 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestForChunkedCoversRange holds every launcher of the package to the one
+// partition: Chunked covers [0, n) once, in Chunks(n) contiguous ranges
+// ascending in c; Reduce evaluates one partial per chunk, and Scatter.Run
+// returns one buffer per chunk, at every width.
 func TestForChunkedCoversRange(t *testing.T) {
-	const n = 1003
-	visited := make([]int32, n)
-	ForChunked(n, func(lo, hi int) {
-		if lo < 0 || hi > n || lo >= hi {
-			t.Errorf("bad chunk [%d, %d)", lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&visited[i], 1)
-		}
-	})
-	for i, c := range visited {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var sc Scatter
+	for _, procs := range []int{1, 2, 4, 512} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 1003, SerialGrain - 1, SerialGrain, SerialGrain + 1, 2*SerialGrain - 1, 2 * SerialGrain,
+			2*SerialGrain + 1, 4*SerialGrain + 7, 512*SerialGrain - 8, 512*SerialGrain + 1} {
+			t.Run(fmt.Sprintf("procs=%d/n=%d", procs, n), func(t *testing.T) {
+				chunks := Chunks(n)
+				los, his := make([]int, chunks), make([]int, chunks)
+				visited := make([]int32, n)
+				var calls atomic.Int32
+				Chunked(n, func(c, lo, hi int) {
+					calls.Add(1)
+					if c < 0 || c >= chunks || lo >= hi {
+						t.Errorf("bad chunk %d = [%d, %d) of %d", c, lo, hi, chunks)
+						return
+					}
+					los[c], his[c] = lo, hi
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&visited[i], 1)
+					}
+				})
+				if int(calls.Load()) != chunks {
+					t.Fatalf("Chunked made %d calls, Chunks says %d", calls.Load(), chunks)
+				}
+				end := 0
+				for c := range los {
+					if los[c] != end {
+						t.Fatalf("chunk %d starts at %d, want %d", c, los[c], end)
+					}
+					end = his[c]
+				}
+				if end != n {
+					t.Fatalf("last chunk ends at %d, want %d", end, n)
+				}
+				for i, v := range visited {
+					if v != 1 {
+						t.Fatalf("index %d visited %d times", i, v)
+					}
+				}
+				calls.Store(0)
+				sum := Reduce(n, func(lo, hi int) float64 { calls.Add(1); return float64(hi - lo) }, func(a, b float64) float64 { return a + b })
+				if int(calls.Load()) != chunks || sum != float64(n) {
+					t.Errorf("Reduce: %d partials summing to %v, want %d and %d", calls.Load(), sum, chunks, n)
+				}
+				if bufs := sc.Run(n, 1, 1, func(lo, hi int, acc []float64) { acc[0] += float64(hi - lo) }); len(bufs) != chunks {
+					t.Errorf("Scatter.Run returned %d buffers, want %d", len(bufs), chunks)
+				}
+			})
 		}
 	}
 }
 
 func TestForChunkedEmpty(t *testing.T) {
-	called := false
-	ForChunked(0, func(lo, hi int) { called = true })
-	if called {
-		t.Error("chunk callback invoked for empty range")
+	for _, n := range []int{0, -1} {
+		Chunked(n, func(c, lo, hi int) { t.Errorf("chunk callback invoked for n=%d", n) })
+		if c := Chunks(n); c != 0 {
+			t.Errorf("Chunks(%d) = %d, want 0", n, c)
+		}
 	}
 }
 

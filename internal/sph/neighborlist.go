@@ -2,7 +2,6 @@ package sph
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +51,7 @@ type NeighborList struct {
 	// consecutive records cache-adjacent. Ngmax caps it: a row keeps the
 	// first Ngmax pairs inside its support in that order and the mask bit of
 	// every later one is cleared (a record with no bit left is dropped), so
-	// the cap, like the rest of the list, does not depend on how many workers
+	// the cap, like the rest of the list, does not depend on how many chunks
 	// built it.
 	PairOffsets []int32
 	PairIdx     []int32
@@ -130,8 +129,8 @@ func (nl *NeighborList) invalidate() {
 	nl.BuildStep, nl.Overflow, nl.kernOK = 0, 0, false
 }
 
-// listChunk is the worker-local scratch of one contiguous range of owners
-// [lo, hi). Chunks are pooled, so what they hold is scratch, not state.
+// listChunk is the scratch of one contiguous range of owners [lo, hi).
+// Chunks are pooled, so what they hold is scratch, not state.
 type listChunk struct {
 	lo, hi int
 
@@ -159,41 +158,19 @@ type listChunk struct {
 
 var listChunkPool = sync.Pool{New: func() interface{} { return new(listChunk) }}
 
-// eachRange splits [0, n) into par's contiguous ranges, runs fn on each with
-// a pooled chunk of its own, and returns the chunks in range order — read
+// eachRange runs fn on each of par's contiguous ranges of [0, n) with a
+// pooled chunk of its own, and returns the chunks in range order — read
 // that way they are one serial pass. The caller releases them.
 func (s *State) eachRange(n int, fn func(cb *listChunk)) []*listChunk {
-	var mu sync.Mutex
-	chunks := s.chunks[:0]
-	par.ForChunked(n, func(lo, hi int) {
+	chunks := ensure(s.chunks, par.Chunks(n))
+	par.Chunked(n, func(c, lo, hi int) {
 		cb := listChunkPool.Get().(*listChunk)
 		cb.lo, cb.hi = lo, hi
 		fn(cb)
-		mu.Lock()
-		chunks = append(chunks, cb)
-		mu.Unlock()
+		chunks[c] = cb
 	})
-	slices.SortFunc(chunks, func(a, b *listChunk) int { return a.lo - b.lo })
 	s.chunks = chunks
 	return chunks
-}
-
-// eachChunk runs fn on every chunk, one goroutine per chunk: the chunks
-// are the partition eachRange chose, so the later sweeps keep its width.
-func eachChunk(chunks []*listChunk, fn func(cb *listChunk)) {
-	if len(chunks) == 1 {
-		fn(chunks[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, cb := range chunks {
-		wg.Add(1)
-		go func(cb *listChunk) {
-			defer wg.Done()
-			fn(cb)
-		}(cb)
-	}
-	wg.Wait()
 }
 
 // releaseChunks returns the chunks to the pool and forgets them: the slice
@@ -392,7 +369,8 @@ func (nl *NeighborList) countRecords(h []float64, chunks []*listChunk) {
 	n := len(h)
 	nl.PairOffsets = ensure(nl.PairOffsets, n+1)
 	nl.rowLen = ensure(nl.rowLen, n)
-	eachChunk(chunks, func(cb *listChunk) {
+	par.Tasks(len(chunks), func(c int) {
+		cb := chunks[c]
 		clear(cb.acc)
 		k := int32(0)
 		for t, end := range cb.survEnd {
@@ -444,8 +422,8 @@ func (nl *NeighborList) writeRecords(p *Particles, g boxGeom, chunks []*listChun
 	nl.PairDz = fit(nl.PairDz, np)
 	nl.PairDist = fit(nl.PairDist, np)
 	if nl.Overflow == 0 {
-		eachChunk(chunks, func(cb *listChunk) {
-			nl.fillChunk(p, g, cb, nl.PairOffsets[cb.lo], false)
+		par.Tasks(len(chunks), func(c int) {
+			nl.fillChunk(p, g, chunks[c], nl.PairOffsets[chunks[c].lo], false)
 		})
 	} else {
 		clear(nl.rowLen)

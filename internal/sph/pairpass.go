@@ -11,7 +11,7 @@ import (
 // viscosity, kernel derivatives at both smoothing lengths, the velocity
 // differences of the IAD gradient — are computed a single time, and
 // contributions go to the endpoints PairSide names: the owner's into the sums
-// of its segment, the other's through par.Scatter's per-worker private
+// of its segment, the other's through par.Scatter's per-chunk private
 // accumulators. The pair set is the closure walk's (including ngmax
 // truncation and one-sided supports); the arithmetic is not quite: besides
 // the summation order, the density sweep evaluates the kernel at the
@@ -41,7 +41,7 @@ func (s *State) xmassPairs() {
 	nl.invh = ensure(nl.invh, n)
 	nl.dsum = ensure(nl.dsum, n)
 	wa, wb, dwa, dwb, invh := nl.wa, nl.wb, nl.dwa, nl.dwb, nl.invh
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			invh[i] = 1 / p.H[i]
 		}
@@ -76,7 +76,7 @@ func (s *State) xmassPairs() {
 		}
 	})
 	dsums := nl.dsum
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			w0, _ := k.WDW(0, invh[i])
 			sum := p.XM[i] * w0
@@ -98,7 +98,7 @@ func (s *State) xmassPairs() {
 func (s *State) gradhPairs() {
 	p := s.P
 	dsums := s.List.dsum
-	par.ForChunked(p.N, func(lo, hi int) {
+	par.Chunked(p.N, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			omega := 1 + p.H[i]/(3*p.Kx[i])*dsums[i]
 			if omega < 0.2 || math.IsNaN(omega) {
@@ -129,7 +129,7 @@ func (s *State) iadPairs() {
 	kwa, kwb := nl.wa, nl.wb
 	nl.vol = ensure(nl.vol, n)
 	v := nl.vol
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v[i] = p.M[i] / p.Rho[i]
 		}
@@ -193,7 +193,7 @@ func (s *State) iadPairs() {
 			}
 		}
 	})
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var m [iadStride]float64
 			for _, b := range bufs {
@@ -239,7 +239,7 @@ func (s *State) momentumPairs() {
 	nl.prho = ensure(nl.prho, n)
 	nl.bal = ensure(nl.bal, n)
 	prho, f := nl.prho, nl.bal
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rho := p.Rho[i]
 			prho[i] = p.P[i] / (p.Gradh[i] * rho * rho)
@@ -304,7 +304,7 @@ func (s *State) momentumPairs() {
 			acc[o+3] += duA
 		}
 	})
-	par.ForChunked(n, func(lo, hi int) {
+	par.Chunked(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			o := i * 4
 			var ax, ay, az, du float64

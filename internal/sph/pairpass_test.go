@@ -444,7 +444,7 @@ func TestPairPassWithoutXMassWalks(t *testing.T) {
 // count is tiny AND independent of problem size (no per-particle or
 // per-pair allocation). The second input is a whole RunStep on a refresh
 // step, which adds the one pass the sweep leaves out (FindNeighbors from
-// the cached skin candidates: 14 of the same headers, and no buffer of the
+// the cached skin candidates: 12 of the same headers, and no buffer of the
 // list's, which all keep their capacity) plus Timestep and UpdateQuantities.
 func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
@@ -498,7 +498,7 @@ func TestSymmetricPassesSteadyStateAllocFree(t *testing.T) {
 		ceiling float64
 	}{
 		{"pass sweep", sweepAllocs, 24},            // closure headers: 14
-		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 31
+		{"refresh RunStep", refreshStepAllocs, 40}, // likewise: 29
 	} {
 		small, large := in.allocs(8), in.allocs(12)
 		if small != large {

@@ -92,7 +92,7 @@ func (s *State) skinValid(maxH float64) (maxDrift float64, ok bool) {
 	p := s.P
 	var mu sync.Mutex
 	minSlack := math.Inf(1)
-	par.ForChunked(p.N, func(lo, hi int) {
+	par.Chunked(p.N, func(_, lo, hi int) {
 		localSlack, localDrift := math.Inf(1), 0.0
 		for i := lo; i < hi; i++ {
 			sl, d := s.skinSlack(i, p.H[i], maxH)
