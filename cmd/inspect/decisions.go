@@ -66,7 +66,7 @@ var anomalyTypes = []events.Type{
 	events.RankFail, events.Degradation,
 	events.SamplerDegraded, events.SamplerRecovered, events.SamplerOverflow,
 	events.CheckpointSave, events.CheckpointRestore, events.Restart,
-	events.WatchdogStall, events.BudgetStop,
+	events.BudgetStop,
 }
 
 // analyze joins the ledger's decision stream with the tuner sweep it also

@@ -66,7 +66,7 @@ func main() {
 		ckptDir      = flag.String("checkpoint-dir", "", "durable checkpoint directory; enables supervised crash recovery")
 		autosave     = flag.Int("autosave-every", 10, "checkpoint every N completed steps (0 = final checkpoint only)")
 		keepCkpts    = flag.Int("keep-checkpoints", 0, "checkpoint retention depth (0 = default)")
-		maxRestarts  = flag.Int("max-restarts", 2, "bounded supervisor restarts after a crash or watchdog stall")
+		maxRestarts  = flag.Int("max-restarts", 2, "bounded supervisor restarts after a crash")
 		wallBudget   = flag.Float64("walltime-budget", 0, "stop gracefully once the simulated wall clock passes this many seconds (0 = unlimited)")
 		energyBudget = flag.Float64("energy-budget", 0, "stop gracefully once total allocation energy passes this many joules (0 = unlimited)")
 	)
@@ -99,6 +99,19 @@ func main() {
 			fatalIf(fmt.Errorf("-%s %v: want a finite value >= 0", f.name, f.v))
 		}
 	}
+	// A flag only a mode reads is refused when set without that mode: the
+	// run would ignore it and exit 0 as if it had been honoured.
+	recoveryOn := *ckptDir != "" || *wallBudget > 0 || *energyBudget > 0
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case (f.Name == "autosave-every" || f.Name == "keep-checkpoints") && *ckptDir == "":
+			fatalIf(fmt.Errorf("-%s needs -checkpoint-dir: without it no checkpoint is written", f.Name))
+		case f.Name == "max-restarts" && !recoveryOn:
+			fatalIf(fmt.Errorf("-max-restarts needs -checkpoint-dir or a budget: without them the run is not supervised"))
+		case f.Name == "sample-node-hz" && *sampleHz == 0 && !*validate:
+			fatalIf(fmt.Errorf("-sample-node-hz needs -sample-hz or -energy-validate: without them nothing is sampled"))
+		}
+	})
 
 	gridIntensity, err := resolveGrid(*carbon)
 	fatalIf(err)
@@ -174,7 +187,6 @@ func main() {
 	// sweep prints its table.
 	fatalIf(cfg.Validate())
 
-	recoveryOn := *ckptDir != "" || *wallBudget > 0 || *energyBudget > 0
 	if recoveryOn && *validate {
 		fatalIf(fmt.Errorf("-energy-validate cannot be combined with -checkpoint-dir or budgets"))
 	}

@@ -177,6 +177,11 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-walltime-budget", "NaN"}, "-walltime-budget NaN"},
 		{[]string{"-energy-budget", "-5"}, "-energy-budget -5"},
 		{[]string{"-energy-budget", "NaN"}, "-energy-budget NaN"},
+		{[]string{"-autosave-every", "1"}, "-autosave-every needs -checkpoint-dir"},
+		{[]string{"-keep-checkpoints", "2", "-walltime-budget", "100"}, "-keep-checkpoints needs -checkpoint-dir"},
+		{[]string{"-max-restarts", "5"}, "-max-restarts needs -checkpoint-dir or a budget"},
+		{[]string{"-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
+		{[]string{"-sample-hz", "0", "-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
 	} {
 		// The case's own flags come last, so its -s overrides the short run.
 		stdout, stderr, err := runSphexa(t, append([]string{"-s", "3", "-q"}, c.args...)...)

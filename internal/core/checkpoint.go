@@ -10,7 +10,7 @@ import (
 )
 
 // RunRecovery wires a run into the recovery layer. Controller receives the
-// step-boundary hooks (autosave, watchdog heartbeat, budget checks);
+// step-boundary hooks (autosave, budget checks, stop requests);
 // Resume, when non-nil, is the snapshot the run resumes from by replaying
 // the steps before it. Both are normally provided by recovery.Supervise
 // via RunSupervised, but a caller wanting durability without supervision

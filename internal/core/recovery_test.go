@@ -94,8 +94,7 @@ const soakSeeds = 5
 // rank crash, added to cfg's fault rules in a plan seeded planSeed, and
 // requires the supervisor to restart it from its on-disk checkpoint into
 // want, the uninterrupted run's modelRecord, with the save, the restore and
-// the restart on the ledger, and no stall from the watchdog every
-// supervised attempt arms. It returns the recovered result.
+// the restart on the ledger. It returns the recovered result.
 func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int, planSeed uint64) *Result {
 	t.Helper()
 	var rules []faults.Rule
@@ -106,7 +105,7 @@ func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int,
 		faults.Rule{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{rank}, Step: step})}
 	led := events.NewLedger(0)
 	res, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001, Events: led,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, Events: led,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +115,6 @@ func requireCrashRecovers(t *testing.T, cfg Config, want string, step, rank int,
 	}
 	if out.Restarts < 1 || !out.Resumed {
 		t.Fatalf("crash at step %d did not force a resume: %+v", step, out)
-	}
-	if out.WatchdogStalls != 0 {
-		t.Fatalf("the default watchdog deadline fired on a healthy attempt: %+v", out)
 	}
 	if got := modelRecord(t, res); got != want {
 		t.Errorf("recovered run diverged from uninterrupted reference\n got: %.120s...\nwant: %.120s...", got, want)
@@ -208,9 +204,6 @@ func requireBudgetStopResumes(t *testing.T, cfg Config, rcfg recovery.Config) {
 	if out2.Status != recovery.StatusCompleted || !out2.Resumed {
 		t.Fatalf("resume run ended %+v, want completed resume", out2)
 	}
-	if out1.WatchdogStalls+out2.WatchdogStalls != 0 {
-		t.Fatalf("the default watchdog deadline fired on a healthy run: %+v, %+v", out1, out2)
-	}
 	if out2.ResumeStep != len(res1.StepBoundariesS) {
 		t.Errorf("resumed at step %d, want %d", out2.ResumeStep, len(res1.StepBoundariesS))
 	}
@@ -224,7 +217,7 @@ func TestSupervisedBudgetStopThenResumeCompletes(t *testing.T) {
 	for seed := uint64(1); seed <= soakSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			requireBudgetStopResumes(t, soakConfig(seed),
-				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001})
+				recovery.Config{AutosaveEvery: 1, MaxRestarts: 2})
 		})
 	}
 }
@@ -243,7 +236,7 @@ func TestSupervisedPinnedCrashThenBudgetStopResumes(t *testing.T) {
 	cfg := recoverableConfig()
 	cfg.Faults = &faults.Plan{Name: "kill", Seed: 11, Rules: []faults.Rule{
 		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{2}, Step: 2}}}
-	rcfg := recovery.Config{Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
+	rcfg := recovery.Config{Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2,
 		WalltimeBudgetS: ref.WallTimeS * 0.6}
 	res1, out1, err := RunSupervised(cfg, rcfg)
 	if err != nil {
@@ -295,65 +288,116 @@ func TestSupervisedEnergyBudgetStops(t *testing.T) {
 	}
 }
 
-// hangOnce delays the first Apply ever issued (real time only — the
-// virtual model is untouched), simulating a wedged step for the watchdog.
-type hangOnce struct {
+// sleepOnce delays the first Apply ever issued by sleep, in real time only:
+// the virtual model is untouched.
+type sleepOnce struct {
 	freqctl.Strategy
 	fired *atomic.Bool
 	sleep time.Duration
 }
 
-func (h hangOnce) Apply(s freqctl.Setter, fn string) error {
+func (h sleepOnce) Apply(s freqctl.Setter, fn string) error {
 	if h.fired.CompareAndSwap(false, true) {
 		time.Sleep(h.sleep)
 	}
 	return h.Strategy.Apply(s, fn)
 }
 
-func TestSupervisedWatchdogStallRestarts(t *testing.T) {
-	mk := func(fired *atomic.Bool) Config {
-		cfg := recoverableConfig()
-		cfg.Steps = 5
-		cfg.NewStrategy = func() freqctl.Strategy {
-			return hangOnce{Strategy: freqctl.Baseline{}, fired: fired, sleep: 900 * time.Millisecond}
-		}
-		return cfg
-	}
-	var refFired atomic.Bool
-	refFired.Store(true) // reference never sleeps
-	ref, err := Run(mk(&refFired))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	led := events.NewLedger(0)
-	rcfg := recovery.Config{
-		Dir:           t.TempDir(),
-		AutosaveEvery: 1,
-		MaxRestarts:   2,
-		BackoffS:      0.001,
-		Watchdog:      recovery.WatchdogConfig{MinDeadlineS: 0.1, Mult: 4, PollS: 0.01},
-		Events:        led,
-	}
+// TestSupervisedSlowStepLeavesObserversFinal: a step that takes 200 ms of
+// real time is waited out, not restarted, and when RunSupervised returns
+// the run's tracer and ledger are final — no attempt is left running to
+// write into them — with one run-start and one run-end.
+func TestSupervisedSlowStepLeavesObserversFinal(t *testing.T) {
 	var fired atomic.Bool
-	res, out, err := RunSupervised(mk(&fired), rcfg)
+	cfg := recoverableConfig()
+	cfg.Steps = 5
+	cfg.NewStrategy = func() freqctl.Strategy {
+		return sleepOnce{Strategy: freqctl.Baseline{}, fired: &fired, sleep: 200 * time.Millisecond}
+	}
+	cfg.Tracer, cfg.Events = telemetry.NewTracer(cfg.Ranks), events.NewLedger(0)
+	_, out, err := RunSupervised(cfg, recovery.Config{
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, Events: cfg.Events,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.WatchdogStalls < 1 || out.Restarts < 1 {
-		t.Fatalf("watchdog never fired: %+v", out)
+	if !fired.Load() {
+		t.Fatal("the slow step never ran")
 	}
-	if out.Status != recovery.StatusCompleted {
-		t.Fatalf("status %q after stall recovery", out.Status)
+	if out.Status != recovery.StatusCompleted || out.Attempts != 1 || out.Restarts != 0 {
+		t.Fatalf("outcome %+v, want completed in one attempt", out)
 	}
-	if got, want := modelRecord(t, res), modelRecord(t, ref); got != want {
-		t.Error("stall-recovered run diverged from reference")
+	emitted, spans := cfg.Events.Emitted(), cfg.Tracer.Len()
+	time.Sleep(300 * time.Millisecond)
+	if e, n := cfg.Events.Emitted(), cfg.Tracer.Len(); e != emitted || n != spans {
+		t.Errorf("observers moved after return: ledger %d -> %d rows, tracer %d -> %d events", emitted, e, spans, n)
 	}
-	if led.Summary().ByType[events.WatchdogStall] == 0 {
-		t.Error("no watchdog-stall event in the ledger")
+	sum := cfg.Events.Summary()
+	if sum.ByType[events.RunStart] != 1 || sum.ByType[events.RunEnd] != 1 {
+		t.Errorf("%d run-start and %d run-end rows, want one each", sum.ByType[events.RunStart], sum.ByType[events.RunEnd])
 	}
-	if len(out.AttemptErrors) == 0 || !strings.Contains(out.AttemptErrors[0], "watchdog") {
-		t.Errorf("attempt errors missing watchdog cause: %v", out.AttemptErrors)
+}
+
+// stopAtApply requests a stop from the live attempt's controller at its
+// atApply-th Apply, the first time the run gets there.
+type stopAtApply struct {
+	freqctl.Strategy
+	fired   *atomic.Bool
+	ctl     *atomic.Pointer[recovery.Controller]
+	atApply int
+	applies int
+}
+
+func (s *stopAtApply) Apply(st freqctl.Setter, fn string) error {
+	s.applies++
+	if s.applies == s.atApply && s.fired.CompareAndSwap(false, true) {
+		s.ctl.Load().RequestStop("signal:interrupt")
+	}
+	return s.Strategy.Apply(st, fn)
+}
+
+// TestSupervisedStopSurvivesRestart requests a graceful stop during step 3,
+// which a pinned rank crash then fails. The restarted attempt must honour
+// the stop at its first step boundary after the replay, with a final
+// checkpoint, instead of running the remaining steps.
+func TestSupervisedStopSurvivesRestart(t *testing.T) {
+	const stopStep = 3
+	cfg := recoverableConfig()
+	pipeline, err := Pipeline(cfg.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Plan{Name: "kill", Seed: 11, Rules: []faults.Rule{
+		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{2}, Step: stopStep}}}
+	var fired atomic.Bool
+	var ctl atomic.Pointer[recovery.Controller]
+	built := 0 // Run builds one strategy per rank, in rank order
+	cfg.NewStrategy = func() freqctl.Strategy {
+		s := &stopAtApply{Strategy: freqctl.Baseline{}, fired: &fired, ctl: &ctl, atApply: -1}
+		if built%cfg.Ranks == 0 {
+			s.atApply = stopStep*len(pipeline) + 1
+		}
+		built++
+		return s
+	}
+	res, out, err := RunSupervised(cfg, recovery.Config{
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2,
+		OnAttempt: func(c *recovery.Controller) { ctl.Store(c) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("no stop was requested")
+	}
+	if out.Restarts != 1 || out.Status != recovery.StatusStopped || out.StopCause != "signal:interrupt" {
+		t.Fatalf("outcome %+v, want one restart and a stop for signal:interrupt", out)
+	}
+	if n := len(res.StepBoundariesS); n != stopStep+1 {
+		t.Errorf("the stopped run has %d steps, want %d", n, stopStep+1)
+	}
+	if res.Recovery == nil || res.Recovery.LastCheckpoint == "" {
+		t.Errorf("the stop left no final checkpoint: %+v", res.Recovery)
 	}
 }
 
@@ -406,7 +450,7 @@ func TestSupervisedRunSurvivesRankPanic(t *testing.T) {
 
 	var fired atomic.Bool
 	res, out, err := RunSupervised(mk(&fired), recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +607,7 @@ func TestSupervisedRestartsExhausted(t *testing.T) {
 		{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{1}, Probability: 1},
 	}}
 	_, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2, BackoffS: 0.001,
+		Dir: t.TempDir(), AutosaveEvery: 1, MaxRestarts: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "restarts exhausted") {
 		t.Fatalf("persistent crash did not exhaust restarts: %v", err)
@@ -581,7 +625,7 @@ func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
 	cfg.ParticlesPerRank = 400e6 // 112 GB, beyond an 80 GB A100
 	attempts := 0
 	_, out, err := RunSupervised(cfg, recovery.Config{
-		Dir: t.TempDir(), MaxRestarts: 2, BackoffS: 0.001,
+		Dir: t.TempDir(), MaxRestarts: 2,
 		OnAttempt: func(*recovery.Controller) { attempts++ },
 	})
 	if want := cfg.Validate(); err == nil || want == nil || err.Error() != want.Error() {
@@ -593,7 +637,7 @@ func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
 }
 
 // TestSupervisedInvalidRecoveryConfigNeverAttempts: a negative count, or a
-// negative or NaN delay or budget, which the supervisor would otherwise
+// negative or NaN budget, which the supervisor would otherwise
 // read as a default, "no restarts" or "unlimited", is refused naming the
 // field before any attempt starts or the store directory is created.
 func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
@@ -604,10 +648,8 @@ func TestSupervisedInvalidRecoveryConfigNeverAttempts(t *testing.T) {
 		{"AutosaveEvery", func(r *recovery.Config) { r.AutosaveEvery = -1 }},
 		{"Keep", func(r *recovery.Config) { r.Keep = -1 }},
 		{"MaxRestarts", func(r *recovery.Config) { r.MaxRestarts = -1 }},
-		{"BackoffS", func(r *recovery.Config) { r.BackoffS = math.NaN() }},
 		{"WalltimeBudgetS", func(r *recovery.Config) { r.WalltimeBudgetS = -5 }},
 		{"EnergyBudgetJ", func(r *recovery.Config) { r.EnergyBudgetJ = math.NaN() }},
-		{"Watchdog.PollS", func(r *recovery.Config) { r.Watchdog.PollS = -0.01 }},
 	} {
 		dir := filepath.Join(t.TempDir(), "ckpt")
 		attempts := 0

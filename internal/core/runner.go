@@ -90,7 +90,7 @@ type Config struct {
 	Events *events.Ledger
 	// Recovery, when non-nil, makes the run durable and interruptible: the
 	// Controller receives a step-boundary hook for autosave checkpoints,
-	// watchdog heartbeats and budget enforcement, and Resume (when set)
+	// budget enforcement and stop requests, and Resume (when set)
 	// names a checkpoint the run replays up to, verifying the recorded
 	// trajectory, before it steps for real. A resumed run is the
 	// uninterrupted one: its model, sampler series and rank-0 trace are
@@ -618,8 +618,7 @@ func Run(cfg Config) (*Result, error) {
 			return fail(failed)
 		}
 		// Recovery hook, last in the boundary so a step that killed the run
-		// is never checkpointed: autosave on cadence, watchdog heartbeat,
-		// budget/stop checks. Stop means a final checkpoint is already on
+		// is never checkpointed: autosave on cadence, budget/stop checks. Stop means a final checkpoint is already on
 		// disk and the partial result below is the graceful early exit.
 		if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {
 			d := rcv.Controller.StepDone(step, bound-t0, system.TotalEnergyJ(),

@@ -433,18 +433,8 @@ func TestRunPhaseLoopAllocatesNothing(t *testing.T) {
 			})
 		}
 		// Forty more steps are 400+ more phases of up to 16 ranks; the slack
-		// of 2 covers size-class rounding of the step-bounds slice. Mallocs
-		// are counted process-wide, and an attempt abandoned by an earlier
-		// test (the watchdog-stall one) may still be finishing in the
-		// background, so a polluted measurement is repeated: stray
-		// allocations come and go, the loop's own would be in every attempt.
-		var short, long float64
-		for attempt := 0; attempt < 5; attempt++ {
-			if short, long = allocs(4), allocs(44); long-short <= 2 {
-				break
-			}
-		}
-		if long-short > 2 {
+		// of 2 covers size-class rounding of the step-bounds slice.
+		if short, long := allocs(4), allocs(44); long-short > 2 {
 			t.Errorf("%d ranks %s: %v allocations at 4 steps, %v at 44 — the loop allocates per step",
 				c.ranks, c.sim, short, long)
 		}

@@ -69,7 +69,6 @@ const (
 	CheckpointSave    Type = "checkpoint-save"
 	CheckpointRestore Type = "checkpoint-restore"
 	Restart           Type = "restart"
-	WatchdogStall     Type = "watchdog-stall"
 	BudgetStop        Type = "budget-stop"
 )
 
@@ -80,7 +79,7 @@ var builtinTypes = []Type{
 	FreqDecision, FreqRetry, FreqAbsorb, FreqClamp, FreqBreakerTrip,
 	FreqShortCircuit, TunerMeasure, TunerSelect,
 	SamplerDegraded, SamplerRecovered, SamplerOverflow, RankFail, Degradation,
-	CheckpointSave, CheckpointRestore, Restart, WatchdogStall, BudgetStop,
+	CheckpointSave, CheckpointRestore, Restart, BudgetStop,
 }
 
 // Event is one ledger record. Fields are a flat union across the event

@@ -3,20 +3,19 @@ package recovery
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sphenergy/internal/events"
 )
 
-// Config tunes run supervision: durability (Dir/AutosaveEvery/Keep),
-// restart policy (MaxRestarts/BackoffS), budgets, and the watchdog.
+// Config tunes run supervision: durability (Dir/AutosaveEvery/Keep), the
+// restart bound (MaxRestarts) and budgets.
 // Events is an optional ledger shared across restart attempts, so the full
 // recovery timeline of an interrupted run lands in one ledger.
 type Config struct {
 	// Dir is the snapshot directory; empty disables durability (budgets
-	// and the watchdog still work, restarts then replay from step 0).
+	// still work, restarts then replay from step 0).
 	Dir string
 	// AutosaveEvery saves a checkpoint every N completed steps (0 = only
 	// the final checkpoint).
@@ -24,22 +23,16 @@ type Config struct {
 	// Keep is the snapshot retention depth (DefaultKeep when <= 0).
 	Keep int
 	// MaxRestarts bounds supervisor restarts; a run that fails more than
-	// MaxRestarts+1 times total is abandoned with StatusRestartsExhausted.
+	// MaxRestarts+1 times in all ends with StatusRestartsExhausted.
 	MaxRestarts int
-	// BackoffS is the base of the exponential restart backoff in real
-	// seconds (default 0.05): restart n waits BackoffS·2^n, capped at
-	// maxBackoffS.
-	BackoffS float64
 	// WalltimeBudgetS stops the run gracefully once the virtual wall
 	// clock passes the budget (0 = unlimited).
 	WalltimeBudgetS float64
 	// EnergyBudgetJ stops the run gracefully once total allocation energy
 	// passes the budget (0 = unlimited).
 	EnergyBudgetJ float64
-	// Watchdog tunes hung-step detection.
-	Watchdog WatchdogConfig
 
-	// Events receives typed checkpoint/restart/watchdog/budget records.
+	// Events receives typed checkpoint/restart/budget records.
 	Events *events.Ledger
 
 	// OnAttempt observes each attempt's controller just before the attempt
@@ -48,9 +41,9 @@ type Config struct {
 	OnAttempt func(*Controller)
 }
 
-// validate rejects the values defaulted or the loop would silently read as
-// a default, "no restarts" or "unlimited": negative counts, and negative
-// or NaN delays, budgets and watchdog settings.
+// validate rejects the values the loop would silently read as a default,
+// "no restarts" or "unlimited": negative counts, and negative or NaN
+// budgets.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -59,12 +52,8 @@ func (c Config) validate() error {
 		{"AutosaveEvery", float64(c.AutosaveEvery)},
 		{"Keep", float64(c.Keep)},
 		{"MaxRestarts", float64(c.MaxRestarts)},
-		{"BackoffS", c.BackoffS},
 		{"WalltimeBudgetS", c.WalltimeBudgetS},
 		{"EnergyBudgetJ", c.EnergyBudgetJ},
-		{"Watchdog.Mult", c.Watchdog.Mult},
-		{"Watchdog.MinDeadlineS", c.Watchdog.MinDeadlineS},
-		{"Watchdog.PollS", c.Watchdog.PollS},
 	} {
 		if !(f.v >= 0) {
 			return fmt.Errorf("recovery: %s = %v, want a value >= 0", f.name, f.v)
@@ -72,20 +61,6 @@ func (c Config) validate() error {
 	}
 	return nil
 }
-
-func (c Config) defaulted() Config {
-	if c.Keep <= 0 {
-		c.Keep = DefaultKeep
-	}
-	if c.BackoffS <= 0 {
-		c.BackoffS = 0.05
-	}
-	c.Watchdog = c.Watchdog.defaulted()
-	return c
-}
-
-// maxBackoffS caps one restart backoff, in real seconds.
-const maxBackoffS = 5
 
 // Stop causes (Controller.StopCause, Outcome.StopCause).
 const (
@@ -106,20 +81,16 @@ const (
 )
 
 // Controller drives one run attempt's recovery decisions at step
-// boundaries: autosave cadence, watchdog heartbeats, budget checks, and
-// externally requested graceful stops (signals). The runner calls StepDone
-// after every completed step and Final once the loop ends; the supervisor
-// abandons a stalled controller so a zombie attempt can no longer write
-// snapshots or events.
+// boundaries: autosave cadence, budget checks, and externally requested
+// graceful stops (signals). The runner calls StepDone after every
+// completed step and Final once the loop ends, both on the attempt's
+// goroutine; RequestStop is the one method safe from any other.
 type Controller struct {
 	cfg   Config
 	store *Store // nil when durability is off
-	wd    *watchdog
 
-	abandoned atomic.Bool
-	extStop   atomic.Pointer[string] // externally requested stop cause
+	extStop atomic.Pointer[string] // externally requested stop cause
 
-	mu        sync.Mutex
 	saves     int
 	lastPath  string
 	stopCause string
@@ -127,8 +98,7 @@ type Controller struct {
 
 // NewController builds a controller for one attempt. The store may be nil.
 func NewController(cfg Config, store *Store) *Controller {
-	cfg = cfg.defaulted()
-	return &Controller{cfg: cfg, store: store, wd: newWatchdog(cfg.Watchdog)}
+	return &Controller{cfg: cfg, store: store}
 }
 
 // RequestStop asks for a graceful stop at the next step boundary (the
@@ -138,24 +108,14 @@ func (c *Controller) RequestStop(cause string) {
 	c.extStop.Store(&cause)
 }
 
-// Abandon turns the controller into a no-op: a stalled attempt that later
-// unblocks can no longer save snapshots or emit events over the
-// replacement attempt.
-func (c *Controller) Abandon() { c.abandoned.Store(true) }
-
 // StepDone is the runner's step-boundary hook. step is the completed step
 // index, wallS/energyJ the run's virtual wall clock and total allocation
 // energy so far, and encode serializes the model state after this step.
-// It autosaves on cadence, feeds the watchdog, enforces budgets and
-// external stop requests, and returns whether to continue.
+// It autosaves on cadence, enforces budgets and external stop requests,
+// and returns whether to continue.
 func (c *Controller) StepDone(step int, wallS, energyJ float64, m Meta, encode func(io.Writer) error) Directive {
 	if c == nil {
 		return Continue
-	}
-	c.wd.beat(time.Now())
-	if c.abandoned.Load() {
-		// The supervisor moved on; quietly wind the zombie attempt down.
-		return Stop
 	}
 
 	cause := ""
@@ -170,14 +130,12 @@ func (c *Controller) StepDone(step int, wallS, energyJ float64, m Meta, encode f
 	if cause != "" {
 		c.finalSave(m, wallS, encode, cause)
 		if cause == StopWalltimeBudget || cause == StopEnergyBudget {
-			c.emit(events.Event{
+			c.cfg.Events.Emit(events.Event{
 				Type: events.BudgetStop, TimeS: wallS, Step: step, Rank: -1,
 				Detail: cause, Value: energyJ,
 			})
 		}
-		c.mu.Lock()
 		c.stopCause = cause
-		c.mu.Unlock()
 		return Stop
 	}
 
@@ -188,9 +146,9 @@ func (c *Controller) StepDone(step int, wallS, energyJ float64, m Meta, encode f
 }
 
 // Final persists the end-of-run checkpoint (normal completion). No-op
-// without a store or after abandonment.
+// without a store.
 func (c *Controller) Final(m Meta, wallS float64, encode func(w io.Writer) error) {
-	if c == nil || c.abandoned.Load() {
+	if c == nil {
 		return
 	}
 	c.finalSave(m, wallS, encode, "final")
@@ -211,48 +169,30 @@ func (c *Controller) save(m Meta, wallS float64, encode func(io.Writer) error, d
 	path, err := c.store.Save(m, encode)
 	durS := time.Since(start).Seconds()
 	if err != nil {
-		c.emit(events.Event{
+		c.cfg.Events.Emit(events.Event{
 			Type: events.CheckpointSave, TimeS: wallS, Step: m.Step - 1, Rank: -1,
 			Detail: "save-failed:" + detail, Err: err.Error(),
 		})
 		return
 	}
-	c.mu.Lock()
 	c.saves++
 	c.lastPath = path
-	c.mu.Unlock()
-	c.emit(events.Event{
+	c.cfg.Events.Emit(events.Event{
 		Type: events.CheckpointSave, TimeS: wallS, Step: m.Step - 1, Rank: -1,
 		Detail: detail, Value: durS,
 	})
 }
 
-func (c *Controller) emit(ev events.Event) {
-	if c.abandoned.Load() {
-		return
-	}
-	c.cfg.Events.Emit(ev)
-}
-
 // Saves returns how many snapshots this attempt wrote and the path of the
 // most recent one.
 func (c *Controller) Saves() (n int, lastPath string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.saves, c.lastPath
 }
 
 // StopCause returns why StepDone returned Stop ("" when the run was not
 // stopped by the controller).
 func (c *Controller) StopCause() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stopCause
-}
-
-// stalledNow exposes the watchdog check to the supervisor.
-func (c *Controller) stalledNow() (sinceS float64, hit bool) {
-	return c.wd.stalled(time.Now())
 }
 
 // String implements fmt.Stringer for debug logs.

@@ -1,9 +1,11 @@
 // Package recovery makes long runs durable and self-healing: a Store
 // persists periodic checkpoints with integrity checking and retention, a
-// Controller drives autosave/watchdog/budget decisions at step boundaries,
-// and a Supervisor wraps the runner with bounded restarts so a crashed,
-// hung, or preempted run resumes from the newest valid snapshot instead of
-// losing every joule spent so far.
+// Controller drives autosave/budget/stop decisions at step boundaries, and
+// Supervise wraps the runner with bounded restarts so a crashed or
+// preempted run resumes from the newest valid snapshot instead of losing
+// every joule spent so far. Supervise calls each attempt on its caller's
+// goroutine and restarts at once: a resumed run replays its recorded steps
+// bit for bit, so there is nothing to wait out between attempts.
 //
 // The Store is payload-agnostic: callers hand it an opaque byte stream
 // (the core runner's model checkpoint) plus a small Meta describing where

@@ -2,8 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"sphenergy/internal/events"
 )
@@ -26,9 +24,6 @@ type Outcome struct {
 	Status   Status `json:"status"`
 	Attempts int    `json:"attempts"`
 	Restarts int    `json:"restarts"`
-	// WatchdogStalls counts attempts abandoned for missing their step
-	// deadline.
-	WatchdogStalls int `json:"watchdog_stalls"`
 	// StopCause is why a StatusStopped run stopped (StopWalltimeBudget,
 	// StopEnergyBudget, or the external cause passed to RequestStop).
 	StopCause string `json:"stop_cause,omitempty"`
@@ -50,15 +45,18 @@ type Resume struct {
 }
 
 // AttemptFunc runs one attempt. resume is nil for a fresh start; ctl must
-// receive the attempt's step-boundary StepDone calls for autosave,
-// watchdog, and budget enforcement to work.
+// receive the attempt's step-boundary StepDone calls for autosave and
+// budget enforcement to work.
 type AttemptFunc[T any] func(resume *Resume, ctl *Controller) (T, error)
 
-// Supervise runs attempt under the full supervision loop: restore the
-// newest valid snapshot, run, and on a crash (error or panic) or a
-// watchdog stall restart from disk with exponential backoff, up to
-// MaxRestarts restarts. A graceful controller stop (budget/signal) is a
-// success with Outcome.Status = StatusStopped. The returned error is
+// Supervise runs attempt under the supervision loop: restore the newest
+// valid snapshot, run, and on a crash (error or panic) restart from disk
+// at once, up to MaxRestarts restarts. Each attempt runs on the caller's
+// goroutine, so nothing of a failed attempt outlives it: when Supervise
+// returns, the ledger and every other observer the attempts share are
+// final. A graceful controller stop (budget/signal) is a success with
+// Outcome.Status = StatusStopped; a stop requested during an attempt that
+// then crashed carries over to the next attempt. The returned error is
 // non-nil only when the config is invalid, restarts are exhausted or the
 // store cannot be opened; an invalid config runs no attempt.
 func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
@@ -67,7 +65,6 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return zero, out, err
 	}
-	cfg = cfg.defaulted()
 	var store *Store
 	if cfg.Dir != "" {
 		var err error
@@ -76,8 +73,8 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 			return zero, out, err
 		}
 	}
-	poll := time.Duration(cfg.Watchdog.PollS * float64(time.Second))
 
+	var prev *Controller
 	for attemptN := 0; ; attemptN++ {
 		out.Attempts = attemptN + 1
 		var resume *Resume
@@ -102,72 +99,45 @@ func Supervise[T any](cfg Config, attempt AttemptFunc[T]) (T, *Outcome, error) {
 		if cfg.OnAttempt != nil {
 			cfg.OnAttempt(ctl)
 		}
-		type result struct {
-			v   T
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- result{err: fmt.Errorf("recovery: attempt panicked: %v", r)}
-				}
-			}()
-			v, err := attempt(resume, ctl)
-			done <- result{v, err}
-		}()
-
-		var ar result
-		stalled := false
-	wait:
-		for {
-			select {
-			case ar = <-done:
-				break wait
-			case <-time.After(poll):
-				if sinceS, hit := ctl.stalledNow(); hit {
-					// Abandon the hung attempt: it can no longer save or
-					// emit, and is wound down at its next step boundary (a
-					// truly wedged step leaks its goroutine — restarting in
-					// place is still better than hanging the whole run).
-					ctl.Abandon()
-					out.WatchdogStalls++
-					cfg.Events.Emit(events.Event{
-						Type: events.WatchdogStall, Step: -1, Rank: -1,
-						Detail: fmt.Sprintf("no step-boundary heartbeat for %.2fs", sinceS),
-						Value:  sinceS,
-					})
-					ar = result{err: fmt.Errorf(
-						"recovery: watchdog: no step-boundary heartbeat for %.2f s (deadline %.2f s)",
-						sinceS, ctl.wd.deadlineS())}
-					stalled = true
-					break wait
-				}
+		if prev != nil {
+			// Read only now that OnAttempt routes new requests to ctl, so a
+			// stop requested between the two attempts is not lost either.
+			if cause := prev.extStop.Load(); cause != nil {
+				ctl.extStop.CompareAndSwap(nil, cause)
 			}
 		}
-
-		if !stalled && ar.err == nil {
+		v, err := runAttempt(attempt, resume, ctl)
+		if err == nil {
 			if cause := ctl.StopCause(); cause != "" {
 				out.Status = StatusStopped
 				out.StopCause = cause
 			} else {
 				out.Status = StatusCompleted
 			}
-			return ar.v, out, nil
+			return v, out, nil
 		}
 
-		out.AttemptErrors = append(out.AttemptErrors, ar.err.Error())
+		out.AttemptErrors = append(out.AttemptErrors, err.Error())
 		if attemptN >= cfg.MaxRestarts {
 			out.Status = StatusRestartsExhausted
 			return zero, out, fmt.Errorf("recovery: restarts exhausted after %d attempt(s): %w",
-				attemptN+1, ar.err)
+				attemptN+1, err)
 		}
 		out.Restarts++
-		d := math.Min(cfg.BackoffS*math.Pow(2, float64(attemptN)), maxBackoffS)
 		cfg.Events.Emit(events.Event{
-			Type: events.Restart, Step: -1, Rank: -1,
-			Detail: ar.err.Error(), Value: d,
+			Type: events.Restart, Step: -1, Rank: -1, Detail: err.Error(),
 		})
-		time.Sleep(time.Duration(d * float64(time.Second)))
+		prev = ctl
 	}
+}
+
+// runAttempt calls attempt on this goroutine and turns a panic under it
+// into the attempt's error.
+func runAttempt[T any](attempt AttemptFunc[T], resume *Resume, ctl *Controller) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("recovery: attempt panicked: %v", r)
+		}
+	}()
+	return attempt(resume, ctl)
 }

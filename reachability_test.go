@@ -181,12 +181,6 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 		"attrib.Options.MinResolvablePeriods": "TestRenderAttribution; likewise",
 		"sampler.Config.RingCap": "TestChannelRingOverflow and " +
 			"TestSamplerOverflowFailsAttributionWithReason, which reach ring overflow",
-		"recovery.Config.BackoffS": "TestSupervisedCrashRecoveryBitIdentical, " +
-			"which cannot wait out the default base per restart",
-		"recovery.Config.Watchdog":             "TestSupervisedWatchdogStallRestarts",
-		"recovery.WatchdogConfig.Mult":         "TestSupervisedWatchdogStallRestarts, which cannot wait out a 30 s deadline",
-		"recovery.WatchdogConfig.MinDeadlineS": "TestSupervisedWatchdogStallRestarts, likewise",
-		"recovery.WatchdogConfig.PollS":        "TestSupervisedWatchdogStallRestarts, likewise",
 		"sph.Options.NgMax": "the overflow tests and the sequence fuzzers, which " +
 			"reach ngmax truncation through it",
 	}

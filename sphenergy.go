@@ -80,20 +80,21 @@ type Strategy = freqctl.Strategy
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // RecoveryConfig aliases the supervision configuration: durable
-// checkpoint cadence and retention, bounded restarts with exponential backoff,
-// wall-clock/energy budgets, and the hung-step watchdog.
+// checkpoint cadence and retention, bounded restarts and wall-clock/energy
+// budgets.
 type RecoveryConfig = recovery.Config
 
 // RecoveryOutcome aliases the supervised-run summary (status, attempts,
-// restarts, watchdog stalls, resume point).
+// restarts, stop cause, resume point).
 type RecoveryOutcome = recovery.Outcome
 
 // RunSupervised executes a run under crash supervision: it resumes from the
 // newest valid checkpoint in RecoveryConfig.Dir by replaying the steps the
-// checkpoint records, runs, and on a crash, panic, or watchdog stall
-// restarts from disk up to MaxRestarts times. A resumed run is the
-// uninterrupted one: its model results, sampler series and rank-0 trace are
-// bit-identical.
+// checkpoint records, runs, and on a crash or panic restarts from disk at
+// once, up to MaxRestarts times. Attempts run on the caller's goroutine, so
+// the config's tracer and ledger are final when it returns. A resumed run is
+// the uninterrupted one: its model results, sampler series and rank-0 trace
+// are bit-identical.
 func RunSupervised(cfg Config, rcfg RecoveryConfig) (*Result, *RecoveryOutcome, error) {
 	return core.RunSupervised(cfg, rcfg)
 }
