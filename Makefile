@@ -19,11 +19,12 @@ all: build lint test
 #                `race`'s results as "(cached)" and nothing runs.
 #   fuzz-smoke   the engine's three sequence fuzzers for a fixed number of
 #                executions each beyond their seed corpora.
-#   sweeps       without -race: the seeded chaos and kill-and-recover
-#                sweeps, the cost-per-autosave bound, and the Examples'
+#   sweeps       without -race: the seeded chaos sweep and the Examples'
 #                Output at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
-#                and with its trace and ledger cut mid-line.
+#                and with its trace and ledger cut mid-line; a budget-stopped
+#                run's bundle; and one sampled config's bundle, byte for
+#                byte the same at widths 1 and 4 and on a repeat.
 #   bench-smoke  the repository's one benchmark at smoke size: production
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
@@ -43,17 +44,14 @@ fmt-check:
 # The uninstrumented gate for `check`. The chaos sweep replays seeded fault
 # plans (sensor transients, a stuck node sensor, a clamped-clock window, a
 # straggler, a rank crash under drop-rank) with every observer on and
-# requires bit-identical replays and the attribution contract; the recovery
-# sweep kills supervised runs at seeded steps and requires each to converge
-# bit-identically to the uninterrupted run, as a budget stop and resume must.
-# The cost-per-autosave bound is a wall-clock figure and so skips itself in
-# the -race passes above. The Examples run three times at each width, so an
+# requires bit-identical replays and the attribution contract. The Examples
+# run three times at each width, so an
 # Output that depends on map order or GOMAXPROCS fails; go test runs an
 # Example once whatever -count and -cpu say, so each run is its own go test
 # and the width its GOMAXPROCS (-count=1: that variable is not in the cache
 # key).
 sweeps:
-	$(GO) test -count=1 -run 'TestChaosRunDeterministic|TestSupervised|TestAutosaveCostPerSnapshot' ./internal/core/
+	$(GO) test -count=1 -run 'TestChaosRunDeterministic' ./internal/core/
 	for n in 1 2 4 1 2 4 1 2 4; do GOMAXPROCS=$$n $(GO) test -count=1 -run '^Example' . || exit 1; done
 
 build:
@@ -181,20 +179,20 @@ bench-sph:
 # aggregate. Then the trace and the ledger are cut
 # mid-line, as a killed run can leave them: trace must analyze the prefix
 # and say "truncated trace", decisions audit it and say "truncated ledger".
-# Last the CLI's stop-and-resume path: a tuned 10-step run stopped by a
-# wall-time budget of half its wall time must exit 3, and re-run without the
-# budget must resume from its checkpoint and exit 0 with the uninterrupted
-# run's report.json, byte for byte. Sampling stays off there: the span join
-# in report.json reads the tracer, which documents each attempt alone.
+# Then a budget stop: a tuned 10-step run given a wall-time budget of half
+# its wall time must exit 3 with the four files, and its ledger must show
+# the budget-stop row. Last, the bundle is a function of the config: the
+# first run's config, run again at GOMAXPROCS 1 and 4 and once more at the
+# default width, must write the same bytes into every file.
 BUNDLE_SMOKE ?= /tmp/sphexa_bundle_smoke
-RESUME_RUN = -sim turbulence -ranks 2 -s 10 -ppr 10e6 -strategy mandyn -q
+SAMPLED_RUN = -sim turbulence -ranks 2 -s 3 -ppr 10e6 -strategy mandyn -sample-hz 100 -q
+BUDGET_RUN = -sim turbulence -ranks 2 -s 10 -ppr 10e6 -strategy mandyn -q
+BUNDLE_FILES = events.jsonl report.csv report.json trace.json
 bundle-smoke:
 	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut
 	$(GO) build -o $(BUNDLE_SMOKE)/ ./cmd/sphexa ./cmd/inspect
-	$(BUNDLE_SMOKE)/sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 \
-		-strategy mandyn -sample-hz 100 -q -out $(BUNDLE_SMOKE)/run > /dev/null
-	test "$$(cd $(BUNDLE_SMOKE)/run && LC_ALL=C ls | tr '\n' ' ')" = \
-		'events.jsonl report.csv report.json trace.json '
+	$(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/run > /dev/null
+	test "$$(cd $(BUNDLE_SMOKE)/run && LC_ALL=C ls | tr '\n' ' ')" = '$(BUNDLE_FILES) '
 	$(BUNDLE_SMOKE)/inspect energy $(BUNDLE_SMOKE)/run > /dev/null
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/run > $(BUNDLE_SMOKE)/run.decisions.txt
 	grep -q 'aggregate: this run left' $(BUNDLE_SMOKE)/run.decisions.txt
@@ -212,15 +210,20 @@ bundle-smoke:
 	grep -q 'truncated trace' $(BUNDLE_SMOKE)/cut/trace.txt
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
-	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/whole > /dev/null
+	$(BUNDLE_SMOKE)/sphexa $(BUDGET_RUN) -out $(BUNDLE_SMOKE)/whole > /dev/null
 	half=$$(sed -n 's/.*"wall_time_s": \([^,]*\).*/\1/p' $(BUNDLE_SMOKE)/whole/report.json | awk '{ print $$1 / 2; exit }'); \
-	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/resumed \
-		-checkpoint-dir $(BUNDLE_SMOKE)/ckpt -walltime-budget $$half > /dev/null; \
+	$(BUNDLE_SMOKE)/sphexa $(BUDGET_RUN) -out $(BUNDLE_SMOKE)/stopped \
+		-walltime-budget $$half > $(BUNDLE_SMOKE)/stopped.txt; \
 	test $$? -eq 3
-	$(BUNDLE_SMOKE)/sphexa $(RESUME_RUN) -out $(BUNDLE_SMOKE)/resumed \
-		-checkpoint-dir $(BUNDLE_SMOKE)/ckpt > $(BUNDLE_SMOKE)/resumed.txt
-	grep -q 'resumed from step' $(BUNDLE_SMOKE)/resumed.txt
-	cmp $(BUNDLE_SMOKE)/whole/report.json $(BUNDLE_SMOKE)/resumed/report.json
+	grep -q 'stopped early (budget-walltime) after [1-9] of 10 step(s)' $(BUNDLE_SMOKE)/stopped.txt
+	test "$$(cd $(BUNDLE_SMOKE)/stopped && LC_ALL=C ls | tr '\n' ' ')" = '$(BUNDLE_FILES) '
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/stopped > $(BUNDLE_SMOKE)/stopped.decisions.txt
+	grep -q 'anomalies: 1 budget-stop' $(BUNDLE_SMOKE)/stopped.decisions.txt
+	GOMAXPROCS=1 $(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/width1 > /dev/null
+	GOMAXPROCS=4 $(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/width4 > /dev/null
+	$(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/again > /dev/null
+	for d in width1 width4 again; do for f in $(BUNDLE_FILES); do \
+		cmp $(BUNDLE_SMOKE)/run/$$f $(BUNDLE_SMOKE)/$$d/$$f || exit 1; done; done
 
 # What no program links: every declared function of a non-test file that
 # appears in no program's symbol table. Each cmd/ and the benchmark is

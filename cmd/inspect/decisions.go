@@ -65,7 +65,6 @@ var anomalyTypes = []events.Type{
 	events.FreqBreakerTrip, events.FreqShortCircuit,
 	events.RankFail, events.Degradation,
 	events.SamplerDegraded, events.SamplerRecovered, events.SamplerOverflow,
-	events.CheckpointSave, events.CheckpointRestore, events.Restart,
 	events.BudgetStop,
 }
 

@@ -200,9 +200,9 @@ func decisions(stdout, stderr io.Writer, dir string, threshold float64, asJSON b
 	if a.System == "" {
 		a.System = system
 	}
-	// A recovery audit (crash/restart/budget timeline under a baseline or
-	// static strategy) legitimately has no frequency decisions; only bail
-	// when there are no anomalies to report either.
+	// A baseline or static run that met faults or a budget legitimately has
+	// no frequency decisions; only bail when there are no anomalies to
+	// report either.
 	if a.Decisions == 0 && len(a.Anomalies) == 0 {
 		return errors.New("ledger holds no frequency decisions or anomalies — nothing to audit")
 	}

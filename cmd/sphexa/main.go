@@ -14,9 +14,11 @@
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate
 //	sphexa -sim turbulence -ranks 2 -s 3 -ppr 10e6 -energy-validate \
 //	    -fault-plan plan.json -degradation drop-rank
+//	sphexa -sim turbulence -ranks 2 -s 10 -ppr 10e6 -walltime-budget 5 -out run
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -26,14 +28,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"sphenergy"
 	"sphenergy/internal/core"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
-	"sphenergy/internal/recovery"
 	"sphenergy/internal/report"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/slurm"
@@ -63,12 +63,8 @@ func main() {
 		faultPlan   = flag.String("fault-plan", "", "fault-injection plan: a JSON file path or inline JSON (see internal/faults)")
 		degradation = flag.String("degradation", "", "rank-failure degradation policy: abort, drop-rank or redistribute (default abort)")
 
-		ckptDir      = flag.String("checkpoint-dir", "", "durable checkpoint directory; enables supervised crash recovery")
-		autosave     = flag.Int("autosave-every", 10, "checkpoint every N completed steps (0 = final checkpoint only)")
-		keepCkpts    = flag.Int("keep-checkpoints", 0, "checkpoint retention depth (0 = default)")
-		maxRestarts  = flag.Int("max-restarts", 2, "bounded supervisor restarts after a crash")
-		wallBudget   = flag.Float64("walltime-budget", 0, "stop gracefully once the simulated wall clock passes this many seconds (0 = unlimited)")
-		energyBudget = flag.Float64("energy-budget", 0, "stop gracefully once total allocation energy passes this many joules (0 = unlimited)")
+		wallBudget   = flag.Float64("walltime-budget", 0, "stop at the first step boundary past this many seconds of simulated wall clock, write the outputs and exit 3 (0 = unlimited)")
+		energyBudget = flag.Float64("energy-budget", 0, "stop at the first step boundary past this many joules of total allocation energy, write the outputs and exit 3 (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -91,9 +87,6 @@ func main() {
 		{"sample-node-hz", *sampleNodeHz},
 		{"walltime-budget", *wallBudget},
 		{"energy-budget", *energyBudget},
-		{"autosave-every", float64(*autosave)},
-		{"keep-checkpoints", float64(*keepCkpts)},
-		{"max-restarts", float64(*maxRestarts)},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			fatalIf(fmt.Errorf("-%s %v: want a finite value >= 0", f.name, f.v))
@@ -101,14 +94,8 @@ func main() {
 	}
 	// A flag only a mode reads is refused when set without that mode: the
 	// run would ignore it and exit 0 as if it had been honoured.
-	recoveryOn := *ckptDir != "" || *wallBudget > 0 || *energyBudget > 0
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case (f.Name == "autosave-every" || f.Name == "keep-checkpoints") && *ckptDir == "":
-			fatalIf(fmt.Errorf("-%s needs -checkpoint-dir: without it no checkpoint is written", f.Name))
-		case f.Name == "max-restarts" && !recoveryOn:
-			fatalIf(fmt.Errorf("-max-restarts needs -checkpoint-dir or a budget: without them the run is not supervised"))
-		case f.Name == "sample-node-hz" && *sampleHz == 0 && !*validate:
+		if f.Name == "sample-node-hz" && *sampleHz == 0 && !*validate {
 			fatalIf(fmt.Errorf("-sample-node-hz needs -sample-hz or -energy-validate: without them nothing is sampled"))
 		}
 	})
@@ -121,9 +108,8 @@ func main() {
 	}
 
 	// Signals are caught from here on. The handler starts once the run is
-	// configured; a signal that comes before it waits in sigc, which holds
-	// the graceful first signal and the forcing second.
-	sigc := make(chan os.Signal, 2)
+	// configured; a signal that comes before it waits in sigc.
+	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
 	var prof *telemetry.Profiler
@@ -136,8 +122,8 @@ func main() {
 	closeProf := sync.OnceValue(prof.Close)
 	defer func() { fatalIf(closeProf()) }()
 	// exitWith writes the profiles (os.Exit skips defers) before leaving
-	// with a contract code: 0 clean, 1 error, 3 budget-stop, 4 restarts
-	// exhausted, 128+sig signal stop.
+	// with a contract code: 0 clean, 1 error, 3 budget stop, 128+sig signal
+	// stop.
 	exitWith := func(code int) {
 		closeProf()
 		os.Exit(code)
@@ -157,6 +143,8 @@ func main() {
 		ParticlesPerRank: ppr,
 		Steps:            *steps,
 		Ng:               *ng,
+		WalltimeBudgetS:  *wallBudget,
+		EnergyBudgetJ:    *energyBudget,
 	}
 
 	if *outDir != "" || *validate {
@@ -187,8 +175,8 @@ func main() {
 	// sweep prints its table.
 	fatalIf(cfg.Validate())
 
-	if recoveryOn && *validate {
-		fatalIf(fmt.Errorf("-energy-validate cannot be combined with -checkpoint-dir or budgets"))
+	if (*wallBudget > 0 || *energyBudget > 0) && *validate {
+		fatalIf(fmt.Errorf("-energy-validate cannot be combined with budgets"))
 	}
 
 	switch {
@@ -229,68 +217,29 @@ func main() {
 		fatalIf(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
-	// flush writes the bundle of a run that ends without a report (a signal,
-	// or restarts exhausted): the partial trace and ledger. The writers
-	// snapshot under their own locks, so flushing mid-step is safe.
-	flush := func() {
+	// On SIGINT or SIGTERM sphexa writes the bundle of the run so far —
+	// the partial trace and ledger, without a report — and exits 128+sig.
+	// The writers snapshot under their own locks, so flushing mid-step is
+	// safe.
+	go func() {
+		sig := <-sigc
+		code := 128 + int(syscall.SIGTERM)
+		if s, ok := sig.(syscall.Signal); ok {
+			code = 128 + int(s)
+		}
+		fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", sig)
 		if *outDir != "" {
 			if err := sphenergy.WriteBundle(*outDir, cfg, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "sphexa:", err)
 			}
 		}
-	}
-	// With recovery on, the first signal requests a graceful stop: the run
-	// writes a final checkpoint at the next step boundary and sphexa exits
-	// 128+sig after writing its bundle; a second signal (or any signal with
-	// recovery off) forces the immediate flush-and-exit path.
-	var curCtl atomic.Pointer[recovery.Controller]
-	var sigCode atomic.Int32
-	go func() {
-		for sig := range sigc {
-			code := 128 + int(syscall.SIGTERM)
-			if s, ok := sig.(syscall.Signal); ok {
-				code = 128 + int(s)
-			}
-			if ctl := curCtl.Load(); ctl != nil && sigCode.Swap(int32(code)) == 0 {
-				fmt.Fprintf(os.Stderr,
-					"sphexa: %v: stopping gracefully with a final checkpoint (repeat to force quit)\n", sig)
-				ctl.RequestStop("signal:" + sig.String())
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", sig)
-			flush()
-			exitWith(code)
-		}
+		exitWith(code)
 	}()
 
 	var res *sphenergy.Result
-	var outcome *sphenergy.RecoveryOutcome
-	if recoveryOn {
-		rcfg := sphenergy.RecoveryConfig{
-			Dir:             *ckptDir,
-			AutosaveEvery:   *autosave,
-			Keep:            *keepCkpts,
-			MaxRestarts:     *maxRestarts,
-			WalltimeBudgetS: *wallBudget,
-			EnergyBudgetJ:   *energyBudget,
-			Events:          cfg.Events,
-			OnAttempt:       func(ctl *recovery.Controller) { curCtl.Store(ctl) },
-		}
-		var err error
-		res, outcome, err = sphenergy.RunSupervised(cfg, rcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sphexa:", err)
-			if outcome != nil && outcome.Status == recovery.StatusRestartsExhausted {
-				flush()
-				exitWith(4)
-			}
-			exitWith(1)
-		}
-		if outcome.Resumed {
-			fmt.Printf("recovery: resumed from step %d (%d attempt(s), %d restart(s))\n",
-				outcome.ResumeStep, outcome.Attempts, outcome.Restarts)
-		}
-	} else if *validate {
+	// stop is the budget that ended the run early, nil when none did.
+	var stop error
+	if *validate {
 		// Run as a Slurm job so the three-way validation can compare the
 		// sampled sensors and pm_counters against ConsumedEnergy accounting.
 		mgr := slurm.NewManager()
@@ -305,6 +254,9 @@ func main() {
 	} else {
 		var err error
 		res, err = sphenergy.Run(cfg)
+		if errors.Is(err, core.ErrWalltimeBudget) || errors.Is(err, core.ErrEnergyBudget) {
+			stop, err = err, nil
+		}
 		fatalIf(err)
 	}
 
@@ -349,19 +301,9 @@ func main() {
 			*outDir, cfg.Tracer.Len(), cfg.Events.Emitted())
 	}
 
-	if outcome != nil {
-		if rc := res.Recovery; rc != nil && rc.Checkpoints > 0 {
-			fmt.Printf("recovery: %d checkpoint(s) in %s (last %s)\n",
-				rc.Checkpoints, *ckptDir, rc.LastCheckpoint)
-		}
-		if outcome.Status == recovery.StatusStopped {
-			fmt.Printf("recovery: stopped early (%s) after %d step(s); resume by re-running with the same flags\n",
-				outcome.StopCause, len(res.StepBoundariesS))
-			if code := sigCode.Load(); code != 0 {
-				exitWith(int(code))
-			}
-			exitWith(3)
-		}
+	if stop != nil {
+		fmt.Printf("stopped early (%v) after %d of %d step(s)\n", stop, len(res.StepBoundariesS), *steps)
+		exitWith(3)
 	}
 }
 

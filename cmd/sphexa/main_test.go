@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"sphenergy"
 	"sphenergy/internal/core"
+	"sphenergy/internal/instr"
 )
 
 // TestMain lets the tests below run the command itself: re-executed with
@@ -148,14 +151,13 @@ func TestBareRunSucceeds(t *testing.T) {
 }
 
 // TestInvalidConfigExitsOne: a configuration the run refuses exits 1 before
-// anything runs — not 4 after the supervisor retried it as a crash, and not
-// after the ManDyn sweep printed its table.
+// anything runs, and not after the ManDyn sweep printed its table.
 func TestInvalidConfigExitsOne(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-ppr", "200e6", "-checkpoint-dir", t.TempDir()}, "GPU memory"},
+		{[]string{"-ppr", "200e6"}, "GPU memory"},
 		{[]string{"-ppr", "200e6", "-strategy", "mandyn"}, "GPU memory"},
 		{[]string{"-ppr", "NaN"}, "particles per rank must be positive"},
 		{[]string{"-s", "-1"}, "negative step count"},
@@ -170,16 +172,10 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-sample-hz", "-5"}, "-sample-hz -5"},
 		{[]string{"-sample-hz", "NaN"}, "-sample-hz NaN"},
 		{[]string{"-sample-node-hz", "-3"}, "-sample-node-hz -3"},
-		{[]string{"-max-restarts", "-1", "-checkpoint-dir", t.TempDir()}, "-max-restarts -1"},
-		{[]string{"-keep-checkpoints", "-1", "-checkpoint-dir", t.TempDir()}, "-keep-checkpoints -1"},
-		{[]string{"-autosave-every", "-1", "-checkpoint-dir", t.TempDir()}, "-autosave-every -1"},
 		{[]string{"-walltime-budget", "-5"}, "-walltime-budget -5"},
 		{[]string{"-walltime-budget", "NaN"}, "-walltime-budget NaN"},
 		{[]string{"-energy-budget", "-5"}, "-energy-budget -5"},
 		{[]string{"-energy-budget", "NaN"}, "-energy-budget NaN"},
-		{[]string{"-autosave-every", "1"}, "-autosave-every needs -checkpoint-dir"},
-		{[]string{"-keep-checkpoints", "2", "-walltime-budget", "100"}, "-keep-checkpoints needs -checkpoint-dir"},
-		{[]string{"-max-restarts", "5"}, "-max-restarts needs -checkpoint-dir or a budget"},
 		{[]string{"-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
 		{[]string{"-sample-hz", "0", "-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
 	} {
@@ -193,6 +189,56 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("%v: printed before refusing:\n%s", c.args, stdout)
+		}
+	}
+}
+
+// TestBudgetStopExitsThree gives a run a wall-time budget of half its
+// uninterrupted wall time: sphexa stops it at a step boundary, writes the
+// four bundle files, says how many steps ran and exits 3.
+func TestBudgetStopExitsThree(t *testing.T) {
+	const steps = 10
+	run := []string{"-ranks", "2", "-s", strconv.Itoa(steps), "-ppr", "10e6", "-q"}
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole")
+	if _, stderr, err := runSphexa(t, append(run, "-out", whole)...); err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	rep, err := instr.ReadReportFile(filepath.Join(whole, sphenergy.BundleReport))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "stopped")
+	budget := strconv.FormatFloat(rep.WallTimeS/2, 'g', -1, 64)
+	stdout, stderr, err := runSphexa(t, append(run, "-walltime-budget", budget, "-out", out)...)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
+		t.Fatalf("err = %v, want exit 3; stderr:\n%s", err, stderr)
+	}
+	for _, name := range []string{sphenergy.BundleReport, sphenergy.BundleCSV, sphenergy.BundleTrace, sphenergy.BundleEvents} {
+		if _, err := os.Stat(filepath.Join(out, name)); err != nil {
+			t.Errorf("the stopped run's bundle lacks %s: %v", name, err)
+		}
+	}
+	var ran int
+	_, line, _ := strings.Cut(stdout, "\nstopped early")
+	if _, err := fmt.Sscanf(line, " (budget-walltime) after %d of 10 step(s)", &ran); err != nil {
+		t.Fatalf("no stop line in the output (%v):\n%s", err, stdout)
+	}
+	if ran < 1 || ran >= steps {
+		t.Errorf("the budget stopped the run after %d of %d steps, want fewer than -s and at least one", ran, steps)
+	}
+}
+
+// TestRecoveryFlagsUndefined: the flags of the deleted checkpoint-restart
+// are refused as undefined, exit 2, before anything runs.
+func TestRecoveryFlagsUndefined(t *testing.T) {
+	for _, f := range []string{"-checkpoint-dir", "-autosave-every", "-keep-checkpoints", "-max-restarts"} {
+		stdout, stderr, err := runSphexa(t, "-s", "3", "-q", f, "1")
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s: err = %v, want exit 2", f, err)
+		}
+		if !strings.Contains(stderr, "flag provided but not defined: "+f) || stdout != "" {
+			t.Errorf("%s: stdout %q, stderr %q, want only the undefined-flag error", f, stdout, stderr)
 		}
 	}
 }

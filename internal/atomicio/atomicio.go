@@ -4,8 +4,7 @@
 // dies mid-write therefore never leaves a truncated or half-written
 // artifact under the final name — the reader either sees the old complete
 // file or the new complete file. Every file-writing exit of the repo
-// (traces, metrics, event ledgers, reports, checkpoints) funnels through
-// WriteFile.
+// (traces, metrics, event ledgers, reports) funnels through WriteFile.
 package atomicio
 
 import (
@@ -21,11 +20,10 @@ import (
 // The write callback receives the temporary file itself, created in
 // path's directory and not buffered: every Write is a system call, so
 // writers batch their own output (the trace encoder hands over pieces of
-// a few hundred events, the event ledger its whole export at once, the SPH
-// checkpoint wraps a bufio.Writer and flushes it before returning). On success the
-// temp file is synced, closed, and renamed over path. On any error (from
-// write, sync, close, or rename) the temp file is removed and path is left
-// untouched. A new file gets the mode os.Create would give it.
+// a few hundred events, the event ledger its whole export at once). On
+// success the temp file is synced, closed, and renamed over path. On any
+// error (from write, sync, close, or rename) the temp file is removed and
+// path is left untouched. A new file gets the mode os.Create would give it.
 func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := createTemp(path)

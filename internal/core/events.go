@@ -118,7 +118,7 @@ func (re *runEvents) decision(rank int, function string, nowS float64, requested
 }
 
 // samplerTransition bridges a sampler degradation transition into the
-// ledger; a no-op while the ledger is off or not yet attached.
+// ledger.
 func (re *runEvents) samplerTransition(name string, rank int, degraded bool, detail string) {
 	if re == nil {
 		return
@@ -130,6 +130,19 @@ func (re *runEvents) samplerTransition(name string, rank int, degraded bool, det
 	re.led.Emit(events.Event{
 		Step: re.step(), Rank: rank, Type: typ,
 		Subject: name, Detail: detail,
+	})
+}
+
+// budgetStop records the budget, named by cause, that ended the run after
+// step: wallS is the loop's virtual wall clock, energyJ the allocation's
+// total energy.
+func (re *runEvents) budgetStop(wallS float64, step int, cause string, energyJ float64) {
+	if re == nil {
+		return
+	}
+	re.led.Emit(events.Event{
+		Type: events.BudgetStop, TimeS: wallS, Step: step, Rank: -1,
+		Detail: cause, Value: energyJ,
 	})
 }
 

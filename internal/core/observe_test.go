@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sphenergy/internal/attrib"
@@ -93,6 +94,20 @@ func TestBuildMatchesSpanSliceBuild(t *testing.T) {
 // a copy of every sample first, 2.19 MB since nothing records into a
 // metrics registry.)
 const observedRunAllocCeiling = 3650 << 10
+
+// raceDetectorOn reports whether this test binary was built with -race.
+func raceDetectorOn() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // TestObservedRunAllocBudget fails when observing a run starts to cost
 // allocation volume again — a ring preallocated at capacity, a buffer grown

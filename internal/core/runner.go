@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"sphenergy/internal/attrib"
@@ -14,7 +14,6 @@ import (
 	"sphenergy/internal/instr"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/recovery"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -88,17 +87,24 @@ type Config struct {
 	// Nil disables the ledger at the cost of one nil check per hook; an
 	// enabled ledger never perturbs the simulation (see internal/events).
 	Events *events.Ledger
-	// Recovery, when non-nil, makes the run durable and interruptible: the
-	// Controller receives a step-boundary hook for autosave checkpoints,
-	// budget enforcement and stop requests, and Resume (when set)
-	// names a checkpoint the run replays up to, verifying the recorded
-	// trajectory, before it steps for real. A resumed run is the
-	// uninterrupted one: its model, sampler series and rank-0 trace are
-	// bit-identical, while the tracer and the ledger document the attempt
-	// from its resume step. See internal/recovery and RunSupervised. Nil
-	// keeps the seed behaviour.
-	Recovery *RunRecovery
+	// WalltimeBudgetS, when positive, stops the run at the first step
+	// boundary at which the loop's virtual wall clock has reached it: Run
+	// returns the result of the steps completed with ErrWalltimeBudget, and
+	// the ledger gets a budget-stop row. 0 means unlimited.
+	WalltimeBudgetS float64
+	// EnergyBudgetJ likewise stops the run, with ErrEnergyBudget, once the
+	// allocation's total energy (the setup phase's included) has reached
+	// it. 0 means unlimited.
+	EnergyBudgetJ float64
 }
+
+// The budgets' stop causes. Run returns one of them, beside a result that
+// covers the steps completed, when a budget ended the run at a step
+// boundary; its text is the budget-stop row's detail.
+var (
+	ErrWalltimeBudget = errors.New("budget-walltime")
+	ErrEnergyBudget   = errors.New("budget-energy")
+)
 
 // Defaulted returns the config with defaults filled in.
 func (c Config) Defaulted() Config {
@@ -151,6 +157,14 @@ func (c Config) Validate() error {
 	for _, hz := range []float64{c.Sampling.GPUHz, c.Sampling.NodeHz} {
 		if !(hz >= 0) || math.IsInf(hz, 1) {
 			return fmt.Errorf("core: sampling rate %v Hz, want a finite rate >= 0", hz)
+		}
+	}
+	for _, b := range []struct {
+		name string
+		v    float64
+	}{{"WalltimeBudgetS", c.WalltimeBudgetS}, {"EnergyBudgetJ", c.EnergyBudgetJ}} {
+		if !(b.v >= 0) { // NaN too
+			return fmt.Errorf("core: %s = %v, want a value >= 0 (0 = unlimited)", b.name, b.v)
 		}
 	}
 	if !validPolicy(c.Degradation) {
@@ -216,9 +230,6 @@ type Result struct {
 	// Faults summarizes injections, rank deaths and resilience actions;
 	// nil when no plan was configured.
 	Faults *FaultReport
-	// Recovery summarizes the attempt's checkpoints; nil when
-	// Config.Recovery was unset.
-	Recovery *RecoveryInfo
 }
 
 // EnergyJ returns total allocation energy.
@@ -256,7 +267,10 @@ type rankCtx struct {
 	samp *sampler.Channel
 }
 
-// Run executes the instrumented time-stepping loop.
+// Run executes the instrumented time-stepping loop. A budget that ends the
+// run early returns ErrWalltimeBudget or ErrEnergyBudget with the complete
+// result of the steps before it; any other error comes with a partial
+// result that holds the system, the sampler and the fault report only.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
@@ -305,60 +319,21 @@ func Run(cfg Config) (*Result, error) {
 		trace = ranks[0].dev.EnableTrace()
 	}
 
-	// A resumed run is built exactly as a fresh one and replays the steps
-	// before its checkpoint's NextStep, which must reproduce the recorded
-	// trajectory. The step-pinned rank crashes from NextStep on are
-	// disarmed: one of them stopped the attempt that wrote the checkpoint,
-	// and the restart models a repaired rank. So are those an earlier
-	// attempt of the chain disarmed, from the checkpoint's DisarmedFrom on:
-	// the recorded steps ran without them. A crash pinned earlier fires in
-	// the replay as it did in the recorded run.
-	var cp *runCheckpoint
-	replayTo, disarmedFrom := 0, 0
-	if cfg.Recovery != nil && cfg.Recovery.Resume != nil {
-		var err error
-		if cp, err = loadCheckpoint(cfg.Recovery.Resume, cfg, strategyName); err != nil {
-			return nil, err
-		}
-		replayTo, disarmedFrom = cp.NextStep, cp.NextStep
-		if cp.DisarmedFrom > 0 && cp.DisarmedFrom < disarmedFrom {
-			disarmedFrom = cp.DisarmedFrom
-		}
-		if fs != nil {
-			for _, in := range fs.rankInj {
-				in.DisarmPinnedCrashes(disarmedFrom)
-			}
+	rt := newRunTelemetry(cfg)
+	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
+	re := newRunEvents(cfg, func() int { return curStep }, load)
+	if rec := rt.spanRecorder(); rec != nil {
+		world.SetRecorder(rec)
+	}
+	for r, rc := range ranks {
+		re.instrumentRank(rc, r)
+		rt.instrumentRank(rc, r)
+		if re != nil {
+			rc.tap = newClockTap(rc.setter)
+			rc.setter = rc.tap
 		}
 	}
-
-	// The observers document what the attempt executes for real, so they
-	// attach at its first such step: before anything in a fresh run, after
-	// the replay in a resumed one. Until then rt and re are nil, and every
-	// hook on them is a no-op.
-	var (
-		rt      *runTelemetry
-		re      *runEvents
-		curStep = -1 // the loop's current step, -1 before it
-		load    = 1.0
-	)
-	observe := func() {
-		rt, re = newRunTelemetry(cfg), newRunEvents(cfg, func() int { return curStep }, load)
-		if rec := rt.spanRecorder(); rec != nil {
-			world.SetRecorder(rec)
-		}
-		for r, rc := range ranks {
-			re.instrumentRank(rc, r)
-			rt.instrumentRank(rc, r)
-			if re != nil {
-				rc.tap = newClockTap(rc.setter)
-				rc.setter = rc.tap
-			}
-		}
-		rt.attachTraceSink(trace, 0)
-	}
-	if cp == nil {
-		observe()
-	}
+	rt.attachTraceSink(trace, 0)
 
 	// Async power sampling: one channel per rank GPU sensor, one
 	// pm_counters node channel per node. Rank channels poll inside their
@@ -369,12 +344,9 @@ func Run(cfg Config) (*Result, error) {
 	var smp *sampler.Sampler
 	if cfg.Sampling.Enabled() {
 		smp = sampler.New(cfg.Sampling)
-		if cfg.Events != nil {
-			// Channels take the sink when added; it reaches the ledger once
-			// observe has attached it.
-			smp.SetTransitionSink(func(name string, rank int, degraded bool, detail string) {
-				re.samplerTransition(name, rank, degraded, detail)
-			})
+		if re != nil {
+			// Channels take the sink when added.
+			smp.SetTransitionSink(re.samplerTransition)
 		}
 		for r, rc := range ranks {
 			rc.samp = smp.AddRank(r, rc.sensor)
@@ -453,16 +425,8 @@ func Run(cfg Config) (*Result, error) {
 	// every phase; curStep and load change between phases only.
 	fs.wireWorld(world, ranks, func() int { return curStep })
 
-	// A checkpoint is encoded at a step boundary, when nextStep boundaries
-	// are recorded.
-	snapshotAt := func(nextStep int) func(w io.Writer) error {
-		return func(w io.Writer) error {
-			cp := &runCheckpoint{Fp: fingerprintOf(cfg, strategyName), NextStep: nextStep,
-				StepBounds: stepBounds, EnergyJ: system.TotalEnergyJ(), DisarmedFrom: disarmedFrom}
-			return cp.encode(w)
-		}
-	}
-	stopped := false
+	// The budget that stopped the run, nil while none has.
+	var stop error
 
 	// Step telemetry reuses bounds the loop computes anyway: the step span
 	// runs from the previous step's boundary, and its energy accumulates
@@ -601,32 +565,20 @@ func Run(cfg Config) (*Result, error) {
 			load, failed = fs.checkStep(world, step, cfg.Ranks)
 			re.rankFailures(fs, prevFails, load)
 		}
-		if step < replayTo {
-			// A replayed step must end where the recorded one did; the
-			// observers attach once the last of them has.
-			err := cp.replayed(cfg.Recovery.Resume.Snapshot.Path, step, failed, bound, system.TotalEnergyJ())
-			if err != nil {
-				return nil, err
-			}
-			if step == replayTo-1 {
-				observe()
-				re.beginRun(cfg, strategyName)
-			}
-			continue
-		}
 		if failed != nil {
 			return fail(failed)
 		}
-		// Recovery hook, last in the boundary so a step that killed the run
-		// is never checkpointed: autosave on cadence, budget/stop checks. Stop means a final checkpoint is already on
-		// disk and the partial result below is the graceful early exit.
-		if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {
-			d := rcv.Controller.StepDone(step, bound-t0, system.TotalEnergyJ(),
-				recovery.Meta{Step: step + 1, TimeS: bound}, snapshotAt(step+1))
-			if d == recovery.Stop {
-				stopped = true
-				break
-			}
+		// The budgets come last in the boundary, so a step that killed the
+		// run never ends it as a budget stop.
+		switch {
+		case cfg.WalltimeBudgetS > 0 && bound-t0 >= cfg.WalltimeBudgetS:
+			stop = ErrWalltimeBudget
+		case cfg.EnergyBudgetJ > 0 && system.TotalEnergyJ() >= cfg.EnergyBudgetJ:
+			stop = ErrEnergyBudget
+		}
+		if stop != nil {
+			re.budgetStop(bound-t0, step, stop.Error(), system.TotalEnergyJ())
+			break
 		}
 	}
 
@@ -696,18 +648,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Faults = fs.report(smp)
 		report.Faults = res.Faults
 	}
-	if rcv := cfg.Recovery; rcv != nil && rcv.Controller != nil {
-		if !stopped {
-			// Completion checkpoint: a later resume of a finished run
-			// replays it whole and returns its result, and the run's
-			// trajectory stays auditable on disk.
-			rcv.Controller.Final(recovery.Meta{Step: len(stepBounds), TimeS: world.MaxClock()},
-				wall, snapshotAt(len(stepBounds)))
-		}
-		n, last := rcv.Controller.Saves()
-		res.Recovery = &RecoveryInfo{Checkpoints: n, LastCheckpoint: last}
-	}
-	return res, nil
+	return res, stop
 }
 
 // commTime computes the function's post-kernel communication cost.

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sphenergy/internal/cluster"
+	"sphenergy/internal/events"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/telemetry"
 )
@@ -438,5 +442,154 @@ func TestRunPhaseLoopAllocatesNothing(t *testing.T) {
 			t.Errorf("%d ranks %s: %v allocations at 4 steps, %v at 44 — the loop allocates per step",
 				c.ranks, c.sim, short, long)
 		}
+	}
+}
+
+// The three tests below keep the names they had when a supervisor wrapped
+// Run; each now holds plain Run to what the supervisor relied on.
+
+// TestSupervisedInvalidConfigNeverAttempts: a configuration Run refuses is
+// returned as Validate's error before any rank is built or any observer
+// written.
+func TestSupervisedInvalidConfigNeverAttempts(t *testing.T) {
+	cfg := budgetConfig()
+	cfg.ParticlesPerRank = 400e6 // 112 GB, beyond an 80 GB A100
+	built := 0
+	cfg.NewStrategy = func() freqctl.Strategy { built++; return freqctl.Baseline{} }
+	cfg.Tracer, cfg.Events = telemetry.NewTracer(cfg.Ranks), events.NewLedger(0)
+	res, err := Run(cfg)
+	if want := cfg.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want Validate's %v", err, want)
+	}
+	if res != nil || built != 0 || cfg.Tracer.Len() != 0 || cfg.Events.Emitted() != 0 {
+		t.Fatalf("the invalid config ran: result %v, %d strategies built, %d trace events, %d ledger rows",
+			res != nil, built, cfg.Tracer.Len(), cfg.Events.Emitted())
+	}
+}
+
+// sleepOnce delays the first Apply ever issued by sleep, in real time only:
+// the virtual model is untouched.
+type sleepOnce struct {
+	freqctl.Strategy
+	fired *atomic.Bool
+	sleep time.Duration
+}
+
+func (h sleepOnce) Apply(s freqctl.Setter, fn string) error {
+	if h.fired.CompareAndSwap(false, true) {
+		time.Sleep(h.sleep)
+	}
+	return h.Strategy.Apply(s, fn)
+}
+
+// TestSupervisedSlowStepLeavesObserversFinal: a step that takes 200 ms of
+// real time is waited out, and when Run returns the run's tracer and ledger
+// are final — nothing is left running to write into them — with one
+// run-start and one run-end.
+func TestSupervisedSlowStepLeavesObserversFinal(t *testing.T) {
+	var fired atomic.Bool
+	cfg := budgetConfig()
+	cfg.Steps = 5
+	cfg.NewStrategy = func() freqctl.Strategy {
+		return sleepOnce{Strategy: freqctl.Baseline{}, fired: &fired, sleep: 200 * time.Millisecond}
+	}
+	cfg.Tracer, cfg.Events = telemetry.NewTracer(cfg.Ranks), events.NewLedger(0)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("the slow step never ran")
+	}
+	if n := len(res.StepBoundariesS); n != cfg.Steps {
+		t.Fatalf("the run ended after %d of %d steps", n, cfg.Steps)
+	}
+	emitted, spans := cfg.Events.Emitted(), cfg.Tracer.Len()
+	time.Sleep(300 * time.Millisecond)
+	if e, n := cfg.Events.Emitted(), cfg.Tracer.Len(); e != emitted || n != spans {
+		t.Errorf("observers moved after return: ledger %d -> %d rows, tracer %d -> %d events", emitted, e, spans, n)
+	}
+	sum := cfg.Events.Summary()
+	if sum.ByType[events.RunStart] != 1 || sum.ByType[events.RunEnd] != 1 {
+		t.Errorf("%d run-start and %d run-end rows, want one each", sum.ByType[events.RunStart], sum.ByType[events.RunEnd])
+	}
+}
+
+// panicOnce panics in the Apply of one rank at one step, the first time the
+// run gets there — a bug in a strategy, a device model or a hook, anywhere a
+// rank's phase can reach.
+type panicOnce struct {
+	freqctl.Strategy
+	fired   *atomic.Bool
+	armed   bool // this instance is the chosen rank's
+	atApply int  // Apply calls before the panic
+	applies int
+}
+
+func (p *panicOnce) Apply(s freqctl.Setter, fn string) error {
+	p.applies++
+	if p.armed && p.applies > p.atApply && p.fired.CompareAndSwap(false, true) {
+		panic("strategy bug on a rank")
+	}
+	return p.Strategy.Apply(s, fn)
+}
+
+// TestSupervisedRunSurvivesRankPanic: ranks step on Run's goroutine, so a
+// panic inside a rank's phase unwinds through Run to its caller, which can
+// recover it — on a worker goroutine it would kill the process. The
+// unwound run leaves nothing behind: the next Run of the same config is the
+// uninterrupted run, report and step boundaries alike.
+func TestSupervisedRunSurvivesRankPanic(t *testing.T) {
+	const panicRank, panicStep = 2, 5
+	mk := func(fired *atomic.Bool) Config {
+		cfg := budgetConfig()
+		pipeline, err := Pipeline(cfg.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0 // Run builds one strategy per rank, in rank order
+		cfg.NewStrategy = func() freqctl.Strategy {
+			p := &panicOnce{Strategy: freqctl.Static{MHz: 1230}, fired: fired,
+				armed: built%cfg.Ranks == panicRank, atApply: panicStep*len(pipeline) + 3}
+			built++
+			return p
+		}
+		return cfg
+	}
+	var never atomic.Bool
+	never.Store(true) // the reference run never panics
+	ref, err := Run(mk(&never))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var fired atomic.Bool
+	cfg := mk(&fired)
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = Run(cfg)
+		return nil
+	}()
+	if !fired.Load() || fmt.Sprint(recovered) != "strategy bug on a rank" {
+		t.Fatalf("the caller recovered %v, want the rank's panic (fired %v)", recovered, fired.Load())
+	}
+
+	res, err := Run(cfg) // fired is spent: this run does not panic
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("report after the panic differs from the uninterrupted run's\n got: %.160s...\nwant: %.160s...", got, want)
+	}
+	if fmt.Sprint(res.StepBoundariesS) != fmt.Sprint(ref.StepBoundariesS) || res.WallTimeS != ref.WallTimeS {
+		t.Error("step boundaries after the panic differ from the uninterrupted run's")
 	}
 }

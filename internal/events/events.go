@@ -1,9 +1,9 @@
 // Package events is the run's decision ledger: a bounded in-memory ring of
 // typed, sequence-numbered records for every consequential runtime decision
 // — frequency requests and outcomes, resilient-setter actions, tuner sweep
-// and cache choices, sampler degradation transitions, rank failures,
-// checkpoint and restart actions — exported as JSONL into the run bundle's
-// events.jsonl and read back by ReadJSONL.
+// and cache choices, sampler degradation transitions, rank failures and
+// budget stops — exported as JSONL into the run bundle's events.jsonl and
+// read back by ReadJSONL.
 //
 // The ledger exists to make frequency control explainable after the fact.
 // Each fact is one record: a frequency decision names the function and the
@@ -64,12 +64,9 @@ const (
 	RankFail    Type = "rank-fail"
 	Degradation Type = "degradation"
 
-	// Recovery family: one event per supervision decision, so `inspect
-	// decisions` can audit an interrupted run's full restart/budget timeline.
-	CheckpointSave    Type = "checkpoint-save"
-	CheckpointRestore Type = "checkpoint-restore"
-	Restart           Type = "restart"
-	BudgetStop        Type = "budget-stop"
+	// BudgetStop: a walltime or energy budget (Detail) ended the run at a
+	// step boundary, with the allocation's energy (Value) at that point.
+	BudgetStop Type = "budget-stop"
 )
 
 // builtinTypes pre-seeds the per-type counters so steady-state emits never
@@ -79,7 +76,7 @@ var builtinTypes = []Type{
 	FreqDecision, FreqRetry, FreqAbsorb, FreqClamp, FreqBreakerTrip,
 	FreqShortCircuit, TunerMeasure, TunerSelect,
 	SamplerDegraded, SamplerRecovered, SamplerOverflow, RankFail, Degradation,
-	CheckpointSave, CheckpointRestore, Restart, BudgetStop,
+	BudgetStop,
 }
 
 // Event is one ledger record. Fields are a flat union across the event

@@ -330,28 +330,6 @@ func (in *Injector) Evaluate(nowS float64, step int, kinds ...Kind) Decision {
 	return out
 }
 
-// DisarmPinnedCrashes marks every step-pinned rank-crash rule at step or
-// later as already fired. A resumed run calls it with its resume step, or
-// with an earlier step from which a previous attempt ran disarmed: a
-// step-pinned crash models a transient rank death, and the restarted
-// process must not die again to the injection that stopped an attempt
-// before it — otherwise recovery could never make progress. A crash pinned
-// before step is left armed, so the replay of the steps before step meets
-// it as the recorded run did. Probabilistic crash rules are unaffected
-// (and remain bounded by the supervisor's restart budget).
-func (in *Injector) DisarmPinnedCrashes(step int) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, r := range in.rules {
-		if r.Kind == RankCrash && r.Step > 0 && r.Step >= step {
-			in.fired[i] = true
-		}
-	}
-}
-
 // Counts returns the per-kind injection counts so far.
 func (in *Injector) Counts() map[Kind]uint64 {
 	if in == nil {

@@ -103,8 +103,8 @@ func TestExecuteRunsAllRanks(t *testing.T) {
 	}
 }
 
-// A panic on any rank unwinds through Execute to the caller, where a
-// supervisor can recover it.
+// A panic on any rank unwinds through Execute to the caller, on the
+// caller's goroutine.
 func TestExecutePanicReachesCaller(t *testing.T) {
 	w := NewWorld(4, DefaultNetwork(4), 1)
 	defer func() {

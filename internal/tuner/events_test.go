@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"sphenergy/internal/events"
@@ -59,5 +61,40 @@ func TestTuneKernelRecordsSweepEvents(t *testing.T) {
 	}
 	if selects != 1 {
 		t.Errorf("%d select events, want 1", selects)
+	}
+}
+
+// TestSweepLedgerIndependentOfWidth: a sweep's ledger rows are its
+// candidates in order, whichever worker measured which, so the ledger of a
+// sweep at GOMAXPROCS 4 equals the serial sweep's byte for byte, on every
+// one of three tries. The cache
+// already holds the upper half of the range, so the rows' cached flags
+// differ within the sweep and must travel with their own candidates.
+func TestSweepLedgerIndependentOfWidth(t *testing.T) {
+	spec := gpusim.A100SXM480GB()
+	kernel := gpusim.KernelDesc{Items: 10e6, FlopsPerItem: 2000, BytesPerItem: 400, EffFactor: 0.5}
+	sweep := func(procs int) []byte {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cache, led := NewCache(), events.NewLedger(0)
+		for _, p := range []Params{{MinMHz: 810}, {}} {
+			if _, err := TuneKernel("iad", kernel, Config{Spec: spec, Params: p, Cache: cache, Events: led}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := led.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := sweep(1)
+	if !bytes.Contains(want, []byte(`"cached":true`)) {
+		t.Fatal("no row of the second sweep came from the cache")
+	}
+	for rep := 0; rep < 3; rep++ {
+		if got := sweep(4); !bytes.Equal(got, want) {
+			t.Fatalf("the sweep's ledger at GOMAXPROCS 4 differs from the serial one's:\n got: %.300s...\nwant: %.300s...", got, want)
+		}
 	}
 }

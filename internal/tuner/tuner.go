@@ -61,11 +61,9 @@ type Config struct {
 	// byte-identical with or without a cache.
 	Cache *Cache
 	// Events, when non-nil, receives one tuner-measure event per evaluated
-	// candidate (measured time/energy/score, cache-hit flag) and one
-	// tuner-select event per kernel — the decision ledger's record of why
-	// ManDyn's table says what it says. Concurrent sweeps emit measure
-	// events in completion order; consumers must key on (kernel, MHz), not
-	// arrival order.
+	// candidate (measured time/energy/score, cache-hit flag), in candidate
+	// order, and one tuner-select event per kernel — the decision ledger's
+	// record of why ManDyn's table says what it says.
 	Events *events.Ledger
 }
 
@@ -133,15 +131,19 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	}
 	kernel.Name = kernelName
 
-	eval := func(mhz int) Measurement {
+	// The sweep's candidates are independent measurements on fresh
+	// simulated devices, so they go through par.Tasks; each result and its
+	// cache-hit flag land at the candidate's index, and the ledger rows are
+	// emitted from there once the sweep is done, in the order of a serial
+	// sweep whichever worker finished when.
+	res := &Result{All: make([]Measurement, len(cands)), Evaluations: len(cands)}
+	cached := make([]bool, len(cands))
+	par.Tasks(len(cands), func(i int) {
+		mhz := cands[i]
 		var m Measurement
-		fromCache := false
 		if cfg.Cache != nil {
 			k := cfg.Cache.key(cfg.Spec, kernel, mhz)
-			cached, ok := cfg.Cache.get(k)
-			if ok {
-				m, fromCache = cached, true
-			} else {
+			if m, cached[i] = cfg.Cache.get(k); !cached[i] {
 				m = measure(cfg.Spec, kernel, mhz)
 				cfg.Cache.put(k, m)
 			}
@@ -149,23 +151,8 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 			m = measure(cfg.Spec, kernel, mhz)
 		}
 		m.Score = cfg.Objective(m.TimeS, m.EnergyJ)
-		if cfg.Events != nil {
-			cfg.Events.Emit(events.Event{
-				Step: -1, Rank: -1, Type: events.TunerMeasure,
-				Subject: kernelName, AppliedMHz: mhz,
-				PredTimeS: m.TimeS, PredEnergyJ: m.EnergyJ,
-				PredPowerW: powerW(m), PredEDPJs: m.TimeS * m.EnergyJ,
-				Value: m.Score, Cached: fromCache,
-			})
-		}
-		return m
-	}
-
-	// The sweep's candidates are independent measurements on fresh
-	// simulated devices, so they go through par.Tasks; each result lands at
-	// its candidate's index, keeping the order of a serial sweep.
-	res := &Result{All: make([]Measurement, len(cands)), Evaluations: len(cands)}
-	par.Tasks(len(cands), func(i int) { res.All[i] = eval(cands[i]) })
+		res.All[i] = m
+	})
 	best := res.All[0]
 	for _, m := range res.All[1:] {
 		if m.Score < best.Score {
@@ -174,6 +161,15 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	}
 	res.Best = best
 	if cfg.Events != nil {
+		for i, m := range res.All {
+			cfg.Events.Emit(events.Event{
+				Step: -1, Rank: -1, Type: events.TunerMeasure,
+				Subject: kernelName, AppliedMHz: m.MHz,
+				PredTimeS: m.TimeS, PredEnergyJ: m.EnergyJ,
+				PredPowerW: powerW(m), PredEDPJs: m.TimeS * m.EnergyJ,
+				Value: m.Score, Cached: cached[i],
+			})
+		}
 		cfg.Events.Emit(events.Event{
 			Step: -1, Rank: -1, Type: events.TunerSelect,
 			Subject: kernelName, AppliedMHz: best.MHz,

@@ -47,7 +47,6 @@ import (
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/instr"
-	"sphenergy/internal/recovery"
 	"sphenergy/internal/telemetry"
 	"sphenergy/internal/tuner"
 )
@@ -79,26 +78,6 @@ type Strategy = freqctl.Strategy
 // Run executes an instrumented simulation run.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
-// RecoveryConfig aliases the supervision configuration: durable
-// checkpoint cadence and retention, bounded restarts and wall-clock/energy
-// budgets.
-type RecoveryConfig = recovery.Config
-
-// RecoveryOutcome aliases the supervised-run summary (status, attempts,
-// restarts, stop cause, resume point).
-type RecoveryOutcome = recovery.Outcome
-
-// RunSupervised executes a run under crash supervision: it resumes from the
-// newest valid checkpoint in RecoveryConfig.Dir by replaying the steps the
-// checkpoint records, runs, and on a crash or panic restarts from disk at
-// once, up to MaxRestarts times. Attempts run on the caller's goroutine, so
-// the config's tracer and ledger are final when it returns. A resumed run is
-// the uninterrupted one: its model results, sampler series and rank-0 trace
-// are bit-identical.
-func RunSupervised(cfg Config, rcfg RecoveryConfig) (*Result, *RecoveryOutcome, error) {
-	return core.RunSupervised(cfg, rcfg)
-}
-
 // Tracer aliases the telemetry span tracer: set Config.Tracer to record the
 // run's timeline and export it as Chrome trace_event JSON.
 type Tracer = telemetry.Tracer
@@ -118,7 +97,7 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // EventLedger aliases the structured decision ledger: set Config.Events to
 // record every consequential runtime decision (frequency changes, tuner
-// picks, sampler degradation, rank failures, recovery actions) in a bounded
+// picks, sampler degradation, rank failures, budget stops) in a bounded
 // ring with JSONL export.
 type EventLedger = events.Ledger
 
