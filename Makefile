@@ -17,8 +17,11 @@ all: build lint test
 #                flag and so part of go test's cache key; behind a
 #                GOMAXPROCS=4 prefix, which is not, go test replays
 #                `race`'s results as "(cached)" and nothing runs.
-#   fuzz-smoke   the engine's three sequence fuzzers for a fixed number of
-#                executions each beyond their seed corpora.
+#   fuzz-smoke   the engine's three sequence fuzzers and the bundle readers'
+#                three (the trace loader, the ledger reader and the
+#                scanner's number conversion, each against its reference)
+#                for a fixed number of executions each beyond their seed
+#                corpora.
 #   sweeps       without -race: the seeded chaos sweep and the Examples'
 #                Output at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
@@ -74,14 +77,18 @@ race:
 race-sph:
 	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
 
-# The fuzzers that guard the list builder and the buffers it reuses, each for
-# a fixed execution count: the seed corpora alone run in `go test`, and a
-# fixed count takes the same time on any machine. go test fuzzes one target
-# of one package per invocation.
+# The fuzzers that guard the list builder and the buffers it reuses, then
+# those that hold the bundle's readers to encoding/json and strconv, each
+# for a fixed execution count: the seed corpora alone run in `go test`, and
+# a fixed count takes the same time on any machine. go test fuzzes one
+# target of one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineSequence$$' -fuzztime 200x ./internal/sph/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildGridIntoReuse$$' -fuzztime 200x ./internal/neighbors/
 	$(GO) test -run '^$$' -fuzz '^FuzzScatterRun$$' -fuzztime 200x ./internal/par/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 200x ./internal/traceanalysis/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 200x ./internal/events/
+	$(GO) test -run '^$$' -fuzz '^FuzzFloat$$' -fuzztime 200x ./internal/jsontext/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is
@@ -123,7 +130,8 @@ bench-telemetry:
 # What observing a run costs, leg by leg, on a recorded 8-rank 300-step
 # ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
 # whole observed run (sampler, tracer, ledger, attribution joined in
-# place) and the attribution join through both its feeds; then the
+# place) and the attribution join through both its feeds; the ledger's
+# read leg on its own at one CPU; then the
 # trace's export and re-load on one CPU and on two, so that what the second
 # CPU buys and what the pipeline costs without one come from one command,
 # and the critical-path analysis of the loaded spans (serial; the second
@@ -132,6 +140,7 @@ bench-telemetry:
 # plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
+	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
 

@@ -144,8 +144,12 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 	ev, ok := d.ev, true
 	switch key {
 	case "seq":
-		n, err := strconv.ParseUint(string(val), 10, 64)
-		ev.Seq, ok = n, err == nil
+		if n, short := shortInt(val); short && val[0] != '-' {
+			ev.Seq = uint64(n)
+		} else {
+			n, err := strconv.ParseUint(string(val), 10, 64)
+			ev.Seq, ok = n, err == nil
+		}
 	case "t_s":
 		ev.TimeS, ok = jsontext.Float(val)
 	case "step":
@@ -190,8 +194,33 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 // integer interprets a value as an int: an integer literal, as it must be
 // for encoding/json to store it in one.
 func integer(val []byte) (int, bool) {
+	if n, ok := shortInt(val); ok {
+		return int(n), true
+	}
 	n, err := strconv.ParseInt(string(val), 10, strconv.IntSize)
 	return int(n), err == nil
+}
+
+// shortInt reads a literal -?d{1,18}, which no int64 overflows, as strconv
+// would; ok=false for any other, left to strconv.
+func shortInt(val []byte) (n int64, ok bool) {
+	digits := val
+	if len(val) > 0 && val[0] == '-' {
+		digits = val[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c -= '0'; c > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(c)
+	}
+	if len(digits) < len(val) {
+		n = -n
+	}
+	return n, true
 }
 
 // text interprets a value as a string and returns the one copy of it this

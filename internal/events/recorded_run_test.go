@@ -97,3 +97,23 @@ func BenchmarkLedgerRoundTrip(b *testing.B) {
 		roundTripSink = evs
 	}
 }
+
+// BenchmarkLedgerRead reads the recorded run's ledger back, the round
+// trip's read leg on its own.
+func BenchmarkLedgerRead(b *testing.B) {
+	led := mustRecordedLedger(b)
+	var file bytes.Buffer
+	if err := led.WriteJSONL(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evs, truncated, err := events.ReadJSONL(bytes.NewReader(file.Bytes()))
+		if err != nil || truncated || len(evs) != led.Len() {
+			b.Fatalf("read back %d of %d events, truncated %v, err %v", len(evs), led.Len(), truncated, err)
+		}
+		roundTripSink = evs
+	}
+}

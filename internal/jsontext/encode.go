@@ -5,6 +5,17 @@
 // loader (internal/telemetry, internal/traceanalysis) and the decision
 // ledger's JSONL codec (internal/events) are built on it; each is held to
 // encoding/json by an oracle test and a fuzzer of its own.
+//
+// The scanner looks at each byte once. Its loops run on a local cursor and
+// store Pos once per token; a string's plain run (printable ASCII, no quote
+// or backslash) is walked through one byte-class table, and Unquote, so
+// Text, hands such a literal back after one more pass of the same table.
+// A number is converted only where a caller asks for it, in Float: a
+// literal -?d+(.d+)? whose digits fit 2^53 and whose fraction has at most
+// 22 digits is one IEEE division of two exactly held operands, which
+// rounds correctly and so equals strconv.ParseFloat bit for bit (Clinger's
+// fast path; FuzzFloat holds it there); every other literal goes to
+// strconv.
 package jsontext
 
 import (

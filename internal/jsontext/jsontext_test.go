@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,4 +121,34 @@ func TestScannerJudgesSyntaxAsEncodingJSON(t *testing.T) {
 	if txt, ok := Text([]byte(`7`)); ok || !bytes.Equal(txt, []byte(`7`)) {
 		t.Errorf("Text(7) = %q, %v; want the value back and ok=false", txt, ok)
 	}
+}
+
+// FuzzFloat holds Float to strconv.ParseFloat on every literal the scanner
+// accepts as one number, value bits and verdict alike. The seeds stand at
+// the edges of the exact short path: a mantissa at and past 2^53, one past
+// it whose two roundings differ, 19 and 20 digits, 22 and 23 fraction
+// digits, negative zero, and exponents strconv alone reads.
+func FuzzFloat(f *testing.F) {
+	for _, seed := range []string{"9007199254740992", "9007199254740993", "-9007199254740993.5",
+		"913996208434079.7", "990997441.4579967", "1234567890123456789", "12345678901234567890",
+		"123456789.0123456789", "1234567890.1234567890", "0.0000000000000000000001",
+		"0.00000000000000000000001", "1.0000000000000000000001", "-0", "-0.0", "0", "0.0",
+		"1e22", "1e23", "5e-324", "1e400", "-1e-400", "0.30000000000000004", "36467.251621504496",
+		"137.35466666666665", "1005", "-3.5"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, lit []byte) {
+		if len(lit) == 0 || lit[0] != '-' && (lit[0] < '0' || lit[0] > '9') {
+			return
+		}
+		if s := (Scanner{Data: lit}); s.Skip() != nil || s.Pos != len(lit) {
+			return
+		}
+		want, err := strconv.ParseFloat(string(lit), 64)
+		got, ok := Float(lit)
+		if math.Float64bits(got) != math.Float64bits(want) || ok != (err == nil) {
+			t.Fatalf("Float(%s) = %v (%#x), %v; strconv reads %v (%#x), %v",
+				lit, got, math.Float64bits(got), ok, want, math.Float64bits(want), err)
+		}
+	})
 }

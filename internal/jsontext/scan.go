@@ -143,38 +143,55 @@ func (s *Scanner) Element(first bool) (more bool, err error) {
 	return false, s.Syntax("',' or ']'")
 }
 
+// plainByte marks the bytes a string literal holds as its text as they
+// stand: printable ASCII other than the quote and the backslash. A run of
+// them needs no look but the table's.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // str passes over the string literal at Pos and returns the bytes between
 // its quotes; plain reports that they are ASCII with no escape, so they
 // are the string's text as they stand.
 func (s *Scanner) str() (raw []byte, plain bool, err error) {
+	d := s.Data
 	from := s.Pos + 1
 	plain = true
-	for i := from; i < len(s.Data); i++ {
-		switch c := s.Data[i]; {
+	for i := from; ; i++ {
+		for i < len(d) && plainByte[d[i]] {
+			i++
+		}
+		if i >= len(d) {
+			break
+		}
+		switch c := d[i]; {
 		case c == '"':
 			s.Pos = i + 1
-			return s.Data[from:i], plain, nil
+			return d[from:i], plain, nil
 		case c == '\\':
 			plain = false
-			if i++; i < len(s.Data) && s.Data[i] == 'u' {
+			if i++; i < len(d) && d[i] == 'u' {
 				for n := 0; n < 4; n++ {
-					if i++; i >= len(s.Data) || !isHex(s.Data[i]) {
-						s.Pos = min(i, len(s.Data))
+					if i++; i >= len(d) || !isHex(d[i]) {
+						s.Pos = min(i, len(d))
 						return nil, false, s.Syntax("a hex digit")
 					}
 				}
-			} else if i >= len(s.Data) || !isEscape(s.Data[i]) {
-				s.Pos = min(i, len(s.Data))
+			} else if i >= len(d) || !isEscape(d[i]) {
+				s.Pos = min(i, len(d))
 				return nil, false, s.Syntax("an escape character")
 			}
 		case c < ' ':
 			s.Pos = i
 			return nil, false, s.Syntax("a string character")
-		case c >= utf8.RuneSelf:
+		default: // past ASCII
 			plain = false
 		}
 	}
-	s.Pos = len(s.Data)
+	s.Pos = len(d)
 	return nil, false, s.Syntax("a closing quote")
 }
 
@@ -193,43 +210,52 @@ func isEscape(c byte) bool {
 
 // number passes over the number literal at Pos.
 func (s *Scanner) number() error {
-	if s.at('-') {
-		s.Pos++
+	d, i, ok := s.Data, s.Pos, true
+	if i < len(d) && d[i] == '-' {
+		i++
 	}
-	if s.at('0') {
-		s.Pos++
-	} else if !s.digits() {
-		return s.Syntax("a digit")
+	if i < len(d) && d[i] == '0' {
+		i++
+	} else if i, ok = digits(d, i); !ok {
+		return s.digitAt(i)
 	}
-	if s.at('.') {
-		if s.Pos++; !s.digits() {
-			return s.Syntax("a digit")
+	if i < len(d) && d[i] == '.' {
+		if i, ok = digits(d, i+1); !ok {
+			return s.digitAt(i)
 		}
 	}
-	if s.at('e') || s.at('E') {
-		if s.Pos++; s.at('+') || s.at('-') {
-			s.Pos++
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
 		}
-		if !s.digits() {
-			return s.Syntax("a digit")
+		if i, ok = digits(d, i); !ok {
+			return s.digitAt(i)
 		}
 	}
+	s.Pos = i
 	return nil
 }
 
-// digits passes over a run of digits and reports whether there was one.
-func (s *Scanner) digits() bool {
-	from := s.Pos
-	for s.Pos < len(s.Data) && '0' <= s.Data[s.Pos] && s.Data[s.Pos] <= '9' {
-		s.Pos++
+// digits returns the index past the run of digits d holds from i on, and
+// whether there was one.
+func digits(d []byte, i int) (int, bool) {
+	j := i
+	for j < len(d) && d[j]-'0' <= 9 {
+		j++
 	}
-	return s.Pos > from
+	return j, j > i
+}
+
+// digitAt reports the missing digit at offset i.
+func (s *Scanner) digitAt(i int) error {
+	s.Pos = i
+	return s.Syntax("a digit")
 }
 
 // Word passes over the literal w.
 func (s *Scanner) Word(w string) error {
 	for i := 0; i < len(w); i++ {
-		if !s.at(w[i]) {
+		if s.Pos >= len(s.Data) || s.Data[s.Pos] != w[i] {
 			return s.Syntax("the literal " + w)
 		}
 		s.Pos++
@@ -237,25 +263,41 @@ func (s *Scanner) Word(w string) error {
 	return nil
 }
 
-// at reports whether the byte at Pos is c.
-func (s *Scanner) at(c byte) bool { return s.Pos < len(s.Data) && s.Data[s.Pos] == c }
-
-// Space passes over insignificant whitespace.
+// Space passes over insignificant whitespace. When there is none, as
+// between the tokens of a compact document, it costs one comparison.
 func (s *Scanner) Space() {
-	for s.Pos < len(s.Data) {
-		switch s.Data[s.Pos] {
-		case ' ', '\t', '\n', '\r':
-			s.Pos++
-		default:
-			return
-		}
+	if s.Pos < len(s.Data) && s.Data[s.Pos] <= ' ' {
+		s.space()
 	}
 }
 
+// space is Space's loop.
+func (s *Scanner) space() {
+	d, i := s.Data, s.Pos
+	for i < len(d) && (d[i] == ' ' || d[i] == '\t' || d[i] == '\n' || d[i] == '\r') {
+		i++
+	}
+	s.Pos = i
+}
+
 // Peek returns the next significant byte without consuming it, 0 at the
-// end of the input (where a literal NUL is as unwelcome).
-func (s *Scanner) Peek() byte {
-	if s.Space(); s.Pos < len(s.Data) {
+// end of the input (where a literal NUL is as unwelcome). It is written to
+// inline: every token starts with one.
+func (s *Scanner) Peek() (c byte) {
+	if s.Pos < len(s.Data) {
+		c = s.Data[s.Pos]
+	}
+	if c > ' ' {
+		return c
+	}
+	return s.peekSpace()
+}
+
+// peekSpace is Peek past whitespace, out of line so that Peek stays small.
+//
+//go:noinline
+func (s *Scanner) peekSpace() byte {
+	if s.space(); s.Pos < len(s.Data) {
 		return s.Data[s.Pos]
 	}
 	return 0
@@ -288,7 +330,9 @@ func Text(val []byte) (txt []byte, ok bool) {
 }
 
 // Float interprets a value as a number, 0 when absent or null; ok=false
-// for another type or a number no float64 holds.
+// for another type or a number no float64 holds. The result is
+// strconv.ParseFloat's, bit for bit: a short literal is converted here
+// (exactFloat), every other one by strconv.
 func Float(val []byte) (f float64, ok bool) {
 	if !Present(val) {
 		return 0, true
@@ -296,21 +340,79 @@ func Float(val []byte) (f float64, ok bool) {
 	if c := val[0]; c != '-' && (c < '0' || c > '9') {
 		return 0, false
 	}
+	if f, ok := exactFloat(val); ok {
+		return f, true
+	}
 	f, err := strconv.ParseFloat(string(val), 64)
 	return f, err == nil
+}
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat converts a literal -?d+(.d+)? whose digits, read as one
+// integer m, fit 2^53 and whose fraction has k ≤ 22 digits: m and 10^k
+// are then both float64s exactly, so m/10^k is one correctly rounded IEEE
+// division — the value strconv rounds the decimal to (Clinger's fast
+// path). ok=false for any other literal, left to strconv.
+func exactFloat(lit []byte) (f float64, ok bool) {
+	b := lit
+	if b[0] == '-' {
+		b = b[1:]
+	}
+	if len(b) > 17 && b[0] != '0' {
+		return 0, false // 17 digits or more, the first not 0: m ≥ 10^16 > 2^53
+	}
+	i, m, ok := mantissa(b, 0, 0)
+	if !ok || i == 0 {
+		return 0, false
+	}
+	k := 0
+	if i < len(b) {
+		if b[i] != '.' {
+			return 0, false
+		}
+		point := i + 1
+		if i, m, ok = mantissa(b, point, m); !ok || i < len(b) {
+			return 0, false
+		}
+		if k = i - point; k == 0 || k >= len(pow10) {
+			return 0, false
+		}
+	}
+	if f = float64(m) / pow10[k]; lit[0] == '-' {
+		f = -f
+	}
+	return f, true
+}
+
+// mantissa reads the digits b holds from i on into m, which holds those
+// before them, and returns the index past them; ok=false once m passes 2^53.
+func mantissa(b []byte, i int, m uint64) (int, uint64, bool) {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if m = m*10 + uint64(b[i]-'0'); m > 1<<53 {
+			return i, m, false
+		}
+	}
+	return i, m, true
 }
 
 // Unquote decodes what stands between the quotes of a string literal the
 // scanner has passed over, as encoding/json does: escapes resolved, a
 // surrogate pair joined, a lone surrogate and each byte of invalid UTF-8
 // replaced by U+FFFD. raw itself comes back when there is nothing to
-// decode.
+// decode, found in one pass over its plain bytes when it holds only those.
 func Unquote(raw []byte) []byte {
-	if bytes.IndexByte(raw, '\\') < 0 && utf8.Valid(raw) {
+	i := 0
+	for i < len(raw) && plainByte[raw[i]] {
+		i++
+	}
+	if i == len(raw) || bytes.IndexByte(raw[i:], '\\') < 0 && utf8.Valid(raw[i:]) {
 		return raw
 	}
-	out := make([]byte, 0, len(raw)+2*utf8.UTFMax)
-	for i := 0; i < len(raw); {
+	out := append(make([]byte, 0, len(raw)+2*utf8.UTFMax), raw[:i]...)
+	for i < len(raw) {
 		switch c := raw[i]; {
 		case c == '\\':
 			i++

@@ -33,7 +33,7 @@ type scanner struct {
 	spans  []Span
 	events int               // events closed so far, spans or not
 	sim    []int             // tids that thread_name metadata names "sim"
-	names  map[string]string // interned names and categories
+	names  map[string]string // interned names and categories, by literal
 
 	tail *tail       // the second half, scanning ahead; nil when none
 	stop atomic.Bool // set when this scanner is a tail nobody will join
@@ -226,9 +226,27 @@ func (s *scanner) event() error {
 	default:
 		return s.Syntax("an event object")
 	}
+	if err := s.Open(); err != nil {
+		return err
+	}
+	// Members' loop, written out so that the key switch runs in place: a
+	// call through a visit closure for each member of every event cost
+	// more than the switch.
 	var name, cat, ph, ts, dur, tid, args []byte
-	err := s.Members(func(key, val []byte) {
-		switch string(key) {
+	for first := true; ; first = false {
+		key, more, err := s.Member(first)
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		s.Space()
+		from := s.Pos
+		if err := s.Skip(); err != nil {
+			return err
+		}
+		switch val := s.Data[from:s.Pos]; string(key) {
 		case "name":
 			name = val
 		case "cat":
@@ -244,19 +262,17 @@ func (s *scanner) event() error {
 		case "args":
 			args = val
 		}
-	})
-	if err != nil {
-		return err
 	}
 
-	name, ok := jsontext.Text(name)
-	if !ok {
+	// name and cat stay literals until a span interns them.
+	if !isText(name) {
 		return s.mistyped("name", name, "a string")
 	}
-	if cat, ok = jsontext.Text(cat); !ok {
+	if !isText(cat) {
 		return s.mistyped("cat", cat, "a string")
 	}
-	if ph, ok = jsontext.Text(ph); !ok {
+	ph, ok := jsontext.Text(ph)
+	if !ok {
 		return s.mistyped("ph", ph, "a string")
 	}
 	startUs, ok := jsontext.Float(ts)
@@ -282,7 +298,7 @@ func (s *scanner) event() error {
 	case string(ph) == "X":
 		s.spans = append(s.spans, Span{Rank: track, Cat: s.intern(cat), Name: s.intern(name),
 			StartS: startUs / 1e6, DurS: durUs / 1e6})
-	case string(ph) == "M" && string(name) == "thread_name" && string(argsName(args)) == "sim":
+	case string(ph) == "M" && string(text(name)) == "thread_name" && string(argsName(args)) == "sim":
 		s.sim = append(s.sim, track)
 	}
 	s.events++
@@ -316,12 +332,33 @@ func argsName(args []byte) []byte {
 	return nil
 }
 
-// intern returns the one string shared by every span with these bytes.
-func (s *scanner) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
+// isText reports whether a remembered value reads as a string, as
+// jsontext.Text would: a string literal, null or absent.
+func isText(val []byte) bool { return !jsontext.Present(val) || val[0] == '"' }
+
+// text is what a remembered string value says.
+func text(val []byte) []byte {
+	txt, _ := jsontext.Text(val)
+	return txt
+}
+
+// intern returns the one string shared by every span whose name or
+// category is spelled as the literal val (null or absent: ""). The table is
+// keyed by the literal as it stands in the input, so a repeated name costs
+// one lookup and is not unquoted again; the string is a slice of that key
+// unless the literal holds escapes.
+func (s *scanner) intern(val []byte) string {
+	if !jsontext.Present(val) {
+		return ""
+	}
+	if v, ok := s.names[string(val)]; ok {
 		return v
 	}
-	v := string(b)
-	s.names[v] = v
+	k := string(val)
+	v := k[1 : len(k)-1]
+	if txt := text(val); string(txt) != v {
+		v = string(txt)
+	}
+	s.names[k] = v
 	return v
 }
