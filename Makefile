@@ -26,8 +26,10 @@ all: build lint test
 #                Output at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
 #                and with its trace and ledger cut mid-line; a budget-stopped
-#                run's bundle; and one sampled config's bundle, byte for
-#                byte the same at widths 1 and 4 and on a repeat.
+#                run's bundle; one sampled config's bundle, byte for byte
+#                the same at widths 1 and 4 and on a repeat; and a faulted
+#                AMD run's bundle, its fault and clamp summaries read back,
+#                the same at widths 1 and 4.
 #   bench-smoke  the repository's one benchmark at smoke size: production
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
@@ -192,10 +194,23 @@ bench-sph:
 # its wall time must exit 3 with the four files, and its ledger must show
 # the budget-stop row. Last, the bundle is a function of the config: the
 # first run's config, run again at GOMAXPROCS 1 and 4 and once more at the
-# default width, must write the same bytes into every file.
+# default width, must write the same bytes into every file. And a faulted
+# run: a tuned, sampled LUMI-G run under a plan with sensor, node-sensor,
+# clock and rank rules, whose report must carry the fault and clock-control
+# summaries and whose ledger the clamped sets, byte for byte the same at
+# GOMAXPROCS 1 and 4.
 BUNDLE_SMOKE ?= /tmp/sphexa_bundle_smoke
 SAMPLED_RUN = -sim turbulence -ranks 2 -s 3 -ppr 10e6 -strategy mandyn -sample-hz 100 -q
 BUDGET_RUN = -sim turbulence -ranks 2 -s 10 -ppr 10e6 -strategy mandyn -q
+FAULT_PLAN = {"name":"smoke","seed":7,"rules":[\
+	{"kind":"transient","target":"sensor","probability":0.1},\
+	{"kind":"stuck","target":"node-sensor","probability":0.1,"burst":3},\
+	{"kind":"clamped-clock","target":"clock","mhz":1333,"start_s":1},\
+	{"kind":"rejected-set","target":"clock","probability":0.05},\
+	{"kind":"straggler","target":"rank","ranks":[0],"probability":0.1,"factor":2}]}
+FAULTED_RUN = -system lumi-g -sim turbulence -ranks 2 -s 3 -ppr 10e6 -strategy mandyn \
+	-sample-hz 100 -degradation redistribute -q -fault-plan '$(FAULT_PLAN)'
+
 BUNDLE_FILES = events.jsonl report.csv report.json trace.json
 bundle-smoke:
 	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut
@@ -233,6 +248,16 @@ bundle-smoke:
 	$(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/again > /dev/null
 	for d in width1 width4 again; do for f in $(BUNDLE_FILES); do \
 		cmp $(BUNDLE_SMOKE)/run/$$f $(BUNDLE_SMOKE)/$$d/$$f || exit 1; done; done
+	GOMAXPROCS=1 $(BUNDLE_SMOKE)/sphexa $(FAULTED_RUN) -out $(BUNDLE_SMOKE)/faulted1 > /dev/null
+	GOMAXPROCS=4 $(BUNDLE_SMOKE)/sphexa $(FAULTED_RUN) -out $(BUNDLE_SMOKE)/faulted4 > /dev/null
+	test "$$(cd $(BUNDLE_SMOKE)/faulted1 && LC_ALL=C ls | tr '\n' ' ')" = '$(BUNDLE_FILES) '
+	$(BUNDLE_SMOKE)/inspect energy $(BUNDLE_SMOKE)/faulted1 > $(BUNDLE_SMOKE)/faulted.energy.txt
+	grep -q 'Fault injection: plan' $(BUNDLE_SMOKE)/faulted.energy.txt
+	grep -q 'clock control:' $(BUNDLE_SMOKE)/faulted.energy.txt
+	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/faulted1 > $(BUNDLE_SMOKE)/faulted.decisions.txt
+	grep -q 'anomalies:.*freq-clamp' $(BUNDLE_SMOKE)/faulted.decisions.txt
+	for f in $(BUNDLE_FILES); do \
+		cmp $(BUNDLE_SMOKE)/faulted1/$$f $(BUNDLE_SMOKE)/faulted4/$$f || exit 1; done
 
 # What no program links: every declared function of a non-test file that
 # appears in no program's symbol table. Each cmd/ and the benchmark is

@@ -98,6 +98,9 @@ func main() {
 		if f.Name == "sample-node-hz" && *sampleHz == 0 && !*validate {
 			fatalIf(fmt.Errorf("-sample-node-hz needs -sample-hz or -energy-validate: without them nothing is sampled"))
 		}
+		if f.Name == "degradation" && *faultPlan == "" {
+			fatalIf(fmt.Errorf("-degradation needs -fault-plan: without a plan no rank fails"))
+		}
 	})
 
 	gridIntensity, err := resolveGrid(*carbon)

@@ -178,6 +178,7 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-energy-budget", "NaN"}, "-energy-budget NaN"},
 		{[]string{"-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
 		{[]string{"-sample-hz", "0", "-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
+		{[]string{"-degradation", "drop-rank", "-ranks", "2", "-s", "2", "-ppr", "10e6"}, "-degradation needs -fault-plan"},
 	} {
 		// The case's own flags come last, so its -s overrides the short run.
 		stdout, stderr, err := runSphexa(t, append([]string{"-s", "3", "-q"}, c.args...)...)

@@ -78,7 +78,7 @@ func TestFreqDecisionRowsPinned(t *testing.T) {
 	}{
 		{"recorded-mandyn-8", Config{System: cluster.MiniHPC(), Ranks: 8, Sim: Turbulence,
 			ParticlesPerRank: 10e6, Steps: 300, Seed: 42, NewStrategy: mandyn}, 9608 - 8},
-		{"chaos-1", chaosConfig(1, 2, 3, false), 26 - 2},
+		{"chaos-1", chaosConfig(cluster.MiniHPC(), 1, 2, 3, false), 26 - 2},
 	} {
 		c.cfg.Tracer = telemetry.NewTracer(c.cfg.Ranks)
 		c.cfg.Events = events.NewLedger(0)

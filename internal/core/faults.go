@@ -6,12 +6,9 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
-	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
-	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/rsmi"
 	"sphenergy/internal/sampler"
 )
 
@@ -62,7 +59,8 @@ type faultState struct {
 
 // newFaultState builds the injector sets for a run, or nil when the
 // config has no active plan — the healthy path stays exactly the seed
-// behaviour (no resilient wrapper, no hooks, no per-phase evaluation).
+// behaviour (no fault or resilient wrapper, no hooks, no per-phase
+// evaluation).
 func newFaultState(cfg Config, nodes int) *faultState {
 	if !cfg.Faults.Active() {
 		return nil
@@ -85,38 +83,26 @@ func newFaultState(cfg Config, nodes int) *faultState {
 	return fs
 }
 
-// sensorHook returns the fault hook for rank r's GPU sensor (nil without
-// a plan), clocked by the rank's own device.
-func (fs *faultState) sensorHook(r int, dev *gpusim.Device) func(string, int) (int, error) {
-	if fs == nil {
-		return nil
-	}
-	return fs.sensorInj[r].SensorHook(dev.Now)
-}
-
-// wireRank installs the clock-path fault hook underneath rank r's setter
-// and wraps it in the resilience layer. Must run before the rank's clock
-// tap is installed, so the tap sees the resilient semantics.
+// wireRank wraps rank r's GPU sensor in its sensor faults, and its setter
+// in its clock faults under the resilience layer. Must run before the
+// rank's clock tap is installed, so the tap sees the resilient semantics.
 func (fs *faultState) wireRank(rc *rankCtx, r int) {
 	if fs == nil {
 		return
 	}
-	if h := fs.clockInj[r].ClockHook(rc.dev.Now); h != nil {
-		freqctl.AttachFaultHook(rc.setter, h)
-	}
-	rs := freqctl.NewResilientSetter(rc.setter)
+	rc.sensor = fs.sensorInj[r].Sensor(rc.sensor, rc.dev.Now)
+	rs := freqctl.NewResilientSetter(fs.clockInj[r].Setter(rc.setter, rc.dev.Now))
 	fs.resilient = append(fs.resilient, rs)
 	rc.setter = rs
 }
 
-// nodeSensor builds node i's pm_counters sensor, faulted when a plan is
-// active. The node stream is clocked by the job's global virtual time.
+// nodeSensor builds node i's pm_counters sensor, whose collection ticks
+// the node's faults miss when a plan is active. The node stream is clocked
+// by the job's global virtual time.
 func (fs *faultState) nodeSensor(i int, node *cluster.Node, now func() float64) pmt.Sensor {
 	pc := pmcounters.New(node)
 	if fs != nil {
-		if h := fs.nodeInj[i].SensorHook(now); h != nil {
-			pc.SetFaultHook(h)
-		}
+		pc.SetMissHook(fs.nodeInj[i].MissTick(now))
 	}
 	return pmt.NewCrayOn(pc, node, pmt.CrayNode, 0)
 }
@@ -127,7 +113,7 @@ func (fs *faultState) wireWorld(world *mpisim.World, ranks []*rankCtx, step func
 	if fs == nil {
 		return
 	}
-	world.SetRankFaultHook(func(r int, nowS float64) mpisim.RankFault {
+	world.SetRankFaults(func(r int, nowS float64) mpisim.RankFault {
 		d := fs.rankInj[r].Evaluate(nowS, step(), faults.Straggler, faults.RankCrash)
 		switch d.Kind {
 		case faults.Straggler:
@@ -208,31 +194,4 @@ func (fs *faultState) injectors() []*faults.Injector {
 	all = append(all, fs.rankInj...)
 	all = append(all, fs.nodeInj...)
 	return all
-}
-
-// faultedSensorFor builds the rank GPU sensor with the fault hook
-// installed on its vendor library (the same injection point a real
-// deployment faces: the read syscall, not the PMT wrapper).
-func faultedSensorFor(dev *gpusim.Device, hook func(string, int) (int, error)) pmt.Sensor {
-	switch dev.Spec().Vendor {
-	case gpusim.AMD:
-		lib, err := rsmi.New([]*gpusim.Device{dev})
-		if err == nil {
-			if hook != nil {
-				lib.SetFaultHook(hook)
-			}
-			return pmt.NewRSMI(lib, 0)
-		}
-	default:
-		lib, err := nvml.New([]*gpusim.Device{dev})
-		if err == nil && lib.Init() == nil {
-			if hook != nil {
-				lib.SetFaultHook(hook)
-			}
-			if h, err := lib.DeviceGetHandleByIndex(0); err == nil {
-				return pmt.NewNVML(h)
-			}
-		}
-	}
-	return pmt.Dummy{}
 }

@@ -303,14 +303,13 @@ func TestManDynUnderClampReportsAchievedClock(t *testing.T) {
 	}
 }
 
-// chaosConfig is a seeded chaos run on miniHPC: every fault family the
+// chaosConfig is a seeded chaos run on spec: every fault family the
 // framework injects — sensor transients, a stuck node sensor, a
 // clamped-clock window, a straggler and, with crash, a rank that dies
 // halfway under drop-rank — stacked on a ManDyn run with a default clock,
 // so the sensor, clock-control and rank layers all see injections, with
 // every observer on: tracer, sampler and decision ledger.
-func chaosConfig(seed uint64, ranks, steps int, crash bool) Config {
-	spec := cluster.MiniHPC()
+func chaosConfig(spec cluster.NodeSpec, seed uint64, ranks, steps int, crash bool) Config {
 	max := spec.GPUSpec.MaxSMClockMHz
 	cfg := Config{
 		System:           spec,
@@ -373,10 +372,27 @@ func chaosSummary(t *testing.T, cfg Config) string {
 	return string(b)
 }
 
+// lumiChaosConfig is chaosConfig on LUMI-G's 2 ranks, the two GCDs of one
+// MI250X, so the ROCm-SMI sensor and clock paths see the injections, plus
+// rejected clock sets. Its clamp ceiling lies between two clock-table
+// entries.
+func lumiChaosConfig(t *testing.T, seed uint64) Config {
+	cfg := chaosConfig(cluster.LUMIG(), seed, 2, 3, false)
+	cfg.Faults.Rules = append(cfg.Faults.Rules, faults.Rule{Kind: faults.RejectedSet, Target: faults.TargetClock, Probability: 0.1})
+	gpu := cfg.System.GPUSpec
+	for _, r := range cfg.Faults.Rules {
+		if r.Kind == faults.ClampedClock && gpu.NearestSupportedClock(r.MHz) == r.MHz {
+			t.Fatalf("clamp ceiling %d MHz is on %s's clock table", r.MHz, gpu.Name)
+		}
+	}
+	return cfg
+}
+
 // TestChaosRunDeterministic: the same config and plan must replay
 // bit-identically and keep the attribution contract, on a CSCS-A100 run
 // under redistribute and on the seeded sweep: seeds 1-10 on 2 ranks for 3
-// steps, and on 4 ranks for 4 steps with a rank crash under drop-rank.
+// steps, on 4 ranks for 4 steps with a rank crash under drop-rank, and on
+// LUMI-G's 2 ranks with rejected clock sets.
 func TestChaosRunDeterministic(t *testing.T) {
 	type row struct {
 		name string
@@ -404,8 +420,9 @@ func TestChaosRunDeterministic(t *testing.T) {
 	}}}
 	for seed := uint64(1); seed <= 10; seed++ {
 		rows = append(rows,
-			row{fmt.Sprintf("seed-%d-2x3", seed), func() Config { return chaosConfig(seed, 2, 3, false) }},
-			row{fmt.Sprintf("seed-%d-4x4-crash", seed), func() Config { return chaosConfig(seed, 4, 4, true) }})
+			row{fmt.Sprintf("seed-%d-2x3", seed), func() Config { return chaosConfig(cluster.MiniHPC(), seed, 2, 3, false) }},
+			row{fmt.Sprintf("seed-%d-4x4-crash", seed), func() Config { return chaosConfig(cluster.MiniHPC(), seed, 4, 4, true) }},
+			row{fmt.Sprintf("lumi-seed-%d-2x3", seed), func() Config { return lumiChaosConfig(t, seed) }})
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -426,5 +443,54 @@ func TestConfigValidatesPlanAndPolicy(t *testing.T) {
 	cfg.Faults = &faults.Plan{Rules: []faults.Rule{{Kind: "gremlin", Target: faults.TargetRank}}}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("bad plan accepted: %v", err)
+	}
+	cfg = miniConfig()
+	cfg.Degradation = DegradeDropRank
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "needs an active fault plan") {
+		t.Fatalf("policy without a plan accepted: %v", err)
+	}
+}
+
+// TestStaleSensorReadsKeepAttributionContract: a stuck or latency fault on
+// the GPU sensors replays a state with its old timestamp, often for fewer
+// polls than latch the stuck detector, and, since the sampler and the
+// runner's energy windows share the rank's sensor, sometimes one that the
+// window read fresh after the sampler's last poll. The read after a stale
+// one spans the unobserved gap, and its ticks must be flagged, not gated:
+// each rule alone, seeds 1-20, on miniHPC and LUMI-G, must pass.
+// Transient rules stay out: they can leave only short, unresolvable clean
+// rows, which fail the aggregate gate for lack of data, not for a bug.
+func TestStaleSensorReadsKeepAttributionContract(t *testing.T) {
+	rules := []faults.Rule{
+		{Kind: faults.Stuck, Target: faults.TargetSensor, Probability: 0.05, Burst: 3},
+		{Kind: faults.Latency, Target: faults.TargetSensor, Probability: 0.05},
+	}
+	for _, spec := range []cluster.NodeSpec{cluster.MiniHPC(), cluster.LUMIG()} {
+		max := spec.GPUSpec.MaxSMClockMHz
+		for _, rule := range rules {
+			for seed := uint64(1); seed <= 20; seed++ {
+				res, err := Run(Config{
+					System:           spec,
+					Ranks:            2,
+					Sim:              Turbulence,
+					ParticlesPerRank: 10e6,
+					Steps:            3,
+					Seed:             seed,
+					Tracer:           telemetry.NewTracer(2),
+					Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
+					Faults:           &faults.Plan{Seed: seed, Rules: []faults.Rule{rule}},
+					NewStrategy: func() freqctl.Strategy {
+						return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a := res.Attribution; !a.Pass {
+					t.Errorf("%s, %s rule, seed %d: agg err %.3f%%, worst resolvable %.3f%%, %d degraded rows",
+						spec.Name, rule.Kind, seed, a.AggErrPct, a.MaxResolvableErrPct, a.DegradedRows)
+				}
+			}
+		}
 	}
 }

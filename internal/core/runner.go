@@ -13,7 +13,9 @@ import (
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/instr"
 	"sphenergy/internal/mpisim"
+	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmt"
+	"sphenergy/internal/rsmi"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -71,7 +73,8 @@ type Config struct {
 	// the healthy path byte-identical to an unfaulted run.
 	Faults *faults.Plan
 	// Degradation selects the rank-failure policy: DegradeAbort (default),
-	// DegradeDropRank or DegradeRedistribute.
+	// DegradeDropRank or DegradeRedistribute. Set without an active Faults
+	// plan, it fails Validate: no rank could fail.
 	Degradation string
 	// ProfileLabels attaches a pprof label ("pass" = function name) to the
 	// run's goroutine around each pipeline phase, so CPU-profile samples —
@@ -171,6 +174,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown degradation policy %q (want %s, %s or %s)",
 			c.Degradation, DegradeAbort, DegradeDropRank, DegradeRedistribute)
 	}
+	if c.Degradation != "" && !c.Faults.Active() {
+		return fmt.Errorf("core: degradation policy %q needs an active fault plan: without one no rank fails", c.Degradation)
+	}
 	return nil
 }
 
@@ -267,6 +273,25 @@ type rankCtx struct {
 	samp *sampler.Channel
 }
 
+// gpuSensor builds a rank's GPU sensor through its own vendor library, the
+// in-band read path a real PMT sensor takes.
+func gpuSensor(dev *gpusim.Device) pmt.Sensor {
+	switch dev.Spec().Vendor {
+	case gpusim.AMD:
+		if lib, err := rsmi.New([]*gpusim.Device{dev}); err == nil {
+			return pmt.NewRSMI(lib, 0)
+		}
+	default:
+		lib, err := nvml.New([]*gpusim.Device{dev})
+		if err == nil && lib.Init() == nil {
+			if h, err := lib.DeviceGetHandleByIndex(0); err == nil {
+				return pmt.NewNVML(h)
+			}
+		}
+	}
+	return pmt.Dummy{}
+}
+
 // Run executes the instrumented time-stepping loop. A budget that ends the
 // run early returns ErrWalltimeBudget or ErrEnergyBudget with the complete
 // result of the steps before it; any other error comes with a partial
@@ -306,9 +331,9 @@ func Run(cfg Config) (*Result, error) {
 			dev:      dev,
 			setter:   setter,
 			strategy: cfg.NewStrategy(),
+			sensor:   gpuSensor(dev),
 			profile:  instr.NewRankProfile(r),
 		}
-		rc.sensor = faultedSensorFor(dev, fs.sensorHook(r, dev))
 		fs.wireRank(rc, r)
 		ranks[r] = rc
 	}
@@ -350,6 +375,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for r, rc := range ranks {
 			rc.samp = smp.AddRank(r, rc.sensor)
+			rc.samp.SetClock(rc.dev.Now)
 		}
 		for i, n := range system.Nodes {
 			smp.AddNode(i, fs.nodeSensor(i, n, world.MaxClock))

@@ -16,41 +16,33 @@
 // TestChaosRunDeterministic assert bit-identical degraded output across
 // repeated runs.
 //
-// The package deliberately depends only on internal/rng. The sensor
-// back-ends (nvml, rsmi, pmcounters) expose a FaultHook of the shared
-// shape func(op string, arg int) (int, error); SensorHook and ClockHook
-// adapt an Injector to that shape, returning the sentinel errors below that
-// the pmt layer translates into stuck or invalid readings.
+// This package is the one place that knows what an injected fault looks
+// like to the measurement stack. Sensor wraps a pmt.Sensor and Setter wraps
+// a freqctl.Setter, so the vendor emulations (nvml, rsmi) and PMT stay
+// fault-free; MissTick drives the pm_counters collection hook; the runner
+// (internal/core) calls Evaluate itself for rank stragglers and crashes.
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 
+	"sphenergy/internal/freqctl"
+	"sphenergy/internal/pmt"
 	"sphenergy/internal/rng"
 )
 
-// Sentinel errors carried through the back-end fault hooks. The pmt sensor
-// layer inspects them with errors.Is to decide what a failed read looks
-// like to the sampler.
-var (
-	// ErrTransient marks a one-off read/operation failure; pmt sensors
-	// surface it as a NaN reading the sampler counts and discards.
-	ErrTransient = errors.New("faults: injected transient error")
-	// ErrStuck marks a stale/stuck reading; pmt sensors replay their last
-	// good state so consumers see a frozen value, and pm_counters skip
-	// their collection tick (the staleness failure mode of the measurement
-	// paper).
-	ErrStuck = errors.New("faults: injected stuck reading")
-	// ErrRejected marks a clock-control request the platform refused — the
-	// production failure mode of user-level DVFS requests.
-	ErrRejected = errors.New("faults: injected rejected clock set")
-)
+// ErrRejected marks a clock-control request the platform refused — the
+// production failure mode of user-level DVFS requests.
+var ErrRejected = errors.New("faults: injected rejected clock set")
 
 // Kind enumerates the fault behaviours a Rule can inject.
 type Kind string
@@ -197,13 +189,17 @@ func (p *Plan) Validate() error {
 // Active reports whether the plan injects anything.
 func (p *Plan) Active() bool { return p != nil && len(p.Rules) > 0 }
 
-// ParsePlan decodes a plan from JSON and validates it.
+// ParsePlan decodes a plan from one JSON object, with nothing but
+// whitespace after it, and validates it.
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("faults: parse plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("faults: parse plan: data after the plan object")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -344,45 +340,80 @@ func (in *Injector) Counts() map[Kind]uint64 {
 	return out
 }
 
-// SensorHook adapts the injector to the back-end FaultHook shape for a
-// sensor read path: transient faults become ErrTransient, stuck and
-// latency faults become ErrStuck. now supplies the component's virtual
-// clock for window evaluation.
-func (in *Injector) SensorHook(now func() float64) func(op string, arg int) (int, error) {
+// Sensor wraps a GPU sensor in the injector's sensor faults, evaluated once
+// per Read at now(), the device's virtual clock: a transient fault reads
+// NaN energy at now(); a stuck or latency fault replays the last good
+// state, as a stale counter does (NaN before there is one); a read without
+// a fault reaches s and is remembered. A nil injector returns s itself.
+func (in *Injector) Sensor(s pmt.Sensor, now func() float64) pmt.Sensor {
 	if in == nil {
-		return nil
+		return s
 	}
-	return func(op string, arg int) (int, error) {
-		d := in.Evaluate(now(), -1, Transient, Stuck, Latency)
-		switch d.Kind {
-		case Transient:
-			return arg, fmt.Errorf("%w (%s)", ErrTransient, op)
-		case Stuck, Latency:
-			return arg, fmt.Errorf("%w (%s)", ErrStuck, op)
-		}
-		return arg, nil
-	}
+	return &faultySensor{Sensor: s, in: in, now: now}
 }
 
-// ClockHook adapts the injector to the back-end FaultHook shape for the
-// clock-control path: clamped-clock rules cap the requested MHz at the
-// rule ceiling, rejected-set rules fail the request with ErrRejected.
-func (in *Injector) ClockHook(now func() float64) func(op string, mhz int) (int, error) {
+type faultySensor struct {
+	pmt.Sensor
+	in   *Injector
+	now  func() float64
+	last pmt.State
+	good bool // last holds a good read
+}
+
+func (s *faultySensor) Read() pmt.State {
+	t := s.now()
+	switch s.in.Evaluate(t, -1, Transient, Stuck, Latency).Kind {
+	case Transient:
+		return pmt.State{TimeS: t, EnergyJ: math.NaN()}
+	case Stuck, Latency:
+		if !s.good {
+			return pmt.State{TimeS: t, EnergyJ: math.NaN()}
+		}
+		return s.last
+	}
+	s.last, s.good = s.Sensor.Read(), true
+	return s.last
+}
+
+// Setter wraps a clock-control path in the injector's clock faults,
+// evaluated once per SetSMClock at now(): a rejected set fails with
+// ErrRejected, a clamped clock caps the request at the rule's ceiling
+// before it reaches inner. The other operations pass through. A nil
+// injector returns inner itself.
+func (in *Injector) Setter(inner freqctl.Setter, now func() float64) freqctl.Setter {
+	if in == nil {
+		return inner
+	}
+	return &faultySetter{Setter: inner, in: in, now: now}
+}
+
+type faultySetter struct {
+	freqctl.Setter
+	in  *Injector
+	now func() float64
+}
+
+func (s *faultySetter) SetSMClock(mhz int) (int, error) {
+	d := s.in.Evaluate(s.now(), -1, ClampedClock, RejectedSet)
+	switch d.Kind {
+	case RejectedSet:
+		return 0, fmt.Errorf("%w (clock-set %d MHz)", ErrRejected, mhz)
+	case ClampedClock:
+		if d.Rule.MHz > 0 {
+			mhz = min(mhz, d.Rule.MHz)
+		}
+	}
+	return s.Setter.SetSMClock(mhz)
+}
+
+// MissTick is the pm_counters collection hook for a node-sensor injector:
+// a due collection tick is missed when a transient, stuck or latency fault
+// fires at now(). A nil injector returns nil, which misses nothing.
+func (in *Injector) MissTick(now func() float64) func() bool {
 	if in == nil {
 		return nil
 	}
-	return func(op string, mhz int) (int, error) {
-		d := in.Evaluate(now(), -1, ClampedClock, RejectedSet)
-		switch d.Kind {
-		case RejectedSet:
-			return mhz, fmt.Errorf("%w (%s %d MHz)", ErrRejected, op, mhz)
-		case ClampedClock:
-			if d.Rule.MHz > 0 && mhz > d.Rule.MHz {
-				return d.Rule.MHz, nil
-			}
-		}
-		return mhz, nil
-	}
+	return func() bool { return !in.Evaluate(now(), -1, Transient, Stuck, Latency).None() }
 }
 
 // RankFailure records one injected rank death at step granularity.

@@ -2,8 +2,12 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
+
+	"sphenergy/internal/freqctl"
+	"sphenergy/internal/pmt"
 )
 
 func TestParsePlanValidates(t *testing.T) {
@@ -11,7 +15,7 @@ func TestParsePlanValidates(t *testing.T) {
 		{"kind": "transient", "target": "sensor", "probability": 0.1, "burst": 2},
 		{"kind": "clamped-clock", "target": "clock", "start_s": 1, "end_s": 2, "mhz": 900}
 	]}`)
-	p, err := ParsePlan(good)
+	p, err := ParsePlan(append(good, " \n\t"...))
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
@@ -30,6 +34,9 @@ func TestParsePlanValidates(t *testing.T) {
 		{"clamp without mhz", `{"seed":1,"rules":[{"kind":"clamped-clock","target":"clock"}]}`},
 		{"straggler factor", `{"seed":1,"rules":[{"kind":"straggler","target":"rank","factor":0.5}]}`},
 		{"unknown field", `{"seed":1,"rules":[{"kind":"stuck","target":"sensor","typo_field":1}]}`},
+		{"extra brace", `{"seed":7,"rules":[{"kind":"stuck","target":"sensor"}]}}`},
+		{"second plan", `{"seed":7,"rules":[{"kind":"stuck","target":"sensor"}]} {"seed":8}`},
+		{"trailing garbage", `{"seed":7,"rules":[{"kind":"stuck","target":"sensor"}]}garbage`},
 	}
 	for _, tc := range bad {
 		if _, err := ParsePlan([]byte(tc.json)); err == nil {
@@ -156,23 +163,57 @@ func TestStepPinnedCrashFiresOnce(t *testing.T) {
 	}
 }
 
+// fakeSensor reads a fixed state and counts its reads.
+type fakeSensor struct {
+	st    pmt.State
+	reads int
+}
+
+func (s *fakeSensor) Name() string { return "fake" }
+
+func (s *fakeSensor) Read() pmt.State {
+	s.reads++
+	return s.st
+}
+
+// fakeSetter applies every request as asked and records it.
+type fakeSetter struct{ got []int }
+
+func (s *fakeSetter) SetSMClock(mhz int) (int, error) {
+	s.got = append(s.got, mhz)
+	return mhz, nil
+}
+func (s *fakeSetter) ResetClocks() error           { return nil }
+func (s *fakeSetter) MaxSMClock() int              { return 1410 }
+func (s *fakeSetter) SetPowerLimitW(float64) error { return nil }
+
 func TestSensorHookErrorMapping(t *testing.T) {
 	p := &Plan{Seed: 2, Rules: []Rule{
 		{Kind: Transient, Target: TargetSensor, StartS: 0, EndS: 1},
 		{Kind: Stuck, Target: TargetSensor, StartS: 1, EndS: 2},
 	}}
-	now := 0.5
-	hook := p.Injector(TargetSensor, 0).SensorHook(func() float64 { return now })
-	if _, err := hook("energy-read", 0); !errors.Is(err, ErrTransient) {
-		t.Fatalf("in transient window: err = %v, want ErrTransient", err)
-	}
-	now = 1.5
-	if _, err := hook("energy-read", 0); !errors.Is(err, ErrStuck) {
-		t.Fatalf("in stuck window: err = %v, want ErrStuck", err)
+	now := 1.5
+	inner := &fakeSensor{st: pmt.State{TimeS: 2.5, EnergyJ: 10}}
+	s := p.Injector(TargetSensor, 0).Sensor(inner, func() float64 { return now })
+	if st := s.Read(); !math.IsNaN(st.EnergyJ) || st.TimeS != now || inner.reads != 0 {
+		t.Fatalf("stuck before a good read: %+v after %d inner reads, want NaN at %v and none", st, inner.reads, now)
 	}
 	now = 2.5
-	if _, err := hook("energy-read", 0); err != nil {
-		t.Fatalf("outside windows: err = %v, want nil", err)
+	good := s.Read()
+	if good != inner.st || inner.reads != 1 {
+		t.Fatalf("outside windows: %+v, want the inner read %+v", good, inner.st)
+	}
+	inner.st = pmt.State{TimeS: 3, EnergyJ: 20}
+	now = 0.5
+	if st := s.Read(); !math.IsNaN(st.EnergyJ) || st.TimeS != now {
+		t.Fatalf("in transient window: %+v, want NaN at %v", st, now)
+	}
+	now = 1.5
+	if st := s.Read(); st != good {
+		t.Fatalf("in stuck window: %+v, want the last good read %+v", st, good)
+	}
+	if inner.reads != 1 {
+		t.Fatalf("faulted reads reached the inner sensor: %d reads", inner.reads)
 	}
 }
 
@@ -182,20 +223,28 @@ func TestClockHookClampAndReject(t *testing.T) {
 		{Kind: RejectedSet, Target: TargetClock, StartS: 1, EndS: 2},
 	}}
 	now := 0.5
-	hook := p.Injector(TargetClock, 0).ClockHook(func() float64 { return now })
-	if mhz, err := hook("clock-set", 1200); err != nil || mhz != 900 {
+	inner := &fakeSetter{}
+	s := p.Injector(TargetClock, 0).Setter(inner, func() float64 { return now })
+	if mhz, err := s.SetSMClock(1200); err != nil || mhz != 900 {
 		t.Fatalf("clamp: (%d, %v), want (900, nil)", mhz, err)
 	}
-	if mhz, err := hook("clock-set", 800); err != nil || mhz != 800 {
+	if mhz, err := s.SetSMClock(800); err != nil || mhz != 800 {
 		t.Fatalf("below ceiling: (%d, %v), want (800, nil)", mhz, err)
 	}
 	now = 1.5
-	if _, err := hook("clock-set", 1200); !errors.Is(err, ErrRejected) {
+	_, err := s.SetSMClock(1200)
+	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("reject window: err = %v, want ErrRejected", err)
 	}
+	if want := "faults: injected rejected clock set (clock-set 1200 MHz)"; err.Error() != want {
+		t.Fatalf("reject text %q, want %q", err, want)
+	}
 	now = 5
-	if mhz, err := hook("clock-set", 1200); err != nil || mhz != 1200 {
+	if mhz, err := s.SetSMClock(1200); err != nil || mhz != 1200 {
 		t.Fatalf("healthy: (%d, %v), want (1200, nil)", mhz, err)
+	}
+	if want := []int{900, 800, 1200}; !reflect.DeepEqual(inner.got, want) {
+		t.Fatalf("inner setter saw %v, want %v", inner.got, want)
 	}
 }
 
@@ -204,8 +253,12 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if !in.Evaluate(0, 0).None() {
 		t.Fatal("nil injector fired")
 	}
-	if in.SensorHook(nil) != nil || in.ClockHook(nil) != nil {
-		t.Fatal("nil injector produced non-nil hooks")
+	sensor, setter := &fakeSensor{}, &fakeSetter{}
+	if in.Sensor(sensor, nil) != pmt.Sensor(sensor) || in.Setter(setter, nil) != freqctl.Setter(setter) {
+		t.Fatal("nil injector wrapped the inner sensor or setter")
+	}
+	if in.MissTick(nil) != nil {
+		t.Fatal("nil injector produced a collection hook")
 	}
 	var p *Plan
 	if p.Injector(TargetSensor, 0) != nil {

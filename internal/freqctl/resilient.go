@@ -199,20 +199,3 @@ func (r *ResilientSetter) Stats() ResilienceStats {
 	defer r.mu.Unlock()
 	return r.stats
 }
-
-// AttachFaultHook installs a back-end fault hook underneath a Setter,
-// unwrapping the resilience layer to reach the vendor library. Returns false
-// when the chain bottoms out in a setter with no known back-end (test fakes).
-func AttachFaultHook(s Setter, hook func(op string, arg int) (int, error)) bool {
-	switch st := s.(type) {
-	case NVMLSetter:
-		st.Dev.SetFaultHook(hook)
-		return true
-	case RSMISetter:
-		st.Lib.SetFaultHook(hook)
-		return true
-	case *ResilientSetter:
-		return AttachFaultHook(st.Inner, hook)
-	}
-	return false
-}

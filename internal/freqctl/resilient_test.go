@@ -5,9 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-
-	"sphenergy/internal/faults"
-	"sphenergy/internal/gpusim"
 )
 
 // flakySetter fails SetSMClock according to a script: entry i is the error
@@ -193,40 +190,5 @@ func TestManDynConvergesUnderClamp(t *testing.T) {
 	}
 	if got := inner.callCount() - setsAfterSetup; got != 3 {
 		t.Fatalf("function switches issued %d sets, want 3", got)
-	}
-}
-
-func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
-	// End-to-end: ManDyn through a ResilientSetter over a real NVML-backed
-	// device with an injected clamped-clock window. The strategy must
-	// converge (no set storm) and leave the device at the achieved clock.
-	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	s, err := SetterFor(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &faults.Plan{Seed: 3, Rules: []faults.Rule{
-		{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: 900},
-	}}
-	if !AttachFaultHook(s, plan.Injector(faults.TargetClock, 0).ClockHook(dev.Now)) {
-		t.Fatal("AttachFaultHook failed on NVML setter")
-	}
-	r := NewResilientSetter(s)
-	m := &ManDyn{Table: map[string]int{"momentum": 1005}}
-	if err := m.Setup(r); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := m.Apply(r, "momentum"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 900 is not in the A100 table; the device snaps to the nearest
-	// supported application clock at or below the injector's ceiling.
-	if applied := dev.SMClockMHz(); applied >= 1005 || applied <= 0 {
-		t.Fatalf("device at %d MHz, want clamped below request", applied)
-	}
-	if st := r.Stats(); st.Clamped == 0 {
-		t.Fatalf("clamp not observed: %+v", st)
 	}
 }

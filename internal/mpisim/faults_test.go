@@ -6,7 +6,7 @@ func TestStragglerStretchesPhaseAndNotifies(t *testing.T) {
 	w := NewWorld(4, DefaultNetwork(4), 1)
 	extras := map[int]float64{}
 	w.SetStragglerObserver(func(r int, extraS float64) { extras[r] += extraS })
-	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
+	w.SetRankFaults(func(r int, nowS float64) RankFault {
 		if r == 2 {
 			return RankFault{SlowFactor: 3}
 		}
@@ -41,7 +41,7 @@ func TestStragglerStretchesPhaseAndNotifies(t *testing.T) {
 func TestCrashKillsRankAndFreezesClock(t *testing.T) {
 	w := NewWorld(3, DefaultNetwork(3), 1)
 	phase := 0
-	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
+	w.SetRankFaults(func(r int, nowS float64) RankFault {
 		return RankFault{Crash: r == 1 && phase == 0}
 	})
 	durs := w.Execute(func(r int) float64 { return 2.0 })
@@ -88,7 +88,7 @@ func TestCrashAtBarrierDoesNotPullSurvivors(t *testing.T) {
 	// A rank that dies while reporting a long duration still banks its
 	// time, but survivors do not wait for it.
 	w := NewWorld(2, DefaultNetwork(2), 1)
-	w.SetRankFaultHook(func(r int, nowS float64) RankFault {
+	w.SetRankFaults(func(r int, nowS float64) RankFault {
 		if r == 1 {
 			return RankFault{SlowFactor: 10, Crash: true}
 		}

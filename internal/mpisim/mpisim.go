@@ -95,8 +95,7 @@ type SpanRecorder interface {
 }
 
 // RankFault describes one injected rank misbehaviour for a phase, the
-// local hook shape that keeps mpisim free of a faults dependency (the
-// same pattern the sensor back-ends use).
+// local hook shape that keeps mpisim free of a faults dependency.
 type RankFault struct {
 	// SlowFactor > 1 stretches the rank's phase duration (a straggler:
 	// thermal throttling, a congested NIC, a noisy neighbour).
@@ -204,8 +203,8 @@ func (w *World) Failures() []RankFailure {
 	return out
 }
 
-// SetRankFaultHook installs the per-phase fault hook; nil removes it.
-func (w *World) SetRankFaultHook(h RankFaultHook) {
+// SetRankFaults installs the per-phase fault hook; nil removes it.
+func (w *World) SetRankFaults(h RankFaultHook) {
 	w.fhook = h
 }
 

@@ -34,29 +34,25 @@ import (
 // CollectionHz is the default Cray PM collection rate.
 const CollectionHz = 10
 
-// FaultHook intercepts collection ticks for fault injection, sharing the
-// shape of nvml.FaultHook. It is consulted once per collection resample
-// (op "refresh"); an error skips the resample, so readers keep seeing the
-// previous tick's values — exactly the pm_counters staleness mode
-// documented for the real hardware.
-// Production paths leave the hook nil.
-type FaultHook func(op string, arg int) (int, error)
-
 // Counters exposes the pm_counters view of one node.
 type Counters struct {
 	node *cluster.Node
 	// freshness quantization: counters appear updated only at multiples of
 	// the collection period in node virtual time.
 	periodS float64
-	hook    FaultHook
+	miss    func() bool
 
 	// cached sample
 	lastSampleTime float64
 	cached         sample
 }
 
-// SetFaultHook installs (or clears, with nil) the fault-injection hook.
-func (c *Counters) SetFaultHook(h FaultHook) { c.hook = h }
+// SetMissHook installs (or clears, with nil) the fault-injection hook. It
+// is consulted once per due collection tick, and again on every read while
+// that tick stays missed; true misses the tick, so readers keep seeing the
+// previous tick's values — exactly the pm_counters staleness mode
+// documented for the real hardware. Production paths leave it nil.
+func (c *Counters) SetMissHook(miss func() bool) { c.miss = miss }
 
 type sample struct {
 	nodeJ, cpuJ, memJ float64
@@ -88,12 +84,10 @@ func (c *Counters) refresh() {
 	if c.lastSampleTime >= 0 && tick <= c.lastSampleTime {
 		return
 	}
-	if c.hook != nil {
-		if _, err := c.hook("refresh", 0); err != nil {
-			// Collection missed its tick: cached values stay stale and
-			// lastSampleTime is not advanced, so the next read retries.
-			return
-		}
+	if c.miss != nil && c.miss() {
+		// Collection missed its tick: cached values stay stale and
+		// lastSampleTime is not advanced, so the next read retries.
+		return
 	}
 	c.lastSampleTime = tick
 	s := sample{

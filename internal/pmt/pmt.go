@@ -14,12 +14,10 @@
 package pmt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"sphenergy/internal/cluster"
-	"sphenergy/internal/faults"
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
 	"sphenergy/internal/rsmi"
@@ -43,25 +41,14 @@ type Sensor interface {
 	Read() State
 }
 
-// Read() has no error return — exactly like the real toolkit — so
-// back-end failures must be encoded in the State itself. The hardware
-// sensors below do it uniformly via degrade: a stuck back-end replays the
-// last good state (reader sees a frozen sample, the sampler's stuck
-// detector catches the repetition), any other failure yields a NaN energy
-// at the current timestamp (the sampler discards and counts it). A healthy
-// read refreshes the cache.
-func degrade(err error, now float64, last *State, started *bool) State {
-	if errors.Is(err, faults.ErrStuck) && *started {
-		return *last
-	}
-	return State{TimeS: now, EnergyJ: math.NaN()}
-}
+// Read() has no error return — exactly like the real toolkit — so a
+// failed vendor read is encoded in the State itself: NaN energy at the time
+// the read reports (the sampler discards and counts it).
+func failed(now float64) State { return State{TimeS: now, EnergyJ: math.NaN()} }
 
 // nvmlSensor measures one Nvidia device through the NVML energy counter.
 type nvmlSensor struct {
-	dev     nvml.Device
-	last    State
-	started bool
+	dev nvml.Device
 }
 
 // NewNVML creates a GPU sensor over an NVML device handle.
@@ -72,19 +59,15 @@ func (s *nvmlSensor) Name() string { return fmt.Sprintf("nvml:%s", s.dev.Name())
 func (s *nvmlSensor) Read() State {
 	now, mj, err := s.dev.TotalEnergyConsumptionAt()
 	if err != nil {
-		return degrade(err, now, &s.last, &s.started)
+		return failed(now)
 	}
-	s.last = State{TimeS: now, EnergyJ: float64(mj) / 1000}
-	s.started = true
-	return s.last
+	return State{TimeS: now, EnergyJ: float64(mj) / 1000}
 }
 
 // rsmiSensor measures one AMD device through the ROCm-SMI energy counter.
 type rsmiSensor struct {
-	lib     *rsmi.Library
-	idx     int
-	last    State
-	started bool
+	lib *rsmi.Library
+	idx int
 }
 
 // NewRSMI creates a GPU sensor over a rocm-smi device index.
@@ -97,11 +80,9 @@ func (s *rsmiSensor) Name() string { return fmt.Sprintf("rocm:%d", s.idx) }
 func (s *rsmiSensor) Read() State {
 	now, uj, err := s.lib.DevEnergyCountGetAt(s.idx)
 	if err != nil {
-		return degrade(err, now, &s.last, &s.started)
+		return failed(now)
 	}
-	s.last = State{TimeS: now, EnergyJ: float64(uj) / 1e6}
-	s.started = true
-	return s.last
+	return State{TimeS: now, EnergyJ: float64(uj) / 1e6}
 }
 
 // CrayComponent selects which pm_counters file a Cray sensor reads.
@@ -124,7 +105,7 @@ type craySensor struct {
 }
 
 // NewCrayOn creates a sensor over an existing pm_counters view, so callers
-// that need to install a fault hook (or share one Counters instance across
+// that install a collection hook (or share one Counters instance across
 // components) can construct the view themselves.
 func NewCrayOn(pc *pmcounters.Counters, node *cluster.Node, component CrayComponent, card int) Sensor {
 	return &craySensor{pc: pc, component: component, card: card, node: node}

@@ -20,26 +20,9 @@ var (
 	ErrNotSupported = errors.New("rsmi: not supported")
 )
 
-// FaultHook intercepts management-library operations for fault injection,
-// mirroring nvml.FaultHook: op names the operation ("energy-read",
-// "clock-set", "power-read"), arg carries the requested SM MHz for
-// clock-set. Production paths leave the hook nil.
-type FaultHook func(op string, arg int) (int, error)
-
 // Library is one rocm-smi context over a node's AMD devices (GCDs).
 type Library struct {
 	devices []*gpusim.Device
-	hook    FaultHook
-}
-
-// SetFaultHook installs (or clears, with nil) the fault-injection hook.
-func (l *Library) SetFaultHook(h FaultHook) { l.hook = h }
-
-func (l *Library) fault(op string, arg int) (int, error) {
-	if l.hook == nil {
-		return arg, nil
-	}
-	return l.hook(op, arg)
 }
 
 // New creates a library over AMD devices; non-AMD devices are rejected.
@@ -89,14 +72,7 @@ func (l *Library) DevGPUClkFreqSet(i, index int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: frequency index %d", ErrInvalidArgs, index)
 	}
-	// A hook that clamped the request is honored at the nearest table
-	// entry, the snap SetApplicationClocks applies as the platform
-	// firmware does.
-	mhz, err := l.fault("clock-set", want)
-	if err != nil {
-		return 0, err
-	}
-	return d.SetApplicationClocks(0, mhz)
+	return d.SetApplicationClocks(0, want)
 }
 
 // DevPerfLevelSetAuto restores automatic (governor) clock management
@@ -113,15 +89,11 @@ func (l *Library) DevPerfLevelSetAuto(i int) error {
 // DevEnergyCountGetAt returns accumulated energy in microjoules
 // (rsmi_dev_energy_count_get) with the device time the counter stood at
 // that value, the two read together (see gpusim.Device.EnergyAt) — the
-// timestamp rsmi_dev_energy_count_get itself hands back. A failed read
-// of a valid device still reports the device's time.
+// timestamp rsmi_dev_energy_count_get itself hands back.
 func (l *Library) DevEnergyCountGetAt(i int) (timeS float64, uj uint64, err error) {
 	d, err := l.dev(i)
 	if err != nil {
 		return 0, 0, err
-	}
-	if _, err := l.fault("energy-read", 0); err != nil {
-		return d.Now(), 0, err
 	}
 	timeS, j := d.EnergyAt()
 	return timeS, uint64(j * 1e6), nil

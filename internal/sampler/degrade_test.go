@@ -258,3 +258,38 @@ func TestKahanAccumulationAcrossStuckRecover(t *testing.T) {
 		t.Fatalf("StuckEvents = %d, want 1", st.StuckEvents)
 	}
 }
+
+func TestReadAfterStaleReadIsFlagged(t *testing.T) {
+	// Polls at t = 0, 0.1, 0.2, 0.3, 0.4. The read at 0.2 is stale: it
+	// replays a real state of t = 0.15 that another reader got, so it
+	// differs from the previous read and the frozen-read detector misses
+	// it. Its own window (0.1, 0.15] is observed; the next one, (0.15,
+	// 0.3], spans the unobserved gap and must be flagged.
+	sen := &scriptSensor{name: "fake", states: []pmt.State{
+		{TimeS: 0, EnergyJ: 0},
+		{TimeS: 0.1, EnergyJ: 10},
+		{TimeS: 0.15, EnergyJ: 15},
+		{TimeS: 0.3, EnergyJ: 30},
+		{TimeS: 0.4, EnergyJ: 40},
+	}}
+	polls := []float64{0, 0.1, 0.2, 0.3, 0.4}
+	s := New(Config{GPUHz: 10})
+	ch := s.add("fake", 0, sen, 10)
+	i := 0
+	ch.SetClock(func() float64 { return polls[i] })
+	for ; i < len(polls); i++ {
+		ch.Poll()
+	}
+	var flagged []float64
+	for _, smp := range samples(ch) {
+		if smp.Degraded {
+			flagged = append(flagged, smp.TimeS)
+		}
+	}
+	if len(flagged) != 2 || !approx(flagged[0], 0.2, 1e-9) || !approx(flagged[1], 0.3, 1e-9) {
+		t.Fatalf("degraded ticks at %v, want [0.2 0.3]", flagged)
+	}
+	if st := ch.Stats(); st.StuckEvents != 0 || st.FaultReads != 0 {
+		t.Fatalf("a stale read is no fault read and latches nothing: %+v", st)
+	}
+}

@@ -33,7 +33,8 @@
 // trusting them. Estimates are kept on the primary counter's cumulative
 // scale, so when the primary recovers, real energy reconciles against the
 // estimate through the existing negative-delta clamp and nothing is
-// double-counted.
+// double-counted. A channel given its poll clock (Channel.SetClock) also
+// flags the window after a stale read, one stamped before its poll.
 package sampler
 
 import (
@@ -160,6 +161,8 @@ type Channel struct {
 	stuckRun     int            // consecutive frozen reads
 	stuck        bool           // currently latched stuck
 	prevDegraded bool           // previous poll was degraded (flags the recovery window)
+	clock        func() float64 // the time a poll happens at (nil: unknown)
+	prevStale    bool           // previous read was stamped before its poll (flags the next window)
 	onTransition TransitionFunc // fired on degraded<->healthy edges (may be nil)
 
 	// stats
@@ -230,6 +233,7 @@ func (c *Channel) Poll() {
 	st := c.sensor.Read()
 	c.mu.Lock()
 	c.polls++
+	stale := c.clock != nil && st.TimeS < c.clock()
 	degraded := c.classify(st)
 	if !c.started {
 		if degraded {
@@ -250,10 +254,13 @@ func (c *Channel) Poll() {
 		st = c.estimate(st)
 	}
 	// The first good poll after an outage also carries the flag: its ticks
-	// span the unobserved window.
+	// span the unobserved window. So does the read after a stale one: the
+	// stale state is real but older than its poll, so the next window
+	// spans the gap between them, unobserved.
 	transition := degraded != c.prevDegraded
-	flag := degraded || c.prevDegraded
+	flag := degraded || c.prevDegraded || c.prevStale
 	c.prevDegraded = degraded
+	c.prevStale = stale
 	if transition && c.onTransition != nil {
 		detail := "primary-restored"
 		if degraded {
@@ -416,6 +423,20 @@ func (s *Sampler) add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 	s.channels = append(s.channels, ch)
 	s.mu.Unlock()
 	return ch
+}
+
+// SetClock gives the channel the time its polls happen at, the clock of
+// the device its sensor reads. A read stamped before it is stale: a
+// counter replaying an old state, which may still differ from the previous
+// read when another reader of the sensor got a fresh state meanwhile, so
+// the frozen-read detector alone does not see it.
+func (c *Channel) SetClock(now func() float64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.clock = now
+	c.mu.Unlock()
 }
 
 // AddRank registers a rank's GPU sensor (NVML, ROCm-SMI) at the in-band

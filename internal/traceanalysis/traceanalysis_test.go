@@ -164,7 +164,7 @@ func TestMpisimStragglerAttribution(t *testing.T) {
 		tr := telemetry.NewTracer(ranks)
 		w.SetRecorder(tr)
 		if slow {
-			w.SetRankFaultHook(func(rank int, nowS float64) mpisim.RankFault {
+			w.SetRankFaults(func(rank int, nowS float64) mpisim.RankFault {
 				if rank == 1 {
 					return mpisim.RankFault{SlowFactor: 4}
 				}
