@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph sweeps bundle-smoke check unlinked experiments clean
+.PHONY: all build lint vet fmt-check test race race-sph race-model fuzz-smoke bench bench-smoke bench-telemetry bench-observe bench-model bench-sph sweeps bundle-smoke check unlinked unlinked-max experiments clean
 
 all: build lint test
 
@@ -34,10 +34,12 @@ all: build lint test
 #                pipeline vs the closure-walk oracle, a bit-identical
 #                checkpoint-resume twin, the Fig. 7 bands and the
 #                attribution pass; exits 1 on any "correct": false.
+#   unlinked-max `make unlinked`'s function count, no more than
+#                UNLINKED_MAX.
 # The other bench-* targets time things and gate nothing: bench-observe the
 # observers, bench-model the plain run's rank-phase loop, bench-sph and
 # bench-telemetry their packages' primitives, bench the whole benchmark.
-check: lint race race-sph race-model fuzz-smoke sweeps bundle-smoke bench-smoke
+check: lint race race-sph race-model fuzz-smoke sweeps bundle-smoke bench-smoke unlinked-max
 
 # lint is the static gate: go vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -264,8 +266,9 @@ bundle-smoke:
 # built with inlining off, so a function that runs keeps its own symbol;
 # symbols of main packages are renamed to their directory and type arguments
 # stripped, so a generic method counts as linked when any instantiation is.
-# Prints `symbol file:line lines` per function, then the totals; gates
-# nothing. Assumes gofmt'd source: a body ends at the first `}` in column 0.
+# Prints `symbol file:line lines` per function, then the totals; `check`
+# holds the count to UNLINKED_MAX through unlinked-max. Assumes gofmt'd
+# source: a body ends at the first `}` in column 0.
 unlinked:
 	@t=$$(mktemp -d) && trap 'rm -rf $$t' EXIT && \
 	for p in cmd/* benchmark; do \
@@ -288,6 +291,17 @@ unlinked:
 	done > $$t/declared && \
 	awk 'NR == FNR { l[$$1] = 1; next } !($$1 in l) { print; n++; lines += $$3 } \
 		END { printf "%d functions / %d lines\n", n, lines }' $$t/linked $$t/declared
+
+# The most functions `make unlinked` may report. A change that leaves a
+# function no program links deletes it, or raises this and says why; one
+# that deletes such a function lowers it.
+UNLINKED_MAX = 20
+
+unlinked-max:
+	@out=$$($(MAKE) -s --no-print-directory unlinked) || exit 1; \
+	n=$$(echo "$$out" | tail -n 1 | cut -d' ' -f1); \
+	echo "make unlinked: $$(echo "$$out" | tail -n 1) (UNLINKED_MAX $(UNLINKED_MAX))"; \
+	if [ "$$n" -gt $(UNLINKED_MAX) ]; then echo "$$out"; exit 1; fi
 
 # Regenerate every table/figure at the paper's step counts.
 experiments:

@@ -65,7 +65,7 @@ func TestOutWriteErrorFatal(t *testing.T) {
 // flag, before anything is printed or created: 0 and below once meant the
 // full paper, NaN and ±Inf two steps.
 func TestInvalidScaleRefused(t *testing.T) {
-	for _, scale := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
+	for _, scale := range []string{"0", "-1", "NaN", "Inf", "-Inf", "1e17", "1e300"} {
 		t.Run(scale, func(t *testing.T) {
 			var out bytes.Buffer
 			dir := filepath.Join(t.TempDir(), "out")

@@ -157,10 +157,9 @@ type Attribution struct {
 
 // MarkDropped records that the rank channels' rings overflowed before the
 // join and dropped n samples in all. The retained series then starts after
-// the run does: spans older than its first tick integrate to nothing, and
-// the error figures measure that gap (−31 % aggregate at 1000 steps of
-// 100 Hz against a 65 536-sample ring), not the sampler. The attribution
-// fails with the count as its stated reason. n == 0 changes nothing.
+// the run does: spans older than its first tick integrate to nothing and
+// are flagged degraded. The attribution fails with the count as its stated
+// reason. n == 0 changes nothing.
 func (a *Attribution) MarkDropped(n uint64) {
 	if n == 0 {
 		return
@@ -281,21 +280,29 @@ func (es *energySeries) degAt(t float64) float64 {
 }
 
 // degradedOverlap returns the degraded time inside the span [startS, endS]
-// whose window is lo, hi. Spans too short to contain an interior sample
-// interval are estimated from their *neighbor* intervals (atStart extends
-// the preceding one, atEnd the following one), so for those the query
-// widens to the borrowed intervals: such a span rests on estimated data
-// even when its own time window is clean. The result is capped at the span
-// duration so DegradedPct stays a fraction of the span.
+// whose window is lo, hi. Span time before the series' first tick counts:
+// no sample covers it (a channel whose first reads failed takes its
+// baseline late), so it integrates to nothing. An empty series flags
+// nothing: its rows read 0 J and fail the gates. Spans too short to contain
+// an interior sample interval are estimated from their *neighbor*
+// intervals (atStart extends the preceding one, atEnd the following one),
+// so for those the query widens to the borrowed intervals: such a span
+// rests on estimated data even when its own time window is clean. The
+// result is capped at the span duration so DegradedPct stays a fraction of
+// the span.
 func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float64 {
-	if !es.degAny || endS <= startS {
+	n := len(es.times)
+	if endS <= startS || n == 0 {
 		return 0
 	}
-	n := len(es.times)
+	unseen := max(min(endS, es.times[0])-startS, 0)
+	if !es.degAny {
+		return unseen
+	}
 	if lo < n && hi >= 0 && hi > lo {
 		// Interior-interval spans (integrate's exact path) draw only on
 		// samples inside their window; strict overlap is the whole story.
-		return es.degAt(endS) - es.degAt(startS)
+		return unseen + es.degAt(endS) - es.degAt(startS)
 	}
 	padLo, padHi := startS, endS
 	if i := es.intervalOfStart(startS, lo); i > 0 {
@@ -304,7 +311,7 @@ func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float6
 	if i := es.intervalOfEnd(endS, hi); i >= 0 && i+2 < n {
 		padHi = es.times[i+2]
 	}
-	return math.Min(es.degAt(padHi)-es.degAt(padLo), endS-startS)
+	return math.Min(unseen+es.degAt(padHi)-es.degAt(padLo), endS-startS)
 }
 
 // intervalOfStart returns the interval index i with times[i] <= t <

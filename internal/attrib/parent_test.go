@@ -76,24 +76,29 @@ func (es *parentSeries) degAt(t float64) float64 {
 	return p
 }
 
-// degradedOverlap returns the degraded time inside [startS, endS].
-// Spans too short to contain an interior sample interval are estimated
+// degradedOverlap returns the degraded time inside [startS, endS], span
+// time before the first tick included (a rule added after 7955eee, kept in
+// step with the join's). Spans too short to contain an interior sample interval are estimated
 // from their *neighbor* intervals (atStart extends the preceding one,
 // atEnd the following one), so for those the query widens to the
 // borrowed intervals: such a span rests on estimated data even when its
 // own time window is clean. The result is capped at the span duration
 // so DegradedPct stays a fraction of the span.
 func (es *parentSeries) degradedOverlap(startS, endS float64) float64 {
-	if !es.degAny || endS <= startS {
+	n := len(es.times)
+	if endS <= startS || n == 0 {
 		return 0
 	}
-	n := len(es.times)
+	unseen := math.Max(math.Min(endS, es.times[0])-startS, 0)
+	if !es.degAny {
+		return unseen
+	}
 	lo := sort.SearchFloat64s(es.times, startS)
 	hi := sort.Search(n, func(i int) bool { return es.times[i] > endS }) - 1
 	if lo < n && hi >= 0 && hi > lo {
 		// Interior-interval spans (integrate's exact path) draw only on
 		// samples inside their window; strict overlap is the whole story.
-		return es.degAt(endS) - es.degAt(startS)
+		return unseen + es.degAt(endS) - es.degAt(startS)
 	}
 	padLo, padHi := startS, endS
 	if i := es.locate(startS); i > 0 {
@@ -102,7 +107,7 @@ func (es *parentSeries) degradedOverlap(startS, endS float64) float64 {
 	if i := es.locate(endS); i >= 0 && i+2 < n {
 		padHi = es.times[i+2]
 	}
-	return math.Min(es.degAt(padHi)-es.degAt(padLo), endS-startS)
+	return math.Min(unseen+es.degAt(padHi)-es.degAt(padLo), endS-startS)
 }
 
 // locate returns the interval index i with times[i] <= t < times[i+1],

@@ -466,31 +466,52 @@ func TestStaleSensorReadsKeepAttributionContract(t *testing.T) {
 		{Kind: faults.Latency, Target: faults.TargetSensor, Probability: 0.05},
 	}
 	for _, spec := range []cluster.NodeSpec{cluster.MiniHPC(), cluster.LUMIG()} {
-		max := spec.GPUSpec.MaxSMClockMHz
 		for _, rule := range rules {
 			for seed := uint64(1); seed <= 20; seed++ {
-				res, err := Run(Config{
-					System:           spec,
-					Ranks:            2,
-					Sim:              Turbulence,
-					ParticlesPerRank: 10e6,
-					Steps:            3,
-					Seed:             seed,
-					Tracer:           telemetry.NewTracer(2),
-					Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
-					Faults:           &faults.Plan{Seed: seed, Rules: []faults.Rule{rule}},
-					NewStrategy: func() freqctl.Strategy {
-						return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a := res.Attribution; !a.Pass {
-					t.Errorf("%s, %s rule, seed %d: agg err %.3f%%, worst resolvable %.3f%%, %d degraded rows",
-						spec.Name, rule.Kind, seed, a.AggErrPct, a.MaxResolvableErrPct, a.DegradedRows)
-				}
+				sensorFaultedAttributionPasses(t, spec, 2, rule, seed)
 			}
 		}
+	}
+}
+
+// TestLateChannelStartFlagsEarlySpans holds the configuration where a stuck
+// fault on a rank's first reads leaves no good state to replay: the reads
+// come back NaN, the rank's channel takes its first sample late, and the
+// calls before it integrate to 0 J. That time is flagged degraded, so one
+// call of three reading nothing no longer shows as a −33 % clean row.
+func TestLateChannelStartFlagsEarlySpans(t *testing.T) {
+	rule := faults.Rule{Kind: faults.Stuck, Target: faults.TargetSensor, Probability: 0.10, Burst: 2}
+	for _, spec := range []cluster.NodeSpec{cluster.MiniHPC(), cluster.CSCSA100(), cluster.LUMIG()} {
+		for _, seed := range []uint64{6, 45} {
+			sensorFaultedAttributionPasses(t, spec, 4, rule, seed)
+		}
+	}
+}
+
+// sensorFaultedAttributionPasses runs a 3-step, sampled ManDyn Turbulence
+// run under one GPU-sensor rule and requires its attribution to pass.
+func sensorFaultedAttributionPasses(t *testing.T, spec cluster.NodeSpec, ranks int, rule faults.Rule, seed uint64) {
+	t.Helper()
+	max := spec.GPUSpec.MaxSMClockMHz
+	res, err := Run(Config{
+		System:           spec,
+		Ranks:            ranks,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            3,
+		Seed:             seed,
+		Tracer:           telemetry.NewTracer(ranks),
+		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
+		Faults:           &faults.Plan{Seed: seed, Rules: []faults.Rule{rule}},
+		NewStrategy: func() freqctl.Strategy {
+			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := res.Attribution; !a.Pass {
+		t.Errorf("%s, %d ranks, %s rule, seed %d: agg err %.3f%%, worst resolvable %.3f%%, %d degraded rows",
+			spec.Name, ranks, rule.Kind, seed, a.AggErrPct, a.MaxResolvableErrPct, a.DegradedRows)
 	}
 }

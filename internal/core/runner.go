@@ -323,13 +323,9 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		setter, err := freqctl.SetterFor(dev)
-		if err != nil {
-			return nil, err
-		}
 		rc := &rankCtx{
 			dev:      dev,
-			setter:   setter,
+			setter:   freqctl.DeviceSetter{Dev: dev},
 			strategy: cfg.NewStrategy(),
 			sensor:   gpuSensor(dev),
 			profile:  instr.NewRankProfile(r),

@@ -64,10 +64,14 @@ func Run(name string, scale float64) (Renderable, error) {
 }
 
 // CheckScale refuses a scale Run would not run as given: one that is not a
-// finite number above 0. The error starts with the scale.
+// finite number above 0, or one whose step count does not fit in an int
+// (steps would wrap it round to 2). The error starts with the scale.
 func CheckScale(scale float64) error {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("%v is not a finite number > 0", scale)
+	}
+	if !(100*scale+0.5 < math.MaxInt) {
+		return fmt.Errorf("%v gives more steps than an int holds", scale)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sphenergy/internal/cluster"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/nvml"
@@ -11,8 +12,8 @@ import (
 	"sphenergy/internal/rsmi"
 )
 
-// The wrappers over the vendor paths a run builds: the NVML and ROCm-SMI
-// sensors, the RSMI setter, and ManDyn through a ResilientSetter. Each
+// The wrappers over the paths a run builds: the NVML and ROCm-SMI sensors,
+// the device setter, and ManDyn through a ResilientSetter. Each
 // device starts at t=0 and is advanced one second between reads, into the
 // next fault window.
 
@@ -86,47 +87,37 @@ func TestRSMISensorDegradesUnderFaults(t *testing.T) {
 	}
 }
 
+// TestRSMIClockSetClampedByHook clamps LUMI-G's clock sets at 1333 MHz,
+// between two 50 MHz steps: the injector lowers the request to the ceiling
+// and the device snaps it to the nearest supported clock, 1350 MHz, the one
+// ROCm-SMI's frequency-index search picks too.
 func TestRSMIClockSetClampedByHook(t *testing.T) {
-	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
-	lib, _ := rsmi.New([]*gpusim.Device{dev})
+	dev := gpusim.NewDevice(cluster.LUMIG().GPUSpec, 0)
 	plan := &Plan{Seed: 1, Rules: []Rule{
-		{Kind: ClampedClock, Target: TargetClock, MHz: 1000},
+		{Kind: ClampedClock, Target: TargetClock, MHz: 1333},
 	}}
-	s := plan.Injector(TargetClock, 0).Setter(freqctl.RSMISetter{Lib: lib, Idx: 0}, dev.Now)
-	table := dev.Spec().SupportedClocksMHz()
-	// Request the highest table entry; the injector clamps it to <=1000
-	// and the set must land on the nearest supported clock to the clamp.
-	applied, err := s.SetSMClock(table[0])
-	if err != nil {
-		t.Fatalf("SetSMClock: %v", err)
-	}
-	if applied > table[0] && table[0] > 1000 {
-		t.Fatalf("applied %d MHz despite 1000 MHz clamp", applied)
-	}
-	best, bestDiff := table[0], 1<<30
-	for _, f := range table {
-		d := f - 1000
-		if d < 0 {
-			d = -d
+	s := plan.Injector(TargetClock, 0).Setter(freqctl.DeviceSetter{Dev: dev}, dev.Now)
+	for _, req := range []int{s.MaxSMClock(), 1400, 1333} {
+		applied, err := s.SetSMClock(req)
+		if err != nil {
+			t.Fatalf("SetSMClock(%d): %v", req, err)
 		}
-		if d < bestDiff {
-			best, bestDiff = f, d
+		if applied != 1350 || dev.SMClockMHz() != 1350 {
+			t.Fatalf("SetSMClock(%d) under a 1333 MHz clamp applied %d, device at %d, want 1350", req, applied, dev.SMClockMHz())
 		}
 	}
-	if table[0] > 1000 && applied != best {
-		t.Fatalf("applied %d, want nearest supported to clamp = %d", applied, best)
+	// A request under the ceiling passes through unclamped.
+	if applied, err := s.SetSMClock(1000); err != nil || applied != 1000 {
+		t.Fatalf("SetSMClock(1000) = %d, %v, want 1000", applied, err)
 	}
 }
 
 func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
-	// End-to-end: ManDyn through a ResilientSetter over a real NVML-backed
-	// device with an injected clamped-clock window. The strategy must
-	// converge (no set storm) and leave the device at the achieved clock.
+	// End-to-end: ManDyn through a ResilientSetter over a simulated A100
+	// with an injected clamped-clock window. The strategy must converge (no
+	// set storm) and leave the device at the achieved clock.
 	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	s, err := freqctl.SetterFor(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := freqctl.DeviceSetter{Dev: dev}
 	plan := &Plan{Seed: 3, Rules: []Rule{
 		{Kind: ClampedClock, Target: TargetClock, MHz: 900},
 	}}

@@ -3,9 +3,12 @@
 // the hardware DVFS governor, and ManDyn — per-function application-clock
 // switching driven by code instrumentation with a tuned frequency table.
 //
-// Strategies act through a Setter, the narrow clock-control surface that
-// both the NVML and ROCm-SMI back-ends provide; this is the user-level,
-// no-superuser-required control path the paper establishes.
+// Strategies act through a Setter, the narrow clock- and power-control
+// surface of one GPU. DeviceSetter is the one implementation over a
+// simulated device of either vendor: the simulated
+// nvmlDeviceSetApplicationsClocks, the user-level, no-superuser-required
+// control path the paper establishes. Fault injection, retries and the
+// ledger's clock tap wrap it.
 package freqctl
 
 import (
@@ -14,8 +17,6 @@ import (
 	"strings"
 
 	"sphenergy/internal/gpusim"
-	"sphenergy/internal/nvml"
-	"sphenergy/internal/rsmi"
 )
 
 // Setter is the clock- and power-control surface of one GPU.
@@ -30,104 +31,35 @@ type Setter interface {
 	SetPowerLimitW(watts float64) error
 }
 
-// NVMLSetter adapts an NVML device handle to the Setter interface.
-type NVMLSetter struct {
-	Dev nvml.Device
+// DeviceSetter is the Setter over one simulated GPU of either vendor. A
+// clock request snaps to the nearest supported clock, the higher one on a
+// tie, with the memory clock left at its default; a power cap applies at
+// full precision.
+type DeviceSetter struct {
+	Dev *gpusim.Device
 }
 
-// SetSMClock implements Setter via nvmlDeviceSetApplicationsClocks.
-func (s NVMLSetter) SetSMClock(mhz int) (int, error) {
-	return s.Dev.SetApplicationsClocks(0, mhz)
+// SetSMClock implements Setter.
+func (s DeviceSetter) SetSMClock(mhz int) (int, error) {
+	return s.Dev.SetApplicationClocks(0, mhz)
 }
 
 // ResetClocks implements Setter.
-func (s NVMLSetter) ResetClocks() error { return s.Dev.ResetApplicationsClocks() }
-
-// MaxSMClock implements Setter.
-func (s NVMLSetter) MaxSMClock() int {
-	clocks := s.Dev.SupportedGraphicsClocks()
-	return clocks[0]
+func (s DeviceSetter) ResetClocks() error {
+	s.Dev.ResetApplicationClocks()
+	return nil
 }
 
-// SetPowerLimitW implements Setter via nvmlDeviceSetPowerManagementLimit.
-func (s NVMLSetter) SetPowerLimitW(watts float64) error {
+// MaxSMClock implements Setter.
+func (s DeviceSetter) MaxSMClock() int { return s.Dev.Spec().MaxSMClockMHz }
+
+// SetPowerLimitW implements Setter.
+func (s DeviceSetter) SetPowerLimitW(watts float64) error {
 	if watts == 0 {
-		s.Dev.Sim().ResetPowerLimit()
+		s.Dev.ResetPowerLimit()
 		return nil
 	}
-	return s.Dev.SetPowerManagementLimit(int(watts * 1000))
-}
-
-// RSMISetter adapts a rocm-smi device index to the Setter interface.
-type RSMISetter struct {
-	Lib *rsmi.Library
-	Idx int
-}
-
-// SetSMClock implements Setter via rsmi_dev_gpu_clk_freq_set.
-func (s RSMISetter) SetSMClock(mhz int) (int, error) {
-	table, _, err := s.Lib.DevGPUClkFreqGet(s.Idx)
-	if err != nil {
-		return 0, err
-	}
-	best, bestD := 0, 1<<30
-	for i, f := range table {
-		d := f - mhz
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return s.Lib.DevGPUClkFreqSet(s.Idx, best)
-}
-
-// ResetClocks implements Setter.
-func (s RSMISetter) ResetClocks() error { return s.Lib.DevPerfLevelSetAuto(s.Idx) }
-
-// MaxSMClock implements Setter.
-func (s RSMISetter) MaxSMClock() int {
-	table, _, err := s.Lib.DevGPUClkFreqGet(s.Idx)
-	if err != nil || len(table) == 0 {
-		return 0
-	}
-	return table[0]
-}
-
-// SetPowerLimitW implements Setter via rsmi_dev_power_cap_set.
-func (s RSMISetter) SetPowerLimitW(watts float64) error {
-	if watts == 0 {
-		return s.Lib.DevPowerCapReset(s.Idx)
-	}
-	return s.Lib.DevPowerCapSet(s.Idx, int64(watts*1e6))
-}
-
-// SetterFor builds the right Setter for a simulated device through its
-// vendor management library.
-func SetterFor(dev *gpusim.Device) (Setter, error) {
-	switch dev.Spec().Vendor {
-	case gpusim.Nvidia:
-		lib, err := nvml.New([]*gpusim.Device{dev})
-		if err != nil {
-			return nil, err
-		}
-		if err := lib.Init(); err != nil {
-			return nil, err
-		}
-		h, err := lib.DeviceGetHandleByIndex(0)
-		if err != nil {
-			return nil, err
-		}
-		return NVMLSetter{Dev: h}, nil
-	case gpusim.AMD:
-		lib, err := rsmi.New([]*gpusim.Device{dev})
-		if err != nil {
-			return nil, err
-		}
-		return RSMISetter{Lib: lib, Idx: 0}, nil
-	}
-	return nil, fmt.Errorf("freqctl: unknown vendor for device %q", dev.Spec().Name)
+	return s.Dev.SetPowerLimit(watts)
 }
 
 // Strategy decides the GPU clock policy of a run. Implementations must be

@@ -10,55 +10,61 @@ import (
 func nvidiaSetter(t *testing.T) (Setter, *gpusim.Device) {
 	t.Helper()
 	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	s, err := SetterFor(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, dev
+	return DeviceSetter{Dev: dev}, dev
 }
 
 func amdSetter(t *testing.T) (Setter, *gpusim.Device) {
 	t.Helper()
 	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
-	s, err := SetterFor(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, dev
+	return DeviceSetter{Dev: dev}, dev
 }
 
+// TestSetterForBothVendors sweeps every request from one step below the
+// lowest clock to one step above the highest on the A100 and the MI250X:
+// each lands on the nearest supported clock, the higher one on a tie, which
+// is the table entry NVML's snap and ROCm-SMI's index search both pick.
 func TestSetterForBothVendors(t *testing.T) {
-	sN, devN := nvidiaSetter(t)
-	if sN.MaxSMClock() != 1410 {
-		t.Errorf("nvidia max clock %d", sN.MaxSMClock())
-	}
-	applied, err := sN.SetSMClock(1005)
-	if err != nil || applied != 1005 {
-		t.Errorf("nvidia set: %d, %v", applied, err)
-	}
-	if devN.SMClockMHz() != 1005 {
-		t.Error("nvidia device clock not applied")
-	}
-
-	sA, devA := amdSetter(t)
-	if sA.MaxSMClock() != 1700 {
-		t.Errorf("amd max clock %d", sA.MaxSMClock())
-	}
-	applied, err = sA.SetSMClock(1210)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1200 { // snapped to the 50 MHz table
-		t.Errorf("amd applied %d, want 1200", applied)
-	}
-	if devA.SMClockMHz() != 1200 {
-		t.Error("amd device clock not applied")
-	}
-	if err := sA.ResetClocks(); err != nil {
-		t.Fatal(err)
-	}
-	if devA.Mode() != gpusim.ModeAuto {
-		t.Error("amd reset did not restore auto")
+	for _, tc := range []struct {
+		name   string
+		setter func(*testing.T) (Setter, *gpusim.Device)
+		max    int
+	}{
+		{"nvidia", nvidiaSetter, 1410},
+		{"amd", amdSetter, 1700},
+	} {
+		s, dev := tc.setter(t)
+		spec := dev.Spec()
+		if s.MaxSMClock() != tc.max {
+			t.Errorf("%s: max clock %d, want %d", tc.name, s.MaxSMClock(), tc.max)
+		}
+		// The table descends, so the strict < keeps the higher of two
+		// equally near clocks (1225 MHz on the MI250X lands on 1250).
+		table := spec.SupportedClocksMHz()
+		for mhz := spec.MinSMClockMHz - spec.SMClockStepMHz; mhz <= spec.MaxSMClockMHz+spec.SMClockStepMHz; mhz++ {
+			want, wantD := table[0], 1<<30
+			for _, c := range table {
+				d := c - mhz
+				if d < 0 {
+					d = -d
+				}
+				if d < wantD {
+					want, wantD = c, d
+				}
+			}
+			applied, err := s.SetSMClock(mhz)
+			if err != nil {
+				t.Fatalf("%s: SetSMClock(%d): %v", tc.name, mhz, err)
+			}
+			if applied != want || dev.SMClockMHz() != want {
+				t.Fatalf("%s: SetSMClock(%d) applied %d, device at %d, want %d", tc.name, mhz, applied, dev.SMClockMHz(), want)
+			}
+		}
+		if err := s.ResetClocks(); err != nil {
+			t.Fatal(err)
+		}
+		if dev.Mode() != gpusim.ModeAuto {
+			t.Errorf("%s: reset did not restore auto", tc.name)
+		}
 	}
 }
 
@@ -229,5 +235,17 @@ func TestSetterPowerLimitBothVendors(t *testing.T) {
 	}
 	if devA.PowerLimitW() != devA.Spec().TDPW {
 		t.Error("amd reset failed")
+	}
+
+	// A cap applies at full precision, finer than NVML's mW and
+	// ROCm-SMI's µW, and an out-of-range one is the device's refusal.
+	if err := sA.SetPowerLimitW(200.0000004); err != nil {
+		t.Fatal(err)
+	}
+	if devA.PowerLimitW() != 200.0000004 {
+		t.Errorf("amd limit %v, want 200.0000004", devA.PowerLimitW())
+	}
+	if err := sN.SetPowerLimitW(1); err == nil || !strings.HasPrefix(err.Error(), "gpusim: power limit") {
+		t.Errorf("out-of-range cap: %v", err)
 	}
 }

@@ -30,7 +30,6 @@ type Device struct {
 
 	mode        ClockMode
 	lockedMHz   int
-	memMHz      int
 	powerLimitW float64 // 0 means the TDP default
 	gov         governor
 	now         float64 // virtual seconds
@@ -69,7 +68,7 @@ func NewDevice(spec Spec, index int) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{spec: spec, index: index, mode: ModeAuto, memMHz: spec.MemClockMHz}
+	d := &Device{spec: spec, index: index, mode: ModeAuto}
 	d.vmax = d.spec.voltageAt(spec.MaxSMClockMHz)
 	d.gov = newGovernor(&d.spec)
 	d.lastPowerW = spec.IdlePowerW
@@ -121,12 +120,6 @@ func (d *Device) SMClockMHz() int {
 	return d.currentClockLocked()
 }
 
-// memRatio is the current memory clock relative to the maximum; caller
-// holds d.mu. It scales achievable bandwidth and memory power.
-func (d *Device) memRatio() float64 {
-	return float64(d.memMHz) / float64(d.spec.MemClockMHz)
-}
-
 // KernelsRun returns the number of kernel launches executed.
 func (d *Device) KernelsRun() int64 {
 	d.mu.Lock()
@@ -144,19 +137,14 @@ func (d *Device) EnableTrace() *Trace {
 
 // SetApplicationClocks locks the SM clock to the nearest supported value and
 // returns the applied clock. This is the simulated equivalent of
-// nvmlDeviceSetApplicationsClocks (memory clock argument accepted for
-// interface fidelity; it must match the device's fixed memory clock).
+// nvmlDeviceSetApplicationsClocks; the memory clock is fixed, so memMHz must
+// be 0 (the default) or the spec's MemClockMHz.
 func (d *Device) SetApplicationClocks(memMHz, smMHz int) (int, error) {
-	d.mu.Lock()
-	if memMHz != 0 {
-		snapped := d.spec.NearestMemClock(memMHz)
-		if abs(snapped-memMHz) > d.spec.MemClockMHz/10 {
-			d.mu.Unlock()
-			return 0, fmt.Errorf("gpusim: unsupported memory clock %d MHz (supported: %v)", memMHz, d.spec.MemClocksMHz())
-		}
-		d.memMHz = snapped
+	if memMHz != 0 && memMHz != d.spec.MemClockMHz {
+		return 0, fmt.Errorf("gpusim: unsupported memory clock %d MHz (fixed at %d)", memMHz, d.spec.MemClockMHz)
 	}
 	applied := d.spec.NearestSupportedClock(smMHz)
+	d.mu.Lock()
 	d.mode = ModeLocked
 	d.lockedMHz = applied
 	d.tracePoint("set-app-clocks")
@@ -258,12 +246,6 @@ func (d *Device) power(mhz int, smAct, memAct float64) float64 {
 func (d *Device) Execute(k KernelDesc) float64 {
 	d.mu.Lock()
 	t := k.timing(&d.spec)
-	// A down-scaled memory clock stretches the bandwidth-bound portion and
-	// reduces memory-subsystem power proportionally.
-	if r := d.memRatio(); r < 1 {
-		t.flatS /= r
-		t.memActivity *= r
-	}
 	startS, startJ := d.now, d.energyJ
 	var dur float64
 	if d.mode == ModeLocked {

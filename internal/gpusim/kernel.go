@@ -68,7 +68,7 @@ type kernelTiming struct {
 // with occupancy = items/(items + knee) capturing the throughput loss of
 // under-filled devices. The compute part scales with fmax/f at a lower
 // frequency f; the memory part does not (HBM clock held constant, as in the
-// paper's experiments). The spec is read through a pointer: it is 216 bytes
+// paper's experiments). The spec is read through a pointer: it is 192 bytes
 // and this runs once per launch.
 func (k KernelDesc) timing(s *Spec) kernelTiming {
 	occ := k.Items / (k.Items + s.SaturationItems)

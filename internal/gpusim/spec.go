@@ -1,6 +1,7 @@
 // Package gpusim simulates a GPU device at the granularity the paper's
-// instrumentation observes: clock domains with application-clock locking,
-// a DVFS governor, a roofline-style kernel timing model, and a CMOS power
+// instrumentation observes: one SM clock domain with application-clock
+// locking (the memory clock is fixed at its maximum, as in the paper), a
+// DVFS governor, a roofline-style kernel timing model, and a CMOS power
 // model integrated over virtual time.
 //
 // The simulator substitutes for the A100 and MI250X hardware of the paper
@@ -50,12 +51,10 @@ type Spec struct {
 	MinSMClockMHz  int // lowest supported application clock
 	SMClockStepMHz int // application clock granularity
 	IdleSMClockMHz int // parked clock when idle under DVFS
-	MemClockMHz    int // default/maximum memory clock
-	// SupportedMemClocksMHz lists selectable memory clocks, descending;
-	// empty means only MemClockMHz. The paper's instrumentation can set the
-	// memory clock but keeps it at the maximum — the model scales memory
-	// bandwidth and memory power with the selected clock.
-	SupportedMemClocksMHz []int
+	// MemClockMHz is the one memory clock: the paper holds HBM at its
+	// maximum, so the model has a single SM clock domain and MemBWGBs is
+	// always the bandwidth available.
+	MemClockMHz int
 
 	// Throughput at MaxSMClock.
 	PeakGFLOPS float64 // FP64 peak, GFLOP/s
@@ -102,37 +101,7 @@ func (s Spec) Validate() error {
 	if s.PeakGFLOPS <= 0 || s.MemBWGBs <= 0 {
 		return fmt.Errorf("gpusim: %s: non-positive throughput", s.Name)
 	}
-	for _, m := range s.SupportedMemClocksMHz {
-		if m <= 0 || m > s.MemClockMHz {
-			return fmt.Errorf("gpusim: %s: memory clock %d outside (0, %d]", s.Name, m, s.MemClockMHz)
-		}
-	}
 	return nil
-}
-
-// MemClocksMHz returns the selectable memory clocks, descending.
-func (s Spec) MemClocksMHz() []int {
-	if len(s.SupportedMemClocksMHz) == 0 {
-		return []int{s.MemClockMHz}
-	}
-	return append([]int(nil), s.SupportedMemClocksMHz...)
-}
-
-// NearestMemClock snaps a requested memory clock to the closest supported
-// one; 0 selects the default (maximum).
-func (s Spec) NearestMemClock(mhz int) int {
-	if mhz == 0 {
-		return s.MemClockMHz
-	}
-	clocks := s.MemClocksMHz()
-	best := clocks[0]
-	bestD := abs(mhz - best)
-	for _, c := range clocks[1:] {
-		if d := abs(mhz - c); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
 }
 
 // SupportedClocksMHz lists the application clocks the device accepts, in
@@ -151,15 +120,6 @@ func (s Spec) clockCount() int {
 	return (s.MaxSMClockMHz-s.MinSMClockMHz)/s.SMClockStepMHz + 1
 }
 
-// SupportedClockAt returns entry index of the SupportedClocksMHz table
-// without building it; ok is false for an index outside the table.
-func (s Spec) SupportedClockAt(index int) (mhz int, ok bool) {
-	if index < 0 || index >= s.clockCount() {
-		return 0, false
-	}
-	return s.MaxSMClockMHz - index*s.SMClockStepMHz, true
-}
-
 // NearestSupportedClock snaps a requested clock to the closest supported
 // application clock, the higher one when two are equally close. It is the
 // table's nearest entry worked out from the table's rule: every clock
@@ -174,13 +134,6 @@ func (s Spec) NearestSupportedClock(mhz int) int {
 		k++
 	}
 	return s.MaxSMClockMHz - min(k, s.clockCount()-1)*s.SMClockStepMHz
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // voltageAt interpolates the core voltage at a clock frequency, clamping to
@@ -205,21 +158,20 @@ func (s *Spec) voltageAt(mhz int) float64 {
 // (Table I): 1410 MHz max SM clock, 1593 MHz memory clock.
 func A100SXM480GB() Spec {
 	return Spec{
-		Name:                  "NVIDIA A100-SXM4-80GB",
-		Vendor:                Nvidia,
-		MaxSMClockMHz:         1410,
-		MinSMClockMHz:         210,
-		SMClockStepMHz:        15,
-		IdleSMClockMHz:        210,
-		MemClockMHz:           1593,
-		SupportedMemClocksMHz: []int{1593, 1365, 810},
-		PeakGFLOPS:            9700, // FP64 with FMA
-		MemBWGBs:              2039,
-		MemSizeGB:             80,
-		IdlePowerW:            50,
-		MaxSMPowerW:           260,
-		MaxMemPowerW:          85,
-		TDPW:                  400,
+		Name:           "NVIDIA A100-SXM4-80GB",
+		Vendor:         Nvidia,
+		MaxSMClockMHz:  1410,
+		MinSMClockMHz:  210,
+		SMClockStepMHz: 15,
+		IdleSMClockMHz: 210,
+		MemClockMHz:    1593,
+		PeakGFLOPS:     9700, // FP64 with FMA
+		MemBWGBs:       2039,
+		MemSizeGB:      80,
+		IdlePowerW:     50,
+		MaxSMPowerW:    260,
+		MaxMemPowerW:   85,
+		TDPW:           400,
 		VoltageCurve: []VoltagePoint{
 			{210, 0.70}, {705, 0.78}, {1005, 0.88}, {1215, 1.00}, {1410, 1.05},
 		},
@@ -250,21 +202,20 @@ func A100PCIE40GB() Spec {
 // Power figures are per GCD (half of the 560 W card).
 func MI250XGCD() Spec {
 	return Spec{
-		Name:                  "AMD MI250X GCD",
-		Vendor:                AMD,
-		MaxSMClockMHz:         1700,
-		MinSMClockMHz:         500,
-		SMClockStepMHz:        50,
-		IdleSMClockMHz:        500,
-		MemClockMHz:           1600,
-		SupportedMemClocksMHz: []int{1600, 1300, 800},
-		PeakGFLOPS:            23950, // per GCD FP64 peak
-		MemBWGBs:              1638,  // per GCD
-		MemSizeGB:             64,
-		IdlePowerW:            65,
-		MaxSMPowerW:           260,
-		MaxMemPowerW:          70,
-		TDPW:                  300,
+		Name:           "AMD MI250X GCD",
+		Vendor:         AMD,
+		MaxSMClockMHz:  1700,
+		MinSMClockMHz:  500,
+		SMClockStepMHz: 50,
+		IdleSMClockMHz: 500,
+		MemClockMHz:    1600,
+		PeakGFLOPS:     23950, // per GCD FP64 peak
+		MemBWGBs:       1638,  // per GCD
+		MemSizeGB:      64,
+		IdlePowerW:     65,
+		MaxSMPowerW:    260,
+		MaxMemPowerW:   70,
+		TDPW:           300,
 		VoltageCurve: []VoltagePoint{
 			{500, 0.70}, {900, 0.78}, {1200, 0.88}, {1500, 1.00}, {1700, 1.05},
 		},

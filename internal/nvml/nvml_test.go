@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 )
 
@@ -45,30 +46,44 @@ func TestHandleOutOfRange(t *testing.T) {
 	}
 }
 
+// TestSetApplicationsClocks sets the clock of the device behind an NVML
+// handle the way strategies do, through freqctl's simulated
+// nvmlDeviceSetApplicationsClocks: a request snaps to the nearest supported
+// clock and the reset returns the device to the governor.
 func TestSetApplicationsClocks(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	applied, err := dev.SetApplicationsClocks(0, 1007)
+	if _, err := lib.DeviceGetHandleByIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	sim := lib.devices[0]
+	s := freqctl.DeviceSetter{Dev: sim}
+	applied, err := s.SetSMClock(1007)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied != 1005 {
 		t.Errorf("applied %d, want snapped 1005", applied)
 	}
-	if got := dev.Sim().SMClockMHz(); got != 1005 {
+	if got := sim.SMClockMHz(); got != 1005 {
 		t.Errorf("device SM clock = %d, want 1005", got)
 	}
-	if err := dev.ResetApplicationsClocks(); err != nil {
+	if err := s.ResetClocks(); err != nil {
 		t.Fatal(err)
+	}
+	if sim.Mode() != gpusim.ModeAuto {
+		t.Error("reset left the clock locked")
 	}
 }
 
+// TestSupportedGraphicsClocksDescending checks the A100's application clock
+// table (nvmlDeviceGetSupportedGraphicsClocks): it descends from 1410 MHz,
+// and every clock in it is applied as requested.
 func TestSupportedGraphicsClocksDescending(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	clocks := dev.SupportedGraphicsClocks()
+	sim := lib.devices[0]
+	clocks := sim.Spec().SupportedClocksMHz()
 	if len(clocks) == 0 || clocks[0] != 1410 {
 		t.Fatalf("clock table: %v", clocks)
 	}
@@ -77,42 +92,31 @@ func TestSupportedGraphicsClocksDescending(t *testing.T) {
 			t.Fatal("clock table not descending")
 		}
 	}
+	s := freqctl.DeviceSetter{Dev: sim}
+	for _, c := range clocks {
+		if applied, err := s.SetSMClock(c); err != nil || applied != c {
+			t.Fatalf("SetSMClock(%d) = %d, %v", c, applied, err)
+		}
+	}
 }
 
 func TestEnergyAndPowerUnits(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
 	dev, _ := lib.DeviceGetHandleByIndex(0)
-	dev.SetApplicationsClocks(0, 1410)
-	dev.Sim().Idle(2) // 2 s at idle power
+	sim := lib.devices[0]
+	sim.SetApplicationClocks(0, 1410)
+	sim.Idle(2) // 2 s at idle power
 	timeS, mj, err := dev.TotalEnergyConsumptionAt()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMJ := int64(dev.Sim().Spec().IdlePowerW * 2 * 1000)
+	wantMJ := int64(sim.Spec().IdlePowerW * 2 * 1000)
 	if mj < wantMJ-1 || mj > wantMJ+1 {
 		t.Errorf("energy %d mJ, want ~%d", mj, wantMJ)
 	}
-	if timeS != dev.Sim().Now() {
-		t.Errorf("energy read at %v s, device at %v s", timeS, dev.Sim().Now())
-	}
-}
-
-func TestPowerManagementLimit(t *testing.T) {
-	lib := newLib(t, 1)
-	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	if w := dev.Sim().PowerLimitW(); w != 400 {
-		t.Errorf("default limit %v W, want 400", w)
-	}
-	if err := dev.SetPowerManagementLimit(300000); err != nil {
-		t.Fatal(err)
-	}
-	if w := dev.Sim().PowerLimitW(); w != 300 {
-		t.Errorf("limit after set %v W", w)
-	}
-	if err := dev.SetPowerManagementLimit(1000); err == nil {
-		t.Error("absurd limit accepted")
+	if timeS != sim.Now() {
+		t.Errorf("energy read at %v s, device at %v s", timeS, sim.Now())
 	}
 }
 
@@ -122,5 +126,37 @@ func TestName(t *testing.T) {
 	dev, _ := lib.DeviceGetHandleByIndex(0)
 	if dev.Name() != "NVIDIA A100-SXM4-80GB" {
 		t.Errorf("Name = %q", dev.Name())
+	}
+}
+
+// TestPowerManagementLimit caps the A100's board power
+// (nvmlDeviceSetPowerManagementLimit) through freqctl: the default is the
+// 400 W TDP, a cap applies, an absurd one is refused and 0 restores the
+// default.
+func TestPowerManagementLimit(t *testing.T) {
+	lib := newLib(t, 1)
+	lib.Init()
+	sim := lib.devices[0]
+	if w := sim.PowerLimitW(); w != 400 {
+		t.Errorf("default limit %v W, want 400", w)
+	}
+	s := freqctl.DeviceSetter{Dev: sim}
+	if err := s.SetPowerLimitW(300); err != nil {
+		t.Fatal(err)
+	}
+	if w := sim.PowerLimitW(); w != 300 {
+		t.Errorf("limit after set %v W", w)
+	}
+	if err := s.SetPowerLimitW(1); err == nil {
+		t.Error("absurd limit accepted")
+	}
+	if w := sim.PowerLimitW(); w != 300 {
+		t.Errorf("refused cap moved the limit to %v W", w)
+	}
+	if err := s.SetPowerLimitW(0); err != nil {
+		t.Fatal(err)
+	}
+	if w := sim.PowerLimitW(); w != 400 {
+		t.Errorf("limit after reset %v W, want 400", w)
 	}
 }

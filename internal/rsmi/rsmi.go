@@ -1,8 +1,8 @@
-// Package rsmi provides a rocm-smi-lib-shaped management API over simulated
-// AMD devices, the counterpart of internal/nvml for the LUMI-G system model.
-// Call shapes follow rsmi_dev_* functions: frequencies are reported through
-// frequency tables with a current index, power through the average socket
-// power counter, energy through the accumulated energy counter.
+// Package rsmi provides the rocm-smi-lib energy-counter read that PMT's
+// ROCm-SMI back-end makes on simulated AMD devices, the counterpart of
+// internal/nvml for the LUMI-G system model. The call shape follows
+// rsmi_dev_energy_count_get. Clock control does not pass through here:
+// internal/freqctl sets the simulated device's clocks directly.
 package rsmi
 
 import (
@@ -12,13 +12,9 @@ import (
 	"sphenergy/internal/gpusim"
 )
 
-// Errors mirroring rsmi_status_t failures.
-var (
-	// ErrInvalidArgs is returned for out-of-range indices.
-	ErrInvalidArgs = errors.New("rsmi: invalid args")
-	// ErrNotSupported is returned for unsupported requests.
-	ErrNotSupported = errors.New("rsmi: not supported")
-)
+// ErrInvalidArgs mirrors rsmi_status_t's RSMI_STATUS_INVALID_ARGS, returned
+// for out-of-range indices and non-AMD devices.
+var ErrInvalidArgs = errors.New("rsmi: invalid args")
 
 // Library is one rocm-smi context over a node's AMD devices (GCDs).
 type Library struct {
@@ -35,96 +31,14 @@ func New(devices []*gpusim.Device) (*Library, error) {
 	return &Library{devices: devices}, nil
 }
 
-func (l *Library) dev(i int) (*gpusim.Device, error) {
-	if i < 0 || i >= len(l.devices) {
-		return nil, fmt.Errorf("%w: device index %d", ErrInvalidArgs, i)
-	}
-	return l.devices[i], nil
-}
-
-// DevGPUClkFreqGet returns the supported SM clock table and current index
-// (rsmi_dev_gpu_clk_freq_get with RSMI_CLK_TYPE_SYS).
-func (l *Library) DevGPUClkFreqGet(i int) (freqsMHz []int, current int, err error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	freqsMHz = d.Spec().SupportedClocksMHz()
-	cur := d.SMClockMHz()
-	current = 0
-	best := 1 << 30
-	for idx, f := range freqsMHz {
-		if diff := abs(f - cur); diff < best {
-			best, current = diff, idx
-		}
-	}
-	return freqsMHz, current, nil
-}
-
-// DevGPUClkFreqSet pins the SM clock to the table entry at index
-// (rsmi_dev_gpu_clk_freq_set). Returns the applied clock in MHz.
-func (l *Library) DevGPUClkFreqSet(i, index int) (int, error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return 0, err
-	}
-	want, ok := d.Spec().SupportedClockAt(index)
-	if !ok {
-		return 0, fmt.Errorf("%w: frequency index %d", ErrInvalidArgs, index)
-	}
-	return d.SetApplicationClocks(0, want)
-}
-
-// DevPerfLevelSetAuto restores automatic (governor) clock management
-// (rsmi_dev_perf_level_set RSMI_DEV_PERF_LEVEL_AUTO).
-func (l *Library) DevPerfLevelSetAuto(i int) error {
-	d, err := l.dev(i)
-	if err != nil {
-		return err
-	}
-	d.ResetApplicationClocks()
-	return nil
-}
-
 // DevEnergyCountGetAt returns accumulated energy in microjoules
 // (rsmi_dev_energy_count_get) with the device time the counter stood at
 // that value, the two read together (see gpusim.Device.EnergyAt) — the
 // timestamp rsmi_dev_energy_count_get itself hands back.
 func (l *Library) DevEnergyCountGetAt(i int) (timeS float64, uj uint64, err error) {
-	d, err := l.dev(i)
-	if err != nil {
-		return 0, 0, err
+	if i < 0 || i >= len(l.devices) {
+		return 0, 0, fmt.Errorf("%w: device index %d", ErrInvalidArgs, i)
 	}
-	timeS, j := d.EnergyAt()
+	timeS, j := l.devices[i].EnergyAt()
 	return timeS, uint64(j * 1e6), nil
-}
-
-// DevPowerCapSet sets the socket power cap in microwatts
-// (rsmi_dev_power_cap_set).
-func (l *Library) DevPowerCapSet(i int, uw int64) error {
-	d, err := l.dev(i)
-	if err != nil {
-		return err
-	}
-	if err := d.SetPowerLimit(float64(uw) / 1e6); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotSupported, err)
-	}
-	return nil
-}
-
-// DevPowerCapReset restores the default (board maximum) power cap.
-func (l *Library) DevPowerCapReset(i int) error {
-	d, err := l.dev(i)
-	if err != nil {
-		return err
-	}
-	d.ResetPowerLimit()
-	return nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

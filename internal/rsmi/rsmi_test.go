@@ -1,8 +1,10 @@
 package rsmi
 
 import (
+	"errors"
 	"testing"
 
+	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 )
 
@@ -26,89 +28,113 @@ func TestRejectsNvidiaDevices(t *testing.T) {
 	}
 }
 
+// TestClkFreqGetSet walks the MI250X's system clock table
+// (rsmi_dev_gpu_clk_freq_get) and sets the entries through freqctl, the one
+// clock-control path: the table tops at 1700 MHz and each entry is applied
+// as requested.
 func TestClkFreqGetSet(t *testing.T) {
 	lib := newLib(t, 1)
-	freqs, cur, err := lib.DevGPUClkFreqGet(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := lib.devices[0]
+	freqs := dev.Spec().SupportedClocksMHz()
 	if freqs[0] != 1700 {
 		t.Errorf("top frequency %d, want 1700", freqs[0])
 	}
-	if cur < 0 || cur >= len(freqs) {
-		t.Errorf("current index %d out of range", cur)
-	}
-	// Set to the second-highest entry.
-	applied, err := lib.DevGPUClkFreqSet(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != freqs[1] {
-		t.Errorf("applied %d, want %d", applied, freqs[1])
-	}
-	_, cur, _ = lib.DevGPUClkFreqGet(0)
-	if cur != 1 {
-		t.Errorf("current index after set = %d, want 1", cur)
+	s := freqctl.DeviceSetter{Dev: dev}
+	for _, f := range freqs {
+		applied, err := s.SetSMClock(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied != f || dev.SMClockMHz() != f {
+			t.Errorf("set %d: applied %d, device at %d", f, applied, dev.SMClockMHz())
+		}
 	}
 }
 
+// TestClkFreqSetBadIndex checks requests outside the MI250X's table: a
+// clock past either end lands on that end, and a device index outside the
+// library is refused.
 func TestClkFreqSetBadIndex(t *testing.T) {
 	lib := newLib(t, 1)
-	if _, err := lib.DevGPUClkFreqSet(0, 9999); err == nil {
-		t.Error("bad frequency index accepted")
+	dev := lib.devices[0]
+	spec := dev.Spec()
+	s := freqctl.DeviceSetter{Dev: dev}
+	for _, tc := range []struct{ req, want int }{
+		{9999, spec.MaxSMClockMHz},
+		{spec.MaxSMClockMHz + spec.SMClockStepMHz, spec.MaxSMClockMHz},
+		{spec.MinSMClockMHz - spec.SMClockStepMHz, spec.MinSMClockMHz},
+		{0, spec.MinSMClockMHz},
+	} {
+		if applied, err := s.SetSMClock(tc.req); err != nil || applied != tc.want {
+			t.Errorf("SetSMClock(%d) = %d, %v; want %d", tc.req, applied, err, tc.want)
+		}
 	}
-	if _, err := lib.DevGPUClkFreqSet(5, 0); err == nil {
-		t.Error("bad device index accepted")
+	for _, i := range []int{-1, 1, 5} {
+		if _, _, err := lib.DevEnergyCountGetAt(i); !errors.Is(err, ErrInvalidArgs) {
+			t.Errorf("device index %d: %v, want ErrInvalidArgs", i, err)
+		}
 	}
 }
 
+// TestPerfLevelAuto returns a locked GCD to automatic clock management
+// (rsmi_dev_perf_level_set RSMI_DEV_PERF_LEVEL_AUTO) through freqctl.
 func TestPerfLevelAuto(t *testing.T) {
 	lib := newLib(t, 1)
-	lib.DevGPUClkFreqSet(0, 0)
-	if err := lib.DevPerfLevelSetAuto(0); err != nil {
+	dev := lib.devices[0]
+	s := freqctl.DeviceSetter{Dev: dev}
+	if _, err := s.SetSMClock(s.MaxSMClock()); err != nil {
 		t.Fatal(err)
+	}
+	if dev.Mode() != gpusim.ModeLocked {
+		t.Fatal("set left the governor in control")
+	}
+	if err := s.ResetClocks(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.Mode() != gpusim.ModeAuto {
+		t.Error("reset left the clock locked")
 	}
 }
 
 func TestPowerAndEnergyCounters(t *testing.T) {
-	devs := []*gpusim.Device{gpusim.NewDevice(gpusim.MI250XGCD(), 0)}
-	lib, _ := New(devs)
-	devs[0].Idle(3)
-	_, uj, err := lib.DevEnergyCountGetAt(0)
+	lib := newLib(t, 1)
+	dev := lib.devices[0]
+	dev.Idle(3)
+	timeS, uj, err := lib.DevEnergyCountGetAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if timeS != dev.Now() {
+		t.Errorf("energy read at %v s, device at %v s", timeS, dev.Now())
+	}
 	// In auto mode the governor adds its stability margin on top of the
 	// idle floor, so the counter sits between floor and 1.5x floor.
-	floorUJ := uint64(devs[0].Spec().IdlePowerW * 3 * 1e6)
+	floorUJ := uint64(dev.Spec().IdlePowerW * 3 * 1e6)
 	if uj < floorUJ || uj > floorUJ*3/2 {
 		t.Errorf("energy %d µJ, want in [%d, %d]", uj, floorUJ, floorUJ*3/2)
 	}
 }
 
+// TestPowerCapSetGetReset caps a GCD's socket power (rsmi_dev_power_cap_set)
+// through freqctl: a cap applies, an absurd one is refused, and 0 restores
+// the board maximum.
 func TestPowerCapSetGetReset(t *testing.T) {
-	devs := []*gpusim.Device{gpusim.NewDevice(gpusim.MI250XGCD(), 0)}
-	lib, _ := New(devs)
-	if err := lib.DevPowerCapSet(0, 200e6); err != nil { // 200 W
+	lib := newLib(t, 1)
+	dev := lib.devices[0]
+	s := freqctl.DeviceSetter{Dev: dev}
+	if err := s.SetPowerLimitW(200); err != nil {
 		t.Fatal(err)
 	}
-	if w := devs[0].PowerLimitW(); w != 200 {
+	if w := dev.PowerLimitW(); w != 200 {
 		t.Errorf("cap %v W", w)
 	}
-	if err := lib.DevPowerCapSet(0, 1e12); err == nil {
+	if err := s.SetPowerLimitW(1e6); err == nil {
 		t.Error("absurd cap accepted")
 	}
-	if err := lib.DevPowerCapReset(0); err != nil {
+	if err := s.SetPowerLimitW(0); err != nil {
 		t.Fatal(err)
 	}
-	if w := devs[0].PowerLimitW(); w != devs[0].Spec().TDPW {
+	if w := dev.PowerLimitW(); w != dev.Spec().TDPW {
 		t.Errorf("cap after reset %v W", w)
-	}
-	// Bad device indices.
-	if err := lib.DevPowerCapSet(5, 1); err == nil {
-		t.Error("bad index accepted")
-	}
-	if err := lib.DevPowerCapReset(5); err == nil {
-		t.Error("bad index accepted")
 	}
 }
