@@ -17,11 +17,11 @@ all: build lint test
 #                flag and so part of go test's cache key; behind a
 #                GOMAXPROCS=4 prefix, which is not, go test replays
 #                `race`'s results as "(cached)" and nothing runs.
-#   fuzz-smoke   the engine's three sequence fuzzers and the bundle readers'
-#                three (the trace loader, the ledger reader and the
-#                scanner's number conversion, each against its reference)
-#                for a fixed number of executions each beyond their seed
-#                corpora.
+#   fuzz-smoke   the engine's three sequence fuzzers and the bundle codecs'
+#                four (the trace loader, the ledger reader, and jsontext's
+#                number reader and number writer, each against its
+#                reference) for a fixed number of executions each beyond
+#                their seed corpora.
 #   sweeps       without -race: the seeded chaos sweep and the Examples'
 #                Output at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
@@ -82,7 +82,7 @@ race-sph:
 	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
 
 # The fuzzers that guard the list builder and the buffers it reuses, then
-# those that hold the bundle's readers to encoding/json and strconv, each
+# those that hold the bundle's codecs to encoding/json and strconv, each
 # for a fixed execution count: the seed corpora alone run in `go test`, and
 # a fixed count takes the same time on any machine. go test fuzzes one
 # target of one package per invocation.
@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 200x ./internal/traceanalysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 200x ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat$$' -fuzztime 200x ./internal/jsontext/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 200x ./internal/jsontext/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is
@@ -139,14 +140,17 @@ bench-telemetry:
 # trace's export and re-load on one CPU and on two, so that what the second
 # CPU buys and what the pipeline costs without one come from one command,
 # and the critical-path analysis of the loaded spans (serial; the second
-# CPU only runs the collector). The B/op and allocs/op columns repeat
-# exactly; TestObservedRunAllocBudget holds the run's allocation volume in
-# plain `go test ./...`.
+# CPU only runs the collector); last, on one CPU, the number conversions
+# every trace event crosses, jsontext's AppendFloat and Float over 17-digit
+# microsecond timestamps beside strconv, in ns/value. The B/op and
+# allocs/op columns repeat exactly; TestObservedRunAllocBudget holds the
+# run's allocation volume in plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
+	$(GO) test -run '^$$' -bench '^Benchmark(AppendFloat|Float)$$' -count 3 -cpu 1 ./internal/jsontext/
 
 # What one simulated launch costs the host with every observer off: the
 # 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as

@@ -144,7 +144,7 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 	ev, ok := d.ev, true
 	switch key {
 	case "seq":
-		if n, short := shortInt(val); short && val[0] != '-' {
+		if n, isInt := jsontext.Int(val); isInt && val[0] != '-' {
 			ev.Seq = uint64(n)
 		} else {
 			n, err := strconv.ParseUint(string(val), 10, 64)
@@ -153,9 +153,9 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 	case "t_s":
 		ev.TimeS, ok = jsontext.Float(val)
 	case "step":
-		ev.Step, ok = integer(val)
+		ev.Step, ok = jsontext.Int(val)
 	case "rank":
-		ev.Rank, ok = integer(val)
+		ev.Rank, ok = jsontext.Int(val)
 	case "type":
 		var s string
 		s, ok = d.text(val)
@@ -165,9 +165,9 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 	case "detail":
 		ev.Detail, ok = d.text(val)
 	case "requested_mhz":
-		ev.RequestedMHz, ok = integer(val)
+		ev.RequestedMHz, ok = jsontext.Int(val)
 	case "applied_mhz":
-		ev.AppliedMHz, ok = integer(val)
+		ev.AppliedMHz, ok = jsontext.Int(val)
 	case "pred_time_s":
 		ev.PredTimeS, ok = jsontext.Float(val)
 	case "pred_energy_j":
@@ -189,38 +189,6 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 		d.bad = true
 	}
 	return true
-}
-
-// integer interprets a value as an int: an integer literal, as it must be
-// for encoding/json to store it in one.
-func integer(val []byte) (int, bool) {
-	if n, ok := shortInt(val); ok {
-		return int(n), true
-	}
-	n, err := strconv.ParseInt(string(val), 10, strconv.IntSize)
-	return int(n), err == nil
-}
-
-// shortInt reads a literal -?d{1,18}, which no int64 overflows, as strconv
-// would; ok=false for any other, left to strconv.
-func shortInt(val []byte) (n int64, ok bool) {
-	digits := val
-	if len(val) > 0 && val[0] == '-' {
-		digits = val[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		return 0, false
-	}
-	for _, c := range digits {
-		if c -= '0'; c > 9 {
-			return 0, false
-		}
-		n = n*10 + int64(c)
-	}
-	if len(digits) < len(val) {
-		n = -n
-	}
-	return n, true
 }
 
 // text interprets a value as a string and returns the one copy of it this

@@ -10,40 +10,21 @@
 // store Pos once per token; a string's plain run (printable ASCII, no quote
 // or backslash) is walked through one byte-class table, and Unquote, so
 // Text, hands such a literal back after one more pass of the same table.
-// A number is converted only where a caller asks for it, in Float: a
-// literal -?d+(.d+)? whose digits fit 2^53 and whose fraction has at most
-// 22 digits is one IEEE division of two exactly held operands, which
-// rounds correctly and so equals strconv.ParseFloat bit for bit (Clinger's
-// fast path; FuzzFloat holds it there); every other literal goes to
-// strconv.
+// A number is converted only where a caller asks for it, in Float, Int or
+// AppendFloat (number.go), and without strconv on the numbers a trace or a
+// ledger holds. AppendFloat finds the shortest digits of a float64 from
+// 1e-6 up to 1e21, encoding/json's plain range, by Schubfach and writes
+// them from a two-digit table; Float reads a literal -?d+(.d+)? of at most
+// 19 significant digits into one uint64 and divides it by its power of ten
+// once, rounding once: an IEEE division when both are exact (Clinger's
+// fast path), a 128-by-64-bit integer division otherwise; Int reads an
+// integer literal of up to 18 digits. Zero, the exponent form and every
+// longer literal go to strconv. The bytes are encoding/json's and the
+// values strconv's, bit for bit: FuzzAppendFloat, FuzzFloat and
+// TestIntMatchesStrconv hold them there.
 package jsontext
 
-import (
-	"math"
-	"strconv"
-	"unicode/utf8"
-)
-
-// AppendFloat appends f as encoding/json renders a float64: shortest
-// round-trip digits, plain notation except below 1e-6 and from 1e21, where
-// the exponent form drops the zero strconv pads a one-digit negative
-// exponent with. NaN and the infinities have no JSON form: ok is false and
-// dst comes back as it was.
-func AppendFloat(dst []byte, f float64) (out []byte, ok bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, true
-}
+import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 

@@ -125,16 +125,24 @@ func TestScannerJudgesSyntaxAsEncodingJSON(t *testing.T) {
 
 // FuzzFloat holds Float to strconv.ParseFloat on every literal the scanner
 // accepts as one number, value bits and verdict alike. The seeds stand at
-// the edges of the exact short path: a mantissa at and past 2^53, one past
-// it whose two roundings differ, 19 and 20 digits, 22 and 23 fraction
-// digits, negative zero, and exponents strconv alone reads.
+// the edges of the paths converted here: a mantissa at and past 2^53, one
+// past it whose two roundings differ, 10^19 - 1 (the largest read here)
+// against 10^19 and 2^64 - 1, 19 against 20 significant digits, 19, 20, 22
+// and 23 fraction digits, fractions behind leading zeros, 17-digit literals
+// exactly halfway between two doubles, negative zero, and exponents
+// strconv alone reads.
 func FuzzFloat(f *testing.F) {
 	for _, seed := range []string{"9007199254740992", "9007199254740993", "-9007199254740993.5",
 		"913996208434079.7", "990997441.4579967", "1234567890123456789", "12345678901234567890",
-		"123456789.0123456789", "1234567890.1234567890", "0.0000000000000000000001",
-		"0.00000000000000000000001", "1.0000000000000000000001", "-0", "-0.0", "0", "0.0",
-		"1e22", "1e23", "5e-324", "1e400", "-1e-400", "0.30000000000000004", "36467.251621504496",
-		"137.35466666666665", "1005", "-3.5"} {
+		"9999999999999999999", "10000000000000000000", "18446744073709551615",
+		"-1844674407370955161.5", "123456789.0123456789", "1234567890.1234567890",
+		"0.1234567890123456789", "0.12345678901234567890", "1.0000000000000000001",
+		"0.0000000000000000000001", "0.00000000000000000000001", "1.0000000000000000000001",
+		"0.0012345678901234567", "0.00012345678901234567", "0.000001234567890123456789",
+		"0.00000000000000000012345678901234567", "72057594037927944", "72057594037927960",
+		"4503599627370497.5", "4503599627370498.5", "-0", "-0.0", "0", "0.0", "1e22", "1e23",
+		"5e-324", "1e400", "-1e-400", "0.30000000000000004", "36467.251621504496",
+		"13719177.508230112", "137.35466666666665", "1005", "-3.5"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, lit []byte) {

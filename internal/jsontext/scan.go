@@ -3,7 +3,6 @@ package jsontext
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -327,75 +326,6 @@ func Text(val []byte) (txt []byte, ok bool) {
 		return val, false
 	}
 	return Unquote(val[1 : len(val)-1]), true
-}
-
-// Float interprets a value as a number, 0 when absent or null; ok=false
-// for another type or a number no float64 holds. The result is
-// strconv.ParseFloat's, bit for bit: a short literal is converted here
-// (exactFloat), every other one by strconv.
-func Float(val []byte) (f float64, ok bool) {
-	if !Present(val) {
-		return 0, true
-	}
-	if c := val[0]; c != '-' && (c < '0' || c > '9') {
-		return 0, false
-	}
-	if f, ok := exactFloat(val); ok {
-		return f, true
-	}
-	f, err := strconv.ParseFloat(string(val), 64)
-	return f, err == nil
-}
-
-// pow10 holds the powers of ten a float64 holds exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// exactFloat converts a literal -?d+(.d+)? whose digits, read as one
-// integer m, fit 2^53 and whose fraction has k ≤ 22 digits: m and 10^k
-// are then both float64s exactly, so m/10^k is one correctly rounded IEEE
-// division — the value strconv rounds the decimal to (Clinger's fast
-// path). ok=false for any other literal, left to strconv.
-func exactFloat(lit []byte) (f float64, ok bool) {
-	b := lit
-	if b[0] == '-' {
-		b = b[1:]
-	}
-	if len(b) > 17 && b[0] != '0' {
-		return 0, false // 17 digits or more, the first not 0: m ≥ 10^16 > 2^53
-	}
-	i, m, ok := mantissa(b, 0, 0)
-	if !ok || i == 0 {
-		return 0, false
-	}
-	k := 0
-	if i < len(b) {
-		if b[i] != '.' {
-			return 0, false
-		}
-		point := i + 1
-		if i, m, ok = mantissa(b, point, m); !ok || i < len(b) {
-			return 0, false
-		}
-		if k = i - point; k == 0 || k >= len(pow10) {
-			return 0, false
-		}
-	}
-	if f = float64(m) / pow10[k]; lit[0] == '-' {
-		f = -f
-	}
-	return f, true
-}
-
-// mantissa reads the digits b holds from i on into m, which holds those
-// before them, and returns the index past them; ok=false once m passes 2^53.
-func mantissa(b []byte, i int, m uint64) (int, uint64, bool) {
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		if m = m*10 + uint64(b[i]-'0'); m > 1<<53 {
-			return i, m, false
-		}
-	}
-	return i, m, true
 }
 
 // Unquote decodes what stands between the quotes of a string literal the

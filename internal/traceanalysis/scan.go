@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync/atomic"
 
 	"sphenergy/internal/jsontext"
@@ -283,15 +282,11 @@ func (s *scanner) event() error {
 	if !ok {
 		return s.mistyped("dur", dur, "a number")
 	}
-	track := 0
-	if jsontext.Present(tid) {
-		// A track id is an integer literal, as it was when encoding/json
-		// decoded it into an int.
-		n, err := strconv.ParseInt(string(tid), 10, strconv.IntSize)
-		if err != nil {
-			return s.mistyped("tid", tid, "an integer")
-		}
-		track = int(n)
+	// A track id is an integer literal, as it was when encoding/json
+	// decoded it into an int.
+	track, ok := jsontext.Int(tid)
+	if !ok {
+		return s.mistyped("tid", tid, "an integer")
 	}
 
 	switch {
