@@ -101,9 +101,12 @@ fuzz-smoke:
 # cache and Fig. 4/5 memo, the spec tables and hostOverheads — plus the
 # tuner's candidate sweep; and the run bundle's round trip: the trace
 # export's two workers encoding pieces of the shards while the caller
-# writes the finished ones in order, the trace loader's second half scanned
-# on its own goroutine and joined or dropped, and the attribution join
-# reading the sampler's rings under their locks.
+# writes the finished ones in order, and the trace loader's second half
+# scanned on its own goroutine and joined or dropped. Every object one run
+# builds belongs to the goroutine that calls core.Run and has no lock;
+# TestRunsShareNoObject in internal/core is the one-owner check: observed,
+# faulted runs under par.Tasks write the bytes of the same runs done
+# serially, and an object two runs shared shows here as a race.
 race-model:
 	$(GO) test -race -cpu 4 ./internal/par/ ./internal/mpisim/ ./internal/core/ \
 		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/ \

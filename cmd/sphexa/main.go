@@ -110,10 +110,22 @@ func main() {
 		fatalIf(os.MkdirAll(*outDir, 0o755))
 	}
 
-	// Signals are caught from here on. The handler starts once the run is
-	// configured; a signal that comes before it waits in sigc.
+	// SIGINT and SIGTERM are caught from here until the run returns. The
+	// handler only closes stopc, the run's Config.Stop: the run stops at its
+	// next step boundary (at its first, when the signal comes during the
+	// ManDyn sweep), and main writes what it did. A signal that comes after
+	// the run ends the process as it would any program.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	stopc, handled := make(chan struct{}), make(chan struct{})
+	var caught os.Signal // the signal that stopped the run, read after handled
+	go func() {
+		defer close(handled)
+		if sig, ok := <-sigc; ok {
+			caught = sig
+			close(stopc)
+		}
+	}()
 
 	var prof *telemetry.Profiler
 	if *cpuProfile != "" || *memProfile != "" {
@@ -148,6 +160,7 @@ func main() {
 		Ng:               *ng,
 		WalltimeBudgetS:  *wallBudget,
 		EnergyBudgetJ:    *energyBudget,
+		Stop:             stopc,
 	}
 
 	if *outDir != "" || *validate {
@@ -220,48 +233,49 @@ func main() {
 		fatalIf(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
-	// On SIGINT or SIGTERM sphexa writes the bundle of the run so far —
-	// the partial trace and ledger, without a report — and exits 128+sig.
-	// The writers snapshot under their own locks, so flushing mid-step is
-	// safe.
-	go func() {
-		sig := <-sigc
+	var res *sphenergy.Result
+	// stop is the budget that ended the run early, nil when none did.
+	var stop error
+	var runErr error
+	if *validate {
+		// Run as a Slurm job so the three-way validation can compare the
+		// sampled sensors and pm_counters against ConsumedEnergy accounting.
+		mgr := slurm.NewManager()
+		var job *slurm.Job
+		if job, runErr = mgr.Submit(cfg, slurm.SubmitOptions{
+			JobName: string(sim),
+			TRES:    slurm.ParseTRES("billing,cpu,energy,gres/gpu"),
+		}); runErr == nil {
+			_, runErr = slurm.ThreeWay(job, 0)
+			res = job.Result
+		}
+	} else {
+		res, runErr = sphenergy.Run(cfg)
+		if errors.Is(runErr, core.ErrWalltimeBudget) || errors.Is(runErr, core.ErrEnergyBudget) {
+			stop, runErr = runErr, nil
+		}
+	}
+
+	// A signal that stopped the run is handled before its outcome: sphexa
+	// writes the bundle of the steps done — the trace and ledger, without
+	// a report — and exits 128+sig.
+	signal.Stop(sigc)
+	close(sigc)
+	<-handled
+	if caught != nil {
 		code := 128 + int(syscall.SIGTERM)
-		if s, ok := sig.(syscall.Signal); ok {
+		if s, ok := caught.(syscall.Signal); ok {
 			code = 128 + int(s)
 		}
-		fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", sig)
+		fmt.Fprintf(os.Stderr, "sphexa: %v: flushing partial outputs\n", caught)
 		if *outDir != "" {
 			if err := sphenergy.WriteBundle(*outDir, cfg, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "sphexa:", err)
 			}
 		}
 		exitWith(code)
-	}()
-
-	var res *sphenergy.Result
-	// stop is the budget that ended the run early, nil when none did.
-	var stop error
-	if *validate {
-		// Run as a Slurm job so the three-way validation can compare the
-		// sampled sensors and pm_counters against ConsumedEnergy accounting.
-		mgr := slurm.NewManager()
-		job, err := mgr.Submit(cfg, slurm.SubmitOptions{
-			JobName: string(sim),
-			TRES:    slurm.ParseTRES("billing,cpu,energy,gres/gpu"),
-		})
-		fatalIf(err)
-		_, err = slurm.ThreeWay(job, 0)
-		fatalIf(err)
-		res = job.Result
-	} else {
-		var err error
-		res, err = sphenergy.Run(cfg)
-		if errors.Is(err, core.ErrWalltimeBudget) || errors.Is(err, core.ErrEnergyBudget) {
-			stop, err = err, nil
-		}
-		fatalIf(err)
 	}
+	fatalIf(runErr)
 
 	fmt.Printf("simulation %s on %s: %d ranks, %d steps, %.3g particles/rank\n",
 		sim, spec.Name, *ranks, *steps, ppr)

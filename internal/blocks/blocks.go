@@ -16,8 +16,8 @@ const Len = 512
 
 // Seq is a sequence of T in blocks: unbounded as its zero value, or — made
 // by Bounded — a ring that holds the newest elements up to its bound.
-// It is not safe for concurrent use; its owners guard it with their own
-// mutex.
+// It is not safe for concurrent use: each belongs to the goroutine that
+// drives its owner's run.
 type Seq[T any] struct {
 	blocks [][]T
 	n      int // elements held

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"sphenergy/internal/gpusim"
 )
@@ -27,20 +26,18 @@ type MemModel struct {
 	MaxW   float64
 }
 
-// EnergyMeter integrates power over virtual time for one node component.
+// EnergyMeter integrates power over virtual time for one node component. A
+// meter belongs to the goroutine that drives its node's run, so it has no
+// lock.
 type EnergyMeter struct {
-	mu      sync.Mutex
 	nowS    float64
 	energyJ float64
 	lastW   float64
 }
 
 // Advance accrues `watts` for `seconds` of virtual time and returns the
-// cumulative energy before and after, read under the same hold of the lock —
-// what a caller metering the window would otherwise read back with two more.
+// cumulative energy before and after.
 func (m *EnergyMeter) Advance(seconds, watts float64) (beforeJ, afterJ float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	beforeJ = m.energyJ
 	if seconds > 0 {
 		m.nowS += seconds
@@ -51,25 +48,13 @@ func (m *EnergyMeter) Advance(seconds, watts float64) (beforeJ, afterJ float64) 
 }
 
 // EnergyJ returns cumulative energy in joules.
-func (m *EnergyMeter) EnergyJ() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.energyJ
-}
+func (m *EnergyMeter) EnergyJ() float64 { return m.energyJ }
 
 // NowS returns the component's virtual time.
-func (m *EnergyMeter) NowS() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.nowS
-}
+func (m *EnergyMeter) NowS() float64 { return m.nowS }
 
 // PowerW returns the last applied power.
-func (m *EnergyMeter) PowerW() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastW
-}
+func (m *EnergyMeter) PowerW() float64 { return m.lastW }
 
 // CPU is one CPU package instance with its meter.
 type CPU struct {

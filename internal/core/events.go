@@ -72,10 +72,8 @@ func (re *runEvents) instrumentRank(rc *rankCtx, rank int) {
 }
 
 // hookResilient forwards the resilient setter's actions as freq-* events.
-// OnEvent fires under the setter's mutex; the ledger mutex is a leaf, so
-// the nesting cannot deadlock. Resilience
-// events are fault-path only, so the error formatting never runs on the
-// healthy steady state.
+// Resilience events are fault-path only, so the error formatting never runs
+// on the healthy steady state.
 func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *gpusim.Device) {
 	rs.OnEvent = func(ev freqctl.ResilientEvent) {
 		var typ events.Type

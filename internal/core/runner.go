@@ -99,14 +99,22 @@ type Config struct {
 	// allocation's total energy (the setup phase's included) has reached
 	// it. 0 means unlimited.
 	EnergyBudgetJ float64
+	// Stop, once closed, stops the run at its next step boundary, after
+	// the budgets: Run returns the result of the steps completed with
+	// ErrInterrupted. A stop closed before Run starts ends the run at its
+	// first boundary. It is the one part of a run another goroutine may
+	// touch (sphexa closes it on a signal); everything else the run builds
+	// belongs to the goroutine that calls Run. Nil never stops.
+	Stop <-chan struct{}
 }
 
-// The budgets' stop causes. Run returns one of them, beside a result that
-// covers the steps completed, when a budget ended the run at a step
-// boundary; its text is the budget-stop row's detail.
+// The stop causes. Run returns one of them, beside a result that covers
+// the steps completed, when a budget or Config.Stop ended the run at a step
+// boundary; a budget's text is its budget-stop row's detail.
 var (
 	ErrWalltimeBudget = errors.New("budget-walltime")
 	ErrEnergyBudget   = errors.New("budget-energy")
+	ErrInterrupted    = errors.New("interrupted")
 )
 
 // Defaulted returns the config with defaults filled in.
@@ -292,10 +300,11 @@ func gpuSensor(dev *gpusim.Device) pmt.Sensor {
 	return pmt.Dummy{}
 }
 
-// Run executes the instrumented time-stepping loop. A budget that ends the
-// run early returns ErrWalltimeBudget or ErrEnergyBudget with the complete
-// result of the steps before it; any other error comes with a partial
-// result that holds the system, the sampler and the fault report only.
+// Run executes the instrumented time-stepping loop. A budget or a stop that
+// ends the run early returns ErrWalltimeBudget, ErrEnergyBudget or
+// ErrInterrupted with the complete result of the steps before it; any other
+// error comes with a partial result that holds the system, the sampler and
+// the fault report only.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
@@ -447,7 +456,7 @@ func Run(cfg Config) (*Result, error) {
 	// every phase; curStep and load change between phases only.
 	fs.wireWorld(world, ranks, func() int { return curStep })
 
-	// The budget that stopped the run, nil while none has.
+	// The budget or stop that ended the run, nil while none has.
 	var stop error
 
 	// Step telemetry reuses bounds the loop computes anyway: the step span
@@ -590,16 +599,20 @@ func Run(cfg Config) (*Result, error) {
 		if failed != nil {
 			return fail(failed)
 		}
-		// The budgets come last in the boundary, so a step that killed the
-		// run never ends it as a budget stop.
+		// The budgets and the stop come last in the boundary, so a step
+		// that killed the run never ends it as a stop.
 		switch {
 		case cfg.WalltimeBudgetS > 0 && bound-t0 >= cfg.WalltimeBudgetS:
 			stop = ErrWalltimeBudget
 		case cfg.EnergyBudgetJ > 0 && system.TotalEnergyJ() >= cfg.EnergyBudgetJ:
 			stop = ErrEnergyBudget
+		case stopped(cfg.Stop):
+			stop = ErrInterrupted
 		}
 		if stop != nil {
-			re.budgetStop(bound-t0, step, stop.Error(), system.TotalEnergyJ())
+			if stop != ErrInterrupted {
+				re.budgetStop(bound-t0, step, stop.Error(), system.TotalEnergyJ())
+			}
 			break
 		}
 	}
@@ -671,6 +684,16 @@ func Run(cfg Config) (*Result, error) {
 		report.Faults = res.Faults
 	}
 	return res, stop
+}
+
+// stopped reports whether c is closed; a nil c never is.
+func stopped(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }
 
 // commTime computes the function's post-kernel communication cost.

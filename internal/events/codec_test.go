@@ -283,43 +283,3 @@ func TestWriteJSONLFollowsARotatingRing(t *testing.T) {
 		t.Fatalf("read back %d events from seq %d, truncated %v, err %v", len(evs), evs[0].Seq, truncated, err)
 	}
 }
-
-// TestWriteJSONLIsOneSnapshot exports a small ring while emitters turn it
-// over many times: every file, and every Events() copy, is a gapless run of
-// sequence ids, never two stretches of the ledger with overwritten events
-// missing between them.
-func TestWriteJSONLIsOneSnapshot(t *testing.T) {
-	l := NewLedger(700)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				l.Emit(decision(float64(i), i, i%8, "MomentumEnergy", 1110, 1005))
-			}
-		}
-	}()
-	for n := 0; n < 50; n++ {
-		var file bytes.Buffer
-		if err := l.WriteJSONL(&file); err != nil {
-			t.Fatal(err)
-		}
-		evs, truncated, err := ReadJSONL(&file)
-		if err != nil || truncated {
-			t.Fatalf("export %d: truncated %v, err %v", n, truncated, err)
-		}
-		for name, evs := range map[string][]Event{"export": evs, "Events()": l.Events()} {
-			for i := 1; i < len(evs); i++ {
-				if evs[i].Seq != evs[i-1].Seq+1 {
-					t.Fatalf("%s %d: seq %d follows %d", name, n, evs[i].Seq, evs[i-1].Seq)
-				}
-			}
-		}
-	}
-	close(stop)
-	<-done
-}

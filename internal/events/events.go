@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"sphenergy/internal/atomicio"
 	"sphenergy/internal/blocks"
@@ -134,8 +133,10 @@ type Summary struct {
 // retained with room to spare.
 const DefaultCap = 1 << 15
 
-// Ledger is the bounded decision-event ring. Safe for concurrent use; a
-// nil *Ledger is a valid no-op on every method.
+// Ledger is the bounded decision-event ring. A nil *Ledger is a valid no-op
+// on every method. A ledger belongs to the goroutine that drives its run
+// (and the tuning sweep before it), so it has no lock: it is written out
+// once the run has returned.
 //
 // The ledger keeps its preamble: at the first run-start, the events it
 // holds — in every program that writes a ledger, the tuner sweep — and that
@@ -144,7 +145,6 @@ const DefaultCap = 1 << 15
 // the sweep its decisions are joined to and the header that names it. A
 // preamble that would leave no room for the run is not pinned.
 type Ledger struct {
-	mu       sync.Mutex
 	capacity int
 	pre      []Event           // the pinned preamble, nil until it is pinned
 	ring     blocks.Seq[Event] // the retained events after it, oldest first
@@ -176,7 +176,6 @@ func (l *Ledger) Emit(ev Event) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	l.next++
 	ev.Seq = l.next
 	slot, _ := l.ring.Push()
@@ -185,12 +184,11 @@ func (l *Ledger) Emit(ev Event) {
 	if ev.Type == RunStart && l.pre == nil {
 		l.pinPreamble()
 	}
-	l.mu.Unlock()
 }
 
 // pinPreamble moves the events the ring holds into the preamble and leaves
-// the rest of the capacity to the ring; caller holds l.mu. A ring that is
-// full keeps rotating as it is, and so does every later run-start on it.
+// the rest of the capacity to the ring. A ring that is full keeps rotating
+// as it is, and so does every later run-start on it.
 func (l *Ledger) pinPreamble() {
 	n := l.ring.Len()
 	if n >= l.capacity {
@@ -233,8 +231,6 @@ func (l *Ledger) Emitted() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.next
 }
 
@@ -243,8 +239,6 @@ func (l *Ledger) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.pre) + l.ring.Len()
 }
 
@@ -253,8 +247,6 @@ func (l *Ledger) Summary() *Summary {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	s := &Summary{Emitted: l.next, ByType: make(map[Type]uint64)}
 	s.Dropped = l.next - uint64(len(l.pre)+l.ring.Len())
 	for t, c := range l.counts {
@@ -270,8 +262,6 @@ func (l *Ledger) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.ring.AppendTo(append(make([]Event, 0, len(l.pre)+l.ring.Len()), l.pre...))
 }
 
@@ -280,17 +270,15 @@ func (l *Ledger) Events() []Event {
 // tuner row with its four predictions some 275, a step row 100.
 const ledgerBytesPerEvent = 160
 
-// WriteJSONL writes the events retained when it is called as one JSON
-// object per line, in sequence order: one consistent snapshot, encoded
-// straight out of the ring into one buffer under a single hold of the lock
-// (no Events() copy; at most the ring's capacity in lines) and handed to
-// the writer once the lock is released.
+// WriteJSONL writes the retained events as one JSON object per line, in
+// sequence order, encoded straight out of the ring into one buffer (no
+// Events() copy; at most the ring's capacity in lines) and handed to the
+// writer in one write.
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
 	var enc eventEncoder
-	l.mu.Lock()
 	enc.buf = make([]byte, 0, (len(l.pre)+l.ring.Len())*ledgerBytesPerEvent)
 	for i := range l.pre {
 		enc.event(&l.pre[i])
@@ -300,7 +288,6 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 			enc.event(&run[i])
 		}
 	})
-	l.mu.Unlock()
 	if enc.err != nil {
 		return enc.err
 	}

@@ -29,11 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/pmt"
@@ -223,17 +223,16 @@ func LoadPlan(pathOrJSON string) (*Plan, error) {
 // Injector evaluates a plan's rules for one target instance. Each injector
 // owns an independent deterministic stream derived from (seed, target,
 // instance), so injection sequences do not depend on the order injectors
-// are created or scheduled. An injector is safe for concurrent use, though
-// per-rank injection points are single-goroutine in practice.
+// are created or scheduled. An injector belongs to the goroutine that
+// drives its run, as the rank, sensor or node it injects into does, so it
+// has no lock.
 type Injector struct {
 	stream string
-
-	mu    sync.Mutex
-	rng   *rng.Rand
-	rules []Rule
-	burst []int  // remaining burst per rule
-	fired []bool // step-pinned rules fire once
-	count map[Kind]uint64
+	rng    *rng.Rand
+	rules  []Rule
+	burst  []int  // remaining burst per rule
+	fired  []bool // step-pinned rules fire once
+	count  map[Kind]uint64
 }
 
 // Injector builds the evaluator for one target instance (rank index, node
@@ -283,8 +282,6 @@ func (in *Injector) Evaluate(nowS float64, step int, kinds ...Kind) Decision {
 	if in == nil {
 		return Decision{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var out Decision
 	for i, r := range in.rules {
 		if len(kinds) > 0 {
@@ -331,13 +328,7 @@ func (in *Injector) Counts() map[Kind]uint64 {
 	if in == nil {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Kind]uint64, len(in.count))
-	for k, v := range in.count {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(in.count)
 }
 
 // Sensor wraps a GPU sensor in the injector's sensor faults, evaluated once

@@ -3,7 +3,6 @@ package freqctl
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // The one retry and breaker policy every ResilientSetter runs.
@@ -57,13 +56,13 @@ type ResilienceStats struct {
 //   - the achieved clock is verified against the request, so clamped sets
 //     are observable (Stats().Clamped, OnEvent) instead of silent.
 //
-// It is safe for concurrent use; in the runner each rank owns one.
+// In the runner each rank owns one, on the goroutine that drives the run,
+// so it has no lock.
 type ResilientSetter struct {
 	Inner Setter
 	// OnEvent, when set, observes retries/absorbs/trips for telemetry.
 	OnEvent func(ev ResilientEvent)
 
-	mu     sync.Mutex
 	consec int
 	stats  ResilienceStats
 }
@@ -114,8 +113,6 @@ func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
 	if _, err := ValidMHz(float64(mhz)); err != nil {
 		return 0, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.stats.Broken {
 		r.stats.ShortCircuits++
 		r.emit(ResilientEvent{Kind: "short-circuit", Op: "set", MHz: mhz})
@@ -136,7 +133,7 @@ func (r *ResilientSetter) SetSMClock(mhz int) (int, error) {
 	return applied, nil
 }
 
-// attempt runs op with bounded, back-to-back retries. Caller holds r.mu.
+// attempt runs op with bounded, back-to-back retries.
 func (r *ResilientSetter) attempt(op string, mhz int, f func() (int, error)) (int, error) {
 	for try := 0; ; try++ {
 		applied, err := f()
@@ -149,7 +146,7 @@ func (r *ResilientSetter) attempt(op string, mhz int, f func() (int, error)) (in
 }
 
 // absorb swallows an exhausted failure, possibly latching the breaker.
-// Caller holds r.mu. Returns the clock the device is believed to run at.
+// Returns the clock the device is believed to run at.
 func (r *ResilientSetter) absorb(op string, mhz int, err error) int {
 	r.stats.Absorbed++
 	r.consec++
@@ -170,8 +167,6 @@ func (r *ResilientSetter) absorb(op string, mhz int, err error) int {
 
 // ResetClocks implements Setter with the same retry/absorb semantics.
 func (r *ResilientSetter) ResetClocks() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	_, err := r.attempt("reset", 0, func() (int, error) {
 		return 0, r.Inner.ResetClocks()
 	})
@@ -193,9 +188,5 @@ func (r *ResilientSetter) SetPowerLimitW(watts float64) error {
 	return r.Inner.SetPowerLimitW(watts)
 }
 
-// Stats returns a snapshot of the resilience counters.
-func (r *ResilientSetter) Stats() ResilienceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
+// Stats returns the resilience counters.
+func (r *ResilientSetter) Stats() ResilienceStats { return r.stats }

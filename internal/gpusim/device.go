@@ -1,9 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ClockMode describes how the SM clock is being managed.
 type ClockMode int
@@ -17,13 +14,11 @@ const (
 )
 
 // Device is one simulated GPU. All time is virtual, in seconds since device
-// creation; callers advance it by executing kernels and idling. Devices are
-// safe for concurrent use (the management plane — NVML queries, pm_counters
-// sampling — may run from other goroutines than the rank driving the
-// device).
+// creation; callers advance it by executing kernels and idling. A device
+// belongs to the goroutine that drives its run: the rank executing on it and
+// its management plane (clock sets, NVML and pm_counters reads, the
+// sampler's polls) all call it from that one goroutine, so it has no lock.
 type Device struct {
-	mu sync.Mutex
-
 	spec  Spec
 	vmax  float64 // spec.voltageAt(spec.MaxSMClockMHz), the power model's reference
 	index int
@@ -43,8 +38,9 @@ type Device struct {
 
 // Observer receives device events for external telemetry: completed kernel
 // launches and application-clock changes. Callbacks run on the goroutine
-// driving the device, after the device releases its lock, so observers may
-// query the device but must be cheap — they sit on the execution path.
+// driving the device, once the device's state reflects the event, so
+// observers may query the device but must be cheap — they sit on the
+// execution path.
 type Observer interface {
 	// KernelLaunched reports one completed kernel batch: its virtual start
 	// time, duration, the effective SM clock it ran at, and the energy it
@@ -56,11 +52,7 @@ type Observer interface {
 }
 
 // SetObserver installs the telemetry observer; nil removes it.
-func (d *Device) SetObserver(o Observer) {
-	d.mu.Lock()
-	d.obs = o
-	d.mu.Unlock()
-}
+func (d *Device) SetObserver(o Observer) { d.obs = o }
 
 // NewDevice creates a device with the given spec and index (the position of
 // the device within its node, mirroring CUDA device ordinals).
@@ -82,55 +74,27 @@ func (d *Device) Spec() Spec { return d.spec }
 func (d *Device) Index() int { return d.index }
 
 // Now returns the device's virtual time in seconds.
-func (d *Device) Now() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.now
-}
+func (d *Device) Now() float64 { return d.now }
 
 // EnergyJ returns the cumulative energy in joules since creation — the
 // counter NVML's totalEnergyConsumption and pm_counters' accel files expose.
-func (d *Device) EnergyJ() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.energyJ
-}
+func (d *Device) EnergyJ() float64 { return d.energyJ }
 
 // EnergyAt returns the device's virtual time and the energy counter as of
-// that time, read under one hold of the lock: Now() and EnergyJ() called in
-// turn can straddle a launch and pair a time with joules the device never
-// had at it. Sensors timestamp their samples through this.
-func (d *Device) EnergyAt() (nowS, energyJ float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.now, d.energyJ
-}
+// that time. Sensors timestamp their samples through this.
+func (d *Device) EnergyAt() (nowS, energyJ float64) { return d.now, d.energyJ }
 
 // PowerW returns the most recent instantaneous board power.
-func (d *Device) PowerW() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastPowerW
-}
+func (d *Device) PowerW() float64 { return d.lastPowerW }
 
 // SMClockMHz returns the current SM clock.
-func (d *Device) SMClockMHz() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.currentClockLocked()
-}
+func (d *Device) SMClockMHz() int { return d.currentClock() }
 
 // KernelsRun returns the number of kernel launches executed.
-func (d *Device) KernelsRun() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.kernelsRun
-}
+func (d *Device) KernelsRun() int64 { return d.kernelsRun }
 
 // EnableTrace starts recording a frequency/power trace (Fig. 9).
 func (d *Device) EnableTrace() *Trace {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.trace = NewTrace()
 	return d.trace
 }
@@ -144,14 +108,11 @@ func (d *Device) SetApplicationClocks(memMHz, smMHz int) (int, error) {
 		return 0, fmt.Errorf("gpusim: unsupported memory clock %d MHz (fixed at %d)", memMHz, d.spec.MemClockMHz)
 	}
 	applied := d.spec.NearestSupportedClock(smMHz)
-	d.mu.Lock()
 	d.mode = ModeLocked
 	d.lockedMHz = applied
 	d.tracePoint("set-app-clocks")
-	obs, now := d.obs, d.now
-	d.mu.Unlock()
-	if obs != nil {
-		obs.ClockChanged(now, applied, "set-app-clocks")
+	if d.obs != nil {
+		d.obs.ClockChanged(d.now, applied, "set-app-clocks")
 	}
 	return applied, nil
 }
@@ -159,18 +120,15 @@ func (d *Device) SetApplicationClocks(memMHz, smMHz int) (int, error) {
 // ResetApplicationClocks returns the device to governor (DVFS) control,
 // the simulated nvmlDeviceResetApplicationsClocks.
 func (d *Device) ResetApplicationClocks() {
-	d.mu.Lock()
 	d.mode = ModeAuto
-	d.gov.current = float64(d.currentClockAutoEntryLocked())
+	d.gov.current = float64(d.autoEntryClock())
 	d.tracePoint("reset-app-clocks")
-	obs, now, clock := d.obs, d.now, d.currentClockLocked()
-	d.mu.Unlock()
-	if obs != nil {
-		obs.ClockChanged(now, clock, "reset-app-clocks")
+	if d.obs != nil {
+		d.obs.ClockChanged(d.now, d.currentClock(), "reset-app-clocks")
 	}
 }
 
-func (d *Device) currentClockAutoEntryLocked() int {
+func (d *Device) autoEntryClock() int {
 	if d.lockedMHz > 0 {
 		return d.lockedMHz
 	}
@@ -178,14 +136,10 @@ func (d *Device) currentClockAutoEntryLocked() int {
 }
 
 // Mode returns the current clock management mode.
-func (d *Device) Mode() ClockMode {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mode
-}
+func (d *Device) Mode() ClockMode { return d.mode }
 
-// currentClockLocked reads the effective SM clock; caller holds d.mu.
-func (d *Device) currentClockLocked() int {
+// currentClock reads the effective SM clock.
+func (d *Device) currentClock() int {
 	if d.mode == ModeLocked {
 		return d.lockedMHz
 	}
@@ -193,12 +147,12 @@ func (d *Device) currentClockLocked() int {
 }
 
 // kernelPower computes board power while a kernel with profile t executes
-// at the given clock; caller holds d.mu. On top of the base CMOS model it
-// applies the stall-refill effect: at lower clocks, memory relatively
-// speeds up, so compute-bound kernels keep their pipelines fuller per cycle
-// and per-cycle activity rises. This is why compute-bound kernels save less
-// energy from down-scaling than their power-vs-frequency curve alone would
-// suggest (the limited 13%/19% reductions of Fig. 8b).
+// at the given clock. On top of the base CMOS model it applies the
+// stall-refill effect: at lower clocks, memory relatively speeds up, so
+// compute-bound kernels keep their pipelines fuller per cycle and per-cycle
+// activity rises. This is why compute-bound kernels save less energy from
+// down-scaling than their power-vs-frequency curve alone would suggest (the
+// limited 13%/19% reductions of Fig. 8b).
 func (d *Device) kernelPower(mhz int, t kernelTiming) float64 {
 	p := d.rawKernelPower(mhz, t)
 	limit := d.spec.TDPW
@@ -212,7 +166,7 @@ func (d *Device) kernelPower(mhz int, t kernelTiming) float64 {
 }
 
 // rawKernelPower is kernelPower without the board cap, used by the
-// power-limit derating logic; caller holds d.mu.
+// power-limit derating logic.
 func (d *Device) rawKernelPower(mhz int, t kernelTiming) float64 {
 	const stallRefill = 0.45
 	fRel := float64(mhz) / float64(d.spec.MaxSMClockMHz)
@@ -224,7 +178,7 @@ func (d *Device) rawKernelPower(mhz int, t kernelTiming) float64 {
 }
 
 // power computes the board power draw for the given clock and activity
-// levels; caller holds d.mu.
+// levels.
 func (d *Device) power(mhz int, smAct, memAct float64) float64 {
 	s := &d.spec
 	fRel := float64(mhz) / float64(s.MaxSMClockMHz)
@@ -244,7 +198,6 @@ func (d *Device) power(mhz int, smAct, memAct float64) float64 {
 // Execute runs a kernel batch on the device, advancing virtual time and
 // integrating energy. It returns the wall (virtual) duration.
 func (d *Device) Execute(k KernelDesc) float64 {
-	d.mu.Lock()
 	t := k.timing(&d.spec)
 	startS, startJ := d.now, d.energyJ
 	var dur float64
@@ -254,15 +207,13 @@ func (d *Device) Execute(k KernelDesc) float64 {
 		eff := d.derateClock(d.lockedMHz, t)
 		dur = t.durationAt(&d.spec, eff)
 		p := d.kernelPower(eff, t)
-		d.accountLocked(dur, p, k.Name)
+		d.account(dur, p, k.Name)
 	} else {
 		dur = d.gov.executeKernel(d, k, t)
 	}
 	d.kernelsRun += int64(k.launches())
-	obs, clock, energy := d.obs, d.currentClockLocked(), d.energyJ-startJ
-	d.mu.Unlock()
-	if obs != nil {
-		obs.KernelLaunched(k.Name, startS, dur, clock, energy)
+	if d.obs != nil {
+		d.obs.KernelLaunched(k.Name, startS, dur, d.currentClock(), d.energyJ-startJ)
 	}
 	return dur
 }
@@ -273,26 +224,24 @@ func (d *Device) Idle(seconds float64) {
 	if seconds <= 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.mode == ModeLocked {
 		// Application clocks hold the clock setting, but with no work the
 		// chip clock-gates: only the idle floor is drawn.
-		d.accountLocked(seconds, d.spec.IdlePowerW, "")
+		d.account(seconds, d.spec.IdlePowerW, "")
 	} else {
 		d.gov.idle(d, seconds)
 	}
 }
 
-// accountLocked advances time by dur at power p; caller holds d.mu.
-func (d *Device) accountLocked(dur, p float64, kernel string) {
+// account advances time by dur at power p.
+func (d *Device) account(dur, p float64, kernel string) {
 	d.now += dur
 	d.energyJ += p * dur
 	d.lastPowerW = p
 	if d.trace != nil {
 		d.trace.Add(TracePoint{
 			TimeS:    d.now,
-			ClockMHz: d.currentClockLocked(),
+			ClockMHz: d.currentClock(),
 			PowerW:   p,
 			Kernel:   kernel,
 		})
@@ -303,7 +252,7 @@ func (d *Device) tracePoint(label string) {
 	if d.trace != nil {
 		d.trace.Add(TracePoint{
 			TimeS:    d.now,
-			ClockMHz: d.currentClockLocked(),
+			ClockMHz: d.currentClock(),
 			PowerW:   d.lastPowerW,
 			Kernel:   label,
 		})

@@ -42,7 +42,7 @@ func (g *governor) target(t kernelTiming) float64 {
 }
 
 // executeKernel advances the device through one kernel batch under governor
-// control; caller holds d.mu. Returns the kernel duration.
+// control. Returns the kernel duration.
 func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float64 {
 	start := g.current
 	tgt := g.target(t)
@@ -66,7 +66,7 @@ func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float6
 	p := d.kernelPower(int(favg+0.5), t)
 	// End-of-kernel frequency after the exponential approach.
 	g.current = tgt + (start-tgt)*math.Exp(-dur/tau)
-	d.accountLocked(dur, p, k.Name)
+	d.account(dur, p, k.Name)
 	g.holdUntil = d.now + g.spec.BoostHoldS
 	return dur
 }
@@ -80,15 +80,14 @@ func meanRampFreq(start, tgt, tau, T float64) float64 {
 	return tgt + (start-tgt)*(tau/T)*(1-math.Exp(-T/tau))
 }
 
-// idle advances the device through an idle window under governor control;
-// caller holds d.mu.
+// idle advances the device through an idle window under governor control.
 func (g *governor) idle(d *Device, seconds float64) {
 	remaining := seconds
 	// Phase 1: boost hold — clock stays where it is.
 	if hold := g.holdUntil - d.now; hold > 0 {
 		h := math.Min(hold, remaining)
 		p := d.power(int(g.current+0.5), 0.08, 0.02)
-		d.accountLocked(h, p, "")
+		d.account(h, p, "")
 		remaining -= h
 	}
 	if remaining <= 0 {
@@ -107,6 +106,6 @@ func (g *governor) idle(d *Device, seconds float64) {
 		favg := meanRampFreq(f0, idleF, tau, dt)
 		p := d.power(int(favg+0.5), 0.03, 0.01)
 		g.current = f1
-		d.accountLocked(dt, p, "")
+		d.account(dt, p, "")
 	}
 }

@@ -414,31 +414,6 @@ func TestVendorString(t *testing.T) {
 	}
 }
 
-func TestConcurrentManagementPlane(t *testing.T) {
-	// The rank goroutine executes kernels while the management plane (NVML
-	// queries, pm_counters sampling) polls concurrently — the deployment
-	// pattern of the paper's out-of-band monitoring. Run with -race.
-	d := NewDevice(A100SXM480GB(), 0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			d.Execute(memKernel())
-			d.Idle(0.001)
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			_ = d.EnergyJ()
-			_ = d.PowerW()
-			_ = d.SMClockMHz()
-		}
-	}
-}
-
 // kernelLedger sums what the Observer stream reports per kernel name.
 type kernelLedger map[string]*kernelSum
 

@@ -11,8 +11,6 @@ import "fmt"
 
 // PowerLimitW returns the active board power limit.
 func (d *Device) PowerLimitW() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.powerLimitW > 0 {
 		return d.powerLimitW
 	}
@@ -23,8 +21,6 @@ func (d *Device) PowerLimitW() float64 {
 // (nvmlDeviceSetPowerManagementLimit). The accepted range is
 // [IdlePowerW + 10%, TDP], mirroring NVML's min/max constraint query.
 func (d *Device) SetPowerLimit(watts float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	min := d.spec.IdlePowerW * 1.1
 	if watts < min || watts > d.spec.TDPW {
 		return fmt.Errorf("gpusim: power limit %.0f W outside [%.0f, %.0f]", watts, min, d.spec.TDPW)
@@ -35,13 +31,11 @@ func (d *Device) SetPowerLimit(watts float64) error {
 
 // ResetPowerLimit restores the default (TDP) limit.
 func (d *Device) ResetPowerLimit() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.powerLimitW = 0
 }
 
 // derateClock returns the highest clock <= mhz whose kernel power fits the
-// active limit; caller holds d.mu. If even the minimum clock exceeds the
+// active limit. If even the minimum clock exceeds the
 // limit, the minimum clock is returned (real hardware behaves the same:
 // hard caps are enforced over longer windows).
 func (d *Device) derateClock(mhz int, t kernelTiming) int {

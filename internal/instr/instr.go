@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"sphenergy/internal/atomicio"
 	"sphenergy/internal/attrib"
@@ -32,13 +31,12 @@ type FunctionStats struct {
 
 // RankProfile holds all function stats of one MPI rank, one entry per
 // function in the order the functions were first recorded: pipeline order
-// in a run, of which a rank that died early holds a prefix. The methods
-// hold the mutex; the report's writers read the list directly, once the
-// run that records into it has returned.
+// in a run, of which a rank that died early holds a prefix. A profile
+// belongs to the goroutine that runs its rank, so it has no lock; the
+// report's writers read it once that run has returned.
 type RankProfile struct {
 	Rank      int             `json:"rank"`
 	Functions []FunctionStats `json:"functions"`
-	mu        sync.Mutex
 }
 
 // NewRankProfile creates an empty profile for a rank.
@@ -53,12 +51,10 @@ func NewRankProfile(rank int) *RankProfile {
 // recorded, and a slot holding another name is looked up by name — so any
 // slots leave the profile a lookup by name would.
 func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, otherJ, commS float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var st *FunctionStats
 	if slot < len(p.Functions) && p.Functions[slot].Name == fn {
 		st = &p.Functions[slot]
-	} else if st = p.get(fn); st == nil {
+	} else if st = p.Get(fn); st == nil {
 		p.Functions = append(p.Functions, FunctionStats{Name: fn})
 		st = &p.Functions[len(p.Functions)-1]
 	}
@@ -71,20 +67,8 @@ func (p *RankProfile) RecordAt(slot int, fn string, timeS, gpuJ, cpuJ, memJ, oth
 	st.CommS += commS
 }
 
-// get returns fn's entry, nil if never recorded; caller holds p.mu.
-func (p *RankProfile) get(fn string) *FunctionStats {
-	for i := range p.Functions {
-		if p.Functions[i].Name == fn {
-			return &p.Functions[i]
-		}
-	}
-	return nil
-}
-
 // FunctionNames returns function names in first-recorded order.
 func (p *RankProfile) FunctionNames() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]string, len(p.Functions))
 	for i := range p.Functions {
 		out[i] = p.Functions[i].Name
@@ -95,15 +79,16 @@ func (p *RankProfile) FunctionNames() []string {
 // Get returns the stats of a function (nil if never recorded), valid until
 // the profile records a function it has not seen.
 func (p *RankProfile) Get(fn string) *FunctionStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.get(fn)
+	for i := range p.Functions {
+		if p.Functions[i].Name == fn {
+			return &p.Functions[i]
+		}
+	}
+	return nil
 }
 
 // TotalGPUJ sums GPU energy across functions.
 func (p *RankProfile) TotalGPUJ() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t := 0.0
 	for _, st := range p.Functions {
 		t += st.GPUJ

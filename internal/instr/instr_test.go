@@ -141,25 +141,6 @@ func TestFileRoundtrip(t *testing.T) {
 	}
 }
 
-func TestConcurrentRecording(t *testing.T) {
-	p := NewRankProfile(0)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				p.RecordAt(0, "fn", 1, 1, 0, 0, 0, 0)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if st := p.Get("fn"); st.Calls != 8000 {
-		t.Errorf("concurrent calls = %d, want 8000", st.Calls)
-	}
-}
-
 func TestRoundtripPreservesFunctionOrder(t *testing.T) {
 	// Deliberately non-alphabetical recording order: the list keeps it, on
 	// the wire and read back.

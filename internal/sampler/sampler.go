@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
@@ -131,10 +130,10 @@ type Stats struct {
 }
 
 // Channel samples one sensor on a fixed tick grid. A nil *Channel is a
-// valid no-op, so call sites can poll unconditionally.
+// valid no-op, so call sites can poll unconditionally. A channel belongs to
+// the goroutine that drives its run, as the device its sensor reads does,
+// so it has no lock.
 type Channel struct {
-	mu sync.Mutex
-
 	name    string
 	rank    int
 	sensor  pmt.Sensor
@@ -182,7 +181,7 @@ func (c *Channel) Name() string {
 }
 
 // classify updates the degradation detectors with a fresh primary read and
-// reports whether this poll is degraded; caller holds c.mu.
+// reports whether this poll is degraded.
 func (c *Channel) classify(st pmt.State) bool {
 	if math.IsNaN(st.EnergyJ) || math.IsNaN(st.TimeS) {
 		c.faultReads++
@@ -211,7 +210,7 @@ func (c *Channel) classify(st pmt.State) bool {
 
 // estimate substitutes a degraded primary read with an effective state on
 // the primary's cumulative-energy scale: an extrapolation of the last
-// observed tick power; caller holds c.mu.
+// observed tick power.
 func (c *Channel) estimate(raw pmt.State) pmt.State {
 	now := raw.TimeS
 	if math.IsNaN(now) || now < c.last.TimeS {
@@ -224,14 +223,12 @@ func (c *Channel) estimate(raw pmt.State) pmt.State {
 // poll, interpolating cumulative energy between the two reads. The first
 // poll establishes the energy baseline. Degraded reads (NaN, stuck) are
 // replaced by estimates and the covered ticks flagged — see the package
-// comment. Safe to call from the goroutine driving the sensor's device;
-// distinct channels never share state.
+// comment. Distinct channels never share state.
 func (c *Channel) Poll() {
 	if c == nil {
 		return
 	}
 	st := c.sensor.Read()
-	c.mu.Lock()
 	c.polls++
 	stale := c.clock != nil && st.TimeS < c.clock()
 	degraded := c.classify(st)
@@ -239,7 +236,6 @@ func (c *Channel) Poll() {
 		if degraded {
 			// No baseline to anchor an estimate to yet; wait for the
 			// first good read.
-			c.mu.Unlock()
 			return
 		}
 		c.started = true
@@ -247,7 +243,6 @@ func (c *Channel) Poll() {
 		// First tick at the first grid point at or after the baseline.
 		c.tick = int64(math.Ceil(st.TimeS/c.periodS - 1e-9))
 		c.lastTick = Sample{TimeS: st.TimeS}
-		c.mu.Unlock()
 		return
 	}
 	if degraded {
@@ -272,7 +267,6 @@ func (c *Channel) Poll() {
 	if gap < 0 {
 		// Sensor time went backwards (should not happen); resynchronize.
 		c.last = st
-		c.mu.Unlock()
 		return
 	}
 	deltaJ := st.EnergyJ - c.last.EnergyJ
@@ -313,12 +307,10 @@ func (c *Channel) Poll() {
 	}
 	c.kahanAdd(deltaJ)
 	c.last = st
-	c.mu.Unlock()
 }
 
 // kahanAdd accumulates deltaJ into accumJ with Kahan compensation, keeping
-// the cumulative sum accurate over millions of small tick deltas; caller
-// holds c.mu.
+// the cumulative sum accurate over millions of small tick deltas.
 func (c *Channel) kahanAdd(deltaJ float64) {
 	y := deltaJ - c.kahanC
 	t := c.accumJ + y
@@ -326,7 +318,7 @@ func (c *Channel) kahanAdd(deltaJ float64) {
 	c.accumJ = t
 }
 
-// push appends one sample to the bounded ring; caller holds c.mu.
+// push appends one sample to the bounded ring.
 func (c *Channel) push(s Sample) {
 	slot, dropped := c.ring.Push()
 	*slot = s
@@ -340,8 +332,6 @@ func (c *Channel) AccumJ() float64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.accumJ
 }
 
@@ -350,8 +340,6 @@ func (c *Channel) Stats() Stats {
 	if c == nil {
 		return Stats{Rank: -1}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{
 		Rank:          c.rank,
 		Polls:         c.polls,
@@ -367,14 +355,13 @@ func (c *Channel) Stats() Stats {
 // TransitionFunc observes a channel crossing a degradation edge: degraded
 // is true when the channel just lost its primary (detail names the
 // estimation mode, "model-extrapolation") and false when the primary came
-// back ("primary-restored"). The callback runs under the channel's mutex on
-// the polling goroutine, so it must be cheap and must not re-enter the
-// channel.
+// back ("primary-restored"). The callback runs inside the poll, so it must
+// be cheap and must not re-enter the channel.
 type TransitionFunc func(name string, rank int, degraded bool, detail string)
 
-// Sampler owns a set of channels. A nil *Sampler is a valid no-op.
+// Sampler owns a set of channels. A nil *Sampler is a valid no-op. Like
+// its channels, a sampler belongs to the goroutine that drives its run.
 type Sampler struct {
-	mu       sync.Mutex
 	cfg      Config
 	channels []*Channel
 	onTrans  TransitionFunc
@@ -387,9 +374,7 @@ func (s *Sampler) SetTransitionSink(fn TransitionFunc) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	s.onTrans = fn
-	s.mu.Unlock()
 }
 
 // New creates a sampler with the given (defaulted) config.
@@ -408,20 +393,15 @@ func (s *Sampler) Config() Config {
 // add registers a sensor under a name, rank (-1 for node-level sensors)
 // and rate, and returns the new channel.
 func (s *Sampler) add(name string, rank int, sensor pmt.Sensor, hz float64) *Channel {
-	s.mu.Lock()
-	onTrans := s.onTrans
-	s.mu.Unlock()
 	ch := &Channel{
 		name:         name,
 		rank:         rank,
 		sensor:       sensor,
 		periodS:      1 / hz,
 		ring:         blocks.Bounded[Sample](s.cfg.RingCap),
-		onTransition: onTrans,
+		onTransition: s.onTrans,
 	}
-	s.mu.Lock()
 	s.channels = append(s.channels, ch)
-	s.mu.Unlock()
 	return ch
 }
 
@@ -434,9 +414,7 @@ func (c *Channel) SetClock(now func() float64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	c.clock = now
-	c.mu.Unlock()
 }
 
 // AddRank registers a rank's GPU sensor (NVML, ROCm-SMI) at the in-band
@@ -456,14 +434,12 @@ func (s *Sampler) AddNode(node int, sensor pmt.Sensor) *Channel {
 	return s.add(fmt.Sprintf("node%d:%s", node, sensor.Name()), -1, sensor, s.cfg.NodeHz)
 }
 
-// Channels returns all registered channels.
+// Channels returns all registered channels, in registration order.
 func (s *Sampler) Channels() []*Channel {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Channel(nil), s.channels...)
+	return s.channels
 }
 
 // PollAll polls every channel (run start, setup end, final flush).
@@ -497,19 +473,16 @@ func (s *Sampler) RankSeries() map[int][]Sample {
 // contiguous pieces they are stored in, and are valid only during the
 // call. A rank has one channel (AddRank is the only way to make one), and
 // a channel's ring is already in time order, so the series is read where
-// it lies, under the channel's lock (visit must not call back into the
-// sampler).
+// it lies (visit must not call back into the sampler).
 func (s *Sampler) VisitRankSeries(visit func(rank int, runs [][]Sample)) {
 	var runs [][]Sample
 	for _, ch := range s.Channels() {
 		if ch.rank < 0 {
 			continue
 		}
-		ch.mu.Lock()
 		runs = runs[:0]
 		ch.ring.Runs(func(run []Sample) { runs = append(runs, run) })
 		visit(ch.rank, runs)
-		ch.mu.Unlock()
 	}
 }
 

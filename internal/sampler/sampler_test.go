@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"sphenergy/internal/blocks"
@@ -33,8 +32,6 @@ func samples(ch *Channel) []Sample {
 	if ch == nil {
 		return nil
 	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	return ch.ring.AppendTo([]Sample{})
 }
 
@@ -224,43 +221,5 @@ func TestNilSafety(t *testing.T) {
 	}
 	if ch.AccumJ() != 0 || s.NodeAccumJ() != 0 {
 		t.Fatal("nil accumulators should be 0")
-	}
-}
-
-func TestConcurrentChannels(t *testing.T) {
-	// Each goroutine owns one channel — the runner's usage pattern. Under
-	// -race this validates the locking discipline.
-	s := New(Config{GPUHz: 100, NodeHz: 10})
-	var wg sync.WaitGroup
-	for r := range 4 {
-		states := []pmt.State{{TimeS: 0, EnergyJ: 0}}
-		for i := 1; i <= 200; i++ {
-			states = append(states, pmt.State{TimeS: float64(i) * 0.01, EnergyJ: float64(i)})
-		}
-		ch := s.add("gpu", r, &scriptSensor{name: "gpu", states: states}, 100)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range states {
-				ch.Poll()
-			}
-		}()
-	}
-	wg.Wait()
-	series := s.RankSeries()
-	if len(series) != 4 {
-		t.Fatalf("ranks = %d, want 4", len(series))
-	}
-	for r, ss := range series {
-		if len(ss) == 0 {
-			t.Fatalf("rank %d has no samples", r)
-		}
-	}
-	got := 0.0
-	for _, ch := range s.Channels() {
-		got += ch.AccumJ()
-	}
-	if !approx(got, 800, 1e-6) {
-		t.Fatalf("rank accum = %g, want 800", got)
 	}
 }

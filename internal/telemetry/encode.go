@@ -11,17 +11,17 @@ import (
 	"sphenergy/internal/jsontext"
 )
 
-// The export's pipeline: each shard is cut into pieces of pieceEvents
-// events, encodeWorkers goroutines encode pieces side by side, and WriteJSON
-// writes them in shard order as each is ready. At most encodePieces pieces
-// are in flight, each encoded into a buffer of its own that starts at
-// encodeChunk bytes — a piece of the repository's 145-byte events fits — and
-// is reused for piece after piece.
+// The export's pipeline: each shard's events are cut into pieces where they
+// lie, one storage block (blocks.Len events) each, encodeWorkers goroutines
+// encode pieces side by side, and WriteJSON writes them in shard order as
+// each is ready. At most encodePieces pieces are in flight, each encoded
+// into a buffer of its own that starts at encodeChunk bytes — a block of
+// the repository's 145-byte events fits — and is reused for piece after
+// piece.
 const (
 	encodeWorkers = 2
 	encodePieces  = 2 * encodeWorkers
-	pieceEvents   = 400
-	encodeChunk   = 64 << 10
+	encodeChunk   = 80 << 10
 )
 
 // WriteJSON exports the recorded events as Chrome trace_event JSON (the
@@ -64,11 +64,10 @@ type piece struct {
 }
 
 // writeEvents encodes every shard's events and writes them to w in shard
-// order. Each shard is copied out under its lock, so encoding never blocks
-// a recording rank; two copies are kept, so that one shard's pieces are cut
-// while the last of the previous shard's are still being encoded.
+// order. The workers read the events in the shards' own blocks: the tracer
+// records nothing while it is exported.
 func (t *Tracer) writeEvents(w io.Writer) error {
-	descs := t.descriptors()
+	descs := t.descs
 	frames := make([]descFrame, len(descs))
 	for i := range descs {
 		frames[i] = newDescFrame(&descs[i])
@@ -119,34 +118,25 @@ func (t *Tracer) writeEvents(w io.Writer) error {
 		return err
 	}
 
-	var copies [2]struct {
-		events []fastEvent
-		end    int // pieces cut by the time this copy was: all are written before it is refilled
-	}
+	var err error
 	for tid := range t.shards {
-		c := &copies[tid%2]
-		for written < c.end {
-			if err := writeNext(); err != nil {
-				return err
+		t.shards[tid].fast.Runs(func(run []fastEvent) {
+			if err != nil {
+				return
 			}
-		}
-		s := &t.shards[tid]
-		s.mu.Lock()
-		c.events = s.fast.AppendTo(c.events[:0])
-		s.mu.Unlock()
-		for events := c.events; len(events) > 0; cut++ {
 			if cut-written == encodePieces {
-				if err := writeNext(); err != nil {
-					return err
+				if err = writeNext(); err != nil {
+					return
 				}
 			}
 			p := &ring[cut%encodePieces]
-			n := min(len(events), pieceEvents)
-			p.tid, p.events = tid, events[:n]
-			events = events[n:]
+			p.tid, p.events = tid, run
 			work <- p
+			cut++
+		})
+		if err != nil {
+			return err
 		}
-		c.end = cut
 	}
 	for written < cut {
 		if err := writeNext(); err != nil {

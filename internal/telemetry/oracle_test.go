@@ -21,14 +21,9 @@ import (
 func OracleWriteJSON(t *Tracer, w io.Writer) error {
 	events := []map[string]any{}
 	if t != nil {
-		t.descMu.Lock()
-		descs := append([]spanDesc(nil), t.descs...)
-		t.descMu.Unlock()
+		descs := t.descs
 		for tid := range t.shards {
-			s := &t.shards[tid]
-			s.mu.Lock()
-			buf := s.fast.AppendTo(nil)
-			s.mu.Unlock()
+			buf := t.shards[tid].fast.AppendTo(nil)
 			for i := range buf {
 				if int(buf[i].ref) < len(descs) {
 					events = append(events, oracleEventObject(&buf[i], tid, &descs[buf[i].ref]))

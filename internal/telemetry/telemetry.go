@@ -1,32 +1,31 @@
 // Package telemetry is the repository's span tracer: nestable named spans
-// recorded into lock-cheap per-rank buffers with Chrome trace_event JSON
-// export.
+// recorded into per-rank buffers with Chrome trace_event JSON export.
 //
 // The design follows the paper's §III-B non-perturbation requirement: every
 // entry point is safe on a nil receiver and returns immediately, so code can
 // be instrumented unconditionally — a run without a tracer pays only a nil
-// check. Every event — span, instant, counter sample, track
-// name — is one 40-byte record: a start, a duration, two float values and
-// an interned identity, written under one short per-rank (sharded) mutex.
-// The identity (category, name, up to two float argument keys and at most
-// one constant string argument) is interned once (Intern, InternWith) and
-// recorded through the SpanRef it returns (CompleteRef, InstantRef,
-// CounterRef), so recording moves no strings; RecordSpan interns by name on
-// first use. All serialization work happens at export time.
+// check. Every event — span, instant, counter sample, track name — is one
+// 40-byte record: a start, a duration, two float values and an interned
+// identity, appended to its rank's buffer. The identity (category, name, up
+// to two float argument keys and at most one constant string argument) is
+// interned once (Intern, InternWith) and recorded through the SpanRef it
+// returns (CompleteRef, InstantRef, CounterRef), so recording moves no
+// strings; RecordSpan interns by name on first use. All serialization work
+// happens at export time.
 //
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
 // container per span, an identity's strings quoted once; the
 // in-process read-back is a visit of the records where they lie
 // (VisitSpans) or, for callers that want the slice, Spans, two allocations
-// whatever the span count. All take the shard locks, so they are safe while
-// ranks still record. A shard keeps its records in fixed blocks
+// whatever the span count. A tracer belongs to the goroutine that drives
+// its run, so none of this takes a lock: the export and the read-back run
+// once the run has returned. A shard keeps its records in fixed blocks
 // (internal/blocks): recording never copies what is already recorded.
 package telemetry
 
 import (
 	"fmt"
-	"sync"
 
 	"sphenergy/internal/atomicio"
 	"sphenergy/internal/blocks"
@@ -78,10 +77,8 @@ const (
 	phaseMeta     = 'M' // metadata (track names)
 )
 
-// shard is one rank's event buffer, in recording order. Each rank appends
-// under its own mutex, so concurrent ranks never contend with each other.
+// shard is one rank's event buffer, in recording order.
 type shard struct {
-	mu   sync.Mutex
 	fast blocks.Seq[fastEvent]
 }
 
@@ -99,10 +96,8 @@ type fastEvent struct {
 
 // addFast appends one event in place.
 func (s *shard) addFast(ph byte, ref SpanRef, startS, durS, v0, v1 float64) {
-	s.mu.Lock()
 	fe, _ := s.fast.Push()
 	*fe = fastEvent{startS: startS, durS: durS, v0: v0, v1: v1, ref: ref, ph: ph}
-	s.mu.Unlock()
 }
 
 // SpanRef identifies a span descriptor interned with Tracer.Intern. Refs
@@ -135,14 +130,14 @@ type spanKey struct{ cat, name string }
 // Tracer records spans and events for one run. A nil *Tracer is a valid
 // no-op sink: all methods return immediately. Spans recorded on the same
 // rank track nest by containment when rendered in Perfetto or
-// chrome://tracing.
+// chrome://tracing. A tracer belongs to the goroutine that drives its run
+// and has no lock: everything it records is recorded from that goroutine,
+// and it is read back and exported after the run.
 type Tracer struct {
 	shards []shard // one per rank, plus one global track at the end
-
-	descMu sync.Mutex // guards descs and index; interning is cold-path
 	descs  []spanDesc
 	index  map[spanDesc]SpanRef
-	cache  sync.Map // spanKey → SpanRef, backing RecordSpan
+	cache  map[spanKey]SpanRef // backs RecordSpan: a two-string key hashes faster than a spanDesc
 }
 
 // NewTracer creates a tracer with one track per rank plus the global track.
@@ -150,7 +145,7 @@ func NewTracer(ranks int) *Tracer {
 	if ranks < 0 {
 		ranks = 0
 	}
-	return &Tracer{shards: make([]shard, ranks+1), index: map[spanDesc]SpanRef{}}
+	return &Tracer{shards: make([]shard, ranks+1), index: map[spanDesc]SpanRef{}, cache: map[spanKey]SpanRef{}}
 }
 
 // Intern registers a span identity — category, name, and up to two
@@ -187,8 +182,6 @@ func newSpanDesc(category, name string, keys []string) spanDesc {
 
 // intern returns d's ref, issuing the next one on first sight.
 func (t *Tracer) intern(d spanDesc) SpanRef {
-	t.descMu.Lock()
-	defer t.descMu.Unlock()
 	ref, ok := t.index[d]
 	if !ok {
 		ref = SpanRef(len(t.descs))
@@ -244,11 +237,12 @@ func (t *Tracer) RecordSpan(rank int, category, name string, startS, durS float6
 		return
 	}
 	key := spanKey{cat: category, name: name}
-	ref, ok := t.cache.Load(key)
+	ref, ok := t.cache[key]
 	if !ok {
-		ref, _ = t.cache.LoadOrStore(key, t.Intern(category, name))
+		ref = t.Intern(category, name)
+		t.cache[key] = ref
 	}
-	t.CompleteRef(rank, ref.(SpanRef), startS, durS, 0, 0)
+	t.CompleteRef(rank, ref, startS, durS, 0, 0)
 }
 
 // SetTrackName labels a rank track ("rank 3", "sim") in the exported trace.
@@ -267,10 +261,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.fast.Reset()
-		s.mu.Unlock()
+		t.shards[i].fast.Reset()
 	}
 }
 
@@ -281,10 +272,7 @@ func (t *Tracer) Len() int {
 	}
 	n := 0
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.fast.Len()
-		s.mu.Unlock()
+		n += t.shards[i].fast.Len()
 	}
 	return n
 }
@@ -321,30 +309,20 @@ func (e SpanEvent) Arg(key string) (float64, bool) {
 	return 0, false
 }
 
-// Spans snapshots all recorded complete and instant events (counter and
+// Spans returns all recorded complete and instant events (counter and
 // metadata records are skipped) across every track, resolving interned
 // descriptors. Events within one track appear in recording order; tracks
-// are concatenated rank 0..N then the global track. Safe to call while
-// recording continues: the read-back holds every shard lock for its
-// duration, counts first, and then allocates twice — the result at its
-// final length and one slab all Args are carved from (each capped at
-// its own length, so appending to one span's Args never reaches the next).
+// are concatenated rank 0..N then the global track. The read-back counts
+// first, and then allocates twice — the result at its final length and one
+// slab all Args are carved from (each capped at its own length, so
+// appending to one span's Args never reaches the next).
 // A consumer that only folds the spans into something smaller should use
 // VisitSpans, which builds neither.
 func (t *Tracer) Spans() []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	descs := t.descriptors()
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range t.shards {
-			t.shards[i].mu.Unlock()
-		}
-	}()
-
+	descs := t.descs
 	nspans, nargs := 0, 0
 	for tid := range t.shards {
 		t.shards[tid].fast.Runs(func(run []fastEvent) {
@@ -385,20 +363,15 @@ const NoRef = ^SpanRef(0)
 // from one call to the next and are valid only during the call. ref is the
 // event's interned identity — all events sharing one have the same
 // category, name and arguments but for the float values, so a consumer can
-// resolve those once per identity instead of once per event. Each track is
-// visited under its shard's lock (safe while ranks still record), so visit
-// must not call back into the tracer.
+// resolve those once per identity instead of once per event. visit must
+// not call back into the tracer.
 func (t *Tracer) VisitSpans(visit func(ref SpanRef, ev *SpanEvent)) {
 	if t == nil {
 		return
 	}
-	descs := t.descriptors()
 	var view spanView
 	for tid := range t.shards {
-		s := &t.shards[tid]
-		s.mu.Lock()
-		s.visit(t.track(tid), descs, &view, visit)
-		s.mu.Unlock()
+		t.shards[tid].visit(t.track(tid), t.descs, &view, visit)
 	}
 }
 
@@ -408,15 +381,6 @@ func (t *Tracer) VisitSpans(visit func(ref SpanRef, ev *SpanEvent)) {
 type spanView struct {
 	ev   SpanEvent
 	args [3]Attr
-}
-
-// descriptors returns the interned identities. Descriptors are immutable
-// once appended, so the slice header taken under descMu stays valid while
-// Intern grows the table behind it.
-func (t *Tracer) descriptors() []spanDesc {
-	t.descMu.Lock()
-	defer t.descMu.Unlock()
-	return t.descs
 }
 
 // track is the track number of shard tid: its rank, or GlobalTrack for
@@ -429,7 +393,7 @@ func (t *Tracer) track(tid int) int {
 }
 
 // visit expands the shard's complete and instant events, in recording
-// order, one at a time into v and hands each to fn. Caller holds s.mu.
+// order, one at a time into v and hands each to fn.
 func (s *shard) visit(track int, descs []spanDesc, v *spanView, fn func(SpanRef, *SpanEvent)) {
 	s.fast.Runs(func(run []fastEvent) {
 		for i := range run {

@@ -335,7 +335,7 @@ func TestTrackExportsInRecordingOrder(t *testing.T) {
 	fn := tr.Intern("function", "momentum", "gpu_j", "comm_s")
 	clock := tr.Intern("", "gpu_clock_mhz", "mhz")
 	var want []string
-	for i := 0; i < 2*pieceEvents; i++ {
+	for i := 0; i < 2*blocks.Len; i++ {
 		ts := float64(i)
 		switch i % 5 {
 		case 0:
