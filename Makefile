@@ -137,17 +137,17 @@ bench-telemetry:
 
 # What observing a run costs, leg by leg, on a recorded 8-rank 300-step
 # ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
-# whole observed run (sampler, tracer, ledger, attribution joined in
-# place) and the attribution join through both its feeds; the ledger's
-# read leg on its own at one CPU; then the
-# trace's export and re-load on one CPU and on two, so that what the second
-# CPU buys and what the pipeline costs without one come from one command,
-# and the critical-path analysis of the loaded spans (serial; the second
-# CPU only runs the collector); last, on one CPU, the number conversions
-# every trace event crosses, jsontext's AppendFloat and Float over 17-digit
-# microsecond timestamps beside strconv, in ns/value. The B/op and
-# allocs/op columns repeat exactly; TestObservedRunAllocBudget holds the
-# run's allocation volume in plain `go test ./...`.
+# whole observed run with every observer on, and the attribution join alone
+# from the tracer's records and from a span slice, each against the
+# sampler's rings in place; the ledger's read leg on its own at one CPU;
+# then the trace's export and re-load on one CPU and on two, so that what
+# the second CPU buys and what the pipeline costs without one come from one
+# command, and the critical-path analysis of the loaded spans (serial; the
+# second CPU only runs the collector); last, on one CPU, the number
+# conversions every trace event crosses, jsontext's AppendFloat and Float
+# over 17-digit microsecond timestamps beside strconv, in ns/value. The
+# B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
+# holds the run's allocation volume in plain `go test ./...`.
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/

@@ -33,7 +33,7 @@
 // # Degraded intervals
 //
 // When the sampler ran through sensor faults, ticks covering the outages
-// carry sampler.Sample.Degraded — their energy is estimated, not
+// are listed in sampler.Series.Degraded — their energy is estimated, not
 // observed. Attribution rows whose spans overlap such ticks are flagged
 // (Row.Degraded, with the overlapping share in Row.DegradedPct) and
 // excluded from both tolerance gates, the same treatment unresolvable
@@ -169,112 +169,114 @@ func (a *Attribution) MarkDropped(n uint64) {
 }
 
 // energySeries evaluates cumulative sampled energy at arbitrary times by
-// linear interpolation over one rank's tick samples.
+// linear interpolation over one rank's tick series, read where the sampler
+// keeps it. A tick's time is its grid index times the period, so a time is
+// located by index arithmetic.
 type energySeries struct {
-	times    []float64
-	energies []float64
-	// Degraded-interval index: degSeg[i] flags the interval ending at
-	// times[i] (a degraded tick covers the window since the previous
-	// tick); degPrefix[i] is the cumulative degraded time up to times[i],
-	// making span overlap an O(log n) query.
-	degSeg    []bool
+	s sampler.Series
+	n int
+	// degPrefix[i] is the cumulative degraded time up to tick i, the
+	// intervals ending at flagged ticks summed in time order, making span
+	// overlap an O(log n) query. It is nil when no tick is flagged.
 	degPrefix []float64
-	degAny    bool
-	// One cursor per row table: a rank's kernel spans arrive in time order,
-	// and so do its function spans, but a function is recorded after the
-	// kernels it contains.
-	cursors [2]cursor
 }
 
-// cursor remembers where the previous span of one table fell in the
-// series, so that the next one, starting and ending no earlier, is located
-// by stepping forward from there instead of by two binary searches.
-type cursor struct {
-	startS, endS float64 // the previous span
-	lo, hi       int     // its window
-}
-
-// newEnergySeries builds one rank's series from its samples, handed over in
-// the runs they are stored in.
-func newEnergySeries(runs [][]sampler.Sample) *energySeries {
-	n := 0
-	for _, run := range runs {
-		n += len(run)
-	}
-	es := &energySeries{
-		times:    make([]float64, n),
-		energies: make([]float64, n),
-	}
-	i := 0
-	for _, run := range runs {
-		for _, s := range run {
-			es.times[i], es.energies[i] = s.TimeS, s.EnergyJ
-			if s.Degraded {
-				if !es.degAny {
-					es.degAny, es.degSeg = true, make([]bool, n)
-				}
-				es.degSeg[i] = i > 0 // no interval ends at the first tick
-			}
-			i++
-		}
-	}
-	if es.degAny {
-		es.degPrefix = make([]float64, n)
-		for i := 1; i < n; i++ {
+// newEnergySeries wraps one rank's series; it copies no tick.
+func newEnergySeries(s sampler.Series) *energySeries {
+	es := &energySeries{s: s, n: s.Len()}
+	if len(s.Degraded) > 0 {
+		es.degPrefix = make([]float64, es.n)
+		for i := 1; i < es.n; i++ {
 			es.degPrefix[i] = es.degPrefix[i-1]
-			if es.degSeg[i] {
-				es.degPrefix[i] += es.times[i] - es.times[i-1]
+			if es.degradedAt(i) {
+				es.degPrefix[i] += es.time(i) - es.time(i-1)
 			}
 		}
-	}
-	for i := range es.cursors {
-		es.cursors[i] = cursor{startS: math.Inf(-1), endS: math.Inf(-1), hi: -1}
 	}
 	return es
 }
 
+// time returns tick i's time.
+func (es *energySeries) time(i int) float64 { return es.s.TimeS(i) }
+
+// energy returns tick i's cumulative energy.
+func (es *energySeries) energy(i int) float64 { return *es.s.Energies.At(i) }
+
+// degradedAt reports whether tick i >= 1 is flagged: the interval ending
+// at it is degraded. (No interval ends at the first tick.)
+func (es *energySeries) degradedAt(i int) bool {
+	k := es.s.First + int64(i)
+	runs := es.s.Degraded
+	r := sort.Search(len(runs), func(r int) bool { return runs[r].To > k })
+	return r < len(runs) && runs[r].From <= k
+}
+
+// held returns the held position of grid tick k, a whole number, clamped
+// to [0, n]; a NaN time clamps to n, as a search for it finds no tick.
+func (es *energySeries) held(k float64) int {
+	q := k - float64(es.s.First)
+	if !(q < float64(es.n)) {
+		return es.n
+	}
+	if q > 0 {
+		return int(q)
+	}
+	return 0
+}
+
+// lowerBound returns the first tick at or after t, n when there is none.
+// ceil(t/period) is that tick's grid index to within one: the rounding of
+// the quotient and of a tick's time each shift it by far less than a tick
+// while indices stay far below 2^52. So one comparison each way against the
+// tick's own time settles it, each the comparison a search over the
+// emitted times makes.
+func (es *energySeries) lowerBound(t float64) int {
+	i := es.held(math.Ceil(t / es.s.PeriodS))
+	if i > 0 && es.time(i-1) >= t {
+		return i - 1
+	}
+	if i < es.n && es.time(i) < t {
+		return i + 1
+	}
+	return i
+}
+
+// upperBound returns the first tick after t, n when there is none, as
+// lowerBound does from floor(t/period)+1.
+func (es *energySeries) upperBound(t float64) int {
+	i := es.held(math.Floor(t/es.s.PeriodS) + 1)
+	if i > 0 && es.time(i-1) > t {
+		return i - 1
+	}
+	if i < es.n && es.time(i) <= t {
+		return i + 1
+	}
+	return i
+}
+
 // window locates a span in the series: lo is the first tick at or after
-// startS (len(times) when there is none), hi the last tick at or before
-// endS (-1 when there is none). Every estimator below works from these two.
-// A span that starts and ends no earlier than the table's previous one is
-// found by stepping the cursor forward, which over a time-ordered table
-// costs one pass through the series in all; any other falls back to
-// binary search.
-func (es *energySeries) window(table int, startS, endS float64) (lo, hi int) {
-	c := &es.cursors[table]
-	n := len(es.times)
-	if startS >= c.startS {
-		for lo = c.lo; lo < n && es.times[lo] < startS; lo++ {
-		}
-	} else {
-		lo = sort.SearchFloat64s(es.times, startS)
-	}
-	if endS >= c.endS {
-		for hi = c.hi; hi+1 < n && es.times[hi+1] <= endS; hi++ {
-		}
-	} else {
-		hi = sort.Search(n, func(i int) bool { return es.times[i] > endS }) - 1
-	}
-	*c = cursor{startS: startS, endS: endS, lo: lo, hi: hi}
-	return lo, hi
+// startS (n when there is none), hi the last tick at or before endS (-1
+// when there is none). Every estimator below works from these two.
+func (es *energySeries) window(startS, endS float64) (lo, hi int) {
+	return es.lowerBound(startS), es.upperBound(endS) - 1
 }
 
 // degAt returns the cumulative degraded time up to t.
 func (es *energySeries) degAt(t float64) float64 {
-	n := len(es.times)
-	if !es.degAny || n == 0 || t <= es.times[0] {
+	n := es.n
+	if es.degPrefix == nil || n == 0 || t <= es.time(0) {
 		return 0
 	}
-	if t >= es.times[n-1] {
+	if t >= es.time(n-1) {
 		return es.degPrefix[n-1]
 	}
-	i := sort.SearchFloat64s(es.times, t) // first index with times[i] >= t
-	if es.times[i] == t {
+	i := es.lowerBound(t)
+	if es.time(i) == t {
 		return es.degPrefix[i]
 	}
 	p := es.degPrefix[i-1]
-	if es.degSeg[i] {
-		p += t - es.times[i-1]
+	if es.degradedAt(i) {
+		p += t - es.time(i-1)
 	}
 	return p
 }
@@ -291,12 +293,12 @@ func (es *energySeries) degAt(t float64) float64 {
 // result is capped at the span duration so DegradedPct stays a fraction of
 // the span.
 func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float64 {
-	n := len(es.times)
+	n := es.n
 	if endS <= startS || n == 0 {
 		return 0
 	}
-	unseen := max(min(endS, es.times[0])-startS, 0)
-	if !es.degAny {
+	unseen := max(min(endS, es.time(0))-startS, 0)
+	if es.degPrefix == nil {
 		return unseen
 	}
 	if lo < n && hi >= 0 && hi > lo {
@@ -306,23 +308,23 @@ func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float6
 	}
 	padLo, padHi := startS, endS
 	if i := es.intervalOfStart(startS, lo); i > 0 {
-		padLo = es.times[i-1]
+		padLo = es.time(i - 1)
 	}
 	if i := es.intervalOfEnd(endS, hi); i >= 0 && i+2 < n {
-		padHi = es.times[i+2]
+		padHi = es.time(i + 2)
 	}
 	return math.Min(unseen+es.degAt(padHi)-es.degAt(padLo), endS-startS)
 }
 
-// intervalOfStart returns the interval index i with times[i] <= t <
-// times[i+1], or -1 when t is outside the series (including the exact last
+// intervalOfStart returns the interval index i with time(i) <= t <
+// time(i+1), or -1 when t is outside the series (including the exact last
 // point), given lo, the first tick at or after t.
 func (es *energySeries) intervalOfStart(t float64, lo int) int {
-	n := len(es.times)
-	if n < 2 || t < es.times[0] || t >= es.times[n-1] {
+	n := es.n
+	if n < 2 || t < es.time(0) || t >= es.time(n-1) {
 		return -1
 	}
-	if es.times[lo] == t {
+	if es.time(lo) == t {
 		return lo
 	}
 	return lo - 1
@@ -331,8 +333,8 @@ func (es *energySeries) intervalOfStart(t float64, lo int) int {
 // intervalOfEnd is intervalOfStart given hi, the last tick at or before t —
 // which, inside the series, is the interval's own index.
 func (es *energySeries) intervalOfEnd(t float64, hi int) int {
-	n := len(es.times)
-	if n < 2 || t < es.times[0] || t >= es.times[n-1] {
+	n := es.n
+	if n < 2 || t < es.time(0) || t >= es.time(n-1) {
 		return -1
 	}
 	return hi
@@ -340,18 +342,18 @@ func (es *energySeries) intervalOfEnd(t float64, hi int) int {
 
 // powerOf returns the mean power across interval i.
 func (es *energySeries) powerOf(i int) float64 {
-	dt := es.times[i+1] - es.times[i]
+	dt := es.time(i+1) - es.time(i)
 	if dt <= 0 {
 		return 0
 	}
-	return (es.energies[i+1] - es.energies[i]) / dt
+	return (es.energy(i+1) - es.energy(i)) / dt
 }
 
 // clamp bounds an energy estimate inside interval i — the sampled series
 // is monotone (the sampler clamps negative deltas), so the true value
 // cannot leave the interval's energy range.
 func (es *energySeries) clamp(e float64, i int) float64 {
-	return math.Min(math.Max(e, es.energies[i]), es.energies[i+1])
+	return math.Min(math.Max(e, es.energy(i)), es.energy(i+1))
 }
 
 // atStart estimates cumulative energy at a span's start time (lo being
@@ -366,44 +368,44 @@ func (es *energySeries) clamp(e float64, i int) float64 {
 // coverage gaps as attribution error instead of hiding them by
 // extrapolation.
 func (es *energySeries) atStart(t float64, lo int) float64 {
-	n := len(es.times)
+	n := es.n
 	if n == 0 {
 		return 0
 	}
 	i := es.intervalOfStart(t, lo)
 	if i < 0 {
-		if t < es.times[0] {
-			return es.energies[0]
+		if t < es.time(0) {
+			return es.energy(0)
 		}
-		return es.energies[n-1]
+		return es.energy(n - 1)
 	}
 	before := i
 	if i > 0 {
 		before = i - 1
 	}
-	return es.clamp(es.energies[i]+es.powerOf(before)*(t-es.times[i]), i)
+	return es.clamp(es.energy(i)+es.powerOf(before)*(t-es.time(i)), i)
 }
 
 // atEnd estimates cumulative energy at a span's end time (hi being the
 // last tick at or before it), mirroring atStart: the *following*
 // interval's power is extended backwards to the boundary.
 func (es *energySeries) atEnd(t float64, hi int) float64 {
-	n := len(es.times)
+	n := es.n
 	if n == 0 {
 		return 0
 	}
 	i := es.intervalOfEnd(t, hi)
 	if i < 0 {
-		if t < es.times[0] {
-			return es.energies[0]
+		if t < es.time(0) {
+			return es.energy(0)
 		}
-		return es.energies[n-1]
+		return es.energy(n - 1)
 	}
 	after := i
 	if i+2 < n {
 		after = i + 1
 	}
-	return es.clamp(es.energies[i+1]-es.powerOf(after)*(es.times[i+1]-t), i)
+	return es.clamp(es.energy(i+1)-es.powerOf(after)*(es.time(i+1)-t), i)
 }
 
 // integrate returns the sampled energy across the span [startS, endS]
@@ -418,18 +420,18 @@ func (es *energySeries) integrate(startS, endS float64, lo, hi int) float64 {
 	if endS <= startS {
 		return 0
 	}
-	n := len(es.times)
+	n := es.n
 	if lo < n && hi >= 0 && hi > lo {
-		interior := es.energies[hi] - es.energies[lo]
+		interior := es.energy(hi) - es.energy(lo)
 		startEdge := 0.0
 		if lo > 0 {
-			startEdge = es.powerOf(lo) * (es.times[lo] - startS)
-			startEdge = math.Min(startEdge, es.energies[lo]-es.energies[lo-1])
+			startEdge = es.powerOf(lo) * (es.time(lo) - startS)
+			startEdge = math.Min(startEdge, es.energy(lo)-es.energy(lo-1))
 		}
 		endEdge := 0.0
 		if hi+1 < n {
-			endEdge = es.powerOf(hi-1) * (endS - es.times[hi])
-			endEdge = math.Min(endEdge, es.energies[hi+1]-es.energies[hi])
+			endEdge = es.powerOf(hi-1) * (endS - es.time(hi))
+			endEdge = math.Min(endEdge, es.energy(hi+1)-es.energy(hi))
 		}
 		return interior + startEdge + endEdge
 	}
@@ -494,24 +496,11 @@ type join struct {
 	tables  [2]table
 }
 
-// Series hands a join every rank's sampled series: visit is called once per
-// rank with the series' samples in time order, in contiguous runs that are
-// valid only during the call. sampler.Sampler.VisitRankSeries is one: the
-// join then reads the channels' rings where they lie.
-type Series func(visit func(rank int, runs [][]sampler.Sample))
-
-// seriesOf hands over the series of a map, each as one run.
-func seriesOf(m map[int][]sampler.Sample) Series {
-	return func(visit func(int, [][]sampler.Sample)) {
-		for rank, ss := range m {
-			visit(rank, [][]sampler.Sample{ss})
-		}
+func newJoin(series map[int]sampler.Series, opts Options) *join {
+	j := &join{opts: opts.defaulted(), rank: -1, series: make(map[int]*energySeries, len(series))}
+	for rank, s := range series {
+		j.series[rank] = newEnergySeries(s)
 	}
-}
-
-func newJoin(series Series, opts Options) *join {
-	j := &join{opts: opts.defaulted(), rank: -1, series: map[int]*energySeries{}}
-	series(func(rank int, runs [][]sampler.Sample) { j.series[rank] = newEnergySeries(runs) })
 	j.tables[0] = table{category: "kernel", truthKey: "energy_j", rows: map[rowKey]*Row{}}
 	j.tables[1] = table{category: "function", truthKey: "gpu_j", rows: map[rowKey]*Row{}}
 	return j
@@ -543,7 +532,7 @@ func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
 	row.TimeS += sp.DurS
 	truth, _ := sp.Arg(t.truthKey)
 	row.ModelJ += truth
-	lo, hi := s.window(ti, sp.StartS, sp.EndS())
+	lo, hi := s.window(sp.StartS, sp.EndS())
 	row.SampledJ += s.integrate(sp.StartS, sp.EndS(), lo, hi)
 	row.degradedS += s.degradedOverlap(sp.StartS, sp.EndS(), lo, hi)
 	if clock, ok := sp.Arg("clock_mhz"); ok {
@@ -551,23 +540,22 @@ func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
 	}
 }
 
-// Build joins spans against sampled series. Only spans in the categories
-// "kernel" (ground truth in the "energy_j" arg) and "function" (ground
-// truth in the "gpu_j" arg) on rank tracks participate; everything else is
-// ignored.
-func Build(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, opts Options) *Attribution {
-	j := newJoin(seriesOf(series), opts)
+// Build joins spans against sampled series, each read where it lies
+// (sampler.Sampler.RankSeries). Only spans in the categories "kernel"
+// (ground truth in the "energy_j" arg) and "function" (ground truth in the
+// "gpu_j" arg) on rank tracks participate; everything else is ignored.
+func Build(spans []telemetry.SpanEvent, series map[int]sampler.Series, opts Options) *Attribution {
+	j := newJoin(series, opts)
 	for i := range spans {
 		j.add(telemetry.NoRef, &spans[i])
 	}
 	return j.finish()
 }
 
-// BuildFromTracer is Build(t.Spans(), series, opts) without either slice:
-// the tracer's records are joined where they lie, in the order Spans
-// returns them, against series handed over where they lie, so the result is
-// the same to the last bit.
-func BuildFromTracer(t *telemetry.Tracer, series Series, opts Options) *Attribution {
+// BuildFromTracer is Build(t.Spans(), series, opts) without the span
+// slice: the tracer's records are joined where they lie, in the order Spans
+// returns them, so the result is the same to the last bit.
+func BuildFromTracer(t *telemetry.Tracer, series map[int]sampler.Series, opts Options) *Attribution {
 	j := newJoin(series, opts)
 	t.VisitSpans(j.add)
 	return j.finish()
@@ -618,7 +606,7 @@ func (j *join) finish() *Attribution {
 	for _, r := range a.Kernels {
 		rs, ok := perRank[r.Rank]
 		if !ok {
-			rs = &RankSummary{Rank: r.Rank, Samples: len(j.series[r.Rank].times)}
+			rs = &RankSummary{Rank: r.Rank, Samples: j.series[r.Rank].n}
 			perRank[r.Rank] = rs
 		}
 		rs.ModelJ += r.ModelJ

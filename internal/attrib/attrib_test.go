@@ -2,16 +2,19 @@ package attrib
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"sphenergy/internal/blocks"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
 
 // grid builds a tick series sampling a piecewise-constant power profile
 // exactly: segs are (duration, watts) pairs starting at t=0.
-func grid(hz float64, segs ...[2]float64) []sampler.Sample {
+func grid(hz float64, segs ...[2]float64) sampler.Series {
 	period := 1 / hz
 	var end float64
 	for _, s := range segs {
@@ -30,22 +33,100 @@ func grid(hz float64, segs ...[2]float64) []sampler.Sample {
 		}
 		return e
 	}
-	var out []sampler.Sample
+	out := sampler.Series{PeriodS: period}
 	for i := 0; ; i++ {
 		t := float64(i) * period
 		if t > end+1e-9 {
 			break
 		}
-		out = append(out, sampler.Sample{TimeS: t, EnergyJ: energyAt(t)})
+		slot, _ := out.Energies.Push()
+		*slot = energyAt(t)
 	}
 	return out
+}
+
+// tick is one tick of a series, materialised: what the sampler stored for
+// it before a series held energies only.
+type tick struct {
+	TimeS, EnergyJ float64
+	Degraded       bool
+}
+
+// materialise lists a series' ticks, oldest first.
+func materialise(s sampler.Series) []tick {
+	var out []tick
+	for i := 0; i < s.Len(); i++ {
+		k := s.First + int64(i)
+		flagged := false
+		for _, r := range s.Degraded {
+			flagged = flagged || r.From <= k && k < r.To
+		}
+		out = append(out, tick{TimeS: s.TimeS(i), EnergyJ: *s.Energies.At(i), Degraded: flagged})
+	}
+	return out
+}
+
+// TestWindowMatchesSearch holds the join's index arithmetic to sort.Search
+// over the materialised tick times, for span bounds drawn at random, on
+// exact tick times and one ulp either side of them, beyond both ends of the
+// series and at ±Inf and NaN; for periods that are and are not binary
+// fractions, first grid indices from 0 up to 2^40, and rings that have
+// wrapped.
+func TestWindowMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	checked := 0
+	for _, period := range []float64{1.0 / 100, 1.0 / 10, 0.01, 0.25, 1.0 / 3} {
+		for _, first := range []int64{0, 1, 777, 1<<32 + 5, 1<<40 - 1, 1 << 40} {
+			for _, held := range []int{0, 1, 2, 300, 2*blocks.Len + 37} {
+				ser := sampler.Series{First: first, PeriodS: period, Energies: blocks.Bounded[float64](held)}
+				for i := -rng.Intn(2*held + 1); i < held; i++ {
+					slot, _ := ser.Energies.Push()
+					*slot = float64(i)
+				}
+				times := make([]float64, held)
+				for i, tk := range materialise(ser) {
+					times[i] = tk.TimeS
+				}
+				es := newEnergySeries(ser)
+				bound := func() float64 {
+					k := float64(first + int64(rng.Intn(held+7)-3))
+					tk := k * period
+					switch rng.Intn(5) {
+					case 0:
+						return math.Nextafter(tk, math.Inf(-1))
+					case 1:
+						return math.Nextafter(tk, math.Inf(1))
+					case 2:
+						return (k + rng.Float64()) * period
+					}
+					return tk
+				}
+				odd := []float64{math.Inf(-1), math.Inf(1), math.NaN(), -1, 0}
+				for n := 0; n < 400; n++ {
+					startS, endS := bound(), bound()
+					if n < len(odd) {
+						startS, endS = odd[n], odd[len(odd)-1-n]
+					}
+					lo, hi := es.window(startS, endS)
+					wantLo := sort.SearchFloat64s(times, startS)
+					wantHi := sort.Search(held, func(i int) bool { return times[i] > endS }) - 1
+					if lo != wantLo || hi != wantHi {
+						t.Fatalf("period %v, first %d, %d held: window(%v, %v) = (%d, %d), want (%d, %d)",
+							period, first, held, startS, endS, lo, hi, wantLo, wantHi)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d windows checked", checked)
 }
 
 func TestBuildExactWhenSpansAlignWithTicks(t *testing.T) {
 	// 200 W for 1 s (kernel A), 50 W for 1 s (idle), 300 W for 1 s
 	// (kernel B) — span boundaries on whole seconds align with the 10 Hz
 	// grid, so lerp attribution is exact.
-	series := map[int][]sampler.Sample{
+	series := map[int]sampler.Series{
 		0: grid(10, [2]float64{1, 200}, [2]float64{1, 50}, [2]float64{1, 300}),
 	}
 	tr := telemetry.NewTracer(1)
@@ -85,7 +166,7 @@ func TestBuildMisalignedSpanHasBoundedError(t *testing.T) {
 	// A short 250 W burst (0.95 s..1.05 s) straddles one 1 Hz tick:
 	// per-row error is large, but it is unresolvable at 1 Hz and the
 	// energy-weighted aggregate stays bounded by one period's energy.
-	series := map[int][]sampler.Sample{
+	series := map[int]sampler.Series{
 		0: grid(1, [2]float64{0.95, 100}, [2]float64{0.1, 250}, [2]float64{0.95, 100}),
 	}
 	tr := telemetry.NewTracer(1)
@@ -115,7 +196,7 @@ func TestBuildMisalignedSpanHasBoundedError(t *testing.T) {
 }
 
 func TestBuildIgnoresOtherSpans(t *testing.T) {
-	series := map[int][]sampler.Sample{0: grid(10, [2]float64{1, 100})}
+	series := map[int]sampler.Series{0: grid(10, [2]float64{1, 100})}
 	tr := telemetry.NewTracer(1)
 	tr.RecordSpan(0, "mpi", "barrier", 0, 0.5)
 	tr.RecordSpan(telemetry.GlobalTrack, "step", "step 0", 0, 1)
@@ -130,7 +211,7 @@ func TestBuildIgnoresOtherSpans(t *testing.T) {
 }
 
 func TestBuildFunctions(t *testing.T) {
-	series := map[int][]sampler.Sample{
+	series := map[int]sampler.Series{
 		0: grid(10, [2]float64{2, 150}),
 	}
 	tr := telemetry.NewTracer(1)
@@ -148,7 +229,7 @@ func TestBuildFunctions(t *testing.T) {
 }
 
 func TestTopKernelsAggregatesRanks(t *testing.T) {
-	series := map[int][]sampler.Sample{
+	series := map[int]sampler.Series{
 		0: grid(10, [2]float64{1, 100}),
 		1: grid(10, [2]float64{1, 200}),
 	}

@@ -14,9 +14,9 @@ var attributionSink *attrib.Attribution
 
 // BenchmarkAttribBuild joins one real observed run — 8 ranks, 300 steps,
 // some 90 000 spans against 40 000 ticks a rank — through both feeds of the
-// join: the tracer's records and the sampler's rings in place, as core.Run
-// does it, and the span and series slices, where the cost of Tracer.Spans()
-// and Sampler.RankSeries() is part of the price.
+// join, each against the sampler's rings in place: the tracer's records, as
+// core.Run does it, and the span slice, where the cost of Tracer.Spans() is
+// part of the price.
 func BenchmarkAttribBuild(b *testing.B) {
 	cfg := core.Config{
 		System:           cluster.CSCSA100(),
@@ -36,7 +36,7 @@ func BenchmarkAttribBuild(b *testing.B) {
 	b.Run("tracer", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			attributionSink = attrib.BuildFromTracer(cfg.Tracer, res.Sampler.VisitRankSeries, opts)
+			attributionSink = attrib.BuildFromTracer(cfg.Tracer, res.Sampler.RankSeries(), opts)
 		}
 	})
 	b.Run("slice", func(b *testing.B) {

@@ -10,11 +10,17 @@ import (
 	"sphenergy/internal/telemetry"
 )
 
-// degrade marks the tick intervals ending at the given sample indices as
-// degraded, mirroring what the sampler's degradation path emits.
-func degrade(s []sampler.Sample, idx ...int) []sampler.Sample {
+// degrade marks the tick intervals ending at the given tick indices, in
+// ascending order, as degraded, mirroring what the sampler's degradation
+// path emits: runs of grid indices.
+func degrade(s sampler.Series, idx ...int) sampler.Series {
 	for _, i := range idx {
-		s[i].Degraded = true
+		k := s.First + int64(i)
+		if n := len(s.Degraded); n > 0 && s.Degraded[n-1].To == k {
+			s.Degraded[n-1].To++
+		} else {
+			s.Degraded = append(s.Degraded, sampler.TickRun{From: k, To: k + 1})
+		}
 	}
 	return s
 }
@@ -25,7 +31,7 @@ func TestBuildExcludesDegradedRowsFromGates(t *testing.T) {
 	// window, so it must be classified — flagged and excluded from both
 	// gates — rather than allowed to fail the run.
 	samples := grid(10, [2]float64{1, 200}, [2]float64{1, 50}, [2]float64{1, 300})
-	series := map[int][]sampler.Sample{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
+	series := map[int]sampler.Series{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
 	tr := telemetry.NewTracer(1)
 	kA := tr.Intern("kernel", "A", "clock_mhz", "energy_j")
 	kB := tr.Intern("kernel", "B", "clock_mhz", "energy_j")
@@ -65,7 +71,7 @@ func TestBuildDegradedRowCannotFailGate(t *testing.T) {
 	mk := func(deg bool) *Attribution {
 		samples := grid(10, [2]float64{1, 100}, [2]float64{1, 400})
 		if deg {
-			degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)
+			samples = degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)
 		}
 		tr := telemetry.NewTracer(1)
 		kA := tr.Intern("kernel", "A", "clock_mhz", "energy_j")
@@ -73,7 +79,7 @@ func TestBuildDegradedRowCannotFailGate(t *testing.T) {
 		tr.CompleteRef(0, kA, 0, 1, 1410, 100)
 		// B claims 700 J but the sensors saw 400 J: 75% row error.
 		tr.CompleteRef(0, kB, 1, 1, 1410, 700)
-		return Build(tr.Spans(), map[int][]sampler.Sample{0: samples}, Options{RateHz: 10})
+		return Build(tr.Spans(), map[int]sampler.Series{0: samples}, Options{RateHz: 10})
 	}
 	if clean := mk(false); clean.Pass {
 		t.Fatalf("control run should fail its gates: %+v", clean)
@@ -92,7 +98,7 @@ func TestBuildFlagsSubIntervalSpansNearDegradedTicks(t *testing.T) {
 	// time window is clean. (Found by the seeded chaos sweep: tiny
 	// Timestep rows next to recovery ticks showed >1000% error unflagged.)
 	samples := grid(10, [2]float64{1, 100}, [2]float64{1, 100}, [2]float64{1, 100})
-	series := map[int][]sampler.Sample{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
+	series := map[int]sampler.Series{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
 	tr := telemetry.NewTracer(1)
 	k := tr.Intern("kernel", "tiny", "clock_mhz", "energy_j")
 	// Entirely inside the clean interval (2.02, 2.08) but adjacent work
@@ -119,7 +125,7 @@ func TestBuildFlagsSubIntervalSpansNearDegradedTicks(t *testing.T) {
 	k2 := tr2.Intern("kernel", "wide", "clock_mhz", "energy_j")
 	tr2.CompleteRef(0, k2, 2.3, 0.5, 1410, 50)
 	samples2 := grid(10, [2]float64{1, 100}, [2]float64{1, 100}, [2]float64{1, 100})
-	series2 := map[int][]sampler.Sample{0: degrade(samples2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
+	series2 := map[int]sampler.Series{0: degrade(samples2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
 	b := Build(tr2.Spans(), series2, Options{RateHz: 10})
 	if len(b.Kernels) != 1 || b.Kernels[0].Degraded {
 		t.Fatalf("interior-interval span over clean ticks flagged: %+v", b.Kernels)
@@ -130,7 +136,7 @@ func TestBuildReportsAchievedClock(t *testing.T) {
 	// Two spans of one kernel at different achieved clocks: ClockMHz must
 	// be the span-time-weighted mean, and TopKernels must preserve it
 	// across aggregation.
-	series := map[int][]sampler.Sample{0: grid(10, [2]float64{2, 100})}
+	series := map[int]sampler.Series{0: grid(10, [2]float64{2, 100})}
 	tr := telemetry.NewTracer(1)
 	k := tr.Intern("kernel", "momentum", "clock_mhz", "energy_j")
 	tr.CompleteRef(0, k, 0, 1.5, 801, 150) // clamped window
@@ -152,7 +158,7 @@ func TestTopKernelsSurvivesJSONRoundTrip(t *testing.T) {
 	// accumulators are gone: Degraded, DegradedPct and ClockMHz must be
 	// rebuilt from the exported fields.
 	samples := grid(10, [2]float64{1, 200}, [2]float64{1, 50})
-	series := map[int][]sampler.Sample{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
+	series := map[int]sampler.Series{0: degrade(samples, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)}
 	tr := telemetry.NewTracer(1)
 	k := tr.Intern("kernel", "A", "clock_mhz", "energy_j")
 	tr.CompleteRef(0, k, 0, 1, 1005, 200)

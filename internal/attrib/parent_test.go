@@ -7,14 +7,16 @@ import (
 	"sort"
 	"testing"
 
+	"sphenergy/internal/blocks"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
 
 // What follows, down to parentBuild, is the join as it stood at commit
-// 7955eee — two binary searches per span, rows in a string-keyed map, fed
-// from the Spans() slice — kept verbatim (identifiers prefixed) as the
-// reference the cursor join must reproduce to the last bit.
+// 7955eee — two binary searches per span over materialised tick times, rows
+// in a string-keyed map, fed from the Spans() slice — kept verbatim
+// (identifiers prefixed, the series handed over as materialised ticks) as
+// the reference the index-arithmetic join must reproduce to the last bit.
 
 // parentSeries evaluates cumulative sampled energy at arbitrary times by
 // linear interpolation over one rank's tick samples.
@@ -30,7 +32,7 @@ type parentSeries struct {
 	degAny    bool
 }
 
-func newParentSeries(samples []sampler.Sample) *parentSeries {
+func newParentSeries(samples []tick) *parentSeries {
 	es := &parentSeries{
 		times:    make([]float64, len(samples)),
 		energies: make([]float64, len(samples)),
@@ -235,7 +237,7 @@ type parentRowKey struct {
 // "kernel" (ground truth in the "energy_j" arg) and "function" (ground
 // truth in the "gpu_j" arg) on rank tracks participate; everything else is
 // ignored.
-func parentBuild(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, opts Options) *Attribution {
+func parentBuild(spans []telemetry.SpanEvent, series map[int][]tick, opts Options) *Attribution {
 	opts = opts.defaulted()
 	a := &Attribution{Opts: opts}
 
@@ -369,43 +371,54 @@ func parentBuild(spans []telemetry.SpanEvent, series map[int][]sampler.Sample, o
 // joinCase is one randomly drawn attribution input.
 type joinCase struct {
 	tr     *telemetry.Tracer
-	series map[int][]sampler.Sample
+	series map[int]sampler.Series
 }
 
 // drawJoinCase records a few ranks' worth of kernels inside functions —
 // interned and by name, some instants and foreign categories among them —
-// against series that may be degraded in stretches, merged from two
-// channels (every tick time twice), shorter than the run or empty; a third
-// of the spans start and end exactly on ticks. With disorder, spans are also recorded out of time order, overlapping, of zero
-// or negative length and outside the series, which is what sends the
-// cursors back to binary search.
+// against series that may be degraded in stretches, start at a grid index
+// from 0 up to 2^40, sit in a ring that has wrapped, or be shorter than the
+// run or empty; a third of the spans start and end exactly on ticks. With
+// disorder, spans are also recorded out of time order, overlapping, of zero
+// or negative length and outside the series.
 func drawJoinCase(rng *rand.Rand, disorder bool) joinCase {
 	const ranks = 3
-	c := joinCase{tr: telemetry.NewTracer(ranks), series: map[int][]sampler.Sample{}}
+	c := joinCase{tr: telemetry.NewTracer(ranks), series: map[int]sampler.Series{}}
 	names := []string{"density", "iad", "momentum", "x<y"}
 	for r := 0; r < ranks; r++ {
 		period := []float64{0.01, 0.1, 0.25}[rng.Intn(3)]
 		ticks := rng.Intn(400)
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(8) {
+		case 0:
 			ticks = rng.Intn(3)
+		case 1:
+			ticks = blocks.Len + rng.Intn(2*blocks.Len) // a ring across blocks
 		}
-		degFrom, degTo := rng.Intn(ticks+1), rng.Intn(ticks+1)
-		merged := rng.Intn(4) == 0
-		var ss []sampler.Sample
+		first := []int64{0, rng.Int63n(5000), 1<<40 - rng.Int63n(5000)}[rng.Intn(3)]
+		ss := sampler.Series{First: first, PeriodS: period}
+		dropped := 0
+		if ticks > 0 && rng.Intn(3) == 0 {
+			ss.Energies, dropped = blocks.Bounded[float64](ticks), rng.Intn(3*ticks)
+		}
 		e := 0.0
-		for i := 0; i < ticks; i++ {
+		for i := -dropped; i < ticks; i++ {
 			e += period * (50 + 300*rng.Float64())
-			s := sampler.Sample{TimeS: float64(i) * period, EnergyJ: e, Degraded: degFrom <= i && i < degTo}
-			if ss = append(ss, s); merged {
-				ss = append(ss, s)
-			}
+			slot, _ := ss.Energies.Push()
+			*slot = e
+		}
+		for from := 0; from < ticks && rng.Intn(3) != 0; {
+			from += rng.Intn(ticks - from)
+			to := from + 1 + rng.Intn(ticks-from)
+			ss.Degraded = append(ss.Degraded, sampler.TickRun{From: first + int64(from), To: first + int64(to)})
+			from = to + 1
 		}
 		if rng.Intn(6) != 0 {
 			c.series[r] = ss
 		}
-		end := float64(ticks) * period
-		now := rng.Float64() * period
-		for now < end*1.1+period {
+		base := float64(first) * period
+		end := float64(first+int64(ticks)) * period
+		now := base + rng.Float64()*period
+		for now < end+0.1*(end-base)+period {
 			fnStart := now
 			fn := names[rng.Intn(len(names))]
 			for k := rng.Intn(4); k >= 0; k-- {
@@ -421,7 +434,7 @@ func drawJoinCase(rng *rand.Rand, disorder bool) joinCase {
 				if disorder {
 					switch rng.Intn(6) {
 					case 0:
-						start = rng.Float64()*end*1.4 - 0.2*end
+						start = base + rng.Float64()*(end-base)*1.4 - 0.2*(end-base)
 					case 1:
 						dur = 0
 					case 2:
@@ -460,15 +473,19 @@ func TestJoinMatchesParentBuild(t *testing.T) {
 		c := drawJoinCase(rng, n%2 == 1)
 		opts := Options{RateHz: []float64{0, 10, 100}[n%3]}
 		spans := c.tr.Spans()
-		want := parentBuild(spans, c.series, opts)
+		held := map[int][]tick{}
+		for r, s := range c.series {
+			held[r] = materialise(s)
+		}
+		want := parentBuild(spans, held, opts)
 		if got := Build(spans, c.series, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: Build differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}
-		if got := BuildFromTracer(c.tr, seriesOf(c.series), opts); !reflect.DeepEqual(got, want) {
+		if got := BuildFromTracer(c.tr, c.series, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: BuildFromTracer differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}
 		rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
-		want = parentBuild(spans, c.series, opts)
+		want = parentBuild(spans, held, opts)
 		if got := Build(spans, c.series, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d, shuffled: Build differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}

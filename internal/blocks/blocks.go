@@ -55,6 +55,15 @@ func (s *Seq[T]) Push() (slot *T, dropped bool) {
 // Len returns the number of elements held.
 func (s *Seq[T]) Len() int { return s.n }
 
+// At returns the i-th oldest element, 0 <= i < Len(): where a ring that
+// has wrapped holds it, past its head.
+func (s *Seq[T]) At(i int) *T {
+	if i += s.head; i >= s.n {
+		i -= s.n
+	}
+	return &s.blocks[i/Len][i%Len]
+}
+
 // Runs calls fn with every element, oldest first, in the contiguous runs
 // they are stored in.
 func (s *Seq[T]) Runs(fn func(run []T)) {

@@ -87,13 +87,14 @@ func TestBuildMatchesSpanSliceBuild(t *testing.T) {
 	}
 }
 
-// observedRunAllocCeiling is 25 % above the 2.85 MB an 8-rank, 30-step
+// observedRunAllocCeiling is 25 % above the 0.98 MB an 8-rank, 30-step
 // observed run allocated when it was set — the sampler's, the tracer's and
-// the ledger's blocks, the times and energies the join reads off the
-// sampler's rings. (13.61 MB at commit 7955eee, 3.66 MB while the join took
-// a copy of every sample first, 2.19 MB since nothing records into a
-// metrics registry.)
-const observedRunAllocCeiling = 3650 << 10
+// the ledger's blocks; the join reads the sampler's rings in place. (13.61
+// MB at commit 7955eee, 3.66 MB while the join took a copy of every sample
+// first, 2.19 MB since nothing records into a metrics registry, 2.08 MB
+// while a tick was a 32-byte sample and the join copied its time and
+// energy out.)
+const observedRunAllocCeiling = 1254 << 10
 
 // raceDetectorOn reports whether this test binary was built with -race.
 func raceDetectorOn() bool {

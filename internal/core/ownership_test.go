@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -208,6 +210,30 @@ func TestStopMidRunEndsAtTheNextBoundary(t *testing.T) {
 			return stopAfter{Strategy: inner(), applies: &applies, at: 2*perStep + perStep/2, stop: stop}
 		}
 	})
+}
+
+// TestStopBeforeHugeRunAllocatesWhatRan closes Config.Stop before a run of
+// 2^40 steps starts: it ends at the first boundary, having allocated for
+// the step it did, not for the steps it was asked to do (reserving their
+// boundaries alone would take 8 TiB).
+func TestStopBeforeHugeRunAllocatesWhatRan(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	cfg := Config{System: cluster.CSCSA100(), Ranks: 2, Sim: Turbulence,
+		ParticlesPerRank: 10e6, Steps: 1 << 40, Seed: 42, Stop: stop}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInterrupted) || res == nil {
+		t.Fatalf("Run returned %v, want ErrInterrupted and the result of the step it did", err)
+	}
+	if n := len(res.StepBoundariesS); n != 1 {
+		t.Fatalf("the stopped run did %d step(s), want 1", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Errorf("a run stopped at its first boundary allocated %.1f MB, want under 64 MB", float64(got)/(1<<20))
+	}
 }
 
 // TestStopBeforeRunEndsAtTheFirstBoundary closes Config.Stop before Run

@@ -446,7 +446,10 @@ func Run(cfg Config) (*Result, error) {
 
 	vendor := cfg.System.GPUSpec.Vendor
 	t0 := world.MaxClock()
-	stepBounds := make([]float64, 0, cfg.Steps)
+	// One allocation covers the boundaries of a run of up to 4096 steps;
+	// past that they grow by append, with the steps that ran, so a huge
+	// step count that a budget or a stop cuts short reserves nothing for it.
+	stepBounds := make([]float64, 0, min(cfg.Steps, 1<<12))
 
 	// A strategy failure inside a rank's phase surfaces as a run error at
 	// the step boundary; the first one wins.
@@ -651,7 +654,7 @@ func Run(cfg Config) (*Result, error) {
 	if smp != nil {
 		smp.PollAll()
 		if cfg.Tracer != nil {
-			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.VisitRankSeries,
+			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.RankSeries(),
 				attrib.Options{RateHz: smp.Config().GPUHz})
 			// No silent overflow: a rank ring that wrapped no longer holds
 			// the run's start, and the join says so instead of reporting the

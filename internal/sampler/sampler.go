@@ -7,18 +7,22 @@
 // Time in the repository is virtual, so "background" means logically
 // concurrent with the instrumented application: whenever the application's
 // clock advances past a hook point, the owning goroutine calls
-// Channel.Poll, and the channel emits every tick sample that became due
+// Channel.Poll, and the channel emits every tick that became due
 // since the previous poll. Cumulative energy at each tick is linearly
 // interpolated between the bracketing sensor reads — exact whenever power
 // is constant across the poll window (one kernel batch, one idle stretch),
 // and carrying precisely the rate-dependent discretization error a real
 // fixed-rate sampler would, which internal/attrib's error model quantifies.
 //
-// Channels keep their series in bounded ring buffers (old samples are
-// dropped, not reallocated), accumulate energy overflow-safely (counter
-// wraps and resets clamp to zero delta instead of going negative, and the
-// running sum is Kahan-compensated), and count their polls, ticks, drops
-// and degradations.
+// A tick's time is implied by its index k on the grid, float64(k)·period,
+// so a channel keeps one float64 a tick: the cumulative energy, in a
+// bounded ring (old ticks are dropped, not reallocated). The energy
+// between two instants is the difference of two readings, and a tick's
+// mean power is that difference over the period, computed where it is
+// read. Channels accumulate energy overflow-safely (counter wraps and
+// resets clamp to zero delta instead of going negative, and the running
+// sum is Kahan-compensated), and count their polls, ticks, drops and
+// degradations.
 //
 // # Degradation
 //
@@ -28,19 +32,18 @@
 // NaN reads are discarded and counted, and DefaultStuckPolls consecutive
 // reads with frozen energy mark the channel stuck — and degrade instead
 // of corrupting the series: ticks covering the outage are extrapolated
-// from the last observed power, and carry Sample.Degraded so downstream
-// attribution can exclude them from validation gates rather than silently
-// trusting them. Estimates are kept on the primary counter's cumulative
-// scale, so when the primary recovers, real energy reconciles against the
-// estimate through the existing negative-delta clamp and nothing is
-// double-counted. A channel given its poll clock (Channel.SetClock) also
+// from the last observed power, and are listed among the series' Degraded
+// runs so downstream attribution can exclude them from validation gates
+// rather than silently trusting them. Estimates are kept on the primary
+// counter's cumulative scale, so when the primary recovers, real energy
+// reconciles against the estimate through the existing negative-delta
+// clamp and nothing is double-counted. A channel given its poll clock (Channel.SetClock) also
 // flags the window after a stale read, one stamped before its poll.
 package sampler
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"sphenergy/internal/blocks"
 	"sphenergy/internal/pmt"
@@ -54,8 +57,9 @@ const (
 	DefaultNodeHz = 10
 )
 
-// DefaultRingCap bounds each channel's in-memory series. At 100 Hz this
-// covers ~10 minutes of virtual time before the oldest samples rotate out.
+// DefaultRingCap bounds each channel's in-memory series, in ticks of 8
+// bytes (512 KiB a channel when full). At 100 Hz this covers ~10 minutes of
+// virtual time before the oldest ticks rotate out.
 const DefaultRingCap = 1 << 16
 
 // Config configures the sampler. The zero value means "sampling off";
@@ -65,7 +69,7 @@ type Config struct {
 	GPUHz float64
 	// NodeHz is the tick rate for out-of-band node sensors (pm_counters).
 	NodeHz float64
-	// RingCap bounds each channel's sample buffer (DefaultRingCap when 0).
+	// RingCap bounds each channel's series in ticks (DefaultRingCap when 0).
 	RingCap int
 }
 
@@ -98,38 +102,57 @@ func (c Config) Defaulted() Config {
 	return c
 }
 
-// Sample is one fixed-rate observation of a sensor.
-type Sample struct {
-	// TimeS is the tick's virtual time (an exact multiple of the period).
-	TimeS float64
-	// EnergyJ is the unwrapped cumulative energy since the channel started.
-	EnergyJ float64
-	// PowerW is the mean power over the tick interval ending at TimeS.
-	PowerW float64
-	// Degraded marks ticks whose energy is extrapolated from the last
-	// observed power rather than observed, plus the first recovered window:
-	// downstream validation must not hold these to the observed-data gate.
-	Degraded bool
+// Series is a channel's retained tick series, read where the channel keeps
+// it: held tick i is grid tick First+i, at time TimeS(i), and Energies
+// holds its unwrapped cumulative energy since the channel started. It is a
+// view, valid until the channel is polled again.
+type Series struct {
+	// First is the grid index of the oldest held tick. It advances as the
+	// bounded ring drops ticks.
+	First int64
+	// PeriodS is the tick period.
+	PeriodS float64
+	// Energies holds one cumulative energy a tick, oldest first.
+	Energies blocks.Seq[float64]
+	// Degraded lists the flagged ticks, oldest first, as runs of grid
+	// indices, none below First. A flagged tick's energy is extrapolated
+	// from the last observed power rather than observed, or it closes the
+	// first window after an outage or a stale read: downstream validation
+	// must not hold the interval ending at it to the observed-data gate.
+	Degraded []TickRun
 }
+
+// TickRun is the grid ticks [From, To).
+type TickRun struct{ From, To int64 }
+
+// Len returns the number of ticks held.
+func (s *Series) Len() int { return s.Energies.Len() }
+
+// TimeS returns held tick i's time, its grid index times the period: the
+// product Poll emitted it at, to the bit.
+func (s *Series) TimeS(i int) float64 { return float64(s.First+int64(i)) * s.PeriodS }
 
 // Stats summarizes a channel's sampling behaviour.
 type Stats struct {
 	Rank int // -1 for node-level channels
-	// Polls counts sensor reads; Ticks counts emitted grid samples.
+	// Polls counts sensor reads; Ticks counts emitted grid ticks.
 	Polls, Ticks uint64
-	// Dropped counts samples rotated out of the bounded ring.
+	// Dropped counts ticks rotated out of the bounded ring.
 	Dropped uint64
 	// FaultReads counts discarded NaN reads (transient sensor failures).
 	FaultReads uint64
 	// StuckEvents counts transitions into the stuck state.
 	StuckEvents uint64
-	// DegradedTicks counts emitted samples flagged Degraded.
+	// DegradedTicks counts emitted ticks flagged degraded.
 	DegradedTicks uint64
 	// Degraded reports whether the channel is currently degraded.
 	Degraded bool
 }
 
-// Channel samples one sensor on a fixed tick grid. A nil *Channel is a
+// Channel samples one sensor on a fixed tick grid. Its series is a ring of
+// Config.RingCap energies, 8 bytes a tick, in blocks: the held ticks are
+// contiguous on the grid and end at the newest, so a tick's index, and with
+// it its time, follows from its place in the ring. A nil *Channel is a
 // valid no-op, so call sites can poll unconditionally. A channel belongs to
 // the goroutine that drives its run, as the device its sensor reads does,
 // so it has no lock.
@@ -139,20 +162,24 @@ type Channel struct {
 	sensor  pmt.Sensor
 	periodS float64
 
-	// The retained series: a ring of Config.RingCap samples, in blocks.
-	ring    blocks.Seq[Sample]
-	dropped uint64
+	// The retained series: the energies and the runs of flagged ticks.
+	ring     blocks.Seq[float64]
+	degraded []TickRun
+	dropped  uint64
 
 	// accumulation state. last is the effective anchor for interpolation,
 	// always on the primary counter's cumulative-energy scale — during a
 	// degraded stretch it advances by estimated energy, and the primary's
 	// next good read reconciles against it via the negative-delta clamp.
-	started  bool
-	last     pmt.State
-	accumJ   float64
-	kahanC   float64 // Kahan compensation for accumJ
-	tick     int64   // next tick index; tick time = tick * periodS
-	lastTick Sample  // most recent emitted sample
+	started bool
+	last    pmt.State
+	accumJ  float64
+	kahanC  float64 // Kahan compensation for accumJ
+	tick    int64   // next tick index; tick time = tick * periodS
+	// The most recent emitted tick's time, energy and mean power (the
+	// baseline's time, 0 and 0 before the first): the next tick's power is
+	// reckoned from it, and estimate extrapolates its power.
+	lastT, lastE, lastP float64
 
 	// degradation state
 	lastRaw      pmt.State // previous non-NaN primary read, for stuck detection
@@ -216,10 +243,10 @@ func (c *Channel) estimate(raw pmt.State) pmt.State {
 	if math.IsNaN(now) || now < c.last.TimeS {
 		now = c.last.TimeS
 	}
-	return pmt.State{TimeS: now, EnergyJ: c.last.EnergyJ + c.lastTick.PowerW*(now-c.last.TimeS)}
+	return pmt.State{TimeS: now, EnergyJ: c.last.EnergyJ + c.lastP*(now-c.last.TimeS)}
 }
 
-// Poll reads the sensor and emits every tick sample due since the previous
+// Poll reads the sensor and emits every tick due since the previous
 // poll, interpolating cumulative energy between the two reads. The first
 // poll establishes the energy baseline. Degraded reads (NaN, stuck) are
 // replaced by estimates and the covered ticks flagged — see the package
@@ -242,7 +269,7 @@ func (c *Channel) Poll() {
 		c.last = st
 		// First tick at the first grid point at or after the baseline.
 		c.tick = int64(math.Ceil(st.TimeS/c.periodS - 1e-9))
-		c.lastTick = Sample{TimeS: st.TimeS}
+		c.lastT = st.TimeS
 		return
 	}
 	if degraded {
@@ -277,6 +304,8 @@ func (c *Channel) Poll() {
 	}
 	// Emit every tick in (last.TimeS, st.TimeS].
 	startAccum := c.accumJ
+	var prevT, prevE float64 // the newest tick's predecessor
+	from := c.tick
 	for {
 		tickT := float64(c.tick) * c.periodS
 		if tickT > st.TimeS+1e-12 {
@@ -292,18 +321,21 @@ func (c *Channel) Poll() {
 			}
 		}
 		e := startAccum + deltaJ*frac
-		p := 0.0
-		if dt := tickT - c.lastTick.TimeS; dt > 0 {
-			p = (e - c.lastTick.EnergyJ) / dt
-		}
-		s := Sample{TimeS: tickT, EnergyJ: e, PowerW: p, Degraded: flag}
+		c.push(e)
 		if flag {
-			c.degradedTicks++
+			c.markDegraded()
 		}
-		c.push(s)
-		c.lastTick = s
+		prevT, prevE = c.lastT, c.lastE
+		c.lastT, c.lastE = tickT, e
 		c.ticks++
 		c.tick++
+	}
+	// Only the newest tick's power is read (estimate extrapolates it).
+	if c.tick != from {
+		c.lastP = 0
+		if dt := c.lastT - prevT; dt > 0 {
+			c.lastP = (c.lastE - prevE) / dt
+		}
 	}
 	c.kahanAdd(deltaJ)
 	c.last = st
@@ -318,12 +350,43 @@ func (c *Channel) kahanAdd(deltaJ float64) {
 	c.accumJ = t
 }
 
-// push appends one sample to the bounded ring.
-func (c *Channel) push(s Sample) {
+// push appends tick c.tick's energy to the bounded ring. A full ring drops
+// its oldest tick, and a degraded run that began there is clipped.
+func (c *Channel) push(e float64) {
 	slot, dropped := c.ring.Push()
-	*slot = s
-	if dropped {
-		c.dropped++
+	*slot = e
+	if !dropped {
+		return
+	}
+	c.dropped++
+	if len(c.degraded) > 0 {
+		first := c.tick + 1 - int64(c.ring.Len())
+		if r := &c.degraded[0]; r.To <= first {
+			c.degraded = c.degraded[1:]
+		} else if r.From < first {
+			r.From = first
+		}
+	}
+}
+
+// markDegraded flags tick c.tick, just pushed: it extends the newest run
+// when that ends at the tick, else starts one.
+func (c *Channel) markDegraded() {
+	c.degradedTicks++
+	if n := len(c.degraded); n > 0 && c.degraded[n-1].To == c.tick {
+		c.degraded[n-1].To++
+		return
+	}
+	c.degraded = append(c.degraded, TickRun{From: c.tick, To: c.tick + 1})
+}
+
+// series returns the channel's retained series, read in place.
+func (c *Channel) series() Series {
+	return Series{
+		First:    c.tick - int64(c.ring.Len()),
+		PeriodS:  c.periodS,
+		Energies: c.ring,
+		Degraded: c.degraded,
 	}
 }
 
@@ -398,7 +461,7 @@ func (s *Sampler) add(name string, rank int, sensor pmt.Sensor, hz float64) *Cha
 		rank:         rank,
 		sensor:       sensor,
 		periodS:      1 / hz,
-		ring:         blocks.Bounded[Sample](s.cfg.RingCap),
+		ring:         blocks.Bounded[float64](s.cfg.RingCap),
 		onTransition: s.onTrans,
 	}
 	s.channels = append(s.channels, ch)
@@ -459,31 +522,17 @@ func (s *Sampler) PollNodes() {
 	}
 }
 
-// RankSeries returns each rank's sampled series in time order (the join
-// input for internal/attrib).
-func (s *Sampler) RankSeries() map[int][]Sample {
-	out := map[int][]Sample{}
-	s.VisitRankSeries(func(rank int, runs [][]Sample) { out[rank] = slices.Concat(runs...) })
-	return out
-}
-
-// VisitRankSeries calls visit once for every rank with a channel, in
-// registration order, with the rank's series as RankSeries returns it,
-// without building it: runs hold the samples, oldest first, in the
-// contiguous pieces they are stored in, and are valid only during the
-// call. A rank has one channel (AddRank is the only way to make one), and
-// a channel's ring is already in time order, so the series is read where
-// it lies (visit must not call back into the sampler).
-func (s *Sampler) VisitRankSeries(visit func(rank int, runs [][]Sample)) {
-	var runs [][]Sample
+// RankSeries returns each rank's sampled series (the join input for
+// internal/attrib), read where its channel keeps it: a rank has one
+// channel (AddRank is the only way to make one), and no tick is copied.
+func (s *Sampler) RankSeries() map[int]Series {
+	out := map[int]Series{}
 	for _, ch := range s.Channels() {
-		if ch.rank < 0 {
-			continue
+		if ch.rank >= 0 {
+			out[ch.rank] = ch.series()
 		}
-		runs = runs[:0]
-		ch.ring.Runs(func(run []Sample) { runs = append(runs, run) })
-		visit(ch.rank, runs)
 	}
+	return out
 }
 
 // NodeAccumJ sums the cumulative sampled energy of all node-level channels

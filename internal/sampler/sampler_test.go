@@ -27,12 +27,32 @@ func (s *scriptSensor) Read() pmt.State {
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// samples copies a channel's retained series out of its ring, oldest first.
-func samples(ch *Channel) []Sample {
-	if ch == nil {
-		return nil
+// tick is one held tick of a series, materialised.
+type tick struct {
+	TimeS, EnergyJ float64
+	Degraded       bool
+}
+
+// ticks materialises a series, oldest first, through its accessors.
+func ticks(s Series) []tick {
+	var out []tick
+	for i := 0; i < s.Len(); i++ {
+		k := s.First + int64(i)
+		flagged := false
+		for _, r := range s.Degraded {
+			flagged = flagged || r.From <= k && k < r.To
+		}
+		out = append(out, tick{TimeS: s.TimeS(i), EnergyJ: *s.Energies.At(i), Degraded: flagged})
 	}
-	return ch.ring.AppendTo([]Sample{})
+	return out
+}
+
+// samples materialises a channel's retained series, oldest first.
+func samples(ch *Channel) []tick { return ticks(ch.series()) }
+
+// powerW is the mean power over the interval ending at held tick k.
+func powerW(got []tick, k int) float64 {
+	return (got[k].EnergyJ - got[k-1].EnergyJ) / (got[k].TimeS - got[k-1].TimeS)
 }
 
 func TestChannelTickGridAndLerp(t *testing.T) {
@@ -69,7 +89,7 @@ func TestChannelTickGridAndLerp(t *testing.T) {
 		}
 	}
 	// Mean power across a tick in the second segment must be 200 W.
-	if p := got[15].PowerW; !approx(p, 200, 1e-9) {
+	if p := powerW(got, 15); !approx(p, 200, 1e-9) {
 		t.Fatalf("tick power = %g, want 200", p)
 	}
 	if a := ch.AccumJ(); !approx(a, 30, 1e-12) {
@@ -164,9 +184,10 @@ func TestChannelWrapClamp(t *testing.T) {
 	if a := ch.AccumJ(); !approx(a, 150, 1e-9) {
 		t.Fatalf("accum = %g, want 150", a)
 	}
-	for _, smp := range samples(ch) {
-		if smp.PowerW < 0 {
-			t.Fatalf("negative power %g at t=%g after wrap", smp.PowerW, smp.TimeS)
+	got := samples(ch)
+	for k := 1; k < len(got); k++ {
+		if p := powerW(got, k); p < 0 {
+			t.Fatalf("negative power %g at t=%g after wrap", p, got[k].TimeS)
 		}
 	}
 }
