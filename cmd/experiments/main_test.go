@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"sphenergy/internal/experiments"
 )
 
 // parentAllSHA256 is the SHA-256 of what `experiments -run all -scale 0.2`
@@ -80,5 +83,30 @@ func TestInvalidScaleRefused(t *testing.T) {
 				t.Errorf("-out directory created before refusing (%v)", err)
 			}
 		})
+	}
+}
+
+// -run scorecard at scale 1 passes and ends with its counts. With a known
+// deviation unmarked, that row is a MISS: the card is still printed, and
+// the error that makes main exit 1 names the row.
+func TestScorecardExitsOnUnmarkedMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes every figure the scorecard reads")
+	}
+	var out bytes.Buffer
+	err := run([]string{"-run", "scorecard", "-scale", "1"}, &out)
+	if err != nil || !strings.HasSuffix(out.String(), " deviation.\n\n") {
+		t.Fatalf("err = %v, output:\n%s", err, out.String())
+	}
+	res, _ := experiments.Run("scorecard", 1)
+	sc := res.(*experiments.ScorecardData)
+	i := slices.IndexFunc(sc.Rows, func(r experiments.ScoreRow) bool { return r.Deviation })
+	sc.Rows[i].Deviation = false
+	out.Reset()
+	if err = emit(&out, "scorecard", sc, ""); err == nil || !strings.Contains(err.Error(), sc.Rows[i].Quantity+": MISS") {
+		t.Errorf("err = %v, want one naming %q as a MISS", err, sc.Rows[i].Quantity)
+	}
+	if !strings.Contains(out.String(), "| MISS |") {
+		t.Errorf("the card was not printed before failing:\n%s", out.String())
 	}
 }

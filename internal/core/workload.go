@@ -40,7 +40,7 @@ const (
 // per particle it performs, its launch pattern, the host-side utilization
 // while it runs, and the communication that follows it. The constants are
 // calibrated so that per-function time and energy shares reproduce the
-// paper's Figs. 5 and 8 (see calibration_test.go).
+// paper's Figs. 5 and 8 (the scorecard's rows, internal/experiments).
 type FuncModel struct {
 	Name string
 

@@ -67,16 +67,6 @@ func (d *Fig2Data) Table() map[string]int {
 	return out
 }
 
-// BestFor returns the tuned frequency of one function (0 when absent).
-func (d *Fig2Data) BestFor(fn string) int {
-	for _, r := range d.Rows {
-		if r.Function == fn {
-			return r.BestMHz
-		}
-	}
-	return 0
-}
-
 // Render implements Renderable.
 func (d *Fig2Data) Render() string {
 	var b strings.Builder

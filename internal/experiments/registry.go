@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation. Every driver runs the full pipeline on the simulated
-// systems and renders the same rows/series the paper reports; EXPERIMENTS.md
-// records paper-vs-measured values.
+// systems and renders the same rows/series the paper reports; the scorecard
+// judges them against the paper's values, and EXPERIMENTS.md prints it.
 //
 // Drivers accept a Scale knob: 1.0 reproduces the paper's step counts
 // (100 time-steps); smaller values shrink step counts proportionally for
@@ -51,11 +51,15 @@ func Names() []string {
 	return out
 }
 
-// Run executes an experiment by id at the given scale.
+// Run executes an experiment by id at the given scale: one of Names(), or
+// "scorecard", kept out of Names() so that "all" and its pins stay as they are.
 func Run(name string, scale float64) (Renderable, error) {
 	r, ok := registry[name]
+	if name == "scorecard" {
+		r, ok = func(s float64) (Renderable, error) { return Scorecard(s) }, true
+	}
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v and scorecard)", name, Names())
 	}
 	if err := CheckScale(scale); err != nil {
 		return nil, fmt.Errorf("experiments: scale %w", err)

@@ -45,11 +45,6 @@ func TableI() *TableIData {
 	}
 }
 
-// RanksFor returns the rank count a campaign size needs on a system.
-func (s SimulationParams) RanksFor(totalParticlesB float64) int {
-	return int(totalParticlesB*1e9/s.ParticlesPerGPU + 0.5)
-}
-
 // Render implements Renderable.
 func (t *TableIData) Render() string {
 	var b strings.Builder

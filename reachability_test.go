@@ -276,8 +276,6 @@ func TestFieldsHaveAReader(t *testing.T) {
 	// it stays: the test that reads it, or the benchmark input that sets it.
 	unreadByPrograms := map[string]string{
 		// Read by a test.
-		"experiments.Fig2Row.Sweep":            "TestFig2TunedFrequencies, which requires every function's sweep",
-		"experiments.Fig9Data.StepBoundariesS": "TestFig9DVFSTrace, which checks the 10-step window",
 		"sph.NeighborStats.RebuildInit": "TestSkinBoundaryExactCrossing, TestGrowthPastAllowanceRepeats, " +
 			"TestNeighborEventMatchesStats and BenchmarkFindNeighbors, which tell an initial build from a drift rebuild",
 		"sph.NeighborStats.WalkFallbacks": "compareSkinToRebuild, TestSkinCheckpointMidIntervalResume and " +
