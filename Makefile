@@ -17,11 +17,13 @@ all: build lint test
 #                flag and so part of go test's cache key; behind a
 #                GOMAXPROCS=4 prefix, which is not, go test replays
 #                `race`'s results as "(cached)" and nothing runs.
-#   fuzz-smoke   the engine's three sequence fuzzers and the bundle codecs'
+#   fuzz-smoke   the engine's three sequence fuzzers, the bundle codecs'
 #                four (the trace loader, the ledger reader, and jsontext's
 #                number reader and number writer, each against its
-#                reference) for a fixed number of executions each beyond
-#                their seed corpora.
+#                reference) and the device-pricing fuzzer (gpusim's clock
+#                sets, caps, launches and idle windows against the
+#                unmemoized power and timing model) for a fixed number of
+#                executions each beyond their seed corpora.
 #   sweeps       without -race: the seeded chaos sweep, the Examples'
 #                Output at widths 1, 2 and 4, and the scorecard against
 #                EXPERIMENTS.md's copy at widths 1, 2 and 4.
@@ -85,8 +87,9 @@ race-sph:
 	$(GO) test -race -cpu 4 ./internal/sph/ ./internal/neighbors/ ./internal/par/ ./internal/gravity/
 
 # The fuzzers that guard the list builder and the buffers it reuses, then
-# those that hold the bundle's codecs to encoding/json and strconv, each
-# for a fixed execution count: the seed corpora alone run in `go test`, and
+# those that hold the bundle's codecs to encoding/json and strconv, then the
+# one that holds the simulated device's pricing to its unmemoized formulas,
+# each for a fixed execution count: the seed corpora alone run in `go test`, and
 # a fixed count takes the same time on any machine. go test fuzzes one
 # target of one package per invocation.
 fuzz-smoke:
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 200x ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat$$' -fuzztime 200x ./internal/jsontext/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 200x ./internal/jsontext/
+	$(GO) test -run '^$$' -fuzz '^FuzzDevicePricing$$' -fuzztime 200x ./internal/gpusim/
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is
@@ -162,12 +166,19 @@ bench-observe:
 # 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as
 # ns/rank-phase (one rank through one pipeline function: two sensor reads, a
 # launch, an idle window, one profile record) with the run's allocations,
-# which are set-up only. One package and no test besides, so
+# which are set-up only: 150–190 on 2 CPUs since a launch prices its clock
+# once, 180–225 before (the machine's load moves it that much: compare
+# alternated runs). One package and no test besides, so
 # `-cpuprofile cpu.pprof -o core.test` can be appended as is, e.g.
 # `go test -run '^$' -bench PlainRun -benchtime 100x -cpuprofile cpu.pprof
 # -o core.test ./internal/core/ && go tool pprof -top core.test cpu.pprof`.
+# Then the launch alone, gpusim's Device.Execute over the Turbulence
+# pipeline's kernels in turn, as ns/launch: locked at the maximum clock,
+# under the DVFS governor, and locked under a 250 W cap that derates three
+# of the ten kernels.
 bench-model:
 	$(GO) test -run '^$$' -bench PlainRun -benchtime 50x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench Execute -count 3 -cpu 1 ./internal/gpusim/
 
 # The engine's layers one at a time; counts repeat exactly, times do not on
 # a shared machine — compare minimums across the -count runs.

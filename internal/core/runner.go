@@ -262,8 +262,9 @@ func (r *Result) GPUEDP() float64 { return r.Report.GPUEnergyJ * r.WallTimeS }
 // two costs that follow its kernels on every step.
 type phase struct {
 	fn    *FuncModel
-	commS float64 // post-kernel communication
-	hostS float64 // host-side serial overhead
+	kern  gpusim.KernelDesc // fn's kernel; a rank sets only its Items
+	commS float64           // post-kernel communication
+	hostS float64           // host-side serial overhead
 }
 
 // rankCtx is the per-rank execution context.
@@ -476,14 +477,14 @@ func Run(cfg Config) (*Result, error) {
 		if !known {
 			hostS = defaultHostOverheadS // custom pipelines
 		}
-		phases[i] = phase{fn: fn, commS: commTime(*fn, cfg, net), hostS: hostS}
+		phases[i] = phase{fn: fn, kern: fn.Kernel(0, cfg.Ng, vendor), commS: commTime(*fn, cfg, net), hostS: hostS}
 	}
 
 	// The phase loop allocates nothing: its per-rank and per-node scratch,
 	// and the closures the world steps the ranks through, are built once
-	// here and read the loop's current fn/load/waits/tail.
+	// here and read the loop's current ph/load/waits/tail.
 	var (
-		fn          *FuncModel
+		ph          *phase
 		durs, waits []float64
 		tail        float64
 	)
@@ -501,11 +502,11 @@ func Run(cfg Config) (*Result, error) {
 		if tap != nil {
 			tap.arm()
 		}
-		err := rc.strategy.Apply(rc.setter, fn.Name)
+		err := rc.strategy.Apply(rc.setter, ph.fn.Name)
 		if tap != nil && tap.requested >= 0 {
 			// The strategy set a clock before this function, and the ledger
 			// sees that decision whether or not the set failed.
-			re.decision(r, fn.Name, rc.dev.Now(), tap.requested, tap.applied)
+			re.decision(r, ph.fn.Name, rc.dev.Now(), tap.requested, tap.applied)
 		}
 		if err != nil {
 			if strategyErr == nil {
@@ -515,8 +516,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
-		desc := fn.Kernel(cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread), cfg.Ng, vendor)
-		dur := rc.dev.Execute(desc)
+		ph.kern.Items = itemCount(ph.fn.ItemFraction, cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread))
+		dur := rc.dev.Execute(ph.kern)
 		rc.samp.Poll()
 		return dur
 	}
@@ -534,8 +535,9 @@ func Run(cfg Config) (*Result, error) {
 		curStep = step
 		stepJ := 0.0
 		for slot := range phases {
-			fn = phases[slot].fn
-			commS, hostS := phases[slot].commS, phases[slot].hostS
+			ph = &phases[slot]
+			fn := ph.fn
+			commS, hostS := ph.commS, ph.hostS
 
 			phaseStart := world.MaxClock()
 			clear(ran)

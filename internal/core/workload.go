@@ -79,18 +79,25 @@ func (f FuncModel) eff(vendor gpusim.Vendor) float64 {
 // Kernel builds the GPU kernel descriptor for this function at a given
 // local particle count and neighbor count.
 func (f FuncModel) Kernel(nLocal float64, ng int, vendor gpusim.Vendor) gpusim.KernelDesc {
-	items := nLocal * f.ItemFraction
-	if f.ItemFraction == 0 {
-		items = nLocal
-	}
 	return gpusim.KernelDesc{
 		Name:         f.Name,
-		Items:        items,
+		Items:        itemCount(f.ItemFraction, nLocal),
 		FlopsPerItem: workScale * (f.FlopsPerPart + f.FlopsPerPartNg*float64(ng)),
 		BytesPerItem: workScale * (f.BytesPerPart + f.BytesPerPartNg*float64(ng)),
 		Launches:     f.Launches,
 		EffFactor:    f.eff(vendor),
 	}
+}
+
+// itemCount is a kernel's work-item count at a local particle count, for a
+// function whose ItemFraction is frac. It takes the fraction, not the
+// FuncModel: the rank-phase loop calls it, and a value receiver would copy
+// the whole model on every call.
+func itemCount(frac, nLocal float64) float64 {
+	if frac == 0 {
+		return nLocal
+	}
+	return nLocal * frac
 }
 
 // workScale is a global work multiplier mapping the per-particle operation

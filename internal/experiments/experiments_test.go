@@ -11,25 +11,6 @@ import (
 // testScale shrinks step counts for test runtime; shapes are invariant.
 const testScale = 0.1
 
-func TestRegistryRunsEverything(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			r, err := Run(name, testScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := r.Render()
-			if len(out) < 40 {
-				t.Errorf("suspiciously short render:\n%s", out)
-			}
-		})
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run("fig99", 1); err == nil {
 		t.Error("unknown experiment accepted")

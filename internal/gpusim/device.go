@@ -31,6 +31,12 @@ type Device struct {
 	energyJ     float64
 	lastPowerW  float64
 
+	// The last clock the power model priced and the last one a locked
+	// launch was timed at, each with what depends on the clock alone: a
+	// locked run prices and times one clock launch after launch.
+	priced clockPower
+	timed  clockScale
+
 	trace      *Trace
 	kernelsRun int64
 	obs        Observer
@@ -62,6 +68,9 @@ func NewDevice(spec Spec, index int) *Device {
 	}
 	d := &Device{spec: spec, index: index, mode: ModeAuto}
 	d.vmax = d.spec.voltageAt(spec.MaxSMClockMHz)
+	// Fill both memos, so that neither serves its zero value as a clock's.
+	d.clockPowerAt(spec.MaxSMClockMHz)
+	d.clockScaleAt(spec.MaxSMClockMHz)
 	d.gov = newGovernor(&d.spec)
 	d.lastPowerW = spec.IdlePowerW
 	return d
@@ -153,7 +162,7 @@ func (d *Device) currentClock() int {
 // activity rises. This is why compute-bound kernels save less energy from
 // down-scaling than their power-vs-frequency curve alone would suggest (the
 // limited 13%/19% reductions of Fig. 8b).
-func (d *Device) kernelPower(mhz int, t kernelTiming) float64 {
+func (d *Device) kernelPower(mhz int, t *kernelTiming) float64 {
 	p := d.rawKernelPower(mhz, t)
 	limit := d.spec.TDPW
 	if d.powerLimitW > 0 && d.powerLimitW < limit {
@@ -167,25 +176,27 @@ func (d *Device) kernelPower(mhz int, t kernelTiming) float64 {
 
 // rawKernelPower is kernelPower without the board cap, used by the
 // power-limit derating logic.
-func (d *Device) rawKernelPower(mhz int, t kernelTiming) float64 {
+func (d *Device) rawKernelPower(mhz int, t *kernelTiming) float64 {
 	const stallRefill = 0.45
-	fRel := float64(mhz) / float64(d.spec.MaxSMClockMHz)
-	smAct := t.smActivity * (1 + stallRefill*(1-fRel)*t.cFrac)
+	c := d.clockPowerAt(mhz)
+	smAct := t.smActivity * (1 + stallRefill*(1-c.fRel)*t.cFrac)
 	if smAct > 1 {
 		smAct = 1
 	}
-	return d.power(mhz, smAct, t.memActivity)
+	return d.boardPower(c.smW, smAct, t.memActivity)
 }
 
 // power computes the board power draw for the given clock and activity
 // levels.
 func (d *Device) power(mhz int, smAct, memAct float64) float64 {
+	return d.boardPower(d.clockPowerAt(mhz).smW, smAct, memAct)
+}
+
+// boardPower is the power model past its clock-only factor smW (see
+// clockPower).
+func (d *Device) boardPower(smW, smAct, memAct float64) float64 {
 	s := &d.spec
-	fRel := float64(mhz) / float64(s.MaxSMClockMHz)
-	vRel := s.voltageAt(mhz) / d.vmax
-	p := s.IdlePowerW +
-		s.MaxSMPowerW*vRel*vRel*fRel*smAct +
-		s.MaxMemPowerW*memAct
+	p := s.IdlePowerW + smW*smAct + s.MaxMemPowerW*memAct
 	if d.mode == ModeAuto {
 		p += s.DVFSMarginW
 	}
@@ -193,6 +204,43 @@ func (d *Device) power(mhz int, smAct, memAct float64) float64 {
 		p = s.TDPW
 	}
 	return p
+}
+
+// clockPower is what the power model needs of one clock: fRel =
+// mhz/MaxSMClockMHz and smW = MaxSMPowerW·vRel²·fRel, the SM term's
+// clock-only left prefix, so that smW*smAct has the bits of the whole
+// product.
+type clockPower struct {
+	mhz       int
+	fRel, smW float64
+}
+
+// clockPowerAt returns the power factors of mhz, working them out (and the
+// voltage there) only when mhz is not the clock priced last.
+func (d *Device) clockPowerAt(mhz int) *clockPower {
+	if mhz != d.priced.mhz {
+		s := &d.spec
+		fRel := float64(mhz) / float64(s.MaxSMClockMHz)
+		vRel := s.voltageAt(mhz) / d.vmax
+		d.priced = clockPower{mhz: mhz, fRel: fRel, smW: s.MaxSMPowerW * vRel * vRel * fRel}
+	}
+	return &d.priced
+}
+
+// clockScale is the factor MaxSMClockMHz/mhz by which a kernel's
+// frequency-scaled part stretches at mhz.
+type clockScale struct {
+	mhz   int
+	scale float64
+}
+
+// clockScaleAt returns the stretch of mhz, dividing only when mhz is not
+// the clock a locked launch was timed at last.
+func (d *Device) clockScaleAt(mhz int) float64 {
+	if mhz != d.timed.mhz {
+		d.timed = clockScale{mhz: mhz, scale: float64(d.spec.MaxSMClockMHz) / float64(mhz)}
+	}
+	return d.timed.scale
 }
 
 // Execute runs a kernel batch on the device, advancing virtual time and
@@ -204,9 +252,9 @@ func (d *Device) Execute(k KernelDesc) float64 {
 	if d.mode == ModeLocked {
 		// An active power limit derates the effective clock below the
 		// application-clock setting when the kernel would exceed it.
-		eff := d.derateClock(d.lockedMHz, t)
-		dur = t.durationAt(&d.spec, eff)
-		p := d.kernelPower(eff, t)
+		// derateClock hands back the power it accepted there.
+		eff, p := d.derateClock(d.lockedMHz, &t)
+		dur = t.scaledBy(d.clockScaleAt(eff))
 		d.account(dur, p, k.Name)
 	} else {
 		dur = d.gov.executeKernel(d, k, t)

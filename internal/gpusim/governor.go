@@ -47,7 +47,8 @@ func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float6
 	start := g.current
 	tgt := g.target(t)
 	// Power limits derate the governor target exactly like locked clocks.
-	tgt = float64(d.derateClock(int(tgt+0.5), t))
+	eff, _ := d.derateClock(int(tgt+0.5), &t)
+	tgt = float64(eff)
 	tau := g.spec.RampTauS
 
 	// Duration and mean frequency are mutually dependent (slower clock =>
@@ -63,7 +64,7 @@ func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float6
 		dur = t.durationAt(g.spec, int(favg+0.5))
 	}
 
-	p := d.kernelPower(int(favg+0.5), t)
+	p := d.kernelPower(int(favg+0.5), &t)
 	// End-of-kernel frequency after the exponential approach.
 	g.current = tgt + (start-tgt)*math.Exp(-dur/tau)
 	d.account(dur, p, k.Name)

@@ -100,7 +100,11 @@ func (k KernelDesc) timing(s *Spec) kernelTiming {
 // durationAt returns the kernel body + overhead duration when the SM clock
 // runs at mhz.
 func (t kernelTiming) durationAt(s *Spec, mhz int) float64 {
-	scale := float64(s.MaxSMClockMHz) / float64(mhz)
+	return t.scaledBy(float64(s.MaxSMClockMHz) / float64(mhz))
+}
+
+// scaledBy is durationAt with the clock's stretch MaxSMClockMHz/mhz given.
+func (t kernelTiming) scaledBy(scale float64) float64 {
 	return t.freqScaledS*scale + t.flatS + t.overheadS
 }
 

@@ -35,18 +35,20 @@ func (d *Device) ResetPowerLimit() {
 }
 
 // derateClock returns the highest clock <= mhz whose kernel power fits the
-// active limit. If even the minimum clock exceeds the
-// limit, the minimum clock is returned (real hardware behaves the same:
-// hard caps are enforced over longer windows).
-func (d *Device) derateClock(mhz int, t kernelTiming) int {
+// active limit, and that power. If even the minimum clock exceeds the
+// limit, the minimum clock is returned at the capped power (real hardware
+// behaves the same: hard caps are enforced over longer windows). A power
+// that fits is what kernelPower would give there: power caps at TDP and a
+// limit never exceeds it.
+func (d *Device) derateClock(mhz int, t *kernelTiming) (int, float64) {
 	limit := d.spec.TDPW
 	if d.powerLimitW > 0 {
 		limit = d.powerLimitW
 	}
 	for f := mhz; f >= d.spec.MinSMClockMHz; f -= d.spec.SMClockStepMHz {
-		if d.rawKernelPower(f, t) <= limit {
-			return f
+		if p := d.rawKernelPower(f, t); p <= limit {
+			return f, p
 		}
 	}
-	return d.spec.MinSMClockMHz
+	return d.spec.MinSMClockMHz, d.kernelPower(d.spec.MinSMClockMHz, t)
 }

@@ -138,7 +138,7 @@ func (s Spec) NearestSupportedClock(mhz int) int {
 
 // voltageAt interpolates the core voltage at a clock frequency, clamping to
 // the curve's ends. The spec is read through a pointer: the device's power
-// model calls it once per priced clock.
+// model calls it each time the clock it prices changes.
 func (s *Spec) voltageAt(mhz int) float64 {
 	c := s.VoltageCurve
 	if mhz <= c[0].MHz {
