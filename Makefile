@@ -154,9 +154,15 @@ bench-telemetry:
 # conversions every trace event crosses, jsontext's AppendFloat and Float
 # over 17-digit microsecond timestamps beside strconv, in ns/value. The
 # B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
-# holds the run's allocation volume in plain `go test ./...`.
+# holds the run's allocation volume in plain `go test ./...`. The whole
+# observed run and the join come again at one CPU, three times each, the
+# ruler a change to the join is read with: since the join reads the
+# tracer's complete records by identity, AttribBuild/tracer reads 5.1–6.8
+# ms and ObservedRun 16–33 ms, against 8.6–10.9 ms and 28–36 ms while it
+# rebuilt a SpanEvent per record (two alternated rounds each, 2 CPUs).
 bench-observe:
 	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
+	$(GO) test -run '^$$' -bench 'ObservedRun|AttribBuild' -count 3 -cpu 1 -benchmem ./internal/core ./internal/attrib
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
@@ -166,18 +172,21 @@ bench-observe:
 # 48-rank, 100-step CSCS-A100 Turbulence run the paper's figures repeat, as
 # ns/rank-phase (one rank through one pipeline function: two sensor reads, a
 # launch, an idle window, one profile record) with the run's allocations,
-# which are set-up only: 150–190 on 2 CPUs since a launch prices its clock
-# once, 180–225 before (the machine's load moves it that much: compare
-# alternated runs). One package and no test besides, so
-# `-cpuprofile cpu.pprof -o core.test` can be appended as is, e.g.
-# `go test -run '^$' -bench PlainRun -benchtime 100x -cpuprofile cpu.pprof
-# -o core.test ./internal/core/ && go tool pprof -top core.test cpu.pprof`.
-# Then the launch alone, gpusim's Device.Execute over the Turbulence
-# pipeline's kernels in turn, as ns/launch: locked at the maximum clock,
-# under the DVFS governor, and locked under a 250 W cap that derates three
-# of the ten kernels.
+# which are set-up only. The machine's load moves it by a fifth: compare
+# alternated runs, and read the second line, five runs at one CPU, to tell
+# a change of a launch's cost: 114–162 since a launch reads core's
+# descriptor in place, 147–192 while it copied the descriptor and its
+# timing profile at every call (two alternated rounds each, 2 CPUs). One
+# package and no test besides, so `-cpuprofile cpu.pprof -o core.test` can
+# be appended as is, e.g. `go test -run '^$' -bench PlainRun -benchtime
+# 100x -cpuprofile cpu.pprof -o core.test ./internal/core/ && go tool pprof
+# -top core.test cpu.pprof`. Then the launch alone, gpusim's Device.Launch
+# over the Turbulence pipeline's kernels in turn, as ns/launch: locked at
+# the maximum clock, under the DVFS governor, and locked under a 250 W cap
+# that derates three of the ten kernels.
 bench-model:
 	$(GO) test -run '^$$' -bench PlainRun -benchtime 50x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench PlainRun -benchtime 50x -count 5 -cpu 1 ./internal/core/
 	$(GO) test -run '^$$' -bench Execute -count 3 -cpu 1 ./internal/gpusim/
 
 # The engine's layers one at a time; counts repeat exactly, times do not on

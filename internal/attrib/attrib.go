@@ -449,43 +449,23 @@ type table struct {
 	category string // the span category whose spans are its rows
 	truthKey string // the span argument holding the model's energy
 	rows     map[rowKey]*Row
-	// byRef caches the rows of spans with an interned identity, by identity
-	// and rank, so that finding a span's row is two slice indexings instead
-	// of hashing its name. rows stays the table of record: a row is entered
-	// here the first time its identity is seen on its rank.
-	byRef [][]*Row
 }
 
-// row returns the row of a span named name on rank, recorded under the
-// interned identity ref (telemetry.NoRef when under none).
-func (t *table) row(ref telemetry.SpanRef, rank int, name string) *Row {
-	if ref != telemetry.NoRef {
-		for int(ref) >= len(t.byRef) {
-			t.byRef = append(t.byRef, nil)
-		}
-		for rank >= len(t.byRef[ref]) {
-			t.byRef[ref] = append(t.byRef[ref], nil)
-		}
-		if row := t.byRef[ref][rank]; row != nil {
-			return row
-		}
-	}
+// row returns the row of the spans named name on rank.
+func (t *table) row(rank int, name string) *Row {
 	key := rowKey{rank: rank, name: name}
 	row, ok := t.rows[key]
 	if !ok {
 		row = &Row{Rank: rank, Name: name}
 		t.rows[key] = row
 	}
-	if ref != telemetry.NoRef {
-		t.byRef[ref][rank] = row
-	}
 	return row
 }
 
 // join is an attribution under construction: spans are folded into its
-// rows one at a time by add, in whatever order their source holds them,
-// and finish turns the rows into the result. Build feeds it a slice of
-// spans, BuildFromTracer a tracer's records where they lie.
+// rows one at a time, in whatever order their source holds them, and
+// finish turns the rows into the result. Build feeds it a slice of spans
+// (add), BuildFromTracer a tracer's records where they lie (addRecord).
 type join struct {
 	opts   Options
 	series map[int]*energySeries
@@ -494,6 +474,24 @@ type join struct {
 	rank    int
 	current *energySeries
 	tables  [2]table
+
+	tr    *telemetry.Tracer // BuildFromTracer's source
+	plans []plan            // by identity, resolved on first sight
+}
+
+// plan is how the join reads the records of one interned identity,
+// resolved from the tracer once: the table its spans are rows of (nil for
+// neither), the slots of the table's truth key and of clock_mhz, and its
+// rows by rank, so that finding a record's row is two slice indexings
+// instead of hashing its name. The table's rows map stays the table of
+// record: a row is entered here the first time its identity is seen on its
+// rank.
+type plan struct {
+	resolved     bool
+	table        *table
+	name         string
+	truth, clock telemetry.ArgSlot
+	rows         []*Row
 }
 
 func newJoin(series map[int]sampler.Series, opts Options) *join {
@@ -506,37 +504,98 @@ func newJoin(series map[int]sampler.Series, opts Options) *join {
 	return j
 }
 
+// tableOf returns the table whose rows spans of category are, nil for
+// neither.
+func (j *join) tableOf(category string) *table {
+	for i := range j.tables {
+		if t := &j.tables[i]; t.category == category {
+			return t
+		}
+	}
+	return nil
+}
+
+// seriesOf returns the sampled series of rank, nil when the sampler did
+// not cover it.
+func (j *join) seriesOf(rank int) *energySeries {
+	if rank != j.rank {
+		j.rank, j.current = rank, j.series[rank]
+	}
+	return j.current
+}
+
 // add folds one span into its row. Only complete spans of the two tables'
 // categories on rank tracks the sampler covered participate; everything
 // else is ignored.
-func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
+func (j *join) add(sp *telemetry.SpanEvent) {
 	if sp.Track < 0 || sp.Instant {
 		return
 	}
-	ti := 0
-	if sp.Category != j.tables[0].category {
-		if ti = 1; sp.Category != j.tables[1].category {
-			return
-		}
+	t := j.tableOf(sp.Category)
+	if t == nil {
+		return
 	}
-	if sp.Track != j.rank {
-		j.rank, j.current = sp.Track, j.series[sp.Track]
-	}
-	s := j.current
+	s := j.seriesOf(sp.Track)
 	if s == nil {
 		return
 	}
-	t := &j.tables[ti]
-	row := t.row(ref, sp.Track, sp.Name)
-	row.Calls++
-	row.TimeS += sp.DurS
 	truth, _ := sp.Arg(t.truthKey)
+	clock, hasClock := sp.Arg("clock_mhz")
+	fold(t.row(sp.Track, sp.Name), s, sp.StartS, sp.DurS, truth, clock, hasClock)
+}
+
+// addRecord is add for one complete rank-track record of the tracer, read
+// through its identity's plan.
+func (j *join) addRecord(rank int, ref telemetry.SpanRef, startS, durS, v0, v1 float64) {
+	p := j.plan(ref)
+	if p.table == nil {
+		return
+	}
+	s := j.seriesOf(rank)
+	if s == nil {
+		return
+	}
+	for rank >= len(p.rows) {
+		p.rows = append(p.rows, nil)
+	}
+	row := p.rows[rank]
+	if row == nil {
+		row = p.table.row(rank, p.name)
+		p.rows[rank] = row
+	}
+	fold(row, s, startS, durS, p.truth.Read(v0, v1), p.clock.Read(v0, v1), p.clock != telemetry.ArgAbsent)
+}
+
+// plan returns ref's plan, resolving it on first sight.
+func (j *join) plan(ref telemetry.SpanRef) *plan {
+	for int(ref) >= len(j.plans) {
+		j.plans = append(j.plans, plan{})
+	}
+	p := &j.plans[ref]
+	if !p.resolved {
+		category, name := j.tr.Identity(ref)
+		*p = plan{resolved: true, table: j.tableOf(category), name: name}
+		if p.table != nil {
+			p.truth = j.tr.ArgSlot(ref, p.table.truthKey)
+			p.clock = j.tr.ArgSlot(ref, "clock_mhz")
+		}
+	}
+	return p
+}
+
+// fold adds one span over [startS, startS+durS] to row: its model energy
+// truth, the energy s sampled across it and, when the span has a clock
+// argument, its clock weighted by its duration.
+func fold(row *Row, s *energySeries, startS, durS, truth, clock float64, hasClock bool) {
+	row.Calls++
+	row.TimeS += durS
 	row.ModelJ += truth
-	lo, hi := s.window(sp.StartS, sp.EndS())
-	row.SampledJ += s.integrate(sp.StartS, sp.EndS(), lo, hi)
-	row.degradedS += s.degradedOverlap(sp.StartS, sp.EndS(), lo, hi)
-	if clock, ok := sp.Arg("clock_mhz"); ok {
-		row.clockWeight += clock * sp.DurS
+	endS := startS + durS
+	lo, hi := s.window(startS, endS)
+	row.SampledJ += s.integrate(startS, endS, lo, hi)
+	row.degradedS += s.degradedOverlap(startS, endS, lo, hi)
+	if hasClock {
+		row.clockWeight += clock * durS
 	}
 }
 
@@ -547,17 +606,19 @@ func (j *join) add(ref telemetry.SpanRef, sp *telemetry.SpanEvent) {
 func Build(spans []telemetry.SpanEvent, series map[int]sampler.Series, opts Options) *Attribution {
 	j := newJoin(series, opts)
 	for i := range spans {
-		j.add(telemetry.NoRef, &spans[i])
+		j.add(&spans[i])
 	}
 	return j.finish()
 }
 
 // BuildFromTracer is Build(t.Spans(), series, opts) without the span
-// slice: the tracer's records are joined where they lie, in the order Spans
-// returns them, so the result is the same to the last bit.
+// slice: the tracer's complete rank-track records are joined where they
+// lie, in the order Spans returns them, each identity resolved once, so the
+// result is the same to the last bit.
 func BuildFromTracer(t *telemetry.Tracer, series map[int]sampler.Series, opts Options) *Attribution {
 	j := newJoin(series, opts)
-	t.VisitSpans(j.add)
+	j.tr = t
+	t.VisitRecords(j.addRecord)
 	return j.finish()
 }
 

@@ -3,6 +3,7 @@ package attrib
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -225,6 +226,64 @@ func TestBuildFunctions(t *testing.T) {
 	f := a.Functions[0]
 	if f.Calls != 2 || math.Abs(f.ModelJ-300) > 1e-9 || math.Abs(f.ErrPct) > 1e-9 {
 		t.Fatalf("function row = %+v", f)
+	}
+}
+
+// TestBuildFromTracerReadsArgsLikeArg: the tracer's feed reads each
+// identity's truth and clock where SpanEvent.Arg finds them — float keys
+// first, in order, then the label, whose value reads 0 — so it equals the
+// slice's feed bit for bit on identities that lack the truth key, whose
+// label key is clock_mhz or energy_j, or that repeat a key, with rows of
+// one name shared across identities and ranks.
+func TestBuildFromTracerReadsArgsLikeArg(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		intern func(tr *telemetry.Tracer) []telemetry.SpanRef
+	}{
+		{"kernel without energy_j", func(tr *telemetry.Tracer) []telemetry.SpanRef {
+			return []telemetry.SpanRef{
+				tr.Intern("kernel", "density", "clock_mhz"),
+				tr.Intern("kernel", "density", "clock_mhz", "gpu_j"),
+				tr.Intern("kernel", "iad"),
+				tr.Intern("function", "Density", "energy_j", "comm_s"),
+			}
+		}},
+		{"label key clock_mhz or energy_j", func(tr *telemetry.Tracer) []telemetry.SpanRef {
+			return []telemetry.SpanRef{
+				tr.InternWith("kernel", "density", "clock_mhz", "boost", "energy_j"),
+				tr.InternWith("kernel", "density", "energy_j", "x", "clock_mhz"),
+				tr.InternWith("kernel", "iad", "clock_mhz", "boost", "energy_j", "clock_mhz"),
+				tr.InternWith("kernel", "iad", "energy_j", "x", "clock_mhz", "energy_j"),
+				tr.InternWith("function", "Density", "gpu_j", "x", "clock_mhz"),
+				tr.InternWith("function", "Density", "clock_mhz", "boost", "gpu_j"),
+			}
+		}},
+		{"repeated key", func(tr *telemetry.Tracer) []telemetry.SpanRef {
+			return []telemetry.SpanRef{
+				tr.Intern("kernel", "density", "energy_j", "energy_j"),
+				tr.Intern("kernel", "density", "clock_mhz", "clock_mhz"),
+				tr.Intern("kernel", "iad", "clock_mhz", "energy_j"),
+				tr.Intern("function", "Density", "gpu_j", "gpu_j"),
+			}
+		}},
+	} {
+		series := map[int]sampler.Series{
+			0: grid(10, [2]float64{2, 150}, [2]float64{2, 300}),
+			1: grid(10, [2]float64{4, 220}),
+		}
+		tr := telemetry.NewTracer(2)
+		refs := c.intern(tr)
+		for i := 0; i < 40; i++ {
+			rank := i % 2
+			tr.CompleteRef(rank, refs[i%len(refs)], 0.1*float64(i), 0.07, 1005+float64(i), 30+float64(i))
+		}
+		want := Build(tr.Spans(), series, Options{RateHz: 10})
+		if len(want.Kernels) == 0 {
+			t.Fatalf("%s: no kernel rows", c.name)
+		}
+		if got := BuildFromTracer(tr, series, Options{RateHz: 10}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BuildFromTracer differs from Build(t.Spans())\n got %+v\nwant %+v", c.name, got, want)
+		}
 	}
 }
 

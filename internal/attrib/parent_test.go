@@ -276,8 +276,8 @@ func parentBuild(spans []telemetry.SpanEvent, series map[int][]tick, opts Option
 		row.TimeS += sp.DurS
 		truth, _ := sp.Arg(truthKey)
 		row.ModelJ += truth
-		row.SampledJ += s.integrate(sp.StartS, sp.EndS())
-		row.degradedS += s.degradedOverlap(sp.StartS, sp.EndS())
+		row.SampledJ += s.integrate(sp.StartS, sp.StartS+sp.DurS)
+		row.degradedS += s.degradedOverlap(sp.StartS, sp.StartS+sp.DurS)
 		if clock, ok := sp.Arg("clock_mhz"); ok {
 			row.clockWeight += clock * sp.DurS
 		}

@@ -517,7 +517,7 @@ func Run(cfg Config) (*Result, error) {
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
 		ph.kern.Items = itemCount(ph.fn.ItemFraction, cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread))
-		dur := rc.dev.Execute(ph.kern)
+		dur := rc.dev.Launch(&ph.kern)
 		rc.samp.Poll()
 		return dur
 	}

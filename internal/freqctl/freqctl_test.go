@@ -1,6 +1,7 @@
 package freqctl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -205,6 +206,32 @@ func TestPowerCapStrategy(t *testing.T) {
 	}
 	if err := strat.Apply(s, "fn"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetterRejectsNaNPowerLimit: a NaN cap through the setter fails and
+// changes neither the cap in force nor what a capped launch costs.
+func TestSetterRejectsNaNPowerLimit(t *testing.T) {
+	s, dev := nvidiaSetter(t)
+	twin := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
+	for _, set := range []Setter{s, DeviceSetter{Dev: twin}} {
+		if _, err := set.SetSMClock(1410); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.SetPowerLimitW(250); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetPowerLimitW(math.NaN()); err == nil {
+		t.Error("NaN power limit accepted")
+	}
+	if got := dev.PowerLimitW(); got != 250 {
+		t.Errorf("limit after a NaN cap %v, want 250", got)
+	}
+	k := gpusim.KernelDesc{Name: "compute", Items: 50e6, FlopsPerItem: 20000, BytesPerItem: 100}
+	if got, want := dev.Launch(&k), twin.Launch(&k); got != want || dev.PowerW() != twin.PowerW() {
+		t.Errorf("capped launch after a NaN cap took %v s at %v W; without it %v s at %v W",
+			got, dev.PowerW(), want, twin.PowerW())
 	}
 }
 

@@ -243,9 +243,11 @@ func (d *Device) clockScaleAt(mhz int) float64 {
 	return d.timed.scale
 }
 
-// Execute runs a kernel batch on the device, advancing virtual time and
-// integrating energy. It returns the wall (virtual) duration.
-func (d *Device) Execute(k KernelDesc) float64 {
+// Launch runs the kernel batch *k on the device, advancing virtual time and
+// integrating energy, and returns the wall (virtual) duration. It reads *k
+// in place and neither writes nor keeps it, so a caller may launch one
+// descriptor again and again, changing it between launches.
+func (d *Device) Launch(k *KernelDesc) float64 {
 	t := k.timing(&d.spec)
 	startS, startJ := d.now, d.energyJ
 	var dur float64
@@ -257,7 +259,7 @@ func (d *Device) Execute(k KernelDesc) float64 {
 		dur = t.scaledBy(d.clockScaleAt(eff))
 		d.account(dur, p, k.Name)
 	} else {
-		dur = d.gov.executeKernel(d, k, t)
+		dur = d.gov.executeKernel(d, k, &t)
 	}
 	d.kernelsRun += int64(k.launches())
 	if d.obs != nil {
@@ -265,6 +267,9 @@ func (d *Device) Execute(k KernelDesc) float64 {
 	}
 	return dur
 }
+
+// Execute is Launch for a descriptor held by value.
+func (d *Device) Execute(k KernelDesc) float64 { return d.Launch(&k) }
 
 // Idle advances virtual time with no kernel activity (communication phases,
 // CPU sections). Under DVFS the governor decays clocks during this window.

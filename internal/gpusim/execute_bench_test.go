@@ -7,11 +7,12 @@ import (
 	"sphenergy/internal/gpusim"
 )
 
-// BenchmarkExecute times one launch on a CSCS-A100 device, in ns/launch,
-// rotating through the Turbulence pipeline's kernels at 10e6 particles:
-// locked at the maximum clock (the paper's baseline: every launch prices
-// the clock it priced before), under the DVFS governor, and locked under a
-// 250 W cap that derates the heavier kernels below the application clock.
+// BenchmarkExecute times one launch (Device.Launch, as core.Run makes it)
+// on a CSCS-A100 device, in ns/launch, rotating through the Turbulence
+// pipeline's kernels at 10e6 particles: locked at the maximum clock (the
+// paper's baseline: every launch prices the clock it priced before), under
+// the DVFS governor, and locked under a 250 W cap that derates the heavier
+// kernels below the application clock.
 func BenchmarkExecute(b *testing.B) {
 	spec := gpusim.A100SXM480GB()
 	var kernels []gpusim.KernelDesc
@@ -41,7 +42,7 @@ func BenchmarkExecute(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Execute(kernels[i%len(kernels)])
+				d.Launch(&kernels[i%len(kernels)])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/launch")
 		})

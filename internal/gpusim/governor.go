@@ -31,7 +31,7 @@ func newGovernor(s *Spec) governor {
 // "how busy"), which is exactly the overestimation reported in the paper's
 // reference [25]; the floor of 0.55 encodes that any launch boosts well
 // above idle.
-func (g *governor) target(t kernelTiming) float64 {
+func (g *governor) target(t *kernelTiming) float64 {
 	hint := t.smActivity * (0.5 + 0.5*t.occupancy)
 	u := 0.55 + 0.65*hint
 	if u > 1 {
@@ -43,11 +43,11 @@ func (g *governor) target(t kernelTiming) float64 {
 
 // executeKernel advances the device through one kernel batch under governor
 // control. Returns the kernel duration.
-func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float64 {
+func (g *governor) executeKernel(d *Device, k *KernelDesc, t *kernelTiming) float64 {
 	start := g.current
 	tgt := g.target(t)
 	// Power limits derate the governor target exactly like locked clocks.
-	eff, _ := d.derateClock(int(tgt+0.5), &t)
+	eff, _ := d.derateClock(int(tgt+0.5), t)
 	tgt = float64(eff)
 	tau := g.spec.RampTauS
 
@@ -64,7 +64,7 @@ func (g *governor) executeKernel(d *Device, k KernelDesc, t kernelTiming) float6
 		dur = t.durationAt(g.spec, int(favg+0.5))
 	}
 
-	p := d.kernelPower(int(favg+0.5), &t)
+	p := d.kernelPower(int(favg+0.5), t)
 	// End-of-kernel frequency after the exponential approach.
 	g.current = tgt + (start-tgt)*math.Exp(-dur/tau)
 	d.account(dur, p, k.Name)

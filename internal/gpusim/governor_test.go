@@ -115,10 +115,10 @@ func TestResetFromLockedKeepsClockContinuity(t *testing.T) {
 func TestGovernorTargetOrdering(t *testing.T) {
 	spec := A100SXM480GB()
 	g := newGovernor(&spec)
-	compute := computeKernel().timing(&spec)
-	memory := memKernel().timing(&spec)
-	if g.target(compute) <= g.target(memory) {
+	ck, mk := computeKernel(), memKernel()
+	compute, memory := ck.timing(&spec), mk.timing(&spec)
+	if g.target(&compute) <= g.target(&memory) {
 		t.Errorf("compute target %v should exceed memory target %v",
-			g.target(compute), g.target(memory))
+			g.target(&compute), g.target(&memory))
 	}
 }

@@ -359,7 +359,8 @@ func TestEstimateDurationMatchesExecution(t *testing.T) {
 	d := NewDevice(s, 0)
 	d.SetApplicationClocks(0, 1110)
 	got := d.Execute(k)
-	want := k.timing(&s).durationAt(&s, 1110)
+	kt := k.timing(&s)
+	want := kt.durationAt(&s, 1110)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Execute %v != the timing model's %v", got, want)
 	}

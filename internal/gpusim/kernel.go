@@ -26,14 +26,14 @@ type KernelDesc struct {
 	EffFactor float64
 }
 
-func (k KernelDesc) launches() int {
+func (k *KernelDesc) launches() int {
 	if k.Launches < 1 {
 		return 1
 	}
 	return k.Launches
 }
 
-func (k KernelDesc) eff() float64 {
+func (k *KernelDesc) eff() float64 {
 	if k.EffFactor <= 0 {
 		return 1
 	}
@@ -68,9 +68,11 @@ type kernelTiming struct {
 // with occupancy = items/(items + knee) capturing the throughput loss of
 // under-filled devices. The compute part scales with fmax/f at a lower
 // frequency f; the memory part does not (HBM clock held constant, as in the
-// paper's experiments). The spec is read through a pointer: it is 192 bytes
-// and this runs once per launch.
-func (k KernelDesc) timing(s *Spec) kernelTiming {
+// paper's experiments). The descriptor and the spec are read through
+// pointers, neither copied nor written, and the profile is returned by
+// value: this runs once per launch, and the device passes the profile on by
+// pointer.
+func (k *KernelDesc) timing(s *Spec) kernelTiming {
 	occ := k.Items / (k.Items + s.SaturationItems)
 	if occ <= 0 {
 		occ = 1e-6
@@ -99,12 +101,12 @@ func (k KernelDesc) timing(s *Spec) kernelTiming {
 
 // durationAt returns the kernel body + overhead duration when the SM clock
 // runs at mhz.
-func (t kernelTiming) durationAt(s *Spec, mhz int) float64 {
+func (t *kernelTiming) durationAt(s *Spec, mhz int) float64 {
 	return t.scaledBy(float64(s.MaxSMClockMHz) / float64(mhz))
 }
 
 // scaledBy is durationAt with the clock's stretch MaxSMClockMHz/mhz given.
-func (t kernelTiming) scaledBy(scale float64) float64 {
+func (t *kernelTiming) scaledBy(scale float64) float64 {
 	return t.freqScaledS*scale + t.flatS + t.overheadS
 }
 

@@ -19,10 +19,11 @@ func (d *Device) PowerLimitW() float64 {
 
 // SetPowerLimit sets the board power cap in watts
 // (nvmlDeviceSetPowerManagementLimit). The accepted range is
-// [IdlePowerW + 10%, TDP], mirroring NVML's min/max constraint query.
+// [IdlePowerW + 10%, TDP], mirroring NVML's min/max constraint query; NaN
+// lies in no range and is refused.
 func (d *Device) SetPowerLimit(watts float64) error {
 	min := d.spec.IdlePowerW * 1.1
-	if watts < min || watts > d.spec.TDPW {
+	if !(watts >= min && watts <= d.spec.TDPW) {
 		return fmt.Errorf("gpusim: power limit %.0f W outside [%.0f, %.0f]", watts, min, d.spec.TDPW)
 	}
 	d.powerLimitW = watts

@@ -1,6 +1,9 @@
 package gpusim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPowerLimitDefaults(t *testing.T) {
 	d := NewDevice(A100SXM480GB(), 0)
@@ -26,6 +29,31 @@ func TestSetPowerLimitRange(t *testing.T) {
 	d.ResetPowerLimit()
 	if d.PowerLimitW() != d.Spec().TDPW {
 		t.Error("reset did not restore TDP")
+	}
+}
+
+// TestSetPowerLimitRejectsNaN: NaN lies outside every range, so a NaN cap
+// is refused and leaves the cap in force and a capped launch as they were.
+func TestSetPowerLimitRejectsNaN(t *testing.T) {
+	d, twin := NewDevice(A100SXM480GB(), 0), NewDevice(A100SXM480GB(), 0)
+	for _, dev := range []*Device{d, twin} {
+		if _, err := dev.SetApplicationClocks(0, 1410); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.SetPowerLimit(250); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.SetPowerLimit(math.NaN()); err == nil {
+		t.Error("NaN power limit accepted")
+	}
+	if got := d.PowerLimitW(); got != 250 {
+		t.Errorf("limit after a NaN cap %v, want 250", got)
+	}
+	k := computeKernel()
+	if got, want := d.Launch(&k), twin.Launch(&k); got != want || d.PowerW() != twin.PowerW() || d.SMClockMHz() != twin.SMClockMHz() {
+		t.Errorf("capped launch after a NaN cap took %v s at %v W, %d MHz; without it %v s at %v W, %d MHz",
+			got, d.PowerW(), d.SMClockMHz(), want, twin.PowerW(), twin.SMClockMHz())
 	}
 }
 

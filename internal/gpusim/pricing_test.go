@@ -133,7 +133,7 @@ func (d *refDevice) execute(k KernelDesc) {
 	}
 	g := governor{spec: &d.spec}
 	start := d.govCurrent
-	tgt := float64(d.derateClock(int(g.target(t)+0.5), t))
+	tgt := float64(d.derateClock(int(g.target(&t)+0.5), t))
 	tau := d.spec.RampTauS
 	favg := tgt
 	dur := d.durationAt(t, int(favg+0.5))
@@ -184,7 +184,7 @@ func (d *refDevice) idle(seconds float64) {
 // little-endian uint16 arguments a, b, c, e.
 const pricingOpLen = 9
 
-// Operation kinds (the kind byte modulo 8).
+// Operation kinds (the kind byte modulo 9).
 const (
 	opSetClocks     = 0 // SetApplicationClocks(a%4096 - 500 MHz)
 	opResetClocks   = 1
@@ -192,7 +192,8 @@ const (
 	opResetLimit    = 3
 	opExecute       = 4 // 4, 5 and 6: a kernel of a·1000 items, b FLOPs and c/10 bytes per item
 	opIdle          = 7 // Idle(a µs)
-	pricingOpKinds  = 8
+	opLaunchShared  = 8 // the last kernel again, with a·1000 items, through Launch
+	pricingOpKinds  = 9
 	pricingMHzShift = 500
 )
 
@@ -217,7 +218,11 @@ func pricingSeed(spec byte, ops ...[]byte) []byte {
 // power caps (some below what the minimum clock draws) and their resets,
 // launches and idle windows on the A100-SXM4, A100-PCIe and MI250X GCD
 // specs, and after every operation holds its time, energy counter, power and
-// clock to refDevice's, bit for bit.
+// clock to refDevice's, bit for bit. A second device takes the same
+// operations but launches only copies (Execute); the first launches one
+// descriptor shared across operations in place (Launch), as core.Run does
+// with a phase's kernel, re-sizing it between launches, and the launch must
+// leave the descriptor as it found it.
 func FuzzDevicePricing(f *testing.F) {
 	set := func(mhz int) []byte { return pricingOp(opSetClocks, uint16(mhz+pricingMHzShift), 0, 0, 0) }
 	limit := func(w float64) []byte { return pricingOp(opSetLimit, uint16(w*100), 0, 0, 0) }
@@ -225,6 +230,7 @@ func FuzzDevicePricing(f *testing.F) {
 	memory := pricingOp(opExecute+1, 50000, 10, 40000, 0x8000)
 	storm := pricingOp(opExecute+2, 10000, 150, 15000, 0x7340)
 	idle := pricingOp(opIdle, 3000, 0, 0, 0)
+	shared := func(kItems uint16) []byte { return pricingOp(opLaunchShared, kItems, 0, 0, 0) }
 	for spec := byte(0); spec < 3; spec++ {
 		// Locked clocks, changed between launches and held across them,
 		// on-step, off-step and out of range, then back to the governor.
@@ -239,6 +245,11 @@ func FuzzDevicePricing(f *testing.F) {
 			pricingOp(opResetLimit, 0, 0, 0, 0), compute,
 			pricingOp(opResetClocks, 0, 0, 0, 0), limit(150), compute, idle, compute,
 			limit(75), storm, compute, idle, set(705), compute, compute))
+		// One descriptor relaunched at new sizes, locked, capped and under
+		// the governor, between launches of others.
+		f.Add(pricingSeed(spec, shared(1000), set(1410), compute, shared(50000), shared(20),
+			idle, memory, shared(0), shared(65535), limit(200), storm, shared(10000),
+			pricingOp(opResetClocks, 0, 0, 0, 0), compute, shared(50000), idle, shared(5)))
 	}
 	specs := []Spec{A100SXM480GB(), A100PCIE40GB(), MI250XGCD()}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -246,7 +257,8 @@ func FuzzDevicePricing(f *testing.F) {
 			return
 		}
 		spec := specs[int(data[0])%len(specs)]
-		d, ref := NewDevice(spec, 0), newRefDevice(spec)
+		d, byValue, ref := NewDevice(spec, 0), NewDevice(spec, 0), newRefDevice(spec)
+		shared := KernelDesc{Name: "shared", Items: 1e6, FlopsPerItem: 100, BytesPerItem: 100}
 		for i, op := 0, data[1:]; len(op) >= pricingOpLen; i, op = i+1, op[pricingOpLen:] {
 			kind := op[0] % pricingOpKinds
 			a := binary.LittleEndian.Uint16(op[1:])
@@ -256,27 +268,42 @@ func FuzzDevicePricing(f *testing.F) {
 			switch kind {
 			case opSetClocks:
 				mhz := int(a%4096) - pricingMHzShift
-				if _, err := d.SetApplicationClocks(0, mhz); err != nil {
-					t.Fatal(err)
+				for _, dev := range []*Device{d, byValue} {
+					if _, err := dev.SetApplicationClocks(0, mhz); err != nil {
+						t.Fatal(err)
+					}
 				}
 				ref.setApplicationClocks(mhz)
 			case opResetClocks:
 				d.ResetApplicationClocks()
+				byValue.ResetApplicationClocks()
 				ref.resetApplicationClocks()
 			case opSetLimit:
 				w := float64(a) / 100
+				byValue.SetPowerLimit(w)
 				if ok := d.SetPowerLimit(w) == nil; ok != ref.setPowerLimit(w) {
 					t.Fatalf("op %d: SetPowerLimit(%v) accepted %v, reference %v", i, w, ok, !ok)
 				}
 			case opResetLimit:
 				d.ResetPowerLimit()
+				byValue.ResetPowerLimit()
 				ref.powerLimitW = 0
 			case opIdle:
 				s := float64(a) * 1e-6
 				d.Idle(s)
+				byValue.Idle(s)
 				ref.idle(s)
+			case opLaunchShared:
+				shared.Items = float64(a) * 1000
+				before := shared
+				d.Launch(&shared)
+				if shared != before {
+					t.Fatalf("op %d: Launch wrote its descriptor: %+v, was %+v", i, shared, before)
+				}
+				byValue.Execute(shared)
+				ref.execute(shared)
 			default:
-				k := KernelDesc{
+				shared = KernelDesc{
 					Name:         "fuzz",
 					Items:        float64(a) * 1000,
 					FlopsPerItem: float64(b),
@@ -284,20 +311,24 @@ func FuzzDevicePricing(f *testing.F) {
 					Launches:     int(e&0xff) % 100,
 					EffFactor:    float64(e>>8) / 256,
 				}
-				d.Execute(k)
-				ref.execute(k)
+				d.Execute(shared)
+				byValue.Execute(shared)
+				ref.execute(shared)
 			}
 			for _, q := range []struct {
-				what      string
-				got, want float64
+				what                 string
+				got, byValue, unmemo float64
 			}{
-				{"Now", d.Now(), ref.now},
-				{"EnergyJ", d.EnergyJ(), ref.energyJ},
-				{"PowerW", d.PowerW(), ref.lastPowerW},
-				{"SMClockMHz", float64(d.SMClockMHz()), float64(ref.currentClock())},
+				{"Now", d.Now(), byValue.Now(), ref.now},
+				{"EnergyJ", d.EnergyJ(), byValue.EnergyJ(), ref.energyJ},
+				{"PowerW", d.PowerW(), byValue.PowerW(), ref.lastPowerW},
+				{"SMClockMHz", float64(d.SMClockMHz()), float64(byValue.SMClockMHz()), float64(ref.currentClock())},
 			} {
-				if math.Float64bits(q.got) != math.Float64bits(q.want) {
-					t.Fatalf("%s, op %d (kind %d): %s = %v, the unmemoized model gives %v", spec.Name, i, kind, q.what, q.got, q.want)
+				if math.Float64bits(q.got) != math.Float64bits(q.unmemo) {
+					t.Fatalf("%s, op %d (kind %d): %s = %v, the unmemoized model gives %v", spec.Name, i, kind, q.what, q.got, q.unmemo)
+				}
+				if math.Float64bits(q.got) != math.Float64bits(q.byValue) {
+					t.Fatalf("%s, op %d (kind %d): %s = %v, launching copies gives %v", spec.Name, i, kind, q.what, q.got, q.byValue)
 				}
 			}
 		}

@@ -16,8 +16,8 @@
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
 // container per span, an identity's strings quoted once; the
-// in-process read-back is a visit of the records where they lie
-// (VisitSpans) or, for callers that want the slice, Spans, two allocations
+// in-process read-back is a visit of the complete records where they lie
+// (VisitRecords) or, for callers that want the slice, Spans, two allocations
 // whatever the span count. A tracer belongs to the goroutine that drives
 // its run, so none of this takes a lock: the export and the read-back run
 // once the run has returned. A shard keeps its records in fixed blocks
@@ -296,9 +296,6 @@ type SpanEvent struct {
 	Args []Attr
 }
 
-// EndS returns the span's end time.
-func (e SpanEvent) EndS() float64 { return e.StartS + e.DurS }
-
 // Arg returns the named argument's numeric value (ok=false when absent).
 func (e SpanEvent) Arg(key string) (float64, bool) {
 	for _, a := range e.Args {
@@ -316,8 +313,8 @@ func (e SpanEvent) Arg(key string) (float64, bool) {
 // first, and then allocates twice — the result at its final length and one
 // slab all Args are carved from (each capped at its own length, so
 // appending to one span's Args never reaches the next).
-// A consumer that only folds the spans into something smaller should use
-// VisitSpans, which builds neither.
+// A consumer that only folds complete spans into something smaller should
+// use VisitRecords, which builds neither.
 func (t *Tracer) Spans() []SpanEvent {
 	if t == nil {
 		return nil
@@ -354,33 +351,75 @@ func (t *Tracer) Spans() []SpanEvent {
 	return out
 }
 
-// NoRef is a SpanRef no tracer issues: attrib.Build passes it for spans
-// that come from a slice rather than from a tracer's records.
-const NoRef = ^SpanRef(0)
-
-// VisitSpans calls visit once for every event Spans would return, in
-// Spans' order, without materialising them: ev and its Args are reused
-// from one call to the next and are valid only during the call. ref is the
-// event's interned identity — all events sharing one have the same
-// category, name and arguments but for the float values, so a consumer can
-// resolve those once per identity instead of once per event. visit must
-// not call back into the tracer.
-func (t *Tracer) VisitSpans(visit func(ref SpanRef, ev *SpanEvent)) {
+// VisitRecords calls visit once for every complete event recorded on a
+// rank track, in Spans' order, with the rank, the event's interned identity
+// and its start, duration and two float values, read where they lie: it
+// builds no SpanEvent. Instants, counter samples, track names and the
+// global track are skipped. All events sharing an identity have the same
+// category, name and arguments but for the values (Identity, ArgSlot), so a
+// consumer resolves those once per identity instead of once per event.
+// visit must not call back into the tracer.
+func (t *Tracer) VisitRecords(visit func(rank int, ref SpanRef, startS, durS, v0, v1 float64)) {
 	if t == nil {
 		return
 	}
-	var view spanView
-	for tid := range t.shards {
-		t.shards[tid].visit(t.track(tid), t.descs, &view, visit)
+	n := len(t.descs)
+	for rank := 0; rank < len(t.shards)-1; rank++ {
+		t.shards[rank].fast.Runs(func(run []fastEvent) {
+			for i := range run {
+				if fe := &run[i]; fe.ph == phaseComplete && int(fe.ref) < n {
+					visit(rank, fe.ref, fe.startS, fe.durS, fe.v0, fe.v1)
+				}
+			}
+		})
 	}
 }
 
-// spanView is the one SpanEvent a visit hands out again and again, and the
-// backing of its Args: an identity has at most two float arguments and a
-// string one.
-type spanView struct {
-	ev   SpanEvent
-	args [3]Attr
+// Identity returns the category and name of the identity ref names, as its
+// events read back (SpanEvent.Category, SpanEvent.Name). ref must be one
+// the tracer issued, as every ref VisitRecords hands out is.
+func (t *Tracer) Identity(ref SpanRef) (category, name string) {
+	d := &t.descs[ref]
+	return d.cat, d.name
+}
+
+// ArgSlot is where the events of one identity keep one argument.
+type ArgSlot uint8
+
+// The slots of an argument, as ArgSlot finds them.
+const (
+	ArgAbsent ArgSlot = iota // the identity has no argument of that key
+	ArgV0                    // the event's first float value
+	ArgV1                    // its second float value
+	ArgLabel                 // the constant string argument: it reads 0
+)
+
+// ArgSlot returns where the events of identity ref (one the tracer issued)
+// keep the argument key: the argument SpanEvent.Arg(key) would find, first
+// match first, float keys in order and then the constant string's.
+func (t *Tracer) ArgSlot(ref SpanRef, key string) ArgSlot {
+	d := &t.descs[ref]
+	switch {
+	case d.nkeys > 0 && d.keys[0] == key:
+		return ArgV0
+	case d.nkeys > 1 && d.keys[1] == key:
+		return ArgV1
+	case d.labeled && d.label == key:
+		return ArgLabel
+	}
+	return ArgAbsent
+}
+
+// Read returns the value an event with float values v0, v1 has in slot a:
+// what SpanEvent.Arg returns for it, 0 when absent.
+func (a ArgSlot) Read(v0, v1 float64) float64 {
+	switch a {
+	case ArgV0:
+		return v0
+	case ArgV1:
+		return v1
+	}
+	return 0
 }
 
 // track is the track number of shard tid: its rank, or GlobalTrack for
@@ -390,20 +429,6 @@ func (t *Tracer) track(tid int) int {
 		return GlobalTrack
 	}
 	return tid
-}
-
-// visit expands the shard's complete and instant events, in recording
-// order, one at a time into v and hands each to fn.
-func (s *shard) visit(track int, descs []spanDesc, v *spanView, fn func(SpanRef, *SpanEvent)) {
-	s.fast.Runs(func(run []fastEvent) {
-		for i := range run {
-			if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
-				d := &descs[fe.ref]
-				v.ev = fe.span(track, d, fe.appendArgs(v.args[:0], d))
-				fn(fe.ref, &v.ev)
-			}
-		}
-	})
 }
 
 // appendArgs appends the event's values to dst under its identity's keys,

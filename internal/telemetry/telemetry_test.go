@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -235,8 +236,8 @@ func TestSpansReadBack(t *testing.T) {
 	if fn.Track != 0 || len(fn.Args) != 2 {
 		t.Errorf("function span = %+v", fn)
 	}
-	if fn.EndS() != 0.9 {
-		t.Errorf("EndS = %v, want 0.9", fn.EndS())
+	if end := fn.StartS + fn.DurS; end != 0.9 {
+		t.Errorf("span ends at %v, want 0.9", end)
 	}
 	if !byName["barrier-wait"].Instant {
 		t.Error("instant flag lost")
@@ -255,21 +256,25 @@ func TestSpansReadBack(t *testing.T) {
 	}
 }
 
-// TestVisitSpansMatchesSpans walks a tracer whose shards span several
-// blocks, with interned, labeled and by-name events, instants and the
-// records Spans skips: the visitor sees exactly Spans' events in Spans'
-// order, reports each event's ref (one per identity), and reuses its view
-// between calls.
-func TestVisitSpansMatchesSpans(t *testing.T) {
+// TestVisitRecordsMatchesSpans walks a tracer whose shards span several
+// blocks, with interned, labeled and by-name events, identities with a
+// repeated key and with a label key that is also a float key's, instants,
+// the global track and the records Spans skips: the visitor sees exactly
+// Spans' complete rank-track events in Spans' order, one identity per ref,
+// and each argument Arg finds is in the slot ArgSlot names.
+func TestVisitRecordsMatchesSpans(t *testing.T) {
 	tr := NewTracer(3)
 	refs := []SpanRef{
 		tr.Intern("kernel", "density", "clock_mhz", "energy_j"),
 		tr.Intern("function", "Domain::sync", "gpu_j"),
 		tr.Intern("mpi", "barrier-wait"),
+		tr.Intern("kernel", "twice", "energy_j", "energy_j"),
+		tr.InternWith("kernel", "labeled", "clock_mhz", "boost", "energy_j", "clock_mhz"),
+		tr.InternWith("function", "label only", "gpu_j", "x"),
 	}
 	for i := 0; i < 2*blocks.Len+77; i++ {
 		rank := i % 4 // 3 lands on the global track
-		tr.CompleteRef(rank, refs[i%3], float64(i), 0.5, float64(i), 2*float64(i))
+		tr.CompleteRef(rank, refs[i%len(refs)], float64(i), 0.5, float64(i), 2*float64(i))
 		switch i % 5 {
 		case 0:
 			tr.RecordSpan(rank, "step", "by name", float64(i), 1)
@@ -284,47 +289,55 @@ func TestVisitSpansMatchesSpans(t *testing.T) {
 	}
 	tr.SetTrackName(0, "rank 0")
 
-	want := tr.Spans()
-	var got []SpanEvent
-	var gotRefs []SpanRef
-	var view *SpanEvent
-	tr.VisitSpans(func(ref SpanRef, ev *SpanEvent) {
-		if view == nil {
-			view = ev
-		} else if ev != view {
-			t.Fatal("the visitor was handed a second SpanEvent; it reuses one")
+	var want []SpanEvent
+	for _, ev := range tr.Spans() {
+		if ev.Track >= 0 && !ev.Instant {
+			want = append(want, ev)
 		}
-		e := *ev
-		e.Args = append([]Attr(nil), ev.Args...)
-		got, gotRefs = append(got, e), append(gotRefs, ref)
+	}
+	type record struct {
+		rank                 int
+		ref                  SpanRef
+		startS, durS, v0, v1 float64
+	}
+	var got []record
+	tr.VisitRecords(func(rank int, ref SpanRef, startS, durS, v0, v1 float64) {
+		got = append(got, record{rank, ref, startS, durS, v0, v1})
 	})
 	if len(got) != len(want) {
-		t.Fatalf("visited %d events, Spans returns %d", len(got), len(want))
+		t.Fatalf("visited %d records, Spans has %d complete rank-track events", len(got), len(want))
 	}
 	identity := map[SpanRef]string{}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("event %d: visited %+v, Spans has %+v", i, got[i], want[i])
+	for i, w := range want {
+		g := got[i]
+		if cat, name := tr.Identity(g.ref); g.rank != w.Track || cat != w.Category || name != w.Name ||
+			math.Float64bits(g.startS) != math.Float64bits(w.StartS) || math.Float64bits(g.durS) != math.Float64bits(w.DurS) {
+			t.Fatalf("record %d: visited rank %d, %s/%s at %v for %v; Spans has %+v", i, g.rank, cat, name, g.startS, g.durS, w)
 		}
-		ref, id := gotRefs[i], want[i].Category+"/"+want[i].Name
-		if a := want[i].Args; len(a) > 0 && a[len(a)-1].kind == attrString {
+		for _, key := range []string{"clock_mhz", "energy_j", "gpu_j", "boost", "x", "absent"} {
+			v, ok := w.Arg(key)
+			slot := tr.ArgSlot(g.ref, key)
+			if ok != (slot != ArgAbsent) || math.Float64bits(v) != math.Float64bits(slot.Read(g.v0, g.v1)) {
+				t.Fatalf("record %d (%s): Arg(%q) = %v, %v; slot %d reads %v", i, w.Name, key, v, ok, slot, slot.Read(g.v0, g.v1))
+			}
+		}
+		id := w.Category + "/" + w.Name
+		if a := w.Args; len(a) > 0 && a[len(a)-1].kind == attrString {
 			id += "/" + a[len(a)-1].s
 		}
 		switch {
-		case ref == NoRef:
-			t.Fatalf("event %d (%s) carries NoRef", i, id)
-		case identity[ref] == "":
-			identity[ref] = id
-		case identity[ref] != id:
-			t.Fatalf("ref %d names both %s and %s", ref, identity[ref], id)
+		case identity[g.ref] == "":
+			identity[g.ref] = id
+		case identity[g.ref] != id:
+			t.Fatalf("ref %d names both %s and %s", g.ref, identity[g.ref], id)
 		}
 	}
-	// The three interned, the by-name span and two freq-change causes.
-	if len(identity) != len(refs)+3 {
-		t.Errorf("saw %d identities, recorded %d", len(identity), len(refs)+3)
+	// The six interned and the by-name span.
+	if len(identity) != len(refs)+1 {
+		t.Errorf("saw %d identities, recorded %d", len(identity), len(refs)+1)
 	}
 	var nilT *Tracer
-	nilT.VisitSpans(func(SpanRef, *SpanEvent) { t.Error("a nil tracer visited an event") })
+	nilT.VisitRecords(func(int, SpanRef, float64, float64, float64, float64) { t.Error("a nil tracer visited a record") })
 }
 
 // TestTrackExportsInRecordingOrder records every phase, labeled and not,

@@ -113,7 +113,7 @@ func measure(spec gpusim.Spec, kernel gpusim.KernelDesc, mhz int) Measurement {
 	var timeS, energy float64
 	for i := 0; i < iterations; i++ {
 		e0 := dev.EnergyJ()
-		timeS += dev.Execute(kernel)
+		timeS += dev.Launch(&kernel)
 		energy += dev.EnergyJ() - e0
 	}
 	return Measurement{MHz: mhz, TimeS: timeS / iterations, EnergyJ: energy / iterations}

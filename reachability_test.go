@@ -288,7 +288,7 @@ func TestFieldsHaveAReader(t *testing.T) {
 		"sph.listWork.survivors":   "BenchmarkFindNeighbors, likewise",
 		"sph.listWork.records":     "BenchmarkFindNeighbors, likewise",
 		"sph.listWork.repeats":     "BenchmarkFindNeighbors, likewise",
-		"telemetry.Attr.s":         "TestVisitSpansMatchesSpans, which keys a read-back span's identity on its string",
+		"telemetry.Attr.s":         "TestVisitRecordsMatchesSpans, which keys a read-back span's identity on its string",
 		// Set only through benchmark/, which a change may not edit: each
 		// selects nothing.
 		"initcond.EvrardSpec.Seed":    "benchmark/engine.go sets it; Evrard draws no random numbers",
