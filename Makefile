@@ -144,9 +144,12 @@ bench-telemetry:
 
 # What observing a run costs, leg by leg, on a recorded 8-rank 300-step
 # ManDyn run: the decision ledger's JSONL round trip (MB/s, allocs/op), the
-# whole observed run with every observer on, and the attribution join alone
-# from the tracer's records and from a span slice, each against the
-# sampler's rings in place; the ledger's read leg on its own at one CPU;
+# whole observed run with every observer on, the attribution join alone —
+# the online join replayed step by step as the run makes it (ms/join,
+# ns/record; its ns/op and B/op include the replay) and Build over a span
+# slice and the run's whole series — and a sampler channel's poll per tick
+# emitted (ns/tick, 6 or 7 ticks a poll as in a run, B/op 0 while the ring
+# is released); the ledger's read leg on its own at one CPU;
 # then the trace's export and re-load on one CPU and on two, so that what
 # the second CPU buys and what the pipeline costs without one come from one
 # command, and the critical-path analysis of the loaded spans (serial; the
@@ -155,14 +158,17 @@ bench-telemetry:
 # over 17-digit microsecond timestamps beside strconv, in ns/value. The
 # B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
 # holds the run's allocation volume in plain `go test ./...`. The whole
-# observed run and the join come again at one CPU, three times each, the
-# ruler a change to the join is read with: since the join reads the
-# tracer's complete records by identity, AttribBuild/tracer reads 5.1–6.8
-# ms and ObservedRun 16–33 ms, against 8.6–10.9 ms and 28–36 ms while it
-# rebuilt a SpanEvent per record (two alternated rounds each, 2 CPUs).
+# observed run, the join and the tick come again at one CPU, three times
+# each, the rulers a change to the join or the sampler is read with: since
+# the join reads the tracer's complete records by identity, AttribBuild
+# read 5.1–6.8 ms and ObservedRun 16–33 ms, against 8.6–10.9 ms and 28–36
+# ms while it rebuilt a SpanEvent per record (two alternated rounds each,
+# 2 CPUs); joined while the run runs, it reads 5.0–5.7 ms/join (73–83
+# ns/record), beside 5.4–6.0 ms for the post-run join it replaced, and a
+# tick 46–48 ns (one round each, 2 CPUs).
 bench-observe:
-	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild' -benchmem ./internal/events ./internal/core ./internal/attrib
-	$(GO) test -run '^$$' -bench 'ObservedRun|AttribBuild' -count 3 -cpu 1 -benchmem ./internal/core ./internal/attrib
+	$(GO) test -run '^$$' -bench 'LedgerRoundTrip|ObservedRun|AttribBuild|Tick' -benchmem ./internal/events ./internal/core ./internal/attrib ./internal/sampler
+	$(GO) test -run '^$$' -bench 'ObservedRun|AttribBuild|Tick' -count 3 -cpu 1 -benchmem ./internal/core ./internal/attrib ./internal/sampler
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/

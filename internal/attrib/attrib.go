@@ -11,6 +11,17 @@
 // against ground truth, quantifying the discretization error a real
 // fixed-rate sampler incurs.
 //
+// # Joining while the run runs
+//
+// core.Run joins online (Online): at every step boundary each rank's new
+// records are read from a cursor into its tracer track and folded in
+// recording order, each as soon as the rank's channel holds two ticks past
+// the last one at or before the record's end. From then on no estimator
+// below reads the series differently from the one the run ends with, so
+// the sums are a post-run join's to the bit. The channel then lets go of
+// the ticks before the oldest record left waiting, and a ring holds about a
+// step, not the run. Build joins a span slice against whole series.
+//
 // # Tolerance contract
 //
 // A sampler at rate f cannot resolve work much shorter than its period
@@ -124,7 +135,8 @@ type RankSummary struct {
 	SampledJ float64 `json:"sampled_j"`
 	// ErrPct is the rank's total attribution error.
 	ErrPct float64 `json:"err_pct"`
-	// Samples is the number of retained samples for the rank.
+	// Samples is the number of ticks the rank's spans were joined against:
+	// its channel's, from the first tick the join saw through the last.
 	Samples int `json:"samples"`
 }
 
@@ -149,17 +161,18 @@ type Attribution struct {
 	Degraded        bool    `json:"degraded,omitempty"`
 	DegradedRows    int     `json:"degraded_rows,omitempty"`
 	DegradedEnergyJ float64 `json:"degraded_energy_j,omitempty"`
-	// DroppedSamples is the number of rank samples the sampler's bounded
-	// rings had rotated out when the series were joined (MarkDropped); a
-	// non-zero count fails the attribution whatever the gates read.
+	// DroppedSamples is the number of rank ticks the sampler's bounded
+	// rings rotated out while a span still waiting to be joined read them
+	// (MarkDropped); a non-zero count fails the attribution whatever the
+	// gates read.
 	DroppedSamples uint64 `json:"dropped_samples,omitempty"`
 }
 
-// MarkDropped records that the rank channels' rings overflowed before the
-// join and dropped n samples in all. The retained series then starts after
-// the run does: spans older than its first tick integrate to nothing and
-// are flagged degraded. The attribution fails with the count as its stated
-// reason. n == 0 changes nothing.
+// MarkDropped records that the rank channels' rings overflowed and
+// dropped n ticks in all that waiting spans read. The join then reads the
+// series from the oldest tick kept: spans older than it integrate to
+// nothing and are flagged degraded. The attribution fails with the count as
+// its stated reason. n == 0 changes nothing.
 func (a *Attribution) MarkDropped(n uint64) {
 	if n == 0 {
 		return
@@ -171,41 +184,98 @@ func (a *Attribution) MarkDropped(n uint64) {
 // energySeries evaluates cumulative sampled energy at arbitrary times by
 // linear interpolation over one rank's tick series, read where the sampler
 // keeps it. A tick's time is its grid index times the period, so a time is
-// located by index arithmetic.
+// located by index arithmetic. Ticks are numbered from the series' origin,
+// the first tick the join saw. A channel joined while the run runs lets go
+// of the ticks no waiting span reads, so the held ones may start later; a
+// span that reads tick 0 starts before it, and keeps it held while it waits.
 type energySeries struct {
-	s sampler.Series
-	n int
-	// degPrefix[i] is the cumulative degraded time up to tick i, the
-	// intervals ending at flagged ticks summed in time order, making span
-	// overlap an O(log n) query. It is nil when no tick is flagged.
-	degPrefix []float64
+	s      sampler.Series // the held ticks
+	origin int64          // the grid index of tick 0
+	n      int            // the ticks from the origin through the newest held
+	held0  int            // the oldest held tick
+	kept   int64          // the grid index the join released the ticks below
+	// prefix[i-prefixFrom] is the cumulative degraded time up to tick i,
+	// the intervals ending at flagged ticks summed in time order, making
+	// span overlap an O(log n) query; the ticks before prefixFrom have none.
+	// It is nil while no tick is flagged. It covers the first prefixed
+	// ticks, and grows as they arrive.
+	prefix     []float64
+	prefixFrom int
+	prefixed   int
 }
 
 // newEnergySeries wraps one rank's series; it copies no tick.
 func newEnergySeries(s sampler.Series) *energySeries {
-	es := &energySeries{s: s, n: s.Len()}
-	if len(s.Degraded) > 0 {
-		es.degPrefix = make([]float64, es.n)
-		for i := 1; i < es.n; i++ {
-			es.degPrefix[i] = es.degPrefix[i-1]
-			if es.degradedAt(i) {
-				es.degPrefix[i] += es.time(i) - es.time(i-1)
-			}
-		}
-	}
+	es := &energySeries{}
+	es.update(s)
 	return es
 }
 
-// time returns tick i's time.
-func (es *energySeries) time(i int) float64 { return es.s.TimeS(i) }
+// update points the series at the ticks its channel holds now, s, and
+// extends the degraded prefix over the new ones. The first ticks seen set
+// the origin. So do the held ones when a full ring has rotated out ticks
+// the join still read (Attribution.MarkDropped): the spans older than them
+// then integrate to nothing, as spans before any tick do.
+func (es *energySeries) update(s sampler.Series) {
+	es.s = s
+	if s.Len() == 0 && es.n == 0 {
+		return
+	}
+	if es.n == 0 || s.First > es.kept {
+		*es = energySeries{s: s, origin: s.First, kept: s.First}
+	}
+	es.held0 = int(s.First - es.origin)
+	es.n = es.held0 + s.Len()
+	if es.prefix == nil && len(s.Degraded) == 0 {
+		es.prefixed = es.n
+		return
+	}
+	for i := max(es.prefixed, 1); i < es.n; i++ {
+		flagged := es.degradedAt(i)
+		if es.prefix == nil {
+			if !flagged {
+				continue
+			}
+			es.prefix, es.prefixFrom = []float64{0}, i-1
+		}
+		p := es.prefix[len(es.prefix)-1]
+		if flagged {
+			p += es.time(i) - es.time(i-1)
+		}
+		es.prefix = append(es.prefix, p)
+	}
+	es.prefixed = es.n
+}
 
-// energy returns tick i's cumulative energy.
-func (es *energySeries) energy(i int) float64 { return *es.s.Energies.At(i) }
+// release records that the channel let go of the ticks before grid tick k,
+// and lets go of their prefix.
+func (es *energySeries) release(k int64) {
+	es.kept = k
+	if drop := min(int(k-es.origin)-es.prefixFrom, len(es.prefix)-1); drop > 0 {
+		es.prefix, es.prefixFrom = es.prefix[drop:], es.prefixFrom+drop
+	}
+}
+
+// degPrefix returns the cumulative degraded time up to tick i, one the
+// join still reads.
+func (es *energySeries) degPrefix(i int) float64 {
+	if i < es.prefixFrom {
+		return 0
+	}
+	return es.prefix[i-es.prefixFrom]
+}
+
+// time returns tick i's time, held or not: the series' grid arithmetic
+// reaches before its first held tick.
+func (es *energySeries) time(i int) float64 { return es.s.TimeS(i - es.held0) }
+
+// energy returns held tick i's cumulative energy.
+func (es *energySeries) energy(i int) float64 { return *es.s.Energies.At(i - es.held0) }
 
 // degradedAt reports whether tick i >= 1 is flagged: the interval ending
 // at it is degraded. (No interval ends at the first tick.)
 func (es *energySeries) degradedAt(i int) bool {
-	k := es.s.First + int64(i)
+	k := es.origin + int64(i)
 	runs := es.s.Degraded
 	r := sort.Search(len(runs), func(r int) bool { return runs[r].To > k })
 	return r < len(runs) && runs[r].From <= k
@@ -214,7 +284,7 @@ func (es *energySeries) degradedAt(i int) bool {
 // held returns the held position of grid tick k, a whole number, clamped
 // to [0, n]; a NaN time clamps to n, as a search for it finds no tick.
 func (es *energySeries) held(k float64) int {
-	q := k - float64(es.s.First)
+	q := k - float64(es.origin)
 	if !(q < float64(es.n)) {
 		return es.n
 	}
@@ -264,17 +334,17 @@ func (es *energySeries) window(startS, endS float64) (lo, hi int) {
 // degAt returns the cumulative degraded time up to t.
 func (es *energySeries) degAt(t float64) float64 {
 	n := es.n
-	if es.degPrefix == nil || n == 0 || t <= es.time(0) {
+	if es.prefix == nil || n == 0 || t <= es.time(0) {
 		return 0
 	}
 	if t >= es.time(n-1) {
-		return es.degPrefix[n-1]
+		return es.degPrefix(n - 1)
 	}
 	i := es.lowerBound(t)
 	if es.time(i) == t {
-		return es.degPrefix[i]
+		return es.degPrefix(i)
 	}
-	p := es.degPrefix[i-1]
+	p := es.degPrefix(i - 1)
 	if es.degradedAt(i) {
 		p += t - es.time(i-1)
 	}
@@ -298,7 +368,7 @@ func (es *energySeries) degradedOverlap(startS, endS float64, lo, hi int) float6
 		return 0
 	}
 	unseen := max(min(endS, es.time(0))-startS, 0)
-	if es.degPrefix == nil {
+	if es.prefix == nil {
 		return unseen
 	}
 	if lo < n && hi >= 0 && hi > lo {
@@ -465,7 +535,7 @@ func (t *table) row(rank int, name string) *Row {
 // join is an attribution under construction: spans are folded into its
 // rows one at a time, in whatever order their source holds them, and
 // finish turns the rows into the result. Build feeds it a slice of spans
-// (add), BuildFromTracer a tracer's records where they lie (addRecord).
+// (add), Online a tracer's records where they lie (addRecord).
 type join struct {
 	opts   Options
 	series map[int]*energySeries
@@ -475,7 +545,7 @@ type join struct {
 	current *energySeries
 	tables  [2]table
 
-	tr    *telemetry.Tracer // BuildFromTracer's source
+	tr    *telemetry.Tracer // Online's source
 	plans []plan            // by identity, resolved on first sight
 }
 
@@ -494,11 +564,8 @@ type plan struct {
 	rows         []*Row
 }
 
-func newJoin(series map[int]sampler.Series, opts Options) *join {
-	j := &join{opts: opts.defaulted(), rank: -1, series: make(map[int]*energySeries, len(series))}
-	for rank, s := range series {
-		j.series[rank] = newEnergySeries(s)
-	}
+func newJoin(opts Options) *join {
+	j := &join{opts: opts.defaulted(), rank: -1, series: map[int]*energySeries{}}
 	j.tables[0] = table{category: "kernel", truthKey: "energy_j", rows: map[rowKey]*Row{}}
 	j.tables[1] = table{category: "function", truthKey: "gpu_j", rows: map[rowKey]*Row{}}
 	return j
@@ -541,19 +608,21 @@ func (j *join) add(sp *telemetry.SpanEvent) {
 	}
 	truth, _ := sp.Arg(t.truthKey)
 	clock, hasClock := sp.Arg("clock_mhz")
-	fold(t.row(sp.Track, sp.Name), s, sp.StartS, sp.DurS, truth, clock, hasClock)
+	lo, hi := s.window(sp.StartS, sp.StartS+sp.DurS)
+	fold(t.row(sp.Track, sp.Name), s, sp.StartS, sp.DurS, lo, hi, truth, clock, hasClock)
 }
 
-// addRecord is add for one complete rank-track record of the tracer, read
-// through its identity's plan.
-func (j *join) addRecord(rank int, ref telemetry.SpanRef, startS, durS, v0, v1 float64) {
+// addRecord is add for one complete record of rank's track, whose series
+// is s, read through its identity's plan. With wait, a record that s does
+// not yet hold the ticks for is left unfolded: addRecord reports false.
+func (j *join) addRecord(s *energySeries, rank int, ref telemetry.SpanRef, startS, durS, v0, v1 float64, wait bool) bool {
 	p := j.plan(ref)
 	if p.table == nil {
-		return
+		return true
 	}
-	s := j.seriesOf(rank)
-	if s == nil {
-		return
+	lo, hi := s.window(startS, startS+durS)
+	if wait && !s.holds(hi) {
+		return false
 	}
 	for rank >= len(p.rows) {
 		p.rows = append(p.rows, nil)
@@ -563,8 +632,16 @@ func (j *join) addRecord(rank int, ref telemetry.SpanRef, startS, durS, v0, v1 f
 		row = p.table.row(rank, p.name)
 		p.rows[rank] = row
 	}
-	fold(row, s, startS, durS, p.truth.Read(v0, v1), p.clock.Read(v0, v1), p.clock != telemetry.ArgAbsent)
+	fold(row, s, startS, durS, lo, hi, p.truth.Read(v0, v1), p.clock.Read(v0, v1), p.clock != telemetry.ArgAbsent)
+	return true
 }
+
+// holds reports whether the series holds every tick the estimators read
+// for a span whose window ends at hi, as the series the run ends with will:
+// with tick hi+2 held, each branch that tests the series' length takes the
+// path it takes on the final series, so the span's sums are those of a
+// join after the run, to the bit.
+func (es *energySeries) holds(hi int) bool { return hi+2 < es.n }
 
 // plan returns ref's plan, resolving it on first sight.
 func (j *join) plan(ref telemetry.SpanRef) *plan {
@@ -583,15 +660,14 @@ func (j *join) plan(ref telemetry.SpanRef) *plan {
 	return p
 }
 
-// fold adds one span over [startS, startS+durS] to row: its model energy
-// truth, the energy s sampled across it and, when the span has a clock
-// argument, its clock weighted by its duration.
-func fold(row *Row, s *energySeries, startS, durS, truth, clock float64, hasClock bool) {
+// fold adds one span over [startS, startS+durS], whose window in s is lo,
+// hi, to row: its model energy truth, the energy s sampled across it and,
+// when the span has a clock argument, its clock weighted by its duration.
+func fold(row *Row, s *energySeries, startS, durS float64, lo, hi int, truth, clock float64, hasClock bool) {
 	row.Calls++
 	row.TimeS += durS
 	row.ModelJ += truth
 	endS := startS + durS
-	lo, hi := s.window(startS, endS)
 	row.SampledJ += s.integrate(startS, endS, lo, hi)
 	row.degradedS += s.degradedOverlap(startS, endS, lo, hi)
 	if hasClock {
@@ -604,22 +680,103 @@ func fold(row *Row, s *energySeries, startS, durS, truth, clock float64, hasCloc
 // (ground truth in the "energy_j" arg) and "function" (ground truth in the
 // "gpu_j" arg) on rank tracks participate; everything else is ignored.
 func Build(spans []telemetry.SpanEvent, series map[int]sampler.Series, opts Options) *Attribution {
-	j := newJoin(series, opts)
+	j := newJoin(opts)
+	for rank, s := range series {
+		j.series[rank] = newEnergySeries(s)
+	}
 	for i := range spans {
 		j.add(&spans[i])
 	}
 	return j.finish()
 }
 
-// BuildFromTracer is Build(t.Spans(), series, opts) without the span
-// slice: the tracer's complete rank-track records are joined where they
-// lie, in the order Spans returns them, each identity resolved once, so the
-// result is the same to the last bit.
-func BuildFromTracer(t *telemetry.Tracer, series map[int]sampler.Series, opts Options) *Attribution {
-	j := newJoin(series, opts)
-	j.tr = t
-	t.VisitRecords(j.addRecord)
-	return j.finish()
+// Online is the join of a run in progress: the tracer's rank-track records
+// against the sampler's rank channels, folded while the run runs. Each
+// rank's records fold in recording order, from a cursor into its track,
+// each as soon as its channel holds every tick the record reads (holds),
+// so the result is Build's over the run's spans and whole series to the
+// bit; and each channel lets go of the ticks that no record left waiting
+// reads, so a ring holds about the last step, not the run. Like the tracer
+// and the sampler, it belongs to the goroutine that drives the run.
+type Online struct {
+	j     *join
+	ranks []live
+}
+
+// live is one rank's place in an online join.
+type live struct {
+	rank   int
+	ch     *sampler.Channel
+	s      *energySeries
+	cursor int // the first record of the rank's track not yet folded
+}
+
+// NewOnline starts the join of the records tr will hold against the rank
+// channels smp has now.
+func NewOnline(tr *telemetry.Tracer, smp *sampler.Sampler, opts Options) *Online {
+	o := &Online{j: newJoin(opts)}
+	o.j.tr = tr
+	for _, ch := range smp.Channels() {
+		if rank := ch.Stats().Rank; rank >= 0 {
+			s := &energySeries{}
+			o.j.series[rank] = s
+			o.ranks = append(o.ranks, live{rank: rank, ch: ch, s: s})
+		}
+	}
+	return o
+}
+
+// Advance folds the records whose ticks the channels now hold and lets the
+// channels go of the ticks before the oldest record left waiting. Every
+// record not yet recorded must start at or after nowS: the ticks such a
+// record reads are kept too. A nil *Online does nothing.
+func (o *Online) Advance(nowS float64) {
+	if o == nil {
+		return
+	}
+	for i := range o.ranks {
+		l := &o.ranks[i]
+		o.fold(l, true)
+		s := l.s
+		if s.n == 0 {
+			continue
+		}
+		oldest := nowS
+		o.j.tr.ReadRecords(l.rank, l.cursor, func(ref telemetry.SpanRef, startS, _, _, _ float64) bool {
+			if startS < oldest && o.j.plan(ref).table != nil {
+				oldest = startS
+			}
+			return true
+		})
+		// A span reads from the tick before the last tick at or before its
+		// start; the quotient may round across a tick, hence two. The
+		// newest tick stays.
+		if k := math.Floor(oldest/s.s.PeriodS) - 2; k > float64(s.kept) {
+			newest := s.s.First + int64(s.s.Len()) - 1
+			k := int64(min(k, float64(newest)))
+			l.ch.Release(k)
+			s.release(k)
+		}
+	}
+}
+
+// Finish folds the records still waiting against the series the run ended
+// with and returns the attribution.
+func (o *Online) Finish() *Attribution {
+	for i := range o.ranks {
+		o.fold(&o.ranks[i], false)
+	}
+	return o.j.finish()
+}
+
+// fold points l's series at the ticks its channel holds and folds l's
+// records from its cursor on: with wait, up to the first whose ticks are
+// not all in.
+func (o *Online) fold(l *live, wait bool) {
+	l.s.update(l.ch.Series())
+	l.cursor = o.j.tr.ReadRecords(l.rank, l.cursor, func(ref telemetry.SpanRef, startS, durS, v0, v1 float64) bool {
+		return o.j.addRecord(l.s, l.rank, ref, startS, durS, v0, v1, wait)
+	})
 }
 
 // finish closes the rows and applies the tolerance contract.

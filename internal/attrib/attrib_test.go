@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sphenergy/internal/blocks"
+	"sphenergy/internal/pmt"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -44,6 +45,17 @@ func grid(hz float64, segs ...[2]float64) sampler.Series {
 		*slot = energyAt(t)
 	}
 	return out
+}
+
+// gridReads is what a sensor sampling the power profile of grid reads at
+// its ticks: the exact cumulative energy, from t=0.
+func gridReads(hz float64, segs ...[2]float64) []pmt.State {
+	s := grid(hz, segs...)
+	reads := make([]pmt.State, s.Len())
+	for i := range reads {
+		reads[i] = pmt.State{TimeS: s.TimeS(i), EnergyJ: *s.Energies.At(i)}
+	}
+	return reads
 }
 
 // tick is one tick of a series, materialised: what the sampler stored for
@@ -229,13 +241,13 @@ func TestBuildFunctions(t *testing.T) {
 	}
 }
 
-// TestBuildFromTracerReadsArgsLikeArg: the tracer's feed reads each
-// identity's truth and clock where SpanEvent.Arg finds them — float keys
-// first, in order, then the label, whose value reads 0 — so it equals the
-// slice's feed bit for bit on identities that lack the truth key, whose
-// label key is clock_mhz or energy_j, or that repeat a key, with rows of
-// one name shared across identities and ranks.
-func TestBuildFromTracerReadsArgsLikeArg(t *testing.T) {
+// TestOnlineReadsArgsLikeArg: the online join reads each identity's truth
+// and clock where SpanEvent.Arg finds them — float keys first, in order,
+// then the label, whose value reads 0 — so it equals the slice's feed bit
+// for bit on identities that lack the truth key, whose label key is
+// clock_mhz or energy_j, or that repeat a key, with rows of one name shared
+// across identities and ranks.
+func TestOnlineReadsArgsLikeArg(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		intern func(tr *telemetry.Tracer) []telemetry.SpanRef
@@ -267,22 +279,31 @@ func TestBuildFromTracerReadsArgsLikeArg(t *testing.T) {
 			}
 		}},
 	} {
-		series := map[int]sampler.Series{
-			0: grid(10, [2]float64{2, 150}, [2]float64{2, 300}),
-			1: grid(10, [2]float64{4, 220}),
-		}
+		smp, twin := twinSamplers(10, map[int][]pmt.State{
+			0: gridReads(10, [2]float64{2, 150}, [2]float64{2, 300}),
+			1: gridReads(10, [2]float64{4, 220}),
+		})
 		tr := telemetry.NewTracer(2)
 		refs := c.intern(tr)
 		for i := 0; i < 40; i++ {
 			rank := i % 2
 			tr.CompleteRef(rank, refs[i%len(refs)], 0.1*float64(i), 0.07, 1005+float64(i), 30+float64(i))
 		}
-		want := Build(tr.Spans(), series, Options{RateHz: 10})
+		o := NewOnline(tr, smp, Options{RateHz: 10})
+		for i := 0; i < 41; i++ {
+			for _, s := range []*sampler.Sampler{smp, twin} {
+				s.PollAll()
+			}
+			if i == 20 {
+				o.Advance(math.Inf(1))
+			}
+		}
+		want := Build(tr.Spans(), twin.RankSeries(), Options{RateHz: 10})
 		if len(want.Kernels) == 0 {
 			t.Fatalf("%s: no kernel rows", c.name)
 		}
-		if got := BuildFromTracer(tr, series, Options{RateHz: 10}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: BuildFromTracer differs from Build(t.Spans())\n got %+v\nwant %+v", c.name, got, want)
+		if got := o.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the online join differs from Build(t.Spans())\n got %+v\nwant %+v", c.name, got, want)
 		}
 	}
 }

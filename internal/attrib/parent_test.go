@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sphenergy/internal/blocks"
+	"sphenergy/internal/pmt"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -463,9 +464,188 @@ func drawJoinCase(rng *rand.Rand, disorder bool) joinCase {
 	return c
 }
 
-// TestJoinMatchesParentBuild holds both feeds of the join — the slice, in
-// recording order and shuffled, and the tracer in place — to the parent's
-// Build, every field of every row bit for bit.
+// scriptSensor replays a drawn list of reads, then its last read again.
+type scriptSensor struct {
+	reads []pmt.State
+	next  int
+}
+
+func (s *scriptSensor) Name() string { return "script" }
+
+func (s *scriptSensor) Read() pmt.State {
+	st := s.reads[min(s.next, len(s.reads)-1)]
+	s.next++
+	return st
+}
+
+// twinSamplers returns two samplers at hz, each with one rank channel per
+// script, reading the script from its start.
+func twinSamplers(hz float64, scripts map[int][]pmt.State) (a, b *sampler.Sampler) {
+	a, b = sampler.New(sampler.Config{GPUHz: hz}), sampler.New(sampler.Config{GPUHz: hz})
+	for rank := range len(scripts) + 3 { // in rank order
+		if reads, ok := scripts[rank]; ok {
+			a.AddRank(rank, &scriptSensor{reads: reads})
+			b.AddRank(rank, &scriptSensor{reads: reads})
+		}
+	}
+	return a, b
+}
+
+// pollRank polls rank's channel of s once.
+func pollRank(s *sampler.Sampler, rank int) {
+	for _, ch := range s.Channels() {
+		if ch.Stats().Rank == rank {
+			ch.Poll()
+		}
+	}
+}
+
+// onlineCase is a randomly drawn run for the online join: each sampled
+// rank's sensor reads, and the polls and records of every rank in the
+// order they happen.
+type onlineCase struct {
+	hz     float64
+	reads  map[int][]pmt.State
+	events []onlineEvent
+}
+
+// onlineEvent is one poll of a rank's channel, or one record on its track.
+type onlineEvent struct {
+	atS  float64 // when it happens
+	rank int
+	poll bool
+	// A record: its kind (see record), name, start, duration and values.
+	kind         int
+	name         string
+	startS, durS float64
+	v0, v1       float64
+}
+
+// record records the event on tr.
+func (e *onlineEvent) record(tr *telemetry.Tracer) {
+	switch e.kind {
+	case 0:
+		tr.CompleteRef(e.rank, tr.Intern("kernel", e.name, "energy_j", "clock_mhz"), e.startS, e.durS, e.v0, e.v1)
+	case 1:
+		tr.InstantRef(e.rank, tr.Intern("kernel", e.name), e.startS, 0, 0)
+	case 2:
+		tr.RecordSpan(e.rank, "mpi", e.name, e.startS, e.durS)
+	case 3:
+		tr.CompleteRef(e.rank, tr.Intern("kernel", e.name, "clock_mhz", "energy_j"), e.startS, e.durS, e.v0, e.v1)
+	case 4:
+		tr.CompleteRef(e.rank, tr.Intern("function", e.name, "gpu_j", "comm_s"), e.startS, e.durS, e.v0, e.v1)
+	case 5:
+		tr.CompleteRef(telemetry.GlobalTrack, tr.Intern("kernel", e.name, "clock_mhz", "energy_j"), e.startS, e.durS, e.v0, e.v1)
+	}
+}
+
+// drawOnlineCase draws sensors read at irregular times from a baseline at
+// a grid index from 0 up to 2^40, on or off the grid — failing reads among
+// them, at the start too (the channel takes its baseline late), frozen
+// stretches that latch the stuck detector, repeated times and counter
+// resets — and records on every rank as drawJoinCase does, each happening
+// at its end. With disorder, spans are also recorded out of time order,
+// overlapping, of zero or negative length and outside the series.
+func drawOnlineCase(rng *rand.Rand, disorder bool) onlineCase {
+	const ranks = 3
+	period := []float64{0.01, 0.1, 0.25}[rng.Intn(3)]
+	c := onlineCase{hz: 1 / period, reads: map[int][]pmt.State{}}
+	names := []string{"density", "iad", "momentum", "x<y"}
+	for r := 0; r < ranks; r++ {
+		first := []int64{0, rng.Int63n(5000), 1<<40 - rng.Int63n(5000)}[rng.Intn(3)]
+		base := float64(first) * period
+		if rng.Intn(2) == 0 {
+			base += rng.Float64() * period
+		}
+		nreads := 2 + rng.Intn(150)
+		if rng.Intn(8) == 0 {
+			nreads = rng.Intn(3)
+		}
+		late := 0
+		if rng.Intn(4) == 0 {
+			late = 1 + rng.Intn(4)
+		}
+		t, e, frozen := base, 1000*rng.Float64(), 0
+		var reads []pmt.State
+		for i := 0; i < nreads; i++ {
+			st := pmt.State{TimeS: t, EnergyJ: e}
+			if i < late || rng.Intn(15) == 0 {
+				st.EnergyJ = math.NaN()
+			}
+			reads = append(reads, st)
+			c.events = append(c.events, onlineEvent{atS: t, rank: r, poll: true})
+			if frozen == 0 && rng.Intn(25) == 0 {
+				frozen = 3 + rng.Intn(4)
+			}
+			gap := period * (0.2 + 6*rng.Float64())
+			switch {
+			case frozen > 0:
+				frozen--
+				gap = period * (1 + rng.Float64())
+			case rng.Intn(12) == 0:
+				gap = 0
+			case rng.Intn(40) == 0:
+				e -= 50 * rng.Float64() // a counter reset
+			default:
+				e += gap * (50 + 300*rng.Float64())
+			}
+			t += gap
+		}
+		if nreads > 0 && rng.Intn(6) != 0 {
+			c.reads[r] = reads
+		}
+		end := t
+		now := base - rng.Float64()*3*period
+		for now < end+0.1*(end-base)+period {
+			fnStart := now
+			fn := names[rng.Intn(len(names))]
+			for k := rng.Intn(4); k >= 0; k-- {
+				dur := period * math.Pow(10, 2*rng.Float64()-1.5)
+				start := now
+				if rng.Intn(3) == 0 {
+					start = period * math.Ceil(start/period)
+					dur = period * float64(rng.Intn(4))
+				}
+				if disorder {
+					switch rng.Intn(6) {
+					case 0:
+						start = base + rng.Float64()*(end-base)*1.4 - 0.2*(end-base)
+					case 1:
+						dur = 0
+					case 2:
+						dur = -dur
+					}
+				}
+				ev := onlineEvent{atS: math.Max(now, start+dur), rank: r, kind: rng.Intn(6) % 5,
+					name: names[rng.Intn(len(names))], startS: start, durS: dur}
+				switch ev.kind {
+				case 0:
+					ev.v0, ev.v1 = dur*200, 1005
+				case 3, 4:
+					ev.kind, ev.v0, ev.v1 = 3, 1410, dur*250
+				}
+				c.events = append(c.events, ev)
+				now = math.Max(now, start+dur) + period*rng.Float64()*0.3
+			}
+			c.events = append(c.events, onlineEvent{atS: now, rank: r, kind: 4, name: fn,
+				startS: fnStart, durS: now - fnStart, v0: (now - fnStart) * 240})
+			if rng.Intn(10) == 0 {
+				c.events = append(c.events, onlineEvent{atS: now, rank: r, kind: 5, name: fn, startS: fnStart, durS: 1, v0: 1410, v1: 1})
+			}
+		}
+	}
+	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].atS < c.events[j].atS })
+	return c
+}
+
+// TestJoinMatchesParentBuild holds both feeds of the join to the parent's
+// Build, every field of every row bit for bit: the slice, in recording
+// order and shuffled, against series as drawJoinCase draws them, and the
+// online join against channels polled as a drawOnlineCase happens, with
+// the join advanced after every record, at random places, or only at the
+// end, each time told the earliest start of the records still to come.
+// The parent's Build sees every tick the channel emitted: those of a twin
+// channel read the same way and never released.
 func TestJoinMatchesParentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	degraded, fellBack := 0, 0
@@ -481,9 +661,6 @@ func TestJoinMatchesParentBuild(t *testing.T) {
 		if got := Build(spans, c.series, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: Build differs from the parent's\n got %+v\nwant %+v", n, got, want)
 		}
-		if got := BuildFromTracer(c.tr, c.series, opts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: BuildFromTracer differs from the parent's\n got %+v\nwant %+v", n, got, want)
-		}
 		rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
 		want = parentBuild(spans, held, opts)
 		if got := Build(spans, c.series, opts); !reflect.DeepEqual(got, want) {
@@ -498,5 +675,80 @@ func TestJoinMatchesParentBuild(t *testing.T) {
 	}
 	if degraded < 30 || fellBack < 30 {
 		t.Errorf("%d degraded and %d disordered cases with rows; the draw no longer covers what it names", degraded, fellBack)
+	}
+
+	var early, released, late, onlineDegraded int
+	for n := 0; n < 300; n++ {
+		c := drawOnlineCase(rng, n%2 == 1)
+		opts := Options{RateHz: []float64{0, 10, 100}[n%3]}
+		// horizon[i] is the earliest start of the records from event i on.
+		horizon := make([]float64, len(c.events)+1)
+		horizon[len(c.events)] = math.Inf(1)
+		for i := len(c.events) - 1; i >= 0; i-- {
+			horizon[i] = horizon[i+1]
+			if ev := &c.events[i]; !ev.poll && ev.startS < horizon[i] {
+				horizon[i] = ev.startS
+			}
+		}
+		for mode, advance := range []func(i int, ev *onlineEvent) bool{
+			func(_ int, ev *onlineEvent) bool { return !ev.poll },
+			func(int, *onlineEvent) bool { return rng.Intn(7) == 0 },
+			func(int, *onlineEvent) bool { return false },
+		} {
+			smp, twin := twinSamplers(c.hz, c.reads)
+			tr := telemetry.NewTracer(3)
+			o := NewOnline(tr, smp, opts)
+			for i := range c.events {
+				ev := &c.events[i]
+				if ev.poll {
+					pollRank(smp, ev.rank)
+				} else {
+					ev.record(tr)
+				}
+				if advance(i, ev) {
+					o.Advance(horizon[i+1])
+				}
+			}
+			for _, row := range o.j.tables[0].rows {
+				if row.Calls > 0 {
+					early++
+					break
+				}
+			}
+			for _, l := range o.ranks {
+				if l.s.n > 0 && l.ch.Series().First > l.s.origin {
+					released++
+					break
+				}
+			}
+			for _, ch := range twin.Channels() {
+				for range len(c.reads[ch.Stats().Rank]) {
+					ch.Poll()
+				}
+			}
+			series := twin.RankSeries()
+			held := map[int][]tick{}
+			for r, s := range series {
+				held[r] = materialise(s)
+				if len(held[r]) > 0 && math.IsNaN(c.reads[r][0].EnergyJ) {
+					late++
+				}
+			}
+			spans := tr.Spans()
+			want := parentBuild(spans, held, opts)
+			if got := o.Finish(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("online case %d, mode %d: the online join differs from the parent's\n got %+v\nwant %+v", n, mode, got, want)
+			}
+			if got := Build(spans, series, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("online case %d, mode %d: Build differs from the parent's\n got %+v\nwant %+v", n, mode, got, want)
+			}
+			if want.Degraded {
+				onlineDegraded++
+			}
+		}
+	}
+	if early < 400 || released < 400 || late < 200 || onlineDegraded < 400 {
+		t.Errorf("of 900 online joins, %d folded rows before the end, %d released ticks, %d had a channel that took its baseline late, %d were degraded; the draw no longer covers what it names",
+			early, released, late, onlineDegraded)
 	}
 }

@@ -5,8 +5,12 @@
 // once it is long: a run's million-odd records were each copied four or
 // five times that way, and every abandoned array was garbage. A block is
 // allocated when the sequence first reaches it and never moved, so a record
-// is written once, an element's address stays valid, and a bounded sequence
-// that the run did not fill retains what it used, not its bound.
+// is written once, an element's address stays valid while it is held, and
+// a bounded sequence that the run did not fill retains what it used, not
+// its bound. A sequence lets go of its oldest elements (Drop) a whole block
+// at a time: the block goes to the back for the elements to come, so a
+// sequence that is read and dropped as it grows holds what is left to read,
+// not all it was given.
 package blocks
 
 import "slices"
@@ -19,10 +23,11 @@ const Len = 512
 // It is not safe for concurrent use: each belongs to the goroutine that
 // drives its owner's run.
 type Seq[T any] struct {
-	blocks [][]T
+	blocks [][]T // blocks[0] holds the oldest element, at off
+	off    int
 	n      int // elements held
-	head   int // position of the oldest, once a bounded sequence has wrapped
 	bound  int // most elements held; 0 for no bound
+	spare  []T // a block the front let go of, for the back to take
 }
 
 // Bounded returns a sequence that holds at most bound elements.
@@ -32,51 +37,53 @@ func Bounded[T any](bound int) Seq[T] { return Seq[T]{bound: bound} }
 // assign: what it holds is stale. A bounded sequence that is full gives up
 // its oldest element for it and reports dropped.
 func (s *Seq[T]) Push() (slot *T, dropped bool) {
-	at := s.n
-	if s.bound == 0 || s.n < s.bound {
-		s.n++
-	} else {
-		at, dropped = s.head, true
-		if s.head++; s.head == s.bound {
-			s.head = 0
-		}
+	if s.bound != 0 && s.n == s.bound {
+		s.Drop(1)
+		dropped = true
 	}
+	at := s.off + s.n
 	b := at / Len
 	if b == len(s.blocks) {
-		size := Len
-		if s.bound != 0 {
-			size = min(Len, s.bound-b*Len)
+		block := s.spare
+		if block == nil {
+			block = make([]T, Len)
 		}
-		s.blocks = append(s.blocks, make([]T, size))
+		s.blocks, s.spare = append(s.blocks, block), nil
 	}
+	s.n++
 	return &s.blocks[b][at%Len], dropped
+}
+
+// Drop lets go of the k oldest elements, 0 <= k <= Len(). A block left
+// empty is kept for the elements to come; any before it are freed.
+func (s *Seq[T]) Drop(k int) {
+	s.n -= k
+	s.off += k
+	if gone := s.off / Len; gone > 0 {
+		s.spare = s.blocks[gone-1]
+		kept := copy(s.blocks, s.blocks[gone:])
+		clear(s.blocks[kept:])
+		s.blocks = s.blocks[:kept]
+		s.off -= gone * Len
+	}
 }
 
 // Len returns the number of elements held.
 func (s *Seq[T]) Len() int { return s.n }
 
-// At returns the i-th oldest element, 0 <= i < Len(): where a ring that
-// has wrapped holds it, past its head.
+// At returns the i-th oldest element, 0 <= i < Len().
 func (s *Seq[T]) At(i int) *T {
-	if i += s.head; i >= s.n {
-		i -= s.n
-	}
+	i += s.off
 	return &s.blocks[i/Len][i%Len]
 }
 
 // Runs calls fn with every element, oldest first, in the contiguous runs
 // they are stored in.
 func (s *Seq[T]) Runs(fn func(run []T)) {
-	s.runs(s.head, s.n, fn)
-	s.runs(0, s.head, fn)
-}
-
-// runs calls fn with the stored positions [from, to).
-func (s *Seq[T]) runs(from, to int, fn func(run []T)) {
-	for from < to {
+	for from, to := s.off, s.off+s.n; from < to; {
 		block := s.blocks[from/Len]
 		off := from % Len
-		end := min(len(block), off+to-from)
+		end := min(Len, off+to-from)
 		fn(block[off:end])
 		from += end - off
 	}
@@ -91,4 +98,4 @@ func (s *Seq[T]) AppendTo(dst []T) []T {
 }
 
 // Reset empties the sequence and keeps its blocks for the elements to come.
-func (s *Seq[T]) Reset() { s.n, s.head = 0, 0 }
+func (s *Seq[T]) Reset() { s.n, s.off = 0, 0 }

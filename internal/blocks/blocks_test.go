@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -67,6 +68,48 @@ func TestSeqMatchesSliceModel(t *testing.T) {
 	}
 }
 
+// TestDropMatchesSliceModel pushes and drops at random, unbounded and
+// bounded, against a plain slice: Drop lets go of exactly the oldest
+// elements, the rest keep their order and their addresses, and a sequence
+// dropped as it grows holds the blocks its elements need, plus one spare.
+func TestDropMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, bound := range []int{0, 5, Len, 3*Len + 17} {
+		s := Bounded[int](bound)
+		var model []int
+		var addrs []*int
+		for v := 0; v < 40*Len; v++ {
+			slot, dropped := s.Push()
+			*slot = v
+			model, addrs = append(model, v), append(addrs, slot)
+			if dropped {
+				model, addrs = model[1:], addrs[1:]
+			}
+			if rng.Intn(50) == 0 {
+				k := rng.Intn(len(model) + 1)
+				s.Drop(k)
+				model, addrs = model[k:], addrs[k:]
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("bound %d after %d pushes: Len %d, want %d", bound, v+1, s.Len(), len(model))
+			}
+			if len(s.blocks) > (s.Len()+Len-1)/Len+1 {
+				t.Fatalf("bound %d after %d pushes: %d blocks for %d elements", bound, v+1, len(s.blocks), s.Len())
+			}
+			if v%61 == 0 {
+				if got := s.AppendTo(nil); !slices.Equal(got, model) {
+					t.Fatalf("bound %d after %d pushes: holds %v..., want %v...", bound, v+1, got[:min(4, len(got))], model[:min(4, len(model))])
+				}
+				for i := range model {
+					if s.At(i) != addrs[i] {
+						t.Fatalf("bound %d after %d pushes: element %d moved", bound, v+1, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSeqAllocatesABlockAtATime pins the point of the package: filling a
 // sequence allocates its blocks and the table of them, not a longer copy of
 // itself every so often, and a ring at its bound allocates nothing.
@@ -93,5 +136,16 @@ func TestSeqAllocatesABlockAtATime(t *testing.T) {
 		}
 	}); wrap != 0 {
 		t.Errorf("a full ring allocated %.0f times while wrapping", wrap)
+	}
+	var window Seq[[4]float64]
+	if cycle := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10*Len; i++ {
+			window.Push()
+			if window.Len() > Len {
+				window.Drop(Len / 2)
+			}
+		}
+	}); cycle != 0 {
+		t.Errorf("a sequence dropped as it grows allocated %.0f times", cycle)
 	}
 }

@@ -388,6 +388,15 @@ func Run(cfg Config) (*Result, error) {
 		}
 		smp.PollAll()
 	}
+	// With a tracer too, the sampled series are joined against the kernel
+	// and function spans while the run runs: at each step boundary the join
+	// folds the spans whose ticks are in and the rank channels let go of
+	// the ticks no waiting span reads. It is gated by the documented
+	// tolerance contract at the sampler's own rate.
+	var join *attrib.Online
+	if smp != nil && cfg.Tracer != nil {
+		join = attrib.NewOnline(cfg.Tracer, smp, attrib.Options{RateHz: smp.Config().GPUHz})
+	}
 
 	// On any mid-run failure the hardware state is restored before
 	// returning: every rank's clocks are reset (best-effort) and the
@@ -590,6 +599,7 @@ func Run(cfg Config) (*Result, error) {
 		rt.stepSpan(step, stepStart, bound, stepJ)
 		stepStart = bound
 		re.stepDone(bound, step, stepJ)
+		join.Advance(bound)
 		// Step-level failure detection: record new rank deaths and let the
 		// degradation policy decide whether (and how) the run continues.
 		failed := strategyErr
@@ -648,19 +658,16 @@ func Run(cfg Config) (*Result, error) {
 	report.OtherEnergyJ -= setup.Other
 	report.TotalEnergyJ = report.GPUEnergyJ + report.CPUEnergyJ + report.MemEnergyJ + report.OtherEnergyJ
 
-	// Final sampler flush, then the span join: sampled series against
-	// kernel/function spans, both read where the sampler and the tracer hold
-	// them, gated by the documented tolerance contract at the sampler's own
-	// rate.
+	// Final sampler flush, then the spans still waiting join the series the
+	// run ended with.
 	var attribution *attrib.Attribution
 	if smp != nil {
 		smp.PollAll()
-		if cfg.Tracer != nil {
-			attribution = attrib.BuildFromTracer(cfg.Tracer, smp.RankSeries(),
-				attrib.Options{RateHz: smp.Config().GPUHz})
-			// No silent overflow: a rank ring that wrapped no longer holds
-			// the run's start, and the join says so instead of reporting the
-			// gap as sampler error.
+		if join != nil {
+			attribution = join.Finish()
+			// No silent overflow: a rank ring that rotated out ticks a
+			// waiting span read no longer holds them, and the join says so
+			// instead of reporting the gap as sampler error.
 			var dropped uint64
 			for _, st := range smp.Stats() {
 				if st.Rank >= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,29 +194,55 @@ func BenchmarkSamplerOverhead(b *testing.B) {
 	}
 }
 
-// TestSamplerOverflowFailsAttributionWithReason drives the rank rings to
-// their wrap point: with room for every tick the join is clean and
-// serialises as it always did; one slot short, the rings drop one sample per
-// rank and the attribution fails with that count as its stated reason — in
-// the struct, the report JSON, the rendered table and one ledger event.
-func TestSamplerOverflowFailsAttributionWithReason(t *testing.T) {
-	run := func(ringCap int) (*Result, *events.Ledger) {
-		led := events.NewLedger(0)
-		res, err := Run(Config{
-			System:           cluster.MiniHPC(),
-			Ranks:            2,
-			Sim:              Turbulence,
-			ParticlesPerRank: 10e6,
-			Steps:            3,
-			Tracer:           telemetry.NewTracer(2),
-			Events:           led,
-			Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10, RingCap: ringCap},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, led
+// samplingRun runs miniHPC Turbulence on 2 ranks for steps steps with the
+// tracer, a ledger and the sampler on, its rings bounded at ringCap ticks
+// (the default when 0).
+func samplingRun(t *testing.T, steps, ringCap int) (*Result, *events.Ledger) {
+	t.Helper()
+	led := events.NewLedger(0)
+	res, err := Run(Config{
+		System:           cluster.MiniHPC(),
+		Ranks:            2,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            steps,
+		Tracer:           telemetry.NewTracer(2),
+		Events:           led,
+		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10, RingCap: ringCap},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res, led
+}
+
+// rankTicks returns the ticks every rank channel of res emitted, failing t
+// when they disagree or any was dropped.
+func rankTicks(t *testing.T, res *Result) uint64 {
+	t.Helper()
+	var ticks uint64
+	for _, st := range res.Sampler.Stats() {
+		if st.Rank >= 0 {
+			if st.Dropped != 0 {
+				t.Fatalf("rank %d dropped %d ticks", st.Rank, st.Dropped)
+			}
+			if ticks != 0 && st.Ticks != ticks {
+				t.Fatalf("rank channels disagree on the tick count: %d vs %d", st.Ticks, ticks)
+			}
+			ticks = st.Ticks
+		}
+	}
+	return ticks
+}
+
+// TestSamplerOverflowFailsAttributionWithReason drives the rank rings past
+// their bound: a ring holds the ticks its waiting spans read, about one
+// step, so a ring of the run's ticks is clean and serialises as it always
+// did, and one that cannot hold a step rotates out ticks a waiting span
+// reads. The attribution then fails with the count as its stated reason —
+// in the struct, the report JSON, the rendered table and one ledger event.
+func TestSamplerOverflowFailsAttributionWithReason(t *testing.T) {
+	const steps = 3
 	reportJSON := func(res *Result) string {
 		b, err := json.Marshal(res.Report)
 		if err != nil {
@@ -224,30 +251,19 @@ func TestSamplerOverflowFailsAttributionWithReason(t *testing.T) {
 		return string(b)
 	}
 
-	ref, _ := run(0) // the default ring is far larger than a 3-step run
-	var ticks uint64
-	for _, st := range ref.Sampler.Stats() {
-		if st.Rank >= 0 {
-			if st.Dropped != 0 {
-				t.Fatalf("reference run dropped %d samples", st.Dropped)
-			}
-			if ticks != 0 && st.Ticks != ticks {
-				t.Fatalf("rank channels disagree on the tick count: %d vs %d", st.Ticks, ticks)
-			}
-			ticks = st.Ticks
-		}
-	}
-	if ticks < 10 {
-		t.Fatalf("only %d ticks: no wrap point to test", ticks)
+	ref, _ := samplingRun(t, steps, 0) // the default ring is far larger than a 3-step run
+	ticks := rankTicks(t, ref)
+	if ticks < 10*steps {
+		t.Fatalf("only %d ticks: no step to overflow", ticks)
 	}
 
-	// Exactly full: nothing dropped, nothing new said.
-	full, led := run(int(ticks))
+	// Room for every tick: nothing dropped, nothing new said.
+	full, led := samplingRun(t, steps, int(ticks))
 	if a := full.Attribution; !a.Pass || a.DroppedSamples != 0 {
-		t.Fatalf("ring of exactly %d ticks: pass=%v dropped=%d", ticks, a.Pass, a.DroppedSamples)
+		t.Fatalf("ring of %d ticks: pass=%v dropped=%d", ticks, a.Pass, a.DroppedSamples)
 	}
 	if got, want := reportJSON(full), reportJSON(ref); got != want {
-		t.Error("a full ring without drops serialises differently from the default ring")
+		t.Error("a ring without drops serialises differently from the default ring")
 	}
 	if strings.Contains(reportJSON(full), "dropped_samples") {
 		t.Error("a join without drops serialises a dropped-sample count")
@@ -256,20 +272,50 @@ func TestSamplerOverflowFailsAttributionWithReason(t *testing.T) {
 		t.Errorf("%d sampler-overflow events without an overflow", n)
 	}
 
-	// One slot short: each of the two rank rings rotates out one sample.
-	short, led := run(int(ticks) - 1)
+	// Half a step's ticks: each rank ring rotates out ticks its spans read.
+	short, led := samplingRun(t, steps, int(ticks)/steps/2)
+	var dropped uint64
+	for _, st := range short.Sampler.Stats() {
+		if st.Rank >= 0 {
+			dropped += st.Dropped
+		}
+	}
 	a := short.Attribution
-	if a.DroppedSamples != 2 || a.Pass {
-		t.Fatalf("ring one short of %d ticks: dropped=%d pass=%v, want 2 and a failed attribution",
-			ticks, a.DroppedSamples, a.Pass)
+	if dropped == 0 || a.DroppedSamples != dropped || a.Pass {
+		t.Fatalf("ring of half a step: dropped=%d of %d rotated out, pass=%v; want them all and a failed attribution",
+			a.DroppedSamples, dropped, a.Pass)
 	}
-	if !strings.Contains(reportJSON(short), `"dropped_samples":2`) {
-		t.Error("report JSON lacks the dropped-sample count")
+	if want := fmt.Sprintf(`"dropped_samples":%d`, dropped); !strings.Contains(reportJSON(short), want) {
+		t.Errorf("report JSON lacks %s", want)
 	}
-	if out := report.RenderAttribution(a, 0); !strings.Contains(out, "2 samples dropped") {
-		t.Errorf("rendered attribution does not state the reason:\n%s", out)
+	if out, want := report.RenderAttribution(a, 0), fmt.Sprintf("%d samples dropped", dropped); !strings.Contains(out, want) {
+		t.Errorf("rendered attribution does not state the reason %q:\n%s", want, out)
 	}
 	if n := led.Summary().ByType[events.SamplerOverflow]; n != 1 {
 		t.Errorf("%d sampler-overflow events, want exactly 1", n)
+	}
+}
+
+// TestSmallRingJoinsLongRun: the join lets each rank ring go of the ticks
+// no waiting span reads, so a ring of a couple of steps carries a run of
+// more than ten times its ticks without a drop, and the attribution is the
+// default ring's to the byte.
+func TestSmallRingJoinsLongRun(t *testing.T) {
+	const steps, ringCap = 40, 200
+	small, _ := samplingRun(t, steps, ringCap)
+	if ticks := rankTicks(t, small); ticks < 10*ringCap {
+		t.Fatalf("%d ticks a rank: not ten times the ring's %d", ticks, ringCap)
+	}
+	ref, _ := samplingRun(t, steps, 0)
+	got, err := json.Marshal(small.Attribution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref.Attribution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !small.Attribution.Pass || string(got) != string(want) {
+		t.Errorf("a %d-tick ring's attribution (pass=%v) differs from the default ring's", ringCap, small.Attribution.Pass)
 	}
 }

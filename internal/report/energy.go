@@ -53,9 +53,9 @@ func RenderAttribution(a *attrib.Attribution, n int) string {
 			rs.Rank, "", rs.Samples, rs.ModelJ, rs.SampledJ, rs.ErrPct)
 	}
 	if a.DroppedSamples > 0 {
-		fmt.Fprintf(&sb, "FAIL: sampler rings overflowed, %d samples dropped before the join — spans older than the\n"+
-			"  retained series attribute to nothing, so the errors below measure that gap, not the sampler\n"+
-			"  (shorten the run, lower the rate or raise sampler.Config.RingCap)\n", a.DroppedSamples)
+		fmt.Fprintf(&sb, "FAIL: sampler rings overflowed, %d samples dropped before their spans were joined — spans\n"+
+			"  older than the retained ticks attribute to nothing, so the errors below measure that gap, not\n"+
+			"  the sampler (a ring must hold a step's ticks: raise sampler.Config.RingCap or lower the rate)\n", a.DroppedSamples)
 	}
 	verdict := "PASS"
 	if !a.Pass {

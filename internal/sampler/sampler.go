@@ -16,13 +16,16 @@
 //
 // A tick's time is implied by its index k on the grid, float64(k)·period,
 // so a channel keeps one float64 a tick: the cumulative energy, in a
-// bounded ring (old ticks are dropped, not reallocated). The energy
-// between two instants is the difference of two readings, and a tick's
-// mean power is that difference over the period, computed where it is
-// read. Channels accumulate energy overflow-safely (counter wraps and
-// resets clamp to zero delta instead of going negative, and the running
-// sum is Kahan-compensated), and count their polls, ticks, drops and
-// degradations.
+// bounded ring. Its reader lets go of the ticks it is done with
+// (Channel.Release) while the run runs — internal/attrib's join keeps only
+// the ticks its waiting spans still read — so a ring holds a window of the
+// run, not the run; a full ring rotates its oldest tick out and counts it
+// dropped. The energy between two instants is the difference of two
+// readings, and a tick's mean power is that difference over the period,
+// computed where it is read. Channels accumulate energy overflow-safely
+// (counter wraps and resets clamp to zero delta instead of going negative,
+// and the running sum is Kahan-compensated), and count their polls, ticks,
+// drops and degradations.
 //
 // # Degradation
 //
@@ -58,8 +61,11 @@ const (
 )
 
 // DefaultRingCap bounds each channel's in-memory series, in ticks of 8
-// bytes (512 KiB a channel when full). At 100 Hz this covers ~10 minutes of
-// virtual time before the oldest ticks rotate out.
+// bytes (512 KiB a channel when full). A rank channel joined while the run
+// runs holds only the window its waiting spans read — from the start of the
+// oldest of them to the newest tick, about a step — so the cap bounds that
+// window, 655 s of it at 100 Hz, not the run; a channel nothing releases
+// (a node's, or a rank's in a run without a tracer) holds its newest 655 s.
 const DefaultRingCap = 1 << 16
 
 // Config configures the sampler. The zero value means "sampling off";
@@ -69,7 +75,7 @@ type Config struct {
 	GPUHz float64
 	// NodeHz is the tick rate for out-of-band node sensors (pm_counters).
 	NodeHz float64
-	// RingCap bounds each channel's series in ticks (DefaultRingCap when 0).
+	// RingCap bounds each channel's held ticks (DefaultRingCap when 0).
 	RingCap int
 }
 
@@ -105,10 +111,10 @@ func (c Config) Defaulted() Config {
 // Series is a channel's retained tick series, read where the channel keeps
 // it: held tick i is grid tick First+i, at time TimeS(i), and Energies
 // holds its unwrapped cumulative energy since the channel started. It is a
-// view, valid until the channel is polled again.
+// view, valid until the channel is polled or released again.
 type Series struct {
 	// First is the grid index of the oldest held tick. It advances as the
-	// bounded ring drops ticks.
+	// channel releases ticks and as the bounded ring drops them.
 	First int64
 	// PeriodS is the tick period.
 	PeriodS float64
@@ -137,7 +143,8 @@ type Stats struct {
 	Rank int // -1 for node-level channels
 	// Polls counts sensor reads; Ticks counts emitted grid ticks.
 	Polls, Ticks uint64
-	// Dropped counts ticks rotated out of the bounded ring.
+	// Dropped counts ticks a full ring rotated out; a released tick is not
+	// one of them.
 	Dropped uint64
 	// FaultReads counts discarded NaN reads (transient sensor failures).
 	FaultReads uint64
@@ -150,9 +157,9 @@ type Stats struct {
 }
 
 // Channel samples one sensor on a fixed tick grid. Its series is a ring of
-// Config.RingCap energies, 8 bytes a tick, in blocks: the held ticks are
-// contiguous on the grid and end at the newest, so a tick's index, and with
-// it its time, follows from its place in the ring. A nil *Channel is a
+// at most Config.RingCap energies, 8 bytes a tick, in blocks: the held
+// ticks are contiguous on the grid and end at the newest, so a tick's
+// index, and with it its time, follows from its place in the ring. A nil *Channel is a
 // valid no-op, so call sites can poll unconditionally. A channel belongs to
 // the goroutine that drives its run, as the device its sensor reads does,
 // so it has no lock.
@@ -359,14 +366,7 @@ func (c *Channel) push(e float64) {
 		return
 	}
 	c.dropped++
-	if len(c.degraded) > 0 {
-		first := c.tick + 1 - int64(c.ring.Len())
-		if r := &c.degraded[0]; r.To <= first {
-			c.degraded = c.degraded[1:]
-		} else if r.From < first {
-			r.From = first
-		}
-	}
+	c.clipDegraded(c.tick + 1 - int64(c.ring.Len()))
 }
 
 // markDegraded flags tick c.tick, just pushed: it extends the newest run
@@ -380,13 +380,41 @@ func (c *Channel) markDegraded() {
 	c.degraded = append(c.degraded, TickRun{From: c.tick, To: c.tick + 1})
 }
 
-// series returns the channel's retained series, read in place.
-func (c *Channel) series() Series {
+// Series returns the channel's retained series, read in place.
+func (c *Channel) Series() Series {
 	return Series{
 		First:    c.tick - int64(c.ring.Len()),
 		PeriodS:  c.periodS,
 		Energies: c.ring,
 		Degraded: c.degraded,
+	}
+}
+
+// Release lets go of the held ticks before grid tick k, and of the degraded
+// runs among them: the reader is done with them. They are not dropped
+// ticks, and a k past the newest tick empties the series.
+func (c *Channel) Release(k int64) {
+	if c == nil {
+		return
+	}
+	first := c.tick - int64(c.ring.Len())
+	if k <= first {
+		return
+	}
+	c.ring.Drop(int(min(k, c.tick) - first))
+	c.clipDegraded(k)
+}
+
+// clipDegraded removes the degraded runs before grid tick k and clips the
+// one that straddles it.
+func (c *Channel) clipDegraded(k int64) {
+	drop := 0
+	for drop < len(c.degraded) && c.degraded[drop].To <= k {
+		drop++
+	}
+	c.degraded = c.degraded[drop:]
+	if len(c.degraded) > 0 && c.degraded[0].From < k {
+		c.degraded[0].From = k
 	}
 }
 
@@ -522,14 +550,15 @@ func (s *Sampler) PollNodes() {
 	}
 }
 
-// RankSeries returns each rank's sampled series (the join input for
-// internal/attrib), read where its channel keeps it: a rank has one
-// channel (AddRank is the only way to make one), and no tick is copied.
+// RankSeries returns each rank's held series (attrib.Build's input), read
+// where its channel keeps it: a rank has one channel (AddRank is the only
+// way to make one), and no tick is copied. A channel that a run joined
+// while it ran holds the ticks since its oldest span left waiting.
 func (s *Sampler) RankSeries() map[int]Series {
 	out := map[int]Series{}
 	for _, ch := range s.Channels() {
 		if ch.rank >= 0 {
-			out[ch.rank] = ch.series()
+			out[ch.rank] = ch.Series()
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sphenergy/internal/blocks"
@@ -48,7 +49,7 @@ func ticks(s Series) []tick {
 }
 
 // samples materialises a channel's retained series, oldest first.
-func samples(ch *Channel) []tick { return ticks(ch.series()) }
+func samples(ch *Channel) []tick { return ticks(ch.Series()) }
 
 // powerW is the mean power over the interval ending at held tick k.
 func powerW(got []tick, k int) float64 {
@@ -164,6 +165,60 @@ func TestChannelRingWrapsAcrossBlocks(t *testing.T) {
 	if st := ch.Stats(); st.Ticks != ticks || st.Dropped != ticks-ringCap {
 		t.Fatalf("ticks %d dropped %d, want %d and %d", st.Ticks, st.Dropped, ticks, ticks-ringCap)
 	}
+}
+
+// TestChannelReleaseIsNotADrop releases a channel's ticks as a reader does
+// while the series grows — with degraded runs among them and a ring too
+// small for the whole series — against a twin channel that keeps them: the
+// released channel holds exactly the twin's ticks from the release point
+// on, with the twin's flags clipped there, and drops none; a release past the newest tick empties the series, one at or
+// before its first tick changes nothing.
+func TestChannelReleaseIsNotADrop(t *testing.T) {
+	const ringCap, polls = blocks.Len + 100, 20 * blocks.Len
+	states := make([]pmt.State, polls)
+	for i := range states {
+		states[i] = pmt.State{TimeS: float64(i) * 0.1, EnergyJ: float64(i)}
+		if i%97 > 90 {
+			states[i].EnergyJ = math.NaN()
+		}
+	}
+	s := New(Config{GPUHz: 10, RingCap: ringCap})
+	ch := s.AddRank(0, &scriptSensor{name: "a", states: states})
+	twin := New(Config{GPUHz: 10}).AddRank(0, &scriptSensor{name: "b", states: states})
+	for i := range states {
+		ch.Poll()
+		twin.Poll()
+		if i%300 != 299 {
+			continue
+		}
+		k := int64(i - 40)
+		ch.Release(k)
+		got, want := ch.Series(), twin.Series()
+		if got.First != k {
+			t.Fatalf("after release at %d: first held tick %d", k, got.First)
+		}
+		from := int(k - want.First)
+		if gotT, wantT := ticks(got), ticks(want)[from:]; !reflect.DeepEqual(gotT, wantT) {
+			t.Fatalf("after release at %d: holds %v, want %v", k, gotT, wantT)
+		}
+		if len(got.Degraded) > 0 && got.Degraded[0].From < k {
+			t.Fatalf("after release at %d: a degraded run starts at %d", k, got.Degraded[0].From)
+		}
+	}
+	if st := ch.Stats(); st.Dropped != 0 || st.Ticks != twin.Stats().Ticks || st.DegradedTicks == 0 {
+		t.Fatalf("released channel: %+v; twin %+v", st, twin.Stats())
+	}
+	first := ch.Series().First
+	ch.Release(first - 5)
+	if got := ch.Series(); got.First != first {
+		t.Fatalf("a release before the first tick moved it %d -> %d", first, got.First)
+	}
+	ch.Release(first + 1e6)
+	if got := ch.Series(); got.Len() != 0 || len(got.Degraded) != 0 {
+		t.Fatalf("a release past the newest tick left %d ticks, %d degraded runs", got.Len(), len(got.Degraded))
+	}
+	var none *Channel
+	none.Release(3)
 }
 
 func TestChannelWrapClamp(t *testing.T) {

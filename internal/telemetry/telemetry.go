@@ -15,13 +15,15 @@
 //
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
-// container per span, an identity's strings quoted once; the
-// in-process read-back is a visit of the complete records where they lie
-// (VisitRecords) or, for callers that want the slice, Spans, two allocations
+// container per span, an identity's strings quoted once. The in-process
+// read-back is a read of one track's complete records where they lie, from
+// a cursor on (ReadRecords), which internal/attrib's join makes while the
+// run runs, or, for callers that want the slice, Spans, two allocations
 // whatever the span count. A tracer belongs to the goroutine that drives
-// its run, so none of this takes a lock: the export and the read-back run
-// once the run has returned. A shard keeps its records in fixed blocks
-// (internal/blocks): recording never copies what is already recorded.
+// its run, so none of this takes a lock: the join reads between the run's
+// steps, and the export once the run has returned. A shard keeps its
+// records in fixed blocks (internal/blocks): recording never copies what
+// is already recorded.
 package telemetry
 
 import (
@@ -314,7 +316,7 @@ func (e SpanEvent) Arg(key string) (float64, bool) {
 // slab all Args are carved from (each capped at its own length, so
 // appending to one span's Args never reaches the next).
 // A consumer that only folds complete spans into something smaller should
-// use VisitRecords, which builds neither.
+// use ReadRecords, which builds neither.
 func (t *Tracer) Spans() []SpanEvent {
 	if t == nil {
 		return nil
@@ -351,33 +353,34 @@ func (t *Tracer) Spans() []SpanEvent {
 	return out
 }
 
-// VisitRecords calls visit once for every complete event recorded on a
-// rank track, in Spans' order, with the rank, the event's interned identity
-// and its start, duration and two float values, read where they lie: it
-// builds no SpanEvent. Instants, counter samples, track names and the
-// global track are skipped. All events sharing an identity have the same
-// category, name and arguments but for the values (Identity, ArgSlot), so a
-// consumer resolves those once per identity instead of once per event.
-// visit must not call back into the tracer.
-func (t *Tracer) VisitRecords(visit func(rank int, ref SpanRef, startS, durS, v0, v1 float64)) {
-	if t == nil {
-		return
+// ReadRecords reads the complete events recorded on rank's track from its
+// from-th event on, in recording order: it calls read with each one's
+// interned identity, start, duration and two float values, read where they
+// lie — it builds no SpanEvent — until read returns false, and returns the
+// index of the event read returned false for, the track's length when it
+// never did. A consumer that reads a track as it grows keeps that index as
+// its cursor. Instants, counter samples and track names are passed over.
+// All events sharing an identity have the same category, name and arguments
+// but for the values (Identity, ArgSlot), so a consumer resolves those once
+// per identity instead of once per event. read must not call back into the
+// tracer. A rank without a track of its own (the global track's events
+// are not a rank's) reads none.
+func (t *Tracer) ReadRecords(rank, from int, read func(ref SpanRef, startS, durS, v0, v1 float64) bool) int {
+	if t == nil || rank < 0 || rank >= len(t.shards)-1 {
+		return from
 	}
-	n := len(t.descs)
-	for rank := 0; rank < len(t.shards)-1; rank++ {
-		t.shards[rank].fast.Runs(func(run []fastEvent) {
-			for i := range run {
-				if fe := &run[i]; fe.ph == phaseComplete && int(fe.ref) < n {
-					visit(rank, fe.ref, fe.startS, fe.durS, fe.v0, fe.v1)
-				}
-			}
-		})
+	fast, n := &t.shards[rank].fast, SpanRef(len(t.descs))
+	for ; from < fast.Len(); from++ {
+		if fe := fast.At(from); fe.ph == phaseComplete && fe.ref < n && !read(fe.ref, fe.startS, fe.durS, fe.v0, fe.v1) {
+			return from
+		}
 	}
+	return from
 }
 
 // Identity returns the category and name of the identity ref names, as its
 // events read back (SpanEvent.Category, SpanEvent.Name). ref must be one
-// the tracer issued, as every ref VisitRecords hands out is.
+// the tracer issued, as every ref ReadRecords hands out is.
 func (t *Tracer) Identity(ref SpanRef) (category, name string) {
 	d := &t.descs[ref]
 	return d.cat, d.name

@@ -256,13 +256,15 @@ func TestSpansReadBack(t *testing.T) {
 	}
 }
 
-// TestVisitRecordsMatchesSpans walks a tracer whose shards span several
+// TestReadRecordsMatchesSpans reads a tracer whose shards span several
 // blocks, with interned, labeled and by-name events, identities with a
 // repeated key and with a label key that is also a float key's, instants,
-// the global track and the records Spans skips: the visitor sees exactly
-// Spans' complete rank-track events in Spans' order, one identity per ref,
-// and each argument Arg finds is in the slot ArgSlot names.
-func TestVisitRecordsMatchesSpans(t *testing.T) {
+// the global track and the records Spans skips, each rank track from a
+// cursor that stops every few records and resumes where it stopped: the
+// reads see exactly Spans' complete rank-track events in Spans' order, one
+// identity per ref, and each argument Arg finds is in the slot ArgSlot
+// names.
+func TestReadRecordsMatchesSpans(t *testing.T) {
 	tr := NewTracer(3)
 	refs := []SpanRef{
 		tr.Intern("kernel", "density", "clock_mhz", "energy_j"),
@@ -301,18 +303,35 @@ func TestVisitRecordsMatchesSpans(t *testing.T) {
 		startS, durS, v0, v1 float64
 	}
 	var got []record
-	tr.VisitRecords(func(rank int, ref SpanRef, startS, durS, v0, v1 float64) {
-		got = append(got, record{rank, ref, startS, durS, v0, v1})
-	})
+	for rank := 0; rank < 3; rank++ {
+		for cursor, stops := 0, 0; ; stops++ {
+			budget := stops % 7 // 0 reads nothing and must not move the cursor
+			next := tr.ReadRecords(rank, cursor, func(ref SpanRef, startS, durS, v0, v1 float64) bool {
+				if budget == 0 {
+					return false
+				}
+				budget--
+				got = append(got, record{rank, ref, startS, durS, v0, v1})
+				return true
+			})
+			if next < cursor || stops > 4*blocks.Len {
+				t.Fatalf("rank %d: cursor went from %d to %d after %d stops", rank, cursor, next, stops)
+			}
+			if budget > 0 {
+				break // read to the end of the track
+			}
+			cursor = next
+		}
+	}
 	if len(got) != len(want) {
-		t.Fatalf("visited %d records, Spans has %d complete rank-track events", len(got), len(want))
+		t.Fatalf("read %d records, Spans has %d complete rank-track events", len(got), len(want))
 	}
 	identity := map[SpanRef]string{}
 	for i, w := range want {
 		g := got[i]
 		if cat, name := tr.Identity(g.ref); g.rank != w.Track || cat != w.Category || name != w.Name ||
 			math.Float64bits(g.startS) != math.Float64bits(w.StartS) || math.Float64bits(g.durS) != math.Float64bits(w.DurS) {
-			t.Fatalf("record %d: visited rank %d, %s/%s at %v for %v; Spans has %+v", i, g.rank, cat, name, g.startS, g.durS, w)
+			t.Fatalf("record %d: read rank %d, %s/%s at %v for %v; Spans has %+v", i, g.rank, cat, name, g.startS, g.durS, w)
 		}
 		for _, key := range []string{"clock_mhz", "energy_j", "gpu_j", "boost", "x", "absent"} {
 			v, ok := w.Arg(key)
@@ -337,7 +356,17 @@ func TestVisitRecordsMatchesSpans(t *testing.T) {
 		t.Errorf("saw %d identities, recorded %d", len(identity), len(refs)+1)
 	}
 	var nilT *Tracer
-	nilT.VisitRecords(func(int, SpanRef, float64, float64, float64, float64) { t.Error("a nil tracer visited a record") })
+	for _, c := range []struct {
+		tr   *Tracer
+		rank int
+	}{{nilT, 0}, {tr, GlobalTrack}, {tr, 3}} {
+		if next := c.tr.ReadRecords(c.rank, 5, func(SpanRef, float64, float64, float64, float64) bool {
+			t.Errorf("track %d read a record", c.rank)
+			return true
+		}); next != 5 {
+			t.Errorf("track %d: cursor moved from 5 to %d", c.rank, next)
+		}
+	}
 }
 
 // TestTrackExportsInRecordingOrder records every phase, labeled and not,
