@@ -32,7 +32,6 @@ type MemModel struct {
 type EnergyMeter struct {
 	nowS    float64
 	energyJ float64
-	lastW   float64
 }
 
 // Advance accrues `watts` for `seconds` of virtual time and returns the
@@ -42,7 +41,6 @@ func (m *EnergyMeter) Advance(seconds, watts float64) (beforeJ, afterJ float64) 
 	if seconds > 0 {
 		m.nowS += seconds
 		m.energyJ += watts * seconds
-		m.lastW = watts
 	}
 	return beforeJ, m.energyJ
 }
@@ -52,9 +50,6 @@ func (m *EnergyMeter) EnergyJ() float64 { return m.energyJ }
 
 // NowS returns the component's virtual time.
 func (m *EnergyMeter) NowS() float64 { return m.nowS }
-
-// PowerW returns the last applied power.
-func (m *EnergyMeter) PowerW() float64 { return m.lastW }
 
 // CPU is one CPU package instance with its meter.
 type CPU struct {

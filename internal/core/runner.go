@@ -13,9 +13,7 @@ import (
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/instr"
 	"sphenergy/internal/mpisim"
-	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/rsmi"
 	"sphenergy/internal/sampler"
 	"sphenergy/internal/telemetry"
 )
@@ -282,25 +280,6 @@ type rankCtx struct {
 	samp *sampler.Channel
 }
 
-// gpuSensor builds a rank's GPU sensor through its own vendor library, the
-// in-band read path a real PMT sensor takes.
-func gpuSensor(dev *gpusim.Device) pmt.Sensor {
-	switch dev.Spec().Vendor {
-	case gpusim.AMD:
-		if lib, err := rsmi.New([]*gpusim.Device{dev}); err == nil {
-			return pmt.NewRSMI(lib, 0)
-		}
-	default:
-		lib, err := nvml.New([]*gpusim.Device{dev})
-		if err == nil && lib.Init() == nil {
-			if h, err := lib.DeviceGetHandleByIndex(0); err == nil {
-				return pmt.NewNVML(h)
-			}
-		}
-	}
-	return pmt.Dummy{}
-}
-
 // Run executes the instrumented time-stepping loop. A budget or a stop that
 // ends the run early returns ErrWalltimeBudget, ErrEnergyBudget or
 // ErrInterrupted with the complete result of the steps before it; any other
@@ -337,7 +316,7 @@ func Run(cfg Config) (*Result, error) {
 			dev:      dev,
 			setter:   freqctl.DeviceSetter{Dev: dev},
 			strategy: cfg.NewStrategy(),
-			sensor:   gpuSensor(dev),
+			sensor:   pmt.NewGPU(dev),
 			profile:  instr.NewRankProfile(r),
 		}
 		fs.wireRank(rc, r)
@@ -353,7 +332,7 @@ func Run(cfg Config) (*Result, error) {
 	rt := newRunTelemetry(cfg)
 	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
 	re := newRunEvents(cfg, func() int { return curStep }, load)
-	if rec := rt.spanRecorder(); rec != nil {
+	if rec := rt.barrierWaits(); rec != nil {
 		world.SetRecorder(rec)
 	}
 	for r, rc := range ranks {

@@ -273,7 +273,7 @@ func TestLUMIRunUsesAMDPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.GPUEnergyJ() <= 0 {
-		t.Error("AMD devices unmeasured (rsmi sensor path broken)")
+		t.Error("AMD devices unmeasured (ROCm-SMI sensor path broken)")
 	}
 }
 

@@ -88,27 +88,21 @@ func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
 	o.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
 }
 
-// waitRecorder adapts the tracer to mpisim.SpanRecorder. mpisim emits one
-// span identity (the barrier wait), so it is interned at wiring time and
-// every record goes straight to the fast path; anything else falls back to
-// the tracer's general entry point.
+// waitRecorder records the world's barrier waits on the rank tracks, under
+// one span identity interned at wiring time.
 type waitRecorder struct {
 	tr  *telemetry.Tracer
 	ref telemetry.SpanRef
 }
 
-// RecordSpan implements mpisim.SpanRecorder.
-func (w waitRecorder) RecordSpan(rank int, category, name string, startS, durS float64) {
-	if category == "mpi" && name == "barrier-wait" {
-		w.tr.CompleteRef(rank, w.ref, startS, durS, 0, 0)
-		return
-	}
-	w.tr.RecordSpan(rank, category, name, startS, durS)
+// BarrierWait implements mpisim.WaitRecorder.
+func (w waitRecorder) BarrierWait(rank int, startS, durS float64) {
+	w.tr.CompleteRef(rank, w.ref, startS, durS, 0, 0)
 }
 
-// spanRecorder returns the world's span recorder, or nil when tracing is
-// off.
-func (rt *runTelemetry) spanRecorder() mpisim.SpanRecorder {
+// barrierWaits returns the world's barrier-wait recorder, or nil when
+// tracing is off.
+func (rt *runTelemetry) barrierWaits() mpisim.WaitRecorder {
 	if rt == nil {
 		return nil
 	}

@@ -18,8 +18,7 @@
 //
 // This package is the one place that knows what an injected fault looks
 // like to the measurement stack. Sensor wraps a pmt.Sensor and Setter wraps
-// a freqctl.Setter, so the vendor emulations (nvml, rsmi) and PMT stay
-// fault-free; MissTick drives the pm_counters collection hook; the runner
+// a freqctl.Setter, so PMT's sensors and freqctl stay fault-free; MissTick drives the pm_counters collection hook; the runner
 // (internal/core) calls Evaluate itself for rank stragglers and crashes.
 package faults
 

@@ -7,26 +7,21 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
-	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmt"
-	"sphenergy/internal/rsmi"
 )
 
-// The wrappers over the paths a run builds: the NVML and ROCm-SMI sensors,
-// the device setter, and ManDyn through a ResilientSetter. Each
-// device starts at t=0 and is advanced one second between reads, into the
-// next fault window.
+// The wrappers over the paths a run builds: the GPU sensor on an Nvidia and
+// an AMD device, the device setter, and ManDyn through a ResilientSetter.
+// Each device starts at t=0 and is advanced one second between reads, into
+// the next fault window.
 
 func TestNVMLSensorDegradesUnderFaults(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	lib, _ := nvml.New([]*gpusim.Device{dev})
-	lib.Init()
-	h, _ := lib.DeviceGetHandleByIndex(0)
 	plan := &Plan{Seed: 1, Rules: []Rule{
 		{Kind: Transient, Target: TargetSensor, StartS: 1, EndS: 2},
 		{Kind: Stuck, Target: TargetSensor, StartS: 2, EndS: 3},
 	}}
-	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewNVML(h), dev.Now)
+	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewGPU(dev), dev.Now)
 
 	good := s.Read() // healthy read primes the cache
 	dev.Idle(1)
@@ -54,11 +49,8 @@ func TestNVMLSensorDegradesUnderFaults(t *testing.T) {
 
 func TestNVMLSensorStuckBeforeFirstGoodRead(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	lib, _ := nvml.New([]*gpusim.Device{dev})
-	lib.Init()
-	h, _ := lib.DeviceGetHandleByIndex(0)
 	plan := &Plan{Seed: 1, Rules: []Rule{{Kind: Stuck, Target: TargetSensor}}}
-	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewNVML(h), dev.Now)
+	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewGPU(dev), dev.Now)
 	if st := s.Read(); !math.IsNaN(st.EnergyJ) {
 		t.Fatalf("stuck with empty cache should be NaN, got %+v", st)
 	}
@@ -66,12 +58,11 @@ func TestNVMLSensorStuckBeforeFirstGoodRead(t *testing.T) {
 
 func TestRSMISensorDegradesUnderFaults(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
-	lib, _ := rsmi.New([]*gpusim.Device{dev})
 	plan := &Plan{Seed: 1, Rules: []Rule{
 		{Kind: Stuck, Target: TargetSensor, StartS: 1, EndS: 2},
 		{Kind: Transient, Target: TargetSensor, StartS: 2, EndS: 3},
 	}}
-	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewRSMI(lib, 0), dev.Now)
+	s := plan.Injector(TargetSensor, 0).Sensor(pmt.NewGPU(dev), dev.Now)
 	good := s.Read()
 	dev.Idle(1)
 	if st := s.Read(); st != good {

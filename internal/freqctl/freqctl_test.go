@@ -22,8 +22,10 @@ func amdSetter(t *testing.T) (Setter, *gpusim.Device) {
 
 // TestSetterForBothVendors sweeps every request from one step below the
 // lowest clock to one step above the highest on the A100 and the MI250X:
-// each lands on the nearest supported clock, the higher one on a tie, which
-// is the table entry NVML's snap and ROCm-SMI's index search both pick.
+// each locks the device at the nearest supported clock, the higher one on a
+// tie, which is the table entry NVML's snap and ROCm-SMI's index search
+// both pick. A reset hands the clock back to the governor
+// (nvmlDeviceResetApplicationsClocks, rsmi_dev_perf_level_set AUTO).
 func TestSetterForBothVendors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -56,8 +58,15 @@ func TestSetterForBothVendors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: SetSMClock(%d): %v", tc.name, mhz, err)
 			}
-			if applied != want || dev.SMClockMHz() != want {
-				t.Fatalf("%s: SetSMClock(%d) applied %d, device at %d, want %d", tc.name, mhz, applied, dev.SMClockMHz(), want)
+			if applied != want || dev.SMClockMHz() != want || dev.Mode() != gpusim.ModeLocked {
+				t.Fatalf("%s: SetSMClock(%d) applied %d, device at %d (%v), want %d locked",
+					tc.name, mhz, applied, dev.SMClockMHz(), dev.Mode(), want)
+			}
+		}
+		// Requests far outside the table land on its ends.
+		for req, want := range map[int]int{0: spec.MinSMClockMHz, 9999: spec.MaxSMClockMHz} {
+			if applied, err := s.SetSMClock(req); err != nil || applied != want {
+				t.Errorf("%s: SetSMClock(%d) = %d, %v; want %d", tc.name, req, applied, err, want)
 			}
 		}
 		if err := s.ResetClocks(); err != nil {
@@ -210,7 +219,8 @@ func TestPowerCapStrategy(t *testing.T) {
 }
 
 // TestSetterRejectsNaNPowerLimit: a NaN cap through the setter fails and
-// changes neither the cap in force nor what a capped launch costs.
+// changes neither the cap in force nor what a capped launch costs: its
+// duration and the energy counter after it.
 func TestSetterRejectsNaNPowerLimit(t *testing.T) {
 	s, dev := nvidiaSetter(t)
 	twin := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
@@ -229,9 +239,9 @@ func TestSetterRejectsNaNPowerLimit(t *testing.T) {
 		t.Errorf("limit after a NaN cap %v, want 250", got)
 	}
 	k := gpusim.KernelDesc{Name: "compute", Items: 50e6, FlopsPerItem: 20000, BytesPerItem: 100}
-	if got, want := dev.Launch(&k), twin.Launch(&k); got != want || dev.PowerW() != twin.PowerW() {
-		t.Errorf("capped launch after a NaN cap took %v s at %v W; without it %v s at %v W",
-			got, dev.PowerW(), want, twin.PowerW())
+	if got, want := dev.Launch(&k), twin.Launch(&k); got != want || dev.EnergyJ() != twin.EnergyJ() {
+		t.Errorf("capped launch after a NaN cap took %v s to %v J; without it %v s to %v J",
+			got, dev.EnergyJ(), want, twin.EnergyJ())
 	}
 }
 
@@ -265,14 +275,28 @@ func TestSetterPowerLimitBothVendors(t *testing.T) {
 	}
 
 	// A cap applies at full precision, finer than NVML's mW and
-	// ROCm-SMI's µW, and an out-of-range one is the device's refusal.
+	// ROCm-SMI's µW, and an out-of-range one is the device's refusal,
+	// which leaves the cap in force.
 	if err := sA.SetPowerLimitW(200.0000004); err != nil {
 		t.Fatal(err)
 	}
 	if devA.PowerLimitW() != 200.0000004 {
 		t.Errorf("amd limit %v, want 200.0000004", devA.PowerLimitW())
 	}
-	if err := sN.SetPowerLimitW(1); err == nil || !strings.HasPrefix(err.Error(), "gpusim: power limit") {
-		t.Errorf("out-of-range cap: %v", err)
+	if err := sN.SetPowerLimitW(300); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s     Setter
+		dev   *gpusim.Device
+		watts float64
+	}{{sN, devN, 1}, {sA, devA, 1e6}} {
+		before := c.dev.PowerLimitW()
+		if err := c.s.SetPowerLimitW(c.watts); err == nil || !strings.HasPrefix(err.Error(), "gpusim: power limit") {
+			t.Errorf("%s: out-of-range cap %v W: %v", c.dev.Spec().Name, c.watts, err)
+		}
+		if got := c.dev.PowerLimitW(); got != before {
+			t.Errorf("%s: refused cap moved the limit %v -> %v W", c.dev.Spec().Name, before, got)
+		}
 	}
 }

@@ -93,9 +93,6 @@ func (d *Device) EnergyJ() float64 { return d.energyJ }
 // that time. Sensors timestamp their samples through this.
 func (d *Device) EnergyAt() (nowS, energyJ float64) { return d.now, d.energyJ }
 
-// PowerW returns the most recent instantaneous board power.
-func (d *Device) PowerW() float64 { return d.lastPowerW }
-
 // SMClockMHz returns the current SM clock.
 func (d *Device) SMClockMHz() int { return d.currentClock() }
 

@@ -227,12 +227,12 @@ func TestPowerWithinBounds(t *testing.T) {
 		d := NewDevice(s, 0)
 		d.SetApplicationClocks(0, s.MaxSMClockMHz)
 		d.Execute(computeKernel())
-		p := d.PowerW()
+		p := d.lastPowerW
 		if p < s.IdlePowerW || p > s.TDPW {
 			t.Errorf("%s: power %v outside [%v, %v]", s.Name, p, s.IdlePowerW, s.TDPW)
 		}
 		d.Idle(0.1)
-		if got := d.PowerW(); math.Abs(got-s.IdlePowerW) > 1e-9 {
+		if got := d.lastPowerW; math.Abs(got-s.IdlePowerW) > 1e-9 {
 			t.Errorf("%s: locked idle power %v, want %v", s.Name, got, s.IdlePowerW)
 		}
 	}
@@ -243,10 +243,10 @@ func TestPowerDropsWithFrequency(t *testing.T) {
 	k := computeKernel()
 	d.SetApplicationClocks(0, 1410)
 	d.Execute(k)
-	pHigh := d.PowerW()
+	pHigh := d.lastPowerW
 	d.SetApplicationClocks(0, 1005)
 	d.Execute(k)
-	pLow := d.PowerW()
+	pLow := d.lastPowerW
 	if pLow >= pHigh {
 		t.Errorf("power did not drop with clock: %v -> %v", pHigh, pLow)
 	}
@@ -289,6 +289,13 @@ func TestIdleAccountsTimeAndEnergy(t *testing.T) {
 	d.Idle(-1) // no-op
 	if d.Now() != 2.5 {
 		t.Error("negative idle advanced time")
+	}
+	// Under the governor an idle GCD draws its idle floor plus the
+	// governor's stability margin: between the floor and 1.5x it.
+	g := NewDevice(MI250XGCD(), 0)
+	g.Idle(3)
+	if floor := g.Spec().IdlePowerW * 3; g.EnergyJ() < floor || g.EnergyJ() > 1.5*floor {
+		t.Errorf("governed idle energy %v J, want in [%v, %v]", g.EnergyJ(), floor, 1.5*floor)
 	}
 }
 
@@ -393,12 +400,12 @@ func TestDevicePathMatchesValueAPI(t *testing.T) {
 				if want := kt.durationAt(&s, mhz); dur != want {
 					t.Errorf("%s %s @%d MHz: Execute took %v, the timing model says %v", s.Name, k.Name, mhz, dur, want)
 				}
-				// The launch drew d.PowerW() for dur; price it by value.
+				// The launch drew d.lastPowerW for dur; price it by value.
 				fRel := float64(mhz) / float64(s.MaxSMClockMHz)
 				vRel := s.voltageAt(mhz) / s.voltageAt(s.MaxSMClockMHz)
 				smAct := math.Min(1, kt.smActivity*(1+0.45*(1-fRel)*kt.cFrac))
 				want := math.Min(s.TDPW, s.IdlePowerW+s.MaxSMPowerW*vRel*vRel*fRel*smAct+s.MaxMemPowerW*kt.memActivity)
-				if got := d.PowerW(); got != want {
+				if got := d.lastPowerW; got != want {
 					t.Errorf("%s %s @%d MHz: device priced %v W, value path %v W", s.Name, k.Name, mhz, got, want)
 				}
 				if got := d.EnergyJ(); got != before+want*dur {

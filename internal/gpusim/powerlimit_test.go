@@ -51,9 +51,9 @@ func TestSetPowerLimitRejectsNaN(t *testing.T) {
 		t.Errorf("limit after a NaN cap %v, want 250", got)
 	}
 	k := computeKernel()
-	if got, want := d.Launch(&k), twin.Launch(&k); got != want || d.PowerW() != twin.PowerW() || d.SMClockMHz() != twin.SMClockMHz() {
+	if got, want := d.Launch(&k), twin.Launch(&k); got != want || d.lastPowerW != twin.lastPowerW || d.SMClockMHz() != twin.SMClockMHz() {
 		t.Errorf("capped launch after a NaN cap took %v s at %v W, %d MHz; without it %v s at %v W, %d MHz",
-			got, d.PowerW(), d.SMClockMHz(), want, twin.PowerW(), twin.SMClockMHz())
+			got, d.lastPowerW, d.SMClockMHz(), want, twin.lastPowerW, twin.SMClockMHz())
 	}
 }
 
@@ -63,7 +63,7 @@ func TestPowerCapDeratesClockAndPower(t *testing.T) {
 	ref := NewDevice(A100SXM480GB(), 0)
 	ref.SetApplicationClocks(0, 1410)
 	refDur := ref.Execute(k)
-	refPower := ref.PowerW()
+	refPower := ref.lastPowerW
 
 	capped := NewDevice(A100SXM480GB(), 0)
 	capped.SetApplicationClocks(0, 1410)
@@ -72,7 +72,7 @@ func TestPowerCapDeratesClockAndPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	dur := capped.Execute(k)
-	if p := capped.PowerW(); p > limit+1e-9 {
+	if p := capped.lastPowerW; p > limit+1e-9 {
 		t.Errorf("capped power %v exceeds limit %v", p, limit)
 	}
 	if dur <= refDur {
@@ -105,7 +105,7 @@ func TestPowerCapUnderGovernor(t *testing.T) {
 	if got := d.SMClockMHz(); got >= 1410 {
 		t.Errorf("governor clock %d under a 150 W cap, want derated", got)
 	}
-	if p := d.PowerW(); p > 150+1e-9 {
+	if p := d.lastPowerW; p > 150+1e-9 {
 		t.Errorf("governor power %v exceeds the cap", p)
 	}
 }

@@ -321,7 +321,7 @@ func FuzzDevicePricing(f *testing.F) {
 			}{
 				{"Now", d.Now(), byValue.Now(), ref.now},
 				{"EnergyJ", d.EnergyJ(), byValue.EnergyJ(), ref.energyJ},
-				{"PowerW", d.PowerW(), byValue.PowerW(), ref.lastPowerW},
+				{"PowerW", d.lastPowerW, byValue.lastPowerW, ref.lastPowerW},
 				{"SMClockMHz", float64(d.SMClockMHz()), float64(byValue.SMClockMHz()), float64(ref.currentClock())},
 			} {
 				if math.Float64bits(q.got) != math.Float64bits(q.unmemo) {

@@ -87,11 +87,11 @@ func (n Network) HaloExchangeS(haloBytes float64, ranks int) float64 {
 	return n.LatencyS*neighbors + haloBytes*neighbors/n.BandwidthBs
 }
 
-// SpanRecorder receives per-rank synchronization spans from the world —
-// the collective-wait timeline of the run. telemetry.Tracer implements it;
-// keeping the interface local leaves mpisim dependency-free.
-type SpanRecorder interface {
-	RecordSpan(rank int, category, name string, startS, durS float64)
+// WaitRecorder receives each rank's barrier wait from the world — the
+// collective-wait timeline of the run. Keeping the interface local leaves
+// mpisim dependency-free.
+type WaitRecorder interface {
+	BarrierWait(rank int, startS, durS float64)
 }
 
 // RankFault describes one injected rank misbehaviour for a phase, the
@@ -130,7 +130,7 @@ type World struct {
 	alive    []bool
 	failures []RankFailure
 	jitter   []*rng.Rand
-	recorder SpanRecorder
+	recorder WaitRecorder
 	fhook    RankFaultHook
 	stragObs StragglerObserver
 
@@ -267,8 +267,8 @@ func (w *World) phase(r int, fn func(rank int) float64) float64 {
 // exists only for benchmark/model.go, which defers it.
 func (w *World) Close() {}
 
-// SetRecorder installs the synchronization span recorder; nil removes it.
-func (w *World) SetRecorder(r SpanRecorder) {
+// SetRecorder installs the barrier-wait recorder; nil removes it.
+func (w *World) SetRecorder(r WaitRecorder) {
 	w.recorder = r
 }
 
@@ -304,7 +304,7 @@ func (w *World) Synchronize(durs []float64) []float64 {
 		for r, wt := range waits {
 			if wt > 0 {
 				// The wait starts when the rank finished its own work.
-				w.recorder.RecordSpan(r, "mpi", "barrier-wait", maxT-wt, wt)
+				w.recorder.BarrierWait(r, maxT-wt, wt)
 			}
 		}
 	}

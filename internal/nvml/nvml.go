@@ -1,9 +1,10 @@
-// Package nvml provides the NVML energy-counter reads that PMT's NVML
-// back-end makes on simulated Nvidia devices. Names and call shapes follow
-// the NVIDIA Management Library (nvmlInit, nvmlDeviceGetHandleByIndex,
-// nvmlDeviceGetTotalEnergyConsumption). Clock control does not pass through
-// here: internal/freqctl sets the simulated device's application clocks
-// directly.
+// Package nvml resolves NVML device handles on simulated Nvidia devices:
+// the library context (nvmlInit) and nvmlDeviceGetHandleByIndex, the
+// calls a rank makes to find the device it is bound to. A handle exposes
+// its device; the energy counter is read by pmt.NewNVML over it, and
+// clocks and power caps are set by internal/freqctl. The benchmark's
+// sampler probe is the one caller left: this package goes together with
+// that probe.
 //
 // A Library instance corresponds to one node's NVML context: device indices
 // are node-local ordinals, exactly what getNvmlDevice resolves for the MPI
@@ -31,6 +32,9 @@ type Device struct {
 	d *gpusim.Device
 }
 
+// GPU returns the simulated device behind the handle.
+func (dev Device) GPU() *gpusim.Device { return dev.d }
+
 // Library is one NVML context over a node's Nvidia devices.
 type Library struct {
 	devices     []*gpusim.Device
@@ -38,7 +42,7 @@ type Library struct {
 }
 
 // New creates a library over the given devices. Non-Nvidia devices are
-// rejected: the caller should hand AMD devices to the rsmi package instead.
+// rejected.
 func New(devices []*gpusim.Device) (*Library, error) {
 	for _, d := range devices {
 		if d.Spec().Vendor != gpusim.Nvidia {
@@ -64,15 +68,4 @@ func (l *Library) DeviceGetHandleByIndex(index int) (Device, error) {
 		return Device{}, fmt.Errorf("%w: device index %d", ErrInvalidArgument, index)
 	}
 	return Device{d: l.devices[index]}, nil
-}
-
-// Name returns the product name (nvmlDeviceGetName).
-func (dev Device) Name() string { return dev.d.Spec().Name }
-
-// TotalEnergyConsumptionAt returns cumulative energy in millijoules
-// (nvmlDeviceGetTotalEnergyConsumption) with the device time the counter
-// stood at that value, the two read together (see gpusim.Device.EnergyAt).
-func (dev Device) TotalEnergyConsumptionAt() (timeS float64, mj int64, err error) {
-	timeS, j := dev.d.EnergyAt()
-	return timeS, int64(j * 1000), nil
 }

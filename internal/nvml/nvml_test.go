@@ -36,8 +36,13 @@ func TestUninitializedErrors(t *testing.T) {
 }
 
 func TestHandleOutOfRange(t *testing.T) {
-	lib := newLib(t, 1)
+	lib := newLib(t, 2)
 	lib.Init()
+	for i, d := range lib.devices {
+		if h, err := lib.DeviceGetHandleByIndex(i); err != nil || h.GPU() != d {
+			t.Errorf("handle %d: %v, %v; want device %d", i, h.GPU(), err, i)
+		}
+	}
 	if _, err := lib.DeviceGetHandleByIndex(5); !errors.Is(err, ErrInvalidArgument) {
 		t.Errorf("bad index: %v", err)
 	}
@@ -53,10 +58,11 @@ func TestHandleOutOfRange(t *testing.T) {
 func TestSetApplicationsClocks(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
-	if _, err := lib.DeviceGetHandleByIndex(0); err != nil {
+	h, err := lib.DeviceGetHandleByIndex(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sim := lib.devices[0]
+	sim := h.GPU()
 	s := freqctl.DeviceSetter{Dev: sim}
 	applied, err := s.SetSMClock(1007)
 	if err != nil {
@@ -82,7 +88,11 @@ func TestSetApplicationsClocks(t *testing.T) {
 func TestSupportedGraphicsClocksDescending(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
-	sim := lib.devices[0]
+	h, err := lib.DeviceGetHandleByIndex(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := h.GPU()
 	clocks := sim.Spec().SupportedClocksMHz()
 	if len(clocks) == 0 || clocks[0] != 1410 {
 		t.Fatalf("clock table: %v", clocks)
@@ -100,35 +110,6 @@ func TestSupportedGraphicsClocksDescending(t *testing.T) {
 	}
 }
 
-func TestEnergyAndPowerUnits(t *testing.T) {
-	lib := newLib(t, 1)
-	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	sim := lib.devices[0]
-	sim.SetApplicationClocks(0, 1410)
-	sim.Idle(2) // 2 s at idle power
-	timeS, mj, err := dev.TotalEnergyConsumptionAt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMJ := int64(sim.Spec().IdlePowerW * 2 * 1000)
-	if mj < wantMJ-1 || mj > wantMJ+1 {
-		t.Errorf("energy %d mJ, want ~%d", mj, wantMJ)
-	}
-	if timeS != sim.Now() {
-		t.Errorf("energy read at %v s, device at %v s", timeS, sim.Now())
-	}
-}
-
-func TestName(t *testing.T) {
-	lib := newLib(t, 1)
-	lib.Init()
-	dev, _ := lib.DeviceGetHandleByIndex(0)
-	if dev.Name() != "NVIDIA A100-SXM4-80GB" {
-		t.Errorf("Name = %q", dev.Name())
-	}
-}
-
 // TestPowerManagementLimit caps the A100's board power
 // (nvmlDeviceSetPowerManagementLimit) through freqctl: the default is the
 // 400 W TDP, a cap applies, an absurd one is refused and 0 restores the
@@ -136,7 +117,11 @@ func TestName(t *testing.T) {
 func TestPowerManagementLimit(t *testing.T) {
 	lib := newLib(t, 1)
 	lib.Init()
-	sim := lib.devices[0]
+	h, err := lib.DeviceGetHandleByIndex(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := h.GPU()
 	if w := sim.PowerLimitW(); w != 400 {
 		t.Errorf("default limit %v W, want 400", w)
 	}

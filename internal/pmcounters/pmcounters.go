@@ -1,7 +1,9 @@
 // Package pmcounters emulates the HPE/Cray out-of-band power management
 // counters: the values of the read-only /sys/cray/pm_counters/ files,
 // which publish node, CPU, memory and accelerator energy at a default
-// 10 Hz collection rate (Martin, CUG 2014/2018).
+// 10 Hz collection rate (Martin, CUG 2014/2018). Two of them are served:
+// the node's `energy` file, which the runs sample and Slurm's accounting
+// reads, and the per-card `accelN_energy` files.
 //
 // Two fidelity details matter for the paper's analysis:
 //
@@ -42,9 +44,10 @@ type Counters struct {
 	periodS float64
 	miss    func() bool
 
-	// cached sample
+	// The last collection tick's time and the files' values at it.
 	lastSampleTime float64
-	cached         sample
+	nodeJ          float64
+	accelJ         []float64
 }
 
 // SetMissHook installs (or clears, with nil) the fault-injection hook. It
@@ -53,12 +56,6 @@ type Counters struct {
 // previous tick's values — exactly the pm_counters staleness mode
 // documented for the real hardware. Production paths leave it nil.
 func (c *Counters) SetMissHook(miss func() bool) { c.miss = miss }
-
-type sample struct {
-	nodeJ, cpuJ, memJ float64
-	accelJ            []float64
-	nodeW             float64
-}
 
 // New creates a pm_counters view over a node with the default 10 Hz rate.
 func New(node *cluster.Node) *Counters {
@@ -90,55 +87,25 @@ func (c *Counters) refresh() {
 		return
 	}
 	c.lastSampleTime = tick
-	s := sample{
-		cpuJ: c.node.CPUEnergyJ(),
-		memJ: c.node.Mem.Meter.EnergyJ(),
-	}
+	c.nodeJ = c.node.TotalEnergyJ()
+	c.accelJ = c.accelJ[:0]
 	for card := 0; card < c.node.NumCards(); card++ {
-		s.accelJ = append(s.accelJ, c.node.CardEnergyJ(card))
+		c.accelJ = append(c.accelJ, c.node.CardEnergyJ(card))
 	}
-	s.nodeJ = c.node.TotalEnergyJ()
-	s.nodeW = c.node.Aux.PowerW()
-	for _, cpu := range c.node.CPUs {
-		s.nodeW += cpu.Meter.PowerW()
-	}
-	s.nodeW += c.node.Mem.Meter.PowerW()
-	for _, d := range c.node.Devices {
-		s.nodeW += d.PowerW()
-	}
-	c.cached = s
 }
 
 // Energy returns the node-level cumulative energy in joules (the `energy`
 // file).
 func (c *Counters) Energy() float64 {
 	c.refresh()
-	return c.cached.nodeJ
-}
-
-// CPUEnergy returns the `cpu_energy` file value in joules.
-func (c *Counters) CPUEnergy() float64 {
-	c.refresh()
-	return c.cached.cpuJ
-}
-
-// MemoryEnergy returns the `memory_energy` file value in joules.
-func (c *Counters) MemoryEnergy() float64 {
-	c.refresh()
-	return c.cached.memJ
+	return c.nodeJ
 }
 
 // AccelEnergy returns the `accelN_energy` file value in joules for card n.
 func (c *Counters) AccelEnergy(n int) (float64, error) {
 	c.refresh()
-	if n < 0 || n >= len(c.cached.accelJ) {
+	if n < 0 || n >= len(c.accelJ) {
 		return 0, fmt.Errorf("pmcounters: no accel%d on node %s", n, c.node.Spec.Name)
 	}
-	return c.cached.accelJ[n], nil
-}
-
-// Power returns the node instantaneous power in watts (the `power` file).
-func (c *Counters) Power() float64 {
-	c.refresh()
-	return c.cached.nodeW
+	return c.accelJ[n], nil
 }

@@ -1,12 +1,12 @@
 // Package pmt reimplements the interface of the Power Measurement Toolkit
 // (Corda, Veenboer & Tolley, HUST'22) over the simulated sensors: a common
-// State/Read/Joules API with interchangeable back-ends for Nvidia GPUs
-// (NVML), AMD GPUs (ROCm-SMI) and whole HPE/Cray nodes (pm_counters), whose
-// components include the CPU packages.
+// State/Read/Joules API over one sensor per counter — a GPU's in-band
+// energy counter (NVML on Nvidia, ROCm-SMI on AMD) and a HPE/Cray node's
+// out-of-band pm_counters files.
 //
 // Usage mirrors the real toolkit:
 //
-//	sensor := pmt.NewNVML(handle) // or NewRSMI, NewCrayOn
+//	sensor := pmt.NewGPU(dev) // or NewCrayOn
 //	start := sensor.Read()
 //	... run the instrumented region ...
 //	end := sensor.Read()
@@ -15,16 +15,18 @@ package pmt
 
 import (
 	"fmt"
-	"math"
 
 	"sphenergy/internal/cluster"
+	"sphenergy/internal/gpusim"
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
-	"sphenergy/internal/rsmi"
 )
 
 // State is one sensor sample: a (virtual) timestamp and cumulative energy,
-// the pair PMT's Read() returns.
+// the pair PMT's Read() returns. Read() has no error return — exactly like
+// the real toolkit — so a failed read is NaN energy at the time the read
+// reports (internal/faults makes them; the sampler discards and counts
+// them).
 type State struct {
 	TimeS   float64
 	EnergyJ float64
@@ -41,59 +43,51 @@ type Sensor interface {
 	Read() State
 }
 
-// Read() has no error return — exactly like the real toolkit — so a
-// failed vendor read is encoded in the State itself: NaN energy at the time
-// the read reports (the sampler discards and counts it).
-func failed(now float64) State { return State{TimeS: now, EnergyJ: math.NaN()} }
-
-// nvmlSensor measures one Nvidia device through the NVML energy counter.
-type nvmlSensor struct {
-	dev nvml.Device
+// gpuSensor reads one device's in-band energy counter at its vendor's
+// resolution: NVML's nvmlDeviceGetTotalEnergyConsumption counts whole
+// millijoules, ROCm-SMI's rsmi_dev_energy_count_get whole microjoules.
+type gpuSensor struct {
+	dev  *gpusim.Device
+	name string
+	amd  bool
 }
 
-// NewNVML creates a GPU sensor over an NVML device handle.
-func NewNVML(dev nvml.Device) Sensor { return &nvmlSensor{dev: dev} }
-
-func (s *nvmlSensor) Name() string { return fmt.Sprintf("nvml:%s", s.dev.Name()) }
-
-func (s *nvmlSensor) Read() State {
-	now, mj, err := s.dev.TotalEnergyConsumptionAt()
-	if err != nil {
-		return failed(now)
+// NewGPU creates the sensor over a device's energy counter, the one PMT's
+// NVML or ROCm-SMI back-end reads. An AMD device's sensor is "rocm:0"
+// whatever its index: a rank sees its own GCD as device 0, and the sampler
+// channel's name, which the run bundle records, carries it.
+func NewGPU(dev *gpusim.Device) Sensor {
+	if dev.Spec().Vendor == gpusim.AMD {
+		return &gpuSensor{dev: dev, name: "rocm:0", amd: true}
 	}
-	return State{TimeS: now, EnergyJ: float64(mj) / 1000}
+	return &gpuSensor{dev: dev, name: "nvml:" + dev.Spec().Name}
 }
 
-// rsmiSensor measures one AMD device through the ROCm-SMI energy counter.
-type rsmiSensor struct {
-	lib *rsmi.Library
-	idx int
-}
+// NewNVML creates the sensor over the device behind an NVML handle.
+func NewNVML(h nvml.Device) Sensor { return NewGPU(h.GPU()) }
 
-// NewRSMI creates a GPU sensor over a rocm-smi device index.
-func NewRSMI(lib *rsmi.Library, idx int) Sensor {
-	return &rsmiSensor{lib: lib, idx: idx}
-}
+func (s *gpuSensor) Name() string { return s.name }
 
-func (s *rsmiSensor) Name() string { return fmt.Sprintf("rocm:%d", s.idx) }
-
-func (s *rsmiSensor) Read() State {
-	now, uj, err := s.lib.DevEnergyCountGetAt(s.idx)
-	if err != nil {
-		return failed(now)
+// Read returns the counter and the device time it stood at, read together
+// (see gpusim.Device.EnergyAt), truncated to the counter's unit.
+func (s *gpuSensor) Read() State {
+	now, j := s.dev.EnergyAt()
+	if s.amd {
+		return State{TimeS: now, EnergyJ: float64(uint64(j*1e6)) / 1e6}
 	}
-	return State{TimeS: now, EnergyJ: float64(uj) / 1e6}
+	return State{TimeS: now, EnergyJ: float64(int64(j*1000)) / 1000}
 }
 
 // CrayComponent selects which pm_counters file a Cray sensor reads.
 type CrayComponent string
 
-// Cray components.
+// Cray components: the node's `energy` file, which the runs and Slurm's
+// accounting read, and the per-card `accelN_energy` files, kept because a
+// card's file is the out-of-band source for one MI250X's two GCDs (ROADMAP
+// item 10).
 const (
-	CrayNode   CrayComponent = "energy"
-	CrayCPU    CrayComponent = "cpu_energy"
-	CrayMemory CrayComponent = "memory_energy"
-	CrayAccel  CrayComponent = "accel" // requires card index
+	CrayNode  CrayComponent = "energy"
+	CrayAccel CrayComponent = "accel" // requires card index
 )
 
 // craySensor measures a node component through pm_counters.
@@ -123,21 +117,8 @@ func (s *craySensor) Read() State {
 	switch s.component {
 	case CrayNode:
 		j = s.pc.Energy()
-	case CrayCPU:
-		j = s.pc.CPUEnergy()
-	case CrayMemory:
-		j = s.pc.MemoryEnergy()
 	case CrayAccel:
 		j, _ = s.pc.AccelEnergy(s.card)
 	}
 	return State{TimeS: s.node.Aux.NowS(), EnergyJ: j}
 }
-
-// Dummy is PMT's no-op backend for systems without any usable counters.
-type Dummy struct{}
-
-// Name implements Sensor.
-func (Dummy) Name() string { return "dummy" }
-
-// Read implements Sensor.
-func (Dummy) Read() State { return State{} }

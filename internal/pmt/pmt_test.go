@@ -2,14 +2,12 @@ package pmt
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/nvml"
 	"sphenergy/internal/pmcounters"
-	"sphenergy/internal/rsmi"
 )
 
 func TestStateArithmetic(t *testing.T) {
@@ -23,19 +21,65 @@ func TestStateArithmetic(t *testing.T) {
 	}
 }
 
+// TestGPUSensorReadsTheVendorCounter holds NewGPU bit for bit to the
+// counters PMT's vendor back-ends read — NVML's whole millijoules (int64),
+// ROCm-SMI's whole microjoules (uint64), each converted back to joules —
+// and to the device time EnergyAt reports with them. The energies sit one
+// ulp of idle time either side of 0, of one and of seven counter units,
+// and of 1.5 J and 1e9 J. An AMD sensor is "rocm:0" whatever its device's
+// index.
+func TestGPUSensorReadsTheVendorCounter(t *testing.T) {
+	for _, v := range []struct {
+		spec  gpusim.Spec
+		name  string
+		unitJ float64
+		count func(j float64) float64
+	}{
+		{gpusim.A100SXM480GB(), "nvml:NVIDIA A100-SXM4-80GB", 1e-3,
+			func(j float64) float64 { return float64(int64(j*1000)) / 1000 }},
+		{gpusim.MI250XGCD(), "rocm:0", 1e-6,
+			func(j float64) float64 { return float64(uint64(j*1e6)) / 1e6 }},
+	} {
+		for _, target := range []float64{0, v.unitJ, 7 * v.unitJ, 1.5, 1e9} {
+			s0 := target / v.spec.IdlePowerW
+			for _, s := range []float64{math.Nextafter(s0, 0), s0, math.Nextafter(s0, 1e300)} {
+				dev := gpusim.NewDevice(v.spec, 3)
+				if _, err := dev.SetApplicationClocks(0, v.spec.MaxSMClockMHz); err != nil {
+					t.Fatal(err)
+				}
+				dev.Idle(s)
+				sensor := NewGPU(dev)
+				if sensor.Name() != v.name {
+					t.Errorf("Name = %q, want %q", sensor.Name(), v.name)
+				}
+				got := sensor.Read()
+				now, j := dev.EnergyAt()
+				if want := (State{TimeS: now, EnergyJ: v.count(j)}); got != want {
+					t.Errorf("%s at %v J: read %+v, want %+v", v.name, j, got, want)
+				}
+				if math.Abs(j-got.EnergyJ) > v.unitJ+j*1e-15 {
+					t.Errorf("%s at %v J: read %v J, more than one counter unit off", v.name, j, got.EnergyJ)
+				}
+			}
+		}
+	}
+}
+
+// TestNVMLBackend: the sensor over an NVML handle is the GPU sensor over
+// the handle's device, and measures an idle stretch's time and energy.
 func TestNVMLBackend(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
 	lib, _ := nvml.New([]*gpusim.Device{dev})
 	lib.Init()
 	h, _ := lib.DeviceGetHandleByIndex(0)
 	s := NewNVML(h)
-	if !strings.HasPrefix(s.Name(), "nvml:") {
-		t.Errorf("Name = %q", s.Name())
-	}
 	before := s.Read()
 	dev.SetApplicationClocks(0, 1410)
 	dev.Idle(2)
 	after := s.Read()
+	if g := NewGPU(dev); s.Name() != g.Name() || after != g.Read() {
+		t.Errorf("NVML handle's sensor %q reads %+v, the device's %q reads %+v", s.Name(), after, g.Name(), g.Read())
+	}
 	wantJ := dev.Spec().IdlePowerW * 2
 	if math.Abs(Joules(before, after)-wantJ) > 1 {
 		t.Errorf("measured %v J, want ~%v", Joules(before, after), wantJ)
@@ -47,8 +91,7 @@ func TestNVMLBackend(t *testing.T) {
 
 func TestRSMIBackend(t *testing.T) {
 	dev := gpusim.NewDevice(gpusim.MI250XGCD(), 0)
-	lib, _ := rsmi.New([]*gpusim.Device{dev})
-	s := NewRSMI(lib, 0)
+	s := NewGPU(dev)
 	before := s.Read()
 	dev.SetApplicationClocks(0, 1700)
 	dev.Idle(1)
@@ -63,10 +106,8 @@ func TestCrayBackends(t *testing.T) {
 	node := cluster.NewNode(cluster.LUMIG())
 	pc := pmcounters.New(node)
 	sensors := map[CrayComponent]Sensor{
-		CrayNode:   NewCrayOn(pc, node, CrayNode, 0),
-		CrayCPU:    NewCrayOn(pc, node, CrayCPU, 0),
-		CrayMemory: NewCrayOn(pc, node, CrayMemory, 0),
-		CrayAccel:  NewCrayOn(pc, node, CrayAccel, 1),
+		CrayNode:  NewCrayOn(pc, node, CrayNode, 0),
+		CrayAccel: NewCrayOn(pc, node, CrayAccel, 1),
 	}
 	before := map[CrayComponent]State{}
 	for c, s := range sensors {
@@ -88,15 +129,5 @@ func TestCrayBackends(t *testing.T) {
 	want := node.Devices[2].EnergyJ() + node.Devices[3].EnergyJ()
 	if math.Abs(accel.EnergyJ-want) > 1e-6 {
 		t.Errorf("accel1 sensor %v, want %v", accel.EnergyJ, want)
-	}
-}
-
-func TestDummy(t *testing.T) {
-	var d Dummy
-	if d.Name() != "dummy" {
-		t.Error("dummy name")
-	}
-	if s := d.Read(); s.EnergyJ != 0 || s.TimeS != 0 {
-		t.Error("dummy should read zero")
 	}
 }

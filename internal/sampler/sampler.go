@@ -15,17 +15,19 @@
 // fixed-rate sampler would, which internal/attrib's error model quantifies.
 //
 // A tick's time is implied by its index k on the grid, float64(k)·period,
-// so a channel keeps one float64 a tick: the cumulative energy, in a
-// bounded ring. Its reader lets go of the ticks it is done with
+// so a rank's channel keeps one float64 a tick: the cumulative energy, in
+// a bounded ring. Its reader lets go of the ticks it is done with
 // (Channel.Release) while the run runs — internal/attrib's join keeps only
 // the ticks its waiting spans still read — so a ring holds a window of the
 // run, not the run; a full ring rotates its oldest tick out and counts it
-// dropped. The energy between two instants is the difference of two
-// readings, and a tick's mean power is that difference over the period,
-// computed where it is read. Channels accumulate energy overflow-safely
-// (counter wraps and resets clamp to zero delta instead of going negative,
-// and the running sum is Kahan-compensated), and count their polls, ticks,
-// drops and degradations.
+// dropped. A node's channel keeps no ticks: nothing reads a node series,
+// only its accumulator (Sampler.NodeAccumJ) and its counters. The energy
+// between two instants is the difference of two readings, and a tick's
+// mean power is that difference over the period, computed where it is
+// read. Channels accumulate energy overflow-safely (counter wraps and
+// resets clamp to zero delta instead of going negative, and the running sum
+// is Kahan-compensated), and count their polls, ticks, drops and
+// degradations.
 //
 // # Degradation
 //
@@ -60,22 +62,22 @@ const (
 	DefaultNodeHz = 10
 )
 
-// DefaultRingCap bounds each channel's in-memory series, in ticks of 8
-// bytes (512 KiB a channel when full). A rank channel joined while the run
-// runs holds only the window its waiting spans read — from the start of the
-// oldest of them to the newest tick, about a step — so the cap bounds that
-// window, 655 s of it at 100 Hz, not the run; a channel nothing releases
-// (a node's, or a rank's in a run without a tracer) holds its newest 655 s.
+// DefaultRingCap bounds each rank channel's in-memory series, in ticks of
+// 8 bytes (512 KiB a channel when full). A rank channel joined while the
+// run runs holds only the window its waiting spans read — from the start of
+// the oldest of them to the newest tick, about a step — so the cap bounds
+// that window, 655 s of it at 100 Hz, not the run; a rank channel nothing
+// releases (in a run without a tracer) holds its newest 655 s.
 const DefaultRingCap = 1 << 16
 
 // Config configures the sampler. The zero value means "sampling off";
 // setting either rate enables it (Defaulted fills the other).
 type Config struct {
-	// GPUHz is the tick rate for in-band per-device sensors (NVML/RSMI).
+	// GPUHz is the tick rate for a rank's in-band GPU sensor (pmt.NewGPU).
 	GPUHz float64
 	// NodeHz is the tick rate for out-of-band node sensors (pm_counters).
 	NodeHz float64
-	// RingCap bounds each channel's held ticks (DefaultRingCap when 0).
+	// RingCap bounds each rank channel's held ticks (DefaultRingCap when 0).
 	RingCap int
 }
 
@@ -144,7 +146,7 @@ type Stats struct {
 	// Polls counts sensor reads; Ticks counts emitted grid ticks.
 	Polls, Ticks uint64
 	// Dropped counts ticks a full ring rotated out; a released tick is not
-	// one of them.
+	// one of them, and a node channel, which keeps none, drops none.
 	Dropped uint64
 	// FaultReads counts discarded NaN reads (transient sensor failures).
 	FaultReads uint64
@@ -156,13 +158,14 @@ type Stats struct {
 	Degraded bool
 }
 
-// Channel samples one sensor on a fixed tick grid. Its series is a ring of
-// at most Config.RingCap energies, 8 bytes a tick, in blocks: the held
-// ticks are contiguous on the grid and end at the newest, so a tick's
-// index, and with it its time, follows from its place in the ring. A nil *Channel is a
-// valid no-op, so call sites can poll unconditionally. A channel belongs to
-// the goroutine that drives its run, as the device its sensor reads does,
-// so it has no lock.
+// Channel samples one sensor on a fixed tick grid. A rank channel's series
+// is a ring of at most Config.RingCap energies, 8 bytes a tick, in blocks:
+// the held ticks are contiguous on the grid and end at the newest, so a
+// tick's index, and with it its time, follows from its place in the ring.
+// A node channel's series stays empty. A nil *Channel is a valid no-op, so
+// call sites can poll unconditionally. A channel belongs to the goroutine
+// that drives its run, as the device its sensor reads does, so it has no
+// lock.
 type Channel struct {
 	name    string
 	rank    int
@@ -328,9 +331,14 @@ func (c *Channel) Poll() {
 			}
 		}
 		e := startAccum + deltaJ*frac
-		c.push(e)
 		if flag {
-			c.markDegraded()
+			c.degradedTicks++
+		}
+		if c.rank >= 0 { // nothing reads a node's series: it keeps none
+			c.push(e)
+			if flag {
+				c.markDegraded()
+			}
 		}
 		prevT, prevE = c.lastT, c.lastE
 		c.lastT, c.lastE = tickT, e
@@ -372,7 +380,6 @@ func (c *Channel) push(e float64) {
 // markDegraded flags tick c.tick, just pushed: it extends the newest run
 // when that ends at the tick, else starts one.
 func (c *Channel) markDegraded() {
-	c.degradedTicks++
 	if n := len(c.degraded); n > 0 && c.degraded[n-1].To == c.tick {
 		c.degraded[n-1].To++
 		return
@@ -508,8 +515,8 @@ func (c *Channel) SetClock(now func() float64) {
 	c.clock = now
 }
 
-// AddRank registers a rank's GPU sensor (NVML, ROCm-SMI) at the in-band
-// rate, named after the sensor.
+// AddRank registers a rank's GPU sensor (pmt.NewGPU) at the in-band rate,
+// named after the sensor.
 func (s *Sampler) AddRank(rank int, sensor pmt.Sensor) *Channel {
 	if s == nil {
 		return nil
@@ -517,7 +524,8 @@ func (s *Sampler) AddRank(rank int, sensor pmt.Sensor) *Channel {
 	return s.add(fmt.Sprintf("rank%d:%s", rank, sensor.Name()), rank, sensor, s.cfg.GPUHz)
 }
 
-// AddNode registers a node-level sensor at the node rate.
+// AddNode registers a node-level sensor at the node rate. Its channel
+// counts and accumulates what it samples and keeps no series.
 func (s *Sampler) AddNode(node int, sensor pmt.Sensor) *Channel {
 	if s == nil {
 		return nil

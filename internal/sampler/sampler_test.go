@@ -105,8 +105,8 @@ func TestChannelRingOverflow(t *testing.T) {
 		states = append(states, pmt.State{TimeS: float64(i) * 0.1, EnergyJ: float64(i)})
 	}
 	sen := &scriptSensor{name: "fake", states: states}
-	s := New(Config{NodeHz: 10, RingCap: 8})
-	ch := s.add("fake", -1, sen, 10)
+	s := New(Config{GPUHz: 10, RingCap: 8})
+	ch := s.add("fake", 0, sen, 10)
 	for range states {
 		ch.Poll()
 	}
@@ -143,7 +143,7 @@ func TestChannelRingWrapsAcrossBlocks(t *testing.T) {
 	for i := range states {
 		states[i] = pmt.State{TimeS: float64(i) * 0.1, EnergyJ: float64(i)}
 	}
-	ch := New(Config{NodeHz: 10, RingCap: ringCap}).add("fake", -1, &scriptSensor{name: "fake", states: states}, 10)
+	ch := New(Config{GPUHz: 10, RingCap: ringCap}).add("fake", 0, &scriptSensor{name: "fake", states: states}, 10)
 	for i := range states {
 		ch.Poll()
 		if i == ringCap/2 || i == ringCap-1 {
@@ -230,8 +230,8 @@ func TestChannelWrapClamp(t *testing.T) {
 		{TimeS: 2, EnergyJ: 5}, // reset
 		{TimeS: 3, EnergyJ: 55},
 	}}
-	s := New(Config{NodeHz: 1})
-	ch := s.add("fake", -1, sen, 1)
+	s := New(Config{GPUHz: 1})
+	ch := s.add("fake", 0, sen, 1)
 	for range 4 {
 		ch.Poll()
 	}
@@ -283,13 +283,56 @@ func TestRatesByRole(t *testing.T) {
 	}
 }
 
+// TestNodeChannelKeepsNoTicks polls a node channel and a rank channel over
+// the same script — failed reads, a stuck stretch, a wrap — at the same
+// rate: the node channel holds no tick and no degraded run, and counts and
+// accumulates exactly what the rank channel, which keeps them, does.
+func TestNodeChannelKeepsNoTicks(t *testing.T) {
+	states := make([]pmt.State, 600)
+	for i := range states {
+		states[i] = pmt.State{TimeS: float64(i) * 0.1, EnergyJ: float64(i) * 7}
+		switch {
+		case i%37 > 33:
+			states[i].EnergyJ = math.NaN()
+		case i >= 200 && i < 206:
+			states[i].EnergyJ = 199 * 7
+		case i >= 400:
+			states[i].EnergyJ -= 2000
+		}
+	}
+	s := New(Config{GPUHz: 10, NodeHz: 10})
+	var edges []bool
+	s.SetTransitionSink(func(_ string, _ int, degraded bool, _ string) { edges = append(edges, degraded) })
+	rank := s.AddRank(0, &scriptSensor{name: "a", states: states})
+	node := s.AddNode(0, &scriptSensor{name: "a", states: states})
+	for range states {
+		rank.Poll()
+		node.Poll()
+	}
+	want := rank.Stats()
+	want.Rank = -1
+	if got := node.Stats(); got != want || got.DegradedTicks == 0 || got.StuckEvents == 0 {
+		t.Errorf("node channel stats %+v, want the rank channel's %+v, with degraded ticks", got, want)
+	}
+	if node.AccumJ() != rank.AccumJ() || s.NodeAccumJ() != rank.AccumJ() {
+		t.Errorf("node channel accumulated %v J, the rank channel %v J", node.AccumJ(), rank.AccumJ())
+	}
+	if ser := node.Series(); ser.Len() != 0 || len(ser.Degraded) != 0 {
+		t.Errorf("node channel holds %d ticks, %d degraded runs", ser.Len(), len(ser.Degraded))
+	}
+	if held := rank.Series(); held.Len() == 0 || len(edges) == 0 || len(edges)%2 != 0 {
+		t.Errorf("rank channel holds %d ticks; %d degradation edges, want an even number > 0", held.Len(), len(edges))
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var s *Sampler
 	var ch *Channel
 	ch.Poll()
 	s.PollAll()
 	s.PollNodes()
-	if s.AddRank(0, pmt.Dummy{}) != nil || s.AddNode(0, pmt.Dummy{}) != nil {
+	sen := &scriptSensor{name: "x", states: []pmt.State{{}}}
+	if s.AddRank(0, sen) != nil || s.AddNode(0, sen) != nil {
 		t.Fatal("nil sampler AddRank/AddNode should return nil channel")
 	}
 	if s.Channels() != nil {

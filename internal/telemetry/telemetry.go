@@ -230,10 +230,9 @@ func (t *Tracer) shardFor(rank int) *shard {
 	return &t.shards[rank]
 }
 
-// RecordSpan is the plain-span entry point used through small local
-// interfaces (e.g. mpisim's SpanRecorder), keeping subsystem packages free
-// of a telemetry dependency. Each (category, name) identity is interned on
-// first use.
+// RecordSpan is the plain-span entry point for callers that hold no
+// interned identity. Each (category, name) identity is interned on first
+// use.
 func (t *Tracer) RecordSpan(rank int, category, name string, startS, durS float64) {
 	if t == nil {
 		return

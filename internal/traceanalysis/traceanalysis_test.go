@@ -152,6 +152,14 @@ func TestAnalyzeEmptyAndWaitOnly(t *testing.T) {
 	}
 }
 
+// tracerWaits records a world's barrier waits as the runner does: "mpi"
+// "barrier-wait" spans on the rank tracks.
+type tracerWaits struct{ tr *telemetry.Tracer }
+
+func (w tracerWaits) BarrierWait(rank int, startS, durS float64) {
+	w.tr.RecordSpan(rank, "mpi", "barrier-wait", startS, durS)
+}
+
 // TestMpisimStragglerAttribution validates the engine against a real mpisim
 // run: rank 1 is slowed 4× through the world's fault hook, and the analysis
 // must attribute at least 90% of the added barrier wait (vs. the healthy
@@ -162,7 +170,7 @@ func TestMpisimStragglerAttribution(t *testing.T) {
 		net := mpisim.DefaultNetwork(ranks)
 		w := mpisim.NewWorld(ranks, net, 7)
 		tr := telemetry.NewTracer(ranks)
-		w.SetRecorder(tr)
+		w.SetRecorder(tracerWaits{tr})
 		if slow {
 			w.SetRankFaults(func(rank int, nowS float64) mpisim.RankFault {
 				if rank == 1 {

@@ -30,8 +30,9 @@
 // A tuned per-function table comes from the KernelTuner-style search in
 // TuneFrequencies.
 //
-// Everything underneath — the GPU device model, NVML/ROCm-SMI/pm_counters
-// interfaces, the MPI-style rank runtime, the real SPH solver —
+// Everything underneath — the GPU device model, the PMT sensors over its
+// energy counter and the pm_counters files, the MPI-style rank runtime,
+// the real SPH solver —
 // lives in internal/ packages; this package re-exports the surface a
 // downstream user needs.
 package sphenergy
