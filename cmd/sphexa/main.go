@@ -49,7 +49,7 @@ func main() {
 		pprFlag  = flag.String("ppr", "", "particles per rank (e.g. 150e6 or 450^3); default per simulation and system")
 		strategy = flag.String("strategy", "baseline", "frequency strategy: baseline, static:<mhz>, dvfs, mandyn, powercap:<watts>")
 		ng       = flag.Int("ng", 150, "SPH neighbor count")
-		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json and report.csv (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto) and events.jsonl (decision ledger); read it with cmd/inspect")
+		outDir   = flag.String("out", "", "write the run bundle into this directory: report.json (energy report), trace.json (Chrome trace_event timeline, opens in Perfetto) and events.jsonl (decision ledger); read it with cmd/inspect")
 		carbon   = flag.String("carbon", "", "report CO2e for a grid: hydro, swiss, eu, coal")
 		quiet    = flag.Bool("q", false, "suppress breakdown output")
 
@@ -95,6 +95,9 @@ func main() {
 	// A flag only a mode reads is refused when set without that mode: the
 	// run would ignore it and exit 0 as if it had been honoured.
 	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "sample-hz" && *sampleHz > 0 && *outDir == "" && !*validate && *faultPlan == "" {
+			fatalIf(fmt.Errorf("-sample-hz needs -out, -energy-validate or -fault-plan: without them nothing reads the samples"))
+		}
 		if f.Name == "sample-node-hz" && *sampleHz == 0 && !*validate {
 			fatalIf(fmt.Errorf("-sample-node-hz needs -sample-hz or -energy-validate: without them nothing is sampled"))
 		}

@@ -178,6 +178,7 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 		{[]string{"-energy-budget", "NaN"}, "-energy-budget NaN"},
 		{[]string{"-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
 		{[]string{"-sample-hz", "0", "-sample-node-hz", "20"}, "-sample-node-hz needs -sample-hz"},
+		{[]string{"-sample-hz", "100"}, "-sample-hz needs -out, -energy-validate or -fault-plan"},
 		{[]string{"-degradation", "drop-rank", "-ranks", "2", "-s", "2", "-ppr", "10e6"}, "-degradation needs -fault-plan"},
 	} {
 		// The case's own flags come last, so its -s overrides the short run.
@@ -196,7 +197,7 @@ func TestInvalidConfigExitsOne(t *testing.T) {
 
 // TestBudgetStopExitsThree gives a run a wall-time budget of half its
 // uninterrupted wall time: sphexa stops it at a step boundary, writes the
-// four bundle files, says how many steps ran and exits 3.
+// three bundle files, says how many steps ran and exits 3.
 func TestBudgetStopExitsThree(t *testing.T) {
 	const steps = 10
 	run := []string{"-ranks", "2", "-s", strconv.Itoa(steps), "-ppr", "10e6", "-q"}
@@ -215,7 +216,7 @@ func TestBudgetStopExitsThree(t *testing.T) {
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
 		t.Fatalf("err = %v, want exit 3; stderr:\n%s", err, stderr)
 	}
-	for _, name := range []string{sphenergy.BundleReport, sphenergy.BundleCSV, sphenergy.BundleTrace, sphenergy.BundleEvents} {
+	for _, name := range []string{sphenergy.BundleReport, sphenergy.BundleTrace, sphenergy.BundleEvents} {
 		if _, err := os.Stat(filepath.Join(out, name)); err != nil {
 			t.Errorf("the stopped run's bundle lacks %s: %v", name, err)
 		}

@@ -16,7 +16,7 @@ import (
 func Example() {
 	system := sphenergy.MiniHPC()
 	const particles = 450 * 450 * 450 // the paper's tuning size
-	table, err := sphenergy.TuneFrequencies(system, sphenergy.Turbulence, particles, 150)
+	table, err := sphenergy.TuneFrequenciesObserved(system, sphenergy.Turbulence, particles, 150, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,21 +90,21 @@ func stencilPipeline() []core.FuncModel {
 		{
 			Name:         "AdvectScalar",
 			FlopsPerPart: 48, BytesPerPart: 180, // 7-point gather, low intensity
-			Launches: 1, ItemFraction: 1,
+			Launches: 1, HostS: 0.004,
 			EffNvidia: 0.6, EffAMD: 0.4,
 			CPUUtil: 0.05, MemUtil: 0.4,
 		},
 		{
 			Name:         "DiffuseVelocity",
 			FlopsPerPart: 90, BytesPerPart: 230,
-			Launches: 3, ItemFraction: 1,
+			Launches: 3, HostS: 0.004,
 			EffNvidia: 0.55, EffAMD: 0.4,
 			CPUUtil: 0.05, MemUtil: 0.4,
 		},
 		{
 			Name:         "MultigridSmoother",
 			FlopsPerPart: 2400, BytesPerPart: 260, // compute-heavy
-			Launches: 12, ItemFraction: 1,
+			Launches: 12, HostS: 0.004,
 			EffNvidia: 0.45, EffAMD: 0.3,
 			CPUUtil: 0.08, MemUtil: 0.25,
 			Comm: core.CommHalo, CommBytesPerPart: 1.0,
@@ -112,7 +112,7 @@ func stencilPipeline() []core.FuncModel {
 		{
 			Name:         "ResidualNorm",
 			FlopsPerPart: 8, BytesPerPart: 24,
-			Launches: 1, ItemFraction: 1,
+			Launches: 1, HostS: 0.004,
 			EffNvidia: 0.6, EffAMD: 0.45,
 			CPUUtil: 0.1, MemUtil: 0.1,
 			Comm: core.CommAllreduce,
@@ -124,7 +124,8 @@ func stencilPipeline() []core.FuncModel {
 // work): a finite-difference stencil solver, not SPH at all, describes its
 // kernels as FuncModels, tunes a clock per kernel as the paper tunes the SPH
 // functions, and runs with ManDyn through the unmodified runner. Only the
-// FuncModel table is application-specific.
+// FuncModel table, the host overhead of each kernel included, is
+// application-specific.
 func Example_customPipeline() {
 	system := sphenergy.MiniHPC()
 	const cells = 512 * 512 * 512 / 4 // grid cells per GPU

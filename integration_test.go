@@ -28,7 +28,7 @@ import (
 // the report, derive the analysis breakdowns.
 func TestFullWorkflowTuneRunReport(t *testing.T) {
 	system := MiniHPC()
-	table, err := TuneFrequencies(system, Turbulence, 450*450*450, 150)
+	table, err := TuneFrequenciesObserved(system, Turbulence, 450*450*450, 150, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

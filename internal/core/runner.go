@@ -148,9 +148,17 @@ func (c Config) Validate() error {
 	}
 	switch c.Sim {
 	case Turbulence, Evrard:
+		if len(c.CustomPipeline) > 0 {
+			return fmt.Errorf("core: a CustomPipeline needs Sim %q, not %q: the run would ignore it", Custom, c.Sim)
+		}
 	case Custom:
 		if len(c.CustomPipeline) == 0 {
 			return fmt.Errorf("core: Custom simulation requires a CustomPipeline")
+		}
+		for _, fn := range c.CustomPipeline {
+			if !(fn.HostS >= 0) || math.IsInf(fn.HostS, 1) {
+				return fmt.Errorf("core: %s: HostS = %v, want a finite time >= 0", fn.Name, fn.HostS)
+			}
 		}
 	default:
 		return fmt.Errorf("core: unknown simulation %q", c.Sim)
@@ -194,29 +202,6 @@ const particleBytes = 280
 // jitterSpread is the relative per-function load imbalance between ranks.
 const jitterSpread = 0.015
 
-// hostOverheads are fixed per-step host-side serial times (seconds) during
-// which the GPU idles: kernel-launch stalls, CPU partitioning work,
-// collective completion. They are what lets the DVFS governor decay clocks
-// at step boundaries (Fig. 9) and what makes small problems insensitive to
-// GPU frequency (Fig. 6).
-var hostOverheads = map[string]float64{
-	FnDomainDecomp:  0.120,
-	FnTimestep:      0.070,
-	FnFindNeighbors: 0.012,
-	FnXMass:         0.006,
-	FnGradh:         0.006,
-	FnEOS:           0.004,
-	FnIAD:           0.008,
-	FnAVSwitches:    0.004,
-	FnMomentum:      0.008,
-	FnUpdate:        0.006,
-	FnGravity:       0.016,
-}
-
-// defaultHostOverheadS applies to custom-pipeline functions without an
-// entry in hostOverheads.
-const defaultHostOverheadS = 0.004
-
 // Result is the outcome of a run.
 type Result struct {
 	Report *instr.Report
@@ -256,13 +241,14 @@ func (r *Result) EDP() float64 { return r.Report.TotalEnergyJ * r.WallTimeS }
 // GPUEDP returns the GPU-energy EDP, the per-GPU metric of Figs. 6-8.
 func (r *Result) GPUEDP() float64 { return r.Report.GPUEnergyJ * r.WallTimeS }
 
-// phase is one pipeline function as the step loop sees it: its model and the
-// two costs that follow its kernels on every step.
+// phase is one pipeline function as the step loop sees it: its model, the
+// communication that follows its kernels on every step and its span
+// identities in the run's trace.
 type phase struct {
 	fn    *FuncModel
 	kern  gpusim.KernelDesc // fn's kernel; a rank sets only its Items
 	commS float64           // post-kernel communication
-	hostS float64           // host-side serial overhead
+	spans phaseSpans
 }
 
 // rankCtx is the per-rank execution context.
@@ -461,11 +447,7 @@ func Run(cfg Config) (*Result, error) {
 	phases := make([]phase, len(pipeline))
 	for i := range pipeline {
 		fn := &pipeline[i]
-		hostS, known := hostOverheads[fn.Name]
-		if !known {
-			hostS = defaultHostOverheadS // custom pipelines
-		}
-		phases[i] = phase{fn: fn, kern: fn.Kernel(0, cfg.Ng, vendor), commS: commTime(*fn, cfg, net), hostS: hostS}
+		phases[i] = phase{fn: fn, kern: fn.Kernel(0, cfg.Ng, vendor), commS: commTime(*fn, cfg, net), spans: rt.phaseSpans(fn)}
 	}
 
 	// The phase loop allocates nothing: its per-rank and per-node scratch,
@@ -504,7 +486,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
-		ph.kern.Items = itemCount(ph.fn.ItemFraction, cfg.ParticlesPerRank*load*world.Jitter(r, jitterSpread))
+		ph.kern.Items = cfg.ParticlesPerRank * load * world.Jitter(r, jitterSpread)
 		dur := rc.dev.Launch(&ph.kern)
 		rc.samp.Poll()
 		return dur
@@ -525,7 +507,7 @@ func Run(cfg Config) (*Result, error) {
 		for slot := range phases {
 			ph = &phases[slot]
 			fn := ph.fn
-			commS, hostS := ph.commS, ph.hostS
+			commS, hostS := ph.commS, fn.HostS
 
 			phaseStart := world.MaxClock()
 			clear(ran)
@@ -568,10 +550,10 @@ func Run(cfg Config) (*Result, error) {
 				host := hostShare[r/rpn]
 				cpuJ, memJ, otherJ := host.cpuJ, host.memJ, host.otherJ
 				rc.profile.RecordAt(slot, fn.Name, phaseS, gpuJ, cpuJ, memJ, otherJ, commS)
-				rt.functionSpan(r, fn.Name, phaseStart, phaseS, gpuJ, commS)
+				rt.functionSpan(r, &ph.spans, phaseStart, phaseS, gpuJ, commS)
 				stepJ += gpuJ + cpuJ + memJ + otherJ
 			}
-			rt.phaseTailSpans(fn, phaseEnd, commS, hostS)
+			rt.phaseTailSpans(&ph.spans, phaseEnd, commS, hostS)
 		}
 		bound := world.MaxClock()
 		stepBounds = append(stepBounds, bound)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -302,9 +303,9 @@ func TestWeakScalingOverheadGrows(t *testing.T) {
 func TestCustomPipeline(t *testing.T) {
 	pipeline := []FuncModel{
 		{Name: "StencilSweep", FlopsPerPart: 60, BytesPerPart: 200, Launches: 1,
-			ItemFraction: 1, EffNvidia: 0.5, EffAMD: 0.4, CPUUtil: 0.05, MemUtil: 0.3},
+			HostS: 0.004, EffNvidia: 0.5, EffAMD: 0.4, CPUUtil: 0.05, MemUtil: 0.3},
 		{Name: "Reduce", FlopsPerPart: 8, BytesPerPart: 24, Launches: 1,
-			ItemFraction: 1, EffNvidia: 0.5, EffAMD: 0.4, CPUUtil: 0.1, MemUtil: 0.1,
+			HostS: 0.004, EffNvidia: 0.5, EffAMD: 0.4, CPUUtil: 0.1, MemUtil: 0.1,
 			Comm: CommAllreduce},
 	}
 	cfg := miniConfig()
@@ -325,6 +326,22 @@ func TestCustomPipeline(t *testing.T) {
 	cfg.CustomPipeline = nil
 	if _, err := Run(cfg); err == nil {
 		t.Error("Custom without CustomPipeline accepted")
+	}
+	// A host overhead the run cannot spend is rejected.
+	for _, hostS := range []float64{-0.004, math.NaN(), math.Inf(1)} {
+		bad := slices.Clone(pipeline)
+		bad[1].HostS = hostS
+		cfg.CustomPipeline = bad
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Reduce: HostS") {
+			t.Errorf("HostS %v: Validate = %v, want a refusal naming Reduce's HostS", hostS, err)
+		}
+	}
+	// A pipeline under a built-in simulation is rejected, not ignored.
+	for _, sim := range []SimKind{Turbulence, Evrard} {
+		cfg.Sim, cfg.CustomPipeline = sim, pipeline
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "CustomPipeline") {
+			t.Errorf("%s with a CustomPipeline: Validate = %v, want a refusal naming CustomPipeline", sim, err)
+		}
 	}
 }
 

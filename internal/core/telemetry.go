@@ -14,19 +14,6 @@ import (
 // one nil check per phase — the §III-B non-perturbation property.
 type runTelemetry struct {
 	tr *telemetry.Tracer
-
-	// Interned span identities for the per-phase spans, memoized per call
-	// site so the steady-state loop records through SpanRefs only. These
-	// maps are touched by the run loop alone.
-	fnRefs   map[string]telemetry.SpanRef // fn name → "function" span
-	hostRefs map[string]telemetry.SpanRef // fn name → "host:"+name span
-	commRefs map[string]telemetry.SpanRef // comm label → "mpi" span
-
-	// curFnName/curFnRef short-circuit fnRefs for the common case: the
-	// attribution loop emits one span per rank for the same function, so
-	// only the first rank of a phase pays the map lookup.
-	curFnName string
-	curFnRef  telemetry.SpanRef
 }
 
 // newRunTelemetry wires the tracer for a run, labeling the rank tracks and
@@ -35,12 +22,7 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 	if cfg.Tracer == nil {
 		return nil
 	}
-	rt := &runTelemetry{
-		tr:       cfg.Tracer,
-		fnRefs:   map[string]telemetry.SpanRef{},
-		hostRefs: map[string]telemetry.SpanRef{},
-		commRefs: map[string]telemetry.SpanRef{},
-	}
+	rt := &runTelemetry{tr: cfg.Tracer}
 	for r := 0; r < cfg.Ranks; r++ {
 		rt.tr.SetTrackName(r, fmt.Sprintf("rank %d", r))
 	}
@@ -124,22 +106,35 @@ func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
 	})
 }
 
+// phaseSpans are the span identities of one pipeline function, interned
+// once when the run resolves its phases, so the step loop records through
+// refs only.
+type phaseSpans struct {
+	fn   telemetry.SpanRef // the per-rank "function" span
+	comm telemetry.SpanRef // the "mpi" span of its communication
+	host telemetry.SpanRef // the "host:" span of its serial time
+}
+
+// phaseSpans interns fn's span identities; zero when tracing is off.
+func (rt *runTelemetry) phaseSpans(fn *FuncModel) phaseSpans {
+	if rt == nil {
+		return phaseSpans{}
+	}
+	return phaseSpans{
+		fn:   rt.tr.Intern("function", fn.Name, "gpu_j", "comm_s"),
+		comm: rt.tr.Intern("mpi", commLabel(fn.Comm)),
+		host: rt.tr.Intern("host", "host:"+fn.Name),
+	}
+}
+
 // functionSpan records one rank's span for a finished function phase. The
 // timestamps derive from values the runner computed anyway, so
 // instrumentation adds no extra clock queries.
-func (rt *runTelemetry) functionSpan(rank int, fn string, startS, durS, gpuJ, commS float64) {
+func (rt *runTelemetry) functionSpan(rank int, sp *phaseSpans, startS, durS, gpuJ, commS float64) {
 	if rt == nil {
 		return
 	}
-	if fn != rt.curFnName {
-		ref, ok := rt.fnRefs[fn]
-		if !ok {
-			ref = rt.tr.Intern("function", fn, "gpu_j", "comm_s")
-			rt.fnRefs[fn] = ref
-		}
-		rt.curFnName, rt.curFnRef = fn, ref
-	}
-	rt.tr.CompleteRef(rank, rt.curFnRef, startS, durS, gpuJ, commS)
+	rt.tr.CompleteRef(rank, sp.fn, startS, durS, gpuJ, commS)
 }
 
 // phaseTailSpans records the post-barrier communication and host-serial
@@ -148,27 +143,16 @@ func (rt *runTelemetry) functionSpan(rank int, fn string, startS, durS, gpuJ, co
 // byte-identical on every rank track — they are recorded once on the
 // global track instead, nesting under the step span. This keeps trace
 // volume per phase O(1) in the rank count.
-func (rt *runTelemetry) phaseTailSpans(fn *FuncModel, endS, commS, hostS float64) {
+func (rt *runTelemetry) phaseTailSpans(sp *phaseSpans, endS, commS, hostS float64) {
 	if rt == nil {
 		return
 	}
 	syncT := endS - commS - hostS
 	if commS > 0 {
-		label := commLabel(fn.Comm)
-		ref, ok := rt.commRefs[label]
-		if !ok {
-			ref = rt.tr.Intern("mpi", label)
-			rt.commRefs[label] = ref
-		}
-		rt.tr.CompleteRef(telemetry.GlobalTrack, ref, syncT, commS, 0, 0)
+		rt.tr.CompleteRef(telemetry.GlobalTrack, sp.comm, syncT, commS, 0, 0)
 	}
 	if hostS > 0 {
-		ref, ok := rt.hostRefs[fn.Name]
-		if !ok {
-			ref = rt.tr.Intern("host", "host:"+fn.Name)
-			rt.hostRefs[fn.Name] = ref
-		}
-		rt.tr.CompleteRef(telemetry.GlobalTrack, ref, syncT+commS, hostS, 0, 0)
+		rt.tr.CompleteRef(telemetry.GlobalTrack, sp.host, syncT+commS, hostS, 0, 0)
 	}
 }
 

@@ -38,9 +38,10 @@ const (
 
 // FuncModel characterizes one instrumented SPH-EXA function: the GPU work
 // per particle it performs, its launch pattern, the host-side utilization
-// while it runs, and the communication that follows it. The constants are
-// calibrated so that per-function time and energy shares reproduce the
-// paper's Figs. 5 and 8 (the scorecard's rows, internal/experiments).
+// while it runs, the communication that follows it and the host-side serial
+// time after that. The constants are calibrated so that per-function time
+// and energy shares reproduce the paper's Figs. 5 and 8 (the scorecard's
+// rows, internal/experiments).
 type FuncModel struct {
 	Name string
 
@@ -51,10 +52,6 @@ type FuncModel struct {
 	// Launches per step. DomainDecompAndSync launches many lightweight
 	// kernels — the Fig. 9 pattern.
 	Launches int
-
-	// ItemFraction scales the number of work items relative to the local
-	// particle count (tree kernels touch fewer items).
-	ItemFraction float64
 
 	// Eff is the achieved fraction of device peak FLOPS per vendor;
 	// the gap between Nvidia and AMD encodes the code-maturity difference
@@ -67,6 +64,13 @@ type FuncModel struct {
 	// Communication after the kernels.
 	Comm             CommKind
 	CommBytesPerPart float64 // halo/migration volume per local particle
+
+	// HostS is the fixed per-step host-side serial time (seconds) after the
+	// communication, during which the GPU idles: kernel-launch stalls, CPU
+	// partitioning work, collective completion. It is what lets the DVFS
+	// governor decay clocks at step boundaries (Fig. 9) and what makes small
+	// problems insensitive to GPU frequency (Fig. 6).
+	HostS float64
 }
 
 func (f FuncModel) eff(vendor gpusim.Vendor) float64 {
@@ -81,23 +85,12 @@ func (f FuncModel) eff(vendor gpusim.Vendor) float64 {
 func (f FuncModel) Kernel(nLocal float64, ng int, vendor gpusim.Vendor) gpusim.KernelDesc {
 	return gpusim.KernelDesc{
 		Name:         f.Name,
-		Items:        itemCount(f.ItemFraction, nLocal),
+		Items:        nLocal,
 		FlopsPerItem: workScale * (f.FlopsPerPart + f.FlopsPerPartNg*float64(ng)),
 		BytesPerItem: workScale * (f.BytesPerPart + f.BytesPerPartNg*float64(ng)),
 		Launches:     f.Launches,
 		EffFactor:    f.eff(vendor),
 	}
-}
-
-// itemCount is a kernel's work-item count at a local particle count, for a
-// function whose ItemFraction is frac. It takes the fraction, not the
-// FuncModel: the rank-phase loop calls it, and a value receiver would copy
-// the whole model on every call.
-func itemCount(frac, nLocal float64) float64 {
-	if frac == 0 {
-		return nLocal
-	}
-	return nLocal * frac
 }
 
 // workScale is a global work multiplier mapping the per-particle operation
@@ -132,7 +125,7 @@ func TurbulencePipeline() []FuncModel {
 			Name: FnDomainDecomp,
 			// Many lightweight kernels: SFC keys, sort passes, sync buffers.
 			FlopsPerPart: 150, BytesPerPart: 1500,
-			Launches: 64, ItemFraction: 1,
+			Launches: 64, HostS: 0.120,
 			EffNvidia: 0.45, EffAMD: 0.25,
 			CPUUtil: 0.55, MemUtil: 0.35,
 			Comm: CommDomainSync, CommBytesPerPart: 4.0,
@@ -141,7 +134,7 @@ func TurbulencePipeline() []FuncModel {
 			Name:         FnFindNeighbors,
 			FlopsPerPart: 40, FlopsPerPartNg: 30,
 			BytesPerPart: 64, BytesPerPartNg: 25,
-			Launches: 2, ItemFraction: 1,
+			Launches: 2, HostS: 0.012,
 			EffNvidia: 0.50, EffAMD: 0.16,
 			CPUUtil: 0.10, MemUtil: 0.30,
 		},
@@ -149,7 +142,7 @@ func TurbulencePipeline() []FuncModel {
 			Name:           FnXMass,
 			FlopsPerPartNg: 17, BytesPerPartNg: 22,
 			BytesPerPart: 48,
-			Launches:     1, ItemFraction: 1,
+			Launches:     1, HostS: 0.006,
 			EffNvidia: 0.50, EffAMD: 0.16,
 			CPUUtil: 0.08, MemUtil: 0.30,
 			Comm: CommHalo, CommBytesPerPart: 1.6,
@@ -158,14 +151,14 @@ func TurbulencePipeline() []FuncModel {
 			Name:           FnGradh,
 			FlopsPerPartNg: 16, BytesPerPartNg: 21,
 			BytesPerPart: 40,
-			Launches:     1, ItemFraction: 1,
+			Launches:     1, HostS: 0.006,
 			EffNvidia: 0.50, EffAMD: 0.16,
 			CPUUtil: 0.08, MemUtil: 0.28,
 		},
 		{
 			Name:         FnEOS,
 			FlopsPerPart: 24, BytesPerPart: 72,
-			Launches: 1, ItemFraction: 1,
+			Launches: 1, HostS: 0.004,
 			EffNvidia: 0.55, EffAMD: 0.22,
 			CPUUtil: 0.06, MemUtil: 0.25,
 		},
@@ -173,7 +166,7 @@ func TurbulencePipeline() []FuncModel {
 			Name:           FnIAD,
 			FlopsPerPartNg: 96, BytesPerPartNg: 24,
 			BytesPerPart: 56,
-			Launches:     2, ItemFraction: 1,
+			Launches:     2, HostS: 0.008,
 			EffNvidia: 0.50, EffAMD: 0.13,
 			CPUUtil: 0.08, MemUtil: 0.22,
 			Comm: CommHalo, CommBytesPerPart: 2.4,
@@ -181,7 +174,7 @@ func TurbulencePipeline() []FuncModel {
 		{
 			Name:         FnAVSwitches,
 			FlopsPerPart: 30, BytesPerPart: 88,
-			Launches: 1, ItemFraction: 1,
+			Launches: 1, HostS: 0.004,
 			EffNvidia: 0.50, EffAMD: 0.22,
 			CPUUtil: 0.06, MemUtil: 0.24,
 		},
@@ -189,7 +182,7 @@ func TurbulencePipeline() []FuncModel {
 			Name:           FnMomentum,
 			FlopsPerPartNg: 170, BytesPerPartNg: 32,
 			BytesPerPart: 64,
-			Launches:     1, ItemFraction: 1,
+			Launches:     1, HostS: 0.008,
 			EffNvidia: 0.65, EffAMD: 0.07,
 			CPUUtil: 0.08, MemUtil: 0.20,
 			Comm: CommHalo, CommBytesPerPart: 2.0,
@@ -197,7 +190,7 @@ func TurbulencePipeline() []FuncModel {
 		{
 			Name:         FnTimestep,
 			FlopsPerPart: 16, BytesPerPart: 40,
-			Launches: 2, ItemFraction: 1,
+			Launches: 2, HostS: 0.070,
 			EffNvidia: 0.50, EffAMD: 0.22,
 			CPUUtil: 0.10, MemUtil: 0.15,
 			Comm: CommAllreduce,
@@ -205,7 +198,7 @@ func TurbulencePipeline() []FuncModel {
 		{
 			Name:         FnUpdate,
 			FlopsPerPart: 36, BytesPerPart: 150,
-			Launches: 1, ItemFraction: 1,
+			Launches: 1, HostS: 0.006,
 			EffNvidia: 0.55, EffAMD: 0.22,
 			CPUUtil: 0.06, MemUtil: 0.35,
 		},
@@ -222,7 +215,7 @@ func EvrardPipeline() []FuncModel {
 		// Tree traversal: high arithmetic intensity, branchy (lower eff).
 		FlopsPerPart: 260, FlopsPerPartNg: 38,
 		BytesPerPart: 96, BytesPerPartNg: 5,
-		Launches: 3, ItemFraction: 1,
+		Launches: 3, HostS: 0.016,
 		EffNvidia: 0.40, EffAMD: 0.10,
 		CPUUtil: 0.10, MemUtil: 0.18,
 		Comm: CommHalo, CommBytesPerPart: 1.0,

@@ -68,7 +68,7 @@ func TestCacheKeySeparatesInputs(t *testing.T) {
 	// Objective is not part of the key: a hit-only re-sweep under a new
 	// objective must still rescore the cached time/energy pairs.
 	cfg3 := cfg
-	cfg3.Objective = TimeToSolution
+	cfg3.Objective = timeToSolution
 	c2, err := TuneKernel("k", computeBound(), cfg3)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestCacheKeySeparatesInputs(t *testing.T) {
 		if c2.All[i].TimeS != a.All[i].TimeS || c2.All[i].EnergyJ != a.All[i].EnergyJ {
 			t.Fatalf("objective change altered cached time/energy at %d MHz", a.All[i].MHz)
 		}
-		if c2.All[i].Score != TimeToSolution(a.All[i].TimeS, a.All[i].EnergyJ) {
+		if c2.All[i].Score != timeToSolution(a.All[i].TimeS, a.All[i].EnergyJ) {
 			t.Fatalf("cached measurement not rescored under new objective at %d MHz", a.All[i].MHz)
 		}
 	}

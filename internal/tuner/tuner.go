@@ -22,17 +22,8 @@ import (
 // Objective scores one measured configuration; lower is better.
 type Objective func(timeS, energyJ float64) float64
 
-// Built-in objectives.
-var (
-	// TimeToSolution minimizes kernel duration.
-	TimeToSolution Objective = func(t, _ float64) float64 { return t }
-	// EnergyToSolution minimizes kernel energy.
-	EnergyToSolution Objective = func(_, e float64) float64 { return e }
-	// EDP minimizes the energy-delay product, the paper's tuning metric.
-	EDP Objective = func(t, e float64) float64 { return t * e }
-	// ED2P minimizes energy × delay², biased further toward performance.
-	ED2P Objective = func(t, e float64) float64 { return t * t * e }
-)
+// EDP minimizes the energy-delay product, the paper's tuning metric.
+var EDP Objective = func(t, e float64) float64 { return t * e }
 
 // Params is the tunable-parameter dictionary. Frequency is the only
 // device-wise parameter the paper tunes; the struct leaves room for the

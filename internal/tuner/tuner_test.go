@@ -14,6 +14,12 @@ func memoryBound() gpusim.KernelDesc {
 	return gpusim.KernelDesc{Items: 50e6, FlopsPerItem: 100, BytesPerItem: 4000, EffFactor: 0.5}
 }
 
+// Objectives no program selects, for the tests that need a second one.
+var (
+	timeToSolution   Objective = func(t, _ float64) float64 { return t }
+	energyToSolution Objective = func(_, e float64) float64 { return e }
+)
+
 func baseCfg() Config {
 	return Config{
 		Spec:   gpusim.A100PCIE40GB(),
@@ -74,7 +80,7 @@ func TestEDPObjectiveSeparatesKernelClasses(t *testing.T) {
 
 func TestTimeObjectivePicksMaxClock(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Objective = TimeToSolution
+	cfg.Objective = timeToSolution
 	res, err := TuneKernel("k", computeBound(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +93,7 @@ func TestTimeObjectivePicksMaxClock(t *testing.T) {
 func TestEnergyObjectivePicksLowerClockThanEDP(t *testing.T) {
 	cfgEDP := baseCfg()
 	cfgE := baseCfg()
-	cfgE.Objective = EnergyToSolution
+	cfgE.Objective = energyToSolution
 	k := computeBound()
 	edp, _ := TuneKernel("k", k, cfgEDP)
 	energy, _ := TuneKernel("k", k, cfgE)

@@ -28,7 +28,7 @@
 //	sphenergy.ManDyn(table)     // per-function clocks (the contribution)
 //
 // A tuned per-function table comes from the KernelTuner-style search in
-// TuneFrequencies.
+// TuneFrequenciesObserved.
 //
 // Everything underneath — the GPU device model, the PMT sensors over its
 // energy counter and the pm_counters files, the MPI-style rank runtime,
@@ -109,13 +109,12 @@ func NewEventLedger(capacity int) *EventLedger { return events.NewLedger(capacit
 // The run bundle: the files one run leaves in its output directory.
 const (
 	BundleReport = "report.json"  // the energy report (Report.WriteFile)
-	BundleCSV    = "report.csv"   // its per-function CSV export
 	BundleTrace  = "trace.json"   // the Chrome trace_event timeline
 	BundleEvents = "events.jsonl" // the decision ledger
 )
 
 // WriteBundle writes a run's bundle into dir, creating it: rep as the
-// report and its CSV, cfg's Tracer and Events as the trace and the ledger.
+// report, cfg's Tracer and Events as the trace and the ledger.
 // Nil parts are skipped, so a run stopped before it has a report still
 // leaves what its observers recorded. Every part is attempted; the error
 // joins those that failed.
@@ -129,7 +128,6 @@ func WriteBundle(dir string, cfg Config, rep *Report) error {
 	}
 	if rep != nil {
 		write(BundleReport, rep.WriteFile)
-		write(BundleCSV, rep.WriteCSVFile)
 	}
 	if cfg.Tracer != nil {
 		write(BundleTrace, cfg.Tracer.WriteFile)
@@ -176,19 +174,14 @@ func ManDyn(table map[string]int) func() Strategy {
 	return func() Strategy { return &freqctl.ManDyn{Table: table} }
 }
 
-// TuneFrequencies runs the KernelTuner-style per-function frequency search
-// (EDP objective, 1005 MHz up to the device maximum) for a simulation's
-// pipeline on a system's GPU, returning the ManDyn table.
-func TuneFrequencies(system NodeSpec, sim SimKind, particlesPerRank float64, ng int) (map[string]int, error) {
-	return TuneFrequenciesObserved(system, sim, particlesPerRank, ng, nil)
-}
-
-// TuneFrequenciesObserved is TuneFrequencies with the search recorded into
-// a decision ledger: every sweep measurement and winning pick is emitted as
-// a tuner event carrying the predicted time/energy/power/EDP at its clock.
-// A Run on the same ledger keeps these rows as its preamble, and `inspect
-// decisions` joins its frequency decisions to them. A nil ledger degrades
-// to the unobserved search.
+// TuneFrequenciesObserved runs the KernelTuner-style per-function frequency
+// search (EDP objective, 1005 MHz up to the device maximum) for a
+// simulation's pipeline on a system's GPU, returning the ManDyn table. The
+// search is recorded into led: every sweep measurement and winning pick is
+// emitted as a tuner event carrying the predicted time/energy/power/EDP at
+// its clock. A Run on the same ledger keeps these rows as its preamble, and
+// `inspect decisions` joins its frequency decisions to them. A nil ledger
+// runs the search unobserved.
 func TuneFrequenciesObserved(system NodeSpec, sim SimKind, particlesPerRank float64, ng int, led *EventLedger) (map[string]int, error) {
 	if ng <= 0 {
 		ng = 150

@@ -48,7 +48,7 @@ func TestStrategyFactories(t *testing.T) {
 }
 
 func TestTuneFrequencies(t *testing.T) {
-	table, err := TuneFrequencies(MiniHPC(), Turbulence, 450*450*450, 150)
+	table, err := TuneFrequenciesObserved(MiniHPC(), Turbulence, 450*450*450, 150, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
