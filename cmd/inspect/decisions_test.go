@@ -176,7 +176,7 @@ func TestDecisionsUntunedRunLeavesEDPOnTable(t *testing.T) {
 	if _, err := sphenergy.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	a := analyze(led.Events(), nil, 25)
+	a := analyze(ledgerEvents(t, led), nil, 25)
 	if a.Decisions == 0 {
 		t.Fatal("no decisions recorded")
 	}
@@ -204,7 +204,7 @@ func TestDecisionsWrappedLedgerKeepsSweep(t *testing.T) {
 	if sum := led.Summary(); sum.Dropped == 0 {
 		t.Fatalf("the run did not wrap the ledger: %+v", sum)
 	}
-	a := analyze(led.Events(), nil, 25)
+	a := analyze(ledgerEvents(t, led), nil, 25)
 	if a.Simulation != "turbulence" || a.Strategy != "mandyn" || a.Steps != cfg.Steps {
 		t.Errorf("run header %q/%q/%d, want turbulence/mandyn/%d", a.Simulation, a.Strategy, a.Steps, cfg.Steps)
 	}
@@ -274,4 +274,19 @@ func TestAnalyzeEmptyLedgerHasNoDecisions(t *testing.T) {
 	if a.Decisions != 0 || len(a.Rows) != 0 {
 		t.Fatalf("empty ledger produced decisions: %+v", a)
 	}
+}
+
+// ledgerEvents reads the ledger back as inspect does: its JSONL export,
+// parsed.
+func ledgerEvents(t testing.TB, led *events.Ledger) []events.Event {
+	t.Helper()
+	var file bytes.Buffer
+	if err := led.WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	evs, truncated, err := events.ReadJSONL(&file)
+	if err != nil || truncated {
+		t.Fatalf("ledger read back: truncated %v, err %v", truncated, err)
+	}
+	return evs
 }

@@ -1,19 +1,17 @@
 // Package blocks holds the growing record buffers of the observers — a
-// sampler channel's tick series, a tracer shard's events, the decision
-// ledger's ring — in fixed-size blocks. A slice grown by append moves
-// everything it holds each time it outgrows its array, a quarter at a time
-// once it is long: a run's million-odd records were each copied four or
-// five times that way, and every abandoned array was garbage. A block is
-// allocated when the sequence first reaches it and never moved, so a record
-// is written once, an element's address stays valid while it is held, and
-// a bounded sequence that the run did not fill retains what it used, not
-// its bound. A sequence lets go of its oldest elements (Drop) a whole block
-// at a time: the block goes to the back for the elements to come, so a
-// sequence that is read and dropped as it grows holds what is left to read,
-// not all it was given.
+// sampler channel's tick series, a tracer shard's events — in fixed-size
+// blocks. A slice grown by append moves everything it holds each time it
+// outgrows its array, a quarter at a time once it is long: a run's
+// million-odd records were each copied four or five times that way, and
+// every abandoned array was garbage. A block is allocated when the
+// sequence first reaches it and never moved, so a record is written once,
+// an element's address stays valid while it is held, and a bounded
+// sequence that the run did not fill retains what it used, not its bound.
+// A sequence lets go of its oldest elements (Drop) a whole block at a
+// time: the block goes to the back for the elements to come, so a sequence
+// that is read and dropped as it grows holds what is left to read, not all
+// it was given.
 package blocks
-
-import "slices"
 
 // Len is the number of elements in a block.
 const Len = 512
@@ -87,14 +85,6 @@ func (s *Seq[T]) Runs(fn func(run []T)) {
 		fn(block[off:end])
 		from += end - off
 	}
-}
-
-// AppendTo appends the elements to dst, oldest first, growing it at most
-// once.
-func (s *Seq[T]) AppendTo(dst []T) []T {
-	dst = slices.Grow(dst, s.n)
-	s.Runs(func(run []T) { dst = append(dst, run...) })
-	return dst
 }
 
 // Reset empties the sequence and keeps its blocks for the elements to come.

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// held returns a copy of the elements s holds, oldest first.
+func held[T any](s *Seq[T]) []T {
+	var out []T
+	s.Runs(func(run []T) { out = append(out, run...) })
+	return out
+}
+
 // TestSeqMatchesSliceModel drives an unbounded sequence and rings of
 // several bounds — below a block, a whole number of blocks, ragged —
 // against a plain slice that keeps the newest bound elements.
@@ -19,7 +26,7 @@ func TestSeqMatchesSliceModel(t *testing.T) {
 			if s.Len() != len(model) {
 				t.Fatalf("bound %d after %d pushes: Len %d, want %d", bound, pushed, s.Len(), len(model))
 			}
-			if got := s.AppendTo(nil); !slices.Equal(got, model) {
+			if got := held(&s); !slices.Equal(got, model) {
 				t.Fatalf("bound %d after %d pushes: holds %v..., want %v...", bound, pushed, got[:min(4, len(got))], model[:min(4, len(model))])
 			}
 			for _, i := range []int{0, len(model) / 2, len(model) - 1} {
@@ -49,7 +56,7 @@ func TestSeqMatchesSliceModel(t *testing.T) {
 
 		// Elements never move: a slot's address outlives later pushes.
 		s.Reset()
-		if s.Len() != 0 || len(s.AppendTo(nil)) != 0 {
+		if s.Len() != 0 || len(held(&s)) != 0 {
 			t.Fatalf("bound %d: Reset left %d elements", bound, s.Len())
 		}
 		first, _ := s.Push()
@@ -97,7 +104,7 @@ func TestDropMatchesSliceModel(t *testing.T) {
 				t.Fatalf("bound %d after %d pushes: %d blocks for %d elements", bound, v+1, len(s.blocks), s.Len())
 			}
 			if v%61 == 0 {
-				if got := s.AppendTo(nil); !slices.Equal(got, model) {
+				if got := held(&s); !slices.Equal(got, model) {
 					t.Fatalf("bound %d after %d pushes: holds %v..., want %v...", bound, v+1, got[:min(4, len(got))], model[:min(4, len(model))])
 				}
 				for i := range model {

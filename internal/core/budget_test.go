@@ -81,7 +81,7 @@ func requireBudgetStop(t *testing.T, cfg Config, want error, set func(*Config, *
 	if res.Report == nil || res.Report.WallTimeS != res.WallTimeS || len(res.Report.Ranks) != cfg.Ranks {
 		t.Fatalf("the stopped run's report is incomplete: %+v", res.Report)
 	}
-	evs := cfg.Events.Events()
+	evs := ledgerEvents(t, cfg.Events)
 	if len(evs) < 3 {
 		t.Fatalf("the ledger holds %d rows", len(evs))
 	}

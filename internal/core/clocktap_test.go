@@ -34,7 +34,7 @@ func TestDecisionsReachTracerAndLedger(t *testing.T) {
 		fmt.Sprintf("%s %d/%d", FnMomentum, 1410, 1410),
 	}
 	var ledgered []string
-	for _, ev := range cfg.Events.Events() {
+	for _, ev := range ledgerEvents(t, cfg.Events) {
 		if ev.Type == events.FreqDecision {
 			ledgered = append(ledgered, fmt.Sprintf("%s %d/%d", ev.Subject, ev.RequestedMHz, ev.AppliedMHz))
 		}

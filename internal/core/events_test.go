@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"sphenergy/internal/cluster"
@@ -39,7 +40,7 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 		t.Fatal("no frequency decisions despite ManDyn switching clocks")
 	}
 
-	evs := led.Events()
+	evs := ledgerEvents(t, led)
 	if sweep.Seq = 1; evs[0] != sweep || evs[1].Type != events.RunStart {
 		t.Errorf("the ledger starts %+v, %s; want the sweep row, then the run-start", evs[0], evs[1].Type)
 	}
@@ -118,7 +119,7 @@ func TestChaosRunEmitsResilienceEvents(t *testing.T) {
 	if by[events.SamplerDegraded] == 0 {
 		t.Errorf("no sampler degradation edges under sensor faults: %v", by)
 	}
-	for _, ev := range led.Events() {
+	for _, ev := range ledgerEvents(t, led) {
 		if ev.Type == events.RankFail && (ev.Rank != 3 || ev.Step != 2) {
 			t.Errorf("rank-fail misattributed: %+v", ev)
 		}
@@ -149,4 +150,19 @@ func TestLedgerDoesNotPerturbRun(t *testing.T) {
 		t.Fatalf("ledger perturbed the run: wall %v vs %v, energy %v vs %v",
 			with.WallTimeS, without.WallTimeS, with.Report.TotalEnergyJ, without.Report.TotalEnergyJ)
 	}
+}
+
+// ledgerEvents reads the ledger back as inspect does: its JSONL export,
+// parsed.
+func ledgerEvents(t testing.TB, led *events.Ledger) []events.Event {
+	t.Helper()
+	var file bytes.Buffer
+	if err := led.WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	evs, truncated, err := events.ReadJSONL(&file)
+	if err != nil || truncated {
+		t.Fatalf("ledger read back: truncated %v, err %v", truncated, err)
+	}
+	return evs
 }

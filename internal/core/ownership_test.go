@@ -155,7 +155,7 @@ func requireStop(t *testing.T, steps int, stop func(*Config)) {
 		t.Fatalf("the stopped run's report is incomplete: %+v", res.Report)
 	}
 
-	evs := cfg.Events.Events()
+	evs := ledgerEvents(t, cfg.Events)
 	if len(evs) < 2 {
 		t.Fatalf("the ledger holds %d rows", len(evs))
 	}

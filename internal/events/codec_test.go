@@ -13,14 +13,27 @@ import (
 	"testing"
 )
 
+// RetainedEvents returns a copy of the events the ledger retains, in
+// sequence order, decoded from its records. Exported so the external test
+// package can hold a real core.Run's read-back to what the ledger holds.
+func RetainedEvents(l *Ledger) []Event { return retained(l) }
+
+func retained(l *Ledger) []Event {
+	var evs []Event
+	if l != nil {
+		l.each(func(ev *Event) { evs = append(evs, *ev) })
+	}
+	return evs
+}
+
 // OracleWriteJSONL is WriteJSONL as it stood before the append encoder
-// (commit 7955eee), kept verbatim as the reference the encoder must match
-// byte for byte: encoding/json over a copy of the ring. Exported so the
-// external test package can run it over a real core.Run.
+// (commit 7955eee), kept as the reference the encoder must match byte for
+// byte: encoding/json over a copy of the ring. Exported so the external
+// test package can run it over a real core.Run.
 func OracleWriteJSONL(l *Ledger, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range l.Events() {
+	for _, ev := range retained(l) {
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}

@@ -16,10 +16,10 @@
 // Non-perturbation contract (the same one internal/telemetry holds): a nil
 // *Ledger is a valid no-op, every emit is a pure observation with no effect
 // on simulation state, and the emit path performs no heap allocation beyond
-// the ring's own storage, taken a block of events at a time until the ring
-// is full. Emit serializes on one short mutex — decision events are
-// per-phase, not per-particle, so the ring never sits on a per-item hot
-// loop.
+// the ring's own storage, taken a block of records at a time until the
+// ring is full. A ledger belongs to the goroutine that drives its run and
+// has no lock — decision events are per-phase, not per-particle, so the
+// ring never sits on a per-item hot loop.
 package events
 
 import (
@@ -29,7 +29,6 @@ import (
 	"os"
 
 	"sphenergy/internal/atomicio"
-	"sphenergy/internal/blocks"
 )
 
 // Type names a decision-event kind.
@@ -79,8 +78,8 @@ var builtinTypes = []Type{
 }
 
 // Event is one ledger record. Fields are a flat union across the event
-// types so records stay fixed-size values (emit copies them into the ring
-// without allocating); unused fields marshal away under omitempty.
+// types; unused fields marshal away under omitempty, and the ledger packs
+// each event into a record of the fields it sets (record.go).
 type Event struct {
 	// Seq is the monotonic sequence id, starting at 1. Assigned by Emit.
 	Seq uint64 `json:"seq"`
@@ -144,12 +143,16 @@ const DefaultCap = 1 << 15
 // that follow them, in what is left of the capacity. A long run thus keeps
 // the sweep its decisions are joined to and the header that names it. A
 // preamble that would leave no room for the run is not pinned.
+//
+// Each event is kept as a packed record (record.go), numbered by its place:
+// the preamble's from 1, the ring's up to the last emitted.
 type Ledger struct {
 	capacity int
-	pre      []Event           // the pinned preamble, nil until it is pinned
-	ring     blocks.Seq[Event] // the retained events after it, oldest first
-	next     uint64            // total emitted; the next event gets Seq next+1
+	pre      recordRing // the pinned preamble, empty until it is pinned
+	ring     recordRing // the retained events after it, oldest first
+	next     uint64     // total emitted; the next event gets Seq next+1
 	counts   map[Type]uint64
+	rec      []byte // Emit's scratch record
 }
 
 // NewLedger creates a ledger retaining at most capacity events (DefaultCap
@@ -160,7 +163,7 @@ func NewLedger(capacity int) *Ledger {
 	}
 	l := &Ledger{
 		capacity: capacity,
-		ring:     blocks.Bounded[Event](capacity),
+		ring:     recordRing{bound: capacity},
 		counts:   make(map[Type]uint64, len(builtinTypes)),
 	}
 	for _, t := range builtinTypes {
@@ -169,19 +172,18 @@ func NewLedger(capacity int) *Ledger {
 	return l
 }
 
-// Emit appends one event, assigning its sequence id. The event value is
-// copied into the ring, whose storage is allocated a block at a time as the
-// run first fills it: steady-state emits do not allocate.
+// Emit appends one event, its sequence id the next. The event is packed
+// into the ring, whose storage is allocated a block at a time as the run
+// first fills it: steady-state emits do not allocate.
 func (l *Ledger) Emit(ev Event) {
 	if l == nil {
 		return
 	}
 	l.next++
-	ev.Seq = l.next
-	slot, _ := l.ring.Push()
-	*slot = ev
+	l.rec = appendRecord(l.rec[:0], &ev)
+	l.ring.push(l.rec)
 	l.counts[ev.Type]++
-	if ev.Type == RunStart && l.pre == nil {
+	if ev.Type == RunStart && l.pre.n == 0 {
 		l.pinPreamble()
 	}
 }
@@ -189,13 +191,15 @@ func (l *Ledger) Emit(ev Event) {
 // pinPreamble moves the events the ring holds into the preamble and leaves
 // the rest of the capacity to the ring. A ring that is full keeps rotating
 // as it is, and so does every later run-start on it.
+//
+// A ring that is not full has dropped nothing, so the preamble is the
+// events numbered 1 to its length.
 func (l *Ledger) pinPreamble() {
-	n := l.ring.Len()
+	n := l.ring.n
 	if n >= l.capacity {
 		return
 	}
-	l.pre = l.ring.AppendTo(make([]Event, 0, n))
-	l.ring = blocks.Bounded[Event](l.capacity - n)
+	l.pre, l.ring = l.ring, recordRing{bound: l.capacity - n}
 }
 
 // BeginRun emits the run-start event: the simulation, the strategy and the
@@ -239,7 +243,7 @@ func (l *Ledger) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.pre) + l.ring.Len()
+	return l.pre.n + l.ring.n
 }
 
 // Summary returns the ledger roll-up (only non-zero type counts).
@@ -248,7 +252,7 @@ func (l *Ledger) Summary() *Summary {
 		return nil
 	}
 	s := &Summary{Emitted: l.next, ByType: make(map[Type]uint64)}
-	s.Dropped = l.next - uint64(len(l.pre)+l.ring.Len())
+	s.Dropped = l.next - uint64(l.pre.n+l.ring.n)
 	for t, c := range l.counts {
 		if c > 0 {
 			s.ByType[t] = c
@@ -257,42 +261,43 @@ func (l *Ledger) Summary() *Summary {
 	return s
 }
 
-// Events returns a copy of all retained events in sequence order.
-func (l *Ledger) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	return l.ring.AppendTo(append(make([]Event, 0, len(l.pre)+l.ring.Len()), l.pre...))
-}
-
 // ledgerBytesPerEvent sizes WriteJSONL's buffer from the event count: a
 // frequency decision, most of a tuned run's rows, is some 150 bytes; a
 // tuner row with its four predictions some 275, a step row 100.
 const ledgerBytesPerEvent = 160
 
 // WriteJSONL writes the retained events as one JSON object per line, in
-// sequence order, encoded straight out of the ring into one buffer (no
-// Events() copy; at most the ring's capacity in lines) and handed to the
+// sequence order: each record is decoded into one reused Event and encoded
+// into one buffer (at most the ring's capacity in lines), handed to the
 // writer in one write.
 func (l *Ledger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
 	var enc eventEncoder
-	enc.buf = make([]byte, 0, (len(l.pre)+l.ring.Len())*ledgerBytesPerEvent)
-	for i := range l.pre {
-		enc.event(&l.pre[i])
-	}
-	l.ring.Runs(func(run []Event) {
-		for i := range run {
-			enc.event(&run[i])
-		}
-	})
+	enc.buf = make([]byte, 0, l.Len()*ledgerBytesPerEvent)
+	l.each(func(ev *Event) { enc.event(ev) })
 	if enc.err != nil {
 		return enc.err
 	}
 	_, err := w.Write(enc.buf)
 	return err
+}
+
+// each calls fn with every retained event in sequence order, decoded into
+// one Event it reuses.
+func (l *Ledger) each(fn func(ev *Event)) {
+	dec := recordDecoder{names: make(map[string]string, 64)}
+	var ev Event
+	seq := uint64(1)
+	visit := func(rec []byte) {
+		dec.decode(rec, seq, &ev)
+		fn(&ev)
+		seq++
+	}
+	l.pre.each(visit)
+	seq = l.next - uint64(l.ring.n) + 1
+	l.ring.each(visit)
 }
 
 // WriteFile writes the JSONL export to path atomically: a crash mid-write
@@ -319,7 +324,7 @@ const readBlock = 512
 // readJSONL is ReadJSONL that also returns the length of the valid prefix:
 // the offset just past the last line that parsed. Events are decoded in
 // place into blocks and copied once into a result of exactly their number:
-// an Event is 176 bytes, and growing one slice by append would copy a long
+// an Event is 160 bytes, and growing one slice by append would copy a long
 // ledger five times over and keep a quarter more than it holds.
 func readJSONL(r io.Reader) (evs []Event, valid int64, truncated bool, err error) {
 	var consumed int64

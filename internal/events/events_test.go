@@ -18,7 +18,7 @@ func TestLedgerSequenceAndRing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Emit(Event{Type: StepDone, Step: i})
 	}
-	evs := l.Events()
+	evs := retained(l)
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}
@@ -43,11 +43,12 @@ func TestNilLedgerIsNoOp(t *testing.T) {
 	l.BeginRun("turbulence", "mandyn", 3)
 	l.StepDone(1, 0, 10)
 	l.EndRun(2)
-	if l.Len() != 0 || l.Emitted() != 0 || l.Summary() != nil || l.Events() != nil {
+	if l.Len() != 0 || l.Emitted() != 0 || l.Summary() != nil {
 		t.Error("nil ledger must be inert")
 	}
-	if err := l.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Error(err)
+	var file bytes.Buffer
+	if err := l.WriteJSONL(&file); err != nil || file.Len() != 0 {
+		t.Errorf("nil ledger wrote %q, err %v", file.Bytes(), err)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestReadJSONLTruncatedTail(t *testing.T) {
 }
 
 // TestRunBoundaryEvents pins what BeginRun, StepDone and EndRun record,
-// read back through Events().
+// decoded from the ledger's records.
 func TestRunBoundaryEvents(t *testing.T) {
 	l := NewLedger(0)
 	l.BeginRun("turbulence", "mandyn", 3)
@@ -116,7 +117,7 @@ func TestRunBoundaryEvents(t *testing.T) {
 		{Seq: 4, TimeS: 2.5, Step: 1, Rank: -1, Type: StepDone, Value: 150},
 		{Seq: 5, TimeS: 3.0, Step: -1, Rank: -1, Type: RunEnd},
 	}
-	if got := l.Events(); !reflect.DeepEqual(got, want) {
+	if got := retained(l); !reflect.DeepEqual(got, want) {
 		t.Errorf("events =\n%+v\nwant\n%+v", got, want)
 	}
 }
@@ -153,7 +154,7 @@ func TestLedgerKeepsPreambleWhenWrapped(t *testing.T) {
 		l.Emit(decision(float64(i), i, i%8, "IAD", 1005, 1005))
 	}
 	const emitted = sweep + 1 + decisions
-	evs := l.Events()
+	evs := retained(l)
 	if len(evs) != capacity || l.Len() != capacity {
 		t.Fatalf("retained %d events (Len %d), want %d", len(evs), l.Len(), capacity)
 	}
@@ -188,7 +189,7 @@ func TestLedgerKeepsPreambleWhenWrapped(t *testing.T) {
 	for i := 0; i < emitted; i++ {
 		plain.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
-	evs = plain.Events()
+	evs = retained(plain)
 	if len(evs) != capacity || evs[0].Seq != emitted-capacity+1 || evs[capacity-1].Seq != emitted {
 		t.Errorf("without a run-start: %d events, seq %d..%d, want the last %d", len(evs), evs[0].Seq, evs[len(evs)-1].Seq, capacity)
 	}
@@ -201,13 +202,14 @@ func TestLedgerKeepsPreambleWhenWrapped(t *testing.T) {
 	}
 	full.BeginRun("turbulence", "mandyn", decisions)
 	full.Emit(decision(0, 0, 0, "IAD", 1005, 1005))
-	if evs = full.Events(); len(evs) != sweep || evs[0].Seq != 3 || evs[sweep-1].Type != FreqDecision {
+	if evs = retained(full); len(evs) != sweep || evs[0].Seq != 3 || evs[sweep-1].Type != FreqDecision {
 		t.Errorf("a full ring at the run-start: %d events from seq %d, want %d from seq 3", len(evs), evs[0].Seq, sweep)
 	}
 }
 
-// BenchmarkEmit is the acceptance gate for the emit path: one mutexed ring
-// store, no allocation.
+// BenchmarkEmit is the acceptance gate for the emit path: a record packed
+// and stored in a full ring that rotates, no allocation. B/event is the
+// storage the ring holds per event it retains.
 func BenchmarkEmit(b *testing.B) {
 	l := NewLedger(1 << 12)
 	for i := 0; i < 1<<13; i++ {
@@ -218,4 +220,6 @@ func BenchmarkEmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Emit(decision(float64(i), i, 0, "IAD", 1005, 1005))
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(HeldBytes(l))/float64(l.Len()), "B/event")
 }

@@ -66,9 +66,31 @@ func TestLedgerFileOfRealRunUnchanged(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("read back: truncated %v, err %v", truncated, err)
 	}
-	if !reflect.DeepEqual(gotEvs, wantEvs) || !reflect.DeepEqual(gotEvs, led.Events()) {
+	if !reflect.DeepEqual(gotEvs, wantEvs) || !reflect.DeepEqual(gotEvs, events.RetainedEvents(led)) {
 		t.Fatalf("read back %d events that differ from the %d encoding/json reads or the %d the ledger holds",
 			len(gotEvs), len(wantEvs), led.Len())
+	}
+}
+
+// TestLedgerBytesPerEventPinned is the ledger's memory ruler: the bytes
+// the recorded run's ledger holds, blocks whole, and what its frequency
+// decisions take, pinned exactly. A figure that moves means the record
+// layout or the block size changed. As a ring of Events (160 bytes, 512 to
+// a block) the same ledger held 1 638 400 bytes, 160.6 per event.
+func TestLedgerBytesPerEventPinned(t *testing.T) {
+	led := mustRecordedLedger(t)
+	held, n := events.HeldBytes(led), led.Len()
+	decBytes, decisions := events.RecordBytes(led, events.FreqDecision)
+	t.Logf("%d events in %d bytes (%.2f B/event); %d freq-decisions in %d bytes (%.2f B/event)",
+		n, held, float64(held)/float64(n), decisions, decBytes, float64(decBytes)/float64(decisions))
+	if n != 10200 || held != 360448 {
+		t.Errorf("the ledger holds %d events in %d bytes, want 10200 in 360448", n, held)
+	}
+	if decisions != 9608 || decBytes != 319800 {
+		t.Errorf("%d freq-decisions take %d bytes, want 9608 in 319800", decisions, decBytes)
+	}
+	if decBytes > 40*decisions {
+		t.Errorf("a freq-decision takes %.2f bytes, want at most 40", float64(decBytes)/float64(decisions))
 	}
 }
 

@@ -23,12 +23,13 @@ func OracleWriteJSON(t *Tracer, w io.Writer) error {
 	if t != nil {
 		descs := t.descs
 		for tid := range t.shards {
-			buf := t.shards[tid].fast.AppendTo(nil)
-			for i := range buf {
-				if int(buf[i].ref) < len(descs) {
-					events = append(events, oracleEventObject(&buf[i], tid, &descs[buf[i].ref]))
+			t.shards[tid].fast.Runs(func(buf []fastEvent) {
+				for i := range buf {
+					if int(buf[i].ref) < len(descs) {
+						events = append(events, oracleEventObject(&buf[i], tid, &descs[buf[i].ref]))
+					}
 				}
-			}
+			})
 		}
 	}
 	enc := json.NewEncoder(w)

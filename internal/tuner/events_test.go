@@ -32,7 +32,7 @@ func TestTuneKernelRecordsSweepEvents(t *testing.T) {
 		measured[m.MHz] = m
 	}
 	var selects int
-	for _, ev := range led.Events() {
+	for _, ev := range ledgerEvents(t, led) {
 		if ev.Subject != "iad" {
 			t.Errorf("event about %q, want iad: %+v", ev.Subject, ev)
 		}
@@ -97,4 +97,19 @@ func TestSweepLedgerIndependentOfWidth(t *testing.T) {
 			t.Fatalf("the sweep's ledger at GOMAXPROCS 4 differs from the serial one's:\n got: %.300s...\nwant: %.300s...", got, want)
 		}
 	}
+}
+
+// ledgerEvents reads the ledger back as inspect does: its JSONL export,
+// parsed.
+func ledgerEvents(t testing.TB, led *events.Ledger) []events.Event {
+	t.Helper()
+	var file bytes.Buffer
+	if err := led.WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	evs, truncated, err := events.ReadJSONL(&file)
+	if err != nil || truncated {
+		t.Fatalf("ledger read back: truncated %v, err %v", truncated, err)
+	}
+	return evs
 }
