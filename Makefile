@@ -22,7 +22,9 @@ all: build lint test
 #                number reader and number writer, each against its
 #                reference), the ledger's packed records (what a ring
 #                that pins a preamble and rotates decodes to, against
-#                what was emitted) and the device-pricing fuzzer (gpusim's clock
+#                what was emitted), the tracer's packed records (what
+#                Spans, ReadRecords and the export read back, against
+#                what was recorded) and the device-pricing fuzzer (gpusim's clock
 #                sets, caps, launches and idle windows against the
 #                unmemoized power and timing model) for a fixed number of
 #                executions each beyond their seed corpora.
@@ -101,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 200x ./internal/traceanalysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 200x ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerRecord$$' -fuzztime 200x ./internal/events/
+	$(GO) test -run '^$$' -fuzz '^FuzzTracerRecord$$' -fuzztime 200x ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat$$' -fuzztime 200x ./internal/jsontext/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 200x ./internal/jsontext/
 	$(GO) test -run '^$$' -fuzz '^FuzzDevicePricing$$' -fuzztime 200x ./internal/gpusim/
@@ -148,7 +151,9 @@ bench-telemetry:
 
 # What observing a run costs, leg by leg: one ledger emit into a full ring
 # that rotates (0 allocs/op, and B/event, the storage the ring holds per
-# event it keeps: 30 for a decision row, 160 while it kept Events); then,
+# event it keeps: 30 for a decision row, 160 while it kept Events), and one
+# span recorded back to back with the one before it into a fresh tracer
+# (B/event, what it holds: 28, 40 while a shard kept structs); then,
 # on a recorded 8-rank 300-step ManDyn run, the decision ledger's JSONL
 # round trip (MB/s, allocs/op), the whole observed run with every observer
 # on, the attribution join alone —
@@ -174,7 +179,7 @@ bench-telemetry:
 # ns/record), beside 5.4–6.0 ms for the post-run join it replaced, and a
 # tick 46–48 ns (one round each, 2 CPUs).
 bench-observe:
-	$(GO) test -run '^$$' -bench 'Emit|LedgerRoundTrip|ObservedRun|AttribBuild|Tick' -benchmem ./internal/events ./internal/core ./internal/attrib ./internal/sampler
+	$(GO) test -run '^$$' -bench 'Emit|SpanRecordInterned|LedgerRoundTrip|ObservedRun|AttribBuild|Tick' -benchmem ./internal/events ./internal/telemetry ./internal/core ./internal/attrib ./internal/sampler
 	$(GO) test -run '^$$' -bench 'ObservedRun|AttribBuild|Tick' -count 3 -cpu 1 -benchmem ./internal/core ./internal/attrib ./internal/sampler
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
 	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/

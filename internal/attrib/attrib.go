@@ -708,7 +708,7 @@ type live struct {
 	rank   int
 	ch     *sampler.Channel
 	s      *energySeries
-	cursor int // the first record of the rank's track not yet folded
+	cursor telemetry.Cursor // the first record of the rank's track not yet folded
 }
 
 // NewOnline starts the join of the records tr will hold against the rank

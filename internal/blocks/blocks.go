@@ -1,16 +1,17 @@
-// Package blocks holds the growing record buffers of the observers — a
-// sampler channel's tick series, a tracer shard's events — in fixed-size
-// blocks. A slice grown by append moves everything it holds each time it
-// outgrows its array, a quarter at a time once it is long: a run's
-// million-odd records were each copied four or five times that way, and
-// every abandoned array was garbage. A block is allocated when the
-// sequence first reaches it and never moved, so a record is written once,
-// an element's address stays valid while it is held, and a bounded
-// sequence that the run did not fill retains what it used, not its bound.
-// A sequence lets go of its oldest elements (Drop) a whole block at a
-// time: the block goes to the back for the elements to come, so a sequence
-// that is read and dropped as it grows holds what is left to read, not all
-// it was given.
+// Package blocks holds the growing record buffers of the observers in
+// fixed-size blocks: Seq, a sequence of fixed-size elements (a sampler
+// channel's tick series), and Records, a sequence of variable-length byte
+// records (a tracer shard's events, the decision ledger's rows). A slice
+// grown by append moves everything it holds each time it outgrows its
+// array, a quarter at a time once it is long: a run's million-odd records
+// were each copied four or five times that way, and every abandoned array
+// was garbage. A block is allocated when the sequence first reaches it and
+// never moved, so a record is written once, an element's address stays
+// valid while it is held, and a bounded sequence that the run did not fill
+// retains what it used, not its bound. A sequence lets go of its oldest
+// elements a whole block at a time: the block goes to the back for the
+// elements to come, so a sequence that is read and dropped as it grows
+// holds what is left to read, not all it was given.
 package blocks
 
 // Len is the number of elements in a block.
@@ -74,18 +75,3 @@ func (s *Seq[T]) At(i int) *T {
 	i += s.off
 	return &s.blocks[i/Len][i%Len]
 }
-
-// Runs calls fn with every element, oldest first, in the contiguous runs
-// they are stored in.
-func (s *Seq[T]) Runs(fn func(run []T)) {
-	for from, to := s.off, s.off+s.n; from < to; {
-		block := s.blocks[from/Len]
-		off := from % Len
-		end := min(Len, off+to-from)
-		fn(block[off:end])
-		from += end - off
-	}
-}
-
-// Reset empties the sequence and keeps its blocks for the elements to come.
-func (s *Seq[T]) Reset() { s.n, s.off = 0, 0 }

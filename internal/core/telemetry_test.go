@@ -213,14 +213,12 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		})
 	})
 	b.Run("trace", func(b *testing.B) {
-		// One tracer for the whole benchmark, as a long-lived process would
-		// hold it; Reset keeps buffer capacity so the
-		// measurement is the marginal recording cost, not allocation churn.
+		// A fresh tracer per run, as every program that traces makes one:
+		// the measurement is the recording cost and its blocks.
 		cfg := base
-		cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg.Tracer.Reset()
+			cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
 			if _, err := Run(cfg); err != nil {
 				b.Fatal(err)
 			}

@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"sphenergy/internal/atomicio"
+	"sphenergy/internal/blocks"
 )
 
 // Type names a decision-event kind.
@@ -148,9 +149,9 @@ const DefaultCap = 1 << 15
 // the preamble's from 1, the ring's up to the last emitted.
 type Ledger struct {
 	capacity int
-	pre      recordRing // the pinned preamble, empty until it is pinned
-	ring     recordRing // the retained events after it, oldest first
-	next     uint64     // total emitted; the next event gets Seq next+1
+	pre      blocks.Records // the pinned preamble, empty until it is pinned
+	ring     blocks.Records // the retained events after it, oldest first
+	next     uint64         // total emitted; the next event gets Seq next+1
 	counts   map[Type]uint64
 	rec      []byte // Emit's scratch record
 }
@@ -163,7 +164,7 @@ func NewLedger(capacity int) *Ledger {
 	}
 	l := &Ledger{
 		capacity: capacity,
-		ring:     recordRing{bound: capacity},
+		ring:     blocks.BoundedRecords(capacity),
 		counts:   make(map[Type]uint64, len(builtinTypes)),
 	}
 	for _, t := range builtinTypes {
@@ -181,9 +182,9 @@ func (l *Ledger) Emit(ev Event) {
 	}
 	l.next++
 	l.rec = appendRecord(l.rec[:0], &ev)
-	l.ring.push(l.rec)
+	l.ring.Push(l.rec)
 	l.counts[ev.Type]++
-	if ev.Type == RunStart && l.pre.n == 0 {
+	if ev.Type == RunStart && l.pre.Len() == 0 {
 		l.pinPreamble()
 	}
 }
@@ -195,11 +196,11 @@ func (l *Ledger) Emit(ev Event) {
 // A ring that is not full has dropped nothing, so the preamble is the
 // events numbered 1 to its length.
 func (l *Ledger) pinPreamble() {
-	n := l.ring.n
+	n := l.ring.Len()
 	if n >= l.capacity {
 		return
 	}
-	l.pre, l.ring = l.ring, recordRing{bound: l.capacity - n}
+	l.pre, l.ring = l.ring, blocks.BoundedRecords(l.capacity-n)
 }
 
 // BeginRun emits the run-start event: the simulation, the strategy and the
@@ -243,7 +244,7 @@ func (l *Ledger) Len() int {
 	if l == nil {
 		return 0
 	}
-	return l.pre.n + l.ring.n
+	return l.pre.Len() + l.ring.Len()
 }
 
 // Summary returns the ledger roll-up (only non-zero type counts).
@@ -252,7 +253,7 @@ func (l *Ledger) Summary() *Summary {
 		return nil
 	}
 	s := &Summary{Emitted: l.next, ByType: make(map[Type]uint64)}
-	s.Dropped = l.next - uint64(l.pre.n+l.ring.n)
+	s.Dropped = l.next - uint64(l.pre.Len()+l.ring.Len())
 	for t, c := range l.counts {
 		if c > 0 {
 			s.ByType[t] = c
@@ -295,9 +296,9 @@ func (l *Ledger) each(fn func(ev *Event)) {
 		fn(&ev)
 		seq++
 	}
-	l.pre.each(visit)
-	seq = l.next - uint64(l.ring.n) + 1
-	l.ring.each(visit)
+	l.pre.Each(visit)
+	seq = l.next - uint64(l.ring.Len()) + 1
+	l.ring.Each(visit)
 }
 
 // WriteFile writes the JSONL export to path atomically: a crash mid-write

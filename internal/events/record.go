@@ -21,7 +21,9 @@ import (
 //	floats  the flagged floats' IEEE bits, 8 bytes little-endian each
 //
 // Strings are inline, so a bounded ring stays bounded: there is no table
-// of them that grows with the run.
+// of them that grows with the run. The ledger's preamble and ring are
+// blocks.Records stores, each record behind its length, which is how a
+// full ring finds the end of the oldest one to drop.
 
 // Bits of a record's flags byte past its six float bits.
 const cachedFlag = 1 << 6
@@ -121,72 +123,4 @@ func (d *recordDecoder) text(rec []byte) (string, []byte) {
 	s := string(txt)
 	d.names[s] = s
 	return s, rest
-}
-
-// recordBlock is the size in bytes of a block of the ring's storage: some
-// 240 frequency decisions.
-const recordBlock = 8 << 10
-
-// recordRing holds length-prefixed records in blocks of recordBlock bytes
-// (a record longer than that gets a block of its own size): unbounded as
-// its zero value, or — with a bound — a ring of the newest bound records.
-// A record never straddles two blocks. A block is allocated when the ring
-// first reaches it; the oldest block, once every record in it is dropped,
-// is kept for the records to come and any kept before it freed, as
-// blocks.Seq.Drop does, so a ring that rotates records of a steady size
-// does not allocate.
-type recordRing struct {
-	blocks [][]byte // each as long as the records in it; blocks[0] holds the oldest, at off
-	off    int
-	n      int // records held
-	bound  int // most records held; 0 for no bound
-	spare  []byte
-}
-
-// push appends one record, dropping the oldest first when the ring is full.
-func (r *recordRing) push(rec []byte) {
-	if r.bound != 0 && r.n == r.bound {
-		r.drop()
-	}
-	need := binary.MaxVarintLen64 + len(rec)
-	if last := len(r.blocks) - 1; last < 0 || cap(r.blocks[last])-len(r.blocks[last]) < need {
-		block := r.spare
-		if cap(block) < need {
-			block = make([]byte, 0, max(recordBlock, need))
-		}
-		r.blocks, r.spare = append(r.blocks, block[:0]), nil
-	}
-	last := len(r.blocks) - 1
-	r.blocks[last] = append(binary.AppendUvarint(r.blocks[last], uint64(len(rec))), rec...)
-	r.n++
-}
-
-// drop lets go of the oldest record, found by its length prefix.
-func (r *recordRing) drop() {
-	front := r.blocks[0]
-	size, k := binary.Uvarint(front[r.off:])
-	r.off += k + int(size)
-	r.n--
-	if r.off == len(front) {
-		r.spare = front
-		kept := copy(r.blocks, r.blocks[1:])
-		r.blocks[kept] = nil
-		r.blocks, r.off = r.blocks[:kept], 0
-	}
-}
-
-// each calls fn with every record, oldest first.
-func (r *recordRing) each(fn func(rec []byte)) {
-	for i, block := range r.blocks {
-		at := 0
-		if i == 0 {
-			at = r.off
-		}
-		for at < len(block) {
-			size, k := binary.Uvarint(block[at:])
-			at += k
-			fn(block[at : at+int(size)])
-			at += int(size)
-		}
-	}
 }

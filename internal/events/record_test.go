@@ -6,17 +6,18 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sphenergy/internal/blocks"
 )
 
 // HeldBytes returns the storage the ledger's records hold: every block of
-// its preamble and its ring, spare blocks included. Exported so the
+// its preamble and its ring that holds records, whole. Exported so the
 // external test package can weigh a real core.Run's ledger.
 func HeldBytes(l *Ledger) int {
 	n := 0
-	for _, r := range []*recordRing{&l.pre, &l.ring} {
-		n += cap(r.spare)
-		for _, block := range r.blocks {
-			n += cap(block)
+	for _, r := range []*blocks.Records{&l.pre, &l.ring} {
+		for i := range r.Blocks() {
+			n += cap(r.Block(i))
 		}
 	}
 	return n
@@ -26,8 +27,8 @@ func HeldBytes(l *Ledger) int {
 // length prefixes included, and how many there are.
 func RecordBytes(l *Ledger, t Type) (bytes, n int) {
 	code := typeCode(t)
-	for _, r := range []*recordRing{&l.pre, &l.ring} {
-		r.each(func(rec []byte) {
+	for _, r := range []*blocks.Records{&l.pre, &l.ring} {
+		r.Each(func(rec []byte) {
 			if rec[1] == code {
 				bytes += len(binary.AppendUvarint(nil, uint64(len(rec)))) + len(rec)
 				n++
@@ -84,7 +85,7 @@ func drawEvent(rng *rand.Rand, text string, bits uint64) Event {
 	texts := []string{"", "", text, "IAD", "bad\xffutf8\xc3", "\x00", string(FreqDecision)}
 	text1 := func() string {
 		if rng.Intn(32) == 0 { // longer than a block
-			return strings.Repeat(text+"x", recordBlock/(len(text)+1)+1+rng.Intn(64))
+			return strings.Repeat(text+"x", blocks.RecordBlock/(len(text)+1)+1+rng.Intn(64))
 		}
 		return texts[rng.Intn(len(texts))]
 	}

@@ -11,7 +11,7 @@ import (
 // parentRankSeries is RankSeries as it stood at commit 08cd155 — copy every
 // channel out, append, sort every rank — kept as the reference the
 // in-place version must reproduce exactly. A channel is copied out of its
-// ring's contiguous runs, its times counted back from the next tick.
+// ring element by element, its times counted back from the next tick.
 func parentRankSeries(s *Sampler) map[int][]tick {
 	out := map[int][]tick{}
 	for _, ch := range s.Channels() {
@@ -20,16 +20,14 @@ func parentRankSeries(s *Sampler) map[int][]tick {
 		}
 		k := ch.tick - int64(ch.ring.Len())
 		var held []tick
-		ch.ring.Runs(func(run []float64) {
-			for _, e := range run {
-				flagged := false
-				for _, r := range ch.degraded {
-					flagged = flagged || r.From <= k && k < r.To
-				}
-				held = append(held, tick{TimeS: float64(k) * ch.periodS, EnergyJ: e, Degraded: flagged})
-				k++
+		for i := range ch.ring.Len() {
+			flagged := false
+			for _, r := range ch.degraded {
+				flagged = flagged || r.From <= k && k < r.To
 			}
-		})
+			held = append(held, tick{TimeS: float64(k) * ch.periodS, EnergyJ: *ch.ring.At(i), Degraded: flagged})
+			k++
+		}
 		out[ch.rank] = append(out[ch.rank], held...)
 	}
 	for r := range out {

@@ -19,17 +19,36 @@ import (
 // for byte: one map[string]any per event, marshalled by encoding/json.
 // Exported so the external test package can run it over a real core.Run.
 func OracleWriteJSON(t *Tracer, w io.Writer) error {
-	events := []map[string]any{}
+	var descs []spanDesc
+	var tracks [][]event
 	if t != nil {
-		descs := t.descs
+		descs = t.descs
 		for tid := range t.shards {
-			t.shards[tid].fast.Runs(func(buf []fastEvent) {
-				for i := range buf {
-					if int(buf[i].ref) < len(descs) {
-						events = append(events, oracleEventObject(&buf[i], tid, &descs[buf[i].ref]))
-					}
+			var track []event
+			recs := &t.shards[tid].recs
+			for i := range recs.Blocks() {
+				b := recs.Block(i)
+				var ev event
+				for at, end := 0, 0.0; at < len(b); end = ev.end() {
+					at = ev.decode(b, at, end)
+					track = append(track, ev)
 				}
-			})
+			}
+			tracks = append(tracks, track)
+		}
+	}
+	return oracleJSON(w, descs, tracks)
+}
+
+// oracleJSON is the oracle's export of the events tracks[tid] holds for
+// track tid, under the identities descs.
+func oracleJSON(w io.Writer, descs []spanDesc, tracks [][]event) error {
+	events := []map[string]any{}
+	for tid, track := range tracks {
+		for i := range track {
+			if e := &track[i]; int(e.ref) < len(descs) {
+				events = append(events, oracleEventObject(e, tid, &descs[e.ref]))
+			}
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -39,7 +58,7 @@ func OracleWriteJSON(t *Tracer, w io.Writer) error {
 	})
 }
 
-func oracleEventObject(e *fastEvent, tid int, d *spanDesc) map[string]any {
+func oracleEventObject(e *event, tid int, d *spanDesc) map[string]any {
 	obj := map[string]any{
 		"name": d.name,
 		"ph":   string(rune(e.ph)),
@@ -188,7 +207,7 @@ func TestWriteJSONMatchesOracleOnEdgeEvents(t *testing.T) {
 		tr.CompleteRef(0, SpanRef(len(refs)+1000), 0, 1, 0, 0)
 		requireOracleBytes(t, tr)
 
-		tr.Reset()
+		// An export takes nothing away: recording goes on after it.
 		tr.CompleteRef(1, refs[1], 9, 1, 1410, 7)
 		requireOracleBytes(t, tr)
 	})

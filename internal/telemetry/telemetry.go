@@ -5,25 +5,28 @@
 // entry point is safe on a nil receiver and returns immediately, so code can
 // be instrumented unconditionally — a run without a tracer pays only a nil
 // check. Every event — span, instant, counter sample, track name — is one
-// 40-byte record: a start, a duration, two float values and an interned
-// identity, appended to its rank's buffer. The identity (category, name, up
-// to two float argument keys and at most one constant string argument) is
-// interned once (Intern, InternWith) and recorded through the SpanRef it
-// returns (CompleteRef, InstantRef, CounterRef), so recording moves no
-// strings; RecordSpan interns by name on first use. All serialization work
-// happens at export time.
+// packed byte record (record.go), appended to its rank's buffer: its phase,
+// an interned identity, and only those of a start, a duration and two float
+// values that it needs — no zero is stored, nor a start that the event
+// before it on its track implies — so an event of a real run takes some 21
+// bytes. The identity (category, name, up to two float argument keys and
+// at most one constant string argument) is interned once (Intern,
+// InternWith) and recorded through the SpanRef it returns (CompleteRef,
+// InstantRef, CounterRef), so recording moves no strings; RecordSpan
+// interns by name on first use. All serialization work happens at export
+// time.
 //
 // What was deferred is paid once, and flatly, when the run is over: the
 // export (WriteJSON) appends every event in a fixed field order — no
 // container per span, an identity's strings quoted once. The in-process
-// read-back is a read of one track's complete records where they lie, from
-// a cursor on (ReadRecords), which internal/attrib's join makes while the
+// read-back decodes one track's complete records where they lie, from a
+// cursor on (ReadRecords), which internal/attrib's join makes while the
 // run runs, or, for callers that want the slice, Spans, two allocations
 // whatever the span count. A tracer belongs to the goroutine that drives
 // its run, so none of this takes a lock: the join reads between the run's
 // steps, and the export once the run has returned. A shard keeps its
-// records in fixed blocks (internal/blocks): recording never copies what
-// is already recorded.
+// records in fixed, pointer-free blocks (blocks.Records): recording never
+// copies what is already recorded.
 package telemetry
 
 import (
@@ -79,27 +82,11 @@ const (
 	phaseMeta     = 'M' // metadata (track names)
 )
 
-// shard is one rank's event buffer, in recording order.
+// shard is one rank's events, in recording order, each a packed byte
+// record (record.go).
 type shard struct {
-	fast blocks.Seq[fastEvent]
-}
-
-// fastEvent is one recorded event: a 40-byte POD record whose identity
-// (category, name, argument keys, constant string) lives in the tracer's
-// descriptor table. Times are virtual simulation seconds; export converts
-// to the microseconds Chrome expects.
-type fastEvent struct {
-	startS float64
-	durS   float64
-	v0, v1 float64
-	ref    SpanRef
-	ph     byte
-}
-
-// addFast appends one event in place.
-func (s *shard) addFast(ph byte, ref SpanRef, startS, durS, v0, v1 float64) {
-	fe, _ := s.fast.Push()
-	*fe = fastEvent{startS: startS, durS: durS, v0: v0, v1: v1, ref: ref, ph: ph}
+	recs blocks.Records
+	end  float64 // the newest record's startS+durS
 }
 
 // SpanRef identifies a span descriptor interned with Tracer.Intern. Refs
@@ -200,7 +187,7 @@ func (t *Tracer) CompleteRef(rank int, ref SpanRef, startS, durS, v0, v1 float64
 	if t == nil {
 		return
 	}
-	t.shardFor(rank).addFast(phaseComplete, ref, startS, durS, v0, v1)
+	t.shardFor(rank).add(phaseComplete, ref, startS, durS, v0, v1)
 }
 
 // InstantRef records a zero-duration event of an interned identity at tsS.
@@ -208,7 +195,7 @@ func (t *Tracer) InstantRef(rank int, ref SpanRef, tsS, v0, v1 float64) {
 	if t == nil {
 		return
 	}
-	t.shardFor(rank).addFast(phaseInstant, ref, tsS, 0, v0, v1)
+	t.shardFor(rank).add(phaseInstant, ref, tsS, 0, v0, v1)
 }
 
 // CounterRef records a counter sample of an interned identity at tsS: the
@@ -218,7 +205,7 @@ func (t *Tracer) CounterRef(rank int, ref SpanRef, tsS, v0, v1 float64) {
 	if t == nil {
 		return
 	}
-	t.shardFor(rank).addFast(phaseCounter, ref, tsS, 0, v0, v1)
+	t.shardFor(rank).add(phaseCounter, ref, tsS, 0, v0, v1)
 }
 
 // shardFor maps a rank (or GlobalTrack) to its buffer. Out-of-range ranks
@@ -251,19 +238,7 @@ func (t *Tracer) SetTrackName(rank int, name string) {
 	if t == nil {
 		return
 	}
-	t.shardFor(rank).addFast(phaseMeta, t.InternWith("", "thread_name", "name", name), 0, 0, 0, 0)
-}
-
-// Reset drops all recorded events but keeps the shard buffers' capacity,
-// so a long-lived process can export one run's trace and reuse the tracer
-// for the next run without reallocating.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		t.shards[i].fast.Reset()
-	}
+	t.shardFor(rank).add(phaseMeta, t.InternWith("", "thread_name", "name", name), 0, 0, 0, 0)
 }
 
 // Len returns the total number of recorded events.
@@ -273,7 +248,7 @@ func (t *Tracer) Len() int {
 	}
 	n := 0
 	for i := range t.shards {
-		n += t.shards[i].fast.Len()
+		n += t.shards[i].recs.Len()
 	}
 	return n
 }
@@ -321,16 +296,19 @@ func (t *Tracer) Spans() []SpanEvent {
 		return nil
 	}
 	descs := t.descs
+	var ev event
 	nspans, nargs := 0, 0
 	for tid := range t.shards {
-		t.shards[tid].fast.Runs(func(run []fastEvent) {
-			for i := range run {
-				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
+		recs := &t.shards[tid].recs
+		for i := range recs.Blocks() {
+			b := recs.Block(i)
+			for at, end := 0, 0.0; at < len(b); end = ev.end() {
+				if at = ev.decode(b, at, end); int(ev.ref) < len(descs) && readBack(ev.ph) {
 					nspans++
-					nargs += descs[fe.ref].nargs()
+					nargs += descs[ev.ref].nargs()
 				}
 			}
-		})
+		}
 	}
 	if nspans == 0 {
 		return nil
@@ -338,43 +316,63 @@ func (t *Tracer) Spans() []SpanEvent {
 	out := make([]SpanEvent, 0, nspans)
 	slab := make([]Attr, 0, nargs)
 	for tid := range t.shards {
-		track := t.track(tid)
-		t.shards[tid].fast.Runs(func(run []fastEvent) {
-			for i := range run {
-				if fe := &run[i]; int(fe.ref) < len(descs) && readBack(fe.ph) {
-					from, d := len(slab), &descs[fe.ref]
-					slab = fe.appendArgs(slab, d)
-					out = append(out, fe.span(track, d, carve(slab, from)))
+		recs, track := &t.shards[tid].recs, t.track(tid)
+		for i := range recs.Blocks() {
+			b := recs.Block(i)
+			for at, end := 0, 0.0; at < len(b); end = ev.end() {
+				if at = ev.decode(b, at, end); int(ev.ref) < len(descs) && readBack(ev.ph) {
+					from, d := len(slab), &descs[ev.ref]
+					slab = ev.appendArgs(slab, d)
+					out = append(out, ev.span(track, d, carve(slab, from)))
 				}
 			}
-		})
+		}
 	}
 	return out
 }
 
-// ReadRecords reads the complete events recorded on rank's track from its
-// from-th event on, in recording order: it calls read with each one's
-// interned identity, start, duration and two float values, read where they
-// lie — it builds no SpanEvent — until read returns false, and returns the
-// index of the event read returned false for, the track's length when it
-// never did. A consumer that reads a track as it grows keeps that index as
-// its cursor. Instants, counter samples and track names are passed over.
-// All events sharing an identity have the same category, name and arguments
-// but for the values (Identity, ArgSlot), so a consumer resolves those once
-// per identity instead of once per event. read must not call back into the
-// tracer. A rank without a track of its own (the global track's events
-// are not a rank's) reads none.
-func (t *Tracer) ReadRecords(rank, from int, read func(ref SpanRef, startS, durS, v0, v1 float64) bool) int {
+// Cursor is a place in a rank track's records that ReadRecords reads on
+// from; the zero Cursor is the track's start. It carries what the next
+// record needs of the one before it.
+type Cursor struct {
+	block, at int     // the next record's block and its offset there
+	end       float64 // where the record before it ended: the next one's start when implied
+}
+
+// ReadRecords reads the complete events recorded on rank's track from the
+// cursor from on, in recording order: it calls read with each one's
+// interned identity, start, duration and two float values, decoded in
+// place — it builds no SpanEvent — until read returns false, and returns
+// the cursor of the event read returned false for, or of the track's end
+// when it never did. A consumer that reads a track as it grows keeps that
+// cursor, and its next read resumes there. Instants, counter samples and
+// track names are passed over. All events sharing an identity have the
+// same category, name and arguments but for the values (Identity,
+// ArgSlot), so a consumer resolves those once per identity instead of once
+// per event. read must not call back into the tracer. A rank without a
+// track of its own (the global track's events are not a rank's) reads
+// none.
+func (t *Tracer) ReadRecords(rank int, from Cursor, read func(ref SpanRef, startS, durS, v0, v1 float64) bool) Cursor {
 	if t == nil || rank < 0 || rank >= len(t.shards)-1 {
 		return from
 	}
-	fast, n := &t.shards[rank].fast, SpanRef(len(t.descs))
-	for ; from < fast.Len(); from++ {
-		if fe := fast.At(from); fe.ph == phaseComplete && fe.ref < n && !read(fe.ref, fe.startS, fe.durS, fe.v0, fe.v1) {
-			return from
+	recs, n := &t.shards[rank].recs, SpanRef(len(t.descs))
+	var ev event
+	c := from
+	for nb := recs.Blocks(); c.block < nb; c.block, c.at = c.block+1, 0 {
+		b := recs.Block(c.block)
+		for c.at < len(b) {
+			next := ev.decode(b, c.at, c.end)
+			if ev.ph == phaseComplete && ev.ref < n && !read(ev.ref, ev.startS, ev.durS, ev.v0, ev.v1) {
+				return c
+			}
+			c.at, c.end = next, ev.end()
+		}
+		if c.block+1 == nb {
+			break // the newest block: its next record lands at c
 		}
 	}
-	return from
+	return c
 }
 
 // Identity returns the category and name of the identity ref names, as its
@@ -435,12 +433,12 @@ func (t *Tracer) track(tid int) int {
 
 // appendArgs appends the event's values to dst under its identity's keys,
 // then the identity's constant string.
-func (fe *fastEvent) appendArgs(dst []Attr, d *spanDesc) []Attr {
+func (ev *event) appendArgs(dst []Attr, d *spanDesc) []Attr {
 	if d.nkeys > 0 {
-		dst = append(dst, Float(d.keys[0], fe.v0))
+		dst = append(dst, Float(d.keys[0], ev.v0))
 	}
 	if d.nkeys > 1 {
-		dst = append(dst, Float(d.keys[1], fe.v1))
+		dst = append(dst, Float(d.keys[1], ev.v1))
 	}
 	if d.labeled {
 		dst = append(dst, String(d.label, d.value))
@@ -450,9 +448,9 @@ func (fe *fastEvent) appendArgs(dst []Attr, d *spanDesc) []Attr {
 
 // span is the event's read-back view on track under identity d, with args
 // as its Args.
-func (fe *fastEvent) span(track int, d *spanDesc, args []Attr) SpanEvent {
+func (ev *event) span(track int, d *spanDesc, args []Attr) SpanEvent {
 	return SpanEvent{Track: track, Category: d.cat, Name: d.name,
-		StartS: fe.startS, DurS: fe.durS, Instant: fe.ph == phaseInstant, Args: args}
+		StartS: ev.startS, DurS: ev.durS, Instant: ev.ph == phaseInstant, Args: args}
 }
 
 // readBack reports whether events of phase ph are part of Spans.

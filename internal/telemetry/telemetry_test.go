@@ -180,18 +180,19 @@ func TestInternedSpans(t *testing.T) {
 		t.Errorf("instant event rendered as %+v", w)
 	}
 
-	// Reset drops events but interned identities survive for the next run.
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Errorf("Len after Reset = %d", tr.Len())
-	}
+	// An export takes nothing away: the refs stay usable and recording goes
+	// on after it.
+	n := tr.Len()
 	tr.CompleteRef(0, kernel, 9, 1, 1410, 7)
+	if tr.Len() != n+1 {
+		t.Errorf("Len after one more event = %d, want %d", tr.Len(), n+1)
+	}
 	buf.Reset()
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "densityKernel") {
-		t.Error("ref unusable after Reset")
+	if !strings.Contains(buf.String(), `"args":{"clock_mhz":1410,"energy_j":7},"cat":"kernel","dur":1000000,"name":"densityKernel"`) {
+		t.Error("an event recorded after an export is missing from the next")
 	}
 }
 
@@ -304,7 +305,11 @@ func TestReadRecordsMatchesSpans(t *testing.T) {
 	}
 	var got []record
 	for rank := 0; rank < 3; rank++ {
-		for cursor, stops := 0, 0; ; stops++ {
+		if b := tr.shards[rank].recs.Blocks(); b < 2 {
+			t.Fatalf("rank %d's records lie in %d block, want several", rank, b)
+		}
+		var cursor Cursor
+		for stops := 0; ; stops++ {
 			budget := stops % 7 // 0 reads nothing and must not move the cursor
 			next := tr.ReadRecords(rank, cursor, func(ref SpanRef, startS, durS, v0, v1 float64) bool {
 				if budget == 0 {
@@ -314,8 +319,8 @@ func TestReadRecordsMatchesSpans(t *testing.T) {
 				got = append(got, record{rank, ref, startS, durS, v0, v1})
 				return true
 			})
-			if next < cursor || stops > 4*blocks.Len {
-				t.Fatalf("rank %d: cursor went from %d to %d after %d stops", rank, cursor, next, stops)
+			if stops > 4*blocks.Len {
+				t.Fatalf("rank %d: still reading after %d stops", rank, stops)
 			}
 			if budget > 0 {
 				break // read to the end of the track
@@ -355,16 +360,21 @@ func TestReadRecordsMatchesSpans(t *testing.T) {
 	if len(identity) != len(refs)+1 {
 		t.Errorf("saw %d identities, recorded %d", len(identity), len(refs)+1)
 	}
+	k := 0
+	mid := tr.ReadRecords(0, Cursor{}, func(SpanRef, float64, float64, float64, float64) bool {
+		k++
+		return k < 5
+	})
 	var nilT *Tracer
 	for _, c := range []struct {
 		tr   *Tracer
 		rank int
 	}{{nilT, 0}, {tr, GlobalTrack}, {tr, 3}} {
-		if next := c.tr.ReadRecords(c.rank, 5, func(SpanRef, float64, float64, float64, float64) bool {
+		if next := c.tr.ReadRecords(c.rank, mid, func(SpanRef, float64, float64, float64, float64) bool {
 			t.Errorf("track %d read a record", c.rank)
 			return true
-		}); next != 5 {
-			t.Errorf("track %d: cursor moved from 5 to %d", c.rank, next)
+		}); next != mid {
+			t.Errorf("track %d: cursor moved from %+v to %+v", c.rank, mid, next)
 		}
 	}
 }
