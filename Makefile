@@ -115,8 +115,11 @@ fuzz-smoke:
 # pipeline, host overheads included) — plus the tuner's candidate sweep;
 # and the run bundle's round trip: the trace export's two workers
 # encoding pieces of the shards while the caller writes the finished ones
-# in order, and the trace loader's second half scanned on its own goroutine
-# and joined or dropped. Every object one run
+# in order; atomicio's background sync of the file written so far, one at a
+# time while the writer goes on; the goroutine that reads the second half
+# of a trace file while the caller reads the first; and the trace loader's
+# second half scanned on its own goroutine and joined or dropped. Every
+# object one run
 # builds belongs to the goroutine that calls core.Run and has no lock;
 # TestRunsShareNoObject in internal/core is the one-owner check: observed,
 # faulted runs under par.Tasks write the bytes of the same runs done
@@ -124,7 +127,7 @@ fuzz-smoke:
 race-model:
 	$(GO) test -race -cpu 4 ./internal/par/ ./internal/mpisim/ ./internal/core/ \
 		./internal/slurm/ ./internal/tuner/ ./internal/experiments/ ./cmd/experiments/ \
-		./internal/telemetry/ ./internal/traceanalysis/ ./internal/attrib/
+		./internal/telemetry/ ./internal/traceanalysis/ ./internal/attrib/ ./internal/atomicio/
 
 # The repository's benchmark (benchmark/README.md has the protocol): all
 # four workloads at full size, then judged against the newest full-size
@@ -164,8 +167,11 @@ bench-telemetry:
 # is released); the ledger's read leg on its own at one CPU;
 # then the trace's export and re-load on one CPU and on two, so that what
 # the second CPU buys and what the pipeline costs without one come from one
-# command, and the critical-path analysis of the loaded spans (serial; the
-# second CPU only runs the collector); last, on one CPU, the number
+# command, each in memory (WriteJSON into io.Discard, Load from a byte
+# slice) and through a file (WriteFile into the test's temp directory,
+# LoadFile of that file), the difference being the file's legs; and the
+# critical-path analysis of the loaded spans (serial; the second CPU only
+# runs the collector); last, on one CPU, the number
 # conversions every trace event crosses, jsontext's AppendFloat and Float
 # over 17-digit microsecond timestamps beside strconv, in ns/value. The
 # B/op and allocs/op columns repeat exactly; TestObservedRunAllocBudget
@@ -182,7 +188,7 @@ bench-observe:
 	$(GO) test -run '^$$' -bench 'Emit|SpanRecordInterned|LedgerRoundTrip|ObservedRun|AttribBuild|Tick' -benchmem ./internal/events ./internal/telemetry ./internal/core ./internal/attrib ./internal/sampler
 	$(GO) test -run '^$$' -bench 'ObservedRun|AttribBuild|Tick' -count 3 -cpu 1 -benchmem ./internal/core ./internal/attrib ./internal/sampler
 	$(GO) test -run '^$$' -bench LedgerRead -benchtime 20x -count 3 -cpu 1 -benchmem ./internal/events/
-	$(GO) test -run '^$$' -bench TraceWriteJSON -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
+	$(GO) test -run '^$$' -bench 'TraceWrite(JSON|File)' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/telemetry/
 	$(GO) test -run '^$$' -bench 'TraceLoad|Analyze' -benchtime 20x -count 3 -cpu 1,2 -benchmem ./internal/traceanalysis/
 	$(GO) test -run '^$$' -bench '^Benchmark(AppendFloat|Float)$$' -count 3 -cpu 1 ./internal/jsontext/
 

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"sphenergy/internal/atomicio"
 	"sphenergy/internal/experiments"
 	"sphenergy/internal/par"
 )
@@ -77,13 +78,14 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // emit prints one experiment's output, and writes it to <outDir>/<name>.txt
-// when outDir is set; a scorecard's disagreeing rows are its error.
+// when outDir is set, atomically: a killed run never leaves a half-written
+// figure under its name. A scorecard's disagreeing rows are its error.
 func emit(stdout io.Writer, name string, res experiments.Renderable, outDir string) error {
 	out := res.Render()
 	fmt.Fprintln(stdout, "=================================================================")
 	fmt.Fprintln(stdout, out)
 	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, name+".txt"), []byte(out), 0o644); err != nil {
+		if err := atomicio.WriteFileBytes(filepath.Join(outDir, name+".txt"), []byte(out)); err != nil {
 			return err
 		}
 	}

@@ -64,6 +64,32 @@ func TestOutWriteErrorFatal(t *testing.T) {
 	}
 }
 
+// -out writes each figure as it was printed, under its final name only: the
+// file holds the printed block between the separator line and the newline
+// that ends it, and no temp file is left beside it.
+func TestOutWritesPrintedFigure(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-run", "table1", "-out", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "table1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep := "=================================================================\n"
+	if want := sep + string(got) + "\n"; out.String() != want {
+		t.Errorf("table1.txt (%d bytes) is not what was printed (%d bytes)", len(got), out.Len())
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "table1.txt" {
+		t.Errorf("-out directory holds %v, want table1.txt alone", ents)
+	}
+}
+
 // A -scale the experiments would not run as given is refused, naming the
 // flag, before anything is printed or created: 0 and below once meant the
 // full paper, NaN and ±Inf two steps.

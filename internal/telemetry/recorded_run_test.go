@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -120,6 +121,26 @@ func BenchmarkTraceWriteJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceWriteFile is BenchmarkTraceWriteJSON through the file, as
+// a bundle writes it: the export onto a synced temp file in b.TempDir(),
+// renamed over the trace.
+func BenchmarkTraceWriteFile(b *testing.B) {
+	tr := mustRecordedRun(b)
+	var size countWriter
+	if err := tr.WriteJSON(&size); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "trace.json")
+	b.SetBytes(size.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.WriteFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
 	"slices"
 	"sync/atomic"
 
@@ -49,23 +52,38 @@ func newScanner(data []byte, spanHint int) *scanner {
 // at once when there is a second CPU, split at the first event boundary
 // past its middle; the result is the serial walk's to the byte.
 func scan(data []byte) ([]Span, int, error) {
-	at := -1
-	if mid := len(data) / 2; len(data) >= splitMin && par.MaxWorkers() > 1 {
-		if i := bytes.Index(data[mid:], []byte("},{")); i >= 0 {
-			at = mid + i
-		}
-	}
-	return scanAt(data, at)
+	return scanWith(data, split(data))
 }
 
-// scanAt is scan with the second half guessed to start after the '}' at
-// byte at, or no second half when at < 0. Tracks named "sim" are resolved
-// after the walk, since metadata may follow the spans it names.
-func scanAt(data []byte, at int) ([]Span, int, error) {
-	s := newScanner(data, len(data)/spanBytesHint)
-	if at >= 0 && at < len(data) {
-		s.tail = startTail(data, at+1)
+// split starts the tail of scan's walk over data: from the first event
+// boundary past its middle, when data is at least splitMin long and there
+// is a second CPU; nil otherwise.
+func split(data []byte) *tail {
+	if len(data) < splitMin || par.MaxWorkers() < 2 {
+		return nil
 	}
+	if at := boundary(data, len(data)/2); at >= 0 {
+		return startTail(data, at+1)
+	}
+	return nil
+}
+
+// boundary returns the byte of the '}' of the first "},{" in data at or
+// past mid, -1 when there is none: the guess of where an event ends and the
+// next begins.
+func boundary(data []byte, mid int) int {
+	if i := bytes.Index(data[mid:], []byte("},{")); i >= 0 {
+		return mid + i
+	}
+	return -1
+}
+
+// scanWith is scan with t, when not nil, scanning the second half. Tracks
+// named "sim" are resolved after the walk, since metadata may follow the
+// spans it names.
+func scanWith(data []byte, t *tail) ([]Span, int, error) {
+	s := newScanner(data, len(data)/spanBytesHint)
+	s.tail = t
 	err := s.document()
 	s.dropTail()
 	if len(s.sim) > 0 {
@@ -76,6 +94,70 @@ func scanAt(data []byte, at int) ([]Span, int, error) {
 		}
 	}
 	return s.spans, s.events, err
+}
+
+// readFile reads the file at path as os.ReadFile does. A regular file that
+// scan would split is read in two halves at once (readHalves), and comes
+// with the tail already scanning its second half; any other, or one whose
+// halves cannot be read whole, is read by os.ReadFile, with no tail.
+func readFile(path string) ([]byte, *tail, error) {
+	if par.MaxWorkers() > 1 {
+		if data, t := readHalves(path); data != nil {
+			return data, t, nil
+		}
+	}
+	data, err := os.ReadFile(path)
+	return data, nil, err
+}
+
+// readHalves reads the file at path into one buffer, the calling goroutine
+// its first half and a goroutine of its own the second. That goroutine then
+// finds the first event boundary of its half and, as the tail, scans on from
+// it while the caller scans the first half; the caller touches the second
+// half only once it has been read. It returns nil when the file is no
+// regular file of at least splitMin bytes, when a read fails, or when the
+// file does not end where Stat said: os.ReadFile then reads it, to the
+// bytes or the error it would have given anyway.
+func readHalves(path string) ([]byte, *tail) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() || fi.Size() < splitMin || fi.Size() >= math.MaxInt {
+		return nil, nil
+	}
+	size := int(fi.Size())
+	buf := make([]byte, size+1) // one byte past the end, to see the file end
+	data, mid := buf[:size], size/2
+	type half struct {
+		whole bool  // the second half was read, and the file ended with it
+		t     *tail // the scan of the second half; nil without a boundary
+	}
+	second := make(chan half, 1)
+	go func() {
+		n, err := f.ReadAt(buf[mid:], int64(mid))
+		h := half{whole: n == size-mid && err == io.EOF}
+		if h.whole {
+			if at := boundary(data, mid); at >= 0 {
+				h.t = newTail(data, at+1)
+			}
+		}
+		second <- h
+		if h.t != nil {
+			h.t.run()
+		}
+	}()
+	_, err = f.ReadAt(data[:mid], 0)
+	h := <-second
+	if err != nil || !h.whole {
+		if h.t != nil {
+			h.t.drop()
+		}
+		return nil, nil
+	}
+	return data, h.t
 }
 
 // tail scans the events of a traceEvents array from byte from on, on its
@@ -91,15 +173,33 @@ type tail struct {
 	done chan struct{}
 }
 
+// newTail returns a tail set to scan data from byte from on. Its span slice
+// is made by run, on the tail's goroutine.
+func newTail(data []byte, from int) *tail {
+	t := &tail{from: from, s: newScanner(data, 0), done: make(chan struct{})}
+	t.s.Pos, t.s.Depth = from, 2
+	return t
+}
+
 // startTail sets a tail scanning from byte from on.
 func startTail(data []byte, from int) *tail {
-	t := &tail{from: from, s: newScanner(data, (len(data)-from)/spanBytesHint), done: make(chan struct{})}
-	t.s.Pos, t.s.Depth = from, 2
-	go func() {
-		defer close(t.done)
-		t.err = t.s.elements(false)
-	}()
+	t := newTail(data, from)
+	go t.run()
 	return t
+}
+
+// run walks the tail's events, on a goroutine of its own, and closes done.
+func (t *tail) run() {
+	defer close(t.done)
+	t.s.spans = make([]Span, 0, (len(t.s.Data)-t.from)/spanBytesHint)
+	t.err = t.s.elements(false)
+}
+
+// drop stops the tail at the end of the event it is reading and waits for
+// it; its result is never read.
+func (t *tail) drop() {
+	t.s.stop.Store(true)
+	<-t.done
 }
 
 // errAbandoned ends a tail whose guess the main walk found to be wrong.
@@ -118,12 +218,10 @@ func (s *scanner) join() error {
 	return t.err
 }
 
-// dropTail stops a tail that will not be joined, at the end of the event
-// it is reading, and waits for it; its result is never read.
+// dropTail drops a tail that will not be joined.
 func (s *scanner) dropTail() {
 	if s.tail != nil {
-		s.tail.s.stop.Store(true)
-		<-s.tail.done
+		s.tail.drop()
 		s.tail = nil
 	}
 }

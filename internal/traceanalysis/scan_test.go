@@ -348,6 +348,16 @@ func TestLoadRealRunMatchesReferenceAndReadBack(t *testing.T) {
 	}
 }
 
+// scanAt is scan with the second half guessed to start after the '}' at
+// byte at, or no second half when at < 0.
+func scanAt(data []byte, at int) ([]Span, int, error) {
+	var t *tail
+	if at >= 0 && at < len(data) {
+		t = startTail(data, at+1)
+	}
+	return scanWith(data, t)
+}
+
 // checkSplit fails unless scanAt, guessing the second half to start after
 // byte at, returns what the serial walk returns for each at: the same
 // spans, the same event count and the same error, to its text and offset.

@@ -16,7 +16,6 @@ package traceanalysis
 import (
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -343,14 +342,22 @@ func intervalUnionS(sorted []interval) float64 {
 // GlobalRank, every other tid is taken as the rank number directly.
 //
 // Load and LoadLenient share one single-pass scanner (scan.go), which reads
-// a long trace in two halves at once when it has a second CPU. It reads
+// a long trace in two halves at once when it has a second CPU: the calling
+// goroutine walks the first half, a tail goroutine the second from the
+// first event boundary past the middle, and the walk adopts the tail's
+// result when it arrives at that boundary (it walks on alone when the
+// boundary was one inside a string). It reads
 // the "traceEvents" array of the top-level object and, of each event, only
 // name, cat, ph, ts, dur, tid and args.name, skipping everything else
 // structurally. Keys match exactly — the trace_event format is
 // case-sensitive — the last of a repeated key wins, and null reads as
 // absent; a known key holding the wrong type is an error.
 func Load(data []byte) ([]Span, error) {
-	spans, _, err := scan(data)
+	return strict(scan(data))
+}
+
+// strict is Load's verdict on a walk.
+func strict(spans []Span, _ int, err error) ([]Span, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traceanalysis: parse trace: %w", err)
 	}
@@ -364,7 +371,11 @@ func Load(data []byte) ([]Span, error) {
 // truncated=true. The error is non-nil only when not one whole event
 // preceded it.
 func LoadLenient(data []byte) (spans []Span, truncated bool, err error) {
-	spans, events, err := scan(data)
+	return lenient(scan(data))
+}
+
+// lenient is LoadLenient's verdict on a walk.
+func lenient(spans []Span, events int, err error) ([]Span, bool, error) {
 	switch {
 	case err == nil:
 		return spans, false, nil
@@ -374,22 +385,34 @@ func LoadLenient(data []byte) (spans []Span, truncated bool, err error) {
 	return spans, true, nil
 }
 
-// LoadFile reads and parses a trace file.
+// LoadFile reads and parses a trace file: Load(os.ReadFile(path)), to the
+// spans and the error text. A file Load would read in two halves is also
+// read from disk in two halves at once: the calling goroutine reads the
+// first half and then walks the document from its start, the tail
+// goroutine reads the second half and scans it from its first event
+// boundary on.
 func LoadFile(path string) ([]Span, error) {
-	data, err := os.ReadFile(path)
+	data, t, err := readFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("traceanalysis: %w", err)
 	}
-	return Load(data)
+	if t == nil {
+		return Load(data)
+	}
+	return strict(scanWith(data, t))
 }
 
-// LoadFileLenient reads and parses a possibly-truncated trace file.
+// LoadFileLenient reads and parses a possibly-truncated trace file:
+// LoadLenient(os.ReadFile(path)), read as LoadFile reads it.
 func LoadFileLenient(path string) ([]Span, bool, error) {
-	data, err := os.ReadFile(path)
+	data, t, err := readFile(path)
 	if err != nil {
 		return nil, false, fmt.Errorf("traceanalysis: %w", err)
 	}
-	return LoadLenient(data)
+	if t == nil {
+		return LoadLenient(data)
+	}
+	return lenient(scanWith(data, t))
 }
 
 // Render formats the analysis as a human-readable report.
