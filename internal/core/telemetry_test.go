@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -21,6 +23,13 @@ func telemetryTestConfig() Config {
 	}
 }
 
+// counterTrackSHA256 is the SHA-256 of TestRunEmitsTelemetry's trace, the
+// one pinned trace that carries rank 0's gpu_clock_mhz/gpu_power_w counter
+// track. It was taken when the device still kept the clock trace itself and
+// mirrored it into the tracer, so the sink that replaced it is held to the
+// old bytes.
+const counterTrackSHA256 = "c3da5c202aa090880860fee98e8f6d1b43ad41f74673774f0c4456dfa27beae6"
+
 func TestRunEmitsTelemetry(t *testing.T) {
 	cfg := telemetryTestConfig()
 	cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
@@ -36,6 +45,10 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	var buf bytes.Buffer
 	if err := cfg.Tracer.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if h := hex.EncodeToString(sum[:]); h != counterTrackSHA256 {
+		t.Errorf("trace with rank 0's counter track hashes to %s, recorded %s", h, counterTrackSHA256)
 	}
 	var doc struct {
 		TraceEvents []struct {
