@@ -171,8 +171,6 @@ func main() {
 		// validation mode needs a tracer even without -out.
 		cfg.Tracer = telemetry.NewTracer(*ranks)
 	}
-	// Mirror rank 0's frequency/power trajectory into the bundle's timeline.
-	cfg.Trace = *outDir != ""
 	if *validate && *sampleHz <= 0 {
 		*sampleHz = sampler.DefaultGPUHz
 	}
@@ -180,8 +178,10 @@ func main() {
 		cfg.Sampling = sampler.Config{GPUHz: *sampleHz, NodeHz: *sampleNodeHz}
 	}
 	if *outDir != "" {
-		// The bundle's events.jsonl (the decision ledger).
+		// The bundle's events.jsonl (the decision ledger), and rank 0's
+		// frequency/power trajectory as trace.json's counter track.
 		cfg.Events = sphenergy.NewEventLedger(0)
+		cfg.ClockSink = core.ClockCounters(cfg.Tracer)
 	}
 	if *faultPlan != "" {
 		plan, err := faults.LoadPlan(*faultPlan)

@@ -34,6 +34,7 @@ func ownedConfig(i int) Config {
 	systems := []cluster.NodeSpec{cluster.CSCSA100(), cluster.LUMIG(), cluster.MiniHPC()}
 	sims := []SimKind{Turbulence, Evrard}
 	ranks := 2 + i%3
+	tr := telemetry.NewTracer(ranks)
 	return Config{
 		System:           systems[i%len(systems)],
 		Ranks:            ranks,
@@ -41,8 +42,8 @@ func ownedConfig(i int) Config {
 		ParticlesPerRank: 10e6,
 		Steps:            4,
 		Seed:             uint64(11 + i),
-		Trace:            true,
-		Tracer:           telemetry.NewTracer(ranks),
+		Tracer:           tr,
+		ClockSink:        ClockCounters(tr),
 		Events:           events.NewLedger(0),
 		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
 		Faults:           ownedPlan,

@@ -41,8 +41,11 @@ type Config struct {
 	NewStrategy func() freqctl.Strategy
 	// Seed drives the deterministic load-imbalance jitter.
 	Seed uint64
-	// Trace enables frequency/power trace recording on rank 0's GPU.
-	Trace bool
+	// ClockSink, when non-nil, receives rank 0's device clock/power points
+	// as the run makes them; the run keeps none. Its two callers: Fig. 9
+	// keeps the plotted points and folds its per-kernel clocks, and
+	// `sphexa -out` passes ClockCounters(Tracer), the bundle's counter track.
+	ClockSink gpusim.PointSink
 	// SetupS simulates the job-setup phase (launch, allocation, moving
 	// simulation data to GPU memory) that precedes the time-stepping loop.
 	// Slurm's energy accounting covers it; PMT instrumentation does not —
@@ -208,9 +211,6 @@ type Result struct {
 	System *cluster.System
 	// WallTimeS is the time-to-solution of the time-stepping loop.
 	WallTimeS float64
-	// Trace is rank 0's frequency/power trace, non-nil when Config.Trace
-	// was set.
-	Trace *gpusim.Trace
 	// SetupEnergyJ covers the pre-loop job phase (Config.SetupS); only
 	// Slurm accounting sees it (Report covers the instrumented loop only).
 	SetupEnergyJ float64
@@ -310,10 +310,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	strategyName := ranks[0].strategy.Name()
 
-	var trace *gpusim.Trace
-	if cfg.Trace {
-		trace = ranks[0].dev.EnableTrace()
-	}
+	ranks[0].dev.SetPointSink(cfg.ClockSink)
 
 	rt := newRunTelemetry(cfg)
 	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
@@ -329,7 +326,6 @@ func Run(cfg Config) (*Result, error) {
 			rc.setter = rc.tap
 		}
 	}
-	rt.attachTraceSink(trace, 0)
 
 	// Async power sampling: one channel per rank GPU sensor, one
 	// pm_counters node channel per node. Rank channels poll inside their
@@ -646,7 +642,6 @@ func Run(cfg Config) (*Result, error) {
 		Report:          report,
 		System:          system,
 		WallTimeS:       wall,
-		Trace:           trace,
 		StepBoundariesS: stepBounds,
 		SetupEnergyJ:    setup.Total,
 		Sampler:         smp,

@@ -13,6 +13,7 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/events"
 	"sphenergy/internal/freqctl"
+	"sphenergy/internal/gpusim"
 	"sphenergy/internal/telemetry"
 )
 
@@ -222,25 +223,36 @@ func TestStrategyAffectsOutcome(t *testing.T) {
 	}
 }
 
+// TestTraceOption: Config.ClockSink receives rank 0's clock/power points
+// alone, in time order: a two-rank run sends the one-rank run's count of
+// points per pipeline function.
 func TestTraceOption(t *testing.T) {
 	cfg := miniConfig()
-	cfg.Trace = true
 	cfg.Steps = 2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	kernelPoints := func(ranks int) map[string]int {
+		n, prev := map[string]int{}, 0.0
+		cfg.Ranks = ranks
+		cfg.ClockSink = func(p gpusim.TracePoint) {
+			if p.TimeS < prev {
+				t.Errorf("%d ranks: point at %v s after one at %v s", ranks, p.TimeS, prev)
+			}
+			prev = p.TimeS
+			n[p.Kernel]++
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.StepBoundariesS) != 2 {
+			t.Errorf("%d ranks: %d step boundaries", ranks, len(res.StepBoundariesS))
+		}
+		return n
 	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("trace not recorded")
-	}
-	if len(res.StepBoundariesS) != 2 {
-		t.Errorf("%d step boundaries", len(res.StepBoundariesS))
-	}
-	// Without the flag no trace is allocated.
-	cfg.Trace = false
-	res, _ = Run(cfg)
-	if res.Trace != nil {
-		t.Error("trace recorded without the flag")
+	one, two := kernelPoints(1), kernelPoints(2)
+	for _, fn := range PipelineFunctionNames(cfg.Sim) {
+		if one[fn] == 0 || two[fn] != one[fn] {
+			t.Errorf("%s: %d points from a two-rank run, %d from a one-rank run", fn, two[fn], one[fn])
+		}
 	}
 }
 

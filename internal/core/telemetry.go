@@ -91,19 +91,18 @@ func (rt *runTelemetry) barrierWaits() mpisim.WaitRecorder {
 	return waitRecorder{tr: rt.tr, ref: rt.tr.Intern("mpi", "barrier-wait")}
 }
 
-// attachTraceSink mirrors the rank's frequency/power trace into counter
-// tracks of the tracer, so the Fig. 9 trajectory renders alongside the
-// spans in the same timeline.
-func (rt *runTelemetry) attachTraceSink(trace *gpusim.Trace, rank int) {
-	if rt == nil || trace == nil {
-		return
-	}
-	tr := rt.tr
+// ClockCounters returns a Config.ClockSink that records rank 0's
+// frequency/power points as the gpu_clock_mhz and gpu_power_w counter
+// tracks of tr, so the Fig. 9 trajectory renders alongside the spans in the
+// same timeline. `sphexa -out` installs it for the bundle's trace; Fig. 9
+// passes a sink of its own, and a run with a tracer but no ClockSink (the
+// repository's benchmark, `sphexa -energy-validate`) records no counters.
+func ClockCounters(tr *telemetry.Tracer) gpusim.PointSink {
 	clock, power := tr.Intern("", "gpu_clock_mhz", "mhz"), tr.Intern("", "gpu_power_w", "watts")
-	trace.SetSink(func(p gpusim.TracePoint) {
-		tr.CounterRef(rank, clock, p.TimeS, float64(p.ClockMHz), 0)
-		tr.CounterRef(rank, power, p.TimeS, p.PowerW, 0)
-	})
+	return func(p gpusim.TracePoint) {
+		tr.CounterRef(0, clock, p.TimeS, float64(p.ClockMHz), 0)
+		tr.CounterRef(0, power, p.TimeS, p.PowerW, 0)
+	}
 }
 
 // phaseSpans are the span identities of one pipeline function, interned

@@ -33,7 +33,7 @@ const counterTrackSHA256 = "c3da5c202aa090880860fee98e8f6d1b43ad41f74673774f0c44
 func TestRunEmitsTelemetry(t *testing.T) {
 	cfg := telemetryTestConfig()
 	cfg.Tracer = telemetry.NewTracer(cfg.Ranks)
-	cfg.Trace = true
+	cfg.ClockSink = ClockCounters(cfg.Tracer)
 	cfg.NewStrategy = func() freqctl.Strategy {
 		return &freqctl.ManDyn{Table: map[string]int{FnIAD: 1005, FnMomentum: 1110}}
 	}
@@ -86,9 +86,9 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	if names["step 0"] == 0 || names["step 1"] == 0 {
 		t.Errorf("missing step spans; names: %v", names)
 	}
-	// The gpusim trace mirrors into counter tracks via the shared sink.
+	// ClockCounters records rank 0's clock/power points as counter tracks.
 	if names["gpu_power_w"] == 0 {
-		t.Error("trace sink did not mirror power samples into the tracer")
+		t.Error("ClockCounters recorded no power samples into the tracer")
 	}
 
 	// The facts a reader takes from the trace: one function span per rank,
@@ -130,7 +130,6 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	// Telemetry must not change the physics: identical run without it.
 	plain := telemetryTestConfig()
 	plain.NewStrategy = cfg.NewStrategy
-	plain.Trace = true
 	res2, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ type Device struct {
 	priced clockPower
 	timed  clockScale
 
-	trace      *Trace
+	sink       PointSink
 	kernelsRun int64
 	obs        Observer
 }
@@ -99,11 +99,9 @@ func (d *Device) SMClockMHz() int { return d.currentClock() }
 // KernelsRun returns the number of kernel launches executed.
 func (d *Device) KernelsRun() int64 { return d.kernelsRun }
 
-// EnableTrace starts recording a frequency/power trace (Fig. 9).
-func (d *Device) EnableTrace() *Trace {
-	d.trace = NewTrace()
-	return d.trace
-}
+// SetPointSink installs the sink that receives the device's
+// frequency/power trajectory (Fig. 9); nil removes it.
+func (d *Device) SetPointSink(s PointSink) { d.sink = s }
 
 // SetApplicationClocks locks the SM clock to the nearest supported value and
 // returns the applied clock. This is the simulated equivalent of
@@ -288,8 +286,8 @@ func (d *Device) account(dur, p float64, kernel string) {
 	d.now += dur
 	d.energyJ += p * dur
 	d.lastPowerW = p
-	if d.trace != nil {
-		d.trace.Add(TracePoint{
+	if d.sink != nil {
+		d.sink(TracePoint{
 			TimeS:    d.now,
 			ClockMHz: d.currentClock(),
 			PowerW:   p,
@@ -299,8 +297,8 @@ func (d *Device) account(dur, p float64, kernel string) {
 }
 
 func (d *Device) tracePoint(label string) {
-	if d.trace != nil {
-		d.trace.Add(TracePoint{
+	if d.sink != nil {
+		d.sink(TracePoint{
 			TimeS:    d.now,
 			ClockMHz: d.currentClock(),
 			PowerW:   d.lastPowerW,

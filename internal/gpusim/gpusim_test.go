@@ -308,24 +308,6 @@ func TestKernelsRunCountsLaunches(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsKernels(t *testing.T) {
-	d := NewDevice(A100SXM480GB(), 0)
-	tr := d.EnableTrace()
-	d.SetApplicationClocks(0, 1410)
-	d.Execute(computeKernel())
-	d.Idle(0.05)
-	if tr.Len() == 0 {
-		t.Fatal("trace empty")
-	}
-	if m, ok := tr.ClockOfKernel("compute"); !ok || m != 1410 {
-		t.Errorf("traced kernel clock %v ok=%v", m, ok)
-	}
-	lo, hi := tr.MinMaxClock()
-	if lo > hi {
-		t.Error("MinMaxClock inverted")
-	}
-}
-
 func TestFrequencySensitivityBounds(t *testing.T) {
 	s := A100SXM480GB()
 	f := func(flopsRaw, bytesRaw float64) bool {

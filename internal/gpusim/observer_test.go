@@ -4,26 +4,6 @@ import (
 	"testing"
 )
 
-func TestTraceSinkForwardsLive(t *testing.T) {
-	tr := NewTrace()
-	tr.Add(TracePoint{TimeS: 0.5, ClockMHz: 1410, PowerW: 100})
-	var got []TracePoint
-	tr.SetSink(func(p TracePoint) { got = append(got, p) })
-	tr.Add(TracePoint{TimeS: 1.0, ClockMHz: 1005, PowerW: 200, Kernel: "iad"})
-	if len(got) != 1 || got[0].Kernel != "iad" {
-		t.Fatalf("sink received %v", got)
-	}
-	// The point is also retained in the trace itself.
-	if tr.Len() != 2 {
-		t.Errorf("trace len = %d, want 2", tr.Len())
-	}
-	tr.SetSink(nil)
-	tr.Add(TracePoint{TimeS: 2.0})
-	if len(got) != 1 {
-		t.Error("removed sink still called")
-	}
-}
-
 // observerRecorder captures device observer callbacks.
 type observerRecorder struct {
 	kernels []string
