@@ -2,10 +2,11 @@ package core
 
 import "sphenergy/internal/freqctl"
 
-// clockTap is the one observer on a rank's clock control. Run installs it
-// between the strategy and the rank's setter (the resilient one under a
+// clockTap is the ledger's observer on a rank's clock control. Run installs
+// it between the strategy and the rank's setter (the resilient one under a
 // fault plan) when the decision ledger is on; strategies themselves are
-// never wrapped. It keeps the (requested, applied) pair of the last set so
+// never wrapped. The trace's tap, clockTrace, sits at the other end, on the
+// device setter. It keeps the (requested, applied) pair of the last set so
 // the run loop can hand a strategy's decision to the ledger once Apply has
 // returned. One tap serves one rank.
 type clockTap struct {

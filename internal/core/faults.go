@@ -6,6 +6,7 @@ import (
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
 	"sphenergy/internal/freqctl"
+	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/pmcounters"
 	"sphenergy/internal/pmt"
@@ -59,8 +60,7 @@ type faultState struct {
 
 // newFaultState builds the injector sets for a run, or nil when the
 // config has no active plan — the healthy path stays exactly the seed
-// behaviour (no fault or resilient wrapper, no hooks, no per-phase
-// evaluation).
+// behaviour (no fault or resilient wrapper, no per-phase evaluation).
 func newFaultState(cfg Config, nodes int) *faultState {
 	if !cfg.Faults.Active() {
 		return nil
@@ -107,27 +107,26 @@ func (fs *faultState) nodeSensor(i int, node *cluster.Node, now func() float64) 
 	return pmt.NewCrayOn(pc, node, pmt.CrayNode, 0)
 }
 
-// wireWorld installs the straggler/crash hook on the MPI world. step
-// reads the run loop's current step.
-func (fs *faultState) wireWorld(world *mpisim.World, ranks []*rankCtx, step func() int) {
+// rankFault ends rank r's share of one of a phase's two world steps, which
+// ran dur seconds of step: the rank's injector draws once, at the rank's
+// clock at the phase's end. A straggler stretches dur by its factor, the
+// GPU idling through the extra time so that the device clock stays with
+// the rank clock; a crash kills the rank at the phase's end, so it runs no
+// later phase and pulls no later barrier. It returns the phase's duration.
+func (fs *faultState) rankFault(world *mpisim.World, dev *gpusim.Device, r, step int, dur float64) float64 {
 	if fs == nil {
-		return
+		return dur
 	}
-	world.SetRankFaults(func(r int, nowS float64) mpisim.RankFault {
-		d := fs.rankInj[r].Evaluate(nowS, step(), faults.Straggler, faults.RankCrash)
-		switch d.Kind {
-		case faults.Straggler:
-			return mpisim.RankFault{SlowFactor: d.Rule.Factor}
-		case faults.RankCrash:
-			return mpisim.RankFault{Crash: true}
-		}
-		return mpisim.RankFault{}
-	})
-	// A straggling rank's GPU idles through the stall, keeping the device
-	// clock aligned with the rank clock.
-	world.SetStragglerObserver(func(r int, extraS float64) {
-		ranks[r].dev.Idle(extraS)
-	})
+	d := fs.rankInj[r].Evaluate(world.Clock(r)+dur, step, faults.Straggler, faults.RankCrash)
+	switch d.Kind {
+	case faults.Straggler: // a valid plan's factor is > 1
+		extra := dur * (d.Rule.Factor - 1)
+		dur += extra
+		dev.Idle(extra)
+	case faults.RankCrash:
+		world.Fail(r, world.Clock(r)+dur)
+	}
+	return dur
 }
 
 // checkStep performs the step-level failure detection: new rank deaths

@@ -291,6 +291,7 @@ func Run(cfg Config) (*Result, error) {
 	world := mpisim.NewWorld(cfg.Ranks, net, cfg.Seed)
 
 	fs := newFaultState(cfg, len(system.Nodes))
+	rt := newRunTelemetry(cfg)
 
 	ranks := make([]*rankCtx, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -300,7 +301,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		rc := &rankCtx{
 			dev:      dev,
-			setter:   freqctl.DeviceSetter{Dev: dev},
+			setter:   rt.deviceSetter(dev, r),
 			strategy: cfg.NewStrategy(),
 			sensor:   pmt.NewGPU(dev),
 			profile:  instr.NewRankProfile(r),
@@ -312,15 +313,10 @@ func Run(cfg Config) (*Result, error) {
 
 	ranks[0].dev.SetPointSink(cfg.ClockSink)
 
-	rt := newRunTelemetry(cfg)
 	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
 	re := newRunEvents(cfg, func() int { return curStep }, load)
-	if rec := rt.barrierWaits(); rec != nil {
-		world.SetRecorder(rec)
-	}
 	for r, rc := range ranks {
 		re.instrumentRank(rc, r)
-		rt.instrumentRank(rc, r)
 		if re != nil {
 			rc.tap = newClockTap(rc.setter)
 			rc.setter = rc.tap
@@ -426,10 +422,6 @@ func Run(cfg Config) (*Result, error) {
 	// the step boundary; the first one wins.
 	var strategyErr error
 
-	// Rank fault injection: the world consults the per-rank injectors at
-	// every phase; curStep and load change between phases only.
-	fs.wireWorld(world, ranks, func() int { return curStep })
-
 	// The budget or stop that ended the run, nil while none has.
 	var stop error
 
@@ -461,7 +453,8 @@ func Run(cfg Config) (*Result, error) {
 	rpn := system.RanksPerNode()
 	// Kernel execution on one rank. Dead ranks are skipped by the world;
 	// load > 1 spreads failed ranks' particles over the survivors
-	// (DegradeRedistribute).
+	// (DegradeRedistribute). Each of the world's two phases ends in the
+	// rank's fault draw.
 	kernelPhase := func(r int) float64 {
 		rc := ranks[r]
 		tap := rc.tap
@@ -478,14 +471,16 @@ func Run(cfg Config) (*Result, error) {
 			if strategyErr == nil {
 				strategyErr = fmt.Errorf("core: strategy apply on rank %d: %w", r, err)
 			}
-			return 0
+			return fs.rankFault(world, rc.dev, r, curStep, 0)
 		}
 		ran[r] = true
 		gpuStart[r] = rc.sensor.Read()
 		ph.kern.Items = cfg.ParticlesPerRank * load * world.Jitter(r, jitterSpread)
+		startS, startJ := rc.dev.Now(), rc.dev.EnergyJ()
 		dur := rc.dev.Launch(&ph.kern)
+		rt.kernelSpan(r, &ph.spans, rc.dev, startS, startJ, dur)
 		rc.samp.Poll()
-		return dur
+		return fs.rankFault(world, rc.dev, r, curStep, dur)
 	}
 	runKernels := func() { durs = world.Execute(kernelPhase) }
 	// Post-kernel phase on one rank: barrier wait + communication +
@@ -494,7 +489,7 @@ func Run(cfg Config) (*Result, error) {
 		rc := ranks[r]
 		rc.dev.Idle(waits[r] + tail)
 		rc.samp.Poll()
-		return 0
+		return fs.rankFault(world, rc.dev, r, curStep, 0)
 	}
 
 	for step := 0; step < cfg.Steps; step++ {
@@ -509,6 +504,7 @@ func Run(cfg Config) (*Result, error) {
 			clear(ran)
 			telemetry.DoLabeled(cfg.ProfileLabels, "pass", fn.Name, runKernels)
 			waits = world.Synchronize(durs)
+			rt.barrierWaits(world, waits)
 
 			tail = commS + hostS
 			world.Execute(idlePhase)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/telemetry"
@@ -13,8 +14,23 @@ import (
 // is off; every hook below guards on that, so the uninstrumented path costs
 // one nil check per phase — the §III-B non-perturbation property.
 type runTelemetry struct {
-	tr *telemetry.Tracer
+	tr   *telemetry.Tracer
+	wait telemetry.SpanRef // the "mpi" barrier-wait span
+	// freq holds the freq-change instant of each clockCauses entry, interned
+	// on the cause's first use (when freqSeen says so), so that a run
+	// interns only the causes it records.
+	freq     [2]telemetry.SpanRef
+	freqSeen [2]bool
 }
+
+// The causes of a freq-change instant, the application-clock operation
+// that reached the device, indexing runTelemetry.freq.
+const (
+	causeSet = iota
+	causeReset
+)
+
+var clockCauses = [2]string{causeSet: "set-app-clocks", causeReset: "reset-app-clocks"}
 
 // newRunTelemetry wires the tracer for a run, labeling the rank tracks and
 // the global one; nil when the run has no tracer.
@@ -27,68 +43,79 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 		rt.tr.SetTrackName(r, fmt.Sprintf("rank %d", r))
 	}
 	rt.tr.SetTrackName(telemetry.GlobalTrack, "sim")
+	rt.wait = rt.tr.Intern("mpi", "barrier-wait")
 	return rt
 }
 
-// instrumentRank attaches the device observer of one rank so its kernels
-// and clock changes flow into the tracer.
-func (rt *runTelemetry) instrumentRank(rc *rankCtx, rank int) {
+// deviceSetter returns rank's clock control over dev: the device setter
+// itself, or with tracing on the trace's clock tap around it. Every wrapper
+// goes on top (fault injection, resilience, the ledger's tap), so the trace
+// records each operation that reaches the device, once.
+func (rt *runTelemetry) deviceSetter(dev *gpusim.Device, rank int) freqctl.Setter {
+	s := freqctl.DeviceSetter{Dev: dev}
+	if rt == nil {
+		return s
+	}
+	return clockTrace{DeviceSetter: s, rt: rt, rank: rank}
+}
+
+// clockTrace records each clock operation of one rank's device as a
+// freq-change instant on the rank's track: its cause and the clock in
+// effect afterwards.
+type clockTrace struct {
+	freqctl.DeviceSetter
+	rt   *runTelemetry
+	rank int
+}
+
+// SetSMClock implements freqctl.Setter.
+func (c clockTrace) SetSMClock(mhz int) (int, error) {
+	applied, err := c.DeviceSetter.SetSMClock(mhz)
+	if err == nil {
+		c.rt.clockChange(c.rank, c.Dev.Now(), applied, causeSet)
+	}
+	return applied, err
+}
+
+// ResetClocks implements freqctl.Setter.
+func (c clockTrace) ResetClocks() error {
+	err := c.DeviceSetter.ResetClocks()
+	if err == nil {
+		c.rt.clockChange(c.rank, c.Dev.Now(), c.Dev.SMClockMHz(), causeReset)
+	}
+	return err
+}
+
+// clockChange records one freq-change instant.
+func (rt *runTelemetry) clockChange(rank int, timeS float64, mhz, cause int) {
+	if !rt.freqSeen[cause] {
+		rt.freq[cause] = rt.tr.InternWith("freq", "freq-change", "cause", clockCauses[cause], "mhz")
+		rt.freqSeen[cause] = true
+	}
+	rt.tr.InstantRef(rank, rt.freq[cause], timeS, float64(mhz), 0)
+}
+
+// kernelSpan records one rank's kernel launch of a phase: it started at
+// startS with the device's energy counter at startJ and ran durS; the span
+// carries the clock the launch ended at and the energy it drew.
+func (rt *runTelemetry) kernelSpan(rank int, sp *phaseSpans, dev *gpusim.Device, startS, startJ, durS float64) {
 	if rt == nil {
 		return
 	}
-	rc.dev.SetObserver(&rankObserver{rank: rank, tr: rt.tr,
-		kernelRefs: map[string]telemetry.SpanRef{},
-		clockRefs:  map[string]telemetry.SpanRef{}})
+	rt.tr.CompleteRef(rank, sp.kernel, startS, durS, float64(dev.SMClockMHz()), dev.EnergyJ()-startJ)
 }
 
-// rankObserver forwards one device's events onto its rank track. Each
-// observer serves one rank, so its identity memos are per rank.
-type rankObserver struct {
-	rank       int
-	tr         *telemetry.Tracer
-	kernelRefs map[string]telemetry.SpanRef // kernel name → interned span
-	clockRefs  map[string]telemetry.SpanRef // clock-change cause → interned instant
-}
-
-// KernelLaunched implements gpusim.Observer.
-func (o *rankObserver) KernelLaunched(name string, startS, durS float64, clockMHz int, energyJ float64) {
-	ref, ok := o.kernelRefs[name]
-	if !ok {
-		ref = o.tr.Intern("kernel", name, "clock_mhz", "energy_j")
-		o.kernelRefs[name] = ref
-	}
-	o.tr.CompleteRef(o.rank, ref, startS, durS, float64(clockMHz), energyJ)
-}
-
-// ClockChanged implements gpusim.Observer.
-func (o *rankObserver) ClockChanged(timeS float64, clockMHz int, cause string) {
-	ref, ok := o.clockRefs[cause]
-	if !ok {
-		ref = o.tr.InternWith("freq", "freq-change", "cause", cause, "mhz")
-		o.clockRefs[cause] = ref
-	}
-	o.tr.InstantRef(o.rank, ref, timeS, float64(clockMHz), 0)
-}
-
-// waitRecorder records the world's barrier waits on the rank tracks, under
-// one span identity interned at wiring time.
-type waitRecorder struct {
-	tr  *telemetry.Tracer
-	ref telemetry.SpanRef
-}
-
-// BarrierWait implements mpisim.WaitRecorder.
-func (w waitRecorder) BarrierWait(rank int, startS, durS float64) {
-	w.tr.CompleteRef(rank, w.ref, startS, durS, 0, 0)
-}
-
-// barrierWaits returns the world's barrier-wait recorder, or nil when
-// tracing is off.
-func (rt *runTelemetry) barrierWaits() mpisim.WaitRecorder {
+// barrierWaits records the waits a barrier returned: each rank that waited
+// wt did so from the end of its own work, world.Clock(r)-wt.
+func (rt *runTelemetry) barrierWaits(world *mpisim.World, waits []float64) {
 	if rt == nil {
-		return nil
+		return
 	}
-	return waitRecorder{tr: rt.tr, ref: rt.tr.Intern("mpi", "barrier-wait")}
+	for r, wt := range waits {
+		if wt > 0 {
+			rt.tr.CompleteRef(r, rt.wait, world.Clock(r)-wt, wt, 0, 0)
+		}
+	}
 }
 
 // ClockCounters returns a Config.ClockSink that records rank 0's
@@ -109,9 +136,10 @@ func ClockCounters(tr *telemetry.Tracer) gpusim.PointSink {
 // once when the run resolves its phases, so the step loop records through
 // refs only.
 type phaseSpans struct {
-	fn   telemetry.SpanRef // the per-rank "function" span
-	comm telemetry.SpanRef // the "mpi" span of its communication
-	host telemetry.SpanRef // the "host:" span of its serial time
+	fn     telemetry.SpanRef // the per-rank "function" span
+	kernel telemetry.SpanRef // the per-rank "kernel" span of its launch
+	comm   telemetry.SpanRef // the "mpi" span of its communication
+	host   telemetry.SpanRef // the "host:" span of its serial time
 }
 
 // phaseSpans interns fn's span identities; zero when tracing is off.
@@ -123,6 +151,8 @@ func (rt *runTelemetry) phaseSpans(fn *FuncModel) phaseSpans {
 		fn:   rt.tr.Intern("function", fn.Name, "gpu_j", "comm_s"),
 		comm: rt.tr.Intern("mpi", commLabel(fn.Comm)),
 		host: rt.tr.Intern("host", "host:"+fn.Name),
+		// A phase launches fn's kernel, which carries fn's name.
+		kernel: rt.tr.Intern("kernel", fn.Name, "clock_mhz", "energy_j"),
 	}
 }
 

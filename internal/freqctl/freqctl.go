@@ -7,8 +7,9 @@
 // surface of one GPU. DeviceSetter is the one implementation over a
 // simulated device of either vendor: the simulated
 // nvmlDeviceSetApplicationsClocks, the user-level, no-superuser-required
-// control path the paper establishes. Fault injection, retries and the
-// ledger's clock tap wrap it.
+// control path the paper establishes. The trace's clock tap wraps it
+// innermost; fault injection, retries and the ledger's clock tap wrap
+// that.
 package freqctl
 
 import (

@@ -39,26 +39,7 @@ type Device struct {
 
 	sink       PointSink
 	kernelsRun int64
-	obs        Observer
 }
-
-// Observer receives device events for external telemetry: completed kernel
-// launches and application-clock changes. Callbacks run on the goroutine
-// driving the device, once the device's state reflects the event, so
-// observers may query the device but must be cheap — they sit on the
-// execution path.
-type Observer interface {
-	// KernelLaunched reports one completed kernel batch: its virtual start
-	// time, duration, the effective SM clock it ran at, and the energy it
-	// consumed.
-	KernelLaunched(name string, startS, durS float64, clockMHz int, energyJ float64)
-	// ClockChanged reports an application-clock operation ("set-app-clocks"
-	// or "reset-app-clocks") and the clock in effect afterwards.
-	ClockChanged(timeS float64, clockMHz int, cause string)
-}
-
-// SetObserver installs the telemetry observer; nil removes it.
-func (d *Device) SetObserver(o Observer) { d.obs = o }
 
 // NewDevice creates a device with the given spec and index (the position of
 // the device within its node, mirroring CUDA device ordinals).
@@ -115,9 +96,6 @@ func (d *Device) SetApplicationClocks(memMHz, smMHz int) (int, error) {
 	d.mode = ModeLocked
 	d.lockedMHz = applied
 	d.tracePoint("set-app-clocks")
-	if d.obs != nil {
-		d.obs.ClockChanged(d.now, applied, "set-app-clocks")
-	}
 	return applied, nil
 }
 
@@ -127,9 +105,6 @@ func (d *Device) ResetApplicationClocks() {
 	d.mode = ModeAuto
 	d.gov.current = float64(d.autoEntryClock())
 	d.tracePoint("reset-app-clocks")
-	if d.obs != nil {
-		d.obs.ClockChanged(d.now, d.currentClock(), "reset-app-clocks")
-	}
 }
 
 func (d *Device) autoEntryClock() int {
@@ -244,7 +219,6 @@ func (d *Device) clockScaleAt(mhz int) float64 {
 // descriptor again and again, changing it between launches.
 func (d *Device) Launch(k *KernelDesc) float64 {
 	t := k.timing(&d.spec)
-	startS, startJ := d.now, d.energyJ
 	var dur float64
 	if d.mode == ModeLocked {
 		// An active power limit derates the effective clock below the
@@ -257,9 +231,6 @@ func (d *Device) Launch(k *KernelDesc) float64 {
 		dur = d.gov.executeKernel(d, k, &t)
 	}
 	d.kernelsRun += int64(k.launches())
-	if d.obs != nil {
-		d.obs.KernelLaunched(k.Name, startS, dur, d.currentClock(), d.energyJ-startJ)
-	}
 	return dur
 }
 

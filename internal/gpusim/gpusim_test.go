@@ -404,44 +404,41 @@ func TestVendorString(t *testing.T) {
 	}
 }
 
-// kernelLedger sums what the Observer stream reports per kernel name.
-type kernelLedger map[string]*kernelSum
-
+// kernelSum is what one kernel's launches took of the device: their count,
+// time and energy.
 type kernelSum struct {
 	launches       int64
 	timeS, energyJ float64
 }
 
-func (l kernelLedger) KernelLaunched(name string, _, durS float64, _ int, energyJ float64) {
-	k := l[name]
-	if k == nil {
-		k = &kernelSum{}
-		l[name] = k
-	}
-	k.launches++
-	k.timeS += durS
-	k.energyJ += energyJ
-}
-
-func (kernelLedger) ClockChanged(float64, int, string) {}
-
-// TestKernelEnergiesGroundTruth holds the Observer's KernelLaunched stream,
-// the per-kernel ground truth attribution joins, to the device's own
-// counters: at a locked clock the kernels plus the idle floor over the idle
-// windows rebuild the energy counter and the virtual clock, and the stream
-// carries every launch.
+// TestKernelEnergiesGroundTruth holds per-launch Now()/EnergyJ() deltas,
+// the per-kernel ground truth a run's kernel spans carry and attribution
+// joins, to the device's own counters: at a locked clock the kernels plus
+// the idle floor over the idle windows rebuild the energy counter and the
+// virtual clock, and the deltas cover every launch.
 func TestKernelEnergiesGroundTruth(t *testing.T) {
 	d := NewDevice(A100SXM480GB(), 0)
 	if _, err := d.SetApplicationClocks(0, 1005); err != nil {
 		t.Fatal(err)
 	}
-	ledger := kernelLedger{}
-	d.SetObserver(ledger)
+	ledger := map[string]*kernelSum{}
+	launch := func(k KernelDesc) {
+		startS, startJ := d.Now(), d.EnergyJ()
+		d.Execute(k)
+		s := ledger[k.Name]
+		if s == nil {
+			s = &kernelSum{}
+			ledger[k.Name] = s
+		}
+		s.launches++
+		s.timeS += d.Now() - startS
+		s.energyJ += d.EnergyJ() - startJ
+	}
 	for i := 0; i < 3; i++ {
-		d.Execute(computeKernel())
+		launch(computeKernel())
 	}
 	d.Idle(0.2)
-	d.Execute(memKernel())
+	launch(memKernel())
 	d.Idle(0.3)
 
 	if len(ledger) != 2 || ledger["compute"].launches != 3 || ledger["memory"].launches != 1 {
@@ -458,7 +455,7 @@ func TestKernelEnergiesGroundTruth(t *testing.T) {
 		sumT += k.timeS
 	}
 	if n := d.KernelsRun(); launches != n {
-		t.Errorf("the stream reports %d launches, the device ran %d", launches, n)
+		t.Errorf("the deltas cover %d launches, the device ran %d", launches, n)
 	}
 	const idleS = 0.5
 	if got, want := sumT+idleS, d.Now(); math.Abs(got-want) > 1e-12*want {

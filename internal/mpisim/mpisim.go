@@ -87,33 +87,6 @@ func (n Network) HaloExchangeS(haloBytes float64, ranks int) float64 {
 	return n.LatencyS*neighbors + haloBytes*neighbors/n.BandwidthBs
 }
 
-// WaitRecorder receives each rank's barrier wait from the world — the
-// collective-wait timeline of the run. Keeping the interface local leaves
-// mpisim dependency-free.
-type WaitRecorder interface {
-	BarrierWait(rank int, startS, durS float64)
-}
-
-// RankFault describes one injected rank misbehaviour for a phase, the
-// local hook shape that keeps mpisim free of a faults dependency.
-type RankFault struct {
-	// SlowFactor > 1 stretches the rank's phase duration (a straggler:
-	// thermal throttling, a congested NIC, a noisy neighbour).
-	SlowFactor float64
-	// Crash kills the rank at the end of the phase; it stops executing
-	// and stops participating in barriers.
-	Crash bool
-}
-
-// RankFaultHook is consulted once per alive rank per Execute phase with
-// the rank's virtual clock at phase end.
-type RankFaultHook func(rank int, nowS float64) RankFault
-
-// StragglerObserver is notified when injection stretches a rank's phase
-// by extra seconds, so callers can keep co-simulated clocks (the rank's
-// GPU) aligned with the rank clock.
-type StragglerObserver func(rank int, extraS float64)
-
 // RankFailure records one rank death.
 type RankFailure struct {
 	Rank  int     `json:"rank"`
@@ -130,9 +103,6 @@ type World struct {
 	alive    []bool
 	failures []RankFailure
 	jitter   []*rng.Rand
-	recorder WaitRecorder
-	fhook    RankFaultHook
-	stragObs StragglerObserver
 
 	// durs and waits back the slices Execute and Synchronize return.
 	durs, waits []float64
@@ -203,16 +173,6 @@ func (w *World) Failures() []RankFailure {
 	return out
 }
 
-// SetRankFaults installs the per-phase fault hook; nil removes it.
-func (w *World) SetRankFaults(h RankFaultHook) {
-	w.fhook = h
-}
-
-// SetStragglerObserver installs the straggler observer; nil removes it.
-func (w *World) SetStragglerObserver(o StragglerObserver) {
-	w.stragObs = o
-}
-
 // Jitter returns a deterministic multiplicative load-imbalance factor for
 // rank r around 1.0 with the given relative spread (e.g. 0.02 for ±2%).
 func (w *World) Jitter(r int, spread float64) float64 {
@@ -224,59 +184,31 @@ func (w *World) Jitter(r int, spread float64) float64 {
 // the ranks is a legal schedule of a bulk-synchronous phase — a rank touches
 // only its own state until the barrier — so the serial one yields the same
 // virtual-time results a concurrent one would. Dead ranks are skipped
-// (duration 0, fn not called). With a fault hook installed, each rank's
-// result passes through it: stragglers stretch the duration (notifying the
-// observer), crashes kill the rank at phase end. It does not touch the
-// virtual clocks; callers combine the durations with Synchronize. A panic in
-// fn unwinds through the caller.
+// (duration 0, fn not called); a rank that fn kills with Fail keeps the
+// duration fn returned. It does not touch the virtual clocks; callers
+// combine the durations with Synchronize. A panic in fn unwinds through the
+// caller.
 //
 // The returned slice belongs to the World and is valid until the next
 // Execute; copy it to keep it.
 func (w *World) Execute(fn func(rank int) float64) []float64 {
 	for r := range w.durs {
-		w.durs[r] = w.phase(r, fn)
-	}
-	return w.durs
-}
-
-// phase runs one rank's share of an Execute call, applying injected rank
-// faults.
-func (w *World) phase(r int, fn func(rank int) float64) float64 {
-	if !w.alive[r] {
-		return 0
-	}
-	dur := fn(r)
-	if w.fhook == nil {
-		return dur
-	}
-	f := w.fhook(r, w.clocks[r]+dur)
-	if f.SlowFactor > 1 {
-		extra := dur * (f.SlowFactor - 1)
-		dur += extra
-		if w.stragObs != nil {
-			w.stragObs(r, extra)
+		w.durs[r] = 0
+		if w.alive[r] {
+			w.durs[r] = fn(r)
 		}
 	}
-	if f.Crash {
-		w.Fail(r, w.clocks[r]+dur)
-	}
-	return dur
+	return w.durs
 }
 
 // Close does nothing — a World holds no goroutines or other resources — and
 // exists only for benchmark/model.go, which defers it.
 func (w *World) Close() {}
 
-// SetRecorder installs the barrier-wait recorder; nil removes it.
-func (w *World) SetRecorder(r WaitRecorder) {
-	w.recorder = r
-}
-
 // Synchronize applies per-rank durations, then aligns all clocks to the
 // maximum (a barrier/collective): it returns, per rank, the wait time the
-// barrier imposed on it. With a recorder installed, each rank's barrier
-// wait is emitted as an "mpi" span starting when the rank finished its own
-// work.
+// barrier imposed on it. A rank that waited wt finished its own work at
+// Clock(r)-wt.
 //
 // The returned slice belongs to the World and is valid until the next
 // Synchronize; it is distinct from the one Execute returns.
@@ -299,14 +231,6 @@ func (w *World) Synchronize(durs []float64) []float64 {
 		}
 		waits[r] = maxT - w.clocks[r]
 		w.clocks[r] = maxT
-	}
-	if w.recorder != nil {
-		for r, wt := range waits {
-			if wt > 0 {
-				// The wait starts when the rank finished its own work.
-				w.recorder.BarrierWait(r, maxT-wt, wt)
-			}
-		}
 	}
 	return waits
 }

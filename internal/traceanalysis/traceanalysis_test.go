@@ -152,45 +152,37 @@ func TestAnalyzeEmptyAndWaitOnly(t *testing.T) {
 	}
 }
 
-// tracerWaits records a world's barrier waits as the runner does: "mpi"
-// "barrier-wait" spans on the rank tracks.
-type tracerWaits struct{ tr *telemetry.Tracer }
-
-func (w tracerWaits) BarrierWait(rank int, startS, durS float64) {
-	w.tr.RecordSpan(rank, "mpi", "barrier-wait", startS, durS)
-}
-
 // TestMpisimStragglerAttribution validates the engine against a real mpisim
-// run: rank 1 is slowed 4× through the world's fault hook, and the analysis
-// must attribute at least 90% of the added barrier wait (vs. the healthy
-// run) to that rank.
+// run: rank 1 is slowed 4× inside its own phase, and the analysis must
+// attribute at least 90% of the added barrier wait (vs. the healthy run) to
+// that rank.
 func TestMpisimStragglerAttribution(t *testing.T) {
 	run := func(slow bool) *Analysis {
 		const ranks, phases = 4, 20
 		net := mpisim.DefaultNetwork(ranks)
 		w := mpisim.NewWorld(ranks, net, 7)
 		tr := telemetry.NewTracer(ranks)
-		w.SetRecorder(tracerWaits{tr})
-		if slow {
-			w.SetRankFaults(func(rank int, nowS float64) mpisim.RankFault {
-				if rank == 1 {
-					return mpisim.RankFault{SlowFactor: 4}
-				}
-				return mpisim.RankFault{}
-			})
-		}
 		for p := 0; p < phases; p++ {
 			starts := make([]float64, ranks)
 			durs := w.Execute(func(r int) float64 {
 				starts[r] = w.Clock(r)
-				return 0.1 * w.Jitter(r, 0.05)
+				d := 0.1 * w.Jitter(r, 0.05)
+				if slow && r == 1 {
+					d *= 4
+				}
+				return d
 			})
-			// Record each rank's work span the way the runner's kernel
-			// observer does: start at the rank's clock, own duration.
+			// Record each rank's work span and barrier wait the way the
+			// runner does: the work from the rank's clock for its own
+			// duration, the wait from the end of that work.
 			for r, d := range durs {
 				tr.RecordSpan(r, "kernel", "work", starts[r], d)
 			}
-			w.Synchronize(durs)
+			for r, wt := range w.Synchronize(durs) {
+				if wt > 0 {
+					tr.RecordSpan(r, "mpi", "barrier-wait", w.Clock(r)-wt, wt)
+				}
+			}
 		}
 		return Analyze(FromSpanEvents(tr.Spans()), Options{})
 	}
