@@ -388,6 +388,30 @@ func lumiChaosConfig(t *testing.T, seed uint64) Config {
 	return cfg
 }
 
+// cscsChaosConfig is a 4-rank CSCS-A100 baseline run under redistribute
+// with every fault family of chaosConfig, a later clamp window and rank 3
+// crashing at step 2.
+func cscsChaosConfig() Config {
+	return Config{
+		System:           cluster.CSCSA100(),
+		Ranks:            4,
+		Sim:              Turbulence,
+		ParticlesPerRank: 10e6,
+		Steps:            4,
+		Tracer:           telemetry.NewTracer(4),
+		Events:           events.NewLedger(0),
+		Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
+		Degradation:      DegradeRedistribute,
+		Faults: &faults.Plan{Name: "chaos", Seed: 42, Rules: []faults.Rule{
+			{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.1},
+			{Kind: faults.Stuck, Target: faults.TargetNodeSensor, Probability: 0.1, Burst: 3},
+			{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: 1100, StartS: 10},
+			{Kind: faults.Straggler, Target: faults.TargetRank, Probability: 0.05, Factor: 2},
+			{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{3}, Step: 2},
+		}},
+	}
+}
+
 // TestChaosRunDeterministic: the same config and plan must replay
 // bit-identically and keep the attribution contract, on a CSCS-A100 run
 // under redistribute and on the seeded sweep: seeds 1-10 on 2 ranks for 3
@@ -398,26 +422,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 		name string
 		cfg  func() Config
 	}
-	rows := []row{{"cscs-42", func() Config {
-		return Config{
-			System:           cluster.CSCSA100(),
-			Ranks:            4,
-			Sim:              Turbulence,
-			ParticlesPerRank: 10e6,
-			Steps:            4,
-			Tracer:           telemetry.NewTracer(4),
-			Events:           events.NewLedger(0),
-			Sampling:         sampler.Config{GPUHz: 100, NodeHz: 10},
-			Degradation:      DegradeRedistribute,
-			Faults: &faults.Plan{Name: "chaos", Seed: 42, Rules: []faults.Rule{
-				{Kind: faults.Transient, Target: faults.TargetSensor, Probability: 0.1},
-				{Kind: faults.Stuck, Target: faults.TargetNodeSensor, Probability: 0.1, Burst: 3},
-				{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: 1100, StartS: 10},
-				{Kind: faults.Straggler, Target: faults.TargetRank, Probability: 0.05, Factor: 2},
-				{Kind: faults.RankCrash, Target: faults.TargetRank, Ranks: []int{3}, Step: 2},
-			}},
-		}
-	}}}
+	rows := []row{{"cscs-42", cscsChaosConfig}}
 	for seed := uint64(1); seed <= 10; seed++ {
 		rows = append(rows,
 			row{fmt.Sprintf("seed-%d-2x3", seed), func() Config { return chaosConfig(cluster.MiniHPC(), seed, 2, 3, false) }},
