@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sphenergy/internal/events"
-	"sphenergy/internal/freqctl"
-	"sphenergy/internal/gpusim"
-)
+import "sphenergy/internal/events"
 
 // runEvents wires the decision ledger into a run. Like runTelemetry, a nil
 // *runEvents means the ledger is off and every hook below is a nil-check
@@ -56,50 +52,6 @@ func (re *runEvents) endRun(timeS float64) {
 		return
 	}
 	re.led.EndRun(timeS)
-}
-
-// instrumentRank forwards the resilient setter's event stream — retries,
-// absorbs, clamps, breaker trips — into the ledger when fault wiring
-// installed one. Must run after fs.wireRank, so the resilient setter exists
-// to hook, and before the rank's clock tap wraps it.
-func (re *runEvents) instrumentRank(rc *rankCtx, rank int) {
-	if re == nil {
-		return
-	}
-	if rs, ok := rc.setter.(*freqctl.ResilientSetter); ok {
-		re.hookResilient(rs, rank, rc.dev)
-	}
-}
-
-// hookResilient forwards the resilient setter's actions as freq-* events.
-// Resilience events are fault-path only, so the error formatting never runs
-// on the healthy steady state.
-func (re *runEvents) hookResilient(rs *freqctl.ResilientSetter, rank int, dev *gpusim.Device) {
-	rs.OnEvent = func(ev freqctl.ResilientEvent) {
-		var typ events.Type
-		switch ev.Kind {
-		case "retry":
-			typ = events.FreqRetry
-		case "absorb":
-			typ = events.FreqAbsorb
-		case "clamp":
-			typ = events.FreqClamp
-		case "breaker-trip":
-			typ = events.FreqBreakerTrip
-		case "short-circuit":
-			typ = events.FreqShortCircuit
-		default:
-			return
-		}
-		errText := ""
-		if ev.Err != nil {
-			errText = ev.Err.Error()
-		}
-		re.led.Emit(events.Event{
-			TimeS: dev.Now(), Step: re.step(), Rank: rank, Type: typ,
-			Subject: ev.Op, RequestedMHz: ev.MHz, Err: errText,
-		})
-	}
 }
 
 // decision records a clock a strategy set before a function. Elided sets

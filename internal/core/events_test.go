@@ -79,7 +79,7 @@ func TestRunEmitsDecisionLedger(t *testing.T) {
 }
 
 // TestChaosRunEmitsResilienceEvents checks the fault-path families: clamps
-// from the resilient setter, rank failures, the degradation transition, and
+// from the ranks' clock sets, rank failures, the degradation transition, and
 // sampler degradation edges all land in the ledger.
 func TestChaosRunEmitsResilienceEvents(t *testing.T) {
 	led := events.NewLedger(0)

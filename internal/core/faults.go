@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sphenergy/internal/cluster"
 	"sphenergy/internal/faults"
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/pmcounters"
@@ -44,23 +44,21 @@ type RankFailure = faults.RankFailure
 type FaultReport = faults.Report
 
 // faultState wires one run's fault plan: the per-target injectors (one
-// deterministic stream per rank sensor, rank clock path, rank execution,
-// and node sensor), the resilient setters wrapped around each rank's
-// clock control, and the failures the degradation policy has handled.
+// deterministic stream per rank sensor, rank execution and node sensor;
+// each rank's clock holds its own clock-fault stream) and the failures the
+// degradation policy has handled.
 type faultState struct {
 	plan      *faults.Plan
 	policy    string
 	sensorInj []*faults.Injector
-	clockInj  []*faults.Injector
 	rankInj   []*faults.Injector
 	nodeInj   []*faults.Injector
-	resilient []*freqctl.ResilientSetter
 	failures  []RankFailure
 }
 
 // newFaultState builds the injector sets for a run, or nil when the
 // config has no active plan — the healthy path stays exactly the seed
-// behaviour (no fault or resilient wrapper, no per-phase evaluation).
+// behaviour (no fault wrapper, retry or per-phase evaluation).
 func newFaultState(cfg Config, nodes int) *faultState {
 	if !cfg.Faults.Active() {
 		return nil
@@ -74,7 +72,6 @@ func newFaultState(cfg Config, nodes int) *faultState {
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		fs.sensorInj = append(fs.sensorInj, cfg.Faults.Injector(faults.TargetSensor, r))
-		fs.clockInj = append(fs.clockInj, cfg.Faults.Injector(faults.TargetClock, r))
 		fs.rankInj = append(fs.rankInj, cfg.Faults.Injector(faults.TargetRank, r))
 	}
 	for n := 0; n < nodes; n++ {
@@ -83,17 +80,12 @@ func newFaultState(cfg Config, nodes int) *faultState {
 	return fs
 }
 
-// wireRank wraps rank r's GPU sensor in its sensor faults, and its setter
-// in its clock faults under the resilience layer. Must run before the
-// rank's clock tap is installed, so the tap sees the resilient semantics.
+// wireRank wraps rank r's GPU sensor in its sensor faults.
 func (fs *faultState) wireRank(rc *rankCtx, r int) {
 	if fs == nil {
 		return
 	}
 	rc.sensor = fs.sensorInj[r].Sensor(rc.sensor, rc.dev.Now)
-	rs := freqctl.NewResilientSetter(fs.clockInj[r].Setter(rc.setter, rc.dev.Now))
-	fs.resilient = append(fs.resilient, rs)
-	rc.setter = rs
 }
 
 // nodeSensor builds node i's pm_counters sensor, whose collection ticks
@@ -157,40 +149,31 @@ func (fs *faultState) checkStep(world *mpisim.World, step, totalRanks int) (floa
 }
 
 // report assembles the run's FaultReport.
-func (fs *faultState) report(smp *sampler.Sampler) *FaultReport {
+func (fs *faultState) report(smp *sampler.Sampler, ranks []*rankCtx) *FaultReport {
 	if fs == nil {
 		return nil
 	}
-	injectors := fs.injectors()
+	injectors := slices.Concat(fs.sensorInj, fs.rankInj, fs.nodeInj)
 	rep := &FaultReport{
 		Plan:        fs.plan.Name,
 		Degradation: fs.policy,
-		Injected:    faults.CollectCounts(injectors...),
 		Failures:    fs.failures,
 	}
-	for _, rs := range fs.resilient {
-		st := rs.Stats()
-		rep.Retries += st.Retries
-		rep.Absorbed += st.Absorbed
-		rep.Clamped += st.Clamped
-		rep.ShortCircuits += st.ShortCircuits
-		rep.BreakerTrips += st.BreakerTrips
-		if st.Broken {
+	for _, rc := range ranks {
+		c := rc.clock
+		injectors = append(injectors, c.inj)
+		rep.Retries += c.retries
+		rep.Absorbed += c.absorbed
+		rep.Clamped += c.clamped
+		rep.ShortCircuits += c.shortCircuits
+		rep.BreakerTrips += c.breakerTrips
+		if c.broken {
 			rep.BrokenRanks++
 		}
 	}
+	rep.Injected = faults.CollectCounts(injectors...)
 	if smp != nil {
 		rep.SamplerDegraded = smp.Degraded()
 	}
 	return rep
-}
-
-// injectors returns every injector of the run: sensor, clock, rank, node.
-func (fs *faultState) injectors() []*faults.Injector {
-	var all []*faults.Injector
-	all = append(all, fs.sensorInj...)
-	all = append(all, fs.clockInj...)
-	all = append(all, fs.rankInj...)
-	all = append(all, fs.nodeInj...)
-	return all
 }

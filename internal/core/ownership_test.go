@@ -71,7 +71,7 @@ func runBundle(cfg Config) ([3][]byte, error) {
 
 // TestRunsShareNoObject is the one-owner check: every object a Run builds
 // — devices and their traces, meters, profiles, sampler, tracer shards,
-// ledger, resilient setters, fault injectors — belongs to the goroutine
+// ledger, rank clocks, fault injectors — belongs to the goroutine
 // that called Run, and none of them carries a lock. Observed, faulted runs
 // handed out by par.Tasks, as cmd/experiments hands out its runs, must then
 // write the bytes of the same configs run one after another; under -race

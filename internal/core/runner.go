@@ -68,10 +68,11 @@ type Config struct {
 	Sampling sampler.Config
 	// Faults, when non-nil and active, injects the plan's fault rules into
 	// the run: sensor-read faults on every rank's GPU sensor and every
-	// node's pm_counters view, clock-control faults on every rank's setter
-	// (which is then wrapped in a freqctl.ResilientSetter seeded per rank
-	// from Seed), and straggler/crash faults on rank execution. Nil keeps
-	// the healthy path byte-identical to an unfaulted run.
+	// node's pm_counters view, clock-control faults on every rank's clock
+	// sets (which are then validated, retried, absorbed and breaker-guarded;
+	// each rank's clock-fault stream is seeded from the plan's Seed), and
+	// straggler/crash faults on rank execution. Nil keeps the healthy path
+	// byte-identical to an unfaulted run.
 	Faults *faults.Plan
 	// Degradation selects the rank-failure policy: DegradeAbort (default),
 	// DegradeDropRank or DegradeRedistribute. Set without an active Faults
@@ -85,9 +86,10 @@ type Config struct {
 	// a profile is actually being taken.
 	ProfileLabels bool
 	// Events, when non-nil, receives the run's decision ledger: frequency
-	// requests and outcomes per rank, resilient-setter actions, sampler
-	// degradation transitions, rank failures, and step/run boundary
-	// records, after whatever the ledger already holds (a tuner sweep).
+	// requests and outcomes per rank, clock-set retries, absorbs, clamps
+	// and breaker actions, sampler degradation transitions, rank failures,
+	// and step/run boundary records, after whatever the ledger already
+	// holds (a tuner sweep).
 	// Nil disables the ledger at the cost of one nil check per hook; an
 	// enabled ledger never perturbs the simulation (see internal/events).
 	Events *events.Ledger
@@ -254,13 +256,10 @@ type phase struct {
 // rankCtx is the per-rank execution context.
 type rankCtx struct {
 	dev      *gpusim.Device
-	setter   freqctl.Setter
+	clock    *rankClock
 	strategy freqctl.Strategy
 	sensor   pmt.Sensor
 	profile  *instr.RankProfile
-	// tap observes the rank's clock sets when the ledger is on (nil
-	// otherwise); setter is then the tap.
-	tap *clockTap
 	// samp is the rank's async sampling channel (nil when sampling is off);
 	// polled inside the rank's phases at kernel and idle boundaries.
 	samp *sampler.Channel
@@ -292,6 +291,8 @@ func Run(cfg Config) (*Result, error) {
 
 	fs := newFaultState(cfg, len(system.Nodes))
 	rt := newRunTelemetry(cfg)
+	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
+	re := newRunEvents(cfg, func() int { return curStep }, load)
 
 	ranks := make([]*rankCtx, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -300,8 +301,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		rc := &rankCtx{
-			dev:      dev,
-			setter:   rt.deviceSetter(dev, r),
+			dev: dev,
+			clock: &rankClock{DeviceSetter: freqctl.DeviceSetter{Dev: dev}, rank: r, rt: rt, re: re,
+				inj: cfg.Faults.Injector(faults.TargetClock, r)},
 			strategy: cfg.NewStrategy(),
 			sensor:   pmt.NewGPU(dev),
 			profile:  instr.NewRankProfile(r),
@@ -312,16 +314,6 @@ func Run(cfg Config) (*Result, error) {
 	strategyName := ranks[0].strategy.Name()
 
 	ranks[0].dev.SetPointSink(cfg.ClockSink)
-
-	curStep, load := -1, 1.0 // the loop's current step (-1 before it) and the survivor load
-	re := newRunEvents(cfg, func() int { return curStep }, load)
-	for r, rc := range ranks {
-		re.instrumentRank(rc, r)
-		if re != nil {
-			rc.tap = newClockTap(rc.setter)
-			rc.setter = rc.tap
-		}
-	}
 
 	// Async power sampling: one channel per rank GPU sensor, one
 	// pm_counters node channel per node. Rank channels poll inside their
@@ -361,7 +353,7 @@ func Run(cfg Config) (*Result, error) {
 	// partial Result carries the system and sampler for diagnosis.
 	fail := func(err error) (*Result, error) {
 		for _, rc := range ranks {
-			_ = rc.setter.ResetClocks()
+			_ = rc.clock.ResetClocks()
 		}
 		if smp != nil {
 			smp.PollAll()
@@ -369,7 +361,7 @@ func Run(cfg Config) (*Result, error) {
 		re.endRun(world.MaxClock())
 		res := &Result{System: system, Sampler: smp}
 		if fs != nil {
-			res.Faults = fs.report(smp)
+			res.Faults = fs.report(smp, ranks)
 		}
 		return res, err
 	}
@@ -404,7 +396,7 @@ func Run(cfg Config) (*Result, error) {
 	// instrumentation point at time-stepping start).
 	re.beginRun(cfg, strategyName)
 	for _, rc := range ranks {
-		if err := rc.strategy.Setup(rc.setter); err != nil {
+		if err := rc.strategy.Setup(rc.clock); err != nil {
 			// Earlier ranks may already hold non-default clocks; fail()
 			// resets them all.
 			return fail(fmt.Errorf("core: strategy setup: %w", err))
@@ -457,17 +449,7 @@ func Run(cfg Config) (*Result, error) {
 	// rank's fault draw.
 	kernelPhase := func(r int) float64 {
 		rc := ranks[r]
-		tap := rc.tap
-		if tap != nil {
-			tap.arm()
-		}
-		err := rc.strategy.Apply(rc.setter, ph.fn.Name)
-		if tap != nil && tap.requested >= 0 {
-			// The strategy set a clock before this function, and the ledger
-			// sees that decision whether or not the set failed.
-			re.decision(r, ph.fn.Name, rc.dev.Now(), tap.requested, tap.applied)
-		}
-		if err != nil {
+		if err := rc.clock.apply(rc.strategy, ph.fn.Name); err != nil {
 			if strategyErr == nil {
 				strategyErr = fmt.Errorf("core: strategy apply on rank %d: %w", r, err)
 			}
@@ -644,7 +626,7 @@ func Run(cfg Config) (*Result, error) {
 		Attribution:     attribution,
 	}
 	if fs != nil {
-		res.Faults = fs.report(smp)
+		res.Faults = fs.report(smp, ranks)
 		report.Faults = res.Faults
 	}
 	return res, stop

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/mpisim"
 	"sphenergy/internal/telemetry"
@@ -47,47 +46,12 @@ func newRunTelemetry(cfg Config) *runTelemetry {
 	return rt
 }
 
-// deviceSetter returns rank's clock control over dev: the device setter
-// itself, or with tracing on the trace's clock tap around it. Every wrapper
-// goes on top (fault injection, resilience, the ledger's tap), so the trace
-// records each operation that reaches the device, once.
-func (rt *runTelemetry) deviceSetter(dev *gpusim.Device, rank int) freqctl.Setter {
-	s := freqctl.DeviceSetter{Dev: dev}
-	if rt == nil {
-		return s
-	}
-	return clockTrace{DeviceSetter: s, rt: rt, rank: rank}
-}
-
-// clockTrace records each clock operation of one rank's device as a
-// freq-change instant on the rank's track: its cause and the clock in
-// effect afterwards.
-type clockTrace struct {
-	freqctl.DeviceSetter
-	rt   *runTelemetry
-	rank int
-}
-
-// SetSMClock implements freqctl.Setter.
-func (c clockTrace) SetSMClock(mhz int) (int, error) {
-	applied, err := c.DeviceSetter.SetSMClock(mhz)
-	if err == nil {
-		c.rt.clockChange(c.rank, c.Dev.Now(), applied, causeSet)
-	}
-	return applied, err
-}
-
-// ResetClocks implements freqctl.Setter.
-func (c clockTrace) ResetClocks() error {
-	err := c.DeviceSetter.ResetClocks()
-	if err == nil {
-		c.rt.clockChange(c.rank, c.Dev.Now(), c.Dev.SMClockMHz(), causeReset)
-	}
-	return err
-}
-
-// clockChange records one freq-change instant.
+// clockChange records one freq-change instant: a clock operation of the
+// rank's device, by its cause, and the clock in effect afterwards.
 func (rt *runTelemetry) clockChange(rank int, timeS float64, mhz, cause int) {
+	if rt == nil {
+		return
+	}
 	if !rt.freqSeen[cause] {
 		rt.freq[cause] = rt.tr.InternWith("freq", "freq-change", "cause", clockCauses[cause], "mhz")
 		rt.freqSeen[cause] = true

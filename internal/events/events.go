@@ -1,9 +1,9 @@
 // Package events is the run's decision ledger: a bounded in-memory ring of
 // typed, sequence-numbered records for every consequential runtime decision
-// — frequency requests and outcomes, resilient-setter actions, tuner sweep
-// and cache choices, sampler degradation transitions, rank failures and
-// budget stops — exported as JSONL into the run bundle's events.jsonl and
-// read back by ReadJSONL.
+// — frequency requests and outcomes, clock-set retries and breaker trips,
+// tuner sweep and cache choices, sampler degradation transitions, rank
+// failures and budget stops — exported as JSONL into the run bundle's
+// events.jsonl and read back by ReadJSONL.
 //
 // The ledger exists to make frequency control explainable after the fact.
 // Each fact is one record: a frequency decision names the function and the
@@ -35,9 +35,10 @@ import (
 // Type names a decision-event kind.
 type Type string
 
-// Event types. The freq-* family mirrors freqctl: a decision is one
-// strategy Apply that touched the clock; retry/absorb/clamp/breaker-trip/
-// short-circuit mirror freqctl.ResilientEvent kinds.
+// Event types. The freq-* family is a rank's clock control: a decision is
+// one strategy Apply that touched the clock; retry/absorb/clamp/
+// breaker-trip/short-circuit are the actions of the retry and breaker
+// policy a rank's clock sets run under a fault plan.
 const (
 	RunStart Type = "run-start"
 	RunEnd   Type = "run-end"
@@ -94,8 +95,8 @@ type Event struct {
 	// Subject is what the decision is about: a function/kernel name for
 	// frequency and tuner events, a sensor name for sampler events.
 	Subject string `json:"subject,omitempty"`
-	// Detail carries the cause or sub-kind: the resilient op, the
-	// degradation policy.
+	// Detail carries the cause or sub-kind: the run's strategy, a sampler
+	// or budget cause, the degradation policy.
 	Detail string `json:"detail,omitempty"`
 	// RequestedMHz / AppliedMHz are the strategy's target and the achieved
 	// clock (post-clamp) for frequency events; AppliedMHz doubles as the

@@ -17,9 +17,10 @@
 // repeated runs.
 //
 // This package is the one place that knows what an injected fault looks
-// like to the measurement stack. Sensor wraps a pmt.Sensor and Setter wraps
-// a freqctl.Setter, so PMT's sensors and freqctl stay fault-free; MissTick drives the pm_counters collection hook; the runner
-// (internal/core) calls Evaluate itself for rank stragglers and crashes.
+// like to the measurement stack. Sensor wraps a pmt.Sensor, so PMT's
+// sensors stay fault-free; MissTick drives the pm_counters collection
+// hook; the runner (internal/core) calls ClockSet before each attempt of a
+// rank's clock set, and Evaluate itself for rank stragglers and crashes.
 package faults
 
 import (
@@ -34,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/pmt"
 	"sphenergy/internal/rng"
 )
@@ -365,26 +365,11 @@ func (s *faultySensor) Read() pmt.State {
 	return s.last
 }
 
-// Setter wraps a clock-control path in the injector's clock faults,
-// evaluated once per SetSMClock at now(): a rejected set fails with
-// ErrRejected, a clamped clock caps the request at the rule's ceiling
-// before it reaches inner. The other operations pass through. A nil
-// injector returns inner itself.
-func (in *Injector) Setter(inner freqctl.Setter, now func() float64) freqctl.Setter {
-	if in == nil {
-		return inner
-	}
-	return &faultySetter{Setter: inner, in: in, now: now}
-}
-
-type faultySetter struct {
-	freqctl.Setter
-	in  *Injector
-	now func() float64
-}
-
-func (s *faultySetter) SetSMClock(mhz int) (int, error) {
-	d := s.in.Evaluate(s.now(), -1, ClampedClock, RejectedSet)
+// ClockSet draws the injector's clock faults for one clock set of mhz at
+// nowS: a rejected set fails with ErrRejected, a clamped clock caps mhz at
+// the rule's ceiling. It returns the clock to ask the device for.
+func (in *Injector) ClockSet(nowS float64, mhz int) (int, error) {
+	d := in.Evaluate(nowS, -1, ClampedClock, RejectedSet)
 	switch d.Kind {
 	case RejectedSet:
 		return 0, fmt.Errorf("%w (clock-set %d MHz)", ErrRejected, mhz)
@@ -393,7 +378,7 @@ func (s *faultySetter) SetSMClock(mhz int) (int, error) {
 			mhz = min(mhz, d.Rule.MHz)
 		}
 	}
-	return s.Setter.SetSMClock(mhz)
+	return mhz, nil
 }
 
 // MissTick is the pm_counters collection hook for a node-sensor injector:

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/pmt"
 )
 
@@ -176,17 +175,6 @@ func (s *fakeSensor) Read() pmt.State {
 	return s.st
 }
 
-// fakeSetter applies every request as asked and records it.
-type fakeSetter struct{ got []int }
-
-func (s *fakeSetter) SetSMClock(mhz int) (int, error) {
-	s.got = append(s.got, mhz)
-	return mhz, nil
-}
-func (s *fakeSetter) ResetClocks() error           { return nil }
-func (s *fakeSetter) MaxSMClock() int              { return 1410 }
-func (s *fakeSetter) SetPowerLimitW(float64) error { return nil }
-
 func TestSensorHookErrorMapping(t *testing.T) {
 	p := &Plan{Seed: 2, Rules: []Rule{
 		{Kind: Transient, Target: TargetSensor, StartS: 0, EndS: 1},
@@ -222,29 +210,22 @@ func TestClockHookClampAndReject(t *testing.T) {
 		{Kind: ClampedClock, Target: TargetClock, StartS: 0, EndS: 1, MHz: 900},
 		{Kind: RejectedSet, Target: TargetClock, StartS: 1, EndS: 2},
 	}}
-	now := 0.5
-	inner := &fakeSetter{}
-	s := p.Injector(TargetClock, 0).Setter(inner, func() float64 { return now })
-	if mhz, err := s.SetSMClock(1200); err != nil || mhz != 900 {
+	in := p.Injector(TargetClock, 0)
+	if mhz, err := in.ClockSet(0.5, 1200); err != nil || mhz != 900 {
 		t.Fatalf("clamp: (%d, %v), want (900, nil)", mhz, err)
 	}
-	if mhz, err := s.SetSMClock(800); err != nil || mhz != 800 {
+	if mhz, err := in.ClockSet(0.5, 800); err != nil || mhz != 800 {
 		t.Fatalf("below ceiling: (%d, %v), want (800, nil)", mhz, err)
 	}
-	now = 1.5
-	_, err := s.SetSMClock(1200)
+	_, err := in.ClockSet(1.5, 1200)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("reject window: err = %v, want ErrRejected", err)
 	}
 	if want := "faults: injected rejected clock set (clock-set 1200 MHz)"; err.Error() != want {
 		t.Fatalf("reject text %q, want %q", err, want)
 	}
-	now = 5
-	if mhz, err := s.SetSMClock(1200); err != nil || mhz != 1200 {
+	if mhz, err := in.ClockSet(5, 1200); err != nil || mhz != 1200 {
 		t.Fatalf("healthy: (%d, %v), want (1200, nil)", mhz, err)
-	}
-	if want := []int{900, 800, 1200}; !reflect.DeepEqual(inner.got, want) {
-		t.Fatalf("inner setter saw %v, want %v", inner.got, want)
 	}
 }
 
@@ -253,9 +234,12 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if !in.Evaluate(0, 0).None() {
 		t.Fatal("nil injector fired")
 	}
-	sensor, setter := &fakeSensor{}, &fakeSetter{}
-	if in.Sensor(sensor, nil) != pmt.Sensor(sensor) || in.Setter(setter, nil) != freqctl.Setter(setter) {
-		t.Fatal("nil injector wrapped the inner sensor or setter")
+	sensor := &fakeSensor{}
+	if in.Sensor(sensor, nil) != pmt.Sensor(sensor) {
+		t.Fatal("nil injector wrapped the inner sensor")
+	}
+	if mhz, err := in.ClockSet(0, 1005); err != nil || mhz != 1005 {
+		t.Fatalf("nil injector's clock set = (%d, %v), want (1005, nil)", mhz, err)
 	}
 	if in.MissTick(nil) != nil {
 		t.Fatal("nil injector produced a collection hook")

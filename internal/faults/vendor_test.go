@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"sphenergy/internal/cluster"
-	"sphenergy/internal/freqctl"
 	"sphenergy/internal/gpusim"
 	"sphenergy/internal/pmt"
 )
 
-// The wrappers over the paths a run builds: the GPU sensor on an Nvidia and
-// an AMD device, the device setter, and ManDyn through a ResilientSetter.
+// The fault paths a run builds: the GPU sensor on an Nvidia and an AMD
+// device, and a clock set's draw ahead of an AMD device.
 // Each device starts at t=0 and is advanced one second between reads, into
 // the next fault window.
 
@@ -87,47 +86,25 @@ func TestRSMIClockSetClampedByHook(t *testing.T) {
 	plan := &Plan{Seed: 1, Rules: []Rule{
 		{Kind: ClampedClock, Target: TargetClock, MHz: 1333},
 	}}
-	s := plan.Injector(TargetClock, 0).Setter(freqctl.DeviceSetter{Dev: dev}, dev.Now)
-	for _, req := range []int{s.MaxSMClock(), 1400, 1333} {
-		applied, err := s.SetSMClock(req)
+	in := plan.Injector(TargetClock, 0)
+	set := func(req int) (int, error) {
+		mhz, err := in.ClockSet(dev.Now(), req)
 		if err != nil {
-			t.Fatalf("SetSMClock(%d): %v", req, err)
+			return 0, err
+		}
+		return dev.SetApplicationClocks(0, mhz)
+	}
+	for _, req := range []int{dev.Spec().MaxSMClockMHz, 1400, 1333} {
+		applied, err := set(req)
+		if err != nil {
+			t.Fatalf("set %d: %v", req, err)
 		}
 		if applied != 1350 || dev.SMClockMHz() != 1350 {
-			t.Fatalf("SetSMClock(%d) under a 1333 MHz clamp applied %d, device at %d, want 1350", req, applied, dev.SMClockMHz())
+			t.Fatalf("set %d under a 1333 MHz clamp applied %d, device at %d, want 1350", req, applied, dev.SMClockMHz())
 		}
 	}
 	// A request under the ceiling passes through unclamped.
-	if applied, err := s.SetSMClock(1000); err != nil || applied != 1000 {
-		t.Fatalf("SetSMClock(1000) = %d, %v, want 1000", applied, err)
-	}
-}
-
-func TestManDynWithResilientSetterUnderFaultPlan(t *testing.T) {
-	// End-to-end: ManDyn through a ResilientSetter over a simulated A100
-	// with an injected clamped-clock window. The strategy must converge (no
-	// set storm) and leave the device at the achieved clock.
-	dev := gpusim.NewDevice(gpusim.A100SXM480GB(), 0)
-	s := freqctl.DeviceSetter{Dev: dev}
-	plan := &Plan{Seed: 3, Rules: []Rule{
-		{Kind: ClampedClock, Target: TargetClock, MHz: 900},
-	}}
-	r := freqctl.NewResilientSetter(plan.Injector(TargetClock, 0).Setter(s, dev.Now))
-	m := &freqctl.ManDyn{Table: map[string]int{"momentum": 1005}}
-	if err := m.Setup(r); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := m.Apply(r, "momentum"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 900 is not in the A100 table; the device snaps to the nearest
-	// supported application clock at or below the injector's ceiling.
-	if applied := dev.SMClockMHz(); applied >= 1005 || applied <= 0 {
-		t.Fatalf("device at %d MHz, want clamped below request", applied)
-	}
-	if st := r.Stats(); st.Clamped == 0 {
-		t.Fatalf("clamp not observed: %+v", st)
+	if applied, err := set(1000); err != nil || applied != 1000 {
+		t.Fatalf("set 1000 = %d, %v, want 1000", applied, err)
 	}
 }

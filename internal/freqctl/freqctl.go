@@ -7,9 +7,9 @@
 // surface of one GPU. DeviceSetter is the one implementation over a
 // simulated device of either vendor: the simulated
 // nvmlDeviceSetApplicationsClocks, the user-level, no-superuser-required
-// control path the paper establishes. The trace's clock tap wraps it
-// innermost; fault injection, retries and the ledger's clock tap wrap
-// that.
+// control path the paper establishes. In a run each rank's strategy acts
+// through core's clock control, which sets the device through a
+// DeviceSetter and adds, under a fault plan, the retry and breaker policy.
 package freqctl
 
 import (

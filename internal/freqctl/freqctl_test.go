@@ -187,6 +187,41 @@ func TestManDynSuppressesRedundantSets(t *testing.T) {
 	}
 }
 
+// TestManDynConvergesUnderClamp: a table clock between two supported
+// steps (1000 MHz on the A100, which snaps to 1005) is applied as another
+// clock on every set. Elision keys on the requested clock, so the set is
+// issued once, not before every call, and a switch away and back still
+// re-issues it.
+func TestManDynConvergesUnderClamp(t *testing.T) {
+	inner, dev := nvidiaSetter(t)
+	s := &countingSetter{Setter: inner}
+	m := &ManDyn{Table: map[string]int{"momentum": 1000}, Default: 1410}
+	if err := m.Setup(s); err != nil {
+		t.Fatal(err)
+	}
+	base := s.calls
+	for i := 0; i < 5; i++ {
+		if err := m.Apply(s, "momentum"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.calls - base; got != 1 {
+		t.Fatalf("snapped table clock issued %d sets over 5 applies, want 1", got)
+	}
+	if dev.SMClockMHz() != 1005 {
+		t.Fatalf("clock left at %d MHz, want achieved 1005", dev.SMClockMHz())
+	}
+	if err := m.Apply(s, "other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Apply(s, "momentum"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.calls - base; got != 3 {
+		t.Fatalf("function switches issued %d sets, want 3", got)
+	}
+}
+
 func TestManDynString(t *testing.T) {
 	strat := &ManDyn{Table: map[string]int{"b": 2, "a": 1}}
 	s := strat.String()

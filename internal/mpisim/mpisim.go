@@ -139,11 +139,6 @@ func (w *World) Advance(r int, dt float64) {
 	}
 }
 
-// Alive reports whether rank r is still executing.
-func (w *World) Alive(r int) bool {
-	return w.alive[r]
-}
-
 // AliveCount returns the number of surviving ranks.
 func (w *World) AliveCount() int {
 	n := 0
