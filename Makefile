@@ -31,8 +31,9 @@ all: build lint test
 #   sweeps       without -race: the seeded chaos sweep, the Examples'
 #                Output at widths 1, 2 and 4, and the scorecard against
 #                EXPERIMENTS.md's copy at widths 1, 2 and 4.
-#   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole
-#                and with its trace and ledger cut mid-line; a budget-stopped
+#   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole;
+#                its trace cut mid-line refused and its ledger cut mid-line
+#                audited up to the cut; a budget-stopped
 #                run's bundle; one sampled config's bundle, byte for byte
 #                the same at widths 1 and 4 and on a repeat; a faulted
 #                AMD run's bundle, its fault and clamp summaries read back,
@@ -247,8 +248,10 @@ bench-sph:
 # 1 100-step run wraps its ledger's ring: the sweep and the run header are
 # the ledger's preamble, so decisions must still name the run and the
 # aggregate. Then the trace and the ledger are cut
-# mid-line, as a killed run can leave them: trace must analyze the prefix
-# and say "truncated trace", decisions audit it and say "truncated ledger".
+# mid-line by hand (sphexa writes each file whole, through a temporary file
+# and a rename): trace must refuse the cut trace, exit 1 with nothing on
+# stdout and an error naming the file; the ledger leg is as it was, and
+# decisions audits the valid prefix and says "truncated ledger".
 # Then a budget stop: a tuned 10-step run given a wall-time budget of half
 # its wall time must exit 3 with the three files, and its ledger must show
 # the budget-stop row. Last, the bundle is a function of the config: the
@@ -301,8 +304,11 @@ bundle-smoke:
 		$(BUNDLE_SMOKE)/run/trace.json > $(BUNDLE_SMOKE)/cut/trace.json
 	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/events.jsonl) - 10 )) \
 		$(BUNDLE_SMOKE)/run/events.jsonl > $(BUNDLE_SMOKE)/cut/events.jsonl
-	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/trace.txt
-	grep -q 'truncated trace' $(BUNDLE_SMOKE)/cut/trace.txt
+	$(BUNDLE_SMOKE)/inspect trace $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/trace.txt \
+		2> $(BUNDLE_SMOKE)/cut/trace.err; \
+	test $$? -eq 1
+	test ! -s $(BUNDLE_SMOKE)/cut/trace.txt
+	grep -qF '$(BUNDLE_SMOKE)/cut/trace.json:' $(BUNDLE_SMOKE)/cut/trace.err
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
 	$(BUNDLE_SMOKE)/sphexa $(BUDGET_RUN) -out $(BUNDLE_SMOKE)/whole > /dev/null

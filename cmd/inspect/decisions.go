@@ -20,7 +20,10 @@ type analysis struct {
 	Steps      int    `json:"steps,omitempty"`
 	Events     int    `json:"events"`
 	Decisions  int    `json:"decisions"`
-	Truncated  bool   `json:"truncated,omitempty"`
+	// Missed counts the decisions whose set never reached the device
+	// (events.NotApplied).
+	Missed    int  `json:"missed,omitempty"`
+	Truncated bool `json:"truncated,omitempty"`
 	// BeyondBytes is how much of a truncated ledger file lay past the valid
 	// prefix the audit covers: the malformed line and everything after it.
 	BeyondBytes int64 `json:"bytes_beyond_prefix,omitempty"`
@@ -39,7 +42,11 @@ type analysis struct {
 type row struct {
 	Function  string `json:"function"`
 	Decisions int    `json:"decisions"`
-	// ClockMHz is the modal applied clock across the function's decisions.
+	// NotApplied counts the decisions whose set never reached the device;
+	// no prediction is joined to them.
+	NotApplied int `json:"not_applied,omitempty"`
+	// ClockMHz is the modal applied clock across the function's applied
+	// decisions, 0 when none was applied.
 	ClockMHz int `json:"clock_mhz"`
 	// PredEDPJs is the tuner sweep's per-call EDP at the chosen clock.
 	PredEDPJs float64 `json:"pred_edp_js,omitempty"`
@@ -75,9 +82,10 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 	a := &analysis{Events: len(evs), ThresholdPct: thresholdPct, Anomalies: map[string]int{}}
 
 	// sweep[fn][mhz] is the tuner's predicted per-call EDP; clocks[fn][mhz]
-	// counts applied decisions.
+	// counts applied decisions, notApplied[fn] the others.
 	sweep := map[string]map[int]float64{}
 	clocks := map[string]map[int]int{}
+	notApplied := map[string]int{}
 	for _, ev := range evs {
 		switch ev.Type {
 		case events.RunStart:
@@ -88,11 +96,16 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 			}
 			sweep[ev.Subject][ev.AppliedMHz] = ev.PredEDPJs
 		case events.FreqDecision:
+			a.Decisions++
 			if clocks[ev.Subject] == nil {
 				clocks[ev.Subject] = map[int]int{}
 			}
+			if ev.Detail == events.NotApplied {
+				notApplied[ev.Subject]++
+				a.Missed++
+				break
+			}
 			clocks[ev.Subject][ev.AppliedMHz]++
-			a.Decisions++
 		}
 		for _, t := range anomalyTypes {
 			if ev.Type == t {
@@ -130,7 +143,8 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 
 	var sumChosen, sumBest float64
 	for fn, byClock := range clocks {
-		r := row{Function: fn}
+		r := row{Function: fn, NotApplied: notApplied[fn]}
+		r.Decisions = r.NotApplied
 		for mhz, n := range byClock {
 			r.Decisions += n
 			// Modal clock; ties break toward the higher clock for
@@ -141,7 +155,7 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 		}
 		if sw := sweep[fn]; len(sw) > 0 {
 			a.HaveSweep = true
-			r.PredEDPJs = sw[r.ClockMHz]
+			r.PredEDPJs = sw[r.ClockMHz] // 0 when no decision was applied
 			// Sweet spot: strict-min over descending clocks, matching the
 			// tuner's first-best-wins tie-break and independent of the
 			// concurrent sweep's event order.
@@ -206,10 +220,19 @@ func render(a *analysis) string {
 		spot, left := "-", "-"
 		if r.BestMHz > 0 {
 			spot = fmt.Sprintf("%d MHz", r.BestMHz)
-			left = fmt.Sprintf("%.1f%%", r.LeftPct)
+			if r.ClockMHz > 0 {
+				left = fmt.Sprintf("%.1f%%", r.LeftPct)
+			}
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d MHz\t%s\t%s\t%s%s\t%s\t%s\n",
-			r.Function, r.Decisions, r.ClockMHz,
+		clock := fmt.Sprintf("%d MHz", r.ClockMHz)
+		switch {
+		case r.ClockMHz == 0:
+			clock = "not applied"
+		case r.NotApplied > 0:
+			clock += fmt.Sprintf(" (%d not applied)", r.NotApplied)
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s%s\t%s\t%s\n",
+			r.Function, r.Decisions, clock,
 			edp(r.PredEDPJs), edp(r.AchievedEDPJs), dev, flag, spot, left)
 	}
 	tw.Flush()
@@ -218,6 +241,10 @@ func render(a *analysis) string {
 		fmt.Fprintf(&sb, "\naggregate: this run left %.2f%% EDP on the table vs the brute-force sweet spot\n", a.AggLeftPct)
 	} else {
 		sb.WriteString("\nno tuner sweep in the ledger: run the tuner through the same ledger for the predicted EDP and the sweet-spot comparison\n")
+	}
+	if a.Missed > 0 {
+		fmt.Fprintf(&sb, "missed: %d of %d decisions never reached the device (not applied)\n",
+			a.Missed, a.Decisions)
 	}
 	if !a.HaveAchieved {
 		sb.WriteString("no attribution join: achieved EDP needs the report.json of a sampled run (sphexa -sample-hz or -energy-validate)\n")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,4 +290,41 @@ func ledgerEvents(t testing.TB, led *events.Ledger) []events.Event {
 		t.Fatalf("ledger read back: truncated %v, err %v", truncated, err)
 	}
 	return evs
+}
+
+// TestDecisionsNotAppliedAreMissed: a decision whose set never reached the
+// device prints as not applied, takes no prediction, and counts as missed;
+// the function's applied decisions are audited as before.
+func TestDecisionsNotAppliedAreMissed(t *testing.T) {
+	evs := []events.Event{{Type: events.RunStart, Subject: "turbulence", Detail: "mandyn", Value: 1}}
+	for _, fn := range []string{"A", "B"} {
+		evs = append(evs,
+			events.Event{Type: events.TunerMeasure, Subject: fn, AppliedMHz: 1000, PredEDPJs: 2},
+			events.Event{Type: events.TunerMeasure, Subject: fn, AppliedMHz: 1200, PredEDPJs: 1})
+	}
+	decision := func(fn string, applied int, detail string) events.Event {
+		return events.Event{Type: events.FreqDecision, Subject: fn, Detail: detail, RequestedMHz: 1200, AppliedMHz: applied}
+	}
+	evs = append(evs, decision("A", 1200, ""), decision("A", 1100, events.NotApplied), decision("A", 1200, ""),
+		decision("B", 900, events.NotApplied), decision("B", 900, events.NotApplied))
+
+	a := analyze(evs, nil, 25)
+	want := []row{
+		{Function: "A", Decisions: 3, NotApplied: 1, ClockMHz: 1200, PredEDPJs: 1, BestMHz: 1200, BestEDPJs: 1},
+		{Function: "B", Decisions: 2, NotApplied: 2, BestMHz: 1200, BestEDPJs: 1},
+	}
+	if !reflect.DeepEqual(a.Rows, want) || a.Decisions != 5 || a.Missed != 3 || a.AggLeftPct != 0 {
+		t.Fatalf("audit %d decisions, %d missed, left %g%%, rows %+v; want 5, 3, 0 and %+v",
+			a.Decisions, a.Missed, a.AggLeftPct, a.Rows, want)
+	}
+	out := render(a)
+	for _, line := range []string{
+		"A         3          1200 MHz (1 not applied)  1 J·s          -         -    1200 MHz    0.0%",
+		"B         2          not applied               -              -         -    1200 MHz    -",
+		"missed: 3 of 5 decisions never reached the device (not applied)",
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("audit lacks the line %q:\n%s", line, out)
+		}
+	}
 }

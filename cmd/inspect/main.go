@@ -9,8 +9,11 @@
 // predictions in the same ledger, and both to the report's achieved energy
 // whenever the bundle has a report, and measures each choice against the
 // sweep's sweet spot. The
-// JSON form of energy is the bundle's report.json itself. A truncated trace
-// or ledger is analyzed up to its valid prefix, and the output says so.
+// JSON form of energy is the bundle's report.json itself. sphexa writes
+// each bundle file whole (a temporary file, then a rename), so a cut file
+// was cut after the run: a report or trace that does not parse to its end
+// is refused, exit 1, and the ledger is audited up to its valid prefix,
+// the audit saying how many bytes lay beyond it.
 // Exit status: 0 success, 1 an unreadable bundle or nothing to audit, 2
 // usage, a flag value the verb would misread included.
 package main
@@ -69,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "trace":
 		topK := fset.Int("top", 3, "straggler ranks to list")
 		asJSON := fset.Bool("json", false, "emit the full analysis as JSON")
-		act = func(dir string) error { return trace(stdout, stderr, dir, *topK, *asJSON) }
+		act = func(dir string) error { return trace(stdout, dir, *topK, *asJSON) }
 		check = func() error {
 			if *topK < 1 {
 				return fmt.Errorf("-top %d: want at least 1", *topK)
@@ -213,16 +216,12 @@ func decisions(stdout, stderr io.Writer, dir string, threshold float64, asJSON b
 	return nil
 }
 
-func trace(stdout, stderr io.Writer, dir string, topK int, asJSON bool) error {
-	spans, truncated, err := traceanalysis.LoadFileLenient(filepath.Join(dir, sphenergy.BundleTrace))
+func trace(stdout io.Writer, dir string, topK int, asJSON bool) error {
+	spans, err := traceanalysis.LoadFile(filepath.Join(dir, sphenergy.BundleTrace))
 	if err != nil {
 		return err
 	}
-	if truncated {
-		fmt.Fprintln(stderr, "inspect: warning: trace is truncated; analyzing the valid prefix")
-	}
 	a := traceanalysis.Analyze(spans, traceanalysis.Options{TopK: topK})
-	a.Truncated = truncated
 	if asJSON {
 		return writeJSON(stdout, a)
 	}

@@ -84,9 +84,9 @@ func TestTraceJSON(t *testing.T) {
 	}
 }
 
-// TestTraceTruncatedSaysSo cuts the trace mid-event: both renderings of the
-// analysis, not only stderr, say it covers a prefix — and neither says so
-// of the whole file.
+// TestTraceTruncatedSaysSo cuts the trace mid-event: inspect trace
+// refuses the cut file, exit 1 and nothing on stdout, with an error that
+// names it, in both renderings.
 func TestTraceTruncatedSaysSo(t *testing.T) {
 	dir := writeStragglerTrace(t)
 	whole, err := os.ReadFile(filepath.Join(dir, sphenergy.BundleTrace))
@@ -94,24 +94,17 @@ func TestTraceTruncatedSaysSo(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := t.TempDir()
-	if err := os.WriteFile(filepath.Join(cut, sphenergy.BundleTrace), whole[:len(whole)*2/3], 0o644); err != nil {
+	path := filepath.Join(cut, sphenergy.BundleTrace)
+	if err := os.WriteFile(path, whole[:len(whole)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for bundle, want := range map[string]bool{dir: false, cut: true} {
-		text, _, code := runInspect(t, "trace", bundle)
-		if code != 0 {
-			t.Fatalf("%s: exit code %d", bundle, code)
+	for _, args := range [][]string{{"trace", cut}, {"trace", "-json", cut}} {
+		out, stderr, code := runInspect(t, args...)
+		if code != 1 || out != "" {
+			t.Errorf("%q: exit %d, stdout %q; want 1 and nothing", args, code, out)
 		}
-		if got := strings.Contains(text, "truncated trace"); got != want {
-			t.Errorf("%s: text report mentions truncation: %v, want %v\n%s", bundle, got, want, text)
-		}
-		out, _, _ := runInspect(t, "trace", "-json", bundle)
-		var a traceanalysis.Analysis
-		if err := json.Unmarshal([]byte(out), &a); err != nil {
-			t.Fatalf("%s: invalid JSON: %v", bundle, err)
-		}
-		if a.Truncated != want || strings.Contains(out, `"truncated"`) != want {
-			t.Errorf("%s: JSON analysis has truncated=%v, want %v", bundle, a.Truncated, want)
+		if !strings.Contains(stderr, path+":") {
+			t.Errorf("%q: stderr %q does not name %s", args, stderr, path)
 		}
 	}
 }

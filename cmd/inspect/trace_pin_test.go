@@ -3,6 +3,9 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"slices"
+	"sort"
 	"testing"
 
 	"sphenergy"
@@ -80,5 +83,57 @@ func TestTraceTextPinned(t *testing.T) {
 				t.Errorf("text hashes to %s, recorded %s:\n%s", h, c.want, out)
 			}
 		})
+	}
+}
+
+// arrayLengths appends the length of every array in the decoded JSON value
+// v, in document order, keys in sorted order.
+func arrayLengths(lens []int, v any) []int {
+	switch v := v.(type) {
+	case []any:
+		lens = append(lens, len(v))
+		for _, e := range v {
+			lens = arrayLengths(lens, e)
+		}
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			lens = arrayLengths(lens, v[k])
+		}
+	}
+	return lens
+}
+
+// TestTraceJSONBoundedByRanks: `inspect trace -json` of a run grows with
+// its ranks, not its steps. The straggler run at 20 steps and at 200 prints
+// arrays of the same lengths.
+func TestTraceJSONBoundedByRanks(t *testing.T) {
+	var lens [2][]int
+	for i, steps := range []int{20, 200} {
+		out, stderr, code := runInspect(t, "trace", "-json", runBundle(t, stragglerRun(steps)))
+		if code != 0 {
+			t.Fatalf("%d steps: exit %d: %s", steps, code, stderr)
+		}
+		var a struct {
+			BarrierCount int `json:"barrier_count"`
+		}
+		var v any
+		if err := json.Unmarshal([]byte(out), &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(out), &v); err != nil {
+			t.Fatal(err)
+		}
+		if a.BarrierCount != 10*steps {
+			t.Errorf("%d steps: %d barriers, want %d", steps, a.BarrierCount, 10*steps)
+		}
+		lens[i] = arrayLengths(nil, v)
+	}
+	if !slices.Equal(lens[0], lens[1]) || len(lens[0]) == 0 {
+		t.Errorf("array lengths %v at 20 steps, %v at 200", lens[0], lens[1])
 	}
 }

@@ -61,8 +61,7 @@ func TestWriteErrorLeavesTargetUntouched(t *testing.T) {
 // for every byte-cut point of the new content it simulates a writer that
 // died after writing exactly n bytes of its temp file (before the rename),
 // and asserts the artifact under the final name is still the old complete
-// file — the byte-by-byte cut technique of traceanalysis.LoadLenient
-// applied to the write side.
+// file.
 func TestKillMidWriteNeverTruncatesTarget(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")

@@ -49,13 +49,14 @@ type rankClock struct {
 	inj *faults.Injector
 
 	// requested is the clock of the last set since apply began, -1 when
-	// there was none; applied is what that set answered.
+	// there was none; applied is what that set answered, and reached
+	// whether it reached the device.
 	requested, applied int
+	reached            bool
 
-	// consec counts consecutive absorbed sets; last is the clock last
-	// applied, 0 before any set and after a reset.
-	consec, last int
-	broken       bool
+	// consec counts consecutive absorbed sets.
+	consec int
+	broken bool
 	// The resilience counters of the run's FaultReport.
 	retries, absorbed, clamped, shortCircuits, breakerTrips uint64
 }
@@ -67,44 +68,51 @@ func (c *rankClock) apply(s freqctl.Strategy, fn string) error {
 	c.requested = -1
 	err := s.Apply(c, fn)
 	if c.requested >= 0 {
-		c.re.decision(c.rank, fn, c.Dev.Now(), c.requested, c.applied)
+		c.re.decision(c.rank, fn, c.Dev.Now(), c.requested, c.applied, c.reached)
 	}
 	return err
 }
 
-// SetSMClock implements freqctl.Setter. Under a fault plan an exhausted
-// or short-circuited set returns the last applied clock and no error.
+// SetSMClock implements freqctl.Setter. A set that did not reach the
+// device returns the clock the device runs; under a fault plan an
+// exhausted or short-circuited set does so with no error.
 func (c *rankClock) SetSMClock(mhz int) (int, error) {
-	applied, err := c.set(mhz)
-	c.requested, c.applied = mhz, applied
+	applied, reached, err := c.set(mhz)
+	if !reached {
+		applied = c.Dev.SMClockMHz()
+	}
+	c.requested, c.applied, c.reached = mhz, applied, reached
 	return applied, err
 }
 
-func (c *rankClock) set(mhz int) (int, error) {
+// set makes one set of mhz and reports whether it reached the device, and
+// what the device answered when it did.
+func (c *rankClock) set(mhz int) (applied int, reached bool, err error) {
 	if c.inj == nil {
-		return c.device(mhz)
+		applied, err = c.device(mhz)
+		return applied, err == nil, err
 	}
 	if mhz <= 0 {
-		return 0, fmt.Errorf("core: non-positive clock request %d MHz", mhz)
+		return 0, false, fmt.Errorf("core: non-positive clock request %d MHz", mhz)
 	}
 	if c.broken {
 		c.shortCircuits++
 		c.emit(events.FreqShortCircuit, mhz, nil)
-		return c.last, nil
+		return 0, false, nil
 	}
 	for try := 1; ; try++ {
 		applied, err := c.attempt(mhz)
 		if err == nil {
-			c.consec, c.last = 0, applied
+			c.consec = 0
 			if applied != mhz {
 				c.clamped++
 				c.emit(events.FreqClamp, mhz, nil)
 			}
-			return applied, nil
+			return applied, true, nil
 		}
 		if try == clockAttempts {
 			c.absorb(mhz, err)
-			return c.last, nil
+			return 0, false, nil
 		}
 		c.retries++
 		c.emit(events.FreqRetry, mhz, err)
@@ -124,9 +132,7 @@ func (c *rankClock) absorb(mhz int, err error) {
 	c.broken = true
 	c.breakerTrips++
 	safe := c.MaxSMClock()
-	if applied, latchErr := c.attempt(safe); latchErr == nil {
-		c.last = applied
-	}
+	c.attempt(safe)
 	c.emit(events.FreqBreakerTrip, safe, err)
 }
 
@@ -153,7 +159,7 @@ func (c *rankClock) device(mhz int) (int, error) {
 // device, the breaker latched or not, and nothing can fail it.
 func (c *rankClock) ResetClocks() error {
 	c.Dev.ResetApplicationClocks()
-	c.consec, c.last = 0, 0
+	c.consec = 0
 	c.rt.clockChange(c.rank, c.Dev.Now(), c.Dev.SMClockMHz(), causeReset)
 	return nil
 }

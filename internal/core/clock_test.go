@@ -166,8 +166,8 @@ func TestRankClockRetriesThroughTransients(t *testing.T) {
 	if err != nil || applied != 1005 || c.Dev.SMClockMHz() != 1005 {
 		t.Fatalf("SetSMClock = (%d, %v), device at %d, want 1005", applied, err, c.Dev.SMClockMHz())
 	}
-	if c.retries != 2 || c.absorbed != 0 || c.last != 1005 {
-		t.Fatalf("retries %d, absorbed %d, last %d", c.retries, c.absorbed, c.last)
+	if c.retries != 2 || c.absorbed != 0 || !c.reached {
+		t.Fatalf("retries %d, absorbed %d, reached %v", c.retries, c.absorbed, c.reached)
 	}
 	retry := "freq-retry set 1005 faults: injected rejected clock set (clock-set 1005 MHz)"
 	if got, want := fmt.Sprint(clockRows(t, led)), fmt.Sprint([]string{retry, retry}); got != want {
@@ -187,8 +187,9 @@ func TestRankClockAbsorbsExhaustedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exhausted failure must be absorbed, got %v", err)
 	}
-	if applied != 1200 || c.Dev.SMClockMHz() != 1200 {
-		t.Fatalf("absorbed set returned %d, device at %d, want the last applied 1200", applied, c.Dev.SMClockMHz())
+	if applied != 1200 || c.Dev.SMClockMHz() != 1200 || c.reached {
+		t.Fatalf("absorbed set returned %d (reached %v), device at %d, want the device's 1200, not reached",
+			applied, c.reached, c.Dev.SMClockMHz())
 	}
 	if c.absorbed != 1 || c.consec != 1 || c.broken {
 		t.Fatalf("absorbed %d, consecutive %d, broken %v", c.absorbed, c.consec, c.broken)
@@ -232,9 +233,9 @@ func TestRankClockBreakerLatchesSafeClock(t *testing.T) {
 	if err := c.ResetClocks(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Dev.Mode() != gpusim.ModeAuto || c.consec != 0 || c.last != 0 || len(freqChanges(tr)) != 2 {
-		t.Errorf("reset under the breaker: mode %v, consecutive %d, last %d, %d freq-changes",
-			c.Dev.Mode(), c.consec, c.last, len(freqChanges(tr)))
+	if c.Dev.Mode() != gpusim.ModeAuto || c.consec != 0 || len(freqChanges(tr)) != 2 {
+		t.Errorf("reset under the breaker: mode %v, consecutive %d, %d freq-changes",
+			c.Dev.Mode(), c.consec, len(freqChanges(tr)))
 	}
 }
 
@@ -274,7 +275,7 @@ func TestRankClockVerifiesAchievedClock(t *testing.T) {
 			{Kind: faults.ClampedClock, Target: faults.TargetClock, MHz: tc.ceiling},
 		}})
 		applied, err := c.SetSMClock(tc.req)
-		if err != nil || applied != tc.want || c.Dev.SMClockMHz() != tc.want || c.last != tc.want {
+		if err != nil || applied != tc.want || c.Dev.SMClockMHz() != tc.want || !c.reached {
 			t.Errorf("%s: SetSMClock(%d) under %d MHz = (%d, %v), device at %d, want %d",
 				tc.spec.Name, tc.req, tc.ceiling, applied, err, c.Dev.SMClockMHz(), tc.want)
 		}
@@ -317,5 +318,61 @@ func TestManDynThroughRankClockUnderFaultPlan(t *testing.T) {
 	}
 	if fmt.Sprint(decisions) != fmt.Sprint([]string{decision}) {
 		t.Errorf("decision rows %q, want %q", decisions, decision)
+	}
+}
+
+// breakerPlan is `make bundle-smoke`'s BREAKER_PLAN: every clock set of
+// rank 1 rejected, beside sensor, node-sensor, clamped-clock, rejected-set
+// and straggler rules on both ranks.
+const breakerPlan = `{"name":"smoke","seed":7,"rules":[
+	{"kind":"rejected-set","target":"clock","ranks":[1]},
+	{"kind":"transient","target":"sensor","probability":0.1},
+	{"kind":"stuck","target":"node-sensor","probability":0.1,"burst":3},
+	{"kind":"clamped-clock","target":"clock","mhz":1333,"start_s":1},
+	{"kind":"rejected-set","target":"clock","probability":0.05},
+	{"kind":"straggler","target":"rank","ranks":[0],"probability":0.1,"factor":2}]}`
+
+// TestNotAppliedDecisionsSayWhatTheDeviceRan drives BREAKER_PLAN through a
+// ManDyn run on LUMI-G: no set of rank 1 reaches its device, so every
+// decision row of rank 1 is marked not applied and carries the clock the
+// device ran under its governor, never 0 and never a clock the rank set;
+// rank 0's sets reach the device and no row of it is so marked.
+func TestNotAppliedDecisionsSayWhatTheDeviceRan(t *testing.T) {
+	plan, err := faults.LoadPlan(breakerPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.LUMIG()
+	max := spec.GPUSpec.MaxSMClockMHz
+	cfg := Config{System: spec, Ranks: 2, Sim: Turbulence, ParticlesPerRank: 10e6, Steps: 3,
+		Tracer: telemetry.NewTracer(2), Events: events.NewLedger(0),
+		Sampling: sampler.Config{GPUHz: 100, NodeHz: 10}, Faults: plan,
+		NewStrategy: func() freqctl.Strategy {
+			return &freqctl.ManDyn{Table: map[string]int{FnMomentum: max, FnIAD: max}, Default: max * 3 / 4}
+		},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.BrokenRanks != 1 {
+		t.Fatalf("broken ranks %d, want 1", res.Faults.BrokenRanks)
+	}
+	rows := [2]int{}
+	for _, ev := range ledgerEvents(t, cfg.Events) {
+		if ev.Type != events.FreqDecision {
+			continue
+		}
+		rows[ev.Rank]++
+		notApplied := ev.Detail == events.NotApplied
+		switch {
+		case ev.Rank == 1 && (!notApplied || ev.AppliedMHz <= 0):
+			t.Errorf("rank 1 decision %+v claims a clock the device did not run", ev)
+		case ev.Rank == 0 && notApplied:
+			t.Errorf("rank 0 decision %+v marked not applied", ev)
+		}
+	}
+	if rows[0] == 0 || rows[1] == 0 {
+		t.Errorf("decision rows by rank %v, want some on both", rows)
 	}
 }

@@ -55,14 +55,20 @@ func (re *runEvents) endRun(timeS float64) {
 }
 
 // decision records a clock a strategy set before a function. Elided sets
-// never reach it: the ledger records clock transitions, not every Apply.
-func (re *runEvents) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int) {
+// never reach it: the ledger records clock transitions, not every Apply. A
+// set that did not reach the device is marked events.NotApplied, with the
+// clock the device ran as its applied clock.
+func (re *runEvents) decision(rank int, function string, nowS float64, requestedMHz, appliedMHz int, reached bool) {
 	if re == nil {
 		return
 	}
+	detail := ""
+	if !reached {
+		detail = events.NotApplied
+	}
 	re.led.Emit(events.Event{
 		TimeS: nowS, Step: re.step(), Rank: rank,
-		Type: events.FreqDecision, Subject: function,
+		Type: events.FreqDecision, Subject: function, Detail: detail,
 		RequestedMHz: requestedMHz, AppliedMHz: appliedMHz,
 	})
 }

@@ -69,6 +69,11 @@ const (
 	BudgetStop Type = "budget-stop"
 )
 
+// NotApplied is the Detail of a freq-decision whose set never reached the
+// device: refused, absorbed after its retries, or short-circuited by a
+// latched breaker. Its AppliedMHz is the clock the device ran.
+const NotApplied = "not-applied"
+
 // builtinTypes pre-seeds the per-type counters so steady-state emits never
 // insert a new map key (the allocation-free contract).
 var builtinTypes = []Type{
@@ -96,11 +101,13 @@ type Event struct {
 	// frequency and tuner events, a sensor name for sampler events.
 	Subject string `json:"subject,omitempty"`
 	// Detail carries the cause or sub-kind: the run's strategy, a sampler
-	// or budget cause, the degradation policy.
+	// or budget cause, the degradation policy, NotApplied on a decision
+	// whose set never reached the device.
 	Detail string `json:"detail,omitempty"`
 	// RequestedMHz / AppliedMHz are the strategy's target and the achieved
-	// clock (post-clamp) for frequency events; AppliedMHz doubles as the
-	// candidate clock on tuner events.
+	// clock (post-clamp) for frequency events, on a NotApplied decision the
+	// clock the device ran instead; AppliedMHz doubles as the candidate
+	// clock on tuner events.
 	RequestedMHz int `json:"requested_mhz,omitempty"`
 	AppliedMHz   int `json:"applied_mhz,omitempty"`
 	// Pred* are the tuner's per-invocation expectations at AppliedMHz, on

@@ -9,8 +9,10 @@ import (
 )
 
 // analyzeOracle is Analyze as it was written before it read pointer-free
-// records: per-rank maps of Span copies, re-sorted with sort.Slice. Analyze
-// must return what it returns, to the bit.
+// records: per-rank maps of Span copies, re-sorted with sort.Slice, the
+// critical path summed per rank in barrier order as Render once summed the
+// list of segments the analysis returned. Analyze must return what it
+// returns, to the bit.
 func analyzeOracle(spans []Span, opt Options) *Analysis {
 	opt = opt.defaulted()
 	a := &Analysis{}
@@ -66,48 +68,43 @@ func analyzeOracle(spans []Span, opt Options) *Analysis {
 			}
 			j++
 		}
-		b := Barrier{TimeS: barrierT}
+		a.BarrierCount++
+		waitS := 0.0
 		waiting := map[int]bool{}
 		for _, w := range waits[i:j] {
-			b.WaitS += w.DurS
-			if w.DurS > b.MaxWaitS {
-				b.MaxWaitS = w.DurS
-			}
-			if !waiting[w.Rank] {
-				waiting[w.Rank] = true
-				b.Waiters = append(b.Waiters, w.Rank)
-			}
+			waitS += w.DurS
+			waiting[w.Rank] = true
 		}
-		sort.Ints(b.Waiters)
+		var critical []int
 		for r, es := range ends {
 			if waiting[r] {
 				continue
 			}
 			if hasEndIn(es, prevT, barrierT+barrierEpsS) {
-				b.Critical = append(b.Critical, r)
+				critical = append(critical, r)
 			}
 		}
-		sort.Ints(b.Critical)
-		if len(b.Critical) > 0 {
-			share := b.WaitS / float64(len(b.Critical))
-			for _, r := range b.Critical {
+		sort.Ints(critical)
+		if len(critical) > 0 {
+			share := waitS / float64(len(critical))
+			for _, r := range critical {
 				st := stat(r)
 				st.CausedWaitS += share
 				st.CriticalCount++
 			}
-			a.AttributedWaitS += b.WaitS
+			a.AttributedWaitS += waitS
 		}
-		a.TotalWaitS += b.WaitS
+		a.TotalWaitS += waitS
 
-		seg := Segment{StartS: prevT, EndS: barrierT, Rank: GlobalRank}
+		start := prevT
 		if math.IsInf(prevT, -1) {
-			seg.StartS = 0
+			start = 0
 		}
-		if len(b.Critical) == 1 {
-			seg.Rank = b.Critical[0]
+		if len(critical) == 1 {
+			st := stat(critical[0])
+			st.PathS += barrierT - start
+			st.PathSegments++
 		}
-		a.CriticalPath = append(a.CriticalPath, seg)
-		a.Barriers = append(a.Barriers, b)
 		prevT = barrierT
 		i = j
 	}
@@ -202,7 +199,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a := Analyze(spans, Options{}); len(a.Barriers) == 0 {
+		if a := Analyze(spans, Options{}); a.BarrierCount == 0 {
 			b.Fatal("no barriers")
 		}
 	}

@@ -40,7 +40,7 @@ func TestCoreRunStragglerCriticalPath(t *testing.T) {
 		},
 	})
 
-	if len(slowed.Barriers) == 0 {
+	if slowed.BarrierCount == 0 {
 		t.Fatal("no barriers reconstructed from core.Run trace")
 	}
 	addedWait := slowed.TotalWaitS - healthy.TotalWaitS

@@ -53,10 +53,10 @@ func quotedSplitDoc(tb testing.TB) ([]byte, int) {
 	return doc, at
 }
 
-// TestLoadFileMatchesLoad holds LoadFile and LoadFileLenient, which read a
-// long file in two halves at once, to Load and LoadLenient of what
-// os.ReadFile reads at one CPU: the same spans, truncation and error text,
-// offsets included, at widths 1, 2 and 4. The documents are the recorded
+// TestLoadFileMatchesLoad holds LoadFile, which reads a long file in two
+// halves at once, to Load of what os.ReadFile reads at one CPU: the same
+// spans and error text, offsets included, but that a parse error is
+// prefixed with the file's path, at widths 1, 2 and 4. The documents are the recorded
 // run, whole and cut on either side of its middle and inside the first
 // event of its second half; a document whose split guess falls inside a
 // string, whole and cut likewise and around the guess; documents one byte
@@ -81,11 +81,8 @@ func TestLoadFileMatchesLoad(t *testing.T) {
 	cut("quoted", quoted, len(quoted)/2-1, len(quoted)/2+1, at, at+1, at+8)
 
 	type loaded struct {
-		spans      []Span
-		err        error
-		lenient    []Span
-		truncated  bool
-		lenientErr error
+		spans []Span
+		err   error
 	}
 	dir := t.TempDir()
 	paths := map[string]string{"missing": filepath.Join(dir, "missing.json")}
@@ -102,10 +99,8 @@ func TestLoadFileMatchesLoad(t *testing.T) {
 		var w loaded
 		if data, err := os.ReadFile(path); err != nil {
 			w.err = fmt.Errorf("traceanalysis: %w", err)
-			w.lenientErr = w.err
-		} else {
-			w.spans, w.err = Load(data)
-			w.lenient, w.truncated, w.lenientErr = LoadLenient(data)
+		} else if w.spans, w.err = Load(data); w.err != nil {
+			w.err = fmt.Errorf("%s: %w", path, w.err)
 		}
 		want[name] = w
 	}
@@ -114,15 +109,10 @@ func TestLoadFileMatchesLoad(t *testing.T) {
 		for name, path := range paths {
 			var got loaded
 			got.spans, got.err = LoadFile(path)
-			got.lenient, got.truncated, got.lenientErr = LoadFileLenient(path)
 			w := want[name]
 			if !reflect.DeepEqual(got.spans, w.spans) || fmt.Sprint(got.err) != fmt.Sprint(w.err) {
 				t.Errorf("width %d, %s: LoadFile read %d spans, error %v; Load read %d, error %v",
 					width, name, len(got.spans), got.err, len(w.spans), w.err)
-			}
-			if !reflect.DeepEqual(got.lenient, w.lenient) || got.truncated != w.truncated || fmt.Sprint(got.lenientErr) != fmt.Sprint(w.lenientErr) {
-				t.Errorf("width %d, %s: LoadFileLenient read %d spans, truncated %v, error %v; LoadLenient read %d, %v, %v",
-					width, name, len(got.lenient), got.truncated, got.lenientErr, len(w.lenient), w.truncated, w.lenientErr)
 			}
 		}
 	}

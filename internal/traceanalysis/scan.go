@@ -24,7 +24,7 @@ const spanBytesHint = 128
 const splitMin = 1 << 20
 
 // scanner is the single pass over a Chrome trace_event document behind Load
-// and LoadLenient, on the repository's shared JSON scanner: values are
+// and LoadFile, on the repository's shared JSON scanner: values are
 // skipped in place, the known keys of an event are remembered as views into
 // the input and interpreted once the event closes, and name/cat strings are
 // interned so that the spans of a run share the few dozen identities they
@@ -32,10 +32,9 @@ const splitMin = 1 << 20
 type scanner struct {
 	jsontext.Scanner
 
-	spans  []Span
-	events int               // events closed so far, spans or not
-	sim    []int             // tids that thread_name metadata names "sim"
-	names  map[string]string // interned names and categories, by literal
+	spans []Span
+	sim   []int             // tids that thread_name metadata names "sim"
+	names map[string]string // interned names and categories, by literal
 
 	tail *tail       // the second half, scanning ahead; nil when none
 	stop atomic.Bool // set when this scanner is a tail nobody will join
@@ -47,11 +46,11 @@ func newScanner(data []byte, spanHint int) *scanner {
 }
 
 // scan walks data and returns the spans of every event that closed before
-// the walk ended, how many events closed, and why the walk ended early
-// (nil for a well-formed document). A long document is read in two halves
+// the walk ended and why the walk ended early (nil for a well-formed
+// document). A long document is read in two halves
 // at once when there is a second CPU, split at the first event boundary
 // past its middle; the result is the serial walk's to the byte.
-func scan(data []byte) ([]Span, int, error) {
+func scan(data []byte) ([]Span, error) {
 	return scanWith(data, split(data))
 }
 
@@ -81,7 +80,7 @@ func boundary(data []byte, mid int) int {
 // scanWith is scan with t, when not nil, scanning the second half. Tracks
 // named "sim" are resolved after the walk, since metadata may follow the
 // spans it names.
-func scanWith(data []byte, t *tail) ([]Span, int, error) {
+func scanWith(data []byte, t *tail) ([]Span, error) {
 	s := newScanner(data, len(data)/spanBytesHint)
 	s.tail = t
 	err := s.document()
@@ -93,7 +92,7 @@ func scanWith(data []byte, t *tail) ([]Span, int, error) {
 			}
 		}
 	}
-	return s.spans, s.events, err
+	return s.spans, err
 }
 
 // readFile reads the file at path as os.ReadFile does. A regular file that
@@ -205,15 +204,14 @@ func (t *tail) drop() {
 // errAbandoned ends a tail whose guess the main walk found to be wrong.
 var errAbandoned = errors.New("abandoned")
 
-// join adopts the tail's walk as the rest of this array's: its spans,
-// events and track names appended, its position, depth and error taken over.
+// join adopts the tail's walk as the rest of this array's: its spans and
+// track names appended, its position, depth and error taken over.
 func (s *scanner) join() error {
 	t := s.tail
 	s.tail = nil
 	<-t.done
 	s.spans = append(s.spans, t.s.spans...)
 	s.sim = append(s.sim, t.s.sim...)
-	s.events += t.s.events
 	s.Pos, s.Depth = t.s.Pos, t.s.Depth
 	return t.err
 }
@@ -267,7 +265,7 @@ func (s *scanner) document() error {
 // traceEvents reads the event array (or null). A repeated "traceEvents" key
 // replaces what the earlier one held.
 func (s *scanner) traceEvents() error {
-	s.spans, s.sim, s.events = s.spans[:0], s.sim[:0], 0
+	s.spans, s.sim = s.spans[:0], s.sim[:0]
 	switch s.Peek() {
 	case 'n':
 		return s.Word("null")
@@ -314,11 +312,7 @@ func (s *scanner) elements(first bool) error {
 func (s *scanner) event() error {
 	switch s.Peek() {
 	case 'n':
-		if err := s.Word("null"); err != nil {
-			return err
-		}
-		s.events++
-		return nil
+		return s.Word("null")
 	case '{':
 	default:
 		return s.Syntax("an event object")
@@ -394,7 +388,6 @@ func (s *scanner) event() error {
 	case string(ph) == "M" && string(text(name)) == "thread_name" && string(argsName(args)) == "sim":
 		s.sim = append(s.sim, track)
 	}
-	s.events++
 	return nil
 }
 

@@ -24,39 +24,38 @@ import (
 // exact case, which decoding objects into maps gives (encoding/json matches
 // struct fields case-insensitively). The top-level object is walked token
 // by token so that, as in the scanner, each "traceEvents" value is decoded
-// as it passes and a later one replaces an earlier one; arrays counts them.
-func referenceLoad(data []byte) (spans []Span, arrays int, err error) {
+// as it passes and a later one replaces an earlier one.
+func referenceLoad(data []byte) ([]Span, error) {
 	if !json.Valid(data) {
-		return nil, 0, errors.New("invalid JSON")
+		return nil, errors.New("invalid JSON")
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	tok, err := dec.Token()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if tok == nil {
-		return nil, 0, nil // a null document is an empty trace
+		return nil, nil // a null document is an empty trace
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, 0, fmt.Errorf("document is %v, want an object", tok)
+		return nil, fmt.Errorf("document is %v, want an object", tok)
 	}
 	var evs []map[string]json.RawMessage
 	for dec.More() {
 		key, err := dec.Token()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if key != "traceEvents" {
 			var skipped json.RawMessage
 			if err := dec.Decode(&skipped); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			continue
 		}
-		arrays++
 		evs = nil
 		if err := dec.Decode(&evs); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 
@@ -72,6 +71,7 @@ func referenceLoad(data []byte) (spans []Span, arrays int, err error) {
 		}
 		return f, err
 	}
+	var spans []Span
 	globalTIDs := map[int]bool{}
 	for _, ev := range evs {
 		name, err1 := str(ev["name"])
@@ -85,7 +85,7 @@ func referenceLoad(data []byte) (spans []Span, arrays int, err error) {
 			err6 = json.Unmarshal(raw, &tid)
 		}
 		if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
-			return nil, arrays, err
+			return nil, err
 		}
 		switch {
 		case ph == "X":
@@ -104,73 +104,43 @@ func referenceLoad(data []byte) (spans []Span, arrays int, err error) {
 			spans[i].Rank = GlobalRank
 		}
 	}
-	return spans, arrays, nil
+	return spans, nil
 }
 
 func sameSpans(a, b []Span) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-// checkAgainstReference holds Load and LoadLenient to the reference on one
-// document and, when the reference accepts it, on every cut of it (on a
-// spread of cuts once the document is long).
+// checkAgainstReference holds Load to the reference on one document and,
+// when the reference accepts it, on every cut of it (on a spread of cuts
+// once the document is long): a cut that is still a whole document, one
+// that lost only trailing whitespace, reads as the whole; any other is
+// refused, with no spans.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
-	want, arrays, refErr := referenceLoad(data)
+	want, refErr := referenceLoad(data)
 	got, err := Load(data)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("Load error = %v, reference error = %v\ndocument: %q", err, refErr, data)
 	}
-	lenient, truncated, lerr := LoadLenient(data)
 	if err != nil {
 		if got != nil {
 			t.Fatalf("failed Load returned %d spans", len(got))
-		}
-		if !truncated || (lerr != nil && lenient != nil) {
-			t.Fatalf("LoadLenient of a rejected document: truncated=%v err=%v spans=%d", truncated, lerr, len(lenient))
 		}
 		return
 	}
 	if !sameSpans(got, want) {
 		t.Fatalf("Load differs from the reference\n got: %+v\nwant: %+v\ndocument: %q", got, want, data)
 	}
-	if lerr != nil || truncated || !sameSpans(lenient, got) {
-		t.Fatalf("LoadLenient of an accepted document: truncated=%v err=%v, %d spans vs %d", truncated, lerr, len(lenient), len(got))
-	}
-	if arrays > 1 {
-		return // spans recovered from a replaced array are no prefix of the last one's
-	}
 	stride := 1 + len(data)/2048
 	for cut := len(data) - 1; cut >= 0; cut -= stride {
-		part, truncated, err := LoadLenient(data[:cut])
-		if _, _, refErr := referenceLoad(data[:cut]); refErr == nil {
-			// Only trailing whitespace was cut: still a whole document.
-			if err != nil || truncated || !sameSpans(part, got) {
-				t.Fatalf("cut at %d is a whole document: truncated=%v err=%v, %d spans vs %d", cut, truncated, err, len(part), len(got))
-			}
-			continue
-		}
-		if !truncated {
-			t.Fatalf("cut at %d: truncated=false\ndocument: %q", cut, data[:cut])
-		}
-		if err != nil {
-			if part != nil {
-				t.Fatalf("cut at %d: error %v with %d spans", cut, err, len(part))
-			}
-			continue
-		}
-		if len(part) > len(got) {
-			t.Fatalf("cut at %d recovered %d spans, the full parse has %d", cut, len(part), len(got))
-		}
-		for i, s := range part {
-			// Tracks resolve from the metadata seen so far: a span may still
-			// carry its tid where the full parse has learnt it is global.
-			if full := got[i]; full.Rank == GlobalRank {
-				s.Rank = GlobalRank
-			}
-			if s != got[i] {
-				t.Fatalf("cut at %d: span %d = %+v, the full parse has %+v", cut, i, part[i], got[i])
-			}
+		part, err := Load(data[:cut])
+		_, refErr := referenceLoad(data[:cut])
+		switch {
+		case refErr == nil && (err != nil || !sameSpans(part, got)):
+			t.Fatalf("cut at %d is a whole document: error %v, %d spans vs %d", cut, err, len(part), len(got))
+		case refErr != nil && (err == nil || part != nil):
+			t.Fatalf("cut at %d read %d spans, error %v; want it refused\ndocument: %q", cut, len(part), err, data[:cut])
 		}
 	}
 }
@@ -192,8 +162,14 @@ func scannerSeeds() []string {
 		panic(err)
 	}
 	return []string{
-		// The four documents of truncated_test.go.
-		truncTestTrace,
+		// A minimal export: global-track metadata, two rank spans and one
+		// global span; one cut mid-event after a leading key; empty traces.
+		`{"traceEvents":[
+{"name":"thread_name","ph":"M","tid":9,"args":{"name":"sim"}},
+{"name":"step 0","cat":"step","ph":"X","ts":0,"dur":20,"tid":9},
+{"name":"k1","cat":"kernel","ph":"X","ts":0,"dur":10,"tid":0},
+{"name":"k2","cat":"kernel","ph":"X","ts":5,"dur":12,"tid":1}
+]}`,
 		`{"displayTimeUnit":"ms","traceEvents":[` +
 			`{"name":"k1","cat":"kernel","ph":"X","ts":0,"dur":10,"tid":0},` +
 			`{"name":"k2","cat":"kernel","ph":"X","ts":5,"dur"`,
@@ -269,8 +245,8 @@ func scannerSeeds() []string {
 
 // FuzzLoad holds the scanner to the encoding/json reference: for any input
 // no panic (so no read outside the input) and the same verdict; for an
-// accepted document the same spans; for every cut of one a prefix of them
-// with truncated=true. The same input read in two halves, split at the
+// accepted document the same spans, and every cut of it refused unless it
+// is still a whole document. The same input read in two halves, split at the
 // fuzzed byte, must then come out as the serial walk did, and whatever it
 // loads must analyze as the oracle analyzes it.
 func FuzzLoad(f *testing.F) {
@@ -284,7 +260,7 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, at uint) {
 		checkAgainstReference(t, data)
 		checkSplit(t, data, int(at%uint(len(data)+1)))
-		if spans, _, err := LoadLenient(data); err == nil {
+		if spans, err := Load(data); err == nil {
 			checkAnalyzeOracle(t, spans)
 		}
 	})
@@ -323,7 +299,7 @@ func recordedTrace(tb testing.TB, steps int) []byte {
 // spans as the in-process read-back but for the trace's microsecond trip.
 func TestLoadRealRunMatchesReferenceAndReadBack(t *testing.T) {
 	data := recordedTrace(t, 300)
-	want, _, err := referenceLoad(data)
+	want, err := referenceLoad(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,16 +317,15 @@ func TestLoadRealRunMatchesReferenceAndReadBack(t *testing.T) {
 	if len(got) < 50_000 || len(distinct) > 400 {
 		t.Errorf("fixed run loaded as %d spans over %d strings; want a long trace of few identities", len(got), len(distinct))
 	}
-	// A cut in the middle keeps what came before it.
-	part, truncated, err := LoadLenient(data[:len(data)/2])
-	if err != nil || !truncated || len(part) == 0 || len(part) >= len(got) {
-		t.Errorf("half the trace: truncated=%v err=%v, %d of %d spans", truncated, err, len(part), len(got))
+	// A cut in the middle is refused.
+	if part, err := Load(data[:len(data)/2]); err == nil || part != nil {
+		t.Errorf("half the trace: %d spans, error %v; want it refused", len(part), err)
 	}
 }
 
 // scanAt is scan with the second half guessed to start after the '}' at
 // byte at, or no second half when at < 0.
-func scanAt(data []byte, at int) ([]Span, int, error) {
+func scanAt(data []byte, at int) ([]Span, error) {
 	var t *tail
 	if at >= 0 && at < len(data) {
 		t = startTail(data, at+1)
@@ -360,15 +335,15 @@ func scanAt(data []byte, at int) ([]Span, int, error) {
 
 // checkSplit fails unless scanAt, guessing the second half to start after
 // byte at, returns what the serial walk returns for each at: the same
-// spans, the same event count and the same error, to its text and offset.
+// spans and the same error, to its text and offset.
 func checkSplit(t *testing.T, data []byte, ats ...int) {
 	t.Helper()
-	want, wantEvents, wantErr := scanAt(data, -1)
+	want, wantErr := scanAt(data, -1)
 	for _, at := range ats {
-		got, events, err := scanAt(data, at)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || events != wantEvents || !sameSpans(got, want) {
-			t.Fatalf("split after byte %d: %d spans, %d events, error %v; serially %d spans, %d events, error %v\ndocument: %.300q",
-				at, len(got), events, err, len(want), wantEvents, wantErr, data)
+		got, err := scanAt(data, at)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameSpans(got, want) {
+			t.Fatalf("split after byte %d: %d spans, error %v; serially %d spans, error %v\ndocument: %.300q",
+				at, len(got), err, len(want), wantErr, data)
 		}
 	}
 }

@@ -9,8 +9,11 @@
 // span there; it is identified as a barrier participant — a rank with any
 // span ending inside the inter-barrier window — that did not wait. Each
 // barrier's total wait is then attributed to its critical rank(s), yielding
-// the per-rank "wait caused" ranking and the step-by-step critical path:
-// the sequence of ranks the run's wall time actually depended on.
+// the per-rank "wait caused" ranking, and the window before a barrier with
+// one critical rank is that rank's stretch of the critical path: each
+// rank's total is the share of the run's wall time that depended on it.
+// The result holds one record per rank and the run's totals, however many
+// barriers the trace holds.
 package traceanalysis
 
 import (
@@ -60,22 +63,6 @@ func (o Options) defaulted() Options {
 	return o
 }
 
-// Barrier is one reconstructed synchronization point.
-type Barrier struct {
-	// TimeS is the barrier's virtual time (the shared wait end time).
-	TimeS float64 `json:"time_s"`
-	// WaitS is the total wait the barrier imposed, summed over waiters.
-	WaitS float64 `json:"wait_s"`
-	// MaxWaitS is the longest single rank wait.
-	MaxWaitS float64 `json:"max_wait_s"`
-	// Waiters lists the ranks that recorded a wait span at this barrier.
-	Waiters []int `json:"waiters"`
-	// Critical lists the participants that did not wait — the rank(s) the
-	// barrier's time was determined by. Empty when the trace carries no
-	// non-wait spans to identify the participant set.
-	Critical []int `json:"critical"`
-}
-
 // RankStat aggregates one rank's standing across the run.
 type RankStat struct {
 	Rank int `json:"rank"`
@@ -88,23 +75,21 @@ type RankStat struct {
 	CausedWaitS float64 `json:"caused_wait_s"`
 	// CriticalCount is the number of barriers this rank was critical for.
 	CriticalCount int `json:"critical_count"`
+	// PathS is the rank's time on the critical path: the summed windows,
+	// each from the previous barrier (or 0) to the next, that end at a
+	// barrier this rank alone was critical for.
+	PathS float64 `json:"path_s"`
+	// PathSegments is the number of those barriers.
+	PathSegments int `json:"path_segments"`
 }
 
-// Segment is one stretch of the critical path between consecutive barriers.
-type Segment struct {
-	StartS float64 `json:"start_s"`
-	EndS   float64 `json:"end_s"`
-	// Rank is the critical rank of the barrier closing the segment, or
-	// GlobalRank when it could not be identified (or was tied).
-	Rank int `json:"rank"`
-}
-
-// Analysis is the full diagnostic result.
+// Analysis is the full diagnostic result. Its size is bounded by the
+// ranks, whatever the number of steps the trace holds.
 type Analysis struct {
 	// WallS is the span extent of the trace (max end over all spans).
 	WallS float64 `json:"wall_s"`
-	// Barriers lists the reconstructed synchronization points in time order.
-	Barriers []Barrier `json:"barriers"`
+	// BarrierCount is the number of reconstructed synchronization points.
+	BarrierCount int `json:"barrier_count"`
 	// Ranks holds per-rank statistics in rank order.
 	Ranks []RankStat `json:"ranks"`
 	// TotalWaitS sums all barrier waits.
@@ -113,14 +98,8 @@ type Analysis struct {
 	// critical ranks. The gap to TotalWaitS measures how much of the wait
 	// the trace did not carry enough context to attribute.
 	AttributedWaitS float64 `json:"attributed_wait_s"`
-	// CriticalPath is the barrier-to-barrier segment chain.
-	CriticalPath []Segment `json:"critical_path"`
 	// Stragglers ranks the TopK ranks by CausedWaitS, descending.
 	Stragglers []RankStat `json:"stragglers"`
-	// Truncated marks an analysis of spans LoadLenient recovered from a
-	// trace cut off mid-write: it covers the events that had closed before
-	// the cut, not the run. Set by the caller that loaded them.
-	Truncated bool `json:"truncated,omitempty"`
 }
 
 // interval is a non-wait rank-track span as the analysis reads it.
@@ -146,8 +125,9 @@ func compareFloat(a, b float64) int {
 }
 
 // Analyze reconstructs barriers, attribution and the critical path from a
-// span set. Spans on the global track contribute to WallS but are excluded
-// from the rank participant logic.
+// span set, folding each barrier into the per-rank records as it goes.
+// Spans on the global track contribute to WallS but are excluded from the
+// rank participant logic.
 //
 // The spans are read twice and copied into pointer-free records: a first
 // pass gives each rank track a slot in order of first appearance and counts
@@ -239,7 +219,8 @@ func Analyze(spans []Span, opt Options) *Analysis {
 
 	// Group wait spans into barriers by shared end time.
 	slices.SortFunc(waits, func(x, y wait) int { return compareFloat(x.end, y.end) })
-	// waitingAt[k] is one more than the last barrier slot k waited at.
+	// waitingAt[k] is the number of the last barrier slot k waited at,
+	// counting from 1.
 	waitingAt := make([]int, len(stats))
 	var critical []int // the current barrier's critical slots
 	prevT := math.Inf(-1)
@@ -252,49 +233,42 @@ func Analyze(spans []Span, opt Options) *Analysis {
 			}
 			j++
 		}
-		b := Barrier{TimeS: barrierT}
-		mark := len(a.Barriers) + 1
+		a.BarrierCount++
+		waitS := 0.0
 		for _, w := range waits[i:j] {
-			b.WaitS += w.dur
-			if w.dur > b.MaxWaitS {
-				b.MaxWaitS = w.dur
-			}
-			if waitingAt[w.slot] != mark {
-				waitingAt[w.slot] = mark
-				b.Waiters = append(b.Waiters, stats[w.slot].Rank)
-			}
+			waitS += w.dur
+			waitingAt[w.slot] = a.BarrierCount
 		}
-		sort.Ints(b.Waiters)
 		// Participants: ranks with any span ending inside (prevT, barrierT].
 		// The critical rank's own work span ends at the barrier; dead ranks
 		// have nothing in the window and drop out.
 		critical = critical[:0]
 		for k := range stats {
-			if waitingAt[k] != mark && hasEndIn(ends[off[k]:off[k+1]], prevT, barrierT+barrierEpsS) {
+			if waitingAt[k] != a.BarrierCount && hasEndIn(ends[off[k]:off[k+1]], prevT, barrierT+barrierEpsS) {
 				critical = append(critical, k)
-				b.Critical = append(b.Critical, stats[k].Rank)
 			}
 		}
-		sort.Ints(b.Critical)
 		if len(critical) > 0 {
-			share := b.WaitS / float64(len(critical))
+			share := waitS / float64(len(critical))
 			for _, k := range critical {
 				stats[k].CausedWaitS += share
 				stats[k].CriticalCount++
 			}
-			a.AttributedWaitS += b.WaitS
+			a.AttributedWaitS += waitS
 		}
-		a.TotalWaitS += b.WaitS
-
-		seg := Segment{StartS: prevT, EndS: barrierT, Rank: GlobalRank}
-		if math.IsInf(prevT, -1) {
-			seg.StartS = 0
+		a.TotalWaitS += waitS
+		// The window since the previous barrier (since 0 for the first) is
+		// on the critical path of the barrier's one critical rank; a tie
+		// puts it on nobody's.
+		if len(critical) == 1 {
+			from := prevT
+			if math.IsInf(from, -1) {
+				from = 0
+			}
+			st := &stats[critical[0]]
+			st.PathS += barrierT - from
+			st.PathSegments++
 		}
-		if len(b.Critical) == 1 {
-			seg.Rank = b.Critical[0]
-		}
-		a.CriticalPath = append(a.CriticalPath, seg)
-		a.Barriers = append(a.Barriers, b)
 		prevT = barrierT
 		i = j
 	}
@@ -341,7 +315,7 @@ func intervalUnionS(sorted []interval) float64 {
 // "rank N" and the global track "sim"; tracks named "sim" map to
 // GlobalRank, every other tid is taken as the rank number directly.
 //
-// Load and LoadLenient share one single-pass scanner (scan.go), which reads
+// Load reads the document with a single-pass scanner (scan.go), which reads
 // a long trace in two halves at once when it has a second CPU: the calling
 // goroutine walks the first half, a tail goroutine the second from the
 // first event boundary past the middle, and the walk adopts the tail's
@@ -351,79 +325,49 @@ func intervalUnionS(sorted []interval) float64 {
 // name, cat, ph, ts, dur, tid and args.name, skipping everything else
 // structurally. Keys match exactly — the trace_event format is
 // case-sensitive — the last of a repeated key wins, and null reads as
-// absent; a known key holding the wrong type is an error.
+// absent; a known key holding the wrong type is an error. A document that
+// does not parse to its end, a cut one included, is an error and no spans.
 func Load(data []byte) ([]Span, error) {
-	return strict(scan(data))
+	return whole(scan(data))
 }
 
-// strict is Load's verdict on a walk.
-func strict(spans []Span, _ int, err error) ([]Span, error) {
+// whole is the verdict on a walk: its spans when the document parsed to
+// its end, none and the walk's error otherwise.
+func whole(spans []Span, err error) ([]Span, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traceanalysis: parse trace: %w", err)
 	}
 	return spans, nil
 }
 
-// LoadLenient parses a trace that may have been cut off mid-write — a
-// killed run, a full disk, a signal-flushed partial export. Where Load
-// fails it keeps what the scanner had by then: the spans of every event
-// that closed before the malformed or missing byte, reported with
-// truncated=true. The error is non-nil only when not one whole event
-// preceded it.
-func LoadLenient(data []byte) (spans []Span, truncated bool, err error) {
-	return lenient(scan(data))
-}
-
-// lenient is LoadLenient's verdict on a walk.
-func lenient(spans []Span, events int, err error) ([]Span, bool, error) {
-	switch {
-	case err == nil:
-		return spans, false, nil
-	case events == 0:
-		return nil, true, fmt.Errorf("traceanalysis: parse trace: %w", err)
-	}
-	return spans, true, nil
-}
-
 // LoadFile reads and parses a trace file: Load(os.ReadFile(path)), to the
-// spans and the error text. A file Load would read in two halves is also
-// read from disk in two halves at once: the calling goroutine reads the
-// first half and then walks the document from its start, the tail
-// goroutine reads the second half and scans it from its first event
-// boundary on.
+// spans and the error text, but that a parse error is prefixed with the
+// file's path. A file Load would read in two halves is also read from disk
+// in two halves at once: the calling goroutine reads the first half and
+// then walks the document from its start, the tail goroutine reads the
+// second half and scans it from its first event boundary on.
 func LoadFile(path string) ([]Span, error) {
 	data, t, err := readFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("traceanalysis: %w", err)
 	}
+	var spans []Span
 	if t == nil {
-		return Load(data)
+		spans, err = Load(data)
+	} else {
+		spans, err = whole(scanWith(data, t))
 	}
-	return strict(scanWith(data, t))
-}
-
-// LoadFileLenient reads and parses a possibly-truncated trace file:
-// LoadLenient(os.ReadFile(path)), read as LoadFile reads it.
-func LoadFileLenient(path string) ([]Span, bool, error) {
-	data, t, err := readFile(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("traceanalysis: %w", err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if t == nil {
-		return LoadLenient(data)
-	}
-	return lenient(scanWith(data, t))
+	return spans, nil
 }
 
 // Render formats the analysis as a human-readable report.
 func Render(a *Analysis) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %.3f s wall, %d barriers, %d ranks",
-		a.WallS, len(a.Barriers), len(a.Ranks))
-	if a.Truncated {
-		b.WriteString(" (truncated trace: covers the events that closed before the cut)")
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "trace: %.3f s wall, %d barriers, %d ranks\n",
+		a.WallS, a.BarrierCount, len(a.Ranks))
 	fmt.Fprintf(&b, "barrier wait: %.4f s total", a.TotalWaitS)
 	if a.TotalWaitS > 0 {
 		fmt.Fprintf(&b, " (%.1f%% attributed to critical ranks)",
@@ -445,42 +389,18 @@ func Render(a *Analysis) string {
 		b.WriteString("\n")
 	}
 
-	if n := len(a.CriticalPath); n > 0 {
-		onPath := map[int]float64{}
-		for _, seg := range a.CriticalPath {
-			if seg.Rank != GlobalRank {
-				onPath[seg.Rank] += seg.EndS - seg.StartS
+	if a.BarrierCount > 0 {
+		var onPath []RankStat
+		for _, r := range a.Ranks {
+			if r.PathSegments > 0 {
+				onPath = append(onPath, r)
 			}
 		}
-		type share struct {
-			rank int
-			s    float64
-		}
-		var shares []share
-		for r, s := range onPath {
-			shares = append(shares, share{r, s})
-		}
-		sort.Slice(shares, func(i, j int) bool {
-			if shares[i].s != shares[j].s {
-				return shares[i].s > shares[j].s
-			}
-			return shares[i].rank < shares[j].rank
-		})
+		slices.SortStableFunc(onPath, func(x, y RankStat) int { return compareFloat(y.PathS, x.PathS) })
 		b.WriteString("critical path (time each rank set the pace):\n")
-		for _, sh := range shares {
-			fmt.Fprintf(&b, "  rank %-4d %9.4fs across %d segment(s)\n",
-				sh.rank, sh.s, countSegments(a.CriticalPath, sh.rank))
+		for _, r := range onPath {
+			fmt.Fprintf(&b, "  rank %-4d %9.4fs across %d segment(s)\n", r.Rank, r.PathS, r.PathSegments)
 		}
 	}
 	return b.String()
-}
-
-func countSegments(path []Segment, rank int) int {
-	n := 0
-	for _, seg := range path {
-		if seg.Rank == rank {
-			n++
-		}
-	}
-	return n
 }

@@ -36,22 +36,22 @@ func syntheticTrace() []Span {
 
 func TestAnalyzeSyntheticStraggler(t *testing.T) {
 	a := Analyze(syntheticTrace(), Options{})
-	if len(a.Barriers) != 2 {
-		t.Fatalf("barriers = %d, want 2", len(a.Barriers))
+	if a.BarrierCount != 2 {
+		t.Fatalf("barriers = %d, want 2", a.BarrierCount)
 	}
-	for i, b := range a.Barriers {
-		if len(b.Critical) != 1 || b.Critical[0] != 2 {
-			t.Errorf("barrier %d critical = %v, want [2]", i, b.Critical)
+	// Rank 2 alone is critical at both barriers, and the whole run is its
+	// critical path; the others wait at both.
+	for _, r := range a.Ranks {
+		want := RankStat{Rank: r.Rank, BusyS: r.BusyS, WaitS: r.WaitS}
+		if r.Rank == 2 {
+			want.CausedWaitS, want.CriticalCount, want.PathS, want.PathSegments = r.CausedWaitS, 2, 4, 2
 		}
-		if want := []int{0, 1}; len(b.Waiters) != 2 || b.Waiters[0] != want[0] || b.Waiters[1] != want[1] {
-			t.Errorf("barrier %d waiters = %v, want %v", i, b.Waiters, want)
+		if r != want {
+			t.Errorf("rank %d = %+v, want %+v", r.Rank, r, want)
 		}
-		if math.Abs(b.WaitS-1.8) > 1e-9 {
-			t.Errorf("barrier %d wait = %g, want 1.8", i, b.WaitS)
-		}
-		if math.Abs(b.MaxWaitS-1.0) > 1e-9 {
-			t.Errorf("barrier %d max wait = %g, want 1.0", i, b.MaxWaitS)
-		}
+	}
+	if got := a.Ranks[1].WaitS; math.Abs(got-1.6) > 1e-9 {
+		t.Errorf("rank 1 wait = %g, want 1.6", got)
 	}
 	if math.Abs(a.TotalWaitS-3.6) > 1e-9 || math.Abs(a.AttributedWaitS-3.6) > 1e-9 {
 		t.Errorf("wait totals = %g attributed %g, want 3.6 both", a.TotalWaitS, a.AttributedWaitS)
@@ -61,11 +61,6 @@ func TestAnalyzeSyntheticStraggler(t *testing.T) {
 	}
 	if a.Stragglers[0].Rank != 2 {
 		t.Errorf("top straggler = %d, want 2", a.Stragglers[0].Rank)
-	}
-	for _, seg := range a.CriticalPath {
-		if seg.Rank != 2 {
-			t.Errorf("critical path segment %+v not on rank 2", seg)
-		}
 	}
 	if a.WallS != 4.0 {
 		t.Errorf("wall = %g, want 4", a.WallS)
@@ -103,9 +98,9 @@ func TestAnalyzeJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Analyze(spans, Options{})
-	if len(a.Barriers) != 2 || a.CausedWaitS(2) < 3.6-1e-6 {
+	if a.BarrierCount != 2 || a.CausedWaitS(2) < 3.6-1e-6 {
 		t.Fatalf("round-tripped analysis degraded: %d barriers, caused=%g",
-			len(a.Barriers), a.CausedWaitS(2))
+			a.BarrierCount, a.CausedWaitS(2))
 	}
 	// Global-track spans must have been excluded from rank stats.
 	for _, r := range a.Ranks {
@@ -126,17 +121,17 @@ func TestAnalyzeDeadRankExcluded(t *testing.T) {
 		{Rank: 0, Cat: "kernel", Name: "w", StartS: 2, DurS: 1},
 	}
 	a := Analyze(spans, Options{})
-	if len(a.Barriers) != 1 {
-		t.Fatalf("barriers = %d, want 1", len(a.Barriers))
+	if a.BarrierCount != 1 {
+		t.Fatalf("barriers = %d, want 1", a.BarrierCount)
 	}
-	if len(a.Barriers[0].Critical) != 1 || a.Barriers[0].Critical[0] != 1 {
-		t.Errorf("critical = %v, want [1]", a.Barriers[0].Critical)
+	if r0, r1 := a.Ranks[0], a.Ranks[1]; r0.CriticalCount != 0 || r1.CriticalCount != 1 || r1.PathSegments != 1 {
+		t.Errorf("ranks = %+v, want rank 1 alone critical, once", a.Ranks)
 	}
 }
 
 func TestAnalyzeEmptyAndWaitOnly(t *testing.T) {
 	a := Analyze(nil, Options{})
-	if a.TotalWaitS != 0 || len(a.Barriers) != 0 {
+	if a.TotalWaitS != 0 || a.BarrierCount != 0 || a.Ranks != nil || a.Stragglers != nil {
 		t.Errorf("empty analysis = %+v", a)
 	}
 	// Wait spans without any work spans: the barrier is reconstructed but
@@ -144,8 +139,8 @@ func TestAnalyzeEmptyAndWaitOnly(t *testing.T) {
 	a = Analyze([]Span{
 		{Rank: 0, Cat: "mpi", Name: "barrier-wait", StartS: 0, DurS: 1},
 	}, Options{})
-	if len(a.Barriers) != 1 || len(a.Barriers[0].Critical) != 0 {
-		t.Fatalf("wait-only barriers = %+v", a.Barriers)
+	if a.BarrierCount != 1 || a.Ranks[0].CriticalCount != 0 || a.Ranks[0].PathSegments != 0 {
+		t.Fatalf("wait-only analysis = %+v", a)
 	}
 	if a.AttributedWaitS != 0 || a.TotalWaitS != 1 {
 		t.Errorf("attribution = %g/%g, want 0/1", a.AttributedWaitS, a.TotalWaitS)
@@ -203,14 +198,8 @@ func TestMpisimStragglerAttribution(t *testing.T) {
 	if slowed.Stragglers[0].Rank != 1 {
 		t.Errorf("top straggler = %d, want 1", slowed.Stragglers[0].Rank)
 	}
-	// Every barrier in the slowed run should be critical on rank 1.
-	crit := 0
-	for _, b := range slowed.Barriers {
-		if len(b.Critical) == 1 && b.Critical[0] == 1 {
-			crit++
-		}
-	}
-	if frac := float64(crit) / float64(len(slowed.Barriers)); frac < 0.9 {
+	// Every barrier in the slowed run should be critical on rank 1 alone.
+	if frac := float64(slowed.Ranks[1].PathSegments) / float64(slowed.BarrierCount); frac < 0.9 {
 		t.Errorf("rank 1 critical at %.0f%% of barriers, want >= 90%%", 100*frac)
 	}
 }
@@ -233,9 +222,9 @@ func TestRender(t *testing.T) {
 // TestRenderOrdersTiedRanks: ranks that set the pace for equal time print
 // in rank order, so the report is the same from one call to the next.
 func TestRenderOrdersTiedRanks(t *testing.T) {
-	a := &Analysis{}
+	a := &Analysis{BarrierCount: 4}
 	for r := 0; r < 4; r++ {
-		a.CriticalPath = append(a.CriticalPath, Segment{StartS: float64(r), EndS: float64(r + 1), Rank: 3 - r})
+		a.Ranks = append(a.Ranks, RankStat{Rank: r, PathS: 1, PathSegments: 1})
 	}
 	first := Render(a)
 	if !strings.Contains(first, "rank 0 ") || strings.Index(first, "rank 0 ") > strings.Index(first, "rank 3 ") {
