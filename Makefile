@@ -32,8 +32,8 @@ all: build lint test
 #                Output at widths 1, 2 and 4, and the scorecard against
 #                EXPERIMENTS.md's copy at widths 1, 2 and 4.
 #   bundle-smoke a tuned run's bundle read by all three inspect verbs, whole;
-#                its trace cut mid-line refused and its ledger cut mid-line
-#                audited up to the cut; a budget-stopped
+#                its trace and its report cut mid-line refused and its
+#                ledger cut mid-line audited up to the cut; a budget-stopped
 #                run's bundle; one sampled config's bundle, byte for byte
 #                the same at widths 1 and 4 and on a repeat; a faulted
 #                AMD run's bundle, its fault and clamp summaries read back,
@@ -114,11 +114,10 @@ fuzz-smoke:
 
 # The energy stack's run-level concurrency under the race detector at a
 # width that splits it: ranks step in-line, so what runs concurrently is
-# whole core.Runs handed out by par.Tasks — sharing the experiments' session
-# cache and Fig. 4/5 memo and the spec tables (each run builds its own
-# pipeline, host overheads included) — plus the tuner's candidate sweep;
-# and the run bundle's round trip: the trace export's two workers
-# encoding pieces of the shards while the caller writes the finished ones
+# whole core.Runs handed out by par.Tasks — sharing the experiments' Fig.
+# 4/5 memo and the spec tables (each run builds its own pipeline, host
+# overheads included); and the run bundle's round trip: the trace export's
+# two workers encoding pieces of the shards while the caller writes the finished ones
 # in order; atomicio's background sync of the file written so far, one at a
 # time while the writer goes on; the goroutine that reads the second half
 # of a trace file while the caller reads the first; and the trace loader's
@@ -247,11 +246,14 @@ bench-sph:
 # sweep, the one record of the predictions, for its aggregate). A tuned
 # 1 100-step run wraps its ledger's ring: the sweep and the run header are
 # the ledger's preamble, so decisions must still name the run and the
-# aggregate. Then the trace and the ledger are cut
+# aggregate. Then the trace, the ledger and the report are cut
 # mid-line by hand (sphexa writes each file whole, through a temporary file
 # and a rename): trace must refuse the cut trace, exit 1 with nothing on
 # stdout and an error naming the file; the ledger leg is as it was, and
-# decisions audits the valid prefix and says "truncated ledger".
+# decisions audits the valid prefix and says "truncated ledger" (cut/ holds
+# no report, so that decisions reads the ledger alone); energy and decisions
+# must refuse the cut report, in a directory of its own beside a whole
+# ledger, the same way trace refuses the cut trace.
 # Then a budget stop: a tuned 10-step run given a wall-time budget of half
 # its wall time must exit 3 with the three files, and its ledger must show
 # the budget-stop row. Last, the bundle is a function of the config: the
@@ -287,7 +289,7 @@ BREAKER_RUN = $(FAULTED_FLAGS) -fault-plan '$(BREAKER_PLAN)'
 
 BUNDLE_FILES = events.jsonl report.json trace.json
 bundle-smoke:
-	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut
+	rm -rf $(BUNDLE_SMOKE) && mkdir -p $(BUNDLE_SMOKE)/cut $(BUNDLE_SMOKE)/cutreport
 	$(GO) build -o $(BUNDLE_SMOKE)/ ./cmd/sphexa ./cmd/inspect
 	$(BUNDLE_SMOKE)/sphexa $(SAMPLED_RUN) -out $(BUNDLE_SMOKE)/run > /dev/null
 	test "$$(cd $(BUNDLE_SMOKE)/run && LC_ALL=C ls | tr '\n' ' ')" = '$(BUNDLE_FILES) '
@@ -311,6 +313,16 @@ bundle-smoke:
 	grep -qF '$(BUNDLE_SMOKE)/cut/trace.json:' $(BUNDLE_SMOKE)/cut/trace.err
 	$(BUNDLE_SMOKE)/inspect decisions $(BUNDLE_SMOKE)/cut > $(BUNDLE_SMOKE)/cut/decisions.txt
 	grep -q 'truncated ledger' $(BUNDLE_SMOKE)/cut/decisions.txt
+	cp $(BUNDLE_SMOKE)/run/events.jsonl $(BUNDLE_SMOKE)/cutreport/
+	head -c $$(( $$(wc -c < $(BUNDLE_SMOKE)/run/report.json) / 2 )) \
+		$(BUNDLE_SMOKE)/run/report.json > $(BUNDLE_SMOKE)/cutreport/report.json
+	for v in energy decisions; do \
+		$(BUNDLE_SMOKE)/inspect $$v $(BUNDLE_SMOKE)/cutreport > $(BUNDLE_SMOKE)/cutreport/$$v.txt \
+			2> $(BUNDLE_SMOKE)/cutreport/$$v.err; \
+		test $$? -eq 1 || exit 1; \
+		test ! -s $(BUNDLE_SMOKE)/cutreport/$$v.txt || exit 1; \
+		grep -qF '$(BUNDLE_SMOKE)/cutreport/report.json:' $(BUNDLE_SMOKE)/cutreport/$$v.err || exit 1; \
+	done
 	$(BUNDLE_SMOKE)/sphexa $(BUDGET_RUN) -out $(BUNDLE_SMOKE)/whole > /dev/null
 	half=$$(sed -n 's/.*"wall_time_s": \([^,]*\).*/\1/p' $(BUNDLE_SMOKE)/whole/report.json | awk '{ print $$1 / 2; exit }'); \
 	$(BUNDLE_SMOKE)/sphexa $(BUDGET_RUN) -out $(BUNDLE_SMOKE)/stopped \

@@ -20,7 +20,7 @@ const parentAllSHA256 = "5fb6e90fb641a4a9c74545536f19d8acaa0dea42e6e0a44e73eb724
 
 // The whole paper at scale 0.2 prints the parent commit's bytes — at the
 // test's GOMAXPROCS, which `make race-model` sets to 4 so that experiments
-// sharing the session cache and the Fig. 4/5 runs really overlap.
+// sharing the Fig. 4/5 runs really overlap.
 func TestRunAllPrintsParentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every experiment")

@@ -158,7 +158,7 @@ func analyze(evs []events.Event, att *attrib.Attribution, thresholdPct float64) 
 			r.PredEDPJs = sw[r.ClockMHz] // 0 when no decision was applied
 			// Sweet spot: strict-min over descending clocks, matching the
 			// tuner's first-best-wins tie-break and independent of the
-			// concurrent sweep's event order.
+			// order of the sweep's events.
 			mhzs := make([]int, 0, len(sw))
 			for mhz := range sw {
 				mhzs = append(mhzs, mhz)

@@ -119,6 +119,14 @@ func energy(w io.Writer, dir, baseline string) error {
 	if err != nil {
 		return err
 	}
+	// The baseline is read before anything prints, so that a refused one
+	// leaves stdout empty.
+	var b *instr.Report
+	if baseline != "" {
+		if b, err = instr.ReadReportFile(filepath.Join(baseline, sphenergy.BundleReport)); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(w, "simulation: %s on %s (%d ranks, strategy %s)\n",
 		r.Simulation, r.System, len(r.Ranks), r.Strategy)
 	fmt.Fprintf(w, "wall time: %.1f s, total energy: %.3f MJ, EDP: %.4g J*s\n\n",
@@ -163,11 +171,7 @@ func energy(w io.Writer, dir, baseline string) error {
 		fmt.Fprint(w, report.RenderFaults(r.Faults))
 	}
 
-	if baseline != "" {
-		b, err := instr.ReadReportFile(filepath.Join(baseline, sphenergy.BundleReport))
-		if err != nil {
-			return err
-		}
+	if b != nil {
 		n := report.Normalize(r.Strategy, r.WallTimeS, r.TotalEnergyJ, b.WallTimeS, b.TotalEnergyJ)
 		fmt.Fprintln(w)
 		fmt.Fprint(w, report.RenderNormalizedTable(

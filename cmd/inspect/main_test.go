@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sphenergy"
+	"sphenergy/internal/events"
 	"sphenergy/internal/instr"
 	"sphenergy/internal/telemetry"
 	"sphenergy/internal/traceanalysis"
@@ -166,6 +167,39 @@ func writeReport(t *testing.T, rep *instr.Report) string {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// TestReportTruncatedSaysSo cuts a bundle's report mid-file: energy, with
+// the cut report as its run and as its baseline, and decisions refuse it,
+// exit 1 and nothing on stdout, with an error that names it.
+func TestReportTruncatedSaysSo(t *testing.T) {
+	rank := instr.NewRankProfile(0)
+	rank.RecordAt(0, "MomentumEnergy", 1, 1, 0, 0, 0, 0)
+	rep := &instr.Report{Simulation: "turbulence", System: "minihpc", Strategy: "baseline",
+		Ranks: []*instr.RankProfile{rank}, WallTimeS: 100, TotalEnergyJ: 100}
+	led := sphenergy.NewEventLedger(0)
+	led.Emit(events.Event{Step: -1, Rank: -1, Type: events.RunStart, Detail: "baseline"})
+	cut := t.TempDir()
+	if err := sphenergy.WriteBundle(cut, sphenergy.Config{Events: led}, rep); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cut, sphenergy.BundleReport)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"energy", cut}, {"energy", writeReport(t, rep), "-baseline", cut}, {"decisions", cut}} {
+		out, stderr, code := runInspect(t, args...)
+		if code != 1 || out != "" {
+			t.Errorf("%q: exit %d, stdout %q; want 1 and nothing", args, code, out)
+		}
+		if !strings.Contains(stderr, path+":") {
+			t.Errorf("%q: stderr %q does not name %s", args, stderr, path)
+		}
+	}
 }
 
 // TestEnergyAllZeroReport holds the rank-spread guard: a report whose ranks

@@ -9,7 +9,7 @@ import (
 )
 
 // The ledger's wire form is one JSON object per event, written and read
-// here by hand on internal/jsontext: Event is sixteen scalar fields, so
+// here by hand on internal/jsontext: Event is fifteen scalar fields, so
 // the codec is a fixed sequence of appends one way and a key switch the
 // other, with no reflection and no per-event allocation beyond the strings
 // a file introduces for the first time. Both directions are held to
@@ -59,9 +59,6 @@ func (e *eventEncoder) event(ev *Event) {
 	if ev.Value != 0 {
 		e.float(`,"value":`, ev.Value)
 	}
-	if ev.Cached {
-		e.buf = append(e.buf, `,"cached":true`...)
-	}
 	if ev.Err != "" {
 		e.buf = jsontext.AppendString(append(e.buf, `,"err":`...), ev.Err)
 	}
@@ -81,7 +78,7 @@ func (e *eventEncoder) float(key string, f float64) {
 // eventKeys are Event's JSON keys.
 var eventKeys = [...]string{"seq", "t_s", "step", "rank", "type", "subject", "detail",
 	"requested_mhz", "applied_mhz", "pred_time_s", "pred_energy_j", "pred_power_w",
-	"pred_edp_js", "value", "cached", "err"}
+	"pred_edp_js", "value", "err"}
 
 // eventDecoder reads events back from JSON lines. Strings are interned:
 // a ledger repeats a few dozen types, subjects and details thousands of
@@ -178,8 +175,6 @@ func (d *eventDecoder) field(key string, val []byte) (known bool) {
 		ev.PredEDPJs, ok = jsontext.Float(val)
 	case "value":
 		ev.Value, ok = jsontext.Float(val)
-	case "cached":
-		ev.Cached, ok = val[0] == 't', val[0] == 't' || val[0] == 'f'
 	case "err":
 		ev.Err, ok = d.text(val)
 	default:

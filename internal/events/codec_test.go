@@ -96,10 +96,10 @@ func codecCases() []Event {
 	for _, n := range []uint64{0, 1, 1 << 53, 1<<53 + 1, math.MaxUint64} {
 		cases = append(cases, Event{Seq: n})
 	}
-	cases = append(cases, Event{Cached: true}, Event{
+	cases = append(cases, Event{
 		Seq: 1<<53 + 1, TimeS: -3.25e-8, Step: 12, Rank: 3, Type: FreqDecision, Subject: "IAD <&>",
 		Detail: "cadence", RequestedMHz: 1110, AppliedMHz: 1005, PredTimeS: 1e-7, PredEnergyJ: 87.5,
-		PredPowerW: 311.0625, PredEDPJs: 2.5e22, Value: -0.5, Cached: true, Err: "nvml: \x00 busy\xff",
+		PredPowerW: 311.0625, PredEDPJs: 2.5e22, Value: -0.5, Err: "nvml: \x00 busy\xff",
 	})
 	return cases
 }

@@ -120,8 +120,6 @@ type Event struct {
 	// Value is a generic numeric payload: step energy (J) on step events,
 	// objective score on tuner events, load factor on degradation events.
 	Value float64 `json:"value,omitempty"`
-	// Cached marks tuner measurements served from the memoizing cache.
-	Cached bool `json:"cached,omitempty"`
 	// Err carries the triggering error text on resilience events.
 	Err string `json:"err,omitempty"`
 }
@@ -333,7 +331,7 @@ const readBlock = 512
 // readJSONL is ReadJSONL that also returns the length of the valid prefix:
 // the offset just past the last line that parsed. Events are decoded in
 // place into blocks and copied once into a result of exactly their number:
-// an Event is 160 bytes, and growing one slice by append would copy a long
+// an Event is 152 bytes, and growing one slice by append would copy a long
 // ledger five times over and keep a quarter more than it holds.
 func readJSONL(r io.Reader) (evs []Event, valid int64, truncated bool, err error) {
 	var consumed int64

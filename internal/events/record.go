@@ -7,13 +7,13 @@ import (
 
 // The ledger keeps each event as a packed byte record, not as an Event: a
 // frequency decision, most of a tuned run's rows, is some 35 bytes where
-// the Event it came from is 160, and the ring holds no pointer for the
+// the Event it came from is 152, and the ring holds no pointer for the
 // garbage collector to scan. A record holds every field of its event
 // exactly except Seq, which the ledger derives from the record's place:
 //
 //	flags   one byte: bit i set when the i-th of TimeS, PredTimeS,
 //	        PredEnergyJ, PredPowerW, PredEDPJs and Value has non-zero
-//	        bits (so -0 and NaN payloads are kept), bit 6 for Cached
+//	        bits (so -0 and NaN payloads are kept); bits 6 and 7 are 0
 //	type    one byte: 1 + the index of a builtin Type, or 0 and the type
 //	        as text
 //	ints    Step, Rank, RequestedMHz, AppliedMHz as zigzag varints
@@ -24,9 +24,6 @@ import (
 // of them that grows with the run. The ledger's preamble and ring are
 // blocks.Records stores, each record behind its length, which is how a
 // full ring finds the end of the oldest one to drop.
-
-// Bits of a record's flags byte past its six float bits.
-const cachedFlag = 1 << 6
 
 // recordFloats returns the pointers to ev's float fields in record order.
 func recordFloats(ev *Event) [6]*float64 {
@@ -41,9 +38,6 @@ func appendRecord(b []byte, ev *Event) []byte {
 		if floats[i] = math.Float64bits(f); floats[i] != 0 {
 			flags |= 1 << i
 		}
-	}
-	if ev.Cached {
-		flags |= cachedFlag
 	}
 	code := typeCode(ev.Type)
 	b = append(b, flags, code)
@@ -88,7 +82,7 @@ type recordDecoder struct {
 func (d *recordDecoder) decode(rec []byte, seq uint64, ev *Event) {
 	flags, code := rec[0], rec[1]
 	rec = rec[2:]
-	*ev = Event{Seq: seq, Cached: flags&cachedFlag != 0}
+	*ev = Event{Seq: seq}
 	if code == 0 {
 		var t string
 		t, rec = d.text(rec)

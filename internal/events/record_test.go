@@ -102,7 +102,7 @@ func drawEvent(rng *rand.Rand, text string, bits uint64) Event {
 	}
 	return Event{TimeS: f(), Step: i(), Rank: i(), Type: ty, Subject: text1(), Detail: text1(),
 		RequestedMHz: i(), AppliedMHz: i(), PredTimeS: f(), PredEnergyJ: f(), PredPowerW: f(),
-		PredEDPJs: f(), Value: f(), Cached: rng.Intn(2) == 0, Err: text1()}
+		PredEDPJs: f(), Value: f(), Err: text1()}
 }
 
 // FuzzLedgerRecord emits drawn events into a small ledger that pins a

@@ -30,7 +30,6 @@ func ExtAMD(scale float64) (*ExtAMDData, error) {
 		Spec:      spec.GPUSpec,
 		Params:    tuner.Params{MinMHz: 1000, MaxMHz: spec.GPUSpec.MaxSMClockMHz},
 		Objective: tuner.EDP,
-		Cache:     sessionCache,
 	}
 	for _, fn := range core.TurbulencePipeline() {
 		res, err := tuner.TuneKernel(fn.Name, fn.Kernel(80e6, 150, spec.GPUSpec.Vendor), cfg)

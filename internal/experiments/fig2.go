@@ -40,7 +40,6 @@ func Fig2(scale float64) (*Fig2Data, error) {
 		Spec:      spec,
 		Params:    tuner.Params{MinMHz: d.MinMHz, MaxMHz: d.MaxMHz},
 		Objective: tuner.EDP,
-		Cache:     sessionCache,
 	}
 	for _, fn := range core.TurbulencePipeline() {
 		kernel := fn.Kernel(particles450Cubed, 150, spec.Vendor)

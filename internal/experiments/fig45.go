@@ -42,10 +42,14 @@ type fig45Key struct {
 	steps int
 }
 
-// fig45Memo holds, beside sessionCache and for the lifetime of the process,
-// one fig45Run per (case, steps), so whichever of the two figures renders
-// first pays for the four runs and the other reads them. Runs are
-// deterministic, so a memoized breakdown is the one a fresh run would give.
+// fig45Memo holds, for the lifetime of the process, one fig45Run per (case,
+// steps), so whichever of the two figures renders first pays for the four
+// runs and the other reads them. Runs are deterministic, so a memoized
+// breakdown is the one a fresh run would give. It is the one piece of state
+// the experiments keep past a call, for a measured reason: at -scale 5 the
+// four 32-rank runs take 31-62 ms on 2 CPUs against 0.02-0.04 ms from the
+// memo, a fifth to a quarter of `-run all`'s wall time, so it stays until
+// one call runs the four cases and hands both figures their breakdowns.
 var fig45Memo sync.Map // fig45Key -> *fig45Run
 
 // fig45Runs returns the four shared runs' breakdowns in case order.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"sphenergy/internal/tuner"
 )
 
 // parentSHA256 is the SHA-256 of every experiment's Render() at testScale,
@@ -28,10 +26,9 @@ var parentSHA256 = map[string]string{
 	"table1":       "56df32c4471102d98ef7ed1407e5f4de1538517b8dd59c8896dbefb6ad629d26",
 }
 
-// forgetSession empties the two process-lifetime memos, so the next render
-// recomputes everything.
+// forgetSession empties the process-lifetime Fig. 4/5 memo, so the next
+// render recomputes everything.
 func forgetSession() {
-	sessionCache = tuner.NewCache()
 	fig45Memo.Range(func(k, _ any) bool {
 		fig45Memo.Delete(k)
 		return true

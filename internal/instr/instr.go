@@ -183,12 +183,17 @@ func ReadReport(rd io.Reader) (*Report, error) {
 	return &r, nil
 }
 
-// ReadReportFile loads a report from disk.
+// ReadReportFile loads a report from disk: ReadReport of the file, but that
+// a decode error is prefixed with the file's path.
 func ReadReportFile(path string) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("instr: %w", err)
 	}
 	defer f.Close()
-	return ReadReport(f)
+	r, err := ReadReport(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
 }

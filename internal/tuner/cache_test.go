@@ -83,42 +83,6 @@ func TestCacheKeySeparatesInputs(t *testing.T) {
 	}
 }
 
-// The cache must be safe under the brute-force worker pool and under
-// concurrent TuneKernel calls sharing one cache (the parallel experiment
-// driver does exactly this).
-func TestCacheConcurrentSharedUse(t *testing.T) {
-	c := NewCache()
-	cfg := baseCfg()
-	cfg.Cache = c
-
-	ref, err := TuneKernel("k", computeBound(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 8
-	results := make([]*Result, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			results[w], errs[w] = TuneKernel("k", computeBound(), cfg)
-			done <- w
-		}(w)
-	}
-	for i := 0; i < workers; i++ {
-		<-done
-	}
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			t.Fatal(errs[w])
-		}
-		if !reflect.DeepEqual(results[w], ref) {
-			t.Errorf("worker %d: concurrent cached sweep differs from reference", w)
-		}
-	}
-}
-
 func TestCacheKeyDistinguishesKernels(t *testing.T) {
 	spec := gpusim.A100PCIE40GB()
 	k1 := (&Cache{}).key(spec, computeBound(), 1200)

@@ -7,7 +7,10 @@
 // The entry point mirrors KernelTuner's tune_kernel(kernel_name,
 // kernel_source, problem_size, params): the kernel "source" is a
 // gpusim.KernelDesc generator, the problem size fixes the work items, and
-// params bounds the candidate frequency range.
+// params bounds the candidate frequency range. A sweep runs its candidates
+// one after the other on the caller's goroutine: each is a few hundred
+// nanoseconds of analytic model on a fresh simulated device, and the host
+// parallelism is across runs, not inside one.
 package tuner
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"sphenergy/internal/events"
 	"sphenergy/internal/gpusim"
-	"sphenergy/internal/par"
 )
 
 // Objective scores one measured configuration; lower is better.
@@ -45,16 +47,17 @@ type Config struct {
 	Spec      gpusim.Spec
 	Params    Params
 	Objective Objective
-	// Cache, when non-nil, memoizes device measurements across tuning
-	// sessions keyed by (spec, kernel descriptor, MHz); repeat sweeps replay
-	// cached time/energy bit-identically instead of re-measuring.
-	// Evaluations still counts every logical evaluation, so a Result is
-	// byte-identical with or without a cache.
+	// Cache, when non-nil, memoizes device measurements across the sweeps
+	// of one goroutine keyed by (spec name, kernel descriptor, MHz); repeat
+	// sweeps replay cached time/energy bit-identically instead of
+	// re-measuring. Evaluations still counts every logical evaluation, so a
+	// Result is byte-identical with or without a cache. The benchmark's
+	// tuner layer is its one caller.
 	Cache *Cache
 	// Events, when non-nil, receives one tuner-measure event per evaluated
-	// candidate (measured time/energy/score, cache-hit flag), in candidate
-	// order, and one tuner-select event per kernel — the decision ledger's
-	// record of why ManDyn's table says what it says.
+	// candidate (measured time/energy/score), in candidate order, and one
+	// tuner-select event per kernel — the decision ledger's record of why
+	// ManDyn's table says what it says.
 	Events *events.Ledger
 }
 
@@ -122,28 +125,12 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	}
 	kernel.Name = kernelName
 
-	// The sweep's candidates are independent measurements on fresh
-	// simulated devices, so they go through par.Tasks; each result and its
-	// cache-hit flag land at the candidate's index, and the ledger rows are
-	// emitted from there once the sweep is done, in the order of a serial
-	// sweep whichever worker finished when.
 	res := &Result{All: make([]Measurement, len(cands)), Evaluations: len(cands)}
-	cached := make([]bool, len(cands))
-	par.Tasks(len(cands), func(i int) {
-		mhz := cands[i]
-		var m Measurement
-		if cfg.Cache != nil {
-			k := cfg.Cache.key(cfg.Spec, kernel, mhz)
-			if m, cached[i] = cfg.Cache.get(k); !cached[i] {
-				m = measure(cfg.Spec, kernel, mhz)
-				cfg.Cache.put(k, m)
-			}
-		} else {
-			m = measure(cfg.Spec, kernel, mhz)
-		}
+	for i, mhz := range cands {
+		m := cfg.Cache.measure(cfg.Spec, kernel, mhz)
 		m.Score = cfg.Objective(m.TimeS, m.EnergyJ)
 		res.All[i] = m
-	})
+	}
 	best := res.All[0]
 	for _, m := range res.All[1:] {
 		if m.Score < best.Score {
@@ -152,13 +139,13 @@ func TuneKernel(kernelName string, kernel gpusim.KernelDesc, cfg Config) (*Resul
 	}
 	res.Best = best
 	if cfg.Events != nil {
-		for i, m := range res.All {
+		for _, m := range res.All {
 			cfg.Events.Emit(events.Event{
 				Step: -1, Rank: -1, Type: events.TunerMeasure,
 				Subject: kernelName, AppliedMHz: m.MHz,
 				PredTimeS: m.TimeS, PredEnergyJ: m.EnergyJ,
 				PredPowerW: powerW(m), PredEDPJs: m.TimeS * m.EnergyJ,
-				Value: m.Score, Cached: cached[i],
+				Value: m.Score,
 			})
 		}
 		cfg.Events.Emit(events.Event{

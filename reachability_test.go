@@ -567,3 +567,144 @@ func nonTestFiles(t *testing.T, fset *token.FileSet, mode parser.Mode) []goFile 
 	}
 	return files
 }
+
+// TestPackageStateIsReadOnly is the same rule for package state: no package
+// keeps state that outlives a call. Every package-level variable declared in
+// a non-test file under internal/ or cmd/ is an errors.New sentinel or is
+// listed here with the reason it stays: a table that no call writes (no
+// non-test file assigns to it, increments it, or deletes from or clears it),
+// or one of the two named exceptions.
+func TestPackageStateIsReadOnly(t *testing.T) {
+	const table = "a table that no call writes"
+	stays := map[string]string{
+		"core.clockCauses":      table,
+		"events.builtinTypes":   table,
+		"events.eventKeys":      table,
+		"experiments.fig6Freqs": table,
+		"experiments.fig6Sizes": table,
+		"experiments.registry":  table,
+		"instr.csvHeader":       table,
+		"inspect.anomalyTypes":  table,
+		"jsontext.plainByte":    table,
+		"jsontext.pow10":        table,
+		"jsontext.pow10Inv":     table,
+		"sph.PassNames":         table,
+		"sphexa.gridCO2e":       table,
+		"telemetry.phases":      table,
+		"tuner.EDP":             table,
+		"sph.listChunkPool":     "a pool of scratch list chunks that no result depends on",
+		"experiments.fig45Memo": "Figs. 4 and 5 share four 32-rank runs, which take 31-62 ms at " +
+			"-scale 5 against 0.02-0.04 ms from the memo, until one call hands both figures their breakdowns",
+	}
+
+	declared := map[string]bool{}
+	for _, gf := range nonTestFiles(t, token.NewFileSet(), 0) {
+		pkg := path.Base(gf.dir)
+		inScope := strings.HasPrefix(gf.dir, "internal/") || strings.HasPrefix(gf.dir, "cmd/")
+		top := map[*ast.ValueSpec]bool{}
+		for _, decl := range gf.f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				top[vs] = true
+				for i, id := range vs.Names {
+					name := pkg + "." + id.Name
+					declared[name] = true
+					_, listed := stays[name]
+					if inScope && !listed && !(i < len(vs.Values) && isErrorsNew(vs.Values[i])) {
+						t.Errorf("%s (%s) is package state: pass it down from the call that owns it, "+
+							"or list it with the reason it stays", name, gf.dir)
+					}
+				}
+			}
+		}
+		imports := map[string]string{} // local name -> package name
+		for _, spec := range gf.f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := path.Base(p)
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			imports[local] = path.Base(p)
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			var targets []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					targets = n.Lhs
+				}
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{n.X}
+			case *ast.CallExpr:
+				if fn, ok := n.Fun.(*ast.Ident); ok && (fn.Name == "delete" || fn.Name == "clear") && len(n.Args) > 0 {
+					targets = n.Args[:1]
+				}
+			}
+			for _, e := range targets {
+				if name := writtenVar(e, pkg, imports, top); stays[name] == table {
+					t.Errorf("%s writes %s, which is listed as %s", gf.dir, name, table)
+				}
+			}
+			return true
+		})
+	}
+	for name, reason := range stays {
+		if !declared[name] {
+			t.Errorf("%s (%s) is no longer a package-level variable: drop it from the list", name, reason)
+		}
+	}
+}
+
+// isErrorsNew reports whether e is a call errors.New(...).
+func isErrorsNew(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == "errors" && sel.Sel.Name == "New"
+}
+
+// writtenVar names the package-level variable an assignment target writes
+// into, as pkg.name — x, x[i], x.f and *x write into x, p.X into package
+// p's X — or "" for a local one. An identifier the parser left unresolved
+// is declared in another file of the package; one it resolved is declared
+// in this file, at top level or in a function.
+func writtenVar(e ast.Expr, pkg string, imports map[string]string, top map[*ast.ValueSpec]bool) string {
+	for {
+		switch v := e.(type) {
+		case *ast.Ident:
+			if v.Obj == nil {
+				return pkg + "." + v.Name
+			}
+			if vs, ok := v.Obj.Decl.(*ast.ValueSpec); ok && top[vs] {
+				return pkg + "." + v.Name
+			}
+			return ""
+		case *ast.SelectorExpr:
+			if x, ok := v.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
+				return imports[x.Name] + "." + v.Sel.Name
+			}
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.ParenExpr:
+			e = v.X
+		default:
+			return ""
+		}
+	}
+}
